@@ -395,19 +395,26 @@ type Txn struct {
 	locks   []string
 	lockSet map[string]bool
 	start   sim.Time
+	logged  bool // RecBegin has been appended (done lazily, see logBegin)
 }
 
-// Begin starts a transaction whose virtual clock begins at now.
+// Begin starts a transaction whose virtual clock begins at now.  Nothing is
+// logged yet: RecBegin is written immediately before the transaction's first
+// record, so a read-only transaction that aborts leaves the log untouched.
 func (m *Manager) Begin(now sim.Time) *Txn {
 	id := m.nextID.Add(1)
 	m.started.Add(1)
 	cur := sim.NewCursor(m.clock)
 	cur.SetTo(now)
-	t := &Txn{id: id, mgr: m, cursor: cur, state: Active, lockSet: make(map[string]bool), start: now}
-	if m.log != nil {
-		_, _ = m.log.Append(wal.RecBegin, id, 0, nil)
+	return &Txn{id: id, mgr: m, cursor: cur, state: Active, lockSet: make(map[string]bool), start: now}
+}
+
+// logBegin appends the transaction's RecBegin ahead of its first record.
+func (t *Txn) logBegin() {
+	if !t.logged {
+		t.logged = true
+		_, _ = t.mgr.log.Append(wal.RecBegin, t.id, 0, nil)
 	}
-	return t
 }
 
 // ID returns the transaction id.
@@ -451,6 +458,7 @@ func (t *Txn) Log(typ wal.RecordType, objectID uint32, payload []byte) {
 	if t.mgr.log == nil || t.state != Active {
 		return
 	}
+	t.logBegin()
 	_, _ = t.mgr.log.Append(typ, t.id, objectID, payload)
 }
 
@@ -462,6 +470,7 @@ func (t *Txn) Commit() (sim.Time, error) {
 		return t.cursor.Now(), ErrTxnDone
 	}
 	if t.mgr.log != nil {
+		t.logBegin()
 		lsn, err := t.mgr.log.Append(wal.RecCommit, t.id, 0, nil)
 		if err != nil {
 			return t.cursor.Now(), err
@@ -478,15 +487,16 @@ func (t *Txn) Commit() (sim.Time, error) {
 	return t.cursor.Now(), nil
 }
 
-// Abort writes an abort record and releases all locks.  The engine's
-// transactions are written to take locks before any modification, so abort
-// is only used for logical aborts that happen before updates (e.g. the 1 %
-// of TPC-C NewOrder transactions with an invalid item).
+// Abort writes an abort record (only when the transaction logged anything)
+// and releases all locks.  The engine's transactions are written to take
+// locks before any modification, so abort is only used for logical aborts
+// that happen before updates (e.g. the 1 % of TPC-C NewOrder transactions
+// with an invalid item) and for read-only transactions (db.View).
 func (t *Txn) Abort() sim.Time {
 	if t.state != Active {
 		return t.cursor.Now()
 	}
-	if t.mgr.log != nil {
+	if t.logged {
 		_, _ = t.mgr.log.Append(wal.RecAbort, t.id, 0, nil)
 	}
 	t.state = Aborted

@@ -268,3 +268,76 @@ func TestLightCheckpointsRefuseRecovery(t *testing.T) {
 		t.Fatalf("error does not name the cause: %v", err)
 	}
 }
+
+// TestReadOnlyTxnsLeaveLogUntouched checks that RecBegin is written lazily:
+// a transaction that logs nothing and aborts (db.View) appends no record, so
+// read-only work cannot grow a log buffer nothing ever forces or trims.
+func TestReadOnlyTxnsLeaveLogUntouched(t *testing.T) {
+	db, err := OpenConfig(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ledgerWorkload(t, db, "T", 50)
+	tbl, _ := db.Table("T")
+
+	before := db.Stats().WAL
+	for i := 0; i < 10000; i++ {
+		err := db.View(func(tx *Tx) error {
+			for range tbl.Rows(tx) {
+				break
+			}
+			return tx.Err()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := db.Stats().WAL
+	if after.Appended != before.Appended || after.BytesAppended != before.BytesAppended ||
+		after.BytesLive != before.BytesLive {
+		t.Fatalf("read-only transactions touched the log: before=%+v after=%+v", before, after)
+	}
+}
+
+// TestReplayCountsLosersWithLazyBegin checks recovery's winner/loser counts
+// now that RecBegin is written with the first logged record: a transaction
+// that logged work but never committed is a loser, one that logged nothing
+// leaves no trace at all.
+func TestReplayCountsLosersWithLazyBegin(t *testing.T) {
+	db, err := OpenConfig(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledgerWorkload(t, db, "T", 20)
+	tbl, _ := db.Table("T")
+
+	loser := db.Begin()
+	if _, err := tbl.Insert(loser, []byte("never committed")); err != nil {
+		t.Fatal(err)
+	}
+	idle := db.Begin() // logs nothing
+	// A later commit forces the log, making the loser's records durable.
+	if err := db.Update(func(tx *Tx) error {
+		_, err := tbl.Insert(tx, []byte("winner"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_ = idle
+
+	re, err := Reopen(db.Crash())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	rst, _ := re.Recovery()
+	// The load and the winner committed after the DDL checkpoint.
+	if rst.CommittedTxns != 2 || rst.LoserTxns != 1 {
+		t.Fatalf("replay window: committed=%d losers=%d, want 2 and 1", rst.CommittedTxns, rst.LoserTxns)
+	}
+	rtbl, _ := re.Table("T")
+	if got := rtbl.RowCount(); got != 21 {
+		t.Fatalf("recovered %d rows, want 21 (20 loaded + winner, loser discarded)", got)
+	}
+}
