@@ -10,21 +10,25 @@ type CampaignResult struct {
 	InDoubt         int   // runs that cut a commit force
 	InDoubtAlive    int   // ... where the in-doubt transaction survived
 	TornTailsSeen   int   // recoveries that detected and truncated a torn tail
+	Recrashes       int   // further crash/recover cycles verified on recovered databases
 	RowsRecovered   int64 // total rows verified across all recoveries
 	ReplayedRecords int64 // total log records recovery replayed
 	ReplayedBytes   int64 // total log bytes recovery replayed
 }
 
 func (r CampaignResult) String() string {
-	return fmt.Sprintf("chaos: %d runs, %d injected crashes (%d in-doubt, %d survived), %d clean, %d torn tails, %d rows verified, %d records / %d bytes replayed",
+	return fmt.Sprintf("chaos: %d runs, %d injected crashes (%d in-doubt, %d survived), %d clean, %d torn tails, %d crashes after a recovery, %d rows verified, %d records / %d bytes replayed",
 		r.Runs, r.CrashesFired, r.InDoubt, r.InDoubtAlive, r.CleanCrashes,
-		r.TornTailsSeen, r.RowsRecovered, r.ReplayedRecords, r.ReplayedBytes)
+		r.TornTailsSeen, r.Recrashes, r.RowsRecovered, r.ReplayedRecords, r.ReplayedBytes)
 }
 
 // Campaign runs n seeded chaos rounds derived from baseSeed, cycling fault
 // flavours so the seeds cover plain crashes, torn tails, transient program
-// failures and worn-block erase failures.  The first verification failure
-// aborts the campaign with the offending seed in the error.
+// failures, worn-block erase failures and crashing again after a recovery.
+// Every counter but Recrashes describes the runs' first lives, so adding the
+// crash-again flavour left the gated replay volume as it was.  The first
+// verification failure aborts the campaign with the offending seed in the
+// error.
 func Campaign(baseSeed uint64, n int, base Config) (CampaignResult, error) {
 	var res CampaignResult
 	for i := 0; i < n; i++ {
@@ -39,6 +43,9 @@ func Campaign(baseSeed uint64, n int, base Config) (CampaignResult, error) {
 		}
 		if i%5 == 3 && cfg.FailEraseEvery == 0 {
 			cfg.FailEraseEvery = 97
+		}
+		if i%7 == 5 && cfg.Recrashes == 0 {
+			cfg.Recrashes = 2
 		}
 		rep, err := Run(cfg)
 		if err != nil {
@@ -59,6 +66,7 @@ func Campaign(baseSeed uint64, n int, base Config) (CampaignResult, error) {
 		if rep.Recovery.TornTail {
 			res.TornTailsSeen++
 		}
+		res.Recrashes += rep.Recrashes
 		res.RowsRecovered += int64(rep.Rows)
 		res.ReplayedRecords += int64(rep.Recovery.ReplayedRecords)
 		res.ReplayedBytes += rep.Recovery.ReplayedBytes

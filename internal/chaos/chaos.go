@@ -25,6 +25,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sort"
 
 	"noftl"
 	"noftl/internal/sim"
@@ -55,6 +56,12 @@ type Config struct {
 	// engine must absorb both without losing data.
 	FailProgramEvery int64
 	FailEraseEvery   int64
+	// Recrashes is the number of further lives after the first recovery:
+	// each re-arms the fault plan on the recovered database, runs the
+	// workload again, crashes, reopens and verifies against the same oracle
+	// (default 0).  The Report's workload and recovery counters describe the
+	// first life only; Report.Recrashes counts the verified extra cycles.
+	Recrashes int
 }
 
 func (c Config) withDefaults() Config {
@@ -77,6 +84,7 @@ type Report struct {
 	InDoubtAlive bool // ... and the in-doubt transaction survived recovery
 	Rows         int  // rows visible after recovery
 	Recovery     noftl.RecoveryStats
+	Recrashes    int // further crash/recover cycles verified (Config.Recrashes)
 }
 
 // delta is one transaction's pending effect: key -> new value, nil = delete.
@@ -97,13 +105,29 @@ func decodeRow(row []byte) (string, []byte, error) {
 	return string(row[:keyWidth]), row[keyWidth:], nil
 }
 
-// Run executes one seeded crash-recovery round and verifies the recovered
-// database against the oracle.  Any verification failure is returned as an
-// error naming the seed.
+// runner is the state that outlives a crash: the random stream and the
+// oracle of the committed state with the set of live keys (for deterministic
+// update/delete targets).
+type runner struct {
+	cfg       Config
+	r         *sim.Rand
+	committed map[string][]byte
+	liveKeys  []string
+	nextKey   int
+}
+
+// Run executes one seeded crash-recovery round (plus Config.Recrashes further
+// ones on the recovered database) and verifies every recovered database
+// against the oracle.  Any verification failure is returned as an error
+// naming the seed.
 func Run(cfg Config) (Report, error) {
 	cfg = cfg.withDefaults()
 	rep := Report{Seed: cfg.Seed}
-	r := sim.NewRand(cfg.Seed ^ 0x9e3779b97f4a7c15)
+	w := &runner{
+		cfg:       cfg,
+		r:         sim.NewRand(cfg.Seed ^ 0x9e3779b97f4a7c15),
+		committed: make(map[string][]byte),
+	}
 
 	opts := []noftl.Option{}
 	if cfg.CheckpointEveryBytes > 0 {
@@ -113,19 +137,68 @@ func Run(cfg Config) (Report, error) {
 	if err != nil {
 		return rep, err
 	}
-	tbl, err := db.CreateTable("KV", "", []noftl.Column{{Name: "k", Type: "CHAR(8)"}, {Name: "v", Type: "VARBINARY"}})
-	if err != nil {
+	if _, err := db.CreateTable("KV", "", []noftl.Column{{Name: "k", Type: "CHAR(8)"}, {Name: "v", Type: "VARBINARY"}}); err != nil {
 		return rep, err
 	}
-	idx, err := db.CreateIndex("KV_PK", "KV", []string{"k"}, true, "")
-	if err != nil {
+	if _, err := db.CreateIndex("KV_PK", "KV", []string{"k"}, true, ""); err != nil {
 		return rep, err
 	}
 
-	// Arm after schema setup so the crash point lands in the workload, not
-	// in the DDL checkpoints.
+	// The first life reports into rep; the extra lives into a scratch report,
+	// so a campaign's aggregate counters do not depend on Recrashes.
+	lifeRep := &rep
+	for life := 0; ; life++ {
+		inDoubt, err := w.life(db, life, lifeRep)
+		if err != nil {
+			return rep, err
+		}
+		rec, err := noftl.Reopen(db.Crash())
+		if err != nil {
+			return rep, fmt.Errorf("chaos seed %d life %d reopen: %w", cfg.Seed, life, err)
+		}
+		if st, ok := rec.Recovery(); ok {
+			lifeRep.Recovery = st
+		}
+		if err := verify(rec, w.committed, inDoubt, lifeRep); err != nil {
+			rec.Close()
+			return rep, fmt.Errorf("chaos seed %d life %d: %w", cfg.Seed, life, err)
+		}
+		if life > 0 {
+			rep.Recrashes++
+		}
+		if life == cfg.Recrashes {
+			return rep, rec.Close()
+		}
+		// Carry on from the recovered state: the in-doubt transaction is now
+		// decided one way or the other.
+		if lifeRep.InDoubtAlive {
+			w.committed = applyDelta(w.committed, inDoubt)
+		}
+		w.liveKeys = w.liveKeys[:0]
+		for k := range w.committed {
+			w.liveKeys = append(w.liveKeys, k)
+		}
+		sort.Strings(w.liveKeys)
+		db, lifeRep = rec, &Report{}
+	}
+}
+
+// life arms the fault plan after schema setup or recovery — so the crash
+// point lands in the workload, not in the DDL or recovery checkpoints — and
+// drives the workload until it ends or the injected crash fires.  It returns
+// the delta of the transaction the crash left in doubt, if any.
+func (w *runner) life(db *noftl.DB, life int, rep *Report) (delta, error) {
+	cfg, r := w.cfg, w.r
+	tbl, ok := db.Table("KV")
+	if !ok {
+		return nil, errors.New("chaos: table KV missing")
+	}
+	idx, ok := db.Index("KV_PK")
+	if !ok {
+		return nil, errors.New("chaos: index KV_PK missing")
+	}
 	plan := noftl.FaultPlan{
-		Seed:             cfg.Seed,
+		Seed:             cfg.Seed + uint64(life),
 		CrashAfterOps:    cfg.CrashAfterOps,
 		FailProgramEvery: cfg.FailProgramEvery,
 		FailEraseEvery:   cfg.FailEraseEvery,
@@ -144,13 +217,6 @@ func Run(cfg Config) (Report, error) {
 	}
 	db.Admin().ArmFaults(plan)
 
-	// The oracle: committed state, the set of live keys (for deterministic
-	// update/delete targets), and the delta of the transaction in flight.
-	committed := make(map[string][]byte)
-	var liveKeys []string
-	nextKey := 0
-	var inDoubt delta
-
 	fill := func(n int) []byte {
 		val := make([]byte, n)
 		for i := range val {
@@ -165,10 +231,9 @@ func Run(cfg Config) (Report, error) {
 		if v, ok := d[key]; ok && v != nil {
 			return fill(len(v))
 		}
-		return fill(len(committed[key]))
+		return fill(len(w.committed[key]))
 	}
 
-workload:
 	for t := 0; t < cfg.Txns; t++ {
 		tx := db.Begin()
 		d := make(delta)
@@ -184,12 +249,12 @@ workload:
 		opCount := r.IntRange(1, 4)
 		if abort {
 			opCount = 0
-			if len(liveKeys) > 0 {
-				key := liveKeys[r.Intn(len(liveKeys))]
+			if len(w.liveKeys) > 0 {
+				key := w.liveKeys[r.Intn(len(w.liveKeys))]
 				if _, _, err := idx.Lookup(tx, []byte(key)); err != nil && errors.Is(err, noftl.ErrCrashed) {
 					tx.Abort()
 					rep.CrashFired = true
-					break workload
+					return nil, nil
 				}
 			}
 		}
@@ -197,9 +262,9 @@ workload:
 	ops:
 		for o := 0; o < opCount; o++ {
 			switch pick := r.Float64(); {
-			case pick < 0.55 || len(liveKeys) == 0:
-				key := fmt.Sprintf("k%07d", nextKey)
-				nextKey++
+			case pick < 0.55 || len(w.liveKeys) == 0:
+				key := fmt.Sprintf("k%07d", w.nextKey)
+				w.nextKey++
 				val := newValue()
 				rid, err := tbl.Insert(tx, encodeRow(key, val))
 				if err != nil {
@@ -213,7 +278,7 @@ workload:
 				d[key] = val
 				addKeys = append(addKeys, key)
 			case pick < 0.85:
-				key := liveKeys[r.Intn(len(liveKeys))]
+				key := w.liveKeys[r.Intn(len(w.liveKeys))]
 				if delKeys[key] {
 					continue
 				}
@@ -229,7 +294,7 @@ workload:
 				}
 				d[key] = val
 			default:
-				key := liveKeys[r.Intn(len(liveKeys))]
+				key := w.liveKeys[r.Intn(len(w.liveKeys))]
 				if delKeys[key] {
 					continue
 				}
@@ -257,9 +322,9 @@ workload:
 				// Crash mid-transaction: no commit record can be durable,
 				// the delta must vanish.
 				rep.CrashFired = true
-				break workload
+				return nil, nil
 			}
-			return rep, fmt.Errorf("chaos seed %d txn %d: %w", cfg.Seed, t, opErr)
+			return nil, fmt.Errorf("chaos seed %d life %d txn %d: %w", cfg.Seed, life, t, opErr)
 		case abort:
 			tx.Abort()
 			rep.Aborted++
@@ -271,45 +336,31 @@ workload:
 					// but only atomically.
 					rep.CrashFired = true
 					rep.InDoubt = true
-					inDoubt = d
-					break workload
+					return d, nil
 				}
-				return rep, fmt.Errorf("chaos seed %d commit %d: %w", cfg.Seed, t, err)
+				return nil, fmt.Errorf("chaos seed %d life %d commit %d: %w", cfg.Seed, life, t, err)
 			}
 			rep.Committed++
 			for k, v := range d {
 				if v == nil {
-					delete(committed, k)
+					delete(w.committed, k)
 				} else {
-					committed[k] = v
+					w.committed[k] = v
 				}
 			}
-			liveKeys = append(liveKeys, addKeys...)
+			w.liveKeys = append(w.liveKeys, addKeys...)
 			if len(delKeys) > 0 {
-				kept := liveKeys[:0]
-				for _, k := range liveKeys {
+				kept := w.liveKeys[:0]
+				for _, k := range w.liveKeys {
 					if !delKeys[k] {
 						kept = append(kept, k)
 					}
 				}
-				liveKeys = kept
+				w.liveKeys = kept
 			}
 		}
 	}
-
-	img := db.Crash()
-	rec, err := noftl.Reopen(img)
-	if err != nil {
-		return rep, fmt.Errorf("chaos seed %d reopen: %w", cfg.Seed, err)
-	}
-	defer rec.Close()
-	if st, ok := rec.Recovery(); ok {
-		rep.Recovery = st
-	}
-	if err := verify(rec, committed, inDoubt, &rep); err != nil {
-		return rep, fmt.Errorf("chaos seed %d: %w", cfg.Seed, err)
-	}
-	return rep, nil
+	return nil, nil
 }
 
 // verify checks the recovered database against the oracle: integrity

@@ -35,6 +35,33 @@ func TestCrashRecoverySeeds(t *testing.T) {
 	if res.RowsRecovered == 0 {
 		t.Error("no rows recovered across the whole campaign")
 	}
+	if res.Recrashes == 0 {
+		t.Error("no seed crashed again after a recovery")
+	}
+}
+
+// TestCrashAgainAfterRecovery is the regression test for a recovered log
+// restarting at LSN 1 while the crashed instance's trimmed log pages were
+// still on flash: the next recovery took the old tail for the live run and
+// refused with "log prefix missing".  Each run loads, crashes, reopens, does
+// more committed work on the recovered database and crashes again, three
+// times over, checking the oracle after every reopen — with injected
+// mid-operation crashes, torn tails and clean power losses.
+func TestCrashAgainAfterRecovery(t *testing.T) {
+	for _, cfg := range []Config{
+		{Seed: 21, Recrashes: 3},
+		{Seed: 22, Recrashes: 3, TornTail: true},
+		{Seed: 23, Recrashes: 3, CrashAfterOps: -1},
+		{Seed: 24, Recrashes: 3, CrashAfterOps: -1, CheckpointEveryBytes: -1},
+	} {
+		rep, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Recrashes != 3 || rep.Rows == 0 {
+			t.Fatalf("seed %d: degenerate run: %+v", cfg.Seed, rep)
+		}
+	}
 }
 
 // TestCheckpointsBoundReplay is the tentpole's bounding property: on the same

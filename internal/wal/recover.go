@@ -38,6 +38,16 @@ type ScanResult struct {
 	// final contiguous run is returned; if any records were dropped this way
 	// the recovery layer must find a checkpoint in the surviving run.
 	StaleRecords int
+	// Unreadable counts pages other than the newest write that have no valid
+	// version.  A torn tail of an earlier life is such a page: recovery trimmed
+	// it, but it stays on flash until GC erases its block.  Like stale records
+	// they are only acceptable below a checkpoint in the surviving run.
+	Unreadable int
+	// MaxLSN is the highest LSN decoded from any page version, stale
+	// segments included.  The recovered log must continue above it, leaving
+	// a gap (Log.SeedNextLSN): the old pages stay on flash until GC erases
+	// them, and the next scan tells the live run from them by that gap.
+	MaxLSN uint64
 }
 
 // parsePage decodes the records of one log page version in slot (= append)
@@ -60,8 +70,9 @@ func parsePage(data []byte) (recs []Record, dropped int, complete bool) {
 // that survived a crash.  For every LPN the newest fully valid version wins;
 // the page holding the globally newest write (the only one a single crash can
 // tear) may instead contribute the valid prefix of its newest version when
-// that reaches further.  Any other page without a fully valid version is hard
-// corruption.
+// that reaches further.  Any other page without a fully valid version is
+// counted as Unreadable and contributes nothing: if it held live records the
+// LSN gap it leaves cuts the run, and the caller finds no covering checkpoint.
 func ScanImages(images []PageImage) (ScanResult, error) {
 	var res ScanResult
 	if len(images) == 0 {
@@ -88,9 +99,12 @@ func ScanImages(images []PageImage) (ScanResult, error) {
 		found := false
 		for _, v := range versions {
 			recs, _, complete := parsePage(v.Data)
+			if n := len(recs); n > 0 && recs[n-1].LSN > res.MaxLSN {
+				res.MaxLSN = recs[n-1].LSN
+			}
 			if complete {
 				chosen, found = recs, true
-				break
+				break // older versions are prefixes of this one
 			}
 		}
 		if lpn == tailLPN {
@@ -108,10 +122,10 @@ func ScanImages(images []PageImage) (ScanResult, error) {
 			}
 		}
 		if !found {
-			if lpn == tailLPN {
-				continue // newest write fully lost: nothing durable from it
+			if lpn != tailLPN { // else the newest write is fully lost: nothing durable from it
+				res.Unreadable++
 			}
-			return res, fmt.Errorf("%w: log page %d has no valid version", ErrCorrupt, lpn)
+			continue
 		}
 		if len(chosen) == 0 {
 			continue

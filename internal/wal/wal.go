@@ -231,6 +231,17 @@ func (l *Log) NextLSN() uint64 {
 	return l.nextLSN
 }
 
+// SeedNextLSN makes the log continue at last+2.  Recovery calls it on the
+// fresh log, before anything is appended, with the highest LSN the crashed
+// instance's log pages carry; skipping one LSN keeps the new run from ever
+// being contiguous with a surviving old one (see ScanImages).
+func (l *Log) SeedNextLSN(last uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.nextLSN = last + 2
+	l.flushedLSN = last + 1
+}
+
 // FlushedLSN returns the highest LSN known to be durable.
 func (l *Log) FlushedLSN() uint64 {
 	l.mu.Lock()

@@ -140,7 +140,7 @@ func reopenOn(cfg Config, dev *flash.Device) (*DB, error) {
 		return nil, tag(ErrCorruptLog, err)
 	}
 	snapData, endLSN, snapOK := wal.LastCheckpoint(scan.Records)
-	if scan.StaleRecords > 0 && !snapOK {
+	if (scan.StaleRecords > 0 || scan.Unreadable > 0) && !snapOK {
 		return nil, fmt.Errorf("%w: log prefix missing and no covering checkpoint", ErrCorruptLog)
 	}
 
@@ -165,6 +165,12 @@ func reopenOn(cfg Config, dev *flash.Device) (*DB, error) {
 	}
 	db.recovering = true
 	db.clock.Observe(now)
+	// The old log pages stay on flash until GC erases their blocks; the new
+	// log continues above their LSNs, so the next recovery's scan takes the
+	// new run, not the old tail, as the live one.
+	if db.log != nil {
+		db.log.SeedNextLSN(scan.MaxLSN)
+	}
 
 	rst := &RecoveryStats{
 		LogRecords:   len(scan.Records),
