@@ -237,9 +237,9 @@ func (db *DB) checkpointLocked(now sim.Time) (sim.Time, error) {
 	// db.mu guards them (ckptMu would self-deadlock for a caller that holds
 	// an open transaction while snapshotting stats).
 	db.mu.Lock()
-	db.ckptCount++
+	db.ckptCount.Inc()
 	db.ckptLastLSN = lastLSN
-	db.ckptChunks += int64(total)
+	db.ckptChunks.Add(int64(total))
 	db.ckptBytes = int64(len(data))
 	db.ckptTime = now
 	db.ckptWALMark = db.log.BytesAppended()
@@ -264,9 +264,9 @@ func (db *DB) lightCheckpointLocked(now sim.Time) (sim.Time, error) {
 	db.log.Truncate(db.log.FlushedLSN())
 
 	db.mu.Lock()
-	db.ckptCount++
+	db.ckptCount.Inc()
 	db.ckptLastLSN = lsn
-	db.ckptChunks++
+	db.ckptChunks.Inc()
 	db.ckptBytes = 0
 	db.ckptTime = now
 	db.ckptWALMark = db.log.BytesAppended()
@@ -327,7 +327,7 @@ func (db *DB) checkpointAfterDDL() error {
 // CheckpointStats is a snapshot of the checkpoint subsystem's counters
 // (nested in Stats().WAL).
 type CheckpointStats struct {
-	// Count is the number of checkpoints taken since open.
+	// Count is the number of checkpoints taken.
 	Count int64
 	// Chunks is the total number of RecCheckpoint records appended.
 	Chunks int64
@@ -340,12 +340,13 @@ type CheckpointStats struct {
 	LastAt sim.Time
 }
 
+// checkpointStats snapshots the checkpoint counters; the WAL must be on.
 func (db *DB) checkpointStats() CheckpointStats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return CheckpointStats{
-		Count:     db.ckptCount,
-		Chunks:    db.ckptChunks,
+		Count:     db.ckptCount.Value(),
+		Chunks:    db.ckptChunks.Value(),
 		LastLSN:   db.ckptLastLSN,
 		LastBytes: db.ckptBytes,
 		LastAt:    db.ckptTime,

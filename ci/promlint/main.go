@@ -51,9 +51,12 @@ func run(traceOut string, minFamilies int) error {
 	cfg.Space = core.DefaultOptions()
 	cfg.Space.DisableBackgroundGC = true
 
+	// Light checkpoints truncate the log each round; without them the
+	// row-image WAL fills the tiny DEFAULT region before GC ever runs.
 	db, err := noftl.OpenConfig(cfg,
 		noftl.WithMetricsListener("127.0.0.1:0"),
-		noftl.WithTraceBuffer(1<<17))
+		noftl.WithTraceBuffer(1<<17),
+		noftl.WithLightCheckpoints())
 	if err != nil {
 		return err
 	}
@@ -142,7 +145,7 @@ func workload(db *noftl.DB) error {
 		if err != nil {
 			return err
 		}
-		if _, err := db.FlushAll(db.SimulatedTime()); err != nil {
+		if _, err := db.Checkpoint(db.SimulatedTime()); err != nil {
 			return err
 		}
 	}

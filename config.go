@@ -64,14 +64,10 @@ type Config struct {
 	// hot/cold separation — overridable per region via CREATE/ALTER REGION),
 	// DisableBackgroundGC, and wear leveling.
 	Space core.Options
-	// BufferPoolPages is the number of page frames in the buffer pool.
+	// BufferPoolPages is the number of page frames in the buffer pool.  The
+	// frame table's shard count is derived from it (one shard per 64 frames,
+	// capped at 16; small pools stay single-sharded, a plain CLOCK).
 	BufferPoolPages int
-	// BufferPoolShards overrides the number of hash shards the buffer pool's
-	// frame table is split into.  Zero (the default) sizes the shard count
-	// automatically from BufferPoolPages (one shard per 64 frames, capped at
-	// 16, at least one); small pools stay single-sharded, so eviction
-	// behaves exactly like an unsharded CLOCK.  See WithBufferPoolShards.
-	BufferPoolShards int
 	// WAL enables write-ahead logging (commit durability and the log I/O
 	// stream the placement experiments include).
 	WAL bool

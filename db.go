@@ -50,13 +50,13 @@ type DB struct {
 	// normal DDL/heap/btree paths.
 	ckptMu      sync.RWMutex
 	ckptRunning atomic.Bool
-	ckptSeq     uint64 // checkpoint sequence number (RecCheckpoint TxnID)
-	ckptCount   int64
-	ckptChunks  int64
-	ckptLastLSN uint64 // LSN of the last checkpoint's final chunk
-	ckptBytes   int64  // snapshot size of the last checkpoint
+	ckptSeq     uint64           // checkpoint sequence number (RecCheckpoint TxnID)
+	ckptCount   *metrics.Counter // noftl_wal_checkpoints_total (nil without WAL)
+	ckptChunks  *metrics.Counter // noftl_wal_checkpoint_chunks_total
+	ckptLastLSN uint64           // LSN of the last checkpoint's final chunk
+	ckptBytes   int64            // snapshot size of the last checkpoint
 	ckptTime    sim.Time
-	ckptWALMark int64 // BytesAppended at the last checkpoint
+	ckptWALMark int64 // BytesAppended at the last checkpoint (rebased by ResetStatistics)
 	recovering  bool
 	recovery    *RecoveryStats // non-nil after Reopen
 }
@@ -82,20 +82,20 @@ func openWith(cfg Config, dev *flash.Device, space *core.Manager) (*DB, error) {
 		indexes:     make(map[string]*Index),
 		objectNames: make(map[uint32]string),
 	}
-	// The metrics registry is always live (registering families is cheap and
-	// the hot paths only touch cached children); the tracer only exists when
-	// the configuration asked for tracing.
+	// The registry owns every layer's counters: each AttachObs below re-binds
+	// a layer's children to it, so Stats() and /metrics read the same storage.
+	// The tracer only exists when the configuration asked for tracing.
 	db.reg = metrics.NewRegistry()
 	if cfg.TraceWriter != nil || cfg.TraceBufferEvents != 0 {
 		db.tracer = obs.NewTracer(cfg.TraceBufferEvents)
+		db.tracer.AttachObs(db.reg)
 	}
 	db.space.AttachObs(db.tracer, db.reg)
 	db.pool = buffer.New(db.space, cfg.BufferPoolPages, dev.Geometry().PageSize, db)
-	db.pool.AttachObs(db.tracer)
+	db.pool.AttachObs(db.tracer, db.reg)
 	db.pool.Configure(buffer.Options{
 		ReadAhead:      cfg.ReadAheadPages,
 		GroupWriteBack: !cfg.DisableGroupWriteBack,
-		Shards:         cfg.BufferPoolShards,
 	})
 
 	// The default tablespace lives in the default region; the catalog and
@@ -111,12 +111,17 @@ func openWith(cfg Config, dev *flash.Device, space *core.Manager) (*DB, error) {
 		db.objectNames[walObj] = "WAL"
 		db.objStats.Register("WAL", "log", "SYSTEM")
 		db.log = wal.New(db.space, defTS.Hint(walObj, flash.FlagLog), dev.Geometry().PageSize)
-		db.log.AttachObs(db.tracer)
+		db.log.AttachObs(db.tracer, db.reg)
+		db.ckptCount = db.reg.Counter("noftl_wal_checkpoints_total",
+			"Checkpoints taken (full logical snapshots appended to the WAL).").With()
+		db.ckptChunks = db.reg.Counter("noftl_wal_checkpoint_chunks_total",
+			"Checkpoint snapshot chunk records appended.").With()
 		if cfg.WALCommitBatch > 0 || cfg.WALCommitDelay > 0 {
 			db.log.SetGroupCommit(cfg.WALCommitBatch, cfg.WALCommitDelay)
 		}
 	}
 	db.txns = txn.NewManager(txn.NewLockManager(cfg.LockTimeout), db.log, db.clock)
+	db.txns.AttachObs(db.reg)
 	if cfg.MetricsAddr != "" {
 		srv, err := serveMetrics(db, cfg.MetricsAddr)
 		if err != nil {
@@ -277,12 +282,25 @@ func (db *DB) Advise(opts core.AdvisorOptions) core.PlacementPlan {
 	return core.Advise(db.ObjectStats(), db.dev.Geometry().Dies(), opts)
 }
 
-// ResetStatistics zeroes every I/O, GC and transaction counter (device,
-// space manager, buffer pool, per-object) without touching data.  Benchmarks
-// call it at the end of the warm-up phase.
+// ResetStatistics zeroes every I/O, GC, WAL, checkpoint and transaction
+// counter and latency histogram (device, scheduler, space manager, buffer
+// pool, log, lock manager, per-object) and the virtual clock without touching
+// data.  Stats() and /metrics read the same counters, so both restart from
+// zero; point-in-time gauges keep their values, and the trace ring keeps its
+// events and counts.  Benchmarks call it at the end of the warm-up phase.
 func (db *DB) ResetStatistics() {
 	db.space.ResetCounters()
 	db.pool.ResetCounters()
+	db.txns.ResetCounters()
+	if db.log != nil {
+		db.mu.Lock()
+		// Keep "bytes appended since the last checkpoint" across the reset.
+		db.ckptWALMark -= db.log.BytesAppended()
+		db.log.ResetCounters()
+		db.ckptCount.Reset()
+		db.ckptChunks.Reset()
+		db.mu.Unlock()
+	}
 	db.objStats.Reset()
 	db.clock.Reset()
 }

@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 
 	"noftl/internal/core"
+	"noftl/internal/metrics"
 	"noftl/internal/obs"
 	"noftl/internal/sim"
 )
@@ -191,11 +192,13 @@ type Pool struct {
 	pageSize int
 	opts     Options
 
-	hits         atomic.Int64
-	misses       atomic.Int64
+	// hits, misses, evictions and writebacks are the pool's children of the
+	// noftl_buffer_* families (bind); the rest have no family and stay plain.
+	hits         *metrics.Counter
+	misses       *metrics.Counter
+	evictions    *metrics.Counter
+	writebacks   *metrics.Counter
 	newPages     atomic.Int64
-	evictions    atomic.Int64
-	writebacks   atomic.Int64
 	prefetches   atomic.Int64
 	prefetchHits atomic.Int64
 	groupFlushes atomic.Int64
@@ -233,7 +236,16 @@ func New(backend Backend, frameCount, pageSize int, recorder Recorder) *Pool {
 		p.batch = bb
 	}
 	p.buildShards(autoShards(frameCount))
+	p.bind(metrics.NewRegistry())
 	return p
+}
+
+// bind resolves the pool's children of its metric families on reg.
+func (p *Pool) bind(reg *metrics.Registry) {
+	p.hits = reg.Counter("noftl_buffer_hits_total", "Buffer-pool hits.").With()
+	p.misses = reg.Counter("noftl_buffer_misses_total", "Buffer-pool demand misses.").With()
+	p.evictions = reg.Counter("noftl_buffer_evictions_total", "Buffer-pool frame evictions.").With()
+	p.writebacks = reg.Counter("noftl_buffer_writebacks_total", "Dirty pages written back by the buffer pool.").With()
 }
 
 // buildShards partitions the pool's frames over n shards (contiguous chunks,
@@ -281,11 +293,12 @@ func (p *Pool) shardOf(lpn core.LPN) *poolShard {
 	return p.shards[h%uint64(len(p.shards))]
 }
 
-// AttachObs wires the pool to the trace recorder.  A nil tracer (the
-// default) keeps tracing off; hook sites then cost one nil compare.  Attach
-// before the pool sees traffic.
-func (p *Pool) AttachObs(tr *obs.Tracer) {
+// AttachObs wires the pool to the trace recorder and re-binds its counters to
+// the shared registry reg.  A nil tracer (the default) keeps tracing off; hook
+// sites then cost one nil compare.  Attach before the pool sees traffic.
+func (p *Pool) AttachObs(tr *obs.Tracer, reg *metrics.Registry) {
 	p.tracer = tr
+	p.bind(reg)
 }
 
 // Configure sets the pool's batched-I/O options.  Options that need the
@@ -322,11 +335,11 @@ func (p *Pool) Stats() Stats {
 	st := Stats{
 		Frames:       p.nframes,
 		Shards:       len(p.shards),
-		Hits:         p.hits.Load(),
-		Misses:       p.misses.Load(),
+		Hits:         p.hits.Value(),
+		Misses:       p.misses.Value(),
 		NewPages:     p.newPages.Load(),
-		Evictions:    p.evictions.Load(),
-		Writebacks:   p.writebacks.Load(),
+		Evictions:    p.evictions.Value(),
+		Writebacks:   p.writebacks.Value(),
 		Prefetches:   p.prefetches.Load(),
 		PrefetchHits: p.prefetchHits.Load(),
 		GroupFlushes: p.groupFlushes.Load(),
@@ -348,11 +361,11 @@ func (p *Pool) Stats() Stats {
 
 // ResetCounters zeroes the hit/miss/eviction counters (after warm-up).
 func (p *Pool) ResetCounters() {
-	p.hits.Store(0)
-	p.misses.Store(0)
+	p.hits.Reset()
+	p.misses.Reset()
+	p.evictions.Reset()
+	p.writebacks.Reset()
 	p.newPages.Store(0)
-	p.evictions.Store(0)
-	p.writebacks.Store(0)
 	p.prefetches.Store(0)
 	p.prefetchHits.Store(0)
 	p.groupFlushes.Store(0)

@@ -189,14 +189,8 @@ func Run(cfg Config) (Report, error) {
 // the delta of the transaction the crash left in doubt, if any.
 func (w *runner) life(db *noftl.DB, life int, rep *Report) (delta, error) {
 	cfg, r := w.cfg, w.r
-	tbl, ok := db.Table("KV")
-	if !ok {
-		return nil, errors.New("chaos: table KV missing")
-	}
-	idx, ok := db.Index("KV_PK")
-	if !ok {
-		return nil, errors.New("chaos: index KV_PK missing")
-	}
+	tbl, _ := db.Table("KV") // both exist: Run created them, verify found them
+	idx, _ := db.Index("KV_PK")
 	plan := noftl.FaultPlan{
 		Seed:             cfg.Seed + uint64(life),
 		CrashAfterOps:    cfg.CrashAfterOps,

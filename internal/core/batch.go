@@ -49,7 +49,6 @@ func (m *Manager) ReadPages(now sim.Time, lpns []LPN, bufs [][]byte) ([]PageRead
 			continue
 		}
 		r := m.regionsByID[m.dieOwner[e.addr.Die]]
-		r.hostReads++
 		var buf []byte
 		if bufs != nil && i < len(bufs) {
 			buf = bufs[i]
@@ -74,8 +73,9 @@ func (m *Manager) ReadPages(now sim.Time, lpns []LPN, bufs [][]byte) ([]PageRead
 		out[i].Done = c.Done
 		out[i].Err = c.Err
 		if c.Err == nil {
-			// Histograms are internally synchronized; the region pointer is
-			// stable for the life of the manager.
+			// The collectors are internally synchronized; the region pointer
+			// is stable for the life of the manager.
+			reqRegion[j].hostReads.Inc()
 			reqRegion[j].readLat.Observe(c.Done.Sub(now))
 		}
 	}
@@ -226,7 +226,7 @@ func (m *Manager) WritePages(now sim.Time, writes []PageWrite) (sim.Time, error)
 		} else {
 			p.r.validPages++
 		}
-		p.r.hostWrites++
+		p.r.hostWrites.Inc()
 		p.r.writeLat.Observe(c.Done.Sub(start))
 	}
 	if end < now {

@@ -105,7 +105,7 @@ func (m *Manager) backgroundStepLocked(now sim.Time, r *Region, da *dieAlloc) (s
 		}
 	}
 	start := sim.MaxTime(now, m.sched.DieIdleAt(da.die))
-	copybacks, erases := r.gcCopybacks, r.gcErases
+	copybacks, erases := r.gcCopybacks.Value(), r.gcErases.Value()
 	end := m.relocateAndErase(start, r, da, da.bgVictim, pol.withDefaults().StepPages, pol)
 	switch {
 	case da.blocks[da.bgVictim].state == blkFree:
@@ -118,17 +118,14 @@ func (m *Manager) backgroundStepLocked(now sim.Time, r *Region, da *dieAlloc) (s
 		// The erase failed; the block left circulation for good.
 		da.bgVictim = -1
 	}
-	if r.gcCopybacks == copybacks && r.gcErases == erases {
+	if r.gcCopybacks.Value() == copybacks && r.gcErases.Value() == erases {
 		// Nothing moved and nothing erased (no destination slots): not a
 		// step.  Keep the victim for later, but report no progress so
 		// callers draining in a loop do not spin.
 		return now, false
 	}
-	r.bgSteps++
-	m.sched.ObserveGCStep(end.Sub(start))
-	if r.promBGSteps != nil {
-		r.promBGSteps.Inc()
-	}
+	r.bgSteps.Inc()
+	m.sched.ObserveGCStep()
 	if m.tracer.Enabled(obs.ClassGCStep) {
 		m.tracer.Record(obs.Event{
 			Class: obs.ClassGCStep, Op: obs.GCStepBackground,

@@ -297,9 +297,9 @@ func TestWearLevelBoundsOverflow(t *testing.T) {
 		t.Fatal("no closed block to level")
 	}
 	r := m.regionsByID[DefaultRegionID]
-	moves := r.wlMoves
+	moves := r.wlMoves.Value()
 	m.maybeWearLevel(now, r, da)
-	leveled := r.wlMoves > moves
+	leveled := r.wlMoves.Value() > moves
 	ec := da.blocks[cold].eraseCount
 	m.mu.Unlock()
 

@@ -107,11 +107,8 @@ func (p GCPolicy) String() string {
 // victim-relocation latency inline — exactly the stall that background GC
 // (bggc.go) exists to avoid.  Caller holds m.mu.
 func (m *Manager) collectDie(now sim.Time, r *Region, da *dieAlloc) sim.Time {
-	r.gcStalls++
+	r.gcStalls.Inc()
 	m.sched.ObserveGCStall()
-	if r.promGCStalls != nil {
-		r.promGCStalls.Inc()
-	}
 	fgStart := now
 	for da.freeCount() <= m.opts.GCLowWaterBlocks {
 		victim := m.pickVictim(da, r.gc)
@@ -127,9 +124,9 @@ func (m *Manager) collectDie(now sim.Time, r *Region, da *dieAlloc) sim.Time {
 			})
 		}
 		r.gcRuns++
-		copybacks, erases := r.gcCopybacks, r.gcErases
+		copybacks, erases := r.gcCopybacks.Value(), r.gcErases.Value()
 		now = m.relocateAndErase(now, r, da, victim, m.geo.PagesPerBlock, r.gc)
-		if r.gcCopybacks == copybacks && r.gcErases == erases {
+		if r.gcCopybacks.Value() == copybacks && r.gcErases.Value() == erases {
 			// No destination slots and nothing erased: further iterations
 			// would re-pick the same victim without making progress, so let
 			// the allocation fail upward instead of spinning.
@@ -296,10 +293,7 @@ func (m *Manager) relocateAndErase(now sim.Time, r *Region, da *dieAlloc, victim
 		m.mapping[lpn] = mapEntry{addr: ppa{Die: da.die, Block: mv.dst.block, Page: mv.dst.page}, region: m.dieOwner[da.die]}
 		vblk.valid[mv.page] = false
 		vblk.validCount--
-		r.gcCopybacks++
-		if r.promGCCopybacks != nil {
-			r.promGCCopybacks.Inc()
-		}
+		r.gcCopybacks.Inc()
 	}
 	if len(reqs) > 0 {
 		now = end
@@ -322,10 +316,7 @@ func (m *Manager) relocateAndErase(now sim.Time, r *Region, da *dieAlloc, victim
 		vblk.eraseCount++ // saturate instead of wrapping negative
 	}
 	da.freeBlocks = append(da.freeBlocks, victim)
-	r.gcErases++
-	if r.promGCErases != nil {
-		r.promGCErases.Inc()
-	}
+	r.gcErases.Inc()
 	if m.tracer.Enabled(obs.ClassGCErase) {
 		m.tracer.Record(obs.Event{
 			Class: obs.ClassGCErase,
@@ -427,14 +418,11 @@ func (m *Manager) maybeWearLevel(now sim.Time, r *Region, da *dieAlloc) sim.Time
 		// int64 when counters approach the saturation cap.)
 		return now
 	}
-	before := r.gcErases
+	before := r.gcErases.Value()
 	wlStart := now
 	now = m.relocateAndErase(now, r, da, minIdx, m.geo.PagesPerBlock, r.gc)
-	if r.gcErases > before {
-		r.wlMoves++
-		if r.promWearMoves != nil {
-			r.promWearMoves.Inc()
-		}
+	if r.gcErases.Value() > before {
+		r.wlMoves.Inc()
 		if m.tracer.Enabled(obs.ClassWear) {
 			m.tracer.Record(obs.Event{
 				Class: obs.ClassWear,

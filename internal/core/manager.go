@@ -182,9 +182,10 @@ type Manager struct {
 	nextLPN LPN
 	seq     uint64 // monotonically increasing write sequence for OOB metadata
 
-	// Observability plane (AttachObs): tracer is nil when tracing is off; reg
-	// is nil when labeled export is off.  Per-region labeled children are
-	// cached on the Region itself (bindRegionObsLocked).
+	// Observability plane: tracer is nil when tracing is off; reg owns the
+	// per-region counters (a private registry until AttachObs re-binds them
+	// to the database's shared one).  The children are cached on the Region
+	// itself (bindRegionLocked).
 	tracer *obs.Tracer
 	reg    *metrics.Registry
 }
@@ -204,6 +205,7 @@ func NewManager(dev *flash.Device, opts Options) *Manager {
 		mapping:     make(map[LPN]mapEntry),
 		nextLPN:     1,
 		nextRegion:  DefaultRegionID + 1,
+		reg:         metrics.NewRegistry(),
 	}
 	nDies := m.geo.Dies()
 	m.dieOwner = make([]RegionID, nDies)
@@ -219,7 +221,8 @@ func NewManager(dev *flash.Device, opts Options) *Manager {
 		m.dies[i] = da
 	}
 
-	def := newRegion(DefaultRegionID, DefaultRegionName)
+	def := &Region{id: DefaultRegionID, name: DefaultRegionName}
+	m.bindRegionLocked(def)
 	def.gc = opts.GC
 	allDies := make([]int, nDies)
 	for i := range allDies {
@@ -242,46 +245,45 @@ func (m *Manager) Scheduler() *iosched.Scheduler { return m.sched }
 // Mode returns the placement mode the manager was created with.
 func (m *Manager) Mode() PlacementMode { return m.opts.Mode }
 
-// AttachObs wires the space manager (and its I/O scheduler) to the
+// AttachObs wires the space manager, its I/O scheduler and its device to the
 // observability plane: host read/write, GC, and wear-leveling events go to tr
-// (nil = tracing off), per-region labeled metric families are registered on
-// reg (nil = no labeled export).  Call before serving traffic; regions
-// created later are bound automatically.
+// (nil = tracing off), and every counter is re-bound to the shared registry
+// reg so it appears in the database's /metrics.  Call before serving traffic
+// (counts taken before the call stay behind on the private registries);
+// regions created later are bound automatically.
 func (m *Manager) AttachObs(tr *obs.Tracer, reg *metrics.Registry) {
 	m.mu.Lock()
 	m.tracer = tr
 	m.reg = reg
 	for _, r := range m.regions {
-		m.bindRegionObsLocked(r)
+		m.bindRegionLocked(r)
 	}
 	m.mu.Unlock()
 	m.sched.AttachObs(tr, reg)
+	m.dev.AttachObs(reg)
 }
 
-// bindRegionObsLocked caches the region's labeled metric children so hot
-// paths never touch the registry maps.  Caller holds m.mu.
-func (m *Manager) bindRegionObsLocked(r *Region) {
-	if m.reg == nil {
-		return
-	}
+// bindRegionLocked resolves the region's children of the per-region metric
+// families on m.reg.  Caller holds m.mu (or is the constructor).
+func (m *Manager) bindRegionLocked(r *Region) {
 	reg := m.reg
-	r.promHostReads = reg.Counter("noftl_region_host_reads_total",
+	r.hostReads = reg.Counter("noftl_region_host_reads_total",
 		"Logical host page reads served per region.", "region").With(r.name)
-	r.promHostWrites = reg.Counter("noftl_region_host_writes_total",
+	r.hostWrites = reg.Counter("noftl_region_host_writes_total",
 		"Logical host page writes placed per region.", "region").With(r.name)
-	r.promGCCopybacks = reg.Counter("noftl_region_gc_copybacks_total",
+	r.gcCopybacks = reg.Counter("noftl_region_gc_copybacks_total",
 		"Valid pages relocated by garbage collection per region.", "region").With(r.name)
-	r.promGCErases = reg.Counter("noftl_region_gc_erases_total",
+	r.gcErases = reg.Counter("noftl_region_gc_erases_total",
 		"Victim blocks erased by garbage collection per region.", "region").With(r.name)
-	r.promGCStalls = reg.Counter("noftl_region_gc_stalls_total",
+	r.gcStalls = reg.Counter("noftl_region_gc_stalls_total",
 		"Foreground (blocking) collections at the low watermark per region.", "region").With(r.name)
-	r.promBGSteps = reg.Counter("noftl_region_bggc_steps_total",
+	r.bgSteps = reg.Counter("noftl_region_bggc_steps_total",
 		"Bounded background GC steps per region.", "region").With(r.name)
-	r.promWearMoves = reg.Counter("noftl_region_wear_moves_total",
+	r.wlMoves = reg.Counter("noftl_region_wear_moves_total",
 		"Static wear-leveling block relocations per region.", "region").With(r.name)
-	r.promReadLat = reg.Histogram("noftl_host_read_latency_seconds",
+	r.readLat = reg.Histogram("noftl_host_read_latency_seconds",
 		"End-to-end virtual-time host read latency per region.", "region").With(r.name)
-	r.promWriteLat = reg.Histogram("noftl_host_write_latency_seconds",
+	r.writeLat = reg.Histogram("noftl_host_write_latency_seconds",
 		"End-to-end virtual-time host write latency (including foreground GC) per region.", "region").With(r.name)
 }
 
@@ -341,23 +343,7 @@ func (m *Manager) RegionByID(id RegionID) (*Region, bool) {
 func (m *Manager) Regions() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.regions))
-	ids := make([]RegionID, 0, len(m.regions))
-	for id := range m.regionsByID {
-		ids = append(ids, id)
-	}
-	// selection sort by id to keep creation order; region count is tiny.
-	for i := 0; i < len(ids); i++ {
-		for j := i + 1; j < len(ids); j++ {
-			if ids[j] < ids[i] {
-				ids[i], ids[j] = ids[j], ids[i]
-			}
-		}
-	}
-	for _, id := range ids {
-		names = append(names, m.regionsByID[id].name)
-	}
-	return names
+	return m.regionNamesLocked()
 }
 
 // CreateRegion carves a new region out of the default region according to
@@ -398,7 +384,7 @@ func (m *Manager) CreateRegion(spec RegionSpec) (*Region, error) {
 		}
 	}
 
-	r := newRegion(m.nextRegion, spec.Name)
+	r := &Region{id: m.nextRegion, name: spec.Name}
 	r.gc = m.opts.GC
 	if spec.GC != nil {
 		r.gc = spec.GC.withDefaults()
@@ -419,7 +405,8 @@ func (m *Manager) CreateRegion(spec RegionSpec) (*Region, error) {
 
 	m.regions[r.name] = r
 	m.regionsByID[r.id] = r
-	m.bindRegionObsLocked(r)
+	m.bindRegionLocked(r)
+	r.resetCounters() // a dropped region of the same name left its children behind
 	return r, nil
 }
 
@@ -622,7 +609,6 @@ func (m *Manager) ReadPage(now sim.Time, lpn LPN, buf []byte) ([]byte, sim.Time,
 		return nil, now, fmt.Errorf("%w: lpn %d", ErrUnmappedPage, lpn)
 	}
 	r := m.regionsByID[m.dieOwner[e.addr.Die]]
-	r.hostReads++
 	tr := m.tracer
 	m.mu.Unlock()
 
@@ -630,11 +616,8 @@ func (m *Manager) ReadPage(now sim.Time, lpn LPN, buf []byte) ([]byte, sim.Time,
 	if err != nil {
 		return nil, done, err
 	}
+	r.hostReads.Inc()
 	r.readLat.Observe(done.Sub(now))
-	if r.promReadLat != nil {
-		r.promReadLat.Observe(done.Sub(now))
-		r.promHostReads.Inc()
-	}
 	if tr.Enabled(obs.ClassHostRead) {
 		tr.Record(obs.Event{
 			Class: obs.ClassHostRead,
@@ -757,15 +740,11 @@ func (m *Manager) WritePage(now sim.Time, lpn LPN, data []byte, h Hint) (sim.Tim
 	} else {
 		r.validPages++
 	}
-	r.hostWrites++
+	r.hostWrites.Inc()
 	// The observed write latency includes any synchronous GC work the write
 	// had to wait for, exactly what a host sees on a device doing foreground
 	// garbage collection.
 	r.writeLat.Observe(done.Sub(start))
-	if r.promWriteLat != nil {
-		r.promWriteLat.Observe(done.Sub(start))
-		r.promHostWrites.Inc()
-	}
 	if m.tracer.Enabled(obs.ClassHostWrite) {
 		m.tracer.Record(obs.Event{
 			Class: obs.ClassHostWrite,

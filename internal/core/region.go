@@ -63,42 +63,36 @@ type Region struct {
 
 	gc GCPolicy // per-region garbage-collection policy
 
-	// statistics
-	hostReads   int64
-	hostWrites  int64
-	gcCopybacks int64
-	gcErases    int64
-	gcRuns      int64
-	gcStalls    int64 // foreground collections: an allocation hit the low watermark
-	bgSteps     int64 // bounded background GC steps performed
-	wlMoves     int64
-	spills      int64 // writes redirected to the default region because this region was full
+	// Statistics.  The counters and histograms are this region's children of
+	// the noftl_region_* / noftl_host_*_latency families, resolved by
+	// Manager.bindRegionLocked so the write/GC hot paths never touch the
+	// registry maps; host reads and writes count successful operations.
+	// gcRuns and spills have no family and stay plain counts.
+	hostReads   *metrics.Counter
+	hostWrites  *metrics.Counter
+	gcCopybacks *metrics.Counter
+	gcErases    *metrics.Counter
+	gcStalls    *metrics.Counter // foreground collections: an allocation hit the low watermark
+	bgSteps     *metrics.Counter // bounded background GC steps performed
+	wlMoves     *metrics.Counter
 	readLat     *metrics.Histogram
 	writeLat    *metrics.Histogram
-
-	// Labeled observability children, cached here by bindRegionObsLocked so
-	// the write/GC hot paths never touch the registry maps.  All nil when no
-	// registry is attached.
-	promHostReads   *metrics.Counter
-	promHostWrites  *metrics.Counter
-	promGCCopybacks *metrics.Counter
-	promGCErases    *metrics.Counter
-	promGCStalls    *metrics.Counter
-	promBGSteps     *metrics.Counter
-	promWearMoves   *metrics.Counter
-	promReadLat     *metrics.Histogram
-	promWriteLat    *metrics.Histogram
+	gcRuns      int64
+	spills      int64 // writes redirected to the default region because this region was full
 
 	rr int // round-robin cursor over dies for write placement
 }
 
-func newRegion(id RegionID, name string) *Region {
-	return &Region{
-		id:       id,
-		name:     name,
-		readLat:  metrics.NewHistogram(),
-		writeLat: metrics.NewHistogram(),
+// resetCounters zeroes the region's statistics.  Caller holds the manager's
+// mutex.
+func (r *Region) resetCounters() {
+	for _, c := range []*metrics.Counter{r.hostReads, r.hostWrites,
+		r.gcCopybacks, r.gcErases, r.gcStalls, r.bgSteps, r.wlMoves} {
+		c.Reset()
 	}
+	r.readLat.Reset()
+	r.writeLat.Reset()
+	r.gcRuns, r.spills = 0, 0
 }
 
 // ID returns the region's identifier.

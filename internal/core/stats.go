@@ -95,14 +95,14 @@ func (m *Manager) Stats() Stats {
 			CapacityPages: r.capacityPages,
 			ValidPages:    r.validPages,
 			GC:            r.gc,
-			HostReads:     r.hostReads,
-			HostWrites:    r.hostWrites,
-			GCCopybacks:   r.gcCopybacks,
-			GCErases:      r.gcErases,
+			HostReads:     r.hostReads.Value(),
+			HostWrites:    r.hostWrites.Value(),
+			GCCopybacks:   r.gcCopybacks.Value(),
+			GCErases:      r.gcErases.Value(),
 			GCRuns:        r.gcRuns,
-			GCStalls:      r.gcStalls,
-			BGGCSteps:     r.bgSteps,
-			WearMoves:     r.wlMoves,
+			GCStalls:      r.gcStalls.Value(),
+			BGGCSteps:     r.bgSteps.Value(),
+			WearMoves:     r.wlMoves.Value(),
 			SpilledWrites: r.spills,
 			ReadLatency:   r.readLat.Snapshot(),
 			WriteLatency:  r.writeLat.Snapshot(),
@@ -186,21 +186,18 @@ func (m *Manager) regionNamesLocked() []string {
 	return names
 }
 
-// ResetCounters clears all I/O and GC counters (per region and on the
-// device) while keeping the mapping, allocation state and wear intact.
+// ResetCounters clears all I/O and GC counters (per region, in the scheduler
+// and on the device) while keeping the mapping, allocation state and wear
+// intact.
 // Benchmarks call this after the warm-up phase.
 func (m *Manager) ResetCounters() {
 	m.mu.Lock()
 	for _, r := range m.regions {
-		r.hostReads, r.hostWrites = 0, 0
-		r.gcCopybacks, r.gcErases, r.gcRuns, r.wlMoves, r.spills = 0, 0, 0, 0, 0
-		r.gcStalls, r.bgSteps = 0, 0
-		r.readLat.Reset()
-		r.writeLat.Reset()
+		r.resetCounters()
 	}
 	m.mu.Unlock()
 	m.dev.ResetCounters()
-	m.sched.Metrics().Reset()
+	m.sched.ResetCounters()
 }
 
 // LatencySnapshot aggregates the read and write latency histograms across

@@ -2,6 +2,7 @@ package flash
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -86,10 +87,13 @@ type dieState struct {
 	mu     sync.Mutex
 	blocks []blockState
 
-	// statistics (guarded by mu)
-	reads     int64
-	programs  int64
-	erases    int64
+	// Operation counts.  Reads, programs and erases are this die's children
+	// of the noftl_device_* families (AttachObs); device totals are sums
+	// over the dies.  Copybacks and metadata reads have no family and stay
+	// plain counts guarded by mu.
+	reads     *metrics.Counter
+	programs  *metrics.Counter
+	erases    *metrics.Counter
 	copybacks int64
 	metaReads int64
 }
@@ -98,18 +102,11 @@ type dieState struct {
 // for concurrent use; contention on dies and channels is modelled in virtual
 // time, not by blocking callers.
 type Device struct {
-	cfg      Config
-	geo      Geometry
-	dies     []*dieState
-	dieRes   []*sim.Resource
-	chanRes  []*sim.Resource
-	set      *metrics.Set
-	reads    *metrics.Counter
-	programs *metrics.Counter
-	erases   *metrics.Counter
-	copyback *metrics.Counter
-	metaRds  *metrics.Counter
-	badBlks  *metrics.Counter
+	cfg     Config
+	geo     Geometry
+	dies    []*dieState
+	dieRes  []*sim.Resource
+	chanRes []*sim.Resource
 
 	// fault injection (see fault.go); nil when no plan is armed
 	faultMu sync.Mutex
@@ -124,14 +121,7 @@ func NewDevice(cfg Config) (*Device, error) {
 	d := &Device{
 		cfg: cfg,
 		geo: cfg.Geometry,
-		set: metrics.NewSet(),
 	}
-	d.reads = d.set.Counter("flash.read_page")
-	d.programs = d.set.Counter("flash.program_page")
-	d.erases = d.set.Counter("flash.erase_block")
-	d.copyback = d.set.Counter("flash.copyback")
-	d.metaRds = d.set.Counter("flash.read_meta")
-	d.badBlks = d.set.Counter("flash.bad_blocks")
 
 	nDies := d.geo.Dies()
 	d.dies = make([]*dieState, nDies)
@@ -149,7 +139,25 @@ func NewDevice(cfg Config) (*Device, error) {
 	for c := range d.chanRes {
 		d.chanRes[c] = sim.NewResource(fmt.Sprintf("chan-%d", c))
 	}
+	d.AttachObs(metrics.NewRegistry())
 	return d, nil
+}
+
+// AttachObs binds the device's counters to reg: the per-die children of the
+// noftl_device_* families.  A new device counts on a private registry; the
+// database above it re-binds them to its shared one so they appear in its
+// /metrics.  Call before serving traffic: counts taken before the call stay
+// behind on the old registry.
+func (d *Device) AttachObs(reg *metrics.Registry) {
+	reads := reg.Counter("noftl_device_reads_total", "Physical page reads on the flash device.", "die")
+	programs := reg.Counter("noftl_device_programs_total", "Physical page programs on the flash device.", "die")
+	erases := reg.Counter("noftl_device_erases_total", "Physical block erases on the flash device.", "die")
+	for i, ds := range d.dies {
+		die := strconv.Itoa(i)
+		ds.mu.Lock()
+		ds.reads, ds.programs, ds.erases = reads.With(die), programs.With(die), erases.With(die)
+		ds.mu.Unlock()
+	}
 }
 
 // Geometry returns the device geometry.
@@ -157,9 +165,6 @@ func (d *Device) Geometry() Geometry { return d.geo }
 
 // Timing returns the device latency parameters.
 func (d *Device) Timing() Timing { return d.cfg.Timing }
-
-// Metrics returns the device metric set (operation counters).
-func (d *Device) Metrics() *metrics.Set { return d.set }
 
 // channel returns the channel resource serving a die.
 func (d *Device) channel(die int) *sim.Resource {
@@ -197,12 +202,11 @@ func (d *Device) ReadPage(now sim.Time, addr Addr, buf []byte) ([]byte, PageMeta
 	} else if !d.cfg.StoreData {
 		buf = nil
 	}
-	ds.reads++
+	ds.reads.Inc()
 	ds.mu.Unlock()
 
 	_, sensed := d.dieRes[addr.Die].Acquire(now, d.cfg.Timing.ReadPage)
 	_, done := d.channel(addr.Die).Acquire(sensed, d.cfg.Timing.Transfer)
-	d.reads.Inc()
 	return buf, meta, done, nil
 }
 
@@ -233,7 +237,6 @@ func (d *Device) ReadMeta(now sim.Time, addr Addr) (PageMeta, sim.Time, error) {
 
 	_, sensed := d.dieRes[addr.Die].Acquire(now, d.cfg.Timing.ReadPage)
 	_, done := d.channel(addr.Die).Acquire(sensed, d.cfg.Timing.MetaTransfer)
-	d.metaRds.Inc()
 	return meta, done, nil
 }
 
@@ -284,12 +287,11 @@ func (d *Device) ProgramPage(now sim.Time, addr Addr, data []byte, meta PageMeta
 		copy(cp, data)
 		blk.data[addr.Page] = cp
 	}
-	ds.programs++
+	ds.programs.Inc()
 	ds.mu.Unlock()
 
 	_, transferred := d.channel(addr.Die).Acquire(now, d.cfg.Timing.Transfer)
 	_, done := d.dieRes[addr.Die].Acquire(transferred, d.cfg.Timing.ProgramPage)
-	d.programs.Inc()
 	return done, nil
 }
 
@@ -305,10 +307,7 @@ func (d *Device) EraseBlock(now sim.Time, b BlockAddr) (sim.Time, error) {
 	} else if fd.failErase {
 		ds := d.dies[b.Die]
 		ds.mu.Lock()
-		if !ds.blocks[b.Block].bad {
-			ds.blocks[b.Block].bad = true
-			d.badBlks.Inc()
-		}
+		ds.blocks[b.Block].bad = true
 		ds.mu.Unlock()
 		return now, fmt.Errorf("%w: %v", ErrEraseFault, b)
 	}
@@ -328,13 +327,11 @@ func (d *Device) EraseBlock(now sim.Time, b BlockAddr) (sim.Time, error) {
 	blk.eraseCount++
 	if d.cfg.EraseEndurance > 0 && blk.eraseCount >= d.cfg.EraseEndurance {
 		blk.bad = true
-		d.badBlks.Inc()
 	}
-	ds.erases++
+	ds.erases.Inc()
 	ds.mu.Unlock()
 
 	_, done := d.dieRes[b.Die].Acquire(now, d.cfg.Timing.EraseBlock)
-	d.erases.Inc()
 	return done, nil
 }
 
@@ -392,7 +389,6 @@ func (d *Device) Copyback(now sim.Time, src, dst Addr) (PageMeta, sim.Time, erro
 	ds.mu.Unlock()
 
 	_, done := d.dieRes[src.Die].Acquire(now, d.cfg.Timing.ReadPage+d.cfg.Timing.ProgramPage)
-	d.copyback.Inc()
 	return meta, done, nil
 }
 
@@ -429,8 +425,7 @@ func (d *Device) programTorn(addr Addr, data []byte, meta PageMeta, tornBytes in
 	cp := make([]byte, d.geo.PageSize)
 	copy(cp, data[:cut])
 	blk.data[addr.Page] = cp
-	ds.programs++
-	d.programs.Inc()
+	ds.programs.Inc()
 }
 
 // PageProgrammed reports whether the page at addr has been programmed since
@@ -497,7 +492,7 @@ type DieStats struct {
 	FreeBlocks int // blocks currently fully erased (nextPage == 0 and not bad)
 }
 
-// Stats is a device-wide snapshot.
+// Stats is a device-wide snapshot; the totals are the sums of PerDie.
 type Stats struct {
 	Reads     int64
 	Programs  int64
@@ -510,23 +505,16 @@ type Stats struct {
 
 // Stats returns a snapshot of operation counters, wear and utilization.
 func (d *Device) Stats() Stats {
-	s := Stats{
-		Reads:     d.reads.Value(),
-		Programs:  d.programs.Value(),
-		Erases:    d.erases.Value(),
-		Copybacks: d.copyback.Value(),
-		MetaReads: d.metaRds.Value(),
-		BadBlocks: d.badBlks.Value(),
-	}
+	var s Stats
 	s.PerDie = make([]DieStats, d.geo.Dies())
 	for i, ds := range d.dies {
 		ds.mu.Lock()
 		st := DieStats{
 			Die:       i,
 			Channel:   d.geo.ChannelOfDie(i),
-			Reads:     ds.reads,
-			Programs:  ds.programs,
-			Erases:    ds.erases,
+			Reads:     ds.reads.Value(),
+			Programs:  ds.programs.Value(),
+			Erases:    ds.erases.Value(),
 			Copybacks: ds.copybacks,
 			MetaReads: ds.metaReads,
 			BusyTime:  d.dieRes[i].Busy(),
@@ -545,6 +533,12 @@ func (d *Device) Stats() Stats {
 		}
 		ds.mu.Unlock()
 		s.PerDie[i] = st
+		s.Reads += st.Reads
+		s.Programs += st.Programs
+		s.Erases += st.Erases
+		s.Copybacks += st.Copybacks
+		s.MetaReads += st.MetaReads
+		s.BadBlocks += int64(st.BadBlocks)
 	}
 	return s
 }
@@ -553,14 +547,12 @@ func (d *Device) Stats() Stats {
 // statistics without touching page contents or wear state.  Benchmarks call
 // it after warm-up so the measured interval starts from zero.
 func (d *Device) ResetCounters() {
-	d.reads.Reset()
-	d.programs.Reset()
-	d.erases.Reset()
-	d.copyback.Reset()
-	d.metaRds.Reset()
 	for _, ds := range d.dies {
 		ds.mu.Lock()
-		ds.reads, ds.programs, ds.erases, ds.copybacks, ds.metaReads = 0, 0, 0, 0, 0
+		ds.reads.Reset()
+		ds.programs.Reset()
+		ds.erases.Reset()
+		ds.copybacks, ds.metaReads = 0, 0
 		ds.mu.Unlock()
 	}
 	for _, r := range d.dieRes {

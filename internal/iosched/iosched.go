@@ -178,29 +178,19 @@ type Scheduler struct {
 	results    map[Ticket]Completion
 	busyUntil  []atomic.Int64 // per-die completion horizon (sim.Time ns), CAS-max
 
-	set        *metrics.Set
-	batches    *metrics.Counter
-	requests   *metrics.Counter
-	reqsByPrio [numPriorities]*metrics.Counter
-	latByPrio  [numPriorities]*metrics.Histogram
-	batchSpan  *metrics.Histogram
-	queueDepth *metrics.Gauge
-	maxQueue   *metrics.Gauge
-	maxBatch   *metrics.Gauge
-	gcSteps    *metrics.Counter
-	gcStepSpan *metrics.Histogram
-	gcStalls   *metrics.Counter
+	// Counters.  The registry children (bind) are resolved once per
+	// (priority, die), so the dispatch loop never touches the registry's
+	// maps; Stats is computed from them.  The high-water marks have no
+	// family and stay plain gauges.
+	reqs     [numPriorities][]*metrics.Counter // [prio][die]
+	lat      [numPriorities]*metrics.Histogram
+	batches  *metrics.Counter
+	gcSteps  *metrics.Counter
+	gcStalls *metrics.Counter
+	maxQueue metrics.Gauge
+	maxBatch metrics.Gauge
 
-	// Observability hooks (AttachObs).  tracer is nil when tracing is off —
-	// the disabled path is one nil compare.  The labeled children are cached
-	// per (priority, die) so the dispatch loop never touches the registry's
-	// maps.
-	tracer       *obs.Tracer
-	promReqs     [numPriorities][]*metrics.Counter // [prio][die]
-	promLat      [numPriorities]*metrics.Histogram
-	promBatches  *metrics.Counter
-	promGCSteps  *metrics.Counter
-	promGCStalls *metrics.Counter
+	tracer *obs.Tracer // nil when tracing is off: one nil compare per command
 }
 
 // New creates a scheduler over the device.
@@ -210,57 +200,104 @@ func New(dev Device) *Scheduler {
 		geo:       dev.Geometry(),
 		results:   make(map[Ticket]Completion),
 		busyUntil: make([]atomic.Int64, dev.Geometry().Dies()),
-		set:       metrics.NewSet(),
 	}
-	s.batches = s.set.Counter("iosched.batches")
-	s.requests = s.set.Counter("iosched.requests")
-	for p := Priority(0); p < numPriorities; p++ {
-		s.reqsByPrio[p] = s.set.Counter("iosched.requests." + p.String())
-		s.latByPrio[p] = s.set.Histogram("iosched.latency." + p.String())
-	}
-	s.batchSpan = s.set.Histogram("iosched.batch_span")
-	s.queueDepth = s.set.Gauge("iosched.queue_depth")
-	s.maxQueue = s.set.Gauge("iosched.max_queue_depth")
-	s.maxBatch = s.set.Gauge("iosched.max_batch_size")
-	s.gcSteps = s.set.Counter("iosched.gc_steps")
-	s.gcStepSpan = s.set.Histogram("iosched.gc_step_span")
-	s.gcStalls = s.set.Counter("iosched.gc_watermark_stalls")
+	s.bind(metrics.NewRegistry())
 	return s
 }
 
-// Metrics returns the scheduler's metric set (queue depth, batch sizes,
-// per-priority request counts and latencies).
-func (s *Scheduler) Metrics() *metrics.Set { return s.set }
-
-// AttachObs wires the scheduler to the observability plane: flash-command
-// trace events go to tr (nil = tracing off, one pointer compare per command)
-// and per-die/per-priority labeled families are registered on reg (nil = no
-// labeled export).  Call before serving traffic.
-func (s *Scheduler) AttachObs(tr *obs.Tracer, reg *metrics.Registry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tracer = tr
-	if reg == nil {
-		return
-	}
+// bind resolves the scheduler's children of its metric families on reg.
+func (s *Scheduler) bind(reg *metrics.Registry) {
 	reqs := reg.Counter("noftl_iosched_requests_total",
 		"Flash commands dispatched by the I/O scheduler.", "die", "priority")
 	lat := reg.Histogram("noftl_iosched_request_latency_seconds",
 		"Virtual-time flash command latency by scheduler priority.", "priority")
 	dies := s.geo.Dies()
 	for p := Priority(0); p < numPriorities; p++ {
-		s.promReqs[p] = make([]*metrics.Counter, dies)
+		s.reqs[p] = make([]*metrics.Counter, dies)
 		for d := 0; d < dies; d++ {
-			s.promReqs[p][d] = reqs.With(strconv.Itoa(d), p.String())
+			s.reqs[p][d] = reqs.With(strconv.Itoa(d), p.String())
 		}
-		s.promLat[p] = lat.With(p.String())
+		s.lat[p] = lat.With(p.String())
 	}
-	s.promBatches = reg.Counter("noftl_iosched_batches_total",
+	s.batches = reg.Counter("noftl_iosched_batches_total",
 		"Request batches dispatched by the I/O scheduler.").With()
-	s.promGCSteps = reg.Counter("noftl_iosched_gc_steps_total",
+	s.gcSteps = reg.Counter("noftl_iosched_gc_steps_total",
 		"Background GC steps observed by the scheduler.").With()
-	s.promGCStalls = reg.Counter("noftl_iosched_gc_stalls_total",
+	s.gcStalls = reg.Counter("noftl_iosched_gc_stalls_total",
 		"Foreground GC stalls (allocation blocked at the low watermark).").With()
+}
+
+// AttachObs wires the scheduler to the observability plane: flash-command
+// trace events go to tr (nil = tracing off) and the counters are re-bound to
+// the shared registry reg, so they appear in the database's /metrics.  Call
+// before serving traffic: counts taken before the call stay behind on the
+// scheduler's private registry.
+func (s *Scheduler) AttachObs(tr *obs.Tracer, reg *metrics.Registry) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.tracer = tr
+	s.bind(reg)
+}
+
+// Stats is a snapshot of the scheduler's counters, computed from its metric
+// children (the per-priority totals are sums over the dies).  The facade
+// converts it to noftl.SchedulerStats, which documents the fields.
+type Stats struct {
+	Batches       int64 // dispatches (one Submit/Flush, one or more requests)
+	Requests      int64 // flash commands dispatched
+	MaxBatch      int64
+	MaxQueueDepth int64
+	HostReads     int64 // requests per priority class
+	HostWrites    int64
+	GC            int64
+	GCSteps       int64
+	GCStalls      int64
+	QueueDepth    int64 // enqueued, not yet dispatched, at snapshot time
+	// Latency of the successful commands of each priority class.
+	HostReadLatency  metrics.Snapshot
+	HostWriteLatency metrics.Snapshot
+	GCLatency        metrics.Snapshot
+}
+
+// Stats returns a snapshot of the scheduler's counters.
+func (s *Scheduler) Stats() Stats {
+	var byPrio [numPriorities]int64
+	for p := range s.reqs {
+		for _, c := range s.reqs[p] {
+			byPrio[p] += c.Value()
+		}
+	}
+	return Stats{
+		Batches:          s.batches.Value(),
+		Requests:         byPrio[PrioHostRead] + byPrio[PrioHostWrite] + byPrio[PrioGC],
+		MaxBatch:         s.maxBatch.Value(),
+		MaxQueueDepth:    s.maxQueue.Value(),
+		HostReads:        byPrio[PrioHostRead],
+		HostWrites:       byPrio[PrioHostWrite],
+		GC:               byPrio[PrioGC],
+		GCSteps:          s.gcSteps.Value(),
+		GCStalls:         s.gcStalls.Value(),
+		QueueDepth:       int64(s.QueueDepth()),
+		HostReadLatency:  s.lat[PrioHostRead].Snapshot(),
+		HostWriteLatency: s.lat[PrioHostWrite].Snapshot(),
+		GCLatency:        s.lat[PrioGC].Snapshot(),
+	}
+}
+
+// ResetCounters zeroes every counter, latency histogram and high-water mark
+// (after warm-up); queued requests and die horizons are untouched.
+func (s *Scheduler) ResetCounters() {
+	for p := range s.reqs {
+		for _, c := range s.reqs[p] {
+			c.Reset()
+		}
+		s.lat[p].Reset()
+	}
+	s.batches.Reset()
+	s.gcSteps.Reset()
+	s.gcStalls.Reset()
+	s.maxQueue.Set(0)
+	s.maxBatch.Set(0)
 }
 
 // Submit dispatches a batch of requests starting at the caller's virtual time
@@ -338,14 +375,12 @@ func (s *Scheduler) dispatch(now sim.Time, reqs []Request) ([]Completion, sim.Ti
 			}
 		}
 		if c.Err == nil {
-			s.latByPrio[req.Priority].Observe(c.Done.Sub(now))
-			if s.promLat[req.Priority] != nil {
-				s.promLat[req.Priority].Observe(c.Done.Sub(now))
-			}
+			s.lat[req.Priority].Observe(c.Done.Sub(now))
 		}
-		s.reqsByPrio[req.Priority].Inc()
-		if d := req.die(); s.promReqs[req.Priority] != nil && d >= 0 && d < len(s.promReqs[req.Priority]) {
-			s.promReqs[req.Priority][d].Inc()
+		// A command addressed to a die the geometry does not have was refused
+		// by the device without reaching a die; it is not counted.
+		if d := req.die(); d >= 0 && d < len(s.reqs[req.Priority]) {
+			s.reqs[req.Priority][d].Inc()
 		}
 		if s.tracer.Enabled(obs.ClassFlash) && c.Err == nil {
 			ev := obs.Event{
@@ -368,12 +403,7 @@ func (s *Scheduler) dispatch(now sim.Time, reqs []Request) ([]Completion, sim.Ti
 		completions[i] = c
 	}
 	s.batches.Inc()
-	if s.promBatches != nil {
-		s.promBatches.Inc()
-	}
-	s.requests.Add(int64(len(reqs)))
 	s.maxBatch.SetMax(int64(len(reqs)))
-	s.batchSpan.Observe(end.Sub(now))
 	return completions, end
 }
 
@@ -388,9 +418,7 @@ func (s *Scheduler) Enqueue(req Request) Ticket {
 	s.nextTicket++
 	s.pending = append(s.pending, queued{req: req, ticket: t, seq: s.nextSeq})
 	s.nextSeq++
-	depth := int64(len(s.pending))
-	s.queueDepth.Set(depth)
-	s.maxQueue.SetMax(depth)
+	s.maxQueue.SetMax(int64(len(s.pending)))
 	return t
 }
 
@@ -423,7 +451,6 @@ func (s *Scheduler) flushLocked(now sim.Time) sim.Time {
 		tickets[i] = q.ticket
 	}
 	s.pending = s.pending[:0]
-	s.queueDepth.Set(0)
 	completions, end := s.dispatch(now, reqs)
 	for i, c := range completions {
 		s.results[tickets[i]] = c
@@ -463,23 +490,12 @@ func (s *Scheduler) DieIdleAt(die int) sim.Time {
 }
 
 // ObserveGCStep records one bounded background GC step (victim relocation
-// and/or erase) of the given virtual-time span in the scheduler's metrics.
-func (s *Scheduler) ObserveGCStep(span sim.Duration) {
-	s.gcSteps.Inc()
-	s.gcStepSpan.Observe(span)
-	if s.promGCSteps != nil {
-		s.promGCSteps.Inc()
-	}
-}
+// and/or erase) in the scheduler's metrics.
+func (s *Scheduler) ObserveGCStep() { s.gcSteps.Inc() }
 
 // ObserveGCStall records one foreground (blocking) collection: an allocation
 // hit the low watermark and had to wait for GC inline.
-func (s *Scheduler) ObserveGCStall() {
-	s.gcStalls.Inc()
-	if s.promGCStalls != nil {
-		s.promGCStalls.Inc()
-	}
-}
+func (s *Scheduler) ObserveGCStall() { s.gcStalls.Inc() }
 
 // ---- single-request conveniences ----
 //

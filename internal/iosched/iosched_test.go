@@ -209,18 +209,25 @@ func TestSchedulerMetrics(t *testing.T) {
 	resetTime(dev)
 	s := New(dev)
 	s.Submit(0, []Request{{Op: OpReadPage, Addr: flash.Addr{Die: 0, Block: 0, Page: 0}, Priority: PrioHostRead}})
-	vals := s.Metrics().CounterValues()
-	if vals["iosched.batches"] != 1 {
-		t.Errorf("batches = %d, want 1", vals["iosched.batches"])
+	st := s.Stats()
+	if st.Batches != 1 {
+		t.Errorf("batches = %d, want 1", st.Batches)
 	}
-	if vals["iosched.requests"] != 1 {
-		t.Errorf("requests = %d, want 1", vals["iosched.requests"])
+	if st.Requests != 1 {
+		t.Errorf("requests = %d, want 1", st.Requests)
 	}
-	if vals["iosched.requests.host_read"] != 1 {
-		t.Errorf("host_read requests = %d, want 1", vals["iosched.requests.host_read"])
+	if st.HostReads != 1 || st.HostWrites != 0 || st.GC != 0 {
+		t.Errorf("requests by priority = %d/%d/%d, want 1/0/0", st.HostReads, st.HostWrites, st.GC)
 	}
-	if got := s.Metrics().Histogram("iosched.latency.host_read").Count(); got != 1 {
+	if got := st.HostReadLatency.Count; got != 1 {
 		t.Errorf("host_read latency observations = %d, want 1", got)
+	}
+	if st.MaxBatch != 1 {
+		t.Errorf("max batch = %d, want 1", st.MaxBatch)
+	}
+	s.ResetCounters()
+	if st := s.Stats(); st.Batches != 0 || st.Requests != 0 || st.HostReadLatency.Count != 0 || st.MaxBatch != 0 {
+		t.Errorf("ResetCounters left %+v", st)
 	}
 }
 
@@ -302,18 +309,15 @@ func TestDieIdleAtTracksDispatchedWork(t *testing.T) {
 func TestGCStepMetrics(t *testing.T) {
 	dev := testDevice(t)
 	s := New(dev)
-	s.ObserveGCStep(100)
-	s.ObserveGCStep(300)
+	s.ObserveGCStep()
+	s.ObserveGCStep()
 	s.ObserveGCStall()
-	vals := s.Metrics().CounterValues()
-	if vals["iosched.gc_steps"] != 2 {
-		t.Fatalf("gc_steps = %d, want 2", vals["iosched.gc_steps"])
+	st := s.Stats()
+	if st.GCSteps != 2 {
+		t.Fatalf("gc steps = %d, want 2", st.GCSteps)
 	}
-	if vals["iosched.gc_watermark_stalls"] != 1 {
-		t.Fatalf("gc_watermark_stalls = %d, want 1", vals["iosched.gc_watermark_stalls"])
-	}
-	if h := s.Metrics().Histogram("iosched.gc_step_span"); h.Count() != 2 {
-		t.Fatalf("gc_step_span observations = %d, want 2", h.Count())
+	if st.GCStalls != 1 {
+		t.Fatalf("gc stalls = %d, want 1", st.GCStalls)
 	}
 }
 
@@ -390,10 +394,10 @@ func TestConcurrentSubmitters(t *testing.T) {
 	const asyncBatches = workers * (batchesPerWorker/8 + (batchesPerWorker%8+7)/8) // ceil not needed; computed below
 	_ = asyncBatches
 	wantReqs := int64(workers*batchesPerWorker*reqsPerBatch) + int64(workers*5) // 5 async per worker (b=0,8,16,24,32)
-	if got := s.requests.Value(); got != wantReqs {
+	if got := s.Stats().Requests; got != wantReqs {
 		t.Fatalf("requests = %d, want %d", got, wantReqs)
 	}
-	if got := s.batches.Value(); got != int64(workers*batchesPerWorker+workers*5) {
+	if got := s.Stats().Batches; got != int64(workers*batchesPerWorker+workers*5) {
 		t.Fatalf("batches = %d, want %d", got, workers*batchesPerWorker+workers*5)
 	}
 	if s.QueueDepth() != 0 {

@@ -1,13 +1,17 @@
-// Package metrics provides the counters, latency histograms and per-object
-// I/O statistics used throughout the reproduction, plus helpers to render
-// them as the text tables printed by the benchmark harness.
+// Package metrics provides the counters, gauges and latency histograms used
+// throughout the reproduction, the Registry of labelled families that owns
+// them (prom.go), and the per-object I/O statistics behind the Region
+// Advisor.
+//
+// The registry is the single owner of every exported fact: a layer resolves
+// its family children once, increments exactly those on its hot path, and
+// computes its Stats snapshot from them, so the snapshot and the /metrics
+// text cannot disagree.
 //
 // All collectors are safe for concurrent use; the hot paths use atomics.
 package metrics
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,11 +30,6 @@ func (c *Counter) Add(delta int64) { c.v.Add(delta) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Store sets the counter to v.  It exists for scrape-time snapshot counters
-// that mirror an externally maintained monotonic total; normal hot-path
-// counters should use Inc/Add.
-func (c *Counter) Store(v int64) { c.v.Store(v) }
 
 // Reset sets the counter back to zero.
 func (c *Counter) Reset() { c.v.Store(0) }
@@ -244,116 +243,4 @@ func (h *Histogram) Snapshot() Snapshot {
 		P99:   h.Quantile(0.99),
 		Max:   h.Max(),
 	}
-}
-
-// Set is a named collection of counters and histograms.  Components create
-// their metrics through a Set so the harness can dump everything uniformly.
-type Set struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
-}
-
-// NewSet returns an empty metric set.
-func NewSet() *Set {
-	return &Set{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
-	}
-}
-
-// Counter returns the counter with the given name, creating it if needed.
-func (s *Set) Counter(name string) *Counter {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.counters[name]
-	if !ok {
-		c = &Counter{}
-		s.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the gauge with the given name, creating it if needed.
-func (s *Set) Gauge(name string) *Gauge {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g, ok := s.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		s.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns the histogram with the given name, creating it if needed.
-func (s *Set) Histogram(name string) *Histogram {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h, ok := s.histograms[name]
-	if !ok {
-		h = NewHistogram()
-		s.histograms[name] = h
-	}
-	return h
-}
-
-// CounterValues returns a copy of all counter values keyed by name.
-func (s *Set) CounterValues() map[string]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int64, len(s.counters))
-	for k, v := range s.counters {
-		out[k] = v.Value()
-	}
-	return out
-}
-
-// Reset zeroes every collector in the set.
-func (s *Set) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range s.counters {
-		c.Reset()
-	}
-	for _, g := range s.gauges {
-		g.Set(0)
-	}
-	for _, h := range s.histograms {
-		h.Reset()
-	}
-}
-
-// String renders the whole set as a sorted key: value listing, mainly for
-// debugging and the flashsim inspection tool.
-func (s *Set) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.counters)+len(s.gauges)+len(s.histograms))
-	for k := range s.counters {
-		keys = append(keys, "c:"+k)
-	}
-	for k := range s.gauges {
-		keys = append(keys, "g:"+k)
-	}
-	for k := range s.histograms {
-		keys = append(keys, "h:"+k)
-	}
-	sort.Strings(keys)
-	out := ""
-	for _, k := range keys {
-		switch k[0] {
-		case 'c':
-			out += fmt.Sprintf("%-40s %d\n", k[2:], s.counters[k[2:]].Value())
-		case 'g':
-			out += fmt.Sprintf("%-40s %d\n", k[2:], s.gauges[k[2:]].Value())
-		case 'h':
-			snap := s.histograms[k[2:]].Snapshot()
-			out += fmt.Sprintf("%-40s n=%d mean=%v p95=%v max=%v\n",
-				k[2:], snap.Count, snap.Mean, snap.P95, snap.Max)
-		}
-	}
-	return out
 }

@@ -106,33 +106,6 @@ func TestHistogramQuantileMonotone(t *testing.T) {
 	}
 }
 
-func TestSetCreatesAndReuses(t *testing.T) {
-	s := NewSet()
-	c1 := s.Counter("flash.reads")
-	c2 := s.Counter("flash.reads")
-	if c1 != c2 {
-		t.Fatalf("Counter did not reuse the same collector")
-	}
-	c1.Add(3)
-	if s.CounterValues()["flash.reads"] != 3 {
-		t.Fatalf("CounterValues missing value")
-	}
-	h := s.Histogram("lat")
-	h.Observe(time.Millisecond)
-	g := s.Gauge("free")
-	g.Set(42)
-	out := s.String()
-	for _, want := range []string{"flash.reads", "lat", "free"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("String() missing %q:\n%s", want, out)
-		}
-	}
-	s.Reset()
-	if s.Counter("flash.reads").Value() != 0 || s.Gauge("free").Value() != 0 || s.Histogram("lat").Count() != 0 {
-		t.Fatalf("Reset did not clear collectors")
-	}
-}
-
 func TestObjectStats(t *testing.T) {
 	o := NewObjectStats()
 	o.Register("STOCK", "table", "tsStock")
@@ -258,15 +231,6 @@ func TestHistogramQuantileContract(t *testing.T) {
 		if got := one.Quantile(q); got != 42*time.Microsecond {
 			t.Fatalf("single-sample Quantile(%v) = %v, want the sample", q, got)
 		}
-	}
-}
-
-func TestCounterStore(t *testing.T) {
-	var c Counter
-	c.Add(7)
-	c.Store(3)
-	if c.Value() != 3 {
-		t.Fatalf("Store: %d", c.Value())
 	}
 }
 

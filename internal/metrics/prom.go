@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,7 +11,7 @@ import (
 // This file is the labeled half of the metrics package: families of
 // counters/gauges/histograms keyed by label values (die, region, priority),
 // collected in a Registry and rendered as Prometheus text exposition format
-// by a pure-Go encoder (no client library dependency).
+// by a pure-Go encoder (Registry.Text, no client library dependency).
 
 // Kind is the Prometheus type of a metric family.
 type Kind uint8
@@ -113,9 +112,6 @@ type Family struct {
 	mu       sync.Mutex
 	children map[string]*child
 }
-
-// Name returns the family's metric name.
-func (f *Family) Name() string { return f.name }
 
 // childKey joins label values with an unprintable separator.
 func childKey(values []string) string {
@@ -285,12 +281,12 @@ func formatSeconds(ns int64) string {
 	return strconv.FormatFloat(float64(ns)/1e9, 'g', -1, 64)
 }
 
-// WriteText renders every family as Prometheus text exposition format
+// Text renders every family as Prometheus text exposition format
 // (version 0.0.4): families sorted by name, each with HELP and TYPE lines,
 // children sorted by label values.  Histograms are rendered in seconds with
 // cumulative le buckets (sparse: only buckets that gained observations are
 // emitted, plus the mandatory +Inf), _sum and _count.
-func (r *Registry) WriteText(w io.Writer) error {
+func (r *Registry) Text() string {
 	r.mu.Lock()
 	names := make([]string, 0, len(r.families))
 	for name := range r.families {
@@ -352,13 +348,5 @@ func (r *Registry) WriteText(w io.Writer) error {
 			}
 		}
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// Text renders the registry as a string (WriteText into a buffer).
-func (r *Registry) Text() string {
-	var b strings.Builder
-	_ = r.WriteText(&b)
 	return b.String()
 }

@@ -18,6 +18,14 @@ type LintResult struct {
 	Problems []string
 
 	labelValues map[string][]string
+	samples     []sample
+}
+
+// sample is one parsed sample line.
+type sample struct {
+	name   string
+	labels map[string]string
+	value  float64
 }
 
 // Valid reports whether the exposition parsed without problems.
@@ -27,6 +35,27 @@ func (r LintResult) Valid() bool { return len(r.Problems) == 0 }
 // samples, sorted.  Used by the CI scrape check to assert per-die/per-region
 // labels are really populated.
 func (r LintResult) LabelValues(label string) []string { return r.labelValues[label] }
+
+// Sum adds up the values of every sample called name (histogram series carry
+// their _bucket/_sum/_count suffix) whose labels include all the given
+// label, value pairs.  With a full label set it reads one series; with fewer
+// it aggregates, e.g. per-die children into the device total.
+func (r LintResult) Sum(name string, labelValuePairs ...string) float64 {
+	var total float64
+samples:
+	for _, s := range r.samples {
+		if s.name != name {
+			continue
+		}
+		for i := 0; i+1 < len(labelValuePairs); i += 2 {
+			if s.labels[labelValuePairs[i]] != labelValuePairs[i+1] {
+				continue samples
+			}
+		}
+		total += s.value
+	}
+	return total
+}
 
 // LintExposition validates Prometheus text exposition format (version 0.0.4)
 // without any external tooling: HELP/TYPE comment syntax, metric and label
@@ -113,7 +142,10 @@ func LintExposition(data []byte) LintResult {
 			continue
 		}
 		res.Samples++
+		byName := make(map[string]string, len(labels))
+		res.samples = append(res.samples, sample{name, byName, value})
 		for _, lp := range labels {
+			byName[lp.name] = lp.value
 			set := labelSeen[lp.name]
 			if set == nil {
 				set = make(map[string]bool)

@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"noftl/internal/metrics"
 	"noftl/internal/sim"
 )
 
@@ -152,11 +153,12 @@ type Tracer struct {
 	skip    [NumClasses]atomic.Uint32 // per-class arrival counters for sampling
 	started time.Time
 
-	mu       sync.Mutex
-	buf      []Event
-	next     uint64 // total records ever stored (ring position = next % len)
-	recorded atomic.Int64
-	dropped  atomic.Int64 // events overwritten after the ring wrapped
+	mu   sync.Mutex
+	buf  []Event
+	next uint64 // total records ever stored (ring position = next % len)
+	// children of the noftl_trace_events_* families (AttachObs)
+	recorded *metrics.Counter
+	dropped  *metrics.Counter // events overwritten after the ring wrapped
 }
 
 // DefaultCapacity is the ring size used when a non-positive capacity is
@@ -174,7 +176,16 @@ func NewTracer(capacity int) *Tracer {
 		started: time.Now(),
 	}
 	t.mask.Store(1<<NumClasses - 1)
+	t.AttachObs(metrics.NewRegistry())
 	return t
+}
+
+// AttachObs binds the tracer's counters to the registry reg, so they appear
+// in the /metrics text rendered from it.  Attach before recording.
+func (t *Tracer) AttachObs(reg *metrics.Registry) {
+	t.recorded = reg.Counter("noftl_trace_events_recorded_total", "Trace events recorded.").With()
+	t.dropped = reg.Counter("noftl_trace_events_dropped_total",
+		"Trace events overwritten after the ring buffer wrapped.").With()
 }
 
 // Enabled reports whether events of the class are currently recorded.  It is
@@ -223,7 +234,7 @@ func (t *Tracer) Record(e Event) {
 		}
 	}
 	e.Wall = int64(time.Since(t.started))
-	t.recorded.Add(1)
+	t.recorded.Inc()
 	t.mu.Lock()
 	e.Seq = t.next
 	t.next++
@@ -231,7 +242,7 @@ func (t *Tracer) Record(e Event) {
 		t.buf = append(t.buf, e)
 	} else {
 		t.buf[e.Seq%uint64(cap(t.buf))] = e
-		t.dropped.Add(1)
+		t.dropped.Inc()
 	}
 	t.mu.Unlock()
 }
@@ -252,7 +263,7 @@ func (t *Tracer) Recorded() int64 {
 	if t == nil {
 		return 0
 	}
-	return t.recorded.Load()
+	return t.recorded.Value()
 }
 
 // Dropped returns the number of events overwritten after the ring wrapped.
@@ -260,7 +271,7 @@ func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0
 	}
-	return t.dropped.Load()
+	return t.dropped.Value()
 }
 
 // Events returns a copy of the retained events, oldest first.
@@ -292,6 +303,6 @@ func (t *Tracer) Reset() {
 	t.buf = t.buf[:0]
 	t.next = 0
 	t.mu.Unlock()
-	t.recorded.Store(0)
-	t.dropped.Store(0)
+	t.recorded.Reset()
+	t.dropped.Reset()
 }

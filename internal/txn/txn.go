@@ -17,10 +17,12 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"noftl/internal/metrics"
 	"noftl/internal/sim"
 	"noftl/internal/wal"
 )
@@ -65,10 +67,9 @@ type lockState struct {
 
 // lockShard is one slice of the lock table.
 type lockShard struct {
-	mu       sync.Mutex
-	locks    map[string]*lockState
-	waits    atomic.Int64
-	timeouts atomic.Int64
+	mu    sync.Mutex
+	locks map[string]*lockState
+	waits *metrics.Counter // this shard's child of noftl_txn_lock_shard_waits_total
 }
 
 func (sh *lockShard) state(key string) *lockState {
@@ -87,6 +88,10 @@ type LockManager struct {
 	shards       [lockShards]lockShard
 	timeout      time.Duration // virtual-time wait budget (ns, 1:1 with sim time)
 	wallFallback time.Duration // wall-clock deadlock safety net
+	// waits is bumped together with the waiting shard's child: the total and
+	// the per-shard breakdown are two families of /metrics.
+	waits    *metrics.Counter
+	timeouts *metrics.Counter
 }
 
 // NewLockManager creates a lock manager with the given wait timeout (zero
@@ -108,7 +113,21 @@ func NewLockManager(timeout time.Duration) *LockManager {
 	for i := range lm.shards {
 		lm.shards[i].locks = make(map[string]*lockState)
 	}
+	lm.bind(metrics.NewRegistry())
 	return lm
+}
+
+// bind resolves the lock manager's children of its metric families on reg.
+func (lm *LockManager) bind(reg *metrics.Registry) {
+	lm.waits = reg.Counter("noftl_txn_lock_waits_total",
+		"Lock acquisitions that had to block.").With()
+	lm.timeouts = reg.Counter("noftl_txn_lock_timeouts_total",
+		"Lock waits that ended as deadlock victims (ErrLockTimeout).").With()
+	shardWaits := reg.Counter("noftl_txn_lock_shard_waits_total",
+		"Lock waits per lock-table hash shard.", "shard")
+	for i := range lm.shards {
+		lm.shards[i].waits = shardWaits.With(strconv.Itoa(i))
+	}
 }
 
 // SetWallFallback overrides the wall-clock deadlock safety net (tests use a
@@ -129,24 +148,6 @@ func (lm *LockManager) shard(key string) *lockShard {
 	return &lm.shards[h%lockShards]
 }
 
-// Waits returns the number of lock acquisitions that had to wait.
-func (lm *LockManager) Waits() int64 {
-	var n int64
-	for i := range lm.shards {
-		n += lm.shards[i].waits.Load()
-	}
-	return n
-}
-
-// Timeouts returns the number of lock waits that ended in ErrLockTimeout.
-func (lm *LockManager) Timeouts() int64 {
-	var n int64
-	for i := range lm.shards {
-		n += lm.shards[i].timeouts.Load()
-	}
-	return n
-}
-
 // LockStats is a snapshot of lock-manager contention counters.
 type LockStats struct {
 	// Waits counts lock acquisitions that had to block; Timeouts counts
@@ -164,12 +165,14 @@ type LockStats struct {
 
 // Stats returns a snapshot of the lock manager's contention counters.
 func (lm *LockManager) Stats() LockStats {
-	st := LockStats{ShardWaits: make([]int64, lockShards)}
+	st := LockStats{
+		Waits:      lm.waits.Value(),
+		Timeouts:   lm.timeouts.Value(),
+		ShardWaits: make([]int64, lockShards),
+	}
 	for i := range lm.shards {
 		sh := &lm.shards[i]
-		st.ShardWaits[i] = sh.waits.Load()
-		st.Waits += st.ShardWaits[i]
-		st.Timeouts += sh.timeouts.Load()
+		st.ShardWaits[i] = sh.waits.Value()
 		sh.mu.Lock()
 		for _, ls := range sh.locks {
 			if ls.writer != 0 || len(ls.readers) > 0 {
@@ -237,7 +240,8 @@ func (lm *LockManager) lock(now sim.Time, txnID uint64, key string, mode LockMod
 		}
 		if !waited {
 			waited = true
-			sh.waits.Add(1)
+			sh.waits.Inc()
+			lm.waits.Inc()
 			ls.waiting++
 			if now >= 0 {
 				// Anchor the virtual deadline to the key's release frontier,
@@ -260,7 +264,7 @@ func (lm *LockManager) lock(now sim.Time, txnID uint64, key string, mode LockMod
 			}
 			if timedOut {
 				ls.waiting--
-				sh.timeouts.Add(1)
+				lm.timeouts.Inc()
 				return fmt.Errorf("%w: txn %d key %q", ErrLockTimeout, txnID, key)
 			}
 		}
@@ -340,13 +344,14 @@ const (
 
 // Manager creates transactions, hands out ids and coordinates the WAL.
 type Manager struct {
-	nextID  atomic.Uint64
-	lm      *LockManager
-	log     *wal.Log
-	clock   *sim.Clock
-	started atomic.Int64
-	commits atomic.Int64
-	aborts  atomic.Int64
+	nextID atomic.Uint64
+	lm     *LockManager
+	log    *wal.Log
+	clock  *sim.Clock
+	// children of the noftl_txn_*_total families (bind)
+	started *metrics.Counter
+	commits *metrics.Counter
+	aborts  *metrics.Counter
 }
 
 // NewManager creates a transaction manager.  log may be nil (no logging) and
@@ -355,7 +360,36 @@ func NewManager(lm *LockManager, log *wal.Log, clock *sim.Clock) *Manager {
 	if lm == nil {
 		lm = NewLockManager(0)
 	}
-	return &Manager{lm: lm, log: log, clock: clock}
+	m := &Manager{lm: lm, log: log, clock: clock}
+	m.bind(metrics.NewRegistry())
+	return m
+}
+
+// bind resolves the manager's children of its metric families on reg.
+func (m *Manager) bind(reg *metrics.Registry) {
+	m.started = reg.Counter("noftl_txn_started_total", "Transactions started.").With()
+	m.commits = reg.Counter("noftl_txn_committed_total", "Transactions committed.").With()
+	m.aborts = reg.Counter("noftl_txn_aborted_total", "Transactions aborted.").With()
+}
+
+// AttachObs re-binds the counters of the manager and its lock manager to the
+// shared registry reg.  Attach before the first transaction begins.
+func (m *Manager) AttachObs(reg *metrics.Registry) {
+	m.bind(reg)
+	m.lm.bind(reg)
+}
+
+// ResetCounters zeroes the transaction and lock-contention counters (after
+// warm-up); transaction ids and held locks are untouched.
+func (m *Manager) ResetCounters() {
+	m.started.Reset()
+	m.commits.Reset()
+	m.aborts.Reset()
+	m.lm.waits.Reset()
+	m.lm.timeouts.Reset()
+	for i := range m.lm.shards {
+		m.lm.shards[i].waits.Reset()
+	}
 }
 
 // LockManager returns the shared lock manager.
@@ -380,10 +414,10 @@ func (m *Manager) SeedNextID(next uint64) {
 	}
 }
 
-// Started, Committed and Aborted return lifetime counters.
-func (m *Manager) Started() int64   { return m.started.Load() }
-func (m *Manager) Committed() int64 { return m.commits.Load() }
-func (m *Manager) Aborted() int64   { return m.aborts.Load() }
+// Started, Committed and Aborted return the transaction counters.
+func (m *Manager) Started() int64   { return m.started.Value() }
+func (m *Manager) Committed() int64 { return m.commits.Value() }
+func (m *Manager) Aborted() int64   { return m.aborts.Value() }
 
 // Txn is one transaction.  It is owned by a single goroutine (a TPC-C
 // terminal); it is not safe for concurrent use.
@@ -403,7 +437,7 @@ type Txn struct {
 // record, so a read-only transaction that aborts leaves the log untouched.
 func (m *Manager) Begin(now sim.Time) *Txn {
 	id := m.nextID.Add(1)
-	m.started.Add(1)
+	m.started.Inc()
 	cur := sim.NewCursor(m.clock)
 	cur.SetTo(now)
 	return &Txn{id: id, mgr: m, cursor: cur, state: Active, lockSet: make(map[string]bool), start: now}
@@ -482,7 +516,7 @@ func (t *Txn) Commit() (sim.Time, error) {
 		t.cursor.AdvanceTo(done)
 	}
 	t.state = Committed
-	t.mgr.commits.Add(1)
+	t.mgr.commits.Inc()
 	t.mgr.lm.ReleaseAllAt(t.cursor.Now(), t.id, t.locks)
 	return t.cursor.Now(), nil
 }
@@ -500,7 +534,7 @@ func (t *Txn) Abort() sim.Time {
 		_, _ = t.mgr.log.Append(wal.RecAbort, t.id, 0, nil)
 	}
 	t.state = Aborted
-	t.mgr.aborts.Add(1)
+	t.mgr.aborts.Inc()
 	t.mgr.lm.ReleaseAllAt(t.cursor.Now(), t.id, t.locks)
 	return t.cursor.Now()
 }

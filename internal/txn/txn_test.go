@@ -49,7 +49,7 @@ func TestLockManagerSharedAndExclusive(t *testing.T) {
 	if time.Since(start) < 40*time.Millisecond {
 		t.Fatal("timeout returned too early")
 	}
-	if short.Waits() == 0 {
+	if short.Stats().Waits == 0 {
 		t.Fatal("wait not counted")
 	}
 	// Releasing lets the writer in.

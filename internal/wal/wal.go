@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"noftl/internal/core"
+	"noftl/internal/metrics"
 	"noftl/internal/obs"
 	"noftl/internal/sim"
 	"noftl/internal/storage"
@@ -134,17 +135,23 @@ type Log struct {
 	pages      []core.LPN          // every log page ever allocated, in order
 	pageMaxLSN map[core.LPN]uint64 // highest LSN stored in each sealed page
 
-	appended int64
-	flushes  int64
-	bytes    int64
+	// Counters: the log's children of the noftl_wal_* families (bind), bumped
+	// under mu.  pagesTrimmed has no family and stays a plain count.
+	appended      *metrics.Counter
+	flushes       *metrics.Counter
+	bytesAppended *metrics.Counter
+	bytesTrimmed  *metrics.Counter
+	groupCommits  *metrics.Counter // flushes that made more than one committer durable
+	groupedTxns   *metrics.Counter // committers served by Commit, across all groups
+	pagesTrimmed  int64
 
 	// Byte accounting across checkpoints: pageBytes tracks the encoded
-	// record bytes held by each live log page, so Truncate can move a
-	// dropped page's bytes from the live total to the trimmed total instead
-	// of leaking them (Stats().WAL reconciles: live = appended - trimmed).
-	pageBytes    map[core.LPN]int64
-	bytesTrimmed int64
-	pagesTrimmed int64
+	// record bytes held by each live log page and bytesLive their total, so
+	// Truncate can move a dropped page's bytes from the live total to the
+	// trimmed counter instead of leaking them (appended = trimmed + live
+	// between two ResetCounters calls).
+	pageBytes map[core.LPN]int64
+	bytesLive int64
 
 	// Group commit.  Committers queue behind a single flush leader; the
 	// leader forces everything appended so far with one device write chain,
@@ -158,8 +165,6 @@ type Log struct {
 	commitDelay   time.Duration
 	groupMaxNow   sim.Time // max virtual time across the forming group
 	flushDoneAt   sim.Time // virtual end of the latest flush
-	groupCommits  int64    // flushes that made more than one committer durable
-	groupedTxns   int64    // committers served by Commit, across all groups
 
 	tracer *obs.Tracer // nil = tracing off
 }
@@ -184,7 +189,22 @@ func New(mgr *core.Manager, hint core.Hint, pageSize int) *Log {
 	l.commitCond = sync.NewCond(&l.mu)
 	l.hint.Flags |= flashFlagLog
 	l.openPage()
+	l.bind(metrics.NewRegistry())
 	return l
+}
+
+// bind resolves the log's children of its metric families on reg.
+func (l *Log) bind(reg *metrics.Registry) {
+	l.appended = reg.Counter("noftl_wal_appends_total", "WAL records appended.").With()
+	l.flushes = reg.Counter("noftl_wal_flushes_total", "WAL flushes that wrote pages.").With()
+	l.groupCommits = reg.Counter("noftl_wal_group_commits_total",
+		"WAL forces that made more than one committer durable at once.").With()
+	l.groupedTxns = reg.Counter("noftl_wal_grouped_txns_total",
+		"Committers served by the WAL group-commit path.").With()
+	l.bytesAppended = reg.Counter("noftl_wal_bytes_appended_total",
+		"Encoded WAL record bytes appended.").With()
+	l.bytesTrimmed = reg.Counter("noftl_wal_bytes_trimmed_total",
+		"Encoded WAL record bytes dropped by checkpoint truncation.").With()
 }
 
 // SetGroupCommit configures the group-commit window: a flush leader lingers
@@ -216,12 +236,26 @@ func (l *Log) openPage() {
 	l.pages = append(l.pages, l.curLPN)
 }
 
-// AttachObs wires the log to the trace recorder.  A nil tracer (the default)
-// keeps tracing off.  Attach before the log sees traffic.
-func (l *Log) AttachObs(tr *obs.Tracer) {
+// AttachObs wires the log to the trace recorder and re-binds its counters to
+// the shared registry reg.  A nil tracer (the default) keeps tracing off.
+// Attach before the log sees traffic.
+func (l *Log) AttachObs(tr *obs.Tracer, reg *metrics.Registry) {
 	l.mu.Lock()
 	l.tracer = tr
+	l.bind(reg)
 	l.mu.Unlock()
+}
+
+// ResetCounters zeroes the log's counters (after warm-up).  LSNs, the page
+// list and BytesLive describe the log itself and are untouched.
+func (l *Log) ResetCounters() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, c := range []*metrics.Counter{l.appended, l.flushes, l.bytesAppended,
+		l.bytesTrimmed, l.groupCommits, l.groupedTxns} {
+		c.Reset()
+	}
+	l.pagesTrimmed = 0
 }
 
 // NextLSN returns the LSN the next appended record will receive.
@@ -250,35 +284,19 @@ func (l *Log) FlushedLSN() uint64 {
 }
 
 // Appended returns the number of records appended so far.
-func (l *Log) Appended() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appended
-}
+func (l *Log) Appended() int64 { return l.appended.Value() }
 
 // Flushes returns the number of Flush calls that wrote pages.
-func (l *Log) Flushes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.flushes
-}
+func (l *Log) Flushes() int64 { return l.flushes.Value() }
 
 // GroupCommits returns the number of log forces that made more than one
 // committer durable at once.
-func (l *Log) GroupCommits() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.groupCommits
-}
+func (l *Log) GroupCommits() int64 { return l.groupCommits.Value() }
 
 // GroupedTxns returns the number of committers served by Commit across all
 // groups (GroupedTxns / Flushes is the mean group size when every force goes
 // through Commit).
-func (l *Log) GroupedTxns() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.groupedTxns
-}
+func (l *Log) GroupedTxns() int64 { return l.groupedTxns.Value() }
 
 // PageCount returns the number of log pages allocated.
 func (l *Log) PageCount() int {
@@ -307,8 +325,9 @@ func (l *Log) Append(typ RecordType, txnID uint64, objectID uint32, payload []by
 		}
 	}
 	l.nextLSN++
-	l.appended++
-	l.bytes += int64(len(enc))
+	l.appended.Inc()
+	l.bytesAppended.Add(int64(len(enc)))
+	l.bytesLive += int64(len(enc))
 	l.pageBytes[l.curLPN] += int64(len(enc))
 	if l.tracer.Enabled(obs.ClassWALAppend) {
 		// Append is a pure memory operation: it carries no virtual-time span
@@ -374,7 +393,7 @@ func (l *Log) Commit(now sim.Time, lsn uint64) (sim.Time, error) {
 	}
 	for {
 		if l.flushedLSN >= lsn {
-			l.groupedTxns++
+			l.groupedTxns.Inc()
 			return sim.MaxTime(now, l.flushDoneAt), nil
 		}
 		if !l.flushLeader {
@@ -404,9 +423,9 @@ func (l *Log) Commit(now sim.Time, lsn uint64) (sim.Time, error) {
 	if err != nil {
 		return now, err
 	}
-	l.groupedTxns++
+	l.groupedTxns.Inc()
 	if grouped > 1 {
-		l.groupCommits++
+		l.groupCommits.Inc()
 	}
 	return sim.MaxTime(now, done), nil
 }
@@ -466,7 +485,7 @@ func (l *Log) flushGroupLocked() (sim.Time, error) {
 	if vnow > l.flushDoneAt {
 		l.flushDoneAt = vnow
 	}
-	l.flushes++
+	l.flushes.Inc()
 	if l.tracer.Enabled(obs.ClassWALSync) {
 		l.tracer.Record(obs.Event{
 			Class: obs.ClassWALSync, Die: -1, Block: -1, Page: -1,
@@ -549,7 +568,8 @@ func (l *Log) Truncate(upToLSN uint64) int {
 			continue
 		}
 		delete(l.pageMaxLSN, lpn)
-		l.bytesTrimmed += l.pageBytes[lpn]
+		l.bytesTrimmed.Add(l.pageBytes[lpn])
+		l.bytesLive -= l.pageBytes[lpn]
 		delete(l.pageBytes, lpn)
 		l.pagesTrimmed++
 		dropped++
@@ -558,27 +578,18 @@ func (l *Log) Truncate(upToLSN uint64) int {
 	return dropped
 }
 
-// BytesAppended returns the total encoded record bytes ever appended.
-func (l *Log) BytesAppended() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.bytes
-}
+// BytesAppended returns the total encoded record bytes appended.
+func (l *Log) BytesAppended() int64 { return l.bytesAppended.Value() }
 
 // BytesTrimmed returns the encoded record bytes dropped by Truncate.
-func (l *Log) BytesTrimmed() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.bytesTrimmed
-}
+func (l *Log) BytesTrimmed() int64 { return l.bytesTrimmed.Value() }
 
-// BytesLive returns the encoded record bytes still held by live log pages
-// (appended minus trimmed) — the upper bound on what a crash now would
-// replay.
+// BytesLive returns the encoded record bytes still held by live log pages —
+// the upper bound on what a crash now would replay.
 func (l *Log) BytesLive() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.bytes - l.bytesTrimmed
+	return l.bytesLive
 }
 
 // PagesTrimmed returns the number of log pages dropped by Truncate.

@@ -11,22 +11,19 @@ import (
 )
 
 // MetricsText renders the database's full metric set in the Prometheus text
-// exposition format (version 0.0.4): the labeled counter and histogram
-// families maintained live by the I/O scheduler and space-manager hooks,
-// plus scrape-time gauges covering every layer (scheduler queue depth,
-// per-die free blocks, per-region occupancy and background-GC debt, buffer
-// pool, WAL, transactions, device totals).  The same text is served on
-// /metrics when a listener is configured with WithMetricsListener.
+// exposition format (version 0.0.4).  The counter and histogram families are
+// the very children every layer increments on its hot path and computes its
+// Stats() from (device, scheduler, regions, buffer pool, WAL, checkpoints,
+// transactions, tracer); only the point-in-time gauges are refreshed here.
+// The same text is served on /metrics when a listener is configured with
+// WithMetricsListener.
 func (db *DB) MetricsText() string {
 	db.scrapeGauges()
 	return db.reg.Text()
 }
 
-// scrapeGauges refreshes the point-in-time families in the registry from the
-// layers' snapshot accessors.  Counters that the hot paths do not maintain as
-// labeled children (buffer pool, WAL, transactions, device) are mirrored into
-// the registry here — cumulative values copied at scrape time, which is
-// exactly as fresh as the snapshot the Stats() facade would hand out.
+// scrapeGauges refreshes the point-in-time gauges — state that is read, not
+// counted — from the layers' snapshot accessors.
 func (db *DB) scrapeGauges() {
 	reg := db.reg
 
@@ -34,9 +31,8 @@ func (db *DB) scrapeGauges() {
 	reg.Gauge("noftl_simulated_time_nanoseconds",
 		"Highest simulated (virtual) time observed so far.").With().Set(int64(db.clock.Now()))
 
-	sched := db.space.Scheduler()
 	reg.Gauge("noftl_sched_queue_depth",
-		"Flash commands currently enqueued for asynchronous submission.").With().Set(int64(sched.QueueDepth()))
+		"Flash commands currently enqueued for asynchronous submission.").With().Set(int64(db.space.Scheduler().QueueDepth()))
 
 	dieFree := reg.Gauge("noftl_die_free_blocks",
 		"Free blocks currently available on each die.", "die")
@@ -44,7 +40,6 @@ func (db *DB) scrapeGauges() {
 		dieFree.With(strconv.Itoa(die)).Set(int64(free))
 	}
 
-	space := db.space.Stats()
 	validPages := reg.Gauge("noftl_region_valid_pages",
 		"Logical pages currently mapped into each region.", "region")
 	capPages := reg.Gauge("noftl_region_capacity_pages",
@@ -59,7 +54,7 @@ func (db *DB) scrapeGauges() {
 		"Dies at or below the foreground-GC low watermark, per region.", "region")
 	victims := reg.Gauge("noftl_bggc_victims_open",
 		"Dies with a partially collected background victim, per region.", "region")
-	for _, r := range space.Regions {
+	for _, r := range db.space.Stats().Regions {
 		validPages.With(r.Name).Set(r.ValidPages)
 		capPages.With(r.Name).Set(r.CapacityPages)
 		freeBlocks.With(r.Name).Set(int64(r.FreeBlocks))
@@ -70,66 +65,24 @@ func (db *DB) scrapeGauges() {
 	}
 
 	bp := db.pool.Stats()
-	reg.Counter("noftl_buffer_hits_total", "Buffer-pool hits.").With().Store(bp.Hits)
-	reg.Counter("noftl_buffer_misses_total", "Buffer-pool demand misses.").With().Store(bp.Misses)
-	reg.Counter("noftl_buffer_evictions_total", "Buffer-pool frame evictions.").With().Store(bp.Evictions)
-	reg.Counter("noftl_buffer_writebacks_total", "Dirty pages written back by the buffer pool.").With().Store(bp.Writebacks)
 	reg.Gauge("noftl_buffer_resident_pages", "Pages currently resident in the buffer pool.").With().Set(int64(bp.Resident))
 	reg.Gauge("noftl_buffer_dirty_pages", "Dirty pages currently resident in the buffer pool.").With().Set(int64(bp.Dirty))
 
-	reg.Counter("noftl_txn_started_total", "Transactions started.").With().Store(db.txns.Started())
-	reg.Counter("noftl_txn_committed_total", "Transactions committed.").With().Store(db.txns.Committed())
-	reg.Counter("noftl_txn_aborted_total", "Transactions aborted.").With().Store(db.txns.Aborted())
-
 	locks := db.txns.LockManager().Stats()
-	reg.Counter("noftl_txn_lock_waits_total",
-		"Lock acquisitions that had to block.").With().Store(locks.Waits)
-	reg.Counter("noftl_txn_lock_timeouts_total",
-		"Lock waits that ended as deadlock victims (ErrLockTimeout).").With().Store(locks.Timeouts)
 	reg.Gauge("noftl_txn_locks_held",
 		"Keys currently locked (shared or exclusive).").With().Set(locks.Held)
 	reg.Gauge("noftl_txn_locks_waiting",
 		"Transactions currently blocked on a lock.").With().Set(locks.Waiting)
-	shardWaits := reg.Counter("noftl_txn_lock_shard_waits_total",
-		"Lock waits per lock-table hash shard.", "shard")
-	for i, n := range locks.ShardWaits {
-		shardWaits.With(strconv.Itoa(i)).Store(n)
-	}
 
 	if db.log != nil {
-		reg.Counter("noftl_wal_appends_total", "WAL records appended.").With().Store(db.log.Appended())
-		reg.Counter("noftl_wal_flushes_total", "WAL flushes that wrote pages.").With().Store(db.log.Flushes())
 		reg.Gauge("noftl_wal_flushed_lsn", "Highest durable WAL log sequence number.").With().Set(int64(db.log.FlushedLSN()))
-		reg.Counter("noftl_wal_group_commits_total",
-			"WAL forces that made more than one committer durable at once.").With().Store(db.log.GroupCommits())
-		reg.Counter("noftl_wal_grouped_txns_total",
-			"Committers served by the WAL group-commit path.").With().Store(db.log.GroupedTxns())
-		reg.Counter("noftl_wal_bytes_appended_total",
-			"Encoded WAL record bytes appended.").With().Store(db.log.BytesAppended())
-		reg.Counter("noftl_wal_bytes_trimmed_total",
-			"Encoded WAL record bytes dropped by checkpoint truncation.").With().Store(db.log.BytesTrimmed())
 		reg.Gauge("noftl_wal_bytes_live",
 			"Encoded WAL record bytes held by live log pages (crash-replay upper bound).").With().Set(db.log.BytesLive())
 		ck := db.checkpointStats()
-		reg.Counter("noftl_wal_checkpoints_total",
-			"Checkpoints taken (full logical snapshots appended to the WAL).").With().Store(ck.Count)
-		reg.Counter("noftl_wal_checkpoint_chunks_total",
-			"Checkpoint snapshot chunk records appended.").With().Store(ck.Chunks)
 		reg.Gauge("noftl_wal_checkpoint_last_lsn",
 			"LSN of the last checkpoint's final chunk (recovery replays records after it).").With().Set(int64(ck.LastLSN))
 		reg.Gauge("noftl_wal_checkpoint_last_bytes",
 			"Snapshot size of the last checkpoint in bytes.").With().Set(ck.LastBytes)
-	}
-
-	dev := db.dev.Stats()
-	reg.Counter("noftl_device_reads_total", "Physical page reads on the flash device.").With().Store(dev.Reads)
-	reg.Counter("noftl_device_programs_total", "Physical page programs on the flash device.").With().Store(dev.Programs)
-	reg.Counter("noftl_device_erases_total", "Physical block erases on the flash device.").With().Store(dev.Erases)
-
-	if db.tracer != nil {
-		reg.Counter("noftl_trace_events_recorded_total", "Trace events recorded.").With().Store(db.tracer.Recorded())
-		reg.Counter("noftl_trace_events_dropped_total",
-			"Trace events overwritten after the ring buffer wrapped.").With().Store(db.tracer.Dropped())
 	}
 }
 

@@ -269,3 +269,182 @@ func TestTraceBufferWithoutWriter(t *testing.T) {
 		t.Fatalf("round trip: %d events, err=%v (dumped %d)", len(events), err, n)
 	}
 }
+
+// checkStatsEqualMetrics asserts that every field Stats() shares with a
+// noftl_* family of MetricsText() carries the same value in both views.
+func checkStatsEqualMetrics(t *testing.T, db *DB, stage string) Stats {
+	t.Helper()
+	st := db.Stats()
+	lint := metrics.LintExposition([]byte(db.MetricsText()))
+	if !lint.Valid() {
+		t.Fatalf("%s: exposition invalid:\n%s", stage, strings.Join(lint.Problems, "\n"))
+	}
+	eq := func(want int64, name string, labels ...string) {
+		t.Helper()
+		if got := lint.Sum(name, labels...); got != float64(want) {
+			t.Errorf("%s: Stats says %d, /metrics says %g for %s%v", stage, want, got, name, labels)
+		}
+	}
+
+	eq(int64(st.Simulated), "noftl_simulated_time_nanoseconds")
+	eq(st.TxnStarted, "noftl_txn_started_total")
+	eq(st.TxnCommitted, "noftl_txn_committed_total")
+	eq(st.TxnAborted, "noftl_txn_aborted_total")
+	eq(st.Txn.LockWaits, "noftl_txn_lock_waits_total")
+	eq(st.Txn.LockTimeouts, "noftl_txn_lock_timeouts_total")
+	eq(st.Txn.LocksHeld, "noftl_txn_locks_held")
+	eq(st.Txn.LockWaiting, "noftl_txn_locks_waiting")
+	for i, n := range st.Txn.ShardWaits {
+		eq(n, "noftl_txn_lock_shard_waits_total", "shard", fmt.Sprint(i))
+	}
+
+	eq(st.Buffer.Hits, "noftl_buffer_hits_total")
+	eq(st.Buffer.Misses, "noftl_buffer_misses_total")
+	eq(st.Buffer.Evictions, "noftl_buffer_evictions_total")
+	eq(st.Buffer.Writebacks, "noftl_buffer_writebacks_total")
+	eq(int64(st.Buffer.Resident), "noftl_buffer_resident_pages")
+	eq(int64(st.Buffer.Dirty), "noftl_buffer_dirty_pages")
+
+	sc := st.Scheduler
+	eq(sc.Batches, "noftl_iosched_batches_total")
+	eq(sc.Requests, "noftl_iosched_requests_total")
+	eq(sc.HostReads, "noftl_iosched_requests_total", "priority", "host_read")
+	eq(sc.HostWrites, "noftl_iosched_requests_total", "priority", "host_write")
+	eq(sc.GC, "noftl_iosched_requests_total", "priority", "gc")
+	eq(sc.GCSteps, "noftl_iosched_gc_steps_total")
+	eq(sc.GCStalls, "noftl_iosched_gc_stalls_total")
+	eq(sc.QueueDepth, "noftl_sched_queue_depth")
+	eq(sc.HostReadLatency.Count, "noftl_iosched_request_latency_seconds_count", "priority", "host_read")
+	eq(sc.HostWriteLatency.Count, "noftl_iosched_request_latency_seconds_count", "priority", "host_write")
+	eq(sc.GCLatency.Count, "noftl_iosched_request_latency_seconds_count", "priority", "gc")
+
+	sp := st.Space
+	eq(sp.HostReads, "noftl_region_host_reads_total")
+	eq(sp.HostWrites, "noftl_region_host_writes_total")
+	eq(sp.GCCopybacks, "noftl_region_gc_copybacks_total")
+	eq(sp.GCErases, "noftl_region_gc_erases_total")
+	eq(sp.GCStalls, "noftl_region_gc_stalls_total")
+	eq(sp.BGGCSteps, "noftl_region_bggc_steps_total")
+	eq(sp.WearMoves, "noftl_region_wear_moves_total")
+	eq(st.ReadLatency.Count, "noftl_host_read_latency_seconds_count")
+	eq(st.WriteLatency.Count, "noftl_host_write_latency_seconds_count")
+	for _, r := range sp.Regions {
+		eq(r.HostReads, "noftl_region_host_reads_total", "region", r.Name)
+		eq(r.HostWrites, "noftl_region_host_writes_total", "region", r.Name)
+		eq(r.GCCopybacks, "noftl_region_gc_copybacks_total", "region", r.Name)
+		eq(r.GCErases, "noftl_region_gc_erases_total", "region", r.Name)
+		eq(r.GCStalls, "noftl_region_gc_stalls_total", "region", r.Name)
+		eq(r.BGGCSteps, "noftl_region_bggc_steps_total", "region", r.Name)
+		eq(r.WearMoves, "noftl_region_wear_moves_total", "region", r.Name)
+		eq(r.ReadLatency.Count, "noftl_host_read_latency_seconds_count", "region", r.Name)
+		eq(r.WriteLatency.Count, "noftl_host_write_latency_seconds_count", "region", r.Name)
+		eq(r.ValidPages, "noftl_region_valid_pages", "region", r.Name)
+		eq(r.CapacityPages, "noftl_region_capacity_pages", "region", r.Name)
+		eq(int64(r.FreeBlocks), "noftl_region_free_blocks", "region", r.Name)
+		eq(r.BGDebtBlocks, "noftl_bggc_debt_blocks", "region", r.Name)
+		eq(int64(r.DiesInBGBand), "noftl_bggc_dies_in_band", "region", r.Name)
+		eq(int64(r.DiesAtLowWater), "noftl_bggc_dies_at_low_water", "region", r.Name)
+		eq(int64(r.BGVictimsOpen), "noftl_bggc_victims_open", "region", r.Name)
+	}
+
+	eq(st.Device.Reads, "noftl_device_reads_total")
+	eq(st.Device.Programs, "noftl_device_programs_total")
+	eq(st.Device.Erases, "noftl_device_erases_total")
+	for _, d := range st.Device.PerDie {
+		die := fmt.Sprint(d.Die)
+		eq(d.Reads, "noftl_device_reads_total", "die", die)
+		eq(d.Programs, "noftl_device_programs_total", "die", die)
+		eq(d.Erases, "noftl_device_erases_total", "die", die)
+	}
+
+	w := st.WAL
+	eq(w.Appended, "noftl_wal_appends_total")
+	eq(w.Flushes, "noftl_wal_flushes_total")
+	eq(int64(w.FlushedLSN), "noftl_wal_flushed_lsn")
+	eq(w.GroupCommits, "noftl_wal_group_commits_total")
+	eq(w.GroupedTxns, "noftl_wal_grouped_txns_total")
+	eq(w.BytesAppended, "noftl_wal_bytes_appended_total")
+	eq(w.BytesTrimmed, "noftl_wal_bytes_trimmed_total")
+	eq(w.BytesLive, "noftl_wal_bytes_live")
+	eq(w.Checkpoint.Count, "noftl_wal_checkpoints_total")
+	eq(w.Checkpoint.Chunks, "noftl_wal_checkpoint_chunks_total")
+	eq(int64(w.Checkpoint.LastLSN), "noftl_wal_checkpoint_last_lsn")
+	eq(w.Checkpoint.LastBytes, "noftl_wal_checkpoint_last_bytes")
+
+	eq(st.Trace.Recorded, "noftl_trace_events_recorded_total")
+	eq(st.Trace.Dropped, "noftl_trace_events_dropped_total")
+	return st
+}
+
+// TestStatsEqualsMetrics is the single-owner invariant: Stats() and /metrics
+// are two views of the same registry children, so every fact they share is
+// equal — after a mixed workload with GC, a checkpoint and injected program
+// faults (a failed I/O is where the old double bookkeeping drifted apart),
+// right after ResetStatistics, and after more work on top of the reset.
+func TestStatsEqualsMetrics(t *testing.T) {
+	db, err := OpenConfig(obsConfig(), WithTraceBuffer(1<<12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.Admin().ArmFaults(FaultPlan{Seed: 3, FailProgramEvery: 211})
+	obsWorkload(t, db, 150, 8)
+	tbl, _ := db.Table("H")
+	readAll := func() {
+		t.Helper()
+		err := db.View(func(tx *Tx) error {
+			for range tbl.Rows(tx) {
+			}
+			return tx.Err()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	readAll()
+	if _, err := db.Checkpoint(db.SimulatedTime()); err != nil {
+		t.Fatal(err)
+	}
+
+	st := checkStatsEqualMetrics(t, db, "after workload")
+	if st.Space.GCErases == 0 || st.WAL.Checkpoint.Count == 0 || st.Buffer.Misses == 0 ||
+		st.TxnAborted == 0 || st.Trace.Dropped == 0 {
+		t.Fatalf("degenerate workload (needs GC, a checkpoint, misses, an abort, a wrapped trace ring): %+v", st)
+	}
+	// Every host-priority program is a WritePage(s) of some region, counted
+	// there once it succeeds: the surplus is the injected program faults.
+	if st.Scheduler.HostWrites <= st.Space.HostWrites {
+		t.Fatalf("no program fault fired: %d host-write requests for %d host writes",
+			st.Scheduler.HostWrites, st.Space.HostWrites)
+	}
+
+	db.ResetStatistics()
+	st = checkStatsEqualMetrics(t, db, "after reset")
+	if st.Space.HostWrites != 0 || st.Device.Programs != 0 || st.Scheduler.Requests != 0 ||
+		st.WAL.Appended != 0 || st.TxnCommitted != 0 || st.WAL.Checkpoint.Count != 0 {
+		t.Fatalf("reset incomplete: %+v", st)
+	}
+
+	err = db.Update(func(tx *Tx) error {
+		var rids []RID // a scan holds its page latched: collect first, update after
+		for rid := range tbl.Rows(tx) {
+			rids = append(rids, rid)
+		}
+		for _, rid := range rids {
+			if err := tbl.Update(tx, rid, bytes.Repeat([]byte{'y'}, 900)); err != nil {
+				return err
+			}
+		}
+		return tx.Err()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.FlushAll(db.SimulatedTime()); err != nil {
+		t.Fatal(err)
+	}
+	st = checkStatsEqualMetrics(t, db, "after post-reset work")
+	if st.Space.HostWrites == 0 || st.TxnCommitted == 0 {
+		t.Fatalf("post-reset work left no trace in the counters: %+v", st)
+	}
+}

@@ -96,14 +96,6 @@ func WithWALGroupCommit(batch int, delay time.Duration) Option {
 	}
 }
 
-// WithBufferPoolShards overrides the buffer pool's shard count (zero = size
-// automatically from the frame count).  More shards reduce frame-table
-// contention between concurrent workers; each shard runs its own CLOCK over
-// its slice of the frames.
-func WithBufferPoolShards(n int) Option {
-	return func(c *Config) { c.BufferPoolShards = n }
-}
-
 // WithLockTimeout sets the lock-wait timeout (the deadlock safety net).
 func WithLockTimeout(d time.Duration) Option {
 	return func(c *Config) { c.LockTimeout = d }

@@ -13,8 +13,9 @@ import (
 // Stats is an immutable snapshot of the whole stack: transactions, buffer
 // pool, I/O scheduler, NoFTL space manager (with per-region GC counters),
 // flash device, WAL and per-object I/O counters.  All counters are
-// cumulative since the last ResetStatistics call.  It replaces the former
-// live-pointer accessors (SpaceManager(), SchedulerMetrics(), ...).
+// cumulative since the last ResetStatistics call.  Every counter it shares
+// with a noftl_* family of MetricsText is read from that family's children,
+// so the two views cannot disagree.
 type Stats struct {
 	// Simulated is the simulated wall-clock time covered by the counters.
 	Simulated time.Duration
@@ -71,6 +72,11 @@ type SchedulerStats struct {
 	// QueueDepth is the number of flash commands enqueued for asynchronous
 	// submission at snapshot time (MaxQueueDepth is the high-water mark).
 	QueueDepth int64
+	// HostReadLatency, HostWriteLatency and GCLatency summarise the
+	// virtual-time latency of the successful commands of each class.
+	HostReadLatency  metrics.Snapshot
+	HostWriteLatency metrics.Snapshot
+	GCLatency        metrics.Snapshot
 }
 
 // TraceStats is a snapshot of the event tracer's counters (all zero when
@@ -176,7 +182,7 @@ func (db *DB) Stats() Stats {
 			ShardWaits:   lockStats.ShardWaits,
 		},
 		Buffer:       db.pool.Stats(),
-		Scheduler:    db.schedulerStats(),
+		Scheduler:    SchedulerStats(db.space.Scheduler().Stats()),
 		Space:        space,
 		Device:       db.dev.Stats(),
 		Objects:      db.ObjectStats(),
@@ -206,23 +212,4 @@ func (db *DB) Stats() Stats {
 		}
 	}
 	return st
-}
-
-// schedulerStats snapshots the I/O scheduler's metric set.
-func (db *DB) schedulerStats() SchedulerStats {
-	sched := db.space.Scheduler()
-	set := sched.Metrics()
-	c := set.CounterValues()
-	return SchedulerStats{
-		QueueDepth:    int64(sched.QueueDepth()),
-		Batches:       c["iosched.batches"],
-		Requests:      c["iosched.requests"],
-		MaxBatch:      set.Gauge("iosched.max_batch_size").Value(),
-		MaxQueueDepth: set.Gauge("iosched.max_queue_depth").Value(),
-		HostReads:     c["iosched.requests.host_read"],
-		HostWrites:    c["iosched.requests.host_write"],
-		GC:            c["iosched.requests.gc"],
-		GCSteps:       c["iosched.gc_steps"],
-		GCStalls:      c["iosched.gc_watermark_stalls"],
-	}
 }
