@@ -13,9 +13,9 @@
 //
 // Data access is batch-first and transactional: db.Update and db.View run a
 // closure inside a transaction; Table.InsertBatch, Table.GetBatch and
-// Index.LookupBatch ride the asynchronous I/O scheduler's die-striped batch
-// path, so a batch of pages costs roughly one page latency per die instead
-// of one per page; Table.Rows, Index.Range and Index.Prefix return Go 1.23
+// Index.LookupBatch ride the I/O scheduler's die-striped batch path, so a
+// batch of pages costs roughly one page latency per die instead of one per
+// page; Table.Rows, Index.Range and Index.Prefix return Go 1.23
 // range-over-func iterators.
 //
 //	_ = db.Update(func(tx *noftl.Tx) error {
@@ -88,8 +88,8 @@ type Config struct {
 	// statement does not specify EXTENT SIZE.
 	ExtentPages int
 	// ReadAheadPages is the number of sequentially-next logical pages the
-	// buffer pool prefetches through the asynchronous I/O scheduler on a
-	// demand miss.  When enabled, the prefetched pages ride in the same
+	// buffer pool prefetches through the I/O scheduler on a demand miss.
+	// When enabled, the prefetched pages ride in the same
 	// die-striped batch as the demanded page, so a sequential scan pays one
 	// page latency for several pages.
 	//
@@ -98,10 +98,6 @@ type Config struct {
 	// Scan-heavy workloads opt in per database, typically with 4-8 pages:
 	// noftl.Open(noftl.WithReadAhead(8)).
 	ReadAheadPages int
-	// DisableGroupWriteBack turns off batched write-back: FlushAll and the
-	// background flushers then write dirty pages one at a time (the
-	// pre-scheduler behaviour) instead of as one die-striped batch.
-	DisableGroupWriteBack bool
 	// TraceWriter enables event tracing: flash commands, host I/O, GC steps,
 	// wear moves, buffer-pool and WAL events are recorded into an in-memory
 	// ring buffer and dumped to this writer as JSONL on Close (the stream

@@ -93,10 +93,7 @@ func openWith(cfg Config, dev *flash.Device, space *core.Manager) (*DB, error) {
 	db.space.AttachObs(db.tracer, db.reg)
 	db.pool = buffer.New(db.space, cfg.BufferPoolPages, dev.Geometry().PageSize, db)
 	db.pool.AttachObs(db.tracer, db.reg)
-	db.pool.Configure(buffer.Options{
-		ReadAhead:      cfg.ReadAheadPages,
-		GroupWriteBack: !cfg.DisableGroupWriteBack,
-	})
+	db.pool.Configure(buffer.Options{ReadAhead: cfg.ReadAheadPages})
 
 	// The default tablespace lives in the default region; the catalog and
 	// WAL are placed there unless the DBA says otherwise.

@@ -137,10 +137,10 @@ func TestTransactionsTablesIndexes(t *testing.T) {
 	}
 	// Range scan over the index.
 	count := 0
-	if err := idx.Scan(tx, Key(100), Key(200), func(k []byte, rid RID) bool {
+	for range idx.Range(tx, Key(100), Key(200)) {
 		count++
-		return true
-	}); err != nil {
+	}
+	if err := tx.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if count != 100 {
@@ -165,10 +165,10 @@ func TestTransactionsTablesIndexes(t *testing.T) {
 	}
 	// Table scan.
 	scanCount := 0
-	if err := tbl.Scan(tx, func(rid RID, row []byte) bool {
+	for range tbl.Rows(tx) {
 		scanCount++
-		return true
-	}); err != nil {
+	}
+	if err := tx.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if scanCount != n {
@@ -383,7 +383,10 @@ func TestResetStatistics(t *testing.T) {
 	// Data survives the reset.
 	tx2 := db.Begin()
 	n := 0
-	if err := tbl.Scan(tx2, func(rid RID, row []byte) bool { n++; return true }); err != nil {
+	for range tbl.Rows(tx2) {
+		n++
+	}
+	if err := tx2.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if n != 50 {

@@ -7,82 +7,8 @@ import (
 	"noftl/internal/sim"
 )
 
-// memBatchBackend extends memBackend with the batched interface: batched
-// pages all complete one latency after submission (perfect overlap), which
-// is what the real scheduler produces for a die-striped batch.
-type memBatchBackend struct {
-	*memBackend
-	batchReads  int // ReadPages dispatches
-	batchWrites int // WritePages dispatches
-}
-
-func newMemBatchBackend(pageSize int) *memBatchBackend {
-	return &memBatchBackend{memBackend: newMemBackend(pageSize)}
-}
-
-func (b *memBatchBackend) ReadPages(now sim.Time, lpns []core.LPN, bufs [][]byte) ([]core.PageRead, sim.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.batchReads++
-	out := make([]core.PageRead, len(lpns))
-	end := now
-	for i, lpn := range lpns {
-		out[i].LPN = lpn
-		out[i].Done = now
-		data, ok := b.pages[lpn]
-		if !ok {
-			out[i].Err = core.ErrUnmappedPage
-			continue
-		}
-		b.reads++
-		var buf []byte
-		if bufs != nil && i < len(bufs) {
-			buf = bufs[i]
-		}
-		if buf == nil {
-			buf = make([]byte, b.pageSize)
-		}
-		copy(buf, data)
-		out[i].Data = buf
-		out[i].Done = now.Add(b.readLat)
-		if out[i].Done > end {
-			end = out[i].Done
-		}
-	}
-	return out, end
-}
-
-func (b *memBatchBackend) WritePages(now sim.Time, writes []core.PageWrite) (sim.Time, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.batchWrites++
-	for _, w := range writes {
-		cp := make([]byte, len(w.Data))
-		copy(cp, w.Data)
-		b.pages[w.LPN] = cp
-		b.writes++
-	}
-	return now.Add(b.writeLat), nil
-}
-
-func (b *memBatchBackend) Mapped(lpn core.LPN) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	_, ok := b.pages[lpn]
-	return ok
-}
-
-// seed stores n pages with LPNs 1..n directly in the backend.
-func (b *memBatchBackend) seed(n int) {
-	for i := 1; i <= n; i++ {
-		data := make([]byte, b.pageSize)
-		data[0] = byte(i)
-		b.pages[core.LPN(i)] = data
-	}
-}
-
 func TestPoolReadAheadStagesSequentialPages(t *testing.T) {
-	be := newMemBatchBackend(128)
+	be := newMemBackend(128)
 	be.seed(10)
 	p := New(be, 16, 128, nil)
 	p.Configure(Options{ReadAhead: 4})
@@ -142,7 +68,7 @@ func TestPoolReadAheadStagesSequentialPages(t *testing.T) {
 }
 
 func TestPoolReadAheadSkipsUnmappedAndResident(t *testing.T) {
-	be := newMemBatchBackend(128)
+	be := newMemBackend(128)
 	be.seed(3) // pages 1..3 exist; 4,5 do not
 	p := New(be, 16, 128, nil)
 	p.Configure(Options{ReadAhead: 4})
@@ -172,9 +98,8 @@ func TestPoolReadAheadSkipsUnmappedAndResident(t *testing.T) {
 }
 
 func TestPoolGroupWriteBack(t *testing.T) {
-	be := newMemBatchBackend(128)
+	be := newMemBackend(128)
 	p := New(be, 16, 128, nil)
-	p.Configure(Options{GroupWriteBack: true})
 
 	const n = 6
 	for i := 1; i <= n; i++ {
@@ -214,65 +139,13 @@ func TestPoolGroupWriteBack(t *testing.T) {
 	}
 }
 
-func TestPoolGroupFlushSomeHonoursLimit(t *testing.T) {
-	be := newMemBatchBackend(128)
-	p := New(be, 16, 128, nil)
-	p.Configure(Options{GroupWriteBack: true})
-	for i := 1; i <= 5; i++ {
-		h, _, err := p.NewPage(0, core.LPN(i), core.Hint{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.MarkDirty()
-		h.Release()
-	}
-	n, _, err := p.FlushSome(0, 3)
-	if err != nil || n != 3 {
-		t.Fatalf("FlushSome = %d, %v; want 3", n, err)
-	}
-	if p.Stats().Dirty != 2 {
-		t.Fatalf("dirty after partial group flush = %d, want 2", p.Stats().Dirty)
-	}
-	n, _, err = p.FlushSome(0, 100)
-	if err != nil || n != 2 {
-		t.Fatalf("second FlushSome = %d, %v; want 2", n, err)
-	}
-}
-
-func TestPoolOptionsInertWithoutBatchBackend(t *testing.T) {
-	be := newMemBackend(128) // plain backend: no batch interface
-	p := New(be, 8, 128, nil)
-	p.Configure(Options{ReadAhead: 4, GroupWriteBack: true})
-
-	data := make([]byte, 128)
-	if _, err := be.WritePage(0, 1, data, core.Hint{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := be.WritePage(0, 2, data, core.Hint{}); err != nil {
-		t.Fatal(err)
-	}
-	h, _, err := p.Fetch(0, 1, core.Hint{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.MarkDirty()
-	h.Release()
-	if _, err := p.FlushAll(0); err != nil {
-		t.Fatal(err)
-	}
-	st := p.Stats()
-	if st.Prefetches != 0 || st.GroupFlushes != 0 {
-		t.Errorf("batch features ran without a batch backend: %+v", st)
-	}
-}
-
 // TestFetchManyBatchesMissesAndSurvivesExhaustion covers the batched fetch
 // path: all misses of one call go to the backend as a single ReadPages
 // dispatch, and a call that exceeds the pool's frames fails cleanly — the
 // staged frames are unwound (no held latches, no published garbage) so the
 // same pages remain fetchable afterwards.
 func TestFetchManyBatchesMissesAndSurvivesExhaustion(t *testing.T) {
-	be := newMemBatchBackend(128)
+	be := newMemBackend(128)
 	be.seed(32)
 	p := New(be, 8, 128, nil)
 
@@ -322,5 +195,60 @@ func TestFetchManyBatchesMissesAndSurvivesExhaustion(t *testing.T) {
 		}
 		h.RUnlock()
 		h.Release()
+	}
+}
+
+// TestFetchAndFetchManyOfOneAreOne checks that a single-page demand miss
+// costs the same virtual time and moves the same counters whether it enters
+// through Fetch or through a FetchMany of one.
+func TestFetchAndFetchManyOfOneAreOne(t *testing.T) {
+	type outcome struct {
+		done  sim.Time
+		stats Stats
+		reads int
+		objs  int64
+	}
+	run := func(fetch func(p *Pool) (*Handle, sim.Time, error)) outcome {
+		be := newMemBackend(128)
+		be.seed(8)
+		rec := newCountingRecorder()
+		p := New(be, 2, 128, rec)
+		// Fill both frames with dirty pages so the miss also pays an
+		// eviction write-back.
+		for _, lpn := range []core.LPN{1, 2} {
+			h, _, err := p.Fetch(0, lpn, core.Hint{ObjectID: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.MarkDirty()
+			h.Release()
+		}
+		h, done, err := fetch(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.RLock()
+		if h.LPN() != 5 || h.Data()[0] != 5 {
+			t.Fatalf("fetched lpn %d with contents %d, want page 5", h.LPN(), h.Data()[0])
+		}
+		h.RUnlock()
+		h.Release()
+		return outcome{done: done, stats: p.Stats(), reads: be.reads, objs: rec.reads[4]}
+	}
+	single := run(func(p *Pool) (*Handle, sim.Time, error) {
+		return p.Fetch(1000, 5, core.Hint{ObjectID: 4})
+	})
+	many := run(func(p *Pool) (*Handle, sim.Time, error) {
+		hs, done, err := p.FetchMany(1000, []core.LPN{5}, core.Hint{ObjectID: 4})
+		if err != nil {
+			return nil, done, err
+		}
+		return hs[0], done, nil
+	})
+	if single != many {
+		t.Fatalf("Fetch and FetchMany of one page differ:\n Fetch     %+v\n FetchMany %+v", single, many)
+	}
+	if single.stats.Misses != 3 || single.stats.Evictions != 1 || single.stats.Writebacks != 1 {
+		t.Fatalf("miss did not evict a dirty page: %+v", single.stats)
 	}
 }

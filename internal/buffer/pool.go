@@ -1,7 +1,7 @@
 // Package buffer implements the DBMS buffer pool used by the reproduction:
 // a fixed set of page frames over the NoFTL space manager with CLOCK
-// eviction, pin/unpin, per-frame latches, dirty-page write-back and
-// background flushers.
+// eviction, pin/unpin, per-frame latches, sequential read-ahead and batched
+// dirty-page write-back.
 //
 // The frame table is sharded by LPN hash: each shard owns a disjoint set of
 // frames, its own hash table and its own CLOCK hand, so concurrent fetchers
@@ -28,19 +28,14 @@ import (
 )
 
 // Backend is the page store underneath the pool.  *core.Manager satisfies
-// it; tests may plug in simpler implementations.
+// it; tests plug in a simpler implementation.  ReadPage and WritePage are the
+// one-page forms of ReadPages and WritePages: the pool uses the batched forms
+// for multi-page misses, sequential read-ahead and write-back, so multi-page
+// I/O stripes over the device's dies and overlaps in virtual time instead of
+// serializing page by page.
 type Backend interface {
 	ReadPage(now sim.Time, lpn core.LPN, buf []byte) ([]byte, sim.Time, error)
 	WritePage(now sim.Time, lpn core.LPN, data []byte, hint core.Hint) (sim.Time, error)
-}
-
-// BatchBackend is the optional batched interface of a backend.  When the
-// backend provides it (as *core.Manager does, through the asynchronous I/O
-// scheduler), the pool uses it for sequential read-ahead and for group
-// write-back, so multi-page I/O stripes over the device's dies and overlaps
-// in virtual time instead of serializing page by page.
-type BatchBackend interface {
-	Backend
 	ReadPages(now sim.Time, lpns []core.LPN, bufs [][]byte) ([]core.PageRead, sim.Time)
 	WritePages(now sim.Time, writes []core.PageWrite) (sim.Time, error)
 	Mapped(lpn core.LPN) bool
@@ -55,14 +50,9 @@ type Recorder interface {
 	RecordPhysWrite(objectID uint32, pages int64)
 }
 
-// Errors returned by the pool.
-var (
-	// ErrPoolFull reports that every evictable frame of the page's shard is
-	// pinned and nothing can be evicted.
-	ErrPoolFull = errors.New("buffer: all frames pinned")
-	// ErrNotCached reports a FlushPage of a page that is not resident.
-	ErrNotCached = errors.New("buffer: page not resident")
-)
+// ErrPoolFull reports that every evictable frame of the page's shard is
+// pinned and nothing can be evicted.
+var ErrPoolFull = errors.New("buffer: all frames pinned")
 
 // poolShard is one slice of the pool: a disjoint set of frames with its own
 // mapping table and CLOCK hand.  A page lives in exactly one shard (chosen by
@@ -162,15 +152,14 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// Options tune the pool's batched-I/O behaviour and sharding.  The zero
-// value disables read-ahead and group write-back and keeps the automatic
-// shard count.
+// Options tune the pool's read-ahead and sharding.  The zero value disables
+// read-ahead and keeps the automatic shard count.
 type Options struct {
-	// ReadAhead is the number of sequentially-next pages staged through the
-	// batch backend on a demand miss.  Zero disables read-ahead.
+	// ReadAhead is the number of sequentially-next pages staged in the same
+	// backend batch as a demand miss.  Zero disables read-ahead.
 	ReadAhead int
-	// GroupWriteBack makes FlushAll/FlushSome write dirty pages as one
-	// die-striped batch instead of one page at a time.
+	// GroupWriteBack is ignored: write-back is always one die-striped batch.
+	// The field remains only because the repository benchmark names it.
 	GroupWriteBack bool
 	// Shards overrides the automatic frame-table shard count (clamped so
 	// every shard keeps at least two frames).  Zero keeps the automatic
@@ -184,7 +173,6 @@ type Options struct {
 // sees traffic.
 type Pool struct {
 	backend  Backend
-	batch    BatchBackend // nil when the backend has no batch interface
 	recorder Recorder
 	tracer   *obs.Tracer // nil = tracing off (the only cost is nil compares)
 	shards   []*poolShard
@@ -231,9 +219,6 @@ func New(backend Backend, frameCount, pageSize int, recorder Recorder) *Pool {
 		recorder: recorder,
 		nframes:  frameCount,
 		pageSize: pageSize,
-	}
-	if bb, ok := backend.(BatchBackend); ok {
-		p.batch = bb
 	}
 	p.buildShards(autoShards(frameCount))
 	p.bind(metrics.NewRegistry())
@@ -301,9 +286,8 @@ func (p *Pool) AttachObs(tr *obs.Tracer, reg *metrics.Registry) {
 	p.bind(reg)
 }
 
-// Configure sets the pool's batched-I/O options.  Options that need the
-// batch backend are silently inert when the backend does not provide it.
-// Configure before the pool sees traffic.
+// Configure sets the pool's options.  Configure before the pool sees
+// traffic.
 func (p *Pool) Configure(opts Options) {
 	if opts.ReadAhead < 0 {
 		opts.ReadAhead = 0
@@ -374,11 +358,11 @@ func (p *Pool) ResetCounters() {
 // Fetch pins the page, reading it from the backend on a miss.  The returned
 // time includes any eviction write-back and the read itself.
 //
-// When read-ahead is configured and the backend supports batching, a miss
-// also stages the next sequential pages of the LPN space: they are read in
-// the same scheduler batch as the demanded page (striping over dies costs
-// almost no extra virtual time) and parked unpinned in the pool, so an
-// upcoming sequential access hits in memory instead of missing.
+// When read-ahead is configured, a miss also stages the next sequential pages
+// of the LPN space: they are read in the same scheduler batch as the demanded
+// page (striping over dies costs almost no extra virtual time) and parked
+// unpinned in the pool, so an upcoming sequential access hits in memory
+// instead of missing.
 func (p *Pool) Fetch(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim.Time, error) {
 	s := p.shardOf(lpn)
 	s.mu.Lock()
@@ -398,113 +382,27 @@ func (p *Pool) Fetch(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim.T
 		s.mu.Unlock()
 		return &Handle{pool: p, frame: f}, now, nil
 	}
-	p.misses.Add(1)
-	if p.tracer.Enabled(obs.ClassBufMiss) {
-		p.tracer.Record(obs.Event{
-			Class: obs.ClassBufMiss, Die: -1, Block: -1, Page: -1,
-			Region: int32(hint.Region), Start: now, End: now, A: int64(lpn),
-		})
-	}
-	idx, now, err := p.allocFrameLocked(s, now)
+	f, now, err := p.claimMissLocked(s, now, lpn, hint)
+	s.mu.Unlock()
 	if err != nil {
-		s.mu.Unlock()
 		return nil, now, err
 	}
-	f := s.frames[idx]
-	f.lpn = lpn
-	f.hint = hint
-	f.valid = true
-	f.dirty.Store(false)
-	f.prefetched = false
-	f.pins = 1
-	f.ref = true
-	// Hold the frame's content latch across the read so that a concurrent
-	// Fetch of the same page (which hits in the table the moment we publish
-	// it) blocks on the latch until the data has actually arrived.  The
-	// latch acquisition cannot block: the frame had zero pins, so no latch
-	// holder (or waiter) can exist.
-	f.mu.Lock()
-	s.table[lpn] = idx
-	s.mu.Unlock()
-
 	// Stage sequential read-ahead frames (each in its own shard, one shard
 	// lock at a time — the demand shard's lock is already released).
-	var pfFrames []*Frame
-	if p.opts.ReadAhead > 0 && p.batch != nil {
-		pfFrames, now = p.stagePrefetch(now, lpn, hint)
+	demand := [1]*Frame{f}
+	claimed := demand[:]
+	if p.opts.ReadAhead > 0 {
+		claimed, now = p.stagePrefetch(now, lpn, hint, claimed)
 	}
-
-	if len(pfFrames) == 0 {
-		_, done, err := p.backend.ReadPage(now, lpn, f.data)
-		f.mu.Unlock()
-		if err != nil {
-			s.mu.Lock()
-			delete(s.table, lpn)
-			f.valid = false
-			f.pins = 0
-			s.mu.Unlock()
-			return nil, done, fmt.Errorf("buffer: fetch lpn %d: %w", lpn, err)
-		}
-		if p.recorder != nil {
-			p.recorder.RecordPhysRead(hint.ObjectID, 1)
-		}
-		return &Handle{pool: p, frame: f}, done, nil
+	// The caller pays for its own page only; the prefetched pages overlap on
+	// other dies and their (near-identical) completion is not the caller's
+	// concern.  They are charged to the demanding object: sequential LPNs
+	// belong to the same extent in practice.
+	done, _, err := p.fill(now, claimed, 1, hint)
+	if err != nil {
+		return nil, done, err
 	}
-
-	// Batched path: demand page first, prefetch pages after it.
-	lpns := make([]core.LPN, 0, 1+len(pfFrames))
-	bufs := make([][]byte, 0, 1+len(pfFrames))
-	lpns = append(lpns, lpn)
-	bufs = append(bufs, f.data)
-	for _, pf := range pfFrames {
-		lpns = append(lpns, pf.lpn)
-		bufs = append(bufs, pf.data)
-	}
-	reads, _ := p.batch.ReadPages(now, lpns, bufs)
-
-	goodPages := int64(0)
-	for i, pf := range pfFrames {
-		ps := pf.shard
-		ps.mu.Lock()
-		pf.mu.Unlock()
-		// Drop the staging pin only: a concurrent Fetch may have hit the
-		// published frame and pinned it while the batch was in flight.
-		if pf.pins > 0 {
-			pf.pins--
-		}
-		if reads[i+1].Err != nil {
-			// The page vanished between staging and the read (e.g. a
-			// concurrent trim): unpublish the frame unless someone else
-			// still holds it pinned.
-			if pf.pins == 0 {
-				delete(ps.table, pf.lpn)
-				pf.valid = false
-				pf.prefetched = false
-			}
-		} else {
-			goodPages++
-		}
-		ps.mu.Unlock()
-	}
-	demand := reads[0]
-	f.mu.Unlock()
-	if demand.Err != nil {
-		s.mu.Lock()
-		delete(s.table, lpn)
-		f.valid = false
-		f.pins = 0
-		s.mu.Unlock()
-		return nil, demand.Done, fmt.Errorf("buffer: fetch lpn %d: %w", lpn, demand.Err)
-	}
-	if p.recorder != nil {
-		// Read-ahead pages are charged to the demanding object: sequential
-		// LPNs belong to the same extent in practice.
-		p.recorder.RecordPhysRead(hint.ObjectID, 1+goodPages)
-	}
-	// The caller pays for its own page only; the prefetched pages overlap
-	// on other dies and their (near-identical) completion is not the
-	// caller's concern.
-	return &Handle{pool: p, frame: f}, demand.Done, nil
+	return &Handle{pool: p, frame: f}, done, nil
 }
 
 // FetchMany pins a set of pages, reading every non-resident page from the
@@ -512,34 +410,20 @@ func (p *Pool) Fetch(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim.T
 // with lpns (duplicates receive independent pins on the same frame); the
 // returned time is the batch makespan plus any eviction write-back the frame
 // allocations caused.  On error no handles are retained.
-//
-// Without a batch backend the pages are fetched one at a time.
 func (p *Pool) FetchMany(now sim.Time, lpns []core.LPN, hint core.Hint) ([]*Handle, sim.Time, error) {
 	handles := make([]*Handle, len(lpns))
-	releaseAll := func() {
+	releaseHits := func() {
 		for _, h := range handles {
 			if h != nil {
 				h.Release()
 			}
 		}
 	}
-	if p.batch == nil {
-		for i, lpn := range lpns {
-			h, done, err := p.Fetch(now, lpn, hint)
-			if err != nil {
-				releaseAll()
-				return nil, done, err
-			}
-			handles[i] = h
-			now = done
-		}
-		return handles, now, nil
-	}
 
 	// Group the requested positions by shard (first-appearance order keeps
-	// eviction write-back chaining deterministic), pin residents and
-	// allocate+publish frames for misses one shard lock at a time, then read
-	// all misses as a single batch.
+	// eviction write-back chaining deterministic), pin residents and claim
+	// frames for misses one shard lock at a time, then read all misses as a
+	// single batch.  A miss gets its handle only once its page has arrived.
 	shardPos := make(map[*poolShard][]int)
 	order := make([]*poolShard, 0, len(p.shards))
 	for i, lpn := range lpns {
@@ -549,18 +433,15 @@ func (p *Pool) FetchMany(now sim.Time, lpns []core.LPN, hint core.Hint) ([]*Hand
 		}
 		shardPos[s] = append(shardPos[s], i)
 	}
-
-	type missFrame struct {
-		pos   int
-		frame *Frame
-	}
-	var misses []missFrame
-	var allocErr error
+	var (
+		misses  []*Frame
+		missPos []int
+		err     error
+	)
 	for _, s := range order {
 		s.mu.Lock()
 		for _, i := range shardPos[s] {
-			lpn := lpns[i]
-			if idx, ok := s.table[lpn]; ok {
+			if idx, ok := s.table[lpns[i]]; ok {
 				f := s.frames[idx]
 				f.pins++
 				f.ref = true
@@ -573,168 +454,180 @@ func (p *Pool) FetchMany(now sim.Time, lpns []core.LPN, hint core.Hint) ([]*Hand
 				handles[i] = &Handle{pool: p, frame: f}
 				continue
 			}
-			p.misses.Add(1)
-			if p.tracer.Enabled(obs.ClassBufMiss) {
-				p.tracer.Record(obs.Event{
-					Class: obs.ClassBufMiss, Die: -1, Block: -1, Page: -1,
-					Region: int32(hint.Region), Start: now, End: now, A: int64(lpn),
-				})
-			}
-			idx, t, err := p.allocFrameLocked(s, now)
-			if err != nil {
-				allocErr = err
-				now = t
+			var f *Frame
+			if f, now, err = p.claimMissLocked(s, now, lpns[i], hint); err != nil {
 				break
 			}
-			now = t
-			f := s.frames[idx]
-			f.lpn = lpn
-			f.hint = hint
-			f.valid = true
-			f.dirty.Store(false)
-			f.prefetched = false
-			f.pins = 1
-			f.ref = true
-			// Hold the content latch until the batch read lands, so a
-			// concurrent Fetch that hits the published frame blocks until
-			// the data is there (cannot block here: the frame had no pins).
-			f.mu.Lock()
-			s.table[lpn] = idx
-			handles[i] = &Handle{pool: p, frame: f}
-			misses = append(misses, missFrame{pos: i, frame: f})
+			misses = append(misses, f)
+			missPos = append(missPos, i)
 		}
 		s.mu.Unlock()
-		if allocErr != nil {
-			break
+		if err != nil {
+			for _, f := range misses {
+				f.mu.Unlock()
+				p.unpin(f, true)
+			}
+			releaseHits()
+			return nil, now, err
 		}
 	}
-	if allocErr != nil {
-		// Unwind every staged miss: their frames are published with the
-		// content latch held but no data yet.  Unlatch, drop the staging
-		// pin, and unpublish unless a concurrent Fetch pinned the frame in
-		// the meantime.
-		for _, m := range misses {
-			f := m.frame
-			ms := f.shard
-			ms.mu.Lock()
-			f.mu.Unlock()
-			if f.pins > 0 {
-				f.pins--
-			}
-			if f.pins == 0 {
-				delete(ms.table, f.lpn)
-				f.valid = false
-			}
-			ms.mu.Unlock()
-			handles[m.pos] = nil
-		}
-		releaseAll()
-		return nil, now, allocErr
-	}
-
 	if len(misses) == 0 {
 		return handles, now, nil
 	}
-	missLPNs := make([]core.LPN, len(misses))
-	bufs := make([][]byte, len(misses))
-	for j, m := range misses {
-		missLPNs[j] = m.frame.lpn
-		bufs[j] = m.frame.data
+	_, end, err := p.fill(now, misses, len(misses), hint)
+	if err != nil {
+		releaseHits()
+		return nil, end, err
 	}
-	reads, end := p.batch.ReadPages(now, missLPNs, bufs)
-	var firstErr error
-	for j, m := range misses {
-		m.frame.mu.Unlock()
-		if reads[j].Err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("buffer: fetch lpn %d: %w", missLPNs[j], reads[j].Err)
-		}
-	}
-	if firstErr != nil {
-		releaseAll()
-		for _, m := range misses {
-			f := m.frame
-			ms := f.shard
-			ms.mu.Lock()
-			if f.pins == 0 {
-				delete(ms.table, f.lpn)
-				f.valid = false
-			}
-			ms.mu.Unlock()
-		}
-		return nil, end, firstErr
-	}
-	if p.recorder != nil {
-		p.recorder.RecordPhysRead(hint.ObjectID, int64(len(misses)))
+	for j, f := range misses {
+		handles[missPos[j]] = &Handle{pool: p, frame: f}
 	}
 	return handles, end, nil
+}
+
+// claimMissLocked counts a demand miss on the page and claims a frame for
+// it.  Caller holds s.mu.
+func (p *Pool) claimMissLocked(s *poolShard, now sim.Time, lpn core.LPN, hint core.Hint) (*Frame, sim.Time, error) {
+	p.misses.Add(1)
+	if p.tracer.Enabled(obs.ClassBufMiss) {
+		p.tracer.Record(obs.Event{
+			Class: obs.ClassBufMiss, Die: -1, Block: -1, Page: -1,
+			Region: int32(hint.Region), Start: now, End: now, A: int64(lpn),
+		})
+	}
+	return p.claimLocked(s, now, lpn, hint)
+}
+
+// claimLocked evicts a frame of shard s for the page and publishes it pinned
+// once, clean, and with its content latch held: a concurrent Fetch of the
+// same page hits in the table the moment it is published and then blocks on
+// the latch until the claimer has put the contents in place and released it.
+// The latch acquisition cannot block: the frame had zero pins, so no latch
+// holder (or waiter) can exist.  The returned time includes any eviction
+// write-back.  Caller holds s.mu.
+func (p *Pool) claimLocked(s *poolShard, now sim.Time, lpn core.LPN, hint core.Hint) (*Frame, sim.Time, error) {
+	idx, now, err := p.allocFrameLocked(s, now)
+	if err != nil {
+		return nil, now, err
+	}
+	f := s.frames[idx]
+	f.lpn = lpn
+	f.hint = hint
+	f.valid = true
+	f.dirty.Store(false)
+	f.prefetched = false
+	f.pins = 1
+	f.ref = true
+	f.mu.Lock()
+	s.table[lpn] = idx
+	return f, now, nil
+}
+
+// unpin drops one pin of the frame.  With unpublish the frame also leaves
+// the table because its contents never arrived; a concurrent Fetch that hit
+// the published frame meanwhile keeps its pin, and the frame is reused once
+// that is released.
+func (p *Pool) unpin(f *Frame, unpublish bool) {
+	s := f.shard
+	s.mu.Lock()
+	if f.pins > 0 {
+		f.pins--
+	}
+	if unpublish {
+		delete(s.table, f.lpn)
+		f.valid = false
+		f.prefetched = false
+	}
+	s.mu.Unlock()
+}
+
+// fill reads the pages of the claimed frames from the backend in one
+// submission and releases their content latches.  The first demand frames
+// were claimed for the caller, the rest staged by read-ahead: on success the
+// demand frames keep their pin (the caller's handles) and the staged frames
+// are parked unpinned; a frame whose read failed (e.g. the page vanished
+// under a concurrent trim) is unpublished, and when that happens to a demand
+// frame the call fails and no frame stays pinned.  It returns the completion
+// time of frames[0], the batch makespan and the first demand error.
+func (p *Pool) fill(now sim.Time, frames []*Frame, demand int, hint core.Hint) (first, end sim.Time, err error) {
+	var one [1]core.PageRead
+	reads := one[:]
+	if len(frames) == 1 {
+		// The backend's one-page entry into the same path allocates nothing.
+		_, one[0].Done, one[0].Err = p.backend.ReadPage(now, frames[0].lpn, frames[0].data)
+		end = one[0].Done
+	} else {
+		lpns := make([]core.LPN, len(frames))
+		bufs := make([][]byte, len(frames))
+		for i, f := range frames {
+			lpns[i], bufs[i] = f.lpn, f.data
+		}
+		reads, end = p.backend.ReadPages(now, lpns, bufs)
+	}
+	good := int64(0)
+	for i, f := range frames {
+		f.mu.Unlock()
+		if rerr := reads[i].Err; rerr == nil {
+			good++
+		} else if i < demand && err == nil {
+			err = fmt.Errorf("buffer: fetch lpn %d: %w", f.lpn, rerr)
+		}
+	}
+	for i, f := range frames {
+		if failed := reads[i].Err != nil; failed || err != nil || i >= demand {
+			p.unpin(f, failed)
+		}
+	}
+	if err == nil && p.recorder != nil {
+		p.recorder.RecordPhysRead(hint.ObjectID, good)
+	}
+	return reads[0].Done, end, err
 }
 
 // WriteThrough writes page images to the backend as one die-striped batch
 // without staging them in the pool (bulk-load path: the pages are complete
 // and cold, so buffering them would only push hotter pages out).  Resident
-// copies of the written pages, if any, are dropped.  Without a batch backend
-// the pages are written one at a time.
+// copies of the written pages, if any, are dropped.
 func (p *Pool) WriteThrough(now sim.Time, writes []core.PageWrite) (sim.Time, error) {
 	if len(writes) == 0 {
 		return now, nil
 	}
-	var done sim.Time
-	var err error
-	if p.batch != nil {
-		done, err = p.batch.WritePages(now, writes)
-	} else {
-		done = now
-		for _, w := range writes {
-			done, err = p.backend.WritePage(done, w.LPN, w.Data, w.Hint)
-			if err != nil {
-				break
-			}
-		}
-	}
+	done, err := p.backend.WritePages(now, writes)
 	if err != nil {
 		return now, err
 	}
 	for _, w := range writes {
-		s := p.shardOf(w.LPN)
-		s.mu.Lock()
-		if idx, ok := s.table[w.LPN]; ok {
-			f := s.frames[idx]
-			if f.pins == 0 {
-				delete(s.table, w.LPN)
-				f.valid = false
-				f.dirty.Store(false)
-				f.prefetched = false
-			}
-		}
-		s.mu.Unlock()
+		p.Drop(w.LPN)
 		p.writebacks.Add(1)
 		if p.recorder != nil {
 			p.recorder.RecordPhysWrite(w.Hint.ObjectID, 1)
 		}
 	}
-	if p.batch != nil {
-		p.groupFlushes.Add(1)
-	}
+	p.noteGroupWrite(now, done, len(writes))
+	return done, nil
+}
+
+// noteGroupWrite counts one batched write dispatch of n pages and records
+// its write-back event.
+func (p *Pool) noteGroupWrite(start, done sim.Time, n int) {
+	p.groupFlushes.Add(1)
 	if p.tracer.Enabled(obs.ClassBufWriteBack) {
 		p.tracer.Record(obs.Event{
 			Class: obs.ClassBufWriteBack, Op: obs.BufWriteBackGroup,
 			Die: -1, Block: -1, Page: -1, Region: -1,
-			Start: now, End: done, A: int64(len(writes)),
+			Start: start, End: done, A: int64(n),
 		})
 	}
-	return done, nil
 }
 
-// stagePrefetch allocates and publishes frames for the mapped, non-resident
-// pages sequentially following lpn, returning them with their content
-// latches held and one staging pin each.  Each page is staged under its own
-// shard's lock; the returned time includes any eviction write-back the
-// allocations caused.
-func (p *Pool) stagePrefetch(now sim.Time, lpn core.LPN, hint core.Hint) ([]*Frame, sim.Time) {
-	var staged []*Frame
+// stagePrefetch claims frames for the mapped, non-resident pages sequentially
+// following lpn and appends them to claimed, content latches held and one
+// staging pin each.  Each page is staged under its own shard's lock; the
+// returned time includes any eviction write-back the claims caused.
+func (p *Pool) stagePrefetch(now sim.Time, lpn core.LPN, hint core.Hint, claimed []*Frame) ([]*Frame, sim.Time) {
 	for i := 1; i <= p.opts.ReadAhead; i++ {
 		next := lpn + core.LPN(i)
-		if !p.batch.Mapped(next) {
+		if !p.backend.Mapped(next) {
 			continue
 		}
 		s := p.shardOf(next)
@@ -743,30 +636,22 @@ func (p *Pool) stagePrefetch(now sim.Time, lpn core.LPN, hint core.Hint) ([]*Fra
 			s.mu.Unlock()
 			continue
 		}
-		idx, t, err := p.allocFrameLocked(s, now)
+		// The claim's pin keeps a CLOCK sweep (even one triggered by the next
+		// staging claim) from evicting the frame while the read is in flight;
+		// fill drops it once the batch completes.
+		pf, t, err := p.claimLocked(s, now, next, hint)
 		if err != nil {
 			s.mu.Unlock()
 			break // every frame pinned: the pool is too hot to prefetch into
 		}
 		now = t
-		pf := s.frames[idx]
-		pf.lpn = next
-		pf.hint = hint
-		pf.valid = true
-		pf.dirty.Store(false)
 		pf.prefetched = true
-		// Hold a pin while the read is in flight so a CLOCK sweep (even one
-		// triggered by the next staging allocation) cannot evict the frame;
-		// the pin is dropped once the batch completes.
-		pf.pins = 1
 		pf.ref = false // evict-first until a demand access promotes it
-		pf.mu.Lock()
-		s.table[next] = idx
 		s.mu.Unlock()
-		staged = append(staged, pf)
+		claimed = append(claimed, pf)
 		p.prefetches.Add(1)
 	}
-	return staged, now
+	return claimed, now
 }
 
 // NewPage pins a frame for a brand-new page without reading the backend.
@@ -774,40 +659,25 @@ func (p *Pool) stagePrefetch(now sim.Time, lpn core.LPN, hint core.Hint) ([]*Fra
 func (p *Pool) NewPage(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim.Time, error) {
 	s := p.shardOf(lpn)
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	p.newPages.Add(1)
+	var f *Frame
 	if idx, ok := s.table[lpn]; ok {
 		// The page is already resident (e.g. re-created after a trim); reuse
 		// the frame and reset its contents.
-		f := s.frames[idx]
+		f = s.frames[idx]
 		f.pins++
 		f.ref = true
 		f.prefetched = false
-		f.dirty.Store(true)
-		for i := range f.data {
-			f.data[i] = 0
+	} else {
+		var err error
+		if f, now, err = p.claimLocked(s, now, lpn, hint); err != nil {
+			return nil, now, err
 		}
-		p.newPages.Add(1)
-		s.mu.Unlock()
-		return &Handle{pool: p, frame: f}, now, nil
+		f.mu.Unlock() // nothing to wait for: the page has no stored contents
 	}
-	p.newPages.Add(1)
-	idx, now, err := p.allocFrameLocked(s, now)
-	if err != nil {
-		s.mu.Unlock()
-		return nil, now, err
-	}
-	f := s.frames[idx]
-	f.lpn = lpn
-	f.hint = hint
-	f.valid = true
 	f.dirty.Store(true)
-	f.prefetched = false
-	f.pins = 1
-	f.ref = true
-	for i := range f.data {
-		f.data[i] = 0
-	}
-	s.table[lpn] = idx
-	s.mu.Unlock()
+	clear(f.data)
 	return &Handle{pool: p, frame: f}, now, nil
 }
 
@@ -877,126 +747,24 @@ func (p *Pool) allocFrameLocked(s *poolShard, now sim.Time) (int, sim.Time, erro
 	return 0, now, ErrPoolFull
 }
 
-// FlushPage writes the page back to the backend if it is resident, dirty and
-// unpinned.  A pinned page is skipped (it is being modified by a concurrent
-// transaction and will be written back on eviction or at the next
-// checkpoint), exactly as FlushAll does.
-func (p *Pool) FlushPage(now sim.Time, lpn core.LPN) (sim.Time, error) {
-	s := p.shardOf(lpn)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx, ok := s.table[lpn]
-	if !ok {
-		return now, fmt.Errorf("%w: lpn %d", ErrNotCached, lpn)
-	}
-	return p.flushFrameLocked(s, now, idx)
-}
-
-// flushFrameLocked writes one dirty unpinned frame back.  Caller holds s.mu;
-// zero pins guarantee no latch holder, so the data may be read directly.
-func (p *Pool) flushFrameLocked(s *poolShard, now sim.Time, idx int) (sim.Time, error) {
-	f := s.frames[idx]
-	if !f.valid || !f.dirty.Load() || f.pins > 0 {
-		return now, nil
-	}
-	done, err := p.backend.WritePage(now, f.lpn, f.data, f.hint)
-	if err != nil {
-		return now, err
-	}
-	f.dirty.Store(false)
-	p.writebacks.Add(1)
-	if p.recorder != nil {
-		p.recorder.RecordPhysWrite(f.hint.ObjectID, 1)
-	}
-	if p.tracer.Enabled(obs.ClassBufWriteBack) {
-		p.tracer.Record(obs.Event{
-			Class: obs.ClassBufWriteBack, Op: obs.BufWriteBackSingle,
-			Die: -1, Block: -1, Page: -1, Region: int32(f.hint.Region),
-			Start: now, End: done, A: int64(f.lpn),
-		})
-	}
-	return done, nil
-}
-
 // FlushAll writes every dirty, unpinned resident page back to the backend
-// (checkpoint).  Pinned pages are skipped — they are being modified by a
-// concurrent transaction and will be written back on eviction or at the next
-// checkpoint.  With group write-back enabled the dirty pages go out as one
-// die-striped scheduler batch, so the checkpoint costs roughly one write per
-// die instead of one write per page in virtual time.
+// (checkpoint) as one die-striped scheduler batch, so the checkpoint costs
+// roughly one write per die instead of one write per page in virtual time:
+// the backend allocates the batch's slots round-robin over the target
+// regions' dies, and the programs stripe and overlap.  Pinned pages are
+// skipped — they are being modified by a concurrent transaction and will be
+// written back on eviction or at the next checkpoint.
+//
+// Candidates are collected shard by shard; each is given a flush pin and a
+// read latch so that neither eviction nor a concurrent modification can touch
+// its data while the batch is in flight (a frame with zero pins cannot have a
+// latch holder, so the read latch is acquired without blocking).
 func (p *Pool) FlushAll(now sim.Time) (sim.Time, error) {
-	if p.opts.GroupWriteBack && p.batch != nil {
-		_, done, err := p.flushGroup(now, p.nframes)
-		return done, err
-	}
+	var frames []*Frame
+	var writes []core.PageWrite
 	for _, s := range p.shards {
-		s.mu.Lock()
-		for idx := range s.frames {
-			done, err := p.flushFrameLocked(s, now, idx)
-			if err != nil {
-				s.mu.Unlock()
-				return now, err
-			}
-			now = done
-		}
-		s.mu.Unlock()
-	}
-	return now, nil
-}
-
-// FlushSome writes back up to n dirty unpinned pages, oldest-hand first.  It
-// is the work unit of the background flusher; returning the count lets the
-// flusher adapt its pace.
-func (p *Pool) FlushSome(now sim.Time, n int) (int, sim.Time, error) {
-	if p.opts.GroupWriteBack && p.batch != nil {
-		return p.flushGroup(now, n)
-	}
-	flushed := 0
-	for _, s := range p.shards {
-		s.mu.Lock()
-		for idx, f := range s.frames {
-			if flushed >= n {
-				break
-			}
-			if !f.valid || !f.dirty.Load() || f.pins > 0 {
-				continue
-			}
-			done, err := p.flushFrameLocked(s, now, idx)
-			if err != nil {
-				s.mu.Unlock()
-				return flushed, now, err
-			}
-			now = done
-			flushed++
-		}
-		s.mu.Unlock()
-		if flushed >= n {
-			break
-		}
-	}
-	return flushed, now, nil
-}
-
-// flushGroup writes up to max dirty unpinned pages back as a single batch
-// through the batch backend.  Candidates are collected shard by shard; each
-// is given a flush pin and a read latch so that neither eviction nor a
-// concurrent modification can touch its data while the batch is in flight
-// (a frame with zero pins cannot have a latch holder, so the read latch is
-// acquired without blocking).  The backend allocates the batch's slots
-// round-robin over the target regions' dies, so the programs stripe and
-// overlap in virtual time.
-func (p *Pool) flushGroup(now sim.Time, max int) (int, sim.Time, error) {
-	frames := make([]*Frame, 0, max)
-	writes := make([]core.PageWrite, 0, max)
-	for _, s := range p.shards {
-		if len(frames) >= max {
-			break
-		}
 		s.mu.Lock()
 		for _, f := range s.frames {
-			if len(frames) >= max {
-				break
-			}
 			if !f.valid || !f.dirty.Load() || f.pins > 0 {
 				continue
 			}
@@ -1012,9 +780,9 @@ func (p *Pool) flushGroup(now sim.Time, max int) (int, sim.Time, error) {
 		s.mu.Unlock()
 	}
 	if len(writes) == 0 {
-		return 0, now, nil
+		return now, nil
 	}
-	done, err := p.batch.WritePages(now, writes)
+	done, err := p.backend.WritePages(now, writes)
 	for i, f := range frames {
 		if err != nil {
 			// Leave the page dirty: pages the batch did manage to program
@@ -1023,12 +791,7 @@ func (p *Pool) flushGroup(now sim.Time, max int) (int, sim.Time, error) {
 			f.dirty.Store(true)
 		}
 		f.mu.RUnlock()
-		s := f.shard
-		s.mu.Lock()
-		if f.pins > 0 {
-			f.pins--
-		}
-		s.mu.Unlock()
+		p.unpin(f, false)
 		if err == nil {
 			p.writebacks.Add(1)
 			if p.recorder != nil {
@@ -1037,17 +800,10 @@ func (p *Pool) flushGroup(now sim.Time, max int) (int, sim.Time, error) {
 		}
 	}
 	if err != nil {
-		return 0, now, err
+		return now, err
 	}
-	p.groupFlushes.Add(1)
-	if p.tracer.Enabled(obs.ClassBufWriteBack) {
-		p.tracer.Record(obs.Event{
-			Class: obs.ClassBufWriteBack, Op: obs.BufWriteBackGroup,
-			Die: -1, Block: -1, Page: -1, Region: -1,
-			Start: now, End: done, A: int64(len(frames)),
-		})
-	}
-	return len(frames), done, nil
+	p.noteGroupWrite(now, done, len(frames))
+	return done, nil
 }
 
 // Drop removes a page from the pool without writing it back (used when an

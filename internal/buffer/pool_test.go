@@ -11,16 +11,21 @@ import (
 )
 
 // memBackend is an in-memory Backend with fixed per-operation virtual
-// latencies, used to test the pool in isolation from the flash stack.
+// latencies, used to test the pool in isolation from the flash stack.  The
+// pages of a batch all complete one latency after submission (perfect
+// overlap), which is what the real scheduler produces for a die-striped
+// batch.
 type memBackend struct {
-	mu       sync.Mutex
-	pages    map[core.LPN][]byte
-	pageSize int
-	readLat  time.Duration
-	writeLat time.Duration
-	reads    int
-	writes   int
-	failRead bool
+	mu          sync.Mutex
+	pages       map[core.LPN][]byte
+	pageSize    int
+	readLat     time.Duration
+	writeLat    time.Duration
+	reads       int // pages read
+	writes      int // pages written
+	batchReads  int // ReadPages dispatches
+	batchWrites int // WritePages dispatches
+	failRead    bool
 }
 
 func newMemBackend(pageSize int) *memBackend {
@@ -32,9 +37,8 @@ func newMemBackend(pageSize int) *memBackend {
 	}
 }
 
-func (b *memBackend) ReadPage(now sim.Time, lpn core.LPN, buf []byte) ([]byte, sim.Time, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+// readLocked is the one-page read both forms share.  Caller holds b.mu.
+func (b *memBackend) readLocked(now sim.Time, lpn core.LPN, buf []byte) ([]byte, sim.Time, error) {
 	if b.failRead {
 		return nil, now, errors.New("injected read failure")
 	}
@@ -43,18 +47,77 @@ func (b *memBackend) ReadPage(now sim.Time, lpn core.LPN, buf []byte) ([]byte, s
 		return nil, now, core.ErrUnmappedPage
 	}
 	b.reads++
+	if buf == nil {
+		buf = make([]byte, b.pageSize)
+	}
 	copy(buf, data)
 	return buf, now.Add(b.readLat), nil
+}
+
+func (b *memBackend) ReadPage(now sim.Time, lpn core.LPN, buf []byte) ([]byte, sim.Time, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.readLocked(now, lpn, buf)
+}
+
+func (b *memBackend) ReadPages(now sim.Time, lpns []core.LPN, bufs [][]byte) ([]core.PageRead, sim.Time) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.batchReads++
+	out := make([]core.PageRead, len(lpns))
+	end := now
+	for i, lpn := range lpns {
+		var buf []byte
+		if i < len(bufs) {
+			buf = bufs[i]
+		}
+		out[i].LPN = lpn
+		out[i].Data, out[i].Done, out[i].Err = b.readLocked(now, lpn, buf)
+		if out[i].Done > end {
+			end = out[i].Done
+		}
+	}
+	return out, end
 }
 
 func (b *memBackend) WritePage(now sim.Time, lpn core.LPN, data []byte, hint core.Hint) (sim.Time, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.storeLocked(lpn, data)
+	return now.Add(b.writeLat), nil
+}
+
+func (b *memBackend) WritePages(now sim.Time, writes []core.PageWrite) (sim.Time, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.batchWrites++
+	for _, w := range writes {
+		b.storeLocked(w.LPN, w.Data)
+	}
+	return now.Add(b.writeLat), nil
+}
+
+func (b *memBackend) storeLocked(lpn core.LPN, data []byte) {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	b.pages[lpn] = cp
 	b.writes++
-	return now.Add(b.writeLat), nil
+}
+
+func (b *memBackend) Mapped(lpn core.LPN) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	_, ok := b.pages[lpn]
+	return ok
+}
+
+// seed stores n pages with LPNs 1..n directly in the backend.
+func (b *memBackend) seed(n int) {
+	for i := 1; i <= n; i++ {
+		data := make([]byte, b.pageSize)
+		data[0] = byte(i)
+		b.pages[core.LPN(i)] = data
+	}
 }
 
 type countingRecorder struct {
@@ -230,7 +293,7 @@ func TestPoolFetchErrorPropagates(t *testing.T) {
 	h.Release()
 }
 
-func TestPoolFlushPageAndDrop(t *testing.T) {
+func TestPoolFlushCleanAndDrop(t *testing.T) {
 	be := newMemBackend(128)
 	p := New(be, 4, 128, nil)
 	h, _, err := p.NewPage(0, 9, core.Hint{})
@@ -242,55 +305,24 @@ func TestPoolFlushPageAndDrop(t *testing.T) {
 	h.Unlock()
 	h.MarkDirty()
 	h.Release()
-	if _, err := p.FlushPage(0, 9); err != nil {
+	if _, err := p.FlushAll(0); err != nil {
 		t.Fatal(err)
 	}
 	if be.writes != 1 {
 		t.Fatalf("writes = %d", be.writes)
 	}
-	// Flushing a clean page is a no-op; flushing a non-resident page errors.
-	if _, err := p.FlushPage(0, 9); err != nil {
+	// Flushing a clean pool is a no-op.
+	if _, err := p.FlushAll(0); err != nil {
 		t.Fatal(err)
 	}
-	if be.writes != 1 {
+	if be.writes != 1 || be.batchWrites != 1 {
 		t.Fatal("clean flush wrote")
 	}
-	if _, err := p.FlushPage(0, 999); !errors.Is(err, ErrNotCached) {
-		t.Fatalf("want ErrNotCached, got %v", err)
-	}
 	p.Drop(9)
-	if _, err := p.FlushPage(0, 9); !errors.Is(err, ErrNotCached) {
-		t.Fatalf("dropped page still resident: %v", err)
+	if got := p.Stats().Resident; got != 0 {
+		t.Fatalf("dropped page still resident (%d)", got)
 	}
 	p.Drop(12345) // dropping a non-resident page is a no-op
-}
-
-func TestPoolFlushSome(t *testing.T) {
-	be := newMemBackend(128)
-	p := New(be, 8, 128, nil)
-	for i := 0; i < 6; i++ {
-		h, _, err := p.NewPage(0, core.LPN(i+1), core.Hint{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.MarkDirty()
-		h.Release()
-	}
-	n, _, err := p.FlushSome(0, 3)
-	if err != nil || n != 3 {
-		t.Fatalf("FlushSome = %d, %v", n, err)
-	}
-	st := p.Stats()
-	if st.Dirty != 3 {
-		t.Fatalf("dirty after partial flush = %d", st.Dirty)
-	}
-	n, _, err = p.FlushSome(0, 100)
-	if err != nil || n != 3 {
-		t.Fatalf("second FlushSome = %d, %v", n, err)
-	}
-	if p.Stats().Dirty != 0 {
-		t.Fatal("dirty pages remain")
-	}
 }
 
 func TestPoolResetCounters(t *testing.T) {

@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -56,13 +57,15 @@ func TestPoolShardOverride(t *testing.T) {
 // multi-shard pool far smaller than the page working set, so every shard
 // constantly evicts (including dirty write-backs) while other workers fetch,
 // modify and flush.  Run under -race this exercises the shard mutex / frame
-// latch interplay of the sharded CLOCK.
+// latch interplay of the sharded CLOCK.  A concurrent FlushAll pins every
+// dirty frame while its batch is in flight, so a fetch may transiently find
+// its whole shard pinned; the workers just move on.
 func TestPoolShardedEvictionUnderContention(t *testing.T) {
-	be := newMemBatchBackend(128)
+	be := newMemBackend(128)
 	const pages = 256
 	be.seed(pages)
 	p := New(be, 64, 128, nil)
-	p.Configure(Options{Shards: 8, GroupWriteBack: true})
+	p.Configure(Options{Shards: 8})
 	if got := p.Stats().Shards; got != 8 {
 		t.Fatalf("shards = %d, want 8", got)
 	}
@@ -83,6 +86,9 @@ func TestPoolShardedEvictionUnderContention(t *testing.T) {
 					lo := core.LPN(r.Intn(pages-8) + 1)
 					lpns := []core.LPN{lo, lo + 1, lo + 2, lo + 3}
 					hs, done, err := p.FetchMany(now, lpns, core.Hint{})
+					if errors.Is(err, ErrPoolFull) {
+						continue
+					}
 					if err != nil {
 						errCh <- err
 						return
@@ -94,8 +100,8 @@ func TestPoolShardedEvictionUnderContention(t *testing.T) {
 						h.RUnlock()
 						h.Release()
 					}
-				case 1: // background-flusher style group write-back
-					if _, done, err := p.FlushSome(now, 8); err != nil {
+				case 1: // concurrent group write-back
+					if done, err := p.FlushAll(now); err != nil {
 						errCh <- err
 						return
 					} else {
@@ -104,6 +110,9 @@ func TestPoolShardedEvictionUnderContention(t *testing.T) {
 				default:
 					lpn := core.LPN(r.Intn(pages) + 1)
 					h, done, err := p.Fetch(now, lpn, core.Hint{})
+					if errors.Is(err, ErrPoolFull) {
+						continue
+					}
 					if err != nil {
 						errCh <- err
 						return

@@ -376,20 +376,14 @@ func verify(db *noftl.DB, committed map[string][]byte, inDoubt delta, rep *Repor
 	got := make(map[string][]byte)
 	tx := db.Begin()
 	defer tx.Abort()
-	var decodeErr error
-	err := tbl.Scan(tx, func(_ noftl.RID, row []byte) bool {
-		key, val, derr := decodeRow(row)
-		if derr != nil {
-			decodeErr = derr
-			return false
+	for _, row := range tbl.Rows(tx) {
+		key, val, err := decodeRow(row)
+		if err != nil {
+			return fmt.Errorf("scan: %w", err)
 		}
 		got[key] = append([]byte(nil), val...)
-		return true
-	})
-	if err == nil {
-		err = decodeErr
 	}
-	if err != nil {
+	if err := tx.Err(); err != nil {
 		return fmt.Errorf("scan: %w", err)
 	}
 	rep.Rows = len(got)

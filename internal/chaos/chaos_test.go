@@ -192,10 +192,10 @@ func TestGroupCommitCrashAtomicity(t *testing.T) {
 	survived := make(map[[2]int]int)
 	tx := rec.Begin()
 	defer tx.Abort()
-	if err := rtbl.Scan(tx, func(_ noftl.RID, row []byte) bool {
+	for _, row := range rtbl.Rows(tx) {
 		survived[[2]int{int(row[0]), int(row[1])}]++
-		return true
-	}); err != nil {
+	}
+	if err := tx.Err(); err != nil {
 		t.Fatal(err)
 	}
 	for w := 0; w < workers; w++ {

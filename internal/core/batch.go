@@ -1,12 +1,19 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"noftl/internal/flash"
 	"noftl/internal/iosched"
+	"noftl/internal/obs"
 	"noftl/internal/sim"
 )
+
+// The host I/O path.  ReadPages and WritePages are the one implementation of
+// a host read and a host write: translate (or place) every page, dispatch the
+// flash commands as one scheduler batch, then account each completion.
+// ReadPage and WritePage are their one-element entries.
 
 // PageRead is the per-page result of a batched ReadPages call.
 type PageRead struct {
@@ -22,6 +29,20 @@ type PageRead struct {
 	// Err reports a per-page failure (e.g. an unmapped LPN); other pages of
 	// the batch are unaffected.
 	Err error
+
+	// region and addr carry the translation from the lookup to the
+	// completion's accounting; region is nil for an unmapped page.
+	region *Region
+	addr   ppa
+}
+
+// ReadPage reads the current version of the logical page into buf (which may
+// be nil to let the device allocate).  It returns the data, the virtual
+// completion time and an error if the page was never written.
+func (m *Manager) ReadPage(now sim.Time, lpn LPN, buf []byte) ([]byte, sim.Time, error) {
+	lpns, bufs, out := [1]LPN{lpn}, [1][]byte{buf}, [1]PageRead{}
+	m.readPages(now, lpns[:], bufs[:], out[:])
+	return out[0].Data, out[0].Done, out[0].Err
 }
 
 // ReadPages reads a batch of logical pages through the I/O scheduler.  Pages
@@ -35,22 +56,32 @@ type PageRead struct {
 // which the last read completed (now when nothing was readable).
 func (m *Manager) ReadPages(now sim.Time, lpns []LPN, bufs [][]byte) ([]PageRead, sim.Time) {
 	out := make([]PageRead, len(lpns))
-	reqs := make([]iosched.Request, 0, len(lpns))
-	reqIdx := make([]int, 0, len(lpns))
-	reqRegion := make([]*Region, 0, len(lpns))
+	return out, m.readPages(now, lpns, bufs, out)
+}
 
+// readPages fills out (one entry per LPN) and returns the batch makespan.
+// The manager's mutex covers only the translation: reads from independent
+// workers overlap on the scheduler.
+func (m *Manager) readPages(now sim.Time, lpns []LPN, bufs [][]byte, out []PageRead) sim.Time {
+	var one [1]iosched.Request // keeps a lone read off the heap
+	reqs := one[:0]
+	if len(lpns) > len(one) {
+		reqs = make([]iosched.Request, 0, len(lpns))
+	}
 	m.mu.Lock()
+	tr := m.tracer
 	for i, lpn := range lpns {
-		out[i].LPN = lpn
-		out[i].Done = now
+		out[i] = PageRead{LPN: lpn, Done: now}
 		e, ok := m.mapping[lpn]
 		if !ok {
 			out[i].Err = fmt.Errorf("%w: lpn %d", ErrUnmappedPage, lpn)
 			continue
 		}
-		r := m.regionsByID[m.dieOwner[e.addr.Die]]
+		// The region pointer is stable for the life of the manager and its
+		// collectors are internally synchronized.
+		out[i].region, out[i].addr = m.regionsByID[m.dieOwner[e.addr.Die]], e.addr
 		var buf []byte
-		if bufs != nil && i < len(bufs) {
+		if i < len(bufs) {
 			buf = bufs[i]
 		}
 		reqs = append(reqs, iosched.Request{
@@ -60,26 +91,34 @@ func (m *Manager) ReadPages(now sim.Time, lpns []LPN, bufs [][]byte) ([]PageRead
 			Priority: iosched.PrioHostRead,
 			Tag:      uint64(lpn),
 		})
-		reqIdx = append(reqIdx, i)
-		reqRegion = append(reqRegion, r)
 	}
 	m.mu.Unlock()
 
 	cs, end := m.sched.Submit(now, reqs)
-	for j, c := range cs {
-		i := reqIdx[j]
-		out[i].Data = c.Data
-		out[i].Meta = c.Meta
-		out[i].Done = c.Done
-		out[i].Err = c.Err
-		if c.Err == nil {
-			// The collectors are internally synchronized; the region pointer
-			// is stable for the life of the manager.
-			reqRegion[j].hostReads.Inc()
-			reqRegion[j].readLat.Observe(c.Done.Sub(now))
+	traced := tr.Enabled(obs.ClassHostRead)
+	j := 0
+	for i := range out {
+		o := &out[i]
+		if o.region == nil {
+			continue // unmapped: no command was issued
+		}
+		c := cs[j]
+		j++
+		o.Data, o.Meta, o.Done, o.Err = c.Data, c.Meta, c.Done, c.Err
+		if c.Err != nil {
+			continue
+		}
+		o.region.hostReads.Inc()
+		o.region.readLat.Observe(c.Done.Sub(now))
+		if traced {
+			tr.Record(obs.Event{
+				Class: obs.ClassHostRead,
+				Die:   int32(o.addr.Die), Block: int32(o.addr.Block), Page: int32(o.addr.Page),
+				Region: int32(o.region.id), Start: now, End: c.Done, A: int64(o.LPN),
+			})
 		}
 	}
-	return out, end
+	return end
 }
 
 // PageWrite is one element of a batched WritePages call.
@@ -89,168 +128,261 @@ type PageWrite struct {
 	// Data is the page payload (PageSize bytes, or nil when the device does
 	// not store data).
 	Data []byte
-	// Hint carries the placement hint, exactly as in WritePage.
+	// Hint carries the placement hint.
 	Hint Hint
 }
 
-// pendingProgram tracks one allocated slot of a write batch until its
-// program completion arrives.
-type pendingProgram struct {
-	idx  int // index into the writes slice
-	r    *Region
-	da   *dieAlloc
-	slot slotRef
-	addr ppa
+// hostWrite tracks one page of a write batch from placement to commit.
+type hostWrite struct {
+	r        *Region   // region the page was placed in (after any spill)
+	da       *dieAlloc // die holding the reserved slot; nil while none is reserved
+	slot     slotRef
+	consumes bool  // the placement is counted in r.admitted
+	done     bool  // programmed and committed
+	faults   uint8 // transient program faults this page has hit
 }
 
-// WritePages writes a batch of logical pages out of place through the I/O
-// scheduler.  Slots are allocated round-robin over each target region's dies
-// (exactly as WritePage does per page), so a batch naturally stripes across
-// dies and its programs overlap in virtual time; any synchronous GC the
-// allocations trigger is charged to the batch start, mirroring WritePage.
+// maxProgramRetries bounds how often a page that hit a transient program
+// fault is placed again before the error surfaces.
+const maxProgramRetries = 3
+
+// WritePage writes (or overwrites) one logical page: a WritePages batch of
+// one.
+func (m *Manager) WritePage(now sim.Time, lpn LPN, data []byte, h Hint) (sim.Time, error) {
+	w := [1]PageWrite{{LPN: lpn, Data: data, Hint: h}}
+	return m.WritePages(now, w[:])
+}
+
+// WritePages writes a batch of logical pages out of place in the regions
+// selected by their hints; the previous physical versions, if any, are
+// invalidated.  Slots are allocated round-robin over each target region's
+// dies, so a batch naturally stripes across dies and its programs overlap in
+// virtual time.  When a target die falls to the low watermark, a blocking
+// foreground collection runs as part of the call and its cost is charged to
+// the batch start, exactly like foreground GC on a real device; between the
+// high and low watermarks, background GC instead runs a bounded step per
+// touched die after the batch, whose cost is absorbed by the die's idle slots
+// (see bggc.go).
 //
 // On success the returned time is the completion of the slowest page.  A
-// per-page device failure rolls back that page's slot and is returned as the
-// call's error after the remaining pages have been accounted; an allocation
-// failure (region full) aborts the batch before any program is issued.
+// page that hits a transient program fault — and the later pages of the
+// batch on the same block, which the device's sequential-programming check
+// rejects in its wake — is placed again on a fresh slot and resubmitted, a
+// bounded number of times per page.  Any other failure (full region, bad
+// block, crashed device) ends the call with that error once the pages that
+// did land have been accounted; a full region is detected before any program
+// is issued.
 func (m *Manager) WritePages(now sim.Time, writes []PageWrite) (sim.Time, error) {
 	if len(writes) == 0 {
 		return now, nil
 	}
-	start := now
 	m.mu.Lock()
 	defer m.mu.Unlock()
-
-	// Phase 1: admission and slot allocation.  pendingNew counts pages of
-	// this batch admitted to each region but not yet reflected in
-	// validPages, so a batch cannot overshoot a region's logical capacity.
-	pendingNew := make(map[RegionID]int64)
-	pends := make([]pendingProgram, 0, len(writes))
-	reqs := make([]iosched.Request, 0, len(writes))
-	batchStart := now
-	for i, w := range writes {
-		r := m.resolveRegion(w.Hint)
-		prev, remap := m.mapping[w.LPN]
-		consumes := !remap || prev.region != r.id
-		if consumes && r.validPages+pendingNew[r.id] >= r.capacityPages {
-			if m.opts.DisableSpill || r.id == DefaultRegionID {
-				return now, fmt.Errorf("%w: %q (%d pages)", ErrRegionFull, r.name, r.capacityPages)
-			}
-			r.spills++
-			r = m.regionsByID[DefaultRegionID]
-			consumes = !remap || prev.region != r.id
-			if consumes && r.validPages+pendingNew[r.id] >= r.capacityPages {
-				return now, fmt.Errorf("%w: %q (%d pages)", ErrRegionFull, r.name, r.capacityPages)
-			}
-		}
-		da, slot, gcDone, err := m.allocateSlot(now, r)
-		if err != nil {
-			if !m.opts.DisableSpill && r.id != DefaultRegionID {
-				r.spills++
-				r = m.regionsByID[DefaultRegionID]
-				da, slot, gcDone, err = m.allocateSlot(now, r)
-			}
-			if err != nil {
-				// Roll back the slots already reserved for this batch; no
-				// program has been issued yet.
-				m.rollbackSlots(pends, len(pends))
-				return now, err
-			}
-		}
-		if gcDone > batchStart {
-			batchStart = gcDone
-		}
-		if consumes {
-			pendingNew[r.id]++
-		}
-		addr := ppa{Die: da.die, Block: slot.block, Page: slot.page}
-		m.seq++
-		reqs = append(reqs, iosched.Request{
-			Op:   iosched.OpProgram,
-			Addr: addr,
-			Data: w.Data,
-			Meta: flash.PageMeta{
-				LPN:      uint64(w.LPN),
-				ObjectID: w.Hint.ObjectID,
-				RegionID: uint32(r.id),
-				Seq:      m.seq,
-				Flags:    w.Hint.Flags,
-			},
-			Priority: iosched.PrioHostWrite,
-			Tag:      uint64(w.LPN),
-		})
-		pends = append(pends, pendingProgram{idx: i, r: r, da: da, slot: slot, addr: addr})
+	if cap(m.pends) < len(writes) {
+		m.pends = make([]hostWrite, len(writes))
 	}
+	pends := m.pends[:len(writes)]
+	clear(pends)
+	traced := m.tracer.Enabled(obs.ClassHostWrite)
 
-	// Phase 2: dispatch all programs as one batch.  Different dies overlap;
-	// programs to one die pipeline on its resource.
-	cs, end := m.sched.Submit(batchStart, reqs)
+	var err error
+	at, end := now, now
+rounds:
+	for left := len(writes); left > 0 && err == nil; {
+		// Place every page still to be written and build its program.
+		reqs := m.reqs[:0]
+		placedAt := at
+		for i := range pends {
+			if pends[i].done {
+				continue
+			}
+			req, gcDone, perr := m.placeWrite(placedAt, &writes[i], &pends[i])
+			if perr != nil {
+				err = perr
+				break rounds
+			}
+			at = max(at, gcDone)
+			reqs = append(reqs, req)
+		}
 
-	// Phase 3: bookkeeping.  Device program failures on a block form a
-	// suffix (the sequential-programming constraint rejects everything after
-	// the first failed page), so decrementing nextPage once per failure
-	// re-synchronizes the manager's cursor with the device.
-	var firstErr error
-	for j, c := range cs {
-		p := pends[j]
-		w := writes[p.idx]
-		blk := &p.da.blocks[p.slot.block]
-		if c.Err != nil {
-			blk.nextPage--
-			m.retireIfBad(p.da, p.slot.block)
-			if firstErr == nil {
-				firstErr = c.Err
+		// Dispatch all programs as one batch.  Different dies overlap;
+		// programs to one die pipeline on its resource.
+		cs, done := m.sched.Submit(at, reqs)
+		end = max(end, done)
+		clear(reqs) // drop the payload references
+		m.reqs = reqs
+
+		// Commit the programs that landed and release the slots of those
+		// that did not.  Failures on a block form a suffix (everything after
+		// the first failed page is rejected), so releasing one slot per
+		// failure re-synchronizes the manager's cursor with the device.
+		faulted := false
+		j := 0
+		for i := range pends {
+			p := &pends[i]
+			if p.done {
+				continue
 			}
-			continue
-		}
-		blk.lpns[p.slot.page] = w.LPN
-		blk.valid[p.slot.page] = true
-		blk.validCount++
-		blk.lastWrite = m.seq
-		if blk.nextPage >= m.geo.PagesPerBlock {
-			blk.state = blkClosed
-			if p.da.hostOpen == p.slot.block {
-				p.da.hostOpen = -1
+			c := cs[j]
+			j++
+			if c.Err == nil {
+				m.commitWrite(p, writes[i].LPN, now, c.Done, traced)
+				left--
+				continue
 			}
-		}
-		old, had := m.mapping[w.LPN]
-		m.mapping[w.LPN] = mapEntry{addr: p.addr, region: p.r.id}
-		if had {
-			m.invalidate(old)
-			if old.region != p.r.id {
-				if or, ok := m.regionsByID[old.region]; ok && or.validPages > 0 {
-					or.validPages--
+			m.unplaceWrite(p)
+			switch {
+			case errors.Is(c.Err, flash.ErrProgramFault):
+				// Transient: the next round places the page again, usually
+				// on another die (the round-robin cursor has advanced).
+				faulted = true
+				if p.faults++; p.faults <= maxProgramRetries {
+					continue
 				}
-				p.r.validPages++
+			case faulted && errors.Is(c.Err, flash.ErrProgramOrder):
+				// Collateral of a fault earlier in this round; it does not
+				// count against the page.
+				continue
 			}
-		} else {
-			p.r.validPages++
+			if err == nil {
+				err = c.Err
+			}
 		}
-		p.r.hostWrites.Inc()
-		p.r.writeLat.Observe(c.Done.Sub(start))
 	}
-	if end < now {
-		end = now
-	}
-	// Opportunistic background GC on each die the batch touched, after the
-	// batch makespan has been determined so step costs stay out of it.
-	pumped := make(map[int]bool, len(pends))
-	for _, p := range pends {
-		if pumped[p.da.die] {
+
+	// Release what an aborted placement round left reserved, then run one
+	// opportunistic background GC step on each die the batch wrote, after the
+	// makespan has been determined so step costs stay out of it.
+	for i := range pends {
+		p := &pends[i]
+		if p.da == nil {
 			continue
 		}
-		pumped[p.da.die] = true
-		m.backgroundGCLocked(end, p.da)
+		if !p.done {
+			m.unplaceWrite(p)
+		} else if p.da.written {
+			p.da.written = false
+			m.backgroundGCLocked(end, p.da)
+		}
 	}
-	return end, firstErr
+	return end, err
 }
 
-// rollbackSlots releases the first n reserved-but-unprogrammed slots of a
-// batch (used when admission fails partway through allocation).  Caller
-// holds m.mu.
-func (m *Manager) rollbackSlots(pends []pendingProgram, n int) {
-	for i := n - 1; i >= 0; i-- {
-		p := pends[i]
-		p.da.blocks[p.slot.block].nextPage--
+// placeWrite reserves a slot for the page in the region its hint selects and
+// returns the program request with the virtual time after any foreground GC
+// the allocation had to wait for.  When that region has exhausted its logical
+// capacity, or its dies cannot yield a slot even after GC, the write spills
+// to the default region (counted), mirroring how a DBMS falls back to another
+// tablespace rather than failing the transaction.  Caller holds m.mu.
+func (m *Manager) placeWrite(at sim.Time, w *PageWrite, p *hostWrite) (iosched.Request, sim.Time, error) {
+	r := m.resolveRegion(w.Hint)
+	prev, remap := m.mapping[w.LPN]
+	for {
+		// The write consumes a unit of the region's logical capacity when the
+		// page is new to that region (first write, or a page whose previous
+		// version lives in a different region, e.g. after an earlier spill).
+		// admitted counts the batch's placed, not yet committed pages, so a
+		// batch cannot overshoot the capacity.
+		p.consumes = !remap || prev.region != r.id
+		var err error
+		if p.consumes && r.validPages+r.admitted >= r.capacityPages {
+			err = fmt.Errorf("%w: %q (%d pages)", ErrRegionFull, r.name, r.capacityPages)
+		} else if p.da, p.slot, at, err = m.allocateSlot(at, r); err == nil {
+			break
+		}
+		if m.opts.DisableSpill || r.id == DefaultRegionID {
+			return iosched.Request{}, at, err
+		}
+		r.spills++
+		r = m.regionsByID[DefaultRegionID]
 	}
+	p.r = r
+	if p.consumes {
+		r.admitted++
+	}
+	m.seq++
+	return iosched.Request{
+		Op:   iosched.OpProgram,
+		Addr: ppa{Die: p.da.die, Block: p.slot.block, Page: p.slot.page},
+		Data: w.Data,
+		Meta: flash.PageMeta{
+			LPN:      uint64(w.LPN),
+			ObjectID: w.Hint.ObjectID,
+			RegionID: uint32(r.id),
+			Seq:      m.seq,
+			Flags:    w.Hint.Flags,
+		},
+		Priority: iosched.PrioHostWrite,
+		Tag:      uint64(w.LPN),
+	}, at, nil
+}
+
+// unplaceWrite releases the slot of a page whose program failed or was never
+// issued; the flash page is still erased.  A block the device has marked bad
+// is retired so the next placement opens a fresh one.  Caller holds m.mu.
+func (m *Manager) unplaceWrite(p *hostWrite) {
+	blk := &p.da.blocks[p.slot.block]
+	blk.nextPage--
+	m.retireIfBad(p.da, p.slot.block)
+	if blk.state == blkOpen && p.da.hostOpen != p.slot.block {
+		// The batch filled this block and moved the die on to the next one:
+		// no allocation will return here, so close it and let GC reclaim the
+		// unprogrammed tail instead of leaking an open block.
+		blk.state = blkClosed
+	}
+	if p.consumes {
+		p.r.admitted--
+	}
+	p.da = nil
+}
+
+// commitWrite accounts one landed program: block and mapping bookkeeping,
+// invalidation of the previous version, valid-page accounting, counters and
+// the host-write event.  start is the submission time of the call, so the
+// observed latency includes any synchronous GC the write had to wait for —
+// exactly what a host sees on a device doing foreground garbage collection.
+// Caller holds m.mu.
+func (m *Manager) commitWrite(p *hostWrite, lpn LPN, start, done sim.Time, traced bool) {
+	r, da, slot := p.r, p.da, p.slot
+	blk := &da.blocks[slot.block]
+	blk.lpns[slot.page] = lpn
+	blk.valid[slot.page] = true
+	blk.validCount++
+	blk.lastWrite = m.seq
+	if blk.nextPage >= m.geo.PagesPerBlock {
+		blk.state = blkClosed
+		if da.hostOpen == slot.block {
+			da.hostOpen = -1
+		}
+	}
+
+	old, had := m.mapping[lpn]
+	m.mapping[lpn] = mapEntry{addr: ppa{Die: da.die, Block: slot.block, Page: slot.page}, region: r.id}
+	if had {
+		m.invalidate(old)
+		if old.region != r.id {
+			// The page migrated between regions (e.g. a spill, or a later
+			// write that returned home): transfer the valid-page accounting.
+			if or, ok := m.regionsByID[old.region]; ok && or.validPages > 0 {
+				or.validPages--
+			}
+			r.validPages++
+		}
+	} else {
+		r.validPages++
+	}
+	if p.consumes {
+		r.admitted--
+	}
+	r.hostWrites.Inc()
+	r.writeLat.Observe(done.Sub(start))
+	if traced {
+		m.tracer.Record(obs.Event{
+			Class: obs.ClassHostWrite,
+			Die:   int32(da.die), Block: int32(slot.block), Page: int32(slot.page),
+			Region: int32(r.id), Start: start, End: done, A: int64(lpn),
+		})
+	}
+	da.written = true
+	p.done = true
 }

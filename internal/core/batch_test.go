@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"noftl/internal/flash"
@@ -169,5 +171,110 @@ func TestWritePagesRegionFullWithoutSpill(t *testing.T) {
 		if m.Mapped(start + LPN(i)) {
 			t.Errorf("lpn %d mapped after failed batch", start+LPN(i))
 		}
+	}
+	// The aborted batch released its slots and its share of the region's
+	// capacity: a batch that fits is admitted.
+	if _, err := m.WritePages(0, writes[:2]); err != nil {
+		t.Fatalf("batch within capacity after an aborted one: %v", err)
+	}
+	if err := m.VerifyIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSinglePageEntriesAreTheBatchPath drives the same seeded stream of
+// writes, overwrites, reads and trims once through WritePage/ReadPage and
+// once through one-element WritePages/ReadPages, on a small device at high
+// utilisation with a capped region, so foreground GC, background GC and
+// spill all fire.  Both runs must leave every page at the same physical
+// address with the same statistics and report the same completion times.
+func TestSinglePageEntriesAreTheBatchPath(t *testing.T) {
+	type result struct {
+		times  []sim.Time
+		locs   []flash.Addr
+		stats  string
+		spills int64
+	}
+	run := func(single bool) result {
+		dev := smallDevice(t, 4, 16, 8)
+		opts := DefaultOptions()
+		opts.GC.StepPages = 1 // background GC too slow to keep the foreground backstop idle
+		m := NewManager(dev, opts)
+		hot, err := m.CreateRegion(RegionSpec{Name: "hot", MaxChips: 1, MaxSizeBytes: 40 * int64(dev.Geometry().PageSize)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const universe = 320
+		start := m.AllocateLPNs(universe)
+		r := sim.NewRand(42)
+		var res result
+		now := sim.Time(0)
+		for i := 0; i < 6000; i++ {
+			lpn := start + LPN(r.Intn(universe))
+			hint := Hint{ObjectID: 1}
+			if lpn%3 == 0 {
+				hint.Region = hot.ID() // a third of the pages aimed at a 40-page region: spills
+			}
+			var done sim.Time
+			var err error
+			switch op := r.Intn(10); {
+			case op < 6:
+				data := fillPage(dev, byte(i))
+				if single {
+					done, err = m.WritePage(now, lpn, data, hint)
+				} else {
+					done, err = m.WritePages(now, []PageWrite{{LPN: lpn, Data: data, Hint: hint}})
+				}
+			case op < 9:
+				if !m.Mapped(lpn) {
+					continue
+				}
+				if single {
+					_, done, err = m.ReadPage(now, lpn, nil)
+				} else {
+					reads, end := m.ReadPages(now, []LPN{lpn}, nil)
+					if done, err = reads[0].Done, reads[0].Err; end != done {
+						t.Fatalf("op %d: one-page batch makespan %v, page done %v", i, end, done)
+					}
+				}
+			default:
+				if m.Mapped(lpn) {
+					err = m.TrimPage(lpn)
+				}
+				done = now
+			}
+			if err != nil {
+				t.Fatalf("op %d (single=%v): %v", i, single, err)
+			}
+			res.times = append(res.times, done)
+			now = done
+		}
+		if err := m.VerifyIntegrity(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < universe; i++ {
+			addr, _ := m.Locate(start + LPN(i))
+			res.locs = append(res.locs, addr)
+		}
+		st := m.Stats()
+		for _, rs := range st.Regions {
+			res.spills += rs.SpilledWrites
+		}
+		if st.GCStalls == 0 || st.BGGCSteps == 0 || res.spills == 0 {
+			t.Fatalf("stream did not exercise foreground GC (%d), background GC (%d) and spill (%d)",
+				st.GCStalls, st.BGGCSteps, res.spills)
+		}
+		res.stats = fmt.Sprintf("%+v", st)
+		return res
+	}
+	one, batch := run(true), run(false)
+	if !reflect.DeepEqual(one.times, batch.times) {
+		t.Error("completion times differ between WritePage/ReadPage and one-element batches")
+	}
+	if !reflect.DeepEqual(one.locs, batch.locs) {
+		t.Error("physical locations differ between WritePage/ReadPage and one-element batches")
+	}
+	if one.stats != batch.stats {
+		t.Errorf("statistics differ:\n single %s\n batch  %s", one.stats, batch.stats)
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"testing"
 
 	"noftl/internal/flash"
@@ -13,9 +15,16 @@ import (
 // lost: every logical page still reads back its latest contents and the
 // space manager's invariants hold.
 // Every failed erase retires a block for good, so the device needs enough
-// spare blocks to survive the whole campaign's worth of retirements.
+// spare blocks to survive the whole campaign's worth of retirements.  The
+// campaign runs once a page at a time and once in batches longer than a
+// block, so a fault also lands where a batch crosses into a fresh block.
 func faultCampaign(t *testing.T, plan flash.FaultPlan) {
-	t.Helper()
+	for _, batch := range []int{1, 20} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) { faultCampaignBatched(t, plan, batch) })
+	}
+}
+
+func faultCampaignBatched(t *testing.T, plan flash.FaultPlan, batch int) {
 	dev := smallDevice(t, 2, 32, 8)
 	dev.Arm(plan)
 	opts := DefaultOptions()
@@ -28,13 +37,16 @@ func faultCampaign(t *testing.T, plan flash.FaultPlan) {
 	now := sim.Time(0)
 	latest := make([]byte, pages)
 	for r := 0; r < rounds; r++ {
-		for i := 0; i < pages; i++ {
-			tag := byte(r*31 + i)
-			done, err := m.WritePage(now, start+LPN(i), fillPage(dev, tag), Hint{})
-			if err != nil {
-				t.Fatalf("round %d page %d: %v", r, i, err)
+		for i := 0; i < pages; i += batch {
+			writes := make([]PageWrite, batch)
+			for j := range writes {
+				latest[i+j] = byte(r*31 + i + j)
+				writes[j] = PageWrite{LPN: start + LPN(i+j), Data: fillPage(dev, latest[i+j])}
 			}
-			latest[i] = tag
+			done, err := m.WritePages(now, writes)
+			if err != nil {
+				t.Fatalf("round %d pages %d..%d: %v", r, i, i+batch-1, err)
+			}
 			now = done
 		}
 	}
@@ -79,4 +91,68 @@ func TestGCSurvivesProgramFailures(t *testing.T) {
 // — the worn-device regime where both happen interleaved with relocation.
 func TestGCSurvivesCombinedWear(t *testing.T) {
 	faultCampaign(t, flash.FaultPlan{Seed: 3, FailProgramProb: 0.02, FailEraseProb: 0.1})
+}
+
+// TestWritePagesRetriesTransientProgramFaults: one injected program fault
+// fails that program and, through the device's sequential-programming check,
+// every later program of the batch to the same block.  The batch must place
+// those pages again and succeed, exactly as a lone WritePage does.
+func TestWritePagesRetriesTransientProgramFaults(t *testing.T) {
+	dev := smallDevice(t, 4, 32, 8)
+	dev.Arm(flash.FaultPlan{Seed: 1, FailProgramEvery: 7})
+	m := NewManager(dev, DefaultOptions())
+
+	const n = 64
+	start := m.AllocateLPNs(n)
+	writes := make([]PageWrite, n)
+	for i := range writes {
+		writes[i] = PageWrite{LPN: start + LPN(i), Data: fillPage(dev, byte(i))}
+	}
+	if _, err := m.WritePages(0, writes); err != nil {
+		t.Fatalf("WritePages under FailProgramEvery=7: %v", err)
+	}
+	reads, _ := m.ReadPages(0, []LPN{start, start + n/2, start + n - 1}, nil)
+	for _, r := range reads {
+		if r.Err != nil || !bytes.Equal(r.Data, fillPage(dev, byte(r.LPN-start))) {
+			t.Fatalf("lpn %d after retried batch: err=%v", r.LPN, r.Err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if !m.Mapped(start + LPN(i)) {
+			t.Fatalf("lpn %d not mapped after retried batch", start+LPN(i))
+		}
+	}
+	if err := m.VerifyIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+	st := m.Stats()
+	if st.HostWrites != n || st.ValidPages != n {
+		t.Fatalf("host writes %d, valid pages %d, want %d each", st.HostWrites, st.ValidPages, n)
+	}
+	if st.DevicePrograms != n {
+		t.Fatalf("device programmed %d pages, want %d (failed programs leave the page erased)", st.DevicePrograms, n)
+	}
+}
+
+// TestWritePagesAbortsOnCrash: a failure that is not transient still ends
+// the batch with the error, and the pages that did land stay accounted.
+func TestWritePagesAbortsOnCrash(t *testing.T) {
+	dev := smallDevice(t, 4, 32, 8)
+	dev.Arm(flash.FaultPlan{Seed: 1, CrashAfterOps: 10})
+	m := NewManager(dev, DefaultOptions())
+	const n = 32
+	start := m.AllocateLPNs(n)
+	writes := make([]PageWrite, n)
+	for i := range writes {
+		writes[i] = PageWrite{LPN: start + LPN(i), Data: fillPage(dev, byte(i))}
+	}
+	if _, err := m.WritePages(0, writes); !errors.Is(err, flash.ErrCrashed) {
+		t.Fatalf("WritePages on a crashing device = %v, want ErrCrashed", err)
+	}
+	if got := m.Stats().HostWrites; got != 9 {
+		t.Fatalf("host writes = %d, want the 9 programs that landed before the crash", got)
+	}
+	if err := m.VerifyIntegrity(); err != nil {
+		t.Fatal(err)
+	}
 }

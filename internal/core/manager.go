@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -137,6 +136,7 @@ type dieAlloc struct {
 	hostOpen   int   // block index, -1 if none
 	gcOpen     int   // block index, -1 if none
 	bgVictim   int   // victim being incrementally collected in background, -1 if none
+	written    bool  // the write batch in flight landed a page here; cleared by its GC pump
 }
 
 func (da *dieAlloc) freeCount() int { return len(da.freeBlocks) }
@@ -182,6 +182,12 @@ type Manager struct {
 	nextLPN LPN
 	seq     uint64 // monotonically increasing write sequence for OOB metadata
 
+	// Scratch of WritePages, reused across calls under mu so that a write
+	// batch (of one page or thousands) allocates nothing per call; it starts
+	// sized for a one-page write and grows to the largest batch seen.
+	pends []hostWrite
+	reqs  []iosched.Request
+
 	// Observability plane: tracer is nil when tracing is off; reg owns the
 	// per-region counters (a private registry until AttachObs re-binds them
 	// to the database's shared one).  The children are cached on the Region
@@ -206,6 +212,8 @@ func NewManager(dev *flash.Device, opts Options) *Manager {
 		nextLPN:     1,
 		nextRegion:  DefaultRegionID + 1,
 		reg:         metrics.NewRegistry(),
+		pends:       make([]hostWrite, 1),
+		reqs:        make([]iosched.Request, 0, 1),
 	}
 	nDies := m.geo.Dies()
 	m.dieOwner = make([]RegionID, nDies)
@@ -238,8 +246,8 @@ func NewManager(dev *flash.Device, opts Options) *Manager {
 // Device returns the underlying flash device.
 func (m *Manager) Device() *flash.Device { return m.dev }
 
-// Scheduler returns the asynchronous I/O scheduler every flash command of
-// this manager is routed through.
+// Scheduler returns the I/O scheduler every flash command of this manager is
+// routed through.
 func (m *Manager) Scheduler() *iosched.Scheduler { return m.sched }
 
 // Mode returns the placement mode the manager was created with.
@@ -598,168 +606,6 @@ func (m *Manager) Locate(lpn LPN) (flash.Addr, bool) {
 	return e.addr, ok
 }
 
-// ReadPage reads the current version of the logical page into buf (which may
-// be nil to let the device allocate).  It returns the data, the virtual
-// completion time and an error if the page was never written.
-func (m *Manager) ReadPage(now sim.Time, lpn LPN, buf []byte) ([]byte, sim.Time, error) {
-	m.mu.Lock()
-	e, ok := m.mapping[lpn]
-	if !ok {
-		m.mu.Unlock()
-		return nil, now, fmt.Errorf("%w: lpn %d", ErrUnmappedPage, lpn)
-	}
-	r := m.regionsByID[m.dieOwner[e.addr.Die]]
-	tr := m.tracer
-	m.mu.Unlock()
-
-	data, _, done, err := m.sched.Read(now, e.addr, buf, iosched.PrioHostRead)
-	if err != nil {
-		return nil, done, err
-	}
-	r.hostReads.Inc()
-	r.readLat.Observe(done.Sub(now))
-	if tr.Enabled(obs.ClassHostRead) {
-		tr.Record(obs.Event{
-			Class: obs.ClassHostRead,
-			Die:   int32(e.addr.Die), Block: int32(e.addr.Block), Page: int32(e.addr.Page),
-			Region: int32(r.id), Start: now, End: done, A: int64(lpn),
-		})
-	}
-	return data, done, nil
-}
-
-// WritePage writes (or overwrites) the logical page out of place in the
-// region selected by the hint.  The previous physical version, if any, is
-// invalidated.  When the target die falls to the low watermark, a blocking
-// foreground collection runs as part of the call and its cost is charged to
-// the caller's virtual time, exactly like foreground GC on a real device;
-// between the high and low watermarks, background GC instead runs a bounded
-// step after the write whose cost is absorbed by the die's idle slots
-// (see bggc.go).
-func (m *Manager) WritePage(now sim.Time, lpn LPN, data []byte, h Hint) (sim.Time, error) {
-	start := now
-	m.mu.Lock()
-	r := m.resolveRegion(h)
-
-	prev, remap := m.mapping[lpn]
-	// The write consumes a unit of the target region's logical capacity when
-	// the page is new to that region (first write, or a page whose previous
-	// version lives in a different region, e.g. after an earlier spill).
-	consumesCapacity := !remap || prev.region != r.id
-	if consumesCapacity && r.validPages >= r.capacityPages {
-		if m.opts.DisableSpill || r.id == DefaultRegionID {
-			m.mu.Unlock()
-			return now, fmt.Errorf("%w: %q (%d pages)", ErrRegionFull, r.name, r.capacityPages)
-		}
-		r.spills++
-		r = m.regionsByID[DefaultRegionID]
-		consumesCapacity = !remap || prev.region != r.id
-		if consumesCapacity && r.validPages >= r.capacityPages {
-			m.mu.Unlock()
-			return now, fmt.Errorf("%w: %q (%d pages)", ErrRegionFull, r.name, r.capacityPages)
-		}
-	}
-
-	var (
-		da   *dieAlloc
-		slot slotRef
-		addr ppa
-		done sim.Time
-	)
-	for attempt := 0; ; attempt++ {
-		var gcDone sim.Time
-		var err error
-		da, slot, gcDone, err = m.allocateSlot(now, r)
-		if err != nil {
-			if !m.opts.DisableSpill && r.id != DefaultRegionID {
-				// The hinted region has raw space exhausted (e.g. GC cannot
-				// keep up); fall back to the default region.
-				r.spills++
-				r = m.regionsByID[DefaultRegionID]
-				da, slot, gcDone, err = m.allocateSlot(now, r)
-			}
-			if err != nil {
-				m.mu.Unlock()
-				return now, err
-			}
-		}
-		now = gcDone
-
-		addr = ppa{Die: da.die, Block: slot.block, Page: slot.page}
-		m.seq++
-		meta := flash.PageMeta{
-			LPN:      uint64(lpn),
-			ObjectID: h.ObjectID,
-			RegionID: uint32(r.id),
-			Seq:      m.seq,
-			Flags:    h.Flags,
-		}
-		done, err = m.sched.Program(now, addr, data, meta, iosched.PrioHostWrite)
-		if err == nil {
-			break
-		}
-		// Roll back the slot reservation bookkeeping; the block page is
-		// still erased because the program failed.  A block the device has
-		// marked bad is retired so the next write opens a fresh one.  A
-		// transient program fault is retried a bounded number of times; the
-		// round-robin die cursor has advanced, so the retry usually lands on
-		// a different die.
-		blk := &da.blocks[slot.block]
-		blk.nextPage--
-		m.retireIfBad(da, slot.block)
-		if attempt >= maxProgramRetries || !errors.Is(err, flash.ErrProgramFault) {
-			m.mu.Unlock()
-			return now, err
-		}
-	}
-
-	blk := &da.blocks[slot.block]
-	blk.lpns[slot.page] = lpn
-	blk.valid[slot.page] = true
-	blk.validCount++
-	blk.lastWrite = m.seq
-	if blk.nextPage >= m.geo.PagesPerBlock {
-		blk.state = blkClosed
-		if da.hostOpen == slot.block {
-			da.hostOpen = -1
-		}
-	}
-
-	old, had := m.mapping[lpn]
-	m.mapping[lpn] = mapEntry{addr: addr, region: r.id}
-	if had {
-		m.invalidate(old)
-		if old.region != r.id {
-			// The page migrated between regions (e.g. a spill, or a later
-			// write that returned home): transfer the valid-page accounting.
-			if or, ok := m.regionsByID[old.region]; ok && or.validPages > 0 {
-				or.validPages--
-			}
-			r.validPages++
-		}
-	} else {
-		r.validPages++
-	}
-	r.hostWrites.Inc()
-	// The observed write latency includes any synchronous GC work the write
-	// had to wait for, exactly what a host sees on a device doing foreground
-	// garbage collection.
-	r.writeLat.Observe(done.Sub(start))
-	if m.tracer.Enabled(obs.ClassHostWrite) {
-		m.tracer.Record(obs.Event{
-			Class: obs.ClassHostWrite,
-			Die:   int32(da.die), Block: int32(slot.block), Page: int32(slot.page),
-			Region: int32(r.id), Start: start, End: done, A: int64(lpn),
-		})
-	}
-	// Opportunistic background GC: a bounded step on the die just written,
-	// after the host latency has been recorded — its cost lands in the die's
-	// idle time, not in this write's response time.
-	m.backgroundGCLocked(done, da)
-	m.mu.Unlock()
-	return done, nil
-}
-
 // invalidate marks the physical page at e as no longer holding current data.
 // Caller holds m.mu.
 func (m *Manager) invalidate(e mapEntry) {
@@ -793,10 +639,6 @@ func (m *Manager) TrimPage(lpn LPN) error {
 	}
 	return nil
 }
-
-// maxProgramRetries bounds how often WritePage retries after a transient
-// injected program fault before surfacing the error.
-const maxProgramRetries = 3
 
 // slotRef identifies the page slot handed out by allocateSlot.
 type slotRef struct {

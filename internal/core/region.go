@@ -60,6 +60,7 @@ type Region struct {
 	maxSizePages  int64 // 0 = unlimited (within die capacity)
 	capacityPages int64 // exported logical capacity (after over-provisioning)
 	validPages    int64 // logical pages currently mapped into this region
+	admitted      int64 // pages a write batch in flight has placed here but not yet committed
 
 	gc GCPolicy // per-region garbage-collection policy
 

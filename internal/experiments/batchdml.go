@@ -30,19 +30,14 @@ type BatchDMLResult struct {
 	GetSerialTime        time.Duration
 	GetBatchTime         time.Duration
 	GetSpeedup           float64
-	// Scheduler depth high-water marks per phase.  MaxBatch is the largest
-	// single die-striped submission (the batched paths dispatch hundreds of
-	// pages per submission vs ~1 on the serial path — exactly where the
-	// speedup comes from); MaxQueueDepth is the async Enqueue/Wait queue's
-	// high-water mark (zero here unless prefetch is enabled).
-	InsertSerialMaxBatch      int64
-	InsertBatchMaxBatch       int64
-	GetSerialMaxBatch         int64
-	GetBatchMaxBatch          int64
-	InsertSerialMaxQueueDepth int64
-	InsertBatchMaxQueueDepth  int64
-	GetSerialMaxQueueDepth    int64
-	GetBatchMaxQueueDepth     int64
+	// Scheduler batch high-water marks per phase: the largest single
+	// die-striped submission (the batched paths dispatch hundreds of pages
+	// per submission vs ~1 on the serial path — exactly where the speedup
+	// comes from).
+	InsertSerialMaxBatch int64
+	InsertBatchMaxBatch  int64
+	GetSerialMaxBatch    int64
+	GetBatchMaxBatch     int64
 }
 
 func (r BatchDMLResult) String() string {
@@ -104,7 +99,6 @@ func RunBatchDML(rows, rowSize int) (BatchDMLResult, error) {
 	res.InsertSerialSubmissions = st.Scheduler.Batches
 	res.InsertSerialTime = st.Simulated
 	res.InsertSerialMaxBatch = st.Scheduler.MaxBatch
-	res.InsertSerialMaxQueueDepth = st.Scheduler.MaxQueueDepth
 
 	if _, err := db.FlushAll(db.SimulatedTime()); err != nil {
 		return res, err
@@ -125,7 +119,6 @@ func RunBatchDML(rows, rowSize int) (BatchDMLResult, error) {
 	res.GetSerialSubmissions = st.Scheduler.Batches
 	res.GetSerialTime = st.Simulated
 	res.GetSerialMaxBatch = st.Scheduler.MaxBatch
-	res.GetSerialMaxQueueDepth = st.Scheduler.MaxQueueDepth
 
 	// Batched: one InsertBatch transaction, then cold chunked GetBatch.
 	db2, tbl2, err := open()
@@ -150,7 +143,6 @@ func RunBatchDML(rows, rowSize int) (BatchDMLResult, error) {
 	res.InsertBatchSubmissions = st.Scheduler.Batches
 	res.InsertBatchTime = st.Simulated
 	res.InsertBatchMaxBatch = st.Scheduler.MaxBatch
-	res.InsertBatchMaxQueueDepth = st.Scheduler.MaxQueueDepth
 
 	if _, err := db2.FlushAll(db2.SimulatedTime()); err != nil {
 		return res, err
@@ -174,7 +166,6 @@ func RunBatchDML(rows, rowSize int) (BatchDMLResult, error) {
 	res.GetBatchSubmissions = st.Scheduler.Batches
 	res.GetBatchTime = st.Simulated
 	res.GetBatchMaxBatch = st.Scheduler.MaxBatch
-	res.GetBatchMaxQueueDepth = st.Scheduler.MaxQueueDepth
 
 	if res.InsertBatchSubmissions > 0 {
 		res.InsertSubmissionRatio = float64(res.InsertSerialSubmissions) / float64(res.InsertBatchSubmissions)

@@ -9,7 +9,7 @@ import (
 )
 
 // BatchedIOResult is the outcome of ablation A5: the same page set read and
-// overwritten through the asynchronous I/O scheduler in batches versus one
+// overwritten through the I/O scheduler in batches versus one
 // page at a time.
 type BatchedIOResult struct {
 	Pages            int

@@ -1,6 +1,5 @@
-// Package iosched implements the asynchronous I/O scheduler that sits
-// between the NoFTL space manager (or the FTL baseline) and the native flash
-// device.
+// Package iosched implements the I/O scheduler that sits between the NoFTL
+// space manager (or the FTL baseline) and the native flash device.
 //
 // The device model (internal/flash) exposes synchronous commands whose
 // virtual-time cost is charged against per-die and per-channel resources.
@@ -13,21 +12,15 @@
 // the hardware would (FCFS per die, matching the device's dieRes contention
 // model).
 //
-// Two forms are offered:
-//
-//   - Submit(now, reqs): dispatch a batch synchronously and return one
-//     Completion per request (same order), plus the batch makespan.  This is
-//     the form the space manager and buffer pool use (via ReadPages,
-//     WritePages and the GC copyback batches).
-//   - Enqueue(req) / Wait(now, ticket): build up a batch asynchronously and
-//     collect completions later (e.g. a background agent posting work it
-//     will harvest at its next wake-up).  Pending requests are dispatched
-//     when Flush or Wait is called.  Every ticket must eventually be waited
-//     on: uncollected completions are retained indefinitely.
+// There is one form: Submit(now, reqs) dispatches a batch and returns one
+// Completion per request (same order) plus the batch makespan.  The space
+// manager's host reads and writes (ReadPages, WritePages and their
+// one-element entries ReadPage, WritePage) and the GC copyback batches all
+// go through it; a single command is a batch of one.
 //
 // Requests carry a priority class (host reads > host writes > GC/copyback).
 // Within one dispatch the per-die queues are drained in priority order, so a
-// host read enqueued alongside background GC traffic acquires the die first.
+// host read submitted alongside background GC traffic acquires the die first.
 // Priorities do not reach across dispatches: once a batch is dispatched its
 // device time is reserved, exactly as hardware cannot abort an in-flight
 // program.
@@ -36,7 +29,6 @@ package iosched
 import (
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"noftl/internal/flash"
@@ -151,43 +143,26 @@ type Device interface {
 	Copyback(now sim.Time, src, dst flash.Addr) (flash.PageMeta, sim.Time, error)
 }
 
-// Ticket identifies an asynchronously enqueued request.
-type Ticket uint64
-
-// queued is a pending async request.
-type queued struct {
-	req    Request
-	ticket Ticket
-	seq    uint64 // enqueue order, to keep per-die FIFO within a priority
-}
-
-// Scheduler is the asynchronous I/O scheduler.  It is safe for concurrent
-// use.  Submit dispatches lock-free: the device model's virtual-time
-// resources (per-die, per-channel) do all contention accounting with their
-// own locks, and the scheduler's own counters are atomics, so concurrent
-// submitters from independent workers never serialize on the scheduler —
-// only on the dies they actually share.  The mutex protects just the
-// asynchronous ticket path (Enqueue/Flush/Wait).
+// Scheduler is the I/O scheduler.  It is safe for concurrent use and takes
+// no lock of its own: the device model's virtual-time resources (per-die,
+// per-channel) do all contention accounting with their own locks, and the
+// scheduler's counters are atomics, so concurrent submitters from independent
+// workers never serialize on the scheduler — only on the dies they actually
+// share.
 type Scheduler struct {
-	mu         sync.Mutex // guards pending/results/ticket state only
-	dev        Device
-	geo        flash.Geometry
-	pending    []queued
-	nextTicket Ticket
-	nextSeq    uint64
-	results    map[Ticket]Completion
-	busyUntil  []atomic.Int64 // per-die completion horizon (sim.Time ns), CAS-max
+	dev       Device
+	geo       flash.Geometry
+	busyUntil []atomic.Int64 // per-die completion horizon (sim.Time ns), CAS-max
 
 	// Counters.  The registry children (bind) are resolved once per
 	// (priority, die), so the dispatch loop never touches the registry's
-	// maps; Stats is computed from them.  The high-water marks have no
-	// family and stay plain gauges.
+	// maps; Stats is computed from them.  The batch high-water mark has no
+	// family and stays a plain gauge.
 	reqs     [numPriorities][]*metrics.Counter // [prio][die]
 	lat      [numPriorities]*metrics.Histogram
 	batches  *metrics.Counter
 	gcSteps  *metrics.Counter
 	gcStalls *metrics.Counter
-	maxQueue metrics.Gauge
 	maxBatch metrics.Gauge
 
 	tracer *obs.Tracer // nil when tracing is off: one nil compare per command
@@ -198,7 +173,6 @@ func New(dev Device) *Scheduler {
 	s := &Scheduler{
 		dev:       dev,
 		geo:       dev.Geometry(),
-		results:   make(map[Ticket]Completion),
 		busyUntil: make([]atomic.Int64, dev.Geometry().Dies()),
 	}
 	s.bind(metrics.NewRegistry())
@@ -233,8 +207,6 @@ func (s *Scheduler) bind(reg *metrics.Registry) {
 // before serving traffic: counts taken before the call stay behind on the
 // scheduler's private registry.
 func (s *Scheduler) AttachObs(tr *obs.Tracer, reg *metrics.Registry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.tracer = tr
 	s.bind(reg)
 }
@@ -243,16 +215,14 @@ func (s *Scheduler) AttachObs(tr *obs.Tracer, reg *metrics.Registry) {
 // children (the per-priority totals are sums over the dies).  The facade
 // converts it to noftl.SchedulerStats, which documents the fields.
 type Stats struct {
-	Batches       int64 // dispatches (one Submit/Flush, one or more requests)
-	Requests      int64 // flash commands dispatched
-	MaxBatch      int64
-	MaxQueueDepth int64
-	HostReads     int64 // requests per priority class
-	HostWrites    int64
-	GC            int64
-	GCSteps       int64
-	GCStalls      int64
-	QueueDepth    int64 // enqueued, not yet dispatched, at snapshot time
+	Batches    int64 // dispatches (one Submit, one or more requests)
+	Requests   int64 // flash commands dispatched
+	MaxBatch   int64
+	HostReads  int64 // requests per priority class
+	HostWrites int64
+	GC         int64
+	GCSteps    int64
+	GCStalls   int64
 	// Latency of the successful commands of each priority class.
 	HostReadLatency  metrics.Snapshot
 	HostWriteLatency metrics.Snapshot
@@ -271,13 +241,11 @@ func (s *Scheduler) Stats() Stats {
 		Batches:          s.batches.Value(),
 		Requests:         byPrio[PrioHostRead] + byPrio[PrioHostWrite] + byPrio[PrioGC],
 		MaxBatch:         s.maxBatch.Value(),
-		MaxQueueDepth:    s.maxQueue.Value(),
 		HostReads:        byPrio[PrioHostRead],
 		HostWrites:       byPrio[PrioHostWrite],
 		GC:               byPrio[PrioGC],
 		GCSteps:          s.gcSteps.Value(),
 		GCStalls:         s.gcStalls.Value(),
-		QueueDepth:       int64(s.QueueDepth()),
 		HostReadLatency:  s.lat[PrioHostRead].Snapshot(),
 		HostWriteLatency: s.lat[PrioHostWrite].Snapshot(),
 		GCLatency:        s.lat[PrioGC].Snapshot(),
@@ -285,7 +253,7 @@ func (s *Scheduler) Stats() Stats {
 }
 
 // ResetCounters zeroes every counter, latency histogram and high-water mark
-// (after warm-up); queued requests and die horizons are untouched.
+// (after warm-up); die horizons are untouched.
 func (s *Scheduler) ResetCounters() {
 	for p := range s.reqs {
 		for _, c := range s.reqs[p] {
@@ -296,7 +264,6 @@ func (s *Scheduler) ResetCounters() {
 	s.batches.Reset()
 	s.gcSteps.Reset()
 	s.gcStalls.Reset()
-	s.maxQueue.Set(0)
 	s.maxBatch.Set(0)
 }
 
@@ -308,23 +275,15 @@ func (s *Scheduler) ResetCounters() {
 // die are served in priority order (FIFO within a class) on the die's
 // single-server queue.
 //
-// Submit never takes the scheduler mutex: concurrent submitters contend only
-// on the per-die/per-channel resources of the device model (and then only
-// when they target the same die), which is what lets N workers drive the
-// device in parallel.  Ordering guarantees hold within one batch; across
-// concurrent batches the dies' FCFS queues arbitrate, exactly as the
-// hardware would.
+// Submit takes no scheduler-wide lock: concurrent submitters contend only on
+// the per-die/per-channel resources of the device model (and then only when
+// they target the same die), which is what lets N workers drive the device
+// in parallel.  Ordering guarantees hold within one batch; across concurrent
+// batches the dies' FCFS queues arbitrate, exactly as the hardware would.
 func (s *Scheduler) Submit(now sim.Time, reqs []Request) ([]Completion, sim.Time) {
 	if len(reqs) == 0 {
 		return nil, now
 	}
-	return s.dispatch(now, reqs)
-}
-
-// dispatch issues the batch against the device.  It takes no scheduler-wide
-// lock (see Submit); every structure it touches is an atomic or has its own
-// finer-grained lock.
-func (s *Scheduler) dispatch(now sim.Time, reqs []Request) ([]Completion, sim.Time) {
 	// Dispatch order: priority class first, then per-die FIFO.  The index
 	// sort is stable so that same-priority requests to one die keep their
 	// submission order (required by the NAND sequential-programming
@@ -407,76 +366,6 @@ func (s *Scheduler) dispatch(now sim.Time, reqs []Request) ([]Completion, sim.Ti
 	return completions, end
 }
 
-// Enqueue adds a request to the pending queue without dispatching it and
-// returns a ticket to collect its completion with Wait.  Pending requests are
-// dispatched by the next Flush or Wait call; dies not targeted by pending
-// requests are unaffected.
-func (s *Scheduler) Enqueue(req Request) Ticket {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := s.nextTicket
-	s.nextTicket++
-	s.pending = append(s.pending, queued{req: req, ticket: t, seq: s.nextSeq})
-	s.nextSeq++
-	s.maxQueue.SetMax(int64(len(s.pending)))
-	return t
-}
-
-// QueueDepth returns the number of pending (enqueued, not yet dispatched)
-// requests.
-func (s *Scheduler) QueueDepth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pending)
-}
-
-// Flush dispatches every pending request at the given virtual time and
-// returns the batch makespan (now when nothing was pending).  Completions are
-// retained until collected by Wait.
-func (s *Scheduler) Flush(now sim.Time) sim.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flushLocked(now)
-}
-
-// flushLocked dispatches the pending queue.  Caller holds s.mu.
-func (s *Scheduler) flushLocked(now sim.Time) sim.Time {
-	if len(s.pending) == 0 {
-		return now
-	}
-	reqs := make([]Request, len(s.pending))
-	tickets := make([]Ticket, len(s.pending))
-	for i, q := range s.pending {
-		reqs[i] = q.req
-		tickets[i] = q.ticket
-	}
-	s.pending = s.pending[:0]
-	completions, end := s.dispatch(now, reqs)
-	for i, c := range completions {
-		s.results[tickets[i]] = c
-	}
-	return end
-}
-
-// Wait returns the completion of the given ticket, dispatching the pending
-// queue first if the ticket has not been served yet.  Each ticket may be
-// waited on exactly once.  ok is false for an unknown (or already collected)
-// ticket.
-func (s *Scheduler) Wait(now sim.Time, t Ticket) (Completion, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.results[t]
-	if !ok {
-		s.flushLocked(now)
-		c, ok = s.results[t]
-		if !ok {
-			return Completion{}, false
-		}
-	}
-	delete(s.results, t)
-	return c, true
-}
-
 // DieIdleAt returns the virtual time at which the die becomes idle: the
 // completion horizon of all work dispatched to it so far.  Background garbage
 // collection submits its steps at max(now, DieIdleAt(die)) so that relocation
@@ -497,33 +386,9 @@ func (s *Scheduler) ObserveGCStep() { s.gcSteps.Inc() }
 // hit the low watermark and had to wait for GC inline.
 func (s *Scheduler) ObserveGCStall() { s.gcStalls.Inc() }
 
-// ---- single-request conveniences ----
-//
-// These keep the space manager's one-page paths on the scheduler (so every
-// flash command is accounted in the scheduler's metrics) without forcing
-// callers to build batches.
-
-// Read performs one page read at the given priority.
-func (s *Scheduler) Read(now sim.Time, addr flash.Addr, buf []byte, prio Priority) ([]byte, flash.PageMeta, sim.Time, error) {
-	cs, _ := s.Submit(now, []Request{{Op: OpReadPage, Addr: addr, Buf: buf, Priority: prio}})
-	c := cs[0]
-	return c.Data, c.Meta, c.Done, c.Err
-}
-
-// Program performs one page program at the given priority.
-func (s *Scheduler) Program(now sim.Time, addr flash.Addr, data []byte, meta flash.PageMeta, prio Priority) (sim.Time, error) {
-	cs, _ := s.Submit(now, []Request{{Op: OpProgram, Addr: addr, Data: data, Meta: meta, Priority: prio}})
-	return cs[0].Done, cs[0].Err
-}
-
-// Erase performs one block erase at the given priority.
+// Erase performs one block erase at the given priority: a batch of one for
+// the caller whose command has nothing to be batched with.
 func (s *Scheduler) Erase(now sim.Time, b flash.BlockAddr, prio Priority) (sim.Time, error) {
 	cs, _ := s.Submit(now, []Request{{Op: OpErase, Block: b, Priority: prio}})
 	return cs[0].Done, cs[0].Err
-}
-
-// Copyback performs one on-die page copy at GC priority.
-func (s *Scheduler) Copyback(now sim.Time, src, dst flash.Addr) (flash.PageMeta, sim.Time, error) {
-	cs, _ := s.Submit(now, []Request{{Op: OpCopyback, Addr: src, Dst: dst, Priority: PrioGC}})
-	return cs[0].Meta, cs[0].Done, cs[0].Err
 }

@@ -166,43 +166,6 @@ func TestProgramOrderPreservedWithinBatch(t *testing.T) {
 	}
 }
 
-func TestEnqueueWait(t *testing.T) {
-	dev := testDevice(t)
-	program(t, dev, 0, 1)
-	program(t, dev, 1, 1)
-	resetTime(dev)
-	s := New(dev)
-
-	t1 := s.Enqueue(Request{Op: OpReadPage, Addr: flash.Addr{Die: 0, Block: 0, Page: 0}, Priority: PrioHostRead, Tag: 100})
-	t2 := s.Enqueue(Request{Op: OpReadPage, Addr: flash.Addr{Die: 1, Block: 0, Page: 0}, Priority: PrioHostRead, Tag: 200})
-	if got := s.QueueDepth(); got != 2 {
-		t.Fatalf("queue depth %d, want 2", got)
-	}
-
-	c1, ok := s.Wait(0, t1)
-	if !ok || c1.Err != nil {
-		t.Fatalf("wait t1: ok=%v err=%v", ok, c1.Err)
-	}
-	if c1.Tag != 100 {
-		t.Errorf("t1 tag %d, want 100", c1.Tag)
-	}
-	if got := s.QueueDepth(); got != 0 {
-		t.Fatalf("queue depth %d after flush, want 0", got)
-	}
-	// t2 was dispatched by the same flush; both reads overlapped.
-	c2, ok := s.Wait(0, t2)
-	if !ok || c2.Err != nil {
-		t.Fatalf("wait t2: ok=%v err=%v", ok, c2.Err)
-	}
-	if c2.Done != c1.Done {
-		t.Errorf("cross-die async reads done at %v and %v, want equal (overlap)", c1.Done, c2.Done)
-	}
-	// A ticket can be collected only once.
-	if _, ok := s.Wait(0, t2); ok {
-		t.Error("second Wait on the same ticket succeeded")
-	}
-}
-
 func TestSchedulerMetrics(t *testing.T) {
 	dev := testDevice(t)
 	program(t, dev, 0, 1)
@@ -321,11 +284,10 @@ func TestGCStepMetrics(t *testing.T) {
 	}
 }
 
-// TestConcurrentSubmitters drives Submit from many goroutines at once (mixed
-// with the async Enqueue/Wait ticket path) and checks the accounting:
-// request/batch counters are exact, per-die busy horizons cover all work, and
-// every ticket is served.  Run with -race this exercises the lock-free
-// dispatch path against the mutex-guarded ticket path.
+// TestConcurrentSubmitters drives Submit from many goroutines at once and
+// checks the accounting: request/batch counters are exact and per-die busy
+// horizons cover all work.  Run with -race this exercises the lock-free
+// dispatch path.
 func TestConcurrentSubmitters(t *testing.T) {
 	dev := testDevice(t)
 	geo := dev.Geometry()
@@ -368,21 +330,6 @@ func TestConcurrentSubmitters(t *testing.T) {
 					}
 				}
 				now = end
-				// Interleave the async ticket path.
-				if b%8 == 0 {
-					tk := s.Enqueue(Request{
-						Op:       OpReadMeta,
-						Addr:     flash.Addr{Die: id % geo.Dies(), Block: 0, Page: 0},
-						Priority: PrioGC,
-					})
-					if c, ok := s.Wait(now, tk); !ok {
-						errCh <- fmt.Errorf("ticket %d lost", tk)
-						return
-					} else if c.Err != nil {
-						errCh <- c.Err
-						return
-					}
-				}
 			}
 		}(w)
 	}
@@ -391,17 +338,11 @@ func TestConcurrentSubmitters(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	const asyncBatches = workers * (batchesPerWorker/8 + (batchesPerWorker%8+7)/8) // ceil not needed; computed below
-	_ = asyncBatches
-	wantReqs := int64(workers*batchesPerWorker*reqsPerBatch) + int64(workers*5) // 5 async per worker (b=0,8,16,24,32)
-	if got := s.Stats().Requests; got != wantReqs {
-		t.Fatalf("requests = %d, want %d", got, wantReqs)
+	if got, want := s.Stats().Requests, int64(workers*batchesPerWorker*reqsPerBatch); got != want {
+		t.Fatalf("requests = %d, want %d", got, want)
 	}
-	if got := s.Stats().Batches; got != int64(workers*batchesPerWorker+workers*5) {
-		t.Fatalf("batches = %d, want %d", got, workers*batchesPerWorker+workers*5)
-	}
-	if s.QueueDepth() != 0 {
-		t.Fatalf("pending requests leaked: %d", s.QueueDepth())
+	if got, want := s.Stats().Batches, int64(workers*batchesPerWorker); got != want {
+		t.Fatalf("batches = %d, want %d", got, want)
 	}
 	// Every die saw work, so every busy horizon must have advanced.
 	for d := 0; d < geo.Dies(); d++ {

@@ -134,11 +134,10 @@ func (t *terminal) getCustomerByID(tx *noftl.Tx, w, d, c int) (Customer, noftl.R
 // those sharing the last name.
 func (t *terminal) getCustomerByName(tx *noftl.Tx, w, d int, last string) (Customer, noftl.RID, error) {
 	var rids []noftl.RID
-	err := t.sch.CNameIdx.ScanPrefix(tx, customerNamePrefix(w, d, last), func(_ []byte, rid noftl.RID) bool {
+	for _, rid := range t.sch.CNameIdx.Prefix(tx, customerNamePrefix(w, d, last)) {
 		rids = append(rids, rid)
-		return true
-	})
-	if err != nil {
+	}
+	if err := tx.Err(); err != nil {
 		return Customer{}, noftl.RID{}, err
 	}
 	if len(rids) == 0 {
@@ -376,12 +375,11 @@ func (t *terminal) orderStatus(tx *noftl.Tx) error {
 	// Most recent order of the customer.
 	var lastOrderRID noftl.RID
 	found := false
-	err = t.sch.OCustIdx.ScanPrefix(tx, orderCustPrefix(w, d, int(cust.CID)), func(_ []byte, rid noftl.RID) bool {
+	for _, rid := range t.sch.OCustIdx.Prefix(tx, orderCustPrefix(w, d, int(cust.CID))) {
 		lastOrderRID = rid
 		found = true
-		return true
-	})
-	if err != nil {
+	}
+	if err := tx.Err(); err != nil {
 		return err
 	}
 	if !found {
@@ -396,12 +394,12 @@ func (t *terminal) orderStatus(tx *noftl.Tx) error {
 		return err
 	}
 	// Read its order lines.
-	return t.sch.OLIdx.ScanPrefix(tx, orderLinePrefix(w, d, int(ord.OID)), func(_ []byte, rid noftl.RID) bool {
+	for _, rid := range t.sch.OLIdx.Prefix(tx, orderLinePrefix(w, d, int(ord.OID))) {
 		if _, err := t.sch.OrderLine.Get(tx, rid); err != nil {
-			return false
+			return err
 		}
-		return true
-	})
+	}
+	return tx.Err()
 }
 
 // delivery implements the Delivery transaction (clause 2.7), processing all
@@ -419,13 +417,13 @@ func (t *terminal) delivery(tx *noftl.Tx) error {
 		var noKey []byte
 		var noRID noftl.RID
 		found := false
-		err := t.sch.NOIdx.ScanPrefix(tx, newOrderPrefix(w, d), func(k []byte, rid noftl.RID) bool {
+		for k, rid := range t.sch.NOIdx.Prefix(tx, newOrderPrefix(w, d)) {
 			noKey = append([]byte(nil), k...)
 			noRID = rid
 			found = true
-			return false // only the first (oldest)
-		})
-		if err != nil {
+			break // only the first (oldest)
+		}
+		if err := tx.Err(); err != nil {
 			return err
 		}
 		if !found {
@@ -466,11 +464,10 @@ func (t *terminal) delivery(tx *noftl.Tx) error {
 		// Update every order line's delivery date and sum the amounts.
 		var total int64
 		var olRIDs []noftl.RID
-		err = t.sch.OLIdx.ScanPrefix(tx, orderLinePrefix(w, d, oID), func(_ []byte, rid noftl.RID) bool {
+		for _, rid := range t.sch.OLIdx.Prefix(tx, orderLinePrefix(w, d, oID)) {
 			olRIDs = append(olRIDs, rid)
-			return true
-		})
-		if err != nil {
+		}
+		if err := tx.Err(); err != nil {
 			return err
 		}
 		for _, rid := range olRIDs {
@@ -522,20 +519,18 @@ func (t *terminal) stockLevel(tx *noftl.Tx) error {
 	}
 	// Collect the distinct items of the last 20 orders.
 	items := map[uint32]bool{}
-	err = t.sch.OLIdx.Scan(tx, orderLineKey(w, d, lowO, 0), orderLineKey(w, d, nextO, 0),
-		func(_ []byte, rid noftl.RID) bool {
-			row, err := t.sch.OrderLine.Get(tx, rid)
-			if err != nil {
-				return false
-			}
-			ol, err := DecodeOrderLine(row)
-			if err != nil {
-				return false
-			}
-			items[ol.ItemID] = true
-			return true
-		})
-	if err != nil {
+	for _, rid := range t.sch.OLIdx.Range(tx, orderLineKey(w, d, lowO, 0), orderLineKey(w, d, nextO, 0)) {
+		row, err := t.sch.OrderLine.Get(tx, rid)
+		if err != nil {
+			return err
+		}
+		ol, err := DecodeOrderLine(row)
+		if err != nil {
+			return err
+		}
+		items[ol.ItemID] = true
+	}
+	if err := tx.Err(); err != nil {
 		return err
 	}
 	// Count items whose stock is below the threshold.

@@ -70,10 +70,10 @@ func TestDBSequentialScanReadAhead(t *testing.T) {
 
 	tx := db.Begin()
 	count := 0
-	if err := tbl.Scan(tx, func(_ noftl.RID, _ []byte) bool {
+	for range tbl.Rows(tx) {
 		count++
-		return true
-	}); err != nil {
+	}
+	if err := tx.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tx.Commit(); err != nil {
@@ -99,46 +99,5 @@ func TestDBSequentialScanReadAhead(t *testing.T) {
 	}
 	if st.Scheduler.Batches == 0 {
 		t.Error("scheduler dispatched no batches")
-	}
-}
-
-// TestDBGroupWriteBackFasterThanSerial checkpoints the same workload with
-// and without group write-back and verifies the batched flush completes in
-// less virtual time.
-func TestDBGroupWriteBackFasterThanSerial(t *testing.T) {
-	flushTime := func(disable bool) (noftl.Stats, int64) {
-		cfg := integrationConfig()
-		cfg.BufferPoolPages = 512 // hold the whole working set: no evictions
-		cfg.DisableGroupWriteBack = disable
-		db, err := noftl.OpenConfig(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close()
-		loadRows(t, db, 700)
-		start := db.SimulatedTime()
-		done, err := db.FlushAll(start)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return db.Stats(), int64(done.Sub(start))
-	}
-
-	serialStats, serialDur := flushTime(true)
-	groupStats, groupDur := flushTime(false)
-
-	if serialStats.Buffer.Writebacks != groupStats.Buffer.Writebacks {
-		t.Fatalf("workloads diverged: %d vs %d writebacks",
-			serialStats.Buffer.Writebacks, groupStats.Buffer.Writebacks)
-	}
-	if groupStats.Buffer.GroupFlushes == 0 {
-		t.Error("group write-back did not run")
-	}
-	if serialStats.Buffer.GroupFlushes != 0 {
-		t.Error("serial configuration used group write-back")
-	}
-	if groupDur >= serialDur/2 {
-		t.Errorf("group flush took %dns vs serial %dns: expected at least 2x faster (die striping)",
-			groupDur, serialDur)
 	}
 }

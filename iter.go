@@ -2,6 +2,9 @@ package noftl
 
 import (
 	"iter"
+
+	"noftl/internal/sim"
+	"noftl/internal/storage"
 )
 
 // Rows returns an iterator over every live row of the table, in page order:
@@ -15,12 +18,8 @@ import (
 // refuses to commit while such an error is pending.
 func (t *Table) Rows(tx *Tx) iter.Seq2[RID, []byte] {
 	return func(yield func(RID, []byte) bool) {
-		err := t.Scan(tx, func(rid RID, row []byte) bool {
-			return yield(rid, row)
-		})
-		if err != nil && tx.iterErr == nil {
-			tx.iterErr = err
-		}
+		tx.chargeOp()
+		tx.endScan(t.heap.Scan(tx.Now(), yield))
 	}
 }
 
@@ -35,24 +34,42 @@ func (t *Table) Rows(tx *Tx) iter.Seq2[RID, []byte] {
 // iteration early and is recorded on the transaction (Tx.Err).
 func (i *Index) Range(tx *Tx, lo, hi []byte) iter.Seq2[[]byte, RID] {
 	return func(yield func([]byte, RID) bool) {
-		err := i.Scan(tx, lo, hi, func(key []byte, rid RID) bool {
-			return yield(key, rid)
-		})
-		if err != nil && tx.iterErr == nil {
-			tx.iterErr = err
-		}
+		tx.chargeOp()
+		tx.endScan(i.tree.Scan(tx.Now(), lo, hi, tx.ridEntries(yield)))
 	}
 }
 
 // Prefix returns an iterator over every index entry whose key begins with
-// prefix (the iterator form of ScanPrefix).
+// prefix; it behaves like Range otherwise.
 func (i *Index) Prefix(tx *Tx, prefix []byte) iter.Seq2[[]byte, RID] {
 	return func(yield func([]byte, RID) bool) {
-		err := i.ScanPrefix(tx, prefix, func(key []byte, rid RID) bool {
-			return yield(key, rid)
-		})
-		if err != nil && tx.iterErr == nil {
+		tx.chargeOp()
+		tx.endScan(i.tree.ScanPrefix(tx.Now(), prefix, tx.ridEntries(yield)))
+	}
+}
+
+// ridEntries adapts an iterator body to the tree's raw (key, value)
+// callback.  A value that does not decode as a RID ends the scan and is
+// recorded on the transaction.
+func (tx *Tx) ridEntries(yield func([]byte, RID) bool) func(k, v []byte) bool {
+	return func(k, v []byte) bool {
+		rid, err := storage.DecodeRID(v)
+		if err != nil {
+			tx.endScan(0, err)
+			return false
+		}
+		return yield(k, rid)
+	}
+}
+
+// endScan advances the transaction to the completion time of a finished
+// scan, or records the scan's failure for Tx.Err (the first error wins).
+func (tx *Tx) endScan(done sim.Time, err error) {
+	if err != nil {
+		if tx.iterErr == nil {
 			tx.iterErr = err
 		}
+		return
 	}
+	tx.inner.AdvanceTo(done)
 }

@@ -31,9 +31,6 @@ func (db *DB) scrapeGauges() {
 	reg.Gauge("noftl_simulated_time_nanoseconds",
 		"Highest simulated (virtual) time observed so far.").With().Set(int64(db.clock.Now()))
 
-	reg.Gauge("noftl_sched_queue_depth",
-		"Flash commands currently enqueued for asynchronous submission.").With().Set(int64(db.space.Scheduler().QueueDepth()))
-
 	dieFree := reg.Gauge("noftl_die_free_blocks",
 		"Free blocks currently available on each die.", "die")
 	for die, free := range db.space.DieFreeBlocks() {

@@ -147,13 +147,10 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	hr.Body.Close()
 
-	// Stats surfaces the tracer and queue-depth state.
+	// Stats surfaces the tracer state.
 	st := db.Stats()
 	if st.Trace.Recorded == 0 {
 		t.Fatal("Stats().Trace.Recorded = 0 with tracing on")
-	}
-	if st.Scheduler.QueueDepth < 0 {
-		t.Fatal("negative queue depth")
 	}
 
 	// --- trace plane ---
@@ -313,7 +310,6 @@ func checkStatsEqualMetrics(t *testing.T, db *DB, stage string) Stats {
 	eq(sc.GC, "noftl_iosched_requests_total", "priority", "gc")
 	eq(sc.GCSteps, "noftl_iosched_gc_steps_total")
 	eq(sc.GCStalls, "noftl_iosched_gc_stalls_total")
-	eq(sc.QueueDepth, "noftl_sched_queue_depth")
 	eq(sc.HostReadLatency.Count, "noftl_iosched_request_latency_seconds_count", "priority", "host_read")
 	eq(sc.HostWriteLatency.Count, "noftl_iosched_request_latency_seconds_count", "priority", "host_write")
 	eq(sc.GCLatency.Count, "noftl_iosched_request_latency_seconds_count", "priority", "gc")
@@ -446,5 +442,99 @@ func TestStatsEqualsMetrics(t *testing.T) {
 	st = checkStatsEqualMetrics(t, db, "after post-reset work")
 	if st.Space.HostWrites == 0 || st.TxnCommitted == 0 {
 		t.Fatalf("post-reset work left no trace in the counters: %+v", st)
+	}
+}
+
+// batchIOWorkload bulk-loads rows full pages at a time (WriteThrough), takes
+// a checkpoint (group write-back) and reads everything back through a pool
+// too small to hold it (FetchMany): all of its host I/O is batched.
+func batchIOWorkload(t *testing.T, db *DB, rows int) {
+	t.Helper()
+	if err := db.Exec(`CREATE TABLE B (v VARCHAR(900))`); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := db.Table("B")
+	var rids []RID
+	err := db.Update(func(tx *Tx) error {
+		var err error
+		rids, err = tbl.InsertBatch(tx, repeatRows(bytes.Repeat([]byte{'b'}, 900), rows))
+		return err
+	})
+	if err != nil {
+		t.Fatalf("InsertBatch: %v", err)
+	}
+	if _, err := db.Checkpoint(db.SimulatedTime()); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	err = db.View(func(tx *Tx) error {
+		const chunk = 50 // pages of one GetBatch must fit the pool together
+		for i := 0; i < len(rids); i += chunk {
+			got, err := tbl.GetBatch(tx, rids[i:min(i+chunk, len(rids))])
+			if err != nil {
+				return err
+			}
+			if len(got) != min(chunk, len(rids)-i) {
+				return fmt.Errorf("GetBatch returned %d rows", len(got))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("GetBatch: %v", err)
+	}
+}
+
+// TestBatchedHostIOIsTraced: every host page read and write is one trace
+// event whichever entry carried it, so the batched paths (InsertBatch,
+// checkpoint flush, GetBatch) are as visible to the trace as single pages.
+func TestBatchedHostIOIsTraced(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BufferPoolPages = 32
+	db, err := OpenConfig(cfg, WithTraceBuffer(1<<16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	batchIOWorkload(t, db, 1000)
+
+	events := map[obs.Class]int64{}
+	for _, e := range db.tracer.Events() {
+		events[e.Class]++
+		if (e.Class == obs.ClassHostRead || e.Class == obs.ClassHostWrite) && (e.Die < 0 || e.End <= e.Start || e.A == 0) {
+			t.Fatalf("host I/O event without die, duration or LPN: %+v", e)
+		}
+	}
+	st := db.Stats()
+	if st.Trace.Dropped != 0 {
+		t.Fatalf("trace ring wrapped (%d dropped): the counts below would be short", st.Trace.Dropped)
+	}
+	if st.Buffer.GroupFlushes < 2 || st.Space.HostWrites < 200 || st.Space.HostReads < 200 {
+		t.Fatalf("workload was not batched I/O: %+v %+v", st.Buffer, st.Space)
+	}
+	if events[obs.ClassHostWrite] != st.Space.HostWrites {
+		t.Errorf("%d host-write events for %d host writes", events[obs.ClassHostWrite], st.Space.HostWrites)
+	}
+	if events[obs.ClassHostRead] != st.Space.HostReads {
+		t.Errorf("%d host-read events for %d host reads", events[obs.ClassHostRead], st.Space.HostReads)
+	}
+}
+
+// TestBatchedWritesSurviveProgramFaults: an injected transient program fault
+// is retried inside the batch, so a bulk insert and a checkpoint flush
+// succeed under it exactly as single-page writes do.
+func TestBatchedWritesSurviveProgramFaults(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BufferPoolPages = 32
+	db, err := OpenConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.Admin().ArmFaults(FaultPlan{FailProgramEvery: 13})
+	batchIOWorkload(t, db, 1000)
+	st := db.Stats()
+	if st.Scheduler.HostWrites <= st.Space.HostWrites {
+		t.Fatalf("no program fault fired: %d host-write requests for %d host writes",
+			st.Scheduler.HostWrites, st.Space.HostWrites)
 	}
 }

@@ -121,12 +121,6 @@ func WithReadAhead(pages int) Option {
 	return func(c *Config) { c.ReadAheadPages = pages }
 }
 
-// WithGroupWriteBack enables or disables batched (die-striped) write-back of
-// dirty pages.  It is on by default.
-func WithGroupWriteBack(enabled bool) Option {
-	return func(c *Config) { c.DisableGroupWriteBack = !enabled }
-}
-
 // WithTrace enables event tracing and dumps the recorded events to w as
 // JSONL when the database is closed (the stream the noftl-trace CLI
 // consumes).  Tracing is off by default; see Config.TraceWriter.

@@ -185,11 +185,10 @@ func TestCorruptedTailTruncatedOnReopen(t *testing.T) {
 	got := map[string]bool{}
 	tx := rec.Begin()
 	defer tx.Abort()
-	err = rtbl.Scan(tx, func(_ RID, row []byte) bool {
+	for _, row := range rtbl.Rows(tx) {
 		got[string(row)] = true
-		return true
-	})
-	if err != nil {
+	}
+	if err := tx.Err(); err != nil {
 		t.Fatal(err)
 	}
 	for _, row := range stable {

@@ -28,7 +28,7 @@ type Stats struct {
 	Txn TxnStats
 	// Buffer pool
 	Buffer buffer.Stats
-	// Scheduler covers the asynchronous I/O scheduler between the space
+	// Scheduler covers the I/O scheduler between the space
 	// manager and the device.
 	Scheduler SchedulerStats
 	// NoFTL space manager (per region + totals)
@@ -52,15 +52,13 @@ type ObjectCounters = metrics.ObjectCounters
 
 // SchedulerStats is a snapshot of the I/O scheduler's counters.
 type SchedulerStats struct {
-	// Batches counts scheduler submissions (one Submit/Flush dispatch,
-	// covering one or more requests).
+	// Batches counts scheduler submissions (one Submit dispatch, covering
+	// one or more requests).
 	Batches int64
 	// Requests counts individual flash commands dispatched.
 	Requests int64
 	// MaxBatch is the largest batch dispatched so far.
 	MaxBatch int64
-	// MaxQueueDepth is the deepest the async queue has been.
-	MaxQueueDepth int64
 	// HostReads, HostWrites and GC count requests per priority class.
 	HostReads  int64
 	HostWrites int64
@@ -69,9 +67,6 @@ type SchedulerStats struct {
 	// (blocking) collections.
 	GCSteps  int64
 	GCStalls int64
-	// QueueDepth is the number of flash commands enqueued for asynchronous
-	// submission at snapshot time (MaxQueueDepth is the high-water mark).
-	QueueDepth int64
 	// HostReadLatency, HostWriteLatency and GCLatency summarise the
 	// virtual-time latency of the successful commands of each class.
 	HostReadLatency  metrics.Snapshot

@@ -164,21 +164,6 @@ func (t *Table) Delete(tx *Tx, rid RID) error {
 	return nil
 }
 
-// Scan iterates over all rows; fn returning false stops the scan.
-//
-// Deprecated: use Rows, which returns a standard iterator:
-//
-//	for rid, row := range tbl.Rows(tx) { ... }
-func (t *Table) Scan(tx *Tx, fn func(rid RID, row []byte) bool) error {
-	tx.chargeOp()
-	done, err := t.heap.Scan(tx.Now(), fn)
-	if err != nil {
-		return err
-	}
-	tx.inner.AdvanceTo(done)
-	return nil
-}
-
 // Index is a handle to a B+-tree index.
 type Index struct {
 	db   *DB
@@ -237,45 +222,6 @@ func (i *Index) Delete(tx *Tx, key []byte) error {
 	}
 	tx.inner.AdvanceTo(done)
 	tx.inner.Log(wal.RecIndexDelete, i.meta.ObjectID, key)
-	return nil
-}
-
-// Scan iterates over entries with startKey <= key < endKey (nil endKey means
-// to the end); fn returning false stops the scan.
-//
-// Deprecated: use Range, which returns a standard iterator:
-//
-//	for key, rid := range idx.Range(tx, lo, hi) { ... }
-func (i *Index) Scan(tx *Tx, startKey, endKey []byte, fn func(key []byte, rid RID) bool) error {
-	tx.chargeOp()
-	done, err := i.tree.Scan(tx.Now(), startKey, endKey, func(k, v []byte) bool {
-		rid, err := storage.DecodeRID(v)
-		if err != nil {
-			return false
-		}
-		return fn(k, rid)
-	})
-	if err != nil {
-		return err
-	}
-	tx.inner.AdvanceTo(done)
-	return nil
-}
-
-// ScanPrefix iterates over every entry whose key begins with prefix.
-func (i *Index) ScanPrefix(tx *Tx, prefix []byte, fn func(key []byte, rid RID) bool) error {
-	tx.chargeOp()
-	done, err := i.tree.ScanPrefix(tx.Now(), prefix, func(k, v []byte) bool {
-		rid, err := storage.DecodeRID(v)
-		if err != nil {
-			return false
-		}
-		return fn(k, rid)
-	})
-	if err != nil {
-		return err
-	}
-	tx.inner.AdvanceTo(done)
 	return nil
 }
 
