@@ -67,7 +67,7 @@ func (a *admin) GrowRegion(name string, n int) error {
 	if err := a.db.space.GrowRegion(name, n); err != nil {
 		return publicErr(err)
 	}
-	// Die assignment is part of the checkpoint snapshot; keep it durable.
+	// Die assignment travels in the checkpoint's region marks; keep it durable.
 	return a.db.checkpointAfterDDL()
 }
 

@@ -4,298 +4,197 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"noftl/internal/catalog"
 	"noftl/internal/core"
 	"noftl/internal/sim"
+	"noftl/internal/storage"
 	"noftl/internal/wal"
 )
 
-// Checkpoints are full logical snapshots: the schema (regions with their die
-// assignments, tablespaces, tables, indexes) plus every live row and index
-// entry.  Recovery rebuilds the database from the last complete snapshot and
-// replays only the log records written after it, so no undo pass and no
-// physical-page redo are needed — the replay runs through the normal
-// heap/btree/buffer path.  The snapshot is JSON (struct field order makes the
-// bytes deterministic) chunked into RecCheckpoint records whose TxnID carries
-// the checkpoint sequence number, so recovery can tell apart the chunks of
-// two checkpoints that coexist in the log.
+// A checkpoint is a rewritten log prefix.  Under the quiesce lock it appends,
+// in one run of ordinary WAL records,
 //
-// The cost is proportional to the live data, which is the trade-off for
-// replacing page-level ARIES machinery in a system whose durable state
-// otherwise lives only in the WAL: checkpoints are opt-in (WithCheckpointEvery)
-// except after DDL, which must snapshot because schema changes are not
-// logged as records.
+//	RecCheckpoint begin   sequence number (TxnID), ckptBegin body
+//	RecCheckpoint schema  one mark per region (with the dies it is pinned
+//	                      to), tablespace, table and index: the catalog entry
+//	RecInsert             every live row          (object id, RID, row image)
+//	RecIndexInsert        every live index entry  (object id, key, RID)
+//	RecCheckpoint end
+//
+// forces the log and truncates it below the begin mark.  Rows and entries go
+// straight from the heap/tree scan into the log through one reused payload
+// buffer, under the reserved transaction id wal.CkptTxnID.  Recovery is one
+// replay loop (replayLog): it starts at the newest begin mark whose end mark
+// is durable, takes everything up to that end mark as committed, and filters
+// what follows by commit record — the same RecInsert case restores a
+// checkpointed row and redoes a logged one.  No undo pass and no physical
+// page redo exist; the replay runs through the normal heap/btree/buffer path.
+//
+// The cost is proportional to the live data, the trade-off for replacing
+// page-level ARIES machinery in a system whose durable state otherwise lives
+// only in the WAL: checkpoints are opt-in (WithCheckpointEvery) except after
+// DDL, which must checkpoint because schema changes are logged nowhere else.
+// The host memory a checkpoint needs beyond the log's own page buffers is
+// constant.
 
-// ckptRow is one live heap row: its RID at snapshot time (recovery builds an
-// old-to-new RID translation from it) and the row image.
-type ckptRow struct {
-	RID []byte
-	Row []byte
+// ckptBegin is the body of a checkpoint's begin mark.
+type ckptBegin struct {
+	NextTxnID uint64        // highest transaction id handed out so far
+	DefaultGC core.GCPolicy // the default region has no catalog entry to carry it
+	// Light marks the reduced-durability form (DisableSnapshotCheckpoints):
+	// the end mark follows at once and the log is cut without capturing the
+	// state below it, so recovery refuses such a log.  It exists for benchmark
+	// runs where checkpoint I/O must not distort the measured workload.
+	Light bool
 }
 
-// ckptEntry is one live index entry: key and the RID bytes it stored.
-type ckptEntry struct {
-	Key []byte
-	RID []byte
+// ckptStream appends the records of one checkpoint.  The first failure
+// sticks in err and turns every later append into a no-op.
+type ckptStream struct {
+	log     *wal.Log
+	seq     uint64
+	buf     []byte // payload buffer reused for every row and index entry
+	lsn     uint64 // LSN of the newest record
+	records int64
+	bytes   int64 // encoded size of the records
+	err     error
 }
 
-type ckptRegion struct {
-	Name         string
-	MaxChips     int
-	MaxChannels  int
-	MaxSizeBytes int64
-	Dies         []int // the dies actually assigned, re-pinned on recovery
-	GC           core.GCPolicy
-}
-
-type ckptTablespace struct {
-	Name        string
-	Region      string
-	ExtentPages int
-}
-
-type ckptTable struct {
-	Meta catalog.Table
-	Rows []ckptRow
-}
-
-type ckptIndex struct {
-	Meta    catalog.Index
-	Entries []ckptEntry
-}
-
-// ckptSnapshot is the full logical state of the database at a quiesced
-// point: no transaction is in flight when it is taken, so it is
-// transaction-consistent by construction.
-type ckptSnapshot struct {
-	Version   int
-	NextTxnID uint64 // highest transaction id handed out so far
-	DefaultGC core.GCPolicy
-	Regions   []ckptRegion
-	Spaces    []ckptTablespace
-	Tables    []ckptTable
-	Indexes   []ckptIndex
-}
-
-// buildSnapshot captures the full logical state.  The caller holds the
-// checkpoint quiesce lock exclusively.
-func (db *DB) buildSnapshot(now sim.Time) (*ckptSnapshot, sim.Time, error) {
-	snap := &ckptSnapshot{Version: 1, NextTxnID: db.txns.NextID()}
-	if gc, ok := db.space.GCPolicyOf(core.DefaultRegionName); ok {
-		snap.DefaultGC = gc
+func (s *ckptStream) append(typ wal.RecordType, txn uint64, obj uint32, payload []byte) bool {
+	if s.err != nil {
+		return false
 	}
+	s.lsn, s.err = s.log.Append(typ, txn, obj, payload)
+	s.records++
+	s.bytes += int64(wal.RecordSize(wal.Record{Payload: payload}))
+	return s.err == nil
+}
 
-	// Regions: catalog entries plus the live die assignment, so recovery
-	// recreates each region on exactly the dies it owned.
+// mark appends a RecCheckpoint of the given kind; body (nil for the end
+// mark) travels as JSON.
+func (s *ckptStream) mark(kind byte, body any) {
+	var data []byte
+	if body != nil && s.err == nil {
+		data, s.err = json.Marshal(body)
+	}
+	s.append(wal.RecCheckpoint, s.seq, 0, wal.EncodeCheckpointMark(kind, data))
+}
+
+// streamState appends the schema and every live row and index entry.  The
+// caller holds the checkpoint quiesce lock exclusively, so no transaction is
+// in flight and the state is transaction-consistent by construction.
+func (db *DB) streamState(s *ckptStream, now sim.Time) (sim.Time, error) {
+	// Regions carry their live die assignment, so recovery recreates each on
+	// exactly the dies it owned.
 	dies := make(map[string][]int)
 	for _, r := range db.space.Stats().Regions {
 		dies[r.Name] = r.Dies
 	}
 	for _, r := range db.cat.Regions() {
-		snap.Regions = append(snap.Regions, ckptRegion{
-			Name:         r.Name,
-			MaxChips:     r.MaxChips,
-			MaxChannels:  r.MaxChannels,
-			MaxSizeBytes: r.MaxSizeBytes,
-			Dies:         dies[r.Name],
-			GC:           r.GC,
-		})
+		gc := r.GC
+		s.mark(wal.CkptRegion, RegionSpec{Name: r.Name, MaxChips: r.MaxChips, MaxChannels: r.MaxChannels,
+			MaxSizeBytes: r.MaxSizeBytes, Dies: dies[r.Name], GC: &gc})
 	}
 	for _, ts := range db.cat.Tablespaces() {
-		if ts.Name == "SYSTEM" {
-			continue // implicit: openOn creates it
+		if ts.Name != "SYSTEM" { // implicit: openWith creates it
+			s.mark(wal.CkptTablespace, ts)
 		}
-		snap.Spaces = append(snap.Spaces, ckptTablespace{
-			Name: ts.Name, Region: ts.Region, ExtentPages: ts.ExtentPages,
-		})
 	}
-
-	db.mu.RLock()
-	tables := make([]*Table, 0, len(db.tables))
-	for _, t := range db.tables {
-		tables = append(tables, t)
-	}
-	indexes := make([]*Index, 0, len(db.indexes))
-	for _, i := range db.indexes {
-		indexes = append(indexes, i)
-	}
-	db.mu.RUnlock()
-
 	for _, meta := range db.cat.Tables() {
-		var t *Table
-		for _, cand := range tables {
-			if cand.name == meta.Name {
-				t = cand
-				break
-			}
+		t, ok := db.Table(meta.Name)
+		if !ok {
+			return now, fmt.Errorf("noftl: checkpoint: table %q has no runtime object", meta.Name)
 		}
-		if t == nil {
-			return nil, now, fmt.Errorf("noftl: checkpoint: table %q has no runtime object", meta.Name)
-		}
-		ct := ckptTable{Meta: meta}
-		done, err := t.heap.Scan(now, func(rid RID, rec []byte) bool {
-			row := make([]byte, len(rec))
-			copy(row, rec)
-			ct.Rows = append(ct.Rows, ckptRow{RID: rid.Encode(), Row: row})
-			return true
+		s.mark(wal.CkptTable, meta)
+		done, err := t.heap.Scan(now, func(rid RID, row []byte) bool {
+			s.buf = wal.AppendRowPayload(s.buf[:0], rid, row)
+			return s.append(wal.RecInsert, wal.CkptTxnID, meta.ObjectID, s.buf)
 		})
 		if err != nil {
-			return nil, now, err
+			return now, err
 		}
 		now = done
-		snap.Tables = append(snap.Tables, ct)
 	}
-
 	for _, meta := range db.cat.Indexes() {
-		var idx *Index
-		for _, cand := range indexes {
-			if cand.meta.Name == meta.Name {
-				idx = cand
-				break
+		idx, ok := db.Index(meta.Name)
+		if !ok {
+			return now, fmt.Errorf("noftl: checkpoint: index %q has no runtime object", meta.Name)
+		}
+		s.mark(wal.CkptIndex, meta)
+		done, err := idx.tree.Scan(now, nil, nil, func(key, val []byte) bool {
+			rid, err := storage.DecodeRID(val)
+			if err != nil {
+				s.err = err
+				return false
 			}
-		}
-		if idx == nil {
-			return nil, now, fmt.Errorf("noftl: checkpoint: index %q has no runtime object", meta.Name)
-		}
-		ci := ckptIndex{Meta: meta}
-		done, err := idx.tree.Scan(now, nil, nil, func(k, v []byte) bool {
-			key := make([]byte, len(k))
-			copy(key, k)
-			val := make([]byte, len(v))
-			copy(val, v)
-			ci.Entries = append(ci.Entries, ckptEntry{Key: key, RID: val})
-			return true
+			s.buf = wal.AppendIndexInsert(s.buf[:0], key, rid)
+			return s.append(wal.RecIndexInsert, wal.CkptTxnID, meta.ObjectID, s.buf)
 		})
 		if err != nil {
-			return nil, now, err
+			return now, err
 		}
 		now = done
-		snap.Indexes = append(snap.Indexes, ci)
 	}
-	return snap, now, nil
+	return now, s.err
 }
 
 // checkpointLocked takes a checkpoint.  The caller holds ckptMu exclusively
 // (no transaction is in flight) and has verified the database is open.
 func (db *DB) checkpointLocked(now sim.Time) (sim.Time, error) {
 	// Flush dirty pages first: not needed for recovery correctness (the
-	// snapshot carries the data), but it keeps the buffer pool's write-back
+	// checkpoint carries the data), but it keeps the buffer pool's write-back
 	// debt bounded at the same cadence as the log.
-	done, err := db.pool.FlushAll(now)
-	if err != nil {
-		return done, err
-	}
-	now = done
-	if db.log == nil {
-		return now, nil
-	}
-	if db.cfg.DisableSnapshotCheckpoints {
-		return db.lightCheckpointLocked(now)
-	}
-
-	snap, now, err := db.buildSnapshot(now)
-	if err != nil {
+	now, err := db.pool.FlushAll(now)
+	if err != nil || db.log == nil {
 		return now, err
-	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return now, err
-	}
-
-	chunkSize := wal.MaxPayload(db.dev.Geometry().PageSize) - 8 // chunk header
-	total := uint32((len(data) + chunkSize - 1) / chunkSize)
-	if total == 0 {
-		total = 1
 	}
 	db.ckptSeq++
-	seq := db.ckptSeq
-	var firstLSN, lastLSN uint64
-	for i := uint32(0); i < total; i++ {
-		lo := int(i) * chunkSize
-		hi := lo + chunkSize
-		if hi > len(data) {
-			hi = len(data)
-		}
-		lsn, err := db.log.Append(wal.RecCheckpoint, seq, 0, wal.EncodeCheckpointChunk(i, total, data[lo:hi]))
-		if err != nil {
+	s := &ckptStream{log: db.log, seq: db.ckptSeq}
+	head := ckptBegin{NextTxnID: db.txns.NextID(), Light: db.cfg.DisableSnapshotCheckpoints}
+	head.DefaultGC, _ = db.space.GCPolicyOf(core.DefaultRegionName)
+	s.mark(wal.CkptBegin, head)
+	beginLSN := s.lsn
+	if !head.Light {
+		if now, err = db.streamState(s, now); err != nil {
 			return now, err
 		}
-		if i == 0 {
-			firstLSN = lsn
-		}
-		lastLSN = lsn
 	}
-	now, err = db.log.Flush(now)
-	if err != nil {
+	s.mark(wal.CkptEnd, nil)
+	if s.err != nil {
+		return now, s.err
+	}
+	if now, err = db.log.Flush(now); err != nil {
 		return now, err
 	}
-	// Everything below the snapshot is now redundant: recovery starts from
-	// the snapshot and replays only what follows it.
-	db.log.Truncate(firstLSN)
+	// Everything below the begin mark is now redundant: recovery starts there.
+	db.log.Truncate(beginLSN)
 
 	// The counters are read by Stats() and maybeCheckpoint concurrently;
 	// db.mu guards them (ckptMu would self-deadlock for a caller that holds
 	// an open transaction while snapshotting stats).
 	db.mu.Lock()
 	db.ckptCount.Inc()
-	db.ckptLastLSN = lastLSN
-	db.ckptChunks.Add(int64(total))
-	db.ckptBytes = int64(len(data))
+	db.ckptLastLSN = s.lsn
+	db.ckptChunks.Add(s.records)
+	db.ckptBytes = s.bytes
 	db.ckptTime = now
 	db.ckptWALMark = db.log.BytesAppended()
 	db.mu.Unlock()
 	return now, nil
 }
 
-// lightCheckpointLocked is the reduced-durability checkpoint
-// (DisableSnapshotCheckpoints): an empty RecCheckpoint marks the cut, the log
-// is truncated below it and no snapshot is taken.  Recovery refuses such a
-// log; the mode exists for benchmark runs where checkpoint I/O must not
-// distort the measured workload.
-func (db *DB) lightCheckpointLocked(now sim.Time) (sim.Time, error) {
-	lsn, err := db.log.Append(wal.RecCheckpoint, 0, 0, nil)
-	if err != nil {
-		return now, err
-	}
-	now, err = db.log.Flush(now)
-	if err != nil {
-		return now, err
-	}
-	db.log.Truncate(db.log.FlushedLSN())
-
-	db.mu.Lock()
-	db.ckptCount.Inc()
-	db.ckptLastLSN = lsn
-	db.ckptChunks.Inc()
-	db.ckptBytes = 0
-	db.ckptTime = now
-	db.ckptWALMark = db.log.BytesAppended()
-	db.mu.Unlock()
-	return now, nil
-}
-
-// maybeCheckpoint runs after a commit released the quiesce lock: if a
-// checkpoint trigger (virtual-time interval or appended WAL bytes, see
-// WithCheckpointEvery) is due, one goroutine takes the checkpoint while
-// concurrent committers skip past.
+// maybeCheckpoint runs after a commit released the quiesce lock: once
+// CheckpointEveryBytes of WAL have been appended since the last checkpoint
+// (see WithCheckpointEvery), one goroutine takes the next while concurrent
+// committers skip past.
 func (db *DB) maybeCheckpoint(now sim.Time) {
-	if db.log == nil || db.recovering {
-		return
-	}
-	if db.cfg.CheckpointEvery <= 0 && db.cfg.CheckpointEveryBytes <= 0 {
+	if db.log == nil || db.recovering || db.cfg.CheckpointEveryBytes <= 0 {
 		return
 	}
 	db.mu.RLock()
-	lastAt, walMark := db.ckptTime, db.ckptWALMark
+	walMark := db.ckptWALMark
 	db.mu.RUnlock()
-	due := false
-	if db.cfg.CheckpointEvery > 0 && now.Sub(lastAt) >= sim.Duration(db.cfg.CheckpointEvery) {
-		due = true
-	}
-	if db.cfg.CheckpointEveryBytes > 0 && db.log.BytesAppended()-walMark >= db.cfg.CheckpointEveryBytes {
-		due = true
-	}
-	if !due || !db.ckptRunning.CompareAndSwap(false, true) {
+	if db.log.BytesAppended()-walMark < db.cfg.CheckpointEveryBytes ||
+		!db.ckptRunning.CompareAndSwap(false, true) {
 		return
 	}
 	defer db.ckptRunning.Store(false)
@@ -308,14 +207,14 @@ func (db *DB) maybeCheckpoint(now sim.Time) {
 }
 
 // checkpointAfterDDL takes a synchronous checkpoint after a schema change.
-// Schema changes are not logged as WAL records, so the snapshot is the only
-// thing that makes them durable; any data written after a DDL therefore
+// Schema changes are not logged on their own, so the checkpoint's schema
+// marks are what makes them durable; any data written after a DDL therefore
 // always has a covering checkpoint to recover from.  Suppressed while
 // recovery itself replays DDL, and when WAL is off.
 func (db *DB) checkpointAfterDDL() error {
 	if db.log == nil || db.recovering || db.cfg.DisableSnapshotCheckpoints {
-		// Light mode never snapshots: schema changes are not recoverable
-		// there anyway, so the DDL checkpoint would only add I/O.
+		// Light checkpoints carry no schema marks: schema changes are not
+		// recoverable there anyway, so the DDL checkpoint would only add I/O.
 		return nil
 	}
 	db.ckptMu.Lock()
@@ -329,12 +228,13 @@ func (db *DB) checkpointAfterDDL() error {
 type CheckpointStats struct {
 	// Count is the number of checkpoints taken.
 	Count int64
-	// Chunks is the total number of RecCheckpoint records appended.
+	// Chunks is the total number of records checkpoints appended (marks,
+	// rows and index entries).
 	Chunks int64
-	// LastLSN is the LSN of the last checkpoint's final chunk; recovery
-	// replays only records after it.
+	// LastLSN is the LSN of the last checkpoint's end mark; recovery filters
+	// the records after it by commit.
 	LastLSN uint64
-	// LastBytes is the snapshot size of the last checkpoint in bytes.
+	// LastBytes is the encoded size of the last checkpoint's records.
 	LastBytes int64
 	// LastAt is the virtual time of the last checkpoint.
 	LastAt sim.Time

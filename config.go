@@ -110,26 +110,22 @@ type Config struct {
 	// default of 65536 events.  Setting it without TraceWriter also enables
 	// tracing; the events are then only reachable through Admin().TraceDump.
 	TraceBufferEvents int
-	// CheckpointEvery, when positive, takes a checkpoint whenever that much
-	// simulated time has passed since the last one (checked after each
-	// commit).  A checkpoint appends a full logical snapshot of the database
-	// to the WAL and truncates the log below it, bounding how much a crash
-	// recovery has to replay.  Zero disables time-triggered checkpoints;
-	// DDL statements always checkpoint (schema changes are only durable
-	// through the snapshot).  See WithCheckpointEvery.
-	CheckpointEvery time.Duration
 	// CheckpointEveryBytes, when positive, takes a checkpoint whenever that
-	// many WAL bytes have been appended since the last one.  Zero disables
-	// byte-triggered checkpoints.
+	// many WAL bytes have been appended since the last one (checked after
+	// each commit).  A checkpoint rewrites the live state at the head of the
+	// log and truncates the log below it, bounding how much a crash recovery
+	// has to replay.  Zero disables automatic checkpoints; DDL statements
+	// always checkpoint (schema changes are only durable through the
+	// checkpoint's schema marks).  See WithCheckpointEvery.
 	CheckpointEveryBytes int64
 	// DisableSnapshotCheckpoints switches checkpoints to the light form:
-	// flush dirty pages and truncate the whole WAL, without appending a
-	// logical snapshot.  Light checkpoints keep the WAL footprint bounded at
+	// flush dirty pages and truncate the whole WAL, without rewriting the
+	// live state into it.  Light checkpoints keep the WAL footprint bounded at
 	// near-zero cost, but give up crash recovery — Reopen refuses a log whose
-	// last checkpoint carries no snapshot.  This is the classic reduced-
+	// last checkpoint is a light one.  This is the classic reduced-
 	// durability benchmark regime; the paper-reproduction experiments run
 	// with it so checkpoint I/O does not distort the measured placement
-	// effects.  The default (false) takes full snapshot checkpoints.
+	// effects.  The default (false) takes full checkpoints.
 	DisableSnapshotCheckpoints bool
 	// FaultPlan arms deterministic fault injection on the flash device:
 	// crash at a virtual time or after an operation count, torn tail-page

@@ -45,16 +45,16 @@ type DB struct {
 
 	// Checkpointing.  ckptMu is the quiesce lock: every transaction holds it
 	// shared from Begin to Commit/Abort, a checkpoint holds it exclusively,
-	// so snapshots see no in-flight transaction.  recovering suppresses
+	// so checkpoints see no in-flight transaction.  recovering suppresses
 	// checkpoint triggers while recovery rebuilds the database through the
 	// normal DDL/heap/btree paths.
 	ckptMu      sync.RWMutex
 	ckptRunning atomic.Bool
-	ckptSeq     uint64           // checkpoint sequence number (RecCheckpoint TxnID)
+	ckptSeq     uint64           // checkpoint sequence number (TxnID of its marks)
 	ckptCount   *metrics.Counter // noftl_wal_checkpoints_total (nil without WAL)
 	ckptChunks  *metrics.Counter // noftl_wal_checkpoint_chunks_total
-	ckptLastLSN uint64           // LSN of the last checkpoint's final chunk
-	ckptBytes   int64            // snapshot size of the last checkpoint
+	ckptLastLSN uint64           // LSN of the last checkpoint's end mark
+	ckptBytes   int64            // encoded size of the last checkpoint's records
 	ckptTime    sim.Time
 	ckptWALMark int64 // BytesAppended at the last checkpoint (rebased by ResetStatistics)
 	recovering  bool
@@ -110,9 +110,9 @@ func openWith(cfg Config, dev *flash.Device, space *core.Manager) (*DB, error) {
 		db.log = wal.New(db.space, defTS.Hint(walObj, flash.FlagLog), dev.Geometry().PageSize)
 		db.log.AttachObs(db.tracer, db.reg)
 		db.ckptCount = db.reg.Counter("noftl_wal_checkpoints_total",
-			"Checkpoints taken (full logical snapshots appended to the WAL).").With()
+			"Checkpoints taken (the live state rewritten at the head of the WAL).").With()
 		db.ckptChunks = db.reg.Counter("noftl_wal_checkpoint_chunks_total",
-			"Checkpoint snapshot chunk records appended.").With()
+			"Records appended by checkpoints (marks, rows and index entries).").With()
 		if cfg.WALCommitBatch > 0 || cfg.WALCommitDelay > 0 {
 			db.log.SetGroupCommit(cfg.WALCommitBatch, cfg.WALCommitDelay)
 		}
@@ -548,24 +548,33 @@ func (db *DB) tablespace(name string) (*storage.Tablespace, error) {
 
 // CreateTable creates a table in the given tablespace ("" = SYSTEM).
 func (db *DB) CreateTable(name, tablespace string, columns []Column) (*Table, error) {
+	return db.createTable(catalog.Table{Name: name, Tablespace: tablespace, Columns: columns})
+}
+
+// createTable registers a table: catalog entry, heap file, runtime maps.  A
+// zero ObjectID gets a fresh id; recovery passes the pre-crash one.
+func (db *DB) createTable(meta catalog.Table) (*Table, error) {
 	if err := db.checkOpen(); err != nil {
 		return nil, err
 	}
-	ts, err := db.tablespace(tablespace)
+	ts, err := db.tablespace(meta.Tablespace)
 	if err != nil {
 		return nil, err
 	}
-	objID := db.cat.NextObjectID()
-	if err := db.cat.AddTable(catalog.Table{Name: name, ObjectID: objID, Tablespace: ts.Name(), Columns: columns}); err != nil {
+	meta.Tablespace = ts.Name()
+	if meta.ObjectID == 0 {
+		meta.ObjectID = db.cat.NextObjectID()
+	}
+	if err := db.cat.AddTable(meta); err != nil {
 		return nil, publicErr(err)
 	}
-	heap := storage.NewHeapFile(name, objID, ts, db.pool)
-	t := &Table{db: db, heap: heap, name: name, objectID: objID}
+	heap := storage.NewHeapFile(meta.Name, meta.ObjectID, ts, db.pool)
+	t := &Table{db: db, heap: heap, name: meta.Name, objectID: meta.ObjectID}
 	db.mu.Lock()
-	db.tables[name] = t
-	db.objectNames[objID] = name
+	db.tables[meta.Name] = t
+	db.objectNames[meta.ObjectID] = meta.Name
 	db.mu.Unlock()
-	db.objStats.Register(name, "table", ts.Name())
+	db.objStats.Register(meta.Name, "table", ts.Name())
 	return t, db.checkpointAfterDDL()
 }
 
@@ -660,38 +669,43 @@ func (db *DB) DropTablespace(name string) error {
 // CreateIndex creates a B+-tree index on a table in the given tablespace
 // ("" = the table's tablespace).
 func (db *DB) CreateIndex(name, table string, columns []string, unique bool, tablespace string) (*Index, error) {
+	return db.createIndex(catalog.Index{Name: name, Table: table, Columns: columns, Unique: unique, Tablespace: tablespace})
+}
+
+// createIndex registers an index: catalog entry, empty tree, runtime maps.  A
+// zero ObjectID gets a fresh id; recovery passes the pre-crash one.
+func (db *DB) createIndex(meta catalog.Index) (*Index, error) {
 	if err := db.checkOpen(); err != nil {
 		return nil, err
 	}
-	db.mu.RLock()
-	_, ok := db.tables[table]
-	db.mu.RUnlock()
+	tmeta, ok := db.cat.Table(meta.Table)
 	if !ok {
-		return nil, fmt.Errorf("%w: table %q", ErrNotFound, table)
+		return nil, fmt.Errorf("%w: table %q", ErrNotFound, meta.Table)
 	}
-	if tablespace == "" {
-		tmeta, _ := db.cat.Table(table)
-		tablespace = tmeta.Tablespace
+	if meta.Tablespace == "" {
+		meta.Tablespace = tmeta.Tablespace
 	}
-	ts, err := db.tablespace(tablespace)
+	ts, err := db.tablespace(meta.Tablespace)
 	if err != nil {
 		return nil, err
 	}
-	objID := db.cat.NextObjectID()
-	meta := catalog.Index{Name: name, ObjectID: objID, Table: table, Columns: columns, Unique: unique, Tablespace: ts.Name()}
+	meta.Tablespace = ts.Name()
+	if meta.ObjectID == 0 {
+		meta.ObjectID = db.cat.NextObjectID()
+	}
 	if err := db.cat.AddIndex(meta); err != nil {
 		return nil, publicErr(err)
 	}
-	tree, _, err := btreeNew(db.clock.Now(), name, objID, ts, db.pool)
+	tree, _, err := btreeNew(db.clock.Now(), meta.Name, meta.ObjectID, ts, db.pool)
 	if err != nil {
 		return nil, err
 	}
 	idx := &Index{db: db, tree: tree, meta: meta}
 	db.mu.Lock()
-	db.indexes[name] = idx
-	db.objectNames[objID] = name
+	db.indexes[meta.Name] = idx
+	db.objectNames[meta.ObjectID] = meta.Name
 	db.mu.Unlock()
-	db.objStats.Register(name, "index", ts.Name())
+	db.objStats.Register(meta.Name, "index", ts.Name())
 	return idx, db.checkpointAfterDDL()
 }
 
@@ -788,11 +802,11 @@ func (db *DB) FlushAll(now sim.Time) (sim.Time, error) {
 	return db.pool.FlushAll(now)
 }
 
-// Checkpoint quiesces transactions, flushes all dirty pages, appends a full
-// logical snapshot of the database to the WAL, truncates the log below the
-// snapshot, and returns the advanced time.  Crash recovery restores the last
-// complete snapshot and replays only the records written after it, so
-// checkpoint frequency bounds recovery work (see WithCheckpointEvery).
+// Checkpoint quiesces transactions, flushes all dirty pages, rewrites the
+// live state (schema, rows, index entries) as ordinary records at the head of
+// the WAL, truncates the log below them, and returns the advanced time.
+// Crash recovery replays from the last complete checkpoint, so checkpoint
+// frequency bounds recovery work (see WithCheckpointEvery).
 func (db *DB) Checkpoint(now sim.Time) (sim.Time, error) {
 	if err := db.checkOpen(); err != nil {
 		return now, err

@@ -131,7 +131,7 @@ func Run(cfg Config) (Report, error) {
 
 	opts := []noftl.Option{}
 	if cfg.CheckpointEveryBytes > 0 {
-		opts = append(opts, noftl.WithCheckpointEvery(0, cfg.CheckpointEveryBytes))
+		opts = append(opts, noftl.WithCheckpointEvery(cfg.CheckpointEveryBytes))
 	}
 	db, err := noftl.Open(opts...)
 	if err != nil {

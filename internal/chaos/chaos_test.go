@@ -125,7 +125,7 @@ func TestWornBlockCampaign(t *testing.T) {
 func TestGroupCommitCrashAtomicity(t *testing.T) {
 	db, err := noftl.Open(
 		noftl.WithWALGroupCommit(8, 0),
-		noftl.WithCheckpointEvery(0, 64<<10),
+		noftl.WithCheckpointEvery(64<<10),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ type AdoptionReport struct {
 	LogVersions []LogPageVersion
 	// DataLPNs are the winning logical pages that are not WAL pages (heap,
 	// index, catalog).  Logical recovery rebuilds their contents from the
-	// checkpoint snapshot plus redo, then trims them.
+	// checkpoint plus redo, then trims them.
 	DataLPNs []LPN
 	// Winners is the number of mapped logical pages after adoption.
 	Winners int
@@ -36,7 +36,7 @@ type AdoptionReport struct {
 // state are all reconstructible from the device alone.  For each LPN the
 // version with the highest Seq wins; everything else is invalid.  All dies
 // start out owned by the default region (region specs are restored by the
-// logical recovery layer after the checkpoint snapshot is decoded).
+// logical recovery layer from the checkpoint's region marks).
 func RecoverManager(dev *flash.Device, opts Options) (*Manager, *AdoptionReport, error) {
 	m := NewManager(dev, opts)
 	rep := &AdoptionReport{}

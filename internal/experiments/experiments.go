@@ -122,14 +122,20 @@ func TPCCSetup(scale Scale) Setup {
 		}
 		pool = 192
 	}
+	// The paper experiments are single-driver by design: one goroutine
+	// multiplexes the logical terminals in virtual time, so a run is a pure
+	// function of its seed.  With Workers left at its default (= Terminals)
+	// the goroutines' interleaving would decide which placement wins.  The
+	// worker-scaling experiment sets its own count.
+	workload.Workers = 1
 	dbCfg := noftl.DefaultConfig()
 	dbCfg.Flash.Geometry = geo
 	dbCfg.BufferPoolPages = pool
 	// The paper's experiments measure placement effects on the device I/O
-	// stream.  Snapshot checkpoints write the whole database into the WAL on
+	// stream.  Full checkpoints rewrite the whole database into the WAL on
 	// every cut, which both distorts those measurements and cannot fit the
 	// deliberately high-utilization devices, so the benchmark regime runs
-	// with light checkpoints (flush + truncate, no snapshot) — the standard
+	// with light checkpoints (flush + truncate, no rewrite) — the standard
 	// reduced-durability setting for performance runs.  Crash recovery is
 	// exercised separately by the chaos experiment.
 	dbCfg.DisableSnapshotCheckpoints = true

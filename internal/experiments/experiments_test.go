@@ -140,8 +140,11 @@ func TestAblationFTLvsNoFTL(t *testing.T) {
 
 // TestFigure3ShapeSmall verifies the paper's qualitative result at the small
 // scale: multi-region placement achieves higher throughput and fewer GC
-// copybacks than traditional placement.  It is the slowest test in the
-// repository and is skipped with -short.
+// copybacks than traditional placement.  The paper experiments are
+// single-driver by design (TPCCSetup pins Workers to 1), so both runs are
+// deterministic for the seed and the comparison does not depend on goroutine
+// scheduling.  It is the slowest test in the repository and is skipped with
+// -short.
 func TestFigure3ShapeSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping small-scale Figure 3 shape test in -short mode")

@@ -3,6 +3,7 @@ package tpcc
 import (
 	"testing"
 	"testing/quick"
+	"time"
 
 	"noftl"
 	"noftl/internal/flash"
@@ -425,6 +426,50 @@ func TestRunTinyWorkloadBothPlacements(t *testing.T) {
 				t.Fatalf("expected 6 regions in results, got %d", len(res.Regions))
 			}
 		})
+	}
+}
+
+// TestSameSeedSameRun checks that a single-driver run is a pure function of
+// its seed: two fresh databases driven by one worker with one seed report
+// identical work and identical device traffic.  Any order the driver takes
+// from a Go map (Stock-Level's item set did) breaks this.
+func TestSameSeedSameRun(t *testing.T) {
+	run := func() Results {
+		// A pool smaller than the working set on a small, nearly full device:
+		// access order decides evictions, and evictions decide GC.
+		dbCfg := noftl.DefaultConfig()
+		dbCfg.Flash.Geometry = flash.Geometry{
+			Channels: 4, DiesPerChannel: 2, PlanesPerDie: 1,
+			BlocksPerDie: 16, PagesPerBlock: 32, PageSize: 4096,
+		}
+		dbCfg.BufferPoolPages = 64
+		db, err := noftl.OpenConfig(dbCfg, noftl.WithLightCheckpoints())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		cfg := TinyConfig()
+		cfg.CustomersPerDistrict = 60
+		cfg.ItemCount = 300
+		cfg.InitialOrdersPerDistrict = 60
+		cfg.Workers = 1
+		cfg.Transactions = 1500
+		cfg.CheckpointEvery = 100
+		res, err := LoadAndRun(db, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := run(), run()
+	type key struct {
+		committed, reads, writes, copybacks, erases int64
+		sim                                         time.Duration
+	}
+	ka := key{a.Committed, a.HostReadIOs, a.HostWriteIOs, a.GCCopybacks, a.GCErases, a.SimulatedTime}
+	kb := key{b.Committed, b.HostReadIOs, b.HostWriteIOs, b.GCCopybacks, b.GCErases, b.SimulatedTime}
+	if ka != kb {
+		t.Fatalf("same seed, different runs:\n  %+v\n  %+v", ka, kb)
 	}
 }
 

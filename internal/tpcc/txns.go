@@ -517,8 +517,11 @@ func (t *terminal) stockLevel(tx *noftl.Tx) error {
 	if lowO < 1 {
 		lowO = 1
 	}
-	// Collect the distinct items of the last 20 orders.
-	items := map[uint32]bool{}
+	// Collect the distinct items of the last 20 orders, in first-seen order:
+	// the stock lookups below must hit the buffer pool in the same order on
+	// every run of a seed.
+	seen := map[uint32]bool{}
+	var items []uint32
 	for _, rid := range t.sch.OLIdx.Range(tx, orderLineKey(w, d, lowO, 0), orderLineKey(w, d, nextO, 0)) {
 		row, err := t.sch.OrderLine.Get(tx, rid)
 		if err != nil {
@@ -528,16 +531,22 @@ func (t *terminal) stockLevel(tx *noftl.Tx) error {
 		if err != nil {
 			return err
 		}
-		items[ol.ItemID] = true
+		if !seen[ol.ItemID] {
+			seen[ol.ItemID] = true
+			items = append(items, ol.ItemID)
+		}
 	}
 	if err := tx.Err(); err != nil {
 		return err
 	}
 	// Count items whose stock is below the threshold.
 	low := 0
-	for itemID := range items {
+	for _, itemID := range items {
 		srid, found, err := t.sch.SIdx.Lookup(tx, stockKey(w, int(itemID)))
-		if err != nil || !found {
+		if err != nil {
+			return err
+		}
+		if !found {
 			continue
 		}
 		row, err := t.sch.Stock.Get(tx, srid)

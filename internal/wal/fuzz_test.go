@@ -8,7 +8,8 @@ import (
 )
 
 // FuzzWALRecordDecode throws arbitrary bytes at every payload decoder the
-// recovery path runs on post-crash data, plus the page-level record parser.
+// recovery path runs on post-crash data (row, index entry, checkpoint mark),
+// plus the page-level record parser.
 // Two properties must hold for any input:
 //
 //  1. no decoder panics — recovery must survive any byte soup a torn or
@@ -21,8 +22,9 @@ func FuzzWALRecordDecode(f *testing.F) {
 	f.Add(EncodeRowPayload(rid, nil))
 	f.Add(EncodeIndexInsert([]byte("key-0001"), rid))
 	f.Add(EncodeIndexInsert(nil, rid))
-	f.Add(EncodeCheckpointChunk(0, 1, []byte(`{"tables":[]}`)))
-	f.Add(EncodeCheckpointChunk(2, 5, bytes.Repeat([]byte{0xAB}, 100)))
+	f.Add(EncodeCheckpointMark(CkptBegin, []byte(`{"NextTxnID":7,"DefaultGC":{"Victim":0,"StepPages":8,"DisableHotCold":false},"Light":false}`)))
+	f.Add(EncodeCheckpointMark(CkptTable, []byte(`{"Name":"T","ObjectID":2,"Tablespace":"SYSTEM","Columns":null}`)))
+	f.Add(EncodeCheckpointMark(CkptEnd, nil))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
 	f.Add(bytes.Repeat([]byte{0x00}, 64))
@@ -40,12 +42,20 @@ func FuzzWALRecordDecode(f *testing.F) {
 				t.Fatalf("index payload round trip: (%q,%v,%v) != (%q,%v)", key2, rid2, err2, key, rid)
 			}
 		}
-		if idx, total, data, err := DecodeCheckpointChunk(p); err == nil && len(p) > 0 {
-			idx2, total2, data2, err2 := DecodeCheckpointChunk(EncodeCheckpointChunk(idx, total, data))
-			if err2 != nil || idx2 != idx || total2 != total || !bytes.Equal(data2, data) {
-				t.Fatalf("checkpoint chunk round trip: (%d,%d,%q,%v) != (%d,%d,%q)",
-					idx2, total2, data2, err2, idx, total, data)
+		if kind, body, err := DecodeCheckpointMark(p); err == nil {
+			kind2, body2, err2 := DecodeCheckpointMark(EncodeCheckpointMark(kind, body))
+			if err2 != nil || kind2 != kind || !bytes.Equal(body2, body) {
+				t.Fatalf("checkpoint mark round trip: (%d,%q,%v) != (%d,%q)", kind2, body2, err2, kind, body)
 			}
+		}
+		// A begin mark followed by p is a checkpoint exactly when p is an end mark.
+		kind, _, _ := DecodeCheckpointMark(p)
+		recs := []Record{
+			{LSN: 1, Type: RecCheckpoint, Payload: EncodeCheckpointMark(CkptBegin, nil)},
+			{LSN: 2, Type: RecCheckpoint, Payload: p},
+		}
+		if begin, end, ok := LastCheckpoint(recs); ok != (kind == CkptEnd) || (ok && (begin != 1 || end != 2)) {
+			t.Fatalf("LastCheckpoint(begin, %q) = %d..%d %v", p, begin, end, ok)
 		}
 		// The page parser must tolerate any buffer without panicking; its
 		// results are validated by ScanImages, so here only safety matters.

@@ -7,27 +7,38 @@ import (
 	"noftl/internal/storage"
 )
 
-// Record payload codecs.  Since PR 10 the DML record types carry enough state
-// for a logical redo through the normal heap/btree path:
+// Record payload codecs.  The DML record types carry enough state for a
+// logical redo through the normal heap/btree path:
 //
 //	RecInsert      rid(10) + row image
 //	RecUpdate      rid(10) + after image
 //	RecDelete      rid(10)
 //	RecIndexInsert u16 key length + key + rid(10)
 //	RecIndexDelete key
-//	RecCheckpoint  u32 chunk index + u32 chunk total + snapshot bytes
-//	               (TxnID carries the checkpoint sequence number)
-//
-// Earlier logs carried bare RIDs for insert/update; decoders below treat a
-// missing row image as an empty row rather than rejecting the record.
+//	RecCheckpoint  kind(1) + body; TxnID carries the checkpoint sequence
+//	               number.  A checkpoint is the record run from its CkptBegin
+//	               to its CkptEnd mark: schema marks, then every live row as a
+//	               RecInsert and every index entry as a RecIndexInsert, all
+//	               under CkptTxnID.
 
 const ridLen = 10
 
-// MaxPayload returns the largest record payload that fits into one log page
-// of the given size (records never span pages).
-func MaxPayload(pageSize int) int {
-	return pageSize - storage.PageHeaderSize - 8 - recHeaderSize
-}
+// CkptTxnID is the transaction id of the RecInsert/RecIndexInsert records a
+// checkpoint streams between its begin and end marks.  No transaction ever
+// gets it, so outside a complete checkpoint such records are never replayed.
+const CkptTxnID = 0
+
+// Checkpoint mark kinds: the first payload byte of a RecCheckpoint record.
+// The log only tells begin from end (LastCheckpoint); the bodies belong to the
+// layer that writes the checkpoint.
+const (
+	CkptBegin byte = iota + 1
+	CkptRegion
+	CkptTablespace
+	CkptTable
+	CkptIndex
+	CkptEnd
+)
 
 // RecordSize returns the encoded size of a record on a log page.
 func RecordSize(r Record) int {
@@ -36,9 +47,13 @@ func RecordSize(r Record) int {
 
 // EncodeRowPayload packs a RID plus a row image (RecInsert, RecUpdate).
 func EncodeRowPayload(rid storage.RID, row []byte) []byte {
-	out := make([]byte, 0, ridLen+len(row))
-	out = append(out, rid.Encode()...)
-	return append(out, row...)
+	return AppendRowPayload(make([]byte, 0, ridLen+len(row)), rid, row)
+}
+
+// AppendRowPayload is EncodeRowPayload into a caller-owned buffer.
+func AppendRowPayload(dst []byte, rid storage.RID, row []byte) []byte {
+	dst = append(dst, rid.Encode()...)
+	return append(dst, row...)
 }
 
 // DecodeRowPayload unpacks a RecInsert/RecUpdate payload.
@@ -52,12 +67,14 @@ func DecodeRowPayload(p []byte) (storage.RID, []byte, error) {
 
 // EncodeIndexInsert packs an index entry (RecIndexInsert).
 func EncodeIndexInsert(key []byte, rid storage.RID) []byte {
-	out := make([]byte, 0, 2+len(key)+ridLen)
-	var l [2]byte
-	binary.LittleEndian.PutUint16(l[:], uint16(len(key)))
-	out = append(out, l[:]...)
-	out = append(out, key...)
-	return append(out, rid.Encode()...)
+	return AppendIndexInsert(make([]byte, 0, 2+len(key)+ridLen), key, rid)
+}
+
+// AppendIndexInsert is EncodeIndexInsert into a caller-owned buffer.
+func AppendIndexInsert(dst, key []byte, rid storage.RID) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(key)))
+	dst = append(dst, key...)
+	return append(dst, rid.Encode()...)
 }
 
 // DecodeIndexInsert unpacks a RecIndexInsert payload.
@@ -77,28 +94,15 @@ func DecodeIndexInsert(p []byte) ([]byte, storage.RID, error) {
 	return key, rid, nil
 }
 
-// EncodeCheckpointChunk packs one chunk of a checkpoint snapshot.
-func EncodeCheckpointChunk(index, total uint32, data []byte) []byte {
-	out := make([]byte, 8+len(data))
-	binary.LittleEndian.PutUint32(out, index)
-	binary.LittleEndian.PutUint32(out[4:], total)
-	copy(out[8:], data)
-	return out
+// EncodeCheckpointMark packs a RecCheckpoint payload.
+func EncodeCheckpointMark(kind byte, body []byte) []byte {
+	return append([]byte{kind}, body...)
 }
 
-// DecodeCheckpointChunk unpacks a RecCheckpoint payload.  A legacy empty
-// checkpoint record (no payload) decodes as a complete zero-byte snapshot.
-func DecodeCheckpointChunk(p []byte) (index, total uint32, data []byte, err error) {
-	if len(p) == 0 {
-		return 0, 1, nil, nil
+// DecodeCheckpointMark unpacks a RecCheckpoint payload.
+func DecodeCheckpointMark(p []byte) (kind byte, body []byte, err error) {
+	if len(p) == 0 || p[0] < CkptBegin || p[0] > CkptEnd {
+		return 0, nil, fmt.Errorf("%w: checkpoint mark", ErrCorrupt)
 	}
-	if len(p) < 8 {
-		return 0, 0, nil, fmt.Errorf("%w: short checkpoint chunk", ErrCorrupt)
-	}
-	index = binary.LittleEndian.Uint32(p)
-	total = binary.LittleEndian.Uint32(p[4:])
-	if total == 0 || index >= total {
-		return 0, 0, nil, fmt.Errorf("%w: checkpoint chunk %d/%d", ErrCorrupt, index, total)
-	}
-	return index, total, p[8:], nil
+	return p[0], p[1:], nil
 }

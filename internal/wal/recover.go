@@ -156,51 +156,25 @@ func ScanImages(images []PageImage) (ScanResult, error) {
 	return res, nil
 }
 
-// LastCheckpoint assembles the snapshot of the last complete checkpoint in
-// recs.  A checkpoint is complete when all of its chunks (RecCheckpoint
-// records sharing one TxnID, which carries the checkpoint sequence number)
-// survived the crash.  It returns the snapshot bytes and the LSN of the final
-// chunk — replay starts strictly after that LSN.
-func LastCheckpoint(recs []Record) (data []byte, endLSN uint64, ok bool) {
-	type ckpt struct {
-		total  uint32
-		chunks map[uint32][]byte
-		maxLSN uint64
-	}
-	open := make(map[uint64]*ckpt)
-	for _, r := range recs {
+// LastCheckpoint locates the newest complete checkpoint in recs: the LSNs of
+// its begin mark and of the end mark closing it.  A begin whose end never
+// became durable (a crash or an error mid-checkpoint) is not a checkpoint.
+func LastCheckpoint(recs []Record) (beginLSN, endLSN uint64, ok bool) {
+	var open *Record
+	for i := range recs {
+		r := &recs[i]
 		if r.Type != RecCheckpoint {
 			continue
 		}
-		idx, total, chunk, err := DecodeCheckpointChunk(r.Payload)
-		if err != nil {
-			continue
-		}
-		c := open[r.TxnID]
-		if c == nil {
-			c = &ckpt{chunks: make(map[uint32][]byte)}
-			open[r.TxnID] = c
-		}
-		c.total = total
-		c.chunks[idx] = chunk
-		if r.LSN > c.maxLSN {
-			c.maxLSN = r.LSN
+		switch kind, _, _ := DecodeCheckpointMark(r.Payload); kind {
+		case CkptBegin:
+			open = r
+		case CkptEnd:
+			if open != nil && open.TxnID == r.TxnID {
+				beginLSN, endLSN, ok = open.LSN, r.LSN, true
+			}
+			open = nil
 		}
 	}
-	var best *ckpt
-	for _, c := range open {
-		if uint32(len(c.chunks)) != c.total {
-			continue
-		}
-		if best == nil || c.maxLSN > best.maxLSN {
-			best = c
-		}
-	}
-	if best == nil {
-		return nil, 0, false
-	}
-	for i := uint32(0); i < best.total; i++ {
-		data = append(data, best.chunks[i]...)
-	}
-	return data, best.maxLSN, true
+	return beginLSN, endLSN, ok
 }

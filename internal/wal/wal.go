@@ -496,58 +496,6 @@ func (l *Log) flushGroupLocked() (sim.Time, error) {
 	return vnow, nil
 }
 
-// ReadAll reads every durable log record back from the device in LSN order
-// (records appended but never flushed are not returned).  It is the recovery
-// scan.
-func (l *Log) ReadAll(now sim.Time) ([]Record, sim.Time, error) {
-	l.mu.Lock()
-	pages := append([]core.LPN(nil), l.pages...)
-	l.mu.Unlock()
-
-	var out []Record
-	buf := make([]byte, l.pageSize)
-	for _, lpn := range pages {
-		data, done, err := l.mgr.ReadPage(now, lpn, buf)
-		if err != nil {
-			if errors.Is(err, core.ErrUnmappedPage) {
-				continue // never flushed
-			}
-			return nil, now, err
-		}
-		now = done
-		var decodeErr error
-		_ = storage.IterateRecords(data, func(slot uint16, rec []byte) bool {
-			r, err := decodeRecord(rec)
-			if err != nil {
-				decodeErr = err
-				return false
-			}
-			out = append(out, r)
-			return true
-		})
-		if decodeErr != nil {
-			return nil, now, decodeErr
-		}
-	}
-	return out, now, nil
-}
-
-// CommittedTxns scans the durable log and returns the set of transaction ids
-// that have a COMMIT record — the first phase of a redo recovery.
-func (l *Log) CommittedTxns(now sim.Time) (map[uint64]bool, sim.Time, error) {
-	recs, now, err := l.ReadAll(now)
-	if err != nil {
-		return nil, now, err
-	}
-	committed := make(map[uint64]bool)
-	for _, r := range recs {
-		if r.Type == RecCommit {
-			committed[r.TxnID] = true
-		}
-	}
-	return committed, now, nil
-}
-
 // Truncate drops every sealed log page whose records all lie strictly below
 // upToLSN, trimming them on the device (checkpointing).  The current page and
 // pages that were never flushed are never dropped.  It returns the number of

@@ -29,6 +29,40 @@ func testLog(t *testing.T) (*Log, *core.Manager) {
 	return New(mgr, core.Hint{ObjectID: 99}, 512), mgr
 }
 
+// readBack reads the log's pages back from the device and reassembles the
+// durable record stream with ScanImages, the decoder recovery uses; pages
+// never flushed are unmapped and contribute nothing.
+func readBack(t *testing.T, l *Log, mgr *core.Manager) []Record {
+	t.Helper()
+	var images []PageImage
+	for i, lpn := range l.pages {
+		data, _, err := mgr.ReadPage(0, lpn, make([]byte, l.pageSize))
+		if errors.Is(err, core.ErrUnmappedPage) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		images = append(images, PageImage{LPN: lpn, Seq: uint64(i), Data: data})
+	}
+	scan, err := ScanImages(images)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scan.Records
+}
+
+// committedTxns is the set of transaction ids with a durable COMMIT record.
+func committedTxns(recs []Record) map[uint64]bool {
+	committed := make(map[uint64]bool)
+	for _, r := range recs {
+		if r.Type == RecCommit {
+			committed[r.TxnID] = true
+		}
+	}
+	return committed
+}
+
 func TestRecordEncodeDecodeProperty(t *testing.T) {
 	f := func(lsn, txn uint64, obj uint32, typ uint8, payload []byte) bool {
 		r := Record{LSN: lsn, Type: RecordType(typ%7 + 1), TxnID: txn, ObjectID: obj, Payload: payload}
@@ -60,7 +94,7 @@ func TestRecordCorruptionDetected(t *testing.T) {
 	}
 }
 
-func TestAppendFlushReadAll(t *testing.T) {
+func TestAppendFlushReadBack(t *testing.T) {
 	l, mgr := testLog(t)
 	if l.NextLSN() != 1 || l.FlushedLSN() != 0 {
 		t.Fatalf("fresh log LSNs wrong: %d %d", l.NextLSN(), l.FlushedLSN())
@@ -82,11 +116,7 @@ func TestAppendFlushReadAll(t *testing.T) {
 		}
 	}
 	// Nothing durable yet.
-	recs, _, err := l.ReadAll(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 0 {
+	if recs := readBack(t, l, mgr); len(recs) != 0 {
 		t.Fatalf("unflushed records visible: %d", len(recs))
 	}
 	done, err := l.Flush(0)
@@ -109,10 +139,7 @@ func TestAppendFlushReadAll(t *testing.T) {
 	if l.Flushes() != 1 {
 		t.Fatalf("flushes = %d", l.Flushes())
 	}
-	recs, _, err = l.ReadAll(done)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := readBack(t, l, mgr)
 	if len(recs) != 100 {
 		t.Fatalf("recovered %d records", len(recs))
 	}
@@ -130,7 +157,7 @@ func TestAppendFlushReadAll(t *testing.T) {
 }
 
 func TestCommittedTxns(t *testing.T) {
-	l, _ := testLog(t)
+	l, mgr := testLog(t)
 	mustAppend := func(typ RecordType, txn uint64) {
 		if _, err := l.Append(typ, txn, 0, nil); err != nil {
 			t.Fatal(err)
@@ -146,10 +173,7 @@ func TestCommittedTxns(t *testing.T) {
 	if _, err := l.Flush(0); err != nil {
 		t.Fatal(err)
 	}
-	committed, _, err := l.CommittedTxns(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	committed := committedTxns(readBack(t, l, mgr))
 	if !committed[1] || committed[2] || committed[3] {
 		t.Fatalf("committed set wrong: %v", committed)
 	}
@@ -177,8 +201,7 @@ func TestTruncateDropsOldPages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	now, err := l.Flush(0)
-	if err != nil {
+	if _, err := l.Flush(0); err != nil {
 		t.Fatal(err)
 	}
 	pagesBefore := l.PageCount()
@@ -197,10 +220,7 @@ func TestTruncateDropsOldPages(t *testing.T) {
 		t.Fatal("truncate did not trim pages on the device")
 	}
 	// The surviving records still decode and include the newest LSNs.
-	recs, _, err := l.ReadAll(now)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := readBack(t, l, mgr)
 	if len(recs) == 0 || recs[len(recs)-1].LSN != 300 {
 		t.Fatalf("latest records lost after truncate: %d records", len(recs))
 	}
@@ -211,7 +231,7 @@ func TestTruncateDropsOldPages(t *testing.T) {
 // durable, (b) the recovered log preserves append (LSN) order exactly, and
 // (c) the committers shared flushes: far fewer log forces than commits.
 func TestGroupCommitConcurrent(t *testing.T) {
-	l, _ := testLog(t)
+	l, mgr := testLog(t)
 	l.SetGroupCommit(8, 2*time.Millisecond)
 	const workers = 8
 	const perWorker = 50
@@ -263,10 +283,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	}
 	// Crash consistency: the durable image decodes cleanly and LSNs are
 	// strictly sequential in recovery order (append order preserved).
-	recs, _, err := l.ReadAll(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := readBack(t, l, mgr)
 	if len(recs) != 2*commits {
 		t.Fatalf("recovered %d records, want %d", len(recs), 2*commits)
 	}
@@ -275,11 +292,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 			t.Fatalf("record %d has lsn %d: append order not preserved", i, r.LSN)
 		}
 	}
-	committed, _, err := l.CommittedTxns(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(committed) != commits {
+	if committed := committedTxns(recs); len(committed) != commits {
 		t.Fatalf("recovered %d committed txns, want %d", len(committed), commits)
 	}
 }

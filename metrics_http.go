@@ -77,9 +77,9 @@ func (db *DB) scrapeGauges() {
 			"Encoded WAL record bytes held by live log pages (crash-replay upper bound).").With().Set(db.log.BytesLive())
 		ck := db.checkpointStats()
 		reg.Gauge("noftl_wal_checkpoint_last_lsn",
-			"LSN of the last checkpoint's final chunk (recovery replays records after it).").With().Set(int64(ck.LastLSN))
+			"LSN of the last checkpoint's end mark (recovery filters the records after it by commit).").With().Set(int64(ck.LastLSN))
 		reg.Gauge("noftl_wal_checkpoint_last_bytes",
-			"Snapshot size of the last checkpoint in bytes.").With().Set(ck.LastBytes)
+			"Encoded size of the last checkpoint's records in bytes.").With().Set(ck.LastBytes)
 	}
 }
 

@@ -140,22 +140,19 @@ func WithTraceBuffer(n int) Option {
 	}
 }
 
-// WithCheckpointEvery enables periodic checkpoints: one is taken whenever
-// interval of simulated time has passed or bytes of WAL have been appended
-// since the last checkpoint (zero disables the respective trigger; the checks
-// run after each commit).  Checkpoints bound crash-recovery replay: recovery
-// restores the last snapshot and replays only the log written after it.
+// WithCheckpointEvery enables automatic checkpoints: one is taken whenever
+// bytes of WAL have been appended since the last checkpoint (the check runs
+// after each commit; zero disables it).  Checkpoints bound crash-recovery
+// replay: recovery starts at the last checkpoint and redoes only the log
+// written after it.
 //
-//	db, _ := noftl.Open(noftl.WithCheckpointEvery(time.Second, 256<<10))
-func WithCheckpointEvery(interval time.Duration, bytes int64) Option {
-	return func(c *Config) {
-		c.CheckpointEvery = interval
-		c.CheckpointEveryBytes = bytes
-	}
+//	db, _ := noftl.Open(noftl.WithCheckpointEvery(256 << 10))
+func WithCheckpointEvery(bytes int64) Option {
+	return func(c *Config) { c.CheckpointEveryBytes = bytes }
 }
 
 // WithLightCheckpoints switches checkpoints to the light form: flush dirty
-// pages and truncate the whole WAL without appending a logical snapshot.
+// pages and truncate the whole WAL without rewriting the live state into it.
 // This bounds the WAL at near-zero cost but gives up crash recovery (Reopen
 // refuses such a log) — the classic reduced-durability benchmark regime.
 func WithLightCheckpoints() Option {

@@ -17,15 +17,17 @@ import (
 // RecoveryStats summarises what crash recovery found and did.  Reopen stores
 // one on the recovered database (DB.Recovery).
 type RecoveryStats struct {
-	// CheckpointFound reports whether a complete checkpoint snapshot
-	// survived; CheckpointBytes is its decoded size.
+	// CheckpointFound reports whether a complete checkpoint (begin mark
+	// through end mark) survived; CheckpointBytes is the encoded size of its
+	// records.
 	CheckpointFound bool
 	CheckpointBytes int64
-	// SnapshotRows and SnapshotIndexEntries count what the snapshot restored.
+	// SnapshotRows and SnapshotIndexEntries count what the checkpoint's
+	// records restored.
 	SnapshotRows         int64
 	SnapshotIndexEntries int64
 	// LogRecords and LogBytes cover the whole surviving record stream;
-	// ReplayedRecords and ReplayedBytes only the window after the checkpoint
+	// ReplayedRecords and ReplayedBytes only the window after the end mark
 	// (what recovery actually had to redo — checkpoints exist to bound it).
 	LogRecords      int
 	LogBytes        int64
@@ -91,9 +93,10 @@ func (db *DB) Crash() *CrashImage {
 //     mapping recoverable from the device alone;
 //  2. the surviving WAL pages are reassembled into the durable record
 //     stream, detecting and truncating a torn final write;
-//  3. the last complete checkpoint snapshot restores schema and data, then
-//     committed post-checkpoint transactions are replayed in LSN order
-//     through the normal heap/btree/buffer path; losers are discarded;
+//  3. one replay loop runs from the begin mark of the last complete
+//     checkpoint: its records restore schema and data, then committed
+//     post-checkpoint transactions are redone in LSN order, all through the
+//     normal heap/btree/buffer path; losers are discarded;
 //  4. the space manager's invariants are verified and a fresh checkpoint is
 //     written, so the new log is self-contained.
 //
@@ -116,37 +119,45 @@ func Reopen(img *CrashImage, opts ...Option) (*DB, error) {
 	return reopenOn(cfg, img.dev)
 }
 
-// reopenOn is the recovery pipeline described on Reopen.
-func reopenOn(cfg Config, dev *flash.Device) (*DB, error) {
-	space, rep, err := core.RecoverManager(dev, cfg.Space)
-	if err != nil {
-		return nil, err
-	}
-
-	// Read back every surviving version of every WAL page.
+// scanLog reads back every surviving version of every WAL page the OOB scan
+// found and reassembles the durable record stream.
+func scanLog(dev *flash.Device, rep *core.AdoptionReport) (wal.ScanResult, sim.Time, error) {
 	pageSize := dev.Geometry().PageSize
 	images := make([]wal.PageImage, 0, len(rep.LogVersions))
 	var now sim.Time
 	for _, v := range rep.LogVersions {
 		data, _, done, err := dev.ReadPage(now, v.Addr, make([]byte, pageSize))
 		if err != nil {
-			return nil, err
+			return wal.ScanResult{}, now, err
 		}
 		now = done
 		images = append(images, wal.PageImage{LPN: v.LPN, Seq: v.Seq, Data: data})
 	}
 	scan, err := wal.ScanImages(images)
 	if err != nil {
-		return nil, tag(ErrCorruptLog, err)
+		return scan, now, tag(ErrCorruptLog, err)
 	}
-	snapData, endLSN, snapOK := wal.LastCheckpoint(scan.Records)
-	if (scan.StaleRecords > 0 || scan.Unreadable > 0) && !snapOK {
+	return scan, now, nil
+}
+
+// reopenOn is the recovery pipeline described on Reopen.
+func reopenOn(cfg Config, dev *flash.Device) (*DB, error) {
+	space, rep, err := core.RecoverManager(dev, cfg.Space)
+	if err != nil {
+		return nil, err
+	}
+	scan, now, err := scanLog(dev, rep)
+	if err != nil {
+		return nil, err
+	}
+	beginLSN, endLSN, ckptOK := wal.LastCheckpoint(scan.Records)
+	if (scan.StaleRecords > 0 || scan.Unreadable > 0) && !ckptOK {
 		return nil, fmt.Errorf("%w: log prefix missing and no covering checkpoint", ErrCorruptLog)
 	}
 
 	// The rebuild is logical: drop every adopted logical page (heap, index
 	// and old log alike) so the dies are empty again, then recreate regions,
-	// schema and data from the snapshot plus redo.  The old physical pages
+	// schema and data from the checkpoint plus redo.  The old physical pages
 	// become garbage the collector reclaims like any other invalid page.
 	for _, lpn := range rep.DataLPNs {
 		_ = space.TrimPage(lpn)
@@ -173,48 +184,22 @@ func reopenOn(cfg Config, dev *flash.Device) (*DB, error) {
 	}
 
 	rst := &RecoveryStats{
-		LogRecords:   len(scan.Records),
-		LogBytes:     scan.Bytes,
-		TornRecords:  scan.TornRecords,
-		TornTail:     scan.TornTail,
-		StaleRecords: scan.StaleRecords,
+		CheckpointFound: ckptOK,
+		LogRecords:      len(scan.Records),
+		LogBytes:        scan.Bytes,
+		TornRecords:     scan.TornRecords,
+		TornTail:        scan.TornTail,
+		StaleRecords:    scan.StaleRecords,
 	}
-
-	ridMap := make(map[RID]RID)
-	var snap ckptSnapshot
-	if snapOK && len(snapData) > 0 {
-		if err := json.Unmarshal(snapData, &snap); err != nil {
-			return nil, tag(ErrCorruptLog, err)
-		}
-		rst.CheckpointFound = true
-		rst.CheckpointBytes = int64(len(snapData))
-		if err := db.restoreSnapshot(&snap, ridMap, rst); err != nil {
-			return nil, err
-		}
-	} else if snapOK {
-		// An empty checkpoint record is the light (reduced-durability) form:
-		// the log below it was truncated without capturing a snapshot, so the
-		// pre-checkpoint database cannot be rebuilt.  Refusing is the only
-		// honest answer.
-		return nil, fmt.Errorf("%w: last checkpoint carries no snapshot (light checkpoints give up crash recovery)", ErrCorruptLog)
-	}
-
-	if err := db.replayLog(scan.Records, endLSN, ridMap, rst); err != nil {
+	if err := db.replayLog(scan.Records, beginLSN, endLSN, rst); err != nil {
 		return nil, err
 	}
-
 	if err := db.space.VerifyIntegrity(); err != nil {
 		return nil, fmt.Errorf("noftl: recovery verification: %w", err)
 	}
 
-	// Seed id generators past everything the old instance handed out.
-	maxTxn := snap.NextTxnID
-	for _, r := range scan.Records {
-		if r.Type != wal.RecCheckpoint && r.TxnID > maxTxn {
-			maxTxn = r.TxnID
-		}
-	}
-	db.txns.SeedNextID(maxTxn)
+	// Seed the object-id generator past everything the old instance handed
+	// out (replayLog did the same for transaction ids).
 	var maxObj uint32
 	db.mu.RLock()
 	for id := range db.objectNames {
@@ -235,84 +220,68 @@ func reopenOn(cfg Config, dev *flash.Device) (*DB, error) {
 	return db, nil
 }
 
-// restoreSnapshot recreates schema and data from a checkpoint snapshot,
-// filling ridMap with the old-RID-to-new-RID translation replay needs.
-func (db *DB) restoreSnapshot(snap *ckptSnapshot, ridMap map[RID]RID, rst *RecoveryStats) error {
-	if err := db.space.SetGCPolicy(core.DefaultRegionName, snap.DefaultGC); err != nil {
-		return err
+// applyMark applies one RecCheckpoint of the chosen checkpoint: the begin
+// mark seeds what has no catalog entry, a schema mark goes through the same
+// registration routine as the DDL that created the object (object ids
+// preserved), filing tables and indexes under their ids for the replay.
+func (db *DB) applyMark(p []byte, tables map[uint32]*Table, indexes map[uint32]*Index) error {
+	kind, body, err := wal.DecodeCheckpointMark(p)
+	if err != nil {
+		return tag(ErrCorruptLog, err)
 	}
-	for _, r := range snap.Regions {
-		spec := RegionSpec{
-			Name:         r.Name,
-			MaxChips:     r.MaxChips,
-			MaxChannels:  r.MaxChannels,
-			MaxSizeBytes: r.MaxSizeBytes,
-			Dies:         r.Dies,
-		}
-		gc := r.GC
-		spec.GC = &gc
-		if err := db.CreateRegion(spec); err != nil {
-			return fmt.Errorf("noftl: recovery: region %q: %w", r.Name, err)
-		}
-	}
-	for _, ts := range snap.Spaces {
-		if err := db.CreateTablespace(ts.Name, ts.Region, ts.ExtentPages); err != nil {
-			return fmt.Errorf("noftl: recovery: tablespace %q: %w", ts.Name, err)
-		}
-	}
-	now := db.clock.Now()
-	for _, ct := range snap.Tables {
-		t, err := db.createTableWithID(ct.Meta)
-		if err != nil {
-			return fmt.Errorf("noftl: recovery: table %q: %w", ct.Meta.Name, err)
-		}
-		for _, row := range ct.Rows {
-			oldRID, err := storage.DecodeRID(row.RID)
-			if err != nil {
-				return tag(ErrCorruptLog, err)
+	switch kind {
+	case wal.CkptBegin:
+		var head ckptBegin
+		if err = json.Unmarshal(body, &head); err == nil {
+			if head.Light {
+				// The log below the mark was cut without capturing the state,
+				// so the pre-checkpoint database cannot be rebuilt.  Refusing
+				// is the only honest answer.
+				return fmt.Errorf("%w: last checkpoint carries no state (light checkpoints give up crash recovery)", ErrCorruptLog)
 			}
-			newRID, done, err := t.heap.Insert(now, row.Row)
-			if err != nil {
-				return err
-			}
-			now = done
-			ridMap[oldRID] = newRID
-			rst.SnapshotRows++
+			db.txns.SeedNextID(head.NextTxnID)
+			return db.space.SetGCPolicy(core.DefaultRegionName, head.DefaultGC)
+		}
+	case wal.CkptRegion:
+		var spec RegionSpec
+		if err = json.Unmarshal(body, &spec); err == nil {
+			return db.CreateRegion(spec)
+		}
+	case wal.CkptTablespace:
+		var ts catalog.Tablespace
+		if err = json.Unmarshal(body, &ts); err == nil {
+			return db.CreateTablespace(ts.Name, ts.Region, ts.ExtentPages)
+		}
+	case wal.CkptTable:
+		var meta catalog.Table
+		if err = json.Unmarshal(body, &meta); err == nil {
+			tables[meta.ObjectID], err = db.createTable(meta)
+			return err
+		}
+	case wal.CkptIndex:
+		var meta catalog.Index
+		if err = json.Unmarshal(body, &meta); err == nil {
+			indexes[meta.ObjectID], err = db.createIndex(meta)
+			return err
 		}
 	}
-	for _, ci := range snap.Indexes {
-		idx, err := db.createIndexWithID(ci.Meta)
-		if err != nil {
-			return fmt.Errorf("noftl: recovery: index %q: %w", ci.Meta.Name, err)
-		}
-		for _, e := range ci.Entries {
-			val := e.RID
-			if oldRID, err := storage.DecodeRID(e.RID); err == nil {
-				if newRID, ok := ridMap[oldRID]; ok {
-					val = newRID.Encode()
-				}
-			}
-			done, err := idx.tree.Insert(now, e.Key, val)
-			if err != nil {
-				return err
-			}
-			now = done
-			rst.SnapshotIndexEntries++
-		}
-	}
-	db.clock.Observe(now)
-	return nil
+	return tag(ErrCorruptLog, err) // nil for the end mark
 }
 
-// replayLog redoes the committed transactions of the post-checkpoint window
-// through the normal heap/btree path, in LSN order.  Losers are not
-// replayed; their effects never reached the rebuilt state, so no undo is
-// needed.
-func (db *DB) replayLog(recs []wal.Record, afterLSN uint64, ridMap map[RID]RID, rst *RecoveryStats) error {
+// replayLog is the one restore path.  It starts at the begin mark of the
+// chosen checkpoint (beginLSN..endLSN, both zero when none survived): every
+// record up to the end mark is the checkpoint's own and applied as committed;
+// the records after it are the replay window, of which only committed
+// transactions are redone, in LSN order, through the normal heap/btree path.
+// Losers, and the partial stream of a later checkpoint that never reached its
+// end mark, are skipped; their effects never reached the rebuilt state, so no
+// undo is needed.  ridMap translates pre-crash RIDs to the rebuilt ones.
+func (db *DB) replayLog(recs []wal.Record, beginLSN, endLSN uint64, rst *RecoveryStats) error {
 	committed := make(map[uint64]bool)
 	started := make(map[uint64]bool)
+	var maxTxn uint64
 	for _, r := range recs {
-		if r.LSN <= afterLSN || r.Type == wal.RecCheckpoint {
+		if r.LSN <= endLSN || r.Type == wal.RecCheckpoint {
 			continue
 		}
 		if r.Type == wal.RecCommit {
@@ -321,7 +290,11 @@ func (db *DB) replayLog(recs []wal.Record, afterLSN uint64, ridMap map[RID]RID, 
 		if r.Type == wal.RecBegin {
 			started[r.TxnID] = true
 		}
+		if r.TxnID > maxTxn {
+			maxTxn = r.TxnID
+		}
 	}
+	db.txns.SeedNextID(maxTxn)
 	rst.CommittedTxns = len(committed)
 	for id := range started {
 		if !committed[id] {
@@ -329,35 +302,30 @@ func (db *DB) replayLog(recs []wal.Record, afterLSN uint64, ridMap map[RID]RID, 
 		}
 	}
 
-	db.mu.RLock()
-	tablesByID := make(map[uint32]*Table, len(db.tables))
-	for _, t := range db.tables {
-		tablesByID[t.objectID] = t
-	}
-	indexesByID := make(map[uint32]*Index, len(db.indexes))
-	for _, i := range db.indexes {
-		indexesByID[i.meta.ObjectID] = i
-	}
-	db.mu.RUnlock()
-
-	translate := func(old RID) (RID, bool) {
-		if nrid, ok := ridMap[old]; ok {
-			return nrid, true
-		}
-		return RID{}, false
-	}
+	tablesByID := make(map[uint32]*Table)
+	indexesByID := make(map[uint32]*Index)
+	ridMap := make(map[RID]RID)
 
 	now := db.clock.Now()
 	for _, r := range recs {
-		if r.LSN <= afterLSN {
+		if r.LSN < beginLSN {
 			continue
 		}
-		rst.ReplayedRecords++
-		rst.ReplayedBytes += int64(wal.RecordSize(r))
-		if !committed[r.TxnID] && r.Type != wal.RecCheckpoint {
-			continue
+		inCkpt := r.LSN <= endLSN
+		if inCkpt {
+			rst.CheckpointBytes += int64(wal.RecordSize(r))
+		} else {
+			rst.ReplayedRecords++
+			rst.ReplayedBytes += int64(wal.RecordSize(r))
+			if r.Type == wal.RecCheckpoint || !committed[r.TxnID] {
+				continue
+			}
 		}
 		switch r.Type {
+		case wal.RecCheckpoint:
+			if err := db.applyMark(r.Payload, tablesByID, indexesByID); err != nil {
+				return fmt.Errorf("noftl: recovery: checkpoint mark at lsn %d: %w", r.LSN, err)
+			}
 		case wal.RecInsert:
 			rid, row, err := wal.DecodeRowPayload(r.Payload)
 			if err != nil {
@@ -374,13 +342,16 @@ func (db *DB) replayLog(recs []wal.Record, afterLSN uint64, ridMap map[RID]RID, 
 			}
 			now = done
 			ridMap[rid] = newRID
+			if inCkpt {
+				rst.SnapshotRows++
+			}
 		case wal.RecUpdate:
 			rid, row, err := wal.DecodeRowPayload(r.Payload)
 			if err != nil {
 				return tag(ErrCorruptLog, err)
 			}
 			t := tablesByID[r.ObjectID]
-			nrid, ok := translate(rid)
+			nrid, ok := ridMap[rid]
 			if t == nil || !ok {
 				rst.SkippedRecords++
 				continue
@@ -400,7 +371,7 @@ func (db *DB) replayLog(recs []wal.Record, afterLSN uint64, ridMap map[RID]RID, 
 				return tag(ErrCorruptLog, err)
 			}
 			t := tablesByID[r.ObjectID]
-			nrid, ok := translate(rid)
+			nrid, ok := ridMap[rid]
 			if t == nil || !ok {
 				rst.SkippedRecords++
 				continue
@@ -426,7 +397,7 @@ func (db *DB) replayLog(recs []wal.Record, afterLSN uint64, ridMap map[RID]RID, 
 				continue
 			}
 			val := rid.Encode()
-			if nrid, ok := translate(rid); ok {
+			if nrid, ok := ridMap[rid]; ok {
 				val = nrid.Encode()
 			}
 			done, err := idx.tree.Insert(now, key, val)
@@ -434,6 +405,9 @@ func (db *DB) replayLog(recs []wal.Record, afterLSN uint64, ridMap map[RID]RID, 
 				return err
 			}
 			now = done
+			if inCkpt {
+				rst.SnapshotIndexEntries++
+			}
 		case wal.RecIndexDelete:
 			idx := indexesByID[r.ObjectID]
 			if idx == nil {
@@ -453,46 +427,4 @@ func (db *DB) replayLog(recs []wal.Record, afterLSN uint64, ridMap map[RID]RID, 
 	}
 	db.clock.Observe(now)
 	return nil
-}
-
-// createTableWithID registers a table under its pre-crash object id (the
-// recovery twin of CreateTable, which allocates a fresh id).
-func (db *DB) createTableWithID(meta catalog.Table) (*Table, error) {
-	ts, err := db.tablespace(meta.Tablespace)
-	if err != nil {
-		return nil, err
-	}
-	if err := db.cat.AddTable(meta); err != nil {
-		return nil, publicErr(err)
-	}
-	heap := storage.NewHeapFile(meta.Name, meta.ObjectID, ts, db.pool)
-	t := &Table{db: db, heap: heap, name: meta.Name, objectID: meta.ObjectID}
-	db.mu.Lock()
-	db.tables[meta.Name] = t
-	db.objectNames[meta.ObjectID] = meta.Name
-	db.mu.Unlock()
-	db.objStats.Register(meta.Name, "table", ts.Name())
-	return t, nil
-}
-
-// createIndexWithID registers an index under its pre-crash object id.
-func (db *DB) createIndexWithID(meta catalog.Index) (*Index, error) {
-	ts, err := db.tablespace(meta.Tablespace)
-	if err != nil {
-		return nil, err
-	}
-	if err := db.cat.AddIndex(meta); err != nil {
-		return nil, publicErr(err)
-	}
-	tree, _, err := btreeNew(db.clock.Now(), meta.Name, meta.ObjectID, ts, db.pool)
-	if err != nil {
-		return nil, err
-	}
-	idx := &Index{db: db, tree: tree, meta: meta}
-	db.mu.Lock()
-	db.indexes[meta.Name] = idx
-	db.objectNames[meta.ObjectID] = meta.Name
-	db.mu.Unlock()
-	db.objStats.Register(meta.Name, "index", ts.Name())
-	return idx, nil
 }

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sort"
 	"testing"
 
+	"noftl/internal/core"
 	"noftl/internal/flash"
 	"noftl/internal/storage"
+	"noftl/internal/wal"
 )
 
 // ledgerWorkload commits n small rows into table name, creating it first.
@@ -338,5 +341,279 @@ func TestReplayCountsLosersWithLazyBegin(t *testing.T) {
 	rtbl, _ := re.Table("T")
 	if got := rtbl.RowCount(); got != 21 {
 		t.Fatalf("recovered %d rows, want 21 (20 loaded + winner, loser discarded)", got)
+	}
+}
+
+// keyedRows commits rows [from, to) — each its 8-byte key plus padding — and
+// their index entries in one transaction.
+func keyedRows(t *testing.T, db *DB, tbl *Table, idx *Index, from, to int) {
+	t.Helper()
+	err := db.Update(func(tx *Tx) error {
+		for i := from; i < to; i++ {
+			key := []byte(fmt.Sprintf("k%07d", i))
+			rid, err := tbl.Insert(tx, append(key, bytes.Repeat([]byte{byte(i)}, 90)...))
+			if err == nil {
+				err = idx.Insert(tx, key, rid)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// durableLog reassembles the record stream a recovery of img would see.
+func durableLog(t *testing.T, img *CrashImage) []wal.Record {
+	t.Helper()
+	_, rep, err := core.RecoverManager(img.dev, img.cfg.Space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, _, err := scanLog(img.dev, rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scan.Records
+}
+
+// TestCheckpointIsARewrittenLogPrefix pins the checkpoint framing: between a
+// begin and an end mark sit one mark per schema object, one ordinary
+// RecInsert per live row and one ordinary RecIndexInsert per index entry, all
+// under the reserved transaction id, and CheckpointStats describes exactly
+// that record run.
+func TestCheckpointIsARewrittenLogPrefix(t *testing.T) {
+	db, err := OpenConfig(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("T", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := db.CreateIndex("T_PK", "T", []string{"k"}, true, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows, deleted = 300, 40
+	keyedRows(t, db, tbl, idx, 0, rows)
+	// Drop some index entries so the two counts differ.
+	err = db.Update(func(tx *Tx) error {
+		for i := 0; i < deleted; i++ {
+			if err := idx.Delete(tx, []byte(fmt.Sprintf("k%07d", i))); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Checkpoint(db.SimulatedTime()); err != nil {
+		t.Fatal(err)
+	}
+	st := db.Stats().WAL.Checkpoint
+
+	recs := durableLog(t, db.Crash())
+	begin, end, ok := wal.LastCheckpoint(recs)
+	if !ok {
+		t.Fatal("no complete checkpoint in the durable log")
+	}
+	if end != st.LastLSN {
+		t.Fatalf("end mark at lsn %d, CheckpointStats.LastLSN = %d", end, st.LastLSN)
+	}
+	count := map[wal.RecordType]int{}
+	var size int64
+	for _, r := range recs {
+		if r.LSN < begin || r.LSN > end {
+			continue
+		}
+		count[r.Type]++
+		size += int64(wal.RecordSize(r))
+		if r.Type != wal.RecCheckpoint && r.TxnID != wal.CkptTxnID {
+			t.Fatalf("lsn %d inside the checkpoint belongs to transaction %d", r.LSN, r.TxnID)
+		}
+	}
+	// Marks: begin, table, index, end (no regions or tablespaces here).
+	want := map[wal.RecordType]int{wal.RecCheckpoint: 4, wal.RecInsert: rows, wal.RecIndexInsert: rows - deleted}
+	if fmt.Sprint(count) != fmt.Sprint(want) {
+		t.Fatalf("checkpoint records by type: got %v, want %v", count, want)
+	}
+	if size != st.LastBytes {
+		t.Fatalf("checkpoint records encode to %d bytes, CheckpointStats.LastBytes = %d", size, st.LastBytes)
+	}
+}
+
+// TestCrashMidCheckpointFallsBack kills the device while a checkpoint's final
+// force is half written: its begin mark and part of its row stream are
+// durable, its end mark is not.  Recovery must start from the previous
+// checkpoint, replay the committed tail after it, and skip the partial stream.
+func TestCrashMidCheckpointFallsBack(t *testing.T) {
+	db, err := OpenConfig(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("T", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := db.CreateIndex("T_PK", "T", []string{"k"}, true, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const base, tail = 400, 25
+	keyedRows(t, db, tbl, idx, 0, base)
+	if _, err := db.Checkpoint(db.SimulatedTime()); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Stats().WAL
+	keyedRows(t, db, tbl, idx, base, base+tail)
+	tailRecords := db.Stats().WAL.Appended - before.Appended
+
+	// With the pool clean and the whole table resident, the next checkpoint
+	// issues log-page programs only; the crash lands in the middle of them.
+	if _, err := db.FlushAll(db.SimulatedTime()); err != nil {
+		t.Fatal(err)
+	}
+	logPages := before.Checkpoint.LastBytes / int64(smallConfig().Flash.Geometry.PageSize)
+	if logPages < 8 {
+		t.Fatalf("checkpoint spans only %d log pages; the test needs many", logPages)
+	}
+	db.Admin().ArmFaults(FaultPlan{Seed: 7, CrashAfterOps: logPages / 2})
+	if _, err := db.Checkpoint(db.SimulatedTime()); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("checkpoint under the fault plan: err=%v, want ErrCrashed", err)
+	}
+
+	// What survived: the previous checkpoint whole, the tail, and behind it a
+	// begin mark followed by checkpoint-owned row records and no end mark.
+	img := db.Crash()
+	img.dev.Revive()
+	recs := durableLog(t, img)
+	_, end, ok := wal.LastCheckpoint(recs)
+	if !ok || end != before.Checkpoint.LastLSN {
+		t.Fatalf("newest complete checkpoint ends at lsn %d (found=%v), want the previous one at %d",
+			end, ok, before.Checkpoint.LastLSN)
+	}
+	partialMarks, partialRows := 0, 0
+	for _, r := range recs {
+		if r.LSN > end && r.Type == wal.RecCheckpoint {
+			partialMarks++
+		}
+		if r.LSN > end && r.Type == wal.RecInsert && r.TxnID == wal.CkptTxnID {
+			partialRows++
+		}
+	}
+	if partialMarks == 0 || partialRows == 0 || partialRows >= base+tail {
+		t.Fatalf("crash did not land inside the row stream: %d marks, %d of %d rows durable",
+			partialMarks, partialRows, base+tail)
+	}
+
+	re, err := Reopen(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	rst, _ := re.Recovery()
+	if !rst.CheckpointFound || rst.SnapshotRows != base || rst.SnapshotIndexEntries != base {
+		t.Fatalf("recovery did not start from the previous checkpoint: %+v", rst)
+	}
+	if rst.CommittedTxns != 1 || rst.LoserTxns != 0 {
+		t.Fatalf("replay window: committed=%d losers=%d, want the one tail transaction", rst.CommittedTxns, rst.LoserTxns)
+	}
+	// The window holds the tail plus the partial stream, which is skipped.
+	if window := int64(recs[len(recs)-1].LSN - end); int64(rst.ReplayedRecords) != window || window <= tailRecords {
+		t.Fatalf("replay window holds %d records, want the %d after the end mark (tail alone: %d)",
+			rst.ReplayedRecords, window, tailRecords)
+	}
+	rtbl, _ := re.Table("T")
+	ridx, _ := re.Index("T_PK")
+	if got := rtbl.RowCount(); got != base+tail {
+		t.Fatalf("recovered %d rows, want %d (partial stream must not be replayed)", got, base+tail)
+	}
+	err = re.View(func(tx *Tx) error {
+		for i := 0; i < base+tail; i++ {
+			key := []byte(fmt.Sprintf("k%07d", i))
+			rid, found, err := ridx.Lookup(tx, key)
+			if err != nil || !found {
+				return fmt.Errorf("key %s: found=%v err=%v", key, found, err)
+			}
+			row, err := rtbl.Get(tx, rid)
+			if err != nil || !bytes.HasPrefix(row, key) {
+				return fmt.Errorf("key %s addresses row %q (err=%v)", key, row, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCrashRightAfterDDLCheckpoint crashes with nothing in the log but the
+// checkpoint a DDL statement took: the schema marks alone must bring back
+// every region (on its dies, with its GC policy), tablespace, table and index
+// under its old object id, and fresh ids must continue above them.
+func TestCrashRightAfterDDLCheckpoint(t *testing.T) {
+	db, err := OpenConfig(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = db.Exec(`
+		CREATE REGION rgHot (MAX_CHIPS=2, GC_POLICY=COST_BENEFIT, GC_STEP_PAGES=4);
+		CREATE TABLESPACE tsHot (REGION=rgHot, EXTENT SIZE 16K);
+		CREATE TABLE A (a NUMBER(3)) TABLESPACE tsHot;
+		CREATE TABLE B (b NUMBER(3));
+		CREATE INDEX A_PK ON A (a) TABLESPACE tsHot;
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regionDies := func(db *DB) string {
+		var out []string
+		for _, r := range db.Stats().Space.Regions {
+			out = append(out, fmt.Sprintf("%s%v", r.Name, r.Dies))
+		}
+		sort.Strings(out)
+		return fmt.Sprint(out)
+	}
+	// Region ids are handed out in creation order and not preserved.
+	schema := func(db *DB) string {
+		s := db.Schema()
+		for i := range s.Regions {
+			s.Regions[i].ID = 0
+		}
+		return fmt.Sprintf("%+v", s)
+	}
+	wantSchema, wantDies := schema(db), regionDies(db)
+
+	re, err := Reopen(db.Crash())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if rst, _ := re.Recovery(); !rst.CheckpointFound || rst.ReplayedRecords != 0 {
+		t.Fatalf("expected a checkpoint and an empty replay window: %+v", rst)
+	}
+	if got := schema(re); got != wantSchema {
+		t.Fatalf("schema changed across recovery:\n got %s\nwant %s", got, wantSchema)
+	}
+	if got := regionDies(re); got != wantDies {
+		t.Fatalf("regions moved: got %s, want %s", got, wantDies)
+	}
+	var maxID uint32
+	for _, tb := range re.Schema().Tables {
+		maxID = max(maxID, tb.ObjectID)
+	}
+	for _, ix := range re.Schema().Indexes {
+		maxID = max(maxID, ix.ObjectID)
+	}
+	if _, err := re.CreateTable("C", "tsHot", nil); err != nil {
+		t.Fatal(err)
+	}
+	if c, _ := re.cat.Table("C"); c.ObjectID <= maxID {
+		t.Fatalf("fresh table got object id %d, not above the recovered ids (max %d)", c.ObjectID, maxID)
 	}
 }
