@@ -20,10 +20,15 @@ func (t *Table) InsertBatch(tx *Tx, rows [][]byte) ([]RID, error) {
 	for range rows {
 		tx.chargeOp()
 	}
+	if err := t.loggable(rows...); err != nil {
+		return nil, err
+	}
 	rids, done, err := t.heap.InsertBatch(tx.Now(), rows)
 	tx.inner.AdvanceTo(done)
 	for i, rid := range rids {
-		tx.inner.Log(wal.RecInsert, t.objectID, wal.EncodeRowPayload(rid, rows[i]))
+		if lerr := tx.inner.Log(wal.RecInsert, t.objectID, wal.EncodeRowPayload(rid, rows[i])); lerr != nil && err == nil {
+			err = lerr
+		}
 	}
 	t.db.objStats.RecordAppend(t.name, int64(len(rids)))
 	return rids, publicErr(err)

@@ -47,6 +47,15 @@ type ckptBegin struct {
 	Light bool
 }
 
+// Schema mark kinds, the marks between a checkpoint's begin and end (applyMark
+// is their reader).
+const (
+	markRegion byte = wal.CkptBody + iota
+	markTablespace
+	markTable
+	markIndex
+)
+
 // ckptStream appends the records of one checkpoint.  The first failure
 // sticks in err and turns every later append into a no-op.
 type ckptStream struct {
@@ -79,6 +88,16 @@ func (s *ckptStream) mark(kind byte, body any) {
 	s.append(wal.RecCheckpoint, s.seq, 0, wal.EncodeCheckpointMark(kind, data))
 }
 
+// markFits rejects, before a DDL registers it, a catalog entry whose schema
+// mark would not fit one log record: every later checkpoint would fail on it.
+func (db *DB) markFits(entry any) error {
+	body, err := json.Marshal(entry)
+	if max := wal.MaxPayload(db.dev.Geometry().PageSize) - 1; err == nil && db.log != nil && len(body) > max {
+		err = tag(ErrTooLarge, fmt.Errorf("catalog entry of %d bytes exceeds the %d a log record carries", len(body), max))
+	}
+	return err
+}
+
 // streamState appends the schema and every live row and index entry.  The
 // caller holds the checkpoint quiesce lock exclusively, so no transaction is
 // in flight and the state is transaction-consistent by construction.
@@ -91,12 +110,12 @@ func (db *DB) streamState(s *ckptStream, now sim.Time) (sim.Time, error) {
 	}
 	for _, r := range db.cat.Regions() {
 		gc := r.GC
-		s.mark(wal.CkptRegion, RegionSpec{Name: r.Name, MaxChips: r.MaxChips, MaxChannels: r.MaxChannels,
+		s.mark(markRegion, RegionSpec{Name: r.Name, MaxChips: r.MaxChips, MaxChannels: r.MaxChannels,
 			MaxSizeBytes: r.MaxSizeBytes, Dies: dies[r.Name], GC: &gc})
 	}
 	for _, ts := range db.cat.Tablespaces() {
 		if ts.Name != "SYSTEM" { // implicit: openWith creates it
-			s.mark(wal.CkptTablespace, ts)
+			s.mark(markTablespace, ts)
 		}
 	}
 	for _, meta := range db.cat.Tables() {
@@ -104,7 +123,7 @@ func (db *DB) streamState(s *ckptStream, now sim.Time) (sim.Time, error) {
 		if !ok {
 			return now, fmt.Errorf("noftl: checkpoint: table %q has no runtime object", meta.Name)
 		}
-		s.mark(wal.CkptTable, meta)
+		s.mark(markTable, meta)
 		done, err := t.heap.Scan(now, func(rid RID, row []byte) bool {
 			s.buf = wal.AppendRowPayload(s.buf[:0], rid, row)
 			return s.append(wal.RecInsert, wal.CkptTxnID, meta.ObjectID, s.buf)
@@ -119,7 +138,7 @@ func (db *DB) streamState(s *ckptStream, now sim.Time) (sim.Time, error) {
 		if !ok {
 			return now, fmt.Errorf("noftl: checkpoint: index %q has no runtime object", meta.Name)
 		}
-		s.mark(wal.CkptIndex, meta)
+		s.mark(markIndex, meta)
 		done, err := idx.tree.Scan(now, nil, nil, func(key, val []byte) bool {
 			rid, err := storage.DecodeRID(val)
 			if err != nil {
@@ -154,31 +173,35 @@ func (db *DB) checkpointLocked(now sim.Time) (sim.Time, error) {
 	s.mark(wal.CkptBegin, head)
 	beginLSN := s.lsn
 	if !head.Light {
-		if now, err = db.streamState(s, now); err != nil {
-			return now, err
+		now, err = db.streamState(s, now)
+	}
+	if err == nil { // never close a stream that broke off
+		s.mark(wal.CkptEnd, nil)
+		err = s.err
+	}
+	if err == nil {
+		if now, err = db.log.Flush(now); err == nil {
+			// Everything below the begin mark is now redundant: recovery starts there.
+			db.log.Truncate(beginLSN)
 		}
 	}
-	s.mark(wal.CkptEnd, nil)
-	if s.err != nil {
-		return now, s.err
-	}
-	if now, err = db.log.Flush(now); err != nil {
-		return now, err
-	}
-	// Everything below the begin mark is now redundant: recovery starts there.
-	db.log.Truncate(beginLSN)
-
 	// The counters are read by Stats() and maybeCheckpoint concurrently;
 	// db.mu guards them (ckptMu would self-deadlock for a caller that holds
 	// an open transaction while snapshotting stats).
 	db.mu.Lock()
+	defer db.mu.Unlock()
+	// Also after a failure, which leaves a begin mark and a partial stream in
+	// the log (recovery skips them, the next checkpoint truncates them): the
+	// byte trigger then retries once per budget, not after every commit.
+	db.ckptWALMark = db.log.BytesAppended()
+	if err != nil {
+		return now, err
+	}
 	db.ckptCount.Inc()
 	db.ckptLastLSN = s.lsn
 	db.ckptChunks.Add(s.records)
 	db.ckptBytes = s.bytes
 	db.ckptTime = now
-	db.ckptWALMark = db.log.BytesAppended()
-	db.mu.Unlock()
 	return now, nil
 }
 

@@ -565,6 +565,9 @@ func (db *DB) createTable(meta catalog.Table) (*Table, error) {
 	if meta.ObjectID == 0 {
 		meta.ObjectID = db.cat.NextObjectID()
 	}
+	if err := db.markFits(meta); err != nil {
+		return nil, err
+	}
 	if err := db.cat.AddTable(meta); err != nil {
 		return nil, publicErr(err)
 	}
@@ -692,6 +695,9 @@ func (db *DB) createIndex(meta catalog.Index) (*Index, error) {
 	meta.Tablespace = ts.Name()
 	if meta.ObjectID == 0 {
 		meta.ObjectID = db.cat.NextObjectID()
+	}
+	if err := db.markFits(meta); err != nil {
+		return nil, err
 	}
 	if err := db.cat.AddIndex(meta); err != nil {
 		return nil, publicErr(err)

@@ -11,6 +11,7 @@ import (
 	"noftl/internal/flash"
 	"noftl/internal/storage"
 	"noftl/internal/txn"
+	"noftl/internal/wal"
 )
 
 // The package's error taxonomy.  Every error returned by the public API can
@@ -34,6 +35,9 @@ var (
 	// ErrRegionFull reports a write that exceeded its region's logical
 	// capacity (and could not spill).
 	ErrRegionFull = errors.New("noftl: region full")
+	// ErrTooLarge reports a row that fits no heap page or — with the WAL on —
+	// no log record, or an index key too large for a B+-tree node.
+	ErrTooLarge = errors.New("noftl: row or key too large")
 	// ErrCrashed reports that the simulated device hit an injected crash
 	// point (see WithFaultPlan): every further operation fails until the
 	// database is reopened with Reopen, which runs crash recovery.
@@ -107,7 +111,7 @@ func publicErr(err error) error {
 		return nil
 	case errors.Is(err, ErrNotFound), errors.Is(err, ErrClosed),
 		errors.Is(err, ErrUnsupported), errors.Is(err, ErrConflict),
-		errors.Is(err, ErrRegionFull):
+		errors.Is(err, ErrRegionFull), errors.Is(err, ErrTooLarge):
 		return err
 	case errors.Is(err, catalog.ErrNotFound),
 		errors.Is(err, storage.ErrNotFound),
@@ -124,6 +128,10 @@ func publicErr(err error) error {
 		return tag(ErrConflict, err)
 	case errors.Is(err, core.ErrRegionFull):
 		return tag(ErrRegionFull, err)
+	case errors.Is(err, storage.ErrRecordTooLarge),
+		errors.Is(err, btree.ErrKeyTooLarge),
+		errors.Is(err, wal.ErrTooLarge):
+		return tag(ErrTooLarge, err)
 	case errors.Is(err, core.ErrDefaultRegion):
 		return tag(ErrUnsupported, err)
 	default:

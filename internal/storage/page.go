@@ -103,7 +103,6 @@ func freeStart(buf []byte) int { return int(binary.LittleEndian.Uint16(buf[offFr
 func freeEnd(buf []byte) int   { return int(binary.LittleEndian.Uint16(buf[offFreeEnd:])) }
 
 func setSlotCount(buf []byte, n int) { binary.LittleEndian.PutUint16(buf[offSlotCount:], uint16(n)) }
-func setFreeStart(buf []byte, n int) { binary.LittleEndian.PutUint16(buf[offFreeStart:], uint16(n)) }
 func setFreeEnd(buf []byte, n int)   { binary.LittleEndian.PutUint16(buf[offFreeEnd:], uint16(n)) }
 
 func slotOffsetPos(slot int) int { return PageHeaderSize + slot*slotSize }

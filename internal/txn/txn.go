@@ -487,13 +487,15 @@ func (t *Txn) Lock(key string, mode LockMode) error {
 	return nil
 }
 
-// Log appends a record to the WAL on behalf of the transaction.
-func (t *Txn) Log(typ wal.RecordType, objectID uint32, payload []byte) {
+// Log appends a record to the WAL on behalf of the transaction.  A record
+// the log refuses is not durable: the caller must fail the operation.
+func (t *Txn) Log(typ wal.RecordType, objectID uint32, payload []byte) error {
 	if t.mgr.log == nil || t.state != Active {
-		return
+		return nil
 	}
 	t.logBegin()
-	_, _ = t.mgr.log.Append(typ, t.id, objectID, payload)
+	_, err := t.mgr.log.Append(typ, t.id, objectID, payload)
+	return err
 }
 
 // Commit writes the commit record, forces the log (joining the group commit

@@ -23,7 +23,7 @@ func FuzzWALRecordDecode(f *testing.F) {
 	f.Add(EncodeIndexInsert([]byte("key-0001"), rid))
 	f.Add(EncodeIndexInsert(nil, rid))
 	f.Add(EncodeCheckpointMark(CkptBegin, []byte(`{"NextTxnID":7,"DefaultGC":{"Victim":0,"StepPages":8,"DisableHotCold":false},"Light":false}`)))
-	f.Add(EncodeCheckpointMark(CkptTable, []byte(`{"Name":"T","ObjectID":2,"Tablespace":"SYSTEM","Columns":null}`)))
+	f.Add(EncodeCheckpointMark(CkptBody+2, []byte(`{"Name":"T","ObjectID":2,"Tablespace":"SYSTEM","Columns":null}`)))
 	f.Add(EncodeCheckpointMark(CkptEnd, nil))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})

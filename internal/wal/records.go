@@ -29,16 +29,20 @@ const ridLen = 10
 const CkptTxnID = 0
 
 // Checkpoint mark kinds: the first payload byte of a RecCheckpoint record.
-// The log only tells begin from end (LastCheckpoint); the bodies belong to the
-// layer that writes the checkpoint.
+// The log only tells begin from end (LastCheckpoint); every kind from CkptBody
+// up, and every body, belongs to the layer that writes the checkpoint.
 const (
 	CkptBegin byte = iota + 1
-	CkptRegion
-	CkptTablespace
-	CkptTable
-	CkptIndex
 	CkptEnd
+	CkptBody
 )
+
+// MaxPayload returns the largest record payload that fits into one log page
+// of the given size (records never span pages).
+func MaxPayload(pageSize int) int { return pageSize - storage.PageHeaderSize - 8 - recHeaderSize }
+
+// MaxRow returns the largest row image a RecInsert/RecUpdate can carry.
+func MaxRow(pageSize int) int { return MaxPayload(pageSize) - ridLen }
 
 // RecordSize returns the encoded size of a record on a log page.
 func RecordSize(r Record) int {
@@ -101,7 +105,7 @@ func EncodeCheckpointMark(kind byte, body []byte) []byte {
 
 // DecodeCheckpointMark unpacks a RecCheckpoint payload.
 func DecodeCheckpointMark(p []byte) (kind byte, body []byte, err error) {
-	if len(p) == 0 || p[0] < CkptBegin || p[0] > CkptEnd {
+	if len(p) == 0 || p[0] < CkptBegin {
 		return 0, nil, fmt.Errorf("%w: checkpoint mark", ErrCorrupt)
 	}
 	return p[0], p[1:], nil

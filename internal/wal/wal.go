@@ -310,11 +310,11 @@ func (l *Log) PageCount() int {
 func (l *Log) Append(typ RecordType, txnID uint64, objectID uint32, payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if len(payload) > MaxPayload(l.pageSize) {
+		return 0, fmt.Errorf("%w: %d payload bytes", ErrTooLarge, len(payload))
+	}
 	rec := Record{LSN: l.nextLSN, Type: typ, TxnID: txnID, ObjectID: objectID, Payload: payload}
 	enc := encodeRecord(rec)
-	if len(enc) > l.pageSize-storage.PageHeaderSize-8 {
-		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(enc))
-	}
 	if _, err := storage.InsertRecord(l.cur, enc); err != nil {
 		// Current page is full: seal it and start a new one.
 		l.sealedWr = append(l.sealedWr, sealedPage{lpn: l.curLPN, data: l.cur})
@@ -329,9 +329,11 @@ func (l *Log) Append(typ RecordType, txnID uint64, objectID uint32, payload []by
 	l.bytesAppended.Add(int64(len(enc)))
 	l.bytesLive += int64(len(enc))
 	l.pageBytes[l.curLPN] += int64(len(enc))
-	if l.tracer.Enabled(obs.ClassWALAppend) {
+	if txnID != CkptTxnID && l.tracer.Enabled(obs.ClassWALAppend) {
 		// Append is a pure memory operation: it carries no virtual-time span
-		// of its own (durability cost lands on the Flush event).
+		// of its own (durability cost lands on the Flush event).  A checkpoint's
+		// row stream is not traced record by record: it would push the host and
+		// GC events out of the ring, and the force's wal_sync carries its count.
 		l.tracer.Record(obs.Event{
 			Class: obs.ClassWALAppend, Op: uint8(typ),
 			Die: -1, Block: -1, Page: -1, Region: int32(l.hint.Region),

@@ -52,17 +52,6 @@ func readBack(t *testing.T, l *Log, mgr *core.Manager) []Record {
 	return scan.Records
 }
 
-// committedTxns is the set of transaction ids with a durable COMMIT record.
-func committedTxns(recs []Record) map[uint64]bool {
-	committed := make(map[uint64]bool)
-	for _, r := range recs {
-		if r.Type == RecCommit {
-			committed[r.TxnID] = true
-		}
-	}
-	return committed
-}
-
 func TestRecordEncodeDecodeProperty(t *testing.T) {
 	f := func(lsn, txn uint64, obj uint32, typ uint8, payload []byte) bool {
 		r := Record{LSN: lsn, Type: RecordType(typ%7 + 1), TxnID: txn, ObjectID: obj, Payload: payload}
@@ -153,29 +142,6 @@ func TestAppendFlushReadBack(t *testing.T) {
 	}
 	if l.PageCount() < 2 {
 		t.Fatalf("expected multiple log pages, got %d", l.PageCount())
-	}
-}
-
-func TestCommittedTxns(t *testing.T) {
-	l, mgr := testLog(t)
-	mustAppend := func(typ RecordType, txn uint64) {
-		if _, err := l.Append(typ, txn, 0, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustAppend(RecBegin, 1)
-	mustAppend(RecUpdate, 1)
-	mustAppend(RecCommit, 1)
-	mustAppend(RecBegin, 2)
-	mustAppend(RecUpdate, 2)
-	mustAppend(RecBegin, 3)
-	mustAppend(RecAbort, 3)
-	if _, err := l.Flush(0); err != nil {
-		t.Fatal(err)
-	}
-	committed := committedTxns(readBack(t, l, mgr))
-	if !committed[1] || committed[2] || committed[3] {
-		t.Fatalf("committed set wrong: %v", committed)
 	}
 }
 
@@ -287,12 +253,16 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	if len(recs) != 2*commits {
 		t.Fatalf("recovered %d records, want %d", len(recs), 2*commits)
 	}
+	committed := make(map[uint64]bool)
 	for i, r := range recs {
 		if r.LSN != uint64(i+1) {
 			t.Fatalf("record %d has lsn %d: append order not preserved", i, r.LSN)
 		}
+		if r.Type == RecCommit {
+			committed[r.TxnID] = true
+		}
 	}
-	if committed := committedTxns(recs); len(committed) != commits {
+	if len(committed) != commits {
 		t.Fatalf("recovered %d committed txns, want %d", len(committed), commits)
 	}
 }

@@ -242,30 +242,34 @@ func (db *DB) applyMark(p []byte, tables map[uint32]*Table, indexes map[uint32]*
 			db.txns.SeedNextID(head.NextTxnID)
 			return db.space.SetGCPolicy(core.DefaultRegionName, head.DefaultGC)
 		}
-	case wal.CkptRegion:
+	case markRegion:
 		var spec RegionSpec
 		if err = json.Unmarshal(body, &spec); err == nil {
 			return db.CreateRegion(spec)
 		}
-	case wal.CkptTablespace:
+	case markTablespace:
 		var ts catalog.Tablespace
 		if err = json.Unmarshal(body, &ts); err == nil {
 			return db.CreateTablespace(ts.Name, ts.Region, ts.ExtentPages)
 		}
-	case wal.CkptTable:
+	case markTable:
 		var meta catalog.Table
 		if err = json.Unmarshal(body, &meta); err == nil {
 			tables[meta.ObjectID], err = db.createTable(meta)
 			return err
 		}
-	case wal.CkptIndex:
+	case markIndex:
 		var meta catalog.Index
 		if err = json.Unmarshal(body, &meta); err == nil {
 			indexes[meta.ObjectID], err = db.createIndex(meta)
 			return err
 		}
+	case wal.CkptEnd:
+		return nil
+	default:
+		err = fmt.Errorf("unknown mark kind %d", kind)
 	}
-	return tag(ErrCorruptLog, err) // nil for the end mark
+	return tag(ErrCorruptLog, err)
 }
 
 // replayLog is the one restore path.  It starts at the begin mark of the

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"noftl/internal/catalog"
 	"noftl/internal/core"
 	"noftl/internal/flash"
 	"noftl/internal/storage"
@@ -615,5 +616,165 @@ func TestCrashRightAfterDDLCheckpoint(t *testing.T) {
 	}
 	if c, _ := re.cat.Table("C"); c.ObjectID <= maxID {
 		t.Fatalf("fresh table got object id %d, not above the recovered ids (max %d)", c.ObjectID, maxID)
+	}
+}
+
+// TestLoggableSizeIsTheRowLimit pins the row-size limit with the WAL on: the
+// largest row a log record carries inserts, updates, checkpoints and survives
+// a crash; one byte more is refused before anything is applied — in Insert,
+// Update and InsertBatch alike — so no live row can ever make a checkpoint
+// (or a later DDL) fail with a record larger than a log page.
+func TestLoggableSizeIsTheRowLimit(t *testing.T) {
+	db, err := OpenConfig(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("T", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := wal.MaxRow(smallConfig().Flash.Geometry.PageSize)
+	big := bytes.Repeat([]byte{'m'}, limit)
+	var rid RID
+	err = db.Update(func(tx *Tx) error {
+		small, err := tbl.Insert(tx, []byte("small"))
+		if err != nil {
+			return err
+		}
+		for _, err := range []error{
+			func() error { _, err := tbl.Insert(tx, append(big, 'x')); return err }(),
+			func() error { _, err := tbl.InsertBatch(tx, [][]byte{big, append(big, 'x')}); return err }(),
+			tbl.Update(tx, small, append(big, 'x')),
+		} {
+			if !errors.Is(err, ErrTooLarge) {
+				return fmt.Errorf("oversize row: err=%v, want ErrTooLarge", err)
+			}
+		}
+		if rid, err = tbl.Insert(tx, big); err != nil {
+			return err
+		}
+		big[0] = 'M'
+		return tbl.Update(tx, rid, big)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.RowCount(); got != 2 {
+		t.Fatalf("%d rows after the refused inserts, want 2", got)
+	}
+	if _, err := db.Checkpoint(db.SimulatedTime()); err != nil {
+		t.Fatalf("checkpoint of a max-size row: %v", err)
+	}
+	if _, err := db.CreateTable("U", "", nil); err != nil {
+		t.Fatalf("DDL after a max-size row: %v", err)
+	}
+	// The same limit holds for the schema marks: a catalog entry no log
+	// record carries is refused before the DDL registers it.
+	if _, err := db.CreateTable("W", "", make([]Column, 200)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("200-column table on a 2 KB log page: err=%v, want ErrTooLarge", err)
+	}
+	if _, ok := db.Table("W"); ok || len(db.Schema().Tables) != 2 {
+		t.Fatalf("refused table left traces: %+v", db.Schema().Tables)
+	}
+	if _, err := db.Checkpoint(db.SimulatedTime()); err != nil {
+		t.Fatalf("checkpoint after the refused DDL: %v", err)
+	}
+
+	re, err := Reopen(db.Crash())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	rtbl, _ := re.Table("T")
+	found := false
+	err = re.View(func(tx *Tx) error {
+		for _, row := range rtbl.Rows(tx) {
+			found = found || bytes.Equal(row, big)
+		}
+		return tx.Err()
+	})
+	if err != nil || !found || rtbl.RowCount() != 2 {
+		t.Fatalf("max-size row after recovery: found=%v rows=%d err=%v", found, rtbl.RowCount(), err)
+	}
+}
+
+// TestFailedCheckpointBacksOff makes every checkpoint fail after its begin
+// mark (a catalog table without a runtime object) and checks that the byte
+// trigger waits out a full budget before it retries, instead of streaming the
+// whole table again after every commit.
+func TestFailedCheckpointBacksOff(t *testing.T) {
+	const budget = 64 << 10
+	db, err := OpenConfig(smallConfig(), WithCheckpointEvery(budget))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable("T", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := db.CreateIndex("T_PK", "T", []string{"k"}, true, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyedRows(t, db, tbl, idx, 0, 200)
+	if err := db.cat.AddTable(catalog.Table{Name: "ghost", ObjectID: 999, Tablespace: "SYSTEM"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Checkpoint(db.SimulatedTime()); err == nil {
+		t.Fatal("checkpoint with a ghost table succeeded")
+	}
+	// 40 one-row commits append ~10 KB of their own: well inside one budget,
+	// so no automatic checkpoint may start.
+	before := db.Stats().WAL
+	for i := 200; i < 240; i++ {
+		keyedRows(t, db, tbl, idx, i, i+1)
+	}
+	after := db.Stats().WAL
+	if after.Checkpoint.Count != before.Checkpoint.Count {
+		t.Fatalf("a checkpoint succeeded (%d -> %d)", before.Checkpoint.Count, after.Checkpoint.Count)
+	}
+	if got := after.Appended - before.Appended; got != 40*4 {
+		t.Fatalf("40 one-row commits appended %d records, want %d: the failed checkpoint was retried inside its budget", got, 40*4)
+	}
+}
+
+// TestCheckpointStreamLeavesTheTraceRing checks that the rows and entries a
+// checkpoint streams are not traced one by one: the ring keeps the host and
+// GC events it is there for, and the stream shows up as the record count of
+// the checkpoint's wal_sync event.
+func TestCheckpointStreamLeavesTheTraceRing(t *testing.T) {
+	db, err := OpenConfig(smallConfig(), WithTraceBuffer(1<<16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable("T", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := db.CreateIndex("T_PK", "T", []string{"k"}, true, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 500
+	keyedRows(t, db, tbl, idx, 0, rows)
+	appends := func() int {
+		var dump bytes.Buffer
+		if _, err := db.Admin().TraceDump(&dump); err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Count(dump.Bytes(), []byte(`"wal_append"`))
+	}
+	before := appends()
+	if before < 2*rows {
+		t.Fatalf("only %d wal_append events for %d logged rows and entries", before, 2*rows)
+	}
+	if _, err := db.Checkpoint(db.SimulatedTime()); err != nil {
+		t.Fatal(err)
+	}
+	// Begin, table, index and end marks; none of the 2*rows streamed records.
+	if got := appends() - before; got != 4 {
+		t.Fatalf("checkpoint of %d rows traced %d wal_append events, want its 4 marks", rows, got)
 	}
 }

@@ -1,6 +1,8 @@
 package noftl
 
 import (
+	"fmt"
+
 	"noftl/internal/btree"
 	"noftl/internal/buffer"
 	"noftl/internal/catalog"
@@ -115,17 +117,32 @@ func (t *Table) RowCount() int64 { return t.heap.RecordCount() }
 // PageCount returns the number of heap pages.
 func (t *Table) PageCount() int64 { return t.heap.PageCount() }
 
+// loggable rejects, before anything is applied, rows whose log record would
+// not fit one log page.  With the WAL on that is the row-size limit (43 bytes
+// below a heap page's): such a row is neither durable nor checkpointable.
+func (t *Table) loggable(rows ...[]byte) error {
+	max := wal.MaxRow(t.db.dev.Geometry().PageSize)
+	for _, row := range rows {
+		if t.db.log != nil && len(row) > max {
+			return tag(ErrTooLarge, fmt.Errorf("table %s: %d-byte row exceeds the %d bytes a log record carries", t.name, len(row), max))
+		}
+	}
+	return nil
+}
+
 // Insert adds a row and returns its RID.
 func (t *Table) Insert(tx *Tx, row []byte) (RID, error) {
 	tx.chargeOp()
-	rid, done, err := t.heap.Insert(tx.Now(), row)
-	if err != nil {
+	if err := t.loggable(row); err != nil {
 		return RID{}, err
 	}
+	rid, done, err := t.heap.Insert(tx.Now(), row)
+	if err != nil {
+		return RID{}, publicErr(err)
+	}
 	tx.inner.AdvanceTo(done)
-	tx.inner.Log(wal.RecInsert, t.objectID, wal.EncodeRowPayload(rid, row))
 	t.db.objStats.RecordAppend(t.name, 1)
-	return rid, nil
+	return rid, tx.inner.Log(wal.RecInsert, t.objectID, wal.EncodeRowPayload(rid, row))
 }
 
 // Get returns the row stored under rid.  An unknown or deleted record is
@@ -143,13 +160,15 @@ func (t *Table) Get(tx *Tx, rid RID) ([]byte, error) {
 // Update replaces the row stored under rid.
 func (t *Table) Update(tx *Tx, rid RID, row []byte) error {
 	tx.chargeOp()
+	if err := t.loggable(row); err != nil {
+		return err
+	}
 	done, err := t.heap.Update(tx.Now(), rid, row)
 	if err != nil {
 		return publicErr(err)
 	}
 	tx.inner.AdvanceTo(done)
-	tx.inner.Log(wal.RecUpdate, t.objectID, wal.EncodeRowPayload(rid, row))
-	return nil
+	return tx.inner.Log(wal.RecUpdate, t.objectID, wal.EncodeRowPayload(rid, row))
 }
 
 // Delete removes the row stored under rid.
@@ -160,8 +179,7 @@ func (t *Table) Delete(tx *Tx, rid RID) error {
 		return publicErr(err)
 	}
 	tx.inner.AdvanceTo(done)
-	tx.inner.Log(wal.RecDelete, t.objectID, rid.Encode())
-	return nil
+	return tx.inner.Log(wal.RecDelete, t.objectID, rid.Encode())
 }
 
 // Index is a handle to a B+-tree index.
@@ -188,11 +206,10 @@ func (i *Index) Insert(tx *Tx, key []byte, rid RID) error {
 	tx.chargeOp()
 	done, err := i.tree.Insert(tx.Now(), key, rid.Encode())
 	if err != nil {
-		return err
+		return publicErr(err)
 	}
 	tx.inner.AdvanceTo(done)
-	tx.inner.Log(wal.RecIndexInsert, i.meta.ObjectID, wal.EncodeIndexInsert(key, rid))
-	return nil
+	return tx.inner.Log(wal.RecIndexInsert, i.meta.ObjectID, wal.EncodeIndexInsert(key, rid))
 }
 
 // Lookup returns the RID stored under key.
@@ -221,8 +238,7 @@ func (i *Index) Delete(tx *Tx, key []byte) error {
 		return err
 	}
 	tx.inner.AdvanceTo(done)
-	tx.inner.Log(wal.RecIndexDelete, i.meta.ObjectID, key)
-	return nil
+	return tx.inner.Log(wal.RecIndexDelete, i.meta.ObjectID, key)
 }
 
 // Key builds an order-preserving composite key of uint32 components (a
