@@ -20,10 +20,16 @@ import (
 //	RecIndexInsert        every live index entry  (object id, key, RID)
 //	RecCheckpoint end
 //
-// forces the log and truncates it below the begin mark.  Rows and entries go
-// straight from the heap/tree scan into the log through one reused payload
-// buffer, under the reserved transaction id wal.CkptTxnID.  Recovery is one
-// replay loop (replayLog): it starts at the newest begin mark whose end mark
+// forces the log and truncates it below the begin mark.  The force is one
+// batch striped over the dies of the log's region, so a checkpoint costs the
+// device the time of its busiest die, not of all its pages in a row; it is not
+// atomic, and the checkpoint exists once the force has returned: after a crash
+// inside it the log ends at the first page that did not reach flash, and what
+// lies above — even a begin…end run that happens to be whole — is dropped
+// (wal.ScanImages).  Rows and entries go straight from the heap/tree scan into
+// the log through one reused payload buffer, under the reserved transaction id
+// wal.CkptTxnID.  Recovery is one replay loop (replayLog): it starts at the
+// newest begin mark whose end mark
 // is durable, takes everything up to that end mark as committed, and filters
 // what follows by commit record — the same RecInsert case restores a
 // checkpointed row and redoes a logged one.  No undo pass and no physical

@@ -111,6 +111,39 @@ type Device struct {
 	// fault injection (see fault.go); nil when no plan is armed
 	faultMu sync.Mutex
 	fault   *faultState
+
+	// Payload buffers of erased blocks, waiting for the next program.  A full
+	// device programs a page for every page it erases, so in steady state no
+	// program allocates; the list is capped at half a block per die, which
+	// bounds the host memory it can hold back beside the stored data.
+	bufMu    sync.Mutex
+	freeBufs [][]byte
+}
+
+// pageBuf returns a PageSize buffer with unspecified contents for a program
+// that overwrites all of it.
+func (d *Device) pageBuf() []byte {
+	d.bufMu.Lock()
+	defer d.bufMu.Unlock()
+	if n := len(d.freeBufs); n > 0 {
+		buf := d.freeBufs[n-1]
+		d.freeBufs = d.freeBufs[:n-1]
+		return buf
+	}
+	return make([]byte, d.geo.PageSize)
+}
+
+// recycle takes over the payload buffers of a block being erased.
+func (d *Device) recycle(bufs [][]byte) {
+	d.bufMu.Lock()
+	defer d.bufMu.Unlock()
+	limit := d.geo.Dies() * d.geo.PagesPerBlock / 2
+	for i, buf := range bufs {
+		if buf != nil && len(d.freeBufs) < limit {
+			d.freeBufs = append(d.freeBufs, buf)
+		}
+		bufs[i] = nil
+	}
 }
 
 // NewDevice creates a device with the given configuration.
@@ -283,7 +316,7 @@ func (d *Device) ProgramPage(now sim.Time, addr Addr, data []byte, meta PageMeta
 		if blk.data == nil {
 			blk.data = make([][]byte, d.geo.PagesPerBlock)
 		}
-		cp := make([]byte, d.geo.PageSize)
+		cp := d.pageBuf()
 		copy(cp, data)
 		blk.data[addr.Page] = cp
 	}
@@ -322,7 +355,7 @@ func (d *Device) EraseBlock(now sim.Time, b BlockAddr) (sim.Time, error) {
 		blk.states[i] = pageErased
 		blk.meta[i] = PageMeta{}
 	}
-	blk.data = nil
+	d.recycle(blk.data)
 	blk.nextPage = 0
 	blk.eraseCount++
 	if d.cfg.EraseEndurance > 0 && blk.eraseCount >= d.cfg.EraseEndurance {
@@ -381,7 +414,7 @@ func (d *Device) Copyback(now sim.Time, src, dst Addr) (PageMeta, sim.Time, erro
 		if dblk.data == nil {
 			dblk.data = make([][]byte, d.geo.PagesPerBlock)
 		}
-		cp := make([]byte, d.geo.PageSize)
+		cp := d.pageBuf()
 		copy(cp, sblk.data[src.Page])
 		dblk.data[dst.Page] = cp
 	}
@@ -422,8 +455,8 @@ func (d *Device) programTorn(addr Addr, data []byte, meta PageMeta, tornBytes in
 	if blk.data == nil {
 		blk.data = make([][]byte, d.geo.PagesPerBlock)
 	}
-	cp := make([]byte, d.geo.PageSize)
-	copy(cp, data[:cut])
+	cp := d.pageBuf()
+	clear(cp[copy(cp, data[:cut]):])
 	blk.data[addr.Page] = cp
 	ds.programs.Inc()
 }

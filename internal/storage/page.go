@@ -161,11 +161,19 @@ func NumRecords(buf []byte) int {
 // slots are reused and the page is compacted when the free space is
 // fragmented.
 func InsertRecord(buf []byte, rec []byte) (uint16, error) {
+	slot, dst, err := AllocRecord(buf, len(rec))
+	copy(dst, rec)
+	return slot, err
+}
+
+// AllocRecord is InsertRecord for a caller that encodes the record in place:
+// it reserves n bytes and returns the slot with the page bytes to fill in.
+func AllocRecord(buf []byte, n int) (uint16, []byte, error) {
 	if !IsFormatted(buf) {
-		return 0, ErrBadPage
+		return 0, nil, ErrBadPage
 	}
-	if len(rec) > len(buf)-PageHeaderSize-slotSize {
-		return 0, fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(rec))
+	if n > len(buf)-PageHeaderSize-slotSize {
+		return 0, nil, fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, n)
 	}
 	// Find a reusable slot (deleted) or plan to append a new one.
 	slot := -1
@@ -176,30 +184,29 @@ func InsertRecord(buf []byte, rec []byte) (uint16, error) {
 		}
 	}
 	newSlot := slot < 0
-	needed := len(rec)
+	needed := n
 	if newSlot {
 		needed += slotSize
 	}
 	contiguous := freeEnd(buf) - freeStart(buf) - slotSize*SlotCount(buf)
 	if contiguous < needed {
 		if contiguous+deletedBytes(buf) < needed {
-			return 0, ErrPageFull
+			return 0, nil, ErrPageFull
 		}
 		compact(buf)
 		contiguous = freeEnd(buf) - freeStart(buf) - slotSize*SlotCount(buf)
 		if contiguous < needed {
-			return 0, ErrPageFull
+			return 0, nil, ErrPageFull
 		}
 	}
 	if newSlot {
 		slot = SlotCount(buf)
 		setSlotCount(buf, slot+1)
 	}
-	newEnd := freeEnd(buf) - len(rec)
-	copy(buf[newEnd:], rec)
+	newEnd := freeEnd(buf) - n
 	setFreeEnd(buf, newEnd)
-	writeSlot(buf, slot, uint16(newEnd), uint16(len(rec)))
-	return uint16(slot), nil
+	writeSlot(buf, slot, uint16(newEnd), uint16(n))
+	return uint16(slot), buf[newEnd : newEnd+n], nil
 }
 
 // ReadRecord returns a copy of the record in the given slot.

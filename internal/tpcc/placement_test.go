@@ -29,32 +29,63 @@ func TestEstimateGroupPages(t *testing.T) {
 	}
 }
 
-func TestPlanRegionDies(t *testing.T) {
-	cfg := DefaultConfig().withDefaults()
-	for _, tc := range []struct {
-		dies        int
-		pagesPerDie int
-	}{
-		{8, 512}, {16, 640}, {64, 1408}, {6, 2048},
-	} {
-		dies := planRegionDies(cfg, tc.dies, tc.pagesPerDie)
-		if dies == nil {
-			t.Fatalf("planRegionDies(%d) returned nil", tc.dies)
-		}
-		if len(dies) != 6 {
-			t.Fatalf("plan has %d groups", len(dies))
-		}
-		sum := 0
-		for i, d := range dies {
-			if d < 1 {
-				t.Fatalf("%d dies: group %d got %d dies", tc.dies, i, d)
+// planCases are the configurations the die plan is exercised on: the three
+// experiment scales and the bench workload, which leaves the run length at its
+// default.
+var planCases = []struct {
+	name        string
+	cfg         Config
+	dies        int
+	pagesPerDie int
+}{
+	{"tiny", Config{Warehouses: 1, CustomersPerDistrict: 60, ItemCount: 300, Transactions: 600, WarmupTransactions: 100, CheckpointEvery: 100}, 8, 16 * 32},
+	{"small", Config{Warehouses: 2, CustomersPerDistrict: 300, ItemCount: 2000, Transactions: 8000, WarmupTransactions: 1500, CheckpointEvery: 400}, 16, 20 * 32},
+	{"paper", Config{Warehouses: 8, CustomersPerDistrict: 600, ItemCount: 5000, Transactions: 60000, WarmupTransactions: 10000, CheckpointEvery: 500}, 64, 22 * 64},
+	{"bench", Config{Warehouses: 8, CustomersPerDistrict: 600, ItemCount: 5000, CheckpointEvery: 500}, 64, 22 * 64},
+	{"default", DefaultConfig(), 6, 2048},
+}
+
+// TestPlanRegionDiesProperties checks what every plan must satisfy: all dies
+// are handed out, no group is left without one or below the dies its footprint
+// needs, and a group whose I/O weight alone rises never loses a die (the
+// largest-remainder plan this replaces took one from the log's group at 16
+// dies when its weight went from 0.5 to 6).
+func TestPlanRegionDiesProperties(t *testing.T) {
+	saved := append([]float64(nil), groupIOWeights...)
+	defer copy(groupIOWeights, saved)
+	for _, tc := range planCases {
+		groups := estimateGroupPages(tc.cfg, 4096)
+		usable := int64(float64(tc.pagesPerDie) * 0.85)
+		for g := range groups {
+			copy(groupIOWeights, saved)
+			prev := 0
+			for _, w := range []float64{0, 0.5, 1, 2, 4, 6, 10, 15, 25, 50, 100, 1000} {
+				groupIOWeights[g] = w
+				dies := planRegionDies(tc.cfg, tc.dies, tc.pagesPerDie)
+				if len(dies) != len(groups) {
+					t.Fatalf("%s: plan has %d groups", tc.name, len(dies))
+				}
+				sum := 0
+				for i, d := range dies {
+					sum += d
+					if floor := (groups[i] + usable - 1) / usable; d < 1 || int64(d) < floor {
+						t.Errorf("%s, weight[%d]=%v: group %d has %d dies for %d pages (%v)", tc.name, g, w, i, d, groups[i], dies)
+					}
+				}
+				if sum != tc.dies {
+					t.Errorf("%s, weight[%d]=%v: plan %v distributes %d of %d dies", tc.name, g, w, dies, sum, tc.dies)
+				}
+				if dies[g] < prev {
+					t.Errorf("%s: raising weight[%d] to %v lowered its dies from %d to %d", tc.name, g, w, prev, dies[g])
+				}
+				prev = dies[g]
 			}
-			sum += d
-		}
-		if sum != tc.dies {
-			t.Fatalf("%d dies: plan distributes %d", tc.dies, sum)
 		}
 	}
+}
+
+func TestPlanRegionDies(t *testing.T) {
+	cfg := DefaultConfig().withDefaults()
 	// Too few dies for six groups.
 	if planRegionDies(cfg, 4, 512) != nil {
 		t.Fatal("plan produced for a 4-die device")
@@ -71,6 +102,14 @@ func TestPlanRegionDies(t *testing.T) {
 	}
 	if largest != 3 && largest != 1 {
 		t.Fatalf("largest region is group %d (%v), expected the STOCK/OL_IDX or ORDERLINE group", largest, dies)
+	}
+	// The log's group sits on the plateau its weight was measured on: 5 to 10
+	// of 64 dies at the paper's scale, and the two its footprint needs at 16.
+	for _, tc := range planCases {
+		g0 := planRegionDies(tc.cfg, tc.dies, tc.pagesPerDie)[0]
+		if tc.dies == 64 && (g0 < 5 || g0 > 10) || tc.name == "small" && g0 != 2 {
+			t.Errorf("%s: the log's group has %d of %d dies", tc.name, g0, tc.dies)
+		}
 	}
 }
 

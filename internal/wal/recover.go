@@ -23,30 +23,31 @@ type PageImage struct {
 type ScanResult struct {
 	// Records is the surviving log in LSN order (a contiguous range).
 	Records []Record
-	// TornRecords counts records dropped from the torn tail (a program
-	// interrupted by the crash, or byte-level corruption of the final page).
+	// TornRecords counts records dropped from the torn tail: records of a torn
+	// page of the last force, and whole pages of it above its first hole.
 	TornRecords int
-	// TornTail reports whether the newest log write had to be discarded or
-	// truncated and an older version (or a valid prefix) was used instead.
+	// TornTail reports whether part of the last force had to be discarded and
+	// an older version, a valid prefix or a shorter log was used instead.
 	TornTail bool
 	// Bytes is the total encoded size of the surviving records.
 	Bytes int64
 	// StaleRecords counts records from stale pre-truncation log segments:
 	// pages dropped by an old checkpoint's Truncate stay physically present
 	// until the garbage collector erases their blocks, so the scan can find
-	// old record runs separated from the live log by an LSN gap.  Only the
-	// final contiguous run is returned; if any records were dropped this way
-	// the recovery layer must find a checkpoint in the surviving run.
+	// old record runs separated from the live log by an LSN gap below the
+	// horizon.  Only the run above the last such gap is returned; if any
+	// records were dropped this way the recovery layer must find a checkpoint
+	// in the surviving run.
 	StaleRecords int
-	// Unreadable counts pages other than the newest write that have no valid
+	// Unreadable counts pages written before the last force that have no valid
 	// version.  A torn tail of an earlier life is such a page: recovery trimmed
 	// it, but it stays on flash until GC erases its block.  Like stale records
 	// they are only acceptable below a checkpoint in the surviving run.
 	Unreadable int
 	// MaxLSN is the highest LSN decoded from any page version, stale
-	// segments included.  The recovered log must continue above it, leaving
-	// a gap (Log.SeedNextLSN): the old pages stay on flash until GC erases
-	// them, and the next scan tells the live run from them by that gap.
+	// segments and torn tail included.  The recovered log must continue above
+	// it, leaving a gap (Log.SeedNextLSN): the old pages stay on flash until GC
+	// erases them, and the next scan tells the live run from them by that gap.
 	MaxLSN uint64
 }
 
@@ -66,92 +67,118 @@ func parsePage(data []byte) (recs []Record, dropped int, complete bool) {
 	return recs, 0, structOK
 }
 
+// pageHorizon returns the stamp of the force that wrote a log page version:
+// the first LSN that force had to make durable, 0 when the header is
+// unreadable.
+func pageHorizon(data []byte) uint64 {
+	if !storage.IsFormatted(data) || storage.PageType(data) != storage.PageTypeLog {
+		return 0
+	}
+	return storage.PageLSN(data)
+}
+
 // ScanImages reconstructs the durable record stream from the log page images
-// that survived a crash.  For every LPN the newest fully valid version wins;
-// the page holding the globally newest write (the only one a single crash can
-// tear) may instead contribute the valid prefix of its newest version when
-// that reaches further.  Any other page without a fully valid version is
-// counted as Unreadable and contributes nothing: if it held live records the
-// LSN gap it leaves cuts the run, and the caller finds no covering checkpoint.
+// that survived a crash.
+//
+// The horizon is the highest stamp any version carries: the first LSN the last
+// force had to make durable.  Every record below it was forced before and is
+// on flash unless a checkpoint truncated it; no record at or above it was
+// acknowledged unless the last force completed, and then none of them is
+// missing.  A crash inside the last force can have left any subset of its
+// pages, one of them torn.  Hence:
+//
+//   - for every LPN the newest fully valid version wins; a page of the last
+//     force (newer than every version stamped below the horizon) may instead
+//     contribute the valid prefix of its newest version when that reaches
+//     further, and counts as missing when it has neither.  Any other page
+//     without a valid version is Unreadable;
+//   - an LSN gap below the horizon (the page after it starts at or below the
+//     horizon) separates a stale pre-truncation segment from the rest of the
+//     log: the scan restarts with the newer run.  Truncate only ever drops
+//     pages below a durable checkpoint, so what is discarded is covered by a
+//     checkpoint in the final run (the caller checks);
+//   - above the horizon only contiguity admits a page: the log ends at the
+//     first hole, and the pages beyond it are the torn tail, whatever they
+//     hold — even a complete begin…end checkpoint was never acknowledged;
+//   - a log that ends below the horizon has lost acknowledged records:
+//     ErrCorrupt.
 func ScanImages(images []PageImage) (ScanResult, error) {
 	var res ScanResult
-	if len(images) == 0 {
-		return res, nil
-	}
 	byLPN := make(map[core.LPN][]PageImage)
-	var tailLPN core.LPN
-	var maxSeq uint64
+	var horizon uint64
 	for _, img := range images {
 		byLPN[img.LPN] = append(byLPN[img.LPN], img)
-		if img.Seq >= maxSeq {
-			maxSeq, tailLPN = img.Seq, img.LPN
+		horizon = max(horizon, pageHorizon(img.Data))
+	}
+	// settled is the newest write of any earlier force; the stamps never
+	// decrease from one force to the next, so everything newer than it —
+	// readable or not — was written by the last one.
+	var settled uint64
+	for _, img := range images {
+		if h := pageHorizon(img.Data); h > 0 && h < horizon {
+			settled = max(settled, img.Seq)
 		}
 	}
 
-	type pageRecs struct {
-		firstLSN uint64
-		recs     []Record
-	}
-	var pages []pageRecs
-	for lpn, versions := range byLPN {
+	var pages [][]Record
+	for _, versions := range byLPN {
 		sort.Slice(versions, func(i, j int) bool { return versions[i].Seq > versions[j].Seq })
 		var chosen []Record
 		found := false
-		for _, v := range versions {
-			recs, _, complete := parsePage(v.Data)
-			if n := len(recs); n > 0 && recs[n-1].LSN > res.MaxLSN {
-				res.MaxLSN = recs[n-1].LSN
+		for i, v := range versions {
+			recs, dropped, complete := parsePage(v.Data)
+			if n := len(recs); n > 0 {
+				res.MaxLSN = max(res.MaxLSN, recs[n-1].LSN)
 			}
 			if complete {
-				chosen, found = recs, true
+				found = true
+				if len(recs) > len(chosen) { // else the torn prefix reaches further
+					chosen = recs
+				}
 				break // older versions are prefixes of this one
 			}
-		}
-		if lpn == tailLPN {
-			// The newest write may be torn: accept the valid prefix of the
-			// newest version if it reaches further than the best complete
-			// version (all versions of one LPN share their first LSN).
-			prefix, dropped, complete := parsePage(versions[0].Data)
-			if !complete && len(prefix) > len(chosen) {
-				chosen, found = prefix, true
-				res.TornRecords += dropped
-				res.TornTail = true
-			} else if !complete {
+			if i == 0 && v.Seq > settled {
+				// A page of the last force may be torn: its valid prefix counts
+				// (all versions of one LPN share their first LSN).
 				res.TornTail = true
 				res.TornRecords += dropped
+				chosen = recs
 			}
 		}
-		if !found {
-			if lpn != tailLPN { // else the newest write is fully lost: nothing durable from it
-				res.Unreadable++
-			}
-			continue
+		if !found && versions[0].Seq <= settled {
+			res.Unreadable++
 		}
-		if len(chosen) == 0 {
-			continue
+		if len(chosen) > 0 {
+			pages = append(pages, chosen)
 		}
-		pages = append(pages, pageRecs{firstLSN: chosen[0].LSN, recs: chosen})
 	}
 
-	sort.Slice(pages, func(i, j int) bool { return pages[i].firstLSN < pages[j].firstLSN })
-	for _, p := range pages {
-		if n := len(res.Records); n > 0 && p.firstLSN != res.Records[n-1].LSN+1 {
-			// An LSN gap separates a stale pre-truncation segment from the
-			// rest of the log: restart with the newer run.  Truncate only ever
-			// drops pages below a durable checkpoint, so everything discarded
-			// here is covered by a checkpoint in the final run.
+	sort.Slice(pages, func(i, j int) bool { return pages[i][0].LSN < pages[j][0].LSN })
+	var last uint64 // LSN of the newest record taken
+	for i, recs := range pages {
+		if first := recs[0].LSN; len(res.Records) == 0 || first != last+1 {
+			if first > horizon {
+				res.TornTail = true
+				for _, torn := range pages[i:] {
+					res.TornRecords += len(torn)
+				}
+				break
+			}
 			res.StaleRecords += len(res.Records)
 			res.Records = res.Records[:0]
 			res.Bytes = 0
 		}
-		for _, r := range p.recs {
-			if n := len(res.Records); n > 0 && r.LSN != res.Records[n-1].LSN+1 {
-				return res, fmt.Errorf("%w: non-contiguous lsn %d after %d",
-					ErrCorrupt, r.LSN, res.Records[n-1].LSN)
+		for _, r := range recs {
+			if len(res.Records) > 0 && r.LSN != last+1 {
+				return res, fmt.Errorf("%w: non-contiguous lsn %d after %d", ErrCorrupt, r.LSN, last)
 			}
 			res.Records = append(res.Records, r)
-			res.Bytes += int64(recHeaderSize + len(r.Payload))
+			res.Bytes += int64(RecordSize(r))
+			last = r.LSN
 		}
+	}
+	if last+1 < horizon {
+		return res, fmt.Errorf("%w: log ends at lsn %d, below the durable horizon %d", ErrCorrupt, last, horizon)
 	}
 	return res, nil
 }

@@ -1,9 +1,22 @@
 // Package wal implements the write-ahead log of the reproduction's storage
-// engine.  Log records are buffered in memory, packed into 4 KiB log pages
-// and forced to the flash device on commit (group commit of everything
-// buffered so far).  The log is an append-mostly object; under the paper's
-// placement model it belongs in the metadata/append region, which is exactly
-// where the Region Advisor puts it.
+// engine.  Log records are buffered in memory, packed into log pages and
+// forced to the flash device on commit (group commit of everything buffered so
+// far).  The log is an append-mostly object; under the paper's placement model
+// it belongs in the metadata/append region, which is exactly where the Region
+// Advisor puts it.
+//
+// A force is one core.WritePages batch: the pages sealed since the last force
+// plus a snapshot of the current page, in LSN order.  The batch stripes over
+// the dies of the log's region and completes when the slowest die does, so a
+// commit, a group commit and a checkpoint all pay the maximum of their dies'
+// queues, not the sum.  The price is that a multi-page force is not atomic: the
+// scheduler dispatches a batch die by die, so a crash inside it can leave any
+// subset of its pages on flash.  Every page therefore carries, in its header's
+// LSN field, the horizon of the force that wrote it: the first LSN that force
+// had to make durable.  Nothing at or above the newest horizon on flash was
+// ever acknowledged unless the force completed, in which case it has no hole.
+// That is the hole rule of ScanImages: the log ends at the first missing record
+// at or above the horizon, and a missing record below it is corruption.
 package wal
 
 import (
@@ -81,8 +94,8 @@ var (
 
 const recHeaderSize = 8 + 1 + 8 + 4 + 4 + 4 // lsn, type, txn, obj, payloadLen, crc
 
-func encodeRecord(r Record) []byte {
-	out := make([]byte, recHeaderSize+len(r.Payload))
+// putRecord encodes r into out, which must be RecordSize(r) bytes long.
+func putRecord(out []byte, r Record) {
 	binary.LittleEndian.PutUint64(out[0:], r.LSN)
 	out[8] = byte(r.Type)
 	binary.LittleEndian.PutUint64(out[9:], r.TxnID)
@@ -92,7 +105,6 @@ func encodeRecord(r Record) []byte {
 	crc := crc32.ChecksumIEEE(out[:25])
 	crc = crc32.Update(crc, crc32.IEEETable, r.Payload)
 	binary.LittleEndian.PutUint32(out[25:], crc)
-	return out
 }
 
 func decodeRecord(b []byte) (Record, error) {
@@ -128,12 +140,22 @@ type Log struct {
 
 	nextLSN    uint64
 	flushedLSN uint64
+	horizon    uint64 // first LSN the newest force had to make durable
 
 	cur        []byte   // current (partial) log page image
 	curLPN     core.LPN // logical page the current page will be written to
 	sealedWr   []sealedPage
 	pages      []core.LPN          // every log page ever allocated, in order
 	pageMaxLSN map[core.LPN]uint64 // highest LSN stored in each sealed page
+
+	// Buffers a force reuses, so it allocates nothing per page: the snapshot
+	// of the current page, the write batch, the list that collects the pages
+	// sealed while a force is on the device, and page buffers of forced
+	// sealed pages waiting to become a current page again.
+	snap      []byte
+	batch     []core.PageWrite
+	spare     []sealedPage
+	freePages [][]byte
 
 	// Counters: the log's children of the noftl_wal_* families (bind), bumped
 	// under mu.  pagesTrimmed has no family and stays a plain count.
@@ -229,9 +251,17 @@ func (l *Log) SetGroupCommit(batch int, delay time.Duration) {
 // here (the hint flag bits are defined by the flash OOB metadata).
 const flashFlagLog uint16 = 1
 
+// maxFreePages bounds the recycled page buffers the log keeps: a commit seals
+// a page or two, and the thousands a checkpoint seals go back to the runtime.
+const maxFreePages = 16
+
 func (l *Log) openPage() {
 	l.curLPN = l.mgr.AllocateLPNs(1)
-	l.cur = make([]byte, l.pageSize)
+	if n := len(l.freePages); n > 0 {
+		l.cur, l.freePages = l.freePages[n-1], l.freePages[:n-1]
+	} else {
+		l.cur = make([]byte, l.pageSize)
+	}
 	storage.InitPage(l.cur, storage.PageTypeLog, l.hint.ObjectID, uint64(l.curLPN))
 	l.pages = append(l.pages, l.curLPN)
 }
@@ -314,21 +344,23 @@ func (l *Log) Append(typ RecordType, txnID uint64, objectID uint32, payload []by
 		return 0, fmt.Errorf("%w: %d payload bytes", ErrTooLarge, len(payload))
 	}
 	rec := Record{LSN: l.nextLSN, Type: typ, TxnID: txnID, ObjectID: objectID, Payload: payload}
-	enc := encodeRecord(rec)
-	if _, err := storage.InsertRecord(l.cur, enc); err != nil {
+	size := RecordSize(rec)
+	_, dst, err := storage.AllocRecord(l.cur, size)
+	if err != nil {
 		// Current page is full: seal it and start a new one.
 		l.sealedWr = append(l.sealedWr, sealedPage{lpn: l.curLPN, data: l.cur})
 		l.pageMaxLSN[l.curLPN] = l.nextLSN - 1
 		l.openPage()
-		if _, err := storage.InsertRecord(l.cur, enc); err != nil {
+		if _, dst, err = storage.AllocRecord(l.cur, size); err != nil {
 			return 0, err
 		}
 	}
+	putRecord(dst, rec)
 	l.nextLSN++
 	l.appended.Inc()
-	l.bytesAppended.Add(int64(len(enc)))
-	l.bytesLive += int64(len(enc))
-	l.pageBytes[l.curLPN] += int64(len(enc))
+	l.bytesAppended.Add(int64(size))
+	l.bytesLive += int64(size)
+	l.pageBytes[l.curLPN] += int64(size)
 	if txnID != CkptTxnID && l.tracer.Enabled(obs.ClassWALAppend) {
 		// Append is a pure memory operation: it carries no virtual-time span
 		// of its own (durability cost lands on the Flush event).  A checkpoint's
@@ -337,21 +369,21 @@ func (l *Log) Append(typ RecordType, txnID uint64, objectID uint32, payload []by
 		l.tracer.Record(obs.Event{
 			Class: obs.ClassWALAppend, Op: uint8(typ),
 			Die: -1, Block: -1, Page: -1, Region: int32(l.hint.Region),
-			A: int64(rec.LSN), B: int64(len(enc)),
+			A: int64(rec.LSN), B: int64(size),
 		})
 	}
 	return rec.LSN, nil
 }
 
 // Flush forces every appended record to the device (sealed full pages plus
-// the current partial page) and returns the caller's advanced virtual time.
-// If a group-commit flush is in flight, Flush waits for it and then forces
-// whatever is still buffered.
+// the current partial page, as one die-striped batch) and returns the
+// caller's advanced virtual time.  If a group-commit flush is in flight, Flush
+// waits for it and then forces whatever is still buffered.
 //
-// The log is deliberately written page-at-a-time rather than as one
-// die-striped batch: the WAL is an append stream confined to its (often
-// small) metadata region, and its flush cadence is part of the measured
-// foreground-GC interference the paper's experiments compare.
+// A force of several pages is not atomic (see the package comment): until
+// Flush returns nil, any subset of its pages may be on flash, and recovery
+// keeps the records up to the first one missing.  What it made durable is
+// only acknowledged by the nil return.
 func (l *Log) Flush(now sim.Time) (sim.Time, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -413,7 +445,13 @@ func (l *Log) Commit(now sim.Time, lsn uint64) (sim.Time, error) {
 			if wait <= 0 {
 				break
 			}
-			timer := time.AfterFunc(wait, l.commitCond.Broadcast)
+			// The wake-up takes l.mu, so it cannot fire before Wait has
+			// released it and be lost.
+			timer := time.AfterFunc(wait, func() {
+				l.mu.Lock()
+				l.commitCond.Broadcast()
+				l.mu.Unlock()
+			})
 			l.commitCond.Wait()
 			timer.Stop()
 		}
@@ -432,10 +470,12 @@ func (l *Log) Commit(now sim.Time, lsn uint64) (sim.Time, error) {
 	return sim.MaxTime(now, done), nil
 }
 
-// flushGroupLocked forces everything appended so far.  Caller holds l.mu and
-// has claimed flush leadership; the device writes happen with l.mu released,
-// so appends (and committers joining the next group) proceed during the
-// force.  Returns with l.mu held.
+// flushGroupLocked forces everything appended so far as one write batch:
+// the sealed pages and a snapshot of the current page, in LSN order, each
+// stamped with the force's horizon.  Caller holds l.mu and has claimed flush
+// leadership; the device writes happen with l.mu released, so appends (and
+// committers joining the next group) proceed during the force.  Returns with
+// l.mu held.
 func (l *Log) flushGroupLocked() (sim.Time, error) {
 	flushNow := l.groupMaxNow
 	l.groupMaxNow = 0
@@ -444,67 +484,66 @@ func (l *Log) flushGroupLocked() (sim.Time, error) {
 	}
 	hw := l.nextLSN - 1
 	newlyDurable := hw - l.flushedLSN
+	l.horizon = l.flushedLSN + 1
 	sealed := l.sealedWr
-	l.sealedWr = nil
-	curLPN := l.curLPN
+	l.sealedWr = l.spare[:0] // collects the pages sealed during the force
+	batch := l.batch[:0]
+	for _, sp := range sealed {
+		storage.SetPageLSN(sp.data, l.horizon)
+		batch = append(batch, core.PageWrite{LPN: sp.lpn, Data: sp.data, Hint: l.hint})
+	}
 	// Snapshot the partial page: appends may extend l.cur while the device
 	// writes run.  Records beyond the snapshot stay buffered for the next
 	// force; re-writing the page later simply supersedes this version out of
 	// place.
-	cur := append([]byte(nil), l.cur...)
-	start := flushNow
+	storage.SetPageLSN(l.cur, l.horizon)
+	l.snap = append(l.snap[:0], l.cur...)
+	batch = append(batch, core.PageWrite{LPN: l.curLPN, Data: l.snap, Hint: l.hint})
 	l.mu.Unlock()
-	vnow := flushNow
-	var err error
-	for _, sp := range sealed {
-		var done sim.Time
-		done, err = l.mgr.WritePage(vnow, sp.lpn, sp.data, l.hint)
-		if err != nil {
-			err = fmt.Errorf("wal: flush sealed page: %w", err)
-			break
-		}
-		vnow = done
-	}
-	if err == nil {
-		var done sim.Time
-		done, err = l.mgr.WritePage(vnow, curLPN, cur, l.hint)
-		if err != nil {
-			err = fmt.Errorf("wal: flush current page: %w", err)
-		} else {
-			vnow = done
-		}
-	}
+	done, err := l.mgr.WritePages(flushNow, batch)
 	l.mu.Lock()
+	clear(batch) // drop the page references
+	l.batch = batch
 	if err != nil {
 		// Put the sealed pages back (ahead of any sealed since) so a retry
 		// re-writes them.
-		l.sealedWr = append(sealed, l.sealedWr...)
-		return vnow, err
+		l.sealedWr, l.spare = append(sealed, l.sealedWr...), nil
+		return done, fmt.Errorf("wal: flush: %w", err)
 	}
+	for _, sp := range sealed {
+		if len(l.freePages) < maxFreePages {
+			l.freePages = append(l.freePages, sp.data)
+		}
+	}
+	clear(sealed)
+	l.spare = sealed
 	if hw > l.flushedLSN {
 		l.flushedLSN = hw
 	}
-	if vnow > l.flushDoneAt {
-		l.flushDoneAt = vnow
+	if done > l.flushDoneAt {
+		l.flushDoneAt = done
 	}
 	l.flushes.Inc()
 	if l.tracer.Enabled(obs.ClassWALSync) {
 		l.tracer.Record(obs.Event{
 			Class: obs.ClassWALSync, Die: -1, Block: -1, Page: -1,
-			Region: int32(l.hint.Region), Start: start, End: vnow,
+			Region: int32(l.hint.Region), Start: flushNow, End: done,
 			A: int64(newlyDurable), B: int64(l.flushedLSN),
 		})
 	}
-	return vnow, nil
+	return done, nil
 }
 
 // Truncate drops every sealed log page whose records all lie strictly below
-// upToLSN, trimming them on the device (checkpointing).  The current page and
-// pages that were never flushed are never dropped.  It returns the number of
-// pages removed.
+// upToLSN, trimming them on the device (checkpointing).  The current page,
+// pages that were never flushed and pages holding records of the newest force
+// are never dropped: a trimmed page can vanish at any time, and a record
+// missing at or above the newest horizon reads as a force cut short by a
+// crash (ScanImages).  It returns the number of pages removed.
 func (l *Log) Truncate(upToLSN uint64) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	upToLSN = min(upToLSN, l.horizon)
 	dropped := 0
 	kept := l.pages[:0]
 	for _, lpn := range l.pages {

@@ -41,8 +41,9 @@ type RecoveryStats struct {
 	// SkippedRecords counts replay records that could not be applied (e.g.
 	// a record of an object dropped again before the crash).
 	SkippedRecords int
-	// TornRecords and TornTail describe the log tail: records lost from the
-	// final, possibly interrupted log write.  Torn records were never
+	// TornRecords and TornTail describe the log tail: records of the last log
+	// force that the crash cut short — a torn page, and every page of the
+	// force above the first one missing.  Such records were never
 	// acknowledged, so losing them is correct.
 	TornRecords int
 	TornTail    bool
@@ -92,7 +93,8 @@ func (db *DB) Crash() *CrashImage {
 //     and the wear state — the NoFTL model's self-describing pages make the
 //     mapping recoverable from the device alone;
 //  2. the surviving WAL pages are reassembled into the durable record
-//     stream, detecting and truncating a torn final write;
+//     stream, which ends at the first page the last, unacknowledged log
+//     force failed to bring to flash (missing or torn);
 //  3. one replay loop runs from the begin mark of the last complete
 //     checkpoint: its records restore schema and data, then committed
 //     post-checkpoint transactions are redone in LSN order, all through the
@@ -150,6 +152,8 @@ func reopenOn(cfg Config, dev *flash.Device) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A hole the scan could not blame on the last force cut the log below
+	// acknowledged records; only a checkpoint above it makes them redundant.
 	beginLSN, endLSN, ckptOK := wal.LastCheckpoint(scan.Records)
 	if (scan.StaleRecords > 0 || scan.Unreadable > 0) && !ckptOK {
 		return nil, fmt.Errorf("%w: log prefix missing and no covering checkpoint", ErrCorruptLog)

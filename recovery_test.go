@@ -448,9 +448,9 @@ func TestCheckpointIsARewrittenLogPrefix(t *testing.T) {
 	}
 }
 
-// TestCrashMidCheckpointFallsBack kills the device while a checkpoint's final
-// force is half written: its begin mark and part of its row stream are
-// durable, its end mark is not.  Recovery must start from the previous
+// TestCrashMidCheckpointFallsBack kills the device inside a checkpoint's final
+// force: its begin mark and part of its row stream are durable, the rest of
+// the force — whatever of it reached flash above the first hole — is not.  Recovery must start from the previous
 // checkpoint, replay the committed tail after it, and skip the partial stream.
 func TestCrashMidCheckpointFallsBack(t *testing.T) {
 	db, err := OpenConfig(smallConfig())
@@ -475,7 +475,10 @@ func TestCrashMidCheckpointFallsBack(t *testing.T) {
 	tailRecords := db.Stats().WAL.Appended - before.Appended
 
 	// With the pool clean and the whole table resident, the next checkpoint
-	// issues log-page programs only; the crash lands in the middle of them.
+	// issues log-page programs only: one batch, dispatched die by die.  The
+	// crash lands in the last die's queue, so the hole that ends the durable
+	// log lies late in the row stream (crashing half-way would leave whole
+	// dies unwritten and, with them, one of the first pages).
 	if _, err := db.FlushAll(db.SimulatedTime()); err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +486,7 @@ func TestCrashMidCheckpointFallsBack(t *testing.T) {
 	if logPages < 8 {
 		t.Fatalf("checkpoint spans only %d log pages; the test needs many", logPages)
 	}
-	db.Admin().ArmFaults(FaultPlan{Seed: 7, CrashAfterOps: logPages / 2})
+	db.Admin().ArmFaults(FaultPlan{Seed: 7, CrashAfterOps: logPages - 2})
 	if _, err := db.Checkpoint(db.SimulatedTime()); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("checkpoint under the fault plan: err=%v, want ErrCrashed", err)
 	}
