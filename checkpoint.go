@@ -6,46 +6,49 @@ import (
 
 	"noftl/internal/core"
 	"noftl/internal/sim"
-	"noftl/internal/storage"
 	"noftl/internal/wal"
 )
 
-// A checkpoint is a rewritten log prefix.  Under the quiesce lock it appends,
-// in one run of ordinary WAL records,
+// A checkpoint is the flash image at a write sequence number, not a copy of
+// the database.  Pages are written out of place and carry their LPN and write
+// sequence out of band, so once every dirty buffer is flushed the data pages on
+// flash are the durable state, and the checkpoint only has to say where it is.
+// Under the quiesce lock it flushes the pool (no dirty page may stay behind:
+// what is not on flash is not in the checkpoint), takes the space manager's
+// write sequence S (core.Manager.Snapshot) and appends one run of marks,
 //
-//	RecCheckpoint begin   sequence number (TxnID), ckptBegin body
-//	RecCheckpoint schema  one mark per region (with the dies it is pinned
-//	                      to), tablespace, table and index: the catalog entry
-//	RecInsert             every live row          (object id, RID, row image)
-//	RecIndexInsert        every live index entry  (object id, key, RID)
-//	RecCheckpoint end
+//	begin   sequence number (TxnID), ckptBegin body with S
+//	schema  one mark per region (with the dies it is pinned to), tablespace,
+//	        table and index: the catalog entry
+//	pages   after each table or index mark, where its pages are (pageDesc) —
+//	        over several marks when one record cannot hold the list
+//	end
 //
-// forces the log and truncates it below the begin mark.  The force is one
-// batch striped over the dies of the log's region, so a checkpoint costs the
-// device the time of its busiest die, not of all its pages in a row; it is not
-// atomic, and the checkpoint exists once the force has returned: after a crash
-// inside it the log ends at the first page that did not reach flash, and what
-// lies above — even a begin…end run that happens to be whole — is dropped
-// (wal.ScanImages).  Rows and entries go straight from the heap/tree scan into
-// the log through one reused payload buffer, under the reserved transaction id
-// wal.CkptTxnID.  Recovery is one replay loop (replayLog): it starts at the
-// newest begin mark whose end mark
-// is durable, takes everything up to that end mark as committed, and filters
-// what follows by commit record — the same RecInsert case restores a
-// checkpointed row and redoes a logged one.  No undo pass and no physical
-// page redo exist; the replay runs through the normal heap/btree/buffer path.
+// forces the log and truncates it below the begin mark.  The cost is that of
+// the dirty pages and the schema; a table ten times the size adds a few bytes
+// per page run.  The force is not atomic, and the checkpoint exists once it has
+// returned: after a crash inside it the log ends at the first page that did not
+// reach flash, and what lies above — even a begin…end run that happens to be
+// whole — is dropped (wal.ScanImages).
 //
-// The cost is proportional to the live data, the trade-off for replacing
-// page-level ARIES machinery in a system whose durable state otherwise lives
-// only in the WAL: checkpoints are opt-in (WithCheckpointEvery) except after
-// DDL, which must checkpoint because schema changes are logged nowhere else.
-// The host memory a checkpoint needs beyond the log's own page buffers is
-// constant.
+// The checkpointed state is, for every page a descriptor lists, its newest
+// version with Seq <= S.  The buffer pool goes on writing pages back, with the
+// changes of transactions that may never commit (steal).  Nothing is undone and
+// no page carries an LSN: those writes land out of place, and the space manager
+// retains the version each of them supersedes until the next checkpoint is
+// durable (core/retain.go), so the image at S is on flash whatever was written
+// since.  Recovery maps exactly that image, treats every newer version as
+// garbage, and redoes the committed transactions behind the end mark logically
+// onto a base that is the checkpointed state by construction (recovery.go).
 
 // ckptBegin is the body of a checkpoint's begin mark.
 type ckptBegin struct {
 	NextTxnID uint64        // highest transaction id handed out so far
 	DefaultGC core.GCPolicy // the default region has no catalog entry to carry it
+	// SnapshotSeq is the space manager's write sequence after the flush: the
+	// checkpointed version of a page is its newest at or below it.  A light
+	// checkpoint has none, and its mark is byte for byte what it always was.
+	SnapshotSeq uint64 `json:",omitempty"`
 	// Light marks the reduced-durability form (DisableSnapshotCheckpoints):
 	// the end mark follows at once and the log is cut without capturing the
 	// state below it, so recovery refuses such a log.  It exists for benchmark
@@ -53,45 +56,74 @@ type ckptBegin struct {
 	Light bool
 }
 
-// Schema mark kinds, the marks between a checkpoint's begin and end (applyMark
-// is their reader).
+// Mark kinds between a checkpoint's begin and end (applyMark is their reader);
+// every body is JSON.
 const (
 	markRegion byte = wal.CkptBody + iota
 	markTablespace
 	markTable
 	markIndex
+	markPages
 )
 
-// ckptStream appends the records of one checkpoint.  The first failure
-// sticks in err and turns every later append into a no-op.
+// pageDesc is the body of a markPages mark: where the checkpoint found the
+// heap of the table, or the tree of the index, marked before it — all it takes
+// to attach the object to its pages without reading one.
+type pageDesc struct {
+	Count  int64    // live records of the heap, entries of the tree
+	Root   core.LPN // tree only
+	Height int      // tree only
+	Runs   []uint64 // pages in allocation order, as (first LPN, run length) pairs
+}
+
+// ckptStream appends the marks of one checkpoint.  The first failure sticks
+// in err and turns every later append into a no-op, so a stream that broke off
+// is never closed by an end mark.
 type ckptStream struct {
 	log     *wal.Log
 	seq     uint64
-	buf     []byte // payload buffer reused for every row and index entry
-	lsn     uint64 // LSN of the newest record
+	max     int    // largest mark body a log record carries
+	lsn     uint64 // LSN of the newest mark
 	records int64
-	bytes   int64 // encoded size of the records
+	bytes   int64 // encoded size of the marks
 	err     error
 }
 
-func (s *ckptStream) append(typ wal.RecordType, txn uint64, obj uint32, payload []byte) bool {
-	if s.err != nil {
-		return false
-	}
-	s.lsn, s.err = s.log.Append(typ, txn, obj, payload)
-	s.records++
-	s.bytes += int64(wal.RecordSize(wal.Record{Payload: payload}))
-	return s.err == nil
-}
-
-// mark appends a RecCheckpoint of the given kind; body (nil for the end
-// mark) travels as JSON.
+// mark appends a RecCheckpoint of the given kind; body (nil for the end mark)
+// travels as JSON.
 func (s *ckptStream) mark(kind byte, body any) {
 	var data []byte
 	if body != nil && s.err == nil {
 		data, s.err = json.Marshal(body)
 	}
-	s.append(wal.RecCheckpoint, s.seq, 0, wal.EncodeCheckpointMark(kind, data))
+	if s.err != nil {
+		return
+	}
+	payload := wal.EncodeCheckpointMark(kind, data)
+	s.lsn, s.err = s.log.Append(wal.RecCheckpoint, s.seq, 0, payload)
+	s.records++
+	s.bytes += int64(wal.RecordSize(wal.Record{Payload: payload}))
+}
+
+// describe appends the descriptor of the object just marked.  A page list that
+// outgrows one record continues in further marks.
+func (s *ckptStream) describe(d pageDesc, pages []core.LPN) {
+	// A pair is at most two 20-digit numbers and their commas; 96 bytes cover
+	// the scalars.
+	fit := 2 * ((s.max - 96) / 42)
+	for i := 0; i < len(pages); {
+		run := 1
+		for i+run < len(pages) && pages[i+run] == pages[i]+core.LPN(run) {
+			run++
+		}
+		if len(d.Runs) == fit {
+			s.mark(markPages, d)
+			d.Runs = d.Runs[:0]
+		}
+		d.Runs = append(d.Runs, uint64(pages[i]), uint64(run))
+		i += run
+	}
+	s.mark(markPages, d)
 }
 
 // markFits rejects, before a DDL registers it, a catalog entry whose schema
@@ -104,20 +136,19 @@ func (db *DB) markFits(entry any) error {
 	return err
 }
 
-// streamState appends the schema and every live row and index entry.  The
-// caller holds the checkpoint quiesce lock exclusively, so no transaction is
-// in flight and the state is transaction-consistent by construction.
-func (db *DB) streamState(s *ckptStream, now sim.Time) (sim.Time, error) {
+// describeState appends the schema and the descriptor of every table and
+// index.  The caller holds the checkpoint quiesce lock exclusively, so no
+// transaction is in flight and the state is transaction-consistent by
+// construction.
+func (db *DB) describeState(s *ckptStream) {
 	// Regions carry their live die assignment, so recovery recreates each on
 	// exactly the dies it owned.
-	dies := make(map[string][]int)
-	for _, r := range db.space.Stats().Regions {
-		dies[r.Name] = r.Dies
-	}
+	space := db.space.Stats()
 	for _, r := range db.cat.Regions() {
 		gc := r.GC
+		live, _ := space.RegionByName(r.Name)
 		s.mark(markRegion, RegionSpec{Name: r.Name, MaxChips: r.MaxChips, MaxChannels: r.MaxChannels,
-			MaxSizeBytes: r.MaxSizeBytes, Dies: dies[r.Name], GC: &gc})
+			MaxSizeBytes: r.MaxSizeBytes, Dies: live.Dies, GC: &gc})
 	}
 	for _, ts := range db.cat.Tablespaces() {
 		if ts.Name != "SYSTEM" { // implicit: openWith creates it
@@ -127,68 +158,57 @@ func (db *DB) streamState(s *ckptStream, now sim.Time) (sim.Time, error) {
 	for _, meta := range db.cat.Tables() {
 		t, ok := db.Table(meta.Name)
 		if !ok {
-			return now, fmt.Errorf("noftl: checkpoint: table %q has no runtime object", meta.Name)
+			s.err = fmt.Errorf("noftl: checkpoint: table %q has no runtime object", meta.Name)
+			return
 		}
 		s.mark(markTable, meta)
-		done, err := t.heap.Scan(now, func(rid RID, row []byte) bool {
-			s.buf = wal.AppendRowPayload(s.buf[:0], rid, row)
-			return s.append(wal.RecInsert, wal.CkptTxnID, meta.ObjectID, s.buf)
-		})
-		if err != nil {
-			return now, err
-		}
-		now = done
+		s.describe(pageDesc{Count: t.heap.RecordCount()}, t.heap.Pages())
 	}
 	for _, meta := range db.cat.Indexes() {
 		idx, ok := db.Index(meta.Name)
 		if !ok {
-			return now, fmt.Errorf("noftl: checkpoint: index %q has no runtime object", meta.Name)
+			s.err = fmt.Errorf("noftl: checkpoint: index %q has no runtime object", meta.Name)
+			return
 		}
 		s.mark(markIndex, meta)
-		done, err := idx.tree.Scan(now, nil, nil, func(key, val []byte) bool {
-			rid, err := storage.DecodeRID(val)
-			if err != nil {
-				s.err = err
-				return false
-			}
-			s.buf = wal.AppendIndexInsert(s.buf[:0], key, rid)
-			return s.append(wal.RecIndexInsert, wal.CkptTxnID, meta.ObjectID, s.buf)
-		})
-		if err != nil {
-			return now, err
-		}
-		now = done
+		s.describe(pageDesc{Count: idx.tree.Entries(), Root: idx.tree.Root(), Height: idx.tree.Height()}, idx.tree.PageList())
 	}
-	return now, s.err
 }
 
 // checkpointLocked takes a checkpoint.  The caller holds ckptMu exclusively
 // (no transaction is in flight) and has verified the database is open.
 func (db *DB) checkpointLocked(now sim.Time) (sim.Time, error) {
-	// Flush dirty pages first: not needed for recovery correctness (the
-	// checkpoint carries the data), but it keeps the buffer pool's write-back
-	// debt bounded at the same cadence as the log.
-	now, err := db.pool.FlushAll(now)
+	now, flushed, left, err := db.pool.Flush(now)
 	if err != nil || db.log == nil {
 		return now, err
 	}
 	db.ckptSeq++
-	s := &ckptStream{log: db.log, seq: db.ckptSeq}
+	s := &ckptStream{log: db.log, seq: db.ckptSeq, max: wal.MaxPayload(db.dev.Geometry().PageSize) - 1}
 	head := ckptBegin{NextTxnID: db.txns.NextID(), Light: db.cfg.DisableSnapshotCheckpoints}
 	head.DefaultGC, _ = db.space.GCPolicyOf(core.DefaultRegionName)
+	switch {
+	case head.Light:
+	case left > 0:
+		// The flushed pages are the checkpoint, and a page that stayed behind
+		// is not in it: someone holds a handle across the call.
+		s.err = tag(ErrConflict, fmt.Errorf("noftl: checkpoint: %d dirty pages are pinned and could not be flushed", left))
+	default:
+		head.SnapshotSeq = db.space.Snapshot()
+	}
 	s.mark(wal.CkptBegin, head)
 	beginLSN := s.lsn
 	if !head.Light {
-		now, err = db.streamState(s, now)
+		db.describeState(s)
 	}
-	if err == nil { // never close a stream that broke off
-		s.mark(wal.CkptEnd, nil)
-		err = s.err
-	}
-	if err == nil {
+	s.mark(wal.CkptEnd, nil)
+	if err = s.err; err == nil {
 		if now, err = db.log.Flush(now); err == nil {
-			// Everything below the begin mark is now redundant: recovery starts there.
+			// Everything below the begin mark is now redundant, in the log and
+			// on flash: recovery starts here.
 			db.log.Truncate(beginLSN)
+			if !head.Light {
+				db.space.ReleaseRetained()
+			}
 		}
 	}
 	// The counters are read by Stats() and maybeCheckpoint concurrently;
@@ -196,9 +216,9 @@ func (db *DB) checkpointLocked(now sim.Time) (sim.Time, error) {
 	// an open transaction while snapshotting stats).
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	// Also after a failure, which leaves a begin mark and a partial stream in
-	// the log (recovery skips them, the next checkpoint truncates them): the
-	// byte trigger then retries once per budget, not after every commit.
+	// Also after a failure, which can leave marks without an end in the log
+	// (recovery skips them, the next checkpoint truncates them): the triggers
+	// then retry once per budget, not after every commit.
 	db.ckptWALMark = db.log.BytesAppended()
 	if err != nil {
 		return now, err
@@ -207,22 +227,33 @@ func (db *DB) checkpointLocked(now sim.Time) (sim.Time, error) {
 	db.ckptLastLSN = s.lsn
 	db.ckptChunks.Add(s.records)
 	db.ckptBytes = s.bytes
+	db.ckptPages = int64(flushed)
 	db.ckptTime = now
 	return now, nil
 }
 
-// maybeCheckpoint runs after a commit released the quiesce lock: once
-// CheckpointEveryBytes of WAL have been appended since the last checkpoint
-// (see WithCheckpointEvery), one goroutine takes the next while concurrent
-// committers skip past.
+// maybeCheckpoint runs after a commit released the quiesce lock.  A checkpoint
+// is due once CheckpointEveryBytes of WAL have been appended since the last
+// attempt (see WithCheckpointEvery) — or one log page's worth, when the page
+// versions retained for the last checkpoint have outgrown their share of the
+// spare blocks.  One goroutine takes it while concurrent committers skip past.
 func (db *DB) maybeCheckpoint(now sim.Time) {
-	if db.log == nil || db.recovering || db.cfg.CheckpointEveryBytes <= 0 {
+	if db.log == nil || db.recovering {
+		return
+	}
+	budget := db.cfg.CheckpointEveryBytes
+	if db.space.RetentionOverBudget() {
+		if page := int64(db.dev.Geometry().PageSize); budget <= 0 || page < budget {
+			budget = page
+		}
+	}
+	if budget <= 0 {
 		return
 	}
 	db.mu.RLock()
 	walMark := db.ckptWALMark
 	db.mu.RUnlock()
-	if db.log.BytesAppended()-walMark < db.cfg.CheckpointEveryBytes ||
+	if db.log.BytesAppended()-walMark < budget ||
 		!db.ckptRunning.CompareAndSwap(false, true) {
 		return
 	}
@@ -250,34 +281,4 @@ func (db *DB) checkpointAfterDDL() error {
 	defer db.ckptMu.Unlock()
 	_, err := db.checkpointLocked(db.clock.Now())
 	return err
-}
-
-// CheckpointStats is a snapshot of the checkpoint subsystem's counters
-// (nested in Stats().WAL).
-type CheckpointStats struct {
-	// Count is the number of checkpoints taken.
-	Count int64
-	// Chunks is the total number of records checkpoints appended (marks,
-	// rows and index entries).
-	Chunks int64
-	// LastLSN is the LSN of the last checkpoint's end mark; recovery filters
-	// the records after it by commit.
-	LastLSN uint64
-	// LastBytes is the encoded size of the last checkpoint's records.
-	LastBytes int64
-	// LastAt is the virtual time of the last checkpoint.
-	LastAt sim.Time
-}
-
-// checkpointStats snapshots the checkpoint counters; the WAL must be on.
-func (db *DB) checkpointStats() CheckpointStats {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return CheckpointStats{
-		Count:     db.ckptCount.Value(),
-		Chunks:    db.ckptChunks.Value(),
-		LastLSN:   db.ckptLastLSN,
-		LastBytes: db.ckptBytes,
-		LastAt:    db.ckptTime,
-	}
 }

@@ -112,20 +112,22 @@ type Config struct {
 	TraceBufferEvents int
 	// CheckpointEveryBytes, when positive, takes a checkpoint whenever that
 	// many WAL bytes have been appended since the last one (checked after
-	// each commit).  A checkpoint rewrites the live state at the head of the
-	// log and truncates the log below it, bounding how much a crash recovery
-	// has to replay.  Zero disables automatic checkpoints; DDL statements
-	// always checkpoint (schema changes are only durable through the
-	// checkpoint's schema marks).  See WithCheckpointEvery.
+	// each commit).  A checkpoint flushes the dirty pages, describes the
+	// flash image they complete in a few marks at the head of the log and
+	// truncates the log below them, bounding how much a crash recovery has to
+	// replay.  Zero disables the byte trigger; DDL statements always
+	// checkpoint (schema changes are only durable through the checkpoint's
+	// schema marks), and a checkpoint is taken as well once the page versions
+	// retained for the last one outgrow half of a region's over-provisioned
+	// spare.  See WithCheckpointEvery.
 	CheckpointEveryBytes int64
 	// DisableSnapshotCheckpoints switches checkpoints to the light form:
-	// flush dirty pages and truncate the whole WAL, without rewriting the
-	// live state into it.  Light checkpoints keep the WAL footprint bounded at
-	// near-zero cost, but give up crash recovery — Reopen refuses a log whose
-	// last checkpoint is a light one.  This is the classic reduced-
-	// durability benchmark regime; the paper-reproduction experiments run
-	// with it so checkpoint I/O does not distort the measured placement
-	// effects.  The default (false) takes full checkpoints.
+	// flush dirty pages and truncate the whole WAL, without describing the
+	// state and without retaining the page versions it consists of.  Light
+	// checkpoints give up crash recovery — Reopen refuses a log whose last
+	// checkpoint is a light one.  This is the classic reduced-durability
+	// benchmark regime the paper-reproduction experiments are pinned to.  The
+	// default (false) takes full checkpoints.
 	DisableSnapshotCheckpoints bool
 	// FaultPlan arms deterministic fault injection on the flash device:
 	// crash at a virtual time or after an operation count, torn tail-page

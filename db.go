@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"noftl/internal/btree"
 	"noftl/internal/buffer"
 	"noftl/internal/catalog"
 	"noftl/internal/core"
@@ -55,6 +56,7 @@ type DB struct {
 	ckptChunks  *metrics.Counter // noftl_wal_checkpoint_chunks_total
 	ckptLastLSN uint64           // LSN of the last checkpoint's end mark
 	ckptBytes   int64            // encoded size of the last checkpoint's records
+	ckptPages   int64            // dirty pages the last checkpoint flushed
 	ckptTime    sim.Time
 	ckptWALMark int64 // BytesAppended at the last checkpoint (rebased by ResetStatistics)
 	recovering  bool
@@ -110,9 +112,9 @@ func openWith(cfg Config, dev *flash.Device, space *core.Manager) (*DB, error) {
 		db.log = wal.New(db.space, defTS.Hint(walObj, flash.FlagLog), dev.Geometry().PageSize)
 		db.log.AttachObs(db.tracer, db.reg)
 		db.ckptCount = db.reg.Counter("noftl_wal_checkpoints_total",
-			"Checkpoints taken (the live state rewritten at the head of the WAL).").With()
+			"Checkpoints taken (dirty pages flushed, the flash image described at the head of the WAL).").With()
 		db.ckptChunks = db.reg.Counter("noftl_wal_checkpoint_chunks_total",
-			"Records appended by checkpoints (marks, rows and index entries).").With()
+			"Records appended by checkpoints (marks and page descriptors).").With()
 		if cfg.WALCommitBatch > 0 || cfg.WALCommitDelay > 0 {
 			db.log.SetGroupCommit(cfg.WALCommitBatch, cfg.WALCommitDelay)
 		}
@@ -548,12 +550,13 @@ func (db *DB) tablespace(name string) (*storage.Tablespace, error) {
 
 // CreateTable creates a table in the given tablespace ("" = SYSTEM).
 func (db *DB) CreateTable(name, tablespace string, columns []Column) (*Table, error) {
-	return db.createTable(catalog.Table{Name: name, Tablespace: tablespace, Columns: columns})
+	return db.createTable(catalog.Table{Name: name, Tablespace: tablespace, Columns: columns}, nil)
 }
 
 // createTable registers a table: catalog entry, heap file, runtime maps.  A
-// zero ObjectID gets a fresh id; recovery passes the pre-crash one.
-func (db *DB) createTable(meta catalog.Table) (*Table, error) {
+// zero ObjectID gets a fresh id and an empty heap; recovery passes the
+// pre-crash id and the checkpoint's description of the heap's pages.
+func (db *DB) createTable(meta catalog.Table, at *ckptObject) (*Table, error) {
 	if err := db.checkOpen(); err != nil {
 		return nil, err
 	}
@@ -572,6 +575,10 @@ func (db *DB) createTable(meta catalog.Table) (*Table, error) {
 		return nil, publicErr(err)
 	}
 	heap := storage.NewHeapFile(meta.Name, meta.ObjectID, ts, db.pool)
+	if at != nil {
+		heap = storage.AttachHeapFile(meta.Name, meta.ObjectID, ts, db.pool, at.pages, at.Count)
+		db.cat.EnsureNextObjectID(meta.ObjectID + 1) // fresh ids continue above the recovered ones
+	}
 	t := &Table{db: db, heap: heap, name: meta.Name, objectID: meta.ObjectID}
 	db.mu.Lock()
 	db.tables[meta.Name] = t
@@ -672,12 +679,14 @@ func (db *DB) DropTablespace(name string) error {
 // CreateIndex creates a B+-tree index on a table in the given tablespace
 // ("" = the table's tablespace).
 func (db *DB) CreateIndex(name, table string, columns []string, unique bool, tablespace string) (*Index, error) {
-	return db.createIndex(catalog.Index{Name: name, Table: table, Columns: columns, Unique: unique, Tablespace: tablespace})
+	return db.createIndex(catalog.Index{Name: name, Table: table, Columns: columns, Unique: unique, Tablespace: tablespace}, nil)
 }
 
-// createIndex registers an index: catalog entry, empty tree, runtime maps.  A
-// zero ObjectID gets a fresh id; recovery passes the pre-crash one.
-func (db *DB) createIndex(meta catalog.Index) (*Index, error) {
+// createIndex registers an index: catalog entry, tree, runtime maps.  A zero
+// ObjectID gets a fresh id and an empty tree, whose root page is allocated at
+// once; recovery passes the pre-crash id and the checkpoint's descriptor of
+// the tree, and attaching to that writes nothing.
+func (db *DB) createIndex(meta catalog.Index, at *ckptObject) (*Index, error) {
 	if err := db.checkOpen(); err != nil {
 		return nil, err
 	}
@@ -702,8 +711,11 @@ func (db *DB) createIndex(meta catalog.Index) (*Index, error) {
 	if err := db.cat.AddIndex(meta); err != nil {
 		return nil, publicErr(err)
 	}
-	tree, _, err := btreeNew(db.clock.Now(), meta.Name, meta.ObjectID, ts, db.pool)
-	if err != nil {
+	var tree *btree.Tree
+	if at != nil {
+		tree = btree.Attach(meta.Name, meta.ObjectID, ts, db.pool, at.Root, at.Height, at.Count, at.pages)
+		db.cat.EnsureNextObjectID(meta.ObjectID + 1)
+	} else if tree, _, err = btree.New(db.clock.Now(), meta.Name, meta.ObjectID, ts, db.pool); err != nil {
 		return nil, err
 	}
 	idx := &Index{db: db, tree: tree, meta: meta}
@@ -808,11 +820,14 @@ func (db *DB) FlushAll(now sim.Time) (sim.Time, error) {
 	return db.pool.FlushAll(now)
 }
 
-// Checkpoint quiesces transactions, flushes all dirty pages, rewrites the
-// live state (schema, rows, index entries) as ordinary records at the head of
-// the WAL, truncates the log below them, and returns the advanced time.
-// Crash recovery replays from the last complete checkpoint, so checkpoint
-// frequency bounds recovery work (see WithCheckpointEvery).
+// Checkpoint quiesces transactions, flushes all dirty pages, describes the
+// flash image they complete (schema, the pages of every table and index) in a
+// run of marks at the head of the WAL, truncates the log below them, and
+// returns the advanced time.  Its cost is that of the dirty pages, whatever
+// the size of the database.  Crash recovery replays from the last complete
+// checkpoint, so checkpoint frequency bounds recovery work (see
+// WithCheckpointEvery).  It fails with ErrConflict while a dirty page is
+// pinned.
 func (db *DB) Checkpoint(now sim.Time) (sim.Time, error) {
 	if err := db.checkOpen(); err != nil {
 		return now, err

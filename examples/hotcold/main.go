@@ -28,9 +28,9 @@ func runWorkload(separate bool) noftl.Stats {
 		BlocksPerDie: 8, PagesPerBlock: 32, PageSize: 4096,
 	}
 	cfg.BufferPoolPages = 128
-	// Benchmark regime: light checkpoints bound the row-image WAL without
-	// writing snapshots through it — crash recovery is not this example's
-	// story, and full snapshots would not fit the deliberately small device.
+	// Benchmark regime: light checkpoints bound the row-image WAL and retain
+	// no superseded page versions — crash recovery is not this example's
+	// story, and the deliberately small device has no spare blocks to lend.
 	cfg.DisableSnapshotCheckpoints = true
 	if !separate {
 		cfg.Space.Mode = noftl.PlacementTraditional

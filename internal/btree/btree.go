@@ -98,8 +98,23 @@ func New(now sim.Time, name string, objectID uint32, ts *storage.Tablespace, poo
 	return t, done, nil
 }
 
+// Attach returns the tree over pages that already exist on flash: the root,
+// height, entry count and page list a checkpoint recorded.  Nothing is read or
+// written.
+func Attach(name string, objectID uint32, ts *storage.Tablespace, pool *buffer.Pool, root core.LPN, height int, entries int64, pages []core.LPN) *Tree {
+	return &Tree{name: name, objectID: objectID, ts: ts, pool: pool,
+		root: root, height: height, entries: entries, pages: int64(len(pages)), lpns: pages}
+}
+
 // Name returns the index name.
 func (t *Tree) Name() string { return t.name }
+
+// Root returns the logical page of the root node.
+func (t *Tree) Root() core.LPN {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.root
+}
 
 // ObjectID returns the owning object id.
 func (t *Tree) ObjectID() uint32 { return t.objectID }

@@ -747,25 +747,31 @@ func (p *Pool) allocFrameLocked(s *poolShard, now sim.Time) (int, sim.Time, erro
 	return 0, now, ErrPoolFull
 }
 
-// FlushAll writes every dirty, unpinned resident page back to the backend
-// (checkpoint) as one die-striped scheduler batch, so the checkpoint costs
-// roughly one write per die instead of one write per page in virtual time:
-// the backend allocates the batch's slots round-robin over the target
-// regions' dies, and the programs stripe and overlap.  Pinned pages are
-// skipped — they are being modified by a concurrent transaction and will be
-// written back on eviction or at the next checkpoint.
+// Flush writes every dirty, unpinned resident page back to the backend as one
+// die-striped scheduler batch, so a checkpoint costs roughly one write per die
+// instead of one write per page in virtual time: the backend allocates the
+// batch's slots round-robin over the target regions' dies, and the programs
+// stripe and overlap.  It returns how many pages it wrote and how many dirty
+// pages it had to leave behind because they are pinned: someone is modifying
+// them, and they reach the backend on eviction or with a later flush.  A
+// checkpoint whose durable state is the flushed pages cannot complete while
+// any are left.
 //
 // Candidates are collected shard by shard; each is given a flush pin and a
 // read latch so that neither eviction nor a concurrent modification can touch
 // its data while the batch is in flight (a frame with zero pins cannot have a
 // latch holder, so the read latch is acquired without blocking).
-func (p *Pool) FlushAll(now sim.Time) (sim.Time, error) {
+func (p *Pool) Flush(now sim.Time) (done sim.Time, flushed, left int, err error) {
 	var frames []*Frame
 	var writes []core.PageWrite
 	for _, s := range p.shards {
 		s.mu.Lock()
 		for _, f := range s.frames {
-			if !f.valid || !f.dirty.Load() || f.pins > 0 {
+			if !f.valid || !f.dirty.Load() {
+				continue
+			}
+			if f.pins > 0 {
+				left++
 				continue
 			}
 			f.pins++
@@ -780,9 +786,9 @@ func (p *Pool) FlushAll(now sim.Time) (sim.Time, error) {
 		s.mu.Unlock()
 	}
 	if len(writes) == 0 {
-		return now, nil
+		return now, 0, left, nil
 	}
-	done, err := p.backend.WritePages(now, writes)
+	done, err = p.backend.WritePages(now, writes)
 	for i, f := range frames {
 		if err != nil {
 			// Leave the page dirty: pages the batch did manage to program
@@ -800,10 +806,17 @@ func (p *Pool) FlushAll(now sim.Time) (sim.Time, error) {
 		}
 	}
 	if err != nil {
-		return now, err
+		return now, 0, left, err
 	}
 	p.noteGroupWrite(now, done, len(frames))
-	return done, nil
+	return done, len(frames), left, nil
+}
+
+// FlushAll is Flush for callers that only need the pages on their way: what
+// stays behind pinned is written back later.
+func (p *Pool) FlushAll(now sim.Time) (sim.Time, error) {
+	done, _, _, err := p.Flush(now)
+	return done, err
 }
 
 // Drop removes a page from the pool without writing it back (used when an

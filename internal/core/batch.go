@@ -137,9 +137,10 @@ type hostWrite struct {
 	r        *Region   // region the page was placed in (after any spill)
 	da       *dieAlloc // die holding the reserved slot; nil while none is reserved
 	slot     slotRef
-	consumes bool  // the placement is counted in r.admitted
-	done     bool  // programmed and committed
-	faults   uint8 // transient program faults this page has hit
+	seq      uint64 // write sequence the program carries
+	consumes bool   // the placement is counted in r.admitted
+	done     bool   // programmed and committed
+	faults   uint8  // transient program faults this page has hit
 }
 
 // maxProgramRetries bounds how often a page that hit a transient program
@@ -226,7 +227,7 @@ rounds:
 			c := cs[j]
 			j++
 			if c.Err == nil {
-				m.commitWrite(p, writes[i].LPN, now, c.Done, traced)
+				m.commitWrite(p, &writes[i], now, c.Done, traced)
 				left--
 				continue
 			}
@@ -283,10 +284,13 @@ func (m *Manager) placeWrite(at sim.Time, w *PageWrite, p *hostWrite) (iosched.R
 		// version lives in a different region, e.g. after an earlier spill).
 		// admitted counts the batch's placed, not yet committed pages, so a
 		// batch cannot overshoot the capacity.
+		// Retained checkpoint versions are not part of the region's logical
+		// size, but they hold physical pages a new page cannot have as well.
 		p.consumes = !remap || prev.region != r.id
 		var err error
-		if p.consumes && r.validPages+r.admitted >= r.capacityPages {
-			err = fmt.Errorf("%w: %q (%d pages)", ErrRegionFull, r.name, r.capacityPages)
+		if p.consumes && (r.validPages+r.admitted >= r.capacityPages ||
+			r.validPages+r.retainedPages+r.admitted >= r.physPages) {
+			err = m.errRegionFull(r)
 		} else if p.da, p.slot, at, err = m.allocateSlot(at, r); err == nil {
 			break
 		}
@@ -301,6 +305,7 @@ func (m *Manager) placeWrite(at sim.Time, w *PageWrite, p *hostWrite) (iosched.R
 		r.admitted++
 	}
 	m.seq++
+	p.seq = m.seq
 	return iosched.Request{
 		Op:   iosched.OpProgram,
 		Addr: ppa{Die: p.da.die, Block: p.slot.block, Page: p.slot.page},
@@ -309,7 +314,7 @@ func (m *Manager) placeWrite(at sim.Time, w *PageWrite, p *hostWrite) (iosched.R
 			LPN:      uint64(w.LPN),
 			ObjectID: w.Hint.ObjectID,
 			RegionID: uint32(r.id),
-			Seq:      m.seq,
+			Seq:      p.seq,
 			Flags:    w.Hint.Flags,
 		},
 		Priority: iosched.PrioHostWrite,
@@ -337,13 +342,13 @@ func (m *Manager) unplaceWrite(p *hostWrite) {
 }
 
 // commitWrite accounts one landed program: block and mapping bookkeeping,
-// invalidation of the previous version, valid-page accounting, counters and
-// the host-write event.  start is the submission time of the call, so the
-// observed latency includes any synchronous GC the write had to wait for —
-// exactly what a host sees on a device doing foreground garbage collection.
-// Caller holds m.mu.
-func (m *Manager) commitWrite(p *hostWrite, lpn LPN, start, done sim.Time, traced bool) {
-	r, da, slot := p.r, p.da, p.slot
+// supersession of the previous version (invalidated, or retained for the last
+// checkpoint), valid-page accounting, counters and the host-write event.
+// start is the submission time of the call, so the observed latency includes
+// any synchronous GC the write had to wait for — exactly what a host sees on a
+// device doing foreground garbage collection.  Caller holds m.mu.
+func (m *Manager) commitWrite(p *hostWrite, w *PageWrite, start, done sim.Time, traced bool) {
+	r, da, slot, lpn := p.r, p.da, p.slot, w.LPN
 	blk := &da.blocks[slot.block]
 	blk.lpns[slot.page] = lpn
 	blk.valid[slot.page] = true
@@ -357,9 +362,12 @@ func (m *Manager) commitWrite(p *hostWrite, lpn LPN, start, done sim.Time, trace
 	}
 
 	old, had := m.mapping[lpn]
-	m.mapping[lpn] = mapEntry{addr: ppa{Die: da.die, Block: slot.block, Page: slot.page}, region: r.id}
+	m.mapping[lpn] = mapEntry{
+		addr: ppa{Die: da.die, Block: slot.block, Page: slot.page}, region: r.id,
+		log: w.Hint.Flags&flash.FlagLog != 0, seq: p.seq,
+	}
 	if had {
-		m.invalidate(old)
+		m.supersede(old)
 		if old.region != r.id {
 			// The page migrated between regions (e.g. a spill, or a later
 			// write that returned home): transfer the valid-page accounting.

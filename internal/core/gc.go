@@ -289,8 +289,19 @@ func (m *Manager) relocateAndErase(now sim.Time, r *Region, da *dieAlloc, victim
 				da.hostOpen = -1
 			}
 		}
-		// Redirect the logical page to its new physical home.
-		m.mapping[lpn] = mapEntry{addr: ppa{Die: da.die, Block: mv.dst.block, Page: mv.dst.page}, region: m.dieOwner[da.die]}
+		// Redirect whoever named the page to its new physical home: a
+		// checkpoint's retained version (the copy keeps its OOB sequence, so
+		// recovery finds it all the same) or the logical page's mapping.
+		src := ppa{Die: da.die, Block: victim, Page: mv.page}
+		dst := ppa{Die: da.die, Block: mv.dst.block, Page: mv.dst.page}
+		if epoch, ok := m.retained[src]; ok {
+			delete(m.retained, src)
+			m.retained[dst] = epoch
+		} else {
+			e := m.mapping[lpn]
+			e.addr, e.region = dst, m.dieOwner[da.die]
+			m.mapping[lpn] = e
+		}
 		vblk.valid[mv.page] = false
 		vblk.validCount--
 		r.gcCopybacks.Inc()

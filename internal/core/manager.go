@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"noftl/internal/flash"
 	"noftl/internal/iosched"
@@ -154,10 +155,14 @@ func (da *dieAlloc) totalFreePages(pagesPerBlock int) int64 {
 	return n
 }
 
-// mapEntry records where a logical page currently lives.
+// mapEntry records where a logical page currently lives.  seq is the write
+// sequence of that version and log marks a WAL page; together they decide
+// whether the version must outlive its overwrite (retain.go).
 type mapEntry struct {
 	addr   ppa
 	region RegionID
+	log    bool
+	seq    uint64
 }
 
 // Manager is the NoFTL space manager: it owns the native flash device,
@@ -181,6 +186,15 @@ type Manager struct {
 	mapping map[LPN]mapEntry
 	nextLPN LPN
 	seq     uint64 // monotonically increasing write sequence for OOB metadata
+
+	// Checkpoint retention (retain.go): the superseded physical pages that
+	// still hold the image of a checkpoint, by the epoch of the Snapshot they
+	// serve.  ckptSeq is the write sequence at the newest Snapshot; zero (no
+	// Snapshot was ever taken) retains nothing.
+	retained   map[ppa]uint64
+	ckptSeq    uint64
+	epoch      uint64
+	overBudget atomic.Bool // some region's retained pages exceed its budget
 
 	// Scratch of WritePages, reused across calls under mu so that a write
 	// batch (of one page or thousands) allocates nothing per call; it starts
@@ -209,6 +223,7 @@ func NewManager(dev *flash.Device, opts Options) *Manager {
 		regions:     make(map[string]*Region),
 		regionsByID: make(map[RegionID]*Region),
 		mapping:     make(map[LPN]mapEntry),
+		retained:    make(map[ppa]uint64),
 		nextLPN:     1,
 		nextRegion:  DefaultRegionID + 1,
 		reg:         metrics.NewRegistry(),
@@ -312,15 +327,17 @@ func (m *Manager) DieFreeBlocks() []int {
 }
 
 // recomputeCapacity updates the exported logical capacity of a region from
-// its die set, over-provisioning and MAX_SIZE limit.  Caller holds m.mu (or
-// is the constructor).
+// its die set, over-provisioning and MAX_SIZE limit, and with it the share of
+// the over-provisioned spare that retained checkpoint versions may occupy.
+// Caller holds m.mu (or is the constructor).
 func (m *Manager) recomputeCapacity(r *Region) {
 	raw := int64(len(r.dies)) * int64(m.geo.PagesPerDie())
-	capPages := int64(float64(raw) * (1 - m.opts.OverprovisionPct))
-	if r.maxSizePages > 0 && r.maxSizePages < capPages {
-		capPages = r.maxSizePages
+	r.physPages = int64(float64(raw) * (1 - m.opts.OverprovisionPct))
+	r.retainBudget = (raw - r.physPages) / retainedSpareShare
+	r.capacityPages = r.physPages
+	if r.maxSizePages > 0 && r.maxSizePages < r.capacityPages {
+		r.capacityPages = r.maxSizePages
 	}
-	r.capacityPages = capPages
 }
 
 // DefaultRegion returns the default region.
@@ -524,8 +541,9 @@ func (m *Manager) DropRegion(name string) error {
 	if r.id == DefaultRegionID {
 		return ErrDefaultRegion
 	}
-	if r.validPages > 0 {
-		return fmt.Errorf("%w: %q has %d valid pages", ErrRegionNotEmpty, name, r.validPages)
+	if r.validPages > 0 || r.retainedPages > 0 {
+		return fmt.Errorf("%w: %q has %d valid pages and %d retained for the last checkpoint",
+			ErrRegionNotEmpty, name, r.validPages, r.retainedPages)
 	}
 	def := m.regionsByID[DefaultRegionID]
 	for _, d := range r.dies {
@@ -622,9 +640,9 @@ func (m *Manager) invalidate(e mapEntry) {
 	}
 }
 
-// TrimPage drops the logical page entirely: its physical copy is invalidated
-// and the logical page becomes unmapped (used when objects are dropped or
-// truncated).
+// TrimPage drops the logical page entirely: its physical copy is superseded
+// (invalidated, or retained while a checkpoint still needs it) and the logical
+// page becomes unmapped (used when objects are dropped or truncated).
 func (m *Manager) TrimPage(lpn LPN) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -632,7 +650,7 @@ func (m *Manager) TrimPage(lpn LPN) error {
 	if !ok {
 		return fmt.Errorf("%w: lpn %d", ErrUnmappedPage, lpn)
 	}
-	m.invalidate(e)
+	m.supersede(e)
 	delete(m.mapping, lpn)
 	if r, ok := m.regionsByID[e.region]; ok && r.validPages > 0 {
 		r.validPages--
@@ -677,7 +695,18 @@ func (m *Manager) allocateSlot(now sim.Time, r *Region) (*dieAlloc, slotRef, sim
 		blk.nextPage++
 		return da, slot, now, nil
 	}
-	return nil, slotRef{}, now, fmt.Errorf("%w: %q", ErrRegionFull, r.name)
+	return nil, slotRef{}, now, m.errRegionFull(r)
+}
+
+// errRegionFull is the error of a write the region cannot place.  Retained
+// checkpoint versions occupy its spare blocks, so when there are any the error
+// names them: the next checkpoint gives that space back.  Caller holds m.mu.
+func (m *Manager) errRegionFull(r *Region) error {
+	if r.retainedPages > 0 {
+		return fmt.Errorf("%w: %q (%d of %d pages valid, %d pages retained for the last checkpoint)",
+			ErrRegionFull, r.name, r.validPages, r.capacityPages, r.retainedPages)
+	}
+	return fmt.Errorf("%w: %q (%d pages)", ErrRegionFull, r.name, r.capacityPages)
 }
 
 // openHostBlock ensures da has an open block for host writes, running GC when

@@ -58,9 +58,12 @@ type Region struct {
 	dies []int // die indexes owned by this region, sorted
 
 	maxSizePages  int64 // 0 = unlimited (within die capacity)
-	capacityPages int64 // exported logical capacity (after over-provisioning)
+	capacityPages int64 // exported logical capacity (after over-provisioning and MAX_SIZE)
+	physPages     int64 // capacity of the dies after over-provisioning, MAX_SIZE aside
 	validPages    int64 // logical pages currently mapped into this region
 	admitted      int64 // pages a write batch in flight has placed here but not yet committed
+	retainedPages int64 // superseded pages on this region's dies a checkpoint still needs (retain.go)
+	retainBudget  int64 // retained pages above which a checkpoint is due
 
 	gc GCPolicy // per-region garbage-collection policy
 
@@ -111,6 +114,10 @@ type RegionStats struct {
 	Channels      int
 	CapacityPages int64
 	ValidPages    int64
+	// RetainedPages counts the superseded physical pages on the region's dies
+	// that still hold the image of the last checkpoint; they live in the
+	// over-provisioned spare until the next checkpoint releases them.
+	RetainedPages int64
 	FreeBlocks    int
 	GC            GCPolicy
 	HostReads     int64

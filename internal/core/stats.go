@@ -23,6 +23,8 @@ type Stats struct {
 	BGGCSteps   int64 // bounded background GC steps
 	WearMoves   int64
 	ValidPages  int64
+	// RetainedPages sums the regions' retained checkpoint versions.
+	RetainedPages int64
 	// Watermark configuration echo and current background-GC state (see the
 	// per-region fields for the breakdown).
 	GCLowWaterBlocks  int   // per-die foreground-backstop threshold
@@ -94,6 +96,7 @@ func (m *Manager) Stats() Stats {
 			Dies:          sortedCopy(r.dies),
 			CapacityPages: r.capacityPages,
 			ValidPages:    r.validPages,
+			RetainedPages: r.retainedPages,
 			GC:            r.gc,
 			HostReads:     r.hostReads.Value(),
 			HostWrites:    r.hostWrites.Value(),
@@ -149,6 +152,7 @@ func (m *Manager) Stats() Stats {
 		out.BGGCSteps += rs.BGGCSteps
 		out.WearMoves += rs.WearMoves
 		out.ValidPages += rs.ValidPages
+		out.RetainedPages += rs.RetainedPages
 		out.BGDebtBlocks += rs.BGDebtBlocks
 		out.DiesInBGBand += rs.DiesInBGBand
 		out.DiesAtLowWater += rs.DiesAtLowWater

@@ -13,6 +13,16 @@
 //   - Garbage collection and wear leveling run per region inside the DBMS,
 //     where object statistics are available, instead of inside a black-box
 //     FTL.
+//   - Out-of-place, self-describing pages are the durable state: a
+//     checkpoint of the layer above is the flash image at a write sequence
+//     number (Snapshot), and the page versions that make it up are retained —
+//     kept valid, relocated by GC like live data — when they are overwritten,
+//     until the next checkpoint releases them (retain.go).  That is what
+//     makes stealing buffer frames safe without an undo log.  It costs
+//     spare blocks: at most one retained version per logical page, counted
+//     per region and against the room new pages may take.  After a crash the
+//     survey of the OOB metadata and the checkpoint's sequence number are
+//     enough to map that image again (recover.go).
 //   - The Region Advisor derives a multi-region placement configuration
 //     from observed per-object I/O statistics (the paper's Figure 2).
 package core

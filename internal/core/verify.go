@@ -10,10 +10,13 @@ import (
 //
 //  1. every logical page maps to a physical slot whose block marks that slot
 //     valid and records the same LPN;
-//  2. every block's valid counter equals the number of valid slots it holds;
-//  3. the number of valid slots across a region's dies equals the region's
-//     valid-page counter and the global mapping size equals the sum over all
-//     regions;
+//  2. every block's valid counter equals the number of valid slots it holds,
+//     and a valid slot the mapping does not point at is a retained checkpoint
+//     version: the retained map names exactly that address;
+//  3. the number of mapped (retained) valid slots across a region's dies
+//     equals the region's valid-page (retained-page) counter, the global
+//     mapping size equals the sum over all regions and the retained map holds
+//     nothing else;
 //  4. dies are owned by exactly one region and every region's die list agrees
 //     with the ownership table.
 func (m *Manager) VerifyIntegrity() error {
@@ -36,6 +39,7 @@ func (m *Manager) VerifyIntegrity() error {
 
 	// (2) per-block valid counters and (3) per-region totals.
 	validPerRegion := make(map[RegionID]int64)
+	retainedPerRegion := make(map[RegionID]int64)
 	for die, da := range m.dies {
 		owner := m.dieOwner[die]
 		if _, ok := m.regionsByID[owner]; !ok {
@@ -45,22 +49,31 @@ func (m *Manager) VerifyIntegrity() error {
 			blk := &da.blocks[b]
 			count := 0
 			for p, v := range blk.valid {
-				if v {
-					count++
-					lpn := blk.lpns[p]
-					if e, ok := m.mapping[lpn]; !ok || e.addr != (ppa{Die: die, Block: b, Page: p}) {
-						return fmt.Errorf("core: die %d block %d page %d claims lpn %d but the mapping disagrees", die, b, p, lpn)
-					}
+				if !v {
+					continue
+				}
+				count++
+				lpn, addr := blk.lpns[p], ppa{Die: die, Block: b, Page: p}
+				if e, ok := m.mapping[lpn]; ok && e.addr == addr {
+					validPerRegion[owner]++
+				} else if _, ok := m.retained[addr]; ok {
+					retainedPerRegion[owner]++
+				} else {
+					return fmt.Errorf("core: die %d block %d page %d claims lpn %d but neither the mapping nor a checkpoint names it", die, b, p, lpn)
 				}
 			}
 			if count != blk.validCount {
 				return fmt.Errorf("core: die %d block %d valid count %d, found %d valid slots", die, b, blk.validCount, count)
 			}
-			validPerRegion[owner] += int64(count)
 		}
 	}
-	var total int64
+	var total, retained int64
 	for id, r := range m.regionsByID {
+		if retainedPerRegion[id] != r.retainedPages {
+			return fmt.Errorf("core: region %q retains %d pages, found %d retained slots on its dies",
+				r.name, r.retainedPages, retainedPerRegion[id])
+		}
+		retained += r.retainedPages
 		// Spilled writes physically live on default-region dies but remain
 		// accounted to the default region, so the comparison is per owner.
 		if validPerRegion[id] != r.validPages {
@@ -71,6 +84,9 @@ func (m *Manager) VerifyIntegrity() error {
 	}
 	if total != int64(len(m.mapping)) {
 		return fmt.Errorf("core: %d mapped pages but regions account for %d", len(m.mapping), total)
+	}
+	if retained != int64(len(m.retained)) {
+		return fmt.Errorf("core: %d retained versions but only %d of them are valid pages", len(m.retained), retained)
 	}
 
 	// (4) region die lists agree with the ownership table.

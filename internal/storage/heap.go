@@ -37,6 +37,18 @@ func NewHeapFile(name string, objectID uint32, ts *Tablespace, pool *buffer.Pool
 	return &HeapFile{name: name, objectID: objectID, ts: ts, pool: pool}
 }
 
+// AttachHeapFile returns the heap file over pages that already exist on flash:
+// the page list (in allocation order, so inserts continue on the last one) and
+// record count a checkpoint recorded.  Nothing is read or written.
+func AttachHeapFile(name string, objectID uint32, ts *Tablespace, pool *buffer.Pool, pages []core.LPN, records int64) *HeapFile {
+	h := NewHeapFile(name, objectID, ts, pool)
+	h.pages, h.records = pages, records
+	if len(pages) > 0 {
+		h.lastPage = pages[len(pages)-1]
+	}
+	return h
+}
+
 // Name returns the table name the heap belongs to.
 func (h *HeapFile) Name() string { return h.name }
 

@@ -16,17 +16,11 @@ import (
 //	RecIndexInsert u16 key length + key + rid(10)
 //	RecIndexDelete key
 //	RecCheckpoint  kind(1) + body; TxnID carries the checkpoint sequence
-//	               number.  A checkpoint is the record run from its CkptBegin
-//	               to its CkptEnd mark: schema marks, then every live row as a
-//	               RecInsert and every index entry as a RecIndexInsert, all
-//	               under CkptTxnID.
+//	               number.  A checkpoint is the run of marks from its CkptBegin
+//	               to its CkptEnd: it carries no row, only what it takes to find
+//	               the checkpointed state in the data pages on flash.
 
 const ridLen = 10
-
-// CkptTxnID is the transaction id of the RecInsert/RecIndexInsert records a
-// checkpoint streams between its begin and end marks.  No transaction ever
-// gets it, so outside a complete checkpoint such records are never replayed.
-const CkptTxnID = 0
 
 // Checkpoint mark kinds: the first payload byte of a RecCheckpoint record.
 // The log only tells begin from end (LastCheckpoint); every kind from CkptBody
@@ -51,12 +45,7 @@ func RecordSize(r Record) int {
 
 // EncodeRowPayload packs a RID plus a row image (RecInsert, RecUpdate).
 func EncodeRowPayload(rid storage.RID, row []byte) []byte {
-	return AppendRowPayload(make([]byte, 0, ridLen+len(row)), rid, row)
-}
-
-// AppendRowPayload is EncodeRowPayload into a caller-owned buffer.
-func AppendRowPayload(dst []byte, rid storage.RID, row []byte) []byte {
-	dst = append(dst, rid.Encode()...)
+	dst := append(make([]byte, 0, ridLen+len(row)), rid.Encode()...)
 	return append(dst, row...)
 }
 
@@ -71,12 +60,7 @@ func DecodeRowPayload(p []byte) (storage.RID, []byte, error) {
 
 // EncodeIndexInsert packs an index entry (RecIndexInsert).
 func EncodeIndexInsert(key []byte, rid storage.RID) []byte {
-	return AppendIndexInsert(make([]byte, 0, 2+len(key)+ridLen), key, rid)
-}
-
-// AppendIndexInsert is EncodeIndexInsert into a caller-owned buffer.
-func AppendIndexInsert(dst, key []byte, rid storage.RID) []byte {
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(key)))
+	dst := binary.LittleEndian.AppendUint16(make([]byte, 0, 2+len(key)+ridLen), uint16(len(key)))
 	dst = append(dst, key...)
 	return append(dst, rid.Encode()...)
 }

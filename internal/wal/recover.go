@@ -154,6 +154,11 @@ func ScanImages(images []PageImage) (ScanResult, error) {
 	}
 
 	sort.Slice(pages, func(i, j int) bool { return pages[i][0].LSN < pages[j][0].LSN })
+	total := 0
+	for _, recs := range pages {
+		total += len(recs)
+	}
+	res.Records = make([]Record, 0, total)
 	var last uint64 // LSN of the newest record taken
 	for i, recs := range pages {
 		if first := recs[0].LSN; len(res.Records) == 0 || first != last+1 {

@@ -252,7 +252,7 @@ func (l *Log) SetGroupCommit(batch int, delay time.Duration) {
 const flashFlagLog uint16 = 1
 
 // maxFreePages bounds the recycled page buffers the log keeps: a commit seals
-// a page or two, and the thousands a checkpoint seals go back to the runtime.
+// a page or two, and what a huge transaction seals goes back to the runtime.
 const maxFreePages = 16
 
 func (l *Log) openPage() {
@@ -361,11 +361,9 @@ func (l *Log) Append(typ RecordType, txnID uint64, objectID uint32, payload []by
 	l.bytesAppended.Add(int64(size))
 	l.bytesLive += int64(size)
 	l.pageBytes[l.curLPN] += int64(size)
-	if txnID != CkptTxnID && l.tracer.Enabled(obs.ClassWALAppend) {
+	if l.tracer.Enabled(obs.ClassWALAppend) {
 		// Append is a pure memory operation: it carries no virtual-time span
-		// of its own (durability cost lands on the Flush event).  A checkpoint's
-		// row stream is not traced record by record: it would push the host and
-		// GC events out of the ring, and the force's wal_sync carries its count.
+		// of its own (durability cost lands on the Flush event).
 		l.tracer.Record(obs.Event{
 			Class: obs.ClassWALAppend, Op: uint8(typ),
 			Die: -1, Block: -1, Page: -1, Region: int32(l.hint.Region),

@@ -51,7 +51,11 @@ func (db *DB) scrapeGauges() {
 		"Dies at or below the foreground-GC low watermark, per region.", "region")
 	victims := reg.Gauge("noftl_bggc_victims_open",
 		"Dies with a partially collected background victim, per region.", "region")
-	for _, r := range db.space.Stats().Regions {
+	retained := reg.Gauge("noftl_space_retained_pages",
+		"Superseded page versions each region keeps on flash for the last checkpoint's image.", "region")
+	space := db.space.Stats()
+	for _, r := range space.Regions {
+		retained.With(r.Name).Set(r.RetainedPages)
 		validPages.With(r.Name).Set(r.ValidPages)
 		capPages.With(r.Name).Set(r.CapacityPages)
 		freeBlocks.With(r.Name).Set(int64(r.FreeBlocks))
@@ -75,11 +79,13 @@ func (db *DB) scrapeGauges() {
 		reg.Gauge("noftl_wal_flushed_lsn", "Highest durable WAL log sequence number.").With().Set(int64(db.log.FlushedLSN()))
 		reg.Gauge("noftl_wal_bytes_live",
 			"Encoded WAL record bytes held by live log pages (crash-replay upper bound).").With().Set(db.log.BytesLive())
-		ck := db.checkpointStats()
+		ck := db.checkpointStats(space.RetainedPages)
 		reg.Gauge("noftl_wal_checkpoint_last_lsn",
 			"LSN of the last checkpoint's end mark (recovery filters the records after it by commit).").With().Set(int64(ck.LastLSN))
 		reg.Gauge("noftl_wal_checkpoint_last_bytes",
 			"Encoded size of the last checkpoint's records in bytes.").With().Set(ck.LastBytes)
+		reg.Gauge("noftl_wal_checkpoint_last_pages",
+			"Dirty pages the last checkpoint flushed.").With().Set(ck.LastPages)
 	}
 }
 

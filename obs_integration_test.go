@@ -334,6 +334,7 @@ func checkStatsEqualMetrics(t *testing.T, db *DB, stage string) Stats {
 		eq(r.WearMoves, "noftl_region_wear_moves_total", "region", r.Name)
 		eq(r.ReadLatency.Count, "noftl_host_read_latency_seconds_count", "region", r.Name)
 		eq(r.WriteLatency.Count, "noftl_host_write_latency_seconds_count", "region", r.Name)
+		eq(r.RetainedPages, "noftl_space_retained_pages", "region", r.Name)
 		eq(r.ValidPages, "noftl_region_valid_pages", "region", r.Name)
 		eq(r.CapacityPages, "noftl_region_capacity_pages", "region", r.Name)
 		eq(int64(r.FreeBlocks), "noftl_region_free_blocks", "region", r.Name)
@@ -366,6 +367,8 @@ func checkStatsEqualMetrics(t *testing.T, db *DB, stage string) Stats {
 	eq(w.Checkpoint.Chunks, "noftl_wal_checkpoint_chunks_total")
 	eq(int64(w.Checkpoint.LastLSN), "noftl_wal_checkpoint_last_lsn")
 	eq(w.Checkpoint.LastBytes, "noftl_wal_checkpoint_last_bytes")
+	eq(w.Checkpoint.LastPages, "noftl_wal_checkpoint_last_pages")
+	eq(w.Checkpoint.RetainedPages, "noftl_space_retained_pages")
 
 	eq(st.Trace.Recorded, "noftl_trace_events_recorded_total")
 	eq(st.Trace.Dropped, "noftl_trace_events_dropped_total")
@@ -442,6 +445,37 @@ func TestStatsEqualsMetrics(t *testing.T) {
 	st = checkStatsEqualMetrics(t, db, "after post-reset work")
 	if st.Space.HostWrites == 0 || st.TxnCommitted == 0 {
 		t.Fatalf("post-reset work left no trace in the counters: %+v", st)
+	}
+
+	// Overwrite a few pages of the last checkpoint's image: few enough that the
+	// versions they supersede stay retained instead of triggering a checkpoint.
+	if _, err := db.Checkpoint(db.SimulatedTime()); err != nil {
+		t.Fatal(err)
+	}
+	err = db.Update(func(tx *Tx) error {
+		var rids []RID // a scan holds its page latched: collect first, update after
+		for rid := range tbl.Rows(tx) {
+			if rids = append(rids, rid); len(rids) == 8 {
+				break
+			}
+		}
+		for _, rid := range rids {
+			if err := tbl.Update(tx, rid, bytes.Repeat([]byte{'z'}, 900)); err != nil {
+				return err
+			}
+		}
+		return tx.Err()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.FlushAll(db.SimulatedTime()); err != nil {
+		t.Fatal(err)
+	}
+	st = checkStatsEqualMetrics(t, db, "after a small overwrite")
+	if st.WAL.Checkpoint.RetainedPages == 0 || st.WAL.Checkpoint.RetainedPages != st.Space.RetainedPages {
+		t.Fatalf("retained pages: checkpoint stats say %d, space stats %d, want the same and some",
+			st.WAL.Checkpoint.RetainedPages, st.Space.RetainedPages)
 	}
 }
 

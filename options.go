@@ -152,8 +152,8 @@ func WithCheckpointEvery(bytes int64) Option {
 }
 
 // WithLightCheckpoints switches checkpoints to the light form: flush dirty
-// pages and truncate the whole WAL without rewriting the live state into it.
-// This bounds the WAL at near-zero cost but gives up crash recovery (Reopen
+// pages and truncate the whole WAL without describing the state or retaining
+// the page versions it consists of.  This gives up crash recovery (Reopen
 // refuses such a log) — the classic reduced-durability benchmark regime.
 func WithLightCheckpoints() Option {
 	return func(c *Config) { c.DisableSnapshotCheckpoints = true }

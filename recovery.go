@@ -19,13 +19,18 @@ import (
 type RecoveryStats struct {
 	// CheckpointFound reports whether a complete checkpoint (begin mark
 	// through end mark) survived; CheckpointBytes is the encoded size of its
-	// records.
+	// records: the marks and page descriptors.
 	CheckpointFound bool
 	CheckpointBytes int64
-	// SnapshotRows and SnapshotIndexEntries count what the checkpoint's
-	// records restored.
-	SnapshotRows         int64
-	SnapshotIndexEntries int64
+	// AdoptedPages counts the data pages of the checkpoint's image, mapped
+	// where they lay on flash; DiscardedVersions the page versions written
+	// after the checkpoint, by winners (redone from the log) and losers alike,
+	// and left behind as garbage; ReprogrammedPages the adopted pages that had
+	// such a version and were written once more so it can never pass for a
+	// checkpointed one.
+	AdoptedPages      int
+	DiscardedVersions int
+	ReprogrammedPages int
 	// LogRecords and LogBytes cover the whole surviving record stream;
 	// ReplayedRecords and ReplayedBytes only the window after the end mark
 	// (what recovery actually had to redo — checkpoints exist to bound it).
@@ -88,25 +93,32 @@ func (db *DB) Crash() *CrashImage {
 // Reopen runs crash recovery over a crashed database's device and returns a
 // fresh, consistent database:
 //
-//  1. the flash is scanned block by block; every page's out-of-band metadata
-//     (LPN, sequence number, flags) rebuilds the logical-to-physical mapping
-//     and the wear state — the NoFTL model's self-describing pages make the
-//     mapping recoverable from the device alone;
-//  2. the surviving WAL pages are reassembled into the durable record
-//     stream, which ends at the first page the last, unacknowledged log
-//     force failed to bring to flash (missing or torn);
-//  3. one replay loop runs from the begin mark of the last complete
-//     checkpoint: its records restore schema and data, then committed
-//     post-checkpoint transactions are redone in LSN order, all through the
-//     normal heap/btree/buffer path; losers are discarded;
-//  4. the space manager's invariants are verified and a fresh checkpoint is
-//     written, so the new log is self-contained.
+//  1. the flash is surveyed block by block: wear, block states and the
+//     out-of-band metadata (LPN, sequence number, flags) of every programmed
+//     page — self-describing pages make the state recoverable from the device
+//     alone;
+//  2. the surviving WAL pages are reassembled into the durable record stream,
+//     which ends at the first page the last, unacknowledged log force failed
+//     to bring to flash (missing or torn);
+//  3. the marks of the last complete checkpoint recreate the regions on their
+//     dies and the schema, and attach every table and index to the pages its
+//     descriptor lists; each of those pages is mapped to its newest version at
+//     or below the checkpoint's write sequence, where it lies, and everything
+//     else on flash is garbage.  A page that also has a newer version is
+//     written once more, or a later checkpoint's higher sequence would make
+//     the discarded version the checkpointed one;
+//  4. the committed transactions after the end mark are redone in LSN order
+//     through the normal heap/btree/buffer path (replayLog); losers are not,
+//     and what their evicted pages wrote is among the garbage of step 3;
+//  5. the space manager's invariants are verified, a fresh checkpoint makes
+//     the new log self-contained, and the old log is trimmed.
 //
 // The options are applied on top of the crashed instance's configuration;
 // any armed fault plan is cleared (pass WithFaultPlan again to re-arm).
-// Record identifiers are NOT stable across recovery: rows keep their
-// contents and index entries keep addressing them, but RIDs are reassigned
-// by the rebuild.
+// Record identifiers are stable across recovery for checkpointed rows, which
+// stay in their pages; rows inserted after the checkpoint keep their contents
+// and their index entries keep addressing them, under the RIDs the redo
+// assigns.
 func Reopen(img *CrashImage, opts ...Option) (*DB, error) {
 	cfg := img.cfg
 	cfg.FaultPlan = FaultPlan{}
@@ -121,14 +133,16 @@ func Reopen(img *CrashImage, opts ...Option) (*DB, error) {
 	return reopenOn(cfg, img.dev)
 }
 
-// scanLog reads back every surviving version of every WAL page the OOB scan
+// scanLog reads back every surviving version of every WAL page the survey
 // found and reassembles the durable record stream.
-func scanLog(dev *flash.Device, rep *core.AdoptionReport) (wal.ScanResult, sim.Time, error) {
+func scanLog(dev *flash.Device, sv *core.Survey) (wal.ScanResult, sim.Time, error) {
 	pageSize := dev.Geometry().PageSize
-	images := make([]wal.PageImage, 0, len(rep.LogVersions))
+	versions := sv.LogVersions()
+	images := make([]wal.PageImage, 0, len(versions))
+	backing := make([]byte, len(versions)*pageSize) // one allocation, not one per page
 	var now sim.Time
-	for _, v := range rep.LogVersions {
-		data, _, done, err := dev.ReadPage(now, v.Addr, make([]byte, pageSize))
+	for i, v := range versions {
+		data, _, done, err := dev.ReadPage(now, v.Addr, backing[i*pageSize:(i+1)*pageSize:(i+1)*pageSize])
 		if err != nil {
 			return wal.ScanResult{}, now, err
 		}
@@ -144,11 +158,8 @@ func scanLog(dev *flash.Device, rep *core.AdoptionReport) (wal.ScanResult, sim.T
 
 // reopenOn is the recovery pipeline described on Reopen.
 func reopenOn(cfg Config, dev *flash.Device) (*DB, error) {
-	space, rep, err := core.RecoverManager(dev, cfg.Space)
-	if err != nil {
-		return nil, err
-	}
-	scan, now, err := scanLog(dev, rep)
+	space, survey := core.SurveyDevice(dev, cfg.Space)
+	scan, now, err := scanLog(dev, survey)
 	if err != nil {
 		return nil, err
 	}
@@ -159,30 +170,14 @@ func reopenOn(cfg Config, dev *flash.Device) (*DB, error) {
 		return nil, fmt.Errorf("%w: log prefix missing and no covering checkpoint", ErrCorruptLog)
 	}
 
-	// The rebuild is logical: drop every adopted logical page (heap, index
-	// and old log alike) so the dies are empty again, then recreate regions,
-	// schema and data from the checkpoint plus redo.  The old physical pages
-	// become garbage the collector reclaims like any other invalid page.
-	for _, lpn := range rep.DataLPNs {
-		_ = space.TrimPage(lpn)
-	}
-	seen := make(map[core.LPN]bool)
-	for _, v := range rep.LogVersions {
-		if !seen[v.LPN] {
-			seen[v.LPN] = true
-			_ = space.TrimPage(v.LPN)
-		}
-	}
-
 	db, err := openWith(cfg, dev, space)
 	if err != nil {
 		return nil, err
 	}
 	db.recovering = true
 	db.clock.Observe(now)
-	// The old log pages stay on flash until GC erases their blocks; the new
-	// log continues above their LSNs, so the next recovery's scan takes the
-	// new run, not the old tail, as the live one.
+	// The new log continues above the old one's LSNs, so the next recovery's
+	// scan takes the new run, not the old tail, as the live one.
 	if db.log != nil {
 		db.log.SeedNextLSN(scan.MaxLSN)
 	}
@@ -195,242 +190,243 @@ func reopenOn(cfg Config, dev *flash.Device) (*DB, error) {
 		TornTail:        scan.TornTail,
 		StaleRecords:    scan.StaleRecords,
 	}
-	if err := db.replayLog(scan.Records, beginLSN, endLSN, rst); err != nil {
+	st, err := db.restoreCheckpoint(scan.Records, beginLSN, endLSN, survey, rst)
+	if err != nil {
+		return nil, err
+	}
+	if err := db.replayLog(scan.Records, endLSN, st, rst); err != nil {
 		return nil, err
 	}
 	if err := db.space.VerifyIntegrity(); err != nil {
 		return nil, fmt.Errorf("noftl: recovery verification: %w", err)
 	}
-
-	// Seed the object-id generator past everything the old instance handed
-	// out (replayLog did the same for transaction ids).
-	var maxObj uint32
-	db.mu.RLock()
-	for id := range db.objectNames {
-		if id > maxObj {
-			maxObj = id
-		}
-	}
-	db.mu.RUnlock()
-	db.cat.EnsureNextObjectID(maxObj + 1)
-
 	db.recovering = false
 	db.recovery = rst
-	// A fresh checkpoint makes the new log self-contained (the old log pages
-	// were trimmed above, so nothing references them anymore).
 	if _, err := db.Checkpoint(db.clock.Now()); err != nil {
 		return nil, err
+	}
+	// The old log stayed mapped, out of the garbage collector's reach, until
+	// the fresh checkpoint made it redundant.
+	for _, lpn := range st.oldLog {
+		_ = space.TrimPage(lpn) // cannot fail: Adopt mapped it
 	}
 	return db, nil
 }
 
-// applyMark applies one RecCheckpoint of the chosen checkpoint: the begin
-// mark seeds what has no catalog entry, a schema mark goes through the same
-// registration routine as the DDL that created the object (object ids
-// preserved), filing tables and indexes under their ids for the replay.
-func (db *DB) applyMark(p []byte, tables map[uint32]*Table, indexes map[uint32]*Index) error {
+// ckptObject is a table or index as a checkpoint describes it: the catalog
+// entry of its mark and the pages of the descriptor that follows.
+type ckptObject struct {
+	table *catalog.Table // exactly one of the two
+	index *catalog.Index
+	pageDesc
+	pages []core.LPN
+}
+
+// restored is what a checkpoint's marks brought back: the tables and indexes
+// as described and, once attached, by object id; the adopted pages that have a
+// discarded newer version; and the pages of the old log.
+type restored struct {
+	head          ckptBegin
+	objects       []ckptObject
+	tables        map[uint32]*Table
+	indexes       map[uint32]*Index
+	stale, oldLog []core.LPN
+}
+
+// applyMark applies one RecCheckpoint of the chosen checkpoint.  The begin
+// mark seeds what has no catalog entry; region and tablespace marks go through
+// the same routines as the DDL that created them, while no page is mapped yet
+// and every die still counts as empty; tables and indexes are filed with their
+// page descriptors until all marks have been read.
+func (db *DB) applyMark(p []byte, st *restored) error {
 	kind, body, err := wal.DecodeCheckpointMark(p)
 	if err != nil {
-		return tag(ErrCorruptLog, err)
+		return err
 	}
 	switch kind {
 	case wal.CkptBegin:
-		var head ckptBegin
-		if err = json.Unmarshal(body, &head); err == nil {
-			if head.Light {
-				// The log below the mark was cut without capturing the state,
-				// so the pre-checkpoint database cannot be rebuilt.  Refusing
-				// is the only honest answer.
-				return fmt.Errorf("%w: last checkpoint carries no state (light checkpoints give up crash recovery)", ErrCorruptLog)
-			}
-			db.txns.SeedNextID(head.NextTxnID)
-			return db.space.SetGCPolicy(core.DefaultRegionName, head.DefaultGC)
+		if err = json.Unmarshal(body, &st.head); err != nil {
+			return err
 		}
+		if st.head.Light {
+			// The log below the mark was cut without capturing the state, so
+			// the pre-checkpoint database cannot be rebuilt.  Refusing is the
+			// only honest answer.
+			return errors.New("last checkpoint carries no state (light checkpoints give up crash recovery)")
+		}
+		db.txns.SeedNextID(st.head.NextTxnID)
+		return db.space.SetGCPolicy(core.DefaultRegionName, st.head.DefaultGC)
 	case markRegion:
 		var spec RegionSpec
 		if err = json.Unmarshal(body, &spec); err == nil {
-			return db.CreateRegion(spec)
+			err = db.CreateRegion(spec)
 		}
 	case markTablespace:
 		var ts catalog.Tablespace
 		if err = json.Unmarshal(body, &ts); err == nil {
-			return db.CreateTablespace(ts.Name, ts.Region, ts.ExtentPages)
+			err = db.CreateTablespace(ts.Name, ts.Region, ts.ExtentPages)
 		}
 	case markTable:
-		var meta catalog.Table
-		if err = json.Unmarshal(body, &meta); err == nil {
-			tables[meta.ObjectID], err = db.createTable(meta)
-			return err
-		}
+		st.objects = append(st.objects, ckptObject{table: new(catalog.Table)})
+		err = json.Unmarshal(body, st.objects[len(st.objects)-1].table)
 	case markIndex:
-		var meta catalog.Index
-		if err = json.Unmarshal(body, &meta); err == nil {
-			indexes[meta.ObjectID], err = db.createIndex(meta)
-			return err
+		st.objects = append(st.objects, ckptObject{index: new(catalog.Index)})
+		err = json.Unmarshal(body, st.objects[len(st.objects)-1].index)
+	case markPages:
+		if len(st.objects) == 0 {
+			return errors.New("page descriptor before any table or index")
+		}
+		o := &st.objects[len(st.objects)-1]
+		err = json.Unmarshal(body, &o.pageDesc)
+		for i := 0; err == nil && i+1 < len(o.Runs); i += 2 {
+			for n := uint64(0); n < o.Runs[i+1]; n++ {
+				o.pages = append(o.pages, core.LPN(o.Runs[i]+n))
+			}
 		}
 	case wal.CkptEnd:
-		return nil
 	default:
 		err = fmt.Errorf("unknown mark kind %d", kind)
 	}
-	return tag(ErrCorruptLog, err)
+	return err
 }
 
-// replayLog is the one restore path.  It starts at the begin mark of the
-// chosen checkpoint (beginLSN..endLSN, both zero when none survived): every
-// record up to the end mark is the checkpoint's own and applied as committed;
-// the records after it are the replay window, of which only committed
-// transactions are redone, in LSN order, through the normal heap/btree path.
-// Losers, and the partial stream of a later checkpoint that never reached its
-// end mark, are skipped; their effects never reached the rebuilt state, so no
-// undo is needed.  ridMap translates pre-crash RIDs to the rebuilt ones.
-func (db *DB) replayLog(recs []wal.Record, beginLSN, endLSN uint64, rst *RecoveryStats) error {
-	committed := make(map[uint64]bool)
-	started := make(map[uint64]bool)
-	var maxTxn uint64
+// restoreCheckpoint applies the marks of the chosen checkpoint
+// (beginLSN..endLSN, both zero when none survived), registers every table and
+// index through the same routine as the DDL that created it, except that the
+// object is attached to the pages its descriptor lists instead of starting
+// empty, and adopts the checkpoint's image: each listed page is mapped to its
+// newest version at or below the begin mark's write sequence.  Nothing is
+// written.
+func (db *DB) restoreCheckpoint(recs []wal.Record, beginLSN, endLSN uint64, sv *core.Survey, rst *RecoveryStats) (*restored, error) {
+	st := &restored{tables: make(map[uint32]*Table), indexes: make(map[uint32]*Index)}
 	for _, r := range recs {
-		if r.LSN <= endLSN || r.Type == wal.RecCheckpoint {
+		if r.LSN < beginLSN || r.LSN > endLSN {
 			continue
 		}
-		if r.Type == wal.RecCommit {
-			committed[r.TxnID] = true
+		rst.CheckpointBytes += int64(wal.RecordSize(r))
+		err := fmt.Errorf("%s record inside the checkpoint", r.Type)
+		if r.Type == wal.RecCheckpoint {
+			err = db.applyMark(r.Payload, st)
 		}
-		if r.Type == wal.RecBegin {
-			started[r.TxnID] = true
+		if err != nil {
+			return nil, fmt.Errorf("noftl: recovery: checkpoint mark at lsn %d: %w", r.LSN, tag(ErrCorruptLog, err))
 		}
-		if r.TxnID > maxTxn {
-			maxTxn = r.TxnID
+	}
+	var pages []core.LPN
+	var err error
+	for i := range st.objects {
+		o := &st.objects[i]
+		if o.table != nil {
+			st.tables[o.table.ObjectID], err = db.createTable(*o.table, o)
+		} else {
+			st.indexes[o.index.ObjectID], err = db.createIndex(*o.index, o)
+		}
+		if err != nil {
+			return nil, err
+		}
+		pages = append(pages, o.pages...)
+	}
+	if st.oldLog, st.stale, err = db.space.Adopt(sv, st.head.SnapshotSeq, pages); err != nil {
+		return nil, tag(ErrCorruptLog, err)
+	}
+	rst.AdoptedPages, rst.ReprogrammedPages = len(pages), len(st.stale)
+	rst.DiscardedVersions = sv.NewerThan(st.head.SnapshotSeq)
+	return st, nil
+}
+
+// replayLog is the one restore path for rows.  The base is the checkpointed
+// state, exactly — once the adopted pages that have a discarded newer version
+// are written again (core.Manager.Rewrite) — so of the records after the end
+// mark those of committed transactions are redone, in LSN order, through the
+// normal heap/btree path, and none needs to ask whether the page already holds
+// its effect.  Losers, and the marks of a later checkpoint that never reached
+// its end mark, are skipped; their effects are not in the base, so no undo is
+// needed.
+//
+// Checkpointed rows are where they were: a RID of the crashed instance is
+// theirs still.  Rows inserted in the window get the RID the redo assigns, and
+// ridMap translates the old one for the records that follow.
+func (db *DB) replayLog(recs []wal.Record, endLSN uint64, st *restored, rst *RecoveryStats) error {
+	now, err := db.space.Rewrite(db.clock.Now(), st.stale)
+	if err != nil {
+		return err
+	}
+	// Every transaction of the window; true once its commit record is seen.
+	committed := make(map[uint64]bool)
+	var maxTxn uint64
+	for _, r := range recs {
+		if r.LSN > endLSN && r.Type != wal.RecCheckpoint {
+			committed[r.TxnID] = committed[r.TxnID] || r.Type == wal.RecCommit
+			maxTxn = max(maxTxn, r.TxnID)
 		}
 	}
 	db.txns.SeedNextID(maxTxn)
-	rst.CommittedTxns = len(committed)
-	for id := range started {
-		if !committed[id] {
+	for _, won := range committed {
+		if won {
+			rst.CommittedTxns++
+		} else {
 			rst.LoserTxns++
 		}
 	}
 
-	tablesByID := make(map[uint32]*Table)
-	indexesByID := make(map[uint32]*Index)
 	ridMap := make(map[RID]RID)
-
-	now := db.clock.Now()
+	current := func(rid RID) RID {
+		if moved, ok := ridMap[rid]; ok {
+			return moved
+		}
+		return rid
+	}
 	for _, r := range recs {
-		if r.LSN < beginLSN {
+		if r.LSN <= endLSN {
 			continue
 		}
-		inCkpt := r.LSN <= endLSN
-		if inCkpt {
-			rst.CheckpointBytes += int64(wal.RecordSize(r))
-		} else {
-			rst.ReplayedRecords++
-			rst.ReplayedBytes += int64(wal.RecordSize(r))
-			if r.Type == wal.RecCheckpoint || !committed[r.TxnID] {
-				continue
-			}
+		rst.ReplayedRecords++
+		rst.ReplayedBytes += int64(wal.RecordSize(r))
+		if r.Type == wal.RecCheckpoint || !committed[r.TxnID] {
+			continue
 		}
+		t, idx := st.tables[r.ObjectID], st.indexes[r.ObjectID]
+		err = nil
 		switch r.Type {
-		case wal.RecCheckpoint:
-			if err := db.applyMark(r.Payload, tablesByID, indexesByID); err != nil {
-				return fmt.Errorf("noftl: recovery: checkpoint mark at lsn %d: %w", r.LSN, err)
-			}
-		case wal.RecInsert:
-			rid, row, err := wal.DecodeRowPayload(r.Payload)
-			if err != nil {
-				return tag(ErrCorruptLog, err)
-			}
-			t := tablesByID[r.ObjectID]
-			if t == nil {
-				rst.SkippedRecords++
-				continue
-			}
-			newRID, done, err := t.heap.Insert(now, row)
-			if err != nil {
-				return err
-			}
-			now = done
-			ridMap[rid] = newRID
-			if inCkpt {
-				rst.SnapshotRows++
-			}
-		case wal.RecUpdate:
-			rid, row, err := wal.DecodeRowPayload(r.Payload)
-			if err != nil {
-				return tag(ErrCorruptLog, err)
-			}
-			t := tablesByID[r.ObjectID]
-			nrid, ok := ridMap[rid]
-			if t == nil || !ok {
-				rst.SkippedRecords++
-				continue
-			}
-			done, err := t.heap.Update(now, nrid, row)
-			if err != nil {
-				if errors.Is(err, storage.ErrNotFound) {
-					rst.SkippedRecords++
-					continue
+		case wal.RecInsert, wal.RecUpdate, wal.RecDelete:
+			rid, row, derr := wal.DecodeRowPayload(r.Payload)
+			switch {
+			case derr != nil:
+				return tag(ErrCorruptLog, derr)
+			case t == nil:
+				err = storage.ErrNotFound
+			case r.Type == wal.RecInsert:
+				var placed RID
+				if placed, now, err = t.heap.Insert(now, row); err == nil {
+					ridMap[rid] = placed
 				}
-				return err
+			case r.Type == wal.RecUpdate:
+				now, err = t.heap.Update(now, current(rid), row)
+			default:
+				now, err = t.heap.Delete(now, current(rid))
+				delete(ridMap, rid)
 			}
-			now = done
-		case wal.RecDelete:
-			rid, _, err := wal.DecodeRowPayload(r.Payload)
-			if err != nil {
-				return tag(ErrCorruptLog, err)
-			}
-			t := tablesByID[r.ObjectID]
-			nrid, ok := ridMap[rid]
-			if t == nil || !ok {
-				rst.SkippedRecords++
-				continue
-			}
-			done, err := t.heap.Delete(now, nrid)
-			if err != nil {
-				if errors.Is(err, storage.ErrNotFound) {
-					rst.SkippedRecords++
-					continue
-				}
-				return err
-			}
-			now = done
-			delete(ridMap, rid)
 		case wal.RecIndexInsert:
-			key, rid, err := wal.DecodeIndexInsert(r.Payload)
-			if err != nil {
-				return tag(ErrCorruptLog, err)
-			}
-			idx := indexesByID[r.ObjectID]
-			if idx == nil {
-				rst.SkippedRecords++
-				continue
-			}
-			val := rid.Encode()
-			if nrid, ok := ridMap[rid]; ok {
-				val = nrid.Encode()
-			}
-			done, err := idx.tree.Insert(now, key, val)
-			if err != nil {
-				return err
-			}
-			now = done
-			if inCkpt {
-				rst.SnapshotIndexEntries++
+			key, rid, derr := wal.DecodeIndexInsert(r.Payload)
+			switch {
+			case derr != nil:
+				return tag(ErrCorruptLog, derr)
+			case idx == nil:
+				err = btree.ErrNotFound
+			default:
+				now, err = idx.tree.Insert(now, key, current(rid).Encode())
 			}
 		case wal.RecIndexDelete:
-			idx := indexesByID[r.ObjectID]
-			if idx == nil {
-				rst.SkippedRecords++
-				continue
+			if err = btree.ErrNotFound; idx != nil {
+				now, err = idx.tree.Delete(now, r.Payload)
 			}
-			done, err := idx.tree.Delete(now, r.Payload)
-			if err != nil {
-				if errors.Is(err, btree.ErrNotFound) {
-					rst.SkippedRecords++
-					continue
-				}
-				return err
-			}
-			now = done
+		}
+		// A record of an object dropped again before the crash cannot be
+		// applied and is not missed.
+		if errors.Is(err, storage.ErrNotFound) || errors.Is(err, btree.ErrNotFound) {
+			rst.SkippedRecords++
+		} else if err != nil {
+			return err
 		}
 	}
 	db.clock.Observe(now)

@@ -2,6 +2,7 @@ package noftl
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -370,23 +371,21 @@ func keyedRows(t *testing.T, db *DB, tbl *Table, idx *Index, from, to int) {
 // durableLog reassembles the record stream a recovery of img would see.
 func durableLog(t *testing.T, img *CrashImage) []wal.Record {
 	t.Helper()
-	_, rep, err := core.RecoverManager(img.dev, img.cfg.Space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan, _, err := scanLog(img.dev, rep)
+	_, survey := core.SurveyDevice(img.dev, img.cfg.Space)
+	scan, _, err := scanLog(img.dev, survey)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return scan.Records
 }
 
-// TestCheckpointIsARewrittenLogPrefix pins the checkpoint framing: between a
-// begin and an end mark sit one mark per schema object, one ordinary
-// RecInsert per live row and one ordinary RecIndexInsert per index entry, all
-// under the reserved transaction id, and CheckpointStats describes exactly
-// that record run.
-func TestCheckpointIsARewrittenLogPrefix(t *testing.T) {
+// TestCheckpointIsMarksOverTheFlashImage pins the checkpoint framing: a begin
+// mark carrying the write sequence of the flushed image, one mark per schema
+// object, a page descriptor after each table and index mark, an end mark — and
+// not one row.  The descriptors name exactly the pages and counts of the live
+// objects, every data page on flash is at or below the begin mark's sequence,
+// and CheckpointStats describes exactly that record run.
+func TestCheckpointIsMarksOverTheFlashImage(t *testing.T) {
 	db, err := OpenConfig(smallConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -416,143 +415,215 @@ func TestCheckpointIsARewrittenLogPrefix(t *testing.T) {
 	if _, err := db.Checkpoint(db.SimulatedTime()); err != nil {
 		t.Fatal(err)
 	}
-	st := db.Stats().WAL.Checkpoint
+	stats := db.Stats().WAL.Checkpoint
+	if stats.LastPages == 0 || stats.RetainedPages != 0 {
+		t.Fatalf("checkpoint flushed %d pages and left %d retained, want some and none", stats.LastPages, stats.RetainedPages)
+	}
+	heapPages, treePages := tbl.heap.Pages(), idx.tree.PageList()
 
-	recs := durableLog(t, db.Crash())
+	img := db.Crash()
+	recs := durableLog(t, img)
 	begin, end, ok := wal.LastCheckpoint(recs)
 	if !ok {
 		t.Fatal("no complete checkpoint in the durable log")
 	}
-	if end != st.LastLSN {
-		t.Fatalf("end mark at lsn %d, CheckpointStats.LastLSN = %d", end, st.LastLSN)
+	if end != stats.LastLSN {
+		t.Fatalf("end mark at lsn %d, CheckpointStats.LastLSN = %d", end, stats.LastLSN)
 	}
-	count := map[wal.RecordType]int{}
+	var kinds []byte
 	var size int64
+	st := &restored{}
 	for _, r := range recs {
 		if r.LSN < begin || r.LSN > end {
 			continue
 		}
-		count[r.Type]++
+		if r.Type != wal.RecCheckpoint {
+			t.Fatalf("lsn %d inside the checkpoint is a %s record", r.LSN, r.Type)
+		}
 		size += int64(wal.RecordSize(r))
-		if r.Type != wal.RecCheckpoint && r.TxnID != wal.CkptTxnID {
-			t.Fatalf("lsn %d inside the checkpoint belongs to transaction %d", r.LSN, r.TxnID)
+		kind, body, err := wal.DecodeCheckpointMark(r.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds = append(kinds, kind)
+		// Decode with recovery's own reader, on a scratch database.
+		switch kind {
+		case wal.CkptBegin:
+			err = json.Unmarshal(body, &st.head)
+		case markTable, markIndex, markPages:
+			err = (&DB{}).applyMark(r.Payload, st)
+		}
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Marks: begin, table, index, end (no regions or tablespaces here).
-	want := map[wal.RecordType]int{wal.RecCheckpoint: 4, wal.RecInsert: rows, wal.RecIndexInsert: rows - deleted}
-	if fmt.Sprint(count) != fmt.Sprint(want) {
-		t.Fatalf("checkpoint records by type: got %v, want %v", count, want)
+	// No regions or tablespaces here.
+	want := []byte{wal.CkptBegin, markTable, markPages, markIndex, markPages, wal.CkptEnd}
+	if !bytes.Equal(kinds, want) {
+		t.Fatalf("checkpoint marks: got kinds %v, want %v", kinds, want)
 	}
-	if size != st.LastBytes {
-		t.Fatalf("checkpoint records encode to %d bytes, CheckpointStats.LastBytes = %d", size, st.LastBytes)
+	if size != stats.LastBytes {
+		t.Fatalf("checkpoint records encode to %d bytes, CheckpointStats.LastBytes = %d", size, stats.LastBytes)
+	}
+	heap, tree, head := st.objects[0], st.objects[1], st.head
+	if heap.table == nil || heap.table.ObjectID != tbl.objectID || heap.Count != rows || fmt.Sprint(heap.pages) != fmt.Sprint(heapPages) {
+		t.Fatalf("heap description %+v, want %d rows on pages %v", heap, rows, heapPages)
+	}
+	if tree.index == nil || tree.index.ObjectID != idx.meta.ObjectID || tree.Count != rows-deleted ||
+		tree.Root != idx.tree.Root() || tree.Height != idx.tree.Height() || fmt.Sprint(tree.pages) != fmt.Sprint(treePages) {
+		t.Fatalf("tree description %+v, want %d entries under root %d on pages %v", tree, rows-deleted, idx.tree.Root(), treePages)
+	}
+	// The image is on flash: every listed page has a version at or below the
+	// snapshot sequence, and the flush left no data page above it.
+	onFlash := map[uint64]bool{}
+	for _, blk := range img.dev.Survey() {
+		for _, pg := range blk.Pages {
+			if pg.Meta.Flags&flash.FlagLog != 0 {
+				continue
+			}
+			if pg.Meta.Seq > head.SnapshotSeq {
+				t.Fatalf("data page lpn %d has seq %d above the snapshot sequence %d", pg.Meta.LPN, pg.Meta.Seq, head.SnapshotSeq)
+			}
+			onFlash[pg.Meta.LPN] = true
+		}
+	}
+	for _, lpn := range append(heapPages, treePages...) {
+		if !onFlash[uint64(lpn)] {
+			t.Fatalf("listed page lpn %d has no version on flash", lpn)
+		}
 	}
 }
 
-// TestCrashMidCheckpointFallsBack kills the device inside a checkpoint's final
-// force: its begin mark and part of its row stream are durable, the rest of
-// the force — whatever of it reached flash above the first hole — is not.  Recovery must start from the previous
-// checkpoint, replay the committed tail after it, and skip the partial stream.
+// TestCheckpointBytesAreIndependentOfTableSize: with ten times the rows a
+// checkpoint grows by its longer page lists only — less than 1 % of what the
+// data grew by, where the rewritten log prefix of old grew with every row.
+func TestCheckpointBytesAreIndependentOfTableSize(t *testing.T) {
+	const small, rowBytes = 400, 98
+	ckptBytes := func(rows int) int64 {
+		db, err := OpenConfig(smallConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		tbl, err := db.CreateTable("T", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, err := db.CreateIndex("T_PK", "T", []string{"k"}, true, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for from := 0; from < rows; from += 200 {
+			keyedRows(t, db, tbl, idx, from, from+200)
+		}
+		if _, err := db.Checkpoint(db.SimulatedTime()); err != nil {
+			t.Fatal(err)
+		}
+		return db.Stats().WAL.Checkpoint.LastBytes
+	}
+	one, ten := ckptBytes(small), ckptBytes(10*small)
+	growth := int64(9 * small * rowBytes)
+	t.Logf("checkpoint of %d rows: %d bytes; of %d rows: %d bytes; data grew by %d bytes", small, one, 10*small, ten, growth)
+	if ten-one >= growth/100 {
+		t.Fatalf("checkpoint grew by %d bytes for %d more bytes of rows: not independent of the table size", ten-one, growth)
+	}
+}
+
+// TestCrashMidCheckpointFallsBack kills the device at every command a
+// checkpoint issues, with and without tearing the page it was programming:
+// inside the flush of the dirty pages, at the first log page (between flush and
+// force), inside the force, and right behind it (the truncate that follows
+// issues no command).  A checkpoint that reported the crash does not exist:
+// recovery starts from the previous one, ignores whatever the flush wrote above
+// its write sequence and redoes the committed tail.  One that returned is the
+// one recovery starts from, with nothing to redo.  Either way every row is
+// back; there is no state in between.
 func TestCrashMidCheckpointFallsBack(t *testing.T) {
-	db, err := OpenConfig(smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := db.CreateTable("T", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := db.CreateIndex("T_PK", "T", []string{"k"}, true, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const base, tail = 400, 25
-	keyedRows(t, db, tbl, idx, 0, base)
-	if _, err := db.Checkpoint(db.SimulatedTime()); err != nil {
-		t.Fatal(err)
-	}
-	before := db.Stats().WAL
-	keyedRows(t, db, tbl, idx, base, base+tail)
-	tailRecords := db.Stats().WAL.Appended - before.Appended
-
-	// With the pool clean and the whole table resident, the next checkpoint
-	// issues log-page programs only: one batch, dispatched die by die.  The
-	// crash lands in the last die's queue, so the hole that ends the durable
-	// log lies late in the row stream (crashing half-way would leave whole
-	// dies unwritten and, with them, one of the first pages).
-	if _, err := db.FlushAll(db.SimulatedTime()); err != nil {
-		t.Fatal(err)
-	}
-	logPages := before.Checkpoint.LastBytes / int64(smallConfig().Flash.Geometry.PageSize)
-	if logPages < 8 {
-		t.Fatalf("checkpoint spans only %d log pages; the test needs many", logPages)
-	}
-	db.Admin().ArmFaults(FaultPlan{Seed: 7, CrashAfterOps: logPages - 2})
-	if _, err := db.Checkpoint(db.SimulatedTime()); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("checkpoint under the fault plan: err=%v, want ErrCrashed", err)
-	}
-
-	// What survived: the previous checkpoint whole, the tail, and behind it a
-	// begin mark followed by checkpoint-owned row records and no end mark.
-	img := db.Crash()
-	img.dev.Revive()
-	recs := durableLog(t, img)
-	_, end, ok := wal.LastCheckpoint(recs)
-	if !ok || end != before.Checkpoint.LastLSN {
-		t.Fatalf("newest complete checkpoint ends at lsn %d (found=%v), want the previous one at %d",
-			end, ok, before.Checkpoint.LastLSN)
-	}
-	partialMarks, partialRows := 0, 0
-	for _, r := range recs {
-		if r.LSN > end && r.Type == wal.RecCheckpoint {
-			partialMarks++
-		}
-		if r.LSN > end && r.Type == wal.RecInsert && r.TxnID == wal.CkptTxnID {
-			partialRows++
-		}
-	}
-	if partialMarks == 0 || partialRows == 0 || partialRows >= base+tail {
-		t.Fatalf("crash did not land inside the row stream: %d marks, %d of %d rows durable",
-			partialMarks, partialRows, base+tail)
-	}
-
-	re, err := Reopen(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	rst, _ := re.Recovery()
-	if !rst.CheckpointFound || rst.SnapshotRows != base || rst.SnapshotIndexEntries != base {
-		t.Fatalf("recovery did not start from the previous checkpoint: %+v", rst)
-	}
-	if rst.CommittedTxns != 1 || rst.LoserTxns != 0 {
-		t.Fatalf("replay window: committed=%d losers=%d, want the one tail transaction", rst.CommittedTxns, rst.LoserTxns)
-	}
-	// The window holds the tail plus the partial stream, which is skipped.
-	if window := int64(recs[len(recs)-1].LSN - end); int64(rst.ReplayedRecords) != window || window <= tailRecords {
-		t.Fatalf("replay window holds %d records, want the %d after the end mark (tail alone: %d)",
-			rst.ReplayedRecords, window, tailRecords)
-	}
-	rtbl, _ := re.Table("T")
-	ridx, _ := re.Index("T_PK")
-	if got := rtbl.RowCount(); got != base+tail {
-		t.Fatalf("recovered %d rows, want %d (partial stream must not be replayed)", got, base+tail)
-	}
-	err = re.View(func(tx *Tx) error {
-		for i := 0; i < base+tail; i++ {
-			key := []byte(fmt.Sprintf("k%07d", i))
-			rid, found, err := ridx.Lookup(tx, key)
-			if err != nil || !found {
-				return fmt.Errorf("key %s: found=%v err=%v", key, found, err)
+	const base, tail = 400, 120
+	for _, tornBytes := range []int{0, 700} {
+		for op := int64(1); ; op++ {
+			db, err := OpenConfig(smallConfig())
+			if err != nil {
+				t.Fatal(err)
 			}
-			row, err := rtbl.Get(tx, rid)
-			if err != nil || !bytes.HasPrefix(row, key) {
-				return fmt.Errorf("key %s addresses row %q (err=%v)", key, row, err)
+			// Two dozen empty tables make the schema marks, and with them the
+			// force, span several log pages.
+			for i := 0; i < 24; i++ {
+				if _, err := db.CreateTable(fmt.Sprintf("EMPTY%02d", i), "", nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tbl, err := db.CreateTable("T", "", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx, err := db.CreateIndex("T_PK", "T", []string{"k"}, true, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			keyedRows(t, db, tbl, idx, 0, base)
+			if _, err := db.Checkpoint(db.SimulatedTime()); err != nil {
+				t.Fatal(err)
+			}
+			keyedRows(t, db, tbl, idx, base, base+tail) // dirties heap and index pages
+
+			db.Admin().ArmFaults(FaultPlan{Seed: 7, CrashAfterOps: op, TornTailBytes: tornBytes})
+			_, ckptErr := db.Checkpoint(db.SimulatedTime())
+			if ckptErr != nil && !errors.Is(ckptErr, ErrCrashed) {
+				t.Fatalf("op %d: checkpoint under the fault plan: %v", op, ckptErr)
+			}
+			flushed := db.Stats().WAL.Checkpoint.LastPages
+			re, err := Reopen(db.Crash())
+			if err != nil {
+				t.Fatalf("torn %d, op %d: reopen: %v", tornBytes, op, err)
+			}
+			rst, _ := re.Recovery()
+			switch {
+			case !rst.CheckpointFound || rst.AdoptedPages == 0:
+				t.Fatalf("op %d: recovery found no checkpoint to adopt: %+v", op, rst)
+			case ckptErr != nil && (rst.CommittedTxns != 1 || rst.LoserTxns != 0):
+				t.Fatalf("op %d: the checkpoint failed, so the window holds the one tail transaction: %+v", op, rst)
+			case ckptErr == nil && rst.ReplayedRecords != 0:
+				t.Fatalf("op %d: the checkpoint returned, so the window is empty: %+v", op, rst)
+			case rst.ReprogrammedPages > rst.DiscardedVersions:
+				t.Fatalf("op %d: %d pages written again for %d discarded versions", op, rst.ReprogrammedPages, rst.DiscardedVersions)
+			}
+			if err := re.Admin().VerifyIntegrity(); err != nil {
+				t.Fatalf("op %d: %v", op, err)
+			}
+			rtbl, _ := re.Table("T")
+			ridx, _ := re.Index("T_PK")
+			if rows, entries := rtbl.RowCount(), ridx.Entries(); rows != base+tail || entries != base+tail {
+				t.Fatalf("op %d: recovered %d rows and %d entries, want %d of each", op, rows, entries, base+tail)
+			}
+			err = re.View(func(tx *Tx) error {
+				for i := 0; i < base+tail; i++ {
+					key := []byte(fmt.Sprintf("k%07d", i))
+					rid, found, err := ridx.Lookup(tx, key)
+					if err != nil || !found {
+						return fmt.Errorf("key %s: found=%v err=%v", key, found, err)
+					}
+					row, err := rtbl.Get(tx, rid)
+					if err != nil || !bytes.HasPrefix(row, key) {
+						return fmt.Errorf("key %s addresses row %q (err=%v)", key, row, err)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("op %d: %v", op, err)
+			}
+			re.Close()
+			if ckptErr == nil {
+				// The first crash point behind the checkpoint: the ones before
+				// it covered the flush and the force.
+				t.Logf("torn %d: checkpoint issued %d commands, flushed %d pages", tornBytes, op-1, flushed)
+				if op-1 < flushed+3 {
+					t.Fatalf("the checkpoint issued %d commands to flush %d pages and force the log: no multi-page force", op-1, flushed)
+				}
+				break
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -742,11 +813,10 @@ func TestFailedCheckpointBacksOff(t *testing.T) {
 	}
 }
 
-// TestCheckpointStreamLeavesTheTraceRing checks that the rows and entries a
-// checkpoint streams are not traced one by one: the ring keeps the host and
-// GC events it is there for, and the stream shows up as the record count of
-// the checkpoint's wal_sync event.
-func TestCheckpointStreamLeavesTheTraceRing(t *testing.T) {
+// TestCheckpointTracesOnlyItsMarks checks what a checkpoint leaves in the
+// trace ring: one wal_append per mark and descriptor, whatever the number of
+// rows, so the ring keeps the host and GC events it is there for.
+func TestCheckpointTracesOnlyItsMarks(t *testing.T) {
 	db, err := OpenConfig(smallConfig(), WithTraceBuffer(1<<16))
 	if err != nil {
 		t.Fatal(err)
@@ -776,8 +846,8 @@ func TestCheckpointStreamLeavesTheTraceRing(t *testing.T) {
 	if _, err := db.Checkpoint(db.SimulatedTime()); err != nil {
 		t.Fatal(err)
 	}
-	// Begin, table, index and end marks; none of the 2*rows streamed records.
-	if got := appends() - before; got != 4 {
-		t.Fatalf("checkpoint of %d rows traced %d wal_append events, want its 4 marks", rows, got)
+	// Begin, table, its pages, index, its pages, end.
+	if got, want := appends()-before, int(db.Stats().WAL.Checkpoint.Chunks); got != 6 {
+		t.Fatalf("checkpoint of %d rows traced %d wal_append events, want its 6 marks (chunks so far: %d)", rows, got, want)
 	}
 }

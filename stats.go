@@ -8,6 +8,7 @@ import (
 	"noftl/internal/buffer"
 	"noftl/internal/flash"
 	"noftl/internal/metrics"
+	"noftl/internal/sim"
 )
 
 // Stats is an immutable snapshot of the whole stack: transactions, buffer
@@ -127,6 +128,30 @@ type WALStats struct {
 	Checkpoint CheckpointStats
 }
 
+// CheckpointStats is a snapshot of the checkpoint subsystem's counters
+// (nested in Stats().WAL).
+type CheckpointStats struct {
+	// Count is the number of checkpoints taken.
+	Count int64
+	// Chunks is the total number of records checkpoints appended (marks and
+	// page descriptors).
+	Chunks int64
+	// LastLSN is the LSN of the last checkpoint's end mark; recovery filters
+	// the records after it by commit.
+	LastLSN uint64
+	// LastBytes is the encoded size of the last checkpoint's records.
+	LastBytes int64
+	// LastPages is the number of dirty pages the last checkpoint flushed.
+	LastPages int64
+	// RetainedPages is the number of superseded page versions kept on flash
+	// because the last checkpoint's image consists of them (the sum of
+	// Stats().Space.Regions[i].RetainedPages); the next checkpoint releases
+	// them.
+	RetainedPages int64
+	// LastAt is the virtual time of the last checkpoint.
+	LastAt sim.Time
+}
+
 // TPS returns committed transactions per simulated second.
 func (s Stats) TPS() float64 {
 	secs := s.Simulated.Seconds()
@@ -196,7 +221,7 @@ func (db *DB) Stats() Stats {
 			BytesTrimmed:  db.log.BytesTrimmed(),
 			BytesLive:     db.log.BytesLive(),
 			PagesTrimmed:  db.log.PagesTrimmed(),
-			Checkpoint:    db.checkpointStats(),
+			Checkpoint:    db.checkpointStats(space.RetainedPages),
 		}
 	}
 	if db.tracer != nil {
@@ -207,4 +232,19 @@ func (db *DB) Stats() Stats {
 		}
 	}
 	return st
+}
+
+// checkpointStats snapshots the checkpoint counters; the WAL must be on.
+func (db *DB) checkpointStats(retained int64) CheckpointStats {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return CheckpointStats{
+		Count:         db.ckptCount.Value(),
+		Chunks:        db.ckptChunks.Value(),
+		LastLSN:       db.ckptLastLSN,
+		LastBytes:     db.ckptBytes,
+		LastPages:     db.ckptPages,
+		RetainedPages: retained,
+		LastAt:        db.ckptTime,
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"noftl/internal/btree"
-	"noftl/internal/buffer"
 	"noftl/internal/catalog"
 	"noftl/internal/core"
 	"noftl/internal/sim"
@@ -32,12 +31,6 @@ const (
 	Shared    = txn.Shared
 	Exclusive = txn.Exclusive
 )
-
-// btreeNew is an indirection so db.go does not import btree directly at the
-// call site (keeps the facade's dependency wiring in one place).
-func btreeNew(now sim.Time, name string, objectID uint32, ts *storage.Tablespace, pool *buffer.Pool) (*btree.Tree, sim.Time, error) {
-	return btree.New(now, name, objectID, ts, pool)
-}
 
 // Tx is a transaction handle.  It is owned by a single goroutine.
 type Tx struct {
