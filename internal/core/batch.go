@@ -163,7 +163,8 @@ func (m *Manager) WritePage(now sim.Time, lpn LPN, data []byte, h Hint) (sim.Tim
 // the batch start, exactly like foreground GC on a real device; between the
 // high and low watermarks, background GC instead runs a bounded step per
 // touched die after the batch, whose cost is absorbed by the die's idle slots
-// (see bggc.go).
+// (see bggc.go).  A foreground collection stalls the programs of its own die
+// only: the rest of the batch is dispatched at the submission time.
 //
 // On success the returned time is the completion of the slowest page.  A
 // page that hits a transient program fault — and the later pages of the
@@ -197,18 +198,23 @@ rounds:
 			if pends[i].done {
 				continue
 			}
-			req, gcDone, perr := m.placeWrite(placedAt, &writes[i], &pends[i])
+			p := &pends[i]
+			req, gcDone, perr := m.placeWrite(placedAt, &writes[i], p)
 			if perr != nil {
 				err = perr
 				break rounds
 			}
-			at = max(at, gcDone)
+			at = max(at, gcDone) // a retry round starts after every collection
+			// The page, and the batch's later pages on its die, wait for the
+			// erase that made room for them.
+			p.da.stall = max(p.da.stall, gcDone)
+			req.NotBefore = p.da.stall
 			reqs = append(reqs, req)
 		}
 
 		// Dispatch all programs as one batch.  Different dies overlap;
 		// programs to one die pipeline on its resource.
-		cs, done := m.sched.Submit(at, reqs)
+		cs, done := m.sched.Submit(placedAt, reqs)
 		end = max(end, done)
 		clear(reqs) // drop the payload references
 		m.reqs = reqs
@@ -259,6 +265,7 @@ rounds:
 		if p.da == nil {
 			continue
 		}
+		p.da.stall = 0
 		if !p.done {
 			m.unplaceWrite(p)
 		} else if p.da.written {
@@ -338,6 +345,7 @@ func (m *Manager) unplaceWrite(p *hostWrite) {
 	if p.consumes {
 		p.r.admitted--
 	}
+	p.da.stall = 0
 	p.da = nil
 }
 

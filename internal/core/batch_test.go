@@ -278,3 +278,66 @@ func TestSinglePageEntriesAreTheBatchPath(t *testing.T) {
 		t.Errorf("statistics differ:\n single %s\n batch  %s", one.stats, batch.stats)
 	}
 }
+
+// A foreground collection stalls the programs of its own die: the page of the
+// same batch that goes to another die is programmed at the submission time,
+// and the page behind the collection only after its erase.
+func TestForegroundCollectionStallsItsOwnDieOnly(t *testing.T) {
+	dev := smallDevice(t, 2, 16, 8)
+	opts := DefaultOptions()
+	opts.DisableBackgroundGC = true
+	m := NewManager(dev, opts)
+	hot, err := m.CreateRegion(RegionSpec{Name: "rgHot", MaxChips: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hotDie := m.dies[m.regionsByID[hot.ID()].dies[0]]
+	ppb := dev.Geometry().PagesPerBlock
+
+	// Overwrite a small hot set until the next write must collect the die.
+	const pages = 16
+	start := m.AllocateLPNs(pages)
+	now := sim.Time(0)
+	for i := 0; ; i++ {
+		full := hotDie.hostOpen < 0 || hotDie.blocks[hotDie.hostOpen].nextPage >= ppb
+		if full && hotDie.freeCount() <= opts.GCLowWaterBlocks {
+			break
+		}
+		if i > 64*pages {
+			t.Fatal("the hot die never reached the low watermark")
+		}
+		if now, err = m.WritePage(now, start+LPN(i%pages), fillPage(dev, byte(i)), Hint{Region: hot.ID()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.ResetCounters()
+
+	cold := m.AllocateLPNs(1)
+	end, err := m.WritePages(now, []PageWrite{
+		{LPN: start, Data: fillPage(dev, 1), Hint: Hint{Region: hot.ID()}},
+		{LPN: cold, Data: fillPage(dev, 2)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := m.Stats()
+	hs, _ := st.RegionByName("rgHot")
+	def, _ := st.RegionByName(DefaultRegionName)
+	if hs.GCStalls != 1 || hs.GCErases == 0 {
+		t.Fatalf("the batch did not collect the hot die: %+v", hs)
+	}
+	tm := dev.Timing()
+	program := tm.Transfer + tm.ProgramPage
+	if def.WriteLatency.Max != program {
+		t.Errorf("page on the other die took %v, want %v: it waited for a collection that is not its die's", def.WriteLatency.Max, program)
+	}
+	if hs.WriteLatency.Max < tm.EraseBlock+program {
+		t.Errorf("page behind the collection took %v, less than an erase and a program", hs.WriteLatency.Max)
+	}
+	if end != now.Add(hs.WriteLatency.Max) {
+		t.Errorf("makespan %v, want the stalled page's completion %v", end, now.Add(hs.WriteLatency.Max))
+	}
+	if hotDie.stall != 0 {
+		t.Errorf("the die's stall outlived its batch: %v", hotDie.stall)
+	}
+}

@@ -133,11 +133,12 @@ type dieAlloc struct {
 	die        int
 	regionID   RegionID
 	blocks     []blockInfo
-	freeBlocks []int // indexes of blocks in state blkFree
-	hostOpen   int   // block index, -1 if none
-	gcOpen     int   // block index, -1 if none
-	bgVictim   int   // victim being incrementally collected in background, -1 if none
-	written    bool  // the write batch in flight landed a page here; cleared by its GC pump
+	freeBlocks []int    // indexes of blocks in state blkFree
+	hostOpen   int      // block index, -1 if none
+	gcOpen     int      // block index, -1 if none
+	bgVictim   int      // victim being incrementally collected in background, -1 if none
+	written    bool     // the write batch in flight landed a page here; cleared by its GC pump
+	stall      sim.Time // end of the foreground collection the write batch in flight ran here; cleared with it
 }
 
 func (da *dieAlloc) freeCount() int { return len(da.freeBlocks) }

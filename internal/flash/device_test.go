@@ -260,6 +260,58 @@ func TestVirtualTimeQueueingOnOneDie(t *testing.T) {
 	}
 }
 
+// Two cursors 50 ms apart share one die.  The die serves in arrival order: the
+// cursor that lags is served in the idle time before the leader's operations
+// although it submits after them, and no two operations ever overlap.
+func TestCursorsApartOnOneDieServeInArrivalOrder(t *testing.T) {
+	cfg := testConfig()
+	d := newTestDevice(t, cfg)
+	data := pageData(cfg.Geometry.PageSize, 1)
+	tm := cfg.Timing
+	type service struct{ start, done sim.Time }
+	var served []service
+
+	lead, lag := sim.Time(50_000_000), sim.Time(0)
+	for p := 0; p < cfg.Geometry.PagesPerBlock; p++ {
+		// The leader programs block 0, then the laggard programs block 1 and
+		// reads its page back.
+		done, err := d.ProgramPage(lead, Addr{Die: 0, Block: 0, Page: p}, data, PageMeta{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		served = append(served, service{done.Add(-tm.ProgramPage), done})
+		lead = done
+
+		done, err = d.ProgramPage(lag, Addr{Die: 0, Block: 1, Page: p}, data, PageMeta{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := lag.Add(tm.Transfer + tm.ProgramPage); done != want {
+			t.Fatalf("laggard program %d done %v, want %v: it waited for the leader", p, done, want)
+		}
+		served = append(served, service{done.Add(-tm.ProgramPage), done})
+		_, _, read, err := d.ReadPage(done, Addr{Die: 0, Block: 1, Page: p}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served = append(served, service{done, read.Add(-tm.Transfer)})
+		lag = read
+	}
+	if lag >= 50_000_000 {
+		t.Fatalf("the laggard ran into the leader at %v; the test expects it to stay behind", lag)
+	}
+	for i, a := range served {
+		for _, b := range served[i+1:] {
+			if a.start < b.done && b.start < a.done {
+				t.Fatalf("die operations [%v,%v) and [%v,%v) overlap", a.start, a.done, b.start, b.done)
+			}
+		}
+	}
+	if busy := d.Stats().PerDie[0].BusyTime; busy != time.Duration(cfg.Geometry.PagesPerBlock)*(2*tm.ProgramPage+tm.ReadPage) {
+		t.Fatalf("die busy %v: not the sum of the operations served", busy)
+	}
+}
+
 func TestDeviceStatsAndReset(t *testing.T) {
 	cfg := testConfig()
 	d := newTestDevice(t, cfg)

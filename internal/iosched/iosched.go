@@ -9,8 +9,8 @@
 // device's parallelism: a batch of requests is dispatched so that requests to
 // different dies all start at the caller's current virtual time and overlap,
 // while requests to the same die serialize on the die's resource exactly as
-// the hardware would (FCFS per die, matching the device's dieRes contention
-// model).
+// the hardware would (one operation at a time, served in arrival order — see
+// sim.Resource).
 //
 // There is one form: Submit(now, reqs) dispatches a batch and returns one
 // Completion per request (same order) plus the batch makespan.  The space
@@ -23,7 +23,13 @@
 // host read submitted alongside background GC traffic acquires the die first.
 // Priorities do not reach across dispatches: once a batch is dispatched its
 // device time is reserved, exactly as hardware cannot abort an in-flight
-// program.
+// program.  A later dispatch is served around those reservations — in the
+// idle time before them when its cursor arrives earlier, behind them
+// otherwise — whatever its class; it never displaces one.  Equally long
+// commands of one dispatch to one die (the programs of a block) keep their
+// submission order: each takes the earliest idle stretch the one before left.
+// DieIdleAt stays the end of everything dispatched to a die, not its first
+// idle instant: background GC aims behind all known work.
 package iosched
 
 import (
@@ -103,6 +109,10 @@ type Request struct {
 	// Tag is an opaque caller value (e.g. the LPN) carried into the
 	// Completion.
 	Tag uint64
+	// NotBefore, when later than the batch's submission time, is the earliest
+	// time the command may be issued: a program waits for the foreground
+	// collection of its own die, not for those of the batch's other dies.
+	NotBefore sim.Time
 }
 
 // die returns the die the request occupies.
@@ -125,7 +135,7 @@ type Completion struct {
 	// inherited by the destination of OpCopyback.
 	Meta flash.PageMeta
 	// Done is the virtual completion time of the request (equal to the
-	// submission time when Err is non-nil and the device refused the
+	// time it was issued at when Err is non-nil and the device refused the
 	// command without consuming time).
 	Done sim.Time
 	// Err is the device error, if any.
@@ -279,7 +289,7 @@ func (s *Scheduler) ResetCounters() {
 // the per-die/per-channel resources of the device model (and then only when
 // they target the same die), which is what lets N workers drive the device
 // in parallel.  Ordering guarantees hold within one batch; across concurrent
-// batches the dies' FCFS queues arbitrate, exactly as the hardware would.
+// batches the dies arbitrate by arrival time, exactly as the hardware would.
 func (s *Scheduler) Submit(now sim.Time, reqs []Request) ([]Completion, sim.Time) {
 	if len(reqs) == 0 {
 		return nil, now
@@ -307,20 +317,21 @@ func (s *Scheduler) Submit(now sim.Time, reqs []Request) ([]Completion, sim.Time
 	end := now
 	for _, i := range order {
 		req := reqs[i]
+		at := max(now, req.NotBefore)
 		c := Completion{Op: req.Op, Priority: req.Priority, Tag: req.Tag}
 		switch req.Op {
 		case OpReadPage:
-			c.Data, c.Meta, c.Done, c.Err = s.dev.ReadPage(now, req.Addr, req.Buf)
+			c.Data, c.Meta, c.Done, c.Err = s.dev.ReadPage(at, req.Addr, req.Buf)
 		case OpReadMeta:
-			c.Meta, c.Done, c.Err = s.dev.ReadMeta(now, req.Addr)
+			c.Meta, c.Done, c.Err = s.dev.ReadMeta(at, req.Addr)
 		case OpProgram:
-			c.Done, c.Err = s.dev.ProgramPage(now, req.Addr, req.Data, req.Meta)
+			c.Done, c.Err = s.dev.ProgramPage(at, req.Addr, req.Data, req.Meta)
 		case OpErase:
-			c.Done, c.Err = s.dev.EraseBlock(now, req.Block)
+			c.Done, c.Err = s.dev.EraseBlock(at, req.Block)
 		case OpCopyback:
-			c.Meta, c.Done, c.Err = s.dev.Copyback(now, req.Addr, req.Dst)
+			c.Meta, c.Done, c.Err = s.dev.Copyback(at, req.Addr, req.Dst)
 		default:
-			c.Done = now
+			c.Done = at
 		}
 		if c.Done > end {
 			end = c.Done
@@ -334,7 +345,7 @@ func (s *Scheduler) Submit(now sim.Time, reqs []Request) ([]Completion, sim.Time
 			}
 		}
 		if c.Err == nil {
-			s.lat[req.Priority].Observe(c.Done.Sub(now))
+			s.lat[req.Priority].Observe(c.Done.Sub(at))
 		}
 		// A command addressed to a die the geometry does not have was refused
 		// by the device without reaching a die; it is not counted.
@@ -347,7 +358,7 @@ func (s *Scheduler) Submit(now sim.Time, reqs []Request) ([]Completion, sim.Time
 				Op:    uint8(req.Op),
 				Prio:  uint8(req.Priority),
 				Die:   int32(req.die()),
-				Start: now,
+				Start: at,
 				End:   c.Done,
 				A:     int64(req.Tag),
 			}

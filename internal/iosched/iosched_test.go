@@ -166,6 +166,104 @@ func TestProgramOrderPreservedWithinBatch(t *testing.T) {
 	}
 }
 
+// The dies serve in arrival order, so a batch of programs to one block may
+// find the die's timeline full of another cursor's reservations.  Each program
+// takes the earliest idle stretch that holds it, and because they are equally
+// long they still complete in submission order, as the block requires.
+func TestProgramOrderPreservedAcrossReservations(t *testing.T) {
+	dev := testDevice(t)
+	program(t, dev, 0, 1)
+	resetTime(dev)
+	s := New(dev)
+	tm := dev.Timing()
+
+	// A cursor ahead of the batch reads the die every 500µs: the gaps between
+	// its senses hold one program each.
+	read := Request{Op: OpReadPage, Addr: flash.Addr{Die: 0, Block: 0, Page: 0}, Priority: PrioHostRead}
+	for i := 1; i <= 3; i++ {
+		s.Submit(sim.Time(i*500_000), []Request{read})
+	}
+	payload := make([]byte, dev.Geometry().PageSize)
+	var reqs []Request
+	for p := 0; p < 6; p++ {
+		reqs = append(reqs, Request{
+			Op:   OpProgram,
+			Addr: flash.Addr{Die: 0, Block: 1, Page: p},
+			Data: payload, Priority: PrioHostWrite,
+		})
+	}
+	cs, end := s.Submit(0, reqs)
+	for i, c := range cs {
+		if c.Err != nil {
+			t.Fatalf("program page %d: %v", i, c.Err)
+		}
+		if i > 0 && c.Done < cs[i-1].Done.Add(tm.ProgramPage) {
+			t.Errorf("program %d done %v overlaps program %d done %v", i, c.Done, i-1, cs[i-1].Done)
+		}
+	}
+	if first := sim.Time(0).Add(tm.Transfer + tm.ProgramPage); cs[0].Done != first {
+		t.Errorf("first program done %v, want %v", cs[0].Done, first)
+	}
+	// Submission-order FCFS would have queued all six behind the last read.
+	if behind := sim.Time(1_500_000).Add(tm.ReadPage + 6*tm.ProgramPage); end >= behind {
+		t.Errorf("makespan %v: the programs did not use the idle time before the reads (%v)", end, behind)
+	}
+}
+
+// A cursor that lags 50 ms behind another's reservation on the same die is
+// served when it arrives: its read costs a read, not the distance between the
+// two cursors.
+func TestLaggingReadIsServedOnArrival(t *testing.T) {
+	dev := testDevice(t)
+	program(t, dev, 0, 1)
+	resetTime(dev)
+	s := New(dev)
+	tm := dev.Timing()
+
+	const lead = sim.Time(50_000_000)
+	if _, err := s.Erase(lead, flash.BlockAddr{Die: 0, Block: 1}, PrioGC); err != nil {
+		t.Fatal(err)
+	}
+	cs, end := s.Submit(0, []Request{{Op: OpReadPage, Addr: flash.Addr{Die: 0, Block: 0, Page: 0}, Priority: PrioHostRead}})
+	if cs[0].Err != nil {
+		t.Fatal(cs[0].Err)
+	}
+	if want := sim.Time(0).Add(tm.ReadPage + tm.Transfer); cs[0].Done != want || end != want {
+		t.Errorf("lagging read done %v (makespan %v), want %v", cs[0].Done, end, want)
+	}
+	// The horizon background GC aims at is still the end of all dispatched work.
+	if want := lead.Add(tm.EraseBlock); s.DieIdleAt(0) != want {
+		t.Errorf("DieIdleAt = %v, want %v", s.DieIdleAt(0), want)
+	}
+}
+
+// NotBefore delays one command of a batch without delaying the others.
+func TestNotBeforeDelaysOnlyItsRequest(t *testing.T) {
+	dev := testDevice(t)
+	s := New(dev)
+	tm := dev.Timing()
+	payload := make([]byte, dev.Geometry().PageSize)
+	const stall = sim.Time(5_000_000)
+	cs, end := s.Submit(100, []Request{
+		{Op: OpProgram, Addr: flash.Addr{Die: 0, Block: 0, Page: 0}, Data: payload, Priority: PrioHostWrite, NotBefore: stall},
+		{Op: OpProgram, Addr: flash.Addr{Die: 1, Block: 0, Page: 0}, Data: payload, Priority: PrioHostWrite, NotBefore: 50},
+	})
+	program := tm.Transfer + tm.ProgramPage
+	if cs[0].Err != nil || cs[0].Done != stall.Add(program) {
+		t.Errorf("stalled program done %v (%v), want %v", cs[0].Done, cs[0].Err, stall.Add(program))
+	}
+	if cs[1].Err != nil || cs[1].Done != sim.Time(100).Add(program) {
+		t.Errorf("other program done %v (%v), want %v: an earlier NotBefore must not move it", cs[1].Done, cs[1].Err, sim.Time(100).Add(program))
+	}
+	if end != cs[0].Done {
+		t.Errorf("makespan %v, want %v", end, cs[0].Done)
+	}
+	// The latency of a command counts from when it could be issued.
+	if lat := s.Stats().HostWriteLatency; lat.Max != program {
+		t.Errorf("host write latency max %v, want %v", lat.Max, program)
+	}
+}
+
 func TestSchedulerMetrics(t *testing.T) {
 	dev := testDevice(t)
 	program(t, dev, 0, 1)

@@ -2,15 +2,27 @@
 // model and the transaction driver.
 //
 // The reproduction never sleeps for real flash latencies.  Instead every
-// resource (a die, a channel) carries a virtual "free at" timestamp and every
-// actor (a terminal, a background flusher, the garbage collector) carries a
-// virtual cursor.  Serving a request on a resource advances both, exactly as
-// a FCFS single-server queue would.  All timestamps are expressed in
+// resource (a die, a channel) carries a timeline of the virtual intervals it
+// is busy and every actor (a terminal, a background flusher, the garbage
+// collector) carries a virtual cursor.  Serving a request on a resource
+// occupies the timeline and advances the cursor, exactly as a single-server
+// queue ordered by arrival time would.  All timestamps are expressed in
 // nanoseconds of simulated time (type Time).
+//
+// Arrival order, not submission order: the actors' cursors are not
+// synchronized, so the order of their Acquire calls is not the order in which
+// their requests reach the resource.  Queueing in call order lets one actor
+// that was carried ahead (by a checkpoint, say) reserve the resource in the
+// future and pulls every actor that touches it afterwards up to that time:
+// all of them then advance in lock-step at the pace of the most delayed one.
+// The timeline is bounded: a resource remembers at most its last maxSpans busy
+// intervals and serves an arrival older than those where they start.
 package sim
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,60 +63,88 @@ func MaxTime(a, b Time) Time {
 	return b
 }
 
-// Resource is a single-server FCFS queue living in virtual time: a NAND die,
-// a flash channel, or any other device component that serves one operation at
-// a time.  It is safe for concurrent use.
+// span is one busy interval [start, end) of a resource.
+type span struct{ start, end Time }
+
+// maxSpans bounds the busy intervals a resource remembers (4 KB); beyond it
+// the older half is forgotten, so at least maxSpans/2 are always kept.
+const maxSpans = 256
+
+// Resource is a single-server queue living in virtual time that serves its
+// requests in arrival order: a NAND die, a flash channel, or any other device
+// component that serves one operation at a time.  It is safe for concurrent use.
 type Resource struct {
-	mu     sync.Mutex
-	name   string
-	freeAt Time
+	mu   sync.Mutex
+	name string
+	// spans is the timeline: the disjoint busy intervals in time order,
+	// adjacent ones merged, so a saturated resource holds a single span.
+	// Nothing is ever placed before floor, the end of the forgotten history.
+	spans  []span
+	floor  Time
 	busy   Duration // cumulative service time
 	served int64    // number of operations served
 }
 
 // NewResource returns an idle resource with the given diagnostic name.
-func NewResource(name string) *Resource {
-	return &Resource{name: name}
-}
+func NewResource(name string) *Resource { return &Resource{name: name} }
 
 // Name returns the diagnostic name given at construction.
 func (r *Resource) Name() string { return r.name }
 
 // Acquire serves an operation of length d for an actor whose current virtual
 // time is now.  It returns the operation's start and completion times.  The
-// operation starts when both the actor and the resource are available and
-// occupies the resource until completion.
+// operation starts at the earliest instant at or after now at which the
+// resource is idle for all of d: an actor whose cursor lags waits for what
+// occupies the resource when it arrives, not for time another actor reserved
+// further ahead.  An arrival older than the remembered history is served as
+// if it arrived at the start of that history.
 func (r *Resource) Acquire(now Time, d Duration) (start, done Time) {
 	r.mu.Lock()
-	start = MaxTime(now, r.freeAt)
-	done = start.Add(d)
-	r.freeAt = done
+	defer r.mu.Unlock()
 	r.busy += d
 	r.served++
-	r.mu.Unlock()
+
+	// i is the first span that ends after now.  Arrivals in time order (a
+	// single actor, or actors in step) find it at the tail in O(1) and get
+	// exactly the times of a FCFS queue in submission order.
+	n := len(r.spans)
+	i := n
+	if n > 0 && now < r.spans[n-1].end {
+		i = n - 1
+		if now < r.spans[i].start {
+			now = MaxTime(now, r.floor)
+			i = sort.Search(n, func(k int) bool { return r.spans[k].end > now })
+		}
+	}
+	// Skip the spans whose preceding gap is too short for d.
+	start = now
+	for ; i < n && r.spans[i].start < start.Add(d); i++ {
+		start = MaxTime(start, r.spans[i].end)
+	}
+	done = start.Add(d)
+	if d <= 0 {
+		return start, done
+	}
+
+	// Record [start, done) before span i, merged into the neighbours it touches.
+	prev := i > 0 && r.spans[i-1].end == start
+	next := i < n && r.spans[i].start == done
+	switch {
+	case prev && next:
+		r.spans[i-1].end = r.spans[i].end
+		r.spans = slices.Delete(r.spans, i, i+1)
+	case prev:
+		r.spans[i-1].end = done
+	case next:
+		r.spans[i].start = start
+	default:
+		r.spans = slices.Insert(r.spans, i, span{start, done})
+		if len(r.spans) > maxSpans {
+			r.floor = r.spans[maxSpans/2-1].end
+			r.spans = slices.Delete(r.spans, 0, maxSpans/2)
+		}
+	}
 	return start, done
-}
-
-// Reserve is like Acquire but lets the caller split the occupation into a
-// transfer part that occupies the resource and a latent part that does not
-// (e.g. a channel is only held for the data transfer while the die works
-// independently).  The resource is occupied for hold, the caller's completion
-// time is start+total.
-func (r *Resource) Reserve(now Time, hold, total Duration) (start, done Time) {
-	r.mu.Lock()
-	start = MaxTime(now, r.freeAt)
-	r.freeAt = start.Add(hold)
-	r.busy += hold
-	r.served++
-	r.mu.Unlock()
-	return start, start.Add(total)
-}
-
-// FreeAt returns the virtual time at which the resource becomes idle.
-func (r *Resource) FreeAt() Time {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.freeAt
 }
 
 // Busy returns the cumulative virtual service time charged to the resource.
@@ -125,9 +165,7 @@ func (r *Resource) Served() int64 {
 // accumulated statistics.
 func (r *Resource) Reset() {
 	r.mu.Lock()
-	r.freeAt = 0
-	r.busy = 0
-	r.served = 0
+	r.spans, r.floor, r.busy, r.served = r.spans[:0], 0, 0, 0
 	r.mu.Unlock()
 }
 

@@ -23,7 +23,7 @@ const (
 // log pages that filled up plus the current one; for the data groups the
 // device executes 5.0 write-backs, 1.0 demand reads, 3.7 GC copybacks and 0.2
 // erases.  The transaction mix fixes these figures, the scale does not move
-// them much.
+// them much (a run that fills the device further collects more: 5.7 copybacks).
 const (
 	walBytesPerTxn  = 3650
 	logWritesPerTxn = 2.0
@@ -44,8 +44,8 @@ const (
 //
 // Blended with the footprint this puts the log on 7 of 64 dies, the middle of
 // the plateau a sweep of the weight measured on tpcc-regions (transactions per
-// simulated second by dies of group 0: 2 dies 1887, 3: 2441, 5: 2834, 7: 2938,
-// 8: 2874, 10: 2902, 12: 2354 — past 10 the data groups' garbage collection
+// simulated second by dies of group 0: 2 dies 2202, 3: 3171, 5: 3441, 7: 3559,
+// 8: 3520, 10: 3596, 12: 2774 — past 10 the data groups' garbage collection
 // misses the dies more than the log gains from them).
 var groupIOWeights = []float64{
 	0.5 + dataAccessesPerTxn*logWritesPerTxn/dataIOsPerTxn, // group 0: DBMS metadata, WAL, HISTORY appends
