@@ -1,6 +1,9 @@
 package tpcc
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestEstimateGroupPages(t *testing.T) {
 	cfg := DefaultConfig().withDefaults()
@@ -37,12 +40,24 @@ var planCases = []struct {
 	cfg         Config
 	dies        int
 	pagesPerDie int
+	golden      []int // the plan tpcc.Setup builds, which every gated simulated number rests on
 }{
-	{"tiny", Config{Warehouses: 1, CustomersPerDistrict: 60, ItemCount: 300, Transactions: 600, WarmupTransactions: 100, CheckpointEvery: 100}, 8, 16 * 32},
-	{"small", Config{Warehouses: 2, CustomersPerDistrict: 300, ItemCount: 2000, Transactions: 8000, WarmupTransactions: 1500, CheckpointEvery: 400}, 16, 20 * 32},
-	{"paper", Config{Warehouses: 8, CustomersPerDistrict: 600, ItemCount: 5000, Transactions: 60000, WarmupTransactions: 10000, CheckpointEvery: 500}, 64, 22 * 64},
-	{"bench", Config{Warehouses: 8, CustomersPerDistrict: 600, ItemCount: 5000, CheckpointEvery: 500}, 64, 22 * 64},
-	{"default", DefaultConfig(), 6, 2048},
+	{"tiny", Config{Warehouses: 1, CustomersPerDistrict: 60, ItemCount: 300, Transactions: 600, WarmupTransactions: 100, CheckpointEvery: 100}, 8, 16 * 32, []int{1, 2, 1, 2, 1, 1}},
+	{"small", Config{Warehouses: 2, CustomersPerDistrict: 300, ItemCount: 2000, Transactions: 8000, WarmupTransactions: 1500, CheckpointEvery: 400}, 16, 20 * 32, []int{2, 4, 2, 6, 1, 1}},
+	{"paper", Config{Warehouses: 8, CustomersPerDistrict: 600, ItemCount: 5000, Transactions: 60000, WarmupTransactions: 10000, CheckpointEvery: 500}, 64, 22 * 64, []int{7, 18, 6, 23, 5, 5}},
+	{"bench", Config{Warehouses: 8, CustomersPerDistrict: 600, ItemCount: 5000, CheckpointEvery: 500}, 64, 22 * 64, []int{7, 16, 8, 22, 5, 6}},
+	{"default", DefaultConfig(), 6, 2048, []int{1, 1, 1, 1, 1, 1}},
+}
+
+// TestPlanRegionDiesGolden pins the die vectors of planCases: a change of the
+// allocator or of its inputs that moves one of them moves Figure 3 and the
+// tpcc-regions benchmark, and has to say so.
+func TestPlanRegionDiesGolden(t *testing.T) {
+	for _, tc := range planCases {
+		if got := planRegionDies(tc.cfg, tc.dies, tc.pagesPerDie); !reflect.DeepEqual(got, tc.golden) {
+			t.Errorf("%s: plan %v, golden %v", tc.name, got, tc.golden)
+		}
+	}
 }
 
 // TestPlanRegionDiesProperties checks what every plan must satisfy: all dies
