@@ -30,7 +30,6 @@ func (t *Table) InsertBatch(tx *Tx, rows [][]byte) ([]RID, error) {
 			err = lerr
 		}
 	}
-	t.db.objStats.RecordAppend(t.name, int64(len(rids)))
 	return rids, publicErr(err)
 }
 

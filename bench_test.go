@@ -41,7 +41,7 @@ func benchDB(b *testing.B) *noftl.DB {
 // followed by the Region Advisor deriving the multi-region placement.
 func BenchmarkFigure2RegionAdvisor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f2, err := experiments.RunFigure2(experiments.ScaleTiny)
+		f2, err := experiments.RunFigure2(experiments.ScaleTiny, tpcc.PlacementTraditional)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,7 +3,8 @@
 // fires, scrapes /metrics over real HTTP and validates the exposition with
 // the in-repo pure-Go linter (internal/metrics.LintExposition) — no external
 // promtool needed.  It fails when the exposition is invalid, has fewer than
-// 10 metric families, or lacks die- and region-labeled series.
+// 10 metric families, lacks die- and region-labeled series, or lacks the
+// per-object family with at least two objects.
 //
 // With -trace-out the run's event trace is additionally dumped as JSONL, so
 // the workflow can feed it to `noftl-trace summarize` and check the GC
@@ -89,6 +90,15 @@ func run(traceOut string, minFamilies int) error {
 	if len(lint.LabelValues("region")) == 0 {
 		return fmt.Errorf("no region-labeled series in the exposition")
 	}
+	named := 0
+	for _, object := range lint.LabelValues("object") {
+		if object != core.UnattributedObject {
+			named++
+		}
+	}
+	if _, ok := lint.Families["noftl_object_io_total"]; !ok || named < 2 {
+		return fmt.Errorf("noftl_object_io_total must carry the table and the log: object labels %v", lint.LabelValues("object"))
+	}
 
 	if traceOut != "" {
 		var trace bytes.Buffer
@@ -102,8 +112,8 @@ func run(traceOut string, minFamilies int) error {
 		fmt.Printf("trace written to %s (%d events, %d bytes)\n", traceOut, n, trace.Len())
 	}
 
-	fmt.Printf("OK: %d families, %d samples, die labels %d, region labels %v\n",
-		len(lint.Families), lint.Samples, len(lint.LabelValues("die")), lint.LabelValues("region"))
+	fmt.Printf("OK: %d families, %d samples, die labels %d, region labels %v, object labels %v\n",
+		len(lint.Families), lint.Samples, len(lint.LabelValues("die")), lint.LabelValues("region"), lint.LabelValues("object"))
 	return nil
 }
 

@@ -3,6 +3,7 @@ package noftl
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,24 +25,22 @@ import (
 // DB is a database instance running on simulated native flash under NoFTL
 // space management.
 type DB struct {
-	cfg      Config
-	dev      *flash.Device
-	space    *core.Manager
-	pool     *buffer.Pool
-	cat      *catalog.Catalog
-	log      *wal.Log
-	txns     *txn.Manager
-	clock    *sim.Clock
-	objStats *metrics.ObjectStats
-	reg      *metrics.Registry
-	tracer   *obs.Tracer // nil when tracing is off
-	msrv     *metricsServer
+	cfg    Config
+	dev    *flash.Device
+	space  *core.Manager
+	pool   *buffer.Pool
+	cat    *catalog.Catalog
+	log    *wal.Log
+	txns   *txn.Manager
+	clock  *sim.Clock
+	reg    *metrics.Registry
+	tracer *obs.Tracer // nil when tracing is off
+	msrv   *metricsServer
 
 	mu          sync.RWMutex
 	tablespaces map[string]*storage.Tablespace
 	tables      map[string]*Table
 	indexes     map[string]*Index
-	objectNames map[uint32]string
 	closed      bool
 
 	// Checkpointing.  ckptMu is the quiesce lock: every transaction holds it
@@ -78,11 +77,9 @@ func openWith(cfg Config, dev *flash.Device, space *core.Manager) (*DB, error) {
 		space:       space,
 		cat:         catalog.New(),
 		clock:       sim.NewClock(),
-		objStats:    metrics.NewObjectStats(),
 		tablespaces: make(map[string]*storage.Tablespace),
 		tables:      make(map[string]*Table),
 		indexes:     make(map[string]*Index),
-		objectNames: make(map[uint32]string),
 	}
 	// The registry owns every layer's counters: each AttachObs below re-binds
 	// a layer's children to it, so Stats() and /metrics read the same storage.
@@ -93,7 +90,7 @@ func openWith(cfg Config, dev *flash.Device, space *core.Manager) (*DB, error) {
 		db.tracer.AttachObs(db.reg)
 	}
 	db.space.AttachObs(db.tracer, db.reg)
-	db.pool = buffer.New(db.space, cfg.BufferPoolPages, dev.Geometry().PageSize, db)
+	db.pool = buffer.New(db.space, cfg.BufferPoolPages, dev.Geometry().PageSize, nil)
 	db.pool.AttachObs(db.tracer, db.reg)
 	db.pool.Configure(buffer.Options{ReadAhead: cfg.ReadAheadPages})
 
@@ -107,9 +104,8 @@ func openWith(cfg Config, dev *flash.Device, space *core.Manager) (*DB, error) {
 
 	if cfg.WAL {
 		walObj := db.cat.NextObjectID()
-		db.objectNames[walObj] = "WAL"
-		db.objStats.Register("WAL", "log", "SYSTEM")
 		db.log = wal.New(db.space, defTS.Hint(walObj, flash.FlagLog), dev.Geometry().PageSize)
+		db.space.NameObject(walObj, "WAL", "log", func() int64 { return int64(db.log.PageCount()) })
 		db.log.AttachObs(db.tracer, db.reg)
 		db.ckptCount = db.reg.Counter("noftl_wal_checkpoints_total",
 			"Checkpoints taken (dirty pages flushed, the flash image described at the head of the WAL).").With()
@@ -140,8 +136,6 @@ func (db *DB) Close() error {
 	}
 	db.closed = true
 	db.mu.Unlock()
-	// Flush outside db.mu: the flush path reports per-object statistics,
-	// which takes a read lock on db.mu.
 	if _, err := db.pool.FlushAll(db.clock.Now()); err != nil {
 		return err
 	}
@@ -159,28 +153,6 @@ func (db *DB) Close() error {
 		}
 	}
 	return nil
-}
-
-// RecordPhysRead implements buffer.Recorder: physical page reads are charged
-// to the owning object's statistics (consumed by the Region Advisor).
-func (db *DB) RecordPhysRead(objectID uint32, pages int64) {
-	if name, ok := db.objectName(objectID); ok {
-		db.objStats.RecordRead(name, pages)
-	}
-}
-
-// RecordPhysWrite implements buffer.Recorder.
-func (db *DB) RecordPhysWrite(objectID uint32, pages int64) {
-	if name, ok := db.objectName(objectID); ok {
-		db.objStats.RecordWrite(name, pages)
-	}
-}
-
-func (db *DB) objectName(id uint32) (string, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	n, ok := db.objectNames[id]
-	return n, ok
 }
 
 // Geometry returns the flash device's geometry (channels, dies, blocks,
@@ -256,29 +228,22 @@ func (tc *TimeCursor) AdvanceTo(t sim.Time) { tc.c.AdvanceTo(t) }
 // Advance moves the cursor forward by d.
 func (tc *TimeCursor) Advance(d sim.Duration) { tc.c.Advance(d) }
 
-// ObjectStats returns the per-object I/O statistics collected so far, sorted
-// by I/O rate.
-func (db *DB) ObjectStats() []metrics.ObjectCounters {
-	// Refresh object sizes from the physical structures before reporting.
-	db.mu.RLock()
-	for _, t := range db.tables {
-		db.objStats.SetSize(t.Name(), t.heap.PageCount())
-	}
-	for _, i := range db.indexes {
-		db.objStats.SetSize(i.Name(), i.tree.Pages())
-	}
-	db.mu.RUnlock()
-	if db.log != nil {
-		db.objStats.SetSize("WAL", int64(db.log.PageCount()))
-	}
-	return db.objStats.All()
-}
+// ObjectStats returns the device-side record of every live table and index and
+// of the WAL — the commands the device executed for its pages, counted by the
+// space manager in the noftl_object_io_total family, and its current size — by
+// descending die time.  Commands for pages of dropped objects are reported
+// under core.UnattributedObject, so the records always sum to Stats().Space.
+func (db *DB) ObjectStats() []ObjectCounters { return db.space.ObjectStats() }
 
-// Advise runs the Region Advisor over the collected per-object statistics
-// and returns a multi-region placement plan (the paper's Figure 2
+// Advise runs the Region Advisor over the per-object statistics of the live
+// objects and returns a multi-region placement plan (the paper's Figure 2
 // procedure).
 func (db *DB) Advise(opts core.AdvisorOptions) core.PlacementPlan {
-	return core.Advise(db.ObjectStats(), db.dev.Geometry().Dies(), opts)
+	objs := slices.DeleteFunc(db.ObjectStats(), func(o ObjectCounters) bool {
+		return o.Name == core.UnattributedObject // pages of dropped objects need no region
+	})
+	geo := db.dev.Geometry()
+	return core.Advise(objs, geo.Dies(), geo.PagesPerDie(), opts)
 }
 
 // ResetStatistics zeroes every I/O, GC, WAL, checkpoint and transaction
@@ -300,7 +265,6 @@ func (db *DB) ResetStatistics() {
 		db.ckptChunks.Reset()
 		db.mu.Unlock()
 	}
-	db.objStats.Reset()
 	db.clock.Reset()
 }
 
@@ -579,12 +543,11 @@ func (db *DB) createTable(meta catalog.Table, at *ckptObject) (*Table, error) {
 		heap = storage.AttachHeapFile(meta.Name, meta.ObjectID, ts, db.pool, at.pages, at.Count)
 		db.cat.EnsureNextObjectID(meta.ObjectID + 1) // fresh ids continue above the recovered ones
 	}
+	db.space.NameObject(meta.ObjectID, meta.Name, "table", heap.PageCount)
 	t := &Table{db: db, heap: heap, name: meta.Name, objectID: meta.ObjectID}
 	db.mu.Lock()
 	db.tables[meta.Name] = t
-	db.objectNames[meta.ObjectID] = meta.Name
 	db.mu.Unlock()
-	db.objStats.Register(meta.Name, "table", ts.Name())
 	return t, db.checkpointAfterDDL()
 }
 
@@ -601,13 +564,11 @@ func (db *DB) DropTable(name string) error {
 		return fmt.Errorf("%w: table %q", ErrNotFound, name)
 	}
 	delete(db.tables, name)
-	delete(db.objectNames, t.objectID)
 	var droppedIndexes []*Index
 	for iname, idx := range db.indexes {
 		if idx.meta.Table == name {
 			droppedIndexes = append(droppedIndexes, idx)
 			delete(db.indexes, iname)
-			delete(db.objectNames, idx.meta.ObjectID)
 		}
 	}
 	db.mu.Unlock()
@@ -617,8 +578,10 @@ func (db *DB) DropTable(name string) error {
 	// Trim the heap's and the indexes' pages so the space manager can
 	// reclaim them (never-flushed pages are simply unmapped).
 	db.trimPages(t.heap.Pages())
+	db.space.ForgetObject(t.objectID)
 	for _, idx := range droppedIndexes {
 		db.trimPages(idx.tree.PageList())
+		db.space.ForgetObject(idx.meta.ObjectID)
 	}
 	return db.checkpointAfterDDL()
 }
@@ -645,12 +608,12 @@ func (db *DB) DropIndex(name string) error {
 		return fmt.Errorf("%w: index %q", ErrNotFound, name)
 	}
 	delete(db.indexes, name)
-	delete(db.objectNames, idx.meta.ObjectID)
 	db.mu.Unlock()
 	if err := db.cat.DropIndex(name); err != nil {
 		return publicErr(err)
 	}
 	db.trimPages(idx.tree.PageList())
+	db.space.ForgetObject(idx.meta.ObjectID)
 	return db.checkpointAfterDDL()
 }
 
@@ -718,12 +681,11 @@ func (db *DB) createIndex(meta catalog.Index, at *ckptObject) (*Index, error) {
 	} else if tree, _, err = btree.New(db.clock.Now(), meta.Name, meta.ObjectID, ts, db.pool); err != nil {
 		return nil, err
 	}
+	db.space.NameObject(meta.ObjectID, meta.Name, "index", tree.Pages)
 	idx := &Index{db: db, tree: tree, meta: meta}
 	db.mu.Lock()
 	db.indexes[meta.Name] = idx
-	db.objectNames[meta.ObjectID] = meta.Name
 	db.mu.Unlock()
-	db.objStats.Register(meta.Name, "index", ts.Name())
 	return idx, db.checkpointAfterDDL()
 }
 

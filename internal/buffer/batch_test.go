@@ -206,13 +206,11 @@ func TestFetchAndFetchManyOfOneAreOne(t *testing.T) {
 		done  sim.Time
 		stats Stats
 		reads int
-		objs  int64
 	}
 	run := func(fetch func(p *Pool) (*Handle, sim.Time, error)) outcome {
 		be := newMemBackend(128)
 		be.seed(8)
-		rec := newCountingRecorder()
-		p := New(be, 2, 128, rec)
+		p := New(be, 2, 128, nil)
 		// Fill both frames with dirty pages so the miss also pays an
 		// eviction write-back.
 		for _, lpn := range []core.LPN{1, 2} {
@@ -233,7 +231,7 @@ func TestFetchAndFetchManyOfOneAreOne(t *testing.T) {
 		}
 		h.RUnlock()
 		h.Release()
-		return outcome{done: done, stats: p.Stats(), reads: be.reads, objs: rec.reads[4]}
+		return outcome{done: done, stats: p.Stats(), reads: be.reads}
 	}
 	single := run(func(p *Pool) (*Handle, sim.Time, error) {
 		return p.Fetch(1000, 5, core.Hint{ObjectID: 4})

@@ -41,15 +41,6 @@ type Backend interface {
 	Mapped(lpn core.LPN) bool
 }
 
-// Recorder receives physical I/O notifications per database object; the DB
-// layer uses it to maintain the per-object statistics consumed by the Region
-// Advisor.  A nil Recorder disables recording.  Implementations must be safe
-// for concurrent use.
-type Recorder interface {
-	RecordPhysRead(objectID uint32, pages int64)
-	RecordPhysWrite(objectID uint32, pages int64)
-}
-
 // ErrPoolFull reports that every evictable frame of the page's shard is
 // pinned and nothing can be evicted.
 var ErrPoolFull = errors.New("buffer: all frames pinned")
@@ -173,7 +164,6 @@ type Options struct {
 // sees traffic.
 type Pool struct {
 	backend  Backend
-	recorder Recorder
 	tracer   *obs.Tracer // nil = tracing off (the only cost is nil compares)
 	shards   []*poolShard
 	nframes  int
@@ -209,14 +199,15 @@ func autoShards(frameCount int) int {
 }
 
 // New creates a pool of frameCount frames of pageSize bytes over the
-// backend.
-func New(backend Backend, frameCount, pageSize int, recorder Recorder) *Pool {
+// backend.  The fourth parameter is ignored: the space manager counts the
+// device commands of every object itself (core.ObjectCounters).  It remains
+// only because the repository benchmark passes it.
+func New(backend Backend, frameCount, pageSize int, _ any) *Pool {
 	if frameCount < 2 {
 		frameCount = 2
 	}
 	p := &Pool{
 		backend:  backend,
-		recorder: recorder,
 		nframes:  frameCount,
 		pageSize: pageSize,
 	}
@@ -372,7 +363,7 @@ func (p *Pool) Fetch(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim.T
 		f.ref = true
 		// The demander knows the page's true placement hint; refresh it so a
 		// frame staged by read-ahead across an object boundary is written
-		// back (and charged) under the right object, not the prefetcher's.
+		// back to its own object's region, not the prefetcher's.
 		f.hint = hint
 		p.hits.Add(1)
 		if f.prefetched {
@@ -398,7 +389,7 @@ func (p *Pool) Fetch(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim.T
 	// other dies and their (near-identical) completion is not the caller's
 	// concern.  They are charged to the demanding object: sequential LPNs
 	// belong to the same extent in practice.
-	done, _, err := p.fill(now, claimed, 1, hint)
+	done, _, err := p.fill(now, claimed, 1)
 	if err != nil {
 		return nil, done, err
 	}
@@ -474,7 +465,7 @@ func (p *Pool) FetchMany(now sim.Time, lpns []core.LPN, hint core.Hint) ([]*Hand
 	if len(misses) == 0 {
 		return handles, now, nil
 	}
-	_, end, err := p.fill(now, misses, len(misses), hint)
+	_, end, err := p.fill(now, misses, len(misses))
 	if err != nil {
 		releaseHits()
 		return nil, end, err
@@ -549,7 +540,7 @@ func (p *Pool) unpin(f *Frame, unpublish bool) {
 // under a concurrent trim) is unpublished, and when that happens to a demand
 // frame the call fails and no frame stays pinned.  It returns the completion
 // time of frames[0], the batch makespan and the first demand error.
-func (p *Pool) fill(now sim.Time, frames []*Frame, demand int, hint core.Hint) (first, end sim.Time, err error) {
+func (p *Pool) fill(now sim.Time, frames []*Frame, demand int) (first, end sim.Time, err error) {
 	var one [1]core.PageRead
 	reads := one[:]
 	if len(frames) == 1 {
@@ -564,12 +555,9 @@ func (p *Pool) fill(now sim.Time, frames []*Frame, demand int, hint core.Hint) (
 		}
 		reads, end = p.backend.ReadPages(now, lpns, bufs)
 	}
-	good := int64(0)
 	for i, f := range frames {
 		f.mu.Unlock()
-		if rerr := reads[i].Err; rerr == nil {
-			good++
-		} else if i < demand && err == nil {
+		if rerr := reads[i].Err; rerr != nil && i < demand && err == nil {
 			err = fmt.Errorf("buffer: fetch lpn %d: %w", f.lpn, rerr)
 		}
 	}
@@ -577,9 +565,6 @@ func (p *Pool) fill(now sim.Time, frames []*Frame, demand int, hint core.Hint) (
 		if failed := reads[i].Err != nil; failed || err != nil || i >= demand {
 			p.unpin(f, failed)
 		}
-	}
-	if err == nil && p.recorder != nil {
-		p.recorder.RecordPhysRead(hint.ObjectID, good)
 	}
 	return reads[0].Done, end, err
 }
@@ -599,9 +584,6 @@ func (p *Pool) WriteThrough(now sim.Time, writes []core.PageWrite) (sim.Time, er
 	for _, w := range writes {
 		p.Drop(w.LPN)
 		p.writebacks.Add(1)
-		if p.recorder != nil {
-			p.recorder.RecordPhysWrite(w.Hint.ObjectID, 1)
-		}
 	}
 	p.noteGroupWrite(now, done, len(writes))
 	return done, nil
@@ -715,9 +697,6 @@ func (p *Pool) allocFrameLocked(s *poolShard, now sim.Time) (int, sim.Time, erro
 			}
 			now = done
 			p.writebacks.Add(1)
-			if p.recorder != nil {
-				p.recorder.RecordPhysWrite(f.hint.ObjectID, 1)
-			}
 			if p.tracer.Enabled(obs.ClassBufWriteBack) {
 				p.tracer.Record(obs.Event{
 					Class: obs.ClassBufWriteBack, Op: obs.BufWriteBackSingle,
@@ -789,7 +768,7 @@ func (p *Pool) Flush(now sim.Time) (done sim.Time, flushed, left int, err error)
 		return now, 0, left, nil
 	}
 	done, err = p.backend.WritePages(now, writes)
-	for i, f := range frames {
+	for _, f := range frames {
 		if err != nil {
 			// Leave the page dirty: pages the batch did manage to program
 			// are remapped in the backend and will simply be written again
@@ -800,9 +779,6 @@ func (p *Pool) Flush(now sim.Time) (done sim.Time, flushed, left int, err error)
 		p.unpin(f, false)
 		if err == nil {
 			p.writebacks.Add(1)
-			if p.recorder != nil {
-				p.recorder.RecordPhysWrite(writes[i].Hint.ObjectID, 1)
-			}
 		}
 	}
 	if err != nil {

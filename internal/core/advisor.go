@@ -2,14 +2,14 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-
-	"noftl/internal/metrics"
+	"text/tabwriter"
 )
 
 // The Region Advisor derives a multi-region data placement configuration
-// from observed per-object I/O statistics — the procedure behind the paper's
+// from observed per-object device demand — the procedure behind the paper's
 // Figure 2, where the TPC-C objects are divided into 6 regions and the 64
 // dies are distributed "based on sizes of objects and their I/O rate".
 //
@@ -18,40 +18,32 @@ import (
 //     write-hot, mixed, read-mostly, cold),
 //  2. groups objects with similar profiles, giving very I/O-intensive
 //     objects a region of their own,
-//  3. allocates dies to groups proportionally to a blend of each group's
-//     share of the total I/O rate and of the total size, with at least one
-//     die per group.
+//  3. hands the groups' footprints and die time to NewPlan.
+//
+// An object's I/O rate is the die time its commands cost (ObjectCounters):
+// one unit for reads, writes and the copybacks garbage collection spends on
+// its pages.
 
-// AdvisorOptions tune the grouping and die-allocation heuristics.
+// AdvisorOptions tune the grouping.
 type AdvisorOptions struct {
 	// MaxRegions is the maximum number of regions to produce (including the
 	// metadata/append region).  Default 6, as in the paper's Figure 2.
 	MaxRegions int
-	// TotalDies is the number of dies to distribute.  Default: all dies.
-	TotalDies int
-	// DedicatedShare is the fraction of total I/O above which an object gets
-	// a region of its own.  Default 0.15.
-	DedicatedShare float64
-	// IOWeight is the weight of the I/O-rate share when sizing regions (the
-	// remainder is the size share).  Default 0.6.
-	IOWeight float64
 }
 
-func (o AdvisorOptions) withDefaults(totalDies int) AdvisorOptions {
-	if o.MaxRegions <= 1 {
-		o.MaxRegions = 6
-	}
-	if o.TotalDies <= 0 {
-		o.TotalDies = totalDies
-	}
-	if o.DedicatedShare <= 0 || o.DedicatedShare >= 1 {
-		o.DedicatedShare = 0.15
-	}
-	if o.IOWeight <= 0 || o.IOWeight > 1 {
-		o.IOWeight = 0.6
-	}
-	return o
-}
+const (
+	// dedicatedShare is the share of the total die time above which an object
+	// gets a region of its own.
+	dedicatedShare = 0.15
+	// appendOnlySupersedes is the share of superseding writes below which an
+	// object is append-only: TPC-C's HISTORY rewrites a quarter of its pages
+	// (the tail page, evicted before it is full), every updated table more
+	// than four fifths.
+	appendOnlySupersedes = 0.5
+	// usablePerDie is the part of a die a group's footprint may fill before
+	// it needs another one; the rest is the spare garbage collection lives on.
+	usablePerDie = 0.85
+)
 
 // AccessProfile classifies an object's I/O behaviour.
 type AccessProfile string
@@ -68,7 +60,7 @@ const (
 
 // PlacementGroup is one region proposed by the advisor.
 type PlacementGroup struct {
-	// Name is a generated region name (rg0, rg1, …) unless overridden.
+	// Name is a generated region name (rg0, rg1, …) unless given.
 	Name string
 	// Objects are the database objects placed in this region.
 	Objects []string
@@ -76,8 +68,9 @@ type PlacementGroup struct {
 	Profile AccessProfile
 	// Dies is the number of dies allocated to the region.
 	Dies int
-	// IOShare and SizeShare are the group's fraction of the workload's total
-	// I/O rate and of the total size (diagnostics for the Figure 2 table).
+	// IOShare and SizeShare are the group's fraction of the total demand (the
+	// die time of the workload) and of the total size (diagnostics for the
+	// Figure 2 table).
 	IOShare   float64
 	SizeShare float64
 }
@@ -89,15 +82,18 @@ type PlacementPlan struct {
 	TotalDies int
 }
 
-// TableString renders the plan in the layout of the paper's Figure 2:
-// region number, objects, number of flash dies.
+// TableString renders the plan in the layout of the paper's Figure 2 (region
+// number, objects, number of flash dies) with the shares the dies follow.
 func (p PlacementPlan) TableString() string {
-	tbl := metrics.NewTable("Multi-region data placement configuration",
-		"Tablespace/Region", "DB-Objects", "Profile", "Num. of Flash dies")
+	var b strings.Builder
+	w := tabwriter.NewWriter(&b, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(w, "Tablespace/Region\tDB-Objects\tProfile\tI/O share\tSize share\tNum. of Flash dies")
 	for i, g := range p.Groups {
-		tbl.AddRow(i, strings.Join(g.Objects, "; "), string(g.Profile), g.Dies)
+		fmt.Fprintf(w, "%d\t%s\t%s\t%.1f%%\t%.1f%%\t%d\n",
+			i, strings.Join(g.Objects, "; "), g.Profile, 100*g.IOShare, 100*g.SizeShare, g.Dies)
 	}
-	return tbl.String()
+	w.Flush()
+	return b.String()
 }
 
 // RegionSpecs converts the plan into CreateRegion specifications.
@@ -121,193 +117,164 @@ func (p PlacementPlan) GroupOf(object string) int {
 	return -1
 }
 
-// Advise computes a placement plan for the given per-object statistics.
-func Advise(objects []metrics.ObjectCounters, totalDies int, opts AdvisorOptions) PlacementPlan {
-	opts = opts.withDefaults(totalDies)
-	if len(objects) == 0 || opts.TotalDies <= 0 {
-		return PlacementPlan{TotalDies: opts.TotalDies}
+// Advise computes a placement plan for the given per-object statistics on a
+// device of totalDies dies of pagesPerDie pages.
+func Advise(objects []ObjectCounters, totalDies, pagesPerDie int, opts AdvisorOptions) PlacementPlan {
+	if opts.MaxRegions <= 1 {
+		opts.MaxRegions = 6
 	}
-
-	var totalIO, totalSize float64
+	if len(objects) == 0 || totalDies <= 0 {
+		return PlacementPlan{TotalDies: totalDies}
+	}
+	var totalTime float64
 	for _, o := range objects {
-		totalIO += float64(o.Reads + o.Writes + o.Appends)
-		totalSize += float64(o.SizePages)
-	}
-	if totalIO == 0 {
-		totalIO = 1
-	}
-	if totalSize == 0 {
-		totalSize = 1
-	}
-
-	type classified struct {
-		metrics.ObjectCounters
-		profile   AccessProfile
-		ioShare   float64
-		sizeShare float64
-	}
-	cls := make([]classified, 0, len(objects))
-	for _, o := range objects {
-		c := classified{ObjectCounters: o}
-		c.ioShare = float64(o.Reads+o.Writes+o.Appends) / totalIO
-		c.sizeShare = float64(o.SizePages) / totalSize
-		c.profile = classify(o, c.ioShare)
-		cls = append(cls, c)
+		totalTime += float64(o.DieTime)
 	}
 
 	// Group: metadata + append-only objects share one region; every object
-	// whose I/O share exceeds the dedicated threshold gets its own region;
-	// the rest are grouped by profile.
-	groups := map[string]*PlacementGroup{}
-	order := []string{}
-	add := func(key string, profile AccessProfile, c classified) {
-		g, ok := groups[key]
-		if !ok {
-			g = &PlacementGroup{Profile: profile}
-			groups[key] = g
-			order = append(order, key)
-		}
-		g.Objects = append(g.Objects, c.Name)
-		g.IOShare += c.ioShare
-		g.SizeShare += c.sizeShare
+	// whose share of the die time exceeds the dedicated threshold gets its own
+	// region; the rest are grouped by profile.
+	type group struct {
+		PlacementGroup
+		key     string
+		pages   int64
+		dieTime float64
 	}
-	for _, c := range cls {
+	var groups []*group
+	for _, o := range objects {
+		share := float64(o.DieTime) / max(totalTime, 1)
+		key, profile := "", classify(o, share)
 		switch {
-		case c.profile == ProfileMetadata,
-			c.profile == ProfileAppendOnly && c.ioShare < opts.DedicatedShare:
+		case profile == ProfileMetadata, profile == ProfileAppendOnly && share < dedicatedShare:
 			// Metadata and small append-only objects (HISTORY, the WAL)
 			// share the metadata region; a large, I/O-intensive append-only
-			// object (e.g. ORDERLINE) deserves its own region instead.
-			add("meta", ProfileAppendOnly, c)
-		case c.ioShare >= opts.DedicatedShare:
-			add("solo:"+c.Name, c.profile, c)
+			// object deserves its own region instead.
+			key, profile = "meta", ProfileAppendOnly
+		case share >= dedicatedShare:
+			key = "solo:" + o.Name
 		default:
-			add("profile:"+string(c.profile), c.profile, c)
+			key = "profile:" + string(profile)
 		}
+		i := slices.IndexFunc(groups, func(g *group) bool { return g.key == key })
+		if i < 0 {
+			i, groups = len(groups), append(groups, &group{key: key, PlacementGroup: PlacementGroup{Profile: profile}})
+		}
+		groups[i].Objects = append(groups[i].Objects, o.Name)
+		groups[i].pages += o.SizePages
+		groups[i].dieTime += float64(o.DieTime)
 	}
 
 	// Order groups: metadata first (to mirror Figure 2's region 0), then by
-	// descending I/O share.
-	sort.SliceStable(order, func(i, j int) bool {
-		if (order[i] == "meta") != (order[j] == "meta") {
-			return order[i] == "meta"
+	// descending die time.
+	sort.SliceStable(groups, func(i, j int) bool {
+		if (groups[i].key == "meta") != (groups[j].key == "meta") {
+			return groups[i].key == "meta"
 		}
-		return groups[order[i]].IOShare > groups[order[j]].IOShare
+		return groups[i].dieTime > groups[j].dieTime
 	})
 
-	// Enforce the region budget by merging the smallest non-metadata groups.
-	for len(order) > opts.MaxRegions {
-		smallest, second := -1, -1
-		for i := len(order) - 1; i >= 0; i-- {
-			if order[i] == "meta" {
-				continue
-			}
-			if smallest < 0 {
-				smallest = i
-			} else if second < 0 {
-				second = i
-				break
-			}
-		}
-		if smallest < 0 || second < 0 {
-			break
-		}
-		dst, src := groups[order[second]], groups[order[smallest]]
+	// Enforce the region budget — a region needs a die — by merging the two
+	// smallest groups (the metadata group only once nothing else is left).
+	for n := len(groups); n > min(opts.MaxRegions, totalDies); n-- {
+		dst, src := groups[n-2], groups[n-1]
 		dst.Objects = append(dst.Objects, src.Objects...)
-		dst.IOShare += src.IOShare
-		dst.SizeShare += src.SizeShare
-		order = append(order[:smallest], order[smallest+1:]...)
+		dst.pages += src.pages
+		dst.dieTime += src.dieTime
+		groups = groups[:n-1]
 	}
 
-	// Allocate dies proportionally to the blended weight, at least one each.
-	plan := PlacementPlan{TotalDies: opts.TotalDies}
-	weights := make([]float64, len(order))
-	var totalWeight float64
-	for i, key := range order {
-		g := groups[key]
-		weights[i] = opts.IOWeight*g.IOShare + (1-opts.IOWeight)*g.SizeShare
-		if weights[i] <= 0 {
-			weights[i] = 1e-6
-		}
-		totalWeight += weights[i]
-	}
-	remaining := opts.TotalDies - len(order) // one die is granted to each group up front
-	if remaining < 0 {
-		remaining = 0
-	}
-	dies := make([]int, len(order))
-	assigned := 0
-	for i := range order {
-		dies[i] = 1 + int(float64(remaining)*weights[i]/totalWeight)
-		assigned += dies[i]
-	}
-	// Fix rounding drift by adjusting the largest groups.
-	for assigned < opts.TotalDies {
-		i := maxWeightIndex(weights)
-		dies[i]++
-		assigned++
-	}
-	for assigned > opts.TotalDies {
-		i := maxDieIndex(dies)
-		if dies[i] <= 1 {
-			break
-		}
-		dies[i]--
-		assigned--
-	}
-
-	for i, key := range order {
-		g := groups[key]
-		g.Name = fmt.Sprintf("rg%d", i)
-		g.Dies = dies[i]
+	placed := make([]PlacementGroup, len(groups))
+	pages, demand := make([]int64, len(groups)), make([]float64, len(groups))
+	for i, g := range groups {
 		sort.Strings(g.Objects)
-		plan.Groups = append(plan.Groups, *g)
+		placed[i], pages[i], demand[i] = g.PlacementGroup, g.pages, g.dieTime
 	}
-	return plan
+	return NewPlan(placed, pages, demand, totalDies, pagesPerDie)
 }
 
-// classify assigns an access profile from the raw counters.
-func classify(o metrics.ObjectCounters, ioShare float64) AccessProfile {
-	total := o.Reads + o.Writes + o.Appends
-	if o.Kind == "meta" || o.Kind == "log" || o.Kind == "catalog" {
-		return ProfileMetadata
+// NewPlan is the plan of a given grouping, given the groups' footprints in
+// pages and their relative demand (I/O rate, in any one unit): the one place
+// dies are handed out.  Advise calls it on its own grouping and the measured
+// die time; the same call on another grouping or another demand (the paper's
+// Figure 2, the a-priori weights of tpcc.Setup) gives the plans to set beside
+// it.
+//
+// Every group first gets the dies its footprint needs (at least one); a device
+// too small for all the floors keeps what it can, shrinking the largest floor
+// first (the space manager's spill to the default region absorbs the
+// overflow).  The rest are handed out one by one to the group with the highest
+// claim: its share — the mean of its share of the demand and of the footprint,
+// the paper weighs both — divided by the dies it holds plus a half (Webster's
+// divisor method).  A divisor method is monotone where largest remainders are
+// not: raising one group's demand raises its claims and lowers everybody
+// else's, so it can only gain dies.  With fewer dies than groups nobody gets
+// one.
+func NewPlan(groups []PlacementGroup, pages []int64, demand []float64, totalDies, pagesPerDie int) PlacementPlan {
+	var totalPages, totalDemand float64
+	for i := range groups {
+		totalPages += float64(pages[i])
+		totalDemand += demand[i]
 	}
-	if total == 0 {
-		return ProfileCold
+	for i := range groups {
+		g := &groups[i]
+		if g.Name == "" {
+			g.Name = fmt.Sprintf("rg%d", i)
+		}
+		if totalDemand > 0 {
+			g.IOShare = demand[i] / totalDemand
+		}
+		if totalPages > 0 {
+			g.SizeShare = float64(pages[i]) / totalPages
+		}
 	}
-	appendShare := float64(o.Appends) / float64(total)
-	writeShare := float64(o.Writes) / float64(total)
-	readShare := float64(o.Reads) / float64(total)
+	if totalDies < len(groups) {
+		return PlacementPlan{Groups: groups, TotalDies: totalDies}
+	}
+	usable := max(int64(float64(pagesPerDie)*usablePerDie), 1)
+	assigned := 0
+	for i := range groups {
+		groups[i].Dies = max(int((pages[i]+usable-1)/usable), 1)
+		assigned += groups[i].Dies
+	}
+	// first returns the first group with the highest score.
+	first := func(score func(g *PlacementGroup) float64) *PlacementGroup {
+		best := &groups[0]
+		for i := range groups {
+			if score(&groups[i]) > score(best) {
+				best = &groups[i]
+			}
+		}
+		return best
+	}
+	for ; assigned > totalDies; assigned-- {
+		first(func(g *PlacementGroup) float64 { return float64(g.Dies) }).Dies--
+	}
+	for ; assigned < totalDies; assigned++ {
+		first(func(g *PlacementGroup) float64 {
+			return (0.5*g.IOShare + 0.5*g.SizeShare) / (float64(g.Dies) + 0.5)
+		}).Dies++
+	}
+	return PlacementPlan{Groups: groups, TotalDies: totalDies}
+}
+
+// classify assigns an access profile from the object's device-side counters
+// and its share of the total die time.
+func classify(o ObjectCounters, share float64) AccessProfile {
+	commands := o.Reads + o.Writes
 	switch {
-	case appendShare > 0.6:
-		return ProfileAppendOnly
-	case ioShare < 0.01:
+	case o.Kind == "meta" || o.Kind == "log" || o.Kind == "catalog":
+		return ProfileMetadata
+	case commands == 0:
 		return ProfileCold
-	case writeShare > 0.4:
+	case o.Writes > o.Reads && float64(o.Supersedes) < appendOnlySupersedes*float64(o.Writes):
+		return ProfileAppendOnly
+	case share < 0.01:
+		return ProfileCold
+	case float64(o.Writes) > 0.4*float64(commands):
 		return ProfileWriteHot
-	case readShare > 0.9:
+	case float64(o.Reads) > 0.9*float64(commands):
 		return ProfileReadMostly
 	default:
 		return ProfileMixed
 	}
-}
-
-func maxWeightIndex(w []float64) int {
-	best := 0
-	for i := range w {
-		if w[i] > w[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-func maxDieIndex(d []int) int {
-	best := 0
-	for i := range d {
-		if d[i] > d[best] {
-			best = i
-		}
-	}
-	return best
 }

@@ -3,43 +3,61 @@ package core
 import (
 	"strings"
 	"testing"
+	"time"
 
-	"noftl/internal/metrics"
+	"noftl/internal/flash"
 )
+
+// object fabricates a device-side record: nine tenths of an updated object's
+// writes supersede a mapped page, and the die time follows from the counts the
+// way Manager.ObjectStats derives it.
+func object(name, kind string, reads, writes, copybacks, sizePages int64) ObjectCounters {
+	t := flash.DefaultTiming()
+	return ObjectCounters{
+		Name: name, Kind: kind, SizePages: sizePages,
+		Reads: reads, Writes: writes, Supersedes: writes * 9 / 10, Copybacks: copybacks,
+		DieTime: time.Duration(reads)*t.ReadPage + time.Duration(writes)*t.ProgramPage +
+			time.Duration(copybacks)*(t.ReadPage+t.ProgramPage),
+	}
+}
 
 // tpccLikeStats fabricates per-object statistics with the qualitative shape
 // of a TPC-C run: ORDERLINE and STOCK write-hot and large, CUSTOMER mixed,
-// ITEM/WAREHOUSE/DISTRICT read-mostly and small, HISTORY append-only,
-// DBMS metadata tiny.
-func tpccLikeStats() []metrics.ObjectCounters {
-	return []metrics.ObjectCounters{
-		{Name: "ORDERLINE", Kind: "table", Reads: 900_000, Writes: 800_000, SizePages: 90_000},
-		{Name: "STOCK", Kind: "table", Reads: 1_200_000, Writes: 700_000, SizePages: 120_000},
-		{Name: "OL_IDX", Kind: "index", Reads: 800_000, Writes: 500_000, SizePages: 40_000},
-		{Name: "CUSTOMER", Kind: "table", Reads: 700_000, Writes: 250_000, SizePages: 80_000},
-		{Name: "ORDER", Kind: "table", Reads: 150_000, Writes: 120_000, SizePages: 15_000},
-		{Name: "NEW_ORDER", Kind: "table", Reads: 100_000, Writes: 110_000, SizePages: 3_000},
-		{Name: "O_IDX", Kind: "index", Reads: 90_000, Writes: 60_000, SizePages: 5_000},
-		{Name: "NO_IDX", Kind: "index", Reads: 70_000, Writes: 60_000, SizePages: 2_000},
-		{Name: "O_CUST_IDX", Kind: "index", Reads: 60_000, Writes: 50_000, SizePages: 3_000},
-		{Name: "C_IDX", Kind: "index", Reads: 200_000, Writes: 15_000, SizePages: 8_000},
-		{Name: "S_IDX", Kind: "index", Reads: 250_000, Writes: 10_000, SizePages: 9_000},
-		{Name: "I_IDX", Kind: "index", Reads: 180_000, Writes: 0, SizePages: 6_000},
-		{Name: "W_IDX", Kind: "index", Reads: 50_000, Writes: 100, SizePages: 100},
-		{Name: "D_IDX", Kind: "index", Reads: 50_000, Writes: 100, SizePages: 100},
-		{Name: "C_NAME_IDX", Kind: "index", Reads: 90_000, Writes: 15_000, SizePages: 7_000},
-		{Name: "ITEM", Kind: "table", Reads: 400_000, Writes: 0, SizePages: 10_000},
-		{Name: "WAREHOUSE", Kind: "table", Reads: 120_000, Writes: 40_000, SizePages: 50},
-		{Name: "DISTRICT", Kind: "table", Reads: 130_000, Writes: 45_000, SizePages: 60},
-		{Name: "HISTORY", Kind: "table", Reads: 1_000, Writes: 0, Appends: 120_000, SizePages: 12_000},
-		{Name: "DBMS-metadata", Kind: "meta", Reads: 5_000, Writes: 2_000, SizePages: 200},
-		{Name: "WAL", Kind: "log", Reads: 100, Writes: 90_000, Appends: 90_000, SizePages: 4_000},
+// ITEM/WAREHOUSE/DISTRICT read-mostly and small, HISTORY and the WAL
+// append-only (their writes supersede little or nothing), DBMS metadata tiny.
+func tpccLikeStats() []ObjectCounters {
+	history := object("HISTORY", "table", 1_000, 12_000, 9_000, 12_000)
+	history.Supersedes = 3_000
+	wal := object("WAL", "log", 100, 90_000, 0, 4_000)
+	wal.Supersedes = 0
+	return []ObjectCounters{
+		object("ORDERLINE", "table", 900_000, 800_000, 600_000, 90_000),
+		object("STOCK", "table", 1_200_000, 700_000, 500_000, 120_000),
+		object("OL_IDX", "index", 800_000, 500_000, 300_000, 40_000),
+		object("CUSTOMER", "table", 700_000, 250_000, 200_000, 80_000),
+		object("ORDER", "table", 150_000, 120_000, 90_000, 15_000),
+		object("NEW_ORDER", "table", 100_000, 110_000, 60_000, 3_000),
+		object("O_IDX", "index", 90_000, 60_000, 30_000, 5_000),
+		object("NO_IDX", "index", 70_000, 60_000, 30_000, 2_000),
+		object("O_CUST_IDX", "index", 60_000, 50_000, 20_000, 3_000),
+		object("C_IDX", "index", 200_000, 15_000, 10_000, 8_000),
+		object("S_IDX", "index", 250_000, 10_000, 10_000, 9_000),
+		object("I_IDX", "index", 180_000, 0, 5_000, 6_000),
+		object("W_IDX", "index", 50_000, 100, 0, 100),
+		object("D_IDX", "index", 50_000, 100, 0, 100),
+		object("C_NAME_IDX", "index", 90_000, 15_000, 10_000, 7_000),
+		object("ITEM", "table", 400_000, 0, 8_000, 10_000),
+		object("WAREHOUSE", "table", 120_000, 40_000, 100, 50),
+		object("DISTRICT", "table", 130_000, 45_000, 100, 60),
+		history,
+		object("DBMS-metadata", "meta", 5_000, 2_000, 100, 200),
+		wal,
 	}
 }
 
 func TestAdviseProducesPaperShapedPlan(t *testing.T) {
 	objs := tpccLikeStats()
-	plan := Advise(objs, 64, AdvisorOptions{MaxRegions: 6})
+	plan := Advise(objs, 64, 8192, AdvisorOptions{MaxRegions: 6})
 
 	if len(plan.Groups) == 0 || len(plan.Groups) > 6 {
 		t.Fatalf("plan has %d groups, want 1..6", len(plan.Groups))
@@ -122,7 +140,7 @@ func TestAdviseProducesPaperShapedPlan(t *testing.T) {
 func TestAdviseRespectsMaxRegions(t *testing.T) {
 	objs := tpccLikeStats()
 	for _, maxR := range []int{2, 3, 4, 6, 8} {
-		plan := Advise(objs, 32, AdvisorOptions{MaxRegions: maxR})
+		plan := Advise(objs, 32, 16384, AdvisorOptions{MaxRegions: maxR})
 		if len(plan.Groups) > maxR {
 			t.Fatalf("maxRegions=%d produced %d groups", maxR, len(plan.Groups))
 		}
@@ -138,30 +156,31 @@ func TestAdviseRespectsMaxRegions(t *testing.T) {
 
 func TestAdviseEdgeCases(t *testing.T) {
 	// No objects.
-	plan := Advise(nil, 8, AdvisorOptions{})
+	plan := Advise(nil, 8, 1024, AdvisorOptions{})
 	if len(plan.Groups) != 0 {
 		t.Fatalf("empty input produced groups: %+v", plan.Groups)
 	}
 	// One object takes every die.
-	plan = Advise([]metrics.ObjectCounters{{Name: "T", Kind: "table", Reads: 10, Writes: 10, SizePages: 10}}, 8, AdvisorOptions{})
+	plan = Advise([]ObjectCounters{object("T", "table", 10, 10, 0, 10)}, 8, 1024, AdvisorOptions{})
 	if len(plan.Groups) != 1 || plan.Groups[0].Dies != 8 {
 		t.Fatalf("single object plan wrong: %+v", plan.Groups)
 	}
 	// Objects with zero I/O still get placed (cold profile).
-	plan = Advise([]metrics.ObjectCounters{
+	plan = Advise([]ObjectCounters{
 		{Name: "A", Kind: "table"},
 		{Name: "B", Kind: "table"},
-	}, 4, AdvisorOptions{})
+	}, 4, 1024, AdvisorOptions{})
 	if plan.GroupOf("A") < 0 || plan.GroupOf("B") < 0 {
 		t.Fatalf("cold objects not placed: %+v", plan.Groups)
 	}
-	// More groups than dies: die counts stay >= 1 and the budget is not
-	// exceeded by more than the forced minimum.
-	many := []metrics.ObjectCounters{}
+	// More objects that want a region of their own than dies: a region needs
+	// a die, so groups are merged down to the budget and every object stays
+	// placed.
+	many := []ObjectCounters{}
 	for _, n := range []string{"A", "B", "C", "D"} {
-		many = append(many, metrics.ObjectCounters{Name: n, Kind: "table", Reads: 1000, Writes: 1000, SizePages: 100})
+		many = append(many, object(n, "table", 1000, 1000, 0, 100))
 	}
-	plan = Advise(many, 2, AdvisorOptions{MaxRegions: 4})
+	plan = Advise(many, 2, 1024, AdvisorOptions{MaxRegions: 4})
 	total := 0
 	for _, g := range plan.Groups {
 		if g.Dies < 1 {
@@ -169,8 +188,8 @@ func TestAdviseEdgeCases(t *testing.T) {
 		}
 		total += g.Dies
 	}
-	if total < 2 {
-		t.Fatalf("allocated %d dies for a 2-die budget", total)
+	if total != 2 || plan.GroupOf("A") < 0 || plan.GroupOf("D") < 0 {
+		t.Fatalf("allocated %d dies of a 2-die budget: %+v", total, plan.Groups)
 	}
 	// GroupOf for an unknown object.
 	if plan.GroupOf("nope") != -1 {
@@ -180,21 +199,27 @@ func TestAdviseEdgeCases(t *testing.T) {
 
 func TestClassify(t *testing.T) {
 	cases := []struct {
-		in   metrics.ObjectCounters
-		io   float64
-		want AccessProfile
+		in    ObjectCounters
+		share float64
+		want  AccessProfile
 	}{
-		{metrics.ObjectCounters{Kind: "meta", Reads: 1}, 0.5, ProfileMetadata},
-		{metrics.ObjectCounters{Kind: "log", Writes: 100}, 0.5, ProfileMetadata},
-		{metrics.ObjectCounters{Kind: "table"}, 0, ProfileCold},
-		{metrics.ObjectCounters{Kind: "table", Appends: 100, Reads: 10}, 0.2, ProfileAppendOnly},
-		{metrics.ObjectCounters{Kind: "table", Reads: 50, Writes: 50}, 0.2, ProfileWriteHot},
-		{metrics.ObjectCounters{Kind: "table", Reads: 100, Writes: 1}, 0.2, ProfileReadMostly},
-		{metrics.ObjectCounters{Kind: "table", Reads: 70, Writes: 30}, 0.2, ProfileMixed},
-		{metrics.ObjectCounters{Kind: "table", Reads: 70, Writes: 30}, 0.001, ProfileCold},
+		{ObjectCounters{Kind: "meta", Reads: 1}, 0.5, ProfileMetadata},
+		{ObjectCounters{Kind: "log", Writes: 100}, 0.5, ProfileMetadata},
+		{ObjectCounters{Kind: "table"}, 0, ProfileCold},
+		// HISTORY: written, hardly read, a quarter of the writes supersede.
+		{ObjectCounters{Kind: "table", Writes: 100, Supersedes: 26, Reads: 10}, 0.2, ProfileAppendOnly},
+		{ObjectCounters{Kind: "table", Writes: 100, Supersedes: 26, Reads: 10}, 0.001, ProfileAppendOnly},
+		// ORDERLINE grows by appends too, but rewrites its pages as they fill.
+		{ObjectCounters{Kind: "table", Writes: 100, Supersedes: 81, Reads: 10}, 0.2, ProfileWriteHot},
+		// Loaded once and read since: first writes alone do not make a log.
+		{ObjectCounters{Kind: "table", Writes: 3, Reads: 100}, 0.2, ProfileReadMostly},
+		{ObjectCounters{Kind: "table", Reads: 50, Writes: 50, Supersedes: 50}, 0.2, ProfileWriteHot},
+		{ObjectCounters{Kind: "table", Reads: 100, Writes: 1, Supersedes: 1}, 0.2, ProfileReadMostly},
+		{ObjectCounters{Kind: "table", Reads: 70, Writes: 30, Supersedes: 30}, 0.2, ProfileMixed},
+		{ObjectCounters{Kind: "table", Reads: 70, Writes: 30, Supersedes: 30}, 0.001, ProfileCold},
 	}
 	for i, c := range cases {
-		if got := classify(c.in, c.io); got != c.want {
+		if got := classify(c.in, c.share); got != c.want {
 			t.Errorf("case %d: classify = %s, want %s", i, got, c.want)
 		}
 	}

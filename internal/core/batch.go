@@ -109,6 +109,7 @@ func (m *Manager) readPages(now sim.Time, lpns []LPN, bufs [][]byte, out []PageR
 			continue
 		}
 		o.region.hostReads.Inc()
+		m.charge(c.Meta.ObjectID, opRead)
 		o.region.readLat.Observe(c.Done.Sub(now))
 		if traced {
 			tr.Record(obs.Event{
@@ -391,6 +392,11 @@ func (m *Manager) commitWrite(p *hostWrite, w *PageWrite, start, done sim.Time, 
 		r.admitted--
 	}
 	r.hostWrites.Inc()
+	if had {
+		m.charge(w.Hint.ObjectID, opWriteOver)
+	} else {
+		m.charge(w.Hint.ObjectID, opWriteFirst)
+	}
 	r.writeLat.Observe(done.Sub(start))
 	if traced {
 		m.tracer.Record(obs.Event{

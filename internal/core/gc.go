@@ -305,6 +305,7 @@ func (m *Manager) relocateAndErase(now sim.Time, r *Region, da *dieAlloc, victim
 		vblk.valid[mv.page] = false
 		vblk.validCount--
 		r.gcCopybacks.Inc()
+		m.charge(c.Meta.ObjectID, opCopyback)
 	}
 	if len(reqs) > 0 {
 		now = end

@@ -209,6 +209,12 @@ type Manager struct {
 	// itself (bindRegionLocked).
 	tracer *obs.Tracer
 	reg    *metrics.Registry
+
+	// Per-object demand (objects.go): the children of noftl_object_io_total by
+	// object id.  objMu guards the table, and reg for those who bind children
+	// to it, because the read path charges a command without mu.
+	objMu   sync.RWMutex
+	objects map[uint32]*objectIO
 }
 
 // NewManager creates a space manager over dev.  Initially a single region
@@ -245,6 +251,7 @@ func NewManager(dev *flash.Device, opts Options) *Manager {
 		m.dies[i] = da
 	}
 
+	m.objects = map[uint32]*objectIO{0: m.bindObject(UnattributedObject, "", nil)}
 	def := &Region{id: DefaultRegionID, name: DefaultRegionName}
 	m.bindRegionLocked(def)
 	def.gc = opts.GC
@@ -277,11 +284,16 @@ func (m *Manager) Mode() PlacementMode { return m.opts.Mode }
 // regions created later are bound automatically.
 func (m *Manager) AttachObs(tr *obs.Tracer, reg *metrics.Registry) {
 	m.mu.Lock()
+	m.objMu.Lock()
 	m.tracer = tr
 	m.reg = reg
 	for _, r := range m.regions {
 		m.bindRegionLocked(r)
 	}
+	for id, o := range m.objects {
+		m.objects[id] = m.bindObject(o.name, o.kind, o.size)
+	}
+	m.objMu.Unlock()
 	m.mu.Unlock()
 	m.sched.AttachObs(tr, reg)
 	m.dev.AttachObs(reg)

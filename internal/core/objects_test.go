@@ -1,0 +1,194 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"noftl/internal/metrics"
+	"noftl/internal/sim"
+)
+
+// TestObjectDemandSumsToTheRegions drives two named objects and an unnamed one
+// through first writes, overwrites, reads and enough churn for GC, and checks
+// that every command is charged to exactly one object: the records sum to the
+// region counters, split the writes by whether they superseded a mapped page,
+// survive a rebind to another registry, restart from zero with ResetCounters,
+// and that a forgotten object leaves the family while its cost stays in the
+// sum.
+func TestObjectDemandSumsToTheRegions(t *testing.T) {
+	dev := smallDevice(t, 2, 16, 8)
+	m := NewManager(dev, DefaultOptions())
+	reg := metrics.NewRegistry()
+	m.NameObject(1, "A", "table", func() int64 { return 11 })
+	m.AttachObs(nil, reg) // children named before the attach move to the shared registry
+	m.NameObject(2, "B", "index", func() int64 { return 22 })
+
+	const pages = 180 // of 225 the device exports: GC victims hold valid pages to move
+	base := m.AllocateLPNs(pages)
+	var wantWrites, wantOver [4]int64 // by object id, counted as the pages are written
+	written := map[LPN]bool{}
+	rng := sim.NewRand(7)
+	for n := 0; n < pages+1500; n++ {
+		i := LPN(n) // the load, then random overwrites of the two thirds that are not object 1's
+		for n >= pages && (i >= pages || i%3 == 0) {
+			i = LPN(rng.Intn(pages))
+		}
+		object := uint32(1 + i%3) // object 3 is never named
+		if _, err := m.WritePage(0, base+i, fillPage(dev, byte(i)), Hint{ObjectID: object}); err != nil {
+			t.Fatal(err)
+		}
+		wantWrites[object]++
+		if written[base+i] {
+			wantOver[object]++
+		}
+		written[base+i] = true
+	}
+	for i := LPN(0); i < pages; i++ {
+		if _, _, err := m.ReadPage(0, base+i, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	check := func(stage string, wantNames ...string) map[string]ObjectCounters {
+		t.Helper()
+		st, byName := m.Stats(), map[string]ObjectCounters{}
+		var reads, writes, copybacks int64
+		for _, o := range m.ObjectStats() {
+			byName[o.Name] = o
+			reads, writes, copybacks = reads+o.Reads, writes+o.Writes, copybacks+o.Copybacks
+		}
+		if reads != st.HostReads || writes != st.HostWrites || copybacks != st.GCCopybacks {
+			t.Fatalf("%s: objects sum to %d/%d/%d reads/writes/copybacks, regions to %d/%d/%d",
+				stage, reads, writes, copybacks, st.HostReads, st.HostWrites, st.GCCopybacks)
+		}
+		if len(byName) != len(wantNames) {
+			t.Fatalf("%s: objects %v, want %v", stage, byName, wantNames)
+		}
+		text := reg.Text()
+		for _, name := range wantNames {
+			if _, ok := byName[name]; !ok || !strings.Contains(text, `noftl_object_io_total{object="`+name+`"`) {
+				t.Fatalf("%s: %s missing from the records or the registry:\n%v", stage, name, byName)
+			}
+		}
+		return byName
+	}
+
+	objs := check("after the churn", "A", "B", UnattributedObject)
+	if st := m.Stats(); st.GCCopybacks == 0 {
+		t.Fatal("degenerate workload: no GC")
+	}
+	a, b, u := objs["A"], objs["B"], objs[UnattributedObject]
+	if a.Reads != 60 || a.Writes != 60 || a.Supersedes != 0 || a.SizePages != 11 || a.Kind != "table" || a.Copybacks == 0 {
+		t.Fatalf("A is written once, read once per page and what GC has to move: %+v", a)
+	}
+	if b.Reads != 60 || b.Writes != wantWrites[2] || b.Supersedes != wantOver[2] || b.SizePages != 22 ||
+		u.Writes != wantWrites[3] || u.Supersedes != wantOver[3] || wantOver[2] == 0 {
+		t.Fatalf("B wrote %d pages (%d over a mapped one), the unnamed object %d (%d): %+v %+v",
+			wantWrites[2], wantOver[2], wantWrites[3], wantOver[3], b, u)
+	}
+	timing := dev.Timing()
+	if want := 60*timing.ReadPage + 60*timing.ProgramPage + time.Duration(a.Copybacks)*(timing.ReadPage+timing.ProgramPage); a.DieTime != want {
+		t.Fatalf("A's die time is %v, its commands cost %v", a.DieTime, want)
+	}
+
+	m.ForgetObject(2)
+	objs = check("after forgetting B", "A", UnattributedObject)
+	if got := objs[UnattributedObject]; got.Writes != u.Writes+b.Writes || got.Copybacks != u.Copybacks+b.Copybacks {
+		t.Fatalf("B's cost did not move to the unattributed child: %+v", got)
+	}
+	if strings.Contains(reg.Text(), `object="B"`) {
+		t.Fatal("the forgotten object is still exposed")
+	}
+	m.NameObject(2, "B", "index", nil)
+	if got := check("after naming a new B", "A", "B", UnattributedObject)["B"]; got.Writes != 0 || got.DieTime != 0 {
+		t.Fatalf("an object re-created under the name must count from zero: %+v", got)
+	}
+
+	m.ResetCounters()
+	if objs = check("after the reset", "A", "B"); objs["A"].DieTime != 0 {
+		t.Fatalf("reset left %+v", objs)
+	}
+}
+
+// TestObjectsNamedAndForgottenUnderTraffic reads and writes from several
+// goroutines while objects come and go (run it with -race): whichever child a
+// command lands on, none is lost.
+func TestObjectsNamedAndForgottenUnderTraffic(t *testing.T) {
+	dev := smallDevice(t, 4, 32, 8)
+	m := NewManager(dev, DefaultOptions())
+	base := m.AllocateLPNs(64)
+	for i := LPN(0); i < 64; i++ {
+		if _, err := m.WritePage(0, base+i, fillPage(dev, 1), Hint{ObjectID: uint32(1 + i%4)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < 200; n++ {
+				lpn := base + LPN((n*7+g)%64)
+				if _, _, err := m.ReadPage(0, lpn, nil); err != nil {
+					t.Error(err)
+				}
+				if _, err := m.WritePage(0, lpn, fillPage(dev, 2), Hint{ObjectID: uint32(1 + (lpn-base)%4)}); err != nil {
+					t.Error(err)
+				}
+			}
+		}(g)
+	}
+	for n := 0; n < 100; n++ {
+		id := uint32(1 + n%4)
+		m.NameObject(id, fmt.Sprint("T", id), "table", nil)
+		_ = m.ObjectStats()
+		m.ForgetObject(id)
+	}
+	wg.Wait()
+	st := m.Stats()
+	var reads, writes int64
+	for _, o := range m.ObjectStats() {
+		reads, writes = reads+o.Reads, writes+o.Writes
+	}
+	if reads != st.HostReads || writes != st.HostWrites || reads != 800 {
+		t.Fatalf("objects sum to %d reads and %d writes, regions to %d and %d", reads, writes, st.HostReads, st.HostWrites)
+	}
+}
+
+// TestNewPlanFloorsAndShares pins the allocator's contract beyond the
+// properties internal/tpcc checks on the TPC-C footprints: footprint floors
+// first, the largest floor shrunk when they do not fit, the rest by demand, and
+// no dies at all for more groups than dies.
+func TestNewPlanFloorsAndShares(t *testing.T) {
+	dies := func(pages []int64, demand []float64, total, perDie int) []int {
+		var out []int
+		for _, g := range NewPlan(make([]PlacementGroup, len(pages)), pages, demand, total, perDie).Groups {
+			out = append(out, g.Dies)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name   string
+		pages  []int64
+		demand []float64
+		total  int
+		want   []int
+	}{
+		{"floors of 85 usable pages per die, the rest by demand and footprint", []int64{170, 85, 1}, []float64{0, 0, 1}, 8, []int{3, 1, 4}},
+		{"floors of 10, 5 and 1 do not fit: the largest shrinks first", []int64{850, 425, 1}, []float64{1, 1, 1}, 8, []int{3, 4, 1}},
+		{"no demand and no footprint: the first group takes the rest", []int64{0, 0}, []float64{0, 0}, 5, []int{4, 1}},
+		{"the paper's counts are exact quotas at 64", make([]int64, 6), []float64{2, 11, 10, 29, 6, 6}, 64, []int{2, 11, 10, 29, 6, 6}},
+		{"fewer dies than groups", []int64{1, 1, 1}, []float64{1, 1, 1}, 2, []int{0, 0, 0}},
+	} {
+		got := dies(tc.pages, tc.demand, tc.total, 100)
+		for i := range tc.want {
+			if got[i] != tc.want[i] {
+				t.Errorf("%s: %v, want %v", tc.name, got, tc.want)
+				break
+			}
+		}
+	}
+}

@@ -190,8 +190,8 @@ func (m *Manager) regionNamesLocked() []string {
 	return names
 }
 
-// ResetCounters clears all I/O and GC counters (per region, in the scheduler
-// and on the device) while keeping the mapping, allocation state and wear
+// ResetCounters clears all I/O and GC counters (per region, per object, in the
+// scheduler and on the device) while keeping the mapping, allocation state and wear
 // intact.
 // Benchmarks call this after the warm-up phase.
 func (m *Manager) ResetCounters() {
@@ -199,6 +199,13 @@ func (m *Manager) ResetCounters() {
 	for _, r := range m.regions {
 		r.resetCounters()
 	}
+	m.objMu.RLock()
+	for _, o := range m.objects {
+		for _, c := range o.ops {
+			c.Reset()
+		}
+	}
+	m.objMu.RUnlock()
 	m.mu.Unlock()
 	m.dev.ResetCounters()
 	m.sched.ResetCounters()

@@ -2,12 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
+	"text/tabwriter"
 	"time"
 
 	"noftl/internal/core"
 	"noftl/internal/flash"
 	"noftl/internal/ftl"
-	"noftl/internal/metrics"
 	"noftl/internal/sim"
 )
 
@@ -320,10 +321,13 @@ func RunAblationRegionSweep(scale Scale) ([]RegionSweepPoint, error) {
 
 // SweepTable renders the region sweep.
 func SweepTable(points []RegionSweepPoint) string {
-	t := metrics.NewTable("A4: regions vs throughput and GC overhead",
-		"Regions", "TPS", "Write amplification", "GC copybacks")
+	var b strings.Builder
+	fmt.Fprintln(&b, "A4: regions vs throughput and GC overhead")
+	w := tabwriter.NewWriter(&b, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(w, "Regions\tTPS\tWrite amplification\tGC copybacks")
 	for _, p := range points {
-		t.AddRow(p.Regions, p.TPS, p.WriteAmp, p.Copybacks)
+		fmt.Fprintf(w, "%d\t%.2f\t%.2f\t%d\n", p.Regions, p.TPS, p.WriteAmp, p.Copybacks)
 	}
-	return t.String()
+	w.Flush()
+	return b.String()
 }

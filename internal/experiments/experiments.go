@@ -8,6 +8,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"text/tabwriter"
 	"time"
 
 	"noftl"
@@ -150,9 +151,9 @@ func TPCCSetup(scale Scale) Setup {
 	return Setup{DB: dbCfg, TPCC: workload}
 }
 
-// RunTPCC runs one TPC-C experiment (load + warm-up + measurement) under the
-// given placement on a fresh database.
-func RunTPCC(scale Scale, placement tpcc.PlacementKind) (tpcc.Results, error) {
+// openTPCC opens a fresh database for a TPC-C run at the given scale under the
+// given placement and returns it with the workload configuration.
+func openTPCC(scale Scale, placement tpcc.PlacementKind) (*noftl.DB, tpcc.Config, error) {
 	setup := TPCCSetup(scale)
 	setup.TPCC.Placement = placement
 	if placement == tpcc.PlacementTraditional {
@@ -167,11 +168,18 @@ func RunTPCC(scale Scale, placement tpcc.PlacementKind) (tpcc.Results, error) {
 	// separately in ablation A6.
 	setup.DB.Space.DisableBackgroundGC = true
 	db, err := noftl.OpenConfig(setup.DB)
+	return db, setup.TPCC, err
+}
+
+// RunTPCC runs one TPC-C experiment (load + warm-up + measurement) under the
+// given placement on a fresh database.
+func RunTPCC(scale Scale, placement tpcc.PlacementKind) (tpcc.Results, error) {
+	db, workload, err := openTPCC(scale, placement)
 	if err != nil {
 		return tpcc.Results{}, err
 	}
 	defer db.Close()
-	return tpcc.LoadAndRun(db, setup.TPCC)
+	return tpcc.LoadAndRun(db, workload)
 }
 
 // Figure3 holds the two runs of the paper's Figure 3 comparison.
@@ -197,23 +205,27 @@ func RunFigure3(scale Scale) (Figure3, error) {
 
 // Table renders the comparison in the layout of the paper's Figure 3.
 func (f Figure3) Table() string {
-	t := metrics.NewTable(
-		fmt.Sprintf("Figure 3: Performance comparison of traditional and multi-region data placement (%s scale)", f.Scale),
-		"Metric", "Traditional data placement", "Data placement using Regions")
+	var b strings.Builder
+	fmt.Fprintf(&b, "Figure 3: Performance comparison of traditional and multi-region data placement (%s scale)\n", f.Scale)
+	w := tabwriter.NewWriter(&b, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(w, "Metric\tTraditional data placement\tData placement using Regions")
+	value := func(name string, tr, rg float64) { fmt.Fprintf(w, "%s\t%.2f\t%.2f\n", name, tr, rg) }
+	count := func(name string, tr, rg int64) { fmt.Fprintf(w, "%s\t%d\t%d\n", name, tr, rg) }
 	tr, rg := f.Traditional, f.Regions
-	t.AddRow("TPS", tr.TPS, rg.TPS)
-	t.AddRow("READ 4KB (us)", float64(tr.ReadLatency.Mean)/1e3, float64(rg.ReadLatency.Mean)/1e3)
-	t.AddRow("WRITE 4KB (us)", float64(tr.WriteLatency.Mean)/1e3, float64(rg.WriteLatency.Mean)/1e3)
-	t.AddRow("NewOrder TRX (ms)", ms(tr.ResponseTimes[tpcc.TxnNewOrder].Mean), ms(rg.ResponseTimes[tpcc.TxnNewOrder].Mean))
-	t.AddRow("Payment TRX (ms)", ms(tr.ResponseTimes[tpcc.TxnPayment].Mean), ms(rg.ResponseTimes[tpcc.TxnPayment].Mean))
-	t.AddRow("StockLevel TRX (ms)", ms(tr.ResponseTimes[tpcc.TxnStockLevel].Mean), ms(rg.ResponseTimes[tpcc.TxnStockLevel].Mean))
-	t.AddRow("Transactions", tr.Committed, rg.Committed)
-	t.AddRow("Host READ I/Os (4KB)", tr.HostReadIOs, rg.HostReadIOs)
-	t.AddRow("Host WRITE I/Os (4KB)", tr.HostWriteIOs, rg.HostWriteIOs)
-	t.AddRow("GC COPYBACKs", tr.GCCopybacks, rg.GCCopybacks)
-	t.AddRow("GC ERASEs", tr.GCErases, rg.GCErases)
-	t.AddRow("Write amplification", tr.WriteAmp, rg.WriteAmp)
-	return t.String()
+	value("TPS", tr.TPS, rg.TPS)
+	value("READ 4KB (us)", float64(tr.ReadLatency.Mean)/1e3, float64(rg.ReadLatency.Mean)/1e3)
+	value("WRITE 4KB (us)", float64(tr.WriteLatency.Mean)/1e3, float64(rg.WriteLatency.Mean)/1e3)
+	value("NewOrder TRX (ms)", ms(tr.ResponseTimes[tpcc.TxnNewOrder].Mean), ms(rg.ResponseTimes[tpcc.TxnNewOrder].Mean))
+	value("Payment TRX (ms)", ms(tr.ResponseTimes[tpcc.TxnPayment].Mean), ms(rg.ResponseTimes[tpcc.TxnPayment].Mean))
+	value("StockLevel TRX (ms)", ms(tr.ResponseTimes[tpcc.TxnStockLevel].Mean), ms(rg.ResponseTimes[tpcc.TxnStockLevel].Mean))
+	count("Transactions", tr.Committed, rg.Committed)
+	count("Host READ I/Os (4KB)", tr.HostReadIOs, rg.HostReadIOs)
+	count("Host WRITE I/Os (4KB)", tr.HostWriteIOs, rg.HostWriteIOs)
+	count("GC COPYBACKs", tr.GCCopybacks, rg.GCCopybacks)
+	count("GC ERASEs", tr.GCErases, rg.GCErases)
+	value("Write amplification", tr.WriteAmp, rg.WriteAmp)
+	w.Flush()
+	return b.String()
 }
 
 func ms(d time.Duration) float64 { return float64(d) / 1e6 }
@@ -255,62 +267,92 @@ func (h Headline) String() string {
 	return b.String()
 }
 
-// Figure2 holds the Region-Advisor experiment: the statistics collection run
-// and the derived placement plan.
+// Figure2 holds the Region-Advisor experiment: the per-object device demand a
+// TPC-C run measured and three plans the one allocator makes of it.
 type Figure2 struct {
-	Scale   Scale
-	Objects []metrics.ObjectCounters
-	Plan    noftl.PlacementPlan
+	Scale     Scale
+	Placement tpcc.PlacementKind
+	Objects   []noftl.ObjectCounters
+	// Plan is the Region Advisor's: its own grouping on the measured demand.
+	Plan noftl.PlacementPlan
+	// Planned is what tpcc.Setup builds before the database exists — the
+	// paper's grouping on estimated footprints and hand-entered I/O weights —
+	// and Measured the same grouping on the measured sizes and die time.
+	Planned, Measured noftl.PlacementPlan
 }
 
-// RunFigure2 reproduces Figure 2: run TPC-C under traditional placement to
-// collect per-object statistics, then let the Region Advisor divide the
-// objects into regions and distribute the dies.
-func RunFigure2(scale Scale) (Figure2, error) {
-	setup := TPCCSetup(scale)
-	setup.TPCC.Placement = tpcc.PlacementTraditional
-	setup.DB.Space.DisableBackgroundGC = true // the paper's foreground-GC regime
-	db, err := noftl.OpenConfig(setup.DB)
+// RunFigure2 reproduces Figure 2: run TPC-C under the given placement — the
+// paper profiles under the traditional one — to measure every object's device
+// demand, then let the Region Advisor divide the objects into regions and
+// distribute the dies.
+func RunFigure2(scale Scale, placement tpcc.PlacementKind) (Figure2, error) {
+	db, workload, err := openTPCC(scale, placement)
 	if err != nil {
 		return Figure2{}, err
 	}
 	defer db.Close()
-	if _, err := tpcc.LoadAndRun(db, setup.TPCC); err != nil {
+	if _, err := tpcc.LoadAndRun(db, workload); err != nil {
 		return Figure2{}, err
 	}
-	objs := db.ObjectStats()
-	plan := db.Advise(noftl.AdvisorOptions{MaxRegions: 6})
-	return Figure2{Scale: scale, Objects: objs, Plan: plan}, nil
-}
+	f := Figure2{Scale: scale, Placement: placement, Objects: db.ObjectStats(),
+		Plan: db.Advise(noftl.AdvisorOptions{MaxRegions: 6})}
 
-// Table renders the advisor's plan in the layout of the paper's Figure 2.
-func (f Figure2) Table() string {
-	return f.Plan.TableString()
-}
-
-// PaperFigure2Table renders the placement configuration the paper itself
-// used (the fixed object grouping of Figure 2) for side-by-side comparison.
-func PaperFigure2Table(totalDies int) string {
-	t := metrics.NewTable(
-		fmt.Sprintf("Paper Figure 2: multi-region data placement configuration for TPC-C (%d dies)", totalDies),
-		"Tablespace/Region", "DB-Objects", "Num. of Flash dies")
-	rows := []struct {
-		objs string
-		dies int
-	}{
-		{"DBMS-metadata; HISTORY", 2},
-		{"ORDERLINE", 11},
-		{"CUSTOMER", 10},
-		{"OL_IDX; STOCK", 29},
-		{"NEW_ORDER; ORDER; NO_IDX; O_IDX; O_CUST_IDX", 6},
-		{"C_IDX; I_IDX; S_IDX; W_IDX; C_NAME_IDX; ITEM; D_IDX; WAREHOUSE; DISTRICT", 6},
-	}
-	for i, r := range rows {
-		dies := r.dies * totalDies / 64
-		if dies < 1 {
-			dies = 1
+	// Sum the measured objects over the paper's groups; what no group lists
+	// (the WAL) lives in the default region with group 0.
+	groups := tpcc.Figure2Groups()
+	groupOf := map[string]int{}
+	for gi, g := range groups {
+		for _, o := range g.Objects {
+			groupOf[o] = gi
 		}
-		t.AddRow(i, r.objs, dies)
 	}
-	return t.String()
+	pages, dieTime := make([]int64, len(groups)), make([]float64, len(groups))
+	for _, o := range f.Objects {
+		gi, listed := groupOf[o.Name]
+		if !listed {
+			groups[gi].Objects = append(groups[gi].Objects, o.Name)
+		}
+		pages[gi] += o.SizePages
+		dieTime[gi] += float64(o.DieTime)
+	}
+	geo := db.Geometry()
+	f.Measured = core.NewPlan(groups, pages, dieTime, geo.Dies(), geo.PagesPerDie())
+	f.Planned = tpcc.Plan(workload, geo.Dies(), geo.PagesPerDie())
+	return f, nil
+}
+
+// Table renders the measured demand per object and the three plans in the
+// layout of the paper's Figure 2.
+func (f Figure2) Table() string {
+	var b strings.Builder
+	var totalTime float64
+	for _, o := range f.Objects {
+		totalTime += float64(o.DieTime)
+	}
+	fmt.Fprintf(&b, "Device demand per object, TPC-C under %s placement (%s scale)\n", f.Placement, f.Scale)
+	w := tabwriter.NewWriter(&b, 0, 0, 2, ' ', tabwriter.AlignRight)
+	fmt.Fprintln(w, "Object\tPages\tReads\tWrites\tSuperseding\tCopybacks\tDie ms\tDie time\t")
+	for _, o := range f.Objects {
+		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%.0f%%\t%d\t%.1f\t%.1f%%\t\n", o.Name, o.SizePages, o.Reads, o.Writes,
+			100*float64(o.Supersedes)/float64(max(o.Writes, 1)), o.Copybacks, ms(o.DieTime), 100*float64(o.DieTime)/max(totalTime, 1))
+	}
+	w.Flush()
+	fmt.Fprintf(&b, "\nThe paper's groups on estimated footprints and the hand-entered I/O weights (what tpcc.Setup builds):\n%s", f.Planned.TableString())
+	fmt.Fprintf(&b, "\nThe paper's groups on the measured sizes and die time:\n%s", f.Measured.TableString())
+	fmt.Fprintf(&b, "\nThe Region Advisor's grouping on the measured sizes and die time:\n%s", f.Plan.TableString())
+	return b.String()
+}
+
+// PaperFigure2 is the placement configuration the paper itself used: its
+// grouping, with its 2/11/10/29/6/6 of 64 dies as the groups' shares of a
+// device of totalDies (no footprint is known).
+func PaperFigure2(totalDies int) noftl.PlacementPlan {
+	groups := tpcc.Figure2Groups()
+	groups[0].Objects = append([]string{"DBMS-metadata"}, groups[0].Objects...)
+	return core.NewPlan(groups, make([]int64, len(groups)), []float64{2, 11, 10, 29, 6, 6}, totalDies, 1)
+}
+
+// PaperFigure2Table renders PaperFigure2 for side-by-side comparison.
+func PaperFigure2Table(totalDies int) string {
+	return fmt.Sprintf("Paper Figure 2 for TPC-C, scaled to %d dies:\n%s", totalDies, PaperFigure2(totalDies).TableString())
 }

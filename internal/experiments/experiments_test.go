@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"noftl/internal/core"
 	"noftl/internal/tpcc"
 )
 
@@ -29,7 +31,7 @@ func TestTPCCSetupScales(t *testing.T) {
 }
 
 func TestRunFigure2Tiny(t *testing.T) {
-	f2, err := RunFigure2(ScaleTiny)
+	f2, err := RunFigure2(ScaleTiny, tpcc.PlacementTraditional)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,13 +49,99 @@ func TestRunFigure2Tiny(t *testing.T) {
 		t.Fatalf("plan distributes %d dies", total)
 	}
 	tbl := f2.Table()
-	for _, obj := range []string{tpcc.TableStock, tpcc.TableOrderLine, tpcc.TableCustomer} {
-		if !strings.Contains(tbl, obj) {
-			t.Fatalf("Figure 2 table missing %s:\n%s", obj, tbl)
+	for _, want := range []string{tpcc.TableStock, tpcc.TableOrderLine, tpcc.TableCustomer, "Superseding", "what tpcc.Setup builds"} {
+		if !strings.Contains(tbl, want) {
+			t.Fatalf("Figure 2 table missing %s:\n%s", want, tbl)
 		}
 	}
 	if !strings.Contains(PaperFigure2Table(64), "OL_IDX; STOCK") {
 		t.Fatal("paper reference table wrong")
+	}
+}
+
+// TestPaperFigure2 checks the paper's configuration scaled to other devices:
+// literal at 64 dies, every die handed out and no group without one from 6
+// dies up (the truncating scale-down this replaces gave out 14 of 16).
+func TestPaperFigure2(t *testing.T) {
+	for n := 6; n <= 64; n++ {
+		var dies []int
+		sum := 0
+		for _, g := range PaperFigure2(n).Groups {
+			dies = append(dies, g.Dies)
+			sum += g.Dies
+			if g.Dies < 1 {
+				t.Fatalf("%d dies: a group without a die", n)
+			}
+		}
+		if sum != n || n == 64 && !reflect.DeepEqual(dies, []int{2, 11, 10, 29, 6, 6}) {
+			t.Fatalf("%d dies: %v hands out %d", n, dies, sum)
+		}
+	}
+}
+
+// TestFigure2Small runs the advisor's procedure at the small scale and checks
+// the classification against what TPC-C does to its tables: HISTORY is only
+// appended to and shares the log's region; Delivery deletes from NEW_ORDER and
+// updates ORDER, so neither is append-only although both grow by inserts (the
+// row-level append counter this replaces put them with HISTORY); the log,
+// which that counter never saw, costs die time; and the dies are handed out by
+// the one allocator.
+func TestFigure2Small(t *testing.T) {
+	f2, err := RunFigure2(ScaleSmall, tpcc.PlacementTraditional)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := f2.Plan
+	if g := plan.GroupOf(tpcc.TableHistory); g != 0 || plan.Groups[0].Profile != core.ProfileAppendOnly || plan.GroupOf("WAL") != 0 {
+		t.Fatalf("HISTORY and the WAL are not in the append-only region 0:\n%s", plan.TableString())
+	}
+	for _, name := range []string{tpcc.TableNewOrder, tpcc.TableOrder} {
+		if g := plan.GroupOf(name); g <= 0 {
+			t.Errorf("%s is in group %d, want a region of updated objects:\n%s", name, g, plan.TableString())
+		}
+	}
+	size := map[string]int64{}
+	for _, o := range f2.Objects {
+		size[o.Name] = o.SizePages
+		if o.Name == "WAL" && (o.DieTime <= 0 || o.Writes == 0) {
+			t.Errorf("the WAL costs no die time: %+v", o)
+		}
+		if o.Name == tpcc.TableHistory && 2*o.Supersedes >= o.Writes {
+			t.Errorf("HISTORY supersedes %d of its %d page writes", o.Supersedes, o.Writes)
+		}
+	}
+	// Every group gets the dies its footprint needs; the device is deliberately
+	// full, so when the floors do not all fit, dies go to floors only.
+	geo := TPCCSetup(ScaleSmall).DB.Flash.Geometry
+	usable := int64(float64(geo.PagesPerDie()) * 0.85)
+	floors, sumFloors, sumDies := make([]int, len(plan.Groups)), 0, 0
+	for i, g := range plan.Groups {
+		var pages int64
+		for _, o := range g.Objects {
+			pages += size[o]
+		}
+		floors[i] = max(int((pages+usable-1)/usable), 1)
+		sumFloors += floors[i]
+		sumDies += g.Dies
+	}
+	if sumDies != geo.Dies() {
+		t.Errorf("plan hands out %d of %d dies:\n%s", sumDies, geo.Dies(), plan.TableString())
+	}
+	for i, g := range plan.Groups {
+		if g.Dies < 1 || sumFloors <= sumDies && g.Dies < floors[i] || sumFloors > sumDies && g.Dies > floors[i] {
+			t.Errorf("group %d has %d dies, its footprint needs %d (all floors: %d of %d dies):\n%s",
+				i, g.Dies, floors[i], sumFloors, sumDies, plan.TableString())
+		}
+	}
+	// The same allocator on the paper's grouping: the planned plan is the one
+	// tpcc.Setup builds (the golden vector of internal/tpcc), and the measured
+	// one charges the log to group 0.
+	var planned []int
+	for _, g := range f2.Planned.Groups {
+		planned = append(planned, g.Dies)
+	}
+	if !reflect.DeepEqual(planned, []int{2, 4, 2, 6, 1, 1}) || f2.Measured.GroupOf("WAL") != 0 || f2.Measured.Groups[0].IOShare < 0.1 {
+		t.Errorf("planned dies %v; measured plan:\n%s", planned, f2.Measured.TableString())
 	}
 }
 

@@ -3,10 +3,11 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"strings"
+	"text/tabwriter"
 	"time"
 
 	"noftl"
-	"noftl/internal/metrics"
 	"noftl/internal/tpcc"
 )
 
@@ -42,21 +43,25 @@ type TPCCScalingResult struct {
 
 // Table renders the side-by-side comparison.
 func (r TPCCScalingResult) Table() string {
-	t := metrics.NewTable(
-		fmt.Sprintf("TPC-C concurrency scaling (%s scale, %d CPUs)", r.Scale, r.NumCPU),
-		"Metric", fmt.Sprintf("%d worker", r.Baseline.Workers), fmt.Sprintf("%d workers", r.Parallel.Workers))
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "TPC-C concurrency scaling (%s scale, %d CPUs)\n", r.Scale, r.NumCPU)
+	w := tabwriter.NewWriter(&sb, 0, 0, 2, ' ', 0)
+	fmt.Fprintf(w, "Metric\t%d worker\t%d workers\n", r.Baseline.Workers, r.Parallel.Workers)
+	value := func(name string, b, p float64) { fmt.Fprintf(w, "%s\t%.2f\t%.2f\n", name, b, p) }
+	count := func(name string, b, p int64) { fmt.Fprintf(w, "%s\t%d\t%d\n", name, b, p) }
 	b, p := r.Baseline, r.Parallel
-	t.AddRow("Wall-clock TPS", b.WallTPS, p.WallTPS)
-	t.AddRow("Wall-clock time (s)", b.WallTime.Seconds(), p.WallTime.Seconds())
-	t.AddRow("Virtual TPS", b.TPS, p.TPS)
-	t.AddRow("Committed", b.Committed, p.Committed)
-	t.AddRow("Lock waits", b.LockWaits, p.LockWaits)
-	t.AddRow("Lock timeouts", b.LockTimeouts, p.LockTimeouts)
-	t.AddRow("WAL flushes", b.WALFlushes, p.WALFlushes)
-	t.AddRow("WAL group commits", b.WALGroupCommits, p.WALGroupCommits)
-	t.AddRow("WAL grouped txns", b.WALGroupedTxns, p.WALGroupedTxns)
-	t.AddRow("Wall-clock scaling", 1.0, r.Scaling)
-	return t.String()
+	value("Wall-clock TPS", b.WallTPS, p.WallTPS)
+	value("Wall-clock time (s)", b.WallTime.Seconds(), p.WallTime.Seconds())
+	value("Virtual TPS", b.TPS, p.TPS)
+	count("Committed", b.Committed, p.Committed)
+	count("Lock waits", b.LockWaits, p.LockWaits)
+	count("Lock timeouts", b.LockTimeouts, p.LockTimeouts)
+	count("WAL flushes", b.WALFlushes, p.WALFlushes)
+	count("WAL group commits", b.WALGroupCommits, p.WALGroupCommits)
+	count("WAL grouped txns", b.WALGroupedTxns, p.WALGroupedTxns)
+	value("Wall-clock scaling", 1.0, r.Scaling)
+	w.Flush()
+	return sb.String()
 }
 
 func (r TPCCScalingResult) String() string {

@@ -1,7 +1,6 @@
 // Package metrics provides the counters, gauges and latency histograms used
-// throughout the reproduction, the Registry of labelled families that owns
-// them (prom.go), and the per-object I/O statistics behind the Region
-// Advisor.
+// throughout the reproduction and the Registry of labelled families that owns
+// them (prom.go).
 //
 // The registry is the single owner of every exported fact: a layer resolves
 // its family children once, increments exactly those on its hot path, and
@@ -243,4 +242,13 @@ func (h *Histogram) Snapshot() Snapshot {
 		P99:   h.Quantile(0.99),
 		Max:   h.Max(),
 	}
+}
+
+// PercentDelta returns the relative change from base to v as a percentage
+// (positive means v is larger).
+func PercentDelta(base, v float64) float64 {
+	if base == 0 {
+		return 0
+	}
+	return (v - base) / base * 100
 }

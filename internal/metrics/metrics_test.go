@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -106,61 +105,6 @@ func TestHistogramQuantileMonotone(t *testing.T) {
 	}
 }
 
-func TestObjectStats(t *testing.T) {
-	o := NewObjectStats()
-	o.Register("STOCK", "table", "tsStock")
-	o.RecordRead("STOCK", 10)
-	o.RecordWrite("STOCK", 4)
-	o.RecordAppend("HISTORY", 7)
-	o.SetSize("STOCK", 100)
-	o.AddSize("STOCK", 20)
-
-	c, ok := o.Get("STOCK")
-	if !ok {
-		t.Fatalf("STOCK missing")
-	}
-	if c.Reads != 10 || c.Writes != 4 || c.SizePages != 120 || c.Kind != "table" || c.Tablespace != "tsStock" {
-		t.Fatalf("unexpected counters: %+v", c)
-	}
-	if _, ok := o.Get("NOPE"); ok {
-		t.Fatalf("unexpected object")
-	}
-
-	all := o.All()
-	if len(all) != 2 {
-		t.Fatalf("All returned %d objects", len(all))
-	}
-	if all[0].Name != "STOCK" {
-		t.Fatalf("All not sorted by I/O: %v", all[0].Name)
-	}
-
-	o.Reset()
-	c, _ = o.Get("STOCK")
-	if c.Reads != 0 || c.Writes != 0 {
-		t.Fatalf("Reset did not clear I/O counters")
-	}
-	if c.Kind != "table" {
-		t.Fatalf("Reset dropped registration")
-	}
-}
-
-func TestFormatCount(t *testing.T) {
-	cases := map[int64]string{
-		0:         "0",
-		5:         "5",
-		999:       "999",
-		1000:      "1,000",
-		19017255:  "19,017,255",
-		-1234567:  "-1,234,567",
-		100000000: "100,000,000",
-	}
-	for in, want := range cases {
-		if got := FormatCount(in); got != want {
-			t.Errorf("FormatCount(%d) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 func TestPercentDelta(t *testing.T) {
 	if d := PercentDelta(100, 120); d != 20 {
 		t.Fatalf("delta = %v", d)
@@ -170,22 +114,6 @@ func TestPercentDelta(t *testing.T) {
 	}
 	if d := PercentDelta(200, 100); d != -50 {
 		t.Fatalf("delta = %v", d)
-	}
-}
-
-func TestTableRendering(t *testing.T) {
-	tbl := NewTable("Figure X", "Metric", "Traditional", "Regions")
-	tbl.AddRow("TPS", 595.42, 720.43)
-	tbl.AddRow("Transactions", int64(359725), int64(433192))
-	out := tbl.String()
-	for _, want := range []string{"Figure X", "TPS", "595.42", "433,192", "Traditional"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table missing %q:\n%s", want, out)
-		}
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 5 { // title, header, separator, two rows
-		t.Fatalf("unexpected line count %d:\n%s", len(lines), out)
 	}
 }
 

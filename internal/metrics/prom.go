@@ -101,8 +101,9 @@ type child struct {
 }
 
 // Family is a named set of metrics sharing a label schema.  Children are
-// created on first use via the typed wrappers' With methods and live forever
-// (the label space here — dies, regions, priorities — is small and bounded).
+// created on first use via the typed wrappers' With methods and live until
+// they are deleted (the label space here — dies, regions, priorities, database
+// objects — is small and bounded; only a dropped object's children go).
 type Family struct {
 	name   string
 	help   string
@@ -147,6 +148,14 @@ type CounterFamily struct{ f *Family }
 
 // With returns the counter for the given label values, creating it if needed.
 func (cf CounterFamily) With(values ...string) *Counter { return cf.f.get(values).counter }
+
+// Delete removes the counter for the given label values from the family; a
+// holder of the child can still read it, but it is no longer exposed.
+func (cf CounterFamily) Delete(values ...string) {
+	cf.f.mu.Lock()
+	delete(cf.f.children, childKey(values))
+	cf.f.mu.Unlock()
+}
 
 // GaugeFamily is a family of labeled gauges.
 type GaugeFamily struct{ f *Family }

@@ -57,6 +57,24 @@ func TestRegistryIdempotentRegistration(t *testing.T) {
 	r.Gauge("x_total", "")
 }
 
+// TestCounterFamilyDelete: a deleted child leaves the exposition, its holder
+// keeps a working counter, and the same labels start a new child from zero.
+func TestCounterFamilyDelete(t *testing.T) {
+	r := NewRegistry()
+	f := r.Counter("obj_total", "", "object", "op")
+	old := f.With("T", "read")
+	old.Add(5)
+	f.With("U", "read").Inc()
+	f.Delete("T", "read")
+	f.Delete("never", "there")
+	if text := r.Text(); strings.Contains(text, `object="T"`) || !strings.Contains(text, `obj_total{object="U",op="read"} 1`) {
+		t.Fatalf("after the delete:\n%s", text)
+	}
+	if old.Inc(); old.Value() != 6 || f.With("T", "read").Value() != 0 {
+		t.Fatalf("holder sees %d, the new child %d", old.Value(), f.With("T", "read").Value())
+	}
+}
+
 func TestRegistryPanicsOnBadNames(t *testing.T) {
 	r := NewRegistry()
 	for _, bad := range []string{"", "0abc", "has space", "dash-ed"} {

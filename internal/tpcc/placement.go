@@ -1,5 +1,7 @@
 package tpcc
 
+import "noftl/internal/core"
+
 // Die allocation for the multi-region placement configuration.
 //
 // The paper distributes the 64 dies over the six regions of Figure 2 "based
@@ -58,10 +60,6 @@ var groupIOWeights = []float64{
 
 // dataAccessesPerTxn is the sum of the weights of groups 1-5.
 const dataAccessesPerTxn = 10.0 + 3.0 + 22.0 + 5.0 + 7.0
-
-// ioWeightShare is the blend factor between the I/O-rate share and the size
-// share when distributing dies (the paper weighs both).
-const ioWeightShare = 0.5
 
 // walLivePages is the capacity the live log needs: what the transactions of
 // one checkpoint interval append (a checkpoint truncates everything below its
@@ -131,60 +129,10 @@ func estimateGroupPages(cfg Config, pageSize int) []int64 {
 	return []int64{group0, group1, group2, group3, group4, group5}
 }
 
-// planRegionDies allocates the device's dies to the six groups.  Every group
-// first gets the dies its estimated footprint needs (at least one); the rest
-// are handed out one by one to the group with the highest claim, its share —
-// a blend of footprint and I/O rate — divided by the dies it holds plus a half
-// (Webster's divisor method).  A divisor method is monotone where largest
-// remainders are not: raising one group's I/O weight raises its claims and
-// lowers everybody else's, so it can only gain dies.  It returns nil when the
-// device has fewer dies than groups.
-func planRegionDies(cfg Config, totalDies, pagesPerDie int) []int {
-	groups := estimateGroupPages(cfg, 4096)
-	if totalDies < len(groups) {
-		return nil
-	}
-	var totalPages int64
-	for _, p := range groups {
-		totalPages += p
-	}
-	var totalIO float64
-	for _, w := range groupIOWeights {
-		totalIO += w
-	}
-	// The footprint floors.  A device too small for them all keeps what it
-	// can, shrinking the largest floor first; the overflow is absorbed by the
-	// spill-to-default mechanism of the space manager.
-	usablePerDie := max(int64(float64(pagesPerDie)*0.85), 1)
-	dies := make([]int, len(groups))
-	shares := make([]float64, len(groups))
-	assigned := 0
-	for i, p := range groups {
-		dies[i] = max(int((p+usablePerDie-1)/usablePerDie), 1)
-		assigned += dies[i]
-		shares[i] = ioWeightShare*groupIOWeights[i]/totalIO + (1-ioWeightShare)*float64(p)/float64(totalPages)
-	}
-	for ; assigned > totalDies; assigned-- {
-		dies[maxDieIndex(dies)]--
-	}
-	for ; assigned < totalDies; assigned++ {
-		best := 0
-		for i := range groups {
-			if shares[i]/(float64(dies[i])+0.5) > shares[best]/(float64(dies[best])+0.5) {
-				best = i
-			}
-		}
-		dies[best]++
-	}
-	return dies
-}
-
-func maxDieIndex(dies []int) int {
-	best := 0
-	for i, d := range dies {
-		if d > dies[best] {
-			best = i
-		}
-	}
-	return best
+// Plan is the multi-region configuration Setup builds on a device of totalDies
+// dies: the groups of the paper's Figure 2 with the dies the Region Advisor's
+// allocator gives them on their a-priori demand — the estimated footprints and
+// groupIOWeights of a database that does not exist yet.
+func Plan(cfg Config, totalDies, pagesPerDie int) core.PlacementPlan {
+	return core.NewPlan(Figure2Groups(), estimateGroupPages(cfg, 4096), groupIOWeights, totalDies, pagesPerDie)
 }

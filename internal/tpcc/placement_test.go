@@ -3,6 +3,8 @@ package tpcc
 import (
 	"reflect"
 	"testing"
+
+	"noftl/internal/core"
 )
 
 func TestEstimateGroupPages(t *testing.T) {
@@ -49,6 +51,21 @@ var planCases = []struct {
 	{"default", DefaultConfig(), 6, 2048, []int{1, 1, 1, 1, 1, 1}},
 }
 
+// planRegionDies returns the die counts of Plan, nil when it hands out none.
+func planRegionDies(cfg Config, totalDies, pagesPerDie int) []int {
+	return diesOf(Plan(cfg, totalDies, pagesPerDie))
+}
+
+func diesOf(plan core.PlacementPlan) []int {
+	var dies []int
+	for _, g := range plan.Groups {
+		if g.Dies > 0 {
+			dies = append(dies, g.Dies)
+		}
+	}
+	return dies
+}
+
 // TestPlanRegionDiesGolden pins the die vectors of planCases: a change of the
 // allocator or of its inputs that moves one of them moves Figure 3 and the
 // tpcc-regions benchmark, and has to say so.
@@ -60,23 +77,22 @@ func TestPlanRegionDiesGolden(t *testing.T) {
 	}
 }
 
-// TestPlanRegionDiesProperties checks what every plan must satisfy: all dies
+// TestPlanRegionDiesProperties checks what every plan of the allocator must
+// satisfy, on the footprints of planCases and I/O weights passed in: all dies
 // are handed out, no group is left without one or below the dies its footprint
 // needs, and a group whose I/O weight alone rises never loses a die (the
 // largest-remainder plan this replaces took one from the log's group at 16
 // dies when its weight went from 0.5 to 6).
 func TestPlanRegionDiesProperties(t *testing.T) {
-	saved := append([]float64(nil), groupIOWeights...)
-	defer copy(groupIOWeights, saved)
 	for _, tc := range planCases {
-		groups := estimateGroupPages(tc.cfg, 4096)
+		groups, base := estimateGroupPages(tc.cfg, 4096), groupIOWeights
 		usable := int64(float64(tc.pagesPerDie) * 0.85)
 		for g := range groups {
-			copy(groupIOWeights, saved)
+			weights := append([]float64(nil), base...)
 			prev := 0
 			for _, w := range []float64{0, 0.5, 1, 2, 4, 6, 10, 15, 25, 50, 100, 1000} {
-				groupIOWeights[g] = w
-				dies := planRegionDies(tc.cfg, tc.dies, tc.pagesPerDie)
+				weights[g] = w
+				dies := diesOf(core.NewPlan(make([]core.PlacementGroup, len(groups)), groups, weights, tc.dies, tc.pagesPerDie))
 				if len(dies) != len(groups) {
 					t.Fatalf("%s: plan has %d groups", tc.name, len(dies))
 				}
@@ -129,7 +145,7 @@ func TestPlanRegionDies(t *testing.T) {
 }
 
 func TestFigure2GroupsCoverEveryObject(t *testing.T) {
-	groups := figure2Groups()
+	groups := Figure2Groups()
 	if len(groups) != 6 {
 		t.Fatalf("expected 6 groups, got %d", len(groups))
 	}
@@ -149,13 +165,5 @@ func TestFigure2GroupsCoverEveryObject(t *testing.T) {
 		if seen[name] != 1 {
 			t.Errorf("object %s appears %d times in the Figure 2 grouping", name, seen[name])
 		}
-	}
-	// Shares sum to 1 (the paper's 64 dies).
-	var total float64
-	for _, g := range groups {
-		total += g.Share
-	}
-	if total < 0.99 || total > 1.01 {
-		t.Fatalf("shares sum to %v", total)
 	}
 }

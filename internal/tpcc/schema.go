@@ -7,26 +7,20 @@ import (
 	"noftl/internal/core"
 )
 
-// objectGroup names one of the six regions of the paper's Figure 2 and
-// lists the objects placed in it.  Group 0 is the metadata/HISTORY group and
-// stays in the default region (which also holds the catalog and the WAL).
-type objectGroup struct {
-	Region  string
-	Share   float64 // share of the device's dies (Figure 2: 2/11/10/29/6/6 of 64)
-	Objects []string
-}
-
-// figure2Groups is the multi-region data placement configuration of the
-// paper's Figure 2.
-func figure2Groups() []objectGroup {
-	return []objectGroup{
-		{Region: "", Share: 2.0 / 64, Objects: []string{TableHistory}}, // + DBMS metadata/WAL (default region)
-		{Region: "rgOrderline", Share: 11.0 / 64, Objects: []string{TableOrderLine}},
-		{Region: "rgCustomer", Share: 10.0 / 64, Objects: []string{TableCustomer}},
-		{Region: "rgStock", Share: 29.0 / 64, Objects: []string{IndexOrderLine, TableStock}},
-		{Region: "rgOrders", Share: 6.0 / 64, Objects: []string{
+// Figure2Groups is the multi-region data placement configuration of the
+// paper's Figure 2 (which gives the groups 2/11/10/29/6/6 of its 64 dies): six
+// regions by name with the objects placed in them.  Group 0 is the
+// metadata/HISTORY group and stays in the default region, which also holds the
+// catalog and the WAL.
+func Figure2Groups() []core.PlacementGroup {
+	return []core.PlacementGroup{
+		{Objects: []string{TableHistory}},
+		{Name: "rgOrderline", Objects: []string{TableOrderLine}},
+		{Name: "rgCustomer", Objects: []string{TableCustomer}},
+		{Name: "rgStock", Objects: []string{IndexOrderLine, TableStock}},
+		{Name: "rgOrders", Objects: []string{
 			TableNewOrder, TableOrder, IndexNewOrder, IndexOrder, IndexOrderCust}},
-		{Region: "rgLookup", Share: 6.0 / 64, Objects: []string{
+		{Name: "rgLookup", Objects: []string{
 			IndexCustomer, IndexItem, IndexStock, IndexWarehouse,
 			IndexCustName, TableItem, IndexDistrict, TableWarehouse, TableDistrict}},
 	}
@@ -83,29 +77,27 @@ func Setup(db *noftl.DB, cfg Config) (*Schema, error) {
 		if err := db.CreateTablespace("tsAll", "", 0); err != nil {
 			return nil, err
 		}
-		for _, g := range figure2Groups() {
+		for _, g := range Figure2Groups() {
 			for _, obj := range g.Objects {
 				placement[obj] = "tsAll"
 			}
 		}
 	case PlacementRegions:
-		groups := figure2Groups()
 		// Distribute the dies over the six groups "based on sizes of objects
-		// and their I/O rate" (paper §3): proportionally to the estimated
-		// footprint of each group for this configuration's scale, at least
+		// and their I/O rate" (paper §3): by the estimated footprint of each
+		// group for this configuration's scale and its I/O weight, at least
 		// one die per group.  Group 0 keeps its dies as the (shrunken)
 		// default region, which also holds the catalog and the WAL.
-		dies := planRegionDies(cfg, totalDies, db.Geometry().PagesPerDie())
-		if dies == nil {
+		groups := Plan(cfg, totalDies, db.Geometry().PagesPerDie()).Groups
+		if groups[0].Dies == 0 {
 			return nil, fmt.Errorf("tpcc: device has too few dies (%d) for the multi-region configuration", totalDies)
 		}
-		for gi := 1; gi < len(groups); gi++ {
-			g := groups[gi]
-			if err := db.CreateRegion(core.RegionSpec{Name: g.Region, MaxChips: dies[gi]}); err != nil {
-				return nil, fmt.Errorf("tpcc: create region %s (%d dies): %w", g.Region, dies[gi], err)
+		for _, g := range groups[1:] {
+			if err := db.CreateRegion(core.RegionSpec{Name: g.Name, MaxChips: g.Dies}); err != nil {
+				return nil, fmt.Errorf("tpcc: create region %s (%d dies): %w", g.Name, g.Dies, err)
 			}
-			tsName := "ts" + g.Region[2:]
-			if err := db.CreateTablespace(tsName, g.Region, 0); err != nil {
+			tsName := "ts" + g.Name[2:]
+			if err := db.CreateTablespace(tsName, g.Name, 0); err != nil {
 				return nil, err
 			}
 			for _, obj := range g.Objects {

@@ -425,6 +425,20 @@ func TestRunTinyWorkloadBothPlacements(t *testing.T) {
 			if placement == PlacementRegions && len(res.Regions) != 6 {
 				t.Fatalf("expected 6 regions in results, got %d", len(res.Regions))
 			}
+			// Every device command is charged to exactly one object: the
+			// objects sum to the regions, and the log is one of them.
+			st := db.Stats()
+			var reads, writes, copybacks, walWrites int64
+			for _, o := range st.Objects {
+				reads, writes, copybacks = reads+o.Reads, writes+o.Writes, copybacks+o.Copybacks
+				if o.Name == "WAL" {
+					walWrites = o.Writes
+				}
+			}
+			if reads != st.Space.HostReads || writes != st.Space.HostWrites || copybacks != st.Space.GCCopybacks || walWrites == 0 {
+				t.Fatalf("objects sum to %d reads, %d writes (WAL %d), %d copybacks; the regions to %d, %d, %d",
+					reads, writes, walWrites, copybacks, st.Space.HostReads, st.Space.HostWrites, st.Space.GCCopybacks)
+			}
 		})
 	}
 }

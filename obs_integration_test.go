@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
@@ -344,6 +345,33 @@ func checkStatsEqualMetrics(t *testing.T, db *DB, stage string) Stats {
 		eq(int64(r.BGVictimsOpen), "noftl_bggc_victims_open", "region", r.Name)
 	}
 
+	// The per-object family: Stats().Objects is the scrape, and the objects sum
+	// to the regions (every command is charged to exactly one object, the
+	// unattributed one included).
+	const objFamily = "noftl_object_io_total"
+	var objReads, objWrites, objCopybacks int64
+	listed := map[string]bool{core.UnattributedObject: true}
+	for _, o := range st.Objects {
+		listed[o.Name] = true
+		eq(o.Reads, objFamily, "object", o.Name, "kind", o.Kind, "op", "read")
+		eq(o.Writes-o.Supersedes, objFamily, "object", o.Name, "kind", o.Kind, "op", "write_first")
+		eq(o.Supersedes, objFamily, "object", o.Name, "kind", o.Kind, "op", "write_over")
+		eq(o.Copybacks, objFamily, "object", o.Name, "kind", o.Kind, "op", "copyback")
+		objReads, objWrites, objCopybacks = objReads+o.Reads, objWrites+o.Writes, objCopybacks+o.Copybacks
+	}
+	for _, name := range lint.LabelValues("object") {
+		if !listed[name] {
+			t.Errorf("%s: /metrics has object %q, Stats().Objects does not", stage, name)
+		}
+	}
+	if objReads != sp.HostReads || objWrites != sp.HostWrites || objCopybacks != sp.GCCopybacks {
+		t.Errorf("%s: objects sum to %d reads, %d writes, %d copybacks; the regions to %d, %d, %d",
+			stage, objReads, objWrites, objCopybacks, sp.HostReads, sp.HostWrites, sp.GCCopybacks)
+	}
+	eq(sp.HostReads, objFamily, "op", "read")
+	eq(sp.HostWrites-int64(lint.Sum(objFamily, "op", "write_over")), objFamily, "op", "write_first")
+	eq(sp.GCCopybacks, objFamily, "op", "copyback")
+
 	eq(st.Device.Reads, "noftl_device_reads_total")
 	eq(st.Device.Programs, "noftl_device_programs_total")
 	eq(st.Device.Erases, "noftl_device_erases_total")
@@ -409,6 +437,12 @@ func TestStatsEqualsMetrics(t *testing.T) {
 	if st.Space.GCErases == 0 || st.WAL.Checkpoint.Count == 0 || st.Buffer.Misses == 0 ||
 		st.TxnAborted == 0 || st.Trace.Dropped == 0 {
 		t.Fatalf("degenerate workload (needs GC, a checkpoint, misses, an abort, a wrapped trace ring): %+v", st)
+	}
+	for _, name := range []string{"H", "WAL"} {
+		i := slices.IndexFunc(st.Objects, func(o ObjectCounters) bool { return o.Name == name })
+		if i < 0 || st.Objects[i].Writes == 0 || st.Objects[i].Supersedes == 0 || st.Objects[i].DieTime <= 0 || st.Objects[i].SizePages == 0 {
+			t.Fatalf("%s has no device-side record of the churn: %+v", name, st.Objects)
+		}
 	}
 	// Every host-priority program is a WritePage(s) of some region, counted
 	// there once it succeeds: the surplus is the injected program faults.
@@ -476,6 +510,68 @@ func TestStatsEqualsMetrics(t *testing.T) {
 	if st.WAL.Checkpoint.RetainedPages == 0 || st.WAL.Checkpoint.RetainedPages != st.Space.RetainedPages {
 		t.Fatalf("retained pages: checkpoint stats say %d, space stats %d, want the same and some",
 			st.WAL.Checkpoint.RetainedPages, st.Space.RetainedPages)
+	}
+}
+
+// TestDroppedObjectsLeaveTheStatistics is the regression test for the objects
+// the old collector never forgot: a dropped table and its index are gone from
+// Stats().Objects, from /metrics and from the advisor's plan (it gave the
+// dropped table 7 of 8 dies), what they cost stays in the sums under the
+// unattributed child, and a table re-created under the name counts from zero.
+func TestDroppedObjectsLeaveTheStatistics(t *testing.T) {
+	db, err := OpenConfig(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	load := func() int64 {
+		t.Helper()
+		if err := db.Exec(`CREATE TABLE T (v VARCHAR(200)); CREATE INDEX T_IDX ON T (v); CREATE TABLE KEPT (v VARCHAR(200))`); err != nil {
+			t.Fatal(err)
+		}
+		tbl, _ := db.Table("T")
+		err := db.Update(func(tx *Tx) error {
+			_, err := tbl.InsertBatch(tx, repeatRows(bytes.Repeat([]byte{'r'}, 200), 1000))
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.FlushAll(db.SimulatedTime()); err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range checkStatsEqualMetrics(t, db, "loaded").Objects {
+			if o.Name == "T" {
+				return o.Writes
+			}
+		}
+		t.Fatal("T has no record")
+		return 0
+	}
+	first := load()
+	if first == 0 {
+		t.Fatal("the load wrote no page of T")
+	}
+	if err := db.Exec(`DROP TABLE T`); err != nil {
+		t.Fatal(err)
+	}
+	st := checkStatsEqualMetrics(t, db, "dropped")
+	plan := db.Advise(AdvisorOptions{})
+	text := db.MetricsText()
+	for _, name := range []string{"T", "T_IDX"} {
+		if slices.ContainsFunc(st.Objects, func(o ObjectCounters) bool { return o.Name == name }) ||
+			strings.Contains(text, `object="`+name+`"`) || plan.GroupOf(name) >= 0 {
+			t.Errorf("dropped %s is still in Stats().Objects, /metrics or the plan:\n%+v\n%s", name, st.Objects, plan.TableString())
+		}
+	}
+	if plan.GroupOf("KEPT") < 0 || plan.GroupOf(core.UnattributedObject) >= 0 {
+		t.Errorf("the plan must place the live objects and nothing else:\n%s", plan.TableString())
+	}
+	if err := db.Exec(`DROP TABLE KEPT`); err != nil {
+		t.Fatal(err)
+	}
+	if again := load(); again != first {
+		t.Errorf("the re-created T shows %d page writes after the same load, the first T %d: it must count from zero", again, first)
 	}
 }
 

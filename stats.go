@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"noftl/internal/buffer"
+	"noftl/internal/core"
 	"noftl/internal/flash"
 	"noftl/internal/metrics"
 	"noftl/internal/sim"
@@ -38,8 +39,8 @@ type Stats struct {
 	Device flash.Stats
 	// WAL covers the write-ahead log (zero value when WAL is disabled).
 	WAL WALStats
-	// Objects holds the per-object physical I/O counters consumed by the
-	// Region Advisor, sorted by I/O rate.
+	// Objects holds the per-object device-side counters consumed by the
+	// Region Advisor, by descending die time (see DB.ObjectStats).
 	Objects []ObjectCounters
 	// Trace covers the event tracer (zero value when tracing is off).
 	Trace TraceStats
@@ -48,8 +49,8 @@ type Stats struct {
 	WriteLatency metrics.Snapshot
 }
 
-// ObjectCounters re-exports the per-object I/O statistics record.
-type ObjectCounters = metrics.ObjectCounters
+// ObjectCounters re-exports the per-object device-side record.
+type ObjectCounters = core.ObjectCounters
 
 // SchedulerStats is a snapshot of the I/O scheduler's counters.
 type SchedulerStats struct {

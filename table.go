@@ -134,7 +134,6 @@ func (t *Table) Insert(tx *Tx, row []byte) (RID, error) {
 		return RID{}, publicErr(err)
 	}
 	tx.inner.AdvanceTo(done)
-	t.db.objStats.RecordAppend(t.name, 1)
 	return rid, tx.inner.Log(wal.RecInsert, t.objectID, wal.EncodeRowPayload(rid, row))
 }
 
