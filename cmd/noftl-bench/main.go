@@ -136,9 +136,9 @@ func main() {
 
 	if want("figure2") {
 		run("figure2", "Figure 2: Region Advisor placement configuration", func() (interface{}, error) {
-			// The advisor's plan comes from the traditional profile, as in the
-			// paper; the demand under the regions plan in effect shows what
-			// that plan costs where.
+			// The advisor's plan and the demand tpcc.Setup plans from come from
+			// the traditional profile, as in the paper; the demand under the
+			// regions plan in effect shows what that plan costs where.
 			var runs []experiments.Figure2
 			for _, placement := range []tpcc.PlacementKind{tpcc.PlacementTraditional, tpcc.PlacementRegions} {
 				f2, err := experiments.RunFigure2(scale, placement)
@@ -146,6 +146,9 @@ func main() {
 					return nil, err
 				}
 				say("%s\n", f2.Table())
+				if err := f2.CheckRecord(); err != nil {
+					return nil, err
+				}
 				runs = append(runs, f2)
 			}
 			say("%s\n", experiments.PaperFigure2Table(runs[0].Plan.TotalDies))

@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -225,6 +226,23 @@ func (f Figure3) Table() string {
 	count("GC ERASEs", tr.GCErases, rg.GCErases)
 	value("Write amplification", tr.WriteAmp, rg.WriteAmp)
 	w.Flush()
+	// Where the device time went: a plan is as fast as its busiest die allows.
+	for _, res := range []tpcc.Results{tr, rg} {
+		fmt.Fprintf(&b, "\nRegions under %s placement:\n", res.Placement)
+		w = tabwriter.NewWriter(&b, 0, 0, 2, ' ', tabwriter.AlignRight)
+		fmt.Fprintln(w, "Region\tDies\tValid pages\tCapacity\tBusy, mean of dies\tBusiest die\tWrite amp.\t")
+		percent := float64(res.SimulatedTime) / 100
+		for _, r := range res.Regions {
+			var sum, busiest time.Duration
+			for _, die := range r.Dies {
+				sum += res.DieBusy[die]
+				busiest = max(busiest, res.DieBusy[die])
+			}
+			fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%.1f%%\t%.1f%%\t%.2f\t\n", r.Name, len(r.Dies), r.ValidPages, r.CapacityPages,
+				float64(sum)/float64(len(r.Dies))/percent, float64(busiest)/percent, r.WriteAmplification())
+		}
+		w.Flush()
+	}
 	return b.String()
 }
 
@@ -268,18 +286,30 @@ func (h Headline) String() string {
 }
 
 // Figure2 holds the Region-Advisor experiment: the per-object device demand a
-// TPC-C run measured and three plans the one allocator makes of it.
+// TPC-C run measured and the plans the one allocator makes of it.
 type Figure2 struct {
 	Scale     Scale
 	Placement tpcc.PlacementKind
 	Objects   []noftl.ObjectCounters
+	// Demand is the run's host reads and programs per committed transaction,
+	// the form tpcc.RecordedDemand is kept in.
+	Demand []tpcc.ObjectDemand
 	// Plan is the Region Advisor's: its own grouping on the measured demand.
 	Plan noftl.PlacementPlan
-	// Planned is what tpcc.Setup builds before the database exists — the
-	// paper's grouping on estimated footprints and hand-entered I/O weights —
-	// and Measured the same grouping on the measured sizes and die time.
-	Planned, Measured noftl.PlacementPlan
+	// Planned is what tpcc.Setup builds before the database exists: the
+	// paper's grouping on estimated footprints and the recorded demand.  Host
+	// and Measured are the same grouping on this run's sizes and, the one, the
+	// die time of Demand — what Planned's I/O shares were in the run that
+	// recorded them — the other, that of every command, garbage collection's
+	// copybacks included.
+	Planned, Host, Measured noftl.PlacementPlan
 }
+
+// MaxDriftPoints is how far a group's share of the host commands' die time
+// may move, at the paper scale, from its share of tpcc.RecordedDemand before
+// the record has to be taken again (over the ten 4-s rounds of one run no
+// share moves more than 2.6 points).
+const MaxDriftPoints = 2.0
 
 // RunFigure2 reproduces Figure 2: run TPC-C under the given placement — the
 // paper profiles under the traditional one — to measure every object's device
@@ -291,7 +321,8 @@ func RunFigure2(scale Scale, placement tpcc.PlacementKind) (Figure2, error) {
 		return Figure2{}, err
 	}
 	defer db.Close()
-	if _, err := tpcc.LoadAndRun(db, workload); err != nil {
+	res, err := tpcc.LoadAndRun(db, workload)
+	if err != nil {
 		return Figure2{}, err
 	}
 	f := Figure2{Scale: scale, Placement: placement, Objects: db.ObjectStats(),
@@ -299,30 +330,53 @@ func RunFigure2(scale Scale, placement tpcc.PlacementKind) (Figure2, error) {
 
 	// Sum the measured objects over the paper's groups; what no group lists
 	// (the WAL) lives in the default region with group 0.
-	groups := tpcc.Figure2Groups()
-	groupOf := map[string]int{}
-	for gi, g := range groups {
-		for _, o := range g.Objects {
-			groupOf[o] = gi
-		}
-	}
-	pages, dieTime := make([]int64, len(groups)), make([]float64, len(groups))
+	listed := core.PlacementPlan{Groups: tpcc.Figure2Groups()}
+	pages, dieTime := make([]int64, len(listed.Groups)), make([]float64, len(listed.Groups))
+	var unlisted []string
 	for _, o := range f.Objects {
-		gi, listed := groupOf[o.Name]
-		if !listed {
-			groups[gi].Objects = append(groups[gi].Objects, o.Name)
+		gi := listed.GroupOf(o.Name)
+		if gi < 0 {
+			gi, unlisted = 0, append(unlisted, o.Name)
 		}
 		pages[gi] += o.SizePages
 		dieTime[gi] += float64(o.DieTime)
+		f.Demand = append(f.Demand, tpcc.ObjectDemand{Object: o.Name,
+			Reads: float64(o.Reads) / float64(res.Committed), Programs: float64(o.Writes) / float64(res.Committed)})
 	}
 	geo := db.Geometry()
-	f.Measured = core.NewPlan(groups, pages, dieTime, geo.Dies(), geo.PagesPerDie())
-	f.Planned = tpcc.Plan(workload, geo.Dies(), geo.PagesPerDie())
+	plan := func(demand []float64) noftl.PlacementPlan {
+		groups := tpcc.Figure2Groups()
+		groups[0].Objects = append(groups[0].Objects, unlisted...)
+		return core.NewPlan(groups, pages, demand, geo.Dies(), geo.PagesPerDie())
+	}
+	f.Planned = tpcc.Plan(workload, geo)
+	f.Host, f.Measured = plan(tpcc.GroupDemand(f.Demand, flash.DefaultTiming())), plan(dieTime)
 	return f, nil
 }
 
-// Table renders the measured demand per object and the three plans in the
-// layout of the paper's Figure 2.
+// Drift is the largest distance, in points, between a group's share of the
+// recorded demand and its share of this run's.
+func (f Figure2) Drift() float64 {
+	var worst float64
+	for i, g := range f.Planned.Groups {
+		worst = max(worst, 100*math.Abs(g.IOShare-f.Host.Groups[i].IOShare))
+	}
+	return worst
+}
+
+// CheckRecord fails when f is the run tpcc.RecordedDemand is taken from — the
+// paper scale under traditional placement — and has drifted from it.
+func (f Figure2) CheckRecord() error {
+	if drift := f.Drift(); f.Scale == ScalePaper && f.Placement == tpcc.PlacementTraditional && drift > MaxDriftPoints {
+		return fmt.Errorf("a group's share of the host demand is %.1f points (limit %.1f) off tpcc.RecordedDemand: record the block printed above in internal/tpcc/placement.go",
+			drift, MaxDriftPoints)
+	}
+	return nil
+}
+
+// Table renders the measured demand per object, in the device's terms and in
+// the form it is recorded in, and the plans in the layout of the paper's
+// Figure 2.
 func (f Figure2) Table() string {
 	var b strings.Builder
 	var totalTime float64
@@ -337,8 +391,17 @@ func (f Figure2) Table() string {
 			100*float64(o.Supersedes)/float64(max(o.Writes, 1)), o.Copybacks, ms(o.DieTime), 100*float64(o.DieTime)/max(totalTime, 1))
 	}
 	w.Flush()
-	fmt.Fprintf(&b, "\nThe paper's groups on estimated footprints and the hand-entered I/O weights (what tpcc.Setup builds):\n%s", f.Planned.TableString())
-	fmt.Fprintf(&b, "\nThe paper's groups on the measured sizes and die time:\n%s", f.Measured.TableString())
+	fmt.Fprintf(&b, "\nHost reads and programs per committed transaction, as internal/tpcc/placement.go records them:\n%s", tpcc.DemandTable(f.Demand))
+	fmt.Fprintf(&b, "\nShare of the die time and dies by group of Figure 2 (largest drift from the record: %.1f points):\n", f.Drift())
+	fmt.Fprintln(w, "Group\tRecorded\tdies\tThis run's host commands\tdies\tDrift\tWith copybacks\tdies\t")
+	for i, g := range f.Planned.Groups {
+		h, m := f.Host.Groups[i], f.Measured.Groups[i]
+		fmt.Fprintf(w, "%d\t%.1f%%\t%d\t%.1f%%\t%d\t%+.1f\t%.1f%%\t%d\t\n", i, 100*g.IOShare, g.Dies,
+			100*h.IOShare, h.Dies, 100*(h.IOShare-g.IOShare), 100*m.IOShare, m.Dies)
+	}
+	w.Flush()
+	fmt.Fprintf(&b, "\nThe paper's groups on estimated footprints and the recorded demand (what tpcc.Setup builds):\n%s", f.Planned.TableString())
+	fmt.Fprintf(&b, "\nThe paper's groups on the measured sizes and die time, copybacks included:\n%s", f.Measured.TableString())
 	fmt.Fprintf(&b, "\nThe Region Advisor's grouping on the measured sizes and die time:\n%s", f.Plan.TableString())
 	return b.String()
 }

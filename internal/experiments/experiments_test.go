@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -49,13 +50,23 @@ func TestRunFigure2Tiny(t *testing.T) {
 		t.Fatalf("plan distributes %d dies", total)
 	}
 	tbl := f2.Table()
-	for _, want := range []string{tpcc.TableStock, tpcc.TableOrderLine, tpcc.TableCustomer, "Superseding", "what tpcc.Setup builds"} {
+	for _, want := range []string{tpcc.TableStock, tpcc.TableOrderLine, tpcc.TableCustomer, "Superseding", "what tpcc.Setup builds",
+		tpcc.DemandTable(f2.Demand), "largest drift from the record"} {
 		if !strings.Contains(tbl, want) {
 			t.Fatalf("Figure 2 table missing %s:\n%s", want, tbl)
 		}
 	}
 	if !strings.Contains(PaperFigure2Table(64), "OL_IDX; STOCK") {
 		t.Fatal("paper reference table wrong")
+	}
+	// The record is the paper scale's: a tiny run is never held to it, the
+	// paper-scale profile is once a group's share has moved.
+	if err := f2.CheckRecord(); err != nil {
+		t.Errorf("tiny run checked against the record: %v", err)
+	}
+	f2.Scale = ScalePaper
+	if f2.Drift() <= MaxDriftPoints || f2.CheckRecord() == nil {
+		t.Errorf("the tiny profile passes for the recorded one: drift %.1f points, %v", f2.Drift(), f2.CheckRecord())
 	}
 }
 
@@ -134,14 +145,18 @@ func TestFigure2Small(t *testing.T) {
 		}
 	}
 	// The same allocator on the paper's grouping: the planned plan is the one
-	// tpcc.Setup builds (the golden vector of internal/tpcc), and the measured
-	// one charges the log to group 0.
+	// tpcc.Setup builds (the golden vector of internal/tpcc), the measured
+	// ones charge the log to group 0, and the host commands' shares — the
+	// recorded quantity — sum to the whole.
 	var planned []int
-	for _, g := range f2.Planned.Groups {
+	var hostShares float64
+	for i, g := range f2.Planned.Groups {
 		planned = append(planned, g.Dies)
+		hostShares += f2.Host.Groups[i].IOShare
 	}
-	if !reflect.DeepEqual(planned, []int{2, 4, 2, 6, 1, 1}) || f2.Measured.GroupOf("WAL") != 0 || f2.Measured.Groups[0].IOShare < 0.1 {
-		t.Errorf("planned dies %v; measured plan:\n%s", planned, f2.Measured.TableString())
+	if !reflect.DeepEqual(planned, []int{2, 4, 2, 5, 2, 1}) || f2.Measured.GroupOf("WAL") != 0 || f2.Measured.Groups[0].IOShare < 0.1 ||
+		f2.Host.GroupOf("WAL") != 0 || math.Abs(hostShares-1) > 1e-9 {
+		t.Errorf("planned dies %v; host shares sum to %v; measured plan:\n%s", planned, hostShares, f2.Measured.TableString())
 	}
 }
 
@@ -157,7 +172,7 @@ func TestRunFigure3Tiny(t *testing.T) {
 		t.Fatalf("failed transactions: %d / %d", f3.Traditional.Failed, f3.Regions.Failed)
 	}
 	tbl := f3.Table()
-	for _, want := range []string{"TPS", "GC COPYBACKs", "GC ERASEs", "Host READ I/Os", "NewOrder TRX"} {
+	for _, want := range []string{"TPS", "GC COPYBACKs", "GC ERASEs", "Host READ I/Os", "NewOrder TRX", "Busiest die", "rgOrders", "rgLookup"} {
 		if !strings.Contains(tbl, want) {
 			t.Fatalf("Figure 3 table missing %q:\n%s", want, tbl)
 		}
@@ -173,6 +188,15 @@ func TestRunFigure3Tiny(t *testing.T) {
 	}
 	if f3.Traditional.ReadLatency.Count == 0 {
 		t.Fatal("no read latencies measured")
+	}
+	// The per-region rows rest on one busy time per die, none above the run.
+	if len(f3.Regions.DieBusy) != TPCCSetup(ScaleTiny).DB.Flash.Geometry.Dies() {
+		t.Fatalf("%d dies reported busy times", len(f3.Regions.DieBusy))
+	}
+	for die, busy := range f3.Regions.DieBusy {
+		if busy <= 0 || busy > f3.Regions.SimulatedTime {
+			t.Errorf("die %d busy %v of %v", die, busy, f3.Regions.SimulatedTime)
+		}
 	}
 }
 
@@ -227,22 +251,23 @@ func TestAblationFTLvsNoFTL(t *testing.T) {
 }
 
 // TestFigure3ShapeSmall pins what the reproduction holds at the small scale
-// (16 dies).  The GC half of the paper's result reproduces with real margins:
-// multi-region placement does at most 0.8x the copybacks (0.57x) at a lower
-// write amplification (1.74 vs 2.01).  The throughput half does not: regions
-// are 21.1 % behind (774.42 vs 981.60 TPS), and the test bounds the gap at
-// that plus 3 points.  The earlier bound of 3 % (545.15 vs 551.05 TPS) only
-// held while the dies queued in submission order: the 32 terminals then
-// advanced in lock-step at the pace of the most delayed one, which hid the
-// placements' difference along with everything else — every transaction type
-// cost the same (Payment 13.0 ms, Stock-Level 20.7 ms).  With the dies serving
-// in arrival order both placements must run at least 30 % above those figures
-// and a Payment, which touches four rows, must cost at most a quarter of a
-// Stock-Level, which reads 200 order lines (3.6 vs 29.5 ms and 4.0 vs 28.9 ms):
-// that assertion tells the two models apart.  What now holds regions back is
-// six regions over 16 dies, three of them one die each.  The paper
-// experiments are single-driver by design (TPCCSetup pins Workers to 1), so
-// both runs are deterministic for the seed.  It is the slowest test in the
+// (16 dies).  The GC half of the paper's result reproduces with margins:
+// multi-region placement does at most 0.8x the copybacks (0.75x) at a lower
+// write amplification (1.83 vs 2.01).  The throughput half does not yet:
+// regions are 8.5 % behind (898.06 vs 981.60 TPS), and the test bounds the gap
+// at that plus 3 points.  It was 21.1 % (774.42 TPS) on the plan of the
+// hand-entered I/O weights, 2/4/2/6/1/1; the recorded demand moves a die from
+// rgStock to rgOrders, which was a single die 64 % busy.  The earlier bound of
+// 3 % (545.15 vs 551.05 TPS) only held while the dies queued in submission
+// order: the 32 terminals then advanced in lock-step at the pace of the most
+// delayed one, which hid the placements' difference along with everything else
+// — every transaction type cost the same (Payment 13.0 ms, Stock-Level
+// 20.7 ms).  With the dies serving in arrival order both placements must run at
+// least 30 % above those figures and a Payment, which touches four rows, must
+// cost at most a quarter of a Stock-Level, which reads 200 order lines (3.6 vs
+// 29.5 ms and 3.8 vs 31.0 ms): that assertion tells the two models apart.  The
+// paper experiments are single-driver by design (TPCCSetup pins Workers to 1),
+// so both runs are deterministic for the seed.  It is the slowest test in the
 // repository and is skipped with -short.
 func TestFigure3ShapeSmall(t *testing.T) {
 	if testing.Short() {
@@ -267,7 +292,7 @@ func TestFigure3ShapeSmall(t *testing.T) {
 		t.Errorf("regions placement should reduce write amplification: %.2f vs %.2f",
 			f3.Regions.WriteAmp, f3.Traditional.WriteAmp)
 	}
-	const measuredGap = 0.211
+	const measuredGap = 0.085
 	if f3.Regions.TPS < (1-measuredGap-0.03)*f3.Traditional.TPS {
 		t.Errorf("regions placement fell more than %.1f%% behind: %.2f vs %.2f TPS",
 			100*(measuredGap+0.03), f3.Regions.TPS, f3.Traditional.TPS)

@@ -49,6 +49,9 @@ type Results struct {
 	WriteAmp        float64
 	BufferHitRatio  float64
 	Regions         []noftl.RegionStats
+	// DieBusy is the time each die spent executing commands, by die index:
+	// with Regions[i].Dies, how busy each region's dies were.
+	DieBusy []time.Duration
 }
 
 // String renders a one-line summary.
@@ -252,6 +255,10 @@ func runPhase(db *noftl.DB, sch *Schema, cfg Config) (Results, error) {
 		WriteAmp:        stats.Space.WriteAmplification(),
 		BufferHitRatio:  stats.Buffer.HitRatio(),
 		Regions:         stats.Space.Regions,
+	}
+	res.DieBusy = make([]time.Duration, len(stats.Device.PerDie))
+	for _, d := range stats.Device.PerDie {
+		res.DieBusy[d.Die] = d.BusyTime
 	}
 	if secs := stats.Simulated.Seconds(); secs > 0 {
 		res.TPS = float64(res.Committed) / secs

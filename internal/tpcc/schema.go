@@ -69,7 +69,6 @@ func tableColumns(names ...string) string {
 func Setup(db *noftl.DB, cfg Config) (*Schema, error) {
 	cfg = cfg.withDefaults()
 	placement := map[string]string{} // object -> tablespace
-	totalDies := db.Geometry().Dies()
 
 	switch cfg.Placement {
 	case PlacementTraditional:
@@ -85,12 +84,12 @@ func Setup(db *noftl.DB, cfg Config) (*Schema, error) {
 	case PlacementRegions:
 		// Distribute the dies over the six groups "based on sizes of objects
 		// and their I/O rate" (paper §3): by the estimated footprint of each
-		// group for this configuration's scale and its I/O weight, at least
-		// one die per group.  Group 0 keeps its dies as the (shrunken)
+		// group for this configuration's scale and its recorded device demand,
+		// at least one die per group.  Group 0 keeps its dies as the (shrunken)
 		// default region, which also holds the catalog and the WAL.
-		groups := Plan(cfg, totalDies, db.Geometry().PagesPerDie()).Groups
+		groups := Plan(cfg, db.Geometry()).Groups
 		if groups[0].Dies == 0 {
-			return nil, fmt.Errorf("tpcc: device has too few dies (%d) for the multi-region configuration", totalDies)
+			return nil, fmt.Errorf("tpcc: device has too few dies (%d) for the multi-region configuration", db.Geometry().Dies())
 		}
 		for _, g := range groups[1:] {
 			if err := db.CreateRegion(core.RegionSpec{Name: g.Name, MaxChips: g.Dies}); err != nil {
