@@ -1,8 +1,9 @@
 // Benchmarks regenerating the paper's evaluation artifacts.
 //
 // One benchmark exists per table/figure of the paper (Figure 2, Figure 3 and
-// the abstract's headline metrics) plus one per ablation experiment listed in
-// DESIGN.md (A1–A4) and a set of micro-benchmarks for the core public API.
+// the abstract's headline metrics) plus the batched-I/O ablation A5 (README
+// "Reproducing the paper's results") and a set of micro-benchmarks for the
+// core public API.
 //
 // The Figure benches run the small scale so that `go test -bench=.` finishes
 // in seconds; `cmd/noftl-bench -scale paper` runs the full 64-die
@@ -10,7 +11,6 @@
 package noftl_test
 
 import (
-	"fmt"
 	"testing"
 
 	"noftl"
@@ -98,18 +98,6 @@ func BenchmarkFigure3Comparison(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationParallelism backs the §2 claim that striping over dies
-// buys I/O parallelism (experiment A1).
-func BenchmarkAblationParallelism(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAblationParallelism(2048, 8, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Speedup, "speedup-x")
-	}
-}
-
 // BenchmarkAblationBatchedIO backs the iosched subsystem: the same striped
 // page set read and overwritten through the scheduler in batches versus one
 // page at a time (experiment A5).  The speedups are in virtual (simulated)
@@ -125,49 +113,6 @@ func BenchmarkAblationBatchedIO(b *testing.B) {
 		}
 		b.ReportMetric(res.ReadSpeedup, "read-speedup-x")
 		b.ReportMetric(res.WriteSpeedup, "write-speedup-x")
-	}
-}
-
-// BenchmarkAblationHotCold backs the hot/cold separation claim (A2).
-func BenchmarkAblationHotCold(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAblationHotCold(2000, 256, 25)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.MixedWA, "mixed-WA")
-		b.ReportMetric(res.SeparatedWA, "separated-WA")
-	}
-}
-
-// BenchmarkAblationFTLvsNoFTL backs the §1 motivation: the black-box FTL
-// stack versus NoFTL (A3).
-func BenchmarkAblationFTLvsNoFTL(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAblationFTLvsNoFTL(1500, 8000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.FTLTime.Seconds()/res.NoFTLTime.Seconds(), "ftl-vs-noftl-x")
-		b.ReportMetric(res.FTLWA, "ftl-WA")
-		b.ReportMetric(res.NoFTLWA, "noftl-WA")
-	}
-}
-
-// BenchmarkAblationRegionSweep backs the parallelism-vs-GC trade-off claim
-// (A4).
-func BenchmarkAblationRegionSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		points, err := experiments.RunAblationRegionSweep(experiments.ScaleTiny)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", experiments.SweepTable(points))
-		}
-		for _, p := range points {
-			b.ReportMetric(p.TPS, fmt.Sprintf("tps-%dregions", p.Regions))
-		}
 	}
 }
 

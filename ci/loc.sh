@@ -6,8 +6,24 @@
 # ceiling committed in ci/LOC_max.txt, so growth has to be an explicit,
 # reviewed edit of that file.  Lower the ceiling whenever a PR shrinks the
 # count.
+#
+# With --orphans it checks instead that every package under internal/ is in
+# the import closure of the root package, a command, a CI tool or an example:
+# a package only its own tests (or another orphan) import is a second
+# implementation nothing runs, and the line count is where it hides.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+if [ "${1:-}" = "--orphans" ]; then
+    orphans=$(comm -23 <(go list ./internal/... | sort) \
+        <(go list -deps . ./cmd/... ./ci/... ./examples/... | sort -u))
+    if [ -n "$orphans" ]; then
+        echo "imported by none of ., ./cmd/..., ./ci/..., ./examples/...:" >&2
+        echo "$orphans" >&2
+        exit 1
+    fi
+    echo "every package under internal/ is reachable from ., cmd/, ci/ or examples/"
+    exit 0
+fi
 n=$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -print0 |
     xargs -0 cat | wc -l)
 if [ "${1:-}" != "--check" ]; then

@@ -1,6 +1,7 @@
 // Command noftl-bench regenerates the paper's evaluation artifacts: the
 // Figure 2 placement configuration, the Figure 3 performance comparison, the
-// abstract's headline metrics and the ablation experiments A1–A6.
+// abstract's headline metrics and the gated experiments: the ablations A5 and
+// A6, batch DML, TPC-C concurrency scaling and the chaos campaign.
 //
 // Usage:
 //
@@ -27,6 +28,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -43,9 +45,33 @@ type jsonDoc struct {
 	WallClockS  map[string]float64     `json:"wall_clock_seconds"`
 }
 
+// experimentNames is what -experiment accepts besides "all", in the order the
+// experiments run.
+var experimentNames = []string{"figure2", "figure3", "headline", "batch", "batch_dml", "a6", "tpcc", "chaos"}
+
+// experimentList spells the accepted names for the flag help and the refusal.
+func experimentList() string {
+	return strings.Join(experimentNames, ", ") + " or all"
+}
+
+// selectExperiments parses the comma-separated value of -experiment.
+func selectExperiments(arg string) (map[string]bool, error) {
+	selected := map[string]bool{}
+	for _, name := range strings.Split(arg, ",") {
+		name = strings.TrimSpace(strings.ToLower(name))
+		if name == "" {
+			continue
+		}
+		if name != "all" && !slices.Contains(experimentNames, name) {
+			return nil, fmt.Errorf("unknown experiment %q (want %s)", name, experimentList())
+		}
+		selected[name] = true
+	}
+	return selected, nil
+}
+
 func main() {
-	experiment := flag.String("experiment", "all",
-		"comma-separated experiments to run: figure2, figure3, headline, parallelism, hotcold, ftl, sweep, batch, batch_dml, a6, tpcc, chaos or all")
+	experiment := flag.String("experiment", "all", "comma-separated experiments to run: "+experimentList())
 	scaleName := flag.String("scale", "small", "experiment scale: tiny, small or paper")
 	workers := flag.Int("workers", 8, "parallel worker goroutines for the tpcc scaling experiment")
 	seeds := flag.Int("seeds", 16, "seeded crash points for the chaos experiment")
@@ -114,23 +140,10 @@ func main() {
 		}
 	}
 
-	known := map[string]bool{
-		"all": true, "figure2": true, "figure3": true, "headline": true,
-		"parallelism": true, "hotcold": true, "ftl": true, "sweep": true,
-		"batch": true, "batch_dml": true, "a6": true, "tpcc": true,
-		"chaos": true,
-	}
-	selected := map[string]bool{}
-	for _, name := range strings.Split(*experiment, ",") {
-		name = strings.TrimSpace(strings.ToLower(name))
-		if name == "" {
-			continue
-		}
-		if !known[name] {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (want figure2, figure3, headline, parallelism, hotcold, ftl, sweep, batch, batch_dml, a6, tpcc, chaos or all)\n", name)
-			os.Exit(2)
-		}
-		selected[name] = true
+	selected, err := selectExperiments(*experiment)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	want := func(name string) bool { return selected["all"] || selected[name] }
 
@@ -165,46 +178,6 @@ func main() {
 			say("%s\n", f3.Headline().String())
 			doc.Experiments["headline"] = f3.Headline()
 			return f3, nil
-		})
-	}
-	if want("parallelism") {
-		run("parallelism", "A1: die striping vs single-die layout", func() (interface{}, error) {
-			res, err := experiments.RunAblationParallelism(4096, 8, 8)
-			if err != nil {
-				return nil, err
-			}
-			say("%s\n", res.String())
-			return res, nil
-		})
-	}
-	if want("hotcold") {
-		run("hotcold", "A2: hot/cold separation and write amplification", func() (interface{}, error) {
-			res, err := experiments.RunAblationHotCold(4000, 512, 30)
-			if err != nil {
-				return nil, err
-			}
-			say("%s\n", res.String())
-			return res, nil
-		})
-	}
-	if want("ftl") {
-		run("ftl", "A3: black-box FTL vs NoFTL", func() (interface{}, error) {
-			res, err := experiments.RunAblationFTLvsNoFTL(3000, 15000)
-			if err != nil {
-				return nil, err
-			}
-			say("%s\n", res.String())
-			return res, nil
-		})
-	}
-	if want("sweep") {
-		run("sweep", "A4: region count vs throughput and GC overhead", func() (interface{}, error) {
-			points, err := experiments.RunAblationRegionSweep(scale)
-			if err != nil {
-				return nil, err
-			}
-			say("%s\n", experiments.SweepTable(points))
-			return points, nil
 		})
 	}
 	if want("batch") {

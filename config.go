@@ -40,8 +40,9 @@
 //
 // Every physical page carries the placement hint of its tablespace's
 // region, so the DBMS — not a flash translation layer — controls physical
-// data placement, garbage collection and wear leveling.  See DESIGN.md for
-// the full system inventory and EXPERIMENTS.md for the reproduced results.
+// data placement, garbage collection and wear leveling.  See README.md,
+// "Architecture" for the system inventory and "Reproducing the paper's
+// results" for the reproduced results.
 package noftl
 
 import (
@@ -156,15 +157,6 @@ func DefaultConfig() Config {
 		ExtentPages:     32,
 		ReadAheadPages:  0, // read-ahead is opt-in: see the field's doc and WithReadAhead
 	}
-}
-
-// PaperConfig returns a configuration resembling the paper's evaluation
-// platform: 64 dies behind 8 channels.  blocksPerDie scales the device (and
-// therefore database) size.
-func PaperConfig(blocksPerDie int) Config {
-	cfg := DefaultConfig()
-	cfg.Flash = flash.PaperConfig(blocksPerDie)
-	return cfg
 }
 
 // withDefaults fills unset fields.

@@ -7,8 +7,8 @@
 // (record identifiers).  Leaf nodes are chained left-to-right for range
 // scans.  Deletes remove entries without rebalancing (nodes may underflow;
 // space is reclaimed when the node is compacted or split), which is a
-// standard simplification for workload studies and is documented in
-// DESIGN.md.
+// standard simplification for workload studies (README.md, "Architecture",
+// places the package in the stack).
 package btree
 
 import (

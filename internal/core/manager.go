@@ -143,19 +143,6 @@ type dieAlloc struct {
 
 func (da *dieAlloc) freeCount() int { return len(da.freeBlocks) }
 
-// totalFreePages counts pages still programmable on the die (free blocks plus
-// the remainder of the open blocks).
-func (da *dieAlloc) totalFreePages(pagesPerBlock int) int64 {
-	n := int64(len(da.freeBlocks)) * int64(pagesPerBlock)
-	if da.hostOpen >= 0 {
-		n += int64(pagesPerBlock - da.blocks[da.hostOpen].nextPage)
-	}
-	if da.gcOpen >= 0 {
-		n += int64(pagesPerBlock - da.blocks[da.gcOpen].nextPage)
-	}
-	return n
-}
-
 // mapEntry records where a logical page currently lives.  seq is the write
 // sequence of that version and log marks a WAL page; together they decide
 // whether the version must outlive its overwrite (retain.go).
@@ -388,7 +375,7 @@ func (m *Manager) Regions() []string {
 // spec.  Only dies that currently hold no valid data can move to the new
 // region, so regions are normally created right after the device is opened,
 // before objects are loaded (online region re-organisation with data
-// migration is future work, see DESIGN.md).
+// migration is future work, see ROADMAP.md, "Parked").
 func (m *Manager) CreateRegion(spec RegionSpec) (*Region, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

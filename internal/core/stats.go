@@ -60,7 +60,7 @@ func (s Stats) RegionByName(name string) (RegionStats, bool) {
 	return RegionStats{}, false
 }
 
-// String renders a multi-line report (used by the flashsim tool and tests).
+// String renders a multi-line report (used by tests).
 func (s Stats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "placement mode: %s\n", s.Mode)

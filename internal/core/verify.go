@@ -5,8 +5,8 @@ import (
 )
 
 // VerifyIntegrity cross-checks the space manager's internal bookkeeping and
-// returns the first inconsistency found, or nil.  It is used by tests and by
-// the flashsim tool after stress runs; the checks are:
+// returns the first inconsistency found, or nil.  It is used by tests after
+// stress runs; the checks are:
 //
 //  1. every logical page maps to a physical slot whose block marks that slot
 //     valid and records the same LPN;

@@ -5,8 +5,23 @@ import (
 	"time"
 
 	"noftl/internal/core"
+	"noftl/internal/flash"
 	"noftl/internal/sim"
 )
+
+// ablationDevice returns a small device for the micro ablations A5 and A6.
+func ablationDevice(dies, blocksPerDie int) (*flash.Device, error) {
+	cfg := flash.DefaultConfig()
+	channels := 4
+	if dies < channels {
+		channels = dies
+	}
+	cfg.Geometry = flash.Geometry{
+		Channels: channels, DiesPerChannel: (dies + channels - 1) / channels, PlanesPerDie: 1,
+		BlocksPerDie: blocksPerDie, PagesPerBlock: 64, PageSize: 4096,
+	}
+	return flash.NewDevice(cfg)
+}
 
 // BatchedIOResult is the outcome of ablation A5: the same page set read and
 // overwritten through the I/O scheduler in batches versus one

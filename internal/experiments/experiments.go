@@ -1,8 +1,9 @@
 // Package experiments contains the benchmark harness that regenerates every
 // table and figure of the paper's evaluation (Figure 2, Figure 3 and the
-// headline percentages of the abstract), plus the ablation experiments
-// listed in DESIGN.md (A1–A4).  The functions here are shared by the
-// top-level Go benchmarks (bench_test.go) and the cmd/noftl-bench tool.
+// headline percentages of the abstract), plus the gated experiments A5, A6,
+// batch DML, TPC-C scaling and the chaos campaign (README "Reproducing the
+// paper's results").  The functions here are shared by the top-level Go
+// benchmarks (bench_test.go) and the cmd/noftl-bench tool.
 package experiments
 
 import (

@@ -200,56 +200,6 @@ func TestRunFigure3Tiny(t *testing.T) {
 	}
 }
 
-func TestAblationParallelism(t *testing.T) {
-	res, err := RunAblationParallelism(512, 8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Speedup < 2 {
-		t.Fatalf("striping across 8 dies should speed up batched reads well over 2x, got %.2fx (%v vs %v)",
-			res.Speedup, res.SequentialOneDi, res.StripedAllDies)
-	}
-	if res.String() == "" {
-		t.Fatal("empty result string")
-	}
-}
-
-func TestAblationHotCold(t *testing.T) {
-	res, err := RunAblationHotCold(1200, 128, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MixedCopybacks == 0 {
-		t.Fatal("mixed configuration produced no copybacks; workload too small")
-	}
-	if res.SeparatedWA >= res.MixedWA {
-		t.Fatalf("separation did not reduce write amplification: %.2f vs %.2f", res.SeparatedWA, res.MixedWA)
-	}
-	if res.SepCopybacks >= res.MixedCopybacks {
-		t.Fatalf("separation did not reduce copybacks: %d vs %d", res.SepCopybacks, res.MixedCopybacks)
-	}
-	if res.String() == "" {
-		t.Fatal("empty result string")
-	}
-}
-
-func TestAblationFTLvsNoFTL(t *testing.T) {
-	res, err := RunAblationFTLvsNoFTL(800, 4000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FTLMapMisses == 0 {
-		t.Fatal("FTL mapping cache never missed; cache sized wrong")
-	}
-	if res.NoFTLTime >= res.FTLTime {
-		t.Fatalf("NoFTL should finish the same workload faster than the FTL stack: %v vs %v",
-			res.NoFTLTime, res.FTLTime)
-	}
-	if res.String() == "" {
-		t.Fatal("empty result string")
-	}
-}
-
 // TestFigure3ShapeSmall pins what the reproduction holds at the small scale
 // (16 dies).  The GC half of the paper's result reproduces with margins:
 // multi-region placement does at most 0.8x the copybacks (0.75x) at a lower
@@ -311,18 +261,5 @@ func TestFigure3ShapeSmall(t *testing.T) {
 			t.Errorf("%s: Payment costs %v, more than a quarter of Stock-Level's %v: the terminals are in lock-step again",
 				run.name, payment, stockLevel)
 		}
-	}
-}
-
-func TestAblationRegionSweepTiny(t *testing.T) {
-	points, err := RunAblationRegionSweep(ScaleTiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 2 || points[0].Regions != 1 || points[1].Regions != 6 {
-		t.Fatalf("sweep points: %+v", points)
-	}
-	if !strings.Contains(SweepTable(points), "Regions") {
-		t.Fatal("sweep table wrong")
 	}
 }

@@ -48,23 +48,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// PaperConfig returns a geometry resembling the paper's evaluation platform:
-// 64 dies behind 8 channels.  Blocks-per-die is a parameter because the
-// reproduction scales the database size; pages per block and page size match
-// typical SLC NAND (64 x 4 KiB).
-func PaperConfig(blocksPerDie int) Config {
-	cfg := DefaultConfig()
-	cfg.Geometry = Geometry{
-		Channels:       8,
-		DiesPerChannel: 8,
-		PlanesPerDie:   2,
-		BlocksPerDie:   blocksPerDie,
-		PagesPerBlock:  64,
-		PageSize:       4096,
-	}
-	return cfg
-}
-
 type pageState uint8
 
 const (

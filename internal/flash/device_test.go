@@ -411,19 +411,6 @@ func TestConcurrentProgramsAreSafe(t *testing.T) {
 	}
 }
 
-func TestPaperConfigGeometry(t *testing.T) {
-	cfg := PaperConfig(256)
-	if err := cfg.Geometry.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Geometry.Dies() != 64 {
-		t.Fatalf("paper config has %d dies, want 64", cfg.Geometry.Dies())
-	}
-	if cfg.Geometry.PageSize != 4096 {
-		t.Fatalf("page size = %d", cfg.Geometry.PageSize)
-	}
-}
-
 func TestDefaultTimingSane(t *testing.T) {
 	tm := DefaultTiming()
 	if tm.ReadPage <= 0 || tm.ProgramPage <= tm.ReadPage || tm.EraseBlock <= tm.ProgramPage {

@@ -106,14 +106,6 @@ func (d *Device) Arm(plan FaultPlan) {
 	d.fault = &faultState{plan: plan, rng: sim.NewRand(plan.Seed | 1)}
 }
 
-// Crashed reports whether the device has hit an armed crash point and has
-// not been revived.
-func (d *Device) Crashed() bool {
-	d.faultMu.Lock()
-	defer d.faultMu.Unlock()
-	return d.fault != nil && d.fault.crashed
-}
-
 // Revive clears the crashed state and disarms the fault plan, modelling a
 // power cycle.  Durable state (programmed pages, wear, bad blocks — including
 // any torn page written at the crash point) is untouched; recovery decides

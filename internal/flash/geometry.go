@@ -7,8 +7,7 @@
 //
 // The device does not implement any translation layer, garbage collection or
 // wear leveling: those are the responsibility of the layer above (the DBMS
-// under NoFTL — see internal/core — or the black-box FTL baseline in
-// internal/ftl).
+// under NoFTL — see internal/core).
 package flash
 
 import (

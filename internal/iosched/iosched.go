@@ -1,5 +1,5 @@
 // Package iosched implements the I/O scheduler that sits between the NoFTL
-// space manager (or the FTL baseline) and the native flash device.
+// space manager and the native flash device.
 //
 // The device model (internal/flash) exposes synchronous commands whose
 // virtual-time cost is charged against per-die and per-channel resources.

@@ -79,15 +79,17 @@ func TestCrossDieOverlap(t *testing.T) {
 			t.Fatalf("test expects dies 0..3 on distinct channels")
 		}
 	}
-	for _, d := range dies {
+	program(t, dev, 0, len(dies)) // die 0 also holds the one-die layout below
+	for _, d := range dies[1:] {
 		program(t, dev, d, 1)
 	}
 	resetTime(dev)
 	s := New(dev)
 
-	var reqs []Request
-	for _, d := range dies {
+	var reqs, oneDie []Request
+	for i, d := range dies {
 		reqs = append(reqs, Request{Op: OpReadPage, Addr: flash.Addr{Die: d, Block: 0, Page: 0}, Priority: PrioHostRead})
+		oneDie = append(oneDie, Request{Op: OpReadPage, Addr: flash.Addr{Die: 0, Block: 0, Page: i}, Priority: PrioHostRead})
 	}
 	cs, end := s.Submit(0, reqs)
 	tm := dev.Timing()
@@ -111,6 +113,12 @@ func TestCrossDieOverlap(t *testing.T) {
 	}
 	if end >= serial {
 		t.Errorf("batched makespan %v not better than serial %v", end, serial)
+	}
+	// The same number of outstanding reads laid out on one die take at least
+	// twice as long as striped over the dies.
+	resetTime(dev)
+	if _, oneDieEnd := New(dev).Submit(0, oneDie); oneDieEnd < 2*end {
+		t.Errorf("%d reads on one die finish at %v, under 2x the %v of one read per die", len(dies), oneDieEnd, end)
 	}
 }
 

@@ -37,11 +37,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative pseudo-random int64.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // IntRange returns a pseudo-random int in [lo, hi] inclusive.  It panics if
 // hi < lo.
 func (r *Rand) IntRange(lo, hi int) int {

@@ -71,10 +71,6 @@ type Config struct {
 	WarmupTransactions int
 	// Seed makes runs reproducible.
 	Seed uint64
-	// ThinkTime is an optional per-transaction think time added to the
-	// terminal's virtual clock (zero for maximum throughput, as in the
-	// paper's measurements).
-	ThinkTime time.Duration
 	// CheckpointEvery triggers a checkpoint (flush dirty pages + truncate
 	// the WAL) every N committed transactions, bounding the log's footprint
 	// in the metadata region.  Zero selects 1000.

@@ -213,9 +213,6 @@ func runPhase(db *noftl.DB, sch *Schema, cfg Config) (Results, error) {
 					errCh <- fmt.Errorf("tpcc %s: %w", typ, err)
 					return
 				}
-				if cfg.ThinkTime > 0 {
-					cursor.Advance(cfg.ThinkTime)
-				}
 			}
 		}(w)
 	}

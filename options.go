@@ -31,54 +31,12 @@ type (
 )
 
 // Option is a functional configuration option for Open.  Options are applied
-// in order over DefaultConfig(), so later options override earlier ones and
-// a preset (WithConfig, WithPaperScale) can be refined by the options that
-// follow it.
+// in order over DefaultConfig(), so later options override earlier ones.
 type Option func(*Config)
-
-// WithConfig replaces the whole configuration with cfg.  Use it to start
-// from a fully built Config (e.g. an experiment preset) and refine it with
-// further options.
-func WithConfig(cfg Config) Option {
-	return func(c *Config) { *c = cfg }
-}
-
-// WithFlash replaces the flash device configuration.
-func WithFlash(fc FlashConfig) Option {
-	return func(c *Config) { c.Flash = fc }
-}
-
-// WithGeometry replaces only the device geometry, keeping NAND timing and
-// endurance as configured.
-func WithGeometry(geo DeviceGeometry) Option {
-	return func(c *Config) { c.Flash.Geometry = geo }
-}
-
-// WithSpace replaces the space-manager options.
-func WithSpace(opts SpaceOptions) Option {
-	return func(c *Config) { c.Space = opts }
-}
-
-// WithPlacement selects the placement mode (PlacementRegions or
-// PlacementTraditional).
-func WithPlacement(mode PlacementMode) Option {
-	return func(c *Config) { c.Space.Mode = mode }
-}
-
-// WithGCPolicy sets the default per-region garbage-collection policy
-// (overridable per region via CREATE/ALTER REGION).
-func WithGCPolicy(gc GCPolicy) Option {
-	return func(c *Config) { c.Space.GC = gc }
-}
 
 // WithBufferPoolPages sets the number of page frames in the buffer pool.
 func WithBufferPoolPages(n int) Option {
 	return func(c *Config) { c.BufferPoolPages = n }
-}
-
-// WithWAL enables or disables write-ahead logging.
-func WithWAL(enabled bool) Option {
-	return func(c *Config) { c.WAL = enabled }
 }
 
 // WithWALGroupCommit tunes the WAL's group commit: the log-force leader
@@ -99,16 +57,6 @@ func WithWALGroupCommit(batch int, delay time.Duration) Option {
 // WithLockTimeout sets the lock-wait timeout (the deadlock safety net).
 func WithLockTimeout(d time.Duration) Option {
 	return func(c *Config) { c.LockTimeout = d }
-}
-
-// WithCPUPerOp sets the CPU time charged per row or index operation.
-func WithCPUPerOp(d time.Duration) Option {
-	return func(c *Config) { c.CPUPerOp = d }
-}
-
-// WithExtentPages sets the default tablespace extent size in pages.
-func WithExtentPages(n int) Option {
-	return func(c *Config) { c.ExtentPages = n }
 }
 
 // WithReadAhead sets the number of sequentially-next pages the buffer pool
@@ -175,13 +123,6 @@ func WithMetricsListener(addr string) Option {
 	return func(c *Config) { c.MetricsAddr = addr }
 }
 
-// WithPaperScale configures the flash device like the paper's evaluation
-// platform (64 dies behind 8 channels); blocksPerDie scales the device size.
-// It is the option form of PaperConfig.
-func WithPaperScale(blocksPerDie int) Option {
-	return func(c *Config) { c.Flash = flash.PaperConfig(blocksPerDie) }
-}
-
 // Open creates a database over a fresh simulated flash device.  The
 // configuration starts from DefaultConfig() and is refined by the options in
 // order:
@@ -189,7 +130,6 @@ func WithPaperScale(blocksPerDie int) Option {
 //	db, err := noftl.Open()                                  // all defaults
 //	db, err := noftl.Open(noftl.WithBufferPoolPages(4096),
 //	                      noftl.WithReadAhead(8))
-//	db, err := noftl.Open(noftl.WithPaperScale(512))         // paper platform
 func Open(opts ...Option) (*DB, error) {
 	cfg := DefaultConfig()
 	for _, opt := range opts {
