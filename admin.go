@@ -1,10 +1,6 @@
 package noftl
 
-import (
-	"io"
-
-	"noftl/internal/core"
-)
+import "io"
 
 // Admin is the narrow administrative facade for region, garbage-collection
 // and wear operations.  It replaces the former SpaceManager()/Scheduler()
@@ -53,38 +49,14 @@ func (a *admin) CreateRegion(spec RegionSpec) error {
 	return a.db.CreateRegion(spec)
 }
 
-func (a *admin) DropRegion(name string) error {
-	if err := a.db.checkOpen(); err != nil {
-		return err
-	}
-	return a.db.dropRegion(name)
-}
+func (a *admin) DropRegion(name string) error { return a.db.dropRegion(name) }
 
 func (a *admin) GrowRegion(name string, n int) error {
-	if err := a.db.checkOpen(); err != nil {
-		return err
-	}
-	if err := a.db.space.GrowRegion(name, n); err != nil {
-		return publicErr(err)
-	}
-	// Die assignment travels in the checkpoint's region marks; keep it durable.
-	return a.db.checkpointAfterDDL()
+	// Die assignment travels in the checkpoint's region marks; ddl keeps it durable.
+	return a.db.ddl(func() error { return a.db.space.GrowRegion(name, n) })
 }
 
-func (a *admin) SetGCPolicy(region string, gc GCPolicy) error {
-	if err := a.db.checkOpen(); err != nil {
-		return err
-	}
-	if err := a.db.space.SetGCPolicy(region, gc); err != nil {
-		return publicErr(err)
-	}
-	if region != core.DefaultRegionName {
-		if err := a.db.cat.UpdateRegionGC(region, gc); err != nil {
-			return publicErr(err)
-		}
-	}
-	return a.db.checkpointAfterDDL()
-}
+func (a *admin) SetGCPolicy(region string, gc GCPolicy) error { return a.db.setGCPolicy(region, gc) }
 
 func (a *admin) GCPolicy(region string) (GCPolicy, bool) {
 	return a.db.space.GCPolicyOf(region)

@@ -358,18 +358,12 @@ func TestUpdateViewClosures(t *testing.T) {
 	}
 }
 
-// TestApplyGCClauseErrors exercises every clause error path of the DDL GC
-// options, including values the parser itself cannot produce.
+// TestApplyGCClauseErrors exercises the clause error path of the DDL GC
+// options (the parser rejects bad GC_STEP_PAGES and HOT_COLD values itself).
 func TestApplyGCClauseErrors(t *testing.T) {
 	base := core.GCPolicy{StepPages: 8}
 	if _, _, clause, err := applyGCClause(base, "LRU", 0, ""); err == nil || clause != "GC_POLICY" {
 		t.Fatalf("bad policy: clause=%q err=%v", clause, err)
-	}
-	if _, _, clause, err := applyGCClause(base, "", -3, ""); err == nil || clause != "GC_STEP_PAGES" {
-		t.Fatalf("negative step: clause=%q err=%v", clause, err)
-	}
-	if _, _, clause, err := applyGCClause(base, "", 0, "MAYBE"); err == nil || clause != "HOT_COLD" {
-		t.Fatalf("bad hot/cold: clause=%q err=%v", clause, err)
 	}
 	gc, set, clause, err := applyGCClause(base, "COST_BENEFIT", 4, "off")
 	if err != nil || !set || clause != "" {
@@ -446,9 +440,32 @@ ALTER REGION nope SET GC_POLICY=GREEDY;`
 	if !errors.As(err, &de) || de.Clause != "REGION" || !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown region: clause=%q err=%v", de.Clause, err)
 	}
+
+	// A region a tablespace references cannot be dropped; once the tablespace
+	// is gone it can, and its dies are the default region's again.
+	defaultDies := func() int {
+		def, _ := db.Stats().Space.RegionByName(core.DefaultRegionName)
+		return len(def.Dies)
+	}
+	before := defaultDies()
+	if err := db.Exec("DROP REGION rgOk"); !errors.Is(err, ErrConflict) {
+		t.Fatalf("drop of a region tablespace tsDup references: %v", err)
+	}
+	if err := db.Exec("DROP TABLESPACE tsDup; DROP REGION rgOk"); err != nil {
+		t.Fatal(err)
+	}
+	if got := defaultDies(); got != before+2 || len(db.Schema().Regions) != 0 {
+		t.Fatalf("after DROP REGION: %d dies in DEFAULT (had %d), schema regions %+v", got, before, db.Schema().Regions)
+	}
+	if err := db.Exec("DROP REGION rgOk"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("double drop region: %v", err)
+	}
+	if err := db.Exec("DROP REGION DEFAULT"); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("drop of the default region: %v", err)
+	}
 }
 
-// TestDropTablespaceAndIndex covers the new DROP paths: catalog removal,
+// TestDropTablespaceAndIndex covers the DROP paths: removal from the schema,
 // page reclamation, in-use protection and the SYSTEM special case.
 func TestDropTablespaceAndIndex(t *testing.T) {
 	db, err := OpenConfig(smallConfig())
@@ -484,6 +501,25 @@ func TestDropTablespaceAndIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A taken name is refused and the first object is untouched; so is an
+	// index in a tablespace that does not exist.
+	if err := db.Exec("CREATE TABLE T (w NUMBER(3))"); !errors.Is(err, ErrConflict) {
+		t.Fatalf("duplicate table: %v", err)
+	}
+	if err := db.Exec("CREATE INDEX T_IDX ON T (v)"); !errors.Is(err, ErrConflict) {
+		t.Fatalf("duplicate index: %v", err)
+	}
+	if err := db.Exec("CREATE INDEX T_NOPE ON T (v) TABLESPACE missing"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("index in a missing tablespace: %v", err)
+	}
+	if t2, _ := db.Table("T"); t2 != tbl || tbl.RowCount() != 400 {
+		t.Fatalf("table T after the refused duplicate: same handle %v, %d rows", t2 == tbl, tbl.RowCount())
+	}
+	if i2, _ := db.Index("T_IDX"); i2 != idx || idx.Entries() != 400 || len(db.Schema().Indexes) != 1 {
+		t.Fatalf("index T_IDX after the refused statements: same handle %v, %d entries, schema %+v",
+			i2 == idx, idx.Entries(), db.Schema().Indexes)
+	}
+
 	// In-use tablespace cannot be dropped.
 	if err := db.Exec("DROP TABLESPACE tsTmp"); !errors.Is(err, ErrConflict) {
 		t.Fatalf("drop in-use tablespace: %v", err)
@@ -508,14 +544,17 @@ func TestDropTablespaceAndIndex(t *testing.T) {
 		t.Fatalf("double drop index: %v", err)
 	}
 
-	// After dropping the table the tablespace drops cleanly, in catalog and
-	// runtime maps.
-	if err := db.Exec("DROP TABLE T; DROP TABLESPACE tsTmp"); err != nil {
+	// DROP TABLE takes the table's indexes with it, so the tablespace then
+	// drops cleanly.
+	if err := db.Exec("CREATE INDEX T_I2 ON T (v) TABLESPACE tsTmp; DROP TABLE T; DROP TABLESPACE tsTmp"); err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := db.Index("T_I2"); ok || len(db.Schema().Indexes) != 0 || len(db.Schema().Tables) != 0 {
+		t.Fatalf("after DROP TABLE: index handle %v, schema %+v", ok, db.Schema())
 	}
 	for _, ts := range db.Schema().Tablespaces {
 		if ts.Name == "tsTmp" {
-			t.Fatal("tablespace still in catalog")
+			t.Fatal("tablespace still in the schema")
 		}
 	}
 	if err := db.CreateTablespace("tsTmp", "", 0); err != nil {

@@ -26,7 +26,7 @@ func (t *Table) InsertBatch(tx *Tx, rows [][]byte) ([]RID, error) {
 	rids, done, err := t.heap.InsertBatch(tx.Now(), rows)
 	tx.inner.AdvanceTo(done)
 	for i, rid := range rids {
-		if lerr := tx.inner.Log(wal.RecInsert, t.objectID, wal.EncodeRowPayload(rid, rows[i])); lerr != nil && err == nil {
+		if lerr := tx.inner.Log(wal.RecInsert, t.meta.ObjectID, wal.EncodeRowPayload(rid, rows[i])); lerr != nil && err == nil {
 			err = lerr
 		}
 	}

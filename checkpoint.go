@@ -44,7 +44,7 @@ import (
 // ckptBegin is the body of a checkpoint's begin mark.
 type ckptBegin struct {
 	NextTxnID uint64        // highest transaction id handed out so far
-	DefaultGC core.GCPolicy // the default region has no catalog entry to carry it
+	DefaultGC core.GCPolicy // the default region has no region mark to carry it
 	// SnapshotSeq is the space manager's write sequence after the flush: the
 	// checkpointed version of a page is its newest at or below it.  A light
 	// checkpoint has none, and its mark is byte for byte what it always was.
@@ -141,36 +141,24 @@ func (db *DB) markFits(entry any) error {
 // transaction is in flight and the state is transaction-consistent by
 // construction.
 func (db *DB) describeState(s *ckptStream) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	// Regions carry their live die assignment, so recovery recreates each on
 	// exactly the dies it owned.
-	space := db.space.Stats()
-	for _, r := range db.cat.Regions() {
-		gc := r.GC
-		live, _ := space.RegionByName(r.Name)
-		s.mark(markRegion, RegionSpec{Name: r.Name, MaxChips: r.MaxChips, MaxChannels: r.MaxChannels,
-			MaxSizeBytes: r.MaxSizeBytes, Dies: live.Dies, GC: &gc})
+	for _, spec := range db.space.RegionSpecs() {
+		s.mark(markRegion, spec)
 	}
-	for _, ts := range db.cat.Tablespaces() {
-		if ts.Name != "SYSTEM" { // implicit: openWith creates it
-			s.mark(markTablespace, ts)
+	for _, ts := range byName(db.tablespaces) {
+		if ts.Name() != "SYSTEM" { // implicit: openWith creates it
+			s.mark(markTablespace, db.tablespaceInfo(ts))
 		}
 	}
-	for _, meta := range db.cat.Tables() {
-		t, ok := db.Table(meta.Name)
-		if !ok {
-			s.err = fmt.Errorf("noftl: checkpoint: table %q has no runtime object", meta.Name)
-			return
-		}
-		s.mark(markTable, meta)
+	for _, t := range byName(db.tables) {
+		s.mark(markTable, t.meta)
 		s.describe(pageDesc{Count: t.heap.RecordCount()}, t.heap.Pages())
 	}
-	for _, meta := range db.cat.Indexes() {
-		idx, ok := db.Index(meta.Name)
-		if !ok {
-			s.err = fmt.Errorf("noftl: checkpoint: index %q has no runtime object", meta.Name)
-			return
-		}
-		s.mark(markIndex, meta)
+	for _, idx := range byName(db.indexes) {
+		s.mark(markIndex, idx.meta)
 		s.describe(pageDesc{Count: idx.tree.Entries(), Root: idx.tree.Root(), Height: idx.tree.Height()}, idx.tree.PageList())
 	}
 }

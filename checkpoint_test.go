@@ -70,7 +70,7 @@ func TestCheckpointRefusesAPinnedDirtyPage(t *testing.T) {
 	}
 	wideRows(t, db, tbl, 0, 20, 'a')
 	ts, _ := db.tablespace("")
-	h, _, err := db.pool.Fetch(db.SimulatedTime(), tbl.heap.Pages()[0], ts.Hint(tbl.objectID, 0))
+	h, _, err := db.pool.Fetch(db.SimulatedTime(), tbl.heap.Pages()[0], ts.Hint(tbl.meta.ObjectID, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -220,3 +220,49 @@ func TestConcurrentUpdateLockConflict(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestConcurrentDDLOneWinnerPerName races the same CREATE statements from
+// several goroutines while others read the schema: checking a name and taking
+// it is one critical section, so each name is created exactly once, every loser
+// sees ErrConflict, and a worker whose statements have returned sees all four
+// objects.
+func TestConcurrentDDLOneWinnerPerName(t *testing.T) {
+	db, err := OpenConfig(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const workers = 8
+	var created, conflicts atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, stmt := range []string{
+				"CREATE REGION rg (MAX_CHIPS=1)", "CREATE TABLESPACE ts (REGION=rg)",
+				"CREATE TABLE T (k NUMBER(3)) TABLESPACE ts", "CREATE INDEX T_PK ON T (k)",
+			} {
+				switch err := db.Exec(stmt); {
+				case err == nil:
+					created.Add(1)
+				case errors.Is(err, ErrConflict):
+					conflicts.Add(1)
+				default:
+					t.Errorf("%s: %v", stmt, err)
+				}
+			}
+			s := db.Schema()
+			if len(s.Regions) != 1 || len(s.Tablespaces) != 2 || len(s.Tables) != 1 || len(s.Indexes) != 1 {
+				t.Errorf("schema after this worker's four statements: %+v", s)
+			}
+		}()
+	}
+	wg.Wait()
+	if created.Load() != 4 || conflicts.Load() != 4*(workers-1) {
+		t.Fatalf("%d statements created an object and %d were refused, want 4 and %d", created.Load(), conflicts.Load(), 4*(workers-1))
+	}
+	if _, err := db.Checkpoint(db.SimulatedTime()); err != nil {
+		t.Fatal(err)
+	}
+}

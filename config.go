@@ -35,7 +35,7 @@
 // values carrying the offending statement, position and clause.
 // Introspection is snapshot-only: Stats() captures every layer's counters
 // (buffer pool, I/O scheduler, per-region space/GC, device, WAL,
-// per-object), Schema() snapshots the catalog, Geometry() describes the
+// per-object), Schema() is a view of the live schema, Geometry() describes the
 // device, and Admin() is the narrow facade for region/GC/wear operations.
 //
 // Every physical page carries the placement hint of its tablespace's

@@ -3,6 +3,7 @@ package noftl
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -29,7 +30,6 @@ type DB struct {
 	dev    *flash.Device
 	space  *core.Manager
 	pool   *buffer.Pool
-	cat    *catalog.Catalog
 	log    *wal.Log
 	txns   *txn.Manager
 	clock  *sim.Clock
@@ -37,10 +37,14 @@ type DB struct {
 	tracer *obs.Tracer // nil when tracing is off
 	msrv   *metricsServer
 
+	// The schema is kept once.  The maps below and the object-id counter are
+	// guarded by mu; a table or index handle carries its own catalog entry, and
+	// the regions are the space manager's.  Every schema change goes through ddl.
 	mu          sync.RWMutex
 	tablespaces map[string]*storage.Tablespace
 	tables      map[string]*Table
 	indexes     map[string]*Index
+	nextObject  uint32 // next fresh object id (the WAL takes 1)
 	closed      bool
 
 	// Checkpointing.  ckptMu is the quiesce lock: every transaction holds it
@@ -75,11 +79,11 @@ func openWith(cfg Config, dev *flash.Device, space *core.Manager) (*DB, error) {
 		cfg:         cfg,
 		dev:         dev,
 		space:       space,
-		cat:         catalog.New(),
 		clock:       sim.NewClock(),
 		tablespaces: make(map[string]*storage.Tablespace),
 		tables:      make(map[string]*Table),
 		indexes:     make(map[string]*Index),
+		nextObject:  1,
 	}
 	// The registry owns every layer's counters: each AttachObs below re-binds
 	// a layer's children to it, so Stats() and /metrics read the same storage.
@@ -94,16 +98,14 @@ func openWith(cfg Config, dev *flash.Device, space *core.Manager) (*DB, error) {
 	db.pool.AttachObs(db.tracer, db.reg)
 	db.pool.Configure(buffer.Options{ReadAhead: cfg.ReadAheadPages})
 
-	// The default tablespace lives in the default region; the catalog and
-	// WAL are placed there unless the DBA says otherwise.
+	// The default tablespace lives in the default region; the WAL is placed
+	// there.
 	defTS := storage.NewTablespace("SYSTEM", core.DefaultRegionID, cfg.ExtentPages, db.space)
 	db.tablespaces["SYSTEM"] = defTS
-	if err := db.cat.AddTablespace(catalog.Tablespace{Name: "SYSTEM", Region: core.DefaultRegionName, ExtentPages: cfg.ExtentPages}); err != nil {
-		return nil, err
-	}
 
 	if cfg.WAL {
-		walObj := db.cat.NextObjectID()
+		walObj := db.nextObject
+		db.nextObject++
 		db.log = wal.New(db.space, defTS.Hint(walObj, flash.FlagLog), dev.Geometry().PageSize)
 		db.space.NameObject(walObj, "WAL", "log", func() int64 { return int64(db.log.PageCount()) })
 		db.log.AttachObs(db.tracer, db.reg)
@@ -174,7 +176,7 @@ func (db *DB) checkOpen() error {
 }
 
 // Schema is an immutable snapshot of the database schema: every region,
-// tablespace, table and index known to the catalog, each sorted by name.
+// tablespace, table and index, each sorted by name.
 type Schema struct {
 	Regions     []RegionInfo
 	Tablespaces []TablespaceInfo
@@ -196,15 +198,45 @@ type (
 	Column = catalog.Column
 )
 
-// Schema returns a snapshot of the full schema.  It replaces the former
-// Catalog() escape hatch.
+// Schema returns a snapshot of the full schema: a view of the live state — the
+// space manager's regions, the tablespaces, the entries the table and index
+// handles carry.
 func (db *DB) Schema() Schema {
-	return Schema{
-		Regions:     db.cat.Regions(),
-		Tablespaces: db.cat.Tablespaces(),
-		Tables:      db.cat.Tables(),
-		Indexes:     db.cat.Indexes(),
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	var s Schema
+	for _, spec := range db.space.RegionSpecs() {
+		r, _ := db.space.Region(spec.Name) // regions are dropped under db.mu only
+		s.Regions = append(s.Regions, RegionInfo{Name: spec.Name, ID: r.ID(), MaxChips: spec.MaxChips,
+			MaxChannels: spec.MaxChannels, MaxSizeBytes: spec.MaxSizeBytes, GC: *spec.GC})
 	}
+	for _, ts := range byName(db.tablespaces) {
+		s.Tablespaces = append(s.Tablespaces, db.tablespaceInfo(ts))
+	}
+	for _, t := range byName(db.tables) {
+		s.Tables = append(s.Tables, t.meta)
+	}
+	for _, idx := range byName(db.indexes) {
+		s.Indexes = append(s.Indexes, idx.meta)
+	}
+	return s
+}
+
+// byName returns the values of one of the schema maps in the order of their
+// names.  Caller holds db.mu.
+func byName[T any](m map[string]T) []T {
+	out := make([]T, 0, len(m))
+	for _, name := range slices.Sorted(maps.Keys(m)) {
+		out = append(out, m[name])
+	}
+	return out
+}
+
+// tablespaceInfo is the catalog entry of a tablespace.  Caller holds db.mu, so
+// the region is there: one that tablespaces reference cannot be dropped.
+func (db *DB) tablespaceInfo(ts *storage.Tablespace) TablespaceInfo {
+	r, _ := db.space.RegionByID(ts.Region())
+	return TablespaceInfo{Name: ts.Name(), Region: r.Name(), ExtentPages: ts.ExtentPages()}
 }
 
 // TimeCursor is a private virtual-time cursor publishing to the database's
@@ -368,9 +400,9 @@ func (db *DB) execDrop(s ddl.DropStatement) error {
 	}
 }
 
-// applyGCClause folds a DDL GC clause (CREATE/ALTER REGION options) into a
-// base policy, reporting whether any option was actually set and, on error,
-// which clause was at fault.
+// applyGCClause folds a DDL GC clause (CREATE/ALTER REGION options), whose
+// values the parser has validated, into a base policy, reporting whether any
+// option was actually set and, when the policy name is unknown, the clause.
 func applyGCClause(base core.GCPolicy, policy string, stepPages int, hotCold string) (core.GCPolicy, bool, string, error) {
 	set := false
 	if policy != "" {
@@ -382,129 +414,103 @@ func applyGCClause(base core.GCPolicy, policy string, stepPages int, hotCold str
 		set = true
 	}
 	if stepPages != 0 {
-		if stepPages < 0 {
-			return base, false, "GC_STEP_PAGES", fmt.Errorf("noftl: GC_STEP_PAGES must be positive, got %d", stepPages)
-		}
 		base.StepPages = stepPages
 		set = true
 	}
-	switch strings.ToUpper(hotCold) {
-	case "":
-	case "ON":
-		base.DisableHotCold = false
+	if hotCold != "" {
+		base.DisableHotCold = strings.EqualFold(hotCold, "OFF")
 		set = true
-	case "OFF":
-		base.DisableHotCold = true
-		set = true
-	default:
-		return base, false, "HOT_COLD", fmt.Errorf("noftl: HOT_COLD must be ON or OFF, got %q", hotCold)
 	}
 	return base, set, "", nil
 }
 
-// alterRegionGC executes ALTER REGION … SET: the space manager switches the
-// live policy and the catalog records it.
+// alterRegionGC executes ALTER REGION … SET.
 func (db *DB) alterRegionGC(s ddl.AlterRegion) (string, error) {
 	cur, ok := db.space.GCPolicyOf(s.Name)
 	if !ok {
 		return "REGION", fmt.Errorf("%w: region %q", ErrNotFound, s.Name)
 	}
 	gc, set, clause, err := applyGCClause(cur, s.GCPolicy, s.GCStepPages, s.HotCold)
-	if err != nil {
+	if err != nil || !set {
 		return clause, err
 	}
-	if !set {
-		return "", nil
-	}
-	if err := db.space.SetGCPolicy(s.Name, gc); err != nil {
-		return "", err
-	}
-	if s.Name == core.DefaultRegionName {
-		// The default region has no catalog entry; the live policy is all
-		// there is to update.
-		return "", db.checkpointAfterDDL()
-	}
-	if err := db.cat.UpdateRegionGC(s.Name, gc); err != nil {
-		return "", err
-	}
-	return "", db.checkpointAfterDDL()
+	return "", db.setGCPolicy(s.Name, gc)
 }
 
-// dropRegion removes a region from both catalog and space manager (the DROP
-// REGION path; Admin().DropRegion is the programmatic form).
-func (db *DB) dropRegion(name string) error {
-	if err := db.cat.DropRegion(name); err != nil {
-		return publicErr(err)
+// ddl runs one schema change and makes it durable.  change runs under db.mu,
+// the one lock of the schema maps and the object-id counter, and checks
+// everything before it mutates anything or writes a page, so a refused
+// statement leaves no trace.  The checkpoint takes db.mu itself and follows
+// the unlock.
+func (db *DB) ddl(change func() error) error {
+	db.mu.Lock()
+	err := ErrClosed
+	if !db.closed {
+		err = change()
 	}
-	if err := db.space.DropRegion(name); err != nil {
+	db.mu.Unlock()
+	if err != nil {
 		return publicErr(err)
 	}
 	return db.checkpointAfterDDL()
+}
+
+// setGCPolicy switches a region's live policy — the space manager's, the only
+// copy there is (ALTER REGION … SET and Admin().SetGCPolicy).
+func (db *DB) setGCPolicy(region string, gc GCPolicy) error {
+	return db.ddl(func() error { return db.space.SetGCPolicy(region, gc) })
+}
+
+// dropRegion returns a region no tablespace references to the default region
+// (DROP REGION and Admin().DropRegion).
+func (db *DB) dropRegion(name string) error {
+	return db.ddl(func() error {
+		if r, ok := db.space.Region(name); ok && r.ID() != core.DefaultRegionID {
+			for _, ts := range db.tablespaces {
+				if ts.Region() == r.ID() {
+					return fmt.Errorf("%w: region %q is used by tablespace %q", ErrConflict, name, ts.Name())
+				}
+			}
+		}
+		return db.space.DropRegion(name)
+	})
 }
 
 // CreateRegion creates a NoFTL region (programmatic form of CREATE REGION).
 func (db *DB) CreateRegion(spec RegionSpec) error {
-	if err := db.checkOpen(); err != nil {
+	return db.ddl(func() error {
+		_, err := db.space.CreateRegion(spec)
 		return err
-	}
-	r, err := db.space.CreateRegion(spec)
-	if err != nil {
-		return publicErr(err)
-	}
-	gc := db.space.Options().GC
-	if spec.GC != nil {
-		gc = *spec.GC
-	}
-	err = db.cat.AddRegion(catalog.Region{
-		Name:         spec.Name,
-		ID:           r.ID(),
-		MaxChips:     spec.MaxChips,
-		MaxChannels:  spec.MaxChannels,
-		MaxSizeBytes: spec.MaxSizeBytes,
-		GC:           gc,
 	})
-	if err != nil {
-		_ = db.space.DropRegion(spec.Name)
-		return publicErr(err)
-	}
-	return db.checkpointAfterDDL()
 }
 
 // CreateTablespace creates a tablespace bound to a region ("" or "DEFAULT"
 // means the default region).
 func (db *DB) CreateTablespace(name, region string, extentPages int) error {
-	if err := db.checkOpen(); err != nil {
-		return err
-	}
-	regionID := core.DefaultRegionID
-	regionName := core.DefaultRegionName
-	if region != "" && region != core.DefaultRegionName {
+	return db.ddl(func() error {
+		if region == "" {
+			region = core.DefaultRegionName
+		}
 		r, ok := db.space.Region(region)
 		if !ok {
 			return fmt.Errorf("%w: region %q", ErrNotFound, region)
 		}
-		regionID = r.ID()
-		regionName = region
-	}
-	if extentPages <= 0 {
-		extentPages = db.cfg.ExtentPages
-	}
-	if err := db.cat.AddTablespace(catalog.Tablespace{Name: name, Region: regionName, ExtentPages: extentPages}); err != nil {
-		return publicErr(err)
-	}
-	db.mu.Lock()
-	db.tablespaces[name] = storage.NewTablespace(name, regionID, extentPages, db.space)
-	db.mu.Unlock()
-	return db.checkpointAfterDDL()
+		if _, ok := db.tablespaces[name]; ok {
+			return fmt.Errorf("%w: tablespace %q already exists", ErrConflict, name)
+		}
+		if extentPages <= 0 {
+			extentPages = db.cfg.ExtentPages
+		}
+		db.tablespaces[name] = storage.NewTablespace(name, r.ID(), extentPages, db.space)
+		return nil
+	})
 }
 
-// tablespace returns the runtime tablespace object.
+// tablespace returns the named tablespace ("" = SYSTEM).  Caller holds db.mu.
 func (db *DB) tablespace(name string) (*storage.Tablespace, error) {
 	if name == "" {
 		name = "SYSTEM"
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	ts, ok := db.tablespaces[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: tablespace %q", ErrNotFound, name)
@@ -517,104 +523,83 @@ func (db *DB) CreateTable(name, tablespace string, columns []Column) (*Table, er
 	return db.createTable(catalog.Table{Name: name, Tablespace: tablespace, Columns: columns}, nil)
 }
 
-// createTable registers a table: catalog entry, heap file, runtime maps.  A
-// zero ObjectID gets a fresh id and an empty heap; recovery passes the
-// pre-crash id and the checkpoint's description of the heap's pages.
+// createTable registers a table: its heap file and its handle, which carries
+// the catalog entry.  A zero ObjectID gets a fresh id and an empty heap;
+// recovery passes the pre-crash id, above which fresh ids then continue, and
+// the checkpoint's description of the heap's pages.
 func (db *DB) createTable(meta catalog.Table, at *ckptObject) (*Table, error) {
-	if err := db.checkOpen(); err != nil {
-		return nil, err
-	}
-	ts, err := db.tablespace(meta.Tablespace)
-	if err != nil {
-		return nil, err
-	}
-	meta.Tablespace = ts.Name()
-	if meta.ObjectID == 0 {
-		meta.ObjectID = db.cat.NextObjectID()
-	}
-	if err := db.markFits(meta); err != nil {
-		return nil, err
-	}
-	if err := db.cat.AddTable(meta); err != nil {
-		return nil, publicErr(err)
-	}
-	heap := storage.NewHeapFile(meta.Name, meta.ObjectID, ts, db.pool)
-	if at != nil {
-		heap = storage.AttachHeapFile(meta.Name, meta.ObjectID, ts, db.pool, at.pages, at.Count)
-		db.cat.EnsureNextObjectID(meta.ObjectID + 1) // fresh ids continue above the recovered ones
-	}
-	db.space.NameObject(meta.ObjectID, meta.Name, "table", heap.PageCount)
-	t := &Table{db: db, heap: heap, name: meta.Name, objectID: meta.ObjectID}
-	db.mu.Lock()
-	db.tables[meta.Name] = t
-	db.mu.Unlock()
-	return t, db.checkpointAfterDDL()
+	var t *Table
+	err := db.ddl(func() error {
+		ts, err := db.tablespace(meta.Tablespace)
+		if err != nil {
+			return err
+		}
+		meta.Tablespace = ts.Name()
+		if meta.ObjectID == 0 {
+			meta.ObjectID = db.nextObject
+		}
+		if err := db.markFits(meta); err != nil {
+			return err
+		}
+		if _, ok := db.tables[meta.Name]; ok {
+			return fmt.Errorf("%w: table %q already exists", ErrConflict, meta.Name)
+		}
+		heap := storage.NewHeapFile(meta.Name, meta.ObjectID, ts, db.pool)
+		if at != nil {
+			heap = storage.AttachHeapFile(meta.Name, meta.ObjectID, ts, db.pool, at.pages, at.Count)
+		}
+		db.nextObject = max(db.nextObject, meta.ObjectID+1)
+		db.space.NameObject(meta.ObjectID, meta.Name, "table", heap.PageCount)
+		t = &Table{db: db, heap: heap, meta: meta}
+		db.tables[meta.Name] = t
+		return nil
+	})
+	return t, err
 }
 
-// DropTable removes a table, its indexes, and trims their pages on flash so
+// DropTable removes a table and its indexes, and trims their pages on flash so
 // the garbage collector can reclaim the space.
 func (db *DB) DropTable(name string) error {
-	if err := db.checkOpen(); err != nil {
-		return err
-	}
-	db.mu.Lock()
-	t, ok := db.tables[name]
-	if !ok {
-		db.mu.Unlock()
-		return fmt.Errorf("%w: table %q", ErrNotFound, name)
-	}
-	delete(db.tables, name)
-	var droppedIndexes []*Index
-	for iname, idx := range db.indexes {
-		if idx.meta.Table == name {
-			droppedIndexes = append(droppedIndexes, idx)
-			delete(db.indexes, iname)
+	return db.ddl(func() error {
+		t, ok := db.tables[name]
+		if !ok {
+			return fmt.Errorf("%w: table %q", ErrNotFound, name)
 		}
-	}
-	db.mu.Unlock()
-	if err := db.cat.DropTable(name); err != nil {
-		return publicErr(err)
-	}
-	// Trim the heap's and the indexes' pages so the space manager can
-	// reclaim them (never-flushed pages are simply unmapped).
-	db.trimPages(t.heap.Pages())
-	db.space.ForgetObject(t.objectID)
-	for _, idx := range droppedIndexes {
-		db.trimPages(idx.tree.PageList())
-		db.space.ForgetObject(idx.meta.ObjectID)
-	}
-	return db.checkpointAfterDDL()
+		delete(db.tables, name)
+		db.dropObject(t.meta.ObjectID, t.heap.Pages())
+		for iname, idx := range db.indexes {
+			if idx.meta.Table == name {
+				delete(db.indexes, iname)
+				db.dropObject(idx.meta.ObjectID, idx.tree.PageList())
+			}
+		}
+		return nil
+	})
 }
 
-// trimPages drops the pages from the buffer pool and unmaps them in the
-// space manager.
-func (db *DB) trimPages(lpns []core.LPN) {
+// dropObject drops the pages of a table or index from the buffer pool and
+// unmaps them in the space manager, so it can reclaim them, and retires the
+// object's id.
+func (db *DB) dropObject(id uint32, lpns []core.LPN) {
 	for _, lpn := range lpns {
 		db.pool.Drop(lpn)
 		_ = db.space.TrimPage(lpn) // never-flushed pages are simply unmapped
 	}
+	db.space.ForgetObject(id)
 }
 
 // DropIndex removes an index and trims its pages on flash (the DROP INDEX
 // path).
 func (db *DB) DropIndex(name string) error {
-	if err := db.checkOpen(); err != nil {
-		return err
-	}
-	db.mu.Lock()
-	idx, ok := db.indexes[name]
-	if !ok {
-		db.mu.Unlock()
-		return fmt.Errorf("%w: index %q", ErrNotFound, name)
-	}
-	delete(db.indexes, name)
-	db.mu.Unlock()
-	if err := db.cat.DropIndex(name); err != nil {
-		return publicErr(err)
-	}
-	db.trimPages(idx.tree.PageList())
-	db.space.ForgetObject(idx.meta.ObjectID)
-	return db.checkpointAfterDDL()
+	return db.ddl(func() error {
+		idx, ok := db.indexes[name]
+		if !ok {
+			return fmt.Errorf("%w: index %q", ErrNotFound, name)
+		}
+		delete(db.indexes, name)
+		db.dropObject(idx.meta.ObjectID, idx.tree.PageList())
+		return nil
+	})
 }
 
 // DropTablespace removes an empty tablespace (the DROP TABLESPACE path).
@@ -624,19 +609,26 @@ func (db *DB) DropIndex(name string) error {
 // objects were dropped; any partially used extent tail is unmapped space the
 // garbage collector already treats as free.
 func (db *DB) DropTablespace(name string) error {
-	if err := db.checkOpen(); err != nil {
-		return err
-	}
-	if name == "" || name == "SYSTEM" {
-		return fmt.Errorf("%w: the SYSTEM tablespace cannot be dropped", ErrUnsupported)
-	}
-	if err := db.cat.DropTablespace(name); err != nil {
-		return publicErr(err)
-	}
-	db.mu.Lock()
-	delete(db.tablespaces, name)
-	db.mu.Unlock()
-	return db.checkpointAfterDDL()
+	return db.ddl(func() error {
+		if name == "" || name == "SYSTEM" {
+			return fmt.Errorf("%w: the SYSTEM tablespace cannot be dropped", ErrUnsupported)
+		}
+		if _, ok := db.tablespaces[name]; !ok {
+			return fmt.Errorf("%w: tablespace %q", ErrNotFound, name)
+		}
+		for _, t := range db.tables {
+			if t.meta.Tablespace == name {
+				return fmt.Errorf("%w: tablespace %q is used by table %q", ErrConflict, name, t.meta.Name)
+			}
+		}
+		for _, idx := range db.indexes {
+			if idx.meta.Tablespace == name {
+				return fmt.Errorf("%w: tablespace %q is used by index %q", ErrConflict, name, idx.meta.Name)
+			}
+		}
+		delete(db.tablespaces, name)
+		return nil
+	})
 }
 
 // CreateIndex creates a B+-tree index on a table in the given tablespace
@@ -645,48 +637,48 @@ func (db *DB) CreateIndex(name, table string, columns []string, unique bool, tab
 	return db.createIndex(catalog.Index{Name: name, Table: table, Columns: columns, Unique: unique, Tablespace: tablespace}, nil)
 }
 
-// createIndex registers an index: catalog entry, tree, runtime maps.  A zero
-// ObjectID gets a fresh id and an empty tree, whose root page is allocated at
-// once; recovery passes the pre-crash id and the checkpoint's descriptor of
-// the tree, and attaching to that writes nothing.
+// createIndex registers an index: its tree and its handle, which carries the
+// catalog entry.  A zero ObjectID gets a fresh id and an empty tree, whose root
+// page is allocated at once — the one DDL step that writes, so it comes after
+// every check and the index is registered only once it succeeded; recovery
+// passes the pre-crash id and the checkpoint's descriptor of the tree, and
+// attaching to that writes nothing.
 func (db *DB) createIndex(meta catalog.Index, at *ckptObject) (*Index, error) {
-	if err := db.checkOpen(); err != nil {
-		return nil, err
-	}
-	tmeta, ok := db.cat.Table(meta.Table)
-	if !ok {
-		return nil, fmt.Errorf("%w: table %q", ErrNotFound, meta.Table)
-	}
-	if meta.Tablespace == "" {
-		meta.Tablespace = tmeta.Tablespace
-	}
-	ts, err := db.tablespace(meta.Tablespace)
-	if err != nil {
-		return nil, err
-	}
-	meta.Tablespace = ts.Name()
-	if meta.ObjectID == 0 {
-		meta.ObjectID = db.cat.NextObjectID()
-	}
-	if err := db.markFits(meta); err != nil {
-		return nil, err
-	}
-	if err := db.cat.AddIndex(meta); err != nil {
-		return nil, publicErr(err)
-	}
-	var tree *btree.Tree
-	if at != nil {
-		tree = btree.Attach(meta.Name, meta.ObjectID, ts, db.pool, at.Root, at.Height, at.Count, at.pages)
-		db.cat.EnsureNextObjectID(meta.ObjectID + 1)
-	} else if tree, _, err = btree.New(db.clock.Now(), meta.Name, meta.ObjectID, ts, db.pool); err != nil {
-		return nil, err
-	}
-	db.space.NameObject(meta.ObjectID, meta.Name, "index", tree.Pages)
-	idx := &Index{db: db, tree: tree, meta: meta}
-	db.mu.Lock()
-	db.indexes[meta.Name] = idx
-	db.mu.Unlock()
-	return idx, db.checkpointAfterDDL()
+	var idx *Index
+	err := db.ddl(func() error {
+		t, ok := db.tables[meta.Table]
+		if !ok {
+			return fmt.Errorf("%w: table %q", ErrNotFound, meta.Table)
+		}
+		if meta.Tablespace == "" {
+			meta.Tablespace = t.meta.Tablespace
+		}
+		ts, err := db.tablespace(meta.Tablespace)
+		if err != nil {
+			return err
+		}
+		if meta.ObjectID == 0 {
+			meta.ObjectID = db.nextObject
+		}
+		if err := db.markFits(meta); err != nil {
+			return err
+		}
+		if _, ok := db.indexes[meta.Name]; ok {
+			return fmt.Errorf("%w: index %q already exists", ErrConflict, meta.Name)
+		}
+		var tree *btree.Tree
+		if at != nil {
+			tree = btree.Attach(meta.Name, meta.ObjectID, ts, db.pool, at.Root, at.Height, at.Count, at.pages)
+		} else if tree, _, err = btree.New(db.clock.Now(), meta.Name, meta.ObjectID, ts, db.pool); err != nil {
+			return err
+		}
+		db.nextObject = max(db.nextObject, meta.ObjectID+1)
+		db.space.NameObject(meta.ObjectID, meta.Name, "index", tree.Pages)
+		idx = &Index{db: db, tree: tree, meta: meta}
+		db.indexes[meta.Name] = idx
+		return nil
+	})
+	return idx, err
 }
 
 // Table returns a handle to an existing table.
@@ -705,13 +697,11 @@ func (db *DB) Index(name string) (*Index, bool) {
 	return i, ok
 }
 
-// Tables returns the names of all tables.
+// Tables returns the names of all tables, sorted.
 func (db *DB) Tables() []string {
-	var out []string
-	for _, t := range db.cat.Tables() {
-		out = append(out, t.Name)
-	}
-	return out
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return slices.Sorted(maps.Keys(db.tables))
 }
 
 // Begin starts a transaction whose virtual clock starts at the global

@@ -38,9 +38,10 @@ func TestOpenCloseAndPaperDDL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The region exists in both catalog and space manager, with 4 dies.
-	if _, ok := db.cat.Region("rgHotTbl"); !ok {
-		t.Fatal("region missing from catalog")
+	// The region is in the schema as declared, and owns 4 dies.
+	if rs := db.Schema().Regions; len(rs) != 1 || rs[0].Name != "rgHotTbl" || rs[0].MaxChips != 4 ||
+		rs[0].MaxChannels != 4 || rs[0].MaxSizeBytes != 1280<<20 {
+		t.Fatalf("schema regions = %+v", rs)
 	}
 	st := db.Stats().Space
 	rs, ok := st.RegionByName("rgHotTbl")
@@ -350,6 +351,90 @@ func TestCheckpointAndDropTable(t *testing.T) {
 	}
 }
 
+// TestFailedCreateIndexLeavesNoTrace refuses a CREATE INDEX at the one step of
+// DDL that writes — the root page, which with a pool of two dirty pages needs
+// an eviction the armed device fails — and checks that the statement left
+// nothing behind: no handle, no schema entry, checkpoints go on working, the
+// retry succeeds and the index it creates survives a crash.
+func TestFailedCreateIndexLeavesNoTrace(t *testing.T) {
+	cfg := smallConfig()
+	cfg.BufferPoolPages = 2
+	db, err := OpenConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("T", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rids []RID
+	err = db.Update(func(tx *Tx) error {
+		for i := 0; i < 8; i++ {
+			rid, err := tbl.Insert(tx, bytes.Repeat([]byte{byte('a' + i)}, 900))
+			if err != nil {
+				return err
+			}
+			rids = append(rids, rid)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	create := func() (*Index, error) { return db.CreateIndex("T_PK", "T", []string{"k"}, true, "") }
+
+	db.Admin().ArmFaults(FaultPlan{FailProgramEvery: 1})
+	if _, err := create(); err == nil {
+		t.Fatal("CREATE INDEX succeeded although no page can be programmed")
+	}
+	db.Admin().ArmFaults(FaultPlan{})
+	if _, ok := db.Index("T_PK"); ok {
+		t.Fatal("the refused index has a handle")
+	}
+	if ix := db.Schema().Indexes; len(ix) != 0 {
+		t.Fatalf("the refused index is in the schema: %+v", ix)
+	}
+	if _, err := db.Checkpoint(db.SimulatedTime()); err != nil {
+		t.Fatalf("checkpoint after the refused CREATE INDEX: %v", err)
+	}
+	idx, err := create()
+	if err != nil {
+		t.Fatalf("retry of the refused CREATE INDEX: %v", err)
+	}
+	err = db.Update(func(tx *Tx) error {
+		for i, rid := range rids {
+			if err := idx.Insert(tx, Key(uint32(i)), rid); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Reopen(db.Crash())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	ridx, ok := re.Index("T_PK")
+	if !ok || ridx.Entries() != int64(len(rids)) {
+		t.Fatalf("index after recovery: found=%v, schema %+v", ok, re.Schema().Indexes)
+	}
+	err = re.View(func(tx *Tx) error {
+		for i, rid := range rids {
+			if got, found, err := ridx.Lookup(tx, Key(uint32(i))); err != nil || !found || got != rid {
+				return fmt.Errorf("entry %d after recovery: rid=%v found=%v err=%v, want %v", i, got, found, err, rid)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestResetStatistics(t *testing.T) {
 	db, err := OpenConfig(smallConfig())
 	if err != nil {
@@ -411,9 +496,8 @@ func TestExecRegionGCPolicyDDL(t *testing.T) {
 	if !ok || gc.Victim != core.VictimCostBenefit || gc.StepPages != 4 || !gc.DisableHotCold {
 		t.Fatalf("CREATE REGION GC clause not applied: %+v", gc)
 	}
-	cr, ok := db.cat.Region("rgHot")
-	if !ok || cr.GC.Victim != core.VictimCostBenefit {
-		t.Fatalf("catalog missed the GC clause: %+v", cr.GC)
+	if rs := db.Schema().Regions; len(rs) != 1 || rs[0].GC != gc {
+		t.Fatalf("schema missed the GC clause: %+v, live policy %+v", rs, gc)
 	}
 	// Reconfigure online.
 	if err := db.Exec(`ALTER REGION rgHot SET GC_POLICY=GREEDY, HOT_COLD=ON;`); err != nil {
@@ -423,11 +507,10 @@ func TestExecRegionGCPolicyDDL(t *testing.T) {
 	if gc.Victim != core.VictimGreedy || gc.DisableHotCold || gc.StepPages != 4 {
 		t.Fatalf("ALTER REGION not applied (StepPages must survive): %+v", gc)
 	}
-	cr, _ = db.cat.Region("rgHot")
-	if cr.GC.Victim != core.VictimGreedy {
-		t.Fatalf("catalog not updated: %+v", cr.GC)
+	if rs := db.Schema().Regions; len(rs) != 1 || rs[0].GC != gc {
+		t.Fatalf("schema not updated: %+v, live policy %+v", rs, gc)
 	}
-	// The default region can be tuned too (no catalog entry to update).
+	// The default region can be tuned too.
 	if err := db.Exec(`ALTER REGION DEFAULT SET GC_STEP_PAGES=2;`); err != nil {
 		t.Fatal(err)
 	}

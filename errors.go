@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"noftl/internal/btree"
-	"noftl/internal/catalog"
 	"noftl/internal/core"
 	"noftl/internal/ddl"
 	"noftl/internal/flash"
@@ -113,15 +112,12 @@ func publicErr(err error) error {
 		errors.Is(err, ErrUnsupported), errors.Is(err, ErrConflict),
 		errors.Is(err, ErrRegionFull), errors.Is(err, ErrTooLarge):
 		return err
-	case errors.Is(err, catalog.ErrNotFound),
-		errors.Is(err, storage.ErrNotFound),
+	case errors.Is(err, storage.ErrNotFound),
 		errors.Is(err, btree.ErrNotFound),
 		errors.Is(err, core.ErrUnknownRegion),
 		errors.Is(err, core.ErrUnmappedPage):
 		return tag(ErrNotFound, err)
-	case errors.Is(err, catalog.ErrExists),
-		errors.Is(err, catalog.ErrInUse),
-		errors.Is(err, core.ErrRegionExists),
+	case errors.Is(err, core.ErrRegionExists),
 		errors.Is(err, core.ErrRegionNotEmpty),
 		errors.Is(err, txn.ErrLockTimeout),
 		errors.Is(err, txn.ErrTxnDone):

@@ -1,28 +1,12 @@
-// Package catalog holds the schema of the database: regions, tablespaces,
-// tables, indexes and their columns.  It is the bridge between the paper's
-// DDL (CREATE REGION / TABLESPACE / TABLE) and the physical layers: every
-// object records which tablespace — and therefore which region — it lives
-// in.
+// Package catalog holds the entry types of the schema — regions, tablespaces,
+// tables, indexes and their columns: the JSON bodies of a checkpoint's schema
+// marks and the elements of noftl.Schema.  It keeps no state.  Each fact has
+// one owner in the running engine (core.Manager the regions, the DB its
+// tablespaces, a table or index handle its own entry), and these types are how
+// the owners describe themselves.
 package catalog
 
-import (
-	"errors"
-	"fmt"
-	"sort"
-	"sync"
-
-	"noftl/internal/core"
-)
-
-// Errors returned by the catalog.
-var (
-	// ErrExists reports creation of an object whose name is taken.
-	ErrExists = errors.New("catalog: object already exists")
-	// ErrNotFound reports a lookup of an unknown object.
-	ErrNotFound = errors.New("catalog: object not found")
-	// ErrInUse reports dropping an object that other objects depend on.
-	ErrInUse = errors.New("catalog: object is in use")
-)
+import "noftl/internal/core"
 
 // Column describes one table column (name and a free-form SQL type).
 type Column struct {
@@ -66,291 +50,4 @@ type Index struct {
 	Columns    []string
 	Unique     bool
 	Tablespace string
-}
-
-// Catalog is the in-memory schema registry.  All methods are safe for
-// concurrent use.
-type Catalog struct {
-	mu          sync.RWMutex
-	regions     map[string]*Region
-	tablespaces map[string]*Tablespace
-	tables      map[string]*Table
-	indexes     map[string]*Index
-	nextObject  uint32
-}
-
-// New returns an empty catalog.
-func New() *Catalog {
-	return &Catalog{
-		regions:     make(map[string]*Region),
-		tablespaces: make(map[string]*Tablespace),
-		tables:      make(map[string]*Table),
-		indexes:     make(map[string]*Index),
-		nextObject:  1,
-	}
-}
-
-// NextObjectID hands out a fresh object id.
-func (c *Catalog) NextObjectID() uint32 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id := c.nextObject
-	c.nextObject++
-	return id
-}
-
-// EnsureNextObjectID raises the object-id counter so fresh ids never collide
-// with ids preserved across recovery.
-func (c *Catalog) EnsureNextObjectID(min uint32) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.nextObject < min {
-		c.nextObject = min
-	}
-}
-
-// AddRegion registers a region.
-func (c *Catalog) AddRegion(r Region) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.regions[r.Name]; ok {
-		return fmt.Errorf("%w: region %q", ErrExists, r.Name)
-	}
-	c.regions[r.Name] = &r
-	return nil
-}
-
-// Region returns a region entry.
-func (c *Catalog) Region(name string) (Region, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	r, ok := c.regions[name]
-	if !ok {
-		return Region{}, false
-	}
-	return *r, true
-}
-
-// UpdateRegionGC replaces the stored garbage-collection policy of a region
-// (the catalog side of ALTER REGION … SET GC_POLICY=…).
-func (c *Catalog) UpdateRegionGC(name string, gc core.GCPolicy) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.regions[name]
-	if !ok {
-		return fmt.Errorf("%w: region %q", ErrNotFound, name)
-	}
-	r.GC = gc
-	return nil
-}
-
-// DropRegion removes a region that no tablespace references.
-func (c *Catalog) DropRegion(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.regions[name]; !ok {
-		return fmt.Errorf("%w: region %q", ErrNotFound, name)
-	}
-	for _, ts := range c.tablespaces {
-		if ts.Region == name {
-			return fmt.Errorf("%w: region %q used by tablespace %q", ErrInUse, name, ts.Name)
-		}
-	}
-	delete(c.regions, name)
-	return nil
-}
-
-// AddTablespace registers a tablespace.
-func (c *Catalog) AddTablespace(ts Tablespace) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.tablespaces[ts.Name]; ok {
-		return fmt.Errorf("%w: tablespace %q", ErrExists, ts.Name)
-	}
-	if ts.Region != "" && ts.Region != core.DefaultRegionName {
-		if _, ok := c.regions[ts.Region]; !ok {
-			return fmt.Errorf("%w: region %q", ErrNotFound, ts.Region)
-		}
-	}
-	c.tablespaces[ts.Name] = &ts
-	return nil
-}
-
-// Tablespace returns a tablespace entry.
-func (c *Catalog) Tablespace(name string) (Tablespace, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	ts, ok := c.tablespaces[name]
-	if !ok {
-		return Tablespace{}, false
-	}
-	return *ts, true
-}
-
-// DropTablespace removes a tablespace that no table or index uses.
-func (c *Catalog) DropTablespace(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.tablespaces[name]; !ok {
-		return fmt.Errorf("%w: tablespace %q", ErrNotFound, name)
-	}
-	for _, t := range c.tables {
-		if t.Tablespace == name {
-			return fmt.Errorf("%w: tablespace %q used by table %q", ErrInUse, name, t.Name)
-		}
-	}
-	for _, i := range c.indexes {
-		if i.Tablespace == name {
-			return fmt.Errorf("%w: tablespace %q used by index %q", ErrInUse, name, i.Name)
-		}
-	}
-	delete(c.tablespaces, name)
-	return nil
-}
-
-// AddTable registers a table.
-func (c *Catalog) AddTable(t Table) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.tables[t.Name]; ok {
-		return fmt.Errorf("%w: table %q", ErrExists, t.Name)
-	}
-	if t.Tablespace != "" {
-		if _, ok := c.tablespaces[t.Tablespace]; !ok {
-			return fmt.Errorf("%w: tablespace %q", ErrNotFound, t.Tablespace)
-		}
-	}
-	c.tables[t.Name] = &t
-	return nil
-}
-
-// Table returns a table entry.
-func (c *Catalog) Table(name string) (Table, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	t, ok := c.tables[name]
-	if !ok {
-		return Table{}, false
-	}
-	return *t, true
-}
-
-// DropTable removes a table and its indexes.
-func (c *Catalog) DropTable(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.tables[name]; !ok {
-		return fmt.Errorf("%w: table %q", ErrNotFound, name)
-	}
-	delete(c.tables, name)
-	for iname, idx := range c.indexes {
-		if idx.Table == name {
-			delete(c.indexes, iname)
-		}
-	}
-	return nil
-}
-
-// AddIndex registers an index.
-func (c *Catalog) AddIndex(i Index) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.indexes[i.Name]; ok {
-		return fmt.Errorf("%w: index %q", ErrExists, i.Name)
-	}
-	if _, ok := c.tables[i.Table]; !ok {
-		return fmt.Errorf("%w: table %q", ErrNotFound, i.Table)
-	}
-	if i.Tablespace != "" {
-		if _, ok := c.tablespaces[i.Tablespace]; !ok {
-			return fmt.Errorf("%w: tablespace %q", ErrNotFound, i.Tablespace)
-		}
-	}
-	c.indexes[i.Name] = &i
-	return nil
-}
-
-// DropIndex removes an index.
-func (c *Catalog) DropIndex(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.indexes[name]; !ok {
-		return fmt.Errorf("%w: index %q", ErrNotFound, name)
-	}
-	delete(c.indexes, name)
-	return nil
-}
-
-// Index returns an index entry.
-func (c *Catalog) Index(name string) (Index, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	i, ok := c.indexes[name]
-	if !ok {
-		return Index{}, false
-	}
-	return *i, true
-}
-
-// TableIndexes returns the indexes defined on a table, sorted by name.
-func (c *Catalog) TableIndexes(table string) []Index {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []Index
-	for _, i := range c.indexes {
-		if i.Table == table {
-			out = append(out, *i)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
-	return out
-}
-
-// Regions, Tablespaces, Tables and Indexes return all entries of the given
-// kind sorted by name.
-func (c *Catalog) Regions() []Region {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]Region, 0, len(c.regions))
-	for _, r := range c.regions {
-		out = append(out, *r)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
-	return out
-}
-
-// Tablespaces returns all tablespaces sorted by name.
-func (c *Catalog) Tablespaces() []Tablespace {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]Tablespace, 0, len(c.tablespaces))
-	for _, ts := range c.tablespaces {
-		out = append(out, *ts)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
-	return out
-}
-
-// Tables returns all tables sorted by name.
-func (c *Catalog) Tables() []Table {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]Table, 0, len(c.tables))
-	for _, t := range c.tables {
-		out = append(out, *t)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
-	return out
-}
-
-// Indexes returns all indexes sorted by name.
-func (c *Catalog) Indexes() []Index {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]Index, 0, len(c.indexes))
-	for _, i := range c.indexes {
-		out = append(out, *i)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
-	return out
 }

@@ -409,7 +409,8 @@ func (m *Manager) CreateRegion(spec RegionSpec) (*Region, error) {
 		}
 	}
 
-	r := &Region{id: m.nextRegion, name: spec.Name}
+	r := &Region{id: m.nextRegion, name: spec.Name, spec: spec}
+	r.spec.Dies, r.spec.GC = nil, nil
 	r.gc = m.opts.GC
 	if spec.GC != nil {
 		r.gc = spec.GC.withDefaults()

@@ -46,6 +46,24 @@ func (s RegionSpec) Validate() error {
 	return nil
 }
 
+// RegionSpecs returns, sorted by name, the specs that recreate every region
+// but the default one as it is now: the limits it was created with, the dies it
+// owns and its live garbage-collection policy.
+func (m *Manager) RegionSpecs() []RegionSpec {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	specs := make([]RegionSpec, 0, len(m.regions)-1)
+	for _, r := range m.regions {
+		if r.id != DefaultRegionID {
+			spec, gc := r.spec, r.gc
+			spec.Dies, spec.GC = sortedCopy(r.dies), &gc
+			specs = append(specs, spec)
+		}
+	}
+	sort.Slice(specs, func(a, b int) bool { return specs[a].Name < specs[b].Name })
+	return specs
+}
+
 // Region is a physical storage structure comprising a set of flash dies over
 // which the data placed in the region is evenly distributed.
 //
@@ -55,7 +73,8 @@ func (s RegionSpec) Validate() error {
 type Region struct {
 	id   RegionID
 	name string
-	dies []int // die indexes owned by this region, sorted
+	spec RegionSpec // as created, minus Dies and GC: the two fields below are the live ones
+	dies []int      // die indexes owned by this region, sorted
 
 	maxSizePages  int64 // 0 = unlimited (within die capacity)
 	capacityPages int64 // exported logical capacity (after over-provisioning and MAX_SIZE)

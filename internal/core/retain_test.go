@@ -61,7 +61,7 @@ func TestRetentionKeepsTheSnapshotImage(t *testing.T) {
 		if _, ok := m.retained[addr]; !ok {
 			t.Fatalf("version of lpn %d at %v, current at the snapshot, is not retained", lpn, addr)
 		}
-		meta, _, err := dev.ReadMeta(now, addr)
+		_, meta, _, err := dev.ReadPage(now, addr, nil)
 		if err != nil || LPN(meta.LPN) != lpn || meta.Seq > snap {
 			t.Fatalf("retained page %v holds lpn %d seq %d (err %v), want lpn %d at or below %d", addr, meta.LPN, meta.Seq, err, lpn, snap)
 		}

@@ -72,13 +72,12 @@ type dieState struct {
 
 	// Operation counts.  Reads, programs and erases are this die's children
 	// of the noftl_device_* families (AttachObs); device totals are sums
-	// over the dies.  Copybacks and metadata reads have no family and stay
-	// plain counts guarded by mu.
+	// over the dies.  Copybacks have no family and stay a plain count guarded
+	// by mu.
 	reads     *metrics.Counter
 	programs  *metrics.Counter
 	erases    *metrics.Counter
 	copybacks int64
-	metaReads int64
 }
 
 // Device is a simulated native flash device.  All command methods are safe
@@ -224,36 +223,6 @@ func (d *Device) ReadPage(now sim.Time, addr Addr, buf []byte) ([]byte, PageMeta
 	_, sensed := d.dieRes[addr.Die].Acquire(now, d.cfg.Timing.ReadPage)
 	_, done := d.channel(addr.Die).Acquire(sensed, d.cfg.Timing.Transfer)
 	return buf, meta, done, nil
-}
-
-// ReadMeta reads only the OOB metadata of the page at addr.  The page must
-// have been programmed.  It is cheaper than a full ReadPage because only the
-// metadata crosses the channel.
-func (d *Device) ReadMeta(now sim.Time, addr Addr) (PageMeta, sim.Time, error) {
-	if !d.geo.ValidAddr(addr) {
-		return PageMeta{}, now, fmt.Errorf("%w: %v", ErrOutOfRange, addr)
-	}
-	if fd := d.faultOp(now, opRead); fd.crash {
-		return PageMeta{}, now, ErrCrashed
-	}
-	ds := d.dies[addr.Die]
-	ds.mu.Lock()
-	blk := &ds.blocks[addr.Block]
-	if blk.bad {
-		ds.mu.Unlock()
-		return PageMeta{}, now, fmt.Errorf("%w: %v", ErrBadBlock, addr.BlockAddr())
-	}
-	if blk.states[addr.Page] != pageProgrammed {
-		ds.mu.Unlock()
-		return PageMeta{}, now, fmt.Errorf("%w: %v", ErrReadErased, addr)
-	}
-	meta := blk.meta[addr.Page]
-	ds.metaReads++
-	ds.mu.Unlock()
-
-	_, sensed := d.dieRes[addr.Die].Acquire(now, d.cfg.Timing.ReadPage)
-	_, done := d.channel(addr.Die).Acquire(sensed, d.cfg.Timing.MetaTransfer)
-	return meta, done, nil
 }
 
 // ProgramPage writes data and metadata to the erased page at addr.  The
@@ -500,7 +469,6 @@ type DieStats struct {
 	Programs   int64
 	Erases     int64
 	Copybacks  int64
-	MetaReads  int64
 	BusyTime   time.Duration
 	TotalWear  int64 // sum of erase counts across the die's blocks
 	MaxWear    int64 // highest per-block erase count
@@ -514,7 +482,6 @@ type Stats struct {
 	Programs  int64
 	Erases    int64
 	Copybacks int64
-	MetaReads int64
 	BadBlocks int64
 	PerDie    []DieStats
 }
@@ -532,7 +499,6 @@ func (d *Device) Stats() Stats {
 			Programs:  ds.programs.Value(),
 			Erases:    ds.erases.Value(),
 			Copybacks: ds.copybacks,
-			MetaReads: ds.metaReads,
 			BusyTime:  d.dieRes[i].Busy(),
 		}
 		for b := range ds.blocks {
@@ -553,7 +519,6 @@ func (d *Device) Stats() Stats {
 		s.Programs += st.Programs
 		s.Erases += st.Erases
 		s.Copybacks += st.Copybacks
-		s.MetaReads += st.MetaReads
 		s.BadBlocks += int64(st.BadBlocks)
 	}
 	return s
@@ -568,7 +533,7 @@ func (d *Device) ResetCounters() {
 		ds.reads.Reset()
 		ds.programs.Reset()
 		ds.erases.Reset()
-		ds.copybacks, ds.metaReads = 0, 0
+		ds.copybacks = 0
 		ds.mu.Unlock()
 	}
 	for _, r := range d.dieRes {

@@ -83,10 +83,6 @@ func TestProgramReadRoundTrip(t *testing.T) {
 	if !bytes.Equal(buf, data) {
 		t.Fatal("buffered read data differs")
 	}
-	m, _, err := d.ReadMeta(rdone, addr)
-	if err != nil || m != meta {
-		t.Fatalf("ReadMeta: %v %+v", err, m)
-	}
 }
 
 func TestProgramConstraints(t *testing.T) {
@@ -116,9 +112,6 @@ func TestProgramConstraints(t *testing.T) {
 	// Reading an erased page fails.
 	if _, _, _, err := d.ReadPage(0, Addr{Die: 0, Block: 0, Page: 3}, nil); !errors.Is(err, ErrReadErased) {
 		t.Fatalf("want ErrReadErased, got %v", err)
-	}
-	if _, _, err := d.ReadMeta(0, Addr{Die: 0, Block: 0, Page: 3}); !errors.Is(err, ErrReadErased) {
-		t.Fatalf("want ErrReadErased from ReadMeta, got %v", err)
 	}
 	// NextProgrammablePage reflects the constraint.
 	if n, _ := d.NextProgrammablePage(BlockAddr{0, 0}); n != 1 {
@@ -416,7 +409,7 @@ func TestDefaultTimingSane(t *testing.T) {
 	if tm.ReadPage <= 0 || tm.ProgramPage <= tm.ReadPage || tm.EraseBlock <= tm.ProgramPage {
 		t.Fatalf("implausible NAND timing: %+v", tm)
 	}
-	if tm.Transfer <= 0 || tm.MetaTransfer <= 0 || tm.MetaTransfer >= tm.Transfer {
+	if tm.Transfer <= 0 {
 		t.Fatalf("implausible transfer timing: %+v", tm)
 	}
 	if tm.EraseBlock > 20*time.Millisecond {

@@ -102,9 +102,6 @@ type Timing struct {
 	EraseBlock time.Duration
 	// Transfer is the time to move one full page over the channel.
 	Transfer time.Duration
-	// MetaTransfer is the time to move only the page metadata (OOB area)
-	// over the channel.
-	MetaTransfer time.Duration
 }
 
 // DefaultTiming returns SLC-like NAND timings in the range the NoFTL papers
@@ -112,11 +109,10 @@ type Timing struct {
 // few hundred µs, erase ~1.5 ms, ~400 MB/s channel).
 func DefaultTiming() Timing {
 	return Timing{
-		ReadPage:     40 * time.Microsecond,
-		ProgramPage:  350 * time.Microsecond,
-		EraseBlock:   1500 * time.Microsecond,
-		Transfer:     10 * time.Microsecond,
-		MetaTransfer: 2 * time.Microsecond,
+		ReadPage:    40 * time.Microsecond,
+		ProgramPage: 350 * time.Microsecond,
+		EraseBlock:  1500 * time.Microsecond,
+		Transfer:    10 * time.Microsecond,
 	}
 }
 

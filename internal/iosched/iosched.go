@@ -77,8 +77,9 @@ type Op uint8
 const (
 	// OpReadPage reads a full page (data + metadata).
 	OpReadPage Op = iota
-	// OpReadMeta reads only the OOB metadata of a page.
-	OpReadMeta
+	// 1 was a metadata-only read; trace files carry the numbers, so the
+	// commands below keep theirs.
+	_
 	// OpProgram programs a page.
 	OpProgram
 	// OpErase erases a block.
@@ -91,7 +92,7 @@ const (
 type Request struct {
 	// Op selects the command.
 	Op Op
-	// Addr is the target page of OpReadPage/OpReadMeta/OpProgram and the
+	// Addr is the target page of OpReadPage/OpProgram and the
 	// source page of OpCopyback.
 	Addr flash.Addr
 	// Dst is the destination page of OpCopyback.
@@ -131,7 +132,7 @@ type Completion struct {
 	Tag      uint64
 	// Data is the page read by OpReadPage (nil otherwise or on error).
 	Data []byte
-	// Meta is the metadata read by OpReadPage/OpReadMeta, or the metadata
+	// Meta is the metadata read by OpReadPage, or the metadata
 	// inherited by the destination of OpCopyback.
 	Meta flash.PageMeta
 	// Done is the virtual completion time of the request (equal to the
@@ -147,7 +148,6 @@ type Completion struct {
 type Device interface {
 	Geometry() flash.Geometry
 	ReadPage(now sim.Time, addr flash.Addr, buf []byte) ([]byte, flash.PageMeta, sim.Time, error)
-	ReadMeta(now sim.Time, addr flash.Addr) (flash.PageMeta, sim.Time, error)
 	ProgramPage(now sim.Time, addr flash.Addr, data []byte, meta flash.PageMeta) (sim.Time, error)
 	EraseBlock(now sim.Time, b flash.BlockAddr) (sim.Time, error)
 	Copyback(now sim.Time, src, dst flash.Addr) (flash.PageMeta, sim.Time, error)
@@ -322,8 +322,6 @@ func (s *Scheduler) Submit(now sim.Time, reqs []Request) ([]Completion, sim.Time
 		switch req.Op {
 		case OpReadPage:
 			c.Data, c.Meta, c.Done, c.Err = s.dev.ReadPage(at, req.Addr, req.Buf)
-		case OpReadMeta:
-			c.Meta, c.Done, c.Err = s.dev.ReadMeta(at, req.Addr)
 		case OpProgram:
 			c.Done, c.Err = s.dev.ProgramPage(at, req.Addr, req.Data, req.Meta)
 		case OpErase:

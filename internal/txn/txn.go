@@ -185,13 +185,6 @@ func (lm *LockManager) Stats() LockStats {
 	return st
 }
 
-// Lock acquires key in the given mode on behalf of txnID with no virtual-time
-// context: the timeout is then a plain wall-clock deadline.  Engine code
-// should prefer LockAt, which makes the timeout virtual-time-deterministic.
-func (lm *LockManager) Lock(txnID uint64, key string, mode LockMode) error {
-	return lm.lock(-1, txnID, key, mode)
-}
-
 // LockAt acquires key in the given mode on behalf of txnID, whose current
 // virtual time is now, blocking until the lock is granted or the wait times
 // out.  Re-acquiring a lock already held (including upgrading shared to
@@ -203,21 +196,12 @@ func (lm *LockManager) Lock(txnID uint64, key string, mode LockMode) error {
 // the lock remains unavailable.  A wall-clock fallback (SetWallFallback)
 // catches deadlocks, where the frontier never moves.
 func (lm *LockManager) LockAt(now sim.Time, txnID uint64, key string, mode LockMode) error {
-	if now < 0 {
-		now = 0
-	}
-	return lm.lock(now, txnID, key, mode)
-}
-
-// lock is the shared wait loop.  now < 0 means "no virtual context" (wall
-// deadline = timeout, the legacy behaviour).
-func (lm *LockManager) lock(now sim.Time, txnID uint64, key string, mode LockMode) error {
 	sh := lm.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	ls := sh.state(key)
 	waited := false
-	vdeadline := sim.Time(-1)
+	var vdeadline sim.Time
 	var wallDeadline time.Time
 	for {
 		holder := ls.writer == txnID || ls.readers[txnID] > 0
@@ -243,30 +227,16 @@ func (lm *LockManager) lock(now sim.Time, txnID uint64, key string, mode LockMod
 			sh.waits.Inc()
 			lm.waits.Inc()
 			ls.waiting++
-			if now >= 0 {
-				// Anchor the virtual deadline to the key's release frontier,
-				// not just the waiter's own cursor: cursors of independent
-				// workers drift apart, and a waiter behind the frontier must
-				// still be given a full timeout of *future* virtual activity.
-				anchor := now
-				if ls.maxRelease > anchor {
-					anchor = ls.maxRelease
-				}
-				vdeadline = anchor.Add(lm.timeout)
-				wallDeadline = time.Now().Add(lm.wallFallback)
-			} else {
-				wallDeadline = time.Now().Add(lm.timeout)
-			}
-		} else {
-			timedOut := vdeadline >= 0 && ls.maxRelease > vdeadline
-			if !timedOut && time.Now().After(wallDeadline) {
-				timedOut = true
-			}
-			if timedOut {
-				ls.waiting--
-				lm.timeouts.Inc()
-				return fmt.Errorf("%w: txn %d key %q", ErrLockTimeout, txnID, key)
-			}
+			// Anchor the virtual deadline to the key's release frontier, not
+			// just the waiter's own cursor: cursors of independent workers
+			// drift apart, and a waiter behind the frontier must still be
+			// given a full timeout of *future* virtual activity.
+			vdeadline = max(now, ls.maxRelease).Add(lm.timeout)
+			wallDeadline = time.Now().Add(lm.wallFallback)
+		} else if ls.maxRelease > vdeadline || time.Now().After(wallDeadline) {
+			ls.waiting--
+			lm.timeouts.Inc()
+			return fmt.Errorf("%w: txn %d key %q", ErrLockTimeout, txnID, key)
 		}
 		// Wake ourselves up at the wall deadline so the fallback is honoured
 		// even if nobody ever releases the lock.
@@ -294,20 +264,10 @@ func grantable(ls *lockState, txnID uint64, mode LockMode) bool {
 	return true
 }
 
-// ReleaseAll releases every lock held by txnID without publishing a virtual
-// release time (the keys' virtual frontiers stay put).
-func (lm *LockManager) ReleaseAll(txnID uint64, keys []string) {
-	lm.releaseAll(-1, txnID, keys)
-}
-
 // ReleaseAllAt releases every lock held by txnID and advances each key's
 // virtual release frontier to now, which is what drives waiters' virtual
 // timeouts forward.
 func (lm *LockManager) ReleaseAllAt(now sim.Time, txnID uint64, keys []string) {
-	lm.releaseAll(now, txnID, keys)
-}
-
-func (lm *LockManager) releaseAll(now sim.Time, txnID uint64, keys []string) {
 	for _, key := range keys {
 		sh := lm.shard(key)
 		sh.mu.Lock()
@@ -316,7 +276,7 @@ func (lm *LockManager) releaseAll(now sim.Time, txnID uint64, keys []string) {
 			sh.mu.Unlock()
 			continue
 		}
-		// ReleaseAll is only called at commit/abort (strict two-phase
+		// ReleaseAllAt is only called at commit/abort (strict two-phase
 		// locking), so every hold the transaction has on the key is dropped
 		// at once, however many times it re-acquired the lock.
 		if ls.writer == txnID {

@@ -30,19 +30,21 @@ func testWAL(t *testing.T) *wal.Log {
 func TestLockManagerSharedAndExclusive(t *testing.T) {
 	lm := NewLockManager(time.Second)
 	// Two readers coexist.
-	if err := lm.Lock(1, "k", Shared); err != nil {
+	if err := lm.LockAt(0, 1, "k", Shared); err != nil {
 		t.Fatal(err)
 	}
-	if err := lm.Lock(2, "k", Shared); err != nil {
+	if err := lm.LockAt(0, 2, "k", Shared); err != nil {
 		t.Fatal(err)
 	}
-	// A writer must wait; with a short timeout it gives up.
+	// A writer must wait; nothing is released, so the wall-clock safety net
+	// makes it give up.
 	short := NewLockManager(50 * time.Millisecond)
-	if err := short.Lock(1, "x", Exclusive); err != nil {
+	short.SetWallFallback(50 * time.Millisecond)
+	if err := short.LockAt(0, 1, "x", Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	err := short.Lock(2, "x", Exclusive)
+	err := short.LockAt(0, 2, "x", Exclusive)
 	if !errors.Is(err, ErrLockTimeout) {
 		t.Fatalf("want ErrLockTimeout, got %v", err)
 	}
@@ -53,39 +55,39 @@ func TestLockManagerSharedAndExclusive(t *testing.T) {
 		t.Fatal("wait not counted")
 	}
 	// Releasing lets the writer in.
-	short.ReleaseAll(1, []string{"x"})
-	if err := short.Lock(2, "x", Exclusive); err != nil {
+	short.ReleaseAllAt(0, 1, []string{"x"})
+	if err := short.LockAt(0, 2, "x", Exclusive); err != nil {
 		t.Fatalf("lock after release: %v", err)
 	}
 	// Re-acquiring an already-held lock succeeds, as does upgrading when the
 	// transaction is the only reader.
-	if err := lm.Lock(1, "k", Shared); err != nil {
+	if err := lm.LockAt(0, 1, "k", Shared); err != nil {
 		t.Fatal(err)
 	}
-	lm.ReleaseAll(2, []string{"k"})
-	if err := lm.Lock(1, "k", Exclusive); err != nil {
+	lm.ReleaseAllAt(0, 2, []string{"k"})
+	if err := lm.LockAt(0, 1, "k", Exclusive); err != nil {
 		t.Fatalf("upgrade failed: %v", err)
 	}
-	if err := lm.Lock(1, "k", Exclusive); err != nil {
+	if err := lm.LockAt(0, 1, "k", Exclusive); err != nil {
 		t.Fatalf("re-acquire failed: %v", err)
 	}
 }
 
 func TestLockManagerBlocksThenGrants(t *testing.T) {
 	lm := NewLockManager(2 * time.Second)
-	if err := lm.Lock(1, "row", Exclusive); err != nil {
+	if err := lm.LockAt(0, 1, "row", Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	acquired := make(chan error, 1)
 	go func() {
-		acquired <- lm.Lock(2, "row", Exclusive)
+		acquired <- lm.LockAt(0, 2, "row", Exclusive)
 	}()
 	select {
 	case err := <-acquired:
 		t.Fatalf("lock granted while held: %v", err)
 	case <-time.After(30 * time.Millisecond):
 	}
-	lm.ReleaseAll(1, []string{"row"})
+	lm.ReleaseAllAt(0, 1, []string{"row"})
 	select {
 	case err := <-acquired:
 		if err != nil {
@@ -105,12 +107,12 @@ func TestLockManagerConcurrentCounter(t *testing.T) {
 		go func(id uint64) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if err := lm.Lock(id, "counter", Exclusive); err != nil {
+				if err := lm.LockAt(0, id, "counter", Exclusive); err != nil {
 					t.Error(err)
 					return
 				}
 				counter++
-				lm.ReleaseAll(id, []string{"counter"})
+				lm.ReleaseAllAt(0, id, []string{"counter"})
 			}
 		}(uint64(w + 1))
 	}

@@ -234,7 +234,7 @@ type restored struct {
 }
 
 // applyMark applies one RecCheckpoint of the chosen checkpoint.  The begin
-// mark seeds what has no catalog entry; region and tablespace marks go through
+// mark seeds what has no mark of its own; region and tablespace marks go through
 // the same routines as the DDL that created them, while no page is mapped yet
 // and every die still counts as empty; tables and indexes are filed with their
 // page descriptors until all marks have been read.

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"testing"
 
-	"noftl/internal/catalog"
 	"noftl/internal/core"
 	"noftl/internal/flash"
 	"noftl/internal/storage"
@@ -466,7 +465,7 @@ func TestCheckpointIsMarksOverTheFlashImage(t *testing.T) {
 		t.Fatalf("checkpoint records encode to %d bytes, CheckpointStats.LastBytes = %d", size, stats.LastBytes)
 	}
 	heap, tree, head := st.objects[0], st.objects[1], st.head
-	if heap.table == nil || heap.table.ObjectID != tbl.objectID || heap.Count != rows || fmt.Sprint(heap.pages) != fmt.Sprint(heapPages) {
+	if heap.table == nil || heap.table.ObjectID != tbl.meta.ObjectID || heap.Count != rows || fmt.Sprint(heap.pages) != fmt.Sprint(heapPages) {
 		t.Fatalf("heap description %+v, want %d rows on pages %v", heap, rows, heapPages)
 	}
 	if tree.index == nil || tree.index.ObjectID != idx.meta.ObjectID || tree.Count != rows-deleted ||
@@ -679,17 +678,24 @@ func TestCrashRightAfterDDLCheckpoint(t *testing.T) {
 		t.Fatalf("regions moved: got %s, want %s", got, wantDies)
 	}
 	var maxID uint32
+	ids := map[uint32]bool{1: true} // the WAL's
 	for _, tb := range re.Schema().Tables {
 		maxID = max(maxID, tb.ObjectID)
+		ids[tb.ObjectID] = true
 	}
 	for _, ix := range re.Schema().Indexes {
 		maxID = max(maxID, ix.ObjectID)
+		ids[ix.ObjectID] = true
 	}
-	if _, err := re.CreateTable("C", "tsHot", nil); err != nil {
+	if len(ids) != 4 {
+		t.Fatalf("object ids of the WAL, A, B and A_PK are not distinct: %v", ids)
+	}
+	c, err := re.CreateTable("C", "tsHot", nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if c, _ := re.cat.Table("C"); c.ObjectID <= maxID {
-		t.Fatalf("fresh table got object id %d, not above the recovered ids (max %d)", c.ObjectID, maxID)
+	if c.ObjectID() <= maxID {
+		t.Fatalf("fresh table got object id %d, not above the recovered ids (max %d)", c.ObjectID(), maxID)
 	}
 }
 
@@ -772,10 +778,10 @@ func TestLoggableSizeIsTheRowLimit(t *testing.T) {
 	}
 }
 
-// TestFailedCheckpointBacksOff makes every checkpoint fail after its begin
-// mark (a catalog table without a runtime object) and checks that the byte
-// trigger waits out a full budget before it retries, instead of streaming the
-// whole table again after every commit.
+// TestFailedCheckpointBacksOff makes every checkpoint fail (a dirty page of a
+// second table stays pinned) and checks that the byte trigger waits out a full
+// budget before it retries, instead of flushing the pool again after every
+// commit.
 func TestFailedCheckpointBacksOff(t *testing.T) {
 	const budget = 64 << 10
 	db, err := OpenConfig(smallConfig(), WithCheckpointEvery(budget))
@@ -792,12 +798,23 @@ func TestFailedCheckpointBacksOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	keyedRows(t, db, tbl, idx, 0, 200)
-	if err := db.cat.AddTable(catalog.Table{Name: "ghost", ObjectID: 999, Tablespace: "SYSTEM"}); err != nil {
+	pinned, err := db.CreateTable("PINNED", "", nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Checkpoint(db.SimulatedTime()); err == nil {
-		t.Fatal("checkpoint with a ghost table succeeded")
+	wideRows(t, db, pinned, 0, 1, 'p')
+	h, _, err := db.pool.Fetch(db.SimulatedTime(), pinned.heap.Pages()[0], core.Hint{ObjectID: pinned.ObjectID()})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer h.Release()
+	h.Lock()
+	h.MarkDirty()
+	h.Unlock()
+	if _, err := db.Checkpoint(db.SimulatedTime()); !errors.Is(err, ErrConflict) {
+		t.Fatalf("checkpoint over a pinned dirty page: %v", err)
+	}
+	mark := db.ckptWALMark
 	// 40 one-row commits append ~10 KB of their own: well inside one budget,
 	// so no automatic checkpoint may start.
 	before := db.Stats().WAL
@@ -810,6 +827,9 @@ func TestFailedCheckpointBacksOff(t *testing.T) {
 	}
 	if got := after.Appended - before.Appended; got != 40*4 {
 		t.Fatalf("40 one-row commits appended %d records, want %d: the failed checkpoint was retried inside its budget", got, 40*4)
+	}
+	if db.ckptWALMark != mark {
+		t.Fatalf("byte trigger moved from %d to %d: the failed checkpoint was retried inside its budget", mark, db.ckptWALMark)
 	}
 }
 

@@ -92,17 +92,16 @@ func (tx *Tx) chargeOp() { tx.inner.Charge(tx.db.cfg.CPUPerOp) }
 
 // Table is a handle to a heap table.
 type Table struct {
-	db       *DB
-	heap     *storage.HeapFile
-	name     string
-	objectID uint32
+	db   *DB
+	heap *storage.HeapFile
+	meta catalog.Table
 }
 
 // Name returns the table name.
-func (t *Table) Name() string { return t.name }
+func (t *Table) Name() string { return t.meta.Name }
 
 // ObjectID returns the table's catalog object id.
-func (t *Table) ObjectID() uint32 { return t.objectID }
+func (t *Table) ObjectID() uint32 { return t.meta.ObjectID }
 
 // RowCount returns the number of live rows.
 func (t *Table) RowCount() int64 { return t.heap.RecordCount() }
@@ -117,7 +116,7 @@ func (t *Table) loggable(rows ...[]byte) error {
 	max := wal.MaxRow(t.db.dev.Geometry().PageSize)
 	for _, row := range rows {
 		if t.db.log != nil && len(row) > max {
-			return tag(ErrTooLarge, fmt.Errorf("table %s: %d-byte row exceeds the %d bytes a log record carries", t.name, len(row), max))
+			return tag(ErrTooLarge, fmt.Errorf("table %s: %d-byte row exceeds the %d bytes a log record carries", t.meta.Name, len(row), max))
 		}
 	}
 	return nil
@@ -134,7 +133,7 @@ func (t *Table) Insert(tx *Tx, row []byte) (RID, error) {
 		return RID{}, publicErr(err)
 	}
 	tx.inner.AdvanceTo(done)
-	return rid, tx.inner.Log(wal.RecInsert, t.objectID, wal.EncodeRowPayload(rid, row))
+	return rid, tx.inner.Log(wal.RecInsert, t.meta.ObjectID, wal.EncodeRowPayload(rid, row))
 }
 
 // Get returns the row stored under rid.  An unknown or deleted record is
@@ -160,7 +159,7 @@ func (t *Table) Update(tx *Tx, rid RID, row []byte) error {
 		return publicErr(err)
 	}
 	tx.inner.AdvanceTo(done)
-	return tx.inner.Log(wal.RecUpdate, t.objectID, wal.EncodeRowPayload(rid, row))
+	return tx.inner.Log(wal.RecUpdate, t.meta.ObjectID, wal.EncodeRowPayload(rid, row))
 }
 
 // Delete removes the row stored under rid.
@@ -171,7 +170,7 @@ func (t *Table) Delete(tx *Tx, rid RID) error {
 		return publicErr(err)
 	}
 	tx.inner.AdvanceTo(done)
-	return tx.inner.Log(wal.RecDelete, t.objectID, rid.Encode())
+	return tx.inner.Log(wal.RecDelete, t.meta.ObjectID, rid.Encode())
 }
 
 // Index is a handle to a B+-tree index.
