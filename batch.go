@@ -26,7 +26,7 @@ func (t *Table) InsertBatch(tx *Tx, rows [][]byte) ([]RID, error) {
 	rids, done, err := t.heap.InsertBatch(tx.Now(), rows)
 	tx.inner.AdvanceTo(done)
 	for i, rid := range rids {
-		if lerr := tx.inner.Log(wal.RecInsert, t.meta.ObjectID, wal.EncodeRowPayload(rid, rows[i])); lerr != nil && err == nil {
+		if lerr := tx.logRow(wal.RecInsert, t.meta.ObjectID, rid, rows[i]); lerr != nil && err == nil {
 			err = lerr
 		}
 	}
@@ -58,9 +58,10 @@ func (i *Index) LookupBatch(tx *Tx, keys [][]byte) (rids []RID, found []bool, er
 	rids = make([]RID, len(keys))
 	found = make([]bool, len(keys))
 	now := tx.Now()
+	var buf [10]byte
 	for k, key := range keys {
 		tx.chargeOp()
-		val, done, ok, gerr := i.tree.Get(now, key)
+		val, done, ok, gerr := i.tree.GetAppend(now, key, buf[:0])
 		if gerr != nil {
 			return nil, nil, publicErr(gerr)
 		}

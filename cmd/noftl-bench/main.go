@@ -34,7 +34,6 @@ import (
 
 	"noftl/internal/experiments"
 	"noftl/internal/metrics"
-	"noftl/internal/tpcc"
 )
 
 // jsonDoc is the top-level layout of the -json output.
@@ -152,17 +151,15 @@ func main() {
 			// The advisor's plan and the demand tpcc.Setup plans from come from
 			// the traditional profile, as in the paper; the demand under the
 			// regions plan in effect shows what that plan costs where.
-			var runs []experiments.Figure2
-			for _, placement := range []tpcc.PlacementKind{tpcc.PlacementTraditional, tpcc.PlacementRegions} {
-				f2, err := experiments.RunFigure2(scale, placement)
-				if err != nil {
-					return nil, err
-				}
+			runs, err := experiments.RunFigure2Both(scale)
+			if err != nil {
+				return nil, err
+			}
+			for _, f2 := range runs {
 				say("%s\n", f2.Table())
 				if err := f2.CheckRecord(); err != nil {
 					return nil, err
 				}
-				runs = append(runs, f2)
 			}
 			say("%s\n", experiments.PaperFigure2Table(runs[0].Plan.TotalDies))
 			return runs, nil

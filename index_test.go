@@ -1,0 +1,269 @@
+package noftl
+
+import (
+	"bytes"
+	"fmt"
+	"slices"
+	"testing"
+
+	"noftl/internal/sim"
+	"noftl/internal/storage"
+	"noftl/internal/wal"
+)
+
+// TestIndexMatchesSortedMap drives an index through a seeded stream of
+// inserts, upserts (of a different RID) and deletes, with keys of 5 to 204
+// bytes so that leaves and internal nodes split and the tree grows to height
+// 3 or more.  After every step the touched key's Lookup and a full Range match
+// a sorted-map model.  The keys a Range yields are kept past the loop, and
+// past every later split, and must still equal the model of their step: that
+// guards the split's page snapshot and the scan's aliasing of leaf pages.
+func TestIndexMatchesSortedMap(t *testing.T) {
+	db, err := OpenConfig(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.CreateTable("T", "", nil); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := db.CreateIndex("T_K", "T", []string{"k"}, true, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyOf := func(id int) []byte {
+		return append(Key(uint32(id)), bytes.Repeat([]byte{byte(id)}, 1+id%200)...)
+	}
+	model := map[string]RID{}
+	var sorted []string // the model's keys in order
+	type entry struct {
+		key []byte
+		rid RID
+	}
+	scan := func(tx *Tx) []entry {
+		var got []entry
+		for k, rid := range idx.Range(tx, nil, nil) {
+			got = append(got, entry{k, rid})
+		}
+		if err := tx.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	same := func(got []entry, keys []string, rids map[string]RID) error {
+		if len(got) != len(keys) {
+			return fmt.Errorf("%d entries, model has %d", len(got), len(keys))
+		}
+		for i, e := range got {
+			if string(e.key) != keys[i] || e.rid != rids[keys[i]] {
+				return fmt.Errorf("entry %d is %x -> %v, model has %x -> %v", i, e.key, e.rid, keys[i], rids[keys[i]])
+			}
+		}
+		return nil
+	}
+	const ids, steps = 1500, 2500
+	var (
+		kept      []entry // a Range's result, kept to the end
+		keptKeys  []string
+		keptModel = map[string]RID{}
+		r         = sim.NewRand(27)
+		tx        = db.Begin()
+		maxHeight int
+		deletes   int
+	)
+	for step := 0; step < steps; step++ {
+		id := r.Intn(ids)
+		key := keyOf(id)
+		_, present := model[string(key)]
+		if present && r.Intn(3) == 0 {
+			if err := idx.Delete(tx, key); err != nil {
+				t.Fatalf("step %d: delete: %v", step, err)
+			}
+			delete(model, string(key))
+			i, _ := slices.BinarySearch(sorted, string(key))
+			sorted = slices.Delete(sorted, i, i+1)
+			deletes++
+		} else {
+			rid := RID{LPN: uint64(step), Slot: uint16(id)}
+			if err := idx.Insert(tx, key, rid); err != nil {
+				t.Fatalf("step %d: insert: %v", step, err)
+			}
+			if !present {
+				i, _ := slices.BinarySearch(sorted, string(key))
+				sorted = slices.Insert(sorted, i, string(key))
+			}
+			model[string(key)] = rid
+		}
+		rid, found, err := idx.Lookup(tx, key)
+		if want, ok := model[string(key)]; err != nil || found != ok || rid != want {
+			t.Fatalf("step %d: Lookup(%d) = %v %v %v, model has %v %v", step, id, rid, found, err, want, ok)
+		}
+		got := scan(tx)
+		if err := same(got, sorted, model); err != nil {
+			t.Fatalf("step %d: Range: %v", step, err)
+		}
+		if step == steps/2 {
+			kept, keptKeys = got, slices.Clone(sorted)
+			for k, v := range model {
+				keptModel[k] = v
+			}
+		}
+		maxHeight = max(maxHeight, idx.tree.Height())
+		if step%100 == 99 {
+			if _, err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			tx = db.Begin()
+		}
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if maxHeight < 3 || deletes == 0 || idx.Entries() != int64(len(model)) {
+		t.Fatalf("height %d, %d deletes, %d entries for %d in the model: the stream did not cover what it is for",
+			maxHeight, deletes, idx.Entries(), len(model))
+	}
+	if err := same(kept, keptKeys, keptModel); err != nil {
+		t.Fatalf("a Range's keys changed after the scan ended: %v", err)
+	}
+}
+
+// TestLoggedDMLIsTheEncodings checks that what Insert, InsertBatch, Update,
+// Delete and Index.Insert log through the transaction's payload buffer is
+// byte for byte the payload the wal encoders pack, and decodes back, whatever
+// longer payload the buffer held before.
+func TestLoggedDMLIsTheEncodings(t *testing.T) {
+	db, err := OpenConfig(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("T", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := db.CreateIndex("T_PK", "T", []string{"k"}, true, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type logged struct {
+		typ     wal.RecordType
+		object  uint32
+		payload []byte
+		rid     RID    // what the payload decodes to: the RID
+		body    []byte // and the row image or index key
+	}
+	var want []logged
+	long, short := bytes.Repeat([]byte("L"), 300), []byte("s")
+	err = db.Update(func(tx *Tx) error {
+		r1, err := tbl.Insert(tx, long)
+		if err != nil {
+			return err
+		}
+		r2, err := tbl.Insert(tx, short)
+		if err != nil {
+			return err
+		}
+		batch, err := tbl.InsertBatch(tx, [][]byte{long, short})
+		if err != nil {
+			return err
+		}
+		if err := tbl.Update(tx, r1, short); err != nil {
+			return err
+		}
+		if err := idx.Insert(tx, long[:100], r1); err != nil {
+			return err
+		}
+		if err := idx.Insert(tx, []byte("k"), r2); err != nil {
+			return err
+		}
+		if err := tbl.Delete(tx, r2); err != nil {
+			return err
+		}
+		rowDML := func(typ wal.RecordType, rid RID, row []byte) logged {
+			return logged{typ, tbl.ObjectID(), wal.EncodeRowPayload(rid, row), rid, row}
+		}
+		idxInsert := func(key []byte, rid RID) logged {
+			return logged{wal.RecIndexInsert, idx.meta.ObjectID, wal.EncodeIndexInsert(key, rid), rid, key}
+		}
+		want = []logged{
+			rowDML(wal.RecInsert, r1, long),
+			rowDML(wal.RecInsert, r2, short),
+			rowDML(wal.RecInsert, batch[0], long),
+			rowDML(wal.RecInsert, batch[1], short),
+			rowDML(wal.RecUpdate, r1, short),
+			idxInsert(long[:100], r1),
+			idxInsert([]byte("k"), r2),
+			{wal.RecDelete, tbl.ObjectID(), r2.Encode(), r2, nil},
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []logged
+	for _, rec := range durableLog(t, db.Crash()) {
+		switch rec.Type {
+		case wal.RecInsert, wal.RecUpdate, wal.RecDelete, wal.RecIndexInsert:
+			got = append(got, logged{typ: rec.Type, object: rec.ObjectID, payload: rec.Payload})
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d DML records logged, want %d", len(got), len(want))
+	}
+	for i, g := range got {
+		w := want[i]
+		if g.typ != w.typ || g.object != w.object || !bytes.Equal(g.payload, w.payload) {
+			t.Fatalf("record %d: %v of object %d, payload %q; want %v of %d, %q", i, g.typ, g.object, g.payload, w.typ, w.object, w.payload)
+		}
+		var (
+			rid  RID
+			body []byte
+			err  error
+		)
+		switch g.typ {
+		case wal.RecIndexInsert:
+			body, rid, err = wal.DecodeIndexInsert(g.payload)
+		case wal.RecDelete:
+			rid, err = storage.DecodeRID(g.payload)
+		default:
+			rid, body, err = wal.DecodeRowPayload(g.payload)
+		}
+		if err != nil || rid != w.rid || !bytes.Equal(body, w.body) {
+			t.Fatalf("record %d (%v) decodes to %v %q (%v), want %v %q", i, g.typ, rid, body, err, w.rid, w.body)
+		}
+	}
+}
+
+// TestIndexLookupAllocatesNothing gates the point lookup on a resident index:
+// the tree descent decodes the RID out of the leaf without a copy.
+func TestIndexLookupAllocatesNothing(t *testing.T) {
+	cfg := smallConfig()
+	cfg.BufferPoolPages = 256
+	db, err := OpenConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable("T", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := db.CreateIndex("T_PK", "T", []string{"k"}, true, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyedRows(t, db, tbl, idx, 0, 1000)
+	if h := idx.tree.Height(); h < 2 {
+		t.Fatalf("index height %d: the lookup would not descend", h)
+	}
+	key := []byte("k0000777")
+	tx := db.Begin()
+	defer tx.Abort()
+	if n := testing.AllocsPerRun(100, func() {
+		if _, found, err := idx.Lookup(tx, key); err != nil || !found {
+			t.Fatalf("lookup: found=%v err=%v", found, err)
+		}
+	}); n != 0 {
+		t.Errorf("Index.Lookup on a resident index allocates %v times, want 0", n)
+	}
+}

@@ -59,6 +59,7 @@ type Tree struct {
 	entries  int64
 	pages    int64
 	lpns     []core.LPN // every page ever allocated to the tree, in order
+	scratch  []byte     // page snapshot that compaction and splits rebuild from
 }
 
 // allocPage allocates a page from the tablespace and remembers it in the
@@ -267,15 +268,21 @@ func searchUpper(buf []byte, key []byte) int {
 	return lo
 }
 
+// putCell writes the cell key/val so that it ends at end and returns where it
+// starts.
+func putCell(buf []byte, end int, key, val []byte) int {
+	off := end - 4 - len(key) - len(val)
+	binary.LittleEndian.PutUint16(buf[off:], uint16(len(key)))
+	binary.LittleEndian.PutUint16(buf[off+2:], uint16(len(val)))
+	copy(buf[off+4:], key)
+	copy(buf[off+4+len(key):], val)
+	return off
+}
+
 // insertCell inserts key/val at position i, assuming it fits.
 func insertCell(buf []byte, i int, key, val []byte) {
 	n := nodeNumKeys(buf)
-	need := 4 + len(key) + len(val)
-	newEnd := cellEnd(buf) - need
-	binary.LittleEndian.PutUint16(buf[newEnd:], uint16(len(key)))
-	binary.LittleEndian.PutUint16(buf[newEnd+2:], uint16(len(val)))
-	copy(buf[newEnd+4:], key)
-	copy(buf[newEnd+4+len(key):], val)
+	newEnd := putCell(buf, cellEnd(buf), key, val)
 	setCellEnd(buf, newEnd)
 	// Shift the offsets array right of position i.
 	copy(buf[offsPos(i+1):offsPos(n+1)], buf[offsPos(i):offsPos(n)])
@@ -291,8 +298,9 @@ func removeCell(buf []byte, i int) {
 }
 
 // replaceCellValue overwrites the value of entry i when the new value has
-// the same length; otherwise it removes and reinserts the cell.
-func replaceCellValue(buf []byte, i int, key, val []byte) bool {
+// the same length; otherwise it removes and reinserts the cell.  It reports
+// false when the cell no longer fits; the entry is then gone.
+func (t *Tree) replaceCellValue(buf []byte, i int, key, val []byte) bool {
 	off := cellOffset(buf, i)
 	klen := int(binary.LittleEndian.Uint16(buf[off:]))
 	vlen := int(binary.LittleEndian.Uint16(buf[off+2:]))
@@ -302,7 +310,7 @@ func replaceCellValue(buf []byte, i int, key, val []byte) bool {
 	}
 	removeCell(buf, i)
 	if freeBytes(buf) < 4+len(key)+len(val)+2 {
-		compactNode(buf)
+		t.compactNode(buf)
 	}
 	if freeBytes(buf) < 4+len(key)+len(val)+2 {
 		return false
@@ -312,27 +320,24 @@ func replaceCellValue(buf []byte, i int, key, val []byte) bool {
 	return true
 }
 
-// compactNode rewrites the cell area dropping leaked space.
-func compactNode(buf []byte) {
-	n := nodeNumKeys(buf)
-	type kv struct{ k, v []byte }
-	cells := make([]kv, n)
-	for i := 0; i < n; i++ {
-		k, v := cellAt(buf, i)
-		ck := make([]byte, len(k))
-		copy(ck, k)
-		cv := make([]byte, len(v))
-		copy(cv, v)
-		cells[i] = kv{ck, cv}
+// snapshot copies the page into the tree's scratch buffer, which compaction
+// and splits rebuild a node from.  Caller holds t.mu.
+func (t *Tree) snapshot(buf []byte) []byte {
+	if len(t.scratch) != len(buf) {
+		t.scratch = make([]byte, len(buf))
 	}
+	copy(t.scratch, buf)
+	return t.scratch
+}
+
+// compactNode rewrites the cell area dropping leaked space.  Caller holds
+// t.mu.
+func (t *Tree) compactNode(buf []byte) {
+	snap := t.snapshot(buf)
 	end := len(buf)
-	for i := n - 1; i >= 0; i-- {
-		need := 4 + len(cells[i].k) + len(cells[i].v)
-		end -= need
-		binary.LittleEndian.PutUint16(buf[end:], uint16(len(cells[i].k)))
-		binary.LittleEndian.PutUint16(buf[end+2:], uint16(len(cells[i].v)))
-		copy(buf[end+4:], cells[i].k)
-		copy(buf[end+4+len(cells[i].k):], cells[i].v)
+	for i := nodeNumKeys(snap) - 1; i >= 0; i-- {
+		k, v := cellAt(snap, i)
+		end = putCell(buf, end, k, v)
 		setCellOffset(buf, i, end)
 	}
 	setCellEnd(buf, end)
@@ -351,8 +356,14 @@ func encodeChild(lpn core.LPN) []byte {
 
 // ---- tree operations ----
 
-// Get returns the value stored under key.
+// Get returns a copy of the value stored under key.
 func (t *Tree) Get(now sim.Time, key []byte) ([]byte, sim.Time, bool, error) {
+	return t.GetAppend(now, key, nil)
+}
+
+// GetAppend is Get appending the value to dst: a caller that only decodes the
+// value passes a buffer of its own, and the lookup allocates nothing.
+func (t *Tree) GetAppend(now sim.Time, key, dst []byte) ([]byte, sim.Time, bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	lpn := t.root
@@ -366,15 +377,13 @@ func (t *Tree) Get(now sim.Time, key []byte) ([]byte, sim.Time, bool, error) {
 		buf := h.Data()
 		if nodeIsLeaf(buf) {
 			i, found := search(buf, key)
-			var out []byte
 			if found {
 				_, v := cellAt(buf, i)
-				out = make([]byte, len(v))
-				copy(out, v)
+				dst = append(dst, v...)
 			}
 			h.RUnlock()
 			h.Release()
-			return out, now, found, nil
+			return dst, now, found, nil
 		}
 		lpn = t.descend(buf, key)
 		h.RUnlock()
@@ -446,7 +455,7 @@ func (t *Tree) insertInto(now sim.Time, lpn core.LPN, key, value []byte) (sep []
 	if nodeIsLeaf(buf) {
 		i, found := search(buf, key)
 		if found {
-			if replaceCellValue(buf, i, key, value) {
+			if t.replaceCellValue(buf, i, key, value) {
 				h.Unlock()
 				h.MarkDirty()
 				h.Release()
@@ -456,7 +465,7 @@ func (t *Tree) insertInto(now sim.Time, lpn core.LPN, key, value []byte) (sep []
 		}
 		need := 4 + len(key) + len(value) + 2
 		if freeBytes(buf) < need && liveBytes(buf)+need <= len(buf)-offsArrayOff {
-			compactNode(buf)
+			t.compactNode(buf)
 		}
 		if freeBytes(buf) >= need {
 			pos, _ := search(buf, key)
@@ -466,8 +475,7 @@ func (t *Tree) insertInto(now sim.Time, lpn core.LPN, key, value []byte) (sep []
 			h.Release()
 			return nil, 0, now, found, nil
 		}
-		// Split the leaf.
-		sep, newChild, now, err = t.splitLeaf(now, h, buf, key, value)
+		sep, newChild, now, err = t.split(now, h, buf, key, value, 0)
 		h.Release()
 		return sep, newChild, now, found, err
 	}
@@ -488,60 +496,66 @@ func (t *Tree) insertInto(now sim.Time, lpn core.LPN, key, value []byte) (sep []
 	buf = h.Data()
 	need := 4 + len(childSep) + 8 + 2
 	if freeBytes(buf) < need && liveBytes(buf)+need <= len(buf)-offsArrayOff {
-		compactNode(buf)
+		t.compactNode(buf)
 	}
 	if freeBytes(buf) >= need {
 		pos := searchUpper(buf, childSep)
-		// The new entry (childSep, child) routes keys below the separator to
-		// the old child; whatever pointer used to cover that range (the
-		// entry at pos, or the rightmost pointer) now routes to the new
-		// right sibling.
-		if pos < nodeNumKeys(buf) {
-			replaceCellValue(buf, pos, childSep2(buf, pos), encodeChild(childNew))
-			insertCell(buf, pos, childSep, encodeChild(child))
-		} else {
-			insertCell(buf, pos, childSep, encodeChild(child))
-			setNodeRight(buf, uint64(childNew))
-		}
+		routeTo(buf, pos, childNew)
+		insertCell(buf, pos, childSep, encodeChild(child))
 		h.Unlock()
 		h.MarkDirty()
 		h.Release()
 		return nil, 0, now, replaced, nil
 	}
-	// Split this internal node.
-	sep, newChild, now, err = t.splitInternal(now, h, buf, childSep, child, childNew)
+	sep, newChild, now, err = t.split(now, h, buf, childSep, encodeChild(child), childNew)
 	h.Release()
 	return sep, newChild, now, replaced, err
 }
 
-// childSep2 returns the key of entry pos (helper to get a stable slice after
-// potential compaction inside replaceCellValue).
-func childSep2(buf []byte, pos int) []byte {
-	k, _ := cellAt(buf, pos)
-	out := make([]byte, len(k))
-	copy(out, k)
-	return out
+// routeTo points the entry at pos of an internal node (past the last entry,
+// the rightmost pointer) at child.  A child that split is the old child's
+// right half: the separator inserted at pos routes the keys below it to the
+// old child, and the pointer that covered them all now covers the rest.
+func routeTo(buf []byte, pos int, child core.LPN) {
+	if pos < nodeNumKeys(buf) {
+		_, v := cellAt(buf, pos)
+		binary.LittleEndian.PutUint64(v, uint64(child))
+		return
+	}
+	setNodeRight(buf, uint64(child))
 }
 
-// splitLeaf splits a full leaf (held locked by h) and inserts key/value into
-// the correct half.  It returns the separator (first key of the right node)
-// and the right node's LPN.  The caller releases h.
-func (t *Tree) splitLeaf(now sim.Time, h *buffer.Handle, buf []byte, key, value []byte) ([]byte, core.LPN, sim.Time, error) {
-	n := nodeNumKeys(buf)
-	type kv struct{ k, v []byte }
-	all := make([]kv, 0, n+1)
-	for i := 0; i < n; i++ {
-		k, v := cellAt(buf, i)
-		ck := append([]byte(nil), k...)
-		cv := append([]byte(nil), v...)
-		all = append(all, kv{ck, cv})
+// split divides a full node, held locked by h, that has no room for the
+// entry key/val.  The entries, key/val's included, are read from one snapshot
+// of the page: the lower half is rewritten in place and the upper half goes
+// to a new right sibling.  It returns the separator for the parent and the
+// sibling's LPN.  In an internal node newChild is the right half of the child
+// that split (see routeTo), and the middle entry moves up instead of staying
+// in the sibling.  The caller releases h.
+func (t *Tree) split(now sim.Time, h *buffer.Handle, buf, key, val []byte, newChild core.LPN) ([]byte, core.LPN, sim.Time, error) {
+	leaf := nodeIsLeaf(buf)
+	snap := t.snapshot(buf)
+	pos := searchUpper(snap, key) // key is not in snap, so this is its place
+	if !leaf {
+		routeTo(snap, pos, newChild)
 	}
-	pos, _ := search(buf, key)
-	all = append(all, kv{})
-	copy(all[pos+1:], all[pos:])
-	all[pos] = kv{append([]byte(nil), key...), append([]byte(nil), value...)}
+	entry := func(j int) ([]byte, []byte) {
+		switch {
+		case j < pos:
+			return cellAt(snap, j)
+		case j == pos:
+			return key, val
+		}
+		return cellAt(snap, j-1)
+	}
+	n := nodeNumKeys(snap) + 1
+	mid := n / 2
+	sepKey, sepVal := entry(mid)
+	from := mid
+	if !leaf {
+		from++
+	}
 
-	mid := len(all) / 2
 	rightLPN := t.allocPage()
 	rh, done, err := t.pool.NewPage(now, rightLPN, t.hint())
 	if err != nil {
@@ -551,93 +565,31 @@ func (t *Tree) splitLeaf(now sim.Time, h *buffer.Handle, buf []byte, key, value 
 	now = done
 	rh.Lock()
 	rbuf := rh.Data()
-	initNode(rbuf, t.objectID, uint64(rightLPN), true)
-	for i, e := range all[mid:] {
-		insertCell(rbuf, i, e.k, e.v)
+	initNode(rbuf, t.objectID, uint64(rightLPN), leaf)
+	for j := from; j < n; j++ {
+		k, v := entry(j)
+		insertCell(rbuf, j-from, k, v)
 	}
-	setNodeRight(rbuf, nodeRight(buf))
+	setNodeRight(rbuf, nodeRight(snap))
 	rh.Unlock()
 	rh.MarkDirty()
 	rh.Release()
 
-	// Rebuild the left node with the lower half.
-	lpnSelf := storage.PageLPN(buf)
-	objID := storage.PageObjectID(buf)
-	initNode(buf, objID, lpnSelf, true)
-	for i, e := range all[:mid] {
-		insertCell(buf, i, e.k, e.v)
+	initNode(buf, storage.PageObjectID(snap), storage.PageLPN(snap), leaf)
+	for j := 0; j < mid; j++ {
+		k, v := entry(j)
+		insertCell(buf, j, k, v)
 	}
-	setNodeRight(buf, uint64(rightLPN))
-	h.Unlock()
-	h.MarkDirty()
-
-	t.pages++
-	sep := append([]byte(nil), all[mid].k...)
-	return sep, rightLPN, now, nil
-}
-
-// splitInternal splits a full internal node (held locked by h) while adding
-// the separator childSep for oldChild/newChild.  It returns the separator to
-// push up and the new right node's LPN.  The caller releases h.
-func (t *Tree) splitInternal(now sim.Time, h *buffer.Handle, buf []byte, childSep []byte, oldChild, newChild core.LPN) ([]byte, core.LPN, sim.Time, error) {
-	n := nodeNumKeys(buf)
-	type kv struct {
-		k []byte
-		c core.LPN
-	}
-	all := make([]kv, 0, n+1)
-	for i := 0; i < n; i++ {
-		k, v := cellAt(buf, i)
-		all = append(all, kv{append([]byte(nil), k...), childLPN(v)})
-	}
-	rightmost := core.LPN(nodeRight(buf))
-
-	// Insert the new separator: it routes keys < childSep to oldChild, and
-	// the entry (or rightmost pointer) that previously pointed at oldChild
-	// must now point at newChild.
-	pos := searchUpper(buf, childSep)
-	all = append(all, kv{})
-	copy(all[pos+1:], all[pos:])
-	all[pos] = kv{append([]byte(nil), childSep...), oldChild}
-	if pos+1 < len(all) {
-		all[pos+1].c = newChild
+	if leaf {
+		setNodeRight(buf, uint64(rightLPN))
 	} else {
-		rightmost = newChild
+		setNodeRight(buf, uint64(childLPN(sepVal)))
 	}
-
-	mid := len(all) / 2
-	pushUp := all[mid]
-
-	rightLPN := t.allocPage()
-	rh, done, err := t.pool.NewPage(now, rightLPN, t.hint())
-	if err != nil {
-		h.Unlock()
-		return nil, 0, done, err
-	}
-	now = done
-	rh.Lock()
-	rbuf := rh.Data()
-	initNode(rbuf, t.objectID, uint64(rightLPN), false)
-	for i, e := range all[mid+1:] {
-		insertCell(rbuf, i, e.k, encodeChild(e.c))
-	}
-	setNodeRight(rbuf, uint64(rightmost))
-	rh.Unlock()
-	rh.MarkDirty()
-	rh.Release()
-
-	lpnSelf := storage.PageLPN(buf)
-	objID := storage.PageObjectID(buf)
-	initNode(buf, objID, lpnSelf, false)
-	for i, e := range all[:mid] {
-		insertCell(buf, i, e.k, encodeChild(e.c))
-	}
-	setNodeRight(buf, uint64(pushUp.c))
 	h.Unlock()
 	h.MarkDirty()
 
 	t.pages++
-	return pushUp.k, rightLPN, now, nil
+	return append([]byte(nil), sepKey...), rightLPN, now, nil
 }
 
 // Delete removes key from the tree.
@@ -676,7 +628,8 @@ func (t *Tree) Delete(now sim.Time, key []byte) (sim.Time, error) {
 
 // Scan iterates over all entries with startKey <= key < endKey in ascending
 // order (a nil endKey means "until the end of the index").  fn returning
-// false stops the scan.
+// false stops the scan.  The key and value fn receives alias the latched leaf
+// page: they are valid only until fn returns, so fn copies what it keeps.
 func (t *Tree) Scan(now sim.Time, startKey, endKey []byte, fn func(key, value []byte) bool) (sim.Time, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -718,9 +671,7 @@ func (t *Tree) Scan(now sim.Time, startKey, endKey []byte, fn func(key, value []
 				stop = true
 				break
 			}
-			ck := append([]byte(nil), k...)
-			cv := append([]byte(nil), v...)
-			if !fn(ck, cv) {
+			if !fn(k, v) {
 				stop = true
 				break
 			}
@@ -794,9 +745,9 @@ func (k *KeyBuilder) Bytes() []byte { return k.buf }
 
 // Key is a convenience for building a key of uint32 components.
 func Key(parts ...uint32) []byte {
-	kb := NewKeyBuilder()
+	out := make([]byte, 0, 4*len(parts))
 	for _, p := range parts {
-		kb.AddUint32(p)
+		out = binary.BigEndian.AppendUint32(out, p)
 	}
-	return kb.Bytes()
+	return out
 }

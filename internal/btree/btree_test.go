@@ -391,3 +391,31 @@ func TestTreeMatchesMapProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestResidentLookupAllocatesNothing gates Index.Lookup's descent: on a tree
+// whose pages are all resident, GetAppend into the caller's buffer allocates
+// nothing.
+func TestResidentLookupAllocatesNothing(t *testing.T) {
+	tree, _, _ := testTree(t, 512, 512)
+	now := sim.Time(0)
+	for i := 0; i < 2000; i++ {
+		done, err := tree.Insert(now, Key(uint32(i)), storage.RID{LPN: uint64(i), Slot: 1}.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = done
+	}
+	if tree.Height() < 2 {
+		t.Fatalf("height %d: the lookup would not descend", tree.Height())
+	}
+	key := Key(1234)
+	var buf [10]byte
+	if n := testing.AllocsPerRun(100, func() {
+		v, _, found, err := tree.GetAppend(now, key, buf[:0])
+		if err != nil || !found || len(v) != len(buf) {
+			t.Fatalf("lookup: %q found=%v err=%v", v, found, err)
+		}
+	}); n != 0 {
+		t.Errorf("a resident lookup allocates %v times, want 0", n)
+	}
+}

@@ -250,3 +250,85 @@ func TestFetchAndFetchManyOfOneAreOne(t *testing.T) {
 		t.Fatalf("miss did not evict a dirty page: %+v", single.stats)
 	}
 }
+
+// TestFetchManyDuplicatesArePinsOfOneHandle fetches a page list with repeats
+// over several shards, misses and residents mixed: a repeated page comes back
+// as the same Handle, every position is one pin, and releasing each position
+// once leaves no frame pinned.
+func TestFetchManyDuplicatesArePinsOfOneHandle(t *testing.T) {
+	be := newMemBackend(128)
+	be.seed(16)
+	p := New(be, 16, 128, nil)
+	p.Configure(Options{Shards: 4})
+	h, _, err := p.Fetch(0, 2, core.Hint{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Release()
+	lpns := []core.LPN{2, 7, 2, 9, 7, 2}
+	handles, _, err := p.FetchMany(0, lpns, core.Hint{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pins := map[*Handle]int{}
+	for i, h := range handles {
+		if h.LPN() != lpns[i] {
+			t.Fatalf("position %d holds page %d, want %d", i, h.LPN(), lpns[i])
+		}
+		pins[h]++
+	}
+	if len(pins) != 3 {
+		t.Fatalf("%d distinct handles for 3 distinct pages", len(pins))
+	}
+	for h, n := range pins {
+		if h.frame.pins != n {
+			t.Fatalf("page %d has %d pins, want %d", h.LPN(), h.frame.pins, n)
+		}
+	}
+	for _, h := range handles {
+		h.Release()
+	}
+	for h := range pins {
+		if h.frame.pins != 0 {
+			t.Fatalf("page %d keeps %d pins after every position was released", h.LPN(), h.frame.pins)
+		}
+	}
+}
+
+// TestResidentFetchesAllocateNothing gates the hit path: a pin of a resident
+// page hands out the frame's own Handle, so Fetch + Release allocates nothing
+// and a FetchMany of resident pages only its result slice.
+func TestResidentFetchesAllocateNothing(t *testing.T) {
+	be := newMemBackend(128)
+	be.seed(8)
+	p := New(be, 16, 128, nil)
+	p.Configure(Options{Shards: 4})
+	lpns := []core.LPN{1, 2, 3, 4, 5, 6, 7, 8}
+	hs, _, err := p.FetchMany(0, lpns, core.Hint{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range hs {
+		h.Release()
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		h, _, err := p.Fetch(0, 3, core.Hint{ObjectID: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+	}); n != 0 {
+		t.Errorf("a buffer-pool hit allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		hs, _, err := p.FetchMany(0, lpns, core.Hint{ObjectID: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range hs {
+			h.Release()
+		}
+	}); n != 1 {
+		t.Errorf("a FetchMany of resident pages allocates %v times, want 1 (its result)", n)
+	}
+}

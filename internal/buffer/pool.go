@@ -68,14 +68,16 @@ type Frame struct {
 	valid      bool
 	pins       int
 	ref        bool
-	prefetched bool // staged by read-ahead, not yet demanded
+	prefetched bool   // staged by read-ahead, not yet demanded
+	handle     Handle // what every pin of the frame hands out
 }
 
 // Handle is a pinned reference to a frame.  Callers must Release it exactly
-// once, and must bracket data access with Lock/Unlock (writers) or
-// RLock/RUnlock (readers).
+// once per pin, and must bracket data access with Lock/Unlock (writers) or
+// RLock/RUnlock (readers).  A frame has one Handle, built with the frame: the
+// pin is the count on the frame, so pinning allocates nothing and two pins of
+// one page share their Handle.
 type Handle struct {
-	pool  *Pool
 	frame *Frame
 }
 
@@ -250,7 +252,9 @@ func (p *Pool) buildShards(n int) {
 			table:  make(map[core.LPN]int, size),
 		}
 		for j := range s.frames {
-			s.frames[j] = &Frame{shard: s, data: make([]byte, p.pageSize)}
+			f := &Frame{shard: s, data: make([]byte, p.pageSize)}
+			f.handle.frame = f
+			s.frames[j] = f
 		}
 		p.shards[i] = s
 	}
@@ -358,20 +362,9 @@ func (p *Pool) Fetch(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim.T
 	s := p.shardOf(lpn)
 	s.mu.Lock()
 	if idx, ok := s.table[lpn]; ok {
-		f := s.frames[idx]
-		f.pins++
-		f.ref = true
-		// The demander knows the page's true placement hint; refresh it so a
-		// frame staged by read-ahead across an object boundary is written
-		// back to its own object's region, not the prefetcher's.
-		f.hint = hint
-		p.hits.Add(1)
-		if f.prefetched {
-			f.prefetched = false
-			p.prefetchHits.Add(1)
-		}
+		h := p.pinHitLocked(s.frames[idx], hint)
 		s.mu.Unlock()
-		return &Handle{pool: p, frame: f}, now, nil
+		return h, now, nil
 	}
 	f, now, err := p.claimMissLocked(s, now, lpn, hint)
 	s.mu.Unlock()
@@ -393,56 +386,50 @@ func (p *Pool) Fetch(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim.T
 	if err != nil {
 		return nil, done, err
 	}
-	return &Handle{pool: p, frame: f}, done, nil
+	return &f.handle, done, nil
 }
 
 // FetchMany pins a set of pages, reading every non-resident page from the
 // backend in one die-striped scheduler batch.  The returned handles align
-// with lpns (duplicates receive independent pins on the same frame); the
-// returned time is the batch makespan plus any eviction write-back the frame
-// allocations caused.  On error no handles are retained.
+// with lpns (a duplicate is one more pin of the same frame, released once per
+// position); the returned time is the batch makespan plus any eviction
+// write-back the frame allocations caused.  On error no handles are retained.
+// When every page is resident the returned slice is all it allocates.
 func (p *Pool) FetchMany(now sim.Time, lpns []core.LPN, hint core.Hint) ([]*Handle, sim.Time, error) {
 	handles := make([]*Handle, len(lpns))
+	var (
+		misses  []*Frame
+		missPos []int
+		err     error
+	)
+	// releaseHits drops the pins taken on resident pages; a miss's pin is
+	// dropped where its claim or its read failed.
 	releaseHits := func() {
+		for _, i := range missPos {
+			handles[i] = nil
+		}
 		for _, h := range handles {
 			if h != nil {
 				h.Release()
 			}
 		}
 	}
-
-	// Group the requested positions by shard (first-appearance order keeps
-	// eviction write-back chaining deterministic), pin residents and claim
-	// frames for misses one shard lock at a time, then read all misses as a
-	// single batch.  A miss gets its handle only once its page has arrived.
-	shardPos := make(map[*poolShard][]int)
-	order := make([]*poolShard, 0, len(p.shards))
-	for i, lpn := range lpns {
-		s := p.shardOf(lpn)
-		if _, seen := shardPos[s]; !seen {
-			order = append(order, s)
+	// Visit the shards in the order they first appear (eviction write-back
+	// then chains deterministically), one shard lock at a time: pin residents
+	// and claim frames for misses, then read all misses as a single batch.  A
+	// position is done once its handle is set.
+	for first := range lpns {
+		if handles[first] != nil {
+			continue
 		}
-		shardPos[s] = append(shardPos[s], i)
-	}
-	var (
-		misses  []*Frame
-		missPos []int
-		err     error
-	)
-	for _, s := range order {
+		s := p.shardOf(lpns[first])
 		s.mu.Lock()
-		for _, i := range shardPos[s] {
+		for i := first; i < len(lpns); i++ {
+			if handles[i] != nil || p.shardOf(lpns[i]) != s {
+				continue
+			}
 			if idx, ok := s.table[lpns[i]]; ok {
-				f := s.frames[idx]
-				f.pins++
-				f.ref = true
-				f.hint = hint
-				p.hits.Add(1)
-				if f.prefetched {
-					f.prefetched = false
-					p.prefetchHits.Add(1)
-				}
-				handles[i] = &Handle{pool: p, frame: f}
+				handles[i] = p.pinHitLocked(s.frames[idx], hint)
 				continue
 			}
 			var f *Frame
@@ -451,6 +438,7 @@ func (p *Pool) FetchMany(now sim.Time, lpns []core.LPN, hint core.Hint) ([]*Hand
 			}
 			misses = append(misses, f)
 			missPos = append(missPos, i)
+			handles[i] = &f.handle
 		}
 		s.mu.Unlock()
 		if err != nil {
@@ -470,10 +458,23 @@ func (p *Pool) FetchMany(now sim.Time, lpns []core.LPN, hint core.Hint) ([]*Hand
 		releaseHits()
 		return nil, end, err
 	}
-	for j, f := range misses {
-		handles[missPos[j]] = &Handle{pool: p, frame: f}
-	}
 	return handles, end, nil
+}
+
+// pinHitLocked pins a resident frame for a demand access.  The demander knows
+// the page's true placement hint; it replaces the frame's, so a frame staged
+// by read-ahead across an object boundary is written back to its own object's
+// region, not the prefetcher's.  Caller holds the frame's shard mutex.
+func (p *Pool) pinHitLocked(f *Frame, hint core.Hint) *Handle {
+	f.pins++
+	f.ref = true
+	f.hint = hint
+	p.hits.Add(1)
+	if f.prefetched {
+		f.prefetched = false
+		p.prefetchHits.Add(1)
+	}
+	return &f.handle
 }
 
 // claimMissLocked counts a demand miss on the page and claims a frame for
@@ -660,7 +661,7 @@ func (p *Pool) NewPage(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim
 	}
 	f.dirty.Store(true)
 	clear(f.data)
-	return &Handle{pool: p, frame: f}, now, nil
+	return &f.handle, now, nil
 }
 
 // allocFrameLocked finds a victim frame in shard s using the CLOCK policy,

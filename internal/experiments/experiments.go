@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"text/tabwriter"
 	"time"
 
@@ -194,15 +195,35 @@ type Figure3 struct {
 // RunFigure3 executes the Figure 3 experiment: the same TPC-C workload under
 // traditional and multi-region placement on identical fresh devices.
 func RunFigure3(scale Scale) (Figure3, error) {
-	trad, err := RunTPCC(scale, tpcc.PlacementTraditional)
+	trad, regions, err := bothPlacements(scale, RunTPCC)
 	if err != nil {
-		return Figure3{}, fmt.Errorf("traditional placement run: %w", err)
-	}
-	regions, err := RunTPCC(scale, tpcc.PlacementRegions)
-	if err != nil {
-		return Figure3{}, fmt.Errorf("region placement run: %w", err)
+		return Figure3{}, err
 	}
 	return Figure3{Scale: scale, Traditional: trad, Regions: regions}, nil
+}
+
+// bothPlacements runs run under traditional and under multi-region placement,
+// the two on goroutines of their own: each is a simulation on a database of
+// its own, and what they share is read-only.
+func bothPlacements[T any](scale Scale, run func(Scale, tpcc.PlacementKind) (T, error)) (trad, regions T, err error) {
+	var (
+		wg      sync.WaitGroup
+		errTrad error
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		trad, errTrad = run(scale, tpcc.PlacementTraditional)
+	}()
+	regions, err = run(scale, tpcc.PlacementRegions)
+	wg.Wait()
+	if errTrad != nil {
+		return trad, regions, fmt.Errorf("traditional placement run: %w", errTrad)
+	}
+	if err != nil {
+		return trad, regions, fmt.Errorf("region placement run: %w", err)
+	}
+	return trad, regions, nil
 }
 
 // Table renders the comparison in the layout of the paper's Figure 3.
@@ -353,6 +374,17 @@ func RunFigure2(scale Scale, placement tpcc.PlacementKind) (Figure2, error) {
 	f.Planned = tpcc.Plan(workload, geo)
 	f.Host, f.Measured = plan(tpcc.GroupDemand(f.Demand, flash.DefaultTiming())), plan(dieTime)
 	return f, nil
+}
+
+// RunFigure2Both runs Figure 2 under traditional and under multi-region
+// placement, the two at once (see bothPlacements), and returns them in that
+// order.
+func RunFigure2Both(scale Scale) ([]Figure2, error) {
+	trad, regions, err := bothPlacements(scale, RunFigure2)
+	if err != nil {
+		return nil, err
+	}
+	return []Figure2{trad, regions}, nil
 }
 
 // Drift is the largest distance, in points, between a group's share of the

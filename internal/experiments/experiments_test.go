@@ -263,3 +263,39 @@ func TestFigure3ShapeSmall(t *testing.T) {
 		}
 	}
 }
+
+// TestBothPlacementsAtOnceIsSequential: Figure 2 and Figure 3 run their two
+// placements on two goroutines, and what they print is byte for byte what the
+// runs print one after the other (under -race it also shows the two
+// simulations share nothing they write).
+func TestBothPlacementsAtOnceIsSequential(t *testing.T) {
+	f3, err := RunFigure3(ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trad, err := RunTPCC(ScaleTiny, tpcc.PlacementTraditional)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions, err := RunTPCC(ScaleTiny, tpcc.PlacementRegions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := Figure3{Scale: ScaleTiny, Traditional: trad, Regions: regions}
+	if got, want := f3.Table()+f3.Headline().String(), seq.Table()+seq.Headline().String(); got != want {
+		t.Errorf("Figure 3 at once:\n%s\none after the other:\n%s", got, want)
+	}
+	both, err := RunFigure2Both(ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, placement := range []tpcc.PlacementKind{tpcc.PlacementTraditional, tpcc.PlacementRegions} {
+		f2, err := RunFigure2(ScaleTiny, placement)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := both[i].Table(), f2.Table(); got != want {
+			t.Errorf("Figure 2 under %s placement at once:\n%s\nalone:\n%s", placement, got, want)
+		}
+	}
+}

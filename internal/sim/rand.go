@@ -70,55 +70,3 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 		swap(i, j)
 	}
 }
-
-// Zipf draws values in [0, n) following an approximate Zipf distribution with
-// exponent theta (0 < theta < 1 gives the YCSB-style "zipfian" skew).  It
-// uses the Gray et al. quick approximation, which is accurate enough for
-// workload generation.
-type Zipf struct {
-	r     *Rand
-	n     int
-	theta float64
-	alpha float64
-	zetan float64
-	eta   float64
-	zeta2 float64
-}
-
-// NewZipf returns a Zipf generator over [0, n) with the given skew exponent.
-func NewZipf(r *Rand, n int, theta float64) *Zipf {
-	z := &Zipf{r: r, n: n, theta: theta}
-	z.zetan = zetaStatic(n, theta)
-	z.zeta2 = zetaStatic(2, theta)
-	z.alpha = 1.0 / (1.0 - theta)
-	z.eta = (1 - powFloat(2.0/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
-	return z
-}
-
-// Next draws the next value.
-func (z *Zipf) Next() int {
-	u := z.r.Float64()
-	uz := u * z.zetan
-	if uz < 1.0 {
-		return 0
-	}
-	if uz < 1.0+powFloat(0.5, z.theta) {
-		return 1
-	}
-	return int(float64(z.n) * powFloat(z.eta*u-z.eta+1, z.alpha))
-}
-
-func zetaStatic(n int, theta float64) float64 {
-	sum := 0.0
-	for i := 1; i <= n; i++ {
-		sum += 1.0 / powFloat(float64(i), theta)
-	}
-	return sum
-}
-
-// powFloat is a minimal x**y for positive x implemented with exp/log from the
-// math package would be fine; to keep hot paths allocation free we just use
-// the stdlib via a tiny indirection.
-func powFloat(x, y float64) float64 {
-	return mathPow(x, y)
-}

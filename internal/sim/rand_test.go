@@ -106,30 +106,6 @@ func TestShuffleKeepsElements(t *testing.T) {
 	}
 }
 
-func TestZipfBoundsAndSkew(t *testing.T) {
-	r := NewRand(123)
-	const n = 1000
-	z := NewZipf(r, n, 0.99)
-	counts := make([]int, n)
-	const draws = 200000
-	for i := 0; i < draws; i++ {
-		v := z.Next()
-		if v < 0 || v >= n {
-			t.Fatalf("Zipf out of range: %d", v)
-		}
-		counts[v]++
-	}
-	// The hottest 10% of keys should receive well over half the accesses for
-	// theta=0.99 (YCSB-style skew).
-	hot := 0
-	for i := 0; i < n/10; i++ {
-		hot += counts[i]
-	}
-	if float64(hot)/draws < 0.5 {
-		t.Fatalf("zipf not skewed enough: hot share %.2f", float64(hot)/draws)
-	}
-}
-
 // Property: IntRange always returns a value inside the requested bounds.
 func TestIntRangeProperty(t *testing.T) {
 	r := NewRand(777)

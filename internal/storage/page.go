@@ -360,11 +360,11 @@ type RID struct {
 }
 
 // Encode packs the RID into 10 bytes.
-func (r RID) Encode() []byte {
-	out := make([]byte, 10)
-	binary.LittleEndian.PutUint64(out, r.LPN)
-	binary.LittleEndian.PutUint16(out[8:], r.Slot)
-	return out
+func (r RID) Encode() []byte { return r.Append(make([]byte, 0, 10)) }
+
+// Append appends the 10 bytes of Encode to dst.
+func (r RID) Append(dst []byte) []byte {
+	return binary.LittleEndian.AppendUint16(binary.LittleEndian.AppendUint64(dst, r.LPN), r.Slot)
 }
 
 // DecodeRID unpacks a RID encoded by Encode.

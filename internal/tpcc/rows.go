@@ -38,8 +38,12 @@ func (w *fieldWriter) str(s string, width int) {
 
 func (w *fieldWriter) bytes() []byte { return w.buf }
 
+// fieldReader decodes a row.  The first string field converts the whole row
+// to a string once; every string field is a trimmed substring of it, so a
+// decode allocates once however many string fields the row has.
 type fieldReader struct {
 	buf []byte
+	row string
 	off int
 }
 
@@ -58,13 +62,16 @@ func (r *fieldReader) u64() uint64 {
 func (r *fieldReader) i64() int64 { return int64(r.u64()) }
 
 func (r *fieldReader) str(width int) string {
-	b := r.buf[r.off : r.off+width]
+	if r.row == "" {
+		r.row = string(r.buf)
+	}
+	start := r.off
 	r.off += width
-	end := len(b)
-	for end > 0 && b[end-1] == 0 {
+	end := r.off
+	for end > start && r.row[end-1] == 0 {
 		end--
 	}
-	return string(b[:end])
+	return r.row[start:end]
 }
 
 // Warehouse row (~112 bytes).

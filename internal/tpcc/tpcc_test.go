@@ -1,6 +1,8 @@
 package tpcc
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -74,6 +76,112 @@ func TestRowCodecsRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeStock(make([]byte, 10)); err == nil {
 		t.Fatal("short stock accepted")
+	}
+}
+
+// TestRowCodecsStringWidths round-trips all nine row types with every string
+// field empty, filled to its full width, starting with a NUL, and ending in
+// NULs, which a fixed-width field cannot tell from its padding: they decode
+// trimmed.
+func TestRowCodecsStringWidths(t *testing.T) {
+	fills := map[string]func(width int) (enc, dec string){
+		"empty": func(int) (string, string) { return "", "" },
+		"full-width": func(w int) (string, string) {
+			s := strings.Repeat("Z", w-1) + "a"
+			return s, s
+		},
+		"leading NUL": func(w int) (string, string) {
+			s := "\x00" + strings.Repeat("b", w-1)
+			return s, s
+		},
+		"trailing NUL": func(w int) (string, string) {
+			s := strings.Repeat("q", w/2)
+			return s + "\x00", s
+		},
+	}
+	for name, fill := range fills {
+		enc := func(w int) string { s, _ := fill(w); return s }
+		dec := func(w int) string { _, s := fill(w); return s }
+		check := func(table string, got, want any, err error) {
+			t.Helper()
+			if err != nil || got != want {
+				t.Errorf("%s, %s strings: decoded %+v (%v), want %+v", table, name, got, err, want)
+			}
+		}
+		warehouse := func(s func(int) string) Warehouse {
+			return Warehouse{WID: 1, Name: s(10), Street: s(20), City: s(20), State: s(2), Zip: s(9), Tax: -1, YTD: math.MaxInt64}
+		}
+		w, err := DecodeWarehouse(warehouse(enc).Encode())
+		check("WAREHOUSE", w, warehouse(dec), err)
+		district := func(s func(int) string) District {
+			return District{DID: 10, WID: 1, Name: s(10), Street: s(20), City: s(20), State: s(2), Zip: s(9), Tax: 7, YTD: -7, NextOID: math.MaxUint32}
+		}
+		d, err := DecodeDistrict(district(enc).Encode())
+		check("DISTRICT", d, district(dec), err)
+		customer := func(s func(int) string) Customer {
+			return Customer{CID: 3000, DID: 10, WID: 1, First: s(16), Middle: s(2), Last: s(16), Street: s(20), City: s(20),
+				State: s(2), Zip: s(9), Phone: s(16), Since: 1, Credit: s(2), CreditLimit: 2, Discount: 3, Balance: -4,
+				YTDPayment: 5, PaymentCnt: 6, DeliveryCnt: 7, Data: s(250)}
+		}
+		c, err := DecodeCustomer(customer(enc).Encode())
+		check("CUSTOMER", c, customer(dec), err)
+		history := func(s func(int) string) History {
+			return History{CID: 1, CDID: 2, CWID: 3, DID: 4, WID: 5, Date: 6, Amount: -7, Data: s(24)}
+		}
+		h, err := DecodeHistory(history(enc).Encode())
+		check("HISTORY", h, history(dec), err)
+		no := NewOrder{OID: math.MaxUint32, DID: 2, WID: 3}
+		n, err := DecodeNewOrder(no.Encode())
+		check("NEW_ORDER", n, no, err)
+		order := Order{OID: 1, DID: 2, WID: 3, CID: 4, EntryDate: math.MinInt64, CarrierID: 6, OLCount: 15, AllLocal: 1}
+		o, err := DecodeOrder(order.Encode())
+		check("ORDER", o, order, err)
+		orderLine := func(s func(int) string) OrderLine {
+			return OrderLine{OID: 1, DID: 2, WID: 3, Number: 4, ItemID: 5, SupplyWID: 6, DeliveryDate: 7, Quantity: 8, Amount: 9, DistInfo: s(24)}
+		}
+		ol, err := DecodeOrderLine(orderLine(enc).Encode())
+		check("ORDERLINE", ol, orderLine(dec), err)
+		item := func(s func(int) string) Item {
+			return Item{IID: 100000, ImID: 2, Name: s(24), Price: 10000, Data: s(50)}
+		}
+		it, err := DecodeItem(item(enc).Encode())
+		check("ITEM", it, item(dec), err)
+		stock := func(s func(int) string) Stock {
+			st := Stock{IID: 1, WID: 2, Quantity: 91, YTD: 4, OrderCnt: 5, RemoteCnt: 6, Data: s(50)}
+			for i := range st.Dists {
+				st.Dists[i] = s(24)
+			}
+			return st
+		}
+		st, err := DecodeStock(stock(enc).Encode())
+		check("STOCK", st, stock(dec), err)
+	}
+}
+
+// TestDecodeAllocatesOnce gates the row codec: a decode converts the row to
+// one string and cuts every string field out of it.
+func TestDecodeAllocatesOnce(t *testing.T) {
+	full := func(w int) string { return strings.Repeat("x", w) }
+	st := Stock{IID: 1, WID: 1, Quantity: 50, Data: full(50)}
+	for i := range st.Dists {
+		st.Dists[i] = full(24)
+	}
+	stock := st.Encode()
+	customer := Customer{First: full(16), Middle: "OE", Last: "BARBARBAR", Street: full(20), City: full(20),
+		State: "ST", Zip: full(9), Phone: full(16), Credit: "GC", Data: full(250)}.Encode()
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeStock(stock); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("DecodeStock allocates %v times, want at most 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeCustomer(customer); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("DecodeCustomer allocates %v times, want at most 1", n)
 	}
 }
 

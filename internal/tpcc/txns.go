@@ -418,7 +418,7 @@ func (t *terminal) delivery(tx *noftl.Tx) error {
 		var noRID noftl.RID
 		found := false
 		for k, rid := range t.sch.NOIdx.Prefix(tx, newOrderPrefix(w, d)) {
-			noKey = append([]byte(nil), k...)
+			noKey = k
 			noRID = rid
 			found = true
 			break // only the first (oldest)

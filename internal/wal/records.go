@@ -45,8 +45,12 @@ func RecordSize(r Record) int {
 
 // EncodeRowPayload packs a RID plus a row image (RecInsert, RecUpdate).
 func EncodeRowPayload(rid storage.RID, row []byte) []byte {
-	dst := append(make([]byte, 0, ridLen+len(row)), rid.Encode()...)
-	return append(dst, row...)
+	return AppendRowPayload(make([]byte, 0, ridLen+len(row)), rid, row)
+}
+
+// AppendRowPayload appends the payload EncodeRowPayload packs to dst.
+func AppendRowPayload(dst []byte, rid storage.RID, row []byte) []byte {
+	return append(rid.Append(dst), row...)
 }
 
 // DecodeRowPayload unpacks a RecInsert/RecUpdate payload.
@@ -60,9 +64,13 @@ func DecodeRowPayload(p []byte) (storage.RID, []byte, error) {
 
 // EncodeIndexInsert packs an index entry (RecIndexInsert).
 func EncodeIndexInsert(key []byte, rid storage.RID) []byte {
-	dst := binary.LittleEndian.AppendUint16(make([]byte, 0, 2+len(key)+ridLen), uint16(len(key)))
-	dst = append(dst, key...)
-	return append(dst, rid.Encode()...)
+	return AppendIndexInsert(make([]byte, 0, 2+len(key)+ridLen), key, rid)
+}
+
+// AppendIndexInsert appends the payload EncodeIndexInsert packs to dst.
+func AppendIndexInsert(dst, key []byte, rid storage.RID) []byte {
+	dst = append(binary.LittleEndian.AppendUint16(dst, uint16(len(key))), key...)
+	return rid.Append(dst)
 }
 
 // DecodeIndexInsert unpacks a RecIndexInsert payload.

@@ -49,8 +49,9 @@ func (i *Index) Prefix(tx *Tx, prefix []byte) iter.Seq2[[]byte, RID] {
 }
 
 // ridEntries adapts an iterator body to the tree's raw (key, value)
-// callback.  A value that does not decode as a RID ends the scan and is
-// recorded on the transaction.
+// callback, whose slices alias the tree's page: the RID is decoded in place
+// and the body gets a key of its own.  A value that does not decode as a RID
+// ends the scan and is recorded on the transaction.
 func (tx *Tx) ridEntries(yield func([]byte, RID) bool) func(k, v []byte) bool {
 	return func(k, v []byte) bool {
 		rid, err := storage.DecodeRID(v)
@@ -58,7 +59,7 @@ func (tx *Tx) ridEntries(yield func([]byte, RID) bool) func(k, v []byte) bool {
 			tx.endScan(0, err)
 			return false
 		}
-		return yield(k, rid)
+		return yield(append([]byte(nil), k...), rid)
 	}
 }
 

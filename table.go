@@ -36,8 +36,9 @@ const (
 type Tx struct {
 	db       *DB
 	inner    *txn.Txn
-	iterErr  error // first error hit inside a Rows/Range iteration
-	quiesced bool  // still holding the checkpoint quiesce lock shared
+	iterErr  error  // first error hit inside a Rows/Range iteration
+	quiesced bool   // still holding the checkpoint quiesce lock shared
+	payload  []byte // the log record being packed; the log copies it
 }
 
 // release drops the checkpoint quiesce lock exactly once.
@@ -90,6 +91,12 @@ func (tx *Tx) Abort() sim.Time {
 
 func (tx *Tx) chargeOp() { tx.inner.Charge(tx.db.cfg.CPUPerOp) }
 
+// logRow logs the RecInsert or RecUpdate of row at rid.
+func (tx *Tx) logRow(typ wal.RecordType, objectID uint32, rid RID, row []byte) error {
+	tx.payload = wal.AppendRowPayload(tx.payload[:0], rid, row)
+	return tx.inner.Log(typ, objectID, tx.payload)
+}
+
 // Table is a handle to a heap table.
 type Table struct {
 	db   *DB
@@ -133,7 +140,7 @@ func (t *Table) Insert(tx *Tx, row []byte) (RID, error) {
 		return RID{}, publicErr(err)
 	}
 	tx.inner.AdvanceTo(done)
-	return rid, tx.inner.Log(wal.RecInsert, t.meta.ObjectID, wal.EncodeRowPayload(rid, row))
+	return rid, tx.logRow(wal.RecInsert, t.meta.ObjectID, rid, row)
 }
 
 // Get returns the row stored under rid.  An unknown or deleted record is
@@ -159,7 +166,7 @@ func (t *Table) Update(tx *Tx, rid RID, row []byte) error {
 		return publicErr(err)
 	}
 	tx.inner.AdvanceTo(done)
-	return tx.inner.Log(wal.RecUpdate, t.meta.ObjectID, wal.EncodeRowPayload(rid, row))
+	return tx.logRow(wal.RecUpdate, t.meta.ObjectID, rid, row)
 }
 
 // Delete removes the row stored under rid.
@@ -170,7 +177,8 @@ func (t *Table) Delete(tx *Tx, rid RID) error {
 		return publicErr(err)
 	}
 	tx.inner.AdvanceTo(done)
-	return tx.inner.Log(wal.RecDelete, t.meta.ObjectID, rid.Encode())
+	tx.payload = rid.Append(tx.payload[:0])
+	return tx.inner.Log(wal.RecDelete, t.meta.ObjectID, tx.payload)
 }
 
 // Index is a handle to a B+-tree index.
@@ -195,18 +203,21 @@ func (i *Index) Entries() int64 { return i.tree.Entries() }
 // Insert adds (or replaces) the entry key -> rid.
 func (i *Index) Insert(tx *Tx, key []byte, rid RID) error {
 	tx.chargeOp()
-	done, err := i.tree.Insert(tx.Now(), key, rid.Encode())
+	var value [10]byte
+	done, err := i.tree.Insert(tx.Now(), key, rid.Append(value[:0]))
 	if err != nil {
 		return publicErr(err)
 	}
 	tx.inner.AdvanceTo(done)
-	return tx.inner.Log(wal.RecIndexInsert, i.meta.ObjectID, wal.EncodeIndexInsert(key, rid))
+	tx.payload = wal.AppendIndexInsert(tx.payload[:0], key, rid)
+	return tx.inner.Log(wal.RecIndexInsert, i.meta.ObjectID, tx.payload)
 }
 
 // Lookup returns the RID stored under key.
 func (i *Index) Lookup(tx *Tx, key []byte) (RID, bool, error) {
 	tx.chargeOp()
-	val, done, found, err := i.tree.Get(tx.Now(), key)
+	var buf [10]byte // the encoded RID
+	val, done, found, err := i.tree.GetAppend(tx.Now(), key, buf[:0])
 	if err != nil {
 		return RID{}, false, err
 	}
