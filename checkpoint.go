@@ -80,13 +80,12 @@ type pageDesc struct {
 // in err and turns every later append into a no-op, so a stream that broke off
 // is never closed by an end mark.
 type ckptStream struct {
-	log     *wal.Log
-	seq     uint64
-	max     int    // largest mark body a log record carries
-	lsn     uint64 // LSN of the newest mark
-	records int64
-	bytes   int64 // encoded size of the marks
-	err     error
+	log   *wal.Log
+	seq   uint64
+	max   int    // largest mark body a log record carries
+	lsn   uint64 // LSN of the newest mark
+	bytes int64  // encoded size of the marks
+	err   error
 }
 
 // mark appends a RecCheckpoint of the given kind; body (nil for the end mark)
@@ -101,7 +100,6 @@ func (s *ckptStream) mark(kind byte, body any) {
 	}
 	payload := wal.EncodeCheckpointMark(kind, data)
 	s.lsn, s.err = s.log.Append(wal.RecCheckpoint, s.seq, 0, payload)
-	s.records++
 	s.bytes += int64(wal.RecordSize(wal.Record{Payload: payload}))
 }
 
@@ -213,7 +211,6 @@ func (db *DB) checkpointLocked(now sim.Time) (sim.Time, error) {
 	}
 	db.ckptCount.Inc()
 	db.ckptLastLSN = s.lsn
-	db.ckptChunks.Add(s.records)
 	db.ckptBytes = s.bytes
 	db.ckptPages = int64(flushed)
 	db.ckptTime = now

@@ -56,7 +56,6 @@ type DB struct {
 	ckptRunning atomic.Bool
 	ckptSeq     uint64           // checkpoint sequence number (TxnID of its marks)
 	ckptCount   *metrics.Counter // noftl_wal_checkpoints_total (nil without WAL)
-	ckptChunks  *metrics.Counter // noftl_wal_checkpoint_chunks_total
 	ckptLastLSN uint64           // LSN of the last checkpoint's end mark
 	ckptBytes   int64            // encoded size of the last checkpoint's records
 	ckptPages   int64            // dirty pages the last checkpoint flushed
@@ -111,8 +110,6 @@ func openWith(cfg Config, dev *flash.Device, space *core.Manager) (*DB, error) {
 		db.log.AttachObs(db.tracer, db.reg)
 		db.ckptCount = db.reg.Counter("noftl_wal_checkpoints_total",
 			"Checkpoints taken (dirty pages flushed, the flash image described at the head of the WAL).").With()
-		db.ckptChunks = db.reg.Counter("noftl_wal_checkpoint_chunks_total",
-			"Records appended by checkpoints (marks and page descriptors).").With()
 		if cfg.WALCommitBatch > 0 || cfg.WALCommitDelay > 0 {
 			db.log.SetGroupCommit(cfg.WALCommitBatch, cfg.WALCommitDelay)
 		}
@@ -294,7 +291,6 @@ func (db *DB) ResetStatistics() {
 		db.ckptWALMark -= db.log.BytesAppended()
 		db.log.ResetCounters()
 		db.ckptCount.Reset()
-		db.ckptChunks.Reset()
 		db.mu.Unlock()
 	}
 	db.clock.Reset()

@@ -2,6 +2,7 @@ package noftl
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -265,5 +266,65 @@ func TestIndexLookupAllocatesNothing(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("Index.Lookup on a resident index allocates %v times, want 0", n)
+	}
+}
+
+// TestTableGetAppend: GetAppend appends the row after what dst holds, the
+// bytes Get returns, and reports a deleted row as ErrNotFound with dst
+// unchanged.  Into a buffer with room, a read of a resident page and an
+// AppendKey allocate nothing.
+func TestTableGetAppend(t *testing.T) {
+	db, err := OpenConfig(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable("T", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rids []RID
+	if err := db.Update(func(tx *Tx) error {
+		for i := range 3 {
+			rid, err := tbl.Insert(tx, bytes.Repeat([]byte{byte('a' + i)}, 50+i))
+			rids = append(rids, rid)
+			if err != nil {
+				return err
+			}
+		}
+		return tbl.Delete(tx, rids[1])
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	defer tx.Abort()
+	dst := []byte("dst")
+	for _, rid := range []RID{rids[0], rids[2]} {
+		want, err := tbl.Get(tx, rid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := tbl.GetAppend(tx, rid, dst); err != nil || !bytes.Equal(got, append(bytes.Clone(dst), want...)) {
+			t.Errorf("GetAppend(%v) after %q = %q (%v), want %q after it", rid, dst, got, err, want)
+		}
+	}
+	if got, err := tbl.GetAppend(tx, rids[1], dst); !errors.Is(err, ErrNotFound) || !bytes.Equal(got, dst) {
+		t.Errorf("GetAppend of a deleted row = %q, %v; want %q, ErrNotFound", got, err, dst)
+	}
+
+	row := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() {
+		if row, err = tbl.GetAppend(tx, rids[0], row[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Table.GetAppend of a resident page into capacity allocates %v times, want 0", n)
+	}
+	key := make([]byte, 0, 16)
+	if n := testing.AllocsPerRun(100, func() { key = AppendKey(key[:0], 1, 2, 3, 4) }); n != 0 {
+		t.Errorf("AppendKey into capacity allocates %v times, want 0", n)
+	}
+	if !bytes.Equal(key, Key(1, 2, 3, 4)) {
+		t.Errorf("AppendKey = %x, want Key's %x", key, Key(1, 2, 3, 4))
 	}
 }

@@ -744,10 +744,12 @@ func (k *KeyBuilder) AddString(s string) *KeyBuilder {
 func (k *KeyBuilder) Bytes() []byte { return k.buf }
 
 // Key is a convenience for building a key of uint32 components.
-func Key(parts ...uint32) []byte {
-	out := make([]byte, 0, 4*len(parts))
+func Key(parts ...uint32) []byte { return AppendKey(make([]byte, 0, 4*len(parts)), parts...) }
+
+// AppendKey appends the key Key(parts...) builds to dst.
+func AppendKey(dst []byte, parts ...uint32) []byte {
 	for _, p := range parts {
-		out = binary.BigEndian.AppendUint32(out, p)
+		dst = binary.BigEndian.AppendUint32(dst, p)
 	}
-	return out
+	return dst
 }

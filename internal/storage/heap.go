@@ -357,18 +357,24 @@ func (h *HeapFile) tryInsertInto(now sim.Time, lpn core.LPN, rec []byte) (RID, s
 
 // Get returns a copy of the record identified by rid.
 func (h *HeapFile) Get(now sim.Time, rid RID) ([]byte, sim.Time, error) {
+	return h.GetAppend(now, rid, nil)
+}
+
+// GetAppend appends the record identified by rid to dst and returns the
+// extended slice; on error dst is returned unchanged.
+func (h *HeapFile) GetAppend(now sim.Time, rid RID, dst []byte) ([]byte, sim.Time, error) {
 	handle, done, err := h.pool.Fetch(now, core.LPN(rid.LPN), h.hint())
 	if err != nil {
-		return nil, done, err
+		return dst, done, err
 	}
 	defer handle.Release()
 	handle.RLock()
 	defer handle.RUnlock()
-	rec, err := ReadRecord(handle.Data(), rid.Slot)
+	out, err := AppendRecord(dst, handle.Data(), rid.Slot)
 	if err != nil {
-		return nil, done, fmt.Errorf("heap %s: %w (%v)", h.name, ErrNotFound, err)
+		return dst, done, fmt.Errorf("heap %s: %w (%v)", h.name, ErrNotFound, err)
 	}
-	return rec, done, nil
+	return out, done, nil
 }
 
 // Update replaces the record identified by rid in place.

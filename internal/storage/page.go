@@ -210,20 +210,22 @@ func AllocRecord(buf []byte, n int) (uint16, []byte, error) {
 }
 
 // ReadRecord returns a copy of the record in the given slot.
-func ReadRecord(buf []byte, slot uint16) ([]byte, error) {
+func ReadRecord(buf []byte, slot uint16) ([]byte, error) { return AppendRecord(nil, buf, slot) }
+
+// AppendRecord appends the record in the given slot to dst and returns the
+// extended slice; on error dst is returned unchanged.
+func AppendRecord(dst, buf []byte, slot uint16) ([]byte, error) {
 	if !IsFormatted(buf) {
-		return nil, ErrBadPage
+		return dst, ErrBadPage
 	}
 	if int(slot) >= SlotCount(buf) {
-		return nil, fmt.Errorf("%w: slot %d of %d", ErrBadSlot, slot, SlotCount(buf))
+		return dst, fmt.Errorf("%w: slot %d of %d", ErrBadSlot, slot, SlotCount(buf))
 	}
 	off, length := readSlot(buf, int(slot))
 	if off == deletedSlotOffset {
-		return nil, fmt.Errorf("%w: slot %d deleted", ErrBadSlot, slot)
+		return dst, fmt.Errorf("%w: slot %d deleted", ErrBadSlot, slot)
 	}
-	out := make([]byte, length)
-	copy(out, buf[off:int(off)+int(length)])
-	return out, nil
+	return append(dst, buf[off:int(off)+int(length)]...), nil
 }
 
 // UpdateRecord replaces the record in the given slot.  The new record may be

@@ -139,6 +139,8 @@ func runPhase(db *noftl.DB, sch *Schema, cfg Config) (Results, error) {
 				r:   newRNG(cfg.Seed + uint64(termID)*7919),
 				wID: termID%cfg.Warehouses + 1,
 				dID: termID%cfg.DistrictsPerWarehouse + 1,
+				row: make([]byte, 0, maxRowSize),
+				enc: make([]byte, 0, maxRowSize),
 			},
 			cursor: db.TimeCursor(),
 		}

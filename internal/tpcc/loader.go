@@ -37,7 +37,12 @@ func Load(db *noftl.DB, sch *Schema, cfg Config) error {
 
 const loadBatch = 200
 
+// newScratch returns a row and a key buffer for a loader to reuse: the
+// engine copies what it keeps of a row or a key.
+func newScratch() (enc, key []byte) { return make([]byte, 0, maxRowSize), make([]byte, 0, maxKeySize) }
+
 func loadItems(db *noftl.DB, sch *Schema, cfg Config, r *rng) error {
+	enc, key := newScratch()
 	tx := db.Begin()
 	for i := 1; i <= cfg.ItemCount; i++ {
 		item := Item{
@@ -47,11 +52,7 @@ func loadItems(db *noftl.DB, sch *Schema, cfg Config, r *rng) error {
 			Price: int64(r.uniform(100, 10000)),
 			Data:  r.dataString(),
 		}
-		rid, err := sch.Item.Insert(tx, item.Encode())
-		if err != nil {
-			return err
-		}
-		if err := sch.IIdx.Insert(tx, itemKey(i), rid); err != nil {
+		if _, err := insertRow(tx, sch.Item, item.Encode(enc[:0]), sch.IIdx, itemKey(key[:0], i)); err != nil {
 			return err
 		}
 		if i%loadBatch == 0 {
@@ -66,17 +67,14 @@ func loadItems(db *noftl.DB, sch *Schema, cfg Config, r *rng) error {
 }
 
 func loadWarehouse(db *noftl.DB, sch *Schema, cfg Config, r *rng, w int) error {
+	enc, key := newScratch()
 	tx := db.Begin()
 	wh := Warehouse{
 		WID: uint32(w), Name: r.aString(6, 10), Street: r.aString(10, 20),
 		City: r.aString(10, 20), State: r.aString(2, 2), Zip: r.zip(),
 		Tax: int64(r.uniform(0, 2000)), YTD: 30000000,
 	}
-	rid, err := sch.Warehouse.Insert(tx, wh.Encode())
-	if err != nil {
-		return err
-	}
-	if err := sch.WIdx.Insert(tx, warehouseKey(w), rid); err != nil {
+	if _, err := insertRow(tx, sch.Warehouse, wh.Encode(enc[:0]), sch.WIdx, warehouseKey(key[:0], w)); err != nil {
 		return err
 	}
 	// Stock.
@@ -90,11 +88,7 @@ func loadWarehouse(db *noftl.DB, sch *Schema, cfg Config, r *rng, w int) error {
 		for d := range st.Dists {
 			st.Dists[d] = r.aString(24, 24)
 		}
-		srid, err := sch.Stock.Insert(tx, st.Encode())
-		if err != nil {
-			return err
-		}
-		if err := sch.SIdx.Insert(tx, stockKey(w, i), srid); err != nil {
+		if _, err := insertRow(tx, sch.Stock, st.Encode(enc[:0]), sch.SIdx, stockKey(key[:0], w, i)); err != nil {
 			return err
 		}
 		if i%loadBatch == 0 {
@@ -123,6 +117,7 @@ func loadWarehouse(db *noftl.DB, sch *Schema, cfg Config, r *rng, w int) error {
 }
 
 func loadDistrict(db *noftl.DB, sch *Schema, cfg Config, r *rng, w, d int) error {
+	enc, key := newScratch()
 	tx := db.Begin()
 	dist := District{
 		DID: uint32(d), WID: uint32(w), Name: r.aString(6, 10),
@@ -130,11 +125,7 @@ func loadDistrict(db *noftl.DB, sch *Schema, cfg Config, r *rng, w, d int) error
 		Zip: r.zip(), Tax: int64(r.uniform(0, 2000)), YTD: 3000000,
 		NextOID: uint32(cfg.InitialOrdersPerDistrict + 1),
 	}
-	rid, err := sch.District.Insert(tx, dist.Encode())
-	if err != nil {
-		return err
-	}
-	if err := sch.DIdx.Insert(tx, districtKey(w, d), rid); err != nil {
+	if _, err := insertRow(tx, sch.District, dist.Encode(enc[:0]), sch.DIdx, districtKey(key[:0], w, d)); err != nil {
 		return err
 	}
 
@@ -157,21 +148,18 @@ func loadDistrict(db *noftl.DB, sch *Schema, cfg Config, r *rng, w, d int) error
 			Balance: -1000, YTDPayment: 1000, PaymentCnt: 1, DeliveryCnt: 0,
 			Data: r.aString(100, 250),
 		}
-		crid, err := sch.Customer.Insert(tx, cust.Encode())
+		crid, err := insertRow(tx, sch.Customer, cust.Encode(enc[:0]), sch.CIdx, customerKey(key[:0], w, d, c))
 		if err != nil {
 			return err
 		}
-		if err := sch.CIdx.Insert(tx, customerKey(w, d, c), crid); err != nil {
-			return err
-		}
-		if err := sch.CNameIdx.Insert(tx, customerNameKey(w, d, cust.Last, c), crid); err != nil {
+		if err := sch.CNameIdx.Insert(tx, customerNameKey(key[:0], w, d, cust.Last, c), crid); err != nil {
 			return err
 		}
 		hist := History{
 			CID: uint32(c), CDID: uint32(d), CWID: uint32(w),
 			DID: uint32(d), WID: uint32(w), Date: 1, Amount: 1000, Data: r.aString(12, 24),
 		}
-		if _, err := sch.History.Insert(tx, hist.Encode()); err != nil {
+		if _, err := sch.History.Insert(tx, hist.Encode(enc[:0])); err != nil {
 			return err
 		}
 		if c%loadBatch == 0 {
@@ -202,23 +190,16 @@ func loadDistrict(db *noftl.DB, sch *Schema, cfg Config, r *rng, w, d int) error
 			OID: uint32(o), DID: uint32(d), WID: uint32(w), CID: uint32(cid),
 			EntryDate: 1, CarrierID: carrier, OLCount: uint32(olCnt), AllLocal: 1,
 		}
-		orid, err := sch.Order.Insert(tx, ord.Encode())
+		orid, err := insertRow(tx, sch.Order, ord.Encode(enc[:0]), sch.OIdx, orderKey(key[:0], w, d, o))
 		if err != nil {
 			return err
 		}
-		if err := sch.OIdx.Insert(tx, orderKey(w, d, o), orid); err != nil {
-			return err
-		}
-		if err := sch.OCustIdx.Insert(tx, orderCustKey(w, d, cid, o), orid); err != nil {
+		if err := sch.OCustIdx.Insert(tx, orderCustKey(key[:0], w, d, cid, o), orid); err != nil {
 			return err
 		}
 		if !delivered {
 			no := NewOrder{OID: uint32(o), DID: uint32(d), WID: uint32(w)}
-			nrid, err := sch.NewOrder.Insert(tx, no.Encode())
-			if err != nil {
-				return err
-			}
-			if err := sch.NOIdx.Insert(tx, newOrderKey(w, d, o), nrid); err != nil {
+			if _, err := insertRow(tx, sch.NewOrder, no.Encode(enc[:0]), sch.NOIdx, newOrderKey(key[:0], w, d, o)); err != nil {
 				return err
 			}
 		}
@@ -232,11 +213,7 @@ func loadDistrict(db *noftl.DB, sch *Schema, cfg Config, r *rng, w, d int) error
 				ol.DeliveryDate = 1
 				ol.Amount = 0
 			}
-			olrid, err := sch.OrderLine.Insert(tx, ol.Encode())
-			if err != nil {
-				return err
-			}
-			if err := sch.OLIdx.Insert(tx, orderLineKey(w, d, o, n), olrid); err != nil {
+			if _, err := insertRow(tx, sch.OrderLine, ol.Encode(enc[:0]), sch.OLIdx, orderLineKey(key[:0], w, d, o, n)); err != nil {
 				return err
 			}
 		}
@@ -247,6 +224,6 @@ func loadDistrict(db *noftl.DB, sch *Schema, cfg Config, r *rng, w, d int) error
 			tx = db.Begin()
 		}
 	}
-	_, err = tx.Commit()
+	_, err := tx.Commit()
 	return err
 }

@@ -1,10 +1,6 @@
 package tpcc
 
-import (
-	"fmt"
-
-	"noftl/internal/sim"
-)
+import "noftl/internal/sim"
 
 // TPC-C random-input helpers (clause 2.1.6 of the specification): the
 // non-uniform NURand distribution for customer and item selection, the
@@ -131,9 +127,3 @@ func (r *rng) dataString() string {
 	}
 	return s
 }
-
-func warehouseLockKey(w int) string      { return fmt.Sprintf("W:%d", w) }
-func districtLockKey(w, d int) string    { return fmt.Sprintf("D:%d:%d", w, d) }
-func customerLockKey(w, d, c int) string { return fmt.Sprintf("C:%d:%d:%d", w, d, c) }
-func stockLockKey(w, i int) string       { return fmt.Sprintf("S:%d:%d", w, i) }
-func deliveryLockKey(w, d int) string    { return fmt.Sprintf("DLV:%d:%d", w, d) }

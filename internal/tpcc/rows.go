@@ -3,40 +3,34 @@ package tpcc
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Row encodings.  Rows are fixed-size binary records (strings are stored in
 // fixed-width fields) so that in-place heap updates never change the record
 // size, mirroring the fixed-width row layout TPC-C kits typically use.
 
-// fieldWriter/fieldReader are tiny helpers for the fixed layouts.
-type fieldWriter struct {
-	buf []byte
-	off int
-}
+// fieldWriter appends a row's fixed-width fields to a buffer the caller may
+// reuse.  Every field writes all of its bytes (a string is cut to its width and
+// padded with NULs), so nothing of an earlier, longer row survives in it.
+type fieldWriter []byte
 
-func newFieldWriter(size int) *fieldWriter { return &fieldWriter{buf: make([]byte, size)} }
+// newFieldWriter returns a writer appending to dst, grown once for a row of
+// size bytes.
+func newFieldWriter(dst []byte, size int) fieldWriter { return slices.Grow(dst, size) }
 
-func (w *fieldWriter) u32(v uint32) {
-	binary.LittleEndian.PutUint32(w.buf[w.off:], v)
-	w.off += 4
-}
+func (w *fieldWriter) u32(v uint32) { *w = binary.LittleEndian.AppendUint32(*w, v) }
 
-func (w *fieldWriter) u64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[w.off:], v)
-	w.off += 8
-}
+func (w *fieldWriter) u64(v uint64) { *w = binary.LittleEndian.AppendUint64(*w, v) }
 
 func (w *fieldWriter) i64(v int64) { w.u64(uint64(v)) }
 
 func (w *fieldWriter) money(v int64) { w.u64(uint64(v)) } // cents
 
 func (w *fieldWriter) str(s string, width int) {
-	copy(w.buf[w.off:w.off+width], s)
-	w.off += width
+	s = s[:min(len(s), width)]
+	*w = append(append(*w, s...), make([]byte, width-len(s))...)
 }
-
-func (w *fieldWriter) bytes() []byte { return w.buf }
 
 // fieldReader decodes a row.  The first string field converts the whole row
 // to a string once; every string field is a trimmed substring of it, so a
@@ -88,9 +82,9 @@ type Warehouse struct {
 
 const warehouseSize = 4 + 10 + 20 + 20 + 2 + 9 + 8 + 8
 
-// Encode serializes the row.
-func (w Warehouse) Encode() []byte {
-	fw := newFieldWriter(warehouseSize)
+// Encode appends the serialized row to dst.
+func (w Warehouse) Encode(dst []byte) []byte {
+	fw := newFieldWriter(dst, warehouseSize)
 	fw.u32(w.WID)
 	fw.str(w.Name, 10)
 	fw.str(w.Street, 20)
@@ -99,7 +93,7 @@ func (w Warehouse) Encode() []byte {
 	fw.str(w.Zip, 9)
 	fw.i64(w.Tax)
 	fw.money(w.YTD)
-	return fw.bytes()
+	return fw
 }
 
 // DecodeWarehouse deserializes a warehouse row.
@@ -130,9 +124,9 @@ type District struct {
 
 const districtSize = 4 + 4 + 10 + 20 + 20 + 2 + 9 + 8 + 8 + 4
 
-// Encode serializes the row.
-func (d District) Encode() []byte {
-	fw := newFieldWriter(districtSize)
+// Encode appends the serialized row to dst.
+func (d District) Encode(dst []byte) []byte {
+	fw := newFieldWriter(dst, districtSize)
 	fw.u32(d.DID)
 	fw.u32(d.WID)
 	fw.str(d.Name, 10)
@@ -143,7 +137,7 @@ func (d District) Encode() []byte {
 	fw.i64(d.Tax)
 	fw.money(d.YTD)
 	fw.u32(d.NextOID)
-	return fw.bytes()
+	return fw
 }
 
 // DecodeDistrict deserializes a district row.
@@ -184,9 +178,9 @@ type Customer struct {
 
 const customerSize = 4*3 + 16 + 2 + 16 + 20 + 20 + 2 + 9 + 16 + 8 + 2 + 8 + 8 + 8 + 8 + 4 + 4 + 250
 
-// Encode serializes the row.
-func (c Customer) Encode() []byte {
-	fw := newFieldWriter(customerSize)
+// Encode appends the serialized row to dst.
+func (c Customer) Encode(dst []byte) []byte {
+	fw := newFieldWriter(dst, customerSize)
 	fw.u32(c.CID)
 	fw.u32(c.DID)
 	fw.u32(c.WID)
@@ -207,7 +201,7 @@ func (c Customer) Encode() []byte {
 	fw.u32(c.PaymentCnt)
 	fw.u32(c.DeliveryCnt)
 	fw.str(c.Data, 250)
-	return fw.bytes()
+	return fw
 }
 
 // DecodeCustomer deserializes a customer row.
@@ -240,9 +234,9 @@ type History struct {
 
 const historySize = 4*5 + 8 + 8 + 24
 
-// Encode serializes the row.
-func (h History) Encode() []byte {
-	fw := newFieldWriter(historySize)
+// Encode appends the serialized row to dst.
+func (h History) Encode(dst []byte) []byte {
+	fw := newFieldWriter(dst, historySize)
 	fw.u32(h.CID)
 	fw.u32(h.CDID)
 	fw.u32(h.CWID)
@@ -251,7 +245,7 @@ func (h History) Encode() []byte {
 	fw.i64(h.Date)
 	fw.money(h.Amount)
 	fw.str(h.Data, 24)
-	return fw.bytes()
+	return fw
 }
 
 // DecodeHistory deserializes a history row.
@@ -275,13 +269,13 @@ type NewOrder struct {
 
 const newOrderSize = 12
 
-// Encode serializes the row.
-func (n NewOrder) Encode() []byte {
-	fw := newFieldWriter(newOrderSize)
+// Encode appends the serialized row to dst.
+func (n NewOrder) Encode(dst []byte) []byte {
+	fw := newFieldWriter(dst, newOrderSize)
 	fw.u32(n.OID)
 	fw.u32(n.DID)
 	fw.u32(n.WID)
-	return fw.bytes()
+	return fw
 }
 
 // DecodeNewOrder deserializes a new-order row.
@@ -307,9 +301,9 @@ type Order struct {
 
 const orderSize = 4*4 + 8 + 4 + 4 + 4
 
-// Encode serializes the row.
-func (o Order) Encode() []byte {
-	fw := newFieldWriter(orderSize)
+// Encode appends the serialized row to dst.
+func (o Order) Encode(dst []byte) []byte {
+	fw := newFieldWriter(dst, orderSize)
 	fw.u32(o.OID)
 	fw.u32(o.DID)
 	fw.u32(o.WID)
@@ -318,7 +312,7 @@ func (o Order) Encode() []byte {
 	fw.u32(o.CarrierID)
 	fw.u32(o.OLCount)
 	fw.u32(o.AllLocal)
-	return fw.bytes()
+	return fw
 }
 
 // DecodeOrder deserializes an order row.
@@ -349,9 +343,9 @@ type OrderLine struct {
 
 const orderLineSize = 4*6 + 8 + 4 + 8 + 24
 
-// Encode serializes the row.
-func (ol OrderLine) Encode() []byte {
-	fw := newFieldWriter(orderLineSize)
+// Encode appends the serialized row to dst.
+func (ol OrderLine) Encode(dst []byte) []byte {
+	fw := newFieldWriter(dst, orderLineSize)
 	fw.u32(ol.OID)
 	fw.u32(ol.DID)
 	fw.u32(ol.WID)
@@ -362,7 +356,7 @@ func (ol OrderLine) Encode() []byte {
 	fw.u32(ol.Quantity)
 	fw.money(ol.Amount)
 	fw.str(ol.DistInfo, 24)
-	return fw.bytes()
+	return fw
 }
 
 // DecodeOrderLine deserializes an order-line row.
@@ -389,15 +383,15 @@ type Item struct {
 
 const itemSize = 4 + 4 + 24 + 8 + 50
 
-// Encode serializes the row.
-func (i Item) Encode() []byte {
-	fw := newFieldWriter(itemSize)
+// Encode appends the serialized row to dst.
+func (i Item) Encode(dst []byte) []byte {
+	fw := newFieldWriter(dst, itemSize)
 	fw.u32(i.IID)
 	fw.u32(i.ImID)
 	fw.str(i.Name, 24)
 	fw.money(i.Price)
 	fw.str(i.Data, 50)
-	return fw.bytes()
+	return fw
 }
 
 // DecodeItem deserializes an item row.
@@ -423,9 +417,9 @@ type Stock struct {
 
 const stockSize = 4 + 4 + 4 + 10*24 + 8 + 4 + 4 + 50
 
-// Encode serializes the row.
-func (s Stock) Encode() []byte {
-	fw := newFieldWriter(stockSize)
+// Encode appends the serialized row to dst.
+func (s Stock) Encode(dst []byte) []byte {
+	fw := newFieldWriter(dst, stockSize)
 	fw.u32(s.IID)
 	fw.u32(s.WID)
 	fw.u32(s.Quantity)
@@ -436,7 +430,7 @@ func (s Stock) Encode() []byte {
 	fw.u32(s.OrderCnt)
 	fw.u32(s.RemoteCnt)
 	fw.str(s.Data, 50)
-	return fw.bytes()
+	return fw
 }
 
 // DecodeStock deserializes a stock row.

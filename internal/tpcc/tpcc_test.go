@@ -1,6 +1,10 @@
 package tpcc
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -30,44 +34,44 @@ func testDB(t *testing.T, placement PlacementKind) *noftl.DB {
 
 func TestRowCodecsRoundTrip(t *testing.T) {
 	w := Warehouse{WID: 3, Name: "Acme", Street: "Main St 1", City: "Springfield", State: "AA", Zip: "123451111", Tax: 1500, YTD: 42}
-	if got, err := DecodeWarehouse(w.Encode()); err != nil || got != w {
+	if got, err := DecodeWarehouse(w.Encode(nil)); err != nil || got != w {
 		t.Fatalf("warehouse: %+v vs %+v (%v)", got, w, err)
 	}
 	d := District{DID: 7, WID: 3, Name: "D7", Street: "s", City: "c", State: "ST", Zip: "000001111", Tax: 10, YTD: 20, NextOID: 3001}
-	if got, err := DecodeDistrict(d.Encode()); err != nil || got != d {
+	if got, err := DecodeDistrict(d.Encode(nil)); err != nil || got != d {
 		t.Fatalf("district: %+v (%v)", got, err)
 	}
 	c := Customer{CID: 1, DID: 2, WID: 3, First: "Jane", Middle: "OE", Last: "BARBARBAR", Street: "x", City: "y",
 		State: "ZZ", Zip: "999991111", Phone: "0123456789012345", Since: 5, Credit: "GC", CreditLimit: 50000,
 		Discount: 100, Balance: -10, YTDPayment: 10, PaymentCnt: 1, DeliveryCnt: 0, Data: "some data"}
-	if got, err := DecodeCustomer(c.Encode()); err != nil || got != c {
+	if got, err := DecodeCustomer(c.Encode(nil)); err != nil || got != c {
 		t.Fatalf("customer: %+v (%v)", got, err)
 	}
 	h := History{CID: 1, CDID: 2, CWID: 3, DID: 4, WID: 5, Date: 6, Amount: 7, Data: "hist"}
-	if got, err := DecodeHistory(h.Encode()); err != nil || got != h {
+	if got, err := DecodeHistory(h.Encode(nil)); err != nil || got != h {
 		t.Fatalf("history: %+v (%v)", got, err)
 	}
 	n := NewOrder{OID: 9, DID: 8, WID: 7}
-	if got, err := DecodeNewOrder(n.Encode()); err != nil || got != n {
+	if got, err := DecodeNewOrder(n.Encode(nil)); err != nil || got != n {
 		t.Fatalf("neworder: %+v (%v)", got, err)
 	}
 	o := Order{OID: 1, DID: 2, WID: 3, CID: 4, EntryDate: 5, CarrierID: 6, OLCount: 7, AllLocal: 1}
-	if got, err := DecodeOrder(o.Encode()); err != nil || got != o {
+	if got, err := DecodeOrder(o.Encode(nil)); err != nil || got != o {
 		t.Fatalf("order: %+v (%v)", got, err)
 	}
 	ol := OrderLine{OID: 1, DID: 2, WID: 3, Number: 4, ItemID: 5, SupplyWID: 6, DeliveryDate: 7, Quantity: 8, Amount: 9, DistInfo: "dist"}
-	if got, err := DecodeOrderLine(ol.Encode()); err != nil || got != ol {
+	if got, err := DecodeOrderLine(ol.Encode(nil)); err != nil || got != ol {
 		t.Fatalf("orderline: %+v (%v)", got, err)
 	}
 	it := Item{IID: 1, ImID: 2, Name: "widget", Price: 399, Data: "ORIGINAL stuff"}
-	if got, err := DecodeItem(it.Encode()); err != nil || got != it {
+	if got, err := DecodeItem(it.Encode(nil)); err != nil || got != it {
 		t.Fatalf("item: %+v (%v)", got, err)
 	}
 	s := Stock{IID: 1, WID: 2, Quantity: 50, YTD: 5, OrderCnt: 3, RemoteCnt: 1, Data: "stock data"}
 	for i := range s.Dists {
 		s.Dists[i] = "distinfo"
 	}
-	if got, err := DecodeStock(s.Encode()); err != nil || got != s {
+	if got, err := DecodeStock(s.Encode(nil)); err != nil || got != s {
 		t.Fatalf("stock: %+v (%v)", got, err)
 	}
 	// Short buffers are rejected.
@@ -111,40 +115,40 @@ func TestRowCodecsStringWidths(t *testing.T) {
 		warehouse := func(s func(int) string) Warehouse {
 			return Warehouse{WID: 1, Name: s(10), Street: s(20), City: s(20), State: s(2), Zip: s(9), Tax: -1, YTD: math.MaxInt64}
 		}
-		w, err := DecodeWarehouse(warehouse(enc).Encode())
+		w, err := DecodeWarehouse(warehouse(enc).Encode(nil))
 		check("WAREHOUSE", w, warehouse(dec), err)
 		district := func(s func(int) string) District {
 			return District{DID: 10, WID: 1, Name: s(10), Street: s(20), City: s(20), State: s(2), Zip: s(9), Tax: 7, YTD: -7, NextOID: math.MaxUint32}
 		}
-		d, err := DecodeDistrict(district(enc).Encode())
+		d, err := DecodeDistrict(district(enc).Encode(nil))
 		check("DISTRICT", d, district(dec), err)
 		customer := func(s func(int) string) Customer {
 			return Customer{CID: 3000, DID: 10, WID: 1, First: s(16), Middle: s(2), Last: s(16), Street: s(20), City: s(20),
 				State: s(2), Zip: s(9), Phone: s(16), Since: 1, Credit: s(2), CreditLimit: 2, Discount: 3, Balance: -4,
 				YTDPayment: 5, PaymentCnt: 6, DeliveryCnt: 7, Data: s(250)}
 		}
-		c, err := DecodeCustomer(customer(enc).Encode())
+		c, err := DecodeCustomer(customer(enc).Encode(nil))
 		check("CUSTOMER", c, customer(dec), err)
 		history := func(s func(int) string) History {
 			return History{CID: 1, CDID: 2, CWID: 3, DID: 4, WID: 5, Date: 6, Amount: -7, Data: s(24)}
 		}
-		h, err := DecodeHistory(history(enc).Encode())
+		h, err := DecodeHistory(history(enc).Encode(nil))
 		check("HISTORY", h, history(dec), err)
 		no := NewOrder{OID: math.MaxUint32, DID: 2, WID: 3}
-		n, err := DecodeNewOrder(no.Encode())
+		n, err := DecodeNewOrder(no.Encode(nil))
 		check("NEW_ORDER", n, no, err)
 		order := Order{OID: 1, DID: 2, WID: 3, CID: 4, EntryDate: math.MinInt64, CarrierID: 6, OLCount: 15, AllLocal: 1}
-		o, err := DecodeOrder(order.Encode())
+		o, err := DecodeOrder(order.Encode(nil))
 		check("ORDER", o, order, err)
 		orderLine := func(s func(int) string) OrderLine {
 			return OrderLine{OID: 1, DID: 2, WID: 3, Number: 4, ItemID: 5, SupplyWID: 6, DeliveryDate: 7, Quantity: 8, Amount: 9, DistInfo: s(24)}
 		}
-		ol, err := DecodeOrderLine(orderLine(enc).Encode())
+		ol, err := DecodeOrderLine(orderLine(enc).Encode(nil))
 		check("ORDERLINE", ol, orderLine(dec), err)
 		item := func(s func(int) string) Item {
 			return Item{IID: 100000, ImID: 2, Name: s(24), Price: 10000, Data: s(50)}
 		}
-		it, err := DecodeItem(item(enc).Encode())
+		it, err := DecodeItem(item(enc).Encode(nil))
 		check("ITEM", it, item(dec), err)
 		stock := func(s func(int) string) Stock {
 			st := Stock{IID: 1, WID: 2, Quantity: 91, YTD: 4, OrderCnt: 5, RemoteCnt: 6, Data: s(50)}
@@ -153,7 +157,7 @@ func TestRowCodecsStringWidths(t *testing.T) {
 			}
 			return st
 		}
-		st, err := DecodeStock(stock(enc).Encode())
+		st, err := DecodeStock(stock(enc).Encode(nil))
 		check("STOCK", st, stock(dec), err)
 	}
 }
@@ -166,9 +170,9 @@ func TestDecodeAllocatesOnce(t *testing.T) {
 	for i := range st.Dists {
 		st.Dists[i] = full(24)
 	}
-	stock := st.Encode()
+	stock := st.Encode(nil)
 	customer := Customer{First: full(16), Middle: "OE", Last: "BARBARBAR", Street: full(20), City: full(20),
-		State: "ST", Zip: full(9), Phone: full(16), Credit: "GC", Data: full(250)}.Encode()
+		State: "ST", Zip: full(9), Phone: full(16), Credit: "GC", Data: full(250)}.Encode(nil)
 	if n := testing.AllocsPerRun(100, func() {
 		if _, err := DecodeStock(stock); err != nil {
 			t.Fatal(err)
@@ -185,10 +189,118 @@ func TestDecodeAllocatesOnce(t *testing.T) {
 	}
 }
 
+// rowEncoders returns the nine row types, every string field set by s from its
+// width, as their Encode methods.
+func rowEncoders(s func(width int) string) []struct {
+	table  string
+	encode func(dst []byte) []byte
+} {
+	st := Stock{IID: 1, WID: 2, Quantity: 91, YTD: -4, OrderCnt: 5, RemoteCnt: 6, Data: s(50)}
+	for i := range st.Dists {
+		st.Dists[i] = s(24)
+	}
+	return []struct {
+		table  string
+		encode func(dst []byte) []byte
+	}{
+		{"WAREHOUSE", Warehouse{WID: 1, Name: s(10), Street: s(20), City: s(20), State: s(2), Zip: s(9), Tax: -1, YTD: 1 << 40}.Encode},
+		{"DISTRICT", District{DID: 10, WID: 1, Name: s(10), Street: s(20), City: s(20), State: s(2), Zip: s(9), Tax: 7, YTD: -7, NextOID: 1 << 31}.Encode},
+		{"CUSTOMER", Customer{CID: 3000, DID: 10, WID: 1, First: s(16), Middle: s(2), Last: s(16), Street: s(20), City: s(20),
+			State: s(2), Zip: s(9), Phone: s(16), Since: 1, Credit: s(2), CreditLimit: 2, Discount: 3, Balance: -4,
+			YTDPayment: 5, PaymentCnt: 6, DeliveryCnt: 7, Data: s(250)}.Encode},
+		{"HISTORY", History{CID: 1, CDID: 2, CWID: 3, DID: 4, WID: 5, Date: 6, Amount: -7, Data: s(24)}.Encode},
+		{"NEW_ORDER", NewOrder{OID: 9, DID: 2, WID: 3}.Encode},
+		{"ORDER", Order{OID: 1, DID: 2, WID: 3, CID: 4, EntryDate: -5, CarrierID: 6, OLCount: 15, AllLocal: 1}.Encode},
+		{"ORDERLINE", OrderLine{OID: 1, DID: 2, WID: 3, Number: 4, ItemID: 5, SupplyWID: 6, DeliveryDate: 7, Quantity: 8, Amount: 9, DistInfo: s(24)}.Encode},
+		{"ITEM", Item{IID: 100000, ImID: 2, Name: s(24), Price: 10000, Data: s(50)}.Encode},
+		{"STOCK", st.Encode},
+	}
+}
+
+// TestEncodeIntoReusedBuffer gates the terminal's encode scratch: a row
+// encoded into a buffer that just held a longer row of non-NUL bytes, or after
+// bytes dst already holds, is byte for byte the row encoded alone, and that
+// is the fixed-width layout the database was loaded with (the golden hashes
+// of the nine rows, taken before Encode appended).
+func TestEncodeIntoReusedBuffer(t *testing.T) {
+	fills := []struct {
+		name   string
+		s      func(width int) string
+		golden string
+	}{
+		{"empty", func(int) string { return "" }, "7170866d57e454ab17bae0a4bff15e85caf18f60434fd3549543eebaedd415f8"},
+		{"full-width", func(w int) string { return strings.Repeat("f", w) }, "5ea5c9e1e9839bc302012a3cffbc2e26ed74ad3f81c33487e063f0aad56d586d"},
+		{"over-width", func(w int) string { return strings.Repeat("o", w+7) }, "810fac511ea5844f607e40dc212fdeeb674eda717f8b7320044b11ddeaf7cd82"},
+		{"half-width", func(w int) string { return strings.Repeat("h", w/2) }, "1b8a41467f7d24ea9ecb7fb1f25f80725711d3b4234292790b239ac9c807c447"},
+	}
+	dirty := func() []byte { return bytes.Repeat([]byte{0xA5}, 2*maxRowSize)[:0] }
+	prefix := []byte("dst")
+	for _, fill := range fills {
+		h := sha256.New()
+		for _, row := range rowEncoders(fill.s) {
+			want := row.encode(nil)
+			h.Write(want)
+			if got := row.encode(dirty()); !bytes.Equal(got, want) {
+				t.Errorf("%s, %s strings: Encode(dirty) = %x, want %x", row.table, fill.name, got, want)
+			}
+			if got := row.encode(append(dirty(), prefix...)); !bytes.Equal(got, append(bytes.Clone(prefix), want...)) {
+				t.Errorf("%s, %s strings: Encode after %q = %x", row.table, fill.name, prefix, got)
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != fill.golden {
+			t.Errorf("%s strings: the nine rows hash to %s, want %s", fill.name, got, fill.golden)
+		}
+	}
+	// Over-width strings are cut to their field.
+	if ol, err := DecodeOrderLine(OrderLine{DistInfo: strings.Repeat("x", 30)}.Encode(nil)); err != nil || ol.DistInfo != strings.Repeat("x", 24) {
+		t.Errorf("over-width DistInfo decodes as %q (%v)", ol.DistInfo, err)
+	}
+}
+
+// TestEncodeIntoCapacityAllocatesNothing: a row encoded into a buffer with
+// room for it, as the terminal's, allocates nothing.
+func TestEncodeIntoCapacityAllocatesNothing(t *testing.T) {
+	buf := make([]byte, 0, maxRowSize)
+	for _, row := range rowEncoders(func(w int) string { return strings.Repeat("x", w) }) {
+		if n := testing.AllocsPerRun(100, func() { buf = row.encode(buf[:0]) }); n != 0 {
+			t.Errorf("%s: Encode into capacity allocates %v times", row.table, n)
+		}
+	}
+}
+
+// TestLockNames: the appended lock names are the bytes fmt's forms were (the
+// lock table hashes the name to pick a shard), and the keys built into a
+// non-empty dst extend it.
+func TestLockNames(t *testing.T) {
+	var buf [maxKeySize]byte
+	for _, v := range []int{0, 9, 10, 255, 256, 5000, math.MaxUint32} {
+		for _, c := range []struct{ got, want string }{
+			{warehouseLockKey(buf[:0], v), fmt.Sprintf("W:%d", v)},
+			{districtLockKey(buf[:0], v, 10), fmt.Sprintf("D:%d:%d", v, 10)},
+			{districtLockKey(buf[:0], 1, v), fmt.Sprintf("D:%d:%d", 1, v)},
+			{customerLockKey(buf[:0], v, v, v), fmt.Sprintf("C:%d:%d:%d", v, v, v)},
+			{stockLockKey(buf[:0], 1, v), fmt.Sprintf("S:%d:%d", 1, v)},
+			{stockLockKey(buf[:0], v, 100000), fmt.Sprintf("S:%d:%d", v, 100000)},
+			{deliveryLockKey(buf[:0], v, v), fmt.Sprintf("DLV:%d:%d", v, v)},
+		} {
+			if c.got != c.want {
+				t.Errorf("lock name %q, want %q", c.got, c.want)
+			}
+		}
+	}
+	want := noftl.NewKeyBuilder().AddUint32(1).AddUint32(2).AddString("BARBARBAR").AddUint32(3).Bytes()
+	if got := customerNameKey([]byte("dst"), 1, 2, "BARBARBAR", 3); !bytes.Equal(got, append([]byte("dst"), want...)) {
+		t.Errorf("customerNameKey = %x, want dst then %x", got, want)
+	}
+	if got := orderLineKey(buf[:0], 1, 2, 3, 4); !bytes.Equal(got, noftl.Key(1, 2, 3, 4)) {
+		t.Errorf("orderLineKey = %x", got)
+	}
+}
+
 func TestStockCodecProperty(t *testing.T) {
 	f := func(iid, wid, qty uint32, ytd int64, oc, rc uint32) bool {
 		s := Stock{IID: iid, WID: wid, Quantity: qty, YTD: ytd, OrderCnt: oc, RemoteCnt: rc, Data: "d"}
-		got, err := DecodeStock(s.Encode())
+		got, err := DecodeStock(s.Encode(nil))
 		return err == nil && got == s
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -50,6 +50,49 @@ type terminal struct {
 	r   *rng
 	wID int
 	dID int
+
+	// Scratch the terminal's transactions fill and throw away, one
+	// transaction at a time: the row read last, the row encoded last (both
+	// with room for the widest row), and two buffers for index keys and lock
+	// names, for a Range needs both of its bounds at once.  The engine copies
+	// what it keeps of them.  A key buffer is not rewritten while an iterator
+	// that was handed it runs.
+	row, enc []byte
+	key, hi  [maxKeySize]byte
+}
+
+// maxRowSize is the size of the widest row, CUSTOMER; maxKeySize holds every
+// index key and lock name of the configured scales.
+const (
+	maxRowSize = customerSize
+	maxKeySize = 40
+)
+
+// read returns the row stored under rid in the terminal's row buffer, which
+// the next read overwrites.
+func (t *terminal) read(tx *noftl.Tx, tbl *noftl.Table, rid noftl.RID) ([]byte, error) {
+	row, err := tbl.GetAppend(tx, rid, t.row[:0])
+	t.row = row
+	return row, err
+}
+
+// fetch looks key up in idx and reads the row it names, as read does.
+func (t *terminal) fetch(tx *noftl.Tx, idx *noftl.Index, tbl *noftl.Table, key []byte) ([]byte, noftl.RID, error) {
+	rid, found, err := idx.Lookup(tx, key)
+	if err != nil || !found {
+		return nil, rid, fmt.Errorf("%s key %x: found=%v %w", idx.Name(), key, found, err)
+	}
+	row, err := t.read(tx, tbl, rid)
+	return row, rid, err
+}
+
+// insertRow inserts row into tbl and indexes it under key in idx.
+func insertRow(tx *noftl.Tx, tbl *noftl.Table, row []byte, idx *noftl.Index, key []byte) (noftl.RID, error) {
+	rid, err := tbl.Insert(tx, row)
+	if err != nil {
+		return rid, err
+	}
+	return rid, idx.Insert(tx, key, rid)
 }
 
 // pickType draws a transaction type following the standard mix
@@ -92,39 +135,27 @@ func (t *terminal) run(typ TxnType, tx *noftl.Tx) error {
 // ---- row access helpers ----
 
 func (t *terminal) getWarehouse(tx *noftl.Tx, w int) (Warehouse, noftl.RID, error) {
-	rid, found, err := t.sch.WIdx.Lookup(tx, warehouseKey(w))
-	if err != nil || !found {
-		return Warehouse{}, noftl.RID{}, fmt.Errorf("warehouse %d: found=%v %w", w, found, err)
-	}
-	row, err := t.sch.Warehouse.Get(tx, rid)
+	row, rid, err := t.fetch(tx, t.sch.WIdx, t.sch.Warehouse, warehouseKey(t.key[:0], w))
 	if err != nil {
-		return Warehouse{}, noftl.RID{}, err
+		return Warehouse{}, rid, err
 	}
 	wh, err := DecodeWarehouse(row)
 	return wh, rid, err
 }
 
 func (t *terminal) getDistrict(tx *noftl.Tx, w, d int) (District, noftl.RID, error) {
-	rid, found, err := t.sch.DIdx.Lookup(tx, districtKey(w, d))
-	if err != nil || !found {
-		return District{}, noftl.RID{}, fmt.Errorf("district %d/%d: found=%v %w", w, d, found, err)
-	}
-	row, err := t.sch.District.Get(tx, rid)
+	row, rid, err := t.fetch(tx, t.sch.DIdx, t.sch.District, districtKey(t.key[:0], w, d))
 	if err != nil {
-		return District{}, noftl.RID{}, err
+		return District{}, rid, err
 	}
 	dist, err := DecodeDistrict(row)
 	return dist, rid, err
 }
 
 func (t *terminal) getCustomerByID(tx *noftl.Tx, w, d, c int) (Customer, noftl.RID, error) {
-	rid, found, err := t.sch.CIdx.Lookup(tx, customerKey(w, d, c))
-	if err != nil || !found {
-		return Customer{}, noftl.RID{}, fmt.Errorf("customer %d/%d/%d: found=%v %w", w, d, c, found, err)
-	}
-	row, err := t.sch.Customer.Get(tx, rid)
+	row, rid, err := t.fetch(tx, t.sch.CIdx, t.sch.Customer, customerKey(t.key[:0], w, d, c))
 	if err != nil {
-		return Customer{}, noftl.RID{}, err
+		return Customer{}, rid, err
 	}
 	cust, err := DecodeCustomer(row)
 	return cust, rid, err
@@ -134,7 +165,7 @@ func (t *terminal) getCustomerByID(tx *noftl.Tx, w, d, c int) (Customer, noftl.R
 // those sharing the last name.
 func (t *terminal) getCustomerByName(tx *noftl.Tx, w, d int, last string) (Customer, noftl.RID, error) {
 	var rids []noftl.RID
-	for _, rid := range t.sch.CNameIdx.Prefix(tx, customerNamePrefix(w, d, last)) {
+	for _, rid := range t.sch.CNameIdx.Prefix(tx, customerNamePrefix(t.key[:0], w, d, last)) {
 		rids = append(rids, rid)
 	}
 	if err := tx.Err(); err != nil {
@@ -146,7 +177,7 @@ func (t *terminal) getCustomerByName(tx *noftl.Tx, w, d int, last string) (Custo
 		return t.getCustomerByID(tx, w, d, t.r.uniform(1, t.cfg.CustomersPerDistrict))
 	}
 	rid := rids[len(rids)/2]
-	row, err := t.sch.Customer.Get(tx, rid)
+	row, err := t.read(tx, t.sch.Customer, rid)
 	if err != nil {
 		return Customer{}, noftl.RID{}, err
 	}
@@ -174,11 +205,11 @@ func (t *terminal) newOrder(tx *noftl.Tx) error {
 	sort.Ints(lockOrder)
 
 	// The district row is the serialization point (O_ID assignment).
-	if err := tx.Lock(districtLockKey(w, d), noftl.Exclusive); err != nil {
+	if err := tx.Lock(districtLockKey(t.key[:0], w, d), noftl.Exclusive); err != nil {
 		return err
 	}
 	for _, it := range lockOrder {
-		if err := tx.Lock(stockLockKey(w, it), noftl.Exclusive); err != nil {
+		if err := tx.Lock(stockLockKey(t.key[:0], w, it), noftl.Exclusive); err != nil {
 			return err
 		}
 	}
@@ -200,7 +231,7 @@ func (t *terminal) newOrder(tx *noftl.Tx) error {
 
 	oID := int(dist.NextOID)
 	dist.NextOID++
-	if err := t.sch.District.Update(tx, drid, dist.Encode()); err != nil {
+	if err := t.sch.District.Update(tx, drid, dist.Encode(t.enc[:0])); err != nil {
 		return err
 	}
 
@@ -214,32 +245,21 @@ func (t *terminal) newOrder(tx *noftl.Tx) error {
 		OID: uint32(oID), DID: uint32(d), WID: uint32(w), CID: uint32(c),
 		EntryDate: int64(tx.Now()), OLCount: uint32(olCnt), AllLocal: 1,
 	}
-	orid, err := t.sch.Order.Insert(tx, ord.Encode())
+	orid, err := insertRow(tx, t.sch.Order, ord.Encode(t.enc[:0]), t.sch.OIdx, orderKey(t.key[:0], w, d, oID))
 	if err != nil {
 		return err
 	}
-	if err := t.sch.OIdx.Insert(tx, orderKey(w, d, oID), orid); err != nil {
-		return err
-	}
-	if err := t.sch.OCustIdx.Insert(tx, orderCustKey(w, d, c, oID), orid); err != nil {
+	if err := t.sch.OCustIdx.Insert(tx, orderCustKey(t.key[:0], w, d, c, oID), orid); err != nil {
 		return err
 	}
 	no := NewOrder{OID: uint32(oID), DID: uint32(d), WID: uint32(w)}
-	nrid, err := t.sch.NewOrder.Insert(tx, no.Encode())
-	if err != nil {
-		return err
-	}
-	if err := t.sch.NOIdx.Insert(tx, newOrderKey(w, d, oID), nrid); err != nil {
+	if _, err := insertRow(tx, t.sch.NewOrder, no.Encode(t.enc[:0]), t.sch.NOIdx, newOrderKey(t.key[:0], w, d, oID)); err != nil {
 		return err
 	}
 
 	for n, itemID := range items {
 		// Item lookup (read only).
-		irid, found, err := t.sch.IIdx.Lookup(tx, itemKey(itemID))
-		if err != nil || !found {
-			return fmt.Errorf("item %d: found=%v %w", itemID, found, err)
-		}
-		irow, err := t.sch.Item.Get(tx, irid)
+		irow, _, err := t.fetch(tx, t.sch.IIdx, t.sch.Item, itemKey(t.key[:0], itemID))
 		if err != nil {
 			return err
 		}
@@ -248,11 +268,7 @@ func (t *terminal) newOrder(tx *noftl.Tx) error {
 			return err
 		}
 		// Stock update.
-		srid, found, err := t.sch.SIdx.Lookup(tx, stockKey(w, itemID))
-		if err != nil || !found {
-			return fmt.Errorf("stock %d/%d: found=%v %w", w, itemID, found, err)
-		}
-		srow, err := t.sch.Stock.Get(tx, srid)
+		srow, srid, err := t.fetch(tx, t.sch.SIdx, t.sch.Stock, stockKey(t.key[:0], w, itemID))
 		if err != nil {
 			return err
 		}
@@ -268,7 +284,7 @@ func (t *terminal) newOrder(tx *noftl.Tx) error {
 		}
 		st.YTD += int64(qty)
 		st.OrderCnt++
-		if err := t.sch.Stock.Update(tx, srid, st.Encode()); err != nil {
+		if err := t.sch.Stock.Update(tx, srid, st.Encode(t.enc[:0])); err != nil {
 			return err
 		}
 		// Order line insert.
@@ -278,11 +294,7 @@ func (t *terminal) newOrder(tx *noftl.Tx) error {
 			Amount:   int64(qty) * item.Price,
 			DistInfo: st.Dists[(d-1)%10],
 		}
-		olrid, err := t.sch.OrderLine.Insert(tx, ol.Encode())
-		if err != nil {
-			return err
-		}
-		if err := t.sch.OLIdx.Insert(tx, orderLineKey(w, d, oID, n+1), olrid); err != nil {
+		if _, err := insertRow(tx, t.sch.OrderLine, ol.Encode(t.enc[:0]), t.sch.OLIdx, orderLineKey(t.key[:0], w, d, oID, n+1)); err != nil {
 			return err
 		}
 	}
@@ -295,10 +307,10 @@ func (t *terminal) payment(tx *noftl.Tx) error {
 	d := t.r.uniform(1, t.cfg.DistrictsPerWarehouse)
 	amount := int64(t.r.uniform(100, 500000))
 
-	if err := tx.Lock(warehouseLockKey(w), noftl.Exclusive); err != nil {
+	if err := tx.Lock(warehouseLockKey(t.key[:0], w), noftl.Exclusive); err != nil {
 		return err
 	}
-	if err := tx.Lock(districtLockKey(w, d), noftl.Exclusive); err != nil {
+	if err := tx.Lock(districtLockKey(t.key[:0], w, d), noftl.Exclusive); err != nil {
 		return err
 	}
 
@@ -307,7 +319,7 @@ func (t *terminal) payment(tx *noftl.Tx) error {
 		return err
 	}
 	wh.YTD += amount
-	if err := t.sch.Warehouse.Update(tx, wrid, wh.Encode()); err != nil {
+	if err := t.sch.Warehouse.Update(tx, wrid, wh.Encode(t.enc[:0])); err != nil {
 		return err
 	}
 
@@ -316,7 +328,7 @@ func (t *terminal) payment(tx *noftl.Tx) error {
 		return err
 	}
 	dist.YTD += amount
-	if err := t.sch.District.Update(tx, drid, dist.Encode()); err != nil {
+	if err := t.sch.District.Update(tx, drid, dist.Encode(t.enc[:0])); err != nil {
 		return err
 	}
 
@@ -331,7 +343,7 @@ func (t *terminal) payment(tx *noftl.Tx) error {
 	if err != nil {
 		return err
 	}
-	if err := tx.Lock(customerLockKey(w, d, int(cust.CID)), noftl.Exclusive); err != nil {
+	if err := tx.Lock(customerLockKey(t.key[:0], w, d, int(cust.CID)), noftl.Exclusive); err != nil {
 		return err
 	}
 	cust.Balance -= amount
@@ -343,7 +355,7 @@ func (t *terminal) payment(tx *noftl.Tx) error {
 			cust.Data = cust.Data[:250]
 		}
 	}
-	if err := t.sch.Customer.Update(tx, crid, cust.Encode()); err != nil {
+	if err := t.sch.Customer.Update(tx, crid, cust.Encode(t.enc[:0])); err != nil {
 		return err
 	}
 
@@ -352,7 +364,7 @@ func (t *terminal) payment(tx *noftl.Tx) error {
 		DID: uint32(d), WID: uint32(w), Date: int64(tx.Now()), Amount: amount,
 		Data: wh.Name + "    " + dist.Name,
 	}
-	_, err = t.sch.History.Insert(tx, hist.Encode())
+	_, err = t.sch.History.Insert(tx, hist.Encode(t.enc[:0]))
 	return err
 }
 
@@ -375,7 +387,7 @@ func (t *terminal) orderStatus(tx *noftl.Tx) error {
 	// Most recent order of the customer.
 	var lastOrderRID noftl.RID
 	found := false
-	for _, rid := range t.sch.OCustIdx.Prefix(tx, orderCustPrefix(w, d, int(cust.CID))) {
+	for _, rid := range t.sch.OCustIdx.Prefix(tx, orderCustPrefix(t.key[:0], w, d, int(cust.CID))) {
 		lastOrderRID = rid
 		found = true
 	}
@@ -385,7 +397,7 @@ func (t *terminal) orderStatus(tx *noftl.Tx) error {
 	if !found {
 		return nil // customer has no orders yet
 	}
-	orow, err := t.sch.Order.Get(tx, lastOrderRID)
+	orow, err := t.read(tx, t.sch.Order, lastOrderRID)
 	if err != nil {
 		return err
 	}
@@ -394,8 +406,8 @@ func (t *terminal) orderStatus(tx *noftl.Tx) error {
 		return err
 	}
 	// Read its order lines.
-	for _, rid := range t.sch.OLIdx.Prefix(tx, orderLinePrefix(w, d, int(ord.OID))) {
-		if _, err := t.sch.OrderLine.Get(tx, rid); err != nil {
+	for _, rid := range t.sch.OLIdx.Prefix(tx, orderLinePrefix(t.key[:0], w, d, int(ord.OID))) {
+		if _, err := t.read(tx, t.sch.OrderLine, rid); err != nil {
 			return err
 		}
 	}
@@ -410,14 +422,14 @@ func (t *terminal) delivery(tx *noftl.Tx) error {
 	w := t.wID
 	carrier := uint32(t.r.uniform(1, 10))
 	for d := 1; d <= t.cfg.DistrictsPerWarehouse; d++ {
-		if err := tx.Lock(deliveryLockKey(w, d), noftl.Exclusive); err != nil {
+		if err := tx.Lock(deliveryLockKey(t.key[:0], w, d), noftl.Exclusive); err != nil {
 			return err
 		}
 		// Oldest undelivered order.
 		var noKey []byte
 		var noRID noftl.RID
 		found := false
-		for k, rid := range t.sch.NOIdx.Prefix(tx, newOrderPrefix(w, d)) {
+		for k, rid := range t.sch.NOIdx.Prefix(tx, newOrderPrefix(t.key[:0], w, d)) {
 			noKey = k
 			noRID = rid
 			found = true
@@ -429,7 +441,7 @@ func (t *terminal) delivery(tx *noftl.Tx) error {
 		if !found {
 			continue // nothing to deliver in this district
 		}
-		norow, err := t.sch.NewOrder.Get(tx, noRID)
+		norow, err := t.read(tx, t.sch.NewOrder, noRID)
 		if err != nil {
 			return err
 		}
@@ -445,11 +457,7 @@ func (t *terminal) delivery(tx *noftl.Tx) error {
 			return err
 		}
 		// Update the order with the carrier.
-		orid, foundO, err := t.sch.OIdx.Lookup(tx, orderKey(w, d, oID))
-		if err != nil || !foundO {
-			return fmt.Errorf("delivery: order %d/%d/%d missing: %w", w, d, oID, err)
-		}
-		orow, err := t.sch.Order.Get(tx, orid)
+		orow, orid, err := t.fetch(tx, t.sch.OIdx, t.sch.Order, orderKey(t.key[:0], w, d, oID))
 		if err != nil {
 			return err
 		}
@@ -458,20 +466,20 @@ func (t *terminal) delivery(tx *noftl.Tx) error {
 			return err
 		}
 		ord.CarrierID = carrier
-		if err := t.sch.Order.Update(tx, orid, ord.Encode()); err != nil {
+		if err := t.sch.Order.Update(tx, orid, ord.Encode(t.enc[:0])); err != nil {
 			return err
 		}
 		// Update every order line's delivery date and sum the amounts.
 		var total int64
 		var olRIDs []noftl.RID
-		for _, rid := range t.sch.OLIdx.Prefix(tx, orderLinePrefix(w, d, oID)) {
+		for _, rid := range t.sch.OLIdx.Prefix(tx, orderLinePrefix(t.key[:0], w, d, oID)) {
 			olRIDs = append(olRIDs, rid)
 		}
 		if err := tx.Err(); err != nil {
 			return err
 		}
 		for _, rid := range olRIDs {
-			row, err := t.sch.OrderLine.Get(tx, rid)
+			row, err := t.read(tx, t.sch.OrderLine, rid)
 			if err != nil {
 				return err
 			}
@@ -481,12 +489,12 @@ func (t *terminal) delivery(tx *noftl.Tx) error {
 			}
 			total += ol.Amount
 			ol.DeliveryDate = int64(tx.Now())
-			if err := t.sch.OrderLine.Update(tx, rid, ol.Encode()); err != nil {
+			if err := t.sch.OrderLine.Update(tx, rid, ol.Encode(t.enc[:0])); err != nil {
 				return err
 			}
 		}
 		// Credit the customer.
-		if err := tx.Lock(customerLockKey(w, d, int(ord.CID)), noftl.Exclusive); err != nil {
+		if err := tx.Lock(customerLockKey(t.key[:0], w, d, int(ord.CID)), noftl.Exclusive); err != nil {
 			return err
 		}
 		cust, crid, err := t.getCustomerByID(tx, w, d, int(ord.CID))
@@ -495,7 +503,7 @@ func (t *terminal) delivery(tx *noftl.Tx) error {
 		}
 		cust.Balance += total
 		cust.DeliveryCnt++
-		if err := t.sch.Customer.Update(tx, crid, cust.Encode()); err != nil {
+		if err := t.sch.Customer.Update(tx, crid, cust.Encode(t.enc[:0])); err != nil {
 			return err
 		}
 	}
@@ -522,8 +530,8 @@ func (t *terminal) stockLevel(tx *noftl.Tx) error {
 	// every run of a seed.
 	seen := map[uint32]bool{}
 	var items []uint32
-	for _, rid := range t.sch.OLIdx.Range(tx, orderLineKey(w, d, lowO, 0), orderLineKey(w, d, nextO, 0)) {
-		row, err := t.sch.OrderLine.Get(tx, rid)
+	for _, rid := range t.sch.OLIdx.Range(tx, orderLineKey(t.key[:0], w, d, lowO, 0), orderLineKey(t.hi[:0], w, d, nextO, 0)) {
+		row, err := t.read(tx, t.sch.OrderLine, rid)
 		if err != nil {
 			return err
 		}
@@ -542,14 +550,14 @@ func (t *terminal) stockLevel(tx *noftl.Tx) error {
 	// Count items whose stock is below the threshold.
 	low := 0
 	for _, itemID := range items {
-		srid, found, err := t.sch.SIdx.Lookup(tx, stockKey(w, int(itemID)))
+		srid, found, err := t.sch.SIdx.Lookup(tx, stockKey(t.key[:0], w, int(itemID)))
 		if err != nil {
 			return err
 		}
 		if !found {
 			continue
 		}
-		row, err := t.sch.Stock.Get(tx, srid)
+		row, err := t.read(tx, t.sch.Stock, srid)
 		if err != nil {
 			return err
 		}

@@ -392,7 +392,6 @@ func checkStatsEqualMetrics(t *testing.T, db *DB, stage string) Stats {
 	eq(w.BytesTrimmed, "noftl_wal_bytes_trimmed_total")
 	eq(w.BytesLive, "noftl_wal_bytes_live")
 	eq(w.Checkpoint.Count, "noftl_wal_checkpoints_total")
-	eq(w.Checkpoint.Chunks, "noftl_wal_checkpoint_chunks_total")
 	eq(int64(w.Checkpoint.LastLSN), "noftl_wal_checkpoint_last_lsn")
 	eq(w.Checkpoint.LastBytes, "noftl_wal_checkpoint_last_bytes")
 	eq(w.Checkpoint.LastPages, "noftl_wal_checkpoint_last_pages")

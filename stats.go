@@ -134,9 +134,6 @@ type WALStats struct {
 type CheckpointStats struct {
 	// Count is the number of checkpoints taken.
 	Count int64
-	// Chunks is the total number of records checkpoints appended (marks and
-	// page descriptors).
-	Chunks int64
 	// LastLSN is the LSN of the last checkpoint's end mark; recovery filters
 	// the records after it by commit.
 	LastLSN uint64
@@ -241,7 +238,6 @@ func (db *DB) checkpointStats(retained int64) CheckpointStats {
 	defer db.mu.RUnlock()
 	return CheckpointStats{
 		Count:         db.ckptCount.Value(),
-		Chunks:        db.ckptChunks.Value(),
 		LastLSN:       db.ckptLastLSN,
 		LastBytes:     db.ckptBytes,
 		LastPages:     db.ckptPages,

@@ -145,11 +145,17 @@ func (t *Table) Insert(tx *Tx, row []byte) (RID, error) {
 
 // Get returns the row stored under rid.  An unknown or deleted record is
 // reported as ErrNotFound.
-func (t *Table) Get(tx *Tx, rid RID) ([]byte, error) {
+func (t *Table) Get(tx *Tx, rid RID) ([]byte, error) { return t.GetAppend(tx, rid, nil) }
+
+// GetAppend is Get into a buffer the caller owns: it appends the row stored
+// under rid to dst and returns the extended slice, so a caller that passes the
+// same buffer back (dst[:0]) reads every row without allocating.  The engine
+// keeps no reference to dst.  On error dst is returned unchanged.
+func (t *Table) GetAppend(tx *Tx, rid RID, dst []byte) ([]byte, error) {
 	tx.chargeOp()
-	row, done, err := t.heap.Get(tx.Now(), rid)
+	row, done, err := t.heap.GetAppend(tx.Now(), rid, dst)
 	if err != nil {
-		return nil, publicErr(err)
+		return dst, publicErr(err)
 	}
 	tx.inner.AdvanceTo(done)
 	return row, nil
@@ -246,6 +252,10 @@ func (i *Index) Delete(tx *Tx, key []byte) error {
 // Key builds an order-preserving composite key of uint32 components (a
 // re-export of the btree helper for callers of the public API).
 func Key(parts ...uint32) []byte { return btree.Key(parts...) }
+
+// AppendKey appends the key Key(parts...) builds to dst, for a caller that
+// reuses one key buffer.
+func AppendKey(dst []byte, parts ...uint32) []byte { return btree.AppendKey(dst, parts...) }
 
 // KeyBuilder re-exports the composite-key builder.
 type KeyBuilder = btree.KeyBuilder
