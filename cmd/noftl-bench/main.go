@@ -148,9 +148,9 @@ func main() {
 
 	if want("figure2") {
 		run("figure2", "Figure 2: Region Advisor placement configuration", func() (interface{}, error) {
-			// The advisor's plan and the demand tpcc.Setup plans from come from
-			// the traditional profile, as in the paper; the demand under the
-			// regions plan in effect shows what that plan costs where.
+			// The demand tpcc.Setup plans from comes from the traditional
+			// profile, as in the paper; the demand under the regions plan in
+			// effect shows what that plan costs where.
 			runs, err := experiments.RunFigure2Both(scale)
 			if err != nil {
 				return nil, err
@@ -161,7 +161,7 @@ func main() {
 					return nil, err
 				}
 			}
-			say("%s\n", experiments.PaperFigure2Table(runs[0].Plan.TotalDies))
+			say("%s\n", experiments.PaperFigure2Table(runs[0].Planned.TotalDies))
 			return runs, nil
 		})
 	}

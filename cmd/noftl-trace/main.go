@@ -9,9 +9,10 @@
 //
 // print pretty-prints events one per line; filter re-emits the selected
 // events as JSONL (composable with another noftl-trace invocation);
-// summarize reports per-die utilization, flash latency by priority class and
+// summarize reports event counts by class, flash latency by priority class and
 // the GC interference windows on host writes — the per-trace view of the
-// paper's A6 experiment.  With no file argument the trace is read from
+// paper's A6 experiment (per-die busy time is the device's:
+// Stats().Device.PerDie).  With no file argument the trace is read from
 // standard input.
 package main
 
@@ -197,7 +198,7 @@ func usage() {
 usage:
   noftl-trace print     [flags] [trace.jsonl]   pretty-print events
   noftl-trace filter    [flags] [trace.jsonl]   re-emit selected events as JSONL
-  noftl-trace summarize [flags] [trace.jsonl]   per-die utilization, latency, GC interference
+  noftl-trace summarize [flags] [trace.jsonl]   event counts, latency, GC interference
 
 flags:
   -class flash,gc_step,...   keep only these event classes

@@ -264,17 +264,6 @@ func (tc *TimeCursor) Advance(d sim.Duration) { tc.c.Advance(d) }
 // under core.UnattributedObject, so the records always sum to Stats().Space.
 func (db *DB) ObjectStats() []ObjectCounters { return db.space.ObjectStats() }
 
-// Advise runs the Region Advisor over the per-object statistics of the live
-// objects and returns a multi-region placement plan (the paper's Figure 2
-// procedure).
-func (db *DB) Advise(opts core.AdvisorOptions) core.PlacementPlan {
-	objs := slices.DeleteFunc(db.ObjectStats(), func(o ObjectCounters) bool {
-		return o.Name == core.UnattributedObject // pages of dropped objects need no region
-	})
-	geo := db.dev.Geometry()
-	return core.Advise(objs, geo.Dies(), geo.PagesPerDie(), opts)
-}
-
 // ResetStatistics zeroes every I/O, GC, WAL, checkpoint and transaction
 // counter and latency histogram (device, scheduler, space manager, buffer
 // pool, log, lock manager, per-object) and the virtual clock without touching

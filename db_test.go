@@ -249,7 +249,7 @@ func TestPlacementHintsReachRegions(t *testing.T) {
 	if hotStats.HostWrites == 0 || coldStats.HostWrites == 0 {
 		t.Fatalf("writes did not reach both regions: hot=%d cold=%d", hotStats.HostWrites, coldStats.HostWrites)
 	}
-	// Per-object statistics were recorded and the advisor produces a plan.
+	// Per-object statistics were recorded.
 	objs := db.ObjectStats()
 	if len(objs) < 2 {
 		t.Fatalf("object stats: %d objects", len(objs))
@@ -262,10 +262,6 @@ func TestPlacementHintsReachRegions(t *testing.T) {
 	}
 	if !foundHot {
 		t.Fatalf("HOT object has no physical writes recorded: %+v", objs)
-	}
-	plan := db.Advise(AdvisorOptions{MaxRegions: 3})
-	if len(plan.Groups) == 0 || plan.TotalDies != db.Geometry().Dies() {
-		t.Fatalf("advisor plan: %+v", plan)
 	}
 }
 

@@ -24,7 +24,8 @@ import (
 const UnattributedObject = "(unattributed)"
 
 // ObjectCounters is the device-side record of one database object since the
-// last ResetCounters, the Region Advisor's input.
+// last ResetCounters: the demand a placement is planned from (tpcc.RecordedDemand
+// is one run's record of it).
 type ObjectCounters struct {
 	Name string
 	// Kind is "table", "index" or "log" (empty for UnattributedObject).

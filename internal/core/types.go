@@ -23,8 +23,9 @@
 //     per region and against the room new pages may take.  After a crash the
 //     survey of the OOB metadata and the checkpoint's sequence number are
 //     enough to map that image again (recover.go).
-//   - The Region Advisor derives a multi-region placement configuration
-//     from observed per-object I/O statistics (the paper's Figure 2).
+//   - NewPlan hands the dies of a device out to groups of objects by their
+//     footprints and I/O rates, the multi-region placement configuration of
+//     the paper's Figure 2 (plan.go).
 package core
 
 import (

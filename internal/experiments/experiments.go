@@ -307,8 +307,8 @@ func (h Headline) String() string {
 	return b.String()
 }
 
-// Figure2 holds the Region-Advisor experiment: the per-object device demand a
-// TPC-C run measured and the plans the one allocator makes of it.
+// Figure2 holds the placement experiment: the per-object device demand a TPC-C
+// run measured and the plans the one allocator makes of it.
 type Figure2 struct {
 	Scale     Scale
 	Placement tpcc.PlacementKind
@@ -316,15 +316,13 @@ type Figure2 struct {
 	// Demand is the run's host reads and programs per committed transaction,
 	// the form tpcc.RecordedDemand is kept in.
 	Demand []tpcc.ObjectDemand
-	// Plan is the Region Advisor's: its own grouping on the measured demand.
-	Plan noftl.PlacementPlan
 	// Planned is what tpcc.Setup builds before the database exists: the
 	// paper's grouping on estimated footprints and the recorded demand.  Host
 	// and Measured are the same grouping on this run's sizes and, the one, the
 	// die time of Demand — what Planned's I/O shares were in the run that
 	// recorded them — the other, that of every command, garbage collection's
 	// copybacks included.
-	Planned, Host, Measured noftl.PlacementPlan
+	Planned, Host, Measured core.PlacementPlan
 }
 
 // MaxDriftPoints is how far a group's share of the host commands' die time
@@ -335,8 +333,8 @@ const MaxDriftPoints = 2.0
 
 // RunFigure2 reproduces Figure 2: run TPC-C under the given placement — the
 // paper profiles under the traditional one — to measure every object's device
-// demand, then let the Region Advisor divide the objects into regions and
-// distribute the dies.
+// demand, then distribute the dies over the paper's grouping of the objects on
+// that demand.
 func RunFigure2(scale Scale, placement tpcc.PlacementKind) (Figure2, error) {
 	db, workload, err := openTPCC(scale, placement)
 	if err != nil {
@@ -347,8 +345,7 @@ func RunFigure2(scale Scale, placement tpcc.PlacementKind) (Figure2, error) {
 	if err != nil {
 		return Figure2{}, err
 	}
-	f := Figure2{Scale: scale, Placement: placement, Objects: db.ObjectStats(),
-		Plan: db.Advise(noftl.AdvisorOptions{MaxRegions: 6})}
+	f := Figure2{Scale: scale, Placement: placement, Objects: db.ObjectStats()}
 
 	// Sum the measured objects over the paper's groups; what no group lists
 	// (the WAL) lives in the default region with group 0.
@@ -366,7 +363,7 @@ func RunFigure2(scale Scale, placement tpcc.PlacementKind) (Figure2, error) {
 			Reads: float64(o.Reads) / float64(res.Committed), Programs: float64(o.Writes) / float64(res.Committed)})
 	}
 	geo := db.Geometry()
-	plan := func(demand []float64) noftl.PlacementPlan {
+	plan := func(demand []float64) core.PlacementPlan {
 		groups := tpcc.Figure2Groups()
 		groups[0].Objects = append(groups[0].Objects, unlisted...)
 		return core.NewPlan(groups, pages, demand, geo.Dies(), geo.PagesPerDie())
@@ -435,14 +432,13 @@ func (f Figure2) Table() string {
 	w.Flush()
 	fmt.Fprintf(&b, "\nThe paper's groups on estimated footprints and the recorded demand (what tpcc.Setup builds):\n%s", f.Planned.TableString())
 	fmt.Fprintf(&b, "\nThe paper's groups on the measured sizes and die time, copybacks included:\n%s", f.Measured.TableString())
-	fmt.Fprintf(&b, "\nThe Region Advisor's grouping on the measured sizes and die time:\n%s", f.Plan.TableString())
 	return b.String()
 }
 
 // PaperFigure2 is the placement configuration the paper itself used: its
 // grouping, with its 2/11/10/29/6/6 of 64 dies as the groups' shares of a
 // device of totalDies (no footprint is known).
-func PaperFigure2(totalDies int) noftl.PlacementPlan {
+func PaperFigure2(totalDies int) core.PlacementPlan {
 	groups := tpcc.Figure2Groups()
 	groups[0].Objects = append([]string{"DBMS-metadata"}, groups[0].Objects...)
 	return core.NewPlan(groups, make([]int64, len(groups)), []float64{2, 11, 10, 29, 6, 6}, totalDies, 1)

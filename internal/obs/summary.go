@@ -30,23 +30,6 @@ func latencyStats(h *metrics.Histogram) LatencyStats {
 	}
 }
 
-// DieSummary is the per-die view of a trace: how busy the die's flash
-// interface was and how much of the span GC occupied it.
-type DieSummary struct {
-	Die int32
-	// FlashCmds is the number of flash commands dispatched to the die.
-	FlashCmds int64
-	// BusyTime is the merged virtual time the die spent executing flash
-	// commands (overlapping command windows are coalesced).
-	BusyTime sim.Duration
-	// Utilization is BusyTime over the trace span (0..1).
-	Utilization float64
-	// GCTime is the merged virtual time covered by GC step windows on the die.
-	GCTime sim.Duration
-	// GCSteps counts GC step events (background + foreground) on the die.
-	GCSteps int64
-}
-
 // GCInterference is the A6 story extracted from a trace: host writes that
 // overlap a GC window on their die versus those that ran clear of GC.
 type GCInterference struct {
@@ -69,8 +52,6 @@ type Summary struct {
 	PerClass [NumClasses]int64
 	// PerPrio is the flash-command latency breakdown by scheduler priority.
 	PerPrio map[uint8]LatencyStats
-	// Dies is the per-die utilization view, ordered by die id.
-	Dies []DieSummary
 	// HostWrite and HostRead are end-to-end host-latency breakdowns.
 	HostWrite LatencyStats
 	HostRead  LatencyStats
@@ -84,10 +65,10 @@ type window struct {
 }
 
 // mergeWindows coalesces overlapping/touching intervals, returning them
-// sorted by start, plus the total covered duration.
-func mergeWindows(ws []window) ([]window, sim.Duration) {
+// sorted by start.
+func mergeWindows(ws []window) []window {
 	if len(ws) == 0 {
-		return nil, 0
+		return nil
 	}
 	sort.Slice(ws, func(i, j int) bool { return ws[i].start < ws[j].start })
 	merged := ws[:1]
@@ -101,11 +82,7 @@ func mergeWindows(ws []window) ([]window, sim.Duration) {
 		}
 		merged = append(merged, w)
 	}
-	var total sim.Duration
-	for _, w := range merged {
-		total += w.end.Sub(w.start)
-	}
-	return merged, total
+	return merged
 }
 
 // overlaps reports whether [start,end) intersects any merged window.
@@ -115,9 +92,11 @@ func overlaps(ws []window, start, end sim.Time) bool {
 	return i < len(ws) && ws[i].start < end
 }
 
-// Summarize digests a trace: per-class counts, per-die flash utilization,
-// per-priority and host latency breakdowns, and the GC-interference split of
-// host writes (the A6 experiment's story, recovered from the event stream).
+// Summarize digests a trace: per-class counts, per-priority and host latency
+// breakdowns, and the GC-interference split of host writes (the A6
+// experiment's story, recovered from the event stream).  A die's busy time is
+// the device's to measure (flash.DieStats.BusyTime): a trace window runs from a
+// command's arrival to its completion, queue wait and transfer included.
 func Summarize(events []Event) Summary {
 	s := Summary{Events: len(events), PerPrio: make(map[uint8]LatencyStats)}
 	if len(events) == 0 {
@@ -128,10 +107,7 @@ func Summarize(events []Event) Summary {
 	prioHists := make(map[uint8]*metrics.Histogram)
 	hostWrite := metrics.NewHistogram()
 	hostRead := metrics.NewHistogram()
-	flashWin := make(map[int32][]window) // die -> flash command windows
-	gcWin := make(map[int32][]window)    // die -> GC step/erase windows
-	dieCmds := make(map[int32]int64)
-	dieGCSteps := make(map[int32]int64)
+	gcWin := make(map[int32][]window) // die -> GC step/erase windows
 
 	for _, e := range events {
 		if e.Start < s.Start {
@@ -151,60 +127,19 @@ func Summarize(events []Event) Summary {
 				prioHists[e.Prio] = h
 			}
 			h.Observe(e.Latency())
-			if e.Die >= 0 {
-				dieCmds[e.Die]++
-				if e.End > e.Start {
-					flashWin[e.Die] = append(flashWin[e.Die], window{e.Start, e.End})
-				}
-			}
 		case ClassHostWrite:
 			hostWrite.Observe(e.Latency())
 		case ClassHostRead:
 			hostRead.Observe(e.Latency())
 		case ClassGCStep, ClassGCErase:
-			if e.Die >= 0 {
-				if e.Class == ClassGCStep {
-					dieGCSteps[e.Die]++
-				}
-				if e.End > e.Start {
-					gcWin[e.Die] = append(gcWin[e.Die], window{e.Start, e.End})
-				}
+			if e.Die >= 0 && e.End > e.Start {
+				gcWin[e.Die] = append(gcWin[e.Die], window{e.Start, e.End})
 			}
 		}
 	}
 
-	span := s.End.Sub(s.Start)
-	mergedGC := make(map[int32][]window, len(gcWin))
-	dies := make(map[int32]bool)
-	for d := range flashWin {
-		dies[d] = true
-	}
-	for d := range gcWin {
-		dies[d] = true
-	}
-	for d := range dieCmds {
-		dies[d] = true
-	}
-	order := make([]int32, 0, len(dies))
-	for d := range dies {
-		order = append(order, d)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, d := range order {
-		_, busy := mergeWindows(flashWin[d])
-		mg, gcTime := mergeWindows(gcWin[d])
-		mergedGC[d] = mg
-		ds := DieSummary{
-			Die:       d,
-			FlashCmds: dieCmds[d],
-			BusyTime:  busy,
-			GCTime:    gcTime,
-			GCSteps:   dieGCSteps[d],
-		}
-		if span > 0 {
-			ds.Utilization = float64(busy) / float64(span)
-		}
-		s.Dies = append(s.Dies, ds)
+	for d, ws := range gcWin {
+		gcWin[d] = mergeWindows(ws)
 	}
 
 	// Second pass: split host writes by GC overlap on their die.
@@ -214,7 +149,7 @@ func Summarize(events []Event) Summary {
 		if e.Class != ClassHostWrite {
 			continue
 		}
-		if e.Die >= 0 && overlaps(mergedGC[e.Die], e.Start, e.End) {
+		if e.Die >= 0 && overlaps(gcWin[e.Die], e.Start, e.End) {
 			interfered.Observe(e.Latency())
 		} else {
 			clean.Observe(e.Latency())
@@ -243,14 +178,6 @@ func (s Summary) String() string {
 	for c := Class(0); c < NumClasses; c++ {
 		if s.PerClass[c] > 0 {
 			fmt.Fprintf(&b, "  %-14s %d\n", c.String(), s.PerClass[c])
-		}
-	}
-	if len(s.Dies) > 0 {
-		fmt.Fprintf(&b, "\nper-die utilization:\n")
-		fmt.Fprintf(&b, "  %-4s %10s %12s %6s %12s %8s\n", "die", "cmds", "busy", "util", "gc_busy", "gc_steps")
-		for _, d := range s.Dies {
-			fmt.Fprintf(&b, "  %-4d %10d %12v %5.1f%% %12v %8d\n",
-				d.Die, d.FlashCmds, d.BusyTime, d.Utilization*100, d.GCTime, d.GCSteps)
 		}
 	}
 	if len(s.PerPrio) > 0 {

@@ -166,10 +166,9 @@ func estimateGroupPages(cfg Config, pageSize int) []int64 {
 }
 
 // Plan is the multi-region configuration Setup builds on a device of geometry
-// geo: the groups of the paper's Figure 2 with the dies the Region Advisor's
-// allocator gives them on the estimated footprints of a database that does not
-// exist yet and on RecordedDemand, weighed at the timing of the run that
-// recorded it.
+// geo: the groups of the paper's Figure 2 with the dies core.NewPlan gives them
+// on the estimated footprints of a database that does not exist yet and on
+// RecordedDemand, weighed at the timing of the run that recorded it.
 func Plan(cfg Config, geo flash.Geometry) core.PlacementPlan {
 	return core.NewPlan(Figure2Groups(), estimateGroupPages(cfg, geo.PageSize),
 		GroupDemand(RecordedDemand, flash.DefaultTiming()), geo.Dies(), geo.PagesPerDie())

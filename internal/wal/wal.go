@@ -2,8 +2,8 @@
 // engine.  Log records are buffered in memory, packed into log pages and
 // forced to the flash device on commit (group commit of everything buffered so
 // far).  The log is an append-mostly object; under the paper's placement model
-// it belongs in the metadata/append region, which is exactly where the Region
-// Advisor puts it.
+// it belongs in the metadata/append region, which is where the multi-region
+// placement of TPC-C (tpcc.Plan) keeps it: in the default region, with HISTORY.
 //
 // A force is one core.WritePages batch: the pages sealed since the last force
 // plus a snapshot of the current page, in LSN order.  The batch stripes over

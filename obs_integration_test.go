@@ -185,7 +185,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Fatalf("GC slowdown %.2fx, want > 1x", sum.GC.SlowdownX)
 	}
 	report := sum.String()
-	for _, want := range []string{"per-die utilization", "GC interference", "slowdown:"} {
+	for _, want := range []string{"GC interference", "slowdown:"} {
 		if !strings.Contains(report, want) {
 			t.Fatalf("summary report missing %q:\n%s", want, report)
 		}
@@ -514,8 +514,7 @@ func TestStatsEqualsMetrics(t *testing.T) {
 
 // TestDroppedObjectsLeaveTheStatistics is the regression test for the objects
 // the old collector never forgot: a dropped table and its index are gone from
-// Stats().Objects, from /metrics and from the advisor's plan (it gave the
-// dropped table 7 of 8 dies), what they cost stays in the sums under the
+// Stats().Objects and from /metrics, what they cost stays in the sums under the
 // unattributed child, and a table re-created under the name counts from zero.
 func TestDroppedObjectsLeaveTheStatistics(t *testing.T) {
 	db, err := OpenConfig(smallConfig())
@@ -555,16 +554,15 @@ func TestDroppedObjectsLeaveTheStatistics(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := checkStatsEqualMetrics(t, db, "dropped")
-	plan := db.Advise(AdvisorOptions{})
 	text := db.MetricsText()
 	for _, name := range []string{"T", "T_IDX"} {
 		if slices.ContainsFunc(st.Objects, func(o ObjectCounters) bool { return o.Name == name }) ||
-			strings.Contains(text, `object="`+name+`"`) || plan.GroupOf(name) >= 0 {
-			t.Errorf("dropped %s is still in Stats().Objects, /metrics or the plan:\n%+v\n%s", name, st.Objects, plan.TableString())
+			strings.Contains(text, `object="`+name+`"`) {
+			t.Errorf("dropped %s is still in Stats().Objects or /metrics:\n%+v", name, st.Objects)
 		}
 	}
-	if plan.GroupOf("KEPT") < 0 || plan.GroupOf(core.UnattributedObject) >= 0 {
-		t.Errorf("the plan must place the live objects and nothing else:\n%s", plan.TableString())
+	if !slices.ContainsFunc(st.Objects, func(o ObjectCounters) bool { return o.Name == "KEPT" }) {
+		t.Errorf("the live KEPT is missing from Stats().Objects:\n%+v", st.Objects)
 	}
 	if err := db.Exec(`DROP TABLE KEPT`); err != nil {
 		t.Fatal(err)

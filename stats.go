@@ -39,8 +39,8 @@ type Stats struct {
 	Device flash.Stats
 	// WAL covers the write-ahead log (zero value when WAL is disabled).
 	WAL WALStats
-	// Objects holds the per-object device-side counters consumed by the
-	// Region Advisor, by descending die time (see DB.ObjectStats).
+	// Objects holds the per-object device-side counters, the demand a
+	// placement is planned from, by descending die time (see DB.ObjectStats).
 	Objects []ObjectCounters
 	// Trace covers the event tracer (zero value when tracing is off).
 	Trace TraceStats

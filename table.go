@@ -263,8 +263,8 @@ type KeyBuilder = btree.KeyBuilder
 // NewKeyBuilder returns an empty composite-key builder.
 func NewKeyBuilder() *KeyBuilder { return btree.NewKeyBuilder() }
 
-// RegionSpec, AdvisorOptions, PlacementPlan and Hint re-export the core types
-// used through the public API.
+// RegionSpec, Hint and the statistics snapshots re-export the core types used
+// through the public API.
 type (
 	// LPN is a logical page number in the NoFTL space manager's address
 	// space (exposed for callers that drive the space manager directly).
@@ -273,10 +273,6 @@ type (
 	Hint = core.Hint
 	// RegionSpec describes a region to create programmatically.
 	RegionSpec = core.RegionSpec
-	// AdvisorOptions tunes the Region Advisor.
-	AdvisorOptions = core.AdvisorOptions
-	// PlacementPlan is the advisor's output.
-	PlacementPlan = core.PlacementPlan
 	// SpaceStats is the space manager statistics snapshot.
 	SpaceStats = core.Stats
 	// RegionStats is the per-region statistics snapshot.
