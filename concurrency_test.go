@@ -16,10 +16,7 @@ import (
 // lock-free scheduler dispatch, WAL group commit); the assertions check that
 // nothing inserted is lost or corrupted along the way.
 func TestConcurrentBatchDML(t *testing.T) {
-	db, err := Open(
-		WithBufferPoolPages(256),
-		WithWALGroupCommit(8, 200*time.Microsecond),
-	)
+	db, err := Open(WithBufferPoolPages(256))
 	if err != nil {
 		t.Fatal(err)
 	}

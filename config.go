@@ -72,14 +72,6 @@ type Config struct {
 	// WAL enables write-ahead logging (commit durability and the log I/O
 	// stream the placement experiments include).
 	WAL bool
-	// WALCommitBatch and WALCommitDelay tune the WAL's group commit: a
-	// commit that finds a log force in flight always piggybacks on it, and
-	// when WALCommitBatch > 1 the force leader additionally lingers up to
-	// WALCommitDelay (wall clock) for that many committers to queue before
-	// forcing the log once for all of them.  Zero values keep piggybacking
-	// only (no linger).  See WithWALGroupCommit.
-	WALCommitBatch int
-	WALCommitDelay time.Duration
 	// LockTimeout is the lock-wait timeout used as a deadlock safety net.
 	LockTimeout time.Duration
 	// CPUPerOp is the CPU time charged to a transaction for each row or

@@ -110,9 +110,6 @@ func openWith(cfg Config, dev *flash.Device, space *core.Manager) (*DB, error) {
 		db.log.AttachObs(db.tracer, db.reg)
 		db.ckptCount = db.reg.Counter("noftl_wal_checkpoints_total",
 			"Checkpoints taken (dirty pages flushed, the flash image described at the head of the WAL).").With()
-		if cfg.WALCommitBatch > 0 || cfg.WALCommitDelay > 0 {
-			db.log.SetGroupCommit(cfg.WALCommitBatch, cfg.WALCommitDelay)
-		}
 	}
 	db.txns = txn.NewManager(txn.NewLockManager(cfg.LockTimeout), db.log, db.clock)
 	db.txns.AttachObs(db.reg)

@@ -8,8 +8,9 @@
 //   - Explicit locks (Tx.Lock) serialize read-modify-write cycles.  A lock
 //     wait that times out (the deadlock safety net) surfaces as ErrConflict
 //     — the caller's move is to abort and retry.
-//   - WAL group commit (WithWALGroupCommit) lets simultaneous committers
-//     share one log force; the Stats() snapshot shows how many were grouped.
+//   - WAL group commit: a committer whose record an in-flight log force
+//     covers waits for it instead of forcing again; the Stats() snapshot
+//     shows how many were grouped.
 package main
 
 import (
@@ -30,10 +31,7 @@ const (
 )
 
 func main() {
-	db, err := noftl.Open(
-		noftl.WithLockTimeout(100*time.Millisecond),
-		noftl.WithWALGroupCommit(8, 200*time.Microsecond),
-	)
+	db, err := noftl.Open(noftl.WithLockTimeout(100 * time.Millisecond))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -258,8 +258,7 @@ func TestFetchAndFetchManyOfOneAreOne(t *testing.T) {
 func TestFetchManyDuplicatesArePinsOfOneHandle(t *testing.T) {
 	be := newMemBackend(128)
 	be.seed(16)
-	p := New(be, 16, 128, nil)
-	p.Configure(Options{Shards: 4})
+	p := New(be, 256, 128, nil) // 4 shards
 	h, _, err := p.Fetch(0, 2, core.Hint{})
 	if err != nil {
 		t.Fatal(err)
@@ -301,8 +300,7 @@ func TestFetchManyDuplicatesArePinsOfOneHandle(t *testing.T) {
 func TestResidentFetchesAllocateNothing(t *testing.T) {
 	be := newMemBackend(128)
 	be.seed(8)
-	p := New(be, 16, 128, nil)
-	p.Configure(Options{Shards: 4})
+	p := New(be, 256, 128, nil) // 4 shards
 	lpns := []core.LPN{1, 2, 3, 4, 5, 6, 7, 8}
 	hs, _, err := p.FetchMany(0, lpns, core.Hint{})
 	if err != nil {

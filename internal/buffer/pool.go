@@ -119,7 +119,6 @@ func (h *Handle) Release() {
 // Stats is a snapshot of pool counters.
 type Stats struct {
 	Frames     int
-	Shards     int
 	Resident   int
 	Dirty      int
 	Hits       int64
@@ -145,8 +144,7 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// Options tune the pool's read-ahead and sharding.  The zero value disables
-// read-ahead and keeps the automatic shard count.
+// Options tune the pool's read-ahead.  The zero value disables it.
 type Options struct {
 	// ReadAhead is the number of sequentially-next pages staged in the same
 	// backend batch as a demand miss.  Zero disables read-ahead.
@@ -154,11 +152,6 @@ type Options struct {
 	// GroupWriteBack is ignored: write-back is always one die-striped batch.
 	// The field remains only because the repository benchmark names it.
 	GroupWriteBack bool
-	// Shards overrides the automatic frame-table shard count (clamped so
-	// every shard keeps at least two frames).  Zero keeps the automatic
-	// choice.  Resharding is only honoured while the pool is empty; set it
-	// before the pool sees traffic.
-	Shards int
 }
 
 // Pool is the buffer pool.  All methods are safe for concurrent use once the
@@ -227,18 +220,8 @@ func (p *Pool) bind(reg *metrics.Registry) {
 }
 
 // buildShards partitions the pool's frames over n shards (contiguous chunks,
-// so shard sizes differ by at most one).  Only called while the pool is
-// empty.
+// so shard sizes differ by at most one).
 func (p *Pool) buildShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > p.nframes/2 {
-		n = p.nframes / 2
-		if n < 1 {
-			n = 1
-		}
-	}
 	p.shards = make([]*poolShard, n)
 	base := p.nframes / n
 	extra := p.nframes % n
@@ -288,22 +271,6 @@ func (p *Pool) Configure(opts Options) {
 		opts.ReadAhead = 0
 	}
 	p.opts = opts
-	if opts.Shards > 0 && opts.Shards != len(p.shards) && p.empty() {
-		p.buildShards(opts.Shards)
-	}
-}
-
-// empty reports whether no page is resident (safe to reshard).
-func (p *Pool) empty() bool {
-	for _, s := range p.shards {
-		s.mu.Lock()
-		n := len(s.table)
-		s.mu.Unlock()
-		if n > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // PageSize returns the frame size in bytes.
@@ -313,7 +280,6 @@ func (p *Pool) PageSize() int { return p.pageSize }
 func (p *Pool) Stats() Stats {
 	st := Stats{
 		Frames:       p.nframes,
-		Shards:       len(p.shards),
 		Hits:         p.hits.Value(),
 		Misses:       p.misses.Value(),
 		NewPages:     p.newPages.Load(),

@@ -21,38 +21,6 @@ func TestAutoShards(t *testing.T) {
 	}
 }
 
-func TestPoolShardOverride(t *testing.T) {
-	be := newMemBackend(128)
-	p := New(be, 32, 128, nil)
-	if got := p.Stats().Shards; got != 1 {
-		t.Fatalf("auto shards for 32 frames = %d, want 1", got)
-	}
-	p.Configure(Options{Shards: 8})
-	st := p.Stats()
-	if st.Shards != 8 {
-		t.Fatalf("shards after Configure = %d, want 8", st.Shards)
-	}
-	if st.Frames != 32 {
-		t.Fatalf("frames after reshard = %d, want 32", st.Frames)
-	}
-	// A shard override larger than frames/2 is clamped.
-	p2 := New(be, 8, 128, nil)
-	p2.Configure(Options{Shards: 100})
-	if got := p2.Stats().Shards; got != 4 {
-		t.Fatalf("clamped shards = %d, want 4", got)
-	}
-	// Resharding after traffic is inert.
-	h, _, err := p.NewPage(0, 1, core.Hint{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Release()
-	p.Configure(Options{Shards: 2})
-	if got := p.Stats().Shards; got != 8 {
-		t.Fatalf("reshard after traffic changed shards to %d", got)
-	}
-}
-
 // TestPoolShardedEvictionUnderContention drives many goroutines through a
 // multi-shard pool far smaller than the page working set, so every shard
 // constantly evicts (including dirty write-backs) while other workers fetch,
@@ -62,11 +30,10 @@ func TestPoolShardOverride(t *testing.T) {
 // its whole shard pinned; the workers just move on.
 func TestPoolShardedEvictionUnderContention(t *testing.T) {
 	be := newMemBackend(128)
-	const pages = 256
+	const pages = 4096
 	be.seed(pages)
-	p := New(be, 64, 128, nil)
-	p.Configure(Options{Shards: 8})
-	if got := p.Stats().Shards; got != 8 {
+	p := New(be, 512, 128, nil)
+	if got := len(p.shards); got != 8 {
 		t.Fatalf("shards = %d, want 8", got)
 	}
 

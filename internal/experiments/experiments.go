@@ -138,12 +138,13 @@ func TPCCSetup(scale Scale) Setup {
 	dbCfg.Flash.Geometry = geo
 	dbCfg.BufferPoolPages = pool
 	// The paper's experiments measure placement effects on the device I/O
-	// stream.  Full checkpoints rewrite the whole database into the WAL on
-	// every cut, which both distorts those measurements and cannot fit the
-	// deliberately high-utilization devices, so the benchmark regime runs
-	// with light checkpoints (flush + truncate, no rewrite) — the standard
-	// reduced-durability setting for performance runs.  Crash recovery is
-	// exercised separately by the chaos experiment.
+	// stream, and run with light checkpoints (flush + truncate, nothing
+	// retained).  A full checkpoint costs only the dirty pages, but the page
+	// versions it retains until the next one need room on these deliberately
+	// full devices, and the checkpoint after each DDL statement puts log
+	// pages on dies the region plan still has to carve (ROADMAP.md, item
+	// 10(c)).  How far full checkpoints would move the figures is unmeasured.
+	// Crash recovery is exercised separately by the chaos experiment.
 	dbCfg.DisableSnapshotCheckpoints = true
 	// TPC-C terminals take locks in canonical order, so real deadlocks
 	// cannot form; the lock-wait timeout is purely a safety net.  Timeouts

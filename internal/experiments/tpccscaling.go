@@ -13,8 +13,8 @@ import (
 
 // TPCCScalingRun is one measured TPC-C run of the scaling experiment at a
 // fixed worker count.  The virtual-time metrics (TPS, simulated duration)
-// are workload-driven and stay put as workers grow; WallTPS is the number
-// that must scale.
+// are workload-driven; between worker counts they move only with how the
+// goroutines interleave (lock waits, shared log forces).
 type TPCCScalingRun struct {
 	Workers         int
 	Committed       int64
@@ -31,8 +31,8 @@ type TPCCScalingRun struct {
 // TPCCScalingResult is the outcome of the concurrency-scaling experiment:
 // the same TPC-C workload executed on fresh, identical databases with 1
 // driver goroutine and with N driver goroutines.  Scaling is the wall-clock
-// throughput ratio WallTPS(N) / WallTPS(1) — the metric the CI scaling job
-// gates (on machines with enough cores to express it).
+// throughput ratio WallTPS(N) / WallTPS(1); it is reported, not gated (the
+// CI scaling job gates the 1-worker virtual TPS against the baseline).
 type TPCCScalingResult struct {
 	Scale    Scale
 	NumCPU   int
@@ -71,10 +71,10 @@ func (r TPCCScalingResult) String() string {
 
 // RunTPCCScaling executes the scaling experiment: one TPC-C run with a
 // single driver goroutine and one with `workers` goroutines, on fresh
-// databases with identical configuration.  Group commit is enabled so the
-// parallel run can amortize log forces; the virtual-time multiprogramming
-// level (Terminals) is the same in both runs, so the virtual metrics remain
-// comparable and only wall-clock parallelism differs.
+// databases with identical configuration.  The virtual-time
+// multiprogramming level (Terminals) is the same in both runs, so the virtual
+// metrics remain comparable and only wall-clock parallelism differs; the
+// parallel run's committers share a log force only when they meet at one.
 func RunTPCCScaling(scale Scale, workers int) (TPCCScalingResult, error) {
 	if workers < 2 {
 		workers = 2
@@ -89,10 +89,6 @@ func RunTPCCScaling(scale Scale, workers int) (TPCCScalingResult, error) {
 			setup.TPCC.Terminals = workers
 		}
 		setup.TPCC.Workers = w
-		// Group commit: let up to 8 committers share one log force, with a
-		// short wall-clock linger for the group to fill.
-		setup.DB.WALCommitBatch = 8
-		setup.DB.WALCommitDelay = 200 * time.Microsecond
 		db, err := noftl.OpenConfig(setup.DB)
 		if err != nil {
 			return TPCCScalingRun{}, err

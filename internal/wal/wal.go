@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sync"
-	"time"
 
 	"noftl/internal/core"
 	"noftl/internal/metrics"
@@ -175,16 +174,13 @@ type Log struct {
 	pageBytes map[core.LPN]int64
 	bytesLive int64
 
-	// Group commit.  Committers queue behind a single flush leader; the
-	// leader forces everything appended so far with one device write chain,
-	// making all queued commit records durable at once.  commitBatch and
-	// commitDelay let the leader linger (wall clock) for more committers to
-	// join before flushing.
+	// Group commit.  One force is on the device at a time, run by its leader
+	// over everything appended so far; a caller whose records it will cover
+	// waits for it instead of forcing again, and the next leader takes
+	// whatever was appended meanwhile.
 	commitCond    *sync.Cond
 	flushLeader   bool
-	commitPending int
-	commitBatch   int
-	commitDelay   time.Duration
+	commitPending int      // committers inside Commit
 	groupMaxNow   sim.Time // max virtual time across the forming group
 	flushDoneAt   sim.Time // virtual end of the latest flush
 
@@ -200,13 +196,12 @@ type sealedPage struct {
 // (normally the hint of the log object's tablespace).
 func New(mgr *core.Manager, hint core.Hint, pageSize int) *Log {
 	l := &Log{
-		mgr:         mgr,
-		hint:        hint,
-		pageSize:    pageSize,
-		nextLSN:     1,
-		pageMaxLSN:  make(map[core.LPN]uint64),
-		pageBytes:   make(map[core.LPN]int64),
-		commitBatch: 1,
+		mgr:        mgr,
+		hint:       hint,
+		pageSize:   pageSize,
+		nextLSN:    1,
+		pageMaxLSN: make(map[core.LPN]uint64),
+		pageBytes:  make(map[core.LPN]int64),
 	}
 	l.commitCond = sync.NewCond(&l.mu)
 	l.hint.Flags |= flashFlagLog
@@ -227,24 +222,6 @@ func (l *Log) bind(reg *metrics.Registry) {
 		"Encoded WAL record bytes appended.").With()
 	l.bytesTrimmed = reg.Counter("noftl_wal_bytes_trimmed_total",
 		"Encoded WAL record bytes dropped by checkpoint truncation.").With()
-}
-
-// SetGroupCommit configures the group-commit window: a flush leader lingers
-// up to delay (wall clock) for up to batch committers to queue before forcing
-// the log.  batch <= 1 or delay <= 0 disables the linger; committers then
-// still piggyback on an in-flight flush, they just never wait for one to
-// form.  Configure before the log sees concurrent commits.
-func (l *Log) SetGroupCommit(batch int, delay time.Duration) {
-	l.mu.Lock()
-	if batch < 1 {
-		batch = 1
-	}
-	l.commitBatch = batch
-	if delay < 0 {
-		delay = 0
-	}
-	l.commitDelay = delay
-	l.mu.Unlock()
 }
 
 // flashFlagLog mirrors flash.FlagLog without importing the flash package
@@ -316,7 +293,7 @@ func (l *Log) FlushedLSN() uint64 {
 // Appended returns the number of records appended so far.
 func (l *Log) Appended() int64 { return l.appended.Value() }
 
-// Flushes returns the number of Flush calls that wrote pages.
+// Flushes returns the number of log forces (by Flush or Commit).
 func (l *Log) Flushes() int64 { return l.flushes.Value() }
 
 // GroupCommits returns the number of log forces that made more than one
@@ -375,33 +352,15 @@ func (l *Log) Append(typ RecordType, txnID uint64, objectID uint32, payload []by
 
 // Flush forces every appended record to the device (sealed full pages plus
 // the current partial page, as one die-striped batch) and returns the
-// caller's advanced virtual time.  If a group-commit flush is in flight, Flush
-// waits for it and then forces whatever is still buffered.
+// caller's advanced virtual time.  Flush is not a committer: it counts in
+// neither GroupedTxns nor a force's group.
 //
 // A force of several pages is not atomic (see the package comment): until
 // Flush returns nil, any subset of its pages may be on flash, and recovery
 // keeps the records up to the first one missing.  What it made durable is
 // only acknowledged by the nil return.
 func (l *Log) Flush(now sim.Time) (sim.Time, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for l.flushLeader {
-		l.commitCond.Wait()
-	}
-	if l.flushedLSN == l.nextLSN-1 {
-		return now, nil // nothing new
-	}
-	l.flushLeader = true
-	if now > l.groupMaxNow {
-		l.groupMaxNow = now
-	}
-	done, err := l.flushGroupLocked()
-	l.flushLeader = false
-	l.commitCond.Broadcast()
-	if err != nil {
-		return now, err
-	}
-	return sim.MaxTime(now, done), nil
+	return l.force(now, 0, false)
 }
 
 // Commit makes the record at lsn (and everything before it) durable and
@@ -412,74 +371,61 @@ func (l *Log) Flush(now sim.Time) (sim.Time, error) {
 // own.  That one force is what lets N workers commit with far fewer than N
 // log-page writes.
 func (l *Log) Commit(now sim.Time, lsn uint64) (sim.Time, error) {
+	return l.force(now, lsn, true)
+}
+
+// force makes every record up to lsn durable (lsn 0: everything appended so
+// far).  A caller whose records an earlier or in-flight force covers waits for
+// that force and returns no earlier than the latest force's end; otherwise it
+// leads a force of everything appended and returns no earlier than its end.
+// committer counts the caller in GroupedTxns and in the group a force reports
+// to GroupCommits.
+func (l *Log) force(now sim.Time, lsn uint64, committer bool) (sim.Time, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if lsn == 0 {
+		lsn = l.nextLSN - 1
+	}
 	if now > l.groupMaxNow {
 		l.groupMaxNow = now
 	}
-	l.commitPending++
-	defer func() { l.commitPending-- }()
-	if l.flushLeader {
-		// Wake a leader lingering for its group to fill.
-		l.commitCond.Broadcast()
+	if committer {
+		l.commitPending++
+		defer func() { l.commitPending-- }()
 	}
-	for {
-		if l.flushedLSN >= lsn {
-			l.groupedTxns.Inc()
-			return sim.MaxTime(now, l.flushDoneAt), nil
-		}
-		if !l.flushLeader {
-			break
-		}
+	for l.flushedLSN < lsn && l.flushLeader {
 		l.commitCond.Wait()
 	}
-	// We are the flush leader for this group.
-	l.flushLeader = true
-	if l.commitBatch > 1 && l.commitDelay > 0 {
-		// Linger (wall clock) for more committers, bounded by the window.
-		deadline := time.Now().Add(l.commitDelay)
-		for l.commitPending < l.commitBatch {
-			wait := time.Until(deadline)
-			if wait <= 0 {
-				break
-			}
-			// The wake-up takes l.mu, so it cannot fire before Wait has
-			// released it and be lost.
-			timer := time.AfterFunc(wait, func() {
-				l.mu.Lock()
-				l.commitCond.Broadcast()
-				l.mu.Unlock()
-			})
-			l.commitCond.Wait()
-			timer.Stop()
+	durable := l.flushDoneAt
+	if l.flushedLSN < lsn {
+		l.flushLeader = true
+		grouped := l.commitPending
+		var err error
+		durable, err = l.flushGroupLocked()
+		l.flushLeader = false
+		l.commitCond.Broadcast()
+		if err != nil {
+			return now, err
+		}
+		if grouped > 1 {
+			l.groupCommits.Inc()
 		}
 	}
-	grouped := int64(l.commitPending)
-	done, err := l.flushGroupLocked()
-	l.flushLeader = false
-	l.commitCond.Broadcast()
-	if err != nil {
-		return now, err
+	if committer {
+		l.groupedTxns.Inc()
 	}
-	l.groupedTxns.Inc()
-	if grouped > 1 {
-		l.groupCommits.Inc()
-	}
-	return sim.MaxTime(now, done), nil
+	return sim.MaxTime(now, durable), nil
 }
 
 // flushGroupLocked forces everything appended so far as one write batch:
 // the sealed pages and a snapshot of the current page, in LSN order, each
-// stamped with the force's horizon.  Caller holds l.mu and has claimed flush
-// leadership; the device writes happen with l.mu released, so appends (and
-// committers joining the next group) proceed during the force.  Returns with
-// l.mu held.
+// stamped with the force's horizon.  Caller holds l.mu, has claimed flush
+// leadership and has records to force; the device writes happen with l.mu
+// released, so appends (and committers joining the next group) proceed during
+// the force.  Returns with l.mu held.
 func (l *Log) flushGroupLocked() (sim.Time, error) {
 	flushNow := l.groupMaxNow
 	l.groupMaxNow = 0
-	if l.flushedLSN == l.nextLSN-1 {
-		return sim.MaxTime(flushNow, l.flushDoneAt), nil
-	}
 	hw := l.nextLSN - 1
 	newlyDurable := hw - l.flushedLSN
 	l.horizon = l.flushedLSN + 1

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"noftl/internal/core"
 	"noftl/internal/flash"
@@ -203,12 +202,17 @@ func TestTruncateDropsOldPages(t *testing.T) {
 // TestGroupCommitConcurrent drives many goroutines through Append+Commit on
 // one log and checks that (a) every committer observes its own record as
 // durable, (b) the recovered log preserves append (LSN) order exactly, and
-// (c) the committers shared flushes: far fewer log forces than commits.
+// (c) the committers shared forces.  Grouping holds by construction, whatever
+// the scheduler does: in every round all workers append before any of them
+// commits, so the first committer's force covers the whole round.
 func TestGroupCommitConcurrent(t *testing.T) {
 	l, mgr := testLog(t)
-	l.SetGroupCommit(8, 2*time.Millisecond)
 	const workers = 8
-	const perWorker = 50
+	const rounds = 50
+	appended := make([]sync.WaitGroup, rounds)
+	for i := range appended {
+		appended[i].Add(workers)
+	}
 	var wg sync.WaitGroup
 	errCh := make(chan error, workers)
 	for w := 0; w < workers; w++ {
@@ -216,27 +220,29 @@ func TestGroupCommitConcurrent(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			now := sim.Time(0)
-			for i := 0; i < perWorker; i++ {
-				txn := uint64(id*perWorker + i + 1)
-				if _, err := l.Append(RecUpdate, txn, 7, []byte{byte(id)}); err != nil {
-					errCh <- err
-					return
+			var err error
+			// A worker that failed still passes every barrier, so the others
+			// do not wait for it forever.
+			for i := 0; i < rounds; i++ {
+				txn := uint64(id*rounds + i + 1)
+				var lsn uint64
+				if err == nil {
+					_, err = l.Append(RecUpdate, txn, 7, []byte{byte(id)})
 				}
-				lsn, err := l.Append(RecCommit, txn, 0, nil)
-				if err != nil {
-					errCh <- err
-					return
+				if err == nil {
+					lsn, err = l.Append(RecCommit, txn, 0, nil)
 				}
-				done, err := l.Commit(now, lsn)
-				if err != nil {
-					errCh <- err
-					return
+				appended[i].Done()
+				appended[i].Wait()
+				if err == nil {
+					now, err = l.Commit(now, lsn)
 				}
-				now = done
-				if got := l.FlushedLSN(); got < lsn {
-					errCh <- fmt.Errorf("commit returned but lsn %d > flushed %d", lsn, got)
-					return
+				if got := l.FlushedLSN(); err == nil && got < lsn {
+					err = fmt.Errorf("commit returned but lsn %d > flushed %d", lsn, got)
 				}
+			}
+			if err != nil {
+				errCh <- err
 			}
 		}(w)
 	}
@@ -245,15 +251,15 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	const commits = workers * perWorker
+	const commits = workers * rounds
 	if got := l.GroupedTxns(); got != commits {
 		t.Fatalf("grouped txns = %d, want %d", got, commits)
 	}
-	if got := l.Flushes(); got >= commits {
-		t.Fatalf("no grouping: %d flushes for %d commits", got, commits)
+	if got := l.Flushes(); got != rounds {
+		t.Fatalf("%d forces for %d rounds of %d commits, want one per round", got, rounds, workers)
 	}
-	if l.GroupCommits() == 0 {
-		t.Fatalf("no flush ever served more than one committer")
+	if got := l.GroupCommits(); got > rounds {
+		t.Fatalf("%d group commits for %d forces", got, rounds)
 	}
 	// Crash consistency: the durable image decodes cleanly and LSNs are
 	// strictly sequential in recovery order (append order preserved).
@@ -275,46 +281,15 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	}
 }
 
-// TestLoneLeaderOutlastsItsLinger commits from a single goroutine with the
-// group-commit linger on: nobody joins the group, so every commit waits out
-// its window, and the timer that ends the window must not fire into the gap
-// before the leader sleeps (the wake-up was lost there, and the one-worker
-// TPC-C scaling run hung at 0 % CPU).
-func TestLoneLeaderOutlastsItsLinger(t *testing.T) {
-	l, _ := testLog(t)
-	l.SetGroupCommit(8, time.Microsecond)
-	done := make(chan error, 1)
-	go func() {
-		now := sim.Time(0)
-		for i := 0; i < 3000; i++ {
-			lsn, err := l.Append(RecCommit, uint64(i+1), 0, nil)
-			if err == nil {
-				now, err = l.Commit(now, lsn)
-			}
-			if err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("a lingering flush leader never woke up")
-	}
-}
-
-// TestCommitAlreadyDurable checks the piggyback path: a commit whose LSN was
-// already forced by an earlier group returns without a new flush.
+// TestCommitAlreadyDurable checks the piggyback path: a commit or a flush
+// whose records an earlier force made durable returns without a new force, no
+// earlier than that force's end.
 func TestCommitAlreadyDurable(t *testing.T) {
 	l, _ := testLog(t)
 	lsn1, _ := l.Append(RecCommit, 1, 0, nil)
 	lsn2, _ := l.Append(RecCommit, 2, 0, nil)
-	if _, err := l.Commit(10, lsn2); err != nil {
+	forced, err := l.Commit(10, lsn2)
+	if err != nil {
 		t.Fatal(err)
 	}
 	flushes := l.Flushes()
@@ -325,11 +300,18 @@ func TestCommitAlreadyDurable(t *testing.T) {
 	if l.Flushes() != flushes {
 		t.Fatalf("already-durable commit forced the log again")
 	}
-	if done < 10 {
-		t.Fatalf("commit time %v went backwards past the covering flush", done)
+	if done != forced {
+		t.Fatalf("commit time %v, want the covering force's end %v", done, forced)
 	}
-	// Flush with nothing buffered is a no-op too.
-	if now, err := l.Flush(123); err != nil || now != 123 {
+	// A flush with nothing new returns the covering force's end too, and is
+	// not a committer.
+	if now, err := l.Flush(5); err != nil || now != forced {
+		t.Fatalf("covered flush: now=%v err=%v, want %v", now, err, forced)
+	}
+	if l.Flushes() != flushes || l.GroupedTxns() != 2 {
+		t.Fatalf("covered flush: %d forces, %d grouped txns", l.Flushes(), l.GroupedTxns())
+	}
+	if now, err := l.Flush(forced + 123); err != nil || now != forced+123 {
 		t.Fatalf("empty flush: now=%v err=%v", now, err)
 	}
 }

@@ -39,21 +39,6 @@ func WithBufferPoolPages(n int) Option {
 	return func(c *Config) { c.BufferPoolPages = n }
 }
 
-// WithWALGroupCommit tunes the WAL's group commit: the log-force leader
-// lingers up to delay (wall clock) for up to batch committers to queue, then
-// forces the log once for all of them.  Concurrent committers always
-// piggyback on an in-flight force even without this option; the linger just
-// makes groups form under moderate concurrency.  batch <= 1 or delay <= 0
-// disables the linger.
-//
-//	db, _ := noftl.Open(noftl.WithWALGroupCommit(8, 200*time.Microsecond))
-func WithWALGroupCommit(batch int, delay time.Duration) Option {
-	return func(c *Config) {
-		c.WALCommitBatch = batch
-		c.WALCommitDelay = delay
-	}
-}
-
 // WithLockTimeout sets the lock-wait timeout (the deadlock safety net).
 func WithLockTimeout(d time.Duration) Option {
 	return func(c *Config) { c.LockTimeout = d }
