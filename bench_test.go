@@ -1,9 +1,8 @@
 // Benchmarks regenerating the paper's evaluation artifacts.
 //
 // One benchmark exists per table/figure of the paper (Figure 2, Figure 3 and
-// the abstract's headline metrics) plus the batched-I/O ablation A5 (README
-// "Reproducing the paper's results") and a set of micro-benchmarks for the
-// core public API.
+// the abstract's headline metrics; README "Reproducing the paper's results")
+// plus a set of micro-benchmarks for the core public API.
 //
 // The Figure benches run the small scale so that `go test -bench=.` finishes
 // in seconds; `cmd/noftl-bench -scale paper` runs the full 64-die
@@ -96,24 +95,6 @@ func BenchmarkFigure3Comparison(b *testing.B) {
 		b.ReportMetric(h.TPSDeltaPct, "tps-delta-%")
 		b.ReportMetric(h.CopybacksDeltaPct, "copyback-delta-%")
 		b.ReportMetric(h.ErasesDeltaPct, "erase-delta-%")
-	}
-}
-
-// BenchmarkAblationBatchedIO backs the iosched subsystem: the same striped
-// page set read and overwritten through the scheduler in batches versus one
-// page at a time (experiment A5).  The speedups are in virtual (simulated)
-// time.
-func BenchmarkAblationBatchedIO(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAblationBatchedIO(2048, 8, 64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", res.String())
-		}
-		b.ReportMetric(res.ReadSpeedup, "read-speedup-x")
-		b.ReportMetric(res.WriteSpeedup, "write-speedup-x")
 	}
 }
 

@@ -1,21 +1,21 @@
 // Command noftl-bench regenerates the paper's evaluation artifacts: the
 // Figure 2 placement configuration, the Figure 3 performance comparison, the
-// abstract's headline metrics and the gated experiments: the ablations A5 and
-// A6, batch DML, TPC-C concurrency scaling and the chaos campaign.
+// abstract's headline metrics and the gated experiments: ablation A6, batch
+// DML and the chaos campaign.
 //
 // Usage:
 //
 //	noftl-bench -experiment figure3 -scale small
 //	noftl-bench -experiment all -scale paper     (the full 64-die run)
-//	noftl-bench -experiment batch,batch_dml,a6 -json BENCH_small.json
-//	noftl-bench -experiment batch,batch_dml,a6 -json out.json -baseline ci/BENCH_baseline.json
+//	noftl-bench -experiment batch_dml,a6 -json BENCH_small.json
+//	noftl-bench -experiment figure3 -json out.json -baseline ci/BENCH_baseline.json
 //
 // With -json the results are additionally written as a machine-readable
 // document ("-" writes JSON to stdout and suppresses the text tables), so
 // successive runs can be diffed and the performance trajectory tracked.
 // With -baseline the run is additionally compared against a previously
 // recorded JSON document and the command exits non-zero when a gated metric
-// (A5 batched speedup, A6 write amplification) regresses by more than
+// (Figure 3's TPS and GC work, batch DML, A6, chaos) regresses by more than
 // -baseline-threshold — the check CI runs on every pull request.
 package main
 
@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"noftl/internal/experiments"
+	"noftl/internal/tpcc"
 )
 
 // jsonDoc is the top-level layout of the -json output.
@@ -41,7 +42,7 @@ type jsonDoc struct {
 
 // experimentNames is what -experiment accepts besides "all", in the order the
 // experiments run.
-var experimentNames = []string{"figure2", "figure3", "headline", "batch", "batch_dml", "a6", "tpcc", "chaos"}
+var experimentNames = []string{"figure2", "figure3", "headline", "batch_dml", "a6", "chaos"}
 
 // experimentList spells the accepted names for the flag help and the refusal.
 func experimentList() string {
@@ -67,7 +68,6 @@ func selectExperiments(arg string) (map[string]bool, error) {
 func main() {
 	experiment := flag.String("experiment", "all", "comma-separated experiments to run: "+experimentList())
 	scaleName := flag.String("scale", "small", "experiment scale: tiny, small or paper")
-	workers := flag.Int("workers", 8, "parallel worker goroutines for the tpcc scaling experiment")
 	seeds := flag.Int("seeds", 16, "seeded crash points for the chaos experiment")
 	jsonPath := flag.String("json", "", "write machine-readable results to this file (\"-\" for stdout)")
 	baselinePath := flag.String("baseline", "", "compare gated metrics against this baseline JSON and fail on regression")
@@ -112,6 +112,13 @@ func main() {
 		doc.WallClockS[key] = time.Since(start).Seconds()
 		say("(wall-clock %.1fs)\n\n", doc.WallClockS[key])
 	}
+	// printed prints a result that renders itself, for run to record.
+	printed := func(res fmt.Stringer, err error) (interface{}, error) {
+		if err == nil {
+			say("%s\n", res.String())
+		}
+		return res, err
+	}
 
 	selected, err := selectExperiments(*experiment)
 	if err != nil {
@@ -121,7 +128,7 @@ func main() {
 	want := func(name string) bool { return selected["all"] || selected[name] }
 
 	if want("figure2") {
-		run("figure2", "Figure 2: Region Advisor placement configuration", func() (interface{}, error) {
+		run("figure2", "Figure 2: per-object device demand and the die plans made of it", func() (interface{}, error) {
 			// The demand tpcc.Setup plans from comes from the traditional
 			// profile, as in the paper; the demand under the regions plan in
 			// effect shows what that plan costs where.
@@ -151,57 +158,20 @@ func main() {
 			return f3, nil
 		})
 	}
-	if want("batch") {
-		run("batch", "A5: batched vs serial I/O through the scheduler", func() (interface{}, error) {
-			res, err := experiments.RunAblationBatchedIO(4096, 8, 64)
-			if err != nil {
-				return nil, err
-			}
-			say("%s\n", res.String())
-			return res, nil
-		})
-	}
 	if want("batch_dml") {
 		run("batch_dml", "Batch DML: InsertBatch/GetBatch vs row-at-a-time through the public API", func() (interface{}, error) {
-			res, err := experiments.RunBatchDML(2000, 256)
-			if err != nil {
-				return nil, err
-			}
-			say("%s\n", res.String())
-			return res, nil
+			return printed(experiments.RunBatchDML(2000, 256))
 		})
 	}
 	if want("a6") {
 		run("a6", "A6: foreground vs background GC under a skewed update workload", func() (interface{}, error) {
-			res, err := experiments.RunAblationBackgroundGC(6000, 30000)
-			if err != nil {
-				return nil, err
-			}
-			say("%s\n", res.String())
-			return res, nil
-		})
-	}
-
-	if want("tpcc") {
-		run("tpcc", "TPC-C concurrency scaling: 1 vs N parallel workers", func() (interface{}, error) {
-			res, err := experiments.RunTPCCScaling(scale, *workers)
-			if err != nil {
-				return nil, err
-			}
-			say("%s\n", res.Table())
-			say("%s\n", res.String())
-			return res, nil
+			return printed(experiments.RunAblationBackgroundGC(6000, 30000))
 		})
 	}
 
 	if want("chaos") {
 		run("chaos", "Chaos: seeded crash-injection and recovery campaign", func() (interface{}, error) {
-			res, err := experiments.RunChaos(*seeds)
-			if err != nil {
-				return nil, err
-			}
-			say("%s\n", res.String())
-			return res, nil
+			return printed(experiments.RunChaos(*seeds))
 		})
 	}
 
@@ -245,19 +215,19 @@ func main() {
 // only compares what both runs measured.
 type baselineDoc struct {
 	Experiments struct {
-		Batch    *experiments.BatchedIOResult    `json:"batch"`
+		Figure3  *experiments.Figure3            `json:"figure3"`
 		BatchDML *experiments.BatchDMLResult     `json:"batch_dml"`
 		A6       *experiments.BackgroundGCResult `json:"a6"`
-		TPCC     *experiments.TPCCScalingResult  `json:"tpcc"`
 		Chaos    *experiments.ChaosResult        `json:"chaos"`
 	} `json:"experiments"`
 }
 
 // compareBaseline re-marshals the current results and diffs the gated
-// metrics against the baseline file: the A5 batched-I/O speedups and the
-// batch-DML submission ratio and speedups must not drop, and the A6 write
-// amplification (and tail-latency win) must not rise, by more than threshold
-// relative.
+// metrics against the baseline file: Figure 3's TPS, the batch-DML submission
+// ratio and speedups and the chaos campaign's recovered rows must not drop,
+// and Figure 3's GC work per commit, the A6 write amplification (and
+// tail-latency win) and the chaos replay volume must not rise, by more than
+// threshold relative.
 func compareBaseline(doc jsonDoc, path string, threshold float64) ([]string, error) {
 	baseRaw, err := os.ReadFile(path)
 	if err != nil {
@@ -293,9 +263,20 @@ func compareBaseline(doc jsonDoc, path string, threshold float64) ([]string, err
 				fmt.Sprintf("%s: %.3f, baseline %.3f (+%.1f%%)", metric, curV, baseV, (curV/baseV-1)*100))
 		}
 	}
-	if cur.Experiments.Batch != nil && base.Experiments.Batch != nil {
-		lowerBound("A5 batched read speedup", cur.Experiments.Batch.ReadSpeedup, base.Experiments.Batch.ReadSpeedup)
-		lowerBound("A5 batched write speedup", cur.Experiments.Batch.WriteSpeedup, base.Experiments.Batch.WriteSpeedup)
+	if f, b := cur.Experiments.Figure3, base.Experiments.Figure3; f != nil && b != nil && f.Scale == b.Scale {
+		// The runs last a fixed simulated time, so a faster engine commits
+		// more and collects more: GC work is gated per 1 000 commits.
+		perKilo := func(n, commits int64) float64 { return 1000 * float64(n) / float64(max(commits, 1)) }
+		for _, p := range []struct {
+			name      string
+			cur, base tpcc.Results
+		}{{"traditional", f.Traditional, b.Traditional}, {"regions", f.Regions, b.Regions}} {
+			lowerBound("figure3 "+p.name+" TPS", p.cur.TPS, p.base.TPS)
+			upperBound("figure3 "+p.name+" GC copybacks per 1000 commits",
+				perKilo(p.cur.GCCopybacks, p.cur.Committed), perKilo(p.base.GCCopybacks, p.base.Committed))
+			upperBound("figure3 "+p.name+" GC erases per 1000 commits",
+				perKilo(p.cur.GCErases, p.cur.Committed), perKilo(p.base.GCErases, p.base.Committed))
+		}
 	}
 	if cur.Experiments.BatchDML != nil && base.Experiments.BatchDML != nil {
 		lowerBound("batch_dml insert submission ratio",
@@ -304,12 +285,6 @@ func compareBaseline(doc jsonDoc, path string, threshold float64) ([]string, err
 			cur.Experiments.BatchDML.InsertSpeedup, base.Experiments.BatchDML.InsertSpeedup)
 		lowerBound("batch_dml read speedup",
 			cur.Experiments.BatchDML.GetSpeedup, base.Experiments.BatchDML.GetSpeedup)
-	}
-	if cur.Experiments.TPCC != nil && base.Experiments.TPCC != nil {
-		// Only the virtual-time (simulated) throughput is machine-independent
-		// enough to gate; the N-worker numbers are reported, not gated.
-		lowerBound("tpcc virtual TPS (1 worker)",
-			cur.Experiments.TPCC.Baseline.TPS, base.Experiments.TPCC.Baseline.TPS)
 	}
 	if cur.Experiments.Chaos != nil && base.Experiments.Chaos != nil &&
 		cur.Experiments.Chaos.Seeds == base.Experiments.Chaos.Seeds {

@@ -12,10 +12,12 @@ func TestSelectExperiments(t *testing.T) {
 	}
 	cases := []testCase{
 		{"all", []string{"all"}},
-		{" Batch, batch_dml ,,a6", []string{"batch", "batch_dml", "a6"}},
+		{" Figure3, batch_dml ,,a6", []string{"figure3", "batch_dml", "a6"}},
 		{strings.Join(experimentNames, ","), experimentNames},
 		{"bogus", nil},
-		{"batch,ftl", nil},
+		{"a6,ftl", nil},
+		{"batch", nil},
+		{"tpcc", nil},
 	}
 	for _, name := range experimentNames {
 		cases = append(cases, testCase{name, []string{name}})

@@ -47,15 +47,16 @@ func TestWritePagesStripesAcrossDies(t *testing.T) {
 		t.Errorf("batch of %d writes touched %d dies, want all %d (die striping)", n, len(dies), geo.Dies())
 	}
 
-	// Serial lower bound: n sequential programs, each waiting for the
-	// previous.  The striped batch must be well under it.
+	// Serial bound: n sequential programs, each waiting for the previous.
+	// Striped over the 8 dies the batch takes about an eighth of it (7.9x);
+	// a quarter is the least die parallelism must win.
 	tm := m.Device().Timing()
 	serial := sim.Time(0)
 	for i := 0; i < n; i++ {
 		serial = serial.Add(tm.Transfer + tm.ProgramPage)
 	}
-	if end >= serial {
-		t.Errorf("batched write makespan %v, serial bound %v: no overlap won", end, serial)
+	if 4*end > serial {
+		t.Errorf("batched write makespan %v, over a quarter of the serial %v: the dies did not overlap", end, serial)
 	}
 }
 
@@ -103,14 +104,15 @@ func TestReadPagesOverlapAndPartialErrors(t *testing.T) {
 	}
 
 	// The batch was striped over every die by the preceding WritePages, so
-	// the reads overlap: the makespan must be far below the serial sum.
+	// the reads overlap: the makespan is about a seventh of the serial sum
+	// (6.7x), and must be at most a quarter.
 	tm := m.Device().Timing()
 	serial := sim.Time(0)
 	for i := 0; i < n; i++ {
 		serial = serial.Add(tm.ReadPage + tm.Transfer)
 	}
-	if end >= serial {
-		t.Errorf("batched read makespan %v, serial bound %v: no overlap won", end, serial)
+	if 4*end > serial {
+		t.Errorf("batched read makespan %v, over a quarter of the serial %v: the dies did not overlap", end, serial)
 	}
 }
 

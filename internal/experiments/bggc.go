@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"noftl/internal/core"
+	"noftl/internal/flash"
 	"noftl/internal/metrics"
 	"noftl/internal/sim"
 )
@@ -63,7 +64,12 @@ func bgGCRun(pages, updates, hotPct int, disableBG, disableHotCold bool) (core.S
 	if hot < 1 {
 		hot = 1
 	}
-	dev, err := ablationDevice(4, (pages+hot)*100/70/(4*64)+2)
+	devCfg := flash.DefaultConfig()
+	devCfg.Geometry = flash.Geometry{
+		Channels: 4, DiesPerChannel: 1, PlanesPerDie: 1,
+		BlocksPerDie: (pages+hot)*100/70/(4*64) + 2, PagesPerBlock: 64, PageSize: 4096,
+	}
+	dev, err := flash.NewDevice(devCfg)
 	if err != nil {
 		return core.Stats{}, err
 	}

@@ -1,9 +1,9 @@
 // Package experiments contains the benchmark harness that regenerates every
 // table and figure of the paper's evaluation (Figure 2, Figure 3 and the
-// headline percentages of the abstract), plus the gated experiments A5, A6,
-// batch DML, TPC-C scaling and the chaos campaign (README "Reproducing the
-// paper's results").  The functions here are shared by the top-level Go
-// benchmarks (bench_test.go) and the cmd/noftl-bench tool.
+// headline percentages of the abstract), plus the gated experiments A6, batch
+// DML and the chaos campaign (README "Reproducing the paper's results").  The
+// functions here are shared by the top-level Go benchmarks (bench_test.go) and
+// the cmd/noftl-bench tool.
 package experiments
 
 import (
@@ -131,8 +131,7 @@ func TPCCSetup(scale Scale) Setup {
 	// The paper experiments are single-driver by design: one goroutine
 	// multiplexes the logical terminals in virtual time, so a run is a pure
 	// function of its seed.  With Workers left at its default (= Terminals)
-	// the goroutines' interleaving would decide which placement wins.  The
-	// worker-scaling experiment sets its own count.
+	// the goroutines' interleaving would decide which placement wins.
 	workload.Workers = 1
 	dbCfg := noftl.DefaultConfig()
 	dbCfg.Flash.Geometry = geo
@@ -176,14 +175,19 @@ func openTPCC(scale Scale, placement tpcc.PlacementKind) (*noftl.DB, tpcc.Config
 }
 
 // RunTPCC runs one TPC-C experiment (load + warm-up + measurement) under the
-// given placement on a fresh database.
+// given placement on a fresh database, then checks that the database it
+// measured is consistent (tpcc.Check).
 func RunTPCC(scale Scale, placement tpcc.PlacementKind) (tpcc.Results, error) {
 	db, workload, err := openTPCC(scale, placement)
 	if err != nil {
 		return tpcc.Results{}, err
 	}
 	defer db.Close()
-	return tpcc.LoadAndRun(db, workload)
+	res, err := tpcc.LoadAndRun(db, workload)
+	if err != nil {
+		return res, err
+	}
+	return res, tpcc.Check(db)
 }
 
 // Figure3 holds the two runs of the paper's Figure 3 comparison.

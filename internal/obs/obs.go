@@ -2,13 +2,11 @@
 // low-overhead recorder of typed events emitted by the I/O scheduler, the
 // space manager (GC, wear leveling, host I/O), the buffer pool and the WAL.
 //
-// The same event stream feeds three consumers:
+// The same hooks feed two consumers:
 //
 //   - the Prometheus-format metrics plane (internal/metrics labeled families
 //     are updated by the same hooks that emit events);
-//   - trace persistence (JSONL dump/load, the noftl-trace CLI);
-//   - future record-and-replay tooling (the noftl-shell inspector and the
-//     chaos harness both consume the dumped stream).
+//   - trace persistence (JSONL dump/load, summarized by the noftl-trace CLI).
 //
 // Overhead discipline: every hook site is guarded by Tracer.Enabled, which is
 // nil-safe — a disabled tracer is simply a nil pointer, so the disabled path

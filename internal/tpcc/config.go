@@ -54,9 +54,9 @@ type Config struct {
 	// Terminals is the number of concurrent closed-loop terminals.
 	Terminals int
 	// Workers overrides the number of goroutines driving the terminals.
-	// Zero (the default) runs one goroutine per terminal.  The workers are
-	// real OS-level parallelism: wall-clock throughput (Results.WallTPS)
-	// scales with them, while the virtual-time metrics stay workload-driven.
+	// Zero (the default) runs one goroutine per terminal.  One worker makes a
+	// run a pure function of its seed; with more, the goroutines' interleaving
+	// decides which transaction meets which lock or log force first.
 	Workers int
 	// Transactions is the total number of transactions to execute in the
 	// measured phase (ignored when Duration is set).

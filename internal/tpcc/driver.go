@@ -18,46 +18,24 @@ import (
 // 4 KiB read/write latencies, host I/O counts and the GC counters.
 type Results struct {
 	Placement     PlacementKind
-	Warehouses    int
-	Terminals     int
-	Workers       int
 	SimulatedTime time.Duration
-	// WallTime is the real (wall-clock) duration of the measured phase and
-	// WallTPS the committed transactions per wall-clock second: the numbers
-	// that scale with Workers, while TPS (virtual) stays workload-driven.
-	WallTime  time.Duration
-	WallTPS   float64
-	Committed int64
-	Aborted   int64
-	Retried   int64 // lock-timeout victims that were retried
-	Failed    int64
-	TPS       float64
-	// Concurrency-plane counters of the measured phase: lock contention and
-	// WAL group-commit effectiveness.
-	LockWaits       int64
-	LockTimeouts    int64
-	WALFlushes      int64
-	WALGroupCommits int64
-	WALGroupedTxns  int64
-	ResponseTimes   map[TxnType]metrics.Snapshot
-	ReadLatency     metrics.Snapshot
-	WriteLatency    metrics.Snapshot
-	HostReadIOs     int64
-	HostWriteIOs    int64
-	GCCopybacks     int64
-	GCErases        int64
-	WriteAmp        float64
-	BufferHitRatio  float64
-	Regions         []noftl.RegionStats
+	Committed     int64
+	Aborted       int64
+	Retried       int64 // lock-timeout victims that were retried
+	Failed        int64
+	TPS           float64
+	ResponseTimes map[TxnType]metrics.Snapshot
+	ReadLatency   metrics.Snapshot
+	WriteLatency  metrics.Snapshot
+	HostReadIOs   int64
+	HostWriteIOs  int64
+	GCCopybacks   int64
+	GCErases      int64
+	WriteAmp      float64
+	Regions       []noftl.RegionStats
 	// DieBusy is the time each die spent executing commands, by die index:
 	// with Regions[i].Dies, how busy each region's dies were.
 	DieBusy []time.Duration
-}
-
-// String renders a one-line summary.
-func (r Results) String() string {
-	return fmt.Sprintf("%s placement: %d txns in %.2fs simulated = %.2f TPS (WA %.2f, copybacks %d, erases %d)",
-		r.Placement, r.Committed, r.SimulatedTime.Seconds(), r.TPS, r.WriteAmp, r.GCCopybacks, r.GCErases)
 }
 
 // Run executes the configured workload against an already loaded database
@@ -91,9 +69,7 @@ type termState struct {
 
 // runPhase executes one closed-loop phase of cfg.Transactions transactions.
 // cfg.Workers goroutines drive cfg.Terminals logical terminals; the driver's
-// own bookkeeping is all atomics, so worker scaling is limited by the engine
-// (sharded buffer pool and lock table, lock-free scheduler dispatch, WAL
-// group commit), not by the harness.
+// own bookkeeping is all atomics, so the workers share only the database.
 func runPhase(db *noftl.DB, sch *Schema, cfg Config) (Results, error) {
 	var (
 		committed atomic.Int64
@@ -146,8 +122,6 @@ func runPhase(db *noftl.DB, sch *Schema, cfg Config) (Results, error) {
 		}
 	}
 
-	baseStats := db.Stats()
-	wallStart := time.Now()
 	var wg sync.WaitGroup
 	errCh := make(chan error, cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
@@ -158,9 +132,6 @@ func runPhase(db *noftl.DB, sch *Schema, cfg Config) (Results, error) {
 			var owned []*termState
 			for termID := workerID; termID < cfg.Terminals; termID += cfg.Workers {
 				owned = append(owned, terminals[termID])
-			}
-			if len(owned) == 0 {
-				return
 			}
 			for i := 0; ; i++ {
 				ts := owned[i%len(owned)]
@@ -219,7 +190,6 @@ func runPhase(db *noftl.DB, sch *Schema, cfg Config) (Results, error) {
 		}(w)
 	}
 	wg.Wait()
-	wall := time.Since(wallStart)
 	close(errCh)
 	for err := range errCh {
 		if err != nil {
@@ -229,31 +199,21 @@ func runPhase(db *noftl.DB, sch *Schema, cfg Config) (Results, error) {
 
 	stats := db.Stats()
 	res := Results{
-		Placement:       cfg.Placement,
-		Warehouses:      cfg.Warehouses,
-		Terminals:       cfg.Terminals,
-		Workers:         cfg.Workers,
-		SimulatedTime:   stats.Simulated,
-		WallTime:        wall,
-		Committed:       committed.Load(),
-		Aborted:         aborted.Load(),
-		Retried:         retried.Load(),
-		Failed:          failed.Load(),
-		LockWaits:       stats.Txn.LockWaits - baseStats.Txn.LockWaits,
-		LockTimeouts:    stats.Txn.LockTimeouts - baseStats.Txn.LockTimeouts,
-		WALFlushes:      stats.WAL.Flushes - baseStats.WAL.Flushes,
-		WALGroupCommits: stats.WAL.GroupCommits - baseStats.WAL.GroupCommits,
-		WALGroupedTxns:  stats.WAL.GroupedTxns - baseStats.WAL.GroupedTxns,
-		ResponseTimes:   make(map[TxnType]metrics.Snapshot),
-		ReadLatency:     stats.ReadLatency,
-		WriteLatency:    stats.WriteLatency,
-		HostReadIOs:     stats.Space.HostReads,
-		HostWriteIOs:    stats.Space.HostWrites,
-		GCCopybacks:     stats.Space.GCCopybacks,
-		GCErases:        stats.Space.GCErases,
-		WriteAmp:        stats.Space.WriteAmplification(),
-		BufferHitRatio:  stats.Buffer.HitRatio(),
-		Regions:         stats.Space.Regions,
+		Placement:     cfg.Placement,
+		SimulatedTime: stats.Simulated,
+		Committed:     committed.Load(),
+		Aborted:       aborted.Load(),
+		Retried:       retried.Load(),
+		Failed:        failed.Load(),
+		ResponseTimes: make(map[TxnType]metrics.Snapshot),
+		ReadLatency:   stats.ReadLatency,
+		WriteLatency:  stats.WriteLatency,
+		HostReadIOs:   stats.Space.HostReads,
+		HostWriteIOs:  stats.Space.HostWrites,
+		GCCopybacks:   stats.Space.GCCopybacks,
+		GCErases:      stats.Space.GCErases,
+		WriteAmp:      stats.Space.WriteAmplification(),
+		Regions:       stats.Space.Regions,
 	}
 	res.DieBusy = make([]time.Duration, len(stats.Device.PerDie))
 	for _, d := range stats.Device.PerDie {
@@ -261,9 +221,6 @@ func runPhase(db *noftl.DB, sch *Schema, cfg Config) (Results, error) {
 	}
 	if secs := stats.Simulated.Seconds(); secs > 0 {
 		res.TPS = float64(res.Committed) / secs
-	}
-	if secs := wall.Seconds(); secs > 0 {
-		res.WallTPS = float64(res.Committed) / secs
 	}
 	for ty, h := range perType {
 		res.ResponseTimes[ty] = h.Snapshot()

@@ -396,6 +396,10 @@ func TestSetupCreatesSchemaTraditional(t *testing.T) {
 			t.Fatalf("index %s missing", name)
 		}
 	}
+	// Created but not loaded: Check rejects a database with empty tables.
+	if err := Check(db); err == nil || !strings.Contains(err.Error(), " 0 rows") {
+		t.Fatalf("Check on an unloaded schema: %v", err)
+	}
 	// Traditional placement creates no extra regions.
 	if got := len(db.Stats().Space.Regions); got != 1 {
 		t.Fatalf("traditional placement created %d regions", got)
@@ -494,6 +498,9 @@ func TestLoadPopulatesDatabase(t *testing.T) {
 	// The load reached flash (checkpoint at the end of Load).
 	if db.Stats().Space.ValidPages == 0 {
 		t.Fatal("load never reached flash")
+	}
+	if err := Check(db); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -608,6 +615,9 @@ func errorsIs(err, target error) bool {
 	return false
 }
 
+// TestRunTinyWorkloadBothPlacements runs 8 terminals on 8 worker goroutines (a
+// worker per terminal is the default), so under -race the workers share the
+// whole engine; the database they leave must pass Check.
 func TestRunTinyWorkloadBothPlacements(t *testing.T) {
 	for _, placement := range []PlacementKind{PlacementTraditional, PlacementRegions} {
 		placement := placement
@@ -616,6 +626,7 @@ func TestRunTinyWorkloadBothPlacements(t *testing.T) {
 			defer db.Close()
 			cfg := TinyConfig()
 			cfg.Placement = placement
+			cfg.Terminals = 8
 			cfg.Transactions = 300
 			res, err := LoadAndRun(db, cfg)
 			if err != nil {
@@ -639,9 +650,6 @@ func TestRunTinyWorkloadBothPlacements(t *testing.T) {
 			if res.HostWriteIOs == 0 {
 				t.Fatal("no host writes measured (WAL flushes should write)")
 			}
-			if res.String() == "" {
-				t.Fatal("empty results string")
-			}
 			if placement == PlacementRegions && len(res.Regions) != 6 {
 				t.Fatalf("expected 6 regions in results, got %d", len(res.Regions))
 			}
@@ -658,6 +666,9 @@ func TestRunTinyWorkloadBothPlacements(t *testing.T) {
 			if reads != st.Space.HostReads || writes != st.Space.HostWrites || copybacks != st.Space.GCCopybacks || walWrites == 0 {
 				t.Fatalf("objects sum to %d reads, %d writes (WAL %d), %d copybacks; the regions to %d, %d, %d",
 					reads, writes, walWrites, copybacks, st.Space.HostReads, st.Space.HostWrites, st.Space.GCCopybacks)
+			}
+			if err := Check(db); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -229,16 +229,18 @@ func (t *terminal) newOrder(tx *noftl.Tx) error {
 	_ = wh
 	_ = cust
 
+	if rollback {
+		// Clause 2.4.1.4: roughly 1 % of NewOrder transactions are rolled
+		// back because of an unused (invalid) item number.  An abort has no
+		// undo, so the rollback comes before the first update: taking the
+		// O_ID would leave a hole in the district's orders.
+		return errRollback
+	}
+
 	oID := int(dist.NextOID)
 	dist.NextOID++
 	if err := t.sch.District.Update(tx, drid, dist.Encode(t.enc[:0])); err != nil {
 		return err
-	}
-
-	if rollback {
-		// Clause 2.4.1.4: roughly 1 % of NewOrder transactions are rolled
-		// back because of an unused (invalid) item number.
-		return errRollback
 	}
 
 	ord := Order{
