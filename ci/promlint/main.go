@@ -1,10 +1,10 @@
-// Command promlint is the CI observability gate: it boots a database with a
-// metrics listener, drives an update-heavy workload until garbage collection
-// fires, scrapes /metrics over real HTTP and validates the exposition with
-// the in-repo pure-Go linter (internal/metrics.LintExposition) — no external
-// promtool needed.  It fails when the exposition is invalid, has fewer than
-// 10 metric families, lacks die- and region-labeled series, or lacks the
-// per-object family with at least two objects.
+// Command promlint is the CI observability gate: it boots a database, drives
+// an update-heavy workload until garbage collection fires, and validates the
+// exposition DB.MetricsText renders with the in-repo pure-Go linter
+// (internal/metrics.LintExposition) — no external promtool needed.  It fails
+// when the exposition is invalid, has fewer than 10 metric families, lacks
+// die- and region-labeled series, or lacks the per-object family with at
+// least two objects.
 //
 // With -trace-out the run's event trace is additionally dumped as JSONL, so
 // the workflow can feed it to `noftl-trace summarize` and check the GC
@@ -19,8 +19,6 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 
 	"noftl"
@@ -55,7 +53,6 @@ func run(traceOut string, minFamilies int) error {
 	// Light checkpoints truncate the log each round; without them the
 	// row-image WAL fills the tiny DEFAULT region before GC ever runs.
 	db, err := noftl.OpenConfig(cfg,
-		noftl.WithMetricsListener("127.0.0.1:0"),
 		noftl.WithTraceBuffer(1<<17),
 		noftl.WithLightCheckpoints())
 	if err != nil {
@@ -70,11 +67,7 @@ func run(traceOut string, minFamilies int) error {
 		return fmt.Errorf("workload did not trigger GC (runs=0); the gate would not cover GC families")
 	}
 
-	body, err := scrape("http://" + db.MetricsAddr() + "/metrics")
-	if err != nil {
-		return err
-	}
-	lint := metrics.LintExposition(body)
+	lint := metrics.LintExposition([]byte(db.MetricsText()))
 	for _, p := range lint.Problems {
 		fmt.Fprintf(os.Stderr, "promlint: %s\n", p)
 	}
@@ -160,16 +153,4 @@ func workload(db *noftl.DB) error {
 		}
 	}
 	return nil
-}
-
-func scrape(url string) ([]byte, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("scrape %s: status %d", url, resp.StatusCode)
-	}
-	return io.ReadAll(resp.Body)
 }

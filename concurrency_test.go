@@ -12,8 +12,8 @@ import (
 
 // TestConcurrentBatchDML drives InsertBatch, GetBatch and the Rows iterator
 // from many goroutines against one database.  It is primarily a -race test
-// of the concurrency spine (sharded buffer pool, sharded lock table,
-// lock-free scheduler dispatch, WAL group commit); the assertions check that
+// of the concurrency spine (sharded buffer pool, lock table, lock-free
+// scheduler dispatch, WAL group commit); the assertions check that
 // nothing inserted is lost or corrupted along the way.
 func TestConcurrentBatchDML(t *testing.T) {
 	db, err := Open(WithBufferPoolPages(256))

@@ -5,7 +5,7 @@
 // flash under NoFTL space management with Regions.  Databases are opened
 // with functional options over DefaultConfig:
 //
-//	db, _ := noftl.Open(noftl.WithBufferPoolPages(4096), noftl.WithReadAhead(8))
+//	db, _ := noftl.Open(noftl.WithBufferPoolPages(4096), noftl.WithCheckpointEvery(256<<10))
 //	defer db.Close()
 //	_ = db.Exec(`CREATE REGION rgHot (MAX_CHIPS=4, MAX_CHANNELS=4);
 //	             CREATE TABLESPACE tsHot (REGION=rgHot, EXTENT SIZE 128K);
@@ -67,7 +67,9 @@ type Config struct {
 	Space core.Options
 	// BufferPoolPages is the number of page frames in the buffer pool.  The
 	// frame table's shard count is derived from it (one shard per 64 frames,
-	// capped at 16; small pools stay single-sharded, a plain CLOCK).
+	// capped at 16; small pools stay single-sharded, a plain CLOCK).  A miss
+	// reads the demanded page only: a scan of a table larger than the pool
+	// misses once per page.
 	BufferPoolPages int
 	// WAL enables write-ahead logging (commit durability and the log I/O
 	// stream the placement experiments include).
@@ -80,17 +82,6 @@ type Config struct {
 	// ExtentPages is the default tablespace extent size in pages when a DDL
 	// statement does not specify EXTENT SIZE.
 	ExtentPages int
-	// ReadAheadPages is the number of sequentially-next logical pages the
-	// buffer pool prefetches through the I/O scheduler on a demand miss.
-	// When enabled, the prefetched pages ride in the same
-	// die-striped batch as the demanded page, so a sequential scan pays one
-	// page latency for several pages.
-	//
-	// Read-ahead is OFF by default (DefaultConfig leaves this zero): point
-	// workloads would pollute the pool with pages they never touch.
-	// Scan-heavy workloads opt in per database, typically with 4-8 pages:
-	// noftl.Open(noftl.WithReadAhead(8)).
-	ReadAheadPages int
 	// TraceWriter enables event tracing: flash commands, host I/O, GC steps,
 	// wear moves, buffer-pool and WAL events are recorded into an in-memory
 	// ring buffer and dumped to this writer as JSONL on Close (the stream
@@ -127,12 +118,6 @@ type Config struct {
 	// programs, transient program failures and worn-block erase failures.
 	// The zero value injects nothing.  See WithFaultPlan and Reopen.
 	FaultPlan FaultPlan
-	// MetricsAddr, when non-empty, starts an HTTP listener on the address
-	// serving Prometheus text metrics on /metrics, a liveness probe on
-	// /healthz and the standard pprof handlers under /debug/pprof/.  Use
-	// "127.0.0.1:0" to pick a free port; DB.MetricsAddr() reports the bound
-	// address.  Empty (the default) serves nothing.
-	MetricsAddr string
 }
 
 // DefaultConfig returns a small configuration suitable for tests, examples
@@ -147,7 +132,6 @@ func DefaultConfig() Config {
 		LockTimeout:     2 * time.Second,
 		CPUPerOp:        5 * time.Microsecond,
 		ExtentPages:     32,
-		ReadAheadPages:  0, // read-ahead is opt-in: see the field's doc and WithReadAhead
 	}
 }
 
@@ -164,9 +148,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ExtentPages <= 0 {
 		c.ExtentPages = 32
-	}
-	if c.ReadAheadPages < 0 {
-		c.ReadAheadPages = 0
 	}
 	return c
 }

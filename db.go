@@ -35,7 +35,6 @@ type DB struct {
 	clock  *sim.Clock
 	reg    *metrics.Registry
 	tracer *obs.Tracer // nil when tracing is off
-	msrv   *metricsServer
 
 	// The schema is kept once.  The maps below and the object-id counter are
 	// guarded by mu; a table or index handle carries its own catalog entry, and
@@ -65,15 +64,11 @@ type DB struct {
 	recovery    *RecoveryStats // non-nil after Reopen
 }
 
-// openOn wires the database layers over an already-created device.  The
-// public entry points are Open and OpenConfig (options.go).
-func openOn(cfg Config, dev *flash.Device) (*DB, error) {
-	return openWith(cfg, dev, core.NewManager(dev, cfg.Space))
-}
-
-// openWith wires the layers over an explicit space manager; recovery passes
-// one that already adopted the crashed device's physical state.
-func openWith(cfg Config, dev *flash.Device, space *core.Manager) (*DB, error) {
+// openWith wires the database layers over a device and its space manager.
+// The public entry points are Open and OpenConfig (options.go), which pass a
+// fresh manager; recovery passes one that already adopted the crashed
+// device's physical state.
+func openWith(cfg Config, dev *flash.Device, space *core.Manager) *DB {
 	db := &DB{
 		cfg:         cfg,
 		dev:         dev,
@@ -95,7 +90,6 @@ func openWith(cfg Config, dev *flash.Device, space *core.Manager) (*DB, error) {
 	db.space.AttachObs(db.tracer, db.reg)
 	db.pool = buffer.New(db.space, cfg.BufferPoolPages, dev.Geometry().PageSize, nil)
 	db.pool.AttachObs(db.tracer, db.reg)
-	db.pool.Configure(buffer.Options{ReadAhead: cfg.ReadAheadPages})
 
 	// The default tablespace lives in the default region; the WAL is placed
 	// there.
@@ -113,14 +107,7 @@ func openWith(cfg Config, dev *flash.Device, space *core.Manager) (*DB, error) {
 	}
 	db.txns = txn.NewManager(txn.NewLockManager(cfg.LockTimeout), db.log, db.clock)
 	db.txns.AttachObs(db.reg)
-	if cfg.MetricsAddr != "" {
-		srv, err := serveMetrics(db, cfg.MetricsAddr)
-		if err != nil {
-			return nil, err
-		}
-		db.msrv = srv
-	}
-	return db, nil
+	return db
 }
 
 // Close flushes all dirty pages and marks the database closed.
@@ -139,9 +126,6 @@ func (db *DB) Close() error {
 		if _, err := db.log.Flush(db.clock.Now()); err != nil {
 			return err
 		}
-	}
-	if db.msrv != nil {
-		db.msrv.shutdown()
 	}
 	if db.cfg.TraceWriter != nil {
 		if _, err := db.tracer.Dump(db.cfg.TraceWriter); err != nil {

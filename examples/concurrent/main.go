@@ -10,7 +10,7 @@
 //     — the caller's move is to abort and retry.
 //   - WAL group commit: a committer whose record an in-flight log force
 //     covers waits for it instead of forcing again; the Stats() snapshot
-//     shows how many were grouped.
+//     shows how many forces served more than one committer.
 package main
 
 import (
@@ -90,9 +90,8 @@ func main() {
 				}
 			}
 
-			// Append-only inserts need no explicit locks: the engine's
-			// sharded buffer pool and group-committing WAL serialize the
-			// physical work.
+			// Append-only inserts need no explicit locks: the buffer pool's
+			// frame latches and the WAL's mutex serialize the physical work.
 			batch := make([][]byte, events)
 			for i := range batch {
 				batch[i] = []byte(fmt.Sprintf("worker %d event %d", w, i))
@@ -121,6 +120,6 @@ func main() {
 		workers, increments, final, workers*increments, retries.Load())
 	fmt.Printf("events inserted: %d\n", eventsTbl.RowCount())
 	fmt.Printf("lock waits: %d, lock timeouts: %d\n", st.Txn.LockWaits, st.Txn.LockTimeouts)
-	fmt.Printf("WAL flushes: %d, group commits: %d, committers grouped: %d\n",
+	fmt.Printf("WAL flushes: %d, group commits: %d, committers served: %d\n",
 		st.WAL.Flushes, st.WAL.GroupCommits, st.WAL.GroupedTxns)
 }

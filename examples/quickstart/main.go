@@ -13,12 +13,7 @@ import (
 
 func main() {
 	// Open starts from DefaultConfig() and applies options in order.
-	// Read-ahead is opt-in: scans prefetch the next 4 sequential pages in
-	// the same die-striped scheduler batch as the demanded page.
-	db, err := noftl.Open(
-		noftl.WithBufferPoolPages(2048),
-		noftl.WithReadAhead(4),
-	)
+	db, err := noftl.Open(noftl.WithBufferPoolPages(2048))
 	if err != nil {
 		log.Fatal(err)
 	}

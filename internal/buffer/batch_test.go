@@ -7,96 +7,6 @@ import (
 	"noftl/internal/sim"
 )
 
-func TestPoolReadAheadStagesSequentialPages(t *testing.T) {
-	be := newMemBackend(128)
-	be.seed(10)
-	p := New(be, 16, 128, nil)
-	p.Configure(Options{ReadAhead: 4})
-
-	h, done, err := p.Fetch(0, 1, core.Hint{ObjectID: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.RLock()
-	if h.Data()[0] != 1 {
-		t.Fatal("demand page has wrong data")
-	}
-	h.RUnlock()
-	h.Release()
-	// The demand miss costs one read latency even though five pages moved.
-	if done != sim.Time(be.readLat) {
-		t.Errorf("demand fetch done at %v, want %v", done, sim.Time(be.readLat))
-	}
-
-	st := p.Stats()
-	if st.Misses != 1 {
-		t.Errorf("misses = %d, want 1", st.Misses)
-	}
-	if st.Prefetches != 4 {
-		t.Errorf("prefetches = %d, want 4", st.Prefetches)
-	}
-	if be.batchReads != 1 {
-		t.Errorf("batch dispatches = %d, want 1 (demand + read-ahead in one batch)", be.batchReads)
-	}
-	if be.reads != 5 {
-		t.Errorf("pages read = %d, want 5", be.reads)
-	}
-
-	// Pages 2..5 now hit in memory without any further backend read.
-	for lpn := core.LPN(2); lpn <= 5; lpn++ {
-		h, _, err := p.Fetch(0, lpn, core.Hint{ObjectID: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.RLock()
-		if h.Data()[0] != byte(lpn) {
-			t.Errorf("prefetched page %d has wrong data", lpn)
-		}
-		h.RUnlock()
-		h.Release()
-	}
-	st = p.Stats()
-	if st.Misses != 1 {
-		t.Errorf("sequential scan missed %d times, want 1", st.Misses)
-	}
-	if st.PrefetchHits != 4 {
-		t.Errorf("prefetch hits = %d, want 4", st.PrefetchHits)
-	}
-	if be.reads != 5 {
-		t.Errorf("pages read after scan = %d, want 5 (no extra reads)", be.reads)
-	}
-}
-
-func TestPoolReadAheadSkipsUnmappedAndResident(t *testing.T) {
-	be := newMemBackend(128)
-	be.seed(3) // pages 1..3 exist; 4,5 do not
-	p := New(be, 16, 128, nil)
-	p.Configure(Options{ReadAhead: 4})
-
-	// Make page 2 resident first (single-page miss path: nothing to stage
-	// beyond it except 3).
-	h, _, err := p.Fetch(0, 2, core.Hint{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Release()
-	st := p.Stats()
-	if st.Prefetches != 1 {
-		t.Fatalf("prefetches after first fetch = %d, want 1 (page 3 only)", st.Prefetches)
-	}
-
-	// Fetching page 1 stages nothing: 2 and 3 are resident, 4+ unmapped.
-	h, _, err = p.Fetch(0, 1, core.Hint{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Release()
-	st = p.Stats()
-	if st.Prefetches != 1 {
-		t.Errorf("prefetches = %d, want 1 (resident and unmapped pages skipped)", st.Prefetches)
-	}
-}
-
 func TestPoolGroupWriteBack(t *testing.T) {
 	be := newMemBackend(128)
 	p := New(be, 16, 128, nil)

@@ -1,7 +1,6 @@
 // Package buffer implements the DBMS buffer pool used by the reproduction:
 // a fixed set of page frames over the NoFTL space manager with CLOCK
-// eviction, pin/unpin, per-frame latches, sequential read-ahead and batched
-// dirty-page write-back.
+// eviction, pin/unpin, per-frame latches and batched dirty-page write-back.
 //
 // The frame table is sharded by LPN hash: each shard owns a disjoint set of
 // frames, its own hash table and its own CLOCK hand, so concurrent fetchers
@@ -30,15 +29,14 @@ import (
 // Backend is the page store underneath the pool.  *core.Manager satisfies
 // it; tests plug in a simpler implementation.  ReadPage and WritePage are the
 // one-page forms of ReadPages and WritePages: the pool uses the batched forms
-// for multi-page misses, sequential read-ahead and write-back, so multi-page
-// I/O stripes over the device's dies and overlaps in virtual time instead of
-// serializing page by page.
+// for multi-page misses and write-back, so multi-page I/O stripes over the
+// device's dies and overlaps in virtual time instead of serializing page by
+// page.
 type Backend interface {
 	ReadPage(now sim.Time, lpn core.LPN, buf []byte) ([]byte, sim.Time, error)
 	WritePage(now sim.Time, lpn core.LPN, data []byte, hint core.Hint) (sim.Time, error)
 	ReadPages(now sim.Time, lpns []core.LPN, bufs [][]byte) ([]core.PageRead, sim.Time)
 	WritePages(now sim.Time, writes []core.PageWrite) (sim.Time, error)
-	Mapped(lpn core.LPN) bool
 }
 
 // ErrPoolFull reports that every evictable frame of the page's shard is
@@ -59,17 +57,16 @@ type poolShard struct {
 // one shard; the shard mutex guards every field except data (per-frame latch)
 // and dirty (atomic).
 type Frame struct {
-	mu         sync.RWMutex // content latch
-	shard      *poolShard
-	lpn        core.LPN
-	data       []byte
-	hint       core.Hint
-	dirty      atomic.Bool // set by MarkDirty without the shard mutex
-	valid      bool
-	pins       int
-	ref        bool
-	prefetched bool   // staged by read-ahead, not yet demanded
-	handle     Handle // what every pin of the frame hands out
+	mu     sync.RWMutex // content latch
+	shard  *poolShard
+	lpn    core.LPN
+	data   []byte
+	hint   core.Hint
+	dirty  atomic.Bool // set by MarkDirty without the shard mutex
+	valid  bool
+	pins   int
+	ref    bool
+	handle Handle // what every pin of the frame hands out
 }
 
 // Handle is a pinned reference to a frame.  Callers must Release it exactly
@@ -126,8 +123,9 @@ type Stats struct {
 	NewPages   int64
 	Evictions  int64
 	Writebacks int64
-	// Prefetches counts pages staged by sequential read-ahead;
-	// PrefetchHits counts later demand hits on those pages.
+	// Prefetches and PrefetchHits are always zero: the pool reads only the
+	// pages it is asked for.  They remain only because the repository
+	// benchmark reports them.
 	Prefetches   int64
 	PrefetchHits int64
 	// GroupFlushes counts batched write-back dispatches (each covering one
@@ -144,26 +142,21 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// Options tune the pool's read-ahead.  The zero value disables it.
+// Options has nothing to tune: GroupWriteBack is ignored, write-back is
+// always one die-striped batch.  The type remains only because the repository
+// benchmark names it.
 type Options struct {
-	// ReadAhead is the number of sequentially-next pages staged in the same
-	// backend batch as a demand miss.  Zero disables read-ahead.
-	ReadAhead int
-	// GroupWriteBack is ignored: write-back is always one die-striped batch.
-	// The field remains only because the repository benchmark names it.
 	GroupWriteBack bool
 }
 
-// Pool is the buffer pool.  All methods are safe for concurrent use once the
-// pool is configured; AttachObs and Configure must happen before the pool
-// sees traffic.
+// Pool is the buffer pool.  All methods are safe for concurrent use;
+// AttachObs must happen before the pool sees traffic.
 type Pool struct {
 	backend  Backend
 	tracer   *obs.Tracer // nil = tracing off (the only cost is nil compares)
 	shards   []*poolShard
 	nframes  int
 	pageSize int
-	opts     Options
 
 	// hits, misses, evictions and writebacks are the pool's children of the
 	// noftl_buffer_* families (bind); the rest have no family and stay plain.
@@ -172,8 +165,6 @@ type Pool struct {
 	evictions    *metrics.Counter
 	writebacks   *metrics.Counter
 	newPages     atomic.Int64
-	prefetches   atomic.Int64
-	prefetchHits atomic.Int64
 	groupFlushes atomic.Int64
 }
 
@@ -264,14 +255,9 @@ func (p *Pool) AttachObs(tr *obs.Tracer, reg *metrics.Registry) {
 	p.bind(reg)
 }
 
-// Configure sets the pool's options.  Configure before the pool sees
-// traffic.
-func (p *Pool) Configure(opts Options) {
-	if opts.ReadAhead < 0 {
-		opts.ReadAhead = 0
-	}
-	p.opts = opts
-}
+// Configure does nothing: Options has nothing to tune.  It remains only
+// because the repository benchmark calls it.
+func (p *Pool) Configure(Options) {}
 
 // PageSize returns the frame size in bytes.
 func (p *Pool) PageSize() int { return p.pageSize }
@@ -285,8 +271,6 @@ func (p *Pool) Stats() Stats {
 		NewPages:     p.newPages.Load(),
 		Evictions:    p.evictions.Value(),
 		Writebacks:   p.writebacks.Value(),
-		Prefetches:   p.prefetches.Load(),
-		PrefetchHits: p.prefetchHits.Load(),
 		GroupFlushes: p.groupFlushes.Load(),
 	}
 	for _, s := range p.shards {
@@ -311,19 +295,11 @@ func (p *Pool) ResetCounters() {
 	p.evictions.Reset()
 	p.writebacks.Reset()
 	p.newPages.Store(0)
-	p.prefetches.Store(0)
-	p.prefetchHits.Store(0)
 	p.groupFlushes.Store(0)
 }
 
 // Fetch pins the page, reading it from the backend on a miss.  The returned
 // time includes any eviction write-back and the read itself.
-//
-// When read-ahead is configured, a miss also stages the next sequential pages
-// of the LPN space: they are read in the same scheduler batch as the demanded
-// page (striping over dies costs almost no extra virtual time) and parked
-// unpinned in the pool, so an upcoming sequential access hits in memory
-// instead of missing.
 func (p *Pool) Fetch(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim.Time, error) {
 	s := p.shardOf(lpn)
 	s.mu.Lock()
@@ -337,18 +313,7 @@ func (p *Pool) Fetch(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim.T
 	if err != nil {
 		return nil, now, err
 	}
-	// Stage sequential read-ahead frames (each in its own shard, one shard
-	// lock at a time — the demand shard's lock is already released).
-	demand := [1]*Frame{f}
-	claimed := demand[:]
-	if p.opts.ReadAhead > 0 {
-		claimed, now = p.stagePrefetch(now, lpn, hint, claimed)
-	}
-	// The caller pays for its own page only; the prefetched pages overlap on
-	// other dies and their (near-identical) completion is not the caller's
-	// concern.  They are charged to the demanding object: sequential LPNs
-	// belong to the same extent in practice.
-	done, _, err := p.fill(now, claimed, 1)
+	done, err := p.fill(now, []*Frame{f})
 	if err != nil {
 		return nil, done, err
 	}
@@ -419,7 +384,7 @@ func (p *Pool) FetchMany(now sim.Time, lpns []core.LPN, hint core.Hint) ([]*Hand
 	if len(misses) == 0 {
 		return handles, now, nil
 	}
-	_, end, err := p.fill(now, misses, len(misses))
+	end, err := p.fill(now, misses)
 	if err != nil {
 		releaseHits()
 		return nil, end, err
@@ -427,19 +392,13 @@ func (p *Pool) FetchMany(now sim.Time, lpns []core.LPN, hint core.Hint) ([]*Hand
 	return handles, end, nil
 }
 
-// pinHitLocked pins a resident frame for a demand access.  The demander knows
-// the page's true placement hint; it replaces the frame's, so a frame staged
-// by read-ahead across an object boundary is written back to its own object's
-// region, not the prefetcher's.  Caller holds the frame's shard mutex.
+// pinHitLocked pins a resident frame for a demand access; the demander's
+// placement hint replaces the frame's.  Caller holds the frame's shard mutex.
 func (p *Pool) pinHitLocked(f *Frame, hint core.Hint) *Handle {
 	f.pins++
 	f.ref = true
 	f.hint = hint
 	p.hits.Add(1)
-	if f.prefetched {
-		f.prefetched = false
-		p.prefetchHits.Add(1)
-	}
 	return &f.handle
 }
 
@@ -473,7 +432,6 @@ func (p *Pool) claimLocked(s *poolShard, now sim.Time, lpn core.LPN, hint core.H
 	f.hint = hint
 	f.valid = true
 	f.dirty.Store(false)
-	f.prefetched = false
 	f.pins = 1
 	f.ref = true
 	f.mu.Lock()
@@ -494,20 +452,17 @@ func (p *Pool) unpin(f *Frame, unpublish bool) {
 	if unpublish {
 		delete(s.table, f.lpn)
 		f.valid = false
-		f.prefetched = false
 	}
 	s.mu.Unlock()
 }
 
 // fill reads the pages of the claimed frames from the backend in one
-// submission and releases their content latches.  The first demand frames
-// were claimed for the caller, the rest staged by read-ahead: on success the
-// demand frames keep their pin (the caller's handles) and the staged frames
-// are parked unpinned; a frame whose read failed (e.g. the page vanished
-// under a concurrent trim) is unpublished, and when that happens to a demand
-// frame the call fails and no frame stays pinned.  It returns the completion
-// time of frames[0], the batch makespan and the first demand error.
-func (p *Pool) fill(now sim.Time, frames []*Frame, demand int) (first, end sim.Time, err error) {
+// submission and releases their content latches.  On success every frame
+// keeps its pin (the caller's handles); a frame whose read failed (e.g. the
+// page vanished under a concurrent trim) is unpublished, and then the call
+// fails and no frame stays pinned.  It returns the batch makespan and the
+// first error.
+func (p *Pool) fill(now sim.Time, frames []*Frame) (end sim.Time, err error) {
 	var one [1]core.PageRead
 	reads := one[:]
 	if len(frames) == 1 {
@@ -524,16 +479,16 @@ func (p *Pool) fill(now sim.Time, frames []*Frame, demand int) (first, end sim.T
 	}
 	for i, f := range frames {
 		f.mu.Unlock()
-		if rerr := reads[i].Err; rerr != nil && i < demand && err == nil {
+		if rerr := reads[i].Err; rerr != nil && err == nil {
 			err = fmt.Errorf("buffer: fetch lpn %d: %w", f.lpn, rerr)
 		}
 	}
-	for i, f := range frames {
-		if failed := reads[i].Err != nil; failed || err != nil || i >= demand {
-			p.unpin(f, failed)
+	if err != nil {
+		for i, f := range frames {
+			p.unpin(f, reads[i].Err != nil)
 		}
 	}
-	return reads[0].Done, end, err
+	return end, err
 }
 
 // WriteThrough writes page images to the backend as one die-striped batch
@@ -569,40 +524,6 @@ func (p *Pool) noteGroupWrite(start, done sim.Time, n int) {
 	}
 }
 
-// stagePrefetch claims frames for the mapped, non-resident pages sequentially
-// following lpn and appends them to claimed, content latches held and one
-// staging pin each.  Each page is staged under its own shard's lock; the
-// returned time includes any eviction write-back the claims caused.
-func (p *Pool) stagePrefetch(now sim.Time, lpn core.LPN, hint core.Hint, claimed []*Frame) ([]*Frame, sim.Time) {
-	for i := 1; i <= p.opts.ReadAhead; i++ {
-		next := lpn + core.LPN(i)
-		if !p.backend.Mapped(next) {
-			continue
-		}
-		s := p.shardOf(next)
-		s.mu.Lock()
-		if _, resident := s.table[next]; resident {
-			s.mu.Unlock()
-			continue
-		}
-		// The claim's pin keeps a CLOCK sweep (even one triggered by the next
-		// staging claim) from evicting the frame while the read is in flight;
-		// fill drops it once the batch completes.
-		pf, t, err := p.claimLocked(s, now, next, hint)
-		if err != nil {
-			s.mu.Unlock()
-			break // every frame pinned: the pool is too hot to prefetch into
-		}
-		now = t
-		pf.prefetched = true
-		pf.ref = false // evict-first until a demand access promotes it
-		s.mu.Unlock()
-		claimed = append(claimed, pf)
-		p.prefetches.Add(1)
-	}
-	return claimed, now
-}
-
 // NewPage pins a frame for a brand-new page without reading the backend.
 // The frame starts zeroed and dirty.
 func (p *Pool) NewPage(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim.Time, error) {
@@ -617,7 +538,6 @@ func (p *Pool) NewPage(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim
 		f = s.frames[idx]
 		f.pins++
 		f.ref = true
-		f.prefetched = false
 	} else {
 		var err error
 		if f, now, err = p.claimLocked(s, now, lpn, hint); err != nil {
@@ -686,7 +606,6 @@ func (p *Pool) allocFrameLocked(s *poolShard, now sim.Time) (int, sim.Time, erro
 		delete(s.table, f.lpn)
 		f.valid = false
 		f.dirty.Store(false)
-		f.prefetched = false
 		p.evictions.Add(1)
 		return idx, now, nil
 	}
@@ -774,7 +693,6 @@ func (p *Pool) Drop(lpn core.LPN) {
 			delete(s.table, lpn)
 			f.valid = false
 			f.dirty.Store(false)
-			f.prefetched = false
 		}
 	}
 }

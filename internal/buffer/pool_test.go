@@ -104,13 +104,6 @@ func (b *memBackend) storeLocked(lpn core.LPN, data []byte) {
 	b.writes++
 }
 
-func (b *memBackend) Mapped(lpn core.LPN) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	_, ok := b.pages[lpn]
-	return ok
-}
-
 // seed stores n pages with LPNs 1..n directly in the backend.
 func (b *memBackend) seed(n int) {
 	for i := 1; i <= n; i++ {

@@ -170,7 +170,7 @@ func TestWritePagesRegionFullWithoutSpill(t *testing.T) {
 	}
 	// Admission failed before any program was issued: nothing mapped.
 	for i := 0; i < n; i++ {
-		if m.Mapped(start + LPN(i)) {
+		if _, ok := m.Locate(start + LPN(i)); ok {
 			t.Errorf("lpn %d mapped after failed batch", start+LPN(i))
 		}
 	}
@@ -228,7 +228,7 @@ func TestSinglePageEntriesAreTheBatchPath(t *testing.T) {
 					done, err = m.WritePages(now, []PageWrite{{LPN: lpn, Data: data, Hint: hint}})
 				}
 			case op < 9:
-				if !m.Mapped(lpn) {
+				if _, ok := m.Locate(lpn); !ok {
 					continue
 				}
 				if single {
@@ -240,7 +240,7 @@ func TestSinglePageEntriesAreTheBatchPath(t *testing.T) {
 					}
 				}
 			default:
-				if m.Mapped(lpn) {
+				if _, ok := m.Locate(lpn); ok {
 					err = m.TrimPage(lpn)
 				}
 				done = now

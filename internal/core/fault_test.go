@@ -118,7 +118,7 @@ func TestWritePagesRetriesTransientProgramFaults(t *testing.T) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		if !m.Mapped(start + LPN(i)) {
+		if _, ok := m.Locate(start + LPN(i)); !ok {
 			t.Fatalf("lpn %d not mapped after retried batch", start+LPN(i))
 		}
 	}

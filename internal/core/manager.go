@@ -608,14 +608,6 @@ func (m *Manager) resolveRegion(h Hint) *Region {
 	return m.regionsByID[DefaultRegionID]
 }
 
-// Mapped reports whether the logical page has a physical location.
-func (m *Manager) Mapped(lpn LPN) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok := m.mapping[lpn]
-	return ok
-}
-
 // Locate returns the physical address a logical page currently maps to
 // (diagnostic/test helper).
 func (m *Manager) Locate(lpn LPN) (flash.Addr, bool) {

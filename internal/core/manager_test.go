@@ -223,7 +223,7 @@ func TestWriteReadTrimRoundTrip(t *testing.T) {
 	if rdone <= done {
 		t.Fatal("read consumed no virtual time")
 	}
-	if !m.Mapped(lpn) {
+	if _, ok := m.Locate(lpn); !ok {
 		t.Fatal("page not mapped after write")
 	}
 	// Overwrite goes out of place: the physical address must change.
@@ -244,7 +244,7 @@ func TestWriteReadTrimRoundTrip(t *testing.T) {
 	if err := m.TrimPage(lpn); err != nil {
 		t.Fatal(err)
 	}
-	if m.Mapped(lpn) {
+	if _, ok := m.Locate(lpn); ok {
 		t.Fatal("page still mapped after trim")
 	}
 	if err := m.TrimPage(lpn); !errors.Is(err, ErrUnmappedPage) {

@@ -47,7 +47,7 @@ func key(dst []byte, parts ...int) []byte {
 }
 
 // Lock names, tag:id:id... in decimal: the bytes fmt's "%d" prints (the lock
-// table hashes the name to pick a shard), built in dst.
+// table keys its map by the name), built in dst.
 
 func warehouseLockKey(dst []byte, w int) string      { return lockName(dst, "W", w) }
 func districtLockKey(dst []byte, w, d int) string    { return lockName(dst, "D", w, d) }

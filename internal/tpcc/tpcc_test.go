@@ -269,8 +269,8 @@ func TestEncodeIntoCapacityAllocatesNothing(t *testing.T) {
 }
 
 // TestLockNames: the appended lock names are the bytes fmt's forms were (the
-// lock table hashes the name to pick a shard), and the keys built into a
-// non-empty dst extend it.
+// lock table keys its map by the name), and the keys built into a non-empty
+// dst extend it.
 func TestLockNames(t *testing.T) {
 	var buf [maxKeySize]byte
 	for _, v := range []int{0, 9, 10, 255, 256, 5000, math.MaxUint32} {

@@ -2,8 +2,7 @@
 // engine: transaction identities, strict two-phase locking on logical keys,
 // commit/abort bookkeeping and per-transaction virtual-time accounting.
 //
-// The lock table is sharded by key hash, so concurrent transactions that
-// touch different keys almost never share a mutex.  Lock waits are real
+// The lock table is one map under one mutex.  Lock waits are real
 // (goroutine blocking), but the wait *timeout* is virtual-time-deterministic:
 // a waiter gives up when the contended key has seen more than the configured
 // budget of simulated time pass (measured from release to release) while the
@@ -17,7 +16,6 @@ package txn
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,19 +43,11 @@ var (
 	ErrTxnDone = errors.New("txn: transaction already finished")
 )
 
-// lockShards is the number of hash shards of the lock table.  Each shard has
-// its own mutex and its own slice of the key space, so the shard count bounds
-// the number of CPUs that can contend on lock-table metadata (the locks
-// themselves still conflict only when transactions touch the same key).
-const lockShards = 32
-
 // lockState is the state of one lockable key.
 type lockState struct {
-	cond    *sync.Cond
 	readers map[uint64]int // txn id -> hold count
 	writer  uint64         // txn id holding exclusively, 0 if none
-	wcount  int
-	waiting int // transactions currently blocked on this key
+	waiting int            // transactions currently blocked on this key
 	// maxRelease is the highest virtual time at which a holder released this
 	// key.  Waiters use it as the key's virtual-time frontier: when it moves
 	// past a waiter's deadline while the lock stays unavailable, the wait
@@ -65,33 +55,18 @@ type lockState struct {
 	maxRelease sim.Time
 }
 
-// lockShard is one slice of the lock table.
-type lockShard struct {
-	mu    sync.Mutex
-	locks map[string]*lockState
-	waits *metrics.Counter // this shard's child of noftl_txn_lock_shard_waits_total
-}
-
-func (sh *lockShard) state(key string) *lockState {
-	ls, ok := sh.locks[key]
-	if !ok {
-		ls = &lockState{readers: make(map[uint64]int)}
-		ls.cond = sync.NewCond(&sh.mu)
-		sh.locks[key] = ls
-	}
-	return ls
-}
-
 // LockManager implements strict two-phase locking over string keys.  All
-// methods are safe for concurrent use.
+// methods are safe for concurrent use.  One mutex guards the lock table, and
+// waiters of every key share one condition variable: a release wakes them
+// all, and each re-checks its own key.
 type LockManager struct {
-	shards       [lockShards]lockShard
+	mu           sync.Mutex
+	cond         sync.Cond // L is &mu
+	locks        map[string]*lockState
 	timeout      time.Duration // virtual-time wait budget (ns, 1:1 with sim time)
 	wallFallback time.Duration // wall-clock deadlock safety net
-	// waits is bumped together with the waiting shard's child: the total and
-	// the per-shard breakdown are two families of /metrics.
-	waits    *metrics.Counter
-	timeouts *metrics.Counter
+	waits        *metrics.Counter
+	timeouts     *metrics.Counter
 }
 
 // NewLockManager creates a lock manager with the given wait timeout (zero
@@ -109,10 +84,8 @@ func NewLockManager(timeout time.Duration) *LockManager {
 	if fallback > time.Minute {
 		fallback = time.Minute
 	}
-	lm := &LockManager{timeout: timeout, wallFallback: fallback}
-	for i := range lm.shards {
-		lm.shards[i].locks = make(map[string]*lockState)
-	}
+	lm := &LockManager{timeout: timeout, wallFallback: fallback, locks: make(map[string]*lockState)}
+	lm.cond.L = &lm.mu
 	lm.bind(metrics.NewRegistry())
 	return lm
 }
@@ -123,11 +96,6 @@ func (lm *LockManager) bind(reg *metrics.Registry) {
 		"Lock acquisitions that had to block.").With()
 	lm.timeouts = reg.Counter("noftl_txn_lock_timeouts_total",
 		"Lock waits that ended as deadlock victims (ErrLockTimeout).").With()
-	shardWaits := reg.Counter("noftl_txn_lock_shard_waits_total",
-		"Lock waits per lock-table hash shard.", "shard")
-	for i := range lm.shards {
-		lm.shards[i].waits = shardWaits.With(strconv.Itoa(i))
-	}
 }
 
 // SetWallFallback overrides the wall-clock deadlock safety net (tests use a
@@ -138,14 +106,24 @@ func (lm *LockManager) SetWallFallback(d time.Duration) {
 	}
 }
 
-// shard maps a key to its lock-table shard (FNV-1a).
-func (lm *LockManager) shard(key string) *lockShard {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
+// state returns the lock state of key, creating it on first use.  Caller
+// holds lm.mu.
+func (lm *LockManager) state(key string) *lockState {
+	ls, ok := lm.locks[key]
+	if !ok {
+		ls = &lockState{readers: make(map[uint64]int)}
+		lm.locks[key] = ls
 	}
-	return &lm.shards[h%lockShards]
+	return ls
+}
+
+// wake broadcasts to every waiter under the mutex.  A waiter holds the mutex
+// from its last check until Wait has registered it, so a wake-up taken under
+// the mutex cannot fall in between and be lost.
+func (lm *LockManager) wake() {
+	lm.mu.Lock()
+	lm.cond.Broadcast()
+	lm.mu.Unlock()
 }
 
 // LockStats is a snapshot of lock-manager contention counters.
@@ -158,29 +136,18 @@ type LockStats struct {
 	// Waiting is the number of transactions currently blocked on a key.
 	Held    int64
 	Waiting int64
-	// ShardWaits is the per-shard breakdown of Waits, exposing skew across
-	// the lock-table shards.
-	ShardWaits []int64
 }
 
 // Stats returns a snapshot of the lock manager's contention counters.
 func (lm *LockManager) Stats() LockStats {
-	st := LockStats{
-		Waits:      lm.waits.Value(),
-		Timeouts:   lm.timeouts.Value(),
-		ShardWaits: make([]int64, lockShards),
-	}
-	for i := range lm.shards {
-		sh := &lm.shards[i]
-		st.ShardWaits[i] = sh.waits.Value()
-		sh.mu.Lock()
-		for _, ls := range sh.locks {
-			if ls.writer != 0 || len(ls.readers) > 0 {
-				st.Held++
-			}
-			st.Waiting += int64(ls.waiting)
+	st := LockStats{Waits: lm.waits.Value(), Timeouts: lm.timeouts.Value()}
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	for _, ls := range lm.locks {
+		if ls.writer != 0 || len(ls.readers) > 0 {
+			st.Held++
 		}
-		sh.mu.Unlock()
+		st.Waiting += int64(ls.waiting)
 	}
 	return st
 }
@@ -196,10 +163,9 @@ func (lm *LockManager) Stats() LockStats {
 // the lock remains unavailable.  A wall-clock fallback (SetWallFallback)
 // catches deadlocks, where the frontier never moves.
 func (lm *LockManager) LockAt(now sim.Time, txnID uint64, key string, mode LockMode) error {
-	sh := lm.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ls := sh.state(key)
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	ls := lm.state(key)
 	waited := false
 	var vdeadline sim.Time
 	var wallDeadline time.Time
@@ -212,7 +178,6 @@ func (lm *LockManager) LockAt(now sim.Time, txnID uint64, key string, mode LockM
 		if !barge && grantable(ls, txnID, mode) {
 			if mode == Exclusive {
 				ls.writer = txnID
-				ls.wcount++
 				delete(ls.readers, txnID) // upgrade consumes the shared hold
 			} else {
 				ls.readers[txnID]++
@@ -224,7 +189,6 @@ func (lm *LockManager) LockAt(now sim.Time, txnID uint64, key string, mode LockM
 		}
 		if !waited {
 			waited = true
-			sh.waits.Inc()
 			lm.waits.Inc()
 			ls.waiting++
 			// Anchor the virtual deadline to the key's release frontier, not
@@ -239,15 +203,16 @@ func (lm *LockManager) LockAt(now sim.Time, txnID uint64, key string, mode LockM
 			return fmt.Errorf("%w: txn %d key %q", ErrLockTimeout, txnID, key)
 		}
 		// Wake ourselves up at the wall deadline so the fallback is honoured
-		// even if nobody ever releases the lock.
-		timer := time.AfterFunc(time.Until(wallDeadline), ls.cond.Broadcast)
-		ls.cond.Wait()
+		// even if nobody ever releases the lock.  Any release wakes us too;
+		// a release of another key moves neither this key's frontier nor
+		// the deadlines, so the loop just waits again.
+		timer := time.AfterFunc(time.Until(wallDeadline), lm.wake)
+		lm.cond.Wait()
 		timer.Stop()
 	}
 }
 
-// grantable reports whether txnID may take key in mode.  Caller holds the
-// shard mutex.
+// grantable reports whether txnID may take key in mode.  Caller holds lm.mu.
 func grantable(ls *lockState, txnID uint64, mode LockMode) bool {
 	if mode == Shared {
 		return ls.writer == 0 || ls.writer == txnID
@@ -266,14 +231,16 @@ func grantable(ls *lockState, txnID uint64, mode LockMode) bool {
 
 // ReleaseAllAt releases every lock held by txnID and advances each key's
 // virtual release frontier to now, which is what drives waiters' virtual
-// timeouts forward.
+// timeouts forward.  It wakes the waiters once, after the last key.
 func (lm *LockManager) ReleaseAllAt(now sim.Time, txnID uint64, keys []string) {
+	if len(keys) == 0 {
+		return // a transaction that took no lock wakes nobody
+	}
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
 	for _, key := range keys {
-		sh := lm.shard(key)
-		sh.mu.Lock()
-		ls, ok := sh.locks[key]
+		ls, ok := lm.locks[key]
 		if !ok {
-			sh.mu.Unlock()
 			continue
 		}
 		// ReleaseAllAt is only called at commit/abort (strict two-phase
@@ -281,15 +248,13 @@ func (lm *LockManager) ReleaseAllAt(now sim.Time, txnID uint64, keys []string) {
 		// at once, however many times it re-acquired the lock.
 		if ls.writer == txnID {
 			ls.writer = 0
-			ls.wcount = 0
 		}
 		delete(ls.readers, txnID)
 		if now > ls.maxRelease {
 			ls.maxRelease = now
 		}
-		ls.cond.Broadcast()
-		sh.mu.Unlock()
 	}
+	lm.cond.Broadcast()
 }
 
 // State tracks a transaction's lifecycle.
@@ -347,9 +312,6 @@ func (m *Manager) ResetCounters() {
 	m.aborts.Reset()
 	m.lm.waits.Reset()
 	m.lm.timeouts.Reset()
-	for i := range m.lm.shards {
-		m.lm.shards[i].waits.Reset()
-	}
 }
 
 // LockManager returns the shared lock manager.

@@ -43,13 +43,12 @@ func loadRows(t *testing.T, db *noftl.DB, n int) *noftl.Table {
 	return tbl
 }
 
-// TestDBSequentialScanReadAhead drives a full table scan through db.go with
-// read-ahead enabled and verifies that the buffer pool prefetched pages in
-// scheduler batches, that most scan accesses hit prefetched frames, and that
-// the scan still returns every row.
-func TestDBSequentialScanReadAhead(t *testing.T) {
+// TestDBSequentialScanLargerThanPool drives a full table scan through db.go
+// over a table with more pages than the pool has frames, so the scan re-reads
+// from the device through the scheduler, and verifies that it still returns
+// every row.
+func TestDBSequentialScanLargerThanPool(t *testing.T) {
 	cfg := integrationConfig()
-	cfg.ReadAheadPages = 8
 	db, err := noftl.OpenConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -84,16 +83,6 @@ func TestDBSequentialScanReadAhead(t *testing.T) {
 	}
 
 	st := db.Stats()
-	if st.Buffer.Prefetches == 0 {
-		t.Error("scan issued no prefetches")
-	}
-	if st.Buffer.PrefetchHits < pages/4 {
-		t.Errorf("prefetch hits = %d, want at least %d (a quarter of %d pages)",
-			st.Buffer.PrefetchHits, pages/4, pages)
-	}
-	if st.Buffer.Misses >= pages/2 {
-		t.Errorf("scan missed %d times over %d pages: read-ahead ineffective", st.Buffer.Misses, pages)
-	}
 	if st.Scheduler.HostReads == 0 {
 		t.Error("scheduler saw no host-read requests")
 	}

@@ -1,22 +1,18 @@
 package noftl
 
-import (
-	"fmt"
-	"net"
-	"net/http"
-	"net/http/pprof"
-	"strconv"
-	"sync"
-	"time"
-)
+import "strconv"
 
 // MetricsText renders the database's full metric set in the Prometheus text
 // exposition format (version 0.0.4).  The counter and histogram families are
 // the very children every layer increments on its hot path and computes its
 // Stats() from (device, scheduler, regions, buffer pool, WAL, checkpoints,
 // transactions, tracer); only the point-in-time gauges are refreshed here.
-// The same text is served on /metrics when a listener is configured with
-// WithMetricsListener.
+// To serve it, hand it to an HTTP handler of your own:
+//
+//	http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+//	    w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+//	    io.WriteString(w, db.MetricsText())
+//	})
 func (db *DB) MetricsText() string {
 	db.scrapeGauges()
 	return db.reg.Text()
@@ -87,64 +83,4 @@ func (db *DB) scrapeGauges() {
 		reg.Gauge("noftl_wal_checkpoint_last_pages",
 			"Dirty pages the last checkpoint flushed.").With().Set(ck.LastPages)
 	}
-}
-
-// MetricsAddr returns the bound address of the metrics listener, or "" when
-// none was configured.  With WithMetricsListener("127.0.0.1:0") this is how
-// callers discover the kernel-assigned port.
-func (db *DB) MetricsAddr() string {
-	if db.msrv == nil {
-		return ""
-	}
-	return db.msrv.lis.Addr().String()
-}
-
-// metricsServer is the opt-in HTTP endpoint: Prometheus text on /metrics, a
-// liveness probe on /healthz and the standard pprof handlers under
-// /debug/pprof/ (the same mux, so one port serves both planes).
-type metricsServer struct {
-	lis  net.Listener
-	srv  *http.Server
-	done sync.WaitGroup
-}
-
-func serveMetrics(db *DB, addr string) (*metricsServer, error) {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("noftl: metrics listener: %w", err)
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_, _ = w.Write([]byte(db.MetricsText()))
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if err := db.checkOpen(); err != nil {
-			http.Error(w, "closed", http.StatusServiceUnavailable)
-			return
-		}
-		_, _ = w.Write([]byte("ok\n"))
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-
-	ms := &metricsServer{
-		lis: lis,
-		srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second},
-	}
-	ms.done.Add(1)
-	go func() {
-		defer ms.done.Done()
-		_ = ms.srv.Serve(lis) // returns http.ErrServerClosed on shutdown
-	}()
-	return ms, nil
-}
-
-// shutdown closes the listener and waits for the serve loop to exit.
-func (ms *metricsServer) shutdown() {
-	_ = ms.srv.Close()
-	ms.done.Wait()
 }

@@ -44,16 +44,6 @@ func WithLockTimeout(d time.Duration) Option {
 	return func(c *Config) { c.LockTimeout = d }
 }
 
-// WithReadAhead sets the number of sequentially-next pages the buffer pool
-// prefetches through the I/O scheduler on a demand miss.  Read-ahead is off
-// by default (see Config.ReadAheadPages); scan-heavy workloads typically
-// enable 4–8 pages:
-//
-//	db, _ := noftl.Open(noftl.WithReadAhead(8))
-func WithReadAhead(pages int) Option {
-	return func(c *Config) { c.ReadAheadPages = pages }
-}
-
 // WithTrace enables event tracing and dumps the recorded events to w as
 // JSONL when the database is closed (the stream the noftl-trace CLI
 // consumes).  Tracing is off by default; see Config.TraceWriter.
@@ -100,21 +90,13 @@ func WithFaultPlan(plan FaultPlan) Option {
 	return func(c *Config) { c.FaultPlan = plan }
 }
 
-// WithMetricsListener serves Prometheus text metrics (plus /healthz and
-// pprof) on an HTTP listener at addr, e.g. "127.0.0.1:9090" or
-// "127.0.0.1:0" for a free port (DB.MetricsAddr() reports the bound
-// address).
-func WithMetricsListener(addr string) Option {
-	return func(c *Config) { c.MetricsAddr = addr }
-}
-
 // Open creates a database over a fresh simulated flash device.  The
 // configuration starts from DefaultConfig() and is refined by the options in
 // order:
 //
 //	db, err := noftl.Open()                                  // all defaults
 //	db, err := noftl.Open(noftl.WithBufferPoolPages(4096),
-//	                      noftl.WithReadAhead(8))
+//	                      noftl.WithLockTimeout(time.Second))
 func Open(opts ...Option) (*DB, error) {
 	cfg := DefaultConfig()
 	for _, opt := range opts {
@@ -139,5 +121,5 @@ func OpenConfig(cfg Config, opts ...Option) (*DB, error) {
 	if cfg.FaultPlan != (FaultPlan{}) {
 		dev.Arm(cfg.FaultPlan)
 	}
-	return openOn(cfg, dev)
+	return openWith(cfg, dev, core.NewManager(dev, cfg.Space)), nil
 }

@@ -76,17 +76,13 @@ type CrashImage struct {
 
 // Crash abandons the database without flushing anything: buffered pages,
 // unforced log records and all in-memory state are lost, exactly as in a
-// power failure.  Only the metrics listener is shut down (it holds an OS
-// port).  The returned image can be reopened with Reopen.  Crash is also the
-// way out after an injected crash (ErrCrashed): the device refuses all
-// operations until Reopen revives it.
+// power failure.  The returned image can be reopened with Reopen.  Crash is
+// also the way out after an injected crash (ErrCrashed): the device refuses
+// all operations until Reopen revives it.
 func (db *DB) Crash() *CrashImage {
 	db.mu.Lock()
 	db.closed = true
 	db.mu.Unlock()
-	if db.msrv != nil {
-		db.msrv.shutdown()
-	}
 	return &CrashImage{cfg: db.cfg, dev: db.dev}
 }
 
@@ -170,10 +166,7 @@ func reopenOn(cfg Config, dev *flash.Device) (*DB, error) {
 		return nil, fmt.Errorf("%w: log prefix missing and no covering checkpoint", ErrCorruptLog)
 	}
 
-	db, err := openWith(cfg, dev, space)
-	if err != nil {
-		return nil, err
-	}
+	db := openWith(cfg, dev, space)
 	db.recovering = true
 	db.clock.Observe(now)
 	// The new log continues above the old one's LSNs, so the next recovery's

@@ -26,7 +26,7 @@ type Stats struct {
 	TxnCommitted int64
 	TxnAborted   int64
 	// Txn carries the lock manager's contention counters (waits, timeouts,
-	// held/waiting locks, per-shard wait skew).
+	// held/waiting locks).
 	Txn TxnStats
 	// Buffer pool
 	Buffer buffer.Stats
@@ -97,9 +97,6 @@ type TxnStats struct {
 	// is the number of transactions blocked on a key at snapshot time.
 	LocksHeld   int64
 	LockWaiting int64
-	// ShardWaits is the per-shard breakdown of LockWaits over the lock
-	// table's hash shards, exposing contention skew.
-	ShardWaits []int64
 }
 
 // WALStats is a snapshot of the write-ahead log's counters.
@@ -197,7 +194,6 @@ func (db *DB) Stats() Stats {
 			LockTimeouts: lockStats.Timeouts,
 			LocksHeld:    lockStats.Held,
 			LockWaiting:  lockStats.Waiting,
-			ShardWaits:   lockStats.ShardWaits,
 		},
 		Buffer:       db.pool.Stats(),
 		Scheduler:    SchedulerStats(db.space.Scheduler().Stats()),
