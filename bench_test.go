@@ -185,7 +185,9 @@ func BenchmarkFlashWritePath(b *testing.B) {
 // 500 TPC-C transactions (standard mix) on a freshly loaded tiny database;
 // database setup and loading are excluded from the timing.  The reported
 // simulated-tps metric is the throughput in simulated time, allocs/txn the
-// heap allocations per committed transaction.
+// heap allocations per committed transaction (internal/tpcc
+// TestAllocationsPerTransaction caps them, per transaction type and for the
+// mix).
 func BenchmarkTPCCTransactionBatch(b *testing.B) {
 	const batch = 500
 	var (
@@ -214,27 +216,6 @@ func BenchmarkTPCCTransactionBatch(b *testing.B) {
 	b.ReportMetric(lastTPS, "simulated-tps")
 	b.ReportMetric(batch, "txns/op")
 	b.ReportMetric(float64(mallocs)/float64(committed), "allocs/txn")
-}
-
-// TestTPCCAllocationsPerTransaction caps the host cost of a TPC-C transaction:
-// the heap allocations per committed transaction of the standard mix on the
-// tiny database.  It measured 76 (405 before a page pin, a row decode, an
-// index lookup and a log record stopped allocating what nothing keeps; 142
-// before a terminal read, encoded and keyed its rows in buffers it owns); the
-// ceiling leaves 30 % for noise.
-func TestTPCCAllocationsPerTransaction(t *testing.T) {
-	const ceiling = 100
-	db, sch, cfg := tinyTPCC(t, 500)
-	defer db.Close()
-	var res tpcc.Results
-	var err error
-	mallocs := mallocsDuring(func() { res, err = tpcc.Run(db, sch, cfg) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perTxn := float64(mallocs) / float64(res.Committed); perTxn > ceiling {
-		t.Errorf("%.1f heap allocations per committed TPC-C transaction, ceiling %d", perTxn, ceiling)
-	}
 }
 
 // tinyTPCC opens and loads the tiny-scale TPC-C database under multi-region

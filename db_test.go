@@ -522,3 +522,30 @@ func TestExecRegionGCPolicyDDL(t *testing.T) {
 		t.Fatal("unknown GC policy should fail")
 	}
 }
+
+// TestBeginLockAbortAllocatesOnce: a transaction that takes the 16 locks of a
+// NewOrder and aborts costs one allocation, the Tx that holds its bookkeeping.
+func TestBeginLockAbortAllocatesOnce(t *testing.T) {
+	db, err := OpenConfig(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	keys := make([]string, 16)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("S:1:%d", i)
+	}
+	run := func() {
+		tx := db.BeginAt(0)
+		for _, k := range keys {
+			if err := tx.Lock(k, Exclusive); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tx.Abort()
+	}
+	run() // the lock table keeps the state a key gets at its first lock
+	if n := testing.AllocsPerRun(100, run); n > 1 {
+		t.Errorf("BeginAt, 16 Locks and Abort allocate %v times, want at most 1", n)
+	}
+}

@@ -130,9 +130,8 @@ func TestIndexMatchesSortedMap(t *testing.T) {
 }
 
 // TestLoggedDMLIsTheEncodings checks that what Insert, InsertBatch, Update,
-// Delete and Index.Insert log through the transaction's payload buffer is
-// byte for byte the payload the wal encoders pack, and decodes back, whatever
-// longer payload the buffer held before.
+// Delete and Index.Insert hand the log in pieces is byte for byte the payload
+// the wal encoders pack, and decodes back, after a longer record.
 func TestLoggedDMLIsTheEncodings(t *testing.T) {
 	db, err := OpenConfig(smallConfig())
 	if err != nil {
@@ -266,6 +265,56 @@ func TestIndexLookupAllocatesNothing(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("Index.Lookup on a resident index allocates %v times, want 0", n)
+	}
+}
+
+// TestIndexRangeKeysFromOneSlab: a Range over 100 resident entries copies its
+// keys into a few shared chunks, not one allocation per key, and every key it
+// yields is still the caller's after the loop: each reads back its own bytes,
+// and appending to one does not write into the next.
+func TestIndexRangeKeysFromOneSlab(t *testing.T) {
+	cfg := smallConfig()
+	cfg.BufferPoolPages = 256
+	db, err := OpenConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable("T", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := db.CreateIndex("T_PK", "T", []string{"k"}, true, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyedRows(t, db, tbl, idx, 0, 1000)
+	lo, hi := []byte("k0000100"), []byte("k0000200")
+	tx := db.Begin()
+	defer tx.Abort()
+	if n := testing.AllocsPerRun(100, func() {
+		for range idx.Range(tx, lo, hi) {
+		}
+	}); n > 4 {
+		t.Errorf("Index.Range over 100 resident entries allocates %v times, want at most 4", n)
+	}
+	var keys [][]byte
+	for k := range idx.Range(tx, lo, hi) {
+		keys = append(keys, k)
+	}
+	if err := tx.Err(); err != nil || len(keys) != 100 {
+		t.Fatalf("range yielded %d keys (%v), want 100", len(keys), err)
+	}
+	for i, k := range keys {
+		_ = append(k, 'X')
+		if want := fmt.Sprintf("k%07d", 100+i); string(k) != want {
+			t.Errorf("key %d reads %q after the scan, want %q", i, k, want)
+		}
+	}
+	for i, k := range keys {
+		if want := fmt.Sprintf("k%07d", 100+i); string(k) != want {
+			t.Errorf("key %d reads %q after appending to the others, want %q", i, k, want)
+		}
 	}
 }
 

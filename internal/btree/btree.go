@@ -691,14 +691,14 @@ func (t *Tree) Scan(now sim.Time, startKey, endKey []byte, fn func(key, value []
 
 // ScanPrefix iterates over all entries whose key starts with prefix.
 func (t *Tree) ScanPrefix(now sim.Time, prefix []byte, fn func(key, value []byte) bool) (sim.Time, error) {
-	end := prefixEnd(prefix)
-	return t.Scan(now, prefix, end, fn)
+	var buf [64]byte // holds the end key of any prefix a caller builds
+	return t.Scan(now, prefix, prefixEnd(buf[:0], prefix), fn)
 }
 
-// prefixEnd returns the smallest key greater than every key with the given
-// prefix, or nil if no such key exists (all 0xFF).
-func prefixEnd(prefix []byte) []byte {
-	end := append([]byte(nil), prefix...)
+// prefixEnd builds in dst the smallest key greater than every key with the
+// given prefix, or returns nil if no such key exists (all 0xFF).
+func prefixEnd(dst, prefix []byte) []byte {
+	end := append(dst, prefix...)
 	for i := len(end) - 1; i >= 0; i-- {
 		if end[i] != 0xFF {
 			end[i]++

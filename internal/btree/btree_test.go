@@ -307,13 +307,13 @@ func TestKeyBuilderOrderPreserving(t *testing.T) {
 }
 
 func TestPrefixEnd(t *testing.T) {
-	if got := prefixEnd([]byte{1, 2, 3}); !bytes.Equal(got, []byte{1, 2, 4}) {
+	if got := prefixEnd(nil, []byte{1, 2, 3}); !bytes.Equal(got, []byte{1, 2, 4}) {
 		t.Fatalf("prefixEnd = %v", got)
 	}
-	if got := prefixEnd([]byte{1, 0xFF}); !bytes.Equal(got, []byte{2}) {
+	if got := prefixEnd(nil, []byte{1, 0xFF}); !bytes.Equal(got, []byte{2}) {
 		t.Fatalf("prefixEnd with trailing FF = %v", got)
 	}
-	if got := prefixEnd([]byte{0xFF, 0xFF}); got != nil {
+	if got := prefixEnd(nil, []byte{0xFF, 0xFF}); got != nil {
 		t.Fatalf("prefixEnd all-FF = %v", got)
 	}
 }

@@ -94,7 +94,8 @@ func (m *Manager) readPages(now sim.Time, lpns []LPN, bufs [][]byte, out []PageR
 	}
 	m.mu.Unlock()
 
-	cs, end := m.sched.Submit(now, reqs)
+	var done [1]iosched.Completion
+	cs, end := m.sched.SubmitAppend(done[:0], now, reqs)
 	traced := tr.Enabled(obs.ClassHostRead)
 	j := 0
 	for i := range out {
@@ -215,10 +216,10 @@ rounds:
 
 		// Dispatch all programs as one batch.  Different dies overlap;
 		// programs to one die pipeline on its resource.
-		cs, done := m.sched.Submit(placedAt, reqs)
+		cs, done := m.sched.SubmitAppend(m.done[:0], placedAt, reqs)
 		end = max(end, done)
 		clear(reqs) // drop the payload references
-		m.reqs = reqs
+		m.reqs, m.done = reqs, cs
 
 		// Commit the programs that landed and release the slots of those
 		// that did not.  Failures on a block form a suffix (everything after

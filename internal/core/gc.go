@@ -223,6 +223,13 @@ func clampValid(v, pagesPerBlock int) int {
 	return v
 }
 
+// gcMove is one page a collection relocates: its page in the victim and the
+// slot reserved for it.
+type gcMove struct {
+	page int
+	dst  slotRef
+}
+
 // relocateAndErase moves up to maxMoves still-valid pages of the victim to an
 // active block chosen by the region's policy using the on-die copyback
 // command, then — once the victim holds no valid pages — erases it and
@@ -232,19 +239,15 @@ func clampValid(v, pagesPerBlock int) int {
 // GC-priority batch; note that priorities order requests within a single
 // dispatch only — a host request arriving after this batch has been
 // dispatched still queues behind it on the die, exactly as on hardware that
-// cannot abort an in-flight program.  Caller holds m.mu.
+// cannot abort an in-flight program.  Caller holds m.mu, whose scratch
+// (m.gc) holds the moves, their copybacks and completions.
 func (m *Manager) relocateAndErase(now sim.Time, r *Region, da *dieAlloc, victim, maxMoves int, pol GCPolicy) sim.Time {
 	pagesPerBlock := m.geo.PagesPerBlock
 	vblk := &da.blocks[victim]
 
 	// Reserve a destination slot for every valid page (up to the step
 	// bound), then dispatch the copybacks as one batch.
-	type move struct {
-		page int
-		dst  slotRef
-	}
-	var moves []move
-	var reqs []iosched.Request
+	moves, reqs := m.gc.moves[:0], m.gc.reqs[:0]
 	for page := 0; page < pagesPerBlock && len(moves) < maxMoves; page++ {
 		if !vblk.valid[page] {
 			continue
@@ -255,7 +258,7 @@ func (m *Manager) relocateAndErase(now sim.Time, r *Region, da *dieAlloc, victim
 			// victim stays closed and keeps them).
 			break
 		}
-		moves = append(moves, move{page: page, dst: dst})
+		moves = append(moves, gcMove{page: page, dst: dst})
 		reqs = append(reqs, iosched.Request{
 			Op:       iosched.OpCopyback,
 			Addr:     ppa{Die: da.die, Block: victim, Page: page},
@@ -263,7 +266,8 @@ func (m *Manager) relocateAndErase(now sim.Time, r *Region, da *dieAlloc, victim
 			Priority: iosched.PrioGC,
 		})
 	}
-	cs, end := m.sched.Submit(now, reqs)
+	cs, end := m.sched.SubmitAppend(m.gc.done[:0], now, reqs)
+	m.gc.moves, m.gc.reqs, m.gc.done = moves, reqs, cs
 	for i, c := range cs {
 		mv := moves[i]
 		dblk := &da.blocks[mv.dst.block]

@@ -186,9 +186,16 @@ type Manager struct {
 
 	// Scratch of WritePages, reused across calls under mu so that a write
 	// batch (of one page or thousands) allocates nothing per call; it starts
-	// sized for a one-page write and grows to the largest batch seen.
+	// sized for a one-page write and grows to the largest batch seen.  A
+	// collection that runs inside WritePages has scratch of its own.
 	pends []hostWrite
 	reqs  []iosched.Request
+	done  []iosched.Completion
+	gc    struct {
+		moves []gcMove
+		reqs  []iosched.Request
+		done  []iosched.Completion
+	}
 
 	// Observability plane: tracer is nil when tracing is off; reg owns the
 	// per-region counters (a private registry until AttachObs re-binds them

@@ -94,10 +94,11 @@ type Device struct {
 	faultMu sync.Mutex
 	fault   *faultState
 
-	// Payload buffers of erased blocks, waiting for the next program.  A full
-	// device programs a page for every page it erases, so in steady state no
-	// program allocates; the list is capped at half a block per die, which
-	// bounds the host memory it can hold back beside the stored data.
+	// Payload buffers of erased blocks, waiting for the next program.  A
+	// program allocates only when the list is empty, so the list never holds
+	// more than the device's peak number of programmed pages less the current
+	// number, which the device's capacity bounds: a full device programs a
+	// page for every page it erases, and in steady state no program allocates.
 	bufMu    sync.Mutex
 	freeBufs [][]byte
 }
@@ -119,9 +120,8 @@ func (d *Device) pageBuf() []byte {
 func (d *Device) recycle(bufs [][]byte) {
 	d.bufMu.Lock()
 	defer d.bufMu.Unlock()
-	limit := d.geo.Dies() * d.geo.PagesPerBlock / 2
 	for i, buf := range bufs {
-		if buf != nil && len(d.freeBufs) < limit {
+		if buf != nil {
 			d.freeBufs = append(d.freeBufs, buf)
 		}
 		bufs[i] = nil

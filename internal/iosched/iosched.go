@@ -33,7 +33,8 @@
 package iosched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 	"sync/atomic"
 
@@ -280,6 +281,14 @@ func (s *Scheduler) ResetCounters() {
 // Submit dispatches a batch of requests starting at the caller's virtual time
 // and returns one completion per request, in request order, together with the
 // batch makespan (the latest completion time; now when the batch is empty).
+// It is SubmitAppend into a fresh slice.
+func (s *Scheduler) Submit(now sim.Time, reqs []Request) ([]Completion, sim.Time) {
+	return s.SubmitAppend(nil, now, reqs)
+}
+
+// SubmitAppend is Submit for a caller that reuses its completion slice: it
+// appends one completion per request to dst, in request order, and returns
+// the extended slice with the batch makespan.
 //
 // Requests to different dies overlap in virtual time; requests to the same
 // die are served in priority order (FIFO within a class) on the die's
@@ -290,32 +299,41 @@ func (s *Scheduler) ResetCounters() {
 // they target the same die), which is what lets N workers drive the device
 // in parallel.  Ordering guarantees hold within one batch; across concurrent
 // batches the dies arbitrate by arrival time, exactly as the hardware would.
-func (s *Scheduler) Submit(now sim.Time, reqs []Request) ([]Completion, sim.Time) {
+func (s *Scheduler) SubmitAppend(dst []Completion, now sim.Time, reqs []Request) ([]Completion, sim.Time) {
 	if len(reqs) == 0 {
-		return nil, now
+		return dst, now
 	}
-	// Dispatch order: priority class first, then per-die FIFO.  The index
-	// sort is stable so that same-priority requests to one die keep their
-	// submission order (required by the NAND sequential-programming
-	// constraint for programs to the same block).
-	order := make([]int, len(reqs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(x, y int) bool {
-		a, b := order[x], order[y]
-		if reqs[a].Priority != reqs[b].Priority {
-			return reqs[a].Priority < reqs[b].Priority
+	// Dispatch order: priority class first, then die, and submission order
+	// within (priority, die), which the NAND sequential-programming
+	// constraint requires for programs to the same block.  A batch already
+	// in that order is dispatched as it stands; any other through a stable
+	// sort of its indices, whose permutation is the one order there is.
+	byPrioDie := func(a, b int) int {
+		if c := cmp.Compare(reqs[a].Priority, reqs[b].Priority); c != 0 {
+			return c
 		}
-		// Stability keeps submission order within (priority, die), which the
-		// NAND sequential-programming constraint requires for programs to
-		// the same block.
-		return reqs[a].die() < reqs[b].die()
-	})
+		return cmp.Compare(reqs[a].die(), reqs[b].die())
+	}
+	var order []int // nil: request order
+	for i := 1; i < len(reqs); i++ {
+		if byPrioDie(i-1, i) > 0 {
+			order = make([]int, len(reqs))
+			for j := range order {
+				order[j] = j
+			}
+			slices.SortStableFunc(order, byPrioDie)
+			break
+		}
+	}
 
-	completions := make([]Completion, len(reqs))
+	base := len(dst)
+	dst = slices.Grow(dst, len(reqs))[:base+len(reqs)]
 	end := now
-	for _, i := range order {
+	for k := range reqs {
+		i := k
+		if order != nil {
+			i = order[k]
+		}
 		req := reqs[i]
 		at := max(now, req.NotBefore)
 		c := Completion{Op: req.Op, Priority: req.Priority, Tag: req.Tag}
@@ -368,11 +386,11 @@ func (s *Scheduler) Submit(now sim.Time, reqs []Request) ([]Completion, sim.Time
 			ev.Region = -1
 			s.tracer.Record(ev)
 		}
-		completions[i] = c
+		dst[base+i] = c
 	}
 	s.batches.Inc()
 	s.maxBatch.SetMax(int64(len(reqs)))
-	return completions, end
+	return dst, end
 }
 
 // DieIdleAt returns the virtual time at which the die becomes idle: the
@@ -398,6 +416,7 @@ func (s *Scheduler) ObserveGCStall() { s.gcStalls.Inc() }
 // Erase performs one block erase at the given priority: a batch of one for
 // the caller whose command has nothing to be batched with.
 func (s *Scheduler) Erase(now sim.Time, b flash.BlockAddr, prio Priority) (sim.Time, error) {
-	cs, _ := s.Submit(now, []Request{{Op: OpErase, Block: b, Priority: prio}})
+	var c [1]Completion
+	cs, _ := s.SubmitAppend(c[:0], now, []Request{{Op: OpErase, Block: b, Priority: prio}})
 	return cs[0].Done, cs[0].Err
 }

@@ -457,3 +457,23 @@ func TestConcurrentSubmitters(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitAppendOfOneAllocatesNothing: a batch of one request, a read into a
+// buffer of the caller's, appended to a completion slice with room, allocates
+// nothing; the completion lands after what the slice held.
+func TestSubmitAppendOfOneAllocatesNothing(t *testing.T) {
+	dev := testDevice(t)
+	program(t, dev, 0, 1)
+	s := New(dev)
+	reqs := []Request{{Op: OpReadPage, Addr: flash.Addr{Die: 0, Block: 0, Page: 0},
+		Buf: make([]byte, dev.Geometry().PageSize), Priority: PrioHostRead}}
+	done := make([]Completion, 1, 2)
+	if n := testing.AllocsPerRun(100, func() {
+		cs, _ := s.SubmitAppend(done[:1], 0, reqs)
+		if len(cs) != 2 || cs[1].Err != nil {
+			t.Fatalf("completions %+v", cs)
+		}
+	}); n != 0 {
+		t.Errorf("SubmitAppend of one request allocates %v times, want 0", n)
+	}
+}

@@ -414,9 +414,11 @@ func (h *HeapFile) Delete(now sim.Time, rid RID) (sim.Time, error) {
 	return done, nil
 }
 
-// Scan calls fn for every live record in the heap, in page order.  Returning
-// false stops the scan.  It returns the caller's advanced virtual time.
+// Scan calls fn for every live record in the heap, in page order, with a copy
+// of the record that fn may keep (carved from a Slab).  Returning false stops
+// the scan.  It returns the caller's advanced virtual time.
 func (h *HeapFile) Scan(now sim.Time, fn func(rid RID, rec []byte) bool) (sim.Time, error) {
+	var recs Slab
 	for _, lpn := range h.Pages() {
 		handle, done, err := h.pool.Fetch(now, lpn, h.hint())
 		if err != nil {
@@ -426,9 +428,7 @@ func (h *HeapFile) Scan(now sim.Time, fn func(rid RID, rec []byte) bool) (sim.Ti
 		stop := false
 		handle.RLock()
 		err = IterateRecords(handle.Data(), func(slot uint16, rec []byte) bool {
-			cp := make([]byte, len(rec))
-			copy(cp, rec)
-			if !fn(RID{LPN: uint64(lpn), Slot: slot}, cp) {
+			if !fn(RID{LPN: uint64(lpn), Slot: slot}, recs.Copy(rec)) {
 				stop = true
 				return false
 			}
@@ -444,4 +444,23 @@ func (h *HeapFile) Scan(now sim.Time, fn func(rid RID, rec []byte) bool) (sim.Ti
 		}
 	}
 	return now, nil
+}
+
+// Slab hands out copies of byte strings carved from shared chunks, so a scan
+// pays an allocation per chunk, not per entry.  A chunk's capacity doubles
+// from slabMin bytes up to slabMax; a full chunk is replaced, never grown in
+// place, and every copy is capped at its length, so each stays its holder's to
+// keep (and to append to).  The zero Slab is ready to use.
+type Slab struct{ chunk []byte }
+
+const slabMin, slabMax = 256, 64 << 10
+
+// Copy returns a copy of b.
+func (s *Slab) Copy(b []byte) []byte {
+	if cap(s.chunk)-len(s.chunk) < len(b) {
+		s.chunk = make([]byte, 0, max(len(b), slabMin, min(2*cap(s.chunk), slabMax)))
+	}
+	n := len(s.chunk)
+	s.chunk = append(s.chunk, b...)
+	return s.chunk[n:len(s.chunk):len(s.chunk)]
 }

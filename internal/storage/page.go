@@ -6,6 +6,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -329,28 +330,20 @@ func CheckedRecords(buf []byte) (recs [][]byte, ok bool) {
 }
 
 // compact rewrites the record area so that all live records are contiguous
-// at the end of the page and deleted space is reclaimed.
+// at the end of the page, in slot order from the end, and deleted space is
+// reclaimed.  The page is copied once and the records moved out of the copy.
 func compact(buf []byte) {
-	type live struct {
-		slot int
-		data []byte
-	}
-	var records []live
+	old := bytes.Clone(buf)
+	end := len(buf)
 	for s := 0; s < SlotCount(buf); s++ {
 		off, length := readSlot(buf, s)
 		if off == deletedSlotOffset {
 			writeSlot(buf, s, deletedSlotOffset, 0)
 			continue
 		}
-		cp := make([]byte, length)
-		copy(cp, buf[off:int(off)+int(length)])
-		records = append(records, live{slot: s, data: cp})
-	}
-	end := len(buf)
-	for _, r := range records {
-		end -= len(r.data)
-		copy(buf[end:], r.data)
-		writeSlot(buf, r.slot, uint16(end), uint16(len(r.data)))
+		end -= int(length)
+		copy(buf[end:], old[off:int(off)+int(length)])
+		writeSlot(buf, s, uint16(end), length)
 	}
 	setFreeEnd(buf, end)
 }

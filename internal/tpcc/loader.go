@@ -37,6 +37,15 @@ func Load(db *noftl.DB, sch *Schema, cfg Config) error {
 
 const loadBatch = 200
 
+// address fills the name and address fields of a warehouse or district.
+func address(r *rng, name, street, city, state, zip []byte) {
+	setText(name, r.aString(6, 10))
+	setText(street, r.aString(10, 20))
+	setText(city, r.aString(10, 20))
+	setText(state, r.aString(2, 2))
+	setText(zip, r.zip())
+}
+
 // newScratch returns a row and a key buffer for a loader to reuse: the
 // engine copies what it keeps of a row or a key.
 func newScratch() (enc, key []byte) { return make([]byte, 0, maxRowSize), make([]byte, 0, maxKeySize) }
@@ -45,13 +54,10 @@ func loadItems(db *noftl.DB, sch *Schema, cfg Config, r *rng) error {
 	enc, key := newScratch()
 	tx := db.Begin()
 	for i := 1; i <= cfg.ItemCount; i++ {
-		item := Item{
-			IID:   uint32(i),
-			ImID:  uint32(r.uniform(1, 10000)),
-			Name:  r.aString(14, 24),
-			Price: int64(r.uniform(100, 10000)),
-			Data:  r.dataString(),
-		}
+		item := Item{IID: uint32(i), ImID: uint32(r.uniform(1, 10000))}
+		setText(item.Name[:], r.aString(14, 24))
+		item.Price = int64(r.uniform(100, 10000))
+		setText(item.Data[:], r.dataString())
 		if _, err := insertRow(tx, sch.Item, item.Encode(enc[:0]), sch.IIdx, itemKey(key[:0], i)); err != nil {
 			return err
 		}
@@ -69,24 +75,18 @@ func loadItems(db *noftl.DB, sch *Schema, cfg Config, r *rng) error {
 func loadWarehouse(db *noftl.DB, sch *Schema, cfg Config, r *rng, w int) error {
 	enc, key := newScratch()
 	tx := db.Begin()
-	wh := Warehouse{
-		WID: uint32(w), Name: r.aString(6, 10), Street: r.aString(10, 20),
-		City: r.aString(10, 20), State: r.aString(2, 2), Zip: r.zip(),
-		Tax: int64(r.uniform(0, 2000)), YTD: 30000000,
-	}
+	wh := Warehouse{WID: uint32(w), YTD: 30000000}
+	address(r, wh.Name[:], wh.Street[:], wh.City[:], wh.State[:], wh.Zip[:])
+	wh.Tax = int64(r.uniform(0, 2000))
 	if _, err := insertRow(tx, sch.Warehouse, wh.Encode(enc[:0]), sch.WIdx, warehouseKey(key[:0], w)); err != nil {
 		return err
 	}
 	// Stock.
 	for i := 1; i <= cfg.ItemCount; i++ {
-		st := Stock{
-			IID: uint32(i), WID: uint32(w),
-			Quantity: uint32(r.uniform(10, 100)),
-			YTD:      0, OrderCnt: 0, RemoteCnt: 0,
-			Data: r.dataString(),
-		}
+		st := Stock{IID: uint32(i), WID: uint32(w), Quantity: uint32(r.uniform(10, 100))}
+		setText(st.Data[:], r.dataString())
 		for d := range st.Dists {
-			st.Dists[d] = r.aString(24, 24)
+			setText(st.Dists[d][:], r.aString(24, 24))
 		}
 		if _, err := insertRow(tx, sch.Stock, st.Encode(enc[:0]), sch.SIdx, stockKey(key[:0], w, i)); err != nil {
 			return err
@@ -119,12 +119,9 @@ func loadWarehouse(db *noftl.DB, sch *Schema, cfg Config, r *rng, w int) error {
 func loadDistrict(db *noftl.DB, sch *Schema, cfg Config, r *rng, w, d int) error {
 	enc, key := newScratch()
 	tx := db.Begin()
-	dist := District{
-		DID: uint32(d), WID: uint32(w), Name: r.aString(6, 10),
-		Street: r.aString(10, 20), City: r.aString(10, 20), State: r.aString(2, 2),
-		Zip: r.zip(), Tax: int64(r.uniform(0, 2000)), YTD: 3000000,
-		NextOID: uint32(cfg.InitialOrdersPerDistrict + 1),
-	}
+	dist := District{DID: uint32(d), WID: uint32(w), YTD: 3000000, NextOID: uint32(cfg.InitialOrdersPerDistrict + 1)}
+	address(r, dist.Name[:], dist.Street[:], dist.City[:], dist.State[:], dist.Zip[:])
+	dist.Tax = int64(r.uniform(0, 2000))
 	if _, err := insertRow(tx, sch.District, dist.Encode(enc[:0]), sch.DIdx, districtKey(key[:0], w, d)); err != nil {
 		return err
 	}
@@ -140,25 +137,29 @@ func loadDistrict(db *noftl.DB, sch *Schema, cfg Config, r *rng, w, d int) error
 			last = lastName((c - 1) % cfg.CustomersPerDistrict)
 		}
 		cust := Customer{
-			CID: uint32(c), DID: uint32(d), WID: uint32(w),
-			First: r.aString(8, 16), Middle: "OE", Last: last,
-			Street: r.aString(10, 20), City: r.aString(10, 20), State: r.aString(2, 2),
-			Zip: r.zip(), Phone: r.nString(16), Since: 1,
-			Credit: credit, CreditLimit: 5000000, Discount: int64(r.uniform(0, 5000)),
-			Balance: -1000, YTDPayment: 1000, PaymentCnt: 1, DeliveryCnt: 0,
-			Data: r.aString(100, 250),
+			CID: uint32(c), DID: uint32(d), WID: uint32(w), Since: 1, CreditLimit: 5000000,
+			Balance: -1000, YTDPayment: 1000, PaymentCnt: 1,
 		}
+		setText(cust.First[:], r.aString(8, 16))
+		setText(cust.Middle[:], "OE")
+		setText(cust.Last[:], last)
+		setText(cust.Street[:], r.aString(10, 20))
+		setText(cust.City[:], r.aString(10, 20))
+		setText(cust.State[:], r.aString(2, 2))
+		setText(cust.Zip[:], r.zip())
+		setText(cust.Phone[:], r.nString(16))
+		setText(cust.Credit[:], credit)
+		cust.Discount = int64(r.uniform(0, 5000))
+		setText(cust.Data[:], r.aString(100, 250))
 		crid, err := insertRow(tx, sch.Customer, cust.Encode(enc[:0]), sch.CIdx, customerKey(key[:0], w, d, c))
 		if err != nil {
 			return err
 		}
-		if err := sch.CNameIdx.Insert(tx, customerNameKey(key[:0], w, d, cust.Last, c), crid); err != nil {
+		if err := sch.CNameIdx.Insert(tx, customerNameKey(key[:0], w, d, last, c), crid); err != nil {
 			return err
 		}
-		hist := History{
-			CID: uint32(c), CDID: uint32(d), CWID: uint32(w),
-			DID: uint32(d), WID: uint32(w), Date: 1, Amount: 1000, Data: r.aString(12, 24),
-		}
+		hist := History{CID: uint32(c), CDID: uint32(d), CWID: uint32(w), DID: uint32(d), WID: uint32(w), Date: 1, Amount: 1000}
+		setText(hist.Data[:], r.aString(12, 24))
 		if _, err := sch.History.Insert(tx, hist.Encode(enc[:0])); err != nil {
 			return err
 		}
@@ -207,8 +208,9 @@ func loadDistrict(db *noftl.DB, sch *Schema, cfg Config, r *rng, w, d int) error
 			ol := OrderLine{
 				OID: uint32(o), DID: uint32(d), WID: uint32(w), Number: uint32(n),
 				ItemID: uint32(r.uniform(1, cfg.ItemCount)), SupplyWID: uint32(w),
-				Quantity: 5, Amount: int64(r.uniform(1, 999999)), DistInfo: r.aString(24, 24),
+				Quantity: 5, Amount: int64(r.uniform(1, 999999)),
 			}
+			setText(ol.DistInfo[:], r.aString(24, 24))
 			if delivered {
 				ol.DeliveryDate = 1
 				ol.Amount = 0

@@ -1,6 +1,7 @@
 package tpcc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -8,11 +9,14 @@ import (
 
 // Row encodings.  Rows are fixed-size binary records (strings are stored in
 // fixed-width fields) so that in-place heap updates never change the record
-// size, mirroring the fixed-width row layout TPC-C kits typically use.
+// size, mirroring the fixed-width row layout TPC-C kits typically use.  A row
+// struct mirrors its page bytes: a text field is a NUL-padded byte array of
+// the field's width, so a decode copies the row into a value and allocates
+// nothing, and an encode copies it back.
 
 // fieldWriter appends a row's fixed-width fields to a buffer the caller may
-// reuse.  Every field writes all of its bytes (a string is cut to its width and
-// padded with NULs), so nothing of an earlier, longer row survives in it.
+// reuse.  Every field writes all of its bytes, so nothing of an earlier, longer
+// row survives in it.
 type fieldWriter []byte
 
 // newFieldWriter returns a writer appending to dst, grown once for a row of
@@ -27,17 +31,11 @@ func (w *fieldWriter) i64(v int64) { w.u64(uint64(v)) }
 
 func (w *fieldWriter) money(v int64) { w.u64(uint64(v)) } // cents
 
-func (w *fieldWriter) str(s string, width int) {
-	s = s[:min(len(s), width)]
-	*w = append(append(*w, s...), make([]byte, width-len(s))...)
-}
+func (w *fieldWriter) text(field []byte) { *w = append(*w, field...) }
 
-// fieldReader decodes a row.  The first string field converts the whole row
-// to a string once; every string field is a trimmed substring of it, so a
-// decode allocates once however many string fields the row has.
+// fieldReader decodes a row in field order.
 type fieldReader struct {
 	buf []byte
-	row string
 	off int
 }
 
@@ -55,27 +53,23 @@ func (r *fieldReader) u64() uint64 {
 
 func (r *fieldReader) i64() int64 { return int64(r.u64()) }
 
-func (r *fieldReader) str(width int) string {
-	if r.row == "" {
-		r.row = string(r.buf)
-	}
-	start := r.off
-	r.off += width
-	end := r.off
-	for end > start && r.row[end-1] == 0 {
-		end--
-	}
-	return r.row[start:end]
-}
+// text copies the next len(field) bytes into field.
+func (r *fieldReader) text(field []byte) { r.off += copy(field, r.buf[r.off:r.off+len(field)]) }
+
+// setText stores s in a text field: cut to the field's width, NUL-padded.
+func setText(field []byte, s string) { clear(field[copy(field, s):]) }
+
+// text returns a text field's contents without its NUL padding.
+func text(field []byte) []byte { return bytes.TrimRight(field, "\x00") }
 
 // Warehouse row (~112 bytes).
 type Warehouse struct {
 	WID    uint32
-	Name   string
-	Street string
-	City   string
-	State  string
-	Zip    string
+	Name   [10]byte
+	Street [20]byte
+	City   [20]byte
+	State  [2]byte
+	Zip    [9]byte
 	Tax    int64 // basis points
 	YTD    int64 // cents
 }
@@ -86,37 +80,41 @@ const warehouseSize = 4 + 10 + 20 + 20 + 2 + 9 + 8 + 8
 func (w Warehouse) Encode(dst []byte) []byte {
 	fw := newFieldWriter(dst, warehouseSize)
 	fw.u32(w.WID)
-	fw.str(w.Name, 10)
-	fw.str(w.Street, 20)
-	fw.str(w.City, 20)
-	fw.str(w.State, 2)
-	fw.str(w.Zip, 9)
+	fw.text(w.Name[:])
+	fw.text(w.Street[:])
+	fw.text(w.City[:])
+	fw.text(w.State[:])
+	fw.text(w.Zip[:])
 	fw.i64(w.Tax)
 	fw.money(w.YTD)
 	return fw
 }
 
 // DecodeWarehouse deserializes a warehouse row.
-func DecodeWarehouse(b []byte) (Warehouse, error) {
+func DecodeWarehouse(b []byte) (w Warehouse, err error) {
 	if len(b) < warehouseSize {
-		return Warehouse{}, fmt.Errorf("tpcc: short WAREHOUSE row (%d bytes)", len(b))
+		return w, fmt.Errorf("tpcc: short WAREHOUSE row (%d bytes)", len(b))
 	}
-	r := &fieldReader{buf: b}
-	return Warehouse{
-		WID: r.u32(), Name: r.str(10), Street: r.str(20), City: r.str(20),
-		State: r.str(2), Zip: r.str(9), Tax: r.i64(), YTD: r.i64(),
-	}, nil
+	r := fieldReader{buf: b}
+	w.WID = r.u32()
+	r.text(w.Name[:])
+	r.text(w.Street[:])
+	r.text(w.City[:])
+	r.text(w.State[:])
+	r.text(w.Zip[:])
+	w.Tax, w.YTD = r.i64(), r.i64()
+	return w, nil
 }
 
 // District row.
 type District struct {
 	DID     uint32
 	WID     uint32
-	Name    string
-	Street  string
-	City    string
-	State   string
-	Zip     string
+	Name    [10]byte
+	Street  [20]byte
+	City    [20]byte
+	State   [2]byte
+	Zip     [9]byte
 	Tax     int64
 	YTD     int64
 	NextOID uint32
@@ -129,11 +127,11 @@ func (d District) Encode(dst []byte) []byte {
 	fw := newFieldWriter(dst, districtSize)
 	fw.u32(d.DID)
 	fw.u32(d.WID)
-	fw.str(d.Name, 10)
-	fw.str(d.Street, 20)
-	fw.str(d.City, 20)
-	fw.str(d.State, 2)
-	fw.str(d.Zip, 9)
+	fw.text(d.Name[:])
+	fw.text(d.Street[:])
+	fw.text(d.City[:])
+	fw.text(d.State[:])
+	fw.text(d.Zip[:])
 	fw.i64(d.Tax)
 	fw.money(d.YTD)
 	fw.u32(d.NextOID)
@@ -141,15 +139,19 @@ func (d District) Encode(dst []byte) []byte {
 }
 
 // DecodeDistrict deserializes a district row.
-func DecodeDistrict(b []byte) (District, error) {
+func DecodeDistrict(b []byte) (d District, err error) {
 	if len(b) < districtSize {
-		return District{}, fmt.Errorf("tpcc: short DISTRICT row (%d bytes)", len(b))
+		return d, fmt.Errorf("tpcc: short DISTRICT row (%d bytes)", len(b))
 	}
-	r := &fieldReader{buf: b}
-	return District{
-		DID: r.u32(), WID: r.u32(), Name: r.str(10), Street: r.str(20), City: r.str(20),
-		State: r.str(2), Zip: r.str(9), Tax: r.i64(), YTD: r.i64(), NextOID: r.u32(),
-	}, nil
+	r := fieldReader{buf: b}
+	d.DID, d.WID = r.u32(), r.u32()
+	r.text(d.Name[:])
+	r.text(d.Street[:])
+	r.text(d.City[:])
+	r.text(d.State[:])
+	r.text(d.Zip[:])
+	d.Tax, d.YTD, d.NextOID = r.i64(), r.i64(), r.u32()
+	return d, nil
 }
 
 // Customer row (~430 bytes).
@@ -157,23 +159,23 @@ type Customer struct {
 	CID         uint32
 	DID         uint32
 	WID         uint32
-	First       string
-	Middle      string
-	Last        string
-	Street      string
-	City        string
-	State       string
-	Zip         string
-	Phone       string
+	First       [16]byte
+	Middle      [2]byte
+	Last        [16]byte
+	Street      [20]byte
+	City        [20]byte
+	State       [2]byte
+	Zip         [9]byte
+	Phone       [16]byte
 	Since       int64
-	Credit      string
+	Credit      [2]byte
 	CreditLimit int64
 	Discount    int64
 	Balance     int64
 	YTDPayment  int64
 	PaymentCnt  uint32
 	DeliveryCnt uint32
-	Data        string
+	Data        [250]byte
 }
 
 const customerSize = 4*3 + 16 + 2 + 16 + 20 + 20 + 2 + 9 + 16 + 8 + 2 + 8 + 8 + 8 + 8 + 4 + 4 + 250
@@ -184,40 +186,47 @@ func (c Customer) Encode(dst []byte) []byte {
 	fw.u32(c.CID)
 	fw.u32(c.DID)
 	fw.u32(c.WID)
-	fw.str(c.First, 16)
-	fw.str(c.Middle, 2)
-	fw.str(c.Last, 16)
-	fw.str(c.Street, 20)
-	fw.str(c.City, 20)
-	fw.str(c.State, 2)
-	fw.str(c.Zip, 9)
-	fw.str(c.Phone, 16)
+	fw.text(c.First[:])
+	fw.text(c.Middle[:])
+	fw.text(c.Last[:])
+	fw.text(c.Street[:])
+	fw.text(c.City[:])
+	fw.text(c.State[:])
+	fw.text(c.Zip[:])
+	fw.text(c.Phone[:])
 	fw.i64(c.Since)
-	fw.str(c.Credit, 2)
+	fw.text(c.Credit[:])
 	fw.money(c.CreditLimit)
 	fw.i64(c.Discount)
 	fw.money(c.Balance)
 	fw.money(c.YTDPayment)
 	fw.u32(c.PaymentCnt)
 	fw.u32(c.DeliveryCnt)
-	fw.str(c.Data, 250)
+	fw.text(c.Data[:])
 	return fw
 }
 
 // DecodeCustomer deserializes a customer row.
-func DecodeCustomer(b []byte) (Customer, error) {
+func DecodeCustomer(b []byte) (c Customer, err error) {
 	if len(b) < customerSize {
-		return Customer{}, fmt.Errorf("tpcc: short CUSTOMER row (%d bytes)", len(b))
+		return c, fmt.Errorf("tpcc: short CUSTOMER row (%d bytes)", len(b))
 	}
-	r := &fieldReader{buf: b}
-	return Customer{
-		CID: r.u32(), DID: r.u32(), WID: r.u32(),
-		First: r.str(16), Middle: r.str(2), Last: r.str(16),
-		Street: r.str(20), City: r.str(20), State: r.str(2), Zip: r.str(9), Phone: r.str(16),
-		Since: r.i64(), Credit: r.str(2), CreditLimit: r.i64(), Discount: r.i64(),
-		Balance: r.i64(), YTDPayment: r.i64(), PaymentCnt: r.u32(), DeliveryCnt: r.u32(),
-		Data: r.str(250),
-	}, nil
+	r := fieldReader{buf: b}
+	c.CID, c.DID, c.WID = r.u32(), r.u32(), r.u32()
+	r.text(c.First[:])
+	r.text(c.Middle[:])
+	r.text(c.Last[:])
+	r.text(c.Street[:])
+	r.text(c.City[:])
+	r.text(c.State[:])
+	r.text(c.Zip[:])
+	r.text(c.Phone[:])
+	c.Since = r.i64()
+	r.text(c.Credit[:])
+	c.CreditLimit, c.Discount, c.Balance, c.YTDPayment = r.i64(), r.i64(), r.i64(), r.i64()
+	c.PaymentCnt, c.DeliveryCnt = r.u32(), r.u32()
+	r.text(c.Data[:])
+	return c, nil
 }
 
 // History row (insert-only).
@@ -229,7 +238,7 @@ type History struct {
 	WID    uint32
 	Date   int64
 	Amount int64
-	Data   string
+	Data   [24]byte
 }
 
 const historySize = 4*5 + 8 + 8 + 24
@@ -244,20 +253,20 @@ func (h History) Encode(dst []byte) []byte {
 	fw.u32(h.WID)
 	fw.i64(h.Date)
 	fw.money(h.Amount)
-	fw.str(h.Data, 24)
+	fw.text(h.Data[:])
 	return fw
 }
 
 // DecodeHistory deserializes a history row.
-func DecodeHistory(b []byte) (History, error) {
+func DecodeHistory(b []byte) (h History, err error) {
 	if len(b) < historySize {
-		return History{}, fmt.Errorf("tpcc: short HISTORY row (%d bytes)", len(b))
+		return h, fmt.Errorf("tpcc: short HISTORY row (%d bytes)", len(b))
 	}
-	r := &fieldReader{buf: b}
-	return History{
-		CID: r.u32(), CDID: r.u32(), CWID: r.u32(), DID: r.u32(), WID: r.u32(),
-		Date: r.i64(), Amount: r.i64(), Data: r.str(24),
-	}, nil
+	r := fieldReader{buf: b}
+	h.CID, h.CDID, h.CWID, h.DID, h.WID = r.u32(), r.u32(), r.u32(), r.u32(), r.u32()
+	h.Date, h.Amount = r.i64(), r.i64()
+	r.text(h.Data[:])
+	return h, nil
 }
 
 // NewOrder row.
@@ -283,7 +292,7 @@ func DecodeNewOrder(b []byte) (NewOrder, error) {
 	if len(b) < newOrderSize {
 		return NewOrder{}, fmt.Errorf("tpcc: short NEW_ORDER row (%d bytes)", len(b))
 	}
-	r := &fieldReader{buf: b}
+	r := fieldReader{buf: b}
 	return NewOrder{OID: r.u32(), DID: r.u32(), WID: r.u32()}, nil
 }
 
@@ -320,7 +329,7 @@ func DecodeOrder(b []byte) (Order, error) {
 	if len(b) < orderSize {
 		return Order{}, fmt.Errorf("tpcc: short ORDER row (%d bytes)", len(b))
 	}
-	r := &fieldReader{buf: b}
+	r := fieldReader{buf: b}
 	return Order{
 		OID: r.u32(), DID: r.u32(), WID: r.u32(), CID: r.u32(),
 		EntryDate: r.i64(), CarrierID: r.u32(), OLCount: r.u32(), AllLocal: r.u32(),
@@ -338,7 +347,7 @@ type OrderLine struct {
 	DeliveryDate int64
 	Quantity     uint32
 	Amount       int64
-	DistInfo     string
+	DistInfo     [24]byte
 }
 
 const orderLineSize = 4*6 + 8 + 4 + 8 + 24
@@ -355,30 +364,29 @@ func (ol OrderLine) Encode(dst []byte) []byte {
 	fw.i64(ol.DeliveryDate)
 	fw.u32(ol.Quantity)
 	fw.money(ol.Amount)
-	fw.str(ol.DistInfo, 24)
+	fw.text(ol.DistInfo[:])
 	return fw
 }
 
 // DecodeOrderLine deserializes an order-line row.
-func DecodeOrderLine(b []byte) (OrderLine, error) {
+func DecodeOrderLine(b []byte) (ol OrderLine, err error) {
 	if len(b) < orderLineSize {
-		return OrderLine{}, fmt.Errorf("tpcc: short ORDERLINE row (%d bytes)", len(b))
+		return ol, fmt.Errorf("tpcc: short ORDERLINE row (%d bytes)", len(b))
 	}
-	r := &fieldReader{buf: b}
-	return OrderLine{
-		OID: r.u32(), DID: r.u32(), WID: r.u32(), Number: r.u32(), ItemID: r.u32(),
-		SupplyWID: r.u32(), DeliveryDate: r.i64(), Quantity: r.u32(), Amount: r.i64(),
-		DistInfo: r.str(24),
-	}, nil
+	r := fieldReader{buf: b}
+	ol.OID, ol.DID, ol.WID, ol.Number, ol.ItemID, ol.SupplyWID = r.u32(), r.u32(), r.u32(), r.u32(), r.u32(), r.u32()
+	ol.DeliveryDate, ol.Quantity, ol.Amount = r.i64(), r.u32(), r.i64()
+	r.text(ol.DistInfo[:])
+	return ol, nil
 }
 
 // Item row.
 type Item struct {
 	IID   uint32
 	ImID  uint32
-	Name  string
+	Name  [24]byte
 	Price int64
-	Data  string
+	Data  [50]byte
 }
 
 const itemSize = 4 + 4 + 24 + 8 + 50
@@ -388,19 +396,23 @@ func (i Item) Encode(dst []byte) []byte {
 	fw := newFieldWriter(dst, itemSize)
 	fw.u32(i.IID)
 	fw.u32(i.ImID)
-	fw.str(i.Name, 24)
+	fw.text(i.Name[:])
 	fw.money(i.Price)
-	fw.str(i.Data, 50)
+	fw.text(i.Data[:])
 	return fw
 }
 
 // DecodeItem deserializes an item row.
-func DecodeItem(b []byte) (Item, error) {
+func DecodeItem(b []byte) (it Item, err error) {
 	if len(b) < itemSize {
-		return Item{}, fmt.Errorf("tpcc: short ITEM row (%d bytes)", len(b))
+		return it, fmt.Errorf("tpcc: short ITEM row (%d bytes)", len(b))
 	}
-	r := &fieldReader{buf: b}
-	return Item{IID: r.u32(), ImID: r.u32(), Name: r.str(24), Price: r.i64(), Data: r.str(50)}, nil
+	r := fieldReader{buf: b}
+	it.IID, it.ImID = r.u32(), r.u32()
+	r.text(it.Name[:])
+	it.Price = r.i64()
+	r.text(it.Data[:])
+	return it, nil
 }
 
 // Stock row (~318 bytes).
@@ -408,11 +420,11 @@ type Stock struct {
 	IID       uint32
 	WID       uint32
 	Quantity  uint32
-	Dists     [10]string // 24 chars each
+	Dists     [10][24]byte
 	YTD       int64
 	OrderCnt  uint32
 	RemoteCnt uint32
-	Data      string
+	Data      [50]byte
 }
 
 const stockSize = 4 + 4 + 4 + 10*24 + 8 + 4 + 4 + 50
@@ -423,29 +435,27 @@ func (s Stock) Encode(dst []byte) []byte {
 	fw.u32(s.IID)
 	fw.u32(s.WID)
 	fw.u32(s.Quantity)
-	for _, d := range s.Dists {
-		fw.str(d, 24)
+	for i := range s.Dists {
+		fw.text(s.Dists[i][:])
 	}
 	fw.i64(s.YTD)
 	fw.u32(s.OrderCnt)
 	fw.u32(s.RemoteCnt)
-	fw.str(s.Data, 50)
+	fw.text(s.Data[:])
 	return fw
 }
 
 // DecodeStock deserializes a stock row.
-func DecodeStock(b []byte) (Stock, error) {
+func DecodeStock(b []byte) (s Stock, err error) {
 	if len(b) < stockSize {
-		return Stock{}, fmt.Errorf("tpcc: short STOCK row (%d bytes)", len(b))
+		return s, fmt.Errorf("tpcc: short STOCK row (%d bytes)", len(b))
 	}
-	r := &fieldReader{buf: b}
-	s := Stock{IID: r.u32(), WID: r.u32(), Quantity: r.u32()}
+	r := fieldReader{buf: b}
+	s.IID, s.WID, s.Quantity = r.u32(), r.u32(), r.u32()
 	for i := range s.Dists {
-		s.Dists[i] = r.str(24)
+		r.text(s.Dists[i][:])
 	}
-	s.YTD = r.i64()
-	s.OrderCnt = r.u32()
-	s.RemoteCnt = r.u32()
-	s.Data = r.str(50)
+	s.YTD, s.OrderCnt, s.RemoteCnt = r.i64(), r.u32(), r.u32()
+	r.text(s.Data[:])
 	return s, nil
 }

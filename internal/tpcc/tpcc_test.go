@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -32,61 +33,84 @@ func testDB(t *testing.T, placement PlacementKind) *noftl.DB {
 	return db
 }
 
-func TestRowCodecsRoundTrip(t *testing.T) {
-	w := Warehouse{WID: 3, Name: "Acme", Street: "Main St 1", City: "Springfield", State: "AA", Zip: "123451111", Tax: 1500, YTD: 42}
-	if got, err := DecodeWarehouse(w.Encode(nil)); err != nil || got != w {
-		t.Fatalf("warehouse: %+v vs %+v (%v)", got, w, err)
-	}
-	d := District{DID: 7, WID: 3, Name: "D7", Street: "s", City: "c", State: "ST", Zip: "000001111", Tax: 10, YTD: 20, NextOID: 3001}
-	if got, err := DecodeDistrict(d.Encode(nil)); err != nil || got != d {
-		t.Fatalf("district: %+v (%v)", got, err)
-	}
-	c := Customer{CID: 1, DID: 2, WID: 3, First: "Jane", Middle: "OE", Last: "BARBARBAR", Street: "x", City: "y",
-		State: "ZZ", Zip: "999991111", Phone: "0123456789012345", Since: 5, Credit: "GC", CreditLimit: 50000,
-		Discount: 100, Balance: -10, YTDPayment: 10, PaymentCnt: 1, DeliveryCnt: 0, Data: "some data"}
-	if got, err := DecodeCustomer(c.Encode(nil)); err != nil || got != c {
-		t.Fatalf("customer: %+v (%v)", got, err)
-	}
-	h := History{CID: 1, CDID: 2, CWID: 3, DID: 4, WID: 5, Date: 6, Amount: 7, Data: "hist"}
-	if got, err := DecodeHistory(h.Encode(nil)); err != nil || got != h {
-		t.Fatalf("history: %+v (%v)", got, err)
-	}
-	n := NewOrder{OID: 9, DID: 8, WID: 7}
-	if got, err := DecodeNewOrder(n.Encode(nil)); err != nil || got != n {
-		t.Fatalf("neworder: %+v (%v)", got, err)
-	}
-	o := Order{OID: 1, DID: 2, WID: 3, CID: 4, EntryDate: 5, CarrierID: 6, OLCount: 7, AllLocal: 1}
-	if got, err := DecodeOrder(o.Encode(nil)); err != nil || got != o {
-		t.Fatalf("order: %+v (%v)", got, err)
-	}
-	ol := OrderLine{OID: 1, DID: 2, WID: 3, Number: 4, ItemID: 5, SupplyWID: 6, DeliveryDate: 7, Quantity: 8, Amount: 9, DistInfo: "dist"}
-	if got, err := DecodeOrderLine(ol.Encode(nil)); err != nil || got != ol {
-		t.Fatalf("orderline: %+v (%v)", got, err)
-	}
-	it := Item{IID: 1, ImID: 2, Name: "widget", Price: 399, Data: "ORIGINAL stuff"}
-	if got, err := DecodeItem(it.Encode(nil)); err != nil || got != it {
-		t.Fatalf("item: %+v (%v)", got, err)
-	}
-	s := Stock{IID: 1, WID: 2, Quantity: 50, YTD: 5, OrderCnt: 3, RemoteCnt: 1, Data: "stock data"}
-	for i := range s.Dists {
-		s.Dists[i] = "distinfo"
-	}
-	if got, err := DecodeStock(s.Encode(nil)); err != nil || got != s {
-		t.Fatalf("stock: %+v (%v)", got, err)
-	}
-	// Short buffers are rejected.
-	if _, err := DecodeWarehouse(nil); err == nil {
-		t.Fatal("short warehouse accepted")
-	}
-	if _, err := DecodeStock(make([]byte, 10)); err == nil {
-		t.Fatal("short stock accepted")
+// encoder is what the nine row types have in common.
+type encoder interface{ Encode(dst []byte) []byte }
+
+// rowCase is one row type: the row built by rowCases, its width, and its
+// decoder, as a value (decode) and discarding it (check, which boxes nothing).
+type rowCase struct {
+	table  string
+	size   int
+	row    encoder
+	decode func([]byte) (encoder, error)
+	check  func([]byte) error
+}
+
+func newRowCase[T encoder](table string, size int, row T, decode func([]byte) (T, error)) rowCase {
+	return rowCase{table, size, row,
+		func(b []byte) (encoder, error) { v, err := decode(b); return v, err },
+		func(b []byte) error { _, err := decode(b); return err }}
+}
+
+// fill sets every text field given to s of the field's width.
+func fill(s func(width int) string, fields ...[]byte) {
+	for _, f := range fields {
+		setText(f, s(len(f)))
 	}
 }
 
-// TestRowCodecsStringWidths round-trips all nine row types with every string
+// rowCases returns the nine row types, every text field set by s from its
+// width.
+func rowCases(s func(width int) string) []rowCase {
+	w := Warehouse{WID: 1, Tax: -1, YTD: 1 << 40}
+	fill(s, w.Name[:], w.Street[:], w.City[:], w.State[:], w.Zip[:])
+	d := District{DID: 10, WID: 1, Tax: 7, YTD: -7, NextOID: 1 << 31}
+	fill(s, d.Name[:], d.Street[:], d.City[:], d.State[:], d.Zip[:])
+	c := Customer{CID: 3000, DID: 10, WID: 1, Since: 1, CreditLimit: 2, Discount: 3, Balance: -4,
+		YTDPayment: 5, PaymentCnt: 6, DeliveryCnt: 7}
+	fill(s, c.First[:], c.Middle[:], c.Last[:], c.Street[:], c.City[:], c.State[:], c.Zip[:], c.Phone[:], c.Credit[:], c.Data[:])
+	h := History{CID: 1, CDID: 2, CWID: 3, DID: 4, WID: 5, Date: 6, Amount: -7}
+	fill(s, h.Data[:])
+	ol := OrderLine{OID: 1, DID: 2, WID: 3, Number: 4, ItemID: 5, SupplyWID: 6, DeliveryDate: 7, Quantity: 8, Amount: 9}
+	fill(s, ol.DistInfo[:])
+	it := Item{IID: 100000, ImID: 2, Price: 10000}
+	fill(s, it.Name[:], it.Data[:])
+	st := Stock{IID: 1, WID: 2, Quantity: 91, YTD: -4, OrderCnt: 5, RemoteCnt: 6}
+	fill(s, st.Data[:])
+	for i := range st.Dists {
+		fill(s, st.Dists[i][:])
+	}
+	return []rowCase{
+		newRowCase("WAREHOUSE", warehouseSize, w, DecodeWarehouse),
+		newRowCase("DISTRICT", districtSize, d, DecodeDistrict),
+		newRowCase("CUSTOMER", customerSize, c, DecodeCustomer),
+		newRowCase("HISTORY", historySize, h, DecodeHistory),
+		newRowCase("NEW_ORDER", newOrderSize, NewOrder{OID: 9, DID: 2, WID: 3}, DecodeNewOrder),
+		newRowCase("ORDER", orderSize, Order{OID: 1, DID: 2, WID: 3, CID: 4, EntryDate: -5, CarrierID: 6, OLCount: 15, AllLocal: 1}, DecodeOrder),
+		newRowCase("ORDERLINE", orderLineSize, ol, DecodeOrderLine),
+		newRowCase("ITEM", itemSize, it, DecodeItem),
+		newRowCase("STOCK", stockSize, st, DecodeStock),
+	}
+}
+
+// TestRowCodecsRoundTrip: each of the nine rows decodes to itself, its
+// encoding is the row's width, and a buffer short of it is refused.
+func TestRowCodecsRoundTrip(t *testing.T) {
+	for _, c := range rowCases(func(w int) string { return strings.Repeat("h", w/2) }) {
+		enc := c.row.Encode(nil)
+		if got, err := c.decode(enc); err != nil || got != c.row || len(enc) != c.size {
+			t.Errorf("%s: %d bytes decode to %+v (%v), want %d bytes of %+v", c.table, len(enc), got, err, c.size, c.row)
+		}
+		if err := c.check(enc[:c.size-1]); err == nil {
+			t.Errorf("%s: short row accepted", c.table)
+		}
+	}
+}
+
+// TestRowCodecsStringWidths round-trips all nine row types with every text
 // field empty, filled to its full width, starting with a NUL, and ending in
 // NULs, which a fixed-width field cannot tell from its padding: they decode
-// trimmed.
+// as the padding.
 func TestRowCodecsStringWidths(t *testing.T) {
 	fills := map[string]func(width int) (enc, dec string){
 		"empty": func(int) (string, string) { return "", "" },
@@ -104,117 +128,56 @@ func TestRowCodecsStringWidths(t *testing.T) {
 		},
 	}
 	for name, fill := range fills {
-		enc := func(w int) string { s, _ := fill(w); return s }
-		dec := func(w int) string { _, s := fill(w); return s }
-		check := func(table string, got, want any, err error) {
-			t.Helper()
-			if err != nil || got != want {
-				t.Errorf("%s, %s strings: decoded %+v (%v), want %+v", table, name, got, err, want)
+		want := rowCases(func(w int) string { _, s := fill(w); return s })
+		for i, c := range rowCases(func(w int) string { s, _ := fill(w); return s }) {
+			if got, err := c.decode(c.row.Encode(nil)); err != nil || got != want[i].row {
+				t.Errorf("%s, %s strings: decoded %+v (%v), want %+v", c.table, name, got, err, want[i].row)
 			}
 		}
-		warehouse := func(s func(int) string) Warehouse {
-			return Warehouse{WID: 1, Name: s(10), Street: s(20), City: s(20), State: s(2), Zip: s(9), Tax: -1, YTD: math.MaxInt64}
-		}
-		w, err := DecodeWarehouse(warehouse(enc).Encode(nil))
-		check("WAREHOUSE", w, warehouse(dec), err)
-		district := func(s func(int) string) District {
-			return District{DID: 10, WID: 1, Name: s(10), Street: s(20), City: s(20), State: s(2), Zip: s(9), Tax: 7, YTD: -7, NextOID: math.MaxUint32}
-		}
-		d, err := DecodeDistrict(district(enc).Encode(nil))
-		check("DISTRICT", d, district(dec), err)
-		customer := func(s func(int) string) Customer {
-			return Customer{CID: 3000, DID: 10, WID: 1, First: s(16), Middle: s(2), Last: s(16), Street: s(20), City: s(20),
-				State: s(2), Zip: s(9), Phone: s(16), Since: 1, Credit: s(2), CreditLimit: 2, Discount: 3, Balance: -4,
-				YTDPayment: 5, PaymentCnt: 6, DeliveryCnt: 7, Data: s(250)}
-		}
-		c, err := DecodeCustomer(customer(enc).Encode(nil))
-		check("CUSTOMER", c, customer(dec), err)
-		history := func(s func(int) string) History {
-			return History{CID: 1, CDID: 2, CWID: 3, DID: 4, WID: 5, Date: 6, Amount: -7, Data: s(24)}
-		}
-		h, err := DecodeHistory(history(enc).Encode(nil))
-		check("HISTORY", h, history(dec), err)
-		no := NewOrder{OID: math.MaxUint32, DID: 2, WID: 3}
-		n, err := DecodeNewOrder(no.Encode(nil))
-		check("NEW_ORDER", n, no, err)
-		order := Order{OID: 1, DID: 2, WID: 3, CID: 4, EntryDate: math.MinInt64, CarrierID: 6, OLCount: 15, AllLocal: 1}
-		o, err := DecodeOrder(order.Encode(nil))
-		check("ORDER", o, order, err)
-		orderLine := func(s func(int) string) OrderLine {
-			return OrderLine{OID: 1, DID: 2, WID: 3, Number: 4, ItemID: 5, SupplyWID: 6, DeliveryDate: 7, Quantity: 8, Amount: 9, DistInfo: s(24)}
-		}
-		ol, err := DecodeOrderLine(orderLine(enc).Encode(nil))
-		check("ORDERLINE", ol, orderLine(dec), err)
-		item := func(s func(int) string) Item {
-			return Item{IID: 100000, ImID: 2, Name: s(24), Price: 10000, Data: s(50)}
-		}
-		it, err := DecodeItem(item(enc).Encode(nil))
-		check("ITEM", it, item(dec), err)
-		stock := func(s func(int) string) Stock {
-			st := Stock{IID: 1, WID: 2, Quantity: 91, YTD: 4, OrderCnt: 5, RemoteCnt: 6, Data: s(50)}
-			for i := range st.Dists {
-				st.Dists[i] = s(24)
-			}
-			return st
-		}
-		st, err := DecodeStock(stock(enc).Encode(nil))
-		check("STOCK", st, stock(dec), err)
+	}
+	var ol OrderLine
+	setText(ol.DistInfo[:], "dist")
+	if got := text(ol.DistInfo[:]); string(got) != "dist" {
+		t.Errorf("text of a padded field = %q, want %q", got, "dist")
 	}
 }
 
-// TestDecodeAllocatesOnce gates the row codec: a decode converts the row to
-// one string and cuts every string field out of it.
-func TestDecodeAllocatesOnce(t *testing.T) {
-	full := func(w int) string { return strings.Repeat("x", w) }
-	st := Stock{IID: 1, WID: 1, Quantity: 50, Data: full(50)}
-	for i := range st.Dists {
-		st.Dists[i] = full(24)
-	}
-	stock := st.Encode(nil)
-	customer := Customer{First: full(16), Middle: "OE", Last: "BARBARBAR", Street: full(20), City: full(20),
-		State: "ST", Zip: full(9), Phone: full(16), Credit: "GC", Data: full(250)}.Encode(nil)
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := DecodeStock(stock); err != nil {
-			t.Fatal(err)
+// TestDecodeAllocatesNothing gates the row codec: a decode copies the row into
+// a value of fixed-width fields and allocates nothing.
+func TestDecodeAllocatesNothing(t *testing.T) {
+	for _, c := range rowCases(func(w int) string { return strings.Repeat("x", w) }) {
+		enc := c.row.Encode(nil)
+		if n := testing.AllocsPerRun(100, func() {
+			if err := c.check(enc); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("decoding a %s row allocates %v times, want 0", c.table, n)
 		}
-	}); n > 1 {
-		t.Errorf("DecodeStock allocates %v times, want at most 1", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := DecodeCustomer(customer); err != nil {
-			t.Fatal(err)
-		}
-	}); n > 1 {
-		t.Errorf("DecodeCustomer allocates %v times, want at most 1", n)
 	}
 }
 
-// rowEncoders returns the nine row types, every string field set by s from its
-// width, as their Encode methods.
-func rowEncoders(s func(width int) string) []struct {
-	table  string
-	encode func(dst []byte) []byte
-} {
-	st := Stock{IID: 1, WID: 2, Quantity: 91, YTD: -4, OrderCnt: 5, RemoteCnt: 6, Data: s(50)}
-	for i := range st.Dists {
-		st.Dists[i] = s(24)
-	}
-	return []struct {
-		table  string
-		encode func(dst []byte) []byte
-	}{
-		{"WAREHOUSE", Warehouse{WID: 1, Name: s(10), Street: s(20), City: s(20), State: s(2), Zip: s(9), Tax: -1, YTD: 1 << 40}.Encode},
-		{"DISTRICT", District{DID: 10, WID: 1, Name: s(10), Street: s(20), City: s(20), State: s(2), Zip: s(9), Tax: 7, YTD: -7, NextOID: 1 << 31}.Encode},
-		{"CUSTOMER", Customer{CID: 3000, DID: 10, WID: 1, First: s(16), Middle: s(2), Last: s(16), Street: s(20), City: s(20),
-			State: s(2), Zip: s(9), Phone: s(16), Since: 1, Credit: s(2), CreditLimit: 2, Discount: 3, Balance: -4,
-			YTDPayment: 5, PaymentCnt: 6, DeliveryCnt: 7, Data: s(250)}.Encode},
-		{"HISTORY", History{CID: 1, CDID: 2, CWID: 3, DID: 4, WID: 5, Date: 6, Amount: -7, Data: s(24)}.Encode},
-		{"NEW_ORDER", NewOrder{OID: 9, DID: 2, WID: 3}.Encode},
-		{"ORDER", Order{OID: 1, DID: 2, WID: 3, CID: 4, EntryDate: -5, CarrierID: 6, OLCount: 15, AllLocal: 1}.Encode},
-		{"ORDERLINE", OrderLine{OID: 1, DID: 2, WID: 3, Number: 4, ItemID: 5, SupplyWID: 6, DeliveryDate: 7, Quantity: 8, Amount: 9, DistInfo: s(24)}.Encode},
-		{"ITEM", Item{IID: 100000, ImID: 2, Name: s(24), Price: 10000, Data: s(50)}.Encode},
-		{"STOCK", st.Encode},
-	}
+// FuzzRowCodec: for each of the nine row types, any input of the row's width
+// (the fuzzed bytes, NUL-padded or cut to it) decodes and re-encodes to itself
+// byte for byte, embedded and trailing NULs included.
+func FuzzRowCodec(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("ab\x00cd\x00\x00ef"))
+	f.Add(bytes.Repeat([]byte{0xFF, 0}, maxRowSize))
+	cases := rowCases(func(int) string { return "" })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, c := range cases {
+			in := make([]byte, c.size)
+			copy(in, data)
+			row, err := c.decode(in)
+			if err != nil {
+				t.Fatalf("%s: %v", c.table, err)
+			}
+			if out := row.Encode(nil); !bytes.Equal(out, in) {
+				t.Fatalf("%s: %x re-encodes as %x", c.table, in, out)
+			}
+		}
+	})
 }
 
 // TestEncodeIntoReusedBuffer gates the terminal's encode scratch: a row
@@ -237,23 +200,19 @@ func TestEncodeIntoReusedBuffer(t *testing.T) {
 	prefix := []byte("dst")
 	for _, fill := range fills {
 		h := sha256.New()
-		for _, row := range rowEncoders(fill.s) {
-			want := row.encode(nil)
+		for _, c := range rowCases(fill.s) {
+			want := c.row.Encode(nil)
 			h.Write(want)
-			if got := row.encode(dirty()); !bytes.Equal(got, want) {
-				t.Errorf("%s, %s strings: Encode(dirty) = %x, want %x", row.table, fill.name, got, want)
+			if got := c.row.Encode(dirty()); !bytes.Equal(got, want) {
+				t.Errorf("%s, %s strings: Encode(dirty) = %x, want %x", c.table, fill.name, got, want)
 			}
-			if got := row.encode(append(dirty(), prefix...)); !bytes.Equal(got, append(bytes.Clone(prefix), want...)) {
-				t.Errorf("%s, %s strings: Encode after %q = %x", row.table, fill.name, prefix, got)
+			if got := c.row.Encode(append(dirty(), prefix...)); !bytes.Equal(got, append(bytes.Clone(prefix), want...)) {
+				t.Errorf("%s, %s strings: Encode after %q = %x", c.table, fill.name, prefix, got)
 			}
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != fill.golden {
 			t.Errorf("%s strings: the nine rows hash to %s, want %s", fill.name, got, fill.golden)
 		}
-	}
-	// Over-width strings are cut to their field.
-	if ol, err := DecodeOrderLine(OrderLine{DistInfo: strings.Repeat("x", 30)}.Encode(nil)); err != nil || ol.DistInfo != strings.Repeat("x", 24) {
-		t.Errorf("over-width DistInfo decodes as %q (%v)", ol.DistInfo, err)
 	}
 }
 
@@ -261,9 +220,9 @@ func TestEncodeIntoReusedBuffer(t *testing.T) {
 // room for it, as the terminal's, allocates nothing.
 func TestEncodeIntoCapacityAllocatesNothing(t *testing.T) {
 	buf := make([]byte, 0, maxRowSize)
-	for _, row := range rowEncoders(func(w int) string { return strings.Repeat("x", w) }) {
-		if n := testing.AllocsPerRun(100, func() { buf = row.encode(buf[:0]) }); n != 0 {
-			t.Errorf("%s: Encode into capacity allocates %v times", row.table, n)
+	for _, c := range rowCases(func(w int) string { return strings.Repeat("x", w) }) {
+		if n := testing.AllocsPerRun(100, func() { buf = c.row.Encode(buf[:0]) }); n != 0 {
+			t.Errorf("%s: Encode into capacity allocates %v times", c.table, n)
 		}
 	}
 }
@@ -299,7 +258,8 @@ func TestLockNames(t *testing.T) {
 
 func TestStockCodecProperty(t *testing.T) {
 	f := func(iid, wid, qty uint32, ytd int64, oc, rc uint32) bool {
-		s := Stock{IID: iid, WID: wid, Quantity: qty, YTD: ytd, OrderCnt: oc, RemoteCnt: rc, Data: "d"}
+		s := Stock{IID: iid, WID: wid, Quantity: qty, YTD: ytd, OrderCnt: oc, RemoteCnt: rc}
+		setText(s.Data[:], "d")
 		got, err := DecodeStock(s.Encode(nil))
 		return err == nil && got == s
 	}
@@ -738,4 +698,91 @@ func TestConfigDefaults(t *testing.T) {
 	if c.withDefaults().InitialOrdersPerDistrict != 10 {
 		t.Fatal("initial orders not clamped")
 	}
+}
+
+// TestAllocationsPerTransaction caps the host cost of a TPC-C transaction: the
+// heap allocations per committed transaction of each type run alone, and of
+// the standard mix, on the tiny database under multi-region placement.  The mix
+// measured 13.5 (76 before rows decoded into fixed-width fields, scans copied
+// their keys into one slab, and begin, locking, dispatch and GC reused what
+// they own; 405 before a page pin, a row decode, an index lookup and a log
+// record stopped allocating what nothing keeps; 142 before a terminal read,
+// encoded and keyed its rows in buffers it owns); NewOrder 18.5, Payment 7.7,
+// OrderStatus 5.7, Delivery (ten districts) 63.8 and StockLevel 6.7.  Each
+// ceiling is the measured value plus 30 %.
+func TestAllocationsPerTransaction(t *testing.T) {
+	dbCfg := noftl.DefaultConfig()
+	dbCfg.Flash.Geometry = flash.Geometry{
+		Channels: 4, DiesPerChannel: 2, PlanesPerDie: 1,
+		BlocksPerDie: 16, PagesPerBlock: 32, PageSize: 4096,
+	}
+	dbCfg.BufferPoolPages = 192
+	dbCfg.DisableSnapshotCheckpoints = true
+	db, err := noftl.OpenConfig(dbCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	cfg := Config{
+		Warehouses: 1, CustomersPerDistrict: 60, ItemCount: 300, InitialOrdersPerDistrict: 60,
+		Placement: PlacementRegions, Terminals: 4, Workers: 1, Transactions: 500, CheckpointEvery: 100,
+	}
+	sch, err := Setup(db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Load(db, sch, cfg); err != nil {
+		t.Fatal(err)
+	}
+	perTxn := func(t *testing.T, ceiling float64, run func() (committed int64)) {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		committed := run()
+		runtime.ReadMemStats(&ms)
+		if n := float64(ms.Mallocs-before) / float64(committed); n > ceiling {
+			t.Errorf("%.1f heap allocations per committed transaction, ceiling %v", n, ceiling)
+		} else {
+			t.Logf("%.1f heap allocations per committed transaction", n)
+		}
+	}
+	term := &terminal{db: db, sch: sch, cfg: cfg.withDefaults(), r: newRNG(5), wID: 1, dID: 1,
+		row: make([]byte, 0, maxRowSize), enc: make([]byte, 0, maxRowSize)}
+	for _, c := range []struct {
+		typ     TxnType
+		n       int
+		ceiling float64
+	}{
+		{TxnNewOrder, 100, 24}, {TxnPayment, 100, 10}, {TxnOrderStatus, 100, 7.5},
+		{TxnDelivery, 10, 83}, {TxnStockLevel, 50, 8.7},
+	} {
+		t.Run(c.typ.String(), func(t *testing.T) {
+			perTxn(t, c.ceiling, func() (committed int64) {
+				for range c.n {
+					tx := db.Begin()
+					if err := term.run(c.typ, tx); err != nil {
+						tx.Abort()
+						if errorsIsRollback(err) {
+							continue
+						}
+						t.Fatal(err)
+					}
+					if _, err := tx.Commit(); err != nil {
+						t.Fatal(err)
+					}
+					committed++
+				}
+				return committed
+			})
+		})
+	}
+	t.Run("mix", func(t *testing.T) {
+		perTxn(t, 17.6, func() int64 {
+			res, err := Run(db, sch, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Committed
+		})
+	})
 }

@@ -3,7 +3,7 @@ package tpcc
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"noftl"
 )
@@ -53,12 +53,16 @@ type terminal struct {
 
 	// Scratch the terminal's transactions fill and throw away, one
 	// transaction at a time: the row read last, the row encoded last (both
-	// with room for the widest row), and two buffers for index keys and lock
-	// names, for a Range needs both of its bounds at once.  The engine copies
-	// what it keeps of them.  A key buffer is not rewritten while an iterator
-	// that was handed it runs.
+	// with room for the widest row), two buffers for index keys and lock
+	// names, for a Range needs both of its bounds at once, the RIDs a scan
+	// collects before they are read, and Stock-Level's distinct items.  The
+	// engine copies what it keeps of them.  A key buffer is not rewritten
+	// while an iterator that was handed it runs.
 	row, enc []byte
 	key, hi  [maxKeySize]byte
+	rids     []noftl.RID
+	items    []uint32
+	seen     map[uint32]bool
 }
 
 // maxRowSize is the size of the widest row, CUSTOMER; maxKeySize holds every
@@ -164,10 +168,11 @@ func (t *terminal) getCustomerByID(tx *noftl.Tx, w, d, c int) (Customer, noftl.R
 // getCustomerByName selects the middle customer (per clause 2.5.2.2) among
 // those sharing the last name.
 func (t *terminal) getCustomerByName(tx *noftl.Tx, w, d int, last string) (Customer, noftl.RID, error) {
-	var rids []noftl.RID
+	rids := t.rids[:0]
 	for _, rid := range t.sch.CNameIdx.Prefix(tx, customerNamePrefix(t.key[:0], w, d, last)) {
 		rids = append(rids, rid)
 	}
+	t.rids = rids
 	if err := tx.Err(); err != nil {
 		return Customer{}, noftl.RID{}, err
 	}
@@ -197,12 +202,13 @@ func (t *terminal) newOrder(tx *noftl.Tx) error {
 
 	// Choose the items up front and lock them in canonical order (sorted by
 	// item id) so concurrent NewOrders cannot deadlock.
-	items := make([]int, olCnt)
+	var itemBuf, lockBuf [15]int
+	items := itemBuf[:olCnt]
 	for i := range items {
 		items[i] = t.r.itemID(t.cfg.ItemCount)
 	}
-	lockOrder := append([]int(nil), items...)
-	sort.Ints(lockOrder)
+	lockOrder := append(lockBuf[:0], items...)
+	slices.Sort(lockOrder)
 
 	// The district row is the serialization point (O_ID assignment).
 	if err := tx.Lock(districtLockKey(t.key[:0], w, d), noftl.Exclusive); err != nil {
@@ -351,11 +357,8 @@ func (t *terminal) payment(tx *noftl.Tx) error {
 	cust.Balance -= amount
 	cust.YTDPayment += amount
 	cust.PaymentCnt++
-	if cust.Credit == "BC" {
-		cust.Data = fmt.Sprintf("%d %d %d %d %d %d|%s", cust.CID, cust.DID, cust.WID, d, w, amount, cust.Data)
-		if len(cust.Data) > 250 {
-			cust.Data = cust.Data[:250]
-		}
+	if string(cust.Credit[:]) == "BC" {
+		setText(cust.Data[:], fmt.Sprintf("%d %d %d %d %d %d|%s", cust.CID, cust.DID, cust.WID, d, w, amount, string(text(cust.Data[:]))))
 	}
 	if err := t.sch.Customer.Update(tx, crid, cust.Encode(t.enc[:0])); err != nil {
 		return err
@@ -364,8 +367,10 @@ func (t *terminal) payment(tx *noftl.Tx) error {
 	hist := History{
 		CID: cust.CID, CDID: cust.DID, CWID: cust.WID,
 		DID: uint32(d), WID: uint32(w), Date: int64(tx.Now()), Amount: amount,
-		Data: wh.Name + "    " + dist.Name,
 	}
+	n := copy(hist.Data[:], text(wh.Name[:])) // H_DATA: W_NAME, four spaces, D_NAME
+	n += copy(hist.Data[n:], "    ")
+	copy(hist.Data[n:], text(dist.Name[:]))
 	_, err = t.sch.History.Insert(tx, hist.Encode(t.enc[:0]))
 	return err
 }
@@ -473,10 +478,11 @@ func (t *terminal) delivery(tx *noftl.Tx) error {
 		}
 		// Update every order line's delivery date and sum the amounts.
 		var total int64
-		var olRIDs []noftl.RID
+		olRIDs := t.rids[:0]
 		for _, rid := range t.sch.OLIdx.Prefix(tx, orderLinePrefix(t.key[:0], w, d, oID)) {
 			olRIDs = append(olRIDs, rid)
 		}
+		t.rids = olRIDs
 		if err := tx.Err(); err != nil {
 			return err
 		}
@@ -530,8 +536,11 @@ func (t *terminal) stockLevel(tx *noftl.Tx) error {
 	// Collect the distinct items of the last 20 orders, in first-seen order:
 	// the stock lookups below must hit the buffer pool in the same order on
 	// every run of a seed.
-	seen := map[uint32]bool{}
-	var items []uint32
+	if t.seen == nil {
+		t.seen = make(map[uint32]bool)
+	}
+	seen, items := t.seen, t.items[:0]
+	clear(seen)
 	for _, rid := range t.sch.OLIdx.Range(tx, orderLineKey(t.key[:0], w, d, lowO, 0), orderLineKey(t.hi[:0], w, d, nextO, 0)) {
 		row, err := t.read(tx, t.sch.OrderLine, rid)
 		if err != nil {
@@ -546,6 +555,7 @@ func (t *terminal) stockLevel(tx *noftl.Tx) error {
 			items = append(items, ol.ItemID)
 		}
 	}
+	t.items = items
 	if err := tx.Err(); err != nil {
 		return err
 	}

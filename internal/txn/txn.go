@@ -45,7 +45,7 @@ var (
 
 // lockState is the state of one lockable key.
 type lockState struct {
-	readers map[uint64]int // txn id -> hold count
+	readers map[uint64]int // txn id -> hold count; made at the first shared grant
 	writer  uint64         // txn id holding exclusively, 0 if none
 	waiting int            // transactions currently blocked on this key
 	// maxRelease is the highest virtual time at which a holder released this
@@ -111,7 +111,7 @@ func (lm *LockManager) SetWallFallback(d time.Duration) {
 func (lm *LockManager) state(key string) *lockState {
 	ls, ok := lm.locks[key]
 	if !ok {
-		ls = &lockState{readers: make(map[uint64]int)}
+		ls = &lockState{}
 		lm.locks[key] = ls
 	}
 	return ls
@@ -155,14 +155,15 @@ func (lm *LockManager) Stats() LockStats {
 // LockAt acquires key in the given mode on behalf of txnID, whose current
 // virtual time is now, blocking until the lock is granted or the wait times
 // out.  Re-acquiring a lock already held (including upgrading shared to
-// exclusive when the transaction is the sole reader) succeeds.
+// exclusive when the transaction is the sole reader) succeeds.  first reports
+// whether the grant is the transaction's first hold on key.
 //
 // The wait deadline is virtual: it expires when the key's release frontier
 // (the highest virtual time of any release of this key) moves more than the
 // configured timeout past the frontier observed when the wait began, while
 // the lock remains unavailable.  A wall-clock fallback (SetWallFallback)
 // catches deadlocks, where the frontier never moves.
-func (lm *LockManager) LockAt(now sim.Time, txnID uint64, key string, mode LockMode) error {
+func (lm *LockManager) LockAt(now sim.Time, txnID uint64, key string, mode LockMode) (first bool, err error) {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	ls := lm.state(key)
@@ -180,12 +181,15 @@ func (lm *LockManager) LockAt(now sim.Time, txnID uint64, key string, mode LockM
 				ls.writer = txnID
 				delete(ls.readers, txnID) // upgrade consumes the shared hold
 			} else {
+				if ls.readers == nil {
+					ls.readers = make(map[uint64]int)
+				}
 				ls.readers[txnID]++
 			}
 			if waited {
 				ls.waiting--
 			}
-			return nil
+			return !holder, nil
 		}
 		if !waited {
 			waited = true
@@ -200,7 +204,7 @@ func (lm *LockManager) LockAt(now sim.Time, txnID uint64, key string, mode LockM
 		} else if ls.maxRelease > vdeadline || time.Now().After(wallDeadline) {
 			ls.waiting--
 			lm.timeouts.Inc()
-			return fmt.Errorf("%w: txn %d key %q", ErrLockTimeout, txnID, key)
+			return false, fmt.Errorf("%w: txn %d key %q", ErrLockTimeout, txnID, key)
 		}
 		// Wake ourselves up at the wall deadline so the fallback is honoured
 		// even if nobody ever releases the lock.  Any release wakes us too;
@@ -342,14 +346,17 @@ func (m *Manager) Committed() int64 { return m.commits.Value() }
 func (m *Manager) Aborted() int64   { return m.aborts.Value() }
 
 // Txn is one transaction.  It is owned by a single goroutine (a TPC-C
-// terminal); it is not safe for concurrent use.
+// terminal); it is not safe for concurrent use.  A Txn is a value its owner
+// embeds: it holds its clock and room for the keys of a NewOrder's locks, so
+// a transaction that takes no more allocates nothing of its own.  Do not copy
+// a Txn once it has taken a lock.
 type Txn struct {
 	id      uint64
 	mgr     *Manager
-	cursor  *sim.Cursor
+	cursor  sim.Cursor
 	state   State
-	locks   []string
-	lockSet map[string]bool
+	locks   []string // every key held, once; lockBuf until it outgrows it
+	lockBuf [16]string
 	start   sim.Time
 	logged  bool // RecBegin has been appended (done lazily, see logBegin)
 }
@@ -357,19 +364,18 @@ type Txn struct {
 // Begin starts a transaction whose virtual clock begins at now.  Nothing is
 // logged yet: RecBegin is written immediately before the transaction's first
 // record, so a read-only transaction that aborts leaves the log untouched.
-func (m *Manager) Begin(now sim.Time) *Txn {
-	id := m.nextID.Add(1)
+func (m *Manager) Begin(now sim.Time) Txn {
 	m.started.Inc()
-	cur := sim.NewCursor(m.clock)
-	cur.SetTo(now)
-	return &Txn{id: id, mgr: m, cursor: cur, state: Active, lockSet: make(map[string]bool), start: now}
+	t := Txn{id: m.nextID.Add(1), mgr: m, cursor: *sim.NewCursor(m.clock), state: Active, start: now}
+	t.cursor.SetTo(now)
+	return t
 }
 
 // logBegin appends the transaction's RecBegin ahead of its first record.
 func (t *Txn) logBegin() {
 	if !t.logged {
 		t.logged = true
-		_, _ = t.mgr.log.Append(wal.RecBegin, t.id, 0, nil)
+		_, _ = t.mgr.log.Append(wal.RecBegin, t.id, 0)
 	}
 }
 
@@ -399,24 +405,25 @@ func (t *Txn) Lock(key string, mode LockMode) error {
 	if t.state != Active {
 		return ErrTxnDone
 	}
-	if err := t.mgr.lm.LockAt(t.cursor.Now(), t.id, key, mode); err != nil {
-		return err
-	}
-	if !t.lockSet[key] {
-		t.lockSet[key] = true
+	first, err := t.mgr.lm.LockAt(t.cursor.Now(), t.id, key, mode)
+	if first {
+		if t.locks == nil {
+			t.locks = t.lockBuf[:0]
+		}
 		t.locks = append(t.locks, key)
 	}
-	return nil
+	return err
 }
 
-// Log appends a record to the WAL on behalf of the transaction.  A record
-// the log refuses is not durable: the caller must fail the operation.
-func (t *Txn) Log(typ wal.RecordType, objectID uint32, payload []byte) error {
+// Log appends a record to the WAL on behalf of the transaction; its payload is
+// the concatenation of the parts given.  A record the log refuses is not
+// durable: the caller must fail the operation.
+func (t *Txn) Log(typ wal.RecordType, objectID uint32, payload ...[]byte) error {
 	if t.mgr.log == nil || t.state != Active {
 		return nil
 	}
 	t.logBegin()
-	_, err := t.mgr.log.Append(typ, t.id, objectID, payload)
+	_, err := t.mgr.log.Append(typ, t.id, objectID, payload...)
 	return err
 }
 
@@ -429,7 +436,7 @@ func (t *Txn) Commit() (sim.Time, error) {
 	}
 	if t.mgr.log != nil {
 		t.logBegin()
-		lsn, err := t.mgr.log.Append(wal.RecCommit, t.id, 0, nil)
+		lsn, err := t.mgr.log.Append(wal.RecCommit, t.id, 0)
 		if err != nil {
 			return t.cursor.Now(), err
 		}
@@ -455,7 +462,7 @@ func (t *Txn) Abort() sim.Time {
 		return t.cursor.Now()
 	}
 	if t.logged {
-		_, _ = t.mgr.log.Append(wal.RecAbort, t.id, 0, nil)
+		_, _ = t.mgr.log.Append(wal.RecAbort, t.id, 0)
 	}
 	t.state = Aborted
 	t.mgr.aborts.Inc()

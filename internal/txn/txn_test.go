@@ -31,21 +31,21 @@ func testWAL(t *testing.T) *wal.Log {
 func TestLockManagerSharedAndExclusive(t *testing.T) {
 	lm := NewLockManager(time.Second)
 	// Two readers coexist.
-	if err := lm.LockAt(0, 1, "k", Shared); err != nil {
+	if _, err := lm.LockAt(0, 1, "k", Shared); err != nil {
 		t.Fatal(err)
 	}
-	if err := lm.LockAt(0, 2, "k", Shared); err != nil {
+	if _, err := lm.LockAt(0, 2, "k", Shared); err != nil {
 		t.Fatal(err)
 	}
 	// A writer must wait; nothing is released, so the wall-clock safety net
 	// makes it give up.
 	short := NewLockManager(50 * time.Millisecond)
 	short.SetWallFallback(50 * time.Millisecond)
-	if err := short.LockAt(0, 1, "x", Exclusive); err != nil {
+	if _, err := short.LockAt(0, 1, "x", Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	err := short.LockAt(0, 2, "x", Exclusive)
+	_, err := short.LockAt(0, 2, "x", Exclusive)
 	if !errors.Is(err, ErrLockTimeout) {
 		t.Fatalf("want ErrLockTimeout, got %v", err)
 	}
@@ -57,31 +57,32 @@ func TestLockManagerSharedAndExclusive(t *testing.T) {
 	}
 	// Releasing lets the writer in.
 	short.ReleaseAllAt(0, 1, []string{"x"})
-	if err := short.LockAt(0, 2, "x", Exclusive); err != nil {
+	if _, err := short.LockAt(0, 2, "x", Exclusive); err != nil {
 		t.Fatalf("lock after release: %v", err)
 	}
 	// Re-acquiring an already-held lock succeeds, as does upgrading when the
 	// transaction is the only reader.
-	if err := lm.LockAt(0, 1, "k", Shared); err != nil {
+	if _, err := lm.LockAt(0, 1, "k", Shared); err != nil {
 		t.Fatal(err)
 	}
 	lm.ReleaseAllAt(0, 2, []string{"k"})
-	if err := lm.LockAt(0, 1, "k", Exclusive); err != nil {
+	if _, err := lm.LockAt(0, 1, "k", Exclusive); err != nil {
 		t.Fatalf("upgrade failed: %v", err)
 	}
-	if err := lm.LockAt(0, 1, "k", Exclusive); err != nil {
+	if _, err := lm.LockAt(0, 1, "k", Exclusive); err != nil {
 		t.Fatalf("re-acquire failed: %v", err)
 	}
 }
 
 func TestLockManagerBlocksThenGrants(t *testing.T) {
 	lm := NewLockManager(2 * time.Second)
-	if err := lm.LockAt(0, 1, "row", Exclusive); err != nil {
+	if _, err := lm.LockAt(0, 1, "row", Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	acquired := make(chan error, 1)
 	go func() {
-		acquired <- lm.LockAt(0, 2, "row", Exclusive)
+		_, err := lm.LockAt(0, 2, "row", Exclusive)
+		acquired <- err
 	}()
 	select {
 	case err := <-acquired:
@@ -108,7 +109,7 @@ func TestLockManagerConcurrentCounter(t *testing.T) {
 		go func(id uint64) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if err := lm.LockAt(0, id, "counter", Exclusive); err != nil {
+				if _, err := lm.LockAt(0, id, "counter", Exclusive); err != nil {
 					t.Error(err)
 					return
 				}
@@ -228,13 +229,14 @@ func TestLockVirtualTimeoutDeterministic(t *testing.T) {
 	lm := NewLockManager(time.Millisecond) // 1 ms of virtual time
 	lm.SetWallFallback(30 * time.Second)   // fallback far away: virtual path must fire
 
-	if err := lm.LockAt(0, 1, "k", Exclusive); err != nil {
+	if _, err := lm.LockAt(0, 1, "k", Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	errCh := make(chan error, 1)
 	go func() {
 		// Waiter at virtual time 0: virtual deadline is 1 ms.
-		errCh <- lm.LockAt(0, 2, "k", Exclusive)
+		_, err := lm.LockAt(0, 2, "k", Exclusive)
+		errCh <- err
 	}()
 	for lm.Stats().Waiting == 0 {
 		time.Sleep(100 * time.Microsecond)
@@ -250,11 +252,12 @@ func TestLockVirtualTimeoutDeterministic(t *testing.T) {
 
 	// Now the deterministic timeout: holder takes the lock and only releases
 	// at virtual time 2.1 ms, past the waiter's 0.9+1.0=1.9 ms deadline.
-	if err := lm.LockAt(sim.Time(900_000), 3, "k", Exclusive); err != nil {
+	if _, err := lm.LockAt(sim.Time(900_000), 3, "k", Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	go func() {
-		errCh <- lm.LockAt(sim.Time(900_000), 4, "k", Shared)
+		_, err := lm.LockAt(sim.Time(900_000), 4, "k", Shared)
+		errCh <- err
 	}()
 	for lm.Stats().Waiting == 0 {
 		time.Sleep(100 * time.Microsecond)
@@ -277,14 +280,15 @@ func TestLockVirtualTimeoutDeterministic(t *testing.T) {
 
 	// True timeout: holder 5 keeps the lock while releases of the SAME key by
 	// a shared cohort push the frontier past the waiter's deadline.
-	if err := lm.LockAt(sim.Time(0), 5, "k2", Shared); err != nil {
+	if _, err := lm.LockAt(sim.Time(0), 5, "k2", Shared); err != nil {
 		t.Fatal(err)
 	}
-	if err := lm.LockAt(sim.Time(0), 6, "k2", Shared); err != nil {
+	if _, err := lm.LockAt(sim.Time(0), 6, "k2", Shared); err != nil {
 		t.Fatal(err)
 	}
 	go func() {
-		errCh <- lm.LockAt(sim.Time(0), 7, "k2", Exclusive)
+		_, err := lm.LockAt(sim.Time(0), 7, "k2", Exclusive)
+		errCh <- err
 	}()
 	for lm.Stats().Waiting == 0 {
 		time.Sleep(100 * time.Microsecond)
@@ -334,7 +338,7 @@ func TestLockManagerShardedStress(t *testing.T) {
 						mode = Exclusive
 					}
 					acquisitions.Add(1)
-					if err := lm.LockAt(now, id+1, keys[j], mode); err != nil {
+					if _, err := lm.LockAt(now, id+1, keys[j], mode); err != nil {
 						errCh <- err
 						return
 					}
@@ -366,11 +370,11 @@ func TestLockManagerShardedStress(t *testing.T) {
 func TestLockWallFallbackCatchesDeadlock(t *testing.T) {
 	lm := NewLockManager(time.Millisecond)
 	lm.SetWallFallback(20 * time.Millisecond)
-	if err := lm.LockAt(0, 1, "dead", Exclusive); err != nil {
+	if _, err := lm.LockAt(0, 1, "dead", Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	err := lm.LockAt(0, 2, "dead", Exclusive)
+	_, err := lm.LockAt(0, 2, "dead", Exclusive)
 	if !errors.Is(err, ErrLockTimeout) {
 		t.Fatalf("want ErrLockTimeout, got %v", err)
 	}
@@ -407,7 +411,7 @@ func TestUnrelatedReleasesNeitherGrantNorTimeOut(t *testing.T) {
 	for _, w := range []struct {
 		tx  *Txn
 		key string
-	}{{t1, "B"}, {t2, "A"}} {
+	}{{&t1, "B"}, {&t2, "A"}} {
 		go func() {
 			begin := time.Now()
 			err := w.tx.Lock(w.key, Exclusive)

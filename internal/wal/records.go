@@ -45,12 +45,7 @@ func RecordSize(r Record) int {
 
 // EncodeRowPayload packs a RID plus a row image (RecInsert, RecUpdate).
 func EncodeRowPayload(rid storage.RID, row []byte) []byte {
-	return AppendRowPayload(make([]byte, 0, ridLen+len(row)), rid, row)
-}
-
-// AppendRowPayload appends the payload EncodeRowPayload packs to dst.
-func AppendRowPayload(dst []byte, rid storage.RID, row []byte) []byte {
-	return append(rid.Append(dst), row...)
+	return append(rid.Append(make([]byte, 0, ridLen+len(row))), row...)
 }
 
 // DecodeRowPayload unpacks a RecInsert/RecUpdate payload.
@@ -64,13 +59,8 @@ func DecodeRowPayload(p []byte) (storage.RID, []byte, error) {
 
 // EncodeIndexInsert packs an index entry (RecIndexInsert).
 func EncodeIndexInsert(key []byte, rid storage.RID) []byte {
-	return AppendIndexInsert(make([]byte, 0, 2+len(key)+ridLen), key, rid)
-}
-
-// AppendIndexInsert appends the payload EncodeIndexInsert packs to dst.
-func AppendIndexInsert(dst, key []byte, rid storage.RID) []byte {
-	dst = append(binary.LittleEndian.AppendUint16(dst, uint16(len(key))), key...)
-	return rid.Append(dst)
+	dst := binary.LittleEndian.AppendUint16(make([]byte, 0, 2+len(key)+ridLen), uint16(len(key)))
+	return rid.Append(append(dst, key...))
 }
 
 // DecodeIndexInsert unpacks a RecIndexInsert payload.

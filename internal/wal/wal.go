@@ -93,16 +93,21 @@ var (
 
 const recHeaderSize = 8 + 1 + 8 + 4 + 4 + 4 // lsn, type, txn, obj, payloadLen, crc
 
-// putRecord encodes r into out, which must be RecordSize(r) bytes long.
-func putRecord(out []byte, r Record) {
+// putRecord encodes r into out, which must be RecordSize(r) bytes long.  The
+// payload is r.Payload followed by the parts, so a caller can hand over a
+// record in pieces without packing them first.
+func putRecord(out []byte, r Record, parts ...[]byte) {
 	binary.LittleEndian.PutUint64(out[0:], r.LSN)
 	out[8] = byte(r.Type)
 	binary.LittleEndian.PutUint64(out[9:], r.TxnID)
 	binary.LittleEndian.PutUint32(out[17:], r.ObjectID)
-	binary.LittleEndian.PutUint32(out[21:], uint32(len(r.Payload)))
-	copy(out[29:], r.Payload)
+	binary.LittleEndian.PutUint32(out[21:], uint32(len(out)-recHeaderSize))
+	p := out[recHeaderSize+copy(out[recHeaderSize:], r.Payload):]
+	for _, part := range parts {
+		p = p[copy(p, part):]
+	}
 	crc := crc32.ChecksumIEEE(out[:25])
-	crc = crc32.Update(crc, crc32.IEEETable, r.Payload)
+	crc = crc32.Update(crc, crc32.IEEETable, out[recHeaderSize:])
 	binary.LittleEndian.PutUint32(out[25:], crc)
 }
 
@@ -312,16 +317,20 @@ func (l *Log) PageCount() int {
 	return len(l.pages)
 }
 
-// Append adds a record to the log buffer and returns its LSN.  The record is
-// not durable until Flush returns.
-func (l *Log) Append(typ RecordType, txnID uint64, objectID uint32, payload []byte) (uint64, error) {
+// Append adds a record to the log buffer and returns its LSN.  Its payload is
+// the concatenation of the parts given, written straight into the log page.
+// The record is not durable until Flush returns.
+func (l *Log) Append(typ RecordType, txnID uint64, objectID uint32, payload ...[]byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(payload) > MaxPayload(l.pageSize) {
-		return 0, fmt.Errorf("%w: %d payload bytes", ErrTooLarge, len(payload))
+	size := recHeaderSize
+	for _, part := range payload {
+		size += len(part)
 	}
-	rec := Record{LSN: l.nextLSN, Type: typ, TxnID: txnID, ObjectID: objectID, Payload: payload}
-	size := RecordSize(rec)
+	if size-recHeaderSize > MaxPayload(l.pageSize) {
+		return 0, fmt.Errorf("%w: %d payload bytes", ErrTooLarge, size-recHeaderSize)
+	}
+	rec := Record{LSN: l.nextLSN, Type: typ, TxnID: txnID, ObjectID: objectID}
 	_, dst, err := storage.AllocRecord(l.cur, size)
 	if err != nil {
 		// Current page is full: seal it and start a new one.
@@ -332,7 +341,7 @@ func (l *Log) Append(typ RecordType, txnID uint64, objectID uint32, payload []by
 			return 0, err
 		}
 	}
-	putRecord(dst, rec)
+	putRecord(dst, rec, payload...)
 	l.nextLSN++
 	l.appended.Inc()
 	l.bytesAppended.Add(int64(size))

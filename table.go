@@ -1,6 +1,7 @@
 package noftl
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"noftl/internal/btree"
@@ -35,10 +36,9 @@ const (
 // Tx is a transaction handle.  It is owned by a single goroutine.
 type Tx struct {
 	db       *DB
-	inner    *txn.Txn
-	iterErr  error  // first error hit inside a Rows/Range iteration
-	quiesced bool   // still holding the checkpoint quiesce lock shared
-	payload  []byte // the log record being packed; the log copies it
+	inner    txn.Txn
+	iterErr  error // first error hit inside a Rows/Range iteration
+	quiesced bool  // still holding the checkpoint quiesce lock shared
 }
 
 // release drops the checkpoint quiesce lock exactly once.
@@ -91,10 +91,11 @@ func (tx *Tx) Abort() sim.Time {
 
 func (tx *Tx) chargeOp() { tx.inner.Charge(tx.db.cfg.CPUPerOp) }
 
-// logRow logs the RecInsert or RecUpdate of row at rid.
+// logRow logs the RecInsert or RecUpdate of row at rid: the payload
+// wal.EncodeRowPayload describes, handed to the log in pieces.
 func (tx *Tx) logRow(typ wal.RecordType, objectID uint32, rid RID, row []byte) error {
-	tx.payload = wal.AppendRowPayload(tx.payload[:0], rid, row)
-	return tx.inner.Log(typ, objectID, tx.payload)
+	var r [10]byte
+	return tx.inner.Log(typ, objectID, rid.Append(r[:0]), row)
 }
 
 // Table is a handle to a heap table.
@@ -183,8 +184,8 @@ func (t *Table) Delete(tx *Tx, rid RID) error {
 		return publicErr(err)
 	}
 	tx.inner.AdvanceTo(done)
-	tx.payload = rid.Append(tx.payload[:0])
-	return tx.inner.Log(wal.RecDelete, t.meta.ObjectID, tx.payload)
+	var r [10]byte
+	return tx.inner.Log(wal.RecDelete, t.meta.ObjectID, rid.Append(r[:0]))
 }
 
 // Index is a handle to a B+-tree index.
@@ -209,14 +210,15 @@ func (i *Index) Entries() int64 { return i.tree.Entries() }
 // Insert adds (or replaces) the entry key -> rid.
 func (i *Index) Insert(tx *Tx, key []byte, rid RID) error {
 	tx.chargeOp()
-	var value [10]byte
-	done, err := i.tree.Insert(tx.Now(), key, rid.Append(value[:0]))
+	value := rid.Append(make([]byte, 0, 10))
+	done, err := i.tree.Insert(tx.Now(), key, value)
 	if err != nil {
 		return publicErr(err)
 	}
 	tx.inner.AdvanceTo(done)
-	tx.payload = wal.AppendIndexInsert(tx.payload[:0], key, rid)
-	return tx.inner.Log(wal.RecIndexInsert, i.meta.ObjectID, tx.payload)
+	// The payload wal.EncodeIndexInsert describes: key length, key, RID.
+	n := binary.LittleEndian.AppendUint16(make([]byte, 0, 2), uint16(len(key)))
+	return tx.inner.Log(wal.RecIndexInsert, i.meta.ObjectID, n, key, value)
 }
 
 // Lookup returns the RID stored under key.
