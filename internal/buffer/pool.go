@@ -2,11 +2,12 @@
 // a fixed set of page frames over the NoFTL space manager with CLOCK
 // eviction, pin/unpin, per-frame latches and batched dirty-page write-back.
 //
-// The frame table is sharded by LPN hash: each shard owns a disjoint set of
-// frames, its own hash table and its own CLOCK hand, so concurrent fetchers
-// that touch different pages almost never contend on a mutex.  Frame
-// contents are protected by per-frame latches exactly as before; the shard
-// mutex only covers the mapping table, pin counts and eviction state.
+// The frames are sharded by LPN hash: each shard owns a disjoint set of
+// frames, a bitmap of those that hold no page and its own CLOCK hand, so
+// concurrent fetchers that touch different pages almost never contend on a
+// mutex.  The shards share one dense LPN → frame table (core.LPNTable), whose
+// entry for a page the page's shard mutex guards, as it guards pin counts and
+// eviction state; frame contents are protected by per-frame latches.
 //
 // Physical page reads and writes consume virtual time on the flash device;
 // the pool threads the caller's virtual-time cursor through every operation
@@ -17,6 +18,7 @@ package buffer
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -44,13 +46,18 @@ type Backend interface {
 var ErrPoolFull = errors.New("buffer: all frames pinned")
 
 // poolShard is one slice of the pool: a disjoint set of frames with its own
-// mapping table and CLOCK hand.  A page lives in exactly one shard (chosen by
-// LPN hash), so two operations on different shards never share a mutex.
+// CLOCK hand.  A page lives in exactly one shard (chosen by LPN hash), so two
+// operations on different shards never share a mutex.
 type poolShard struct {
 	mu     sync.Mutex
 	frames []*Frame
-	table  map[core.LPN]int // lpn -> index into frames
+	empty  []uint64 // bit i set: frames[i] holds no page
 	hand   int
+}
+
+// holds reports whether frame f holds a page.  Caller holds s.mu.
+func (s *poolShard) holds(f *Frame) bool {
+	return s.empty[f.idx/64]&(1<<(f.idx%64)) == 0
 }
 
 // Frame is one page-sized slot of the pool.  A frame belongs permanently to
@@ -59,11 +66,11 @@ type poolShard struct {
 type Frame struct {
 	mu     sync.RWMutex // content latch
 	shard  *poolShard
+	idx    int // position in shard.frames
 	lpn    core.LPN
 	data   []byte
 	hint   core.Hint
 	dirty  atomic.Bool // set by MarkDirty without the shard mutex
-	valid  bool
 	pins   int
 	ref    bool
 	handle Handle // what every pin of the frame hands out
@@ -158,6 +165,15 @@ type Pool struct {
 	nframes  int
 	pageSize int
 
+	// table maps a resident page to its frame's index in its shard plus one
+	// (zero: not resident).  An entry is guarded by its page's shard mutex.
+	table core.LPNTable[int32]
+
+	// flushMu serializes Flush; the candidate slices are reused across calls.
+	flushMu     sync.Mutex
+	flushFrames []*Frame
+	flushWrites []core.PageWrite
+
 	// hits, misses, evictions and writebacks are the pool's children of the
 	// noftl_buffer_* families (bind); the rest have no family and stay plain.
 	hits         *metrics.Counter
@@ -223,12 +239,13 @@ func (p *Pool) buildShards(n int) {
 		}
 		s := &poolShard{
 			frames: make([]*Frame, size),
-			table:  make(map[core.LPN]int, size),
+			empty:  make([]uint64, (size+63)/64),
 		}
 		for j := range s.frames {
-			f := &Frame{shard: s, data: make([]byte, p.pageSize)}
+			f := &Frame{shard: s, idx: j, data: make([]byte, p.pageSize)}
 			f.handle.frame = f
 			s.frames[j] = f
+			s.empty[j/64] |= 1 << (j % 64)
 		}
 		p.shards[i] = s
 	}
@@ -276,7 +293,7 @@ func (p *Pool) Stats() Stats {
 	for _, s := range p.shards {
 		s.mu.Lock()
 		for _, f := range s.frames {
-			if f.valid {
+			if s.holds(f) {
 				st.Resident++
 				if f.dirty.Load() {
 					st.Dirty++
@@ -303,8 +320,8 @@ func (p *Pool) ResetCounters() {
 func (p *Pool) Fetch(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim.Time, error) {
 	s := p.shardOf(lpn)
 	s.mu.Lock()
-	if idx, ok := s.table[lpn]; ok {
-		h := p.pinHitLocked(s.frames[idx], hint)
+	if f := p.residentLocked(s, lpn); f != nil {
+		h := p.pinHitLocked(f, hint)
 		s.mu.Unlock()
 		return h, now, nil
 	}
@@ -359,8 +376,8 @@ func (p *Pool) FetchMany(now sim.Time, lpns []core.LPN, hint core.Hint) ([]*Hand
 			if handles[i] != nil || p.shardOf(lpns[i]) != s {
 				continue
 			}
-			if idx, ok := s.table[lpns[i]]; ok {
-				handles[i] = p.pinHitLocked(s.frames[idx], hint)
+			if f := p.residentLocked(s, lpns[i]); f != nil {
+				handles[i] = p.pinHitLocked(f, hint)
 				continue
 			}
 			var f *Frame
@@ -390,6 +407,23 @@ func (p *Pool) FetchMany(now sim.Time, lpns []core.LPN, hint core.Hint) ([]*Hand
 		return nil, end, err
 	}
 	return handles, end, nil
+}
+
+// residentLocked returns the frame of shard s that holds lpn, or nil when the
+// page is not resident.  Caller holds s.mu.
+func (p *Pool) residentLocked(s *poolShard, lpn core.LPN) *Frame {
+	if e := p.table.At(lpn); e != nil && *e != 0 {
+		return s.frames[*e-1]
+	}
+	return nil
+}
+
+// vacateLocked takes the frame's page out of the table and marks the frame
+// empty and clean.  Caller holds the frame's shard mutex.
+func (p *Pool) vacateLocked(f *Frame) {
+	*p.table.At(f.lpn) = 0
+	f.shard.empty[f.idx/64] |= 1 << (f.idx % 64)
+	f.dirty.Store(false)
 }
 
 // pinHitLocked pins a resident frame for a demand access; the demander's
@@ -423,6 +457,9 @@ func (p *Pool) claimMissLocked(s *poolShard, now sim.Time, lpn core.LPN, hint co
 // holder (or waiter) can exist.  The returned time includes any eviction
 // write-back.  Caller holds s.mu.
 func (p *Pool) claimLocked(s *poolShard, now sim.Time, lpn core.LPN, hint core.Hint) (*Frame, sim.Time, error) {
+	if lpn >= core.MaxTableLPN {
+		return nil, now, fmt.Errorf("buffer: lpn %d: %w", lpn, core.ErrUnmappedPage)
+	}
 	idx, now, err := p.allocFrameLocked(s, now)
 	if err != nil {
 		return nil, now, err
@@ -430,12 +467,12 @@ func (p *Pool) claimLocked(s *poolShard, now sim.Time, lpn core.LPN, hint core.H
 	f := s.frames[idx]
 	f.lpn = lpn
 	f.hint = hint
-	f.valid = true
 	f.dirty.Store(false)
 	f.pins = 1
 	f.ref = true
 	f.mu.Lock()
-	s.table[lpn] = idx
+	s.empty[idx/64] &^= 1 << (idx % 64)
+	*p.table.Slot(lpn) = int32(idx + 1)
 	return f, now, nil
 }
 
@@ -450,8 +487,7 @@ func (p *Pool) unpin(f *Frame, unpublish bool) {
 		f.pins--
 	}
 	if unpublish {
-		delete(s.table, f.lpn)
-		f.valid = false
+		p.vacateLocked(f)
 	}
 	s.mu.Unlock()
 }
@@ -531,11 +567,10 @@ func (p *Pool) NewPage(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p.newPages.Add(1)
-	var f *Frame
-	if idx, ok := s.table[lpn]; ok {
+	f := p.residentLocked(s, lpn)
+	if f != nil {
 		// The page is already resident (e.g. re-created after a trim); reuse
 		// the frame and reset its contents.
-		f = s.frames[idx]
 		f.pins++
 		f.ref = true
 	} else {
@@ -556,10 +591,13 @@ func (p *Pool) NewPage(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim
 // real I/O).  A victim has zero pins, so no latch holder can exist and its
 // data may be read directly.
 func (p *Pool) allocFrameLocked(s *poolShard, now sim.Time) (int, sim.Time, error) {
-	// First pass preference: an invalid (never used) frame.
-	for i, f := range s.frames {
-		if !f.valid && f.pins == 0 {
-			return i, now, nil
+	// First preference: the lowest-index frame that holds no page and is not
+	// pinned (a concurrent Fetch may still pin a frame whose read failed).
+	for w, word := range s.empty {
+		for ; word != 0; word &= word - 1 {
+			if i := w*64 + bits.TrailingZeros64(word); s.frames[i].pins == 0 {
+				return i, now, nil
+			}
 		}
 	}
 	// CLOCK sweep, at most two full rounds.
@@ -603,9 +641,7 @@ func (p *Pool) allocFrameLocked(s *poolShard, now sim.Time) (int, sim.Time, erro
 				A: int64(f.lpn), B: b,
 			})
 		}
-		delete(s.table, f.lpn)
-		f.valid = false
-		f.dirty.Store(false)
+		p.vacateLocked(f)
 		p.evictions.Add(1)
 		return idx, now, nil
 	}
@@ -627,12 +663,13 @@ func (p *Pool) allocFrameLocked(s *poolShard, now sim.Time) (int, sim.Time, erro
 // its data while the batch is in flight (a frame with zero pins cannot have a
 // latch holder, so the read latch is acquired without blocking).
 func (p *Pool) Flush(now sim.Time) (done sim.Time, flushed, left int, err error) {
-	var frames []*Frame
-	var writes []core.PageWrite
+	p.flushMu.Lock()
+	defer p.flushMu.Unlock()
+	frames, writes := p.flushFrames[:0], p.flushWrites[:0]
 	for _, s := range p.shards {
 		s.mu.Lock()
 		for _, f := range s.frames {
-			if !f.valid || !f.dirty.Load() {
+			if !s.holds(f) || !f.dirty.Load() {
 				continue
 			}
 			if f.pins > 0 {
@@ -667,6 +704,10 @@ func (p *Pool) Flush(now sim.Time) (done sim.Time, flushed, left int, err error)
 			p.writebacks.Add(1)
 		}
 	}
+	// Keep the grown slices for the next flush, but no page payload.
+	clear(frames)
+	clear(writes)
+	p.flushFrames, p.flushWrites = frames[:0], writes[:0]
 	if err != nil {
 		return now, 0, left, err
 	}
@@ -687,12 +728,7 @@ func (p *Pool) Drop(lpn core.LPN) {
 	s := p.shardOf(lpn)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if idx, ok := s.table[lpn]; ok {
-		f := s.frames[idx]
-		if f.pins == 0 {
-			delete(s.table, lpn)
-			f.valid = false
-			f.dirty.Store(false)
-		}
+	if f := p.residentLocked(s, lpn); f != nil && f.pins == 0 {
+		p.vacateLocked(f)
 	}
 }

@@ -72,21 +72,21 @@ func (m *Manager) readPages(now sim.Time, lpns []LPN, bufs [][]byte, out []PageR
 	tr := m.tracer
 	for i, lpn := range lpns {
 		out[i] = PageRead{LPN: lpn, Done: now}
-		e, ok := m.mapping[lpn]
+		e, ok := m.lookup(lpn)
 		if !ok {
 			out[i].Err = fmt.Errorf("%w: lpn %d", ErrUnmappedPage, lpn)
 			continue
 		}
 		// The region pointer is stable for the life of the manager and its
 		// collectors are internally synchronized.
-		out[i].region, out[i].addr = m.regionsByID[m.dieOwner[e.addr.Die]], e.addr
+		out[i].region, out[i].addr = m.regionsByID[m.dieOwner[e.die]], e.addr()
 		var buf []byte
 		if i < len(bufs) {
 			buf = bufs[i]
 		}
 		reqs = append(reqs, iosched.Request{
 			Op:       iosched.OpReadPage,
-			Addr:     e.addr,
+			Addr:     out[i].addr,
 			Buf:      buf,
 			Priority: iosched.PrioHostRead,
 			Tag:      uint64(lpn),
@@ -286,7 +286,7 @@ rounds:
 // tablespace rather than failing the transaction.  Caller holds m.mu.
 func (m *Manager) placeWrite(at sim.Time, w *PageWrite, p *hostWrite) (iosched.Request, sim.Time, error) {
 	r := m.resolveRegion(w.Hint)
-	prev, remap := m.mapping[w.LPN]
+	prev, remap := m.lookup(w.LPN)
 	for {
 		// The write consumes a unit of the region's logical capacity when the
 		// page is new to that region (first write, or a page whose previous
@@ -295,7 +295,7 @@ func (m *Manager) placeWrite(at sim.Time, w *PageWrite, p *hostWrite) (iosched.R
 		// batch cannot overshoot the capacity.
 		// Retained checkpoint versions are not part of the region's logical
 		// size, but they hold physical pages a new page cannot have as well.
-		p.consumes = !remap || prev.region != r.id
+		p.consumes = !remap || m.dieOwner[prev.die] != r.id
 		var err error
 		if p.consumes && (r.validPages+r.admitted >= r.capacityPages ||
 			r.validPages+r.retainedPages+r.admitted >= r.physPages) {
@@ -371,17 +371,15 @@ func (m *Manager) commitWrite(p *hostWrite, w *PageWrite, start, done sim.Time, 
 		}
 	}
 
-	old, had := m.mapping[lpn]
-	m.mapping[lpn] = mapEntry{
-		addr: ppa{Die: da.die, Block: slot.block, Page: slot.page}, region: r.id,
-		log: w.Hint.Flags&flash.FlagLog != 0, seq: p.seq,
-	}
+	e := m.mapping.Slot(lpn)
+	old, had := *e, e.mapped()
+	*e = newMapEntry(ppa{Die: da.die, Block: slot.block, Page: slot.page}, w.Hint.Flags&flash.FlagLog != 0, p.seq)
 	if had {
 		m.supersede(old)
-		if old.region != r.id {
+		if or := m.regionsByID[m.dieOwner[old.die]]; or != r {
 			// The page migrated between regions (e.g. a spill, or a later
 			// write that returned home): transfer the valid-page accounting.
-			if or, ok := m.regionsByID[old.region]; ok && or.validPages > 0 {
+			if or.validPages > 0 {
 				or.validPages--
 			}
 			r.validPages++

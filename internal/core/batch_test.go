@@ -21,7 +21,7 @@ func newBatchTestManager(t *testing.T) *Manager {
 
 func TestWritePagesStripesAcrossDies(t *testing.T) {
 	m := newBatchTestManager(t)
-	geo := m.Device().Geometry()
+	geo := m.dev.Geometry()
 	const n = 16
 	payload := make([]byte, geo.PageSize)
 
@@ -50,7 +50,7 @@ func TestWritePagesStripesAcrossDies(t *testing.T) {
 	// Serial bound: n sequential programs, each waiting for the previous.
 	// Striped over the 8 dies the batch takes about an eighth of it (7.9x);
 	// a quarter is the least die parallelism must win.
-	tm := m.Device().Timing()
+	tm := m.dev.Timing()
 	serial := sim.Time(0)
 	for i := 0; i < n; i++ {
 		serial = serial.Add(tm.Transfer + tm.ProgramPage)
@@ -62,7 +62,7 @@ func TestWritePagesStripesAcrossDies(t *testing.T) {
 
 func TestReadPagesOverlapAndPartialErrors(t *testing.T) {
 	m := newBatchTestManager(t)
-	geo := m.Device().Geometry()
+	geo := m.dev.Geometry()
 	const n = 8
 	payload := make([]byte, geo.PageSize)
 	payload[0] = 0xAB
@@ -106,7 +106,7 @@ func TestReadPagesOverlapAndPartialErrors(t *testing.T) {
 	// The batch was striped over every die by the preceding WritePages, so
 	// the reads overlap: the makespan is about a seventh of the serial sum
 	// (6.7x), and must be at most a quarter.
-	tm := m.Device().Timing()
+	tm := m.dev.Timing()
 	serial := sim.Time(0)
 	for i := 0; i < n; i++ {
 		serial = serial.Add(tm.ReadPage + tm.Transfer)
@@ -118,7 +118,7 @@ func TestReadPagesOverlapAndPartialErrors(t *testing.T) {
 
 func TestWritePagesOverwriteKeepsAccounting(t *testing.T) {
 	m := newBatchTestManager(t)
-	geo := m.Device().Geometry()
+	geo := m.dev.Geometry()
 	payload := make([]byte, geo.PageSize)
 	const n = 8
 	start := m.AllocateLPNs(n)

@@ -302,9 +302,8 @@ func (m *Manager) relocateAndErase(now sim.Time, r *Region, da *dieAlloc, victim
 			delete(m.retained, src)
 			m.retained[dst] = epoch
 		} else {
-			e := m.mapping[lpn]
-			e.addr, e.region = dst, m.dieOwner[da.die]
-			m.mapping[lpn] = e
+			e := m.mapping.Slot(lpn)
+			*e = newMapEntry(dst, e.log(), e.seq)
 		}
 		vblk.valid[mv.page] = false
 		vblk.validCount--

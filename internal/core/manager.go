@@ -143,14 +143,46 @@ type dieAlloc struct {
 
 func (da *dieAlloc) freeCount() int { return len(da.freeBlocks) }
 
-// mapEntry records where a logical page currently lives.  seq is the write
-// sequence of that version and log marks a WAL page; together they decide
-// whether the version must outlive its overwrite (retain.go).
+// mapEntry records in 16 bytes where a logical page lives (zero: unmapped).
+// Its region is its die's owner: a die changes owner only while it holds no
+// valid page.  seq is the write sequence of the version and entryLog marks a
+// WAL page; together they decide whether it outlives its overwrite (retain.go).
 type mapEntry struct {
-	addr   ppa
-	region RegionID
-	log    bool
-	seq    uint64
+	seq   uint64
+	block uint32 // with entryMapped and entryLog in its top bits
+	die   uint16
+	page  uint16
+}
+
+// The flags of mapEntry.block (flash.Geometry bounds blocks per die to 2^30).
+const (
+	entryMapped = 1 << 31
+	entryLog    = 1 << 30
+)
+
+func newMapEntry(addr ppa, log bool, seq uint64) mapEntry {
+	e := mapEntry{seq, uint32(addr.Block) | entryMapped, uint16(addr.Die), uint16(addr.Page)}
+	if log {
+		e.block |= entryLog
+	}
+	return e
+}
+
+// addr returns the physical page the entry maps to.
+func (e *mapEntry) addr() ppa {
+	return ppa{Die: int(e.die), Block: int(e.block &^ (entryMapped | entryLog)), Page: int(e.page)}
+}
+
+func (e *mapEntry) mapped() bool { return e.block&entryMapped != 0 }
+func (e *mapEntry) log() bool    { return e.block&entryLog != 0 }
+
+// lookup returns lpn's entry and whether the page is mapped.  Caller holds
+// m.mu.
+func (m *Manager) lookup(lpn LPN) (mapEntry, bool) {
+	if e := m.mapping.At(lpn); e != nil && e.mapped() {
+		return *e, true
+	}
+	return mapEntry{}, false
 }
 
 // Manager is the NoFTL space manager: it owns the native flash device,
@@ -171,7 +203,7 @@ type Manager struct {
 	dieOwner []RegionID // region owning each die
 	dies     []*dieAlloc
 
-	mapping map[LPN]mapEntry
+	mapping LPNTable[mapEntry]
 	nextLPN LPN
 	seq     uint64 // monotonically increasing write sequence for OOB metadata
 
@@ -223,7 +255,6 @@ func NewManager(dev *flash.Device, opts Options) *Manager {
 		sched:       iosched.New(dev),
 		regions:     make(map[string]*Region),
 		regionsByID: make(map[RegionID]*Region),
-		mapping:     make(map[LPN]mapEntry),
 		retained:    make(map[ppa]uint64),
 		nextLPN:     1,
 		nextRegion:  DefaultRegionID + 1,
@@ -260,15 +291,9 @@ func NewManager(dev *flash.Device, opts Options) *Manager {
 	return m
 }
 
-// Device returns the underlying flash device.
-func (m *Manager) Device() *flash.Device { return m.dev }
-
 // Scheduler returns the I/O scheduler every flash command of this manager is
 // routed through.
 func (m *Manager) Scheduler() *iosched.Scheduler { return m.sched }
-
-// Mode returns the placement mode the manager was created with.
-func (m *Manager) Mode() PlacementMode { return m.opts.Mode }
 
 // AttachObs wires the space manager, its I/O scheduler and its device to the
 // observability plane: host read/write, GC, and wear-leveling events go to tr
@@ -345,13 +370,6 @@ func (m *Manager) recomputeCapacity(r *Region) {
 	if r.maxSizePages > 0 && r.maxSizePages < r.capacityPages {
 		r.capacityPages = r.maxSizePages
 	}
-}
-
-// DefaultRegion returns the default region.
-func (m *Manager) DefaultRegion() *Region {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.regionsByID[DefaultRegionID]
 }
 
 // Region returns the region with the given name.
@@ -620,17 +638,16 @@ func (m *Manager) resolveRegion(h Hint) *Region {
 func (m *Manager) Locate(lpn LPN) (flash.Addr, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e, ok := m.mapping[lpn]
-	return e.addr, ok
+	e, ok := m.lookup(lpn)
+	return e.addr(), ok
 }
 
-// invalidate marks the physical page at e as no longer holding current data.
+// invalidate marks the physical page at a as no longer holding current data.
 // Caller holds m.mu.
-func (m *Manager) invalidate(e mapEntry) {
-	da := m.dies[e.addr.Die]
-	blk := &da.blocks[e.addr.Block]
-	if blk.valid[e.addr.Page] {
-		blk.valid[e.addr.Page] = false
+func (m *Manager) invalidate(a ppa) {
+	blk := &m.dies[a.Die].blocks[a.Block]
+	if blk.valid[a.Page] {
+		blk.valid[a.Page] = false
 		if blk.validCount > 0 {
 			blk.validCount--
 		}
@@ -646,13 +663,13 @@ func (m *Manager) invalidate(e mapEntry) {
 func (m *Manager) TrimPage(lpn LPN) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e, ok := m.mapping[lpn]
+	e, ok := m.lookup(lpn)
 	if !ok {
 		return fmt.Errorf("%w: lpn %d", ErrUnmappedPage, lpn)
 	}
 	m.supersede(e)
-	delete(m.mapping, lpn)
-	if r, ok := m.regionsByID[e.region]; ok && r.validPages > 0 {
+	*m.mapping.At(lpn) = mapEntry{}
+	if r := m.regionsByID[m.dieOwner[e.die]]; r.validPages > 0 {
 		r.validPages--
 	}
 	return nil

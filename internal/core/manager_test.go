@@ -42,7 +42,7 @@ func fillPage(dev *flash.Device, b byte) []byte {
 func TestManagerStartsWithDefaultRegion(t *testing.T) {
 	dev := smallDevice(t, 4, 16, 8)
 	m := NewManager(dev, DefaultOptions())
-	def := m.DefaultRegion()
+	def, _ := m.RegionByID(DefaultRegionID)
 	if def == nil || def.Name() != DefaultRegionName || def.ID() != DefaultRegionID {
 		t.Fatalf("default region wrong: %+v", def)
 	}
@@ -315,8 +315,8 @@ func TestTraditionalModeIgnoresHints(t *testing.T) {
 	if ds.HostWrites != 6 {
 		t.Fatalf("traditional mode writes = %d, want 6", ds.HostWrites)
 	}
-	if m.Mode() != PlacementTraditional {
-		t.Fatalf("mode = %v", m.Mode())
+	if m.opts.Mode != PlacementTraditional {
+		t.Fatalf("mode = %v", m.opts.Mode)
 	}
 }
 

@@ -133,7 +133,7 @@ func (m *Manager) Adopt(sv *Survey, snapshotSeq uint64, lpns []LPN) (log, stale 
 				best = v
 			}
 		}
-		if _, twice := m.mapping[lpn]; best == nil || twice {
+		if _, twice := m.lookup(lpn); best == nil || twice {
 			return nil, nil, fmt.Errorf("core: lpn %d: no version at or below write sequence %d to adopt (listed twice: %v)", lpn, snapshotSeq, twice)
 		}
 		m.install(*best)
@@ -184,6 +184,6 @@ func (m *Manager) install(v PageVersion) {
 	blk.validCount++
 	blk.lastWrite = max(blk.lastWrite, v.Seq)
 	owner := m.dieOwner[v.Addr.Die]
-	m.mapping[v.LPN] = mapEntry{addr: v.Addr, region: owner, log: v.Log, seq: v.Seq}
+	*m.mapping.Slot(v.LPN) = newMapEntry(v.Addr, v.Log, v.Seq)
 	m.regionsByID[owner].validPages++
 }

@@ -67,7 +67,7 @@ func (m *Manager) ReleaseRetained() int {
 		}
 		delete(m.retained, addr)
 		m.regionsByID[m.dieOwner[addr.Die]].retainedPages--
-		m.invalidate(mapEntry{addr: addr})
+		m.invalidate(addr)
 		released++
 	}
 	over := false
@@ -86,12 +86,12 @@ func (m *Manager) RetentionOverBudget() bool { return m.overBudget.Load() }
 // version that was current at the newest Snapshot is retained; any other is
 // invalidated.  Caller holds m.mu.
 func (m *Manager) supersede(e mapEntry) {
-	if e.log || e.seq > m.ckptSeq {
-		m.invalidate(e)
+	if e.log() || e.seq > m.ckptSeq {
+		m.invalidate(e.addr())
 		return
 	}
-	m.retained[e.addr] = m.epoch
-	r := m.regionsByID[m.dieOwner[e.addr.Die]]
+	m.retained[e.addr()] = m.epoch
+	r := m.regionsByID[m.dieOwner[e.die]]
 	if r.retainedPages++; r.retainedPages > r.retainBudget {
 		m.overBudget.Store(true)
 	}

@@ -182,9 +182,9 @@ func TestGCMovesRetainedVersions(t *testing.T) {
 	}
 	var dst flash.Addr
 	found := false
-	for b := 0; b < dev.Geometry().BlocksPerDie && !found; b++ {
-		if next, _ := dev.NextProgrammablePage(flash.BlockAddr{Die: 0, Block: b}); next == 0 && b != src.Block {
-			dst, found = flash.Addr{Die: 0, Block: b, Page: 0}, true
+	for _, bs := range dev.Survey() {
+		if b := bs.Addr; !found && b.Die == 0 && bs.NextPage == 0 && b.Block != src.Block {
+			dst, found = flash.Addr{Die: 0, Block: b.Block, Page: 0}, true
 		}
 	}
 	if !found {

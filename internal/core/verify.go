@@ -24,16 +24,22 @@ func (m *Manager) VerifyIntegrity() error {
 	defer m.mu.Unlock()
 
 	// (1) mapping -> block bookkeeping.
-	for lpn, e := range m.mapping {
-		if !m.geo.ValidAddr(e.addr) {
-			return fmt.Errorf("core: lpn %d maps to invalid address %v", lpn, e.addr)
+	var mapped int64
+	for lpn, e := range m.mapping.All() {
+		if !e.mapped() {
+			continue
 		}
-		blk := &m.dies[e.addr.Die].blocks[e.addr.Block]
-		if !blk.valid[e.addr.Page] {
-			return fmt.Errorf("core: lpn %d maps to %v which is not marked valid", lpn, e.addr)
+		mapped++
+		addr := e.addr()
+		if !m.geo.ValidAddr(addr) {
+			return fmt.Errorf("core: lpn %d maps to invalid address %v", lpn, addr)
 		}
-		if blk.lpns[e.addr.Page] != lpn {
-			return fmt.Errorf("core: lpn %d maps to %v which records lpn %d", lpn, e.addr, blk.lpns[e.addr.Page])
+		blk := &m.dies[addr.Die].blocks[addr.Block]
+		if !blk.valid[addr.Page] {
+			return fmt.Errorf("core: lpn %d maps to %v which is not marked valid", lpn, addr)
+		}
+		if blk.lpns[addr.Page] != lpn {
+			return fmt.Errorf("core: lpn %d maps to %v which records lpn %d", lpn, addr, blk.lpns[addr.Page])
 		}
 	}
 
@@ -54,7 +60,7 @@ func (m *Manager) VerifyIntegrity() error {
 				}
 				count++
 				lpn, addr := blk.lpns[p], ppa{Die: die, Block: b, Page: p}
-				if e, ok := m.mapping[lpn]; ok && e.addr == addr {
+				if e, ok := m.lookup(lpn); ok && e.addr() == addr {
 					validPerRegion[owner]++
 				} else if _, ok := m.retained[addr]; ok {
 					retainedPerRegion[owner]++
@@ -82,8 +88,8 @@ func (m *Manager) VerifyIntegrity() error {
 		}
 		total += r.validPages
 	}
-	if total != int64(len(m.mapping)) {
-		return fmt.Errorf("core: %d mapped pages but regions account for %d", len(m.mapping), total)
+	if total != mapped {
+		return fmt.Errorf("core: %d mapped pages but regions account for %d", mapped, total)
 	}
 	if retained != int64(len(m.retained)) {
 		return fmt.Errorf("core: %d retained versions but only %d of them are valid pages", len(m.retained), retained)

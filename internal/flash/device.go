@@ -78,6 +78,23 @@ type dieState struct {
 	programs  *metrics.Counter
 	erases    *metrics.Counter
 	copybacks int64
+
+	// shared counts, by its first byte, the pages beyond the first that hold
+	// a payload buffer: a page's bytes do not change until an erase, so a
+	// copyback (on one die) gives its destination the source's buffer.
+	shared map[*byte]int
+}
+
+// unshare drops one page's hold on buf and reports whether another page
+// still holds it.  Caller holds ds.mu.
+func (ds *dieState) unshare(buf []byte) bool {
+	n := ds.shared[&buf[0]]
+	if n == 1 {
+		delete(ds.shared, &buf[0])
+	} else if n > 1 {
+		ds.shared[&buf[0]] = n - 1
+	}
+	return n > 0
 }
 
 // Device is a simulated native flash device.  All command methods are safe
@@ -94,11 +111,11 @@ type Device struct {
 	faultMu sync.Mutex
 	fault   *faultState
 
-	// Payload buffers of erased blocks, waiting for the next program.  A
-	// program allocates only when the list is empty, so the list never holds
-	// more than the device's peak number of programmed pages less the current
-	// number, which the device's capacity bounds: a full device programs a
-	// page for every page it erases, and in steady state no program allocates.
+	// Payload buffers no page holds any more, waiting for the next program.
+	// Only a program allocates one, and only when the list is empty, so the
+	// list never holds more than the peak number of buffers in use less the
+	// current number; every buffer in use is held by a programmed page, so the
+	// device's capacity bounds that peak, and in steady state none allocates.
 	bufMu    sync.Mutex
 	freeBufs [][]byte
 }
@@ -116,12 +133,13 @@ func (d *Device) pageBuf() []byte {
 	return make([]byte, d.geo.PageSize)
 }
 
-// recycle takes over the payload buffers of a block being erased.
-func (d *Device) recycle(bufs [][]byte) {
+// recycle takes over the payload buffers of a block being erased that no
+// other page holds.  Caller holds ds.mu.
+func (d *Device) recycle(ds *dieState, bufs [][]byte) {
 	d.bufMu.Lock()
 	defer d.bufMu.Unlock()
 	for i, buf := range bufs {
-		if buf != nil {
+		if buf != nil && !ds.unshare(buf) {
 			d.freeBufs = append(d.freeBufs, buf)
 		}
 		bufs[i] = nil
@@ -142,7 +160,7 @@ func NewDevice(cfg Config) (*Device, error) {
 	d.dies = make([]*dieState, nDies)
 	d.dieRes = make([]*sim.Resource, nDies)
 	for i := 0; i < nDies; i++ {
-		ds := &dieState{blocks: make([]blockState, d.geo.BlocksPerDie)}
+		ds := &dieState{blocks: make([]blockState, d.geo.BlocksPerDie), shared: make(map[*byte]int)}
 		for b := range ds.blocks {
 			ds.blocks[b].states = make([]pageState, d.geo.PagesPerBlock)
 			ds.blocks[b].meta = make([]PageMeta, d.geo.PagesPerBlock)
@@ -307,7 +325,7 @@ func (d *Device) EraseBlock(now sim.Time, b BlockAddr) (sim.Time, error) {
 		blk.states[i] = pageErased
 		blk.meta[i] = PageMeta{}
 	}
-	d.recycle(blk.data)
+	d.recycle(ds, blk.data)
 	blk.nextPage = 0
 	blk.eraseCount++
 	if d.cfg.EraseEndurance > 0 && blk.eraseCount >= d.cfg.EraseEndurance {
@@ -324,6 +342,7 @@ func (d *Device) EraseBlock(now sim.Time, b BlockAddr) (sim.Time, error) {
 // without transferring the data over the channel (the NAND-internal copyback
 // command used by garbage collection).  The destination inherits the source
 // metadata and the method returns it so the caller can update its mapping.
+// It shares the source's stored bytes instead of copying them.
 func (d *Device) Copyback(now sim.Time, src, dst Addr) (PageMeta, sim.Time, error) {
 	if !d.geo.ValidAddr(src) || !d.geo.ValidAddr(dst) {
 		return PageMeta{}, now, fmt.Errorf("%w: %v -> %v", ErrOutOfRange, src, dst)
@@ -366,9 +385,9 @@ func (d *Device) Copyback(now sim.Time, src, dst Addr) (PageMeta, sim.Time, erro
 		if dblk.data == nil {
 			dblk.data = make([][]byte, d.geo.PagesPerBlock)
 		}
-		cp := d.pageBuf()
-		copy(cp, sblk.data[src.Page])
-		dblk.data[dst.Page] = cp
+		buf := sblk.data[src.Page]
+		dblk.data[dst.Page] = buf
+		ds.shared[&buf[0]]++
 	}
 	ds.copybacks++
 	ds.mu.Unlock()
@@ -411,43 +430,6 @@ func (d *Device) programTorn(addr Addr, data []byte, meta PageMeta, tornBytes in
 	clear(cp[copy(cp, data[:cut]):])
 	blk.data[addr.Page] = cp
 	ds.programs.Inc()
-}
-
-// PageProgrammed reports whether the page at addr has been programmed since
-// the last erase of its block.  It does not consume device time (diagnostic /
-// test helper).
-func (d *Device) PageProgrammed(addr Addr) (bool, error) {
-	if !d.geo.ValidAddr(addr) {
-		return false, fmt.Errorf("%w: %v", ErrOutOfRange, addr)
-	}
-	ds := d.dies[addr.Die]
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	return ds.blocks[addr.Block].states[addr.Page] == pageProgrammed, nil
-}
-
-// NextProgrammablePage returns the index of the next page that may be
-// programmed in the block under the sequential-programming constraint, or
-// PagesPerBlock when the block is full.
-func (d *Device) NextProgrammablePage(b BlockAddr) (int, error) {
-	if !d.geo.ValidBlock(b) {
-		return 0, fmt.Errorf("%w: %v", ErrOutOfRange, b)
-	}
-	ds := d.dies[b.Die]
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	return ds.blocks[b.Block].nextPage, nil
-}
-
-// EraseCount returns the number of erase cycles the block has undergone.
-func (d *Device) EraseCount(b BlockAddr) (int64, error) {
-	if !d.geo.ValidBlock(b) {
-		return 0, fmt.Errorf("%w: %v", ErrOutOfRange, b)
-	}
-	ds := d.dies[b.Die]
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	return ds.blocks[b.Block].eraseCount, nil
 }
 
 // IsBad reports whether the block has been marked bad.

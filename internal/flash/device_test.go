@@ -32,6 +32,11 @@ func newTestDevice(t *testing.T, cfg Config) *Device {
 	return d
 }
 
+// surveyOf returns the survey of one block.
+func surveyOf(d *Device, b BlockAddr) BlockSurvey {
+	return d.Survey()[b.Die*d.geo.BlocksPerDie+b.Block]
+}
+
 func pageData(size int, fill byte) []byte {
 	b := make([]byte, size)
 	for i := range b {
@@ -113,9 +118,9 @@ func TestProgramConstraints(t *testing.T) {
 	if _, _, _, err := d.ReadPage(0, Addr{Die: 0, Block: 0, Page: 3}, nil); !errors.Is(err, ErrReadErased) {
 		t.Fatalf("want ErrReadErased, got %v", err)
 	}
-	// NextProgrammablePage reflects the constraint.
-	if n, _ := d.NextProgrammablePage(BlockAddr{0, 0}); n != 1 {
-		t.Fatalf("NextProgrammablePage = %d, want 1", n)
+	// The survey's next page reflects the constraint.
+	if n := surveyOf(d, BlockAddr{0, 0}).NextPage; n != 1 {
+		t.Fatalf("next programmable page = %d, want 1", n)
 	}
 }
 
@@ -140,14 +145,15 @@ func TestEraseResetsBlock(t *testing.T) {
 	if _, err := d.EraseBlock(0, addr.BlockAddr()); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := d.PageProgrammed(addr); ok {
+	bs := surveyOf(d, addr.BlockAddr())
+	if len(bs.Pages) != 0 {
 		t.Fatal("page still programmed after erase")
 	}
-	if n, _ := d.NextProgrammablePage(addr.BlockAddr()); n != 0 {
-		t.Fatalf("nextPage after erase = %d", n)
+	if bs.NextPage != 0 {
+		t.Fatalf("nextPage after erase = %d", bs.NextPage)
 	}
-	if c, _ := d.EraseCount(addr.BlockAddr()); c != 1 {
-		t.Fatalf("erase count = %d", c)
+	if bs.EraseCount != 1 {
+		t.Fatalf("erase count = %d", bs.EraseCount)
 	}
 	// The page can be programmed again after the erase.
 	if _, err := d.ProgramPage(0, addr, data, PageMeta{LPN: 6}); err != nil {

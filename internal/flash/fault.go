@@ -226,6 +226,11 @@ func (d *Device) CorruptPage(addr Addr, off, n int, pattern byte) error {
 		return fmt.Errorf("%w: device does not store data", ErrPageSize)
 	}
 	data := blk.data[addr.Page]
+	if ds.unshare(data) {
+		// Another page holds the bytes too: this one gets a copy of its own.
+		data = append(d.pageBuf()[:0], data...)
+		blk.data[addr.Page] = data
+	}
 	for i := 0; i < n; i++ {
 		data[off+i] ^= pattern
 	}

@@ -79,6 +79,8 @@ func (g Geometry) Validate() error {
 		return fmt.Errorf("flash: geometry needs at least one page per block, got %d", g.PagesPerBlock)
 	case g.PageSize <= 0:
 		return fmt.Errorf("flash: page size must be positive, got %d", g.PageSize)
+	case g.Dies() > 1<<16 || g.BlocksPerDie > 1<<30 || g.PagesPerBlock > 1<<16:
+		return fmt.Errorf("flash: %d dies, %d blocks per die, %d pages per block: at most 2^16, 2^30, 2^16", g.Dies(), g.BlocksPerDie, g.PagesPerBlock)
 	case g.BlocksPerDie%g.PlanesPerDie != 0:
 		return fmt.Errorf("flash: blocks per die (%d) must be a multiple of planes per die (%d)",
 			g.BlocksPerDie, g.PlanesPerDie)

@@ -37,6 +37,10 @@ func TestGeometryValidate(t *testing.T) {
 		{Channels: 1, DiesPerChannel: 0, PlanesPerDie: 1, BlocksPerDie: 3, PagesPerBlock: 4, PageSize: 512},
 		{Channels: 1, DiesPerChannel: 1, PlanesPerDie: 1, BlocksPerDie: 0, PagesPerBlock: 4, PageSize: 512},
 		{Channels: 1, DiesPerChannel: 1, PlanesPerDie: 1, BlocksPerDie: 3, PagesPerBlock: 0, PageSize: 512},
+		// More dies or pages per block than a 16-bit field of the space
+		// manager's mapping entry holds.
+		{Channels: 1 << 9, DiesPerChannel: 1<<7 + 1, PlanesPerDie: 1, BlocksPerDie: 3, PagesPerBlock: 4, PageSize: 512},
+		{Channels: 1, DiesPerChannel: 1, PlanesPerDie: 1, BlocksPerDie: 3, PagesPerBlock: 1<<16 + 1, PageSize: 512},
 	}
 	for i, g := range bad {
 		if err := g.Validate(); err == nil {
