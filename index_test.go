@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"iter"
 	"slices"
 	"testing"
 
@@ -314,6 +315,51 @@ func TestIndexRangeKeysFromOneSlab(t *testing.T) {
 	for i, k := range keys {
 		if want := fmt.Sprintf("k%07d", 100+i); string(k) != want {
 			t.Errorf("key %d reads %q after appending to the others, want %q", i, k, want)
+		}
+	}
+}
+
+// TestScanKeysOfOneTxStayIntact: the scans of one transaction carve their
+// keys from one slab, and a later scan never rewrites what an earlier one
+// handed out: the keys of two scans read back their own bytes after a third,
+// and appending to any key writes into no other.
+func TestScanKeysOfOneTxStayIntact(t *testing.T) {
+	db, err := OpenConfig(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable("T", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := db.CreateIndex("T_PK", "T", []string{"k"}, true, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyedRows(t, db, tbl, idx, 0, 300)
+	tx := db.Begin()
+	defer tx.Abort()
+	var keys []string
+	var got [][]byte
+	scan := func(seq iter.Seq2[[]byte, RID]) {
+		for k := range seq {
+			keys, got = append(keys, string(k)), append(got, k)
+		}
+	}
+	scan(idx.Range(tx, []byte("k0000010"), []byte("k0000020")))
+	scan(idx.Prefix(tx, []byte("k000010")))
+	first := len(got)
+	scan(idx.Range(tx, []byte("k0000200"), nil))
+	if err := tx.Err(); err != nil || first != 20 || len(got) != 120 {
+		t.Fatalf("the scans yielded %d and %d keys (%v), want 20 and 100", first, len(got)-first, err)
+	}
+	for _, k := range got {
+		_ = append(k, 'X')
+	}
+	for i, k := range got {
+		if string(k) != keys[i] {
+			t.Errorf("key %d reads %q after three scans and an append to every key, want %q", i, k, keys[i])
 		}
 	}
 }

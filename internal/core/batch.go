@@ -296,15 +296,14 @@ func (m *Manager) placeWrite(at sim.Time, w *PageWrite, p *hostWrite) (iosched.R
 		// Retained checkpoint versions are not part of the region's logical
 		// size, but they hold physical pages a new page cannot have as well.
 		p.consumes = !remap || m.dieOwner[prev.die] != r.id
-		var err error
-		if p.consumes && (r.validPages+r.admitted >= r.capacityPages ||
-			r.validPages+r.retainedPages+r.admitted >= r.physPages) {
-			err = m.errRegionFull(r)
-		} else if p.da, p.slot, at, err = m.allocateSlot(at, r); err == nil {
-			break
+		if !p.consumes || (r.validPages+r.admitted < r.capacityPages &&
+			r.validPages+r.retainedPages+r.admitted < r.physPages) {
+			if p.da, p.slot, at = m.allocateSlot(at, r); p.da != nil {
+				break
+			}
 		}
 		if m.opts.DisableSpill || r.id == DefaultRegionID {
-			return iosched.Request{}, at, err
+			return iosched.Request{}, at, m.errRegionFull(r)
 		}
 		r.spills++
 		r = m.regionsByID[DefaultRegionID]

@@ -165,8 +165,9 @@ func TestWritePagesRegionFullWithoutSpill(t *testing.T) {
 	for i := range writes {
 		writes[i] = PageWrite{LPN: start + LPN(i), Data: payload, Hint: Hint{Region: r.ID()}}
 	}
-	if _, err := m.WritePages(0, writes); !errors.Is(err, ErrRegionFull) {
-		t.Fatalf("over-capacity batch error = %v, want ErrRegionFull", err)
+	_, err = m.WritePages(0, writes)
+	if want := `core: region is full: "tiny" (2 pages)`; !errors.Is(err, ErrRegionFull) || err.Error() != want {
+		t.Fatalf("over-capacity batch error = %v, want %s", err, want)
 	}
 	// Admission failed before any program was issued: nothing mapped.
 	for i := 0; i < n; i++ {
@@ -181,6 +182,34 @@ func TestWritePagesRegionFullWithoutSpill(t *testing.T) {
 	}
 	if err := m.VerifyIntegrity(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSpilledWriteFormatsNoError: a write its full region spills to the
+// default region allocates no more than a write that does not spill, so the
+// region-full error is not built on the way.
+func TestSpilledWriteFormatsNoError(t *testing.T) {
+	m := newBatchTestManager(t)
+	page := make([]byte, m.dev.Geometry().PageSize)
+	r, err := m.CreateRegion(RegionSpec{Name: "tiny", MaxChips: 1, MaxSizeBytes: int64(len(page))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lpn := m.AllocateLPNs(3)
+	var now sim.Time
+	write := func(lpn LPN, hint Hint) {
+		if now, err = m.WritePage(now, lpn, page, hint); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(lpn, Hint{Region: r.ID()}) // fills the one-page region
+	plain := testing.AllocsPerRun(50, func() { write(lpn+1, Hint{}) })
+	spilled := testing.AllocsPerRun(50, func() { write(lpn+2, Hint{Region: r.ID()}) })
+	if r.spills == 0 {
+		t.Fatal("no write spilled")
+	}
+	if spilled > plain {
+		t.Errorf("a spilled write allocates %v times, one that does not spill %v", spilled, plain)
 	}
 }
 

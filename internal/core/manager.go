@@ -685,11 +685,8 @@ type slotRef struct {
 // programmable page of that die's open block, opening a new block — and
 // garbage-collecting first if necessary — when needed.  It returns the die
 // allocation state, the slot, and the virtual time after any synchronous GC
-// work.  Caller holds m.mu.
-func (m *Manager) allocateSlot(now sim.Time, r *Region) (*dieAlloc, slotRef, sim.Time, error) {
-	if len(r.dies) == 0 {
-		return nil, slotRef{}, now, fmt.Errorf("%w: region %q has no dies", ErrRegionFull, r.name)
-	}
+// work; the state is nil when no die of the region yields one.  Caller holds m.mu.
+func (m *Manager) allocateSlot(now sim.Time, r *Region) (*dieAlloc, slotRef, sim.Time) {
 	// Round-robin over the region's dies, skipping dies that cannot yield a
 	// slot even after GC.
 	for attempt := 0; attempt < len(r.dies); attempt++ {
@@ -710,9 +707,9 @@ func (m *Manager) allocateSlot(now sim.Time, r *Region) (*dieAlloc, slotRef, sim
 		blk := &da.blocks[da.hostOpen]
 		slot := slotRef{block: da.hostOpen, page: blk.nextPage}
 		blk.nextPage++
-		return da, slot, now, nil
+		return da, slot, now
 	}
-	return nil, slotRef{}, now, m.errRegionFull(r)
+	return nil, slotRef{}, now
 }
 
 // errRegionFull is the error of a write the region cannot place.  Retained

@@ -43,6 +43,10 @@ type Results struct {
 // statistics are reset before the measured phase.
 func Run(db *noftl.DB, sch *Schema, cfg Config) (Results, error) {
 	cfg = cfg.withDefaults()
+	if l := &sch.locks; cfg.Warehouses > len(l.warehouse) || cfg.DistrictsPerWarehouse > l.districts ||
+		cfg.CustomersPerDistrict > l.customers || cfg.ItemCount > l.items {
+		return Results{}, errors.New("tpcc: the run's scale exceeds the scale the schema was set up for")
+	}
 
 	if cfg.WarmupTransactions > 0 {
 		warmCfg := cfg

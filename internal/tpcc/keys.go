@@ -46,19 +46,47 @@ func key(dst []byte, parts ...int) []byte {
 	return dst
 }
 
-// Lock names, tag:id:id... in decimal: the bytes fmt's "%d" prints (the lock
-// table keys its map by the name), built in dst.
+// lockNames holds every lock name a run can take, tag:id:id... in decimal
+// (the lock table keys its map by the name).  Setup builds each kind once, as
+// substrings of one string, so a name costs only its string header.
+type lockNames struct {
+	districts, customers, items                    int
+	warehouse, district, delivery, customer, stock []string
+}
 
-func warehouseLockKey(dst []byte, w int) string      { return lockName(dst, "W", w) }
-func districtLockKey(dst []byte, w, d int) string    { return lockName(dst, "D", w, d) }
-func customerLockKey(dst []byte, w, d, c int) string { return lockName(dst, "C", w, d, c) }
-func stockLockKey(dst []byte, w, i int) string       { return lockName(dst, "S", w, i) }
-func deliveryLockKey(dst []byte, w, d int) string    { return lockName(dst, "DLV", w, d) }
+func newLockNames(cfg Config) lockNames {
+	w, d, c, i := cfg.Warehouses, cfg.DistrictsPerWarehouse, cfg.CustomersPerDistrict, cfg.ItemCount
+	return lockNames{districts: d, customers: c, items: i, warehouse: names("W", w), district: names("D", w, d),
+		delivery: names("DLV", w, d), customer: names("C", w, d, c), stock: names("S", w, i)}
+}
 
-func lockName(dst []byte, tag string, ids ...int) string {
-	dst = append(dst, tag...)
-	for _, id := range ids {
-		dst = strconv.AppendInt(append(dst, ':'), int64(id), 10)
+func (n *lockNames) warehouseLock(w int) string   { return n.warehouse[w-1] }
+func (n *lockNames) districtLock(w, d int) string { return n.district[(w-1)*n.districts+d-1] }
+func (n *lockNames) deliveryLock(w, d int) string { return n.delivery[(w-1)*n.districts+d-1] }
+func (n *lockNames) stockLock(w, i int) string    { return n.stock[(w-1)*n.items+i-1] }
+func (n *lockNames) customerLock(w, d, c int) string {
+	return n.customer[((w-1)*n.districts+d-1)*n.customers+c-1]
+}
+
+// names returns the name tag:id:id... of every tuple of ids in [1, dims[0]] x
+// [1, dims[1]] x ..., the last id varying fastest, as substrings of one string.
+func names(tag string, dims ...int) []string {
+	count := 1
+	for _, n := range dims {
+		count *= n
 	}
-	return string(dst)
+	buf, ends := []byte(nil), make([]int, count+1)
+	for k := range count {
+		buf = append(buf, tag...)
+		for stride, j := count, 0; j < len(dims); j++ {
+			stride /= dims[j]
+			buf = strconv.AppendInt(append(buf, ':'), int64(k/stride%dims[j]+1), 10)
+		}
+		ends[k+1] = len(buf)
+	}
+	all, out := string(buf), make([]string, count)
+	for k := range out {
+		out[k] = all[ends[k]:ends[k+1]]
+	}
+	return out
 }

@@ -62,10 +62,16 @@ var lastNameSyllables = []string{
 	"BAR", "OUGHT", "ABLE", "PRI", "PRES", "ESE", "ANTI", "CALLY", "ATION", "EING",
 }
 
-// lastName builds the customer last name for a number in [0, 999].
-func lastName(num int) string {
-	return lastNameSyllables[(num/100)%10] + lastNameSyllables[(num/10)%10] + lastNameSyllables[num%10]
-}
+// lastNames are the customer last names of the numbers 0 to 999, built once.
+var lastNames = func() (names [1000]string) {
+	for n := range names {
+		names[n] = lastNameSyllables[n/100] + lastNameSyllables[n/10%10] + lastNameSyllables[n%10]
+	}
+	return names
+}()
+
+// lastName returns the customer last name for a number in [0, 999].
+func lastName(num int) string { return lastNames[num%1000] }
 
 // lastNameLoad draws the last-name number used while loading (uniform over
 // the scaled name space so every name exists).

@@ -57,7 +57,7 @@ func (r *fieldReader) i64() int64 { return int64(r.u64()) }
 func (r *fieldReader) text(field []byte) { r.off += copy(field, r.buf[r.off:r.off+len(field)]) }
 
 // setText stores s in a text field: cut to the field's width, NUL-padded.
-func setText(field []byte, s string) { clear(field[copy(field, s):]) }
+func setText[T string | []byte](field []byte, s T) { clear(field[copy(field, s):]) }
 
 // text returns a text field's contents without its NUL padding.
 func text(field []byte) []byte { return bytes.TrimRight(field, "\x00") }

@@ -49,6 +49,7 @@ type Schema struct {
 	OCustIdx  *noftl.Index
 	OLIdx     *noftl.Index
 	Placement PlacementKind
+	locks     lockNames
 }
 
 // tableColumns returns an abbreviated column list for the catalog (the row
@@ -113,7 +114,7 @@ func Setup(db *noftl.DB, cfg Config) (*Schema, error) {
 		}
 	}
 
-	sch := &Schema{Placement: cfg.Placement}
+	sch := &Schema{Placement: cfg.Placement, locks: newLockNames(cfg)}
 
 	createTable := func(name, cols string) (*noftl.Table, error) {
 		ts := placement[name]

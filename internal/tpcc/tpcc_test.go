@@ -5,12 +5,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"math"
 	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"noftl"
 	"noftl/internal/flash"
@@ -227,32 +227,91 @@ func TestEncodeIntoCapacityAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestLockNames: the appended lock names are the bytes fmt's forms were (the
-// lock table keys its map by the name), and the keys built into a non-empty
-// dst extend it.
+// TestLockNames: every name of the table Setup builds is the bytes fmt's
+// form was (the lock table keys its map by the name), every name a run can
+// take is in it, and each kind's names follow one another in one string.
 func TestLockNames(t *testing.T) {
-	var buf [maxKeySize]byte
-	for _, v := range []int{0, 9, 10, 255, 256, 5000, math.MaxUint32} {
-		for _, c := range []struct{ got, want string }{
-			{warehouseLockKey(buf[:0], v), fmt.Sprintf("W:%d", v)},
-			{districtLockKey(buf[:0], v, 10), fmt.Sprintf("D:%d:%d", v, 10)},
-			{districtLockKey(buf[:0], 1, v), fmt.Sprintf("D:%d:%d", 1, v)},
-			{customerLockKey(buf[:0], v, v, v), fmt.Sprintf("C:%d:%d:%d", v, v, v)},
-			{stockLockKey(buf[:0], 1, v), fmt.Sprintf("S:%d:%d", 1, v)},
-			{stockLockKey(buf[:0], v, 100000), fmt.Sprintf("S:%d:%d", v, 100000)},
-			{deliveryLockKey(buf[:0], v, v), fmt.Sprintf("DLV:%d:%d", v, v)},
-		} {
-			if c.got != c.want {
-				t.Errorf("lock name %q, want %q", c.got, c.want)
+	cfg := Config{Warehouses: 3, DistrictsPerWarehouse: 10, CustomersPerDistrict: 12, ItemCount: 1001}
+	n := newLockNames(cfg)
+	for w := 1; w <= cfg.Warehouses; w++ {
+		check := func(got, want string) {
+			if got != want {
+				t.Errorf("lock name %q, want %q", got, want)
+			}
+		}
+		check(n.warehouseLock(w), fmt.Sprintf("W:%d", w))
+		for d := 1; d <= cfg.DistrictsPerWarehouse; d++ {
+			check(n.districtLock(w, d), fmt.Sprintf("D:%d:%d", w, d))
+			check(n.deliveryLock(w, d), fmt.Sprintf("DLV:%d:%d", w, d))
+			for c := 1; c <= cfg.CustomersPerDistrict; c++ {
+				check(n.customerLock(w, d, c), fmt.Sprintf("C:%d:%d:%d", w, d, c))
+			}
+		}
+		for i := 1; i <= cfg.ItemCount; i++ {
+			check(n.stockLock(w, i), fmt.Sprintf("S:%d:%d", w, i))
+		}
+	}
+	for _, kind := range [][]string{n.warehouse, n.district, n.delivery, n.customer, n.stock} {
+		for k := 1; k < len(kind); k++ {
+			if unsafe.Pointer(unsafe.StringData(kind[k])) != unsafe.Add(unsafe.Pointer(unsafe.StringData(kind[k-1])), len(kind[k-1])) {
+				t.Fatalf("%q does not follow %q in one string", kind[k], kind[k-1])
 			}
 		}
 	}
+	var buf [maxKeySize]byte
 	want := noftl.NewKeyBuilder().AddUint32(1).AddUint32(2).AddString("BARBARBAR").AddUint32(3).Bytes()
 	if got := customerNameKey([]byte("dst"), 1, 2, "BARBARBAR", 3); !bytes.Equal(got, append([]byte("dst"), want...)) {
 		t.Errorf("customerNameKey = %x, want dst then %x", got, want)
 	}
 	if got := orderLineKey(buf[:0], 1, 2, 3, 4); !bytes.Equal(got, noftl.Key(1, 2, 3, 4)) {
 		t.Errorf("orderLineKey = %x", got)
+	}
+}
+
+// TestRunRefusesALargerScale: Setup builds the lock names of its own scale,
+// so a run at a larger one is refused with an error before it starts.
+func TestRunRefusesALargerScale(t *testing.T) {
+	db := testDB(t, PlacementTraditional)
+	defer db.Close()
+	cfg := TinyConfig()
+	sch, err := Setup(db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, grow := range []func(*Config){
+		func(c *Config) { c.Warehouses++ }, func(c *Config) { c.DistrictsPerWarehouse++ },
+		func(c *Config) { c.CustomersPerDistrict++ }, func(c *Config) { c.ItemCount++ },
+	} {
+		big := cfg.withDefaults()
+		grow(&big)
+		if _, err := Run(db, sch, big); err == nil || !strings.Contains(err.Error(), "scale") {
+			t.Errorf("a run at %+v on a schema set up at %+v: %v, want the scale refused", big, cfg, err)
+		}
+	}
+}
+
+// TestCreditDataMatchesSprintf: a bad-credit payment's C_DATA built with
+// creditData is the field fmt.Sprintf built, byte for byte, also when the old
+// C_DATA is cut at the field's width.
+func TestCreditDataMatchesSprintf(t *testing.T) {
+	for _, c := range []struct {
+		cid, did, wid, d, w int
+		amount              int64
+		data                string
+	}{
+		{1, 1, 1, 1, 1, 100, ""},
+		{3000, 10, 8, 7, 8, 500000, "some earlier payment"},
+		{42, 3, 2, 10, 1, 4711, strings.Repeat("x", 240)}, // cut at 250 bytes
+		{600, 9, 4, 2, 4, 123456, strings.Repeat("y", 250)},
+	} {
+		cust := Customer{CID: uint32(c.cid), DID: uint32(c.did), WID: uint32(c.wid)}
+		setText(cust.Data[:], c.data)
+		want := cust
+		setText(want.Data[:], fmt.Sprintf("%d %d %d %d %d %d|%s", cust.CID, cust.DID, cust.WID, c.d, c.w, c.amount, string(text(cust.Data[:]))))
+		setText(cust.Data[:], creditData(make([]byte, 0, maxRowSize), &cust, c.d, c.w, c.amount))
+		if cust.Data != want.Data {
+			t.Errorf("C_DATA %q, want %q", text(cust.Data[:]), text(want.Data[:]))
+		}
 	}
 }
 
@@ -703,13 +762,15 @@ func TestConfigDefaults(t *testing.T) {
 // TestAllocationsPerTransaction caps the host cost of a TPC-C transaction: the
 // heap allocations per committed transaction of each type run alone, and of
 // the standard mix, on the tiny database under multi-region placement.  The mix
-// measured 13.5 (76 before rows decoded into fixed-width fields, scans copied
-// their keys into one slab, and begin, locking, dispatch and GC reused what
-// they own; 405 before a page pin, a row decode, an index lookup and a log
-// record stopped allocating what nothing keeps; 142 before a terminal read,
-// encoded and keyed its rows in buffers it owns); NewOrder 18.5, Payment 7.7,
-// OrderStatus 5.7, Delivery (ten districts) 63.8 and StockLevel 6.7.  Each
-// ceiling is the measured value plus 30 %.
+// measured 3.9 (13.5 before lock names were built once per schema, lock
+// states carved in chunks and a transaction's scans shared one key slab; 76
+// before rows decoded into fixed-width fields, scans copied their keys into
+// one slab, and begin, locking, dispatch and GC reused what they own; 405
+// before a page pin, a row decode, an index lookup and a log record stopped
+// allocating what nothing keeps; 142 before a terminal read, encoded and keyed
+// its rows in buffers it owns); NewOrder 4.9, Payment 1.9, OrderStatus 2.9,
+// Delivery (ten districts) 10.0 and StockLevel 5.7.  Each ceiling is the
+// measured value plus 30 %.
 func TestAllocationsPerTransaction(t *testing.T) {
 	dbCfg := noftl.DefaultConfig()
 	dbCfg.Flash.Geometry = flash.Geometry{
@@ -753,8 +814,8 @@ func TestAllocationsPerTransaction(t *testing.T) {
 		n       int
 		ceiling float64
 	}{
-		{TxnNewOrder, 100, 24}, {TxnPayment, 100, 10}, {TxnOrderStatus, 100, 7.5},
-		{TxnDelivery, 10, 83}, {TxnStockLevel, 50, 8.7},
+		{TxnNewOrder, 100, 6.4}, {TxnPayment, 100, 2.5}, {TxnOrderStatus, 100, 3.8},
+		{TxnDelivery, 10, 13}, {TxnStockLevel, 50, 7.4},
 	} {
 		t.Run(c.typ.String(), func(t *testing.T) {
 			perTxn(t, c.ceiling, func() (committed int64) {
@@ -777,7 +838,7 @@ func TestAllocationsPerTransaction(t *testing.T) {
 		})
 	}
 	t.Run("mix", func(t *testing.T) {
-		perTxn(t, 17.6, func() int64 {
+		perTxn(t, 5.1, func() int64 {
 			res, err := Run(db, sch, cfg)
 			if err != nil {
 				t.Fatal(err)

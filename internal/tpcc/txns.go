@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"noftl"
 )
@@ -53,11 +54,11 @@ type terminal struct {
 
 	// Scratch the terminal's transactions fill and throw away, one
 	// transaction at a time: the row read last, the row encoded last (both
-	// with room for the widest row), two buffers for index keys and lock
-	// names, for a Range needs both of its bounds at once, the RIDs a scan
-	// collects before they are read, and Stock-Level's distinct items.  The
-	// engine copies what it keeps of them.  A key buffer is not rewritten
-	// while an iterator that was handed it runs.
+	// with room for the widest row; the encoded one also Payment's C_DATA),
+	// two buffers for index keys, for a Range needs both of its bounds at
+	// once, the RIDs a scan collects before they are read, and Stock-Level's
+	// distinct items.  The engine copies what it keeps of them.  A key buffer
+	// is not rewritten while an iterator that was handed it runs.
 	row, enc []byte
 	key, hi  [maxKeySize]byte
 	rids     []noftl.RID
@@ -66,7 +67,7 @@ type terminal struct {
 }
 
 // maxRowSize is the size of the widest row, CUSTOMER; maxKeySize holds every
-// index key and lock name of the configured scales.
+// index key of the configured scales.
 const (
 	maxRowSize = customerSize
 	maxKeySize = 40
@@ -211,11 +212,11 @@ func (t *terminal) newOrder(tx *noftl.Tx) error {
 	slices.Sort(lockOrder)
 
 	// The district row is the serialization point (O_ID assignment).
-	if err := tx.Lock(districtLockKey(t.key[:0], w, d), noftl.Exclusive); err != nil {
+	if err := tx.Lock(t.sch.locks.districtLock(w, d), noftl.Exclusive); err != nil {
 		return err
 	}
 	for _, it := range lockOrder {
-		if err := tx.Lock(stockLockKey(t.key[:0], w, it), noftl.Exclusive); err != nil {
+		if err := tx.Lock(t.sch.locks.stockLock(w, it), noftl.Exclusive); err != nil {
 			return err
 		}
 	}
@@ -315,10 +316,10 @@ func (t *terminal) payment(tx *noftl.Tx) error {
 	d := t.r.uniform(1, t.cfg.DistrictsPerWarehouse)
 	amount := int64(t.r.uniform(100, 500000))
 
-	if err := tx.Lock(warehouseLockKey(t.key[:0], w), noftl.Exclusive); err != nil {
+	if err := tx.Lock(t.sch.locks.warehouseLock(w), noftl.Exclusive); err != nil {
 		return err
 	}
-	if err := tx.Lock(districtLockKey(t.key[:0], w, d), noftl.Exclusive); err != nil {
+	if err := tx.Lock(t.sch.locks.districtLock(w, d), noftl.Exclusive); err != nil {
 		return err
 	}
 
@@ -351,14 +352,14 @@ func (t *terminal) payment(tx *noftl.Tx) error {
 	if err != nil {
 		return err
 	}
-	if err := tx.Lock(customerLockKey(t.key[:0], w, d, int(cust.CID)), noftl.Exclusive); err != nil {
+	if err := tx.Lock(t.sch.locks.customerLock(w, d, int(cust.CID)), noftl.Exclusive); err != nil {
 		return err
 	}
 	cust.Balance -= amount
 	cust.YTDPayment += amount
 	cust.PaymentCnt++
 	if string(cust.Credit[:]) == "BC" {
-		setText(cust.Data[:], fmt.Sprintf("%d %d %d %d %d %d|%s", cust.CID, cust.DID, cust.WID, d, w, amount, string(text(cust.Data[:]))))
+		setText(cust.Data[:], creditData(t.enc[:0], &cust, d, w, amount))
 	}
 	if err := t.sch.Customer.Update(tx, crid, cust.Encode(t.enc[:0])); err != nil {
 		return err
@@ -373,6 +374,17 @@ func (t *terminal) payment(tx *noftl.Tx) error {
 	copy(hist.Data[n:], text(dist.Name[:]))
 	_, err = t.sch.History.Insert(tx, hist.Encode(t.enc[:0]))
 	return err
+}
+
+// creditData appends to dst the C_DATA of a bad-credit customer c after a
+// payment of amount to district d of warehouse w (clause 2.5.2.2): the ids and
+// the amount, then the old C_DATA.
+func creditData(dst []byte, c *Customer, d, w int, amount int64) []byte {
+	for _, id := range [...]int64{int64(c.CID), int64(c.DID), int64(c.WID), int64(d), int64(w)} {
+		dst = append(strconv.AppendInt(dst, id, 10), ' ')
+	}
+	dst = append(strconv.AppendInt(dst, amount, 10), '|')
+	return append(dst, text(c.Data[:])...)
 }
 
 // orderStatus implements the Order-Status transaction (clause 2.6).
@@ -429,7 +441,7 @@ func (t *terminal) delivery(tx *noftl.Tx) error {
 	w := t.wID
 	carrier := uint32(t.r.uniform(1, 10))
 	for d := 1; d <= t.cfg.DistrictsPerWarehouse; d++ {
-		if err := tx.Lock(deliveryLockKey(t.key[:0], w, d), noftl.Exclusive); err != nil {
+		if err := tx.Lock(t.sch.locks.deliveryLock(w, d), noftl.Exclusive); err != nil {
 			return err
 		}
 		// Oldest undelivered order.
@@ -502,7 +514,7 @@ func (t *terminal) delivery(tx *noftl.Tx) error {
 			}
 		}
 		// Credit the customer.
-		if err := tx.Lock(customerLockKey(t.key[:0], w, d, int(ord.CID)), noftl.Exclusive); err != nil {
+		if err := tx.Lock(t.sch.locks.customerLock(w, d, int(ord.CID)), noftl.Exclusive); err != nil {
 			return err
 		}
 		cust, crid, err := t.getCustomerByID(tx, w, d, int(ord.CID))

@@ -43,7 +43,8 @@ var (
 	ErrTxnDone = errors.New("txn: transaction already finished")
 )
 
-// lockState is the state of one lockable key.
+// lockState is the state of one lockable key.  The table keeps one for every
+// key ever locked, so a transaction holds its keys by reference.
 type lockState struct {
 	readers map[uint64]int // txn id -> hold count; made at the first shared grant
 	writer  uint64         // txn id holding exclusively, 0 if none
@@ -55,6 +56,9 @@ type lockState struct {
 	maxRelease sim.Time
 }
 
+// held reports whether any transaction holds the key.
+func (ls *lockState) held() bool { return ls.writer != 0 || len(ls.readers) > 0 }
+
 // LockManager implements strict two-phase locking over string keys.  All
 // methods are safe for concurrent use.  One mutex guards the lock table, and
 // waiters of every key share one condition variable: a release wakes them
@@ -63,6 +67,9 @@ type LockManager struct {
 	mu           sync.Mutex
 	cond         sync.Cond // L is &mu
 	locks        map[string]*lockState
+	free         []lockState   // the rest of the chunk of 256 new states are carved from
+	held         int64         // keys some transaction holds
+	waiting      int64         // transactions blocked on a key
 	timeout      time.Duration // virtual-time wait budget (ns, 1:1 with sim time)
 	wallFallback time.Duration // wall-clock deadlock safety net
 	waits        *metrics.Counter
@@ -111,7 +118,10 @@ func (lm *LockManager) SetWallFallback(d time.Duration) {
 func (lm *LockManager) state(key string) *lockState {
 	ls, ok := lm.locks[key]
 	if !ok {
-		ls = &lockState{}
+		if len(lm.free) == 0 {
+			lm.free = make([]lockState, 256)
+		}
+		ls, lm.free = &lm.free[0], lm.free[1:]
 		lm.locks[key] = ls
 	}
 	return ls
@@ -140,30 +150,24 @@ type LockStats struct {
 
 // Stats returns a snapshot of the lock manager's contention counters.
 func (lm *LockManager) Stats() LockStats {
-	st := LockStats{Waits: lm.waits.Value(), Timeouts: lm.timeouts.Value()}
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	for _, ls := range lm.locks {
-		if ls.writer != 0 || len(ls.readers) > 0 {
-			st.Held++
-		}
-		st.Waiting += int64(ls.waiting)
-	}
-	return st
+	return LockStats{Waits: lm.waits.Value(), Timeouts: lm.timeouts.Value(), Held: lm.held, Waiting: lm.waiting}
 }
 
 // LockAt acquires key in the given mode on behalf of txnID, whose current
 // virtual time is now, blocking until the lock is granted or the wait times
 // out.  Re-acquiring a lock already held (including upgrading shared to
-// exclusive when the transaction is the sole reader) succeeds.  first reports
-// whether the grant is the transaction's first hold on key.
+// exclusive when the transaction is the sole reader) succeeds.  It returns the
+// key's state when the grant is the transaction's first hold on key, for
+// ReleaseAllAt, and nil otherwise.
 //
 // The wait deadline is virtual: it expires when the key's release frontier
 // (the highest virtual time of any release of this key) moves more than the
 // configured timeout past the frontier observed when the wait began, while
 // the lock remains unavailable.  A wall-clock fallback (SetWallFallback)
 // catches deadlocks, where the frontier never moves.
-func (lm *LockManager) LockAt(now sim.Time, txnID uint64, key string, mode LockMode) (first bool, err error) {
+func (lm *LockManager) LockAt(now sim.Time, txnID uint64, key string, mode LockMode) (*lockState, error) {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	ls := lm.state(key)
@@ -177,6 +181,9 @@ func (lm *LockManager) LockAt(now sim.Time, txnID uint64, key string, mode LockM
 		// unless the transaction already holds the lock.
 		barge := !holder && !waited && ls.waiting > 0
 		if !barge && grantable(ls, txnID, mode) {
+			if !ls.held() {
+				lm.held++
+			}
 			if mode == Exclusive {
 				ls.writer = txnID
 				delete(ls.readers, txnID) // upgrade consumes the shared hold
@@ -188,13 +195,18 @@ func (lm *LockManager) LockAt(now sim.Time, txnID uint64, key string, mode LockM
 			}
 			if waited {
 				ls.waiting--
+				lm.waiting--
 			}
-			return !holder, nil
+			if holder {
+				return nil, nil
+			}
+			return ls, nil
 		}
 		if !waited {
 			waited = true
 			lm.waits.Inc()
 			ls.waiting++
+			lm.waiting++
 			// Anchor the virtual deadline to the key's release frontier, not
 			// just the waiter's own cursor: cursors of independent workers
 			// drift apart, and a waiter behind the frontier must still be
@@ -203,8 +215,9 @@ func (lm *LockManager) LockAt(now sim.Time, txnID uint64, key string, mode LockM
 			wallDeadline = time.Now().Add(lm.wallFallback)
 		} else if ls.maxRelease > vdeadline || time.Now().After(wallDeadline) {
 			ls.waiting--
+			lm.waiting--
 			lm.timeouts.Inc()
-			return false, fmt.Errorf("%w: txn %d key %q", ErrLockTimeout, txnID, key)
+			return nil, fmt.Errorf("%w: txn %d key %q", ErrLockTimeout, txnID, key)
 		}
 		// Wake ourselves up at the wall deadline so the fallback is honoured
 		// even if nobody ever releases the lock.  Any release wakes us too;
@@ -233,27 +246,28 @@ func grantable(ls *lockState, txnID uint64, mode LockMode) bool {
 	return true
 }
 
-// ReleaseAllAt releases every lock held by txnID and advances each key's
-// virtual release frontier to now, which is what drives waiters' virtual
-// timeouts forward.  It wakes the waiters once, after the last key.
-func (lm *LockManager) ReleaseAllAt(now sim.Time, txnID uint64, keys []string) {
-	if len(keys) == 0 {
+// ReleaseAllAt releases txnID's holds on the keys whose states LockAt
+// returned and advances each key's virtual release frontier to now, which is
+// what drives waiters' virtual timeouts forward.  It wakes the waiters once,
+// after the last key.
+func (lm *LockManager) ReleaseAllAt(now sim.Time, txnID uint64, held []*lockState) {
+	if len(held) == 0 {
 		return // a transaction that took no lock wakes nobody
 	}
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	for _, key := range keys {
-		ls, ok := lm.locks[key]
-		if !ok {
-			continue
-		}
+	for _, ls := range held {
 		// ReleaseAllAt is only called at commit/abort (strict two-phase
 		// locking), so every hold the transaction has on the key is dropped
 		// at once, however many times it re-acquired the lock.
+		wasHeld := ls.held()
 		if ls.writer == txnID {
 			ls.writer = 0
 		}
 		delete(ls.readers, txnID)
+		if wasHeld && !ls.held() {
+			lm.held--
+		}
 		if now > ls.maxRelease {
 			ls.maxRelease = now
 		}
@@ -347,7 +361,7 @@ func (m *Manager) Aborted() int64   { return m.aborts.Value() }
 
 // Txn is one transaction.  It is owned by a single goroutine (a TPC-C
 // terminal); it is not safe for concurrent use.  A Txn is a value its owner
-// embeds: it holds its clock and room for the keys of a NewOrder's locks, so
+// embeds: it holds its clock and room for the keys of a Delivery's locks, so
 // a transaction that takes no more allocates nothing of its own.  Do not copy
 // a Txn once it has taken a lock.
 type Txn struct {
@@ -355,8 +369,8 @@ type Txn struct {
 	mgr     *Manager
 	cursor  sim.Cursor
 	state   State
-	locks   []string // every key held, once; lockBuf until it outgrows it
-	lockBuf [16]string
+	locks   []*lockState // every key held, once; lockBuf until it outgrows it
+	lockBuf [20]*lockState
 	start   sim.Time
 	logged  bool // RecBegin has been appended (done lazily, see logBegin)
 }
@@ -405,12 +419,12 @@ func (t *Txn) Lock(key string, mode LockMode) error {
 	if t.state != Active {
 		return ErrTxnDone
 	}
-	first, err := t.mgr.lm.LockAt(t.cursor.Now(), t.id, key, mode)
-	if first {
+	ls, err := t.mgr.lm.LockAt(t.cursor.Now(), t.id, key, mode)
+	if ls != nil {
 		if t.locks == nil {
 			t.locks = t.lockBuf[:0]
 		}
-		t.locks = append(t.locks, key)
+		t.locks = append(t.locks, ls)
 	}
 	return err
 }

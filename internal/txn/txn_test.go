@@ -2,6 +2,7 @@ package txn
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -28,22 +29,27 @@ func testWAL(t *testing.T) *wal.Log {
 	return wal.New(mgr, core.Hint{ObjectID: 1}, 512)
 }
 
+// mustLock takes key for txnID at now and returns the state LockAt hands out
+// for ReleaseAllAt.
+func mustLock(t *testing.T, lm *LockManager, now sim.Time, txnID uint64, key string, mode LockMode) *lockState {
+	t.Helper()
+	ls, err := lm.LockAt(now, txnID, key, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ls
+}
+
 func TestLockManagerSharedAndExclusive(t *testing.T) {
 	lm := NewLockManager(time.Second)
 	// Two readers coexist.
-	if _, err := lm.LockAt(0, 1, "k", Shared); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lm.LockAt(0, 2, "k", Shared); err != nil {
-		t.Fatal(err)
-	}
+	mustLock(t, lm, 0, 1, "k", Shared)
+	k2 := mustLock(t, lm, 0, 2, "k", Shared)
 	// A writer must wait; nothing is released, so the wall-clock safety net
 	// makes it give up.
 	short := NewLockManager(50 * time.Millisecond)
 	short.SetWallFallback(50 * time.Millisecond)
-	if _, err := short.LockAt(0, 1, "x", Exclusive); err != nil {
-		t.Fatal(err)
-	}
+	x := mustLock(t, short, 0, 1, "x", Exclusive)
 	start := time.Now()
 	_, err := short.LockAt(0, 2, "x", Exclusive)
 	if !errors.Is(err, ErrLockTimeout) {
@@ -56,7 +62,7 @@ func TestLockManagerSharedAndExclusive(t *testing.T) {
 		t.Fatal("wait not counted")
 	}
 	// Releasing lets the writer in.
-	short.ReleaseAllAt(0, 1, []string{"x"})
+	short.ReleaseAllAt(0, 1, []*lockState{x})
 	if _, err := short.LockAt(0, 2, "x", Exclusive); err != nil {
 		t.Fatalf("lock after release: %v", err)
 	}
@@ -65,7 +71,7 @@ func TestLockManagerSharedAndExclusive(t *testing.T) {
 	if _, err := lm.LockAt(0, 1, "k", Shared); err != nil {
 		t.Fatal(err)
 	}
-	lm.ReleaseAllAt(0, 2, []string{"k"})
+	lm.ReleaseAllAt(0, 2, []*lockState{k2})
 	if _, err := lm.LockAt(0, 1, "k", Exclusive); err != nil {
 		t.Fatalf("upgrade failed: %v", err)
 	}
@@ -76,9 +82,7 @@ func TestLockManagerSharedAndExclusive(t *testing.T) {
 
 func TestLockManagerBlocksThenGrants(t *testing.T) {
 	lm := NewLockManager(2 * time.Second)
-	if _, err := lm.LockAt(0, 1, "row", Exclusive); err != nil {
-		t.Fatal(err)
-	}
+	row := mustLock(t, lm, 0, 1, "row", Exclusive)
 	acquired := make(chan error, 1)
 	go func() {
 		_, err := lm.LockAt(0, 2, "row", Exclusive)
@@ -89,7 +93,7 @@ func TestLockManagerBlocksThenGrants(t *testing.T) {
 		t.Fatalf("lock granted while held: %v", err)
 	case <-time.After(30 * time.Millisecond):
 	}
-	lm.ReleaseAllAt(0, 1, []string{"row"})
+	lm.ReleaseAllAt(0, 1, []*lockState{row})
 	select {
 	case err := <-acquired:
 		if err != nil {
@@ -109,12 +113,13 @@ func TestLockManagerConcurrentCounter(t *testing.T) {
 		go func(id uint64) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if _, err := lm.LockAt(0, id, "counter", Exclusive); err != nil {
+				ls, err := lm.LockAt(0, id, "counter", Exclusive)
+				if err != nil {
 					t.Error(err)
 					return
 				}
 				counter++
-				lm.ReleaseAllAt(0, id, []string{"counter"})
+				lm.ReleaseAllAt(0, id, []*lockState{ls})
 			}
 		}(uint64(w + 1))
 	}
@@ -229,13 +234,13 @@ func TestLockVirtualTimeoutDeterministic(t *testing.T) {
 	lm := NewLockManager(time.Millisecond) // 1 ms of virtual time
 	lm.SetWallFallback(30 * time.Second)   // fallback far away: virtual path must fire
 
-	if _, err := lm.LockAt(0, 1, "k", Exclusive); err != nil {
-		t.Fatal(err)
-	}
+	k1 := mustLock(t, lm, 0, 1, "k", Exclusive)
+	var k2 *lockState
 	errCh := make(chan error, 1)
 	go func() {
 		// Waiter at virtual time 0: virtual deadline is 1 ms.
-		_, err := lm.LockAt(0, 2, "k", Exclusive)
+		var err error
+		k2, err = lm.LockAt(0, 2, "k", Exclusive)
 		errCh <- err
 	}()
 	for lm.Stats().Waiting == 0 {
@@ -244,26 +249,27 @@ func TestLockVirtualTimeoutDeterministic(t *testing.T) {
 	// Holder releases at virtual time 0.5 ms and a third txn cycles the lock,
 	// releasing at 0.9 ms: frontier < deadline, waiter 2 must simply win the
 	// lock (it is granted on the release wake-up, not timed out).
-	lm.ReleaseAllAt(sim.Time(500_000), 1, []string{"k"})
+	lm.ReleaseAllAt(sim.Time(500_000), 1, []*lockState{k1})
 	if err := <-errCh; err != nil {
 		t.Fatalf("waiter timed out before its virtual deadline: %v", err)
 	}
-	lm.ReleaseAllAt(sim.Time(900_000), 2, []string{"k"})
+	lm.ReleaseAllAt(sim.Time(900_000), 2, []*lockState{k2})
 
 	// Now the deterministic timeout: holder takes the lock and only releases
 	// at virtual time 2.1 ms, past the waiter's 0.9+1.0=1.9 ms deadline.
-	if _, err := lm.LockAt(sim.Time(900_000), 3, "k", Exclusive); err != nil {
-		t.Fatal(err)
-	}
+	k3 := mustLock(t, lm, sim.Time(900_000), 3, "k", Exclusive)
+	other := mustLock(t, lm, sim.Time(900_000), 9, "other", Exclusive)
+	var k4 *lockState
 	go func() {
-		_, err := lm.LockAt(sim.Time(900_000), 4, "k", Shared)
+		var err error
+		k4, err = lm.LockAt(sim.Time(900_000), 4, "k", Shared)
 		errCh <- err
 	}()
 	for lm.Stats().Waiting == 0 {
 		time.Sleep(100 * time.Microsecond)
 	}
 	// Another key's release must not wake-or-time-out the waiter on "k".
-	lm.ReleaseAllAt(sim.Time(5_000_000), 9, []string{"other"})
+	lm.ReleaseAllAt(sim.Time(5_000_000), 9, []*lockState{other})
 	select {
 	case err := <-errCh:
 		t.Fatalf("waiter finished on unrelated release: %v", err)
@@ -272,20 +278,16 @@ func TestLockVirtualTimeoutDeterministic(t *testing.T) {
 	// Holder 3 keeps the lock but a second waiter cycles a *shared* grant?
 	// No: release by 3 at 2.1 ms grants the lock to waiter 4 (grant wins over
 	// timeout when the lock became available on the same wake-up).
-	lm.ReleaseAllAt(sim.Time(2_100_000), 3, []string{"k"})
+	lm.ReleaseAllAt(sim.Time(2_100_000), 3, []*lockState{k3})
 	if err := <-errCh; err != nil {
 		t.Fatalf("waiter should be granted on release even past deadline: %v", err)
 	}
-	lm.ReleaseAllAt(sim.Time(2_100_000), 4, []string{"k"})
+	lm.ReleaseAllAt(sim.Time(2_100_000), 4, []*lockState{k4})
 
 	// True timeout: holder 5 keeps the lock while releases of the SAME key by
 	// a shared cohort push the frontier past the waiter's deadline.
-	if _, err := lm.LockAt(sim.Time(0), 5, "k2", Shared); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lm.LockAt(sim.Time(0), 6, "k2", Shared); err != nil {
-		t.Fatal(err)
-	}
+	mustLock(t, lm, 0, 5, "k2", Shared)
+	k6 := mustLock(t, lm, 0, 6, "k2", Shared)
 	go func() {
 		_, err := lm.LockAt(sim.Time(0), 7, "k2", Exclusive)
 		errCh <- err
@@ -295,7 +297,7 @@ func TestLockVirtualTimeoutDeterministic(t *testing.T) {
 	}
 	// Reader 6 releases at 2 ms; reader 5 still holds, so the writer cannot
 	// be granted — and the frontier (2 ms) is past its 1 ms deadline.
-	lm.ReleaseAllAt(sim.Time(2_000_000), 6, []string{"k2"})
+	lm.ReleaseAllAt(sim.Time(2_000_000), 6, []*lockState{k6})
 	if err := <-errCh; !errors.Is(err, ErrLockTimeout) {
 		t.Fatalf("want ErrLockTimeout, got %v", err)
 	}
@@ -329,7 +331,7 @@ func TestLockManagerShardedStress(t *testing.T) {
 			r := sim.NewRand(id + 1)
 			now := sim.Time(0)
 			for i := 0; i < rounds; i++ {
-				held := make([]string, 0, 4)
+				held := make([]*lockState, 0, 4)
 				// Take up to 3 locks in ascending key order (no deadlocks).
 				lo := r.Intn(len(keys) - 3)
 				for j := lo; j < lo+1+r.Intn(3); j++ {
@@ -338,11 +340,12 @@ func TestLockManagerShardedStress(t *testing.T) {
 						mode = Exclusive
 					}
 					acquisitions.Add(1)
-					if _, err := lm.LockAt(now, id+1, keys[j], mode); err != nil {
+					ls, err := lm.LockAt(now, id+1, keys[j], mode)
+					if err != nil {
 						errCh <- err
 						return
 					}
-					held = append(held, keys[j])
+					held = append(held, ls)
 				}
 				now = now.Add(sim.Duration(r.Intn(1000)) + 1)
 				lm.ReleaseAllAt(now, id+1, held)
@@ -370,9 +373,7 @@ func TestLockManagerShardedStress(t *testing.T) {
 func TestLockWallFallbackCatchesDeadlock(t *testing.T) {
 	lm := NewLockManager(time.Millisecond)
 	lm.SetWallFallback(20 * time.Millisecond)
-	if _, err := lm.LockAt(0, 1, "dead", Exclusive); err != nil {
-		t.Fatal(err)
-	}
+	mustLock(t, lm, 0, 1, "dead", Exclusive)
 	start := time.Now()
 	_, err := lm.LockAt(0, 2, "dead", Exclusive)
 	if !errors.Is(err, ErrLockTimeout) {
@@ -444,4 +445,203 @@ func TestUnrelatedReleasesNeitherGrantNorTimeOut(t *testing.T) {
 	}
 	t1.Abort()
 	t2.Abort()
+}
+
+// TestTxnReleasesMoreKeysThanFitInline: a transaction holding 24 keys, more
+// than its inline array takes, releases every one of them at commit.
+func TestTxnReleasesMoreKeysThanFitInline(t *testing.T) {
+	m := NewManager(nil, nil, nil)
+	lm := m.LockManager()
+	keys := make([]string, 24)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("K:%d", i)
+	}
+	tx := m.Begin(0)
+	for _, k := range keys {
+		if err := tx.Lock(k, Exclusive); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(tx.locks) != len(keys) || lm.Stats().Held != int64(len(keys)) {
+		t.Fatalf("%d references and %d keys held, want %d", len(tx.locks), lm.Stats().Held, len(keys))
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if st := lm.Stats(); st.Held != 0 {
+		t.Fatalf("%d keys still held after commit", st.Held)
+	}
+	for _, k := range keys {
+		if ls := lm.locks[k]; ls.held() {
+			t.Fatalf("%s still held: writer %d", k, ls.writer)
+		}
+	}
+}
+
+// TestUpgradeKeepsOneReference: a shared hold upgraded to exclusive, and the
+// locks taken again after it, leave one reference to the key, and a release
+// drops the exclusive hold.
+func TestUpgradeKeepsOneReference(t *testing.T) {
+	m := NewManager(nil, nil, nil)
+	tx := m.Begin(0)
+	for _, mode := range []LockMode{Shared, Exclusive, Shared, Exclusive} {
+		if err := tx.Lock("k", mode); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(tx.locks) != 1 {
+		t.Fatalf("%d references to one key", len(tx.locks))
+	}
+	ls := tx.locks[0]
+	if ls.writer != tx.ID() || len(ls.readers) != 0 {
+		t.Fatalf("after the upgrade: writer %d, readers %v", ls.writer, ls.readers)
+	}
+	tx.Abort()
+	if ls.held() || m.LockManager().Stats().Held != 0 {
+		t.Fatal("the upgraded key is still held after abort")
+	}
+}
+
+// TestReleaseByReferenceWakesAWaiter: a transaction blocked on a key another
+// holds is granted it when the holder commits and releases by reference.
+func TestReleaseByReferenceWakesAWaiter(t *testing.T) {
+	m := NewManager(NewLockManager(time.Second), nil, nil)
+	holder, waiter := m.Begin(0), m.Begin(0)
+	if err := holder.Lock("row", Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	granted := make(chan error, 1)
+	go func() { granted <- waiter.Lock("row", Exclusive) }()
+	for m.LockManager().Stats().Waiting == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if _, err := holder.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-granted:
+		if err != nil {
+			t.Fatalf("waiter: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the release did not wake the waiter")
+	}
+	if st := m.LockManager().Stats(); st.Held != 1 || st.Waiting != 0 {
+		t.Fatalf("after the hand-over: %+v", st)
+	}
+	waiter.Abort()
+}
+
+// walkStats counts the held keys and the waiting transactions by walking the
+// whole table, and compares them with the counters Stats reports, in one
+// critical section.
+func walkStats(t *testing.T, lm *LockManager) {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	var held, waiting int64
+	for _, ls := range lm.locks {
+		if ls.held() {
+			held++
+		}
+		waiting += int64(ls.waiting)
+	}
+	if held != lm.held || waiting != lm.waiting {
+		t.Errorf("Stats says %d held and %d waiting, the table %d and %d", lm.held, lm.waiting, held, waiting)
+	}
+}
+
+// TestStatsMatchAWalkOfTheTable checks that the counters Stats keeps equal a
+// walk of every key ever locked: first over one scripted history of shared and
+// exclusive grants, an upgrade, a wait, a timeout and releases, then
+// throughout a seeded mix of the same from eight transactions at once.
+func TestStatsMatchAWalkOfTheTable(t *testing.T) {
+	lm := NewLockManager(time.Millisecond)
+	lm.SetWallFallback(5 * time.Millisecond) // ends the mix's upgrade deadlocks
+	a1 := mustLock(t, lm, 0, 1, "a", Shared)
+	a2 := mustLock(t, lm, 0, 2, "a", Shared)
+	b3 := mustLock(t, lm, 0, 3, "b", Exclusive)
+	c1 := mustLock(t, lm, 0, 1, "c", Shared)
+	mustLock(t, lm, 0, 1, "c", Exclusive) // the upgrade
+	walkStats(t, lm)
+	timedOut := make(chan error, 1)
+	go func() {
+		_, err := lm.LockAt(0, 4, "a", Exclusive)
+		timedOut <- err
+	}()
+	for lm.Stats().Waiting == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	walkStats(t, lm)
+	lm.ReleaseAllAt(sim.Time(2*time.Millisecond), 2, []*lockState{a2}) // past the waiter's deadline
+	if err := <-timedOut; !errors.Is(err, ErrLockTimeout) {
+		t.Fatalf("waiter: %v, want ErrLockTimeout", err)
+	}
+	if st := lm.Stats(); st.Held != 3 || st.Waiting != 0 || st.Waits != 1 || st.Timeouts != 1 {
+		t.Fatalf("after the timeout: %+v", st)
+	}
+	walkStats(t, lm)
+	lm.ReleaseAllAt(0, 1, []*lockState{a1, c1})
+	lm.ReleaseAllAt(0, 3, []*lockState{b3})
+	if st := lm.Stats(); st.Held != 0 {
+		t.Fatalf("after every release: %+v", st)
+	}
+
+	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	done := make(chan struct{})
+	walks := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-done:
+				walks <- n
+				return
+			default:
+				walkStats(t, lm)
+				n++
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := range 8 {
+		wg.Add(1)
+		go func(id uint64) {
+			defer wg.Done()
+			r := sim.NewRand(id)
+			now := sim.Time(id) * sim.Time(10*time.Millisecond) // clocks apart: releases time out waiters
+			for range 100 {
+				var held []*lockState
+				var shared []string
+				for j := r.Intn(3); j < len(keys); j += 1 + r.Intn(3) {
+					mode := LockMode(r.Intn(2))
+					ls, err := lm.LockAt(now, id, keys[j], mode)
+					if ls != nil {
+						held = append(held, ls)
+					}
+					if err != nil {
+						break // a victim: release what it holds
+					}
+					if mode == Shared && r.Intn(4) == 0 {
+						shared = append(shared, keys[j])
+					}
+				}
+				for _, k := range shared {
+					if _, err := lm.LockAt(now, id, k, Exclusive); err != nil {
+						break
+					}
+				}
+				now = now.Add(sim.Duration(r.Intn(3_000_000)))
+				lm.ReleaseAllAt(now, id, held)
+			}
+		}(uint64(w + 10))
+	}
+	wg.Wait()
+	close(done)
+	if n := <-walks; n == 0 {
+		t.Fatal("the table was never walked during the mix")
+	}
+	walkStats(t, lm)
+	if st := lm.Stats(); st.Held != 0 || st.Waiting != 0 {
+		t.Fatalf("after the mix: %+v", st)
+	}
 }

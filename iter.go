@@ -30,17 +30,16 @@ func (t *Table) Rows(tx *Tx) iter.Seq2[RID, []byte] {
 //	    ...
 //	}
 //
-// Every key is the caller's to keep: the keys of one scan are copied into
-// shared chunks whose size doubles as the scan goes, so a scan allocates per
-// chunk, not per key, and a key is capped at its length (appending to it
-// never writes into the next).  Breaking out of the loop stops the scan.  A
-// scan failure ends the iteration early and is recorded on the transaction
-// (Tx.Err).
+// Every key is the caller's to keep: the keys of all the transaction's scans
+// are copied into chunks it holds, whose size doubles as they fill and which
+// are never rewritten, so a transaction allocates per chunk, not per key or
+// per scan, and a key is capped at its length (appending to it never writes
+// into the next).  Breaking out of the loop stops the scan.  A scan failure
+// ends the iteration early and is recorded on the transaction (Tx.Err).
 func (i *Index) Range(tx *Tx, lo, hi []byte) iter.Seq2[[]byte, RID] {
 	return func(yield func([]byte, RID) bool) {
 		tx.chargeOp()
-		var keys storage.Slab
-		tx.endScan(i.tree.Scan(tx.Now(), lo, hi, func(k, v []byte) bool { return tx.ridEntry(&keys, k, v, yield) }))
+		tx.endScan(i.tree.Scan(tx.Now(), lo, hi, func(k, v []byte) bool { return tx.ridEntry(k, v, yield) }))
 	}
 }
 
@@ -49,23 +48,22 @@ func (i *Index) Range(tx *Tx, lo, hi []byte) iter.Seq2[[]byte, RID] {
 func (i *Index) Prefix(tx *Tx, prefix []byte) iter.Seq2[[]byte, RID] {
 	return func(yield func([]byte, RID) bool) {
 		tx.chargeOp()
-		var keys storage.Slab
-		tx.endScan(i.tree.ScanPrefix(tx.Now(), prefix, func(k, v []byte) bool { return tx.ridEntry(&keys, k, v, yield) }))
+		tx.endScan(i.tree.ScanPrefix(tx.Now(), prefix, func(k, v []byte) bool { return tx.ridEntry(k, v, yield) }))
 	}
 }
 
 // ridEntry hands one entry of the tree's raw (key, value) callback, whose
 // slices alias the tree's page, to an iterator body: the RID is decoded in
-// place and the body gets a copy of the key, carved from the scan's slab.  A
-// value that does not decode as a RID ends the scan and is recorded on the
-// transaction.
-func (tx *Tx) ridEntry(keys *storage.Slab, k, v []byte, yield func([]byte, RID) bool) bool {
+// place and the body gets a copy of the key, carved from the transaction's
+// slab.  A value that does not decode as a RID ends the scan and is recorded
+// on the transaction.
+func (tx *Tx) ridEntry(k, v []byte, yield func([]byte, RID) bool) bool {
 	rid, err := storage.DecodeRID(v)
 	if err != nil {
 		tx.endScan(0, err)
 		return false
 	}
-	return yield(keys.Copy(k), rid)
+	return yield(tx.keys.Copy(k), rid)
 }
 
 // endScan advances the transaction to the completion time of a finished

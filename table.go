@@ -37,8 +37,9 @@ const (
 type Tx struct {
 	db       *DB
 	inner    txn.Txn
-	iterErr  error // first error hit inside a Rows/Range iteration
-	quiesced bool  // still holding the checkpoint quiesce lock shared
+	iterErr  error        // first error hit inside a Rows/Range iteration
+	quiesced bool         // still holding the checkpoint quiesce lock shared
+	keys     storage.Slab // the keys Range and Prefix hand out
 }
 
 // release drops the checkpoint quiesce lock exactly once.
