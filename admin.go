@@ -2,28 +2,19 @@ package noftl
 
 import "io"
 
-// Admin is the narrow administrative facade for region, garbage-collection
-// and wear operations.  It replaces the former SpaceManager()/Scheduler()
-// escape hatches: everything a DBA tool needs, nothing that couples callers
-// to internal structures.
+// Admin is the narrow administrative facade for what the schema statements
+// do not cover: growing a region, reading a policy, checking the space
+// manager, dumping the trace and arming faults.  It replaces the former
+// SpaceManager()/Scheduler() escape hatches: everything a DBA tool needs,
+// nothing that couples callers to internal structures.  Regions are created
+// with DB.CreateRegion or CREATE REGION, changed with ALTER REGION … SET and
+// dropped with DROP REGION.
 type Admin interface {
-	// CreateRegion creates a NoFTL region (the programmatic CREATE REGION).
-	CreateRegion(spec RegionSpec) error
-	// DropRegion drops an empty region and returns its dies to the default
-	// region (ErrConflict when tablespaces still reference it).
-	DropRegion(name string) error
-	// GrowRegion moves n additional dies from the default region into the
-	// named region.
+	// GrowRegion moves n (≥ 1) additional empty dies from the default region
+	// into the named region.
 	GrowRegion(name string, n int) error
-	// SetGCPolicy switches the live garbage-collection policy of a region
-	// (the programmatic ALTER REGION … SET).
-	SetGCPolicy(region string, gc GCPolicy) error
 	// GCPolicy returns the live garbage-collection policy of a region.
 	GCPolicy(region string) (GCPolicy, bool)
-	// PumpBackgroundGC runs bounded background GC steps on every die that is
-	// in its background band, returning the number of steps taken.  Drivers
-	// call it in idle periods to pay down GC debt off the critical path.
-	PumpBackgroundGC() int
 	// VerifyIntegrity cross-checks the space manager's mapping, per-block
 	// accounting and region capacities, returning the first inconsistency.
 	VerifyIntegrity() error
@@ -45,25 +36,13 @@ func (db *DB) Admin() Admin { return &admin{db: db} }
 
 type admin struct{ db *DB }
 
-func (a *admin) CreateRegion(spec RegionSpec) error {
-	return a.db.CreateRegion(spec)
-}
-
-func (a *admin) DropRegion(name string) error { return a.db.dropRegion(name) }
-
 func (a *admin) GrowRegion(name string, n int) error {
 	// Die assignment travels in the checkpoint's region marks; ddl keeps it durable.
 	return a.db.ddl(func() error { return a.db.space.GrowRegion(name, n) })
 }
 
-func (a *admin) SetGCPolicy(region string, gc GCPolicy) error { return a.db.setGCPolicy(region, gc) }
-
 func (a *admin) GCPolicy(region string) (GCPolicy, bool) {
 	return a.db.space.GCPolicyOf(region)
-}
-
-func (a *admin) PumpBackgroundGC() int {
-	return a.db.space.PumpBackgroundGC(a.db.clock.Now())
 }
 
 func (a *admin) VerifyIntegrity() error {

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"noftl/internal/core"
 )
@@ -318,6 +319,9 @@ func TestUpdateViewClosures(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl, _ := db.Table("T")
+	if tbl.Name() != "T" {
+		t.Fatalf("table handle named %q", tbl.Name())
+	}
 
 	// Commit path.
 	if err := db.Update(func(tx *Tx) error {
@@ -327,6 +331,21 @@ func TestUpdateViewClosures(t *testing.T) {
 		t.Fatal(err)
 	}
 	committed := db.Stats().TxnCommitted
+
+	// A closed-loop driver's transaction starts at its own cursor, and the
+	// CPU time it charges is response time.
+	tc := db.TimeCursor()
+	start := tc.Now().Add(time.Second)
+	tc.Advance(time.Second)
+	if tc.Now() != start {
+		t.Fatalf("cursor at %v after advancing 1s from zero", tc.Now())
+	}
+	tx := db.BeginAt(tc.Now())
+	tx.Charge(3 * time.Millisecond)
+	if tx.Now() != start.Add(3*time.Millisecond) || tx.ResponseTime() != 3*time.Millisecond {
+		t.Fatalf("charged transaction at %v, response time %v", tx.Now(), tx.ResponseTime())
+	}
+	tx.Abort()
 
 	// Error path aborts.
 	boom := errors.New("boom")
@@ -597,7 +616,7 @@ func TestErrClosed(t *testing.T) {
 	if err := db.DropTable("T"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("DropTable after close: %v", err)
 	}
-	if err := db.Admin().DropRegion("nope"); !errors.Is(err, ErrClosed) {
+	if err := db.Admin().GrowRegion("nope", 1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Admin after close: %v", err)
 	}
 	if _, err := db.FlushAll(db.SimulatedTime()); !errors.Is(err, ErrClosed) {

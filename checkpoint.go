@@ -128,7 +128,7 @@ func (s *ckptStream) describe(d pageDesc, pages []core.LPN) {
 // mark would not fit one log record: every later checkpoint would fail on it.
 func (db *DB) markFits(entry any) error {
 	body, err := json.Marshal(entry)
-	if max := wal.MaxPayload(db.dev.Geometry().PageSize) - 1; err == nil && db.log != nil && len(body) > max {
+	if max := wal.MaxPayload(db.dev.Geometry().PageSize) - 1; err == nil && len(body) > max {
 		err = tag(ErrTooLarge, fmt.Errorf("catalog entry of %d bytes exceeds the %d a log record carries", len(body), max))
 	}
 	return err
@@ -165,7 +165,7 @@ func (db *DB) describeState(s *ckptStream) {
 // (no transaction is in flight) and has verified the database is open.
 func (db *DB) checkpointLocked(now sim.Time) (sim.Time, error) {
 	now, flushed, left, err := db.pool.Flush(now)
-	if err != nil || db.log == nil {
+	if err != nil {
 		return now, err
 	}
 	db.ckptSeq++
@@ -223,7 +223,7 @@ func (db *DB) checkpointLocked(now sim.Time) (sim.Time, error) {
 // versions retained for the last checkpoint have outgrown their share of the
 // spare blocks.  One goroutine takes it while concurrent committers skip past.
 func (db *DB) maybeCheckpoint(now sim.Time) {
-	if db.log == nil || db.recovering {
+	if db.recovering {
 		return
 	}
 	budget := db.cfg.CheckpointEveryBytes
@@ -255,9 +255,9 @@ func (db *DB) maybeCheckpoint(now sim.Time) {
 // Schema changes are not logged on their own, so the checkpoint's schema
 // marks are what makes them durable; any data written after a DDL therefore
 // always has a covering checkpoint to recover from.  Suppressed while
-// recovery itself replays DDL, and when WAL is off.
+// recovery itself replays DDL.
 func (db *DB) checkpointAfterDDL() error {
-	if db.log == nil || db.recovering || db.cfg.DisableSnapshotCheckpoints {
+	if db.recovering || db.cfg.DisableSnapshotCheckpoints {
 		// Light checkpoints carry no schema marks: schema changes are not
 		// recoverable there anyway, so the DDL checkpoint would only add I/O.
 		return nil

@@ -3,8 +3,10 @@
 // enforces the facade rule that no exported function or method returns a
 // pointer into an internal/ package.
 //
-// It works on the AST alone (no type checking), so it can be pointed at any
-// checked-out tree:
+// A type alias of a struct in another package of the module (SpaceOptions =
+// core.Options) has its exported fields listed under the alias's name, so a
+// field removed there shows up too.  It works on the AST alone (no type
+// checking), so it can be pointed at any checked-out tree:
 //
 //	go run ./ci/apicheck -dir .                # print the API surface
 //	go run ./ci/apicheck -dir . -internal      # fail on internal pointers
@@ -34,9 +36,7 @@ func main() {
 	flag.Parse()
 
 	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, *dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ParseComments)
+	pkgs, err := parser.ParseDir(fset, *dir, notTest, parser.ParseComments)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "apicheck:", err)
 		os.Exit(1)
@@ -85,13 +85,10 @@ func main() {
 						// API too.
 						switch t := s.Type.(type) {
 						case *ast.StructType:
-							for _, f := range t.Fields.List {
-								for _, fn := range f.Names {
-									if fn.IsExported() {
-										lines = append(lines,
-											"field "+s.Name.Name+"."+fn.Name+" "+typeString(fset, f.Type))
-									}
-								}
+							lines = append(lines, fields(fset, s.Name.Name, t)...)
+						case *ast.SelectorExpr:
+							if st := aliasedStruct(fset, *dir, imports, t); st != nil {
+								lines = append(lines, fields(fset, s.Name.Name, st)...)
 							}
 						case *ast.InterfaceType:
 							for _, m := range t.Methods.List {
@@ -151,6 +148,49 @@ func importMap(file *ast.File) map[string]string {
 		out[name] = path
 	}
 	return out
+}
+
+// notTest keeps the non-test Go files of a directory.
+func notTest(fi os.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+
+// fields lists the exported fields of struct type st, declared as name.
+func fields(fset *token.FileSet, name string, st *ast.StructType) []string {
+	var out []string
+	for _, f := range st.Fields.List {
+		for _, fn := range f.Names {
+			if fn.IsExported() {
+				out = append(out, "field "+name+"."+fn.Name+" "+typeString(fset, f.Type))
+			}
+		}
+	}
+	return out
+}
+
+// aliasedStruct returns the struct type pkg.T names when pkg is a package of
+// the module under root, and nil otherwise.
+func aliasedStruct(fset *token.FileSet, root string, imports map[string]string, sel *ast.SelectorExpr) *ast.StructType {
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	rel, ok := strings.CutPrefix(imports[id.Name], "noftl/")
+	if !ok {
+		return nil
+	}
+	pkgs, err := parser.ParseDir(fset, filepath.Join(root, rel), notTest, 0)
+	if err != nil {
+		return nil
+	}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			if obj := file.Scope.Lookup(sel.Sel.Name); obj != nil && obj.Kind == ast.Typ {
+				if st, ok := obj.Decl.(*ast.TypeSpec).Type.(*ast.StructType); ok {
+					return st
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // exportedReceiver reports whether a receiver type string names an exported

@@ -1,5 +1,5 @@
-// Command noftl-trace inspects JSONL event traces dumped by a database
-// opened with WithTrace (or snapshotted with Admin().TraceDump).
+// Command noftl-trace inspects the JSONL event traces a database opened with
+// WithTraceBuffer writes through Admin().TraceDump.
 //
 // Usage:
 //
@@ -193,7 +193,8 @@ func formatNs(ns int64) string {
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, `noftl-trace inspects JSONL event traces dumped by noftl.WithTrace.
+	fmt.Fprint(os.Stderr, `noftl-trace inspects JSONL event traces written by noftl's Admin().TraceDump
+(on a database opened with WithTraceBuffer).
 
 usage:
   noftl-trace print     [flags] [trace.jsonl]   pretty-print events

@@ -36,7 +36,8 @@
 // Introspection is snapshot-only: Stats() captures every layer's counters
 // (buffer pool, I/O scheduler, per-region space/GC, device, WAL,
 // per-object), Schema() is a view of the live schema, Geometry() describes the
-// device, and Admin() is the narrow facade for region/GC/wear operations.
+// device, and Admin() is the narrow facade for what no schema statement does
+// (growing a region, integrity checks, trace dumps, fault injection).
 //
 // Every physical page carries the placement hint of its tablespace's
 // region, so the DBMS — not a flash translation layer — controls physical
@@ -46,7 +47,6 @@
 package noftl
 
 import (
-	"io"
 	"time"
 
 	"noftl/internal/core"
@@ -59,11 +59,10 @@ type Config struct {
 	// timing, endurance).
 	Flash flash.Config
 	// Space configures the NoFTL space manager: placement mode,
-	// over-provisioning, the garbage-collection watermark pair
-	// (GCLowWaterBlocks backstop / GCHighWaterBlocks background band), the
-	// default per-region GC policy (victim selection, background step size,
-	// hot/cold separation — overridable per region via CREATE/ALTER REGION),
-	// DisableBackgroundGC, and wear leveling.
+	// over-provisioning, DisableBackgroundGC and the default per-region GC
+	// policy (victim selection, background step size, hot/cold separation —
+	// overridable per region via CREATE/ALTER REGION).  The watermark pair,
+	// the GC reserve and the wear-leveling threshold are fixed.
 	Space core.Options
 	// BufferPoolPages is the number of page frames in the buffer pool.  The
 	// frame table's shard count is derived from it (one shard per 64 frames,
@@ -71,28 +70,15 @@ type Config struct {
 	// reads the demanded page only: a scan of a table larger than the pool
 	// misses once per page.
 	BufferPoolPages int
-	// WAL enables write-ahead logging (commit durability and the log I/O
-	// stream the placement experiments include).
-	WAL bool
 	// LockTimeout is the lock-wait timeout used as a deadlock safety net.
 	LockTimeout time.Duration
-	// CPUPerOp is the CPU time charged to a transaction for each row or
-	// index operation, so response times are not purely I/O.
-	CPUPerOp time.Duration
-	// ExtentPages is the default tablespace extent size in pages when a DDL
-	// statement does not specify EXTENT SIZE.
-	ExtentPages int
-	// TraceWriter enables event tracing: flash commands, host I/O, GC steps,
-	// wear moves, buffer-pool and WAL events are recorded into an in-memory
-	// ring buffer and dumped to this writer as JSONL on Close (the stream
-	// `noftl-trace` consumes).  Nil (the default) disables tracing entirely —
-	// the hook sites then cost one nil compare each.  See also
-	// Admin().TraceDump for mid-run snapshots.
-	TraceWriter io.Writer
-	// TraceBufferEvents is the capacity of the trace ring buffer in events
-	// (oldest events are overwritten once it is full).  Zero means the
-	// default of 65536 events.  Setting it without TraceWriter also enables
-	// tracing; the events are then only reachable through Admin().TraceDump.
+	// TraceBufferEvents enables event tracing: flash commands, host I/O, GC
+	// steps, wear moves, buffer-pool and WAL events are recorded into an
+	// in-memory ring buffer of this many events (oldest events are
+	// overwritten once it is full; a negative value means the default of
+	// 65536).  Admin().TraceDump writes the retained events as JSONL, the
+	// stream `noftl-trace` consumes.  Zero (the default) disables tracing
+	// entirely — the hook sites then cost one nil compare each.
 	TraceBufferEvents int
 	// CheckpointEveryBytes, when positive, takes a checkpoint whenever that
 	// many WAL bytes have been appended since the last one (checked after
@@ -122,16 +108,13 @@ type Config struct {
 
 // DefaultConfig returns a small configuration suitable for tests, examples
 // and laptop-scale experiments: an 8-die device with 256 MiB of flash, a
-// 2k-page buffer pool, WAL on, region-aware placement.
+// 2k-page buffer pool, region-aware placement.
 func DefaultConfig() Config {
 	return Config{
 		Flash:           flash.DefaultConfig(),
 		Space:           core.DefaultOptions(),
 		BufferPoolPages: 2048,
-		WAL:             true,
 		LockTimeout:     2 * time.Second,
-		CPUPerOp:        5 * time.Microsecond,
-		ExtentPages:     32,
 	}
 }
 
@@ -142,12 +125,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LockTimeout <= 0 {
 		c.LockTimeout = 2 * time.Second
-	}
-	if c.CPUPerOp < 0 {
-		c.CPUPerOp = 0
-	}
-	if c.ExtentPages <= 0 {
-		c.ExtentPages = 32
 	}
 	return c
 }

@@ -54,7 +54,7 @@ type DB struct {
 	ckptMu      sync.RWMutex
 	ckptRunning atomic.Bool
 	ckptSeq     uint64           // checkpoint sequence number (TxnID of its marks)
-	ckptCount   *metrics.Counter // noftl_wal_checkpoints_total (nil without WAL)
+	ckptCount   *metrics.Counter // noftl_wal_checkpoints_total
 	ckptLastLSN uint64           // LSN of the last checkpoint's end mark
 	ckptBytes   int64            // encoded size of the last checkpoint's records
 	ckptPages   int64            // dirty pages the last checkpoint flushed
@@ -83,7 +83,7 @@ func openWith(cfg Config, dev *flash.Device, space *core.Manager) *DB {
 	// a layer's children to it, so Stats() and /metrics read the same storage.
 	// The tracer only exists when the configuration asked for tracing.
 	db.reg = metrics.NewRegistry()
-	if cfg.TraceWriter != nil || cfg.TraceBufferEvents != 0 {
+	if cfg.TraceBufferEvents != 0 {
 		db.tracer = obs.NewTracer(cfg.TraceBufferEvents)
 		db.tracer.AttachObs(db.reg)
 	}
@@ -93,24 +93,22 @@ func openWith(cfg Config, dev *flash.Device, space *core.Manager) *DB {
 
 	// The default tablespace lives in the default region; the WAL is placed
 	// there.
-	defTS := storage.NewTablespace("SYSTEM", core.DefaultRegionID, cfg.ExtentPages, db.space)
+	defTS := storage.NewTablespace("SYSTEM", core.DefaultRegionID, 0, db.space)
 	db.tablespaces["SYSTEM"] = defTS
 
-	if cfg.WAL {
-		walObj := db.nextObject
-		db.nextObject++
-		db.log = wal.New(db.space, defTS.Hint(walObj, flash.FlagLog), dev.Geometry().PageSize)
-		db.space.NameObject(walObj, "WAL", "log", func() int64 { return int64(db.log.PageCount()) })
-		db.log.AttachObs(db.tracer, db.reg)
-		db.ckptCount = db.reg.Counter("noftl_wal_checkpoints_total",
-			"Checkpoints taken (dirty pages flushed, the flash image described at the head of the WAL).").With()
-	}
+	walObj := db.nextObject
+	db.nextObject++
+	db.log = wal.New(db.space, defTS.Hint(walObj, flash.FlagLog), dev.Geometry().PageSize)
+	db.space.NameObject(walObj, "WAL", "log", func() int64 { return int64(db.log.PageCount()) })
+	db.log.AttachObs(db.tracer, db.reg)
+	db.ckptCount = db.reg.Counter("noftl_wal_checkpoints_total",
+		"Checkpoints taken (dirty pages flushed, the flash image described at the head of the WAL).").With()
 	db.txns = txn.NewManager(txn.NewLockManager(cfg.LockTimeout), db.log, db.clock)
 	db.txns.AttachObs(db.reg)
 	return db
 }
 
-// Close flushes all dirty pages and marks the database closed.
+// Close flushes all dirty pages and the log and marks the database closed.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	if db.closed {
@@ -122,17 +120,8 @@ func (db *DB) Close() error {
 	if _, err := db.pool.FlushAll(db.clock.Now()); err != nil {
 		return err
 	}
-	if db.log != nil {
-		if _, err := db.log.Flush(db.clock.Now()); err != nil {
-			return err
-		}
-	}
-	if db.cfg.TraceWriter != nil {
-		if _, err := db.tracer.Dump(db.cfg.TraceWriter); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := db.log.Flush(db.clock.Now())
+	return err
 }
 
 // Geometry returns the flash device's geometry (channels, dies, blocks,
@@ -255,14 +244,12 @@ func (db *DB) ResetStatistics() {
 	db.space.ResetCounters()
 	db.pool.ResetCounters()
 	db.txns.ResetCounters()
-	if db.log != nil {
-		db.mu.Lock()
-		// Keep "bytes appended since the last checkpoint" across the reset.
-		db.ckptWALMark -= db.log.BytesAppended()
-		db.log.ResetCounters()
-		db.ckptCount.Reset()
-		db.mu.Unlock()
-	}
+	db.mu.Lock()
+	// Keep "bytes appended since the last checkpoint" across the reset.
+	db.ckptWALMark -= db.log.BytesAppended()
+	db.log.ResetCounters()
+	db.ckptCount.Reset()
+	db.mu.Unlock()
 	db.clock.Reset()
 }
 
@@ -316,12 +303,9 @@ func (db *DB) execStatement(st ddl.Statement) (string, error) {
 	case ddl.AlterRegion:
 		return db.alterRegionGC(s)
 	case ddl.CreateTablespace:
-		extentPages := db.cfg.ExtentPages
+		extentPages := 0 // the default extent size
 		if s.ExtentSizeBytes > 0 {
-			extentPages = int(s.ExtentSizeBytes) / db.dev.Geometry().PageSize
-			if extentPages < 1 {
-				extentPages = 1
-			}
+			extentPages = max(int(s.ExtentSizeBytes)/db.dev.Geometry().PageSize, 1)
 		}
 		err := db.CreateTablespace(s.Name, s.Region, extentPages)
 		if err != nil && s.Region != "" && errors.Is(err, ErrNotFound) {
@@ -390,7 +374,8 @@ func applyGCClause(base core.GCPolicy, policy string, stepPages int, hotCold str
 	return base, set, "", nil
 }
 
-// alterRegionGC executes ALTER REGION … SET.
+// alterRegionGC executes ALTER REGION … SET: it switches the region's live
+// policy, the space manager's — the only copy there is.
 func (db *DB) alterRegionGC(s ddl.AlterRegion) (string, error) {
 	cur, ok := db.space.GCPolicyOf(s.Name)
 	if !ok {
@@ -400,7 +385,7 @@ func (db *DB) alterRegionGC(s ddl.AlterRegion) (string, error) {
 	if err != nil || !set {
 		return clause, err
 	}
-	return "", db.setGCPolicy(s.Name, gc)
+	return "", db.ddl(func() error { return db.space.SetGCPolicy(s.Name, gc) })
 }
 
 // ddl runs one schema change and makes it durable.  change runs under db.mu,
@@ -421,14 +406,8 @@ func (db *DB) ddl(change func() error) error {
 	return db.checkpointAfterDDL()
 }
 
-// setGCPolicy switches a region's live policy — the space manager's, the only
-// copy there is (ALTER REGION … SET and Admin().SetGCPolicy).
-func (db *DB) setGCPolicy(region string, gc GCPolicy) error {
-	return db.ddl(func() error { return db.space.SetGCPolicy(region, gc) })
-}
-
-// dropRegion returns a region no tablespace references to the default region
-// (DROP REGION and Admin().DropRegion).
+// dropRegion returns the dies of a region no tablespace references to the
+// default region (DROP REGION).
 func (db *DB) dropRegion(name string) error {
 	return db.ddl(func() error {
 		if r, ok := db.space.Region(name); ok && r.ID() != core.DefaultRegionID {
@@ -451,7 +430,8 @@ func (db *DB) CreateRegion(spec RegionSpec) error {
 }
 
 // CreateTablespace creates a tablespace bound to a region ("" or "DEFAULT"
-// means the default region).
+// means the default region) with extents of extentPages pages (zero or less
+// means storage.DefaultExtentPages).
 func (db *DB) CreateTablespace(name, region string, extentPages int) error {
 	return db.ddl(func() error {
 		if region == "" {
@@ -463,9 +443,6 @@ func (db *DB) CreateTablespace(name, region string, extentPages int) error {
 		}
 		if _, ok := db.tablespaces[name]; ok {
 			return fmt.Errorf("%w: tablespace %q already exists", ErrConflict, name)
-		}
-		if extentPages <= 0 {
-			extentPages = db.cfg.ExtentPages
 		}
 		db.tablespaces[name] = storage.NewTablespace(name, r.ID(), extentPages, db.space)
 		return nil
@@ -661,13 +638,6 @@ func (db *DB) Index(name string) (*Index, bool) {
 	defer db.mu.RUnlock()
 	i, ok := db.indexes[name]
 	return i, ok
-}
-
-// Tables returns the names of all tables, sorted.
-func (db *DB) Tables() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return slices.Sorted(maps.Keys(db.tables))
 }
 
 // Begin starts a transaction whose virtual clock starts at the global

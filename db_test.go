@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"noftl/internal/core"
@@ -520,6 +521,64 @@ func TestExecRegionGCPolicyDDL(t *testing.T) {
 	}
 	if err := db.Exec(`CREATE REGION r2 (MAX_CHIPS=1, GC_POLICY=LRU);`); err == nil {
 		t.Fatal("unknown GC policy should fail")
+	}
+}
+
+// TestAdminGrowRegion grows a region by whole dies: a count below one is
+// refused without a checkpoint, the dies come empty from DEFAULT, and crash
+// recovery recreates the region on the same dies.
+func TestAdminGrowRegion(t *testing.T) {
+	db, err := OpenConfig(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Exec("CREATE REGION rgHot (MAX_CHIPS=2)"); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Stats()
+	for _, n := range []int{0, -1} {
+		if err := db.Admin().GrowRegion("rgHot", n); !errors.Is(err, core.ErrInvalidSpec) {
+			t.Fatalf("GrowRegion by %d: %v", n, err)
+		}
+	}
+	if st := db.Stats(); st.WAL.Checkpoint.Count != before.WAL.Checkpoint.Count {
+		t.Fatal("a refused GrowRegion took a checkpoint")
+	}
+
+	if err := db.Admin().GrowRegion("rgHot", 2); err != nil {
+		t.Fatal(err)
+	}
+	hot0, _ := before.Space.RegionByName("rgHot")
+	def0, _ := before.Space.RegionByName(core.DefaultRegionName)
+	after := db.Stats().Space
+	hot, _ := after.RegionByName("rgHot")
+	def, _ := after.RegionByName(core.DefaultRegionName)
+	var moved []int
+	for _, d := range hot.Dies {
+		if !slices.Contains(hot0.Dies, d) {
+			moved = append(moved, d)
+		}
+	}
+	if len(moved) != 2 || len(hot.Dies) != 4 || hot.CapacityPages != 2*hot0.CapacityPages ||
+		len(def.Dies) != len(def0.Dies)-2 {
+		t.Fatalf("grow by 2: rgHot %v -> %v, DEFAULT %v -> %v", hot0.Dies, hot.Dies, def0.Dies, def.Dies)
+	}
+	for _, d := range moved {
+		if !slices.Contains(def0.Dies, d) || slices.Contains(def.Dies, d) {
+			t.Fatalf("die %d did not move from DEFAULT (%v -> %v)", d, def0.Dies, def.Dies)
+		}
+		if free := before.Device.PerDie[d].FreeBlocks; free != db.Geometry().BlocksPerDie {
+			t.Fatalf("die %d moved with %d of %d blocks free", d, free, db.Geometry().BlocksPerDie)
+		}
+	}
+
+	re, err := Reopen(db.Crash())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got, _ := re.Stats().Space.RegionByName("rgHot"); !slices.Equal(got.Dies, hot.Dies) {
+		t.Fatalf("recovered rgHot on dies %v, want %v", got.Dies, hot.Dies)
 	}
 }
 

@@ -29,7 +29,7 @@ func newForceRun(t *testing.T, logDies, rows int) *forceRun {
 		t.Fatal(err)
 	}
 	if spare := db.Geometry().Dies() - logDies; spare > 0 {
-		if err := db.Admin().CreateRegion(noftl.RegionSpec{Name: "rgRest", MaxChips: spare}); err != nil {
+		if err := db.CreateRegion(noftl.RegionSpec{Name: "rgRest", MaxChips: spare}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -19,8 +19,8 @@ import (
 type PageRead struct {
 	// LPN is the logical page that was requested.
 	LPN LPN
-	// Data is the page contents (nil on error, or when the device does not
-	// store data).
+	// Data is the page contents (nil on error, or when the page was written
+	// without a payload).
 	Data []byte
 	// Meta is the page's OOB metadata.
 	Meta flash.PageMeta
@@ -127,8 +127,8 @@ func (m *Manager) readPages(now sim.Time, lpns []LPN, bufs [][]byte, out []PageR
 type PageWrite struct {
 	// LPN is the logical page to write.
 	LPN LPN
-	// Data is the page payload (PageSize bytes, or nil when the device does
-	// not store data).
+	// Data is the page payload (PageSize bytes, or nil for a page that
+	// carries its metadata only).
 	Data []byte
 	// Hint carries the placement hint.
 	Hint Hint
@@ -302,7 +302,7 @@ func (m *Manager) placeWrite(at sim.Time, w *PageWrite, p *hostWrite) (iosched.R
 				break
 			}
 		}
-		if m.opts.DisableSpill || r.id == DefaultRegionID {
+		if r.id == DefaultRegionID {
 			return iosched.Request{}, at, m.errRegionFull(r)
 		}
 		r.spills++

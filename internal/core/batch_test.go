@@ -145,28 +145,27 @@ func TestWritePagesOverwriteKeepsAccounting(t *testing.T) {
 	}
 }
 
+// TestWritePagesRegionFullWithoutSpill: the default region has nowhere to
+// spill to, so a batch that outgrows it fails whole, before any program.
 func TestWritePagesRegionFullWithoutSpill(t *testing.T) {
-	dev, err := flash.NewDevice(flash.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	dev := smallDevice(t, 1, 12, 4) // 48 raw pages
 	opts := DefaultOptions()
-	opts.DisableSpill = true
+	opts.OverprovisionPct = 0.25
 	m := NewManager(dev, opts)
-	r, err := m.CreateRegion(RegionSpec{Name: "tiny", MaxChips: 1, MaxSizeBytes: 2 * int64(dev.Geometry().PageSize)})
-	if err != nil {
-		t.Fatal(err)
+	const capacity = 36
+	if def, _ := m.Stats().RegionByName(DefaultRegionName); def.CapacityPages != capacity {
+		t.Fatalf("DEFAULT holds %d pages, want %d", def.CapacityPages, capacity)
 	}
 
 	payload := make([]byte, dev.Geometry().PageSize)
-	const n = 4 // over the 2-page logical cap
+	const n = capacity + 4
 	start := m.AllocateLPNs(n)
 	writes := make([]PageWrite, n)
 	for i := range writes {
-		writes[i] = PageWrite{LPN: start + LPN(i), Data: payload, Hint: Hint{Region: r.ID()}}
+		writes[i] = PageWrite{LPN: start + LPN(i), Data: payload}
 	}
-	_, err = m.WritePages(0, writes)
-	if want := `core: region is full: "tiny" (2 pages)`; !errors.Is(err, ErrRegionFull) || err.Error() != want {
+	_, err := m.WritePages(0, writes)
+	if want := `core: region is full: "DEFAULT" (36 pages)`; !errors.Is(err, ErrRegionFull) || err.Error() != want {
 		t.Fatalf("over-capacity batch error = %v, want %s", err, want)
 	}
 	// Admission failed before any program was issued: nothing mapped.
@@ -175,9 +174,12 @@ func TestWritePagesRegionFullWithoutSpill(t *testing.T) {
 			t.Errorf("lpn %d mapped after failed batch", start+LPN(i))
 		}
 	}
+	if st := m.Stats(); st.DevicePrograms != 0 {
+		t.Errorf("%d programs issued by a refused batch", st.DevicePrograms)
+	}
 	// The aborted batch released its slots and its share of the region's
-	// capacity: a batch that fits is admitted.
-	if _, err := m.WritePages(0, writes[:2]); err != nil {
+	// capacity: a batch that fills the region exactly is admitted.
+	if _, err := m.WritePages(0, writes[:capacity]); err != nil {
 		t.Fatalf("batch within capacity after an aborted one: %v", err)
 	}
 	if err := m.VerifyIntegrity(); err != nil {
@@ -331,7 +333,7 @@ func TestForegroundCollectionStallsItsOwnDieOnly(t *testing.T) {
 	now := sim.Time(0)
 	for i := 0; ; i++ {
 		full := hotDie.hostOpen < 0 || hotDie.blocks[hotDie.hostOpen].nextPage >= ppb
-		if full && hotDie.freeCount() <= opts.GCLowWaterBlocks {
+		if full && hotDie.freeCount() <= gcLowWater {
 			break
 		}
 		if i > 64*pages {

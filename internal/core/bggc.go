@@ -5,12 +5,12 @@
 // can be scheduled around the workload.  This file implements that as a
 // watermark pair per die:
 //
-//   - at or below GCHighWaterBlocks free blocks, GC proceeds opportunistically
+//   - at or below gcHighWater free blocks, GC proceeds opportunistically
 //     in bounded steps (pick victim → relocate ≤k pages → erase) that are
 //     submitted through the I/O scheduler at GC priority in the die's idle
 //     virtual-time slots, and whose cost is NOT charged to the host write
 //     that triggered them;
-//   - at or below GCLowWaterBlocks the foreground backstop (collectDie) still
+//   - at or below gcLowWater the foreground backstop (collectDie) still
 //     blocks the allocation until the die is healthy again — correctness
 //     never depends on background progress.
 //
@@ -33,7 +33,7 @@ func (m *Manager) backgroundGCLocked(now sim.Time, da *dieAlloc) {
 	if m.opts.DisableBackgroundGC {
 		return
 	}
-	if da.freeCount() > m.opts.GCHighWaterBlocks {
+	if da.freeCount() > gcHighWater {
 		return
 	}
 	if m.sched.DieIdleAt(da.die) > now {
@@ -43,7 +43,7 @@ func (m *Manager) backgroundGCLocked(now sim.Time, da *dieAlloc) {
 		// (or the low-watermark backstop) drive progress instead.
 		return
 	}
-	if da.bgVictim < 0 && da.freeCount() > m.opts.GCLowWaterBlocks {
+	if da.bgVictim < 0 && da.freeCount() > gcLowWater {
 		// No victim in progress and the die has not reached the level at
 		// which a foreground collection would fire.  Starting one now would
 		// collect blocks earlier — and therefore with more still-valid
@@ -88,9 +88,7 @@ func (m *Manager) backgroundStepLocked(now sim.Time, r *Region, da *dieAlloc) (s
 		}
 		if v < 0 {
 			// Nothing (worth) reclaiming: use the idle slot for wear leveling.
-			if m.opts.WearLevelDelta > 0 {
-				m.maybeWearLevel(sim.MaxTime(now, m.sched.DieIdleAt(da.die)), r, da)
-			}
+			m.maybeWearLevel(sim.MaxTime(now, m.sched.DieIdleAt(da.die)), r, da)
 			return now, false
 		}
 		da.bgVictim = v
@@ -111,9 +109,7 @@ func (m *Manager) backgroundStepLocked(now sim.Time, r *Region, da *dieAlloc) (s
 	case da.blocks[da.bgVictim].state == blkFree:
 		// Victim fully relocated and erased: the step cycle is complete.
 		da.bgVictim = -1
-		if m.opts.WearLevelDelta > 0 {
-			end = m.maybeWearLevel(end, r, da)
-		}
+		end = m.maybeWearLevel(end, r, da)
 	case da.blocks[da.bgVictim].state == blkRetired:
 		// The erase failed; the block left circulation for good.
 		da.bgVictim = -1
@@ -146,17 +142,7 @@ func (m *Manager) backgroundStepLocked(now sim.Time, r *Region, da *dieAlloc) (s
 // write amplification close to the foreground backstop's, which by
 // construction collects as late as possible.
 func (m *Manager) bgMaxValid(free int) float64 {
-	span := m.opts.GCHighWaterBlocks - m.opts.GCLowWaterBlocks
-	urgency := 1.0
-	if span > 0 {
-		urgency = float64(m.opts.GCHighWaterBlocks-free) / float64(span)
-	}
-	if urgency < 0 {
-		urgency = 0
-	}
-	if urgency > 1 {
-		urgency = 1
-	}
+	urgency := min(max(float64(gcHighWater-free)/(gcHighWater-gcLowWater), 0), 1)
 	return (0.25 + 0.75*urgency) * float64(m.geo.PagesPerBlock)
 }
 
@@ -174,7 +160,7 @@ func (m *Manager) PumpBackgroundGC(now sim.Time) int {
 	}
 	steps := 0
 	for _, da := range m.dies {
-		if da.freeCount() > m.opts.GCHighWaterBlocks {
+		if da.freeCount() > gcHighWater {
 			continue
 		}
 		r, ok := m.regionsByID[m.dieOwner[da.die]]

@@ -54,7 +54,6 @@ func TestBackgroundGCStepsAreBounded(t *testing.T) {
 	opts := DefaultOptions()
 	opts.OverprovisionPct = 0.3
 	opts.GC.StepPages = 2
-	opts.WearLevelDelta = 0 // isolate GC copybacks from leveling moves
 	m := NewManager(dev, opts)
 	now := overwriteWorkload(t, m, dev, 20, 12, Hint{})
 	// Drain the remaining debt one pump at a time: each pump performs at
@@ -75,6 +74,11 @@ func TestBackgroundGCStepsAreBounded(t *testing.T) {
 	}
 	if !pumped {
 		t.Fatal("no background steps ran")
+	}
+	// The erase spread stays below the wear-leveling delta, so every
+	// copyback counted above is a GC step's.
+	if wm := m.Stats().WearMoves; wm != 0 {
+		t.Fatalf("%d wear-leveling moves mixed into the GC copybacks", wm)
 	}
 }
 
@@ -109,9 +113,9 @@ func TestPumpBackgroundGCDrainsDebt(t *testing.T) {
 	}
 	// Once the pump returns 0, every die is above the high watermark.
 	for _, da := range m.dies {
-		if da.freeCount() <= m.opts.GCHighWaterBlocks {
+		if da.freeCount() <= gcHighWater {
 			t.Fatalf("die %d still at %d free blocks (high watermark %d)",
-				da.die, da.freeCount(), m.opts.GCHighWaterBlocks)
+				da.die, da.freeCount(), gcHighWater)
 		}
 	}
 	if err := m.VerifyIntegrity(); err != nil {
@@ -264,13 +268,11 @@ func TestHotColdSeparationPolicyReducesWA(t *testing.T) {
 
 // TestWearLevelBoundsOverflow is the regression test for the erase-count
 // comparison fix: with counters saturated near math.MaxInt64 the old
-// minE + WearLevelDelta/2 arithmetic overflowed int64 and wear leveling
+// minE + wearLevelDelta/2 arithmetic overflowed int64 and wear leveling
 // silently skipped the coldest block.
 func TestWearLevelBoundsOverflow(t *testing.T) {
 	dev := smallDevice(t, 1, 16, 8)
-	opts := DefaultOptions()
-	opts.WearLevelDelta = 64
-	m := NewManager(dev, opts)
+	m := NewManager(dev, DefaultOptions())
 	// Close one block naturally so it is a legitimate leveling candidate.
 	start := m.AllocateLPNs(8)
 	now := sim.Time(0)
@@ -413,8 +415,7 @@ func TestWornOutBlocksAreRetiredNotRepicked(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.OverprovisionPct = 0.3
-	opts.WearLevelDelta = 0
-	m := NewManager(dev, opts)
+	m := NewManager(dev, opts) // an endurance of 2 keeps wear leveling out
 	start := m.AllocateLPNs(16)
 	now := sim.Time(0)
 	var fails int

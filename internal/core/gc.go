@@ -110,7 +110,7 @@ func (m *Manager) collectDie(now sim.Time, r *Region, da *dieAlloc) sim.Time {
 	r.gcStalls.Inc()
 	m.sched.ObserveGCStall()
 	fgStart := now
-	for da.freeCount() <= m.opts.GCLowWaterBlocks {
+	for da.freeCount() <= gcLowWater {
 		victim := m.pickVictim(da, r.gc)
 		if victim < 0 {
 			break
@@ -133,9 +133,7 @@ func (m *Manager) collectDie(now sim.Time, r *Region, da *dieAlloc) sim.Time {
 			break
 		}
 	}
-	if m.opts.WearLevelDelta > 0 {
-		now = m.maybeWearLevel(now, r, da)
-	}
+	now = m.maybeWearLevel(now, r, da)
 	if now > fgStart && m.tracer.Enabled(obs.ClassGCStep) {
 		// One foreground-collection window covering every victim this call
 		// relocated and erased: the inline stall the host write paid.
@@ -424,10 +422,10 @@ func (m *Manager) maybeWearLevel(now sim.Time, r *Region, da *dieAlloc) sim.Time
 	}
 	// maxE >= minE >= 0, so the uint64 difference cannot overflow even when
 	// a counter has saturated at math.MaxInt64.
-	if minIdx < 0 || uint64(maxE)-uint64(minE) <= uint64(m.opts.WearLevelDelta) {
+	if minIdx < 0 || uint64(maxE)-uint64(minE) <= wearLevelDelta {
 		return now
 	}
-	if clampErase(da.blocks[minIdx].eraseCount)-minE > m.opts.WearLevelDelta/2 {
+	if clampErase(da.blocks[minIdx].eraseCount)-minE > wearLevelDelta/2 {
 		// The coldest closed block is not actually among the least worn.
 		// (Written as a subtraction: the old minE + delta/2 form overflows
 		// int64 when counters approach the saturation cap.)

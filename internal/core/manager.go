@@ -21,18 +21,6 @@ type Options struct {
 	// withheld from the logical capacity so that garbage collection always
 	// finds reclaimable blocks.  Default 0.12.
 	OverprovisionPct float64
-	// GCLowWaterBlocks is the per-die number of free blocks at or below which
-	// allocation triggers a blocking foreground collection (the correctness
-	// backstop).  Default 3.
-	GCLowWaterBlocks int
-	// GCHighWaterBlocks is the per-die number of free blocks at or below
-	// which background GC runs opportunistic bounded steps after host writes
-	// (see bggc.go).  Must exceed GCLowWaterBlocks; default
-	// GCLowWaterBlocks+3.
-	GCHighWaterBlocks int
-	// GCReserveBlocks is the per-die number of free blocks reserved for
-	// garbage collection itself; host writes never consume them.  Default 1.
-	GCReserveBlocks int
 	// DisableBackgroundGC reverts to purely foreground (synchronous)
 	// collection: all GC work is charged inline to the host write that
 	// trips the low watermark, as in the pre-background-GC behaviour.
@@ -40,50 +28,38 @@ type Options struct {
 	// GC is the default garbage-collection policy new regions start with;
 	// CREATE REGION / ALTER REGION clauses override it per region.
 	GC GCPolicy
-	// WearLevelDelta is the difference between the most- and least-worn
-	// block of a die above which static wear leveling kicks in during GC.
-	// Zero disables static wear leveling.  Default 64.
-	WearLevelDelta int64
-	// DisableSpill turns off the spill-over behaviour: normally, when the
-	// region named by a write hint has exhausted its logical capacity, the
-	// write is placed in the default region instead (and counted as a
-	// spill), mirroring how a DBMS falls back to a different tablespace
-	// rather than failing the transaction.  With DisableSpill the write
-	// fails with ErrRegionFull.
-	DisableSpill bool
 }
+
+// The per-die free-block thresholds of garbage collection and the trigger of
+// static wear leveling.
+const (
+	// gcLowWater is the number of free blocks at or below which allocation
+	// runs a blocking foreground collection (the correctness backstop).
+	gcLowWater = 3
+	// gcHighWater is the number of free blocks at or below which background
+	// GC runs opportunistic bounded steps after host writes (see bggc.go).
+	gcHighWater = 6
+	// gcReserve is the number of free blocks reserved for garbage collection
+	// itself; host writes never consume them.
+	gcReserve = 1
+	// wearLevelDelta is the difference between the most- and least-worn block
+	// of a die above which static wear leveling moves the coldest block
+	// during GC.
+	wearLevelDelta = 64
+)
 
 // DefaultOptions returns the defaults described on each field.
 func DefaultOptions() Options {
 	return Options{
-		Mode:              PlacementRegions,
-		OverprovisionPct:  0.12,
-		GCLowWaterBlocks:  3,
-		GCHighWaterBlocks: 6,
-		GCReserveBlocks:   1,
-		WearLevelDelta:    64,
-		GC:                DefaultGCPolicy(),
+		Mode:             PlacementRegions,
+		OverprovisionPct: 0.12,
+		GC:               DefaultGCPolicy(),
 	}
 }
 
 func (o Options) withDefaults() Options {
 	if o.OverprovisionPct <= 0 || o.OverprovisionPct >= 0.9 {
 		o.OverprovisionPct = 0.12
-	}
-	if o.GCLowWaterBlocks <= 0 {
-		o.GCLowWaterBlocks = 3
-	}
-	if o.GCReserveBlocks <= 0 {
-		o.GCReserveBlocks = 1
-	}
-	if o.GCReserveBlocks >= o.GCLowWaterBlocks {
-		o.GCLowWaterBlocks = o.GCReserveBlocks + 2
-	}
-	if o.GCHighWaterBlocks <= o.GCLowWaterBlocks {
-		o.GCHighWaterBlocks = o.GCLowWaterBlocks + 3
-	}
-	if o.WearLevelDelta < 0 {
-		o.WearLevelDelta = 0
 	}
 	o.GC = o.GC.withDefaults()
 	return o
@@ -595,6 +571,9 @@ func (m *Manager) GrowRegion(name string, n int) error {
 	if r.id == DefaultRegionID {
 		return fmt.Errorf("%w: cannot grow the default region explicitly", ErrInvalidSpec)
 	}
+	if n < 1 {
+		return fmt.Errorf("%w: region %q cannot grow by %d dies", ErrInvalidSpec, name, n)
+	}
 	chosen := m.selectDies(n, 0)
 	if len(chosen) < n {
 		return fmt.Errorf("%w: requested %d dies, found %d", ErrNoDiesAvailable, n, len(chosen))
@@ -728,7 +707,7 @@ func (m *Manager) errRegionFull(r *Region) error {
 // virtual time after any GC work and whether a block could be opened.
 // Caller holds m.mu.
 func (m *Manager) openHostBlock(now sim.Time, r *Region, da *dieAlloc) (sim.Time, bool) {
-	if da.freeCount() <= m.opts.GCLowWaterBlocks {
+	if da.freeCount() <= gcLowWater {
 		now = m.collectDie(now, r, da)
 	}
 	// Under a policy without hot/cold separation the collection itself may
@@ -739,7 +718,7 @@ func (m *Manager) openHostBlock(now sim.Time, r *Region, da *dieAlloc) (sim.Time
 		return now, true
 	}
 	// Host writes must leave the GC reserve untouched.
-	if da.freeCount() <= m.opts.GCReserveBlocks {
+	if da.freeCount() <= gcReserve {
 		return now, false
 	}
 	idx := m.popFreeBlock(da)

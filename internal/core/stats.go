@@ -25,14 +25,12 @@ type Stats struct {
 	ValidPages  int64
 	// RetainedPages sums the regions' retained checkpoint versions.
 	RetainedPages int64
-	// Watermark configuration echo and current background-GC state (see the
-	// per-region fields for the breakdown).
-	GCLowWaterBlocks  int   // per-die foreground-backstop threshold
-	GCHighWaterBlocks int   // per-die background-band threshold
-	BGDebtBlocks      int64 // total free-block shortfall relative to the high watermark
-	DiesInBGBand      int   // dies at or below the high watermark
-	DiesAtLowWater    int   // dies at or below the low watermark (foreground territory)
-	BGVictimsOpen     int   // dies with a partially collected background victim
+	// Current background-GC state (see the per-region fields for the
+	// breakdown).
+	BGDebtBlocks   int64 // total free-block shortfall relative to the high watermark
+	DiesInBGBand   int   // dies at or below the high watermark
+	DiesAtLowWater int   // dies at or below the low watermark (foreground territory)
+	BGVictimsOpen  int   // dies with a partially collected background victim
 	// Device-level counters (include everything the regions did).
 	DeviceReads    int64
 	DevicePrograms int64
@@ -79,12 +77,10 @@ func (m *Manager) Stats() Stats {
 
 	dev := m.dev.Stats()
 	out := Stats{
-		Mode:              m.opts.Mode,
-		DeviceReads:       dev.Reads,
-		DevicePrograms:    dev.Programs,
-		DeviceErases:      dev.Erases,
-		GCLowWaterBlocks:  m.opts.GCLowWaterBlocks,
-		GCHighWaterBlocks: m.opts.GCHighWaterBlocks,
+		Mode:           m.opts.Mode,
+		DeviceReads:    dev.Reads,
+		DevicePrograms: dev.Programs,
+		DeviceErases:   dev.Erases,
 	}
 
 	first := true
@@ -116,10 +112,10 @@ func (m *Manager) Stats() Stats {
 			channels[m.geo.ChannelOfDie(d)] = true
 			da := m.dies[d]
 			rs.FreeBlocks += da.freeCount()
-			if free := da.freeCount(); free <= m.opts.GCHighWaterBlocks {
+			if free := da.freeCount(); free <= gcHighWater {
 				rs.DiesInBGBand++
-				rs.BGDebtBlocks += int64(m.opts.GCHighWaterBlocks - free)
-				if free <= m.opts.GCLowWaterBlocks {
+				rs.BGDebtBlocks += int64(gcHighWater - free)
+				if free <= gcLowWater {
 					rs.DiesAtLowWater++
 				}
 			}

@@ -19,13 +19,6 @@ type Config struct {
 	// EraseEndurance is the number of program/erase cycles after which a
 	// block is marked bad.  Zero means unlimited endurance.
 	EraseEndurance int64
-	// StoreData controls whether page payloads are retained in memory.  The
-	// database engine needs true; pure I/O-pattern benchmarks may disable it
-	// to save memory.
-	StoreData bool
-	// EnforceProgramOrder enables the NAND constraint that pages within a
-	// block must be programmed in ascending order without gaps.
-	EnforceProgramOrder bool
 }
 
 // DefaultConfig returns a small device suitable for tests and examples:
@@ -41,10 +34,8 @@ func DefaultConfig() Config {
 			PagesPerBlock:  64,
 			PageSize:       4096,
 		},
-		Timing:              DefaultTiming(),
-		EraseEndurance:      0,
-		StoreData:           true,
-		EnforceProgramOrder: true,
+		Timing:         DefaultTiming(),
+		EraseEndurance: 0,
 	}
 }
 
@@ -62,7 +53,7 @@ type blockState struct {
 	nextPage   int // next page to program under the sequential constraint
 	states     []pageState
 	meta       []PageMeta
-	data       [][]byte // lazily allocated when StoreData
+	data       [][]byte // lazily allocated at the block's first payload
 }
 
 // dieState groups the blocks of one die under a single lock.
@@ -206,8 +197,8 @@ func (d *Device) channel(die int) *sim.Resource {
 
 // ReadPage reads the page at addr.  If buf is non-nil it must be PageSize
 // bytes long and receives the page data; otherwise a fresh buffer is
-// allocated (nil when the device does not store data).  It returns the page
-// metadata and the virtual completion time.
+// allocated.  A page programmed without a payload leaves buf as it is.  It
+// returns the page metadata and the virtual completion time.
 func (d *Device) ReadPage(now sim.Time, addr Addr, buf []byte) ([]byte, PageMeta, sim.Time, error) {
 	if !d.geo.ValidAddr(addr) {
 		return nil, PageMeta{}, now, fmt.Errorf("%w: %v", ErrOutOfRange, addr)
@@ -227,13 +218,11 @@ func (d *Device) ReadPage(now sim.Time, addr Addr, buf []byte) ([]byte, PageMeta
 		return nil, PageMeta{}, now, fmt.Errorf("%w: %v", ErrReadErased, addr)
 	}
 	meta := blk.meta[addr.Page]
-	if d.cfg.StoreData && blk.data != nil && blk.data[addr.Page] != nil {
+	if blk.data != nil && blk.data[addr.Page] != nil {
 		if buf == nil {
 			buf = make([]byte, d.geo.PageSize)
 		}
 		copy(buf, blk.data[addr.Page])
-	} else if !d.cfg.StoreData {
-		buf = nil
 	}
 	ds.reads.Inc()
 	ds.mu.Unlock()
@@ -244,14 +233,14 @@ func (d *Device) ReadPage(now sim.Time, addr Addr, buf []byte) ([]byte, PageMeta
 }
 
 // ProgramPage writes data and metadata to the erased page at addr.  The
-// payload must be exactly PageSize bytes (it may be nil when the device does
-// not store data).  Programming a non-erased page or violating the
+// payload must be exactly PageSize bytes, or nil for a page that carries its
+// metadata only.  Programming a non-erased page or violating the
 // sequential-programming constraint fails.
 func (d *Device) ProgramPage(now sim.Time, addr Addr, data []byte, meta PageMeta) (sim.Time, error) {
 	if !d.geo.ValidAddr(addr) {
 		return now, fmt.Errorf("%w: %v", ErrOutOfRange, addr)
 	}
-	if d.cfg.StoreData && data != nil && len(data) != d.geo.PageSize {
+	if data != nil && len(data) != d.geo.PageSize {
 		return now, fmt.Errorf("%w: got %d bytes, want %d", ErrPageSize, len(data), d.geo.PageSize)
 	}
 	if fd := d.faultOp(now, opProgram); fd.crash {
@@ -273,16 +262,14 @@ func (d *Device) ProgramPage(now sim.Time, addr Addr, data []byte, meta PageMeta
 		ds.mu.Unlock()
 		return now, fmt.Errorf("%w: %v", ErrNotErased, addr)
 	}
-	if d.cfg.EnforceProgramOrder && addr.Page != blk.nextPage {
+	if addr.Page != blk.nextPage {
 		ds.mu.Unlock()
 		return now, fmt.Errorf("%w: %v (next programmable page is %d)", ErrProgramOrder, addr, blk.nextPage)
 	}
 	blk.states[addr.Page] = pageProgrammed
 	blk.meta[addr.Page] = meta
-	if addr.Page >= blk.nextPage {
-		blk.nextPage = addr.Page + 1
-	}
-	if d.cfg.StoreData && data != nil {
+	blk.nextPage++
+	if data != nil {
 		if blk.data == nil {
 			blk.data = make([][]byte, d.geo.PagesPerBlock)
 		}
@@ -371,17 +358,15 @@ func (d *Device) Copyback(now sim.Time, src, dst Addr) (PageMeta, sim.Time, erro
 		ds.mu.Unlock()
 		return PageMeta{}, now, fmt.Errorf("%w: copyback destination %v", ErrNotErased, dst)
 	}
-	if d.cfg.EnforceProgramOrder && dst.Page != dblk.nextPage {
+	if dst.Page != dblk.nextPage {
 		ds.mu.Unlock()
 		return PageMeta{}, now, fmt.Errorf("%w: copyback destination %v (next is %d)", ErrProgramOrder, dst, dblk.nextPage)
 	}
 	meta := sblk.meta[src.Page]
 	dblk.states[dst.Page] = pageProgrammed
 	dblk.meta[dst.Page] = meta
-	if dst.Page >= dblk.nextPage {
-		dblk.nextPage = dst.Page + 1
-	}
-	if d.cfg.StoreData && sblk.data != nil && sblk.data[src.Page] != nil {
+	dblk.nextPage++
+	if sblk.data != nil && sblk.data[src.Page] != nil {
 		if dblk.data == nil {
 			dblk.data = make([][]byte, d.geo.PagesPerBlock)
 		}
@@ -401,7 +386,7 @@ func (d *Device) Copyback(now sim.Time, src, dst Addr) (PageMeta, sim.Time, erro
 // a prefix of the payload was written — the final tornBytes bytes stay zero.
 // Validation failures are silently ignored (the caller is crashing anyway).
 func (d *Device) programTorn(addr Addr, data []byte, meta PageMeta, tornBytes int) {
-	if !d.cfg.StoreData || data == nil || len(data) != d.geo.PageSize {
+	if data == nil || len(data) != d.geo.PageSize {
 		return
 	}
 	ds := d.dies[addr.Die]
@@ -411,7 +396,7 @@ func (d *Device) programTorn(addr Addr, data []byte, meta PageMeta, tornBytes in
 	if blk.bad || blk.states[addr.Page] != pageErased {
 		return
 	}
-	if d.cfg.EnforceProgramOrder && addr.Page != blk.nextPage {
+	if addr.Page != blk.nextPage {
 		return
 	}
 	cut := len(data) - tornBytes
@@ -420,9 +405,7 @@ func (d *Device) programTorn(addr Addr, data []byte, meta PageMeta, tornBytes in
 	}
 	blk.states[addr.Page] = pageProgrammed
 	blk.meta[addr.Page] = meta
-	if addr.Page >= blk.nextPage {
-		blk.nextPage = addr.Page + 1
-	}
+	blk.nextPage++
 	if blk.data == nil {
 		blk.data = make([][]byte, d.geo.PagesPerBlock)
 	}

@@ -88,6 +88,14 @@ func TestProgramReadRoundTrip(t *testing.T) {
 	if !bytes.Equal(buf, data) {
 		t.Fatal("buffered read data differs")
 	}
+	// A page programmed without a payload carries its metadata only.
+	bare := Addr{Die: 1, Block: 2, Page: 1}
+	if _, err := d.ProgramPage(rdone, bare, nil, PageMeta{LPN: 9}); err != nil {
+		t.Fatal(err)
+	}
+	if got, gotMeta, _, err := d.ReadPage(rdone, bare, nil); err != nil || got != nil || gotMeta.LPN != 9 {
+		t.Fatalf("payload-less page read = %v, %+v, %v", got, gotMeta, err)
+	}
 }
 
 func TestProgramConstraints(t *testing.T) {
@@ -121,16 +129,6 @@ func TestProgramConstraints(t *testing.T) {
 	// The survey's next page reflects the constraint.
 	if n := surveyOf(d, BlockAddr{0, 0}).NextPage; n != 1 {
 		t.Fatalf("next programmable page = %d, want 1", n)
-	}
-}
-
-func TestProgramOrderRelaxed(t *testing.T) {
-	cfg := testConfig()
-	cfg.EnforceProgramOrder = false
-	d := newTestDevice(t, cfg)
-	data := pageData(cfg.Geometry.PageSize, 1)
-	if _, err := d.ProgramPage(0, Addr{Die: 0, Block: 0, Page: 2}, data, PageMeta{}); err != nil {
-		t.Fatalf("out-of-order program rejected with relaxed mode: %v", err)
 	}
 }
 
@@ -351,26 +349,6 @@ func TestDeviceStatsAndReset(t *testing.T) {
 	// Wear survives a counter reset.
 	if st.PerDie[0].TotalWear != 1 {
 		t.Fatalf("wear lost on reset: %d", st.PerDie[0].TotalWear)
-	}
-}
-
-func TestNoStoreDataMode(t *testing.T) {
-	cfg := testConfig()
-	cfg.StoreData = false
-	d := newTestDevice(t, cfg)
-	addr := Addr{Die: 0, Block: 0, Page: 0}
-	if _, err := d.ProgramPage(0, addr, nil, PageMeta{LPN: 9}); err != nil {
-		t.Fatal(err)
-	}
-	data, meta, _, err := d.ReadPage(0, addr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data != nil {
-		t.Fatal("data returned in no-store mode")
-	}
-	if meta.LPN != 9 {
-		t.Fatalf("meta lost: %+v", meta)
 	}
 }
 

@@ -223,7 +223,7 @@ func (d *Device) CorruptPage(addr Addr, off, n int, pattern byte) error {
 		return fmt.Errorf("%w: %v", ErrReadErased, addr)
 	}
 	if blk.data == nil || blk.data[addr.Page] == nil {
-		return fmt.Errorf("%w: device does not store data", ErrPageSize)
+		return fmt.Errorf("%w: page %v holds no payload", ErrPageSize, addr)
 	}
 	data := blk.data[addr.Page]
 	if ds.unshare(data) {

@@ -7,10 +7,9 @@ import (
 )
 
 // integrationConfig is a small database for the scheduler integration
-// tests: 8 dies, WAL off so that flush timing is purely data-page I/O.
+// tests: 8 dies and a pool smaller than the table they load.
 func integrationConfig() noftl.Config {
 	cfg := noftl.DefaultConfig()
-	cfg.WAL = false
 	cfg.BufferPoolPages = 128
 	return cfg
 }

@@ -71,16 +71,14 @@ func (db *DB) scrapeGauges() {
 	reg.Gauge("noftl_txn_locks_waiting",
 		"Transactions currently blocked on a lock.").With().Set(locks.Waiting)
 
-	if db.log != nil {
-		reg.Gauge("noftl_wal_flushed_lsn", "Highest durable WAL log sequence number.").With().Set(int64(db.log.FlushedLSN()))
-		reg.Gauge("noftl_wal_bytes_live",
-			"Encoded WAL record bytes held by live log pages (crash-replay upper bound).").With().Set(db.log.BytesLive())
-		ck := db.checkpointStats(space.RetainedPages)
-		reg.Gauge("noftl_wal_checkpoint_last_lsn",
-			"LSN of the last checkpoint's end mark (recovery filters the records after it by commit).").With().Set(int64(ck.LastLSN))
-		reg.Gauge("noftl_wal_checkpoint_last_bytes",
-			"Encoded size of the last checkpoint's records in bytes.").With().Set(ck.LastBytes)
-		reg.Gauge("noftl_wal_checkpoint_last_pages",
-			"Dirty pages the last checkpoint flushed.").With().Set(ck.LastPages)
-	}
+	reg.Gauge("noftl_wal_flushed_lsn", "Highest durable WAL log sequence number.").With().Set(int64(db.log.FlushedLSN()))
+	reg.Gauge("noftl_wal_bytes_live",
+		"Encoded WAL record bytes held by live log pages (crash-replay upper bound).").With().Set(db.log.BytesLive())
+	ck := db.checkpointStats(space.RetainedPages)
+	reg.Gauge("noftl_wal_checkpoint_last_lsn",
+		"LSN of the last checkpoint's end mark (recovery filters the records after it by commit).").With().Set(int64(ck.LastLSN))
+	reg.Gauge("noftl_wal_checkpoint_last_bytes",
+		"Encoded size of the last checkpoint's records in bytes.").With().Set(ck.LastBytes)
+	reg.Gauge("noftl_wal_checkpoint_last_pages",
+		"Dirty pages the last checkpoint flushed.").With().Set(ck.LastPages)
 }

@@ -83,14 +83,14 @@ func repeatRows(row []byte, n int) [][]byte {
 	return out
 }
 
-// TestObservabilityEndToEnd boots with a trace writer, churns a region until
+// TestObservabilityEndToEnd boots with tracing on, churns a region until
 // foreground GC fires, then (1) validates the exposition MetricsText renders
-// with the in-repo linter, and (2) loads the JSONL trace dumped on Close and
-// checks that the summary reproduces the A6 story — host writes that overlap
-// a GC window on their die are slower than clean ones.
+// with the in-repo linter, and (2) loads the JSONL trace Admin().TraceDump
+// writes after Close and checks that the summary reproduces the A6 story —
+// host writes that overlap a GC window on their die are slower than clean
+// ones.
 func TestObservabilityEndToEnd(t *testing.T) {
-	var trace bytes.Buffer
-	db, err := OpenConfig(obsConfig(), WithTrace(&trace))
+	db, err := OpenConfig(obsConfig(), WithTraceBuffer(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +134,16 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
+	var trace bytes.Buffer
+	if _, err := db.Admin().TraceDump(&trace); err != nil {
+		t.Fatal(err)
+	}
 	events, err := obs.LoadJSONL(bytes.NewReader(trace.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(events) == 0 {
-		t.Fatal("Close dumped no events")
+		t.Fatal("the trace holds no events")
 	}
 	sum := obs.Summarize(events)
 	if sum.HostWrite.Count == 0 {

@@ -1,7 +1,6 @@
 package noftl
 
 import (
-	"io"
 	"time"
 
 	"noftl/internal/core"
@@ -18,7 +17,7 @@ type (
 	// dies, blocks, pages).
 	DeviceGeometry = flash.Geometry
 	// SpaceOptions configures the NoFTL space manager (placement mode,
-	// over-provisioning, GC watermarks and default policy, wear leveling).
+	// over-provisioning, background GC and the default GC policy).
 	SpaceOptions = core.Options
 	// GCPolicy is a per-region garbage-collection policy (victim selection,
 	// background step size, hot/cold separation).
@@ -44,16 +43,10 @@ func WithLockTimeout(d time.Duration) Option {
 	return func(c *Config) { c.LockTimeout = d }
 }
 
-// WithTrace enables event tracing and dumps the recorded events to w as
-// JSONL when the database is closed (the stream the noftl-trace CLI
-// consumes).  Tracing is off by default; see Config.TraceWriter.
-func WithTrace(w io.Writer) Option {
-	return func(c *Config) { c.TraceWriter = w }
-}
-
-// WithTraceBuffer sets the trace ring-buffer capacity in events and enables
-// tracing (even without a TraceWriter — the events are then reachable through
-// Admin().TraceDump).  Zero keeps the 65536-event default capacity.
+// WithTraceBuffer enables event tracing into a ring buffer of n events; zero
+// keeps the 65536-event default capacity.  Tracing is off by default.
+// Admin().TraceDump writes the retained events as JSONL (the stream the
+// noftl-trace CLI consumes).
 func WithTraceBuffer(n int) Option {
 	return func(c *Config) {
 		c.TraceBufferEvents = n

@@ -171,9 +171,7 @@ func reopenOn(cfg Config, dev *flash.Device) (*DB, error) {
 	db.clock.Observe(now)
 	// The new log continues above the old one's LSNs, so the next recovery's
 	// scan takes the new run, not the old tail, as the live one.
-	if db.log != nil {
-		db.log.SeedNextLSN(scan.MaxLSN)
-	}
+	db.log.SeedNextLSN(scan.MaxLSN)
 
 	rst := &RecoveryStats{
 		CheckpointFound: ckptOK,

@@ -202,9 +202,7 @@ func (db *DB) Stats() Stats {
 		Objects:      db.ObjectStats(),
 		ReadLatency:  read,
 		WriteLatency: write,
-	}
-	if db.log != nil {
-		st.WAL = WALStats{
+		WAL: WALStats{
 			Appended:      db.log.Appended(),
 			Flushes:       db.log.Flushes(),
 			Pages:         int64(db.log.PageCount()),
@@ -216,7 +214,7 @@ func (db *DB) Stats() Stats {
 			BytesLive:     db.log.BytesLive(),
 			PagesTrimmed:  db.log.PagesTrimmed(),
 			Checkpoint:    db.checkpointStats(space.RetainedPages),
-		}
+		},
 	}
 	if db.tracer != nil {
 		st.Trace = TraceStats{
@@ -228,7 +226,7 @@ func (db *DB) Stats() Stats {
 	return st
 }
 
-// checkpointStats snapshots the checkpoint counters; the WAL must be on.
+// checkpointStats snapshots the checkpoint counters.
 func (db *DB) checkpointStats(retained int64) CheckpointStats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

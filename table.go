@@ -3,6 +3,7 @@ package noftl
 import (
 	"encoding/binary"
 	"fmt"
+	"time"
 
 	"noftl/internal/btree"
 	"noftl/internal/catalog"
@@ -90,7 +91,11 @@ func (tx *Tx) Abort() sim.Time {
 	return done
 }
 
-func (tx *Tx) chargeOp() { tx.inner.Charge(tx.db.cfg.CPUPerOp) }
+// cpuPerOp is the CPU time charged to a transaction for each row or index
+// operation, so response times are not purely I/O.
+const cpuPerOp = 5 * time.Microsecond
+
+func (tx *Tx) chargeOp() { tx.inner.Charge(cpuPerOp) }
 
 // logRow logs the RecInsert or RecUpdate of row at rid: the payload
 // wal.EncodeRowPayload describes, handed to the log in pieces.
@@ -119,12 +124,12 @@ func (t *Table) RowCount() int64 { return t.heap.RecordCount() }
 func (t *Table) PageCount() int64 { return t.heap.PageCount() }
 
 // loggable rejects, before anything is applied, rows whose log record would
-// not fit one log page.  With the WAL on that is the row-size limit (43 bytes
-// below a heap page's): such a row is neither durable nor checkpointable.
+// not fit one log page: that is the row-size limit (43 bytes below a heap
+// page's), since such a row is neither durable nor checkpointable.
 func (t *Table) loggable(rows ...[]byte) error {
 	max := wal.MaxRow(t.db.dev.Geometry().PageSize)
 	for _, row := range rows {
-		if t.db.log != nil && len(row) > max {
+		if len(row) > max {
 			return tag(ErrTooLarge, fmt.Errorf("table %s: %d-byte row exceeds the %d bytes a log record carries", t.meta.Name, len(row), max))
 		}
 	}
