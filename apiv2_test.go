@@ -82,9 +82,9 @@ func TestInsertBatchSubmissionRatio(t *testing.T) {
 		serial, batched, float64(serial)/float64(batched))
 }
 
-// TestBatchDMLRoundTrip exercises InsertBatch/GetBatch/LookupBatch
-// correctness: every row readable one-at-a-time and in batches, keys
-// resolvable in a batch, missing keys reported.
+// TestBatchDMLRoundTrip exercises InsertBatch/GetBatch correctness: every
+// row readable one-at-a-time and in batches, indexed keys resolvable, missing
+// keys reported.
 func TestBatchDMLRoundTrip(t *testing.T) {
 	db, err := OpenConfig(smallConfig())
 	if err != nil {
@@ -151,17 +151,15 @@ func TestBatchDMLRoundTrip(t *testing.T) {
 			!bytes.Equal(got[2], all[250]) || !bytes.Equal(got[3], all[250]) {
 			return fmt.Errorf("GetBatch subset mismatch")
 		}
-		// Batch lookups, with one key that does not exist.
-		keys := [][]byte{Key(0), Key(499), Key(12345)}
-		brids, found, err := idx.LookupBatch(tx, keys)
-		if err != nil {
-			return err
-		}
-		if !found[0] || !found[1] || found[2] {
-			return fmt.Errorf("LookupBatch found = %v", found)
-		}
-		if brids[0] != rids[0] || brids[1] != rids[499] {
-			return fmt.Errorf("LookupBatch rids wrong")
+		// Lookups, with one key that does not exist.
+		for k, want := range map[uint32]RID{0: rids[0], 499: rids[499], 12345: {}} {
+			rid, found, err := idx.Lookup(tx, Key(k))
+			if err != nil {
+				return err
+			}
+			if found != (k != 12345) || rid != want {
+				return fmt.Errorf("Lookup(%d) = %v, %v", k, rid, found)
+			}
 		}
 		// A missing record fails the whole GetBatch with ErrNotFound.
 		if _, err := tbl.GetBatch(tx, []RID{{LPN: rids[0].LPN, Slot: 999}}); !errors.Is(err, ErrNotFound) {
@@ -425,6 +423,14 @@ ALTER REGION nope SET GC_POLICY=GREEDY;`
 	}
 	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("cause not ErrNotFound: %v", err)
+	}
+	// The message names the position, the clause and the statement, cut to
+	// 57 bytes and an ellipsis past 60.
+	long := "ALTER REGION a_region_whose_name_runs_on_and_on SET GC_POLICY=GREEDY"
+	err = db.Exec(long)
+	want := fmt.Sprintf("noftl: DDL failed at position 0 (clause REGION) in %q: ", long[:57]+"...")
+	if !errors.As(err, &de) || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("Error() = %q, want prefix %q", err, want)
 	}
 
 	// A bad clause value is attributed to the clause.

@@ -1,9 +1,6 @@
 package noftl
 
-import (
-	"noftl/internal/storage"
-	"noftl/internal/wal"
-)
+import "noftl/internal/wal"
 
 // InsertBatch adds a batch of rows and returns their RIDs in order.  It is
 // the batch-first counterpart of Insert: the tail page is filled first, the
@@ -17,6 +14,9 @@ import (
 // alongside the error, and the caller decides whether to abort the
 // transaction.
 func (t *Table) InsertBatch(tx *Tx, rows [][]byte) ([]RID, error) {
+	if err := tx.writable(); err != nil {
+		return nil, err
+	}
 	for range rows {
 		tx.chargeOp()
 	}
@@ -48,34 +48,4 @@ func (t *Table) GetBatch(tx *Tx, rids []RID) ([][]byte, error) {
 	}
 	tx.inner.AdvanceTo(done)
 	return rows, nil
-}
-
-// LookupBatch resolves a batch of keys to RIDs in one call.  found[i]
-// reports whether keys[i] was present.  Interior B+-tree pages are almost
-// always buffer-resident, so the lookups share one warmed cache walk; the
-// per-key results carry no per-call scheduler round-trip.
-func (i *Index) LookupBatch(tx *Tx, keys [][]byte) (rids []RID, found []bool, err error) {
-	rids = make([]RID, len(keys))
-	found = make([]bool, len(keys))
-	now := tx.Now()
-	var buf [10]byte
-	for k, key := range keys {
-		tx.chargeOp()
-		val, done, ok, gerr := i.tree.GetAppend(now, key, buf[:0])
-		if gerr != nil {
-			return nil, nil, publicErr(gerr)
-		}
-		now = done
-		if !ok {
-			continue
-		}
-		rid, derr := storage.DecodeRID(val)
-		if derr != nil {
-			return nil, nil, derr
-		}
-		rids[k] = rid
-		found[k] = true
-	}
-	tx.inner.AdvanceTo(now)
-	return rids, found, nil
 }

@@ -12,11 +12,10 @@
 //	             CREATE TABLE T (t_id NUMBER(3)) TABLESPACE tsHot;`)
 //
 // Data access is batch-first and transactional: db.Update and db.View run a
-// closure inside a transaction; Table.InsertBatch, Table.GetBatch and
-// Index.LookupBatch ride the I/O scheduler's die-striped batch path, so a
-// batch of pages costs roughly one page latency per die instead of one per
-// page; Table.Rows, Index.Range and Index.Prefix return Go 1.23
-// range-over-func iterators.
+// closure inside a transaction; Table.InsertBatch and Table.GetBatch ride
+// the I/O scheduler's die-striped batch path, so a batch of pages costs
+// roughly one page latency per die instead of one per page; Table.Rows,
+// Index.Range and Index.Prefix return Go 1.23 range-over-func iterators.
 //
 //	_ = db.Update(func(tx *noftl.Tx) error {
 //	    _, err := tbl.InsertBatch(tx, rows) // one scheduler submission

@@ -699,8 +699,9 @@ func (db *DB) View(fn func(*Tx) error) error {
 	return tx.Err()
 }
 
-// FlushAll writes every dirty buffered page to flash (checkpoint) and
-// returns the advanced virtual time.
+// FlushAll writes every dirty buffered page to flash and returns the
+// advanced virtual time.  It takes no checkpoint and forces no log: that is
+// Checkpoint.
 func (db *DB) FlushAll(now sim.Time) (sim.Time, error) {
 	if err := db.checkOpen(); err != nil {
 		return now, err

@@ -423,3 +423,97 @@ func TestTableGetAppend(t *testing.T) {
 		t.Errorf("AppendKey = %x, want Key's %x", key, Key(1, 2, 3, 4))
 	}
 }
+
+// TestFinishedTxRefusesWrites checks that every write of a committed or
+// aborted transaction fails with ErrConflict before it touches a page: the
+// change could not be logged, so it must not be applied.
+func TestFinishedTxRefusesWrites(t *testing.T) {
+	db, err := OpenConfig(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Exec(`CREATE TABLE T (v VARCHAR(20));
+		CREATE UNIQUE INDEX T_IDX ON T (v);`); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := db.Table("T")
+	idx, _ := db.Index("T_IDX")
+	var rid RID
+	if err := db.Update(func(tx *Tx) error {
+		var err error
+		if rid, err = tbl.Insert(tx, []byte("kept")); err != nil {
+			return err
+		}
+		return idx.Insert(tx, Key(1), rid)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var lastID uint64
+	for _, finish := range []string{"commit", "abort"} {
+		tx := db.Begin()
+		if tx.ID() <= lastID {
+			t.Fatalf("transaction ID %d does not follow %d", tx.ID(), lastID)
+		}
+		lastID = tx.ID()
+		if finish == "commit" {
+			if _, err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			tx.Abort()
+		}
+		writes := map[string]error{}
+		_, writes["Insert"] = tbl.Insert(tx, []byte("late"))
+		_, writes["InsertBatch"] = tbl.InsertBatch(tx, [][]byte{[]byte("late")})
+		writes["Update"] = tbl.Update(tx, rid, []byte("changed"))
+		writes["Delete"] = tbl.Delete(tx, rid)
+		writes["Index.Insert"] = idx.Insert(tx, Key(2), rid)
+		writes["Index.Delete"] = idx.Delete(tx, Key(1))
+		for name, err := range writes {
+			if !errors.Is(err, ErrConflict) {
+				t.Errorf("%s after %s: err = %v, want ErrConflict", name, finish, err)
+			}
+		}
+	}
+	if err := db.View(func(tx *Tx) error {
+		row, err := tbl.Get(tx, rid)
+		if err != nil || string(row) != "kept" {
+			return fmt.Errorf("row = %q, %v; want it unchanged", row, err)
+		}
+		if _, found, err := idx.Lookup(tx, Key(1)); err != nil || !found {
+			return fmt.Errorf("Lookup(1) = %v, %v; want the entry kept", found, err)
+		}
+		if _, found, err := idx.Lookup(tx, Key(2)); err != nil || found {
+			return fmt.Errorf("Lookup(2) = %v, %v; want no entry", found, err)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n, e := tbl.RowCount(), idx.Entries(); n != 1 || e != 1 {
+		t.Fatalf("RowCount = %d, Entries = %d; want 1 and 1", n, e)
+	}
+}
+
+// TestIndexErrorsArePublic checks that Index.Delete of an absent key reports
+// the public ErrNotFound, not the B+-tree's own error.
+func TestIndexErrorsArePublic(t *testing.T) {
+	db, err := OpenConfig(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Exec(`CREATE TABLE T (v VARCHAR(20));
+		CREATE INDEX T_IDX ON T (v);`); err != nil {
+		t.Fatal(err)
+	}
+	idx, _ := db.Index("T_IDX")
+	if name := idx.Name(); name != "T_IDX" {
+		t.Fatalf("Name() = %q", name)
+	}
+	err = db.Update(func(tx *Tx) error { return idx.Delete(tx, Key(7)) })
+	if !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Delete of an absent key: err = %v, want ErrNotFound", err)
+	}
+}

@@ -440,7 +440,7 @@ func (p *Pool) pinHitLocked(f *Frame, hint core.Hint) *Handle {
 // it.  Caller holds s.mu.
 func (p *Pool) claimMissLocked(s *poolShard, now sim.Time, lpn core.LPN, hint core.Hint) (*Frame, sim.Time, error) {
 	p.misses.Add(1)
-	if p.tracer.Enabled(obs.ClassBufMiss) {
+	if p.tracer.Enabled() {
 		p.tracer.Record(obs.Event{
 			Class: obs.ClassBufMiss, Die: -1, Block: -1, Page: -1,
 			Region: int32(hint.Region), Start: now, End: now, A: int64(lpn),
@@ -551,7 +551,7 @@ func (p *Pool) WriteThrough(now sim.Time, writes []core.PageWrite) (sim.Time, er
 // its write-back event.
 func (p *Pool) noteGroupWrite(start, done sim.Time, n int) {
 	p.groupFlushes.Add(1)
-	if p.tracer.Enabled(obs.ClassBufWriteBack) {
+	if p.tracer.Enabled() {
 		p.tracer.Record(obs.Event{
 			Class: obs.ClassBufWriteBack, Op: obs.BufWriteBackGroup,
 			Die: -1, Block: -1, Page: -1, Region: -1,
@@ -622,7 +622,7 @@ func (p *Pool) allocFrameLocked(s *poolShard, now sim.Time) (int, sim.Time, erro
 			}
 			now = done
 			p.writebacks.Add(1)
-			if p.tracer.Enabled(obs.ClassBufWriteBack) {
+			if p.tracer.Enabled() {
 				p.tracer.Record(obs.Event{
 					Class: obs.ClassBufWriteBack, Op: obs.BufWriteBackSingle,
 					Die: -1, Block: -1, Page: -1, Region: int32(f.hint.Region),
@@ -630,7 +630,7 @@ func (p *Pool) allocFrameLocked(s *poolShard, now sim.Time) (int, sim.Time, erro
 				})
 			}
 		}
-		if p.tracer.Enabled(obs.ClassBufEvict) {
+		if p.tracer.Enabled() {
 			var b int64
 			if dirty {
 				b = 1

@@ -96,7 +96,7 @@ func (m *Manager) readPages(now sim.Time, lpns []LPN, bufs [][]byte, out []PageR
 
 	var done [1]iosched.Completion
 	cs, end := m.sched.SubmitAppend(done[:0], now, reqs)
-	traced := tr.Enabled(obs.ClassHostRead)
+	traced := tr.Enabled()
 	j := 0
 	for i := range out {
 		o := &out[i]
@@ -187,7 +187,7 @@ func (m *Manager) WritePages(now sim.Time, writes []PageWrite) (sim.Time, error)
 	}
 	pends := m.pends[:len(writes)]
 	clear(pends)
-	traced := m.tracer.Enabled(obs.ClassHostWrite)
+	traced := m.tracer.Enabled()
 
 	var err error
 	at, end := now, now

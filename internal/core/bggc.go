@@ -93,7 +93,7 @@ func (m *Manager) backgroundStepLocked(now sim.Time, r *Region, da *dieAlloc) (s
 		}
 		da.bgVictim = v
 		r.gcRuns++
-		if m.tracer.Enabled(obs.ClassGCVictim) {
+		if m.tracer.Enabled() {
 			m.tracer.Record(obs.Event{
 				Class: obs.ClassGCVictim, Op: obs.GCStepBackground,
 				Die: int32(da.die), Block: int32(v), Page: -1,
@@ -121,8 +121,7 @@ func (m *Manager) backgroundStepLocked(now sim.Time, r *Region, da *dieAlloc) (s
 		return now, false
 	}
 	r.bgSteps.Inc()
-	m.sched.ObserveGCStep()
-	if m.tracer.Enabled(obs.ClassGCStep) {
+	if m.tracer.Enabled() {
 		m.tracer.Record(obs.Event{
 			Class: obs.ClassGCStep, Op: obs.GCStepBackground,
 			Die: int32(da.die), Block: -1, Page: -1,

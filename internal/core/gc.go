@@ -108,14 +108,13 @@ func (p GCPolicy) String() string {
 // (bggc.go) exists to avoid.  Caller holds m.mu.
 func (m *Manager) collectDie(now sim.Time, r *Region, da *dieAlloc) sim.Time {
 	r.gcStalls.Inc()
-	m.sched.ObserveGCStall()
 	fgStart := now
 	for da.freeCount() <= gcLowWater {
 		victim := m.pickVictim(da, r.gc)
 		if victim < 0 {
 			break
 		}
-		if m.tracer.Enabled(obs.ClassGCVictim) {
+		if m.tracer.Enabled() {
 			m.tracer.Record(obs.Event{
 				Class: obs.ClassGCVictim, Op: obs.GCStepForeground,
 				Die: int32(da.die), Block: int32(victim), Page: -1,
@@ -134,7 +133,7 @@ func (m *Manager) collectDie(now sim.Time, r *Region, da *dieAlloc) sim.Time {
 		}
 	}
 	now = m.maybeWearLevel(now, r, da)
-	if now > fgStart && m.tracer.Enabled(obs.ClassGCStep) {
+	if now > fgStart && m.tracer.Enabled() {
 		// One foreground-collection window covering every victim this call
 		// relocated and erased: the inline stall the host write paid.
 		m.tracer.Record(obs.Event{
@@ -330,7 +329,7 @@ func (m *Manager) relocateAndErase(now sim.Time, r *Region, da *dieAlloc, victim
 	}
 	da.freeBlocks = append(da.freeBlocks, victim)
 	r.gcErases.Inc()
-	if m.tracer.Enabled(obs.ClassGCErase) {
+	if m.tracer.Enabled() {
 		m.tracer.Record(obs.Event{
 			Class: obs.ClassGCErase,
 			Die:   int32(da.die), Block: int32(victim), Page: -1,
@@ -436,7 +435,7 @@ func (m *Manager) maybeWearLevel(now sim.Time, r *Region, da *dieAlloc) sim.Time
 	now = m.relocateAndErase(now, r, da, minIdx, m.geo.PagesPerBlock, r.gc)
 	if r.gcErases.Value() > before {
 		r.wlMoves.Inc()
-		if m.tracer.Enabled(obs.ClassWear) {
+		if m.tracer.Enabled() {
 			m.tracer.Record(obs.Event{
 				Class: obs.ClassWear,
 				Die:   int32(da.die), Block: int32(minIdx), Page: -1,

@@ -364,14 +364,6 @@ func (m *Manager) RegionByID(id RegionID) (*Region, bool) {
 	return r, ok
 }
 
-// Regions returns the names of all regions, default region first, then in
-// creation order.
-func (m *Manager) Regions() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.regionNamesLocked()
-}
-
 // CreateRegion carves a new region out of the default region according to
 // spec.  Only dies that currently hold no valid data can move to the new
 // region, so regions are normally created right after the device is opened,

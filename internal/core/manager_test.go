@@ -136,6 +136,30 @@ func TestCreateRegionWithExplicitDiesAndMaxChannels(t *testing.T) {
 	}
 }
 
+// TestCreateRegionSpansChannelsAfterDrop: dropping the middle of three
+// one-die regions leaves DEFAULT with two dies of channel 1 ahead of its first
+// die of channel 0 (dies 1, 3, 4, ...).  A region of two dies on at most two
+// channels must still get both channels, passing over die 3 for die 4.
+func TestCreateRegionSpansChannelsAfterDrop(t *testing.T) {
+	dev := smallDevice(t, 8, 16, 8)
+	m := NewManager(dev, DefaultOptions())
+	for _, name := range []string{"rgA", "rgB", "rgC"} {
+		if _, err := m.CreateRegion(RegionSpec{Name: name, MaxChips: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.DropRegion("rgB"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.CreateRegion(RegionSpec{Name: "rgWide", MaxChips: 2, MaxChannels: 2}); err != nil {
+		t.Fatal(err)
+	}
+	rs, _ := m.Stats().RegionByName("rgWide")
+	if rs.Channels != 2 || len(rs.Dies) != 2 || rs.Dies[0] != 1 || rs.Dies[1] != 4 {
+		t.Fatalf("rgWide has dies %v on %d channels, want [1 4] on 2", rs.Dies, rs.Channels)
+	}
+}
+
 func TestCreateRegionHonoursMaxSize(t *testing.T) {
 	dev := smallDevice(t, 4, 16, 8)
 	m := NewManager(dev, DefaultOptions())
@@ -389,7 +413,10 @@ func TestRegionsListingOrder(t *testing.T) {
 	if _, err := m.CreateRegion(RegionSpec{Name: "rgA", MaxChips: 1}); err != nil {
 		t.Fatal(err)
 	}
-	names := m.Regions()
+	var names []string
+	for _, rs := range m.Stats().Regions {
+		names = append(names, rs.Name)
+	}
 	if len(names) != 3 || names[0] != DefaultRegionName || names[1] != "rgB" || names[2] != "rgA" {
 		t.Fatalf("region listing = %v", names)
 	}

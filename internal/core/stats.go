@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"time"
 
@@ -84,8 +86,8 @@ func (m *Manager) Stats() Stats {
 	}
 
 	first := true
-	for _, name := range m.regionNamesLocked() {
-		r := m.regions[name]
+	for _, id := range slices.Sorted(maps.Keys(m.regionsByID)) {
+		r := m.regionsByID[id]
 		rs := RegionStats{
 			ID:            r.id,
 			Name:          r.name,
@@ -163,27 +165,6 @@ func (m *Manager) Stats() Stats {
 		first = false
 	}
 	return out
-}
-
-// regionNamesLocked returns region names ordered by region id.  Caller holds
-// m.mu.
-func (m *Manager) regionNamesLocked() []string {
-	ids := make([]RegionID, 0, len(m.regionsByID))
-	for id := range m.regionsByID {
-		ids = append(ids, id)
-	}
-	for i := 0; i < len(ids); i++ {
-		for j := i + 1; j < len(ids); j++ {
-			if ids[j] < ids[i] {
-				ids[i], ids[j] = ids[j], ids[i]
-			}
-		}
-	}
-	names := make([]string, 0, len(ids))
-	for _, id := range ids {
-		names = append(names, m.regionsByID[id].name)
-	}
-	return names
 }
 
 // ResetCounters clears all I/O and GC counters (per region, per object, in the

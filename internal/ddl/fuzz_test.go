@@ -11,7 +11,7 @@ import (
 //  1. ParseAll never panics — DDL comes from users and from the schema marks
 //     a recovery reads back;
 //  2. an accepted script is the sum of its statements: the text of each, from
-//     its Pos to the next statement's, parses alone through ParseOne to the
+//     its Pos to the next statement's, parses alone to the
 //     same statement.
 func FuzzDDLParse(f *testing.F) {
 	f.Add(`CREATE REGION rgHot (MAX_CHIPS=8, MAX_CHANNELS=4, MAX_SIZE=1280M, GC_POLICY=COST_BENEFIT, GC_STEP_PAGES=4, HOT_COLD=OFF);`)
@@ -33,7 +33,7 @@ func FuzzDDLParse(f *testing.F) {
 				end = parsed[i+1].Pos
 			}
 			text := script[ps.Pos:end]
-			st, err := ParseOne(text)
+			st, err := parseOne(text)
 			if err != nil {
 				t.Fatalf("statement %d %q of an accepted script does not parse alone: %v", i, text, err)
 			}

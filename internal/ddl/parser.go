@@ -113,19 +113,6 @@ type Parsed struct {
 	Pos int
 }
 
-// Parse parses one or more semicolon-separated DDL statements.
-func Parse(input string) ([]Statement, error) {
-	parsed, err := ParseAll(input)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Statement, len(parsed))
-	for i, ps := range parsed {
-		out[i] = ps.Stmt
-	}
-	return out, nil
-}
-
 // ParseAll parses one or more semicolon-separated DDL statements, reporting
 // each statement's byte offset in the input alongside it.
 func ParseAll(input string) ([]Parsed, error) {
@@ -152,18 +139,6 @@ func ParseAll(input string) ([]Parsed, error) {
 		}
 	}
 	return out, nil
-}
-
-// ParseOne parses exactly one statement.
-func ParseOne(input string) (Statement, error) {
-	stmts, err := Parse(input)
-	if err != nil {
-		return nil, err
-	}
-	if len(stmts) != 1 {
-		return nil, fmt.Errorf("%w: expected exactly one statement, got %d", ErrSyntax, len(stmts))
-	}
-	return stmts[0], nil
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }

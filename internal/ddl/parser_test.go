@@ -2,8 +2,31 @@ package ddl
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 )
+
+// parse returns the statements of a script without their positions.
+func parse(input string) ([]Statement, error) {
+	parsed, err := ParseAll(input)
+	out := make([]Statement, len(parsed))
+	for i, ps := range parsed {
+		out[i] = ps.Stmt
+	}
+	return out, err
+}
+
+// parseOne parses a script that must hold exactly one statement.
+func parseOne(input string) (Statement, error) {
+	parsed, err := ParseAll(input)
+	if err != nil {
+		return nil, err
+	}
+	if len(parsed) != 1 {
+		return nil, fmt.Errorf("%w: expected exactly one statement, got %d", ErrSyntax, len(parsed))
+	}
+	return parsed[0].Stmt, nil
+}
 
 func TestParsePaperStatements(t *testing.T) {
 	// The exact DDL from §2 of the paper.
@@ -12,7 +35,7 @@ CREATE REGION rgHotTbl (MAX_CHIPS=8, MAX_CHANNELS=4, MAX_SIZE=1280M);
 CREATE TABLESPACE tsHotTbl (REGION=rgHotTbl, EXTENT SIZE 128K );
 CREATE TABLE T(t_id NUMBER(3))TABLESPACE tsHotTbl;
 `
-	stmts, err := Parse(input)
+	stmts, err := parse(input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +67,7 @@ CREATE TABLE T(t_id NUMBER(3))TABLESPACE tsHotTbl;
 }
 
 func TestParseCreateTableMultiColumn(t *testing.T) {
-	st, err := ParseOne(`CREATE TABLE STOCK (
+	st, err := parseOne(`CREATE TABLE STOCK (
 		s_i_id INTEGER,
 		s_w_id INTEGER,
 		s_quantity NUMBER(4),
@@ -59,7 +82,7 @@ func TestParseCreateTableMultiColumn(t *testing.T) {
 		t.Fatalf("%+v", ct)
 	}
 	// Without a tablespace clause.
-	st, err = ParseOne("CREATE TABLE X (a INTEGER)")
+	st, err = parseOne("CREATE TABLE X (a INTEGER)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +90,7 @@ func TestParseCreateTableMultiColumn(t *testing.T) {
 		t.Fatal("unexpected tablespace")
 	}
 	// DECIMAL(12,2) style types.
-	st, err = ParseOne("CREATE TABLE Y (amount DECIMAL(12,2))")
+	st, err = parseOne("CREATE TABLE Y (amount DECIMAL(12,2))")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +100,7 @@ func TestParseCreateTableMultiColumn(t *testing.T) {
 }
 
 func TestParseCreateIndex(t *testing.T) {
-	st, err := ParseOne("CREATE UNIQUE INDEX C_IDX ON CUSTOMER (c_w_id, c_d_id, c_id) TABLESPACE tsIdx")
+	st, err := parseOne("CREATE UNIQUE INDEX C_IDX ON CUSTOMER (c_w_id, c_d_id, c_id) TABLESPACE tsIdx")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +108,7 @@ func TestParseCreateIndex(t *testing.T) {
 	if !ci.Unique || ci.Table != "CUSTOMER" || len(ci.Columns) != 3 || ci.Tablespace != "tsIdx" {
 		t.Fatalf("%+v", ci)
 	}
-	st, err = ParseOne("CREATE INDEX C_NAME_IDX ON CUSTOMER (c_last)")
+	st, err = parseOne("CREATE INDEX C_NAME_IDX ON CUSTOMER (c_last)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +118,7 @@ func TestParseCreateIndex(t *testing.T) {
 }
 
 func TestParseDropAndVariants(t *testing.T) {
-	stmts, err := Parse(`
+	stmts, err := parse(`
 		DROP TABLE T;
 		DROP REGION rgHotTbl;
 		DROP TABLESPACE tsHotTbl;
@@ -158,32 +181,33 @@ func TestParseErrors(t *testing.T) {
 		"CREATE TABLE T (a VARCHAR('x'))",
 	}
 	for _, in := range bad {
-		if _, err := Parse(in); err == nil {
+		if _, err := parse(in); err == nil {
 			t.Errorf("accepted invalid DDL: %q", in)
 		} else if !errors.Is(err, ErrSyntax) {
 			t.Errorf("%q: error is not ErrSyntax: %v", in, err)
 		}
 	}
 	// Lexer-level errors.
-	if _, err := Parse("CREATE TABLE T (a INTEGER) @"); err == nil {
+	if _, err := parse("CREATE TABLE T (a INTEGER) @"); err == nil {
 		t.Error("accepted stray character")
 	}
-	if _, err := Parse("CREATE TABLE T (a 'unterminated)"); err == nil {
+	if _, err := parse("CREATE TABLE T (a 'unterminated)"); err == nil {
 		t.Error("accepted unterminated string")
 	}
 }
 
-func TestParseOneRejectsMultiple(t *testing.T) {
-	if _, err := ParseOne("DROP TABLE a; DROP TABLE b"); err == nil {
-		t.Fatal("ParseOne accepted two statements")
+func TestParseAllSplitsStatements(t *testing.T) {
+	parsed, err := ParseAll("DROP TABLE a; DROP TABLE b")
+	if err != nil || len(parsed) != 2 || parsed[0].Pos != 0 || parsed[1].Pos != 14 {
+		t.Fatalf("ParseAll of two statements = %+v, %v", parsed, err)
 	}
-	if _, err := ParseOne(""); err == nil {
-		t.Fatal("ParseOne accepted empty input")
+	if parsed, err := ParseAll(""); err != nil || len(parsed) != 0 {
+		t.Fatalf("ParseAll of empty input = %+v, %v", parsed, err)
 	}
 }
 
 func TestParseComments(t *testing.T) {
-	stmts, err := Parse(`
+	stmts, err := parse(`
 		-- create the hot region
 		CREATE REGION rg1 (MAX_CHIPS=2); -- trailing comment
 	`)
@@ -191,7 +215,7 @@ func TestParseComments(t *testing.T) {
 		t.Fatalf("comments broke parsing: %v (%d)", err, len(stmts))
 	}
 	// Quoted identifiers.
-	st, err := ParseOne(`CREATE TABLE "MiXeD" (a INTEGER) TABLESPACE 'tsX'`)
+	st, err := parseOne(`CREATE TABLE "MiXeD" (a INTEGER) TABLESPACE 'tsX'`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +226,7 @@ func TestParseComments(t *testing.T) {
 }
 
 func TestCreateRegionGCOptions(t *testing.T) {
-	st, err := ParseOne(`CREATE REGION rgHot (MAX_CHIPS=4, GC_POLICY=COST_BENEFIT, GC_STEP_PAGES=4, HOT_COLD=OFF);`)
+	st, err := parseOne(`CREATE REGION rgHot (MAX_CHIPS=4, GC_POLICY=COST_BENEFIT, GC_STEP_PAGES=4, HOT_COLD=OFF);`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +238,7 @@ func TestCreateRegionGCOptions(t *testing.T) {
 		t.Fatalf("wrong clause: %+v", cr)
 	}
 	// Case-insensitive keys and values.
-	st, err = ParseOne(`create region r2 (max_chips=1, gc_policy=greedy, hot_cold=on);`)
+	st, err = parseOne(`create region r2 (max_chips=1, gc_policy=greedy, hot_cold=on);`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,14 +252,14 @@ func TestCreateRegionGCOptions(t *testing.T) {
 		`CREATE REGION r (MAX_CHIPS=1, GC_STEP_PAGES=0);`,
 		`CREATE REGION r (MAX_CHIPS=1, GC_STEP_PAGES=x);`,
 	} {
-		if _, err := ParseOne(bad); err == nil {
+		if _, err := parseOne(bad); err == nil {
 			t.Fatalf("accepted %q", bad)
 		}
 	}
 }
 
 func TestAlterRegion(t *testing.T) {
-	st, err := ParseOne(`ALTER REGION rgHot SET GC_POLICY=COST_BENEFIT, GC_STEP_PAGES=16;`)
+	st, err := parseOne(`ALTER REGION rgHot SET GC_POLICY=COST_BENEFIT, GC_STEP_PAGES=16;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +271,7 @@ func TestAlterRegion(t *testing.T) {
 		t.Fatalf("wrong clause: %+v", ar)
 	}
 	// Parenthesised form.
-	st, err = ParseOne(`ALTER REGION rgHot SET (HOT_COLD=OFF);`)
+	st, err = parseOne(`ALTER REGION rgHot SET (HOT_COLD=OFF);`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +284,7 @@ func TestAlterRegion(t *testing.T) {
 		`ALTER REGION rgHot SET MAX_CHIPS=4;`,
 		`ALTER TABLE t SET GC_POLICY=GREEDY;`,
 	} {
-		if _, err := ParseOne(bad); err == nil {
+		if _, err := parseOne(bad); err == nil {
 			t.Fatalf("accepted %q", bad)
 		}
 	}

@@ -157,11 +157,11 @@ func NewDevice(cfg Config) (*Device, error) {
 			ds.blocks[b].meta = make([]PageMeta, d.geo.PagesPerBlock)
 		}
 		d.dies[i] = ds
-		d.dieRes[i] = sim.NewResource(fmt.Sprintf("die-%d", i))
+		d.dieRes[i] = new(sim.Resource)
 	}
 	d.chanRes = make([]*sim.Resource, d.geo.Channels)
 	for c := range d.chanRes {
-		d.chanRes[c] = sim.NewResource(fmt.Sprintf("chan-%d", c))
+		d.chanRes[c] = new(sim.Resource)
 	}
 	d.AttachObs(metrics.NewRegistry())
 	return d, nil

@@ -23,8 +23,10 @@ type Geometry struct {
 	// (Chips are collapsed into dies; a die is the unit of command
 	// parallelism.)
 	DiesPerChannel int
-	// PlanesPerDie is the number of planes per die.  Blocks are numbered
-	// die-wide; the plane of a block is Block % PlanesPerDie.
+	// PlanesPerDie is the number of planes per die.  It is validated
+	// (BlocksPerDie must be a multiple of it) but not modelled: blocks are
+	// numbered die-wide and a die serves one command at a time whatever its
+	// planes.
 	PlanesPerDie int
 	// BlocksPerDie is the number of erase blocks per die (across all planes).
 	BlocksPerDie int
@@ -55,14 +57,6 @@ func (g Geometry) TotalBytes() int64 {
 // round-robin so that consecutive die numbers land on different channels,
 // which maximizes channel-level parallelism for striped allocation.
 func (g Geometry) ChannelOfDie(die int) int { return die % g.Channels }
-
-// PlaneOfBlock returns the plane a block belongs to.
-func (g Geometry) PlaneOfBlock(block int) int {
-	if g.PlanesPerDie <= 1 {
-		return 0
-	}
-	return block % g.PlanesPerDie
-}
 
 // Validate reports whether the geometry is usable.
 func (g Geometry) Validate() error {
@@ -140,21 +134,6 @@ func (a Addr) String() string {
 
 func (b BlockAddr) String() string {
 	return fmt.Sprintf("d%d/b%d", b.Die, b.Block)
-}
-
-// PageIndex returns a dense index of the page within the device, usable as a
-// map key or array offset.
-func (g Geometry) PageIndex(a Addr) int64 {
-	return (int64(a.Die)*int64(g.BlocksPerDie)+int64(a.Block))*int64(g.PagesPerBlock) + int64(a.Page)
-}
-
-// AddrOfIndex is the inverse of PageIndex.
-func (g Geometry) AddrOfIndex(idx int64) Addr {
-	page := int(idx % int64(g.PagesPerBlock))
-	idx /= int64(g.PagesPerBlock)
-	block := int(idx % int64(g.BlocksPerDie))
-	die := int(idx / int64(g.BlocksPerDie))
-	return Addr{Die: die, Block: block, Page: page}
 }
 
 // ValidAddr reports whether a lies within the geometry.

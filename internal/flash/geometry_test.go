@@ -1,9 +1,6 @@
 package flash
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestGeometryDerivedQuantities(t *testing.T) {
 	g := Geometry{Channels: 8, DiesPerChannel: 8, PlanesPerDie: 2, BlocksPerDie: 100, PagesPerBlock: 64, PageSize: 4096}
@@ -66,36 +63,6 @@ func TestChannelOfDieSpreadsRoundRobin(t *testing.T) {
 	}
 }
 
-func TestPlaneOfBlock(t *testing.T) {
-	g := Geometry{Channels: 1, DiesPerChannel: 1, PlanesPerDie: 2, BlocksPerDie: 8, PagesPerBlock: 4, PageSize: 512}
-	if g.PlaneOfBlock(0) != 0 || g.PlaneOfBlock(1) != 1 || g.PlaneOfBlock(2) != 0 {
-		t.Fatal("plane mapping wrong")
-	}
-	g.PlanesPerDie = 1
-	if g.PlaneOfBlock(5) != 0 {
-		t.Fatal("single-plane mapping wrong")
-	}
-}
-
-func TestPageIndexRoundTrip(t *testing.T) {
-	g := Geometry{Channels: 2, DiesPerChannel: 3, PlanesPerDie: 1, BlocksPerDie: 7, PagesPerBlock: 5, PageSize: 512}
-	f := func(die, block, page uint8) bool {
-		a := Addr{
-			Die:   int(die) % g.Dies(),
-			Block: int(block) % g.BlocksPerDie,
-			Page:  int(page) % g.PagesPerBlock,
-		}
-		idx := g.PageIndex(a)
-		if idx < 0 || idx >= g.TotalPages() {
-			return false
-		}
-		return g.AddrOfIndex(idx) == a
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestValidAddr(t *testing.T) {
 	g := Geometry{Channels: 1, DiesPerChannel: 2, PlanesPerDie: 1, BlocksPerDie: 3, PagesPerBlock: 4, PageSize: 512}
 	valid := []Addr{{0, 0, 0}, {1, 2, 3}}
@@ -118,15 +85,5 @@ func TestValidAddr(t *testing.T) {
 	}
 	if (Addr{1, 2, 3}).String() == "" || (BlockAddr{1, 2}).String() == "" {
 		t.Error("empty String")
-	}
-}
-
-func TestMetaMarshalRoundTrip(t *testing.T) {
-	f := func(lpn uint64, obj, region uint32, seq uint64, flags uint16) bool {
-		m := PageMeta{LPN: lpn, ObjectID: obj, RegionID: region, Seq: seq, Flags: flags}
-		return UnmarshalMeta(m.Marshal()) == m
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,7 +1,5 @@
 package flash
 
-import "encoding/binary"
-
 // PageMeta is the out-of-band (OOB) metadata stored alongside every
 // programmed page.  Under NoFTL the DBMS uses it to make the physical page
 // self-describing: which logical page it holds, which database object the
@@ -20,31 +18,6 @@ type PageMeta struct {
 	Seq uint64
 	// Flags carries layer-specific bits (e.g. log page, metadata page).
 	Flags uint16
-}
-
-// MetaSize is the size of the serialized OOB metadata in bytes.
-const MetaSize = 8 + 4 + 4 + 8 + 2
-
-// Marshal serializes the metadata into a fixed-size OOB byte image.
-func (m PageMeta) Marshal() [MetaSize]byte {
-	var b [MetaSize]byte
-	binary.LittleEndian.PutUint64(b[0:], m.LPN)
-	binary.LittleEndian.PutUint32(b[8:], m.ObjectID)
-	binary.LittleEndian.PutUint32(b[12:], m.RegionID)
-	binary.LittleEndian.PutUint64(b[16:], m.Seq)
-	binary.LittleEndian.PutUint16(b[24:], m.Flags)
-	return b
-}
-
-// UnmarshalMeta reconstructs metadata from its OOB byte image.
-func UnmarshalMeta(b [MetaSize]byte) PageMeta {
-	return PageMeta{
-		LPN:      binary.LittleEndian.Uint64(b[0:]),
-		ObjectID: binary.LittleEndian.Uint32(b[8:]),
-		RegionID: binary.LittleEndian.Uint32(b[12:]),
-		Seq:      binary.LittleEndian.Uint64(b[16:]),
-		Flags:    binary.LittleEndian.Uint16(b[24:]),
-	}
 }
 
 // Flag bits used by the storage layers above.

@@ -18,16 +18,17 @@
 // one-element entries ReadPage, WritePage) and the GC copyback batches all
 // go through it; a single command is a batch of one.
 //
-// Requests carry a priority class (host reads > host writes > GC/copyback).
-// Within one dispatch the per-die queues are drained in priority order, so a
-// host read submitted alongside background GC traffic acquires the die first.
-// Priorities do not reach across dispatches: once a batch is dispatched its
-// device time is reserved, exactly as hardware cannot abort an in-flight
-// program.  A later dispatch is served around those reservations — in the
-// idle time before them when its cursor arrives earlier, behind them
-// otherwise — whatever its class; it never displaces one.  Equally long
-// commands of one dispatch to one die (the programs of a block) keep their
-// submission order: each takes the earliest idle stretch the one before left.
+// Requests carry a priority class (host read, host write, GC/copyback), which
+// labels the scheduler's counters and latency histograms.  It does not order
+// anything: no caller mixes classes in one batch (host reads, host writes and
+// GC copybacks are each submitted alone), and a dispatch drains each die's
+// requests in submission order.  Once a batch is dispatched its device time is
+// reserved, exactly as hardware cannot abort an in-flight program.  A later
+// dispatch is served around those reservations — in the idle time before them
+// when its cursor arrives earlier, behind them otherwise — whatever its class;
+// it never displaces one.  Equally long commands of one dispatch to one die
+// (the programs of a block) keep their submission order: each takes the
+// earliest idle stretch the one before left.
 // DieIdleAt stays the end of everything dispatched to a die, not its first
 // idle instant: background GC aims behind all known work.
 package iosched
@@ -44,12 +45,11 @@ import (
 	"noftl/internal/sim"
 )
 
-// Priority is the scheduling class of a request.  Lower values are served
-// first when requests compete for the same die within one dispatch.
+// Priority is the class of a request: it labels the scheduler's counters.
 type Priority uint8
 
 const (
-	// PrioHostRead is the highest class: a transaction is blocked on it.
+	// PrioHostRead covers host page reads: a transaction is blocked on them.
 	PrioHostRead Priority = iota
 	// PrioHostWrite covers foreground writes and write-back groups.
 	PrioHostWrite
@@ -106,7 +106,7 @@ type Request struct {
 	Data []byte
 	// Meta is the OOB metadata of OpProgram.
 	Meta flash.PageMeta
-	// Priority is the scheduling class.
+	// Priority is the request's class.
 	Priority Priority
 	// Tag is an opaque caller value (e.g. the LPN) carried into the
 	// Completion.
@@ -172,8 +172,6 @@ type Scheduler struct {
 	reqs     [numPriorities][]*metrics.Counter // [prio][die]
 	lat      [numPriorities]*metrics.Histogram
 	batches  *metrics.Counter
-	gcSteps  *metrics.Counter
-	gcStalls *metrics.Counter
 	maxBatch metrics.Gauge
 
 	tracer *obs.Tracer // nil when tracing is off: one nil compare per command
@@ -206,10 +204,6 @@ func (s *Scheduler) bind(reg *metrics.Registry) {
 	}
 	s.batches = reg.Counter("noftl_iosched_batches_total",
 		"Request batches dispatched by the I/O scheduler.").With()
-	s.gcSteps = reg.Counter("noftl_iosched_gc_steps_total",
-		"Background GC steps observed by the scheduler.").With()
-	s.gcStalls = reg.Counter("noftl_iosched_gc_stalls_total",
-		"Foreground GC stalls (allocation blocked at the low watermark).").With()
 }
 
 // AttachObs wires the scheduler to the observability plane: flash-command
@@ -232,8 +226,6 @@ type Stats struct {
 	HostReads  int64 // requests per priority class
 	HostWrites int64
 	GC         int64
-	GCSteps    int64
-	GCStalls   int64
 	// Latency of the successful commands of each priority class.
 	HostReadLatency  metrics.Snapshot
 	HostWriteLatency metrics.Snapshot
@@ -255,8 +247,6 @@ func (s *Scheduler) Stats() Stats {
 		HostReads:        byPrio[PrioHostRead],
 		HostWrites:       byPrio[PrioHostWrite],
 		GC:               byPrio[PrioGC],
-		GCSteps:          s.gcSteps.Value(),
-		GCStalls:         s.gcStalls.Value(),
 		HostReadLatency:  s.lat[PrioHostRead].Snapshot(),
 		HostWriteLatency: s.lat[PrioHostWrite].Snapshot(),
 		GCLatency:        s.lat[PrioGC].Snapshot(),
@@ -273,8 +263,6 @@ func (s *Scheduler) ResetCounters() {
 		s.lat[p].Reset()
 	}
 	s.batches.Reset()
-	s.gcSteps.Reset()
-	s.gcStalls.Reset()
 	s.maxBatch.Set(0)
 }
 
@@ -291,8 +279,7 @@ func (s *Scheduler) Submit(now sim.Time, reqs []Request) ([]Completion, sim.Time
 // the extended slice with the batch makespan.
 //
 // Requests to different dies overlap in virtual time; requests to the same
-// die are served in priority order (FIFO within a class) on the die's
-// single-server queue.
+// die are served in submission order on the die's single-server queue.
 //
 // Submit takes no scheduler-wide lock: concurrent submitters contend only on
 // the per-die/per-channel resources of the device model (and then only when
@@ -303,25 +290,20 @@ func (s *Scheduler) SubmitAppend(dst []Completion, now sim.Time, reqs []Request)
 	if len(reqs) == 0 {
 		return dst, now
 	}
-	// Dispatch order: priority class first, then die, and submission order
-	// within (priority, die), which the NAND sequential-programming
-	// constraint requires for programs to the same block.  A batch already
-	// in that order is dispatched as it stands; any other through a stable
-	// sort of its indices, whose permutation is the one order there is.
-	byPrioDie := func(a, b int) int {
-		if c := cmp.Compare(reqs[a].Priority, reqs[b].Priority); c != 0 {
-			return c
-		}
-		return cmp.Compare(reqs[a].die(), reqs[b].die())
-	}
+	// Dispatch order: by die, and submission order within a die, which the
+	// NAND sequential-programming constraint requires for programs to the
+	// same block.  A batch already in that order is dispatched as it stands;
+	// any other through a stable sort of its indices, whose permutation is
+	// the one order there is.
+	byDie := func(a, b int) int { return cmp.Compare(reqs[a].die(), reqs[b].die()) }
 	var order []int // nil: request order
 	for i := 1; i < len(reqs); i++ {
-		if byPrioDie(i-1, i) > 0 {
+		if byDie(i-1, i) > 0 {
 			order = make([]int, len(reqs))
 			for j := range order {
 				order[j] = j
 			}
-			slices.SortStableFunc(order, byPrioDie)
+			slices.SortStableFunc(order, byDie)
 			break
 		}
 	}
@@ -368,7 +350,7 @@ func (s *Scheduler) SubmitAppend(dst []Completion, now sim.Time, reqs []Request)
 		if d := req.die(); d >= 0 && d < len(s.reqs[req.Priority]) {
 			s.reqs[req.Priority][d].Inc()
 		}
-		if s.tracer.Enabled(obs.ClassFlash) && c.Err == nil {
+		if s.tracer.Enabled() && c.Err == nil {
 			ev := obs.Event{
 				Class: obs.ClassFlash,
 				Op:    uint8(req.Op),
@@ -404,14 +386,6 @@ func (s *Scheduler) DieIdleAt(die int) sim.Time {
 	}
 	return sim.Time(s.busyUntil[die].Load())
 }
-
-// ObserveGCStep records one bounded background GC step (victim relocation
-// and/or erase) in the scheduler's metrics.
-func (s *Scheduler) ObserveGCStep() { s.gcSteps.Inc() }
-
-// ObserveGCStall records one foreground (blocking) collection: an allocation
-// hit the low watermark and had to wait for GC inline.
-func (s *Scheduler) ObserveGCStall() { s.gcStalls.Inc() }
 
 // Erase performs one block erase at the given priority: a batch of one for
 // the caller whose command has nothing to be batched with.

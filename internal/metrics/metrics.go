@@ -41,9 +41,6 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add adds delta (which may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
 // SetMax raises the gauge to v if v is larger than the current value (an
 // atomic compare-and-swap maximum, for high-water-mark gauges updated from
 // concurrent writers).
@@ -67,14 +64,11 @@ type Histogram struct {
 	buckets [64]int64
 	count   int64
 	sum     int64 // nanoseconds
-	min     int64
 	max     int64
 }
 
 // NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{min: int64(^uint64(0) >> 1)}
-}
+func NewHistogram() *Histogram { return &Histogram{} }
 
 func bucketFor(ns int64) int {
 	// bucket i covers [2^i, 2^(i+1)) microseconds-ish: we bucket by bit
@@ -107,9 +101,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[bucketFor(ns)]++
 	h.count++
 	h.sum += ns
-	if ns < h.min {
-		h.min = ns
-	}
 	if ns > h.max {
 		h.max = ns
 	}
@@ -121,13 +112,6 @@ func (h *Histogram) Count() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.count
-}
-
-// Sum returns the total of all observed durations.
-func (h *Histogram) Sum() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return time.Duration(h.sum)
 }
 
 // exportBuckets returns a copy of the raw per-bucket counts together with the
@@ -159,33 +143,20 @@ func (h *Histogram) Max() time.Duration {
 	return time.Duration(h.max)
 }
 
-// Min returns the smallest observed duration (zero if empty).
-func (h *Histogram) Min() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return time.Duration(h.min)
-}
-
 // Quantile returns an upper-bound estimate of the q-quantile based on the
 // bucket boundaries.  The contract at the edges:
 //
 //   - empty histogram: 0 for every q;
-//   - q <= 0: the exact observed minimum;
 //   - q >= 1: the exact observed maximum;
 //   - otherwise: the upper bound of the bucket holding the ceil(q·count)-th
-//     observation, clamped to the observed maximum so the estimate never
-//     exceeds a value that was actually observed.
+//     observation (the first one for q <= 0), clamped to the observed
+//     maximum so the estimate never exceeds a value that was actually
+//     observed.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.count == 0 {
 		return 0
-	}
-	if q <= 0 {
-		return time.Duration(h.min)
 	}
 	if q >= 1 {
 		return time.Duration(h.max)
@@ -218,7 +189,6 @@ func (h *Histogram) Reset() {
 		h.buckets[i] = 0
 	}
 	h.count, h.sum, h.max = 0, 0, 0
-	h.min = int64(^uint64(0) >> 1)
 	h.mu.Unlock()
 }
 

@@ -242,18 +242,6 @@ func (r *Registry) Histogram(name, help string, labels ...string) HistogramFamil
 	return HistogramFamily{r.family(name, help, KindHistogram, labels)}
 }
 
-// Families returns the registered family names, sorted.
-func (r *Registry) Families() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.families))
-	for name := range r.families {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // labelPairs renders {k="v",...} for sample lines; extra appends one more
 // pair (the histogram le label).  Empty schema and no extra renders nothing.
 func labelPairs(names, values []string, extraName, extraValue string) string {

@@ -36,8 +36,8 @@ func TestRegistryFamiliesAndText(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
 		}
 	}
-	if got := r.Families(); len(got) != 3 {
-		t.Fatalf("Families() = %v", got)
+	if got := strings.Count(text, "# TYPE "); got != 3 {
+		t.Fatalf("exposition has %d families, want 3:\n%s", got, text)
 	}
 }
 

@@ -12,21 +12,19 @@
 // nil-safe — a disabled tracer is simply a nil pointer, so the disabled path
 // is one pointer compare and no allocations (events are fixed-size value
 // structs that never escape when the guard is false).  The enabled path takes
-// one short mutex-protected ring-buffer store; per-class sampling cuts even
-// that for high-frequency classes.
+// one short mutex-protected ring-buffer store and records every event.
 package obs
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"noftl/internal/metrics"
 	"noftl/internal/sim"
 )
 
-// Class identifies the kind of event.  Classes gate sampling and filtering;
-// the Op field refines the class (e.g. which flash command).
+// Class identifies the kind of event; the Op field refines the class (e.g.
+// which flash command).
 type Class uint8
 
 // Event classes.
@@ -146,9 +144,6 @@ func (e Event) Latency() sim.Duration { return e.End.Sub(e.Start) }
 // a valid, permanently disabled tracer: every method is nil-safe, and the
 // Enabled guard compiles to a pointer compare — the "tracing off" fast path.
 type Tracer struct {
-	mask    atomic.Uint32             // bit i set = class i enabled
-	sample  [NumClasses]atomic.Uint32 // record every Nth event (0/1 = all)
-	skip    [NumClasses]atomic.Uint32 // per-class arrival counters for sampling
 	started time.Time
 
 	mu   sync.Mutex
@@ -164,7 +159,7 @@ type Tracer struct {
 const DefaultCapacity = 1 << 16
 
 // NewTracer returns a tracer with the given ring capacity (DefaultCapacity
-// when cap <= 0).  All classes start enabled with sampling 1 (every event).
+// when cap <= 0).
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
@@ -173,7 +168,6 @@ func NewTracer(capacity int) *Tracer {
 		buf:     make([]Event, 0, capacity),
 		started: time.Now(),
 	}
-	t.mask.Store(1<<NumClasses - 1)
 	t.AttachObs(metrics.NewRegistry())
 	return t
 }
@@ -186,50 +180,16 @@ func (t *Tracer) AttachObs(reg *metrics.Registry) {
 		"Trace events overwritten after the ring buffer wrapped.").With()
 }
 
-// Enabled reports whether events of the class are currently recorded.  It is
-// the hook-site guard and is nil-safe: a nil tracer is always disabled.
-func (t *Tracer) Enabled(c Class) bool {
-	return t != nil && t.mask.Load()&(1<<c) != 0
-}
-
-// SetClasses replaces the enabled class set (empty disables everything).
-func (t *Tracer) SetClasses(classes ...Class) {
-	if t == nil {
-		return
-	}
-	var m uint32
-	for _, c := range classes {
-		if c < NumClasses {
-			m |= 1 << c
-		}
-	}
-	t.mask.Store(m)
-}
-
-// SetSampling records only every Nth event of the class (n <= 1 restores
-// every event).  Sampling applies after the Enabled guard, so a heavily
-// sampled class still pays only the guard on skipped events.
-func (t *Tracer) SetSampling(c Class, n int) {
-	if t == nil || c >= NumClasses {
-		return
-	}
-	if n < 1 {
-		n = 1
-	}
-	t.sample[c].Store(uint32(n))
-}
+// Enabled reports whether events are recorded.  It is the hook-site guard
+// and is nil-safe: a nil tracer is always disabled.
+func (t *Tracer) Enabled() bool { return t != nil }
 
 // Record stores one event.  The tracer assigns Seq and Wall; everything else
 // is the caller's.  Nil-safe (no-op) so hook sites may skip the Enabled guard
 // when they already built the event.
 func (t *Tracer) Record(e Event) {
-	if t == nil || t.mask.Load()&(1<<e.Class) == 0 {
+	if t == nil {
 		return
-	}
-	if n := t.sample[e.Class].Load(); n > 1 {
-		if t.skip[e.Class].Add(1)%n != 0 {
-			return
-		}
 	}
 	e.Wall = int64(time.Since(t.started))
 	t.recorded.Inc()
@@ -291,8 +251,7 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// Reset drops every retained event and zeroes the counters; class mask and
-// sampling survive.
+// Reset drops every retained event and zeroes the counters.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return

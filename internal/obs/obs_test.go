@@ -67,46 +67,12 @@ func TestTracerRingWrap(t *testing.T) {
 	}
 }
 
-func TestTracerClassMask(t *testing.T) {
-	tr := NewTracer(16)
-	tr.SetClasses(ClassGCStep)
-	if tr.Enabled(ClassFlash) {
-		t.Fatal("ClassFlash should be masked off")
-	}
-	if !tr.Enabled(ClassGCStep) {
-		t.Fatal("ClassGCStep should be enabled")
-	}
-	tr.Record(Event{Class: ClassFlash})
-	tr.Record(Event{Class: ClassGCStep})
-	if tr.Len() != 1 || tr.Events()[0].Class != ClassGCStep {
-		t.Fatalf("mask not applied on Record: %+v", tr.Events())
-	}
-}
-
-func TestTracerSampling(t *testing.T) {
-	tr := NewTracer(1024)
-	tr.SetSampling(ClassFlash, 10)
-	for i := 0; i < 100; i++ {
-		tr.Record(Event{Class: ClassFlash})
-	}
-	if got := tr.Len(); got != 10 {
-		t.Fatalf("sampled 1-in-10 over 100 events: got %d, want 10", got)
-	}
-	tr.SetSampling(ClassFlash, 0) // restores record-everything
-	tr.Record(Event{Class: ClassFlash})
-	if got := tr.Len(); got != 11 {
-		t.Fatalf("after sampling reset: got %d, want 11", got)
-	}
-}
-
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled(ClassFlash) {
+	if tr.Enabled() {
 		t.Fatal("nil tracer should be disabled")
 	}
 	tr.Record(Event{Class: ClassFlash})
-	tr.SetClasses(ClassFlash)
-	tr.SetSampling(ClassFlash, 2)
 	tr.Reset()
 	if tr.Len() != 0 || tr.Recorded() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer should report empty everything")
@@ -122,24 +88,12 @@ func TestNilTracerIsSafe(t *testing.T) {
 func TestDisabledPathAllocs(t *testing.T) {
 	var tr *Tracer
 	allocs := testing.AllocsPerRun(1000, func() {
-		if tr.Enabled(ClassFlash) {
+		if tr.Enabled() {
 			tr.Record(Event{Class: ClassFlash, Die: 1, Start: 0, End: 1})
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled trace path allocated %.1f per op, want 0", allocs)
-	}
-
-	// A masked-off class on a live tracer must not allocate either.
-	live := NewTracer(16)
-	live.SetClasses() // nothing enabled
-	allocs = testing.AllocsPerRun(1000, func() {
-		if live.Enabled(ClassFlash) {
-			live.Record(Event{Class: ClassFlash})
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("masked trace path allocated %.1f per op, want 0", allocs)
 	}
 }
 

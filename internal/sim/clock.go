@@ -72,10 +72,10 @@ const maxSpans = 256
 
 // Resource is a single-server queue living in virtual time that serves its
 // requests in arrival order: a NAND die, a flash channel, or any other device
-// component that serves one operation at a time.  It is safe for concurrent use.
+// component that serves one operation at a time.  The zero value is an idle
+// resource; it is safe for concurrent use.
 type Resource struct {
-	mu   sync.Mutex
-	name string
+	mu sync.Mutex
 	// spans is the timeline: the disjoint busy intervals in time order,
 	// adjacent ones merged, so a saturated resource holds a single span.
 	// Nothing is ever placed before floor, the end of the forgotten history.
@@ -84,12 +84,6 @@ type Resource struct {
 	busy   Duration // cumulative service time
 	served int64    // number of operations served
 }
-
-// NewResource returns an idle resource with the given diagnostic name.
-func NewResource(name string) *Resource { return &Resource{name: name} }
-
-// Name returns the diagnostic name given at construction.
-func (r *Resource) Name() string { return r.name }
 
 // Acquire serves an operation of length d for an actor whose current virtual
 // time is now.  It returns the operation's start and completion times.  The

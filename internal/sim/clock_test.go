@@ -10,7 +10,7 @@ import (
 )
 
 func TestResourceAcquireSequential(t *testing.T) {
-	r := NewResource("die0")
+	r := new(Resource)
 	start, done := r.Acquire(0, 100*time.Nanosecond)
 	if start != 0 || done != 100 {
 		t.Fatalf("first op: got start=%d done=%d, want 0/100", start, done)
@@ -34,7 +34,7 @@ func TestResourceAcquireSequential(t *testing.T) {
 }
 
 func TestResourceConcurrentAccounting(t *testing.T) {
-	r := NewResource("die")
+	r := new(Resource)
 	const workers = 8
 	const perWorker = 1000
 	var wg sync.WaitGroup
@@ -152,7 +152,7 @@ func (q *fcfs) acquire(now Time, d Duration) (start, done Time) {
 // and it occupies the resource for exactly its service time.
 func TestResourceFCFSProperty(t *testing.T) {
 	f := func(arrivals []uint16, services []uint8) bool {
-		r := NewResource("p")
+		r := new(Resource)
 		var q fcfs
 		n := min(len(arrivals), len(services))
 		for i := 0; i < n; i++ {
@@ -184,7 +184,7 @@ func TestResourceFCFSProperty(t *testing.T) {
 func TestResourceTimelineProperty(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		rng := NewRand(seed)
-		r := NewResource("die")
+		r := new(Resource)
 		var q fcfs
 		durations := []Duration{10, 40, 350, 1500} // transfer, read, program, erase
 		cursors := []Time{0, 3_000, 50_000, 97_000}
@@ -224,7 +224,7 @@ func TestResourceTimelineProperty(t *testing.T) {
 // times submission-order FCFS gave, bit for bit (recorded from that rule), and
 // keep a saturated stretch as one span.
 func TestResourceSingleActorReproducesFCFS(t *testing.T) {
-	r := NewResource("die")
+	r := new(Resource)
 	trace := []struct {
 		now         Time
 		d           Duration
@@ -257,7 +257,7 @@ func TestResourceSingleActorReproducesFCFS(t *testing.T) {
 // before it, and one that lags behind the whole remembered history is served
 // at the start of that history, never inside what was forgotten.
 func TestResourceServesArrivalOrderAndPrunes(t *testing.T) {
-	r := NewResource("die")
+	r := new(Resource)
 	if start, _ := r.Acquire(50_000, 350); start != 50_000 {
 		t.Fatalf("leader start = %d, want 50000", start)
 	}

@@ -431,9 +431,13 @@ func (t *Txn) Lock(key string, mode LockMode) error {
 
 // Log appends a record to the WAL on behalf of the transaction; its payload is
 // the concatenation of the parts given.  A record the log refuses is not
-// durable: the caller must fail the operation.
+// durable: the caller must fail the operation.  A committed or aborted
+// transaction logs nothing and gets ErrTxnDone.
 func (t *Txn) Log(typ wal.RecordType, objectID uint32, payload ...[]byte) error {
-	if t.mgr.log == nil || t.state != Active {
+	if t.state != Active {
+		return ErrTxnDone
+	}
+	if t.mgr.log == nil {
 		return nil
 	}
 	t.logBegin()

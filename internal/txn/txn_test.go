@@ -166,6 +166,9 @@ func TestTxnLifecycle(t *testing.T) {
 	if err := tx.Lock("x", Shared); !errors.Is(err, ErrTxnDone) {
 		t.Fatalf("lock after commit: %v", err)
 	}
+	if err := tx.Log(wal.RecInsert, 1, []byte("late")); !errors.Is(err, ErrTxnDone) {
+		t.Fatalf("log after commit: %v", err)
+	}
 	// Another transaction can take the released lock immediately.
 	tx2 := m.Begin(done)
 	if err := tx2.Lock("W:1", Exclusive); err != nil {

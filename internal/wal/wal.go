@@ -146,11 +146,10 @@ type Log struct {
 	flushedLSN uint64
 	horizon    uint64 // first LSN the newest force had to make durable
 
-	cur        []byte   // current (partial) log page image
-	curLPN     core.LPN // logical page the current page will be written to
-	sealedWr   []sealedPage
-	pages      []core.LPN          // every log page ever allocated, in order
-	pageMaxLSN map[core.LPN]uint64 // highest LSN stored in each sealed page
+	cur      []byte   // current (partial) log page image
+	curLPN   core.LPN // logical page the current page will be written to
+	sealedWr []sealedPage
+	pages    []logPage // every live log page, in allocation order; the last is the current one
 
 	// Buffers a force reuses, so it allocates nothing per page: the snapshot
 	// of the current page, the write batch, the list that collects the pages
@@ -171,12 +170,9 @@ type Log struct {
 	groupedTxns   *metrics.Counter // committers served by Commit, across all groups
 	pagesTrimmed  int64
 
-	// Byte accounting across checkpoints: pageBytes tracks the encoded
-	// record bytes held by each live log page and bytesLive their total, so
-	// Truncate can move a dropped page's bytes from the live total to the
-	// trimmed counter instead of leaking them (appended = trimmed + live
-	// between two ResetCounters calls).
-	pageBytes map[core.LPN]int64
+	// bytesLive is the total of the live pages' bytes: Truncate moves a
+	// dropped page's bytes from it to the trimmed counter (appended = trimmed
+	// + live between two ResetCounters calls).
 	bytesLive int64
 
 	// Group commit.  One force is on the device at a time, run by its leader
@@ -197,16 +193,22 @@ type sealedPage struct {
 	data []byte
 }
 
+// logPage is the log's record of one live page.
+type logPage struct {
+	lpn    core.LPN
+	maxLSN uint64 // highest LSN the page holds, set when it is sealed
+	bytes  int64  // encoded record bytes the page holds
+	sealed bool
+}
+
 // New creates a log writing pages through mgr with the given placement hint
 // (normally the hint of the log object's tablespace).
 func New(mgr *core.Manager, hint core.Hint, pageSize int) *Log {
 	l := &Log{
-		mgr:        mgr,
-		hint:       hint,
-		pageSize:   pageSize,
-		nextLSN:    1,
-		pageMaxLSN: make(map[core.LPN]uint64),
-		pageBytes:  make(map[core.LPN]int64),
+		mgr:      mgr,
+		hint:     hint,
+		pageSize: pageSize,
+		nextLSN:  1,
 	}
 	l.commitCond = sync.NewCond(&l.mu)
 	l.hint.Flags |= flashFlagLog
@@ -245,7 +247,7 @@ func (l *Log) openPage() {
 		l.cur = make([]byte, l.pageSize)
 	}
 	storage.InitPage(l.cur, storage.PageTypeLog, l.hint.ObjectID, uint64(l.curLPN))
-	l.pages = append(l.pages, l.curLPN)
+	l.pages = append(l.pages, logPage{lpn: l.curLPN})
 }
 
 // AttachObs wires the log to the trace recorder and re-binds its counters to
@@ -335,7 +337,8 @@ func (l *Log) Append(typ RecordType, txnID uint64, objectID uint32, payload ...[
 	if err != nil {
 		// Current page is full: seal it and start a new one.
 		l.sealedWr = append(l.sealedWr, sealedPage{lpn: l.curLPN, data: l.cur})
-		l.pageMaxLSN[l.curLPN] = l.nextLSN - 1
+		cur := &l.pages[len(l.pages)-1]
+		cur.maxLSN, cur.sealed = l.nextLSN-1, true
 		l.openPage()
 		if _, dst, err = storage.AllocRecord(l.cur, size); err != nil {
 			return 0, err
@@ -346,8 +349,8 @@ func (l *Log) Append(typ RecordType, txnID uint64, objectID uint32, payload ...[
 	l.appended.Inc()
 	l.bytesAppended.Add(int64(size))
 	l.bytesLive += int64(size)
-	l.pageBytes[l.curLPN] += int64(size)
-	if l.tracer.Enabled(obs.ClassWALAppend) {
+	l.pages[len(l.pages)-1].bytes += int64(size)
+	if l.tracer.Enabled() {
 		// Append is a pure memory operation: it carries no virtual-time span
 		// of its own (durability cost lands on the Flush event).
 		l.tracer.Record(obs.Event{
@@ -477,7 +480,7 @@ func (l *Log) flushGroupLocked() (sim.Time, error) {
 		l.flushDoneAt = done
 	}
 	l.flushes.Inc()
-	if l.tracer.Enabled(obs.ClassWALSync) {
+	if l.tracer.Enabled() {
 		l.tracer.Record(obs.Event{
 			Class: obs.ClassWALSync, Die: -1, Block: -1, Page: -1,
 			Region: int32(l.hint.Region), Start: flushNow, End: done,
@@ -499,20 +502,14 @@ func (l *Log) Truncate(upToLSN uint64) int {
 	upToLSN = min(upToLSN, l.horizon)
 	dropped := 0
 	kept := l.pages[:0]
-	for _, lpn := range l.pages {
-		maxLSN, sealed := l.pageMaxLSN[lpn]
-		if lpn == l.curLPN || !sealed || maxLSN >= upToLSN {
-			kept = append(kept, lpn)
+	for _, p := range l.pages {
+		// The current page is the one page never sealed.
+		if !p.sealed || p.maxLSN >= upToLSN || l.mgr.TrimPage(p.lpn) != nil {
+			kept = append(kept, p)
 			continue
 		}
-		if err := l.mgr.TrimPage(lpn); err != nil {
-			kept = append(kept, lpn)
-			continue
-		}
-		delete(l.pageMaxLSN, lpn)
-		l.bytesTrimmed.Add(l.pageBytes[lpn])
-		l.bytesLive -= l.pageBytes[lpn]
-		delete(l.pageBytes, lpn)
+		l.bytesTrimmed.Add(p.bytes)
+		l.bytesLive -= p.bytes
 		l.pagesTrimmed++
 		dropped++
 	}

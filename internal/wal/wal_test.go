@@ -34,7 +34,8 @@ func testLog(t *testing.T) (*Log, *core.Manager) {
 func readBack(t *testing.T, l *Log, mgr *core.Manager) []Record {
 	t.Helper()
 	var images []PageImage
-	for i, lpn := range l.pages {
+	for i, p := range l.pages {
+		lpn := p.lpn
 		data, _, err := mgr.ReadPage(0, lpn, make([]byte, l.pageSize))
 		if errors.Is(err, core.ErrUnmappedPage) {
 			continue

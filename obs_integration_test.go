@@ -280,8 +280,8 @@ func checkStatsEqualMetrics(t *testing.T, db *DB, stage string) Stats {
 	eq(sc.HostReads, "noftl_iosched_requests_total", "priority", "host_read")
 	eq(sc.HostWrites, "noftl_iosched_requests_total", "priority", "host_write")
 	eq(sc.GC, "noftl_iosched_requests_total", "priority", "gc")
-	eq(sc.GCSteps, "noftl_iosched_gc_steps_total")
-	eq(sc.GCStalls, "noftl_iosched_gc_stalls_total")
+	eq(sc.GCSteps, "noftl_region_bggc_steps_total")
+	eq(sc.GCStalls, "noftl_region_gc_stalls_total")
 	eq(sc.HostReadLatency.Count, "noftl_iosched_request_latency_seconds_count", "priority", "host_read")
 	eq(sc.HostWriteLatency.Count, "noftl_iosched_request_latency_seconds_count", "priority", "host_write")
 	eq(sc.GCLatency.Count, "noftl_iosched_request_latency_seconds_count", "priority", "gc")

@@ -66,7 +66,8 @@ type SchedulerStats struct {
 	HostWrites int64
 	GC         int64
 	// GCSteps and GCStalls count bounded background GC steps and foreground
-	// (blocking) collections.
+	// (blocking) collections: they are Space.BGGCSteps and Space.GCStalls,
+	// which the space manager counts per region.
 	GCSteps  int64
 	GCStalls int64
 	// HostReadLatency, HostWriteLatency and GCLatency summarise the
@@ -184,6 +185,7 @@ func (db *DB) Stats() Stats {
 	space := db.space.Stats()
 	read, write := space.LatencySnapshot()
 	lockStats := db.txns.LockManager().Stats()
+	sc := db.space.Scheduler().Stats()
 	st := Stats{
 		Simulated:    time.Duration(db.clock.Now()),
 		TxnStarted:   db.txns.Started(),
@@ -195,8 +197,14 @@ func (db *DB) Stats() Stats {
 			LocksHeld:    lockStats.Held,
 			LockWaiting:  lockStats.Waiting,
 		},
-		Buffer:       db.pool.Stats(),
-		Scheduler:    SchedulerStats(db.space.Scheduler().Stats()),
+		Buffer: db.pool.Stats(),
+		Scheduler: SchedulerStats{
+			Batches: sc.Batches, Requests: sc.Requests, MaxBatch: sc.MaxBatch,
+			HostReads: sc.HostReads, HostWrites: sc.HostWrites, GC: sc.GC,
+			GCSteps: space.BGGCSteps, GCStalls: space.GCStalls,
+			HostReadLatency: sc.HostReadLatency, HostWriteLatency: sc.HostWriteLatency,
+			GCLatency: sc.GCLatency,
+		},
 		Space:        space,
 		Device:       db.dev.Stats(),
 		Objects:      db.ObjectStats(),

@@ -97,6 +97,15 @@ const cpuPerOp = 5 * time.Microsecond
 
 func (tx *Tx) chargeOp() { tx.inner.Charge(cpuPerOp) }
 
+// writable refuses a write on a committed or aborted transaction before it
+// touches a page: its change could not be logged.
+func (tx *Tx) writable() error {
+	if tx.inner.State() != txn.Active {
+		return publicErr(txn.ErrTxnDone)
+	}
+	return nil
+}
+
 // logRow logs the RecInsert or RecUpdate of row at rid: the payload
 // wal.EncodeRowPayload describes, handed to the log in pieces.
 func (tx *Tx) logRow(typ wal.RecordType, objectID uint32, rid RID, row []byte) error {
@@ -138,6 +147,9 @@ func (t *Table) loggable(rows ...[]byte) error {
 
 // Insert adds a row and returns its RID.
 func (t *Table) Insert(tx *Tx, row []byte) (RID, error) {
+	if err := tx.writable(); err != nil {
+		return RID{}, err
+	}
 	tx.chargeOp()
 	if err := t.loggable(row); err != nil {
 		return RID{}, err
@@ -170,6 +182,9 @@ func (t *Table) GetAppend(tx *Tx, rid RID, dst []byte) ([]byte, error) {
 
 // Update replaces the row stored under rid.
 func (t *Table) Update(tx *Tx, rid RID, row []byte) error {
+	if err := tx.writable(); err != nil {
+		return err
+	}
 	tx.chargeOp()
 	if err := t.loggable(row); err != nil {
 		return err
@@ -184,6 +199,9 @@ func (t *Table) Update(tx *Tx, rid RID, row []byte) error {
 
 // Delete removes the row stored under rid.
 func (t *Table) Delete(tx *Tx, rid RID) error {
+	if err := tx.writable(); err != nil {
+		return err
+	}
 	tx.chargeOp()
 	done, err := t.heap.Delete(tx.Now(), rid)
 	if err != nil {
@@ -215,6 +233,9 @@ func (i *Index) Entries() int64 { return i.tree.Entries() }
 
 // Insert adds (or replaces) the entry key -> rid.
 func (i *Index) Insert(tx *Tx, key []byte, rid RID) error {
+	if err := tx.writable(); err != nil {
+		return err
+	}
 	tx.chargeOp()
 	value := rid.Append(make([]byte, 0, 10))
 	done, err := i.tree.Insert(tx.Now(), key, value)
@@ -233,7 +254,7 @@ func (i *Index) Lookup(tx *Tx, key []byte) (RID, bool, error) {
 	var buf [10]byte // the encoded RID
 	val, done, found, err := i.tree.GetAppend(tx.Now(), key, buf[:0])
 	if err != nil {
-		return RID{}, false, err
+		return RID{}, false, publicErr(err)
 	}
 	tx.inner.AdvanceTo(done)
 	if !found {
@@ -241,17 +262,20 @@ func (i *Index) Lookup(tx *Tx, key []byte) (RID, bool, error) {
 	}
 	rid, err := storage.DecodeRID(val)
 	if err != nil {
-		return RID{}, false, err
+		return RID{}, false, publicErr(err)
 	}
 	return rid, true, nil
 }
 
 // Delete removes the entry stored under key.
 func (i *Index) Delete(tx *Tx, key []byte) error {
+	if err := tx.writable(); err != nil {
+		return err
+	}
 	tx.chargeOp()
 	done, err := i.tree.Delete(tx.Now(), key)
 	if err != nil {
-		return err
+		return publicErr(err)
 	}
 	tx.inner.AdvanceTo(done)
 	return tx.inner.Log(wal.RecIndexDelete, i.meta.ObjectID, key)
