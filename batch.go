@@ -1,6 +1,11 @@
 package noftl
 
-import "noftl/internal/wal"
+import (
+	"errors"
+
+	"noftl/internal/buffer"
+	"noftl/internal/wal"
+)
 
 // InsertBatch adds a batch of rows and returns their RIDs in order.  It is
 // the batch-first counterpart of Insert: the tail page is filled first, the
@@ -17,9 +22,7 @@ func (t *Table) InsertBatch(tx *Tx, rows [][]byte) ([]RID, error) {
 	if err := tx.writable(); err != nil {
 		return nil, err
 	}
-	for range rows {
-		tx.chargeOp()
-	}
+	tx.chargeOps(len(rows))
 	if err := t.loggable(rows...); err != nil {
 		return nil, err
 	}
@@ -36,13 +39,16 @@ func (t *Table) InsertBatch(tx *Tx, rows [][]byte) ([]RID, error) {
 // GetBatch returns the rows stored under rids, in order.  The pages involved
 // are read through the buffer pool's batched path: all cache misses of the
 // batch go to the device as one die-striped submission, so rows on different
-// dies are read concurrently in virtual time.  A missing record fails the
-// whole call with ErrNotFound.
+// dies are read concurrently in virtual time.  The rows are the caller's to
+// keep, copied into the transaction's slab (see Index.Range).  A missing
+// record fails the whole call with ErrNotFound, a batch whose pages cannot all
+// be pinned in the buffer pool at once with ErrTooLarge.
 func (t *Table) GetBatch(tx *Tx, rids []RID) ([][]byte, error) {
-	for range rids {
-		tx.chargeOp()
+	tx.chargeOps(len(rids))
+	rows, done, err := t.heap.GetBatch(tx.Now(), rids, &tx.slab)
+	if errors.Is(err, buffer.ErrPoolFull) { // more pages than the pool can pin
+		err = tag(ErrTooLarge, err)
 	}
-	rows, done, err := t.heap.GetBatch(tx.Now(), rids)
 	if err != nil {
 		return nil, publicErr(err)
 	}

@@ -162,6 +162,47 @@ func BenchmarkIndexInsertLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkGetBatch measures Table.GetBatch over a resident 20 000-row table,
+// in the orders its callers send: 50 rows in key order (kv-read-fit's range)
+// and 256 rids in insertion order (a batch_dml chunk).
+func BenchmarkGetBatch(b *testing.B) {
+	db := benchDB(b)
+	tbl, err := db.CreateTable("T", "", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := make([][]byte, 20000)
+	for i := range rows {
+		rows[i] = make([]byte, 100)
+		rows[i][0] = byte(i)
+	}
+	var rids []noftl.RID
+	if err := db.Update(func(tx *noftl.Tx) error {
+		rids, err = tbl.InsertBatch(tx, rows)
+		return err
+	}); err != nil {
+		b.Fatal(err)
+	}
+	tx := db.Begin()
+	defer tx.Abort()
+	if _, err := tbl.GetBatch(tx, rids); err != nil { // make every page resident
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		rids []noftl.RID
+	}{{"range50", rids[10000:10050]}, {"chunk256", rids[10240:10496]}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := tbl.GetBatch(tx, c.rids); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFlashWritePath measures the raw NoFTL write path (space manager +
 // flash model) without the database layers on top.
 func BenchmarkFlashWritePath(b *testing.B) {

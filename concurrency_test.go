@@ -11,10 +11,13 @@ import (
 )
 
 // TestConcurrentBatchDML drives InsertBatch, GetBatch and the Rows iterator
-// from many goroutines against one database.  It is primarily a -race test
+// from many goroutines against one database, while one more rewrites
+// committed rows in place at the same length.  It is primarily a -race test
 // of the concurrency spine (sharded buffer pool, lock table, lock-free
 // scheduler dispatch, WAL group commit); the assertions check that
-// nothing inserted is lost or corrupted along the way.
+// nothing inserted is lost or corrupted along the way, and that every row a
+// GetBatch returns is a value written for its rid (GetBatch sizes its rows
+// and copies them under two separate latches of each page).
 func TestConcurrentBatchDML(t *testing.T) {
 	db, err := Open(WithBufferPoolPages(256))
 	if err != nil {
@@ -38,8 +41,18 @@ func TestConcurrentBatchDML(t *testing.T) {
 		writerWG sync.WaitGroup
 		done     atomic.Bool
 	)
+	// A row is a 12-byte name and 32 bytes of one letter: 'x' when inserted,
+	// another when rewritten.
+	committed := make(chan struct{}) // closed once some rows are committed
+	var once sync.Once
+	firstCommit := func() { once.Do(func() { close(committed) }) }
 	row := func(w, r, i int) []byte {
 		return []byte(fmt.Sprintf("w%02d-r%02d-i%03d%s", w, r, i, bytes.Repeat([]byte{'x'}, 32)))
+	}
+	written := func(want, got []byte) bool {
+		pad := got[min(12, len(got)):]
+		return len(got) == len(want) && bytes.Equal(got[:12], want[:12]) &&
+			pad[0] >= 'a' && pad[0] <= 'z' && bytes.Count(pad, pad[:1]) == len(pad)
 	}
 
 	for w := 0; w < writers; w++ {
@@ -64,14 +77,16 @@ func TestConcurrentBatchDML(t *testing.T) {
 				rids = append(rids, got...)
 				rows = append(rows, batch...)
 				mu.Unlock()
+				firstCommit()
 			}
 		}(w)
 	}
 
 	// Readers run GetBatch over everything committed so far and iterate the
-	// table while the writers are still inserting.  The table is
-	// append-only, so every already-published rid must stay readable and
-	// every row seen by the iterator must be well-formed.
+	// table while the writers are still inserting.  No row is deleted, so
+	// every already-published rid must stay readable, every row GetBatch
+	// returns must be a value written for its rid and every row seen by the
+	// iterator must be well-formed.
 	var readerWG sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		readerWG.Add(1)
@@ -80,6 +95,7 @@ func TestConcurrentBatchDML(t *testing.T) {
 			for !done.Load() {
 				mu.Lock()
 				snapshot := append([]RID(nil), rids...)
+				want := append([][]byte(nil), rows...)
 				mu.Unlock()
 				if err := db.View(func(tx *Tx) error {
 					if len(snapshot) > 0 {
@@ -88,8 +104,8 @@ func TestConcurrentBatchDML(t *testing.T) {
 							return err
 						}
 						for i, r := range got {
-							if len(r) == 0 || r[0] != 'w' {
-								return fmt.Errorf("rid %v: malformed row %q", snapshot[i], r)
+							if !written(want[i], r) {
+								return fmt.Errorf("rid %v: got %q, written %q", snapshot[i], r, want[i])
 							}
 						}
 					}
@@ -112,7 +128,52 @@ func TestConcurrentBatchDML(t *testing.T) {
 		}()
 	}
 
+	// The rewriter overwrites 16 committed rows per transaction with a new
+	// letter of padding, and publishes a value once its transaction commits.
+	// It starts once some rows are committed, runs at least 200 transactions,
+	// and the readers read until it stops.
+	var inserted atomic.Bool
+	rewriter := make(chan struct{})
+	go func() {
+		defer close(rewriter)
+		<-committed
+		for gen := 0; gen < 200 || !inserted.Load(); gen++ {
+			mu.Lock()
+			n := len(rids)
+			mu.Unlock()
+			if n == 0 { // every writer failed
+				return
+			}
+			ks := make([]int, 16)
+			vals := make([][]byte, 16)
+			if err := db.Update(func(tx *Tx) error {
+				for j := range ks {
+					ks[j] = (gen*7919 + j*104729) % n
+					mu.Lock()
+					rid, old := rids[ks[j]], rows[ks[j]]
+					mu.Unlock()
+					vals[j] = append(bytes.Clone(old[:12]), bytes.Repeat([]byte{byte('a' + gen%26)}, 32)...)
+					if err := tbl.Update(tx, rid, vals[j]); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Errorf("rewriter: %v", err)
+				return
+			}
+			mu.Lock()
+			for j, k := range ks {
+				rows[k] = vals[j]
+			}
+			mu.Unlock()
+		}
+	}()
+
 	writerWG.Wait()
+	firstCommit()
+	inserted.Store(true)
+	<-rewriter
 	done.Store(true)
 	readerWG.Wait()
 	if t.Failed() {

@@ -34,8 +34,9 @@ var (
 	// ErrRegionFull reports a write that exceeded its region's logical
 	// capacity (and could not spill).
 	ErrRegionFull = errors.New("noftl: region full")
-	// ErrTooLarge reports a row that fits no heap page or — with the WAL on —
-	// no log record, or an index key too large for a B+-tree node.
+	// ErrTooLarge reports a row that fits no heap page or no log record, an
+	// index key too large for a B+-tree node, or a Table.GetBatch whose pages
+	// cannot all be pinned in the buffer pool at once.
 	ErrTooLarge = errors.New("noftl: row or key too large")
 	// ErrCrashed reports that the simulated device hit an injected crash
 	// point (see WithFaultPlan): every further operation fails until the

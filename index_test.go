@@ -319,6 +319,189 @@ func TestIndexRangeKeysFromOneSlab(t *testing.T) {
 	}
 }
 
+// keyedTable opens a smallConfig database with a 256-page pool and a table T
+// of keyedRows 0..n (98-byte rows, about 19 to a page, all resident) indexed
+// by T_PK, and returns the table with the rows' rids in insertion order.
+func keyedTable(t *testing.T, n int) (*DB, *Table, *Index, []RID) {
+	t.Helper()
+	cfg := smallConfig()
+	cfg.BufferPoolPages = 256
+	db, err := OpenConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	tbl, err := db.CreateTable("T", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := db.CreateIndex("T_PK", "T", []string{"k"}, true, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyedRows(t, db, tbl, idx, 0, n)
+	var rids []RID
+	if err := db.View(func(tx *Tx) error {
+		for _, rid := range idx.Range(tx, nil, nil) {
+			rids = append(rids, rid)
+		}
+		return tx.Err()
+	}); err != nil || len(rids) != n {
+		t.Fatalf("index holds %d rids (%v), want %d", len(rids), err, n)
+	}
+	return db, tbl, idx, rids
+}
+
+// TestGetBatchRowsFromOneSlab: a 50-row GetBatch of resident rows on three or
+// more pages allocates at most three times (its output, the pool's handles
+// and at most one chunk of the transaction's slab), and every row it returns
+// is the caller's: appending to one writes into no other, and the rows read
+// back unchanged after a later GetBatch and Range in the same transaction.
+// The rows of Table.Rows are as safe to append to.
+func TestGetBatchRowsFromOneSlab(t *testing.T) {
+	db, tbl, idx, all := keyedTable(t, 1000)
+	rids := all[100:150]
+	if pages := len(slices.CompactFunc(slices.Clone(rids), func(a, b RID) bool { return a.LPN == b.LPN })); pages < 3 {
+		t.Fatalf("the 50 rows lie on %d pages, want at least 3", pages)
+	}
+	tx := db.Begin()
+	defer tx.Abort()
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := tbl.GetBatch(tx, rids); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 3 {
+		t.Errorf("a 50-row GetBatch of resident rows allocates %v times, want at most 3", n)
+	}
+	rows, err := tbl.GetBatch(tx, rids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		_ = append(row, 'X')
+	}
+	if _, err := tbl.GetBatch(tx, all[500:550]); err != nil {
+		t.Fatal(err)
+	}
+	for range idx.Range(tx, []byte("k0000600"), []byte("k0000700")) {
+	}
+	for i, row := range rows {
+		if !bytes.Equal(row, keyedRow(100+i)) {
+			t.Errorf("row %d reads %q after appends, a GetBatch and a Range, want %q", i, row, keyedRow(100+i))
+		}
+	}
+
+	var scanned [][]byte
+	for _, row := range tbl.Rows(tx) {
+		scanned = append(scanned, row)
+	}
+	for _, row := range scanned {
+		_ = append(row, 'X')
+	}
+	if err := tx.Err(); err != nil || len(scanned) != len(all) {
+		t.Fatalf("Rows yielded %d rows (%v), want %d", len(scanned), err, len(all))
+	}
+	for i, row := range scanned {
+		if !bytes.Equal(row, keyedRow(i)) {
+			t.Fatalf("Rows row %d reads %q after an append to every row, want %q", i, row, keyedRow(i))
+		}
+	}
+}
+
+// TestGetBatchInterleavedAndDuplicateRids: rids that alternate between two
+// pages, and rids repeated, each return their own row, in the order asked.
+func TestGetBatchInterleavedAndDuplicateRids(t *testing.T) {
+	db, tbl, _, all := keyedTable(t, 100)
+	b := slices.IndexFunc(all, func(r RID) bool { return r.LPN != all[0].LPN }) // first row of page B
+	if b < 3 || b+3 > len(all) {
+		t.Fatalf("page A holds %d rows, want at least 3", b)
+	}
+	want := []int{0, b, 1, b + 1, 2, b + 2, 0, 0, b + 2, b + 2, 1}
+	rids := make([]RID, len(want))
+	for i, k := range want {
+		rids[i] = all[k]
+	}
+	if err := db.View(func(tx *Tx) error {
+		rows, err := tbl.GetBatch(tx, rids)
+		if err != nil {
+			return err
+		}
+		for i, row := range rows {
+			if !bytes.Equal(row, keyedRow(want[i])) {
+				return fmt.Errorf("row %d (rid %v) reads %q, want %q", i, rids[i], row, keyedRow(want[i]))
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGetBatchDeletedSlotReleasesLatches: a deleted slot in the middle of a
+// batch fails the call with ErrNotFound and leaves no page latched: an update
+// of another row on the same page, in the same transaction, returns (a held
+// read latch would block it until the test times out).
+func TestGetBatchDeletedSlotReleasesLatches(t *testing.T) {
+	db, tbl, _, all := keyedTable(t, 100)
+	if all[4].LPN != all[5].LPN || all[5].LPN != all[6].LPN {
+		t.Fatal("rows 4 to 6 are not on one page")
+	}
+	if err := db.Update(func(tx *Tx) error { return tbl.Delete(tx, all[5]) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Update(func(tx *Tx) error {
+		if _, err := tbl.GetBatch(tx, all[:10]); !errors.Is(err, ErrNotFound) {
+			return fmt.Errorf("GetBatch over a deleted slot: %v, want ErrNotFound", err)
+		}
+		return tbl.Update(tx, all[4], keyedRow(4))
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGetBatchTooLargeForThePool: a GetBatch over more one-row pages than the
+// pool has frames fails with ErrTooLarge, and pins nothing it keeps: a
+// 10-rid GetBatch in the same transaction then succeeds.
+func TestGetBatchTooLargeForThePool(t *testing.T) {
+	db, err := OpenConfig(smallConfig()) // 64 frames
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable("T", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]byte, 200)
+	for i := range rows {
+		rows[i] = bytes.Repeat([]byte{byte(i)}, 1100) // two do not fit a 2 KB page
+	}
+	var rids []RID
+	if err := db.Update(func(tx *Tx) error {
+		rids, err = tbl.InsertBatch(tx, rows)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.View(func(tx *Tx) error {
+		if _, err := tbl.GetBatch(tx, rids); !errors.Is(err, ErrTooLarge) {
+			return fmt.Errorf("GetBatch over 200 pages in a 64-page pool: %v, want ErrTooLarge", err)
+		}
+		got, err := tbl.GetBatch(tx, rids[:10])
+		if err != nil {
+			return fmt.Errorf("a 10-rid GetBatch after the failed one: %v", err)
+		}
+		for i, row := range got {
+			if !bytes.Equal(row, rows[i]) {
+				return fmt.Errorf("row %d differs", i)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestScanKeysOfOneTxStayIntact: the scans of one transaction carve their
 // keys from one slab, and a later scan never rewrites what an earlier one
 // handed out: the keys of two scans read back their own bytes after a third,

@@ -13,7 +13,7 @@ import (
 // 0..127 (fills the page to ErrPageFull) or within 8 bytes of the largest
 // record a page can hold (crosses ErrRecordTooLarge and ErrSizeChange).  After
 // every operation the page must not have overrun its free space and every live
-// slot must read back the model's bytes, through ReadRecord and AppendRecord.
+// slot must read back the model's bytes, through recordAt and AppendRecord.
 func FuzzSlottedPage(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 40, 0, 0, 40, 3, 1, 0, 2, 0, 0, 0, 0, 90})
@@ -81,7 +81,7 @@ func FuzzSlottedPage(f *testing.F) {
 				}
 				delete(model, slot)
 			case 3:
-				got, err := ReadRecord(buf, slot)
+				got, err := recordAt(buf, slot)
 				if live != (err == nil) || (live && !bytes.Equal(got, want)) {
 					t.Fatalf("step %d: read slot %d (live %v) = %x, %v; want %x", step, slot, live, got, err, want)
 				}
@@ -99,7 +99,7 @@ func FuzzSlottedPage(f *testing.F) {
 				t.Fatalf("step %d: %d live records, model has %d", step, NumRecords(buf), len(model))
 			}
 			for s, w := range model {
-				if got, err := ReadRecord(buf, s); err != nil || !bytes.Equal(got, w) {
+				if got, err := recordAt(buf, s); err != nil || !bytes.Equal(got, w) {
 					t.Fatalf("step %d: slot %d reads %x (%v), model %x", step, s, got, err, w)
 				}
 			}

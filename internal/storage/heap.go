@@ -197,34 +197,30 @@ func (h *HeapFile) InsertBatch(now sim.Time, recs [][]byte) ([]RID, sim.Time, er
 	// only updated once the pages are materialized, so a failure here cannot
 	// leave the heap pointing at pages that were never written.
 	var full []core.PageWrite
-	var fullRIDs [][]RID // parallel to full: the RIDs packed into each page
 	var newPages []core.LPN
-	cur := []byte(nil)
-	var curLPN core.LPN
-	var curRIDs []RID
+	var cur []byte
+	first, sealed := len(rids), len(rids) // rids[first:sealed] are on full pages
 	openPage := func() {
-		curLPN = h.ts.AllocatePage()
-		newPages = append(newPages, curLPN)
+		newPages = append(newPages, h.ts.AllocatePage())
 		cur = make([]byte, pageSize)
-		InitPage(cur, PageTypeHeap, h.objectID, uint64(curLPN))
-		curRIDs = curRIDs[:0]
+		InitPage(cur, PageTypeHeap, h.objectID, uint64(newPages[len(newPages)-1]))
 	}
 	openPage()
 	for next < len(recs) {
-		rec := recs[next]
-		slot, err := InsertRecord(cur, rec)
+		curLPN := newPages[len(newPages)-1]
+		slot, err := InsertRecord(cur, recs[next])
 		if err != nil {
 			if !errors.Is(err, ErrPageFull) {
-				return rids, now, fmt.Errorf("heap %s: batch insert: %w", h.name, err)
+				return rids[:first], now, fmt.Errorf("heap %s: batch insert: %w", h.name, err)
 			}
 			// Page full: seal it into the write batch and open the next one.
 			// The up-front size check guarantees progress on a fresh page.
 			full = append(full, core.PageWrite{LPN: curLPN, Data: cur, Hint: h.hint()})
-			fullRIDs = append(fullRIDs, append([]RID(nil), curRIDs...))
+			sealed = len(rids)
 			openPage()
 			continue
 		}
-		curRIDs = append(curRIDs, RID{LPN: uint64(curLPN), Slot: slot})
+		rids = append(rids, RID{LPN: uint64(curLPN), Slot: slot})
 		next++
 	}
 
@@ -232,24 +228,18 @@ func (h *HeapFile) InsertBatch(now sim.Time, recs [][]byte) ([]RID, sim.Time, er
 	if len(full) > 0 {
 		done, err := h.pool.WriteThrough(now, full)
 		if err != nil {
-			return rids, now, err
+			return rids[:first], now, err
 		}
 		now = done
 	}
 
 	// Park the partial tail page in the pool so future inserts fill it.
-	if len(curRIDs) > 0 {
-		handle, done, err := h.pool.NewPage(now, curLPN, h.hint())
+	if len(rids) > sealed {
+		handle, done, err := h.pool.NewPage(now, newPages[len(newPages)-1], h.hint())
 		if err != nil {
-			// The sealed pages are durable: adopt them (without the dead
-			// tail LPN) before reporting the failure.
-			sealed := 0
-			for _, pr := range fullRIDs {
-				rids = append(rids, pr...)
-				sealed += len(pr)
-			}
-			h.adoptPages(newPages[:len(newPages)-1], int64(sealed))
-			return rids, done, err
+			// The sealed pages are durable: adopt them (not the tail).
+			h.adoptPages(newPages[:len(newPages)-1], int64(sealed-first))
+			return rids[:sealed], done, err
 		}
 		now = done
 		handle.Lock()
@@ -260,15 +250,7 @@ func (h *HeapFile) InsertBatch(now sim.Time, recs [][]byte) ([]RID, sim.Time, er
 	} else {
 		newPages = newPages[:len(newPages)-1] // the empty tail was never used
 	}
-
-	packed := 0
-	for _, pr := range fullRIDs {
-		rids = append(rids, pr...)
-		packed += len(pr)
-	}
-	rids = append(rids, curRIDs...)
-	packed += len(curRIDs)
-	h.adoptPages(newPages, int64(packed))
+	h.adoptPages(newPages, int64(len(rids)-first))
 	return rids, now, nil
 }
 
@@ -287,22 +269,23 @@ func (h *HeapFile) adoptPages(lpns []core.LPN, records int64) {
 	h.mu.Unlock()
 }
 
-// GetBatch returns copies of the records identified by rids, in order.  The
-// pages involved are fetched through the buffer pool's batched path, so cold
-// pages on different dies are read concurrently in virtual time.
-func (h *HeapFile) GetBatch(now sim.Time, rids []RID) ([][]byte, sim.Time, error) {
+// GetBatch returns copies of the records identified by rids, in order, carved
+// from slab in at most one new chunk (unless a record grows while it runs).
+// The pages involved are fetched through
+// the buffer pool's batched path, so cold pages on different dies are read
+// concurrently in virtual time.
+func (h *HeapFile) GetBatch(now sim.Time, rids []RID, slab *Slab) ([][]byte, sim.Time, error) {
 	out := make([][]byte, len(rids))
 	if len(rids) == 0 {
 		return out, now, nil
 	}
-	// One fetch per distinct page, preserving first-use order.
-	lpns := make([]core.LPN, 0, len(rids))
-	pageOf := make(map[core.LPN]int, len(rids))
-	for _, rid := range rids {
-		lpn := core.LPN(rid.LPN)
-		if _, ok := pageOf[lpn]; !ok {
-			pageOf[lpn] = len(lpns)
-			lpns = append(lpns, lpn)
+	// One page per run of rids on it, so each run takes the page's latch once;
+	// a page in two runs is pinned twice.
+	var lpnBuf [64]core.LPN
+	lpns := lpnBuf[:0]
+	for i, rid := range rids {
+		if i == 0 || rid.LPN != rids[i-1].LPN {
+			lpns = append(lpns, core.LPN(rid.LPN))
 		}
 	}
 	handles, done, err := h.pool.FetchMany(now, lpns, h.hint())
@@ -315,15 +298,29 @@ func (h *HeapFile) GetBatch(now sim.Time, rids []RID) ([][]byte, sim.Time, error
 			hd.Release()
 		}
 	}()
-	for i, rid := range rids {
-		hd := handles[pageOf[core.LPN(rid.LPN)]]
-		hd.RLock()
-		rec, rerr := ReadRecord(hd.Data(), rid.Slot)
-		hd.RUnlock()
-		if rerr != nil {
-			return nil, now, fmt.Errorf("heap %s: %w (%v)", h.name, ErrNotFound, rerr)
+	// Two passes, each latching a run's page once: size the rows, so that
+	// they cost at most one chunk, then copy them.  A row rewritten between
+	// the passes is copied as it is in the second.
+	size := 0
+	for pass := 0; pass < 2; pass++ {
+		slab.Reserve(size)
+		i := 0
+		for _, hd := range handles {
+			hd.RLock()
+			for lpn := rids[i].LPN; i < len(rids) && rids[i].LPN == lpn; i++ {
+				rec, err := recordAt(hd.Data(), rids[i].Slot)
+				if err != nil {
+					hd.RUnlock()
+					return nil, now, fmt.Errorf("heap %s: %w (%v)", h.name, ErrNotFound, err)
+				}
+				if pass == 0 {
+					size += len(rec)
+				} else {
+					out[i] = slab.Copy(rec)
+				}
+			}
+			hd.RUnlock()
 		}
-		out[i] = rec
 	}
 	return out, now, nil
 }
@@ -415,10 +412,9 @@ func (h *HeapFile) Delete(now sim.Time, rid RID) (sim.Time, error) {
 }
 
 // Scan calls fn for every live record in the heap, in page order, with a copy
-// of the record that fn may keep (carved from a Slab).  Returning false stops
+// of the record that fn may keep, carved from slab.  Returning false stops
 // the scan.  It returns the caller's advanced virtual time.
-func (h *HeapFile) Scan(now sim.Time, fn func(rid RID, rec []byte) bool) (sim.Time, error) {
-	var recs Slab
+func (h *HeapFile) Scan(now sim.Time, slab *Slab, fn func(rid RID, rec []byte) bool) (sim.Time, error) {
 	for _, lpn := range h.Pages() {
 		handle, done, err := h.pool.Fetch(now, lpn, h.hint())
 		if err != nil {
@@ -428,7 +424,7 @@ func (h *HeapFile) Scan(now sim.Time, fn func(rid RID, rec []byte) bool) (sim.Ti
 		stop := false
 		handle.RLock()
 		err = IterateRecords(handle.Data(), func(slot uint16, rec []byte) bool {
-			if !fn(RID{LPN: uint64(lpn), Slot: slot}, recs.Copy(rec)) {
+			if !fn(RID{LPN: uint64(lpn), Slot: slot}, slab.Copy(rec)) {
 				stop = true
 				return false
 			}
@@ -447,19 +443,25 @@ func (h *HeapFile) Scan(now sim.Time, fn func(rid RID, rec []byte) bool) (sim.Ti
 }
 
 // Slab hands out copies of byte strings carved from shared chunks, so a scan
-// pays an allocation per chunk, not per entry.  A chunk's capacity doubles
-// from slabMin bytes up to slabMax; a full chunk is replaced, never grown in
-// place, and every copy is capped at its length, so each stays its holder's to
-// keep (and to append to).  The zero Slab is ready to use.
+// or a batch read pays an allocation per chunk, not per entry.  A chunk's
+// capacity doubles from slabMin bytes up to slabMax; a full chunk is replaced,
+// never grown in place, and every copy is capped at its length, so each stays
+// its holder's to keep (and to append to).  A copy its holder keeps keeps its
+// whole chunk alive.  The zero Slab is ready to use.
 type Slab struct{ chunk []byte }
 
 const slabMin, slabMax = 256, 64 << 10
 
+// Reserve makes room for n more bytes of copies in the current chunk.
+func (s *Slab) Reserve(n int) {
+	if cap(s.chunk)-len(s.chunk) < n {
+		s.chunk = make([]byte, 0, max(n, slabMin, min(2*cap(s.chunk), slabMax)))
+	}
+}
+
 // Copy returns a copy of b.
 func (s *Slab) Copy(b []byte) []byte {
-	if cap(s.chunk)-len(s.chunk) < len(b) {
-		s.chunk = make([]byte, 0, max(len(b), slabMin, min(2*cap(s.chunk), slabMax)))
-	}
+	s.Reserve(len(b))
 	n := len(s.chunk)
 	s.chunk = append(s.chunk, b...)
 	return s.chunk[n:len(s.chunk):len(s.chunk)]

@@ -121,7 +121,7 @@ func TestHeapInsertGetUpdateDelete(t *testing.T) {
 	}
 	// Scan sees all live records exactly once.
 	seen := map[string]bool{}
-	if _, err := h.Scan(now, func(rid RID, rec []byte) bool {
+	if _, err := h.Scan(now, new(Slab), func(rid RID, rec []byte) bool {
 		seen[string(rec[:10])] = true
 		return true
 	}); err != nil {
@@ -132,7 +132,7 @@ func TestHeapInsertGetUpdateDelete(t *testing.T) {
 	}
 	// Early-stop scan.
 	count := 0
-	if _, err := h.Scan(now, func(RID, []byte) bool {
+	if _, err := h.Scan(now, new(Slab), func(RID, []byte) bool {
 		count++
 		return false
 	}); err != nil {
@@ -208,5 +208,42 @@ func TestHeapPagesPlacedInHintedRegion(t *testing.T) {
 	}
 	if defStats.HostWrites != 0 {
 		t.Fatalf("writes leaked into the default region: %d", defStats.HostWrites)
+	}
+}
+
+// TestInsertBatchAdoptsSealedPagesWhenTheTailFails: when the pool cannot pin
+// a frame for a batch's partial tail page, the full pages already written are
+// adopted and their RIDs returned with the error; the tail's record is not.
+func TestInsertBatchAdoptsSealedPagesWhenTheTailFails(t *testing.T) {
+	mgr, pool := testEnv(t, 2)
+	ts := NewTablespace("ts", core.DefaultRegionID, 8, mgr)
+	h := NewHeapFile("T", 3, ts, pool)
+	var pins []*buffer.Handle
+	for range 2 {
+		hd, _, err := pool.NewPage(0, ts.AllocatePage(), ts.Hint(3, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pins = append(pins, hd)
+	}
+	recs := make([][]byte, 5) // two 200-byte records fill a 512-byte page
+	for i := range recs {
+		recs[i] = bytes.Repeat([]byte{byte('a' + i)}, 200)
+	}
+	rids, now, err := h.InsertBatch(0, recs)
+	if !errors.Is(err, buffer.ErrPoolFull) || len(rids) != 4 {
+		t.Fatalf("InsertBatch with every frame pinned = %d rids, %v; want 4, ErrPoolFull", len(rids), err)
+	}
+	if h.PageCount() != 2 || h.RecordCount() != 4 {
+		t.Fatalf("heap holds %d pages and %d records, want 2 and 4", h.PageCount(), h.RecordCount())
+	}
+	for _, hd := range pins {
+		hd.Release()
+	}
+	for i, rid := range rids {
+		rec, _, err := h.Get(now, rid)
+		if err != nil || !bytes.Equal(rec, recs[i]) {
+			t.Fatalf("record %d reads %.8q… (%v), want %.8q…", i, rec, err, recs[i])
+		}
 	}
 }

@@ -210,23 +210,29 @@ func AllocRecord(buf []byte, n int) (uint16, []byte, error) {
 	return uint16(slot), buf[newEnd : newEnd+n], nil
 }
 
-// ReadRecord returns a copy of the record in the given slot.
-func ReadRecord(buf []byte, slot uint16) ([]byte, error) { return AppendRecord(nil, buf, slot) }
-
 // AppendRecord appends the record in the given slot to dst and returns the
 // extended slice; on error dst is returned unchanged.
 func AppendRecord(dst, buf []byte, slot uint16) ([]byte, error) {
+	rec, err := recordAt(buf, slot)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, rec...), nil
+}
+
+// recordAt returns the record in the given slot, aliasing buf.
+func recordAt(buf []byte, slot uint16) ([]byte, error) {
 	if !IsFormatted(buf) {
-		return dst, ErrBadPage
+		return nil, ErrBadPage
 	}
 	if int(slot) >= SlotCount(buf) {
-		return dst, fmt.Errorf("%w: slot %d of %d", ErrBadSlot, slot, SlotCount(buf))
+		return nil, fmt.Errorf("%w: slot %d of %d", ErrBadSlot, slot, SlotCount(buf))
 	}
 	off, length := readSlot(buf, int(slot))
 	if off == deletedSlotOffset {
-		return dst, fmt.Errorf("%w: slot %d deleted", ErrBadSlot, slot)
+		return nil, fmt.Errorf("%w: slot %d deleted", ErrBadSlot, slot)
 	}
-	return append(dst, buf[off:int(off)+int(length)]...), nil
+	return buf[off : int(off)+int(length)], nil
 }
 
 // UpdateRecord replaces the record in the given slot.  The new record may be

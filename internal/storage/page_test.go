@@ -52,7 +52,7 @@ func TestInsertReadUpdateDelete(t *testing.T) {
 	if NumRecords(buf) != 2 {
 		t.Fatalf("NumRecords = %d", NumRecords(buf))
 	}
-	got, err := ReadRecord(buf, s1)
+	got, err := recordAt(buf, s1)
 	if err != nil || string(got) != "hello" {
 		t.Fatalf("read s1: %q %v", got, err)
 	}
@@ -60,14 +60,14 @@ func TestInsertReadUpdateDelete(t *testing.T) {
 	if err := UpdateRecord(buf, s1, []byte("HELLO")); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = ReadRecord(buf, s1)
+	got, _ = recordAt(buf, s1)
 	if string(got) != "HELLO" {
 		t.Fatalf("after update: %q", got)
 	}
 	if err := UpdateRecord(buf, s1, []byte("hi")); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = ReadRecord(buf, s1)
+	got, _ = recordAt(buf, s1)
 	if string(got) != "hi" {
 		t.Fatalf("after shrink: %q", got)
 	}
@@ -75,12 +75,12 @@ func TestInsertReadUpdateDelete(t *testing.T) {
 	if err := UpdateRecord(buf, s1, []byte("a much longer record than before")); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = ReadRecord(buf, s1)
+	got, _ = recordAt(buf, s1)
 	if string(got) != "a much longer record than before" {
 		t.Fatalf("after grow: %q", got)
 	}
 	// Other record untouched.
-	got, _ = ReadRecord(buf, s2)
+	got, _ = recordAt(buf, s2)
 	if string(got) != "world!!" {
 		t.Fatalf("s2 damaged: %q", got)
 	}
@@ -88,7 +88,7 @@ func TestInsertReadUpdateDelete(t *testing.T) {
 	if err := DeleteRecord(buf, s2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadRecord(buf, s2); !errors.Is(err, ErrBadSlot) {
+	if _, err := recordAt(buf, s2); !errors.Is(err, ErrBadSlot) {
 		t.Fatalf("read of deleted slot: %v", err)
 	}
 	if err := DeleteRecord(buf, s2); !errors.Is(err, ErrBadSlot) {
@@ -132,7 +132,7 @@ func TestInsertErrors(t *testing.T) {
 		t.Fatal("no record fit in the page")
 	}
 	// Bad slot and bad page errors.
-	if _, err := ReadRecord(buf, 200); !errors.Is(err, ErrBadSlot) {
+	if _, err := recordAt(buf, 200); !errors.Is(err, ErrBadSlot) {
 		t.Fatalf("want ErrBadSlot, got %v", err)
 	}
 	if err := UpdateRecord(buf, 200, rec); !errors.Is(err, ErrBadSlot) {
@@ -145,7 +145,7 @@ func TestInsertErrors(t *testing.T) {
 	if _, err := InsertRecord(raw, rec); !errors.Is(err, ErrBadPage) {
 		t.Fatalf("want ErrBadPage, got %v", err)
 	}
-	if _, err := ReadRecord(raw, 0); !errors.Is(err, ErrBadPage) {
+	if _, err := recordAt(raw, 0); !errors.Is(err, ErrBadPage) {
 		t.Fatalf("want ErrBadPage, got %v", err)
 	}
 	if err := IterateRecords(raw, func(uint16, []byte) bool { return true }); !errors.Is(err, ErrBadPage) {
@@ -182,7 +182,7 @@ func TestCompactionReclaimsDeletedSpace(t *testing.T) {
 	}
 	// Remaining odd records are intact.
 	for i := 1; i < len(slots); i += 2 {
-		got, err := ReadRecord(buf, slots[i])
+		got, err := recordAt(buf, slots[i])
 		if err != nil || !bytes.Equal(got, rec) {
 			t.Fatalf("record %d damaged by compaction: %v", i, err)
 		}
@@ -263,7 +263,7 @@ func TestSlottedPageProperty(t *testing.T) {
 			live = append(live, rec{slot, data})
 		}
 		for _, r := range live {
-			got, err := ReadRecord(buf, r.slot)
+			got, err := recordAt(buf, r.slot)
 			if err != nil || !bytes.Equal(got, r.data) {
 				return false
 			}

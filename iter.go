@@ -13,13 +13,14 @@ import (
 //	    ...
 //	}
 //
-// Breaking out of the loop stops the scan.  A scan failure ends the
+// Every row is the caller's to keep, copied into the transaction's slab (see
+// Range).  Breaking out of the loop stops the scan.  A scan failure ends the
 // iteration early and is recorded on the transaction (Tx.Err); db.Update
 // refuses to commit while such an error is pending.
 func (t *Table) Rows(tx *Tx) iter.Seq2[RID, []byte] {
 	return func(yield func(RID, []byte) bool) {
-		tx.chargeOp()
-		tx.endScan(t.heap.Scan(tx.Now(), yield))
+		tx.chargeOps(1)
+		tx.endScan(t.heap.Scan(tx.Now(), &tx.slab, yield))
 	}
 }
 
@@ -30,15 +31,17 @@ func (t *Table) Rows(tx *Tx) iter.Seq2[RID, []byte] {
 //	    ...
 //	}
 //
-// Every key is the caller's to keep: the keys of all the transaction's scans
-// are copied into chunks it holds, whose size doubles as they fill and which
-// are never rewritten, so a transaction allocates per chunk, not per key or
-// per scan, and a key is capped at its length (appending to it never writes
-// into the next).  Breaking out of the loop stops the scan.  A scan failure
-// ends the iteration early and is recorded on the transaction (Tx.Err).
+// Every key is the caller's to keep: the keys and rows of all the
+// transaction's reads (Range, Prefix, Rows, GetBatch) are copied into chunks
+// it holds, whose size doubles as they fill and which are never rewritten, so
+// a transaction allocates per chunk, not per key or per scan, and a key is
+// capped at its length (appending to it never writes into the next).  A key
+// that is kept keeps its chunk alive.  Breaking out of the loop stops the
+// scan.  A scan failure ends the iteration early and is recorded on the
+// transaction (Tx.Err).
 func (i *Index) Range(tx *Tx, lo, hi []byte) iter.Seq2[[]byte, RID] {
 	return func(yield func([]byte, RID) bool) {
-		tx.chargeOp()
+		tx.chargeOps(1)
 		tx.endScan(i.tree.Scan(tx.Now(), lo, hi, func(k, v []byte) bool { return tx.ridEntry(k, v, yield) }))
 	}
 }
@@ -47,7 +50,7 @@ func (i *Index) Range(tx *Tx, lo, hi []byte) iter.Seq2[[]byte, RID] {
 // prefix; it behaves like Range otherwise.
 func (i *Index) Prefix(tx *Tx, prefix []byte) iter.Seq2[[]byte, RID] {
 	return func(yield func([]byte, RID) bool) {
-		tx.chargeOp()
+		tx.chargeOps(1)
 		tx.endScan(i.tree.ScanPrefix(tx.Now(), prefix, func(k, v []byte) bool { return tx.ridEntry(k, v, yield) }))
 	}
 }
@@ -63,7 +66,7 @@ func (tx *Tx) ridEntry(k, v []byte, yield func([]byte, RID) bool) bool {
 		tx.endScan(0, err)
 		return false
 	}
-	return yield(tx.keys.Copy(k), rid)
+	return yield(tx.slab.Copy(k), rid)
 }
 
 // endScan advances the transaction to the completion time of a finished

@@ -351,10 +351,10 @@ func keyedRows(t *testing.T, db *DB, tbl *Table, idx *Index, from, to int) {
 	t.Helper()
 	err := db.Update(func(tx *Tx) error {
 		for i := from; i < to; i++ {
-			key := []byte(fmt.Sprintf("k%07d", i))
-			rid, err := tbl.Insert(tx, append(key, bytes.Repeat([]byte{byte(i)}, 90)...))
+			row := keyedRow(i)
+			rid, err := tbl.Insert(tx, row)
 			if err == nil {
-				err = idx.Insert(tx, key, rid)
+				err = idx.Insert(tx, row[:8], rid)
 			}
 			if err != nil {
 				return err
@@ -365,6 +365,11 @@ func keyedRows(t *testing.T, db *DB, tbl *Table, idx *Index, from, to int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// keyedRow is the row keyedRows stores for i: its key, then 90 bytes of i.
+func keyedRow(i int) []byte {
+	return append([]byte(fmt.Sprintf("k%07d", i)), bytes.Repeat([]byte{byte(i)}, 90)...)
 }
 
 // durableLog reassembles the record stream a recovery of img would see.

@@ -40,7 +40,7 @@ type Tx struct {
 	inner    txn.Txn
 	iterErr  error        // first error hit inside a Rows/Range iteration
 	quiesced bool         // still holding the checkpoint quiesce lock shared
-	keys     storage.Slab // the keys Range and Prefix hand out
+	slab     storage.Slab // the keys and rows its reads hand out
 }
 
 // release drops the checkpoint quiesce lock exactly once.
@@ -92,10 +92,11 @@ func (tx *Tx) Abort() sim.Time {
 }
 
 // cpuPerOp is the CPU time charged to a transaction for each row or index
-// operation, so response times are not purely I/O.
+// operation, so response times are not purely I/O.  A batch charges its n
+// rows in one call.
 const cpuPerOp = 5 * time.Microsecond
 
-func (tx *Tx) chargeOp() { tx.inner.Charge(cpuPerOp) }
+func (tx *Tx) chargeOps(n int) { tx.inner.Charge(time.Duration(n) * cpuPerOp) }
 
 // writable refuses a write on a committed or aborted transaction before it
 // touches a page: its change could not be logged.
@@ -150,7 +151,7 @@ func (t *Table) Insert(tx *Tx, row []byte) (RID, error) {
 	if err := tx.writable(); err != nil {
 		return RID{}, err
 	}
-	tx.chargeOp()
+	tx.chargeOps(1)
 	if err := t.loggable(row); err != nil {
 		return RID{}, err
 	}
@@ -171,7 +172,7 @@ func (t *Table) Get(tx *Tx, rid RID) ([]byte, error) { return t.GetAppend(tx, ri
 // same buffer back (dst[:0]) reads every row without allocating.  The engine
 // keeps no reference to dst.  On error dst is returned unchanged.
 func (t *Table) GetAppend(tx *Tx, rid RID, dst []byte) ([]byte, error) {
-	tx.chargeOp()
+	tx.chargeOps(1)
 	row, done, err := t.heap.GetAppend(tx.Now(), rid, dst)
 	if err != nil {
 		return dst, publicErr(err)
@@ -185,7 +186,7 @@ func (t *Table) Update(tx *Tx, rid RID, row []byte) error {
 	if err := tx.writable(); err != nil {
 		return err
 	}
-	tx.chargeOp()
+	tx.chargeOps(1)
 	if err := t.loggable(row); err != nil {
 		return err
 	}
@@ -202,7 +203,7 @@ func (t *Table) Delete(tx *Tx, rid RID) error {
 	if err := tx.writable(); err != nil {
 		return err
 	}
-	tx.chargeOp()
+	tx.chargeOps(1)
 	done, err := t.heap.Delete(tx.Now(), rid)
 	if err != nil {
 		return publicErr(err)
@@ -236,7 +237,7 @@ func (i *Index) Insert(tx *Tx, key []byte, rid RID) error {
 	if err := tx.writable(); err != nil {
 		return err
 	}
-	tx.chargeOp()
+	tx.chargeOps(1)
 	value := rid.Append(make([]byte, 0, 10))
 	done, err := i.tree.Insert(tx.Now(), key, value)
 	if err != nil {
@@ -250,7 +251,7 @@ func (i *Index) Insert(tx *Tx, key []byte, rid RID) error {
 
 // Lookup returns the RID stored under key.
 func (i *Index) Lookup(tx *Tx, key []byte) (RID, bool, error) {
-	tx.chargeOp()
+	tx.chargeOps(1)
 	var buf [10]byte // the encoded RID
 	val, done, found, err := i.tree.GetAppend(tx.Now(), key, buf[:0])
 	if err != nil {
@@ -272,7 +273,7 @@ func (i *Index) Delete(tx *Tx, key []byte) error {
 	if err := tx.writable(); err != nil {
 		return err
 	}
-	tx.chargeOp()
+	tx.chargeOps(1)
 	done, err := i.tree.Delete(tx.Now(), key)
 	if err != nil {
 		return publicErr(err)
