@@ -42,17 +42,25 @@ func (a *admin) GrowRegion(name string, n int) error {
 }
 
 func (a *admin) GCPolicy(region string) (GCPolicy, bool) {
+	a.db.baton.Lock()
+	defer a.db.baton.Unlock()
 	return a.db.space.GCPolicyOf(region)
 }
 
 func (a *admin) VerifyIntegrity() error {
+	a.db.baton.Lock()
+	defer a.db.baton.Unlock()
 	return a.db.space.VerifyIntegrity()
 }
 
 func (a *admin) TraceDump(w io.Writer) (int, error) {
+	a.db.baton.Lock()
+	defer a.db.baton.Unlock()
 	return a.db.tracer.Dump(w)
 }
 
 func (a *admin) ArmFaults(plan FaultPlan) {
+	a.db.baton.Lock()
+	defer a.db.baton.Unlock()
 	a.db.dev.Arm(plan)
 }

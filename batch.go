@@ -19,7 +19,9 @@ import (
 // alongside the error, and the caller decides whether to abort the
 // transaction.
 func (t *Table) InsertBatch(tx *Tx, rows [][]byte) ([]RID, error) {
-	if err := tx.writable(); err != nil {
+	tx.enter()
+	defer tx.exit()
+	if err := tx.writable(t.scans, t.meta.Name); err != nil {
 		return nil, err
 	}
 	tx.chargeOps(len(rows))
@@ -44,6 +46,8 @@ func (t *Table) InsertBatch(tx *Tx, rows [][]byte) ([]RID, error) {
 // record fails the whole call with ErrNotFound, a batch whose pages cannot all
 // be pinned in the buffer pool at once with ErrTooLarge.
 func (t *Table) GetBatch(tx *Tx, rids []RID) ([][]byte, error) {
+	tx.enter()
+	defer tx.exit()
 	tx.chargeOps(len(rids))
 	rows, done, err := t.heap.GetBatch(tx.Now(), rids, &tx.slab)
 	if errors.Is(err, buffer.ErrPoolFull) { // more pages than the pool can pin

@@ -13,9 +13,10 @@ import (
 // the database.  Pages are written out of place and carry their LPN and write
 // sequence out of band, so once every dirty buffer is flushed the data pages on
 // flash are the durable state, and the checkpoint only has to say where it is.
-// Under the quiesce lock it flushes the pool (no dirty page may stay behind:
-// what is not on flash is not in the checkpoint), takes the space manager's
-// write sequence S (core.Manager.Snapshot) and appends one run of marks,
+// Once no transaction is open it flushes the pool (no dirty page may stay
+// behind: what is not on flash is not in the checkpoint), takes the space
+// manager's write sequence S (core.Manager.Snapshot) and appends one run of
+// marks,
 //
 //	begin   sequence number (TxnID), ckptBegin body with S
 //	schema  one mark per region (with the dies it is pinned to), tablespace,
@@ -135,12 +136,9 @@ func (db *DB) markFits(entry any) error {
 }
 
 // describeState appends the schema and the descriptor of every table and
-// index.  The caller holds the checkpoint quiesce lock exclusively, so no
-// transaction is in flight and the state is transaction-consistent by
+// index.  No transaction is open, so the state is transaction-consistent by
 // construction.
 func (db *DB) describeState(s *ckptStream) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	// Regions carry their live die assignment, so recovery recreates each on
 	// exactly the dies it owned.
 	for _, spec := range db.space.RegionSpecs() {
@@ -161,9 +159,27 @@ func (db *DB) describeState(s *ckptStream) {
 	}
 }
 
-// checkpointLocked takes a checkpoint.  The caller holds ckptMu exclusively
-// (no transaction is in flight) and has verified the database is open.
-func (db *DB) checkpointLocked(now sim.Time) (sim.Time, error) {
+// awaitQuiesce returns once no transaction is open, for a checkpoint to run,
+// or with ErrClosed.  The caller holds the baton, which the wait releases:
+// Begin waits meanwhile, and the open transactions run to their commit or
+// abort.
+func (db *DB) awaitQuiesce() error {
+	if err := db.checkOpen(); err != nil {
+		return err
+	}
+	db.ckptWaiting++
+	for db.open > 0 {
+		db.quiesce.Wait()
+	}
+	if db.ckptWaiting--; db.ckptWaiting == 0 {
+		db.quiesce.Broadcast() // the Begin calls waiting for it
+	}
+	return db.checkOpen()
+}
+
+// checkpoint takes a checkpoint.  The caller holds the baton, no transaction
+// is open and the database is open.
+func (db *DB) checkpoint(now sim.Time) (sim.Time, error) {
 	now, flushed, left, err := db.pool.Flush(now)
 	if err != nil {
 		return now, err
@@ -197,11 +213,6 @@ func (db *DB) checkpointLocked(now sim.Time) (sim.Time, error) {
 			}
 		}
 	}
-	// The counters are read by Stats() and maybeCheckpoint concurrently;
-	// db.mu guards them (ckptMu would self-deadlock for a caller that holds
-	// an open transaction while snapshotting stats).
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	// Also after a failure, which can leave marks without an end in the log
 	// (recovery skips them, the next checkpoint truncates them): the triggers
 	// then retry once per budget, not after every commit.
@@ -217,11 +228,11 @@ func (db *DB) checkpointLocked(now sim.Time) (sim.Time, error) {
 	return now, nil
 }
 
-// maybeCheckpoint runs after a commit released the quiesce lock.  A checkpoint
-// is due once CheckpointEveryBytes of WAL have been appended since the last
-// attempt (see WithCheckpointEvery) — or one log page's worth, when the page
-// versions retained for the last checkpoint have outgrown their share of the
-// spare blocks.  One goroutine takes it while concurrent committers skip past.
+// maybeCheckpoint runs after a commit, under its baton.  A checkpoint is due
+// once CheckpointEveryBytes of WAL have been appended since the last attempt
+// (see WithCheckpointEvery) — or one log page's worth, when the page versions
+// retained for the last checkpoint have outgrown their share of the spare
+// blocks.  One committer takes it while the others skip past.
 func (db *DB) maybeCheckpoint(now sim.Time) {
 	if db.recovering {
 		return
@@ -235,35 +246,30 @@ func (db *DB) maybeCheckpoint(now sim.Time) {
 	if budget <= 0 {
 		return
 	}
-	db.mu.RLock()
-	walMark := db.ckptWALMark
-	db.mu.RUnlock()
-	if db.log.BytesAppended()-walMark < budget ||
-		!db.ckptRunning.CompareAndSwap(false, true) {
+	if db.log.BytesAppended()-db.ckptWALMark < budget || db.ckptRunning {
 		return
 	}
-	defer db.ckptRunning.Store(false)
-	if db.checkOpen() != nil {
-		return
+	db.ckptRunning = true
+	if db.awaitQuiesce() == nil {
+		_, _ = db.checkpoint(now)
 	}
-	db.ckptMu.Lock()
-	defer db.ckptMu.Unlock()
-	_, _ = db.checkpointLocked(now)
+	db.ckptRunning = false
 }
 
 // checkpointAfterDDL takes a synchronous checkpoint after a schema change.
 // Schema changes are not logged on their own, so the checkpoint's schema
 // marks are what makes them durable; any data written after a DDL therefore
 // always has a covering checkpoint to recover from.  Suppressed while
-// recovery itself replays DDL.
+// recovery itself replays DDL.  The caller holds the baton.
 func (db *DB) checkpointAfterDDL() error {
 	if db.recovering || db.cfg.DisableSnapshotCheckpoints {
 		// Light checkpoints carry no schema marks: schema changes are not
 		// recoverable there anyway, so the DDL checkpoint would only add I/O.
 		return nil
 	}
-	db.ckptMu.Lock()
-	defer db.ckptMu.Unlock()
-	_, err := db.checkpointLocked(db.clock.Now())
+	if err := db.awaitQuiesce(); err != nil {
+		return err
+	}
+	_, err := db.checkpoint(db.clock.Now())
 	return err
 }

@@ -74,9 +74,7 @@ func TestCheckpointRefusesAPinnedDirtyPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Lock()
 	h.MarkDirty()
-	h.Unlock()
 
 	before := db.Stats().WAL
 	_, err = db.Checkpoint(db.SimulatedTime())

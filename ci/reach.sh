@@ -13,9 +13,18 @@
 #   noftl-ddl on one statement of each kind
 #
 # A function listed is code only tests reach, or none: test it from an entry
-# point's behaviour or delete it.  Everything is written to the temporary
-# directory, which is removed on exit; nothing lands under bench/ or anywhere
-# else in the checkout.  It takes a few minutes.
+# point's behaviour or delete it.  Functions are named by file, not line, so
+# the list survives edits elsewhere in a file.
+#
+# With --check the list is a ratchet: the script fails when a function is
+# unreached that ci/reach.txt does not list.  A change that tests or deletes
+# a listed function removes its line; regenerate the file with
+#
+#   bash ci/reach.sh | sed '$d' > ci/reach.txt
+#
+# Everything is written to the temporary directory, which is removed on
+# exit; nothing lands under bench/ or anywhere else in the checkout.  It
+# takes a few minutes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
@@ -46,6 +55,17 @@ done
     DROP INDEX T_IDX; DROP TABLE T; DROP TABLESPACE tsHot; DROP REGION rgHot;' >/dev/null
 
 go tool covdata func -i="$GOCOVERDIR" |
-    awk '$NF == "0.0%" && $1 !~ /^noftl\/bench\// { print $1, $2 }' >"$tmp/unreached"
+    awk '$NF == "0.0%" && $1 !~ /^noftl\/bench\// { sub(/[0-9]+:$/, "", $1); print $1, $2 }' |
+    sort -u >"$tmp/unreached"
+if [ "${1:-}" = "--check" ]; then
+    new=$(comm -23 "$tmp/unreached" <(sort -u ci/reach.txt))
+    if [ -n "$new" ]; then
+        echo "functions no entry point enters that ci/reach.txt does not list:" >&2
+        echo "$new" >&2
+        exit 1
+    fi
+    echo "every unreached function is on ci/reach.txt ($(wc -l <"$tmp/unreached") unreached)"
+    exit 0
+fi
 cat "$tmp/unreached"
 echo "$(wc -l <"$tmp/unreached") functions no entry point enters"

@@ -13,11 +13,10 @@ import (
 // TestConcurrentBatchDML drives InsertBatch, GetBatch and the Rows iterator
 // from many goroutines against one database, while one more rewrites
 // committed rows in place at the same length.  It is primarily a -race test
-// of the concurrency spine (sharded buffer pool, lock table, lock-free
-// scheduler dispatch, WAL group commit); the assertions check that
-// nothing inserted is lost or corrupted along the way, and that every row a
-// GetBatch returns is a value written for its rid (GetBatch sizes its rows
-// and copies them under two separate latches of each page).
+// of the one rule that keeps the layers consistent, one operation at a time;
+// the assertions check that nothing inserted is lost or corrupted along the
+// way, and that every row a GetBatch returns is a value written for its rid
+// (GetBatch sizes its rows and copies them in two passes over each page).
 func TestConcurrentBatchDML(t *testing.T) {
 	db, err := Open(WithBufferPoolPages(256))
 	if err != nil {
@@ -320,6 +319,226 @@ func TestConcurrentDDLOneWinnerPerName(t *testing.T) {
 	if created.Load() != 4 || conflicts.Load() != 4*(workers-1) {
 		t.Fatalf("%d statements created an object and %d were refused, want 4 and %d", created.Load(), conflicts.Load(), 4*(workers-1))
 	}
+	if _, err := db.Checkpoint(db.SimulatedTime()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// scanFixture opens a database with table T of 200 keyed rows and its unique
+// index T_PK.
+func scanFixture(t *testing.T, opts ...Option) (*DB, *Table, *Index) {
+	t.Helper()
+	cfg := smallConfig()
+	cfg.BufferPoolPages = 256
+	db, err := OpenConfig(cfg, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	tbl, err := db.CreateTable("T", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := db.CreateIndex("T_PK", "T", []string{"k"}, true, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyedRows(t, db, tbl, idx, 0, 200)
+	return db, tbl, idx
+}
+
+// TestScanBodyReadsThroughItsTx: a scan and its loop body are one operation,
+// so the body's reads through the scanning transaction, of the index being
+// scanned included, re-enter it instead of waiting for it.
+func TestScanBodyReadsThroughItsTx(t *testing.T) {
+	db, tbl, idx := scanFixture(t)
+	n := 0
+	if err := db.View(func(tx *Tx) error {
+		for key, rid := range idx.Prefix(tx, []byte("k00001")) {
+			got, ok, err := idx.Lookup(tx, key)
+			if err != nil || !ok || got != rid {
+				return fmt.Errorf("Lookup(%q) in the body: %v %v %v, want %v", key, got, ok, err, rid)
+			}
+			row, err := tbl.Get(tx, rid)
+			if err != nil || !bytes.Equal(row[:8], key) {
+				return fmt.Errorf("Get(%v) in the body: %q, %v", rid, row, err)
+			}
+			for range idx.Range(tx, key, nil) { // a nested scan re-enters too
+				break
+			}
+			n++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != 100 {
+		t.Fatalf("the scan yielded %d entries, want 100", n)
+	}
+}
+
+// TestScanBodyWriteToScannedObjectConflicts: a write, from the body, to the
+// index or the table being scanned fails with ErrConflict and changes
+// nothing; a write to the scanned index's table from an index scan succeeds.
+func TestScanBodyWriteToScannedObjectConflicts(t *testing.T) {
+	db, tbl, idx := scanFixture(t)
+	if err := db.Update(func(tx *Tx) error {
+		for key, rid := range idx.Range(tx, []byte("k0000010"), []byte("k0000020")) {
+			if err := idx.Insert(tx, append(key, 'x'), rid); !errors.Is(err, ErrConflict) {
+				return fmt.Errorf("Insert into the scanned index: %v, want ErrConflict", err)
+			}
+			if err := idx.Delete(tx, key); !errors.Is(err, ErrConflict) {
+				return fmt.Errorf("Delete from the scanned index: %v, want ErrConflict", err)
+			}
+			row, err := tbl.Get(tx, rid)
+			if err == nil {
+				err = tbl.Update(tx, rid, row)
+			}
+			if err != nil {
+				return fmt.Errorf("Update of the indexed table: %v", err)
+			}
+		}
+		for rid := range tbl.Rows(tx) {
+			if _, err := tbl.Insert(tx, keyedRow(999)); !errors.Is(err, ErrConflict) {
+				return fmt.Errorf("Insert into the scanned table: %v, want ErrConflict", err)
+			}
+			if err := tbl.Delete(tx, rid); !errors.Is(err, ErrConflict) {
+				return fmt.Errorf("Delete from the scanned table: %v, want ErrConflict", err)
+			}
+			break
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n, m := idx.Entries(), tbl.RowCount(); n != 200 || m != 200 {
+		t.Fatalf("after the refused writes: %d entries, %d rows, want 200 each", n, m)
+	}
+	if err := db.Admin().VerifyIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScanBodyLockDoesNotWait: a lock the body of a scan asks for, held by
+// another goroutine's transaction, fails with ErrConflict at once instead of
+// waiting while the scan holds the database.
+func TestScanBodyLockDoesNotWait(t *testing.T) {
+	db, _, idx := scanFixture(t, WithLockTimeout(time.Hour))
+	held, release := make(chan struct{}), make(chan struct{})
+	go func() {
+		tx := db.Begin()
+		defer tx.Abort()
+		if err := tx.Lock("row:7", Exclusive); err != nil {
+			t.Error(err)
+		}
+		close(held)
+		<-release
+	}()
+	<-held
+	defer close(release)
+	waits := db.Stats().Txn.LockWaits
+	if err := db.View(func(tx *Tx) error {
+		for range idx.Prefix(tx, []byte("k")) {
+			if err := tx.Lock("row:8", Shared); err != nil {
+				return fmt.Errorf("a free lock in the body: %v", err)
+			}
+			if err := tx.Lock("row:7", Shared); !errors.Is(err, ErrConflict) {
+				return fmt.Errorf("a held lock in the body: %v, want ErrConflict", err)
+			}
+			break
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Stats().Txn.LockWaits; got != waits {
+		t.Fatalf("the body's lock waited: %d waits, want %d", got, waits)
+	}
+}
+
+// TestLockWaiterParksOnTheBaton: a transaction waiting for a lock releases
+// the database while it waits, so the holder's commit can run, and is then
+// granted the lock.
+func TestLockWaiterParksOnTheBaton(t *testing.T) {
+	db, err := Open(WithLockTimeout(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	holder := db.Begin()
+	if err := holder.Lock("K", Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	granted := make(chan error, 1)
+	go func() {
+		tx := db.Begin()
+		defer tx.Abort()
+		granted <- tx.Lock("K", Exclusive)
+	}()
+	for db.Stats().Txn.LockWaiting == 0 { // Stats runs while the waiter waits
+		time.Sleep(100 * time.Microsecond)
+	}
+	if _, err := holder.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-granted:
+		if err != nil {
+			t.Fatalf("the waiter: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the waiter was not granted the lock after the holder committed")
+	}
+	if st := db.Stats().Txn; st.LockWaits != 1 || st.LockTimeouts != 0 {
+		t.Fatalf("after the hand-over: %+v", st)
+	}
+}
+
+// TestFailedCommitKeepsCheckpointWaiting: a commit whose log force fails
+// leaves its transaction open, with its locks and its logged updates, until
+// the caller aborts it.  A checkpoint started meanwhile returns only after the
+// abort, so it never captures the half-done transaction.
+func TestFailedCommitKeepsCheckpointWaiting(t *testing.T) {
+	db, tbl, _ := scanFixture(t)
+	tx := db.Begin()
+	if _, err := tbl.Insert(tx, keyedRow(500)); err != nil {
+		t.Fatal(err)
+	}
+	db.Admin().ArmFaults(FaultPlan{FailProgramEvery: 1})
+	if _, err := tx.Commit(); err == nil {
+		t.Fatal("a commit whose log force fails succeeded")
+	}
+	db.Admin().ArmFaults(FaultPlan{})
+	var aborted atomic.Bool
+	done := make(chan bool)
+	go func() {
+		_, err := db.Checkpoint(db.SimulatedTime())
+		if err != nil {
+			t.Error(err)
+		}
+		done <- aborted.Load()
+	}()
+	select {
+	case <-done:
+		t.Fatal("the checkpoint ran while the failed commit's transaction was open")
+	case <-time.After(50 * time.Millisecond):
+	}
+	aborted.Store(true)
+	tx.Abort()
+	if !<-done {
+		t.Fatal("the checkpoint returned before the abort")
+	}
+
+	// db.Update aborts a transaction whose commit failed: the next
+	// checkpoint has nothing to wait for.
+	db.Admin().ArmFaults(FaultPlan{FailProgramEvery: 1})
+	if err := db.Update(func(tx *Tx) error {
+		_, err := tbl.Insert(tx, keyedRow(501))
+		return err
+	}); err == nil {
+		t.Fatal("an Update whose log force fails succeeded")
+	}
+	db.Admin().ArmFaults(FaultPlan{})
 	if _, err := db.Checkpoint(db.SimulatedTime()); err != nil {
 		t.Fatal(err)
 	}

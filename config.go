@@ -64,8 +64,9 @@ type Config struct {
 	// the GC reserve and the wear-leveling threshold are fixed.
 	Space core.Options
 	// BufferPoolPages is the number of page frames in the buffer pool.  The
-	// frame table's shard count is derived from it (one shard per 64 frames,
-	// capped at 16; small pools stay single-sharded, a plain CLOCK).  A miss
+	// number of replacement partitions, each a CLOCK over its frames, is
+	// derived from it (one per 64 frames, capped at 16; small pools keep one,
+	// a plain CLOCK).  A miss
 	// reads the demanded page only: a scan of a table larger than the pool
 	// misses once per page.
 	BufferPoolPages int

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"noftl/internal/btree"
 	"noftl/internal/buffer"
@@ -25,6 +24,27 @@ import (
 
 // DB is a database instance running on simulated native flash under NoFTL
 // space management.
+//
+// Concurrency has one rule: the database runs one operation at a time.  Every
+// public operation holds the database's baton, one mutex, from its start to
+// its end, and the layers below take no lock of their own.  The API is safe
+// for concurrent use: calls from many goroutines serialise per operation.
+// Three refinements:
+//
+//   - A scan (Rows, Range, Prefix) and its loop body are one operation.  An
+//     operation of the scanning transaction called from the body re-enters;
+//     anything else called from the body (another transaction, DDL, Stats,
+//     RowCount) waits for the scan and so deadlocks.  In the body a Tx.Lock
+//     that would have to wait, and a write to the table or index being
+//     scanned, fail with ErrConflict at once.
+//   - A Tx.Lock that must wait parks: it releases the baton until the lock
+//     is granted or times out, so the holder can run to its release.
+//   - A checkpoint parks, like a lock waiter, until no transaction is open,
+//     and Begin waits while one does, so a checkpoint captures a
+//     transaction-consistent snapshot.
+//
+// Plain accessors of a Tx or TimeCursor, which their goroutine owns, take no
+// baton.
 type DB struct {
 	cfg    Config
 	dev    *flash.Device
@@ -36,23 +56,30 @@ type DB struct {
 	reg    *metrics.Registry
 	tracer *obs.Tracer // nil when tracing is off
 
-	// The schema is kept once.  The maps below and the object-id counter are
-	// guarded by mu; a table or index handle carries its own catalog entry, and
-	// the regions are the space manager's.  Every schema change goes through ddl.
-	mu          sync.RWMutex
+	// baton is held by the operation that runs (see DB); quiesce, whose
+	// Locker it is, wakes the checkpoints waiting for open to reach 0 and the
+	// Begin calls waiting for them.
+	baton   sync.Mutex
+	quiesce sync.Cond
+
+	// The schema is kept once.  A table or index handle carries its own
+	// catalog entry, and the regions are the space manager's.  Every schema
+	// change goes through ddl.
 	tablespaces map[string]*storage.Tablespace
 	tables      map[string]*Table
 	indexes     map[string]*Index
 	nextObject  uint32 // next fresh object id (the WAL takes 1)
 	closed      bool
 
-	// Checkpointing.  ckptMu is the quiesce lock: every transaction holds it
-	// shared from Begin to Commit/Abort, a checkpoint holds it exclusively,
-	// so checkpoints see no in-flight transaction.  recovering suppresses
+	// Checkpointing.  open counts the transactions from Begin until they
+	// leave Active; a checkpoint waits for it to reach 0, and while any
+	// waits (ckptWaiting) Begin does.  ckptRunning lets one committer take a
+	// triggered checkpoint while the others skip it.  recovering suppresses
 	// checkpoint triggers while recovery rebuilds the database through the
 	// normal DDL/heap/btree paths.
-	ckptMu      sync.RWMutex
-	ckptRunning atomic.Bool
+	open        int
+	ckptWaiting int
+	ckptRunning bool
 	ckptSeq     uint64           // checkpoint sequence number (TxnID of its marks)
 	ckptCount   *metrics.Counter // noftl_wal_checkpoints_total
 	ckptLastLSN uint64           // LSN of the last checkpoint's end mark
@@ -79,6 +106,7 @@ func openWith(cfg Config, dev *flash.Device, space *core.Manager) *DB {
 		indexes:     make(map[string]*Index),
 		nextObject:  1,
 	}
+	db.quiesce.L = &db.baton
 	// The registry owns every layer's counters: each AttachObs below re-binds
 	// a layer's children to it, so Stats() and /metrics read the same storage.
 	// The tracer only exists when the configuration asked for tracing.
@@ -103,20 +131,21 @@ func openWith(cfg Config, dev *flash.Device, space *core.Manager) *DB {
 	db.log.AttachObs(db.tracer, db.reg)
 	db.ckptCount = db.reg.Counter("noftl_wal_checkpoints_total",
 		"Checkpoints taken (dirty pages flushed, the flash image described at the head of the WAL).").With()
-	db.txns = txn.NewManager(txn.NewLockManager(cfg.LockTimeout), db.log, db.clock)
+	lm := txn.NewLockManager(cfg.LockTimeout)
+	lm.SetBaton(&db.baton)
+	db.txns = txn.NewManager(lm, db.log, db.clock)
 	db.txns.AttachObs(db.reg)
 	return db
 }
 
 // Close flushes all dirty pages and the log and marks the database closed.
 func (db *DB) Close() error {
-	db.mu.Lock()
+	db.baton.Lock()
+	defer db.baton.Unlock()
 	if db.closed {
-		db.mu.Unlock()
 		return nil
 	}
 	db.closed = true
-	db.mu.Unlock()
 	if _, err := db.pool.FlushAll(db.clock.Now()); err != nil {
 		return err
 	}
@@ -132,10 +161,9 @@ func (db *DB) Geometry() DeviceGeometry { return db.dev.Geometry() }
 // SimulatedTime returns the highest simulated time observed so far.
 func (db *DB) SimulatedTime() sim.Time { return db.clock.Now() }
 
-// checkOpen returns ErrClosed once Close has been called.
+// checkOpen returns ErrClosed once Close has been called.  Caller holds the
+// baton.
 func (db *DB) checkOpen() error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	if db.closed {
 		return ErrClosed
 	}
@@ -169,11 +197,11 @@ type (
 // space manager's regions, the tablespaces, the entries the table and index
 // handles carry.
 func (db *DB) Schema() Schema {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	db.baton.Lock()
+	defer db.baton.Unlock()
 	var s Schema
 	for _, spec := range db.space.RegionSpecs() {
-		r, _ := db.space.Region(spec.Name) // regions are dropped under db.mu only
+		r, _ := db.space.Region(spec.Name)
 		s.Regions = append(s.Regions, RegionInfo{Name: spec.Name, ID: r.ID(), MaxChips: spec.MaxChips,
 			MaxChannels: spec.MaxChannels, MaxSizeBytes: spec.MaxSizeBytes, GC: *spec.GC})
 	}
@@ -190,7 +218,7 @@ func (db *DB) Schema() Schema {
 }
 
 // byName returns the values of one of the schema maps in the order of their
-// names.  Caller holds db.mu.
+// names.
 func byName[T any](m map[string]T) []T {
 	out := make([]T, 0, len(m))
 	for _, name := range slices.Sorted(maps.Keys(m)) {
@@ -199,8 +227,8 @@ func byName[T any](m map[string]T) []T {
 	return out
 }
 
-// tablespaceInfo is the catalog entry of a tablespace.  Caller holds db.mu, so
-// the region is there: one that tablespaces reference cannot be dropped.
+// tablespaceInfo is the catalog entry of a tablespace.  The region is there:
+// one that tablespaces reference cannot be dropped.
 func (db *DB) tablespaceInfo(ts *storage.Tablespace) TablespaceInfo {
 	r, _ := db.space.RegionByID(ts.Region())
 	return TablespaceInfo{Name: ts.Name(), Region: r.Name(), ExtentPages: ts.ExtentPages()}
@@ -232,7 +260,11 @@ func (tc *TimeCursor) Advance(d sim.Duration) { tc.c.Advance(d) }
 // space manager in the noftl_object_io_total family, and its current size — by
 // descending die time.  Commands for pages of dropped objects are reported
 // under core.UnattributedObject, so the records always sum to Stats().Space.
-func (db *DB) ObjectStats() []ObjectCounters { return db.space.ObjectStats() }
+func (db *DB) ObjectStats() []ObjectCounters {
+	db.baton.Lock()
+	defer db.baton.Unlock()
+	return db.space.ObjectStats()
+}
 
 // ResetStatistics zeroes every I/O, GC, WAL, checkpoint and transaction
 // counter and latency histogram (device, scheduler, space manager, buffer
@@ -241,15 +273,15 @@ func (db *DB) ObjectStats() []ObjectCounters { return db.space.ObjectStats() }
 // zero; point-in-time gauges keep their values, and the trace ring keeps its
 // events and counts.  Benchmarks call it at the end of the warm-up phase.
 func (db *DB) ResetStatistics() {
+	db.baton.Lock()
+	defer db.baton.Unlock()
 	db.space.ResetCounters()
 	db.pool.ResetCounters()
 	db.txns.ResetCounters()
-	db.mu.Lock()
 	// Keep "bytes appended since the last checkpoint" across the reset.
 	db.ckptWALMark -= db.log.BytesAppended()
 	db.log.ResetCounters()
 	db.ckptCount.Reset()
-	db.mu.Unlock()
 	db.clock.Reset()
 }
 
@@ -260,7 +292,7 @@ func (db *DB) ResetStatistics() {
 // offset in sql, and — when attributable — the failing clause; the
 // underlying cause stays reachable through errors.Is/As.
 func (db *DB) Exec(sql string) error {
-	if err := db.checkOpen(); err != nil {
+	if err := db.isOpen(); err != nil {
 		return err
 	}
 	stmts, err := ddl.ParseAll(sql)
@@ -388,19 +420,16 @@ func (db *DB) alterRegionGC(s ddl.AlterRegion) (string, error) {
 	return "", db.ddl(func() error { return db.space.SetGCPolicy(s.Name, gc) })
 }
 
-// ddl runs one schema change and makes it durable.  change runs under db.mu,
-// the one lock of the schema maps and the object-id counter, and checks
-// everything before it mutates anything or writes a page, so a refused
-// statement leaves no trace.  The checkpoint takes db.mu itself and follows
-// the unlock.
+// ddl runs one schema change and makes it durable, as one operation.  change
+// checks everything before it mutates anything or writes a page, so a refused
+// statement leaves no trace.
 func (db *DB) ddl(change func() error) error {
-	db.mu.Lock()
-	err := ErrClosed
-	if !db.closed {
-		err = change()
+	db.baton.Lock()
+	defer db.baton.Unlock()
+	if err := db.checkOpen(); err != nil {
+		return err
 	}
-	db.mu.Unlock()
-	if err != nil {
+	if err := change(); err != nil {
 		return publicErr(err)
 	}
 	return db.checkpointAfterDDL()
@@ -449,7 +478,7 @@ func (db *DB) CreateTablespace(name, region string, extentPages int) error {
 	})
 }
 
-// tablespace returns the named tablespace ("" = SYSTEM).  Caller holds db.mu.
+// tablespace returns the named tablespace ("" = SYSTEM).
 func (db *DB) tablespace(name string) (*storage.Tablespace, error) {
 	if name == "" {
 		name = "SYSTEM"
@@ -626,16 +655,16 @@ func (db *DB) createIndex(meta catalog.Index, at *ckptObject) (*Index, error) {
 
 // Table returns a handle to an existing table.
 func (db *DB) Table(name string) (*Table, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	db.baton.Lock()
+	defer db.baton.Unlock()
 	t, ok := db.tables[name]
 	return t, ok
 }
 
 // Index returns a handle to an existing index.
 func (db *DB) Index(name string) (*Index, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	db.baton.Lock()
+	defer db.baton.Unlock()
 	i, ok := db.indexes[name]
 	return i, ok
 }
@@ -647,28 +676,33 @@ func (db *DB) Begin() *Tx {
 }
 
 // BeginAt starts a transaction at an explicit virtual time (used by the
-// closed-loop benchmark terminals, which carry their own time cursors).
-// Every transaction holds the checkpoint quiesce lock shared until it
-// commits or aborts, so checkpoints capture transaction-consistent
+// closed-loop benchmark terminals, which carry their own time cursors).  It
+// waits while a checkpoint is pending; the transaction then counts as open
+// until it commits or aborts, so checkpoints capture transaction-consistent
 // snapshots.
 func (db *DB) BeginAt(now sim.Time) *Tx {
-	db.ckptMu.RLock()
-	return &Tx{db: db, inner: db.txns.Begin(now), quiesced: true}
+	db.baton.Lock()
+	defer db.baton.Unlock()
+	for db.ckptWaiting > 0 {
+		db.quiesce.Wait()
+	}
+	db.open++
+	return &Tx{db: db, inner: db.txns.Begin(now), open: true}
 }
 
 // Update runs fn inside a read-write transaction.  The transaction is
 // committed when fn returns nil (and no iteration error is pending on the
-// transaction, see Tx.Err) and aborted otherwise; a panic inside fn aborts
-// before re-panicking.
+// transaction, see Tx.Err) and aborted otherwise, also when the commit fails;
+// a panic inside fn aborts before re-panicking.
 func (db *DB) Update(fn func(*Tx) error) error {
-	if err := db.checkOpen(); err != nil {
+	if err := db.isOpen(); err != nil {
 		return err
 	}
 	tx := db.Begin()
-	committing := false
-	// One abort site covers fn errors, pending iterator errors and panics.
+	// One abort site covers fn errors, pending iterator errors, a commit the
+	// log refused and panics.
 	defer func() {
-		if !committing {
+		if tx.open {
 			tx.Abort()
 		}
 	}()
@@ -678,7 +712,6 @@ func (db *DB) Update(fn func(*Tx) error) error {
 	if err := tx.Err(); err != nil {
 		return err
 	}
-	committing = true
 	_, err := tx.Commit()
 	return err
 }
@@ -688,7 +721,7 @@ func (db *DB) Update(fn func(*Tx) error) error {
 // iteration error) is returned.  View does not enforce read-only access —
 // it is a convention: use Update when fn modifies data.
 func (db *DB) View(fn func(*Tx) error) error {
-	if err := db.checkOpen(); err != nil {
+	if err := db.isOpen(); err != nil {
 		return err
 	}
 	tx := db.Begin()
@@ -703,6 +736,8 @@ func (db *DB) View(fn func(*Tx) error) error {
 // advanced virtual time.  It takes no checkpoint and forces no log: that is
 // Checkpoint.
 func (db *DB) FlushAll(now sim.Time) (sim.Time, error) {
+	db.baton.Lock()
+	defer db.baton.Unlock()
 	if err := db.checkOpen(); err != nil {
 		return now, err
 	}
@@ -718,10 +753,17 @@ func (db *DB) FlushAll(now sim.Time) (sim.Time, error) {
 // WithCheckpointEvery).  It fails with ErrConflict while a dirty page is
 // pinned.
 func (db *DB) Checkpoint(now sim.Time) (sim.Time, error) {
-	if err := db.checkOpen(); err != nil {
+	db.baton.Lock()
+	defer db.baton.Unlock()
+	if err := db.awaitQuiesce(); err != nil {
 		return now, err
 	}
-	db.ckptMu.Lock()
-	defer db.ckptMu.Unlock()
-	return db.checkpointLocked(now)
+	return db.checkpoint(now)
+}
+
+// isOpen is checkOpen for a caller that does not hold the baton.
+func (db *DB) isOpen() error {
+	db.baton.Lock()
+	defer db.baton.Unlock()
+	return db.checkOpen()
 }

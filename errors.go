@@ -121,6 +121,7 @@ func publicErr(err error) error {
 	case errors.Is(err, core.ErrRegionExists),
 		errors.Is(err, core.ErrRegionNotEmpty),
 		errors.Is(err, txn.ErrLockTimeout),
+		errors.Is(err, txn.ErrLockBusy),
 		errors.Is(err, txn.ErrTxnDone):
 		return tag(ErrConflict, err)
 	case errors.Is(err, core.ErrRegionFull):

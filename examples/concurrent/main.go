@@ -4,13 +4,14 @@
 //
 // It demonstrates the concurrency contract of the public API:
 //
-//   - *DB is safe for concurrent use; transactions are cheap to start.
+//   - *DB is safe for concurrent use: operations from many goroutines run one
+//     at a time; transactions are cheap to start.
 //   - Explicit locks (Tx.Lock) serialize read-modify-write cycles.  A lock
 //     wait that times out (the deadlock safety net) surfaces as ErrConflict
 //     — the caller's move is to abort and retry.
-//   - WAL group commit: a committer whose record an in-flight log force
-//     covers waits for it instead of forcing again; the Stats() snapshot
-//     shows how many forces served more than one committer.
+//   - A commit forces the log within its own operation, so concurrent
+//     committers do not share a force: the Stats() snapshot shows no group
+//     commits.
 package main
 
 import (
@@ -90,8 +91,8 @@ func main() {
 				}
 			}
 
-			// Append-only inserts need no explicit locks: the buffer pool's
-			// frame latches and the WAL's mutex serialize the physical work.
+			// Append-only inserts need no explicit locks: the database runs one
+			// operation at a time.
 			batch := make([][]byte, events)
 			for i := range batch {
 				batch[i] = []byte(fmt.Sprintf("worker %d event %d", w, i))

@@ -438,9 +438,8 @@ func TestGetBatchInterleavedAndDuplicateRids(t *testing.T) {
 }
 
 // TestGetBatchDeletedSlotReleasesLatches: a deleted slot in the middle of a
-// batch fails the call with ErrNotFound and leaves no page latched: an update
-// of another row on the same page, in the same transaction, returns (a held
-// read latch would block it until the test times out).
+// batch fails the call with ErrNotFound and leaves nothing held: an update of
+// another row on the same page, in the same transaction, succeeds.
 func TestGetBatchDeletedSlotReleasesLatches(t *testing.T) {
 	db, tbl, _, all := keyedTable(t, 100)
 	if all[4].LPN != all[5].LPN || all[5].LPN != all[6].LPN {

@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"noftl/internal/buffer"
 	"noftl/internal/core"
@@ -45,11 +44,8 @@ const (
 	flagLeaf     = 1
 )
 
-// Tree is a B+-tree.  All operations are safe for concurrent use; a single
-// tree-level mutex serializes structural access (page-level latching is used
-// underneath for interaction with the flusher).
+// Tree is a B+-tree.  It is not safe for concurrent use.
 type Tree struct {
-	mu       sync.Mutex
 	name     string
 	objectID uint32
 	ts       *storage.Tablespace
@@ -64,7 +60,6 @@ type Tree struct {
 
 // allocPage allocates a page from the tablespace and remembers it in the
 // tree's page list (used by DROP INDEX to trim the tree's pages on flash).
-// Caller holds t.mu (or is constructing the tree).
 func (t *Tree) allocPage() core.LPN {
 	lpn := t.ts.AllocatePage()
 	t.lpns = append(t.lpns, lpn)
@@ -73,8 +68,6 @@ func (t *Tree) allocPage() core.LPN {
 
 // PageList returns a copy of every page allocated to the tree.
 func (t *Tree) PageList() []core.LPN {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	out := make([]core.LPN, len(t.lpns))
 	copy(out, t.lpns)
 	return out
@@ -89,9 +82,7 @@ func New(now sim.Time, name string, objectID uint32, ts *storage.Tablespace, poo
 	if err != nil {
 		return nil, done, err
 	}
-	h.Lock()
 	initNode(h.Data(), objectID, uint64(lpn), true)
-	h.Unlock()
 	h.MarkDirty()
 	h.Release()
 	t.root = lpn
@@ -112,8 +103,6 @@ func (t *Tree) Name() string { return t.name }
 
 // Root returns the logical page of the root node.
 func (t *Tree) Root() core.LPN {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.root
 }
 
@@ -122,22 +111,16 @@ func (t *Tree) ObjectID() uint32 { return t.objectID }
 
 // Entries returns the number of key/value pairs in the tree.
 func (t *Tree) Entries() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.entries
 }
 
 // Pages returns the number of pages allocated to the tree.
 func (t *Tree) Pages() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.pages
 }
 
 // Height returns the current tree height (1 = a single leaf).
 func (t *Tree) Height() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.height
 }
 
@@ -321,7 +304,7 @@ func (t *Tree) replaceCellValue(buf []byte, i int, key, val []byte) bool {
 }
 
 // snapshot copies the page into the tree's scratch buffer, which compaction
-// and splits rebuild a node from.  Caller holds t.mu.
+// and splits rebuild a node from.
 func (t *Tree) snapshot(buf []byte) []byte {
 	if len(t.scratch) != len(buf) {
 		t.scratch = make([]byte, len(buf))
@@ -330,8 +313,7 @@ func (t *Tree) snapshot(buf []byte) []byte {
 	return t.scratch
 }
 
-// compactNode rewrites the cell area dropping leaked space.  Caller holds
-// t.mu.
+// compactNode rewrites the cell area dropping leaked space.
 func (t *Tree) compactNode(buf []byte) {
 	snap := t.snapshot(buf)
 	end := len(buf)
@@ -364,8 +346,6 @@ func (t *Tree) Get(now sim.Time, key []byte) ([]byte, sim.Time, bool, error) {
 // GetAppend is Get appending the value to dst: a caller that only decodes the
 // value passes a buffer of its own, and the lookup allocates nothing.
 func (t *Tree) GetAppend(now sim.Time, key, dst []byte) ([]byte, sim.Time, bool, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	lpn := t.root
 	for {
 		h, done, err := t.pool.Fetch(now, lpn, t.hint())
@@ -373,7 +353,6 @@ func (t *Tree) GetAppend(now sim.Time, key, dst []byte) ([]byte, sim.Time, bool,
 			return nil, done, false, err
 		}
 		now = done
-		h.RLock()
 		buf := h.Data()
 		if nodeIsLeaf(buf) {
 			i, found := search(buf, key)
@@ -381,12 +360,10 @@ func (t *Tree) GetAppend(now sim.Time, key, dst []byte) ([]byte, sim.Time, bool,
 				_, v := cellAt(buf, i)
 				dst = append(dst, v...)
 			}
-			h.RUnlock()
 			h.Release()
 			return dst, now, found, nil
 		}
 		lpn = t.descend(buf, key)
-		h.RUnlock()
 		h.Release()
 	}
 }
@@ -408,8 +385,6 @@ func (t *Tree) Insert(now sim.Time, key, value []byte) (sim.Time, error) {
 	if len(key)+len(value)+4 > t.pool.PageSize()/4 {
 		return now, fmt.Errorf("%w: %d bytes", ErrKeyTooLarge, len(key)+len(value))
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	sep, newChild, done, replaced, err := t.insertInto(now, t.root, key, value)
 	if err != nil {
 		return done, err
@@ -426,12 +401,10 @@ func (t *Tree) Insert(now sim.Time, key, value []byte) (sim.Time, error) {
 			return d, err
 		}
 		now = d
-		h.Lock()
 		buf := h.Data()
 		initNode(buf, t.objectID, uint64(newRootLPN), false)
 		insertCell(buf, 0, sep, encodeChild(t.root))
 		setNodeRight(buf, uint64(newChild))
-		h.Unlock()
 		h.MarkDirty()
 		h.Release()
 		t.root = newRootLPN
@@ -449,14 +422,12 @@ func (t *Tree) insertInto(now sim.Time, lpn core.LPN, key, value []byte) (sep []
 		return nil, 0, done, false, err
 	}
 	now = done
-	h.Lock()
 	buf := h.Data()
 
 	if nodeIsLeaf(buf) {
 		i, found := search(buf, key)
 		if found {
 			if t.replaceCellValue(buf, i, key, value) {
-				h.Unlock()
 				h.MarkDirty()
 				h.Release()
 				return nil, 0, now, true, nil
@@ -470,7 +441,6 @@ func (t *Tree) insertInto(now sim.Time, lpn core.LPN, key, value []byte) (sep []
 		if freeBytes(buf) >= need {
 			pos, _ := search(buf, key)
 			insertCell(buf, pos, key, value)
-			h.Unlock()
 			h.MarkDirty()
 			h.Release()
 			return nil, 0, now, found, nil
@@ -481,7 +451,6 @@ func (t *Tree) insertInto(now sim.Time, lpn core.LPN, key, value []byte) (sep []
 	}
 
 	child := t.descend(buf, key)
-	h.Unlock()
 	childSep, childNew, now, replaced, err := t.insertInto(now, child, key, value)
 	if err != nil {
 		h.Release()
@@ -492,7 +461,6 @@ func (t *Tree) insertInto(now sim.Time, lpn core.LPN, key, value []byte) (sep []
 		return nil, 0, now, replaced, nil
 	}
 	// Insert the separator for the new child into this node.
-	h.Lock()
 	buf = h.Data()
 	need := 4 + len(childSep) + 8 + 2
 	if freeBytes(buf) < need && liveBytes(buf)+need <= len(buf)-offsArrayOff {
@@ -502,7 +470,6 @@ func (t *Tree) insertInto(now sim.Time, lpn core.LPN, key, value []byte) (sep []
 		pos := searchUpper(buf, childSep)
 		routeTo(buf, pos, childNew)
 		insertCell(buf, pos, childSep, encodeChild(child))
-		h.Unlock()
 		h.MarkDirty()
 		h.Release()
 		return nil, 0, now, replaced, nil
@@ -525,7 +492,7 @@ func routeTo(buf []byte, pos int, child core.LPN) {
 	setNodeRight(buf, uint64(child))
 }
 
-// split divides a full node, held locked by h, that has no room for the
+// split divides a full node, pinned by h, that has no room for the
 // entry key/val.  The entries, key/val's included, are read from one snapshot
 // of the page: the lower half is rewritten in place and the upper half goes
 // to a new right sibling.  It returns the separator for the parent and the
@@ -559,11 +526,9 @@ func (t *Tree) split(now sim.Time, h *buffer.Handle, buf, key, val []byte, newCh
 	rightLPN := t.allocPage()
 	rh, done, err := t.pool.NewPage(now, rightLPN, t.hint())
 	if err != nil {
-		h.Unlock()
 		return nil, 0, done, err
 	}
 	now = done
-	rh.Lock()
 	rbuf := rh.Data()
 	initNode(rbuf, t.objectID, uint64(rightLPN), leaf)
 	for j := from; j < n; j++ {
@@ -571,7 +536,6 @@ func (t *Tree) split(now sim.Time, h *buffer.Handle, buf, key, val []byte, newCh
 		insertCell(rbuf, j-from, k, v)
 	}
 	setNodeRight(rbuf, nodeRight(snap))
-	rh.Unlock()
 	rh.MarkDirty()
 	rh.Release()
 
@@ -585,7 +549,6 @@ func (t *Tree) split(now sim.Time, h *buffer.Handle, buf, key, val []byte, newCh
 	} else {
 		setNodeRight(buf, uint64(childLPN(sepVal)))
 	}
-	h.Unlock()
 	h.MarkDirty()
 
 	t.pages++
@@ -594,8 +557,6 @@ func (t *Tree) split(now sim.Time, h *buffer.Handle, buf, key, val []byte, newCh
 
 // Delete removes key from the tree.
 func (t *Tree) Delete(now sim.Time, key []byte) (sim.Time, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	lpn := t.root
 	for {
 		h, done, err := t.pool.Fetch(now, lpn, t.hint())
@@ -603,24 +564,20 @@ func (t *Tree) Delete(now sim.Time, key []byte) (sim.Time, error) {
 			return done, err
 		}
 		now = done
-		h.Lock()
 		buf := h.Data()
 		if nodeIsLeaf(buf) {
 			i, found := search(buf, key)
 			if !found {
-				h.Unlock()
 				h.Release()
 				return now, fmt.Errorf("%w: delete", ErrNotFound)
 			}
 			removeCell(buf, i)
-			h.Unlock()
 			h.MarkDirty()
 			h.Release()
 			t.entries--
 			return now, nil
 		}
 		next := t.descend(buf, key)
-		h.Unlock()
 		h.Release()
 		lpn = next
 	}
@@ -628,11 +585,9 @@ func (t *Tree) Delete(now sim.Time, key []byte) (sim.Time, error) {
 
 // Scan iterates over all entries with startKey <= key < endKey in ascending
 // order (a nil endKey means "until the end of the index").  fn returning
-// false stops the scan.  The key and value fn receives alias the latched leaf
+// false stops the scan.  The key and value fn receives alias the pinned leaf
 // page: they are valid only until fn returns, so fn copies what it keeps.
 func (t *Tree) Scan(now sim.Time, startKey, endKey []byte, fn func(key, value []byte) bool) (sim.Time, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	// Descend to the leaf containing startKey.
 	lpn := t.root
 	for {
@@ -641,15 +596,12 @@ func (t *Tree) Scan(now sim.Time, startKey, endKey []byte, fn func(key, value []
 			return done, err
 		}
 		now = done
-		h.RLock()
 		buf := h.Data()
 		if nodeIsLeaf(buf) {
-			h.RUnlock()
 			h.Release()
 			break
 		}
 		next := t.descend(buf, startKey)
-		h.RUnlock()
 		h.Release()
 		lpn = next
 	}
@@ -660,7 +612,6 @@ func (t *Tree) Scan(now sim.Time, startKey, endKey []byte, fn func(key, value []
 			return done, err
 		}
 		now = done
-		h.RLock()
 		buf := h.Data()
 		n := nodeNumKeys(buf)
 		i, _ := search(buf, startKey)
@@ -677,7 +628,6 @@ func (t *Tree) Scan(now sim.Time, startKey, endKey []byte, fn func(key, value []
 			}
 		}
 		next := core.LPN(nodeRight(buf))
-		h.RUnlock()
 		h.Release()
 		if stop {
 			return now, nil

@@ -17,9 +17,7 @@ func TestPoolGroupWriteBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.Lock()
 		h.Data()[0] = byte(i)
-		h.Unlock()
 		h.MarkDirty()
 		h.Release()
 	}
@@ -52,7 +50,7 @@ func TestPoolGroupWriteBack(t *testing.T) {
 // TestFetchManyBatchesMissesAndSurvivesExhaustion covers the batched fetch
 // path: all misses of one call go to the backend as a single ReadPages
 // dispatch, and a call that exceeds the pool's frames fails cleanly — the
-// staged frames are unwound (no held latches, no published garbage) so the
+// staged frames are unwound (no held pins, no published garbage) so the
 // same pages remain fetchable afterwards.
 func TestFetchManyBatchesMissesAndSurvivesExhaustion(t *testing.T) {
 	be := newMemBackend(128)
@@ -72,11 +70,9 @@ func TestFetchManyBatchesMissesAndSurvivesExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, h := range handles {
-		h.RLock()
 		if h.Data()[0] != byte(lpns[i]) {
 			t.Fatalf("page %d has wrong contents %d", lpns[i], h.Data()[0])
 		}
-		h.RUnlock()
 		h.Release()
 	}
 	if got := be.batchReads - readsBefore; got != 1 {
@@ -84,7 +80,7 @@ func TestFetchManyBatchesMissesAndSurvivesExhaustion(t *testing.T) {
 	}
 
 	// More distinct pages than frames: the call must fail with ErrPoolFull
-	// without leaking latched frames.
+	// without leaking pinned frames.
 	big := make([]core.LPN, 0, 12)
 	for i := 1; i <= 12; i++ {
 		big = append(big, core.LPN(i))
@@ -92,18 +88,16 @@ func TestFetchManyBatchesMissesAndSurvivesExhaustion(t *testing.T) {
 	if _, _, err := p.FetchMany(0, big, core.Hint{}); err == nil {
 		t.Fatal("FetchMany over pool size succeeded")
 	}
-	// Every page is still individually fetchable (a leaked latch would
-	// deadlock here, a leaked pin would exhaust the pool).
+	// Every page is still individually fetchable (a leaked pin would exhaust
+	// the pool).
 	for _, lpn := range big {
 		h, _, err := p.Fetch(0, lpn, core.Hint{})
 		if err != nil {
 			t.Fatalf("fetch %d after failed FetchMany: %v", lpn, err)
 		}
-		h.RLock()
 		if h.Data()[0] != byte(lpn) {
 			t.Fatalf("page %d corrupted after failed FetchMany", lpn)
 		}
-		h.RUnlock()
 		h.Release()
 	}
 }
@@ -135,11 +129,9 @@ func TestFetchAndFetchManyOfOneAreOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.RLock()
 		if h.LPN() != 5 || h.Data()[0] != 5 {
 			t.Fatalf("fetched lpn %d with contents %d, want page 5", h.LPN(), h.Data()[0])
 		}
-		h.RUnlock()
 		h.Release()
 		return outcome{done: done, stats: p.Stats(), reads: be.reads}
 	}

@@ -1,13 +1,15 @@
 // Package buffer implements the DBMS buffer pool used by the reproduction:
 // a fixed set of page frames over the NoFTL space manager with CLOCK
-// eviction, pin/unpin, per-frame latches and batched dirty-page write-back.
+// eviction, pin/unpin and batched dirty-page write-back.  The pool takes no
+// lock: the database runs one operation at a time (see noftl.DB), so every
+// call has the pool to itself.
 //
-// The frames are sharded by LPN hash: each shard owns a disjoint set of
-// frames, a bitmap of those that hold no page and its own CLOCK hand, so
-// concurrent fetchers that touch different pages almost never contend on a
-// mutex.  The shards share one dense LPN → frame table (core.LPNTable), whose
-// entry for a page the page's shard mutex guards, as it guards pin counts and
-// eviction state; frame contents are protected by per-frame latches.
+// The frames are partitioned by LPN hash into replacement partitions: each
+// owns a disjoint set of frames, a bitmap of those that hold no page and its
+// own CLOCK hand, so a page competes for a frame only with the pages of its
+// partition.  The partitions decide eviction and the order in which Flush
+// hands dirty pages to the device.  They share one dense LPN → frame table
+// (core.LPNTable).
 //
 // Physical page reads and writes consume virtual time on the flash device;
 // the pool threads the caller's virtual-time cursor through every operation
@@ -19,8 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"noftl/internal/core"
 	"noftl/internal/metrics"
@@ -41,83 +41,61 @@ type Backend interface {
 	WritePages(now sim.Time, writes []core.PageWrite) (sim.Time, error)
 }
 
-// ErrPoolFull reports that every evictable frame of the page's shard is
-// pinned and nothing can be evicted.
+// ErrPoolFull reports that every frame of the page's partition is pinned and
+// nothing can be evicted.
 var ErrPoolFull = errors.New("buffer: all frames pinned")
 
-// poolShard is one slice of the pool: a disjoint set of frames with its own
-// CLOCK hand.  A page lives in exactly one shard (chosen by LPN hash), so two
-// operations on different shards never share a mutex.
+// poolShard is one replacement partition of the pool: a disjoint set of
+// frames with its own CLOCK hand.  A page lives in exactly one partition
+// (chosen by LPN hash).
 type poolShard struct {
-	mu     sync.Mutex
 	frames []*Frame
 	empty  []uint64 // bit i set: frames[i] holds no page
 	hand   int
 }
 
-// holds reports whether frame f holds a page.  Caller holds s.mu.
+// holds reports whether frame f holds a page.
 func (s *poolShard) holds(f *Frame) bool {
 	return s.empty[f.idx/64]&(1<<(f.idx%64)) == 0
 }
 
 // Frame is one page-sized slot of the pool.  A frame belongs permanently to
-// one shard; the shard mutex guards every field except data (per-frame latch)
-// and dirty (atomic).
+// one partition.
 type Frame struct {
-	mu     sync.RWMutex // content latch
 	shard  *poolShard
 	idx    int // position in shard.frames
 	lpn    core.LPN
 	data   []byte
 	hint   core.Hint
-	dirty  atomic.Bool // set by MarkDirty without the shard mutex
+	dirty  bool
 	pins   int
 	ref    bool
 	handle Handle // what every pin of the frame hands out
 }
 
 // Handle is a pinned reference to a frame.  Callers must Release it exactly
-// once per pin, and must bracket data access with Lock/Unlock (writers) or
-// RLock/RUnlock (readers).  A frame has one Handle, built with the frame: the
-// pin is the count on the frame, so pinning allocates nothing and two pins of
-// one page share their Handle.
+// once per pin.  A frame has one Handle, built with the frame: the pin is the
+// count on the frame, so pinning allocates nothing and two pins of one page
+// share their Handle.
 type Handle struct {
 	frame *Frame
 }
 
-// Data returns the frame's page buffer.  The caller must hold the frame
-// latch while reading or writing it.
+// Data returns the frame's page buffer.
 func (h *Handle) Data() []byte { return h.frame.data }
 
 // LPN returns the logical page number of the pinned page.
 func (h *Handle) LPN() core.LPN { return h.frame.lpn }
 
-// Lock acquires the frame's write latch.
-func (h *Handle) Lock() { h.frame.mu.Lock() }
-
-// Unlock releases the frame's write latch.
-func (h *Handle) Unlock() { h.frame.mu.Unlock() }
-
-// RLock acquires the frame's read latch.
-func (h *Handle) RLock() { h.frame.mu.RLock() }
-
-// RUnlock releases the frame's read latch.
-func (h *Handle) RUnlock() { h.frame.mu.RUnlock() }
-
 // MarkDirty flags the page as modified so it will be written back before
-// eviction.  Call it while holding the write latch.
-func (h *Handle) MarkDirty() {
-	h.frame.dirty.Store(true)
-}
+// eviction.
+func (h *Handle) MarkDirty() { h.frame.dirty = true }
 
 // Release unpins the page.
 func (h *Handle) Release() {
-	s := h.frame.shard
-	s.mu.Lock()
 	if h.frame.pins > 0 {
 		h.frame.pins--
 	}
-	s.mu.Unlock()
 }
 
 // Stats is a snapshot of pool counters.
@@ -156,8 +134,8 @@ type Options struct {
 	GroupWriteBack bool
 }
 
-// Pool is the buffer pool.  All methods are safe for concurrent use;
-// AttachObs must happen before the pool sees traffic.
+// Pool is the buffer pool.  It is not safe for concurrent use; AttachObs
+// must happen before the pool sees traffic.
 type Pool struct {
 	backend  Backend
 	tracer   *obs.Tracer // nil = tracing off (the only cost is nil compares)
@@ -165,12 +143,11 @@ type Pool struct {
 	nframes  int
 	pageSize int
 
-	// table maps a resident page to its frame's index in its shard plus one
-	// (zero: not resident).  An entry is guarded by its page's shard mutex.
+	// table maps a resident page to its frame's index in its partition plus
+	// one (zero: not resident).
 	table core.LPNTable[int32]
 
-	// flushMu serializes Flush; the candidate slices are reused across calls.
-	flushMu     sync.Mutex
+	// Flush's candidate slices, reused across calls.
 	flushFrames []*Frame
 	flushWrites []core.PageWrite
 
@@ -180,14 +157,14 @@ type Pool struct {
 	misses       *metrics.Counter
 	evictions    *metrics.Counter
 	writebacks   *metrics.Counter
-	newPages     atomic.Int64
-	groupFlushes atomic.Int64
+	newPages     int64
+	groupFlushes int64
 }
 
-// autoShards picks the shard count for a pool of frameCount frames: one
-// shard per 64 frames, capped at 16, rounded down to a power of two.  Small
-// pools keep a single shard, so their eviction behaviour is exactly that of
-// a classic CLOCK pool.
+// autoShards picks the partition count for a pool of frameCount frames: one
+// partition per 64 frames, capped at 16, rounded down to a power of two.
+// Small pools keep a single partition, so their eviction behaviour is exactly
+// that of a classic CLOCK pool.
 func autoShards(frameCount int) int {
 	n := frameCount / 64
 	if n > 16 {
@@ -226,8 +203,8 @@ func (p *Pool) bind(reg *metrics.Registry) {
 	p.writebacks = reg.Counter("noftl_buffer_writebacks_total", "Dirty pages written back by the buffer pool.").With()
 }
 
-// buildShards partitions the pool's frames over n shards (contiguous chunks,
-// so shard sizes differ by at most one).
+// buildShards partitions the pool's frames over n partitions (contiguous
+// chunks, so their sizes differ by at most one).
 func (p *Pool) buildShards(n int) {
 	p.shards = make([]*poolShard, n)
 	base := p.nframes / n
@@ -251,8 +228,8 @@ func (p *Pool) buildShards(n int) {
 	}
 }
 
-// shardOf maps an LPN to its shard.  The hash is a 64-bit mix so sequential
-// LPNs (extent neighbours) spread over all shards.
+// shardOf maps an LPN to its partition.  The hash is a 64-bit mix so
+// sequential LPNs (extent neighbours) spread over all partitions.
 func (p *Pool) shardOf(lpn core.LPN) *poolShard {
 	if len(p.shards) == 1 {
 		return p.shards[0]
@@ -285,22 +262,20 @@ func (p *Pool) Stats() Stats {
 		Frames:       p.nframes,
 		Hits:         p.hits.Value(),
 		Misses:       p.misses.Value(),
-		NewPages:     p.newPages.Load(),
+		NewPages:     p.newPages,
 		Evictions:    p.evictions.Value(),
 		Writebacks:   p.writebacks.Value(),
-		GroupFlushes: p.groupFlushes.Load(),
+		GroupFlushes: p.groupFlushes,
 	}
 	for _, s := range p.shards {
-		s.mu.Lock()
 		for _, f := range s.frames {
 			if s.holds(f) {
 				st.Resident++
-				if f.dirty.Load() {
+				if f.dirty {
 					st.Dirty++
 				}
 			}
 		}
-		s.mu.Unlock()
 	}
 	return st
 }
@@ -311,22 +286,18 @@ func (p *Pool) ResetCounters() {
 	p.misses.Reset()
 	p.evictions.Reset()
 	p.writebacks.Reset()
-	p.newPages.Store(0)
-	p.groupFlushes.Store(0)
+	p.newPages = 0
+	p.groupFlushes = 0
 }
 
 // Fetch pins the page, reading it from the backend on a miss.  The returned
 // time includes any eviction write-back and the read itself.
 func (p *Pool) Fetch(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim.Time, error) {
 	s := p.shardOf(lpn)
-	s.mu.Lock()
-	if f := p.residentLocked(s, lpn); f != nil {
-		h := p.pinHitLocked(f, hint)
-		s.mu.Unlock()
-		return h, now, nil
+	if f := p.resident(s, lpn); f != nil {
+		return p.pinHit(f, hint), now, nil
 	}
-	f, now, err := p.claimMissLocked(s, now, lpn, hint)
-	s.mu.Unlock()
+	f, now, err := p.claimMiss(s, now, lpn, hint)
 	if err != nil {
 		return nil, now, err
 	}
@@ -362,36 +333,33 @@ func (p *Pool) FetchMany(now sim.Time, lpns []core.LPN, hint core.Hint) ([]*Hand
 			}
 		}
 	}
-	// Visit the shards in the order they first appear (eviction write-back
-	// then chains deterministically), one shard lock at a time: pin residents
-	// and claim frames for misses, then read all misses as a single batch.  A
-	// position is done once its handle is set.
+	// Visit the partitions in the order they first appear (eviction
+	// write-back then chains deterministically), one partition at a time: pin
+	// residents and claim frames for misses, then read all misses as a single
+	// batch.  A position is done once its handle is set.
 	for first := range lpns {
 		if handles[first] != nil {
 			continue
 		}
 		s := p.shardOf(lpns[first])
-		s.mu.Lock()
 		for i := first; i < len(lpns); i++ {
 			if handles[i] != nil || p.shardOf(lpns[i]) != s {
 				continue
 			}
-			if f := p.residentLocked(s, lpns[i]); f != nil {
-				handles[i] = p.pinHitLocked(f, hint)
+			if f := p.resident(s, lpns[i]); f != nil {
+				handles[i] = p.pinHit(f, hint)
 				continue
 			}
 			var f *Frame
-			if f, now, err = p.claimMissLocked(s, now, lpns[i], hint); err != nil {
+			if f, now, err = p.claimMiss(s, now, lpns[i], hint); err != nil {
 				break
 			}
 			misses = append(misses, f)
 			missPos = append(missPos, i)
 			handles[i] = &f.handle
 		}
-		s.mu.Unlock()
 		if err != nil {
 			for _, f := range misses {
-				f.mu.Unlock()
 				p.unpin(f, true)
 			}
 			releaseHits()
@@ -409,26 +377,26 @@ func (p *Pool) FetchMany(now sim.Time, lpns []core.LPN, hint core.Hint) ([]*Hand
 	return handles, end, nil
 }
 
-// residentLocked returns the frame of shard s that holds lpn, or nil when the
-// page is not resident.  Caller holds s.mu.
-func (p *Pool) residentLocked(s *poolShard, lpn core.LPN) *Frame {
+// resident returns the frame of partition s that holds lpn, or nil when the
+// page is not resident.
+func (p *Pool) resident(s *poolShard, lpn core.LPN) *Frame {
 	if e := p.table.At(lpn); e != nil && *e != 0 {
 		return s.frames[*e-1]
 	}
 	return nil
 }
 
-// vacateLocked takes the frame's page out of the table and marks the frame
-// empty and clean.  Caller holds the frame's shard mutex.
-func (p *Pool) vacateLocked(f *Frame) {
+// vacate takes the frame's page out of the table and marks the frame empty
+// and clean.
+func (p *Pool) vacate(f *Frame) {
 	*p.table.At(f.lpn) = 0
 	f.shard.empty[f.idx/64] |= 1 << (f.idx % 64)
-	f.dirty.Store(false)
+	f.dirty = false
 }
 
-// pinHitLocked pins a resident frame for a demand access; the demander's
-// placement hint replaces the frame's.  Caller holds the frame's shard mutex.
-func (p *Pool) pinHitLocked(f *Frame, hint core.Hint) *Handle {
+// pinHit pins a resident frame for a demand access; the demander's placement
+// hint replaces the frame's.
+func (p *Pool) pinHit(f *Frame, hint core.Hint) *Handle {
 	f.pins++
 	f.ref = true
 	f.hint = hint
@@ -436,9 +404,8 @@ func (p *Pool) pinHitLocked(f *Frame, hint core.Hint) *Handle {
 	return &f.handle
 }
 
-// claimMissLocked counts a demand miss on the page and claims a frame for
-// it.  Caller holds s.mu.
-func (p *Pool) claimMissLocked(s *poolShard, now sim.Time, lpn core.LPN, hint core.Hint) (*Frame, sim.Time, error) {
+// claimMiss counts a demand miss on the page and claims a frame for it.
+func (p *Pool) claimMiss(s *poolShard, now sim.Time, lpn core.LPN, hint core.Hint) (*Frame, sim.Time, error) {
 	p.misses.Add(1)
 	if p.tracer.Enabled() {
 		p.tracer.Record(obs.Event{
@@ -446,58 +413,47 @@ func (p *Pool) claimMissLocked(s *poolShard, now sim.Time, lpn core.LPN, hint co
 			Region: int32(hint.Region), Start: now, End: now, A: int64(lpn),
 		})
 	}
-	return p.claimLocked(s, now, lpn, hint)
+	return p.claim(s, now, lpn, hint)
 }
 
-// claimLocked evicts a frame of shard s for the page and publishes it pinned
-// once, clean, and with its content latch held: a concurrent Fetch of the
-// same page hits in the table the moment it is published and then blocks on
-// the latch until the claimer has put the contents in place and released it.
-// The latch acquisition cannot block: the frame had zero pins, so no latch
-// holder (or waiter) can exist.  The returned time includes any eviction
-// write-back.  Caller holds s.mu.
-func (p *Pool) claimLocked(s *poolShard, now sim.Time, lpn core.LPN, hint core.Hint) (*Frame, sim.Time, error) {
+// claim evicts a frame of partition s for the page and enters it in the
+// table, pinned once and clean.  The returned time includes any eviction
+// write-back.
+func (p *Pool) claim(s *poolShard, now sim.Time, lpn core.LPN, hint core.Hint) (*Frame, sim.Time, error) {
 	if lpn >= core.MaxTableLPN {
 		return nil, now, fmt.Errorf("buffer: lpn %d: %w", lpn, core.ErrUnmappedPage)
 	}
-	idx, now, err := p.allocFrameLocked(s, now)
+	idx, now, err := p.allocFrame(s, now)
 	if err != nil {
 		return nil, now, err
 	}
 	f := s.frames[idx]
 	f.lpn = lpn
 	f.hint = hint
-	f.dirty.Store(false)
+	f.dirty = false
 	f.pins = 1
 	f.ref = true
-	f.mu.Lock()
 	s.empty[idx/64] &^= 1 << (idx % 64)
 	*p.table.Slot(lpn) = int32(idx + 1)
 	return f, now, nil
 }
 
 // unpin drops one pin of the frame.  With unpublish the frame also leaves
-// the table because its contents never arrived; a concurrent Fetch that hit
-// the published frame meanwhile keeps its pin, and the frame is reused once
-// that is released.
+// the table because its contents never arrived.
 func (p *Pool) unpin(f *Frame, unpublish bool) {
-	s := f.shard
-	s.mu.Lock()
 	if f.pins > 0 {
 		f.pins--
 	}
 	if unpublish {
-		p.vacateLocked(f)
+		p.vacate(f)
 	}
-	s.mu.Unlock()
 }
 
 // fill reads the pages of the claimed frames from the backend in one
-// submission and releases their content latches.  On success every frame
-// keeps its pin (the caller's handles); a frame whose read failed (e.g. the
-// page vanished under a concurrent trim) is unpublished, and then the call
-// fails and no frame stays pinned.  It returns the batch makespan and the
-// first error.
+// submission.  On success every frame keeps its pin (the caller's handles); a
+// frame whose read failed (e.g. the page was trimmed) leaves the table, and
+// then the call fails and no frame stays pinned.  It returns the batch
+// makespan and the first error.
 func (p *Pool) fill(now sim.Time, frames []*Frame) (end sim.Time, err error) {
 	var one [1]core.PageRead
 	reads := one[:]
@@ -514,7 +470,6 @@ func (p *Pool) fill(now sim.Time, frames []*Frame) (end sim.Time, err error) {
 		reads, end = p.backend.ReadPages(now, lpns, bufs)
 	}
 	for i, f := range frames {
-		f.mu.Unlock()
 		if rerr := reads[i].Err; rerr != nil && err == nil {
 			err = fmt.Errorf("buffer: fetch lpn %d: %w", f.lpn, rerr)
 		}
@@ -550,7 +505,7 @@ func (p *Pool) WriteThrough(now sim.Time, writes []core.PageWrite) (sim.Time, er
 // noteGroupWrite counts one batched write dispatch of n pages and records
 // its write-back event.
 func (p *Pool) noteGroupWrite(start, done sim.Time, n int) {
-	p.groupFlushes.Add(1)
+	p.groupFlushes++
 	if p.tracer.Enabled() {
 		p.tracer.Record(obs.Event{
 			Class: obs.ClassBufWriteBack, Op: obs.BufWriteBackGroup,
@@ -564,10 +519,8 @@ func (p *Pool) noteGroupWrite(start, done sim.Time, n int) {
 // The frame starts zeroed and dirty.
 func (p *Pool) NewPage(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim.Time, error) {
 	s := p.shardOf(lpn)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p.newPages.Add(1)
-	f := p.residentLocked(s, lpn)
+	p.newPages++
+	f := p.resident(s, lpn)
 	if f != nil {
 		// The page is already resident (e.g. re-created after a trim); reuse
 		// the frame and reset its contents.
@@ -575,24 +528,20 @@ func (p *Pool) NewPage(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim
 		f.ref = true
 	} else {
 		var err error
-		if f, now, err = p.claimLocked(s, now, lpn, hint); err != nil {
+		if f, now, err = p.claim(s, now, lpn, hint); err != nil {
 			return nil, now, err
 		}
-		f.mu.Unlock() // nothing to wait for: the page has no stored contents
 	}
-	f.dirty.Store(true)
+	f.dirty = true
 	clear(f.data)
 	return &f.handle, now, nil
 }
 
-// allocFrameLocked finds a victim frame in shard s using the CLOCK policy,
-// writing it back if dirty.  Caller holds s.mu; the mutex stays held
-// throughout (the backend write is bookkeeping plus virtual-time math, not
-// real I/O).  A victim has zero pins, so no latch holder can exist and its
-// data may be read directly.
-func (p *Pool) allocFrameLocked(s *poolShard, now sim.Time) (int, sim.Time, error) {
+// allocFrame finds a victim frame in partition s using the CLOCK policy,
+// writing it back if dirty.
+func (p *Pool) allocFrame(s *poolShard, now sim.Time) (int, sim.Time, error) {
 	// First preference: the lowest-index frame that holds no page and is not
-	// pinned (a concurrent Fetch may still pin a frame whose read failed).
+	// pinned.
 	for w, word := range s.empty {
 		for ; word != 0; word &= word - 1 {
 			if i := w*64 + bits.TrailingZeros64(word); s.frames[i].pins == 0 {
@@ -613,7 +562,7 @@ func (p *Pool) allocFrameLocked(s *poolShard, now sim.Time) (int, sim.Time, erro
 			continue
 		}
 		// Victim found.
-		dirty := f.dirty.Load()
+		dirty := f.dirty
 		if dirty {
 			start := now
 			done, err := p.backend.WritePage(now, f.lpn, f.data, f.hint)
@@ -641,7 +590,7 @@ func (p *Pool) allocFrameLocked(s *poolShard, now sim.Time) (int, sim.Time, erro
 				A: int64(f.lpn), B: b,
 			})
 		}
-		p.vacateLocked(f)
+		p.vacate(f)
 		p.evictions.Add(1)
 		return idx, now, nil
 	}
@@ -656,51 +605,32 @@ func (p *Pool) allocFrameLocked(s *poolShard, now sim.Time) (int, sim.Time, erro
 // pages it had to leave behind because they are pinned: someone is modifying
 // them, and they reach the backend on eviction or with a later flush.  A
 // checkpoint whose durable state is the flushed pages cannot complete while
-// any are left.
-//
-// Candidates are collected shard by shard; each is given a flush pin and a
-// read latch so that neither eviction nor a concurrent modification can touch
-// its data while the batch is in flight (a frame with zero pins cannot have a
-// latch holder, so the read latch is acquired without blocking).
+// any are left.  Candidates are collected partition by partition.
 func (p *Pool) Flush(now sim.Time) (done sim.Time, flushed, left int, err error) {
-	p.flushMu.Lock()
-	defer p.flushMu.Unlock()
 	frames, writes := p.flushFrames[:0], p.flushWrites[:0]
 	for _, s := range p.shards {
-		s.mu.Lock()
 		for _, f := range s.frames {
-			if !s.holds(f) || !f.dirty.Load() {
+			if !s.holds(f) || !f.dirty {
 				continue
 			}
 			if f.pins > 0 {
 				left++
 				continue
 			}
-			f.pins++
-			f.mu.RLock()
-			// Clear dirty before the write: MarkDirty cannot run while we
-			// hold the read latch, and any modification after we release it
-			// re-marks the page, so no update is lost.
-			f.dirty.Store(false)
 			frames = append(frames, f)
 			writes = append(writes, core.PageWrite{LPN: f.lpn, Data: f.data, Hint: f.hint})
 		}
-		s.mu.Unlock()
 	}
 	if len(writes) == 0 {
 		return now, 0, left, nil
 	}
 	done, err = p.backend.WritePages(now, writes)
 	for _, f := range frames {
-		if err != nil {
-			// Leave the page dirty: pages the batch did manage to program
-			// are remapped in the backend and will simply be written again
-			// (wasted work, never lost data).
-			f.dirty.Store(true)
-		}
-		f.mu.RUnlock()
-		p.unpin(f, false)
+		// On failure the page stays dirty: pages the batch did manage to
+		// program are remapped in the backend and will simply be written
+		// again (wasted work, never lost data).
 		if err == nil {
+			f.dirty = false
 			p.writebacks.Add(1)
 		}
 	}
@@ -725,10 +655,7 @@ func (p *Pool) FlushAll(now sim.Time) (sim.Time, error) {
 // Drop removes a page from the pool without writing it back (used when an
 // object is dropped and its pages trimmed).
 func (p *Pool) Drop(lpn core.LPN) {
-	s := p.shardOf(lpn)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f := p.residentLocked(s, lpn); f != nil && f.pins == 0 {
-		p.vacateLocked(f)
+	if f := p.resident(p.shardOf(lpn), lpn); f != nil && f.pins == 0 {
+		p.vacate(f)
 	}
 }

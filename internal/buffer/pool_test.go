@@ -2,7 +2,6 @@ package buffer
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -16,7 +15,6 @@ import (
 // overlap), which is what the real scheduler produces for a die-striped
 // batch.
 type memBackend struct {
-	mu          sync.Mutex
 	pages       map[core.LPN][]byte
 	pageSize    int
 	readLat     time.Duration
@@ -37,8 +35,8 @@ func newMemBackend(pageSize int) *memBackend {
 	}
 }
 
-// readLocked is the one-page read both forms share.  Caller holds b.mu.
-func (b *memBackend) readLocked(now sim.Time, lpn core.LPN, buf []byte) ([]byte, sim.Time, error) {
+// read is the one-page read both forms share.
+func (b *memBackend) read(now sim.Time, lpn core.LPN, buf []byte) ([]byte, sim.Time, error) {
 	if b.failRead {
 		return nil, now, errors.New("injected read failure")
 	}
@@ -55,14 +53,10 @@ func (b *memBackend) readLocked(now sim.Time, lpn core.LPN, buf []byte) ([]byte,
 }
 
 func (b *memBackend) ReadPage(now sim.Time, lpn core.LPN, buf []byte) ([]byte, sim.Time, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.readLocked(now, lpn, buf)
+	return b.read(now, lpn, buf)
 }
 
 func (b *memBackend) ReadPages(now sim.Time, lpns []core.LPN, bufs [][]byte) ([]core.PageRead, sim.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.batchReads++
 	out := make([]core.PageRead, len(lpns))
 	end := now
@@ -72,7 +66,7 @@ func (b *memBackend) ReadPages(now sim.Time, lpns []core.LPN, bufs [][]byte) ([]
 			buf = bufs[i]
 		}
 		out[i].LPN = lpn
-		out[i].Data, out[i].Done, out[i].Err = b.readLocked(now, lpn, buf)
+		out[i].Data, out[i].Done, out[i].Err = b.read(now, lpn, buf)
 		if out[i].Done > end {
 			end = out[i].Done
 		}
@@ -81,23 +75,19 @@ func (b *memBackend) ReadPages(now sim.Time, lpns []core.LPN, bufs [][]byte) ([]
 }
 
 func (b *memBackend) WritePage(now sim.Time, lpn core.LPN, data []byte, hint core.Hint) (sim.Time, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.storeLocked(lpn, data)
+	b.store(lpn, data)
 	return now.Add(b.writeLat), nil
 }
 
 func (b *memBackend) WritePages(now sim.Time, writes []core.PageWrite) (sim.Time, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.batchWrites++
 	for _, w := range writes {
-		b.storeLocked(w.LPN, w.Data)
+		b.store(w.LPN, w.Data)
 	}
 	return now.Add(b.writeLat), nil
 }
 
-func (b *memBackend) storeLocked(lpn core.LPN, data []byte) {
+func (b *memBackend) store(lpn core.LPN, data []byte) {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	b.pages[lpn] = cp
@@ -124,9 +114,7 @@ func TestPoolNewPageFetchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Lock()
 	h.Data()[0] = 0xAA
-	h.Unlock()
 	h.MarkDirty()
 	if h.LPN() != 10 {
 		t.Fatalf("handle LPN = %d", h.LPN())
@@ -138,11 +126,9 @@ func TestPoolNewPageFetchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2.RLock()
 	if h2.Data()[0] != 0xAA {
 		t.Fatal("data lost on re-fetch")
 	}
-	h2.RUnlock()
 	h2.Release()
 	st := p.Stats()
 	if st.Hits != 1 || st.Misses != 0 || st.NewPages != 1 {
@@ -170,11 +156,9 @@ func TestPoolNewPageFetchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h3.RLock()
 	if h3.Data()[0] != 0xAA {
 		t.Fatal("data lost after eviction round trip")
 	}
-	h3.RUnlock()
 	h3.Release()
 	st = p.Stats()
 	if st.Misses != 1 || st.Evictions == 0 {
@@ -199,9 +183,7 @@ func TestPoolDirtyEvictionWritesBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.Lock()
 		h.Data()[0] = byte(i + 1)
-		h.Unlock()
 		h.MarkDirty()
 		h.Release()
 	}
@@ -267,9 +249,7 @@ func TestPoolFlushCleanAndDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Lock()
 	h.Data()[1] = 7
-	h.Unlock()
 	h.MarkDirty()
 	h.Release()
 	if _, err := p.FlushAll(0); err != nil {
@@ -307,51 +287,5 @@ func TestPoolResetCounters(t *testing.T) {
 	}
 	if st.Resident == 0 {
 		t.Fatal("reset dropped resident pages")
-	}
-}
-
-func TestPoolConcurrentAccess(t *testing.T) {
-	be := newMemBackend(128)
-	p := New(be, 32, 128, nil)
-	// Pre-create pages.
-	for i := 0; i < 64; i++ {
-		h, _, err := p.NewPage(0, core.LPN(i+1), core.Hint{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.MarkDirty()
-		h.Release()
-	}
-	var wg sync.WaitGroup
-	errCh := make(chan error, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(seed int) {
-			defer wg.Done()
-			r := sim.NewRand(uint64(seed))
-			now := sim.Time(0)
-			for i := 0; i < 500; i++ {
-				lpn := core.LPN(r.Intn(64) + 1)
-				h, done, err := p.Fetch(now, lpn, core.Hint{})
-				if err != nil {
-					errCh <- err
-					return
-				}
-				now = done
-				h.Lock()
-				h.Data()[2]++
-				h.Unlock()
-				h.MarkDirty()
-				h.Release()
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-	if _, err := p.FlushAll(0); err != nil {
-		t.Fatal(err)
 	}
 }

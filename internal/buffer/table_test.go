@@ -2,7 +2,6 @@ package buffer
 
 import (
 	"errors"
-	"sync"
 	"testing"
 
 	"noftl/internal/core"
@@ -73,64 +72,6 @@ func TestFetchBeyondTheTableFails(t *testing.T) {
 	}
 	if st := p.Stats(); st.Resident != 0 || st.Evictions != 0 {
 		t.Fatalf("a refused fetch left %d pages resident and %d evictions", st.Resident, st.Evictions)
-	}
-}
-
-// TestConcurrentFetchesGrowTheTable has goroutines on different shards fetch
-// fresh pages a table chunk apart, so each miss adds a chunk to the shared
-// LPN table while other goroutines hit resident pages.  Run it under -race.
-func TestConcurrentFetchesGrowTheTable(t *testing.T) {
-	const (
-		chunk    = 4096 // entries per core.LPNTable chunk
-		resident = 32
-		growers  = 4
-		fresh    = 24
-	)
-	be := newMemBackend(128)
-	be.seed(resident)
-	for g := 0; g < growers; g++ {
-		for i := 0; i < fresh; i++ {
-			lpn := core.LPN((i*growers + g + 1) * chunk)
-			data := make([]byte, 128)
-			data[0] = byte(lpn / chunk)
-			be.pages[lpn] = data
-		}
-	}
-	p := New(be, 1024, 128, nil) // 16 shards
-	var wg sync.WaitGroup
-	fetch := func(lpn core.LPN, want byte) {
-		h, _, err := p.Fetch(0, lpn, core.Hint{})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		h.RLock()
-		if got := h.Data()[0]; got != want {
-			t.Errorf("lpn %d reads %d, want %d", lpn, got, want)
-		}
-		h.RUnlock()
-		h.Release()
-	}
-	for g := 0; g < growers; g++ {
-		wg.Add(2)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < fresh; i++ {
-				lpn := core.LPN((i*growers + g + 1) * chunk)
-				fetch(lpn, byte(lpn/chunk))
-			}
-		}(g)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 20*fresh; i++ {
-				lpn := core.LPN((i+g)%resident + 1)
-				fetch(lpn, byte(lpn))
-			}
-		}(g)
-	}
-	wg.Wait()
-	if st := p.Stats(); st.Resident != resident+growers*fresh {
-		t.Fatalf("%d pages resident, want %d", st.Resident, resident+growers*fresh)
 	}
 }
 

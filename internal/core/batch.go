@@ -60,15 +60,12 @@ func (m *Manager) ReadPages(now sim.Time, lpns []LPN, bufs [][]byte) ([]PageRead
 }
 
 // readPages fills out (one entry per LPN) and returns the batch makespan.
-// The manager's mutex covers only the translation: reads from independent
-// workers overlap on the scheduler.
 func (m *Manager) readPages(now sim.Time, lpns []LPN, bufs [][]byte, out []PageRead) sim.Time {
 	var one [1]iosched.Request // keeps a lone read off the heap
 	reqs := one[:0]
 	if len(lpns) > len(one) {
 		reqs = make([]iosched.Request, 0, len(lpns))
 	}
-	m.mu.Lock()
 	tr := m.tracer
 	for i, lpn := range lpns {
 		out[i] = PageRead{LPN: lpn, Done: now}
@@ -77,8 +74,6 @@ func (m *Manager) readPages(now sim.Time, lpns []LPN, bufs [][]byte, out []PageR
 			out[i].Err = fmt.Errorf("%w: lpn %d", ErrUnmappedPage, lpn)
 			continue
 		}
-		// The region pointer is stable for the life of the manager and its
-		// collectors are internally synchronized.
 		out[i].region, out[i].addr = m.regionsByID[m.dieOwner[e.die]], e.addr()
 		var buf []byte
 		if i < len(bufs) {
@@ -92,7 +87,6 @@ func (m *Manager) readPages(now sim.Time, lpns []LPN, bufs [][]byte, out []PageR
 			Tag:      uint64(lpn),
 		})
 	}
-	m.mu.Unlock()
 
 	var done [1]iosched.Completion
 	cs, end := m.sched.SubmitAppend(done[:0], now, reqs)
@@ -180,8 +174,6 @@ func (m *Manager) WritePages(now sim.Time, writes []PageWrite) (sim.Time, error)
 	if len(writes) == 0 {
 		return now, nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if cap(m.pends) < len(writes) {
 		m.pends = make([]hostWrite, len(writes))
 	}
@@ -272,7 +264,7 @@ rounds:
 			m.unplaceWrite(p)
 		} else if p.da.written {
 			p.da.written = false
-			m.backgroundGCLocked(end, p.da)
+			m.backgroundGC(end, p.da)
 		}
 	}
 	return end, err
@@ -283,7 +275,7 @@ rounds:
 // the allocation had to wait for.  When that region has exhausted its logical
 // capacity, or its dies cannot yield a slot even after GC, the write spills
 // to the default region (counted), mirroring how a DBMS falls back to another
-// tablespace rather than failing the transaction.  Caller holds m.mu.
+// tablespace rather than failing the transaction.
 func (m *Manager) placeWrite(at sim.Time, w *PageWrite, p *hostWrite) (iosched.Request, sim.Time, error) {
 	r := m.resolveRegion(w.Hint)
 	prev, remap := m.lookup(w.LPN)
@@ -332,7 +324,7 @@ func (m *Manager) placeWrite(at sim.Time, w *PageWrite, p *hostWrite) (iosched.R
 
 // unplaceWrite releases the slot of a page whose program failed or was never
 // issued; the flash page is still erased.  A block the device has marked bad
-// is retired so the next placement opens a fresh one.  Caller holds m.mu.
+// is retired so the next placement opens a fresh one.
 func (m *Manager) unplaceWrite(p *hostWrite) {
 	blk := &p.da.blocks[p.slot.block]
 	blk.nextPage--
@@ -355,7 +347,7 @@ func (m *Manager) unplaceWrite(p *hostWrite) {
 // checkpoint), valid-page accounting, counters and the host-write event.
 // start is the submission time of the call, so the observed latency includes
 // any synchronous GC the write had to wait for — exactly what a host sees on a
-// device doing foreground garbage collection.  Caller holds m.mu.
+// device doing foreground garbage collection.
 func (m *Manager) commitWrite(p *hostWrite, w *PageWrite, start, done sim.Time, traced bool) {
 	r, da, slot, lpn := p.r, p.da, p.slot, w.LPN
 	blk := &da.blocks[slot.block]

@@ -25,11 +25,11 @@ import (
 	"noftl/internal/sim"
 )
 
-// backgroundGCLocked runs at most one bounded background GC step on the die
+// backgroundGC runs at most one bounded background GC step on the die
 // when its free-block count is at or below the high watermark.  Called at the
 // end of host write paths; the step's virtual-time cost is absorbed by the
-// die's idle slots rather than the caller's latency.  Caller holds m.mu.
-func (m *Manager) backgroundGCLocked(now sim.Time, da *dieAlloc) {
+// die's idle slots rather than the caller's latency.
+func (m *Manager) backgroundGC(now sim.Time, da *dieAlloc) {
 	if m.opts.DisableBackgroundGC {
 		return
 	}
@@ -57,18 +57,18 @@ func (m *Manager) backgroundGCLocked(now sim.Time, da *dieAlloc) {
 	if !ok {
 		return
 	}
-	m.backgroundStepLocked(now, r, da)
+	m.backgroundStep(now, r, da)
 }
 
-// backgroundStepLocked performs one bounded GC step on the die: resume (or
+// backgroundStep performs one bounded GC step on the die: resume (or
 // pick) a victim, relocate at most the region's StepPages valid pages, and
 // erase the victim once it is fully relocated.  The step starts no earlier
 // than the die's idle time, so already-dispatched host work is never delayed
 // by it.  It returns the step's virtual completion time and whether the step
 // made actual progress (pages relocated or a block erased) — a step that
 // could do nothing is not counted, so PumpBackgroundGC drain loops
-// terminate.  Caller holds m.mu.
-func (m *Manager) backgroundStepLocked(now sim.Time, r *Region, da *dieAlloc) (sim.Time, bool) {
+// terminate.
+func (m *Manager) backgroundStep(now sim.Time, r *Region, da *dieAlloc) (sim.Time, bool) {
 	pol := r.gc
 	if da.bgVictim >= 0 && da.blocks[da.bgVictim].state != blkClosed {
 		// The victim was finished (or reopened) by a foreground collection
@@ -152,8 +152,6 @@ func (m *Manager) bgMaxValid(free int) float64 {
 // next burst; tests and experiments use it to drive background GC
 // deterministically.
 func (m *Manager) PumpBackgroundGC(now sim.Time) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.opts.DisableBackgroundGC {
 		return 0
 	}
@@ -166,7 +164,7 @@ func (m *Manager) PumpBackgroundGC(now sim.Time) int {
 		if !ok {
 			continue
 		}
-		if _, did := m.backgroundStepLocked(now, r, da); did {
+		if _, did := m.backgroundStep(now, r, da); did {
 			steps++
 		}
 	}
@@ -178,8 +176,6 @@ func (m *Manager) PumpBackgroundGC(now sim.Time) int {
 // already uses the new step bound and hot/cold routing, and the next victim
 // selection uses the new policy.
 func (m *Manager) SetGCPolicy(name string, p GCPolicy) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	r, ok := m.regions[name]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownRegion, name)
@@ -190,8 +186,6 @@ func (m *Manager) SetGCPolicy(name string, p GCPolicy) error {
 
 // GCPolicyOf returns the named region's current garbage-collection policy.
 func (m *Manager) GCPolicyOf(name string) (GCPolicy, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	r, ok := m.regions[name]
 	if !ok {
 		return GCPolicy{}, false

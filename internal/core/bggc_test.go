@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"noftl/internal/flash"
@@ -283,7 +282,6 @@ func TestWearLevelBoundsOverflow(t *testing.T) {
 		}
 		now = done
 	}
-	m.mu.Lock()
 	da := m.dies[0]
 	cold := -1
 	for i := range da.blocks {
@@ -295,7 +293,6 @@ func TestWearLevelBoundsOverflow(t *testing.T) {
 		}
 	}
 	if cold < 0 {
-		m.mu.Unlock()
 		t.Fatal("no closed block to level")
 	}
 	r := m.regionsByID[DefaultRegionID]
@@ -303,7 +300,6 @@ func TestWearLevelBoundsOverflow(t *testing.T) {
 	m.maybeWearLevel(now, r, da)
 	leveled := r.wlMoves.Value() > moves
 	ec := da.blocks[cold].eraseCount
-	m.mu.Unlock()
 
 	if !leveled {
 		t.Fatal("wear leveling skipped the coldest block (overflow-compare regression)")
@@ -321,79 +317,6 @@ func TestWearLevelBoundsOverflow(t *testing.T) {
 	}
 	if err := m.VerifyIntegrity(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestConcurrentBatchedWritesWithBackgroundGC drives batched writes from
-// several goroutines while background GC steps run, then cross-checks every
-// internal invariant.  Run with -race this also proves the locking is sound.
-func TestConcurrentBatchedWritesWithBackgroundGC(t *testing.T) {
-	dev := smallDevice(t, 4, 16, 8)
-	opts := DefaultOptions()
-	opts.OverprovisionPct = 0.25
-	m := NewManager(dev, opts)
-	const (
-		workers  = 4
-		perRange = 48
-		rounds   = 6
-		batch    = 8
-	)
-	starts := make([]LPN, workers)
-	for w := range starts {
-		starts[w] = m.AllocateLPNs(perRange)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			now := sim.Time(0)
-			for r := 0; r < rounds; r++ {
-				for i := 0; i < perRange; i += batch {
-					writes := make([]PageWrite, 0, batch)
-					for j := i; j < i+batch && j < perRange; j++ {
-						writes = append(writes, PageWrite{
-							LPN:  starts[w] + LPN(j),
-							Data: fillPage(dev, byte(w*10+r)),
-						})
-					}
-					done, err := m.WritePages(now, writes)
-					if err != nil {
-						t.Errorf("worker %d: %v", w, err)
-						return
-					}
-					now = done
-				}
-				m.PumpBackgroundGC(now)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	if err := m.VerifyIntegrity(); err != nil {
-		t.Fatalf("integrity violated after concurrent batched writes: %v", err)
-	}
-	st := m.Stats()
-	if st.ValidPages != workers*perRange {
-		t.Fatalf("valid pages = %d, want %d", st.ValidPages, workers*perRange)
-	}
-	// Every page reads back its worker's final round.
-	for w := 0; w < workers; w++ {
-		lpns := make([]LPN, perRange)
-		for i := range lpns {
-			lpns[i] = starts[w] + LPN(i)
-		}
-		reads, _ := m.ReadPages(0, lpns, nil)
-		for i, rd := range reads {
-			if rd.Err != nil {
-				t.Fatalf("worker %d page %d: %v", w, i, rd.Err)
-			}
-			if rd.Data[0] != byte(w*10+rounds-1) {
-				t.Fatalf("worker %d page %d holds stale data", w, i)
-			}
-		}
 	}
 }
 
@@ -429,14 +352,12 @@ func TestWornOutBlocksAreRetiredNotRepicked(t *testing.T) {
 			now = done
 		}
 	}
-	m.mu.Lock()
 	retired := 0
 	for i := range m.dies[0].blocks {
 		if m.dies[0].blocks[i].state == blkRetired {
 			retired++
 		}
 	}
-	m.mu.Unlock()
 	if retired == 0 {
 		t.Fatal("endurance workload retired no blocks; sizing is off")
 	}

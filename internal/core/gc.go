@@ -105,7 +105,7 @@ func (p GCPolicy) String() string {
 // and erases) is issued against the flash device in the caller's virtual
 // time, so a host write that trips the low watermark pays the full
 // victim-relocation latency inline — exactly the stall that background GC
-// (bggc.go) exists to avoid.  Caller holds m.mu.
+// (bggc.go) exists to avoid.
 func (m *Manager) collectDie(now sim.Time, r *Region, da *dieAlloc) sim.Time {
 	r.gcStalls.Inc()
 	fgStart := now
@@ -146,7 +146,7 @@ func (m *Manager) collectDie(now sim.Time, r *Region, da *dieAlloc) sim.Time {
 }
 
 // pickVictim chooses a victim block on the die under the region's policy, or
-// -1 when no block qualifies.  Caller holds m.mu.
+// -1 when no block qualifies.
 func (m *Manager) pickVictim(da *dieAlloc, pol GCPolicy) int {
 	if pol.Victim == VictimCostBenefit {
 		return m.pickVictimCostBenefit(da)
@@ -156,7 +156,7 @@ func (m *Manager) pickVictim(da *dieAlloc, pol GCPolicy) int {
 
 // pickVictimGreedy chooses the closed block with the fewest valid pages.
 // Blocks that are completely valid are never picked because collecting them
-// reclaims nothing.  Caller holds m.mu.
+// reclaims nothing.
 func (m *Manager) pickVictimGreedy(da *dieAlloc) int {
 	best := -1
 	bestValid := m.geo.PagesPerBlock // must be strictly better than "all valid"
@@ -178,8 +178,7 @@ func (m *Manager) pickVictimGreedy(da *dieAlloc) int {
 
 // pickVictimCostBenefit chooses the closed block maximizing
 // age * (1-u) / 2u, where u is the block's valid-page utilization and age is
-// the write-sequence distance since the block last changed.  Caller holds
-// m.mu.
+// the write-sequence distance since the block last changed.
 func (m *Manager) pickVictimCostBenefit(da *dieAlloc) int {
 	best := -1
 	var bestScore float64
@@ -236,8 +235,8 @@ type gcMove struct {
 // GC-priority batch; note that priorities order requests within a single
 // dispatch only — a host request arriving after this batch has been
 // dispatched still queues behind it on the die, exactly as on hardware that
-// cannot abort an in-flight program.  Caller holds m.mu, whose scratch
-// (m.gc) holds the moves, their copybacks and completions.
+// cannot abort an in-flight program.  The manager's scratch (m.gc) holds the
+// moves, their copybacks and completions.
 func (m *Manager) relocateAndErase(now sim.Time, r *Region, da *dieAlloc, victim, maxMoves int, pol GCPolicy) sim.Time {
 	pagesPerBlock := m.geo.PagesPerBlock
 	vblk := &da.blocks[victim]
@@ -343,7 +342,7 @@ func (m *Manager) relocateAndErase(now sim.Time, r *Region, da *dieAlloc, victim
 // relocSlot returns the next destination slot for a relocated page.  With
 // hot/cold separation (the default) relocated pages fill a dedicated GC
 // active block; with separation off they share the die's host active block,
-// re-mixing cold survivors with fresh hot writes.  Caller holds m.mu.
+// re-mixing cold survivors with fresh hot writes.
 func (m *Manager) relocSlot(da *dieAlloc, pol GCPolicy) (slotRef, bool) {
 	if pol.HotCold() {
 		return m.gcSlot(da)
@@ -371,7 +370,7 @@ func (m *Manager) relocSlot(da *dieAlloc, pol GCPolicy) (slotRef, bool) {
 
 // gcSlot returns the next page slot of the die's GC open block, opening a new
 // one from the free list when necessary.  GC may dip into the reserve blocks
-// that host writes are not allowed to touch.  Caller holds m.mu.
+// that host writes are not allowed to touch.
 func (m *Manager) gcSlot(da *dieAlloc) (slotRef, bool) {
 	if da.gcOpen < 0 || da.blocks[da.gcOpen].nextPage >= m.geo.PagesPerBlock {
 		idx := m.popFreeBlock(da)
@@ -396,7 +395,7 @@ func (m *Manager) gcSlot(da *dieAlloc) (slotRef, bool) {
 // non-negative before comparison and the spread/threshold checks are written
 // as subtractions of non-negative values, so a saturated counter near
 // math.MaxInt64 can never wrap a comparison and trick the leveler into
-// moving the wrong block (or moving blocks forever).  Caller holds m.mu.
+// moving the wrong block (or moving blocks forever).
 func (m *Manager) maybeWearLevel(now sim.Time, r *Region, da *dieAlloc) sim.Time {
 	var minE, maxE int64
 	minIdx := -1
@@ -461,7 +460,6 @@ func clampErase(ec int64) int64 {
 // endurance budget, while the block is empty) and, if so, retires it so
 // allocation stops handing out its pages.  Without this, a bad block stays
 // the die's open block and every subsequent write to it fails forever.
-// Caller holds m.mu.
 func (m *Manager) retireIfBad(da *dieAlloc, block int) {
 	bad, err := m.dev.IsBad(flash.BlockAddr{Die: da.die, Block: block})
 	if err != nil || !bad {

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"noftl/internal/flash"
 	"noftl/internal/iosched"
@@ -152,8 +150,7 @@ func (e *mapEntry) addr() ppa {
 func (e *mapEntry) mapped() bool { return e.block&entryMapped != 0 }
 func (e *mapEntry) log() bool    { return e.block&entryLog != 0 }
 
-// lookup returns lpn's entry and whether the page is mapped.  Caller holds
-// m.mu.
+// lookup returns lpn's entry and whether the page is mapped.
 func (m *Manager) lookup(lpn LPN) (mapEntry, bool) {
 	if e := m.mapping.At(lpn); e != nil && e.mapped() {
 		return *e, true
@@ -164,9 +161,8 @@ func (m *Manager) lookup(lpn LPN) (mapEntry, bool) {
 // Manager is the NoFTL space manager: it owns the native flash device,
 // manages regions, performs logical-to-physical address translation with
 // out-of-place updates, and runs garbage collection and wear leveling per
-// region using DBMS-side knowledge.
+// region using DBMS-side knowledge.  It is not safe for concurrent use.
 type Manager struct {
-	mu    sync.Mutex
 	dev   *flash.Device
 	geo   flash.Geometry
 	opts  Options
@@ -190,9 +186,9 @@ type Manager struct {
 	retained   map[ppa]uint64
 	ckptSeq    uint64
 	epoch      uint64
-	overBudget atomic.Bool // some region's retained pages exceed its budget
+	overBudget bool // some region's retained pages exceed its budget
 
-	// Scratch of WritePages, reused across calls under mu so that a write
+	// Scratch of WritePages, reused across calls so that a write
 	// batch (of one page or thousands) allocates nothing per call; it starts
 	// sized for a one-page write and grows to the largest batch seen.  A
 	// collection that runs inside WritePages has scratch of its own.
@@ -208,14 +204,12 @@ type Manager struct {
 	// Observability plane: tracer is nil when tracing is off; reg owns the
 	// per-region counters (a private registry until AttachObs re-binds them
 	// to the database's shared one).  The children are cached on the Region
-	// itself (bindRegionLocked).
+	// itself (bindRegion).
 	tracer *obs.Tracer
 	reg    *metrics.Registry
 
 	// Per-object demand (objects.go): the children of noftl_object_io_total by
-	// object id.  objMu guards the table, and reg for those who bind children
-	// to it, because the read path charges a command without mu.
-	objMu   sync.RWMutex
+	// object id.
 	objects map[uint32]*objectIO
 }
 
@@ -254,7 +248,7 @@ func NewManager(dev *flash.Device, opts Options) *Manager {
 
 	m.objects = map[uint32]*objectIO{0: m.bindObject(UnattributedObject, "", nil)}
 	def := &Region{id: DefaultRegionID, name: DefaultRegionName}
-	m.bindRegionLocked(def)
+	m.bindRegion(def)
 	def.gc = opts.GC
 	allDies := make([]int, nDies)
 	for i := range allDies {
@@ -278,25 +272,21 @@ func (m *Manager) Scheduler() *iosched.Scheduler { return m.sched }
 // (counts taken before the call stay behind on the private registries);
 // regions created later are bound automatically.
 func (m *Manager) AttachObs(tr *obs.Tracer, reg *metrics.Registry) {
-	m.mu.Lock()
-	m.objMu.Lock()
 	m.tracer = tr
 	m.reg = reg
 	for _, r := range m.regions {
-		m.bindRegionLocked(r)
+		m.bindRegion(r)
 	}
 	for id, o := range m.objects {
 		m.objects[id] = m.bindObject(o.name, o.kind, o.size)
 	}
-	m.objMu.Unlock()
-	m.mu.Unlock()
 	m.sched.AttachObs(tr, reg)
 	m.dev.AttachObs(reg)
 }
 
-// bindRegionLocked resolves the region's children of the per-region metric
-// families on m.reg.  Caller holds m.mu (or is the constructor).
-func (m *Manager) bindRegionLocked(r *Region) {
+// bindRegion resolves the region's children of the per-region metric
+// families on m.reg.
+func (m *Manager) bindRegion(r *Region) {
 	reg := m.reg
 	r.hostReads = reg.Counter("noftl_region_host_reads_total",
 		"Logical host page reads served per region.", "region").With(r.name)
@@ -325,8 +315,6 @@ func (m *Manager) Options() Options { return m.opts }
 // by die number.  The metrics plane exports it as a per-die gauge at scrape
 // time.
 func (m *Manager) DieFreeBlocks() []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make([]int, len(m.dies))
 	for i, da := range m.dies {
 		out[i] = da.freeCount()
@@ -337,7 +325,6 @@ func (m *Manager) DieFreeBlocks() []int {
 // recomputeCapacity updates the exported logical capacity of a region from
 // its die set, over-provisioning and MAX_SIZE limit, and with it the share of
 // the over-provisioned spare that retained checkpoint versions may occupy.
-// Caller holds m.mu (or is the constructor).
 func (m *Manager) recomputeCapacity(r *Region) {
 	raw := int64(len(r.dies)) * int64(m.geo.PagesPerDie())
 	r.physPages = int64(float64(raw) * (1 - m.opts.OverprovisionPct))
@@ -350,16 +337,12 @@ func (m *Manager) recomputeCapacity(r *Region) {
 
 // Region returns the region with the given name.
 func (m *Manager) Region(name string) (*Region, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	r, ok := m.regions[name]
 	return r, ok
 }
 
 // RegionByID returns the region with the given id.
 func (m *Manager) RegionByID(id RegionID) (*Region, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	r, ok := m.regionsByID[id]
 	return r, ok
 }
@@ -373,8 +356,6 @@ func (m *Manager) CreateRegion(spec RegionSpec) (*Region, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if _, exists := m.regions[spec.Name]; exists {
 		return nil, fmt.Errorf("%w: %q", ErrRegionExists, spec.Name)
 	}
@@ -424,12 +405,12 @@ func (m *Manager) CreateRegion(spec RegionSpec) (*Region, error) {
 
 	m.regions[r.name] = r
 	m.regionsByID[r.id] = r
-	m.bindRegionLocked(r)
+	m.bindRegion(r)
 	r.resetCounters() // a dropped region of the same name left its children behind
 	return r, nil
 }
 
-// dieEmpty reports whether a die holds no valid pages.  Caller holds m.mu.
+// dieEmpty reports whether a die holds no valid pages.
 func (m *Manager) dieEmpty(die int) bool {
 	da := m.dies[die]
 	for b := range da.blocks {
@@ -441,7 +422,7 @@ func (m *Manager) dieEmpty(die int) bool {
 }
 
 // selectDies picks up to n empty dies from the default region, spreading them
-// over at most maxChannels channels (0 = unlimited).  Caller holds m.mu.
+// over at most maxChannels channels (0 = unlimited).
 func (m *Manager) selectDies(n, maxChannels int) []int {
 	def := m.regionsByID[DefaultRegionID]
 	usedChannels := make(map[int]bool)
@@ -526,8 +507,6 @@ func removeDies(from []int, remove []int) []int {
 // DropRegion removes an empty region and returns its dies to the default
 // region.
 func (m *Manager) DropRegion(name string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	r, ok := m.regions[name]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownRegion, name)
@@ -554,8 +533,6 @@ func (m *Manager) DropRegion(name string) error {
 // GrowRegion moves n additional empty dies from the default region into the
 // named region (the paper notes that the die set of a region is dynamic).
 func (m *Manager) GrowRegion(name string, n int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	r, ok := m.regions[name]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownRegion, name)
@@ -585,15 +562,13 @@ func (m *Manager) GrowRegion(name string, n int) error {
 // AllocateLPNs reserves n consecutive logical page numbers and returns the
 // first.  The storage layer uses this to number extents.
 func (m *Manager) AllocateLPNs(n int) LPN {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	start := m.nextLPN
 	m.nextLPN += LPN(n)
 	return start
 }
 
 // resolveRegion maps a write hint to the target region under the current
-// placement mode.  Caller holds m.mu.
+// placement mode.
 func (m *Manager) resolveRegion(h Hint) *Region {
 	if m.opts.Mode == PlacementTraditional {
 		return m.regionsByID[DefaultRegionID]
@@ -607,14 +582,11 @@ func (m *Manager) resolveRegion(h Hint) *Region {
 // Locate returns the physical address a logical page currently maps to
 // (diagnostic/test helper).
 func (m *Manager) Locate(lpn LPN) (flash.Addr, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	e, ok := m.lookup(lpn)
 	return e.addr(), ok
 }
 
 // invalidate marks the physical page at a as no longer holding current data.
-// Caller holds m.mu.
 func (m *Manager) invalidate(a ppa) {
 	blk := &m.dies[a.Die].blocks[a.Block]
 	if blk.valid[a.Page] {
@@ -632,8 +604,6 @@ func (m *Manager) invalidate(a ppa) {
 // (invalidated, or retained while a checkpoint still needs it) and the logical
 // page becomes unmapped (used when objects are dropped or truncated).
 func (m *Manager) TrimPage(lpn LPN) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	e, ok := m.lookup(lpn)
 	if !ok {
 		return fmt.Errorf("%w: lpn %d", ErrUnmappedPage, lpn)
@@ -656,7 +626,7 @@ type slotRef struct {
 // programmable page of that die's open block, opening a new block — and
 // garbage-collecting first if necessary — when needed.  It returns the die
 // allocation state, the slot, and the virtual time after any synchronous GC
-// work; the state is nil when no die of the region yields one.  Caller holds m.mu.
+// work; the state is nil when no die of the region yields one.
 func (m *Manager) allocateSlot(now sim.Time, r *Region) (*dieAlloc, slotRef, sim.Time) {
 	// Round-robin over the region's dies, skipping dies that cannot yield a
 	// slot even after GC.
@@ -685,7 +655,7 @@ func (m *Manager) allocateSlot(now sim.Time, r *Region) (*dieAlloc, slotRef, sim
 
 // errRegionFull is the error of a write the region cannot place.  Retained
 // checkpoint versions occupy its spare blocks, so when there are any the error
-// names them: the next checkpoint gives that space back.  Caller holds m.mu.
+// names them: the next checkpoint gives that space back.
 func (m *Manager) errRegionFull(r *Region) error {
 	if r.retainedPages > 0 {
 		return fmt.Errorf("%w: %q (%d of %d pages valid, %d pages retained for the last checkpoint)",
@@ -697,7 +667,6 @@ func (m *Manager) errRegionFull(r *Region) error {
 // openHostBlock ensures da has an open block for host writes, running GC when
 // the free-block count is at or below the low-water mark.  It returns the
 // virtual time after any GC work and whether a block could be opened.
-// Caller holds m.mu.
 func (m *Manager) openHostBlock(now sim.Time, r *Region, da *dieAlloc) (sim.Time, bool) {
 	if da.freeCount() <= gcLowWater {
 		now = m.collectDie(now, r, da)
@@ -724,7 +693,7 @@ func (m *Manager) openHostBlock(now sim.Time, r *Region, da *dieAlloc) (sim.Time
 
 // popFreeBlock removes and returns the least-worn free block of the die, or
 // -1 when none is free.  Preferring the least-worn block is the dynamic part
-// of wear leveling.  Caller holds m.mu.
+// of wear leveling.
 func (m *Manager) popFreeBlock(da *dieAlloc) int {
 	if len(da.freeBlocks) == 0 {
 		return -1

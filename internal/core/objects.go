@@ -73,8 +73,7 @@ func (m *Manager) objectFamily() metrics.CounterFamily {
 		"object", "kind", "op")
 }
 
-// bindObject resolves the children of (name, kind) on m.reg.  Caller holds
-// m.objMu (or is the constructor).
+// bindObject resolves the children of (name, kind) on m.reg.
 func (m *Manager) bindObject(name, kind string, size func() int64) *objectIO {
 	o := &objectIO{name: name, kind: kind, size: size}
 	f := m.objectFamily()
@@ -86,33 +85,25 @@ func (m *Manager) bindObject(name, kind string, size func() int64) *objectIO {
 
 // charge counts one command of kind op for the object whose id the page
 // carries: on its own children once it is named, on the unattributed ones
-// (kept under id 0, which no object carries) otherwise.  The count lands under
-// the read lock, so ForgetObject never folds a child a command is still on its
-// way to.
+// (kept under id 0, which no object carries) otherwise.
 func (m *Manager) charge(id uint32, op int) {
-	m.objMu.RLock()
 	o, ok := m.objects[id]
 	if !ok {
 		o = m.objects[0]
 	}
 	o.ops[op].Inc()
-	m.objMu.RUnlock()
 }
 
 // NameObject starts charging the commands for pages carrying object id to
 // (name, kind); size reports the object's current size in pages.
 func (m *Manager) NameObject(id uint32, name, kind string, size func() int64) {
-	m.objMu.Lock()
 	m.objects[id] = m.bindObject(name, kind, size)
-	m.objMu.Unlock()
 }
 
 // ForgetObject ends the record of a dropped object: its children leave the
 // family and what they counted moves to the unattributed child, so the
 // objects still sum to the regions.
 func (m *Manager) ForgetObject(id uint32) {
-	m.objMu.Lock()
-	defer m.objMu.Unlock()
 	o, ok := m.objects[id]
 	if !ok || id == 0 {
 		return
@@ -129,9 +120,7 @@ func (m *Manager) ForgetObject(id uint32) {
 // was charged to it, of the unattributed child, by descending die time.
 func (m *Manager) ObjectStats() []ObjectCounters {
 	t := m.dev.Timing()
-	m.objMu.RLock()
 	out := make([]ObjectCounters, 0, len(m.objects))
-	sizes := make([]func() int64, 0, len(m.objects))
 	for id, o := range m.objects {
 		c := ObjectCounters{
 			Name: o.name, Kind: o.kind,
@@ -142,14 +131,11 @@ func (m *Manager) ObjectStats() []ObjectCounters {
 		}
 		c.DieTime = time.Duration(c.Reads)*t.ReadPage + time.Duration(c.Writes)*t.ProgramPage +
 			time.Duration(c.Copybacks)*(t.ReadPage+t.ProgramPage)
-		if id != 0 || c.DieTime > 0 {
-			out, sizes = append(out, c), append(sizes, o.size)
+		if o.size != nil {
+			c.SizePages = o.size()
 		}
-	}
-	m.objMu.RUnlock()
-	for i, size := range sizes {
-		if size != nil {
-			out[i].SizePages = size() // the owner's code: called without objMu
+		if id != 0 || c.DieTime > 0 {
+			out = append(out, c)
 		}
 	}
 	slices.SortFunc(out, func(a, b ObjectCounters) int {

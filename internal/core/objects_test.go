@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -110,50 +108,5 @@ func TestObjectDemandSumsToTheRegions(t *testing.T) {
 	m.ResetCounters()
 	if objs = check("after the reset", "A", "B"); objs["A"].DieTime != 0 {
 		t.Fatalf("reset left %+v", objs)
-	}
-}
-
-// TestObjectsNamedAndForgottenUnderTraffic reads and writes from several
-// goroutines while objects come and go (run it with -race): whichever child a
-// command lands on, none is lost.
-func TestObjectsNamedAndForgottenUnderTraffic(t *testing.T) {
-	dev := smallDevice(t, 4, 32, 8)
-	m := NewManager(dev, DefaultOptions())
-	base := m.AllocateLPNs(64)
-	for i := LPN(0); i < 64; i++ {
-		if _, err := m.WritePage(0, base+i, fillPage(dev, 1), Hint{ObjectID: uint32(1 + i%4)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for n := 0; n < 200; n++ {
-				lpn := base + LPN((n*7+g)%64)
-				if _, _, err := m.ReadPage(0, lpn, nil); err != nil {
-					t.Error(err)
-				}
-				if _, err := m.WritePage(0, lpn, fillPage(dev, 2), Hint{ObjectID: uint32(1 + (lpn-base)%4)}); err != nil {
-					t.Error(err)
-				}
-			}
-		}(g)
-	}
-	for n := 0; n < 100; n++ {
-		id := uint32(1 + n%4)
-		m.NameObject(id, fmt.Sprint("T", id), "table", nil)
-		_ = m.ObjectStats()
-		m.ForgetObject(id)
-	}
-	wg.Wait()
-	st := m.Stats()
-	var reads, writes int64
-	for _, o := range m.ObjectStats() {
-		reads, writes = reads+o.Reads, writes+o.Writes
-	}
-	if reads != st.HostReads || writes != st.HostWrites || reads != 800 {
-		t.Fatalf("objects sum to %d reads and %d writes, regions to %d and %d", reads, writes, st.HostReads, st.HostWrites)
 	}
 }

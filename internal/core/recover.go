@@ -118,8 +118,6 @@ func (sv *Survey) NewerThan(seq uint64) int {
 // lists the adopted pages that also have a newer, discarded version; see
 // Rewrite.
 func (m *Manager) Adopt(sv *Survey, snapshotSeq uint64, lpns []LPN) (log, stale []LPN, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.ckptSeq, m.epoch = snapshotSeq, max(m.epoch, 1)
 	for _, lpn := range lpns {
 		var best *PageVersion
@@ -176,7 +174,7 @@ func (m *Manager) Rewrite(now sim.Time, lpns []LPN) (sim.Time, error) {
 }
 
 // install maps a logical page to the surveyed version and accounts it to the
-// region that owns the die.  Caller holds m.mu.
+// region that owns the die.
 func (m *Manager) install(v PageVersion) {
 	blk := &m.dies[v.Addr.Die].blocks[v.Addr.Block]
 	blk.lpns[v.Addr.Page] = v.LPN

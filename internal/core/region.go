@@ -50,8 +50,6 @@ func (s RegionSpec) Validate() error {
 // but the default one as it is now: the limits it was created with, the dies it
 // owns and its live garbage-collection policy.
 func (m *Manager) RegionSpecs() []RegionSpec {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	specs := make([]RegionSpec, 0, len(m.regions)-1)
 	for _, r := range m.regions {
 		if r.id != DefaultRegionID {
@@ -67,9 +65,9 @@ func (m *Manager) RegionSpecs() []RegionSpec {
 // Region is a physical storage structure comprising a set of flash dies over
 // which the data placed in the region is evenly distributed.
 //
-// All mutable state is guarded by the owning Manager's mutex; Region values
-// handed out to callers must only be inspected through Manager.Stats or the
-// read-only accessors, which take snapshots.
+// All mutable state is the owning Manager's; Region values handed out to
+// callers must only be inspected through Manager.Stats or the read-only
+// accessors, which take snapshots.
 type Region struct {
 	id   RegionID
 	name string
@@ -88,7 +86,7 @@ type Region struct {
 
 	// Statistics.  The counters and histograms are this region's children of
 	// the noftl_region_* / noftl_host_*_latency families, resolved by
-	// Manager.bindRegionLocked so the write/GC hot paths never touch the
+	// Manager.bindRegion so the write/GC hot paths never touch the
 	// registry maps; host reads and writes count successful operations.
 	// gcRuns and spills have no family and stay plain counts.
 	hostReads   *metrics.Counter
@@ -106,8 +104,7 @@ type Region struct {
 	rr int // round-robin cursor over dies for write placement
 }
 
-// resetCounters zeroes the region's statistics.  Caller holds the manager's
-// mutex.
+// resetCounters zeroes the region's statistics.
 func (r *Region) resetCounters() {
 	for _, c := range []*metrics.Counter{r.hostReads, r.hostWrites,
 		r.gcCopybacks, r.gcErases, r.gcStalls, r.bgSteps, r.wlMoves} {

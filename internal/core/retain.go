@@ -47,8 +47,6 @@ const retainedSpareShare = 2
 // flushed every dirty page and keeps writers out until it has made the
 // checkpoint durable.
 func (m *Manager) Snapshot() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.epoch++
 	m.ckptSeq = m.seq
 	return m.ckptSeq
@@ -58,8 +56,6 @@ func (m *Manager) Snapshot() uint64 {
 // current one — the checkpoint of the newest Snapshot is durable and recovery
 // will never go back behind it — and returns how many it released.
 func (m *Manager) ReleaseRetained() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	released := 0
 	for addr, epoch := range m.retained {
 		if epoch == m.epoch {
@@ -74,17 +70,17 @@ func (m *Manager) ReleaseRetained() int {
 	for _, r := range m.regions {
 		over = over || r.retainedPages > r.retainBudget
 	}
-	m.overBudget.Store(over)
+	m.overBudget = over
 	return released
 }
 
 // RetentionOverBudget reports whether some region's retained pages exceed
 // their share of its over-provisioned spare: a checkpoint is due.
-func (m *Manager) RetentionOverBudget() bool { return m.overBudget.Load() }
+func (m *Manager) RetentionOverBudget() bool { return m.overBudget }
 
 // supersede retires the physical page a logical page no longer maps to.  The
 // version that was current at the newest Snapshot is retained; any other is
-// invalidated.  Caller holds m.mu.
+// invalidated.
 func (m *Manager) supersede(e mapEntry) {
 	if e.log() || e.seq > m.ckptSeq {
 		m.invalidate(e.addr())
@@ -93,6 +89,6 @@ func (m *Manager) supersede(e mapEntry) {
 	m.retained[e.addr()] = m.epoch
 	r := m.regionsByID[m.dieOwner[e.die]]
 	if r.retainedPages++; r.retainedPages > r.retainBudget {
-		m.overBudget.Store(true)
+		m.overBudget = true
 	}
 }

@@ -156,10 +156,8 @@ func TestGCMovesRetainedVersions(t *testing.T) {
 	if !start[flash.Addr{Die: 0, Block: 0, Page: 0}] || len(start) != pages {
 		t.Fatalf("retained versions at %v, want %d of them from block 0 on", start, pages)
 	}
-	m.mu.Lock()
 	r := m.regionsByID[DefaultRegionID]
 	now = m.relocateAndErase(now, r, m.dies[0], 0, dev.Geometry().PagesPerBlock, r.gc)
-	m.mu.Unlock()
 	moved := 0
 	for addr := range located() {
 		if !start[addr] {

@@ -74,8 +74,6 @@ func (s Stats) String() string {
 
 // Stats takes a snapshot of every region and of the device counters.
 func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 
 	dev := m.dev.Stats()
 	out := Stats{
@@ -172,18 +170,14 @@ func (m *Manager) Stats() Stats {
 // intact.
 // Benchmarks call this after the warm-up phase.
 func (m *Manager) ResetCounters() {
-	m.mu.Lock()
 	for _, r := range m.regions {
 		r.resetCounters()
 	}
-	m.objMu.RLock()
 	for _, o := range m.objects {
 		for _, c := range o.ops {
 			c.Reset()
 		}
 	}
-	m.objMu.RUnlock()
-	m.mu.Unlock()
 	m.dev.ResetCounters()
 	m.sched.ResetCounters()
 }

@@ -20,8 +20,6 @@ import (
 //  4. dies are owned by exactly one region and every region's die list agrees
 //     with the ownership table.
 func (m *Manager) VerifyIntegrity() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 
 	// (1) mapping -> block bookkeeping.
 	var mapped int64

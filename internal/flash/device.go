@@ -3,7 +3,6 @@ package flash
 import (
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"noftl/internal/metrics"
@@ -56,15 +55,13 @@ type blockState struct {
 	data       [][]byte // lazily allocated at the block's first payload
 }
 
-// dieState groups the blocks of one die under a single lock.
+// dieState groups the blocks of one die.
 type dieState struct {
-	mu     sync.Mutex
 	blocks []blockState
 
 	// Operation counts.  Reads, programs and erases are this die's children
 	// of the noftl_device_* families (AttachObs); device totals are sums
-	// over the dies.  Copybacks have no family and stay a plain count guarded
-	// by mu.
+	// over the dies.  Copybacks have no family and stay a plain count.
 	reads     *metrics.Counter
 	programs  *metrics.Counter
 	erases    *metrics.Counter
@@ -77,7 +74,7 @@ type dieState struct {
 }
 
 // unshare drops one page's hold on buf and reports whether another page
-// still holds it.  Caller holds ds.mu.
+// still holds it.
 func (ds *dieState) unshare(buf []byte) bool {
 	n := ds.shared[&buf[0]]
 	if n == 1 {
@@ -88,9 +85,8 @@ func (ds *dieState) unshare(buf []byte) bool {
 	return n > 0
 }
 
-// Device is a simulated native flash device.  All command methods are safe
-// for concurrent use; contention on dies and channels is modelled in virtual
-// time, not by blocking callers.
+// Device is a simulated native flash device.  It is not safe for concurrent
+// use; contention on dies and channels is modelled in virtual time.
 type Device struct {
 	cfg     Config
 	geo     Geometry
@@ -99,23 +95,19 @@ type Device struct {
 	chanRes []*sim.Resource
 
 	// fault injection (see fault.go); nil when no plan is armed
-	faultMu sync.Mutex
-	fault   *faultState
+	fault *faultState
 
 	// Payload buffers no page holds any more, waiting for the next program.
 	// Only a program allocates one, and only when the list is empty, so the
 	// list never holds more than the peak number of buffers in use less the
 	// current number; every buffer in use is held by a programmed page, so the
 	// device's capacity bounds that peak, and in steady state none allocates.
-	bufMu    sync.Mutex
 	freeBufs [][]byte
 }
 
 // pageBuf returns a PageSize buffer with unspecified contents for a program
 // that overwrites all of it.
 func (d *Device) pageBuf() []byte {
-	d.bufMu.Lock()
-	defer d.bufMu.Unlock()
 	if n := len(d.freeBufs); n > 0 {
 		buf := d.freeBufs[n-1]
 		d.freeBufs = d.freeBufs[:n-1]
@@ -125,10 +117,8 @@ func (d *Device) pageBuf() []byte {
 }
 
 // recycle takes over the payload buffers of a block being erased that no
-// other page holds.  Caller holds ds.mu.
+// other page holds.
 func (d *Device) recycle(ds *dieState, bufs [][]byte) {
-	d.bufMu.Lock()
-	defer d.bufMu.Unlock()
 	for i, buf := range bufs {
 		if buf != nil && !ds.unshare(buf) {
 			d.freeBufs = append(d.freeBufs, buf)
@@ -178,9 +168,7 @@ func (d *Device) AttachObs(reg *metrics.Registry) {
 	erases := reg.Counter("noftl_device_erases_total", "Physical block erases on the flash device.", "die")
 	for i, ds := range d.dies {
 		die := strconv.Itoa(i)
-		ds.mu.Lock()
 		ds.reads, ds.programs, ds.erases = reads.With(die), programs.With(die), erases.With(die)
-		ds.mu.Unlock()
 	}
 }
 
@@ -207,14 +195,11 @@ func (d *Device) ReadPage(now sim.Time, addr Addr, buf []byte) ([]byte, PageMeta
 		return nil, PageMeta{}, now, ErrCrashed
 	}
 	ds := d.dies[addr.Die]
-	ds.mu.Lock()
 	blk := &ds.blocks[addr.Block]
 	if blk.bad {
-		ds.mu.Unlock()
 		return nil, PageMeta{}, now, fmt.Errorf("%w: %v", ErrBadBlock, addr.BlockAddr())
 	}
 	if blk.states[addr.Page] != pageProgrammed {
-		ds.mu.Unlock()
 		return nil, PageMeta{}, now, fmt.Errorf("%w: %v", ErrReadErased, addr)
 	}
 	meta := blk.meta[addr.Page]
@@ -225,7 +210,6 @@ func (d *Device) ReadPage(now sim.Time, addr Addr, buf []byte) ([]byte, PageMeta
 		copy(buf, blk.data[addr.Page])
 	}
 	ds.reads.Inc()
-	ds.mu.Unlock()
 
 	_, sensed := d.dieRes[addr.Die].Acquire(now, d.cfg.Timing.ReadPage)
 	_, done := d.channel(addr.Die).Acquire(sensed, d.cfg.Timing.Transfer)
@@ -252,18 +236,14 @@ func (d *Device) ProgramPage(now sim.Time, addr Addr, data []byte, meta PageMeta
 		return now, fmt.Errorf("%w: %v", ErrProgramFault, addr)
 	}
 	ds := d.dies[addr.Die]
-	ds.mu.Lock()
 	blk := &ds.blocks[addr.Block]
 	if blk.bad {
-		ds.mu.Unlock()
 		return now, fmt.Errorf("%w: %v", ErrBadBlock, addr.BlockAddr())
 	}
 	if blk.states[addr.Page] != pageErased {
-		ds.mu.Unlock()
 		return now, fmt.Errorf("%w: %v", ErrNotErased, addr)
 	}
 	if addr.Page != blk.nextPage {
-		ds.mu.Unlock()
 		return now, fmt.Errorf("%w: %v (next programmable page is %d)", ErrProgramOrder, addr, blk.nextPage)
 	}
 	blk.states[addr.Page] = pageProgrammed
@@ -278,7 +258,6 @@ func (d *Device) ProgramPage(now sim.Time, addr Addr, data []byte, meta PageMeta
 		blk.data[addr.Page] = cp
 	}
 	ds.programs.Inc()
-	ds.mu.Unlock()
 
 	_, transferred := d.channel(addr.Die).Acquire(now, d.cfg.Timing.Transfer)
 	_, done := d.dieRes[addr.Die].Acquire(transferred, d.cfg.Timing.ProgramPage)
@@ -296,16 +275,12 @@ func (d *Device) EraseBlock(now sim.Time, b BlockAddr) (sim.Time, error) {
 		return now, ErrCrashed
 	} else if fd.failErase {
 		ds := d.dies[b.Die]
-		ds.mu.Lock()
 		ds.blocks[b.Block].bad = true
-		ds.mu.Unlock()
 		return now, fmt.Errorf("%w: %v", ErrEraseFault, b)
 	}
 	ds := d.dies[b.Die]
-	ds.mu.Lock()
 	blk := &ds.blocks[b.Block]
 	if blk.bad {
-		ds.mu.Unlock()
 		return now, fmt.Errorf("%w: %v", ErrBadBlock, b)
 	}
 	for i := range blk.states {
@@ -319,7 +294,6 @@ func (d *Device) EraseBlock(now sim.Time, b BlockAddr) (sim.Time, error) {
 		blk.bad = true
 	}
 	ds.erases.Inc()
-	ds.mu.Unlock()
 
 	_, done := d.dieRes[b.Die].Acquire(now, d.cfg.Timing.EraseBlock)
 	return done, nil
@@ -343,23 +317,18 @@ func (d *Device) Copyback(now sim.Time, src, dst Addr) (PageMeta, sim.Time, erro
 		return PageMeta{}, now, fmt.Errorf("%w: copyback %v -> %v", ErrProgramFault, src, dst)
 	}
 	ds := d.dies[src.Die]
-	ds.mu.Lock()
 	sblk := &ds.blocks[src.Block]
 	dblk := &ds.blocks[dst.Block]
 	if sblk.bad || dblk.bad {
-		ds.mu.Unlock()
 		return PageMeta{}, now, fmt.Errorf("%w: copyback %v -> %v", ErrBadBlock, src, dst)
 	}
 	if sblk.states[src.Page] != pageProgrammed {
-		ds.mu.Unlock()
 		return PageMeta{}, now, fmt.Errorf("%w: copyback source %v", ErrReadErased, src)
 	}
 	if dblk.states[dst.Page] != pageErased {
-		ds.mu.Unlock()
 		return PageMeta{}, now, fmt.Errorf("%w: copyback destination %v", ErrNotErased, dst)
 	}
 	if dst.Page != dblk.nextPage {
-		ds.mu.Unlock()
 		return PageMeta{}, now, fmt.Errorf("%w: copyback destination %v (next is %d)", ErrProgramOrder, dst, dblk.nextPage)
 	}
 	meta := sblk.meta[src.Page]
@@ -375,7 +344,6 @@ func (d *Device) Copyback(now sim.Time, src, dst Addr) (PageMeta, sim.Time, erro
 		ds.shared[&buf[0]]++
 	}
 	ds.copybacks++
-	ds.mu.Unlock()
 
 	_, done := d.dieRes[src.Die].Acquire(now, d.cfg.Timing.ReadPage+d.cfg.Timing.ProgramPage)
 	return meta, done, nil
@@ -390,8 +358,6 @@ func (d *Device) programTorn(addr Addr, data []byte, meta PageMeta, tornBytes in
 		return
 	}
 	ds := d.dies[addr.Die]
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
 	blk := &ds.blocks[addr.Block]
 	if blk.bad || blk.states[addr.Page] != pageErased {
 		return
@@ -421,8 +387,6 @@ func (d *Device) IsBad(b BlockAddr) (bool, error) {
 		return false, fmt.Errorf("%w: %v", ErrOutOfRange, b)
 	}
 	ds := d.dies[b.Die]
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
 	return ds.blocks[b.Block].bad, nil
 }
 
@@ -456,7 +420,6 @@ func (d *Device) Stats() Stats {
 	var s Stats
 	s.PerDie = make([]DieStats, d.geo.Dies())
 	for i, ds := range d.dies {
-		ds.mu.Lock()
 		st := DieStats{
 			Die:       i,
 			Channel:   d.geo.ChannelOfDie(i),
@@ -478,7 +441,6 @@ func (d *Device) Stats() Stats {
 				st.FreeBlocks++
 			}
 		}
-		ds.mu.Unlock()
 		s.PerDie[i] = st
 		s.Reads += st.Reads
 		s.Programs += st.Programs
@@ -494,12 +456,10 @@ func (d *Device) Stats() Stats {
 // it after warm-up so the measured interval starts from zero.
 func (d *Device) ResetCounters() {
 	for _, ds := range d.dies {
-		ds.mu.Lock()
 		ds.reads.Reset()
 		ds.programs.Reset()
 		ds.erases.Reset()
 		ds.copybacks = 0
-		ds.mu.Unlock()
 	}
 	for _, r := range d.dieRes {
 		r.Reset()

@@ -3,7 +3,6 @@ package flash
 import (
 	"bytes"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -349,42 +348,6 @@ func TestDeviceStatsAndReset(t *testing.T) {
 	// Wear survives a counter reset.
 	if st.PerDie[0].TotalWear != 1 {
 		t.Fatalf("wear lost on reset: %d", st.PerDie[0].TotalWear)
-	}
-}
-
-func TestConcurrentProgramsAreSafe(t *testing.T) {
-	cfg := testConfig()
-	cfg.Geometry.BlocksPerDie = 64
-	d := newTestDevice(t, cfg)
-	data := pageData(cfg.Geometry.PageSize, 3)
-	var wg sync.WaitGroup
-	errs := make(chan error, cfg.Geometry.Dies())
-	for die := 0; die < cfg.Geometry.Dies(); die++ {
-		wg.Add(1)
-		go func(die int) {
-			defer wg.Done()
-			now := sim.Time(0)
-			for b := 0; b < 8; b++ {
-				for p := 0; p < cfg.Geometry.PagesPerBlock; p++ {
-					done, err := d.ProgramPage(now, Addr{Die: die, Block: b, Page: p}, data, PageMeta{LPN: uint64(p)})
-					if err != nil {
-						errs <- err
-						return
-					}
-					now = done
-				}
-			}
-		}(die)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	st := d.Stats()
-	want := int64(cfg.Geometry.Dies() * 8 * cfg.Geometry.PagesPerBlock)
-	if st.Programs != want {
-		t.Fatalf("programs = %d, want %d", st.Programs, want)
 	}
 }
 

@@ -3,7 +3,6 @@ package flash
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"noftl/internal/sim"
 )
@@ -37,7 +36,7 @@ type FaultPlan struct {
 	// CrashAfterOps crashes the device on the Nth command after arming
 	// (0 = disabled).  Counting includes every read, program, erase and
 	// copyback, so crash points land inside GC relocations, checkpoint
-	// flushes and group-commit forces as the workload dictates.
+	// flushes and log forces as the workload dictates.
 	CrashAfterOps int64
 	// TornTailBytes, when > 0, makes the crash-triggering command — if it is
 	// a page program — apply only a prefix of the page payload, leaving the
@@ -66,7 +65,6 @@ func (p FaultPlan) enabled() bool {
 
 // faultState is the armed plan plus its mutable counters.
 type faultState struct {
-	mu       sync.Mutex
 	plan     FaultPlan
 	rng      *sim.Rand
 	ops      int64
@@ -97,8 +95,6 @@ type faultDecision struct {
 // Arm installs a fault plan.  Arming replaces any previous plan and resets
 // its counters; arming the zero plan disarms injection entirely.
 func (d *Device) Arm(plan FaultPlan) {
-	d.faultMu.Lock()
-	defer d.faultMu.Unlock()
 	if !plan.enabled() {
 		d.fault = nil
 		return
@@ -111,16 +107,12 @@ func (d *Device) Arm(plan FaultPlan) {
 // any torn page written at the crash point) is untouched; recovery decides
 // what of it is still meaningful.
 func (d *Device) Revive() {
-	d.faultMu.Lock()
-	defer d.faultMu.Unlock()
 	d.fault = nil
 }
 
 // faultOp runs the fault plan for one command.  It returns the decision the
 // command must honour before touching any die state.
 func (d *Device) faultOp(now sim.Time, kind opKind) faultDecision {
-	d.faultMu.Lock()
-	defer d.faultMu.Unlock()
 	f := d.fault
 	if f == nil {
 		return faultDecision{}
@@ -180,7 +172,6 @@ type BlockSurvey struct {
 func (d *Device) Survey() []BlockSurvey {
 	out := make([]BlockSurvey, 0, d.geo.Dies()*d.geo.BlocksPerDie)
 	for die, ds := range d.dies {
-		ds.mu.Lock()
 		for b := range ds.blocks {
 			blk := &ds.blocks[b]
 			bs := BlockSurvey{
@@ -200,7 +191,6 @@ func (d *Device) Survey() []BlockSurvey {
 			}
 			out = append(out, bs)
 		}
-		ds.mu.Unlock()
 	}
 	return out
 }
@@ -216,8 +206,6 @@ func (d *Device) CorruptPage(addr Addr, off, n int, pattern byte) error {
 		return fmt.Errorf("%w: corrupt range [%d,%d)", ErrOutOfRange, off, off+n)
 	}
 	ds := d.dies[addr.Die]
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
 	blk := &ds.blocks[addr.Block]
 	if blk.states[addr.Page] != pageProgrammed {
 		return fmt.Errorf("%w: %v", ErrReadErased, addr)

@@ -37,7 +37,6 @@ import (
 	"cmp"
 	"slices"
 	"strconv"
-	"sync/atomic"
 
 	"noftl/internal/flash"
 	"noftl/internal/metrics"
@@ -154,16 +153,13 @@ type Device interface {
 	Copyback(now sim.Time, src, dst flash.Addr) (flash.PageMeta, sim.Time, error)
 }
 
-// Scheduler is the I/O scheduler.  It is safe for concurrent use and takes
-// no lock of its own: the device model's virtual-time resources (per-die,
-// per-channel) do all contention accounting with their own locks, and the
-// scheduler's counters are atomics, so concurrent submitters from independent
-// workers never serialize on the scheduler — only on the dies they actually
-// share.
+// Scheduler is the I/O scheduler.  It is not safe for concurrent use: the
+// device model's virtual-time resources (per-die, per-channel) do all
+// contention accounting.
 type Scheduler struct {
 	dev       Device
 	geo       flash.Geometry
-	busyUntil []atomic.Int64 // per-die completion horizon (sim.Time ns), CAS-max
+	busyUntil []sim.Time // per-die completion horizon
 
 	// Counters.  The registry children (bind) are resolved once per
 	// (priority, die), so the dispatch loop never touches the registry's
@@ -182,7 +178,7 @@ func New(dev Device) *Scheduler {
 	s := &Scheduler{
 		dev:       dev,
 		geo:       dev.Geometry(),
-		busyUntil: make([]atomic.Int64, dev.Geometry().Dies()),
+		busyUntil: make([]sim.Time, dev.Geometry().Dies()),
 	}
 	s.bind(metrics.NewRegistry())
 	return s
@@ -281,11 +277,10 @@ func (s *Scheduler) Submit(now sim.Time, reqs []Request) ([]Completion, sim.Time
 // Requests to different dies overlap in virtual time; requests to the same
 // die are served in submission order on the die's single-server queue.
 //
-// Submit takes no scheduler-wide lock: concurrent submitters contend only on
-// the per-die/per-channel resources of the device model (and then only when
-// they target the same die), which is what lets N workers drive the device
-// in parallel.  Ordering guarantees hold within one batch; across concurrent
-// batches the dies arbitrate by arrival time, exactly as the hardware would.
+// Submitters contend only on the per-die/per-channel resources of the device
+// model, and then only when they target the same die.  Ordering guarantees
+// hold within one batch; across batches the dies arbitrate by arrival time,
+// exactly as the hardware would.
 func (s *Scheduler) SubmitAppend(dst []Completion, now sim.Time, reqs []Request) ([]Completion, sim.Time) {
 	if len(reqs) == 0 {
 		return dst, now
@@ -335,12 +330,7 @@ func (s *Scheduler) SubmitAppend(dst []Completion, now sim.Time, reqs []Request)
 			end = c.Done
 		}
 		if d := req.die(); d >= 0 && d < len(s.busyUntil) {
-			for {
-				cur := s.busyUntil[d].Load()
-				if int64(c.Done) <= cur || s.busyUntil[d].CompareAndSwap(cur, int64(c.Done)) {
-					break
-				}
-			}
+			s.busyUntil[d] = max(s.busyUntil[d], c.Done)
 		}
 		if c.Err == nil {
 			s.lat[req.Priority].Observe(c.Done.Sub(at))
@@ -384,7 +374,7 @@ func (s *Scheduler) DieIdleAt(die int) sim.Time {
 	if die < 0 || die >= len(s.busyUntil) {
 		return 0
 	}
-	return sim.Time(s.busyUntil[die].Load())
+	return s.busyUntil[die]
 }
 
 // Erase performs one block erase at the given priority: a batch of one for

@@ -1,8 +1,6 @@
 package iosched
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 
 	"noftl/internal/flash"
@@ -371,74 +369,6 @@ func TestDieIdleAtTracksDispatchedWork(t *testing.T) {
 	// Out-of-range dies are reported idle instead of panicking.
 	if s.DieIdleAt(-1) != 0 || s.DieIdleAt(10_000) != 0 {
 		t.Fatal("out-of-range dies should report idle at 0")
-	}
-}
-
-// TestConcurrentSubmitters drives Submit from many goroutines at once and
-// checks the accounting: request/batch counters are exact and per-die busy
-// horizons cover all work.  Run with -race this exercises the lock-free
-// dispatch path.
-func TestConcurrentSubmitters(t *testing.T) {
-	dev := testDevice(t)
-	geo := dev.Geometry()
-	for d := 0; d < geo.Dies(); d++ {
-		program(t, dev, d, 8)
-	}
-	resetTime(dev)
-	s := New(dev)
-
-	const workers = 8
-	const batchesPerWorker = 40
-	const reqsPerBatch = 4
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			now := sim.Time(0)
-			for b := 0; b < batchesPerWorker; b++ {
-				reqs := make([]Request, reqsPerBatch)
-				for i := range reqs {
-					die := (id + i) % geo.Dies()
-					reqs[i] = Request{
-						Op:       OpReadPage,
-						Addr:     flash.Addr{Die: die, Block: 0, Page: (b + i) % 8},
-						Priority: PrioHostRead,
-						Tag:      uint64(id*1000 + b),
-					}
-				}
-				cs, end := s.Submit(now, reqs)
-				for _, c := range cs {
-					if c.Err != nil {
-						errCh <- c.Err
-						return
-					}
-					if c.Done > end {
-						errCh <- fmt.Errorf("completion %v after makespan %v", c.Done, end)
-						return
-					}
-				}
-				now = end
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-	if got, want := s.Stats().Requests, int64(workers*batchesPerWorker*reqsPerBatch); got != want {
-		t.Fatalf("requests = %d, want %d", got, want)
-	}
-	if got, want := s.Stats().Batches, int64(workers*batchesPerWorker); got != want {
-		t.Fatalf("batches = %d, want %d", got, want)
-	}
-	// Every die saw work, so every busy horizon must have advanced.
-	for d := 0; d < geo.Dies(); d++ {
-		if s.DieIdleAt(d) == 0 {
-			t.Fatalf("die %d horizon never advanced", d)
-		}
 	}
 }
 

@@ -11,12 +11,11 @@
 // Overhead discipline: every hook site is guarded by Tracer.Enabled, which is
 // nil-safe — a disabled tracer is simply a nil pointer, so the disabled path
 // is one pointer compare and no allocations (events are fixed-size value
-// structs that never escape when the guard is false).  The enabled path takes
-// one short mutex-protected ring-buffer store and records every event.
+// structs that never escape when the guard is false).  The enabled path is one
+// ring-buffer store per event.  A Tracer is not safe for concurrent use.
 package obs
 
 import (
-	"sync"
 	"time"
 
 	"noftl/internal/metrics"
@@ -146,7 +145,6 @@ func (e Event) Latency() sim.Duration { return e.End.Sub(e.Start) }
 type Tracer struct {
 	started time.Time
 
-	mu   sync.Mutex
 	buf  []Event
 	next uint64 // total records ever stored (ring position = next % len)
 	// children of the noftl_trace_events_* families (AttachObs)
@@ -193,7 +191,6 @@ func (t *Tracer) Record(e Event) {
 	}
 	e.Wall = int64(time.Since(t.started))
 	t.recorded.Inc()
-	t.mu.Lock()
 	e.Seq = t.next
 	t.next++
 	if len(t.buf) < cap(t.buf) {
@@ -202,7 +199,6 @@ func (t *Tracer) Record(e Event) {
 		t.buf[e.Seq%uint64(cap(t.buf))] = e
 		t.dropped.Inc()
 	}
-	t.mu.Unlock()
 }
 
 // Len returns the number of events currently retained.
@@ -210,8 +206,6 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return len(t.buf)
 }
 
@@ -237,8 +231,6 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	out := make([]Event, len(t.buf))
 	if len(t.buf) < cap(t.buf) {
 		copy(out, t.buf)
@@ -256,10 +248,8 @@ func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	t.buf = t.buf[:0]
 	t.next = 0
-	t.mu.Unlock()
 	t.recorded.Reset()
 	t.dropped.Reset()
 }

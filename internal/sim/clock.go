@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -73,9 +72,8 @@ const maxSpans = 256
 // Resource is a single-server queue living in virtual time that serves its
 // requests in arrival order: a NAND die, a flash channel, or any other device
 // component that serves one operation at a time.  The zero value is an idle
-// resource; it is safe for concurrent use.
+// resource; it is not safe for concurrent use.
 type Resource struct {
-	mu sync.Mutex
 	// spans is the timeline: the disjoint busy intervals in time order,
 	// adjacent ones merged, so a saturated resource holds a single span.
 	// Nothing is ever placed before floor, the end of the forgotten history.
@@ -93,8 +91,6 @@ type Resource struct {
 // further ahead.  An arrival older than the remembered history is served as
 // if it arrived at the start of that history.
 func (r *Resource) Acquire(now Time, d Duration) (start, done Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.busy += d
 	r.served++
 
@@ -143,31 +139,25 @@ func (r *Resource) Acquire(now Time, d Duration) (start, done Time) {
 
 // Busy returns the cumulative virtual service time charged to the resource.
 func (r *Resource) Busy() Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.busy
 }
 
 // Served returns the number of operations served.
 func (r *Resource) Served() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.served
 }
 
 // Reset returns the resource to the idle state at time zero, clearing
 // accumulated statistics.
 func (r *Resource) Reset() {
-	r.mu.Lock()
 	r.spans, r.floor, r.busy, r.served = r.spans[:0], 0, 0, 0
-	r.mu.Unlock()
 }
 
 // Clock tracks the global high-water mark of simulated time across all
 // actors.  Actors advance their private cursors and publish them; the clock
 // remembers the maximum, which is the simulated wall-clock duration of the
-// run.  Observe is a lock-free CAS-max so the clock never serializes
-// concurrent actors (every cursor advance publishes here).
+// run.  Observe is a lock-free CAS-max: a TimeCursor advances, and publishes
+// here, outside any database operation.
 type Clock struct {
 	max atomic.Int64
 }

@@ -33,34 +33,6 @@ func TestResourceAcquireSequential(t *testing.T) {
 	}
 }
 
-func TestResourceConcurrentAccounting(t *testing.T) {
-	r := new(Resource)
-	const workers = 8
-	const perWorker = 1000
-	var wg sync.WaitGroup
-	last := NewClock() // latest completion any worker was given
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				_, done := r.Acquire(0, time.Nanosecond)
-				last.Observe(done)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := r.Served(); got != workers*perWorker {
-		t.Fatalf("served = %d, want %d", got, workers*perWorker)
-	}
-	if got := r.Busy(); got != workers*perWorker*time.Nanosecond {
-		t.Fatalf("busy = %v, want %d ns", got, workers*perWorker)
-	}
-	if got := last.Now(); got != workers*perWorker {
-		t.Fatalf("last completion = %d, want %d (serialized service)", got, workers*perWorker)
-	}
-}
-
 func TestClockObservesMaximum(t *testing.T) {
 	c := NewClock()
 	cur1 := NewCursor(c)

@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"noftl/internal/buffer"
 	"noftl/internal/core"
@@ -20,9 +19,9 @@ var (
 // HeapFile stores variable-length records of one table in slotted pages
 // allocated from the table's tablespace.  Inserts fill the most recently
 // allocated page and open a new page when it is full; updates are in place
-// (records keep their RID); deletes tombstone the slot.
+// (records keep their RID); deletes tombstone the slot.  It is not safe for
+// concurrent use.
 type HeapFile struct {
-	mu       sync.Mutex
 	name     string
 	objectID uint32
 	ts       *Tablespace
@@ -57,22 +56,16 @@ func (h *HeapFile) ObjectID() uint32 { return h.objectID }
 
 // PageCount returns the number of pages allocated to the heap.
 func (h *HeapFile) PageCount() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return int64(len(h.pages))
 }
 
 // RecordCount returns the number of live records.
 func (h *HeapFile) RecordCount() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.records
 }
 
 // Pages returns a copy of the heap's page list (for scans and tests).
 func (h *HeapFile) Pages() []core.LPN {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	out := make([]core.LPN, len(h.pages))
 	copy(out, h.pages)
 	return out
@@ -84,11 +77,7 @@ func (h *HeapFile) hint() core.Hint {
 
 // Insert appends a record and returns its RID.
 func (h *HeapFile) Insert(now sim.Time, rec []byte) (RID, sim.Time, error) {
-	h.mu.Lock()
-	lpn := h.lastPage
-	h.mu.Unlock()
-
-	if lpn != 0 {
+	if lpn := h.lastPage; lpn != 0 {
 		rid, done, ok, err := h.tryInsertInto(now, lpn, rec)
 		if err != nil {
 			return RID{}, done, err
@@ -98,29 +87,23 @@ func (h *HeapFile) Insert(now sim.Time, rec []byte) (RID, sim.Time, error) {
 		}
 		now = done
 	}
-	// Open a fresh page.  The LPN is published in h.pages/h.lastPage only
-	// after its frame exists in the pool: concurrent inserters and scanners
-	// that pick the new tail up must find the frame, not fall through to the
-	// device where the page has never been written.
+	// Open a fresh page.  It joins h.pages only once its frame exists in the
+	// pool.
 	newLPN := h.ts.AllocatePage()
 	handle, done, err := h.pool.NewPage(now, newLPN, h.hint())
 	if err != nil {
 		return RID{}, done, err
 	}
 	defer handle.Release()
-	handle.Lock()
-	defer handle.Unlock()
 	InitPage(handle.Data(), PageTypeHeap, h.objectID, uint64(newLPN))
 	slot, err := InsertRecord(handle.Data(), rec)
 	if err != nil {
 		return RID{}, done, fmt.Errorf("heap %s: insert into fresh page: %w", h.name, err)
 	}
 	handle.MarkDirty()
-	h.mu.Lock()
 	h.pages = append(h.pages, newLPN)
 	h.lastPage = newLPN
 	h.records++
-	h.mu.Unlock()
 	return RID{LPN: uint64(newLPN), Slot: slot}, done, nil
 }
 
@@ -152,9 +135,7 @@ func (h *HeapFile) InsertBatch(now sim.Time, recs [][]byte) ([]RID, sim.Time, er
 
 	// Phase 1: fill whatever room the current tail page has, fetching it once
 	// for the whole batch instead of once per record.
-	h.mu.Lock()
 	tail := h.lastPage
-	h.mu.Unlock()
 	next := 0
 	if tail != 0 {
 		handle, done, err := h.pool.Fetch(now, tail, h.hint())
@@ -162,7 +143,6 @@ func (h *HeapFile) InsertBatch(now sim.Time, recs [][]byte) ([]RID, sim.Time, er
 			return nil, done, err
 		}
 		now = done
-		handle.Lock()
 		inserted := 0
 		for next < len(recs) {
 			slot, err := InsertRecord(handle.Data(), recs[next])
@@ -170,7 +150,6 @@ func (h *HeapFile) InsertBatch(now sim.Time, recs [][]byte) ([]RID, sim.Time, er
 				if errors.Is(err, ErrPageFull) || errors.Is(err, ErrRecordTooLarge) {
 					break
 				}
-				handle.Unlock()
 				handle.Release()
 				return rids, now, err
 			}
@@ -181,11 +160,8 @@ func (h *HeapFile) InsertBatch(now sim.Time, recs [][]byte) ([]RID, sim.Time, er
 		if inserted > 0 {
 			handle.MarkDirty()
 		}
-		handle.Unlock()
 		handle.Release()
-		h.mu.Lock()
 		h.records += int64(inserted)
-		h.mu.Unlock()
 	}
 	if next >= len(recs) {
 		return rids, now, nil
@@ -242,10 +218,8 @@ func (h *HeapFile) InsertBatch(now sim.Time, recs [][]byte) ([]RID, sim.Time, er
 			return rids[:sealed], done, err
 		}
 		now = done
-		handle.Lock()
 		copy(handle.Data(), cur)
 		handle.MarkDirty()
-		handle.Unlock()
 		handle.Release()
 	} else {
 		newPages = newPages[:len(newPages)-1] // the empty tail was never used
@@ -260,13 +234,11 @@ func (h *HeapFile) adoptPages(lpns []core.LPN, records int64) {
 	if len(lpns) == 0 && records == 0 {
 		return
 	}
-	h.mu.Lock()
 	h.pages = append(h.pages, lpns...)
 	if len(lpns) > 0 {
 		h.lastPage = lpns[len(lpns)-1]
 	}
 	h.records += records
-	h.mu.Unlock()
 }
 
 // GetBatch returns copies of the records identified by rids, in order, carved
@@ -279,8 +251,7 @@ func (h *HeapFile) GetBatch(now sim.Time, rids []RID, slab *Slab) ([][]byte, sim
 	if len(rids) == 0 {
 		return out, now, nil
 	}
-	// One page per run of rids on it, so each run takes the page's latch once;
-	// a page in two runs is pinned twice.
+	// One page per run of rids on it; a page in two runs is pinned twice.
 	var lpnBuf [64]core.LPN
 	lpns := lpnBuf[:0]
 	for i, rid := range rids {
@@ -298,19 +269,16 @@ func (h *HeapFile) GetBatch(now sim.Time, rids []RID, slab *Slab) ([][]byte, sim
 			hd.Release()
 		}
 	}()
-	// Two passes, each latching a run's page once: size the rows, so that
-	// they cost at most one chunk, then copy them.  A row rewritten between
-	// the passes is copied as it is in the second.
+	// Two passes: size the rows, so that they cost at most one chunk, then
+	// copy them.
 	size := 0
 	for pass := 0; pass < 2; pass++ {
 		slab.Reserve(size)
 		i := 0
 		for _, hd := range handles {
-			hd.RLock()
 			for lpn := rids[i].LPN; i < len(rids) && rids[i].LPN == lpn; i++ {
 				rec, err := recordAt(hd.Data(), rids[i].Slot)
 				if err != nil {
-					hd.RUnlock()
 					return nil, now, fmt.Errorf("heap %s: %w (%v)", h.name, ErrNotFound, err)
 				}
 				if pass == 0 {
@@ -319,7 +287,6 @@ func (h *HeapFile) GetBatch(now sim.Time, rids []RID, slab *Slab) ([][]byte, sim
 					out[i] = slab.Copy(rec)
 				}
 			}
-			hd.RUnlock()
 		}
 	}
 	return out, now, nil
@@ -333,8 +300,6 @@ func (h *HeapFile) tryInsertInto(now sim.Time, lpn core.LPN, rec []byte) (RID, s
 		return RID{}, done, false, err
 	}
 	defer handle.Release()
-	handle.Lock()
-	defer handle.Unlock()
 	if FreeSpace(handle.Data()) < len(rec) {
 		return RID{}, done, false, nil
 	}
@@ -346,9 +311,7 @@ func (h *HeapFile) tryInsertInto(now sim.Time, lpn core.LPN, rec []byte) (RID, s
 		return RID{}, done, false, err
 	}
 	handle.MarkDirty()
-	h.mu.Lock()
 	h.records++
-	h.mu.Unlock()
 	return RID{LPN: uint64(lpn), Slot: slot}, done, true, nil
 }
 
@@ -365,8 +328,6 @@ func (h *HeapFile) GetAppend(now sim.Time, rid RID, dst []byte) ([]byte, sim.Tim
 		return dst, done, err
 	}
 	defer handle.Release()
-	handle.RLock()
-	defer handle.RUnlock()
 	out, err := AppendRecord(dst, handle.Data(), rid.Slot)
 	if err != nil {
 		return dst, done, fmt.Errorf("heap %s: %w (%v)", h.name, ErrNotFound, err)
@@ -381,8 +342,6 @@ func (h *HeapFile) Update(now sim.Time, rid RID, rec []byte) (sim.Time, error) {
 		return done, err
 	}
 	defer handle.Release()
-	handle.Lock()
-	defer handle.Unlock()
 	if err := UpdateRecord(handle.Data(), rid.Slot, rec); err != nil {
 		return done, fmt.Errorf("heap %s: update %v: %w", h.name, rid, err)
 	}
@@ -397,17 +356,13 @@ func (h *HeapFile) Delete(now sim.Time, rid RID) (sim.Time, error) {
 		return done, err
 	}
 	defer handle.Release()
-	handle.Lock()
-	defer handle.Unlock()
 	if err := DeleteRecord(handle.Data(), rid.Slot); err != nil {
 		return done, fmt.Errorf("heap %s: delete %v: %w", h.name, rid, err)
 	}
 	handle.MarkDirty()
-	h.mu.Lock()
 	if h.records > 0 {
 		h.records--
 	}
-	h.mu.Unlock()
 	return done, nil
 }
 
@@ -415,14 +370,13 @@ func (h *HeapFile) Delete(now sim.Time, rid RID) (sim.Time, error) {
 // of the record that fn may keep, carved from slab.  Returning false stops
 // the scan.  It returns the caller's advanced virtual time.
 func (h *HeapFile) Scan(now sim.Time, slab *Slab, fn func(rid RID, rec []byte) bool) (sim.Time, error) {
-	for _, lpn := range h.Pages() {
+	for _, lpn := range h.pages {
 		handle, done, err := h.pool.Fetch(now, lpn, h.hint())
 		if err != nil {
 			return done, err
 		}
 		now = done
 		stop := false
-		handle.RLock()
 		err = IterateRecords(handle.Data(), func(slot uint16, rec []byte) bool {
 			if !fn(RID{LPN: uint64(lpn), Slot: slot}, slab.Copy(rec)) {
 				stop = true
@@ -430,7 +384,6 @@ func (h *HeapFile) Scan(now sim.Time, slab *Slab, fn func(rid RID, rec []byte) b
 			}
 			return true
 		})
-		handle.RUnlock()
 		handle.Release()
 		if err != nil {
 			return now, err

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"sync"
 
 	"noftl/internal/core"
 )
@@ -11,7 +10,6 @@ import (
 // bound to a NoFTL region (the paper's coupling of tablespaces to regions)
 // and hands out pages to the objects created in it, extent by extent.
 type Tablespace struct {
-	mu             sync.Mutex
 	name           string
 	region         core.RegionID
 	extentPages    int
@@ -53,15 +51,11 @@ func (t *Tablespace) ExtentPages() int { return t.extentPages }
 
 // AllocatedPages returns the number of pages handed out so far.
 func (t *Tablespace) AllocatedPages() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.allocatedPages
 }
 
 // Extents returns the number of extents allocated so far.
 func (t *Tablespace) Extents() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.extents
 }
 
@@ -75,8 +69,6 @@ func (t *Tablespace) Hint(objectID uint32, flags uint16) core.Hint {
 // allocating a new extent from the space manager when the current one is
 // exhausted.
 func (t *Tablespace) AllocatePage() core.LPN {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.currentUsed == 0 || t.currentUsed >= t.extentPages {
 		t.currentStart = t.mgr.AllocateLPNs(t.extentPages)
 		t.currentUsed = 0

@@ -2,22 +2,25 @@
 // engine: transaction identities, strict two-phase locking on logical keys,
 // commit/abort bookkeeping and per-transaction virtual-time accounting.
 //
-// The lock table is one map under one mutex.  Lock waits are real
-// (goroutine blocking), but the wait *timeout* is virtual-time-deterministic:
-// a waiter gives up when the contended key has seen more than the configured
-// budget of simulated time pass (measured from release to release) while the
-// lock stayed unavailable.  That makes ErrLockTimeout independent of host
-// speed and parallel test load; a generous wall-clock fallback remains as
-// the safety net for true deadlocks, where no release (and hence no virtual
-// progress on the key) ever happens.  TPC-C transactions acquire their locks
-// in a canonical order, so deadlocks cannot form in the benchmark itself.
+// Nothing here takes a lock of its own: the database runs one operation at a
+// time under its baton (see noftl.DB), and the lock table is one map the
+// operation holding the baton reads and writes.  Lock waits are real (the
+// waiting goroutine parks on a condition variable of the baton, so the holder
+// can run to its release), but the wait *timeout* is
+// virtual-time-deterministic: a waiter gives up when the contended key has seen
+// more than the configured budget of simulated time pass (measured from
+// release to release) while the lock stayed unavailable.  That makes
+// ErrLockTimeout independent of host speed and parallel test load; a generous
+// wall-clock fallback remains as the safety net for true deadlocks, where no
+// release (and hence no virtual progress on the key) ever happens.  TPC-C
+// transactions acquire their locks in a canonical order, so deadlocks cannot
+// form in the benchmark itself.
 package txn
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"noftl/internal/metrics"
@@ -41,6 +44,8 @@ var (
 	ErrLockTimeout = errors.New("txn: lock wait timeout")
 	// ErrTxnDone reports an operation on a committed or aborted transaction.
 	ErrTxnDone = errors.New("txn: transaction already finished")
+	// ErrLockBusy reports a TryLock that would have had to wait.
+	ErrLockBusy = errors.New("txn: lock held by another transaction")
 )
 
 // lockState is the state of one lockable key.  The table keeps one for every
@@ -59,13 +64,12 @@ type lockState struct {
 // held reports whether any transaction holds the key.
 func (ls *lockState) held() bool { return ls.writer != 0 || len(ls.readers) > 0 }
 
-// LockManager implements strict two-phase locking over string keys.  All
-// methods are safe for concurrent use.  One mutex guards the lock table, and
-// waiters of every key share one condition variable: a release wakes them
-// all, and each re-checks its own key.
+// LockManager implements strict two-phase locking over string keys.  It is
+// not safe for concurrent use: every call runs under the baton SetBaton names,
+// and waiters of every key park on one condition variable of it.  A release
+// wakes them all, and each re-checks its own key.
 type LockManager struct {
-	mu           sync.Mutex
-	cond         sync.Cond // L is &mu
+	cond         sync.Cond // L is the baton: a waiter releases it while parked
 	locks        map[string]*lockState
 	free         []lockState   // the rest of the chunk of 256 new states are carved from
 	held         int64         // keys some transaction holds
@@ -92,7 +96,6 @@ func NewLockManager(timeout time.Duration) *LockManager {
 		fallback = time.Minute
 	}
 	lm := &LockManager{timeout: timeout, wallFallback: fallback, locks: make(map[string]*lockState)}
-	lm.cond.L = &lm.mu
 	lm.bind(metrics.NewRegistry())
 	return lm
 }
@@ -105,6 +108,11 @@ func (lm *LockManager) bind(reg *metrics.Registry) {
 		"Lock waits that ended as deadlock victims (ErrLockTimeout).").With()
 }
 
+// SetBaton names the lock every call runs under and a waiter parks on.  Set
+// it before a call that may have to wait: only a caller that never meets a
+// held lock, such as a single goroutine, can do without one.
+func (lm *LockManager) SetBaton(baton sync.Locker) { lm.cond.L = baton }
+
 // SetWallFallback overrides the wall-clock deadlock safety net (tests use a
 // short fallback to exercise it quickly).
 func (lm *LockManager) SetWallFallback(d time.Duration) {
@@ -113,8 +121,7 @@ func (lm *LockManager) SetWallFallback(d time.Duration) {
 	}
 }
 
-// state returns the lock state of key, creating it on first use.  Caller
-// holds lm.mu.
+// state returns the lock state of key, creating it on first use.
 func (lm *LockManager) state(key string) *lockState {
 	ls, ok := lm.locks[key]
 	if !ok {
@@ -127,13 +134,13 @@ func (lm *LockManager) state(key string) *lockState {
 	return ls
 }
 
-// wake broadcasts to every waiter under the mutex.  A waiter holds the mutex
+// wake broadcasts to every waiter under the baton.  A waiter holds the baton
 // from its last check until Wait has registered it, so a wake-up taken under
-// the mutex cannot fall in between and be lost.
+// the baton cannot fall in between and be lost.
 func (lm *LockManager) wake() {
-	lm.mu.Lock()
+	lm.cond.L.Lock()
 	lm.cond.Broadcast()
-	lm.mu.Unlock()
+	lm.cond.L.Unlock()
 }
 
 // LockStats is a snapshot of lock-manager contention counters.
@@ -150,14 +157,13 @@ type LockStats struct {
 
 // Stats returns a snapshot of the lock manager's contention counters.
 func (lm *LockManager) Stats() LockStats {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
 	return LockStats{Waits: lm.waits.Value(), Timeouts: lm.timeouts.Value(), Held: lm.held, Waiting: lm.waiting}
 }
 
 // LockAt acquires key in the given mode on behalf of txnID, whose current
 // virtual time is now, blocking until the lock is granted or the wait times
-// out.  Re-acquiring a lock already held (including upgrading shared to
+// out; without wait it fails with ErrLockBusy instead of blocking.
+// Re-acquiring a lock already held (including upgrading shared to
 // exclusive when the transaction is the sole reader) succeeds.  It returns the
 // key's state when the grant is the transaction's first hold on key, for
 // ReleaseAllAt, and nil otherwise.
@@ -167,9 +173,7 @@ func (lm *LockManager) Stats() LockStats {
 // configured timeout past the frontier observed when the wait began, while
 // the lock remains unavailable.  A wall-clock fallback (SetWallFallback)
 // catches deadlocks, where the frontier never moves.
-func (lm *LockManager) LockAt(now sim.Time, txnID uint64, key string, mode LockMode) (*lockState, error) {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
+func (lm *LockManager) LockAt(now sim.Time, txnID uint64, key string, mode LockMode, wait bool) (*lockState, error) {
 	ls := lm.state(key)
 	waited := false
 	var vdeadline sim.Time
@@ -202,6 +206,9 @@ func (lm *LockManager) LockAt(now sim.Time, txnID uint64, key string, mode LockM
 			}
 			return ls, nil
 		}
+		if !wait {
+			return nil, fmt.Errorf("%w: txn %d key %q", ErrLockBusy, txnID, key)
+		}
 		if !waited {
 			waited = true
 			lm.waits.Inc()
@@ -229,7 +236,7 @@ func (lm *LockManager) LockAt(now sim.Time, txnID uint64, key string, mode LockM
 	}
 }
 
-// grantable reports whether txnID may take key in mode.  Caller holds lm.mu.
+// grantable reports whether txnID may take key in mode.
 func grantable(ls *lockState, txnID uint64, mode LockMode) bool {
 	if mode == Shared {
 		return ls.writer == 0 || ls.writer == txnID
@@ -254,8 +261,6 @@ func (lm *LockManager) ReleaseAllAt(now sim.Time, txnID uint64, held []*lockStat
 	if len(held) == 0 {
 		return // a transaction that took no lock wakes nobody
 	}
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
 	for _, ls := range held {
 		// ReleaseAllAt is only called at commit/abort (strict two-phase
 		// locking), so every hold the transaction has on the key is dropped
@@ -287,7 +292,7 @@ const (
 
 // Manager creates transactions, hands out ids and coordinates the WAL.
 type Manager struct {
-	nextID atomic.Uint64
+	nextID uint64
 	lm     *LockManager
 	log    *wal.Log
 	clock  *sim.Clock
@@ -337,22 +342,12 @@ func (m *Manager) LockManager() *LockManager { return m.lm }
 
 // NextID returns the highest transaction id handed out so far (checkpoints
 // persist it so recovery can seed a fresh manager past it).
-func (m *Manager) NextID() uint64 { return m.nextID.Load() }
+func (m *Manager) NextID() uint64 { return m.nextID }
 
 // SeedNextID raises the id counter so that future transactions receive ids
 // strictly greater than next.  Recovery uses it to keep replayed transaction
 // ids from being reissued.
-func (m *Manager) SeedNextID(next uint64) {
-	for {
-		cur := m.nextID.Load()
-		if cur >= next {
-			return
-		}
-		if m.nextID.CompareAndSwap(cur, next) {
-			return
-		}
-	}
-}
+func (m *Manager) SeedNextID(next uint64) { m.nextID = max(m.nextID, next) }
 
 // Started, Committed and Aborted return the transaction counters.
 func (m *Manager) Started() int64   { return m.started.Value() }
@@ -380,7 +375,8 @@ type Txn struct {
 // record, so a read-only transaction that aborts leaves the log untouched.
 func (m *Manager) Begin(now sim.Time) Txn {
 	m.started.Inc()
-	t := Txn{id: m.nextID.Add(1), mgr: m, cursor: *sim.NewCursor(m.clock), state: Active, start: now}
+	m.nextID++
+	t := Txn{id: m.nextID, mgr: m, cursor: *sim.NewCursor(m.clock), state: Active, start: now}
 	t.cursor.SetTo(now)
 	return t
 }
@@ -415,11 +411,16 @@ func (t *Txn) State() State { return t.state }
 // Lock acquires key in the given mode and remembers it for release at
 // commit/abort.  The wait timeout is virtual-time-deterministic (see
 // LockManager.LockAt).
-func (t *Txn) Lock(key string, mode LockMode) error {
+func (t *Txn) Lock(key string, mode LockMode) error { return t.lock(key, mode, true) }
+
+// TryLock is Lock failing with ErrLockBusy where Lock would wait.
+func (t *Txn) TryLock(key string, mode LockMode) error { return t.lock(key, mode, false) }
+
+func (t *Txn) lock(key string, mode LockMode, wait bool) error {
 	if t.state != Active {
 		return ErrTxnDone
 	}
-	ls, err := t.mgr.lm.LockAt(t.cursor.Now(), t.id, key, mode)
+	ls, err := t.mgr.lm.LockAt(t.cursor.Now(), t.id, key, mode, wait)
 	if ls != nil {
 		if t.locks == nil {
 			t.locks = t.lockBuf[:0]
@@ -445,9 +446,9 @@ func (t *Txn) Log(typ wal.RecordType, objectID uint32, payload ...[]byte) error 
 	return err
 }
 
-// Commit writes the commit record, forces the log (joining the group commit
-// of any concurrent committers) and releases all locks.  It returns the
-// transaction's final virtual time.
+// Commit writes the commit record, forces the log and releases all locks.  It
+// returns the transaction's final virtual time.  When the log refuses either,
+// the transaction stays Active, with its locks.
 func (t *Txn) Commit() (sim.Time, error) {
 	if t.state != Active {
 		return t.cursor.Now(), ErrTxnDone

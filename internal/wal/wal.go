@@ -1,17 +1,17 @@
 // Package wal implements the write-ahead log of the reproduction's storage
 // engine.  Log records are buffered in memory, packed into log pages and
-// forced to the flash device on commit (group commit of everything buffered so
+// forced to the flash device on commit (a force writes everything buffered so
 // far).  The log is an append-mostly object; under the paper's placement model
 // it belongs in the metadata/append region, which is where the multi-region
 // placement of TPC-C (tpcc.Plan) keeps it: in the default region, with HISTORY.
 //
 // A force is one core.WritePages batch: the pages sealed since the last force
-// plus a snapshot of the current page, in LSN order.  The batch stripes over
-// the dies of the log's region and completes when the slowest die does, so a
-// commit, a group commit and a checkpoint all pay the maximum of their dies'
-// queues, not the sum.  The price is that a multi-page force is not atomic: the
-// scheduler dispatches a batch die by die, so a crash inside it can leave any
-// subset of its pages on flash.  Every page therefore carries, in its header's
+// plus the current page, in LSN order.  The batch stripes over the dies of the
+// log's region and completes when the slowest die does, so a commit and a
+// checkpoint both pay the maximum of their dies' queues, not the sum.  The
+// price is that a multi-page force is not atomic: the scheduler dispatches a
+// batch die by die, so a crash inside it can leave any subset of its pages on
+// flash.  Every page therefore carries, in its header's
 // LSN field, the horizon of the force that wrote it: the first LSN that force
 // had to make durable.  Nothing at or above the newest horizon on flash was
 // ever acknowledged unless the force completed, in which case it has no hole.
@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sync"
 
 	"noftl/internal/core"
 	"noftl/internal/metrics"
@@ -135,9 +134,8 @@ func decodeRecord(b []byte) (Record, error) {
 	return r, nil
 }
 
-// Log is the write-ahead log manager.
+// Log is the write-ahead log manager.  It is not safe for concurrent use.
 type Log struct {
-	mu       sync.Mutex
 	mgr      *core.Manager
 	hint     core.Hint
 	pageSize int
@@ -151,23 +149,19 @@ type Log struct {
 	sealedWr []sealedPage
 	pages    []logPage // every live log page, in allocation order; the last is the current one
 
-	// Buffers a force reuses, so it allocates nothing per page: the snapshot
-	// of the current page, the write batch, the list that collects the pages
-	// sealed while a force is on the device, and page buffers of forced
-	// sealed pages waiting to become a current page again.
-	snap      []byte
+	// Buffers a force reuses, so it allocates nothing per page: the write
+	// batch, and page buffers of forced sealed pages waiting to become a
+	// current page again.
 	batch     []core.PageWrite
-	spare     []sealedPage
 	freePages [][]byte
 
-	// Counters: the log's children of the noftl_wal_* families (bind), bumped
-	// under mu.  pagesTrimmed has no family and stays a plain count.
+	// Counters: the log's children of the noftl_wal_* families (bind).
+	// pagesTrimmed has no family and stays a plain count.
 	appended      *metrics.Counter
 	flushes       *metrics.Counter
 	bytesAppended *metrics.Counter
 	bytesTrimmed  *metrics.Counter
-	groupCommits  *metrics.Counter // flushes that made more than one committer durable
-	groupedTxns   *metrics.Counter // committers served by Commit, across all groups
+	groupedTxns   *metrics.Counter // committers served by Commit
 	pagesTrimmed  int64
 
 	// bytesLive is the total of the live pages' bytes: Truncate moves a
@@ -175,15 +169,11 @@ type Log struct {
 	// + live between two ResetCounters calls).
 	bytesLive int64
 
-	// Group commit.  One force is on the device at a time, run by its leader
-	// over everything appended so far; a caller whose records it will cover
-	// waits for it instead of forcing again, and the next leader takes
-	// whatever was appended meanwhile.
-	commitCond    *sync.Cond
-	flushLeader   bool
-	commitPending int      // committers inside Commit
-	groupMaxNow   sim.Time // max virtual time across the forming group
-	flushDoneAt   sim.Time // virtual end of the latest flush
+	// A force starts at the latest virtual time of the callers since the
+	// last force, and a caller whose records an earlier force covered
+	// returns no earlier than that force's end.
+	groupMaxNow sim.Time // max virtual time of the callers since the last force
+	flushDoneAt sim.Time // virtual end of the latest flush
 
 	tracer *obs.Tracer // nil = tracing off
 }
@@ -210,7 +200,6 @@ func New(mgr *core.Manager, hint core.Hint, pageSize int) *Log {
 		pageSize: pageSize,
 		nextLSN:  1,
 	}
-	l.commitCond = sync.NewCond(&l.mu)
 	l.hint.Flags |= flashFlagLog
 	l.openPage()
 	l.bind(metrics.NewRegistry())
@@ -221,10 +210,8 @@ func New(mgr *core.Manager, hint core.Hint, pageSize int) *Log {
 func (l *Log) bind(reg *metrics.Registry) {
 	l.appended = reg.Counter("noftl_wal_appends_total", "WAL records appended.").With()
 	l.flushes = reg.Counter("noftl_wal_flushes_total", "WAL flushes that wrote pages.").With()
-	l.groupCommits = reg.Counter("noftl_wal_group_commits_total",
-		"WAL forces that made more than one committer durable at once.").With()
 	l.groupedTxns = reg.Counter("noftl_wal_grouped_txns_total",
-		"Committers served by the WAL group-commit path.").With()
+		"Committers made durable by a WAL force.").With()
 	l.bytesAppended = reg.Counter("noftl_wal_bytes_appended_total",
 		"Encoded WAL record bytes appended.").With()
 	l.bytesTrimmed = reg.Counter("noftl_wal_bytes_trimmed_total",
@@ -254,19 +241,15 @@ func (l *Log) openPage() {
 // the shared registry reg.  A nil tracer (the default) keeps tracing off.
 // Attach before the log sees traffic.
 func (l *Log) AttachObs(tr *obs.Tracer, reg *metrics.Registry) {
-	l.mu.Lock()
 	l.tracer = tr
 	l.bind(reg)
-	l.mu.Unlock()
 }
 
 // ResetCounters zeroes the log's counters (after warm-up).  LSNs, the page
 // list and BytesLive describe the log itself and are untouched.
 func (l *Log) ResetCounters() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	for _, c := range []*metrics.Counter{l.appended, l.flushes, l.bytesAppended,
-		l.bytesTrimmed, l.groupCommits, l.groupedTxns} {
+		l.bytesTrimmed, l.groupedTxns} {
 		c.Reset()
 	}
 	l.pagesTrimmed = 0
@@ -274,8 +257,6 @@ func (l *Log) ResetCounters() {
 
 // NextLSN returns the LSN the next appended record will receive.
 func (l *Log) NextLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.nextLSN
 }
 
@@ -284,16 +265,12 @@ func (l *Log) NextLSN() uint64 {
 // instance's log pages carry; skipping one LSN keeps the new run from ever
 // being contiguous with a surviving old one (see ScanImages).
 func (l *Log) SeedNextLSN(last uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.nextLSN = last + 2
 	l.flushedLSN = last + 1
 }
 
 // FlushedLSN returns the highest LSN known to be durable.
 func (l *Log) FlushedLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.flushedLSN
 }
 
@@ -303,19 +280,11 @@ func (l *Log) Appended() int64 { return l.appended.Value() }
 // Flushes returns the number of log forces (by Flush or Commit).
 func (l *Log) Flushes() int64 { return l.flushes.Value() }
 
-// GroupCommits returns the number of log forces that made more than one
-// committer durable at once.
-func (l *Log) GroupCommits() int64 { return l.groupCommits.Value() }
-
-// GroupedTxns returns the number of committers served by Commit across all
-// groups (GroupedTxns / Flushes is the mean group size when every force goes
-// through Commit).
+// GroupedTxns returns the number of committers served by Commit.
 func (l *Log) GroupedTxns() int64 { return l.groupedTxns.Value() }
 
 // PageCount returns the number of log pages allocated.
 func (l *Log) PageCount() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return len(l.pages)
 }
 
@@ -323,8 +292,6 @@ func (l *Log) PageCount() int {
 // the concatenation of the parts given, written straight into the log page.
 // The record is not durable until Flush returns.
 func (l *Log) Append(typ RecordType, txnID uint64, objectID uint32, payload ...[]byte) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	size := recHeaderSize
 	for _, part := range payload {
 		size += len(part)
@@ -377,50 +344,27 @@ func (l *Log) Flush(now sim.Time) (sim.Time, error) {
 
 // Commit makes the record at lsn (and everything before it) durable and
 // returns the virtual time at which durability was reached for a committer
-// whose current virtual time is now.  Concurrent committers form a group: one
-// becomes the flush leader and forces the log once for all of them; the rest
-// wait for the leader and return without issuing any device writes of their
-// own.  That one force is what lets N workers commit with far fewer than N
-// log-page writes.
+// whose current virtual time is now.
 func (l *Log) Commit(now sim.Time, lsn uint64) (sim.Time, error) {
 	return l.force(now, lsn, true)
 }
 
 // force makes every record up to lsn durable (lsn 0: everything appended so
-// far).  A caller whose records an earlier or in-flight force covers waits for
-// that force and returns no earlier than the latest force's end; otherwise it
-// leads a force of everything appended and returns no earlier than its end.
-// committer counts the caller in GroupedTxns and in the group a force reports
-// to GroupCommits.
+// far).  A caller whose records an earlier force covered returns no earlier
+// than the latest force's end; otherwise it forces everything appended and
+// returns no earlier than that force's end.  committer counts the caller in
+// GroupedTxns.  A force runs to completion within the caller's database
+// operation, so no two committers share one.
 func (l *Log) force(now sim.Time, lsn uint64, committer bool) (sim.Time, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if lsn == 0 {
 		lsn = l.nextLSN - 1
 	}
-	if now > l.groupMaxNow {
-		l.groupMaxNow = now
-	}
-	if committer {
-		l.commitPending++
-		defer func() { l.commitPending-- }()
-	}
-	for l.flushedLSN < lsn && l.flushLeader {
-		l.commitCond.Wait()
-	}
+	l.groupMaxNow = max(l.groupMaxNow, now)
 	durable := l.flushDoneAt
 	if l.flushedLSN < lsn {
-		l.flushLeader = true
-		grouped := l.commitPending
 		var err error
-		durable, err = l.flushGroupLocked()
-		l.flushLeader = false
-		l.commitCond.Broadcast()
-		if err != nil {
+		if durable, err = l.flushGroup(); err != nil {
 			return now, err
-		}
-		if grouped > 1 {
-			l.groupCommits.Inc()
 		}
 	}
 	if committer {
@@ -429,50 +373,38 @@ func (l *Log) force(now sim.Time, lsn uint64, committer bool) (sim.Time, error) 
 	return sim.MaxTime(now, durable), nil
 }
 
-// flushGroupLocked forces everything appended so far as one write batch:
-// the sealed pages and a snapshot of the current page, in LSN order, each
-// stamped with the force's horizon.  Caller holds l.mu, has claimed flush
-// leadership and has records to force; the device writes happen with l.mu
-// released, so appends (and committers joining the next group) proceed during
-// the force.  Returns with l.mu held.
-func (l *Log) flushGroupLocked() (sim.Time, error) {
+// flushGroup forces everything appended so far as one write batch: the
+// sealed pages and the current page, in LSN order, each stamped with the
+// force's horizon.  The device copies what it programs, so the batch refers to
+// the log's own buffers; re-writing the current page later simply supersedes
+// this version out of place.
+func (l *Log) flushGroup() (sim.Time, error) {
 	flushNow := l.groupMaxNow
 	l.groupMaxNow = 0
 	hw := l.nextLSN - 1
 	newlyDurable := hw - l.flushedLSN
 	l.horizon = l.flushedLSN + 1
-	sealed := l.sealedWr
-	l.sealedWr = l.spare[:0] // collects the pages sealed during the force
 	batch := l.batch[:0]
-	for _, sp := range sealed {
+	for _, sp := range l.sealedWr {
 		storage.SetPageLSN(sp.data, l.horizon)
 		batch = append(batch, core.PageWrite{LPN: sp.lpn, Data: sp.data, Hint: l.hint})
 	}
-	// Snapshot the partial page: appends may extend l.cur while the device
-	// writes run.  Records beyond the snapshot stay buffered for the next
-	// force; re-writing the page later simply supersedes this version out of
-	// place.
 	storage.SetPageLSN(l.cur, l.horizon)
-	l.snap = append(l.snap[:0], l.cur...)
-	batch = append(batch, core.PageWrite{LPN: l.curLPN, Data: l.snap, Hint: l.hint})
-	l.mu.Unlock()
+	batch = append(batch, core.PageWrite{LPN: l.curLPN, Data: l.cur, Hint: l.hint})
 	done, err := l.mgr.WritePages(flushNow, batch)
-	l.mu.Lock()
 	clear(batch) // drop the page references
 	l.batch = batch
 	if err != nil {
-		// Put the sealed pages back (ahead of any sealed since) so a retry
-		// re-writes them.
-		l.sealedWr, l.spare = append(sealed, l.sealedWr...), nil
+		// The sealed pages stay queued, so a retry re-writes them.
 		return done, fmt.Errorf("wal: flush: %w", err)
 	}
-	for _, sp := range sealed {
+	for _, sp := range l.sealedWr {
 		if len(l.freePages) < maxFreePages {
 			l.freePages = append(l.freePages, sp.data)
 		}
 	}
-	clear(sealed)
-	l.spare = sealed
+	clear(l.sealedWr)
+	l.sealedWr = l.sealedWr[:0]
 	if hw > l.flushedLSN {
 		l.flushedLSN = hw
 	}
@@ -497,8 +429,6 @@ func (l *Log) flushGroupLocked() (sim.Time, error) {
 // missing at or above the newest horizon reads as a force cut short by a
 // crash (ScanImages).  It returns the number of pages removed.
 func (l *Log) Truncate(upToLSN uint64) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	upToLSN = min(upToLSN, l.horizon)
 	dropped := 0
 	kept := l.pages[:0]
@@ -526,14 +456,10 @@ func (l *Log) BytesTrimmed() int64 { return l.bytesTrimmed.Value() }
 // BytesLive returns the encoded record bytes still held by live log pages —
 // the upper bound on what a crash now would replay.
 func (l *Log) BytesLive() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.bytesLive
 }
 
 // PagesTrimmed returns the number of log pages dropped by Truncate.
 func (l *Log) PagesTrimmed() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.pagesTrimmed
 }

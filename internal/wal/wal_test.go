@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"testing/quick"
 
 	"noftl/internal/core"
 	"noftl/internal/flash"
-	"noftl/internal/sim"
 )
 
 func testLog(t *testing.T) (*Log, *core.Manager) {
@@ -197,88 +195,6 @@ func TestTruncateDropsOldPages(t *testing.T) {
 	recs := readBack(t, l, mgr)
 	if len(recs) == 0 || recs[0].LSN > 301 || recs[len(recs)-1].LSN != 400 {
 		t.Fatalf("truncate cut into the newest force: %d records", len(recs))
-	}
-}
-
-// TestGroupCommitConcurrent drives many goroutines through Append+Commit on
-// one log and checks that (a) every committer observes its own record as
-// durable, (b) the recovered log preserves append (LSN) order exactly, and
-// (c) the committers shared forces.  Grouping holds by construction, whatever
-// the scheduler does: in every round all workers append before any of them
-// commits, so the first committer's force covers the whole round.
-func TestGroupCommitConcurrent(t *testing.T) {
-	l, mgr := testLog(t)
-	const workers = 8
-	const rounds = 50
-	appended := make([]sync.WaitGroup, rounds)
-	for i := range appended {
-		appended[i].Add(workers)
-	}
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			now := sim.Time(0)
-			var err error
-			// A worker that failed still passes every barrier, so the others
-			// do not wait for it forever.
-			for i := 0; i < rounds; i++ {
-				txn := uint64(id*rounds + i + 1)
-				var lsn uint64
-				if err == nil {
-					_, err = l.Append(RecUpdate, txn, 7, []byte{byte(id)})
-				}
-				if err == nil {
-					lsn, err = l.Append(RecCommit, txn, 0, nil)
-				}
-				appended[i].Done()
-				appended[i].Wait()
-				if err == nil {
-					now, err = l.Commit(now, lsn)
-				}
-				if got := l.FlushedLSN(); err == nil && got < lsn {
-					err = fmt.Errorf("commit returned but lsn %d > flushed %d", lsn, got)
-				}
-			}
-			if err != nil {
-				errCh <- err
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-	const commits = workers * rounds
-	if got := l.GroupedTxns(); got != commits {
-		t.Fatalf("grouped txns = %d, want %d", got, commits)
-	}
-	if got := l.Flushes(); got != rounds {
-		t.Fatalf("%d forces for %d rounds of %d commits, want one per round", got, rounds, workers)
-	}
-	if got := l.GroupCommits(); got > rounds {
-		t.Fatalf("%d group commits for %d forces", got, rounds)
-	}
-	// Crash consistency: the durable image decodes cleanly and LSNs are
-	// strictly sequential in recovery order (append order preserved).
-	recs := readBack(t, l, mgr)
-	if len(recs) != 2*commits {
-		t.Fatalf("recovered %d records, want %d", len(recs), 2*commits)
-	}
-	committed := make(map[uint64]bool)
-	for i, r := range recs {
-		if r.LSN != uint64(i+1) {
-			t.Fatalf("record %d has lsn %d: append order not preserved", i, r.LSN)
-		}
-		if r.Type == RecCommit {
-			committed[r.TxnID] = true
-		}
-	}
-	if len(committed) != commits {
-		t.Fatalf("recovered %d committed txns, want %d", len(committed), commits)
 	}
 }
 

@@ -16,9 +16,13 @@ import (
 // Every row is the caller's to keep, copied into the transaction's slab (see
 // Range).  Breaking out of the loop stops the scan.  A scan failure ends the
 // iteration early and is recorded on the transaction (Tx.Err); db.Update
-// refuses to commit while such an error is pending.
+// refuses to commit while such an error is pending.  The scan and its loop
+// body are one operation (see DB): the body may read through tx, but not
+// write to this table.
 func (t *Table) Rows(tx *Tx) iter.Seq2[RID, []byte] {
 	return func(yield func(RID, []byte) bool) {
+		tx.enterScan(&t.scans)
+		defer tx.exitScan(&t.scans)
 		tx.chargeOps(1)
 		tx.endScan(t.heap.Scan(tx.Now(), &tx.slab, yield))
 	}
@@ -38,9 +42,13 @@ func (t *Table) Rows(tx *Tx) iter.Seq2[RID, []byte] {
 // capped at its length (appending to it never writes into the next).  A key
 // that is kept keeps its chunk alive.  Breaking out of the loop stops the
 // scan.  A scan failure ends the iteration early and is recorded on the
-// transaction (Tx.Err).
+// transaction (Tx.Err).  The scan and its loop body are one operation (see
+// DB): the body may read through tx, this index included, but not write to
+// the index.
 func (i *Index) Range(tx *Tx, lo, hi []byte) iter.Seq2[[]byte, RID] {
 	return func(yield func([]byte, RID) bool) {
+		tx.enterScan(&i.scans)
+		defer tx.exitScan(&i.scans)
 		tx.chargeOps(1)
 		tx.endScan(i.tree.Scan(tx.Now(), lo, hi, func(k, v []byte) bool { return tx.ridEntry(k, v, yield) }))
 	}
@@ -50,9 +58,24 @@ func (i *Index) Range(tx *Tx, lo, hi []byte) iter.Seq2[[]byte, RID] {
 // prefix; it behaves like Range otherwise.
 func (i *Index) Prefix(tx *Tx, prefix []byte) iter.Seq2[[]byte, RID] {
 	return func(yield func([]byte, RID) bool) {
+		tx.enterScan(&i.scans)
+		defer tx.exitScan(&i.scans)
 		tx.chargeOps(1)
 		tx.endScan(i.tree.ScanPrefix(tx.Now(), prefix, func(k, v []byte) bool { return tx.ridEntry(k, v, yield) }))
 	}
+}
+
+// enterScan starts the operation of a scan, counted in scans, the scanned
+// table's or index's count.
+func (tx *Tx) enterScan(scans *int) {
+	tx.enter()
+	*scans++
+}
+
+// exitScan ends the operation enterScan started.
+func (tx *Tx) exitScan(scans *int) {
+	*scans--
+	tx.exit()
 }
 
 // ridEntry hands one entry of the tree's raw (key, value) callback, whose

@@ -14,6 +14,8 @@ import "strconv"
 //	    io.WriteString(w, db.MetricsText())
 //	})
 func (db *DB) MetricsText() string {
+	db.baton.Lock()
+	defer db.baton.Unlock()
 	db.scrapeGauges()
 	return db.reg.Text()
 }

@@ -357,7 +357,6 @@ func checkStatsEqualMetrics(t *testing.T, db *DB, stage string) Stats {
 	eq(w.Appended, "noftl_wal_appends_total")
 	eq(w.Flushes, "noftl_wal_flushes_total")
 	eq(int64(w.FlushedLSN), "noftl_wal_flushed_lsn")
-	eq(w.GroupCommits, "noftl_wal_group_commits_total")
 	eq(w.GroupedTxns, "noftl_wal_grouped_txns_total")
 	eq(w.BytesAppended, "noftl_wal_bytes_appended_total")
 	eq(w.BytesTrimmed, "noftl_wal_bytes_trimmed_total")
@@ -429,7 +428,7 @@ func TestStatsEqualsMetrics(t *testing.T) {
 	}
 
 	err = db.Update(func(tx *Tx) error {
-		var rids []RID // a scan holds its page latched: collect first, update after
+		var rids []RID // a scan's body may not write its table: collect first, update after
 		for rid := range tbl.Rows(tx) {
 			rids = append(rids, rid)
 		}
@@ -457,7 +456,7 @@ func TestStatsEqualsMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = db.Update(func(tx *Tx) error {
-		var rids []RID // a scan holds its page latched: collect first, update after
+		var rids []RID // a scan's body may not write its table: collect first, update after
 		for rid := range tbl.Rows(tx) {
 			if rids = append(rids, rid); len(rids) == 8 {
 				break

@@ -80,9 +80,9 @@ type CrashImage struct {
 // also the way out after an injected crash (ErrCrashed): the device refuses
 // all operations until Reopen revives it.
 func (db *DB) Crash() *CrashImage {
-	db.mu.Lock()
+	db.baton.Lock()
 	db.closed = true
-	db.mu.Unlock()
+	db.baton.Unlock()
 	return &CrashImage{cfg: db.cfg, dev: db.dev}
 }
 

@@ -813,9 +813,7 @@ func TestFailedCheckpointBacksOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Release()
-	h.Lock()
 	h.MarkDirty()
-	h.Unlock()
 	if _, err := db.Checkpoint(db.SimulatedTime()); !errors.Is(err, ErrConflict) {
 		t.Fatalf("checkpoint over a pinned dirty page: %v", err)
 	}

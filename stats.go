@@ -110,9 +110,9 @@ type WALStats struct {
 	Pages int64
 	// FlushedLSN is the highest durable log sequence number.
 	FlushedLSN uint64
-	// GroupCommits is the number of log forces that made more than one
-	// committer durable at once; GroupedTxns is the number of committers
-	// served by the group-commit path in total.
+	// GroupCommits is always 0: a log force runs within one operation, so no
+	// two committers share one.  GroupedTxns is the number of committers made
+	// durable by a log force.
 	GroupCommits int64
 	GroupedTxns  int64
 	// BytesAppended, BytesTrimmed and BytesLive reconcile the log's byte
@@ -182,6 +182,8 @@ func (s Stats) String() string {
 
 // Stats returns a snapshot of every layer's counters.
 func (db *DB) Stats() Stats {
+	db.baton.Lock()
+	defer db.baton.Unlock()
 	space := db.space.Stats()
 	read, write := space.LatencySnapshot()
 	lockStats := db.txns.LockManager().Stats()
@@ -207,7 +209,7 @@ func (db *DB) Stats() Stats {
 		},
 		Space:        space,
 		Device:       db.dev.Stats(),
-		Objects:      db.ObjectStats(),
+		Objects:      db.space.ObjectStats(),
 		ReadLatency:  read,
 		WriteLatency: write,
 		WAL: WALStats{
@@ -215,7 +217,6 @@ func (db *DB) Stats() Stats {
 			Flushes:       db.log.Flushes(),
 			Pages:         int64(db.log.PageCount()),
 			FlushedLSN:    db.log.FlushedLSN(),
-			GroupCommits:  db.log.GroupCommits(),
 			GroupedTxns:   db.log.GroupedTxns(),
 			BytesAppended: db.log.BytesAppended(),
 			BytesTrimmed:  db.log.BytesTrimmed(),
@@ -236,8 +237,6 @@ func (db *DB) Stats() Stats {
 
 // checkpointStats snapshots the checkpoint counters.
 func (db *DB) checkpointStats(retained int64) CheckpointStats {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	return CheckpointStats{
 		Count:         db.ckptCount.Value(),
 		LastLSN:       db.ckptLastLSN,

@@ -36,19 +36,55 @@ const (
 
 // Tx is a transaction handle.  It is owned by a single goroutine.
 type Tx struct {
-	db       *DB
-	inner    txn.Txn
-	iterErr  error        // first error hit inside a Rows/Range iteration
-	quiesced bool         // still holding the checkpoint quiesce lock shared
-	slab     storage.Slab // the keys and rows its reads hand out
+	db      *DB
+	inner   txn.Txn
+	iterErr error        // first error hit inside a Rows/Range iteration
+	open    bool         // counted in db.open
+	depth   int32        // its operations in progress: > 1 inside a scan's body
+	slab    storage.Slab // the keys and rows its reads hand out
 }
 
-// release drops the checkpoint quiesce lock exactly once.
-func (tx *Tx) release() {
-	if tx.quiesced {
-		tx.quiesced = false
-		tx.db.ckptMu.RUnlock()
+// enter starts an operation of the transaction: it takes the database's
+// baton, unless the transaction holds it already because the operation is
+// called from the body of one of its scans.
+func (tx *Tx) enter() {
+	if tx.depth == 0 {
+		tx.db.baton.Lock()
 	}
+	tx.depth++
+}
+
+// exit ends the operation enter started.
+func (tx *Tx) exit() {
+	if tx.depth--; tx.depth == 0 {
+		tx.db.baton.Unlock()
+	}
+}
+
+// release stops counting the transaction as open, once it has left Active:
+// a commit the log refused leaves it open, with its locks and its updates,
+// until the caller aborts.
+func (tx *Tx) release() {
+	if tx.open && tx.inner.State() != txn.Active {
+		tx.open = false
+		if tx.db.open--; tx.db.open == 0 {
+			tx.db.quiesce.Broadcast() // the checkpoints waiting for it
+		}
+	}
+}
+
+// writable refuses a write on a committed or aborted transaction before it
+// touches a page, since its change could not be logged, and a write to an
+// object a scan is reading: while a scan runs, only its body can write, and
+// the scan's pages would change under it.
+func (tx *Tx) writable(scans int, name string) error {
+	if tx.inner.State() != txn.Active {
+		return publicErr(txn.ErrTxnDone)
+	}
+	if scans > 0 {
+		return tag(ErrConflict, fmt.Errorf("noftl: %s is being scanned", name))
+	}
+	return nil
 }
 
 // Err returns the first error encountered inside an iterator (Table.Rows,
@@ -66,19 +102,32 @@ func (tx *Tx) Now() sim.Time { return tx.inner.Now() }
 // ResponseTime returns the virtual time elapsed since Begin.
 func (tx *Tx) ResponseTime() sim.Duration { return tx.inner.ResponseTime() }
 
-// Lock acquires a logical lock (e.g. "DISTRICT:1:3") in the given mode.  A
-// lock-wait timeout (deadlock victim) is reported as ErrConflict.
-func (tx *Tx) Lock(key string, mode LockMode) error { return publicErr(tx.inner.Lock(key, mode)) }
+// Lock acquires a logical lock (e.g. "DISTRICT:1:3") in the given mode,
+// parked until it is granted.  A lock-wait timeout (deadlock victim) is
+// reported as ErrConflict, and so, at once, is a lock that would have to wait
+// when it is taken from the body of one of the transaction's scans.
+func (tx *Tx) Lock(key string, mode LockMode) error {
+	tx.enter()
+	defer tx.exit()
+	if tx.depth > 1 { // called from a scan's body
+		return publicErr(tx.inner.TryLock(key, mode))
+	}
+	return publicErr(tx.inner.Lock(key, mode))
+}
 
 // Charge adds CPU time to the transaction.
 func (tx *Tx) Charge(d sim.Duration) { tx.inner.Charge(d) }
 
 // Commit commits the transaction, forcing the WAL, and returns its final
-// virtual time.
+// virtual time.  When the log refuses the commit, the transaction stays open
+// until Abort.
 func (tx *Tx) Commit() (sim.Time, error) {
+	tx.enter()
+	defer tx.exit()
 	done, err := tx.inner.Commit()
 	tx.release()
-	if err == nil {
+	// A checkpoint triggered from a scan's body would meet the scan's pins.
+	if err == nil && tx.depth == 1 {
 		tx.db.maybeCheckpoint(done)
 	}
 	return done, publicErr(err)
@@ -86,6 +135,8 @@ func (tx *Tx) Commit() (sim.Time, error) {
 
 // Abort aborts the transaction.
 func (tx *Tx) Abort() sim.Time {
+	tx.enter()
+	defer tx.exit()
 	done := tx.inner.Abort()
 	tx.release()
 	return done
@@ -98,15 +149,6 @@ const cpuPerOp = 5 * time.Microsecond
 
 func (tx *Tx) chargeOps(n int) { tx.inner.Charge(time.Duration(n) * cpuPerOp) }
 
-// writable refuses a write on a committed or aborted transaction before it
-// touches a page: its change could not be logged.
-func (tx *Tx) writable() error {
-	if tx.inner.State() != txn.Active {
-		return publicErr(txn.ErrTxnDone)
-	}
-	return nil
-}
-
 // logRow logs the RecInsert or RecUpdate of row at rid: the payload
 // wal.EncodeRowPayload describes, handed to the log in pieces.
 func (tx *Tx) logRow(typ wal.RecordType, objectID uint32, rid RID, row []byte) error {
@@ -116,9 +158,10 @@ func (tx *Tx) logRow(typ wal.RecordType, objectID uint32, rid RID, row []byte) e
 
 // Table is a handle to a heap table.
 type Table struct {
-	db   *DB
-	heap *storage.HeapFile
-	meta catalog.Table
+	db    *DB
+	heap  *storage.HeapFile
+	meta  catalog.Table
+	scans int // Rows scans in progress
 }
 
 // Name returns the table name.
@@ -128,10 +171,18 @@ func (t *Table) Name() string { return t.meta.Name }
 func (t *Table) ObjectID() uint32 { return t.meta.ObjectID }
 
 // RowCount returns the number of live rows.
-func (t *Table) RowCount() int64 { return t.heap.RecordCount() }
+func (t *Table) RowCount() int64 {
+	t.db.baton.Lock()
+	defer t.db.baton.Unlock()
+	return t.heap.RecordCount()
+}
 
 // PageCount returns the number of heap pages.
-func (t *Table) PageCount() int64 { return t.heap.PageCount() }
+func (t *Table) PageCount() int64 {
+	t.db.baton.Lock()
+	defer t.db.baton.Unlock()
+	return t.heap.PageCount()
+}
 
 // loggable rejects, before anything is applied, rows whose log record would
 // not fit one log page: that is the row-size limit (43 bytes below a heap
@@ -148,7 +199,9 @@ func (t *Table) loggable(rows ...[]byte) error {
 
 // Insert adds a row and returns its RID.
 func (t *Table) Insert(tx *Tx, row []byte) (RID, error) {
-	if err := tx.writable(); err != nil {
+	tx.enter()
+	defer tx.exit()
+	if err := tx.writable(t.scans, t.meta.Name); err != nil {
 		return RID{}, err
 	}
 	tx.chargeOps(1)
@@ -172,6 +225,8 @@ func (t *Table) Get(tx *Tx, rid RID) ([]byte, error) { return t.GetAppend(tx, ri
 // same buffer back (dst[:0]) reads every row without allocating.  The engine
 // keeps no reference to dst.  On error dst is returned unchanged.
 func (t *Table) GetAppend(tx *Tx, rid RID, dst []byte) ([]byte, error) {
+	tx.enter()
+	defer tx.exit()
 	tx.chargeOps(1)
 	row, done, err := t.heap.GetAppend(tx.Now(), rid, dst)
 	if err != nil {
@@ -183,7 +238,9 @@ func (t *Table) GetAppend(tx *Tx, rid RID, dst []byte) ([]byte, error) {
 
 // Update replaces the row stored under rid.
 func (t *Table) Update(tx *Tx, rid RID, row []byte) error {
-	if err := tx.writable(); err != nil {
+	tx.enter()
+	defer tx.exit()
+	if err := tx.writable(t.scans, t.meta.Name); err != nil {
 		return err
 	}
 	tx.chargeOps(1)
@@ -200,7 +257,9 @@ func (t *Table) Update(tx *Tx, rid RID, row []byte) error {
 
 // Delete removes the row stored under rid.
 func (t *Table) Delete(tx *Tx, rid RID) error {
-	if err := tx.writable(); err != nil {
+	tx.enter()
+	defer tx.exit()
+	if err := tx.writable(t.scans, t.meta.Name); err != nil {
 		return err
 	}
 	tx.chargeOps(1)
@@ -215,9 +274,10 @@ func (t *Table) Delete(tx *Tx, rid RID) error {
 
 // Index is a handle to a B+-tree index.
 type Index struct {
-	db   *DB
-	tree *btree.Tree
-	meta catalog.Index
+	db    *DB
+	tree  *btree.Tree
+	meta  catalog.Index
+	scans int // Range and Prefix scans in progress
 }
 
 // Name returns the index name.
@@ -230,11 +290,17 @@ func (i *Index) Table() string { return i.meta.Table }
 func (i *Index) Unique() bool { return i.meta.Unique }
 
 // Entries returns the number of index entries.
-func (i *Index) Entries() int64 { return i.tree.Entries() }
+func (i *Index) Entries() int64 {
+	i.db.baton.Lock()
+	defer i.db.baton.Unlock()
+	return i.tree.Entries()
+}
 
 // Insert adds (or replaces) the entry key -> rid.
 func (i *Index) Insert(tx *Tx, key []byte, rid RID) error {
-	if err := tx.writable(); err != nil {
+	tx.enter()
+	defer tx.exit()
+	if err := tx.writable(i.scans, i.meta.Name); err != nil {
 		return err
 	}
 	tx.chargeOps(1)
@@ -251,6 +317,8 @@ func (i *Index) Insert(tx *Tx, key []byte, rid RID) error {
 
 // Lookup returns the RID stored under key.
 func (i *Index) Lookup(tx *Tx, key []byte) (RID, bool, error) {
+	tx.enter()
+	defer tx.exit()
 	tx.chargeOps(1)
 	var buf [10]byte // the encoded RID
 	val, done, found, err := i.tree.GetAppend(tx.Now(), key, buf[:0])
@@ -270,7 +338,9 @@ func (i *Index) Lookup(tx *Tx, key []byte) (RID, bool, error) {
 
 // Delete removes the entry stored under key.
 func (i *Index) Delete(tx *Tx, key []byte) error {
-	if err := tx.writable(); err != nil {
+	tx.enter()
+	defer tx.exit()
+	if err := tx.writable(i.scans, i.meta.Name); err != nil {
 		return err
 	}
 	tx.chargeOps(1)
