@@ -6,7 +6,7 @@
 # (go build -cover -coverpkg=noftl/...) into a temporary directory and runs
 # each as CI does:
 #
-#   noftl-bench -experiment all -scale small -seeds 16
+#   noftl-bench -experiment all -scale small -seeds 16 -baseline ci/BENCH_baseline.json
 #   bench/ (every workload, untraced then traced)
 #   examples/quickstart and examples/concurrent
 #   ci/promlint, and noftl-trace print|filter|summarize on its trace
@@ -38,7 +38,7 @@ for pkg in cmd/noftl-bench cmd/noftl-trace cmd/noftl-ddl ci/promlint \
     (cd "$pkg" && go build -cover -coverpkg=noftl/... -o "$bin/$(basename "$pkg")" .)
 done
 
-"$bin/noftl-bench" -experiment all -scale small -seeds 16 >/dev/null
+"$bin/noftl-bench" -experiment all -scale small -seeds 16 -baseline ci/BENCH_baseline.json >/dev/null
 "$bin/bench" --out "$tmp/bench" >/dev/null 2>&1
 "$bin/quickstart" >/dev/null
 "$bin/concurrent" >/dev/null

@@ -26,10 +26,10 @@ import (
 	"os"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"noftl/internal/experiments"
-	"noftl/internal/tpcc"
 )
 
 // jsonDoc is the top-level layout of the -json output.
@@ -61,6 +61,9 @@ func selectExperiments(arg string) (map[string]bool, error) {
 			return nil, fmt.Errorf("unknown experiment %q (want %s)", name, experimentList())
 		}
 		selected[name] = true
+	}
+	if len(selected) == 0 {
+		return nil, fmt.Errorf("no experiment named (want %s)", experimentList())
 	}
 	return selected, nil
 }
@@ -127,15 +130,18 @@ func main() {
 	}
 	want := func(name string) bool { return selected["all"] || selected[name] }
 
+	// Figure 2, Figure 3 and the headline are views of one pair of runs.
+	pair := sync.OnceValues(func() (experiments.Figure3, error) { return experiments.RunFigure3(scale) })
 	if want("figure2") {
 		run("figure2", "Figure 2: per-object device demand and the die plans made of it", func() (interface{}, error) {
 			// The demand tpcc.Setup plans from comes from the traditional
 			// profile, as in the paper; the demand under the regions plan in
 			// effect shows what that plan costs where.
-			runs, err := experiments.RunFigure2Both(scale)
+			f3, err := pair()
 			if err != nil {
 				return nil, err
 			}
+			runs := []experiments.Figure2{f3.Traditional.Figure2, f3.Regions.Figure2}
 			for _, f2 := range runs {
 				say("%s\n", f2.Table())
 				if err := f2.CheckRecord(); err != nil {
@@ -148,7 +154,7 @@ func main() {
 	}
 	if want("figure3") || want("headline") {
 		run("figure3", "Figure 3: traditional vs multi-region placement under TPC-C", func() (interface{}, error) {
-			f3, err := experiments.RunFigure3(scale)
+			f3, err := pair()
 			if err != nil {
 				return nil, err
 			}
@@ -194,7 +200,7 @@ func main() {
 	}
 
 	if *baselinePath != "" {
-		failures, err := compareBaseline(doc, *baselinePath, *baselineThreshold)
+		_, failures, err := compareBaseline(doc, *baselinePath, *baselineThreshold)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "baseline comparison: %v\n", err)
 			os.Exit(1)
@@ -212,7 +218,7 @@ func main() {
 
 // baselineDoc mirrors the subset of the -json document the regression gate
 // reads back.  Experiments absent from either side are skipped, so the gate
-// only compares what both runs measured.
+// only compares what both runs measured; a run that compares nothing fails.
 type baselineDoc struct {
 	Experiments struct {
 		Figure3  *experiments.Figure3            `json:"figure3"`
@@ -227,79 +233,80 @@ type baselineDoc struct {
 // ratio and speedups and the chaos campaign's recovered rows must not drop,
 // and Figure 3's GC work per commit, the A6 write amplification (and
 // tail-latency win) and the chaos replay volume must not rise, by more than
-// threshold relative.
-func compareBaseline(doc jsonDoc, path string, threshold float64) ([]string, error) {
+// threshold relative.  It returns how many metrics it compared and those that
+// regressed; comparing none is an error that names what did not match.
+func compareBaseline(doc jsonDoc, path string, threshold float64) (int, []string, error) {
 	baseRaw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	var base baselineDoc
 	if err := json.Unmarshal(baseRaw, &base); err != nil {
-		return nil, fmt.Errorf("parse %s: %w", path, err)
+		return 0, nil, fmt.Errorf("parse %s: %w", path, err)
 	}
 	curRaw, err := json.Marshal(doc)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	var cur baselineDoc
 	if err := json.Unmarshal(curRaw, &cur); err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 
-	var failures []string
-	// Higher is better: fail when the current value drops below
-	// base*(1-threshold).
-	lowerBound := func(metric string, curV, baseV float64) {
-		if baseV > 0 && curV < baseV*(1-threshold) {
-			failures = append(failures,
-				fmt.Sprintf("%s: %.3f, baseline %.3f (-%.1f%%)", metric, curV, baseV, (1-curV/baseV)*100))
+	var failures, mismatches []string
+	compared := 0
+	// bound fails a metric that dropped below base*(1-threshold) when higher
+	// is better, or rose above base*(1+threshold) when lower is.
+	bound := func(metric string, curV, baseV float64, higherIsBetter bool) {
+		if baseV <= 0 {
+			return
+		}
+		compared++
+		if higherIsBetter && curV < baseV*(1-threshold) || !higherIsBetter && curV > baseV*(1+threshold) {
+			failures = append(failures, fmt.Sprintf("%s: %.3f, baseline %.3f (%+.1f%%)", metric, curV, baseV, (curV/baseV-1)*100))
 		}
 	}
-	// Lower is better: fail when the current value rises above
-	// base*(1+threshold).
-	upperBound := func(metric string, curV, baseV float64) {
-		if baseV > 0 && curV > baseV*(1+threshold) {
-			failures = append(failures,
-				fmt.Sprintf("%s: %.3f, baseline %.3f (+%.1f%%)", metric, curV, baseV, (curV/baseV-1)*100))
-		}
-	}
-	if f, b := cur.Experiments.Figure3, base.Experiments.Figure3; f != nil && b != nil && f.Scale == b.Scale {
+	const higher, lower = true, false
+	if f, b := cur.Experiments.Figure3, base.Experiments.Figure3; f != nil && b != nil && f.Scale != b.Scale {
+		mismatches = append(mismatches, fmt.Sprintf("figure3 ran at the %s scale, the baseline's at the %s", f.Scale, b.Scale))
+	} else if f != nil && b != nil {
 		// The runs last a fixed simulated time, so a faster engine commits
 		// more and collects more: GC work is gated per 1 000 commits.
 		perKilo := func(n, commits int64) float64 { return 1000 * float64(n) / float64(max(commits, 1)) }
 		for _, p := range []struct {
 			name      string
-			cur, base tpcc.Results
+			cur, base experiments.TPCCRun
 		}{{"traditional", f.Traditional, b.Traditional}, {"regions", f.Regions, b.Regions}} {
-			lowerBound("figure3 "+p.name+" TPS", p.cur.TPS, p.base.TPS)
-			upperBound("figure3 "+p.name+" GC copybacks per 1000 commits",
-				perKilo(p.cur.GCCopybacks, p.cur.Committed), perKilo(p.base.GCCopybacks, p.base.Committed))
-			upperBound("figure3 "+p.name+" GC erases per 1000 commits",
-				perKilo(p.cur.GCErases, p.cur.Committed), perKilo(p.base.GCErases, p.base.Committed))
+			bound("figure3 "+p.name+" TPS", p.cur.TPS, p.base.TPS, higher)
+			bound("figure3 "+p.name+" GC copybacks per 1000 commits",
+				perKilo(p.cur.GCCopybacks, p.cur.Committed), perKilo(p.base.GCCopybacks, p.base.Committed), lower)
+			bound("figure3 "+p.name+" GC erases per 1000 commits",
+				perKilo(p.cur.GCErases, p.cur.Committed), perKilo(p.base.GCErases, p.base.Committed), lower)
 		}
 	}
-	if cur.Experiments.BatchDML != nil && base.Experiments.BatchDML != nil {
-		lowerBound("batch_dml insert submission ratio",
-			cur.Experiments.BatchDML.InsertSubmissionRatio, base.Experiments.BatchDML.InsertSubmissionRatio)
-		lowerBound("batch_dml insert speedup",
-			cur.Experiments.BatchDML.InsertSpeedup, base.Experiments.BatchDML.InsertSpeedup)
-		lowerBound("batch_dml read speedup",
-			cur.Experiments.BatchDML.GetSpeedup, base.Experiments.BatchDML.GetSpeedup)
+	if c, b := cur.Experiments.BatchDML, base.Experiments.BatchDML; c != nil && b != nil {
+		bound("batch_dml insert submission ratio", c.InsertSubmissionRatio, b.InsertSubmissionRatio, higher)
+		bound("batch_dml insert speedup", c.InsertSpeedup, b.InsertSpeedup, higher)
+		bound("batch_dml read speedup", c.GetSpeedup, b.GetSpeedup, higher)
 	}
-	if cur.Experiments.Chaos != nil && base.Experiments.Chaos != nil &&
-		cur.Experiments.Chaos.Seeds == base.Experiments.Chaos.Seeds {
+	if c, b := cur.Experiments.Chaos, base.Experiments.Chaos; c != nil && b != nil && c.Seeds != b.Seeds {
+		mismatches = append(mismatches, fmt.Sprintf("chaos ran %d seeds, the baseline's %d", c.Seeds, b.Seeds))
+	} else if c != nil && b != nil {
 		// The campaign is fully deterministic for a fixed seed count, so the
 		// replay volume is exactly reproducible: a rise means the periodic
 		// checkpoints stopped bounding recovery.
-		upperBound("chaos recovery replay bytes per seed",
-			cur.Experiments.Chaos.ReplayBytesPerSeed, base.Experiments.Chaos.ReplayBytesPerSeed)
-		lowerBound("chaos rows recovered",
-			float64(cur.Experiments.Chaos.RowsRecovered), float64(base.Experiments.Chaos.RowsRecovered))
+		bound("chaos recovery replay bytes per seed", c.ReplayBytesPerSeed, b.ReplayBytesPerSeed, lower)
+		bound("chaos rows recovered", float64(c.RowsRecovered), float64(b.RowsRecovered), higher)
 	}
-	if cur.Experiments.A6 != nil && base.Experiments.A6 != nil {
-		upperBound("A6 write amplification (hot/cold separated)", cur.Experiments.A6.SeparatedWA, base.Experiments.A6.SeparatedWA)
-		upperBound("A6 background p99 write latency",
-			float64(cur.Experiments.A6.BackgroundP99Write), float64(base.Experiments.A6.BackgroundP99Write))
+	if c, b := cur.Experiments.A6, base.Experiments.A6; c != nil && b != nil {
+		bound("A6 write amplification (hot/cold separated)", c.SeparatedWA, b.SeparatedWA, lower)
+		bound("A6 background p99 write latency", float64(c.BackgroundP99Write), float64(b.BackgroundP99Write), lower)
 	}
-	return failures, nil
+	if compared == 0 {
+		if len(mismatches) == 0 {
+			mismatches = []string{"no experiment of this run is in it"}
+		}
+		return 0, nil, fmt.Errorf("compared no metric with %s: %s", path, strings.Join(mismatches, "; "))
+	}
+	return compared, failures, nil
 }

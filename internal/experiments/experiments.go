@@ -174,61 +174,62 @@ func openTPCC(scale Scale, placement tpcc.PlacementKind) (*noftl.DB, tpcc.Config
 	return db, setup.TPCC, err
 }
 
+// TPCCRun is one TPC-C run of the comparison: the results Figure 3 prints and
+// Figure 2's view of the database the run left.
+type TPCCRun struct {
+	tpcc.Results
+	Figure2 Figure2 `json:"-"`
+}
+
 // RunTPCC runs one TPC-C experiment (load + warm-up + measurement) under the
-// given placement on a fresh database, then checks that the database it
-// measured is consistent (tpcc.Check).
-func RunTPCC(scale Scale, placement tpcc.PlacementKind) (tpcc.Results, error) {
+// given placement on a fresh database, takes Figure 2's view of it, then
+// checks that the database it measured is consistent (tpcc.Check).
+func RunTPCC(scale Scale, placement tpcc.PlacementKind) (TPCCRun, error) {
 	db, workload, err := openTPCC(scale, placement)
 	if err != nil {
-		return tpcc.Results{}, err
+		return TPCCRun{}, err
 	}
 	defer db.Close()
 	res, err := tpcc.LoadAndRun(db, workload)
 	if err != nil {
-		return res, err
+		return TPCCRun{Results: res}, err
 	}
-	return res, tpcc.Check(db)
+	// The view comes first: the check's reads count in the object statistics.
+	run := TPCCRun{Results: res, Figure2: newFigure2(db, scale, workload, res.Committed)}
+	return run, tpcc.Check(db)
 }
 
 // Figure3 holds the two runs of the paper's Figure 3 comparison.
 type Figure3 struct {
 	Scale       Scale
-	Traditional tpcc.Results
-	Regions     tpcc.Results
+	Traditional TPCCRun
+	Regions     TPCCRun
 }
 
 // RunFigure3 executes the Figure 3 experiment: the same TPC-C workload under
-// traditional and multi-region placement on identical fresh devices.
+// traditional and multi-region placement on identical fresh devices.  The two
+// run on goroutines of their own: each is a simulation on a database of its
+// own, and what they share is read-only.
 func RunFigure3(scale Scale) (Figure3, error) {
-	trad, regions, err := bothPlacements(scale, RunTPCC)
-	if err != nil {
-		return Figure3{}, err
-	}
-	return Figure3{Scale: scale, Traditional: trad, Regions: regions}, nil
-}
-
-// bothPlacements runs run under traditional and under multi-region placement,
-// the two on goroutines of their own: each is a simulation on a database of
-// its own, and what they share is read-only.
-func bothPlacements[T any](scale Scale, run func(Scale, tpcc.PlacementKind) (T, error)) (trad, regions T, err error) {
+	f := Figure3{Scale: scale}
 	var (
-		wg      sync.WaitGroup
-		errTrad error
+		wg              sync.WaitGroup
+		errTrad, errReg error
 	)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		trad, errTrad = run(scale, tpcc.PlacementTraditional)
+		f.Traditional, errTrad = RunTPCC(scale, tpcc.PlacementTraditional)
 	}()
-	regions, err = run(scale, tpcc.PlacementRegions)
+	f.Regions, errReg = RunTPCC(scale, tpcc.PlacementRegions)
 	wg.Wait()
 	if errTrad != nil {
-		return trad, regions, fmt.Errorf("traditional placement run: %w", errTrad)
+		return Figure3{}, fmt.Errorf("traditional placement run: %w", errTrad)
 	}
-	if err != nil {
-		return trad, regions, fmt.Errorf("region placement run: %w", err)
+	if errReg != nil {
+		return Figure3{}, fmt.Errorf("region placement run: %w", errReg)
 	}
-	return trad, regions, nil
+	return f, nil
 }
 
 // Table renders the comparison in the layout of the paper's Figure 3.
@@ -239,7 +240,7 @@ func (f Figure3) Table() string {
 	fmt.Fprintln(w, "Metric\tTraditional data placement\tData placement using Regions")
 	value := func(name string, tr, rg float64) { fmt.Fprintf(w, "%s\t%.2f\t%.2f\n", name, tr, rg) }
 	count := func(name string, tr, rg int64) { fmt.Fprintf(w, "%s\t%d\t%d\n", name, tr, rg) }
-	tr, rg := f.Traditional, f.Regions
+	tr, rg := f.Traditional.Results, f.Regions.Results
 	value("TPS", tr.TPS, rg.TPS)
 	value("READ 4KB (us)", float64(tr.ReadLatency.Mean)/1e3, float64(rg.ReadLatency.Mean)/1e3)
 	value("WRITE 4KB (us)", float64(tr.WriteLatency.Mean)/1e3, float64(rg.WriteLatency.Mean)/1e3)
@@ -336,21 +337,11 @@ type Figure2 struct {
 // share moves more than 2.6 points).
 const MaxDriftPoints = 2.0
 
-// RunFigure2 reproduces Figure 2: run TPC-C under the given placement — the
-// paper profiles under the traditional one — to measure every object's device
-// demand, then distribute the dies over the paper's grouping of the objects on
-// that demand.
-func RunFigure2(scale Scale, placement tpcc.PlacementKind) (Figure2, error) {
-	db, workload, err := openTPCC(scale, placement)
-	if err != nil {
-		return Figure2{}, err
-	}
-	defer db.Close()
-	res, err := tpcc.LoadAndRun(db, workload)
-	if err != nil {
-		return Figure2{}, err
-	}
-	f := Figure2{Scale: scale, Placement: placement, Objects: db.ObjectStats()}
+// newFigure2 reproduces Figure 2 from the database a TPC-C run left (the paper
+// profiles under traditional placement): every object's measured device
+// demand, and the dies the paper's grouping of the objects gets on that demand.
+func newFigure2(db *noftl.DB, scale Scale, workload tpcc.Config, committed int64) Figure2 {
+	f := Figure2{Scale: scale, Placement: workload.Placement, Objects: db.ObjectStats()}
 
 	// Sum the measured objects over the paper's groups; what no group lists
 	// (the WAL) lives in the default region with group 0.
@@ -365,7 +356,7 @@ func RunFigure2(scale Scale, placement tpcc.PlacementKind) (Figure2, error) {
 		pages[gi] += o.SizePages
 		dieTime[gi] += float64(o.DieTime)
 		f.Demand = append(f.Demand, tpcc.ObjectDemand{Object: o.Name,
-			Reads: float64(o.Reads) / float64(res.Committed), Programs: float64(o.Writes) / float64(res.Committed)})
+			Reads: float64(o.Reads) / float64(committed), Programs: float64(o.Writes) / float64(committed)})
 	}
 	geo := db.Geometry()
 	plan := func(demand []float64) core.PlacementPlan {
@@ -375,18 +366,7 @@ func RunFigure2(scale Scale, placement tpcc.PlacementKind) (Figure2, error) {
 	}
 	f.Planned = tpcc.Plan(workload, geo)
 	f.Host, f.Measured = plan(tpcc.GroupDemand(f.Demand, flash.DefaultTiming())), plan(dieTime)
-	return f, nil
-}
-
-// RunFigure2Both runs Figure 2 under traditional and under multi-region
-// placement, the two at once (see bothPlacements), and returns them in that
-// order.
-func RunFigure2Both(scale Scale) ([]Figure2, error) {
-	trad, regions, err := bothPlacements(scale, RunFigure2)
-	if err != nil {
-		return nil, err
-	}
-	return []Figure2{trad, regions}, nil
+	return f
 }
 
 // Drift is the largest distance, in points, between a group's share of the

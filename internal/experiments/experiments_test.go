@@ -30,11 +30,27 @@ func TestTPCCSetupScales(t *testing.T) {
 	}
 }
 
+// viewsAgree checks what Figure 2 and Figure 3 share of a run: Figure 2's
+// objects sum to Figure 3's host reads, host writes and copybacks (the view is
+// taken before tpcc.Check, whose reads would count).
+func viewsAgree(t *testing.T, run TPCCRun) {
+	t.Helper()
+	var reads, writes, copybacks int64
+	for _, o := range run.Figure2.Objects {
+		reads, writes, copybacks = reads+o.Reads, writes+o.Writes, copybacks+o.Copybacks
+	}
+	if reads != run.HostReadIOs || writes != run.HostWriteIOs || copybacks != run.GCCopybacks {
+		t.Errorf("%s placement: Figure 2's objects sum to %d reads, %d writes, %d copybacks; Figure 3 has %d, %d, %d",
+			run.Placement, reads, writes, copybacks, run.HostReadIOs, run.HostWriteIOs, run.GCCopybacks)
+	}
+}
+
 func TestRunFigure2Tiny(t *testing.T) {
-	f2, err := RunFigure2(ScaleTiny, tpcc.PlacementTraditional)
+	f3, err := RunFigure3(ScaleTiny)
 	if err != nil {
 		t.Fatal(err)
 	}
+	f2 := f3.Traditional.Figure2
 	if len(f2.Objects) < 10 {
 		t.Fatalf("only %d objects have statistics", len(f2.Objects))
 	}
@@ -92,12 +108,15 @@ func TestPaperFigure2(t *testing.T) {
 // TestFigure2Small runs the Figure 2 procedure at the small scale and checks
 // the per-object record against what TPC-C does to its tables: HISTORY is only
 // appended to, so under half of its page writes supersede a page; the log costs
-// die time; and the dies are handed out by the one allocator.
+// die time; the dies are handed out by the one allocator; and the objects sum
+// to the run's Figure 3 I/O counts.
 func TestFigure2Small(t *testing.T) {
-	f2, err := RunFigure2(ScaleSmall, tpcc.PlacementTraditional)
+	run, err := RunTPCC(ScaleSmall, tpcc.PlacementTraditional)
 	if err != nil {
 		t.Fatal(err)
 	}
+	viewsAgree(t, run)
+	f2 := run.Figure2
 	plan := f2.Measured
 	size := map[string]int64{}
 	for _, o := range f2.Objects {
@@ -160,6 +179,8 @@ func TestRunFigure3Tiny(t *testing.T) {
 	if f3.Traditional.Failed != 0 || f3.Regions.Failed != 0 {
 		t.Fatalf("failed transactions: %d / %d", f3.Traditional.Failed, f3.Regions.Failed)
 	}
+	viewsAgree(t, f3.Traditional)
+	viewsAgree(t, f3.Regions)
 	tbl := f3.Table()
 	for _, want := range []string{"TPS", "GC COPYBACKs", "GC ERASEs", "Host READ I/Os", "NewOrder TRX", "Busiest die", "rgOrders", "rgLookup"} {
 		if !strings.Contains(tbl, want) {
@@ -245,7 +266,7 @@ func TestFigure3ShapeSmall(t *testing.T) {
 	}
 	for _, run := range []struct {
 		name string
-		res  tpcc.Results
+		res  TPCCRun
 	}{{"traditional", f3.Traditional}, {"regions", f3.Regions}} {
 		payment, stockLevel := run.res.ResponseTimes[tpcc.TxnPayment].Mean, run.res.ResponseTimes[tpcc.TxnStockLevel].Mean
 		if payment > stockLevel/4 {
@@ -255,10 +276,10 @@ func TestFigure3ShapeSmall(t *testing.T) {
 	}
 }
 
-// TestBothPlacementsAtOnceIsSequential: Figure 2 and Figure 3 run their two
-// placements on two goroutines, and what they print is byte for byte what the
-// runs print one after the other (under -race it also shows the two
-// simulations share nothing they write).
+// TestBothPlacementsAtOnceIsSequential: Figure 3 runs its two placements on
+// two goroutines, and what it and Figure 2's views of its runs print is byte
+// for byte what the runs print one after the other (under -race it also shows
+// the two simulations share nothing they write).
 func TestBothPlacementsAtOnceIsSequential(t *testing.T) {
 	f3, err := RunFigure3(ScaleTiny)
 	if err != nil {
@@ -276,17 +297,9 @@ func TestBothPlacementsAtOnceIsSequential(t *testing.T) {
 	if got, want := f3.Table()+f3.Headline().String(), seq.Table()+seq.Headline().String(); got != want {
 		t.Errorf("Figure 3 at once:\n%s\none after the other:\n%s", got, want)
 	}
-	both, err := RunFigure2Both(ScaleTiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, placement := range []tpcc.PlacementKind{tpcc.PlacementTraditional, tpcc.PlacementRegions} {
-		f2, err := RunFigure2(ScaleTiny, placement)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := both[i].Table(), f2.Table(); got != want {
-			t.Errorf("Figure 2 under %s placement at once:\n%s\nalone:\n%s", placement, got, want)
+	for _, p := range [][2]TPCCRun{{f3.Traditional, trad}, {f3.Regions, regions}} {
+		if got, want := p[0].Figure2.Table(), p[1].Figure2.Table(); got != want {
+			t.Errorf("Figure 2 under %s placement at once:\n%s\nalone:\n%s", p[1].Placement, got, want)
 		}
 	}
 }
