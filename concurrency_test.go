@@ -543,3 +543,47 @@ func TestFailedCommitKeepsCheckpointWaiting(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDeadlockFailsOneUpdate: two Updates lock a and b in opposite orders,
+// each taking its second key only once both hold their first.  The second
+// wait closes a cycle and fails at once, as ErrConflict, however long the
+// lock timeout; its abort lets the other Update commit.
+func TestDeadlockFailsOneUpdate(t *testing.T) {
+	db, err := Open(WithLockTimeout(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	var first sync.WaitGroup
+	first.Add(2)
+	errs := make(chan error, 2)
+	for _, keys := range [][2]string{{"a", "b"}, {"b", "a"}} {
+		go func() {
+			errs <- db.Update(func(tx *Tx) error {
+				if err := tx.Lock(keys[0], Exclusive); err != nil {
+					return err
+				}
+				first.Done()
+				first.Wait()
+				return tx.Lock(keys[1], Exclusive)
+			})
+		}()
+	}
+	var committed, conflicts int
+	for range 2 {
+		switch err := <-errs; {
+		case err == nil:
+			committed++
+		case errors.Is(err, ErrConflict):
+			conflicts++
+		default:
+			t.Fatalf("unexpected error: %v", err)
+		}
+	}
+	if committed != 1 || conflicts != 1 {
+		t.Fatalf("%d committed and %d conflicts, want one each", committed, conflicts)
+	}
+	if st := db.Stats().Txn; st.LockTimeouts != 1 || st.LocksHeld != 0 || st.LockWaiting != 0 {
+		t.Fatalf("after the deadlock: %+v", st)
+	}
+}

@@ -70,7 +70,10 @@ type Config struct {
 	// reads the demanded page only: a scan of a table larger than the pool
 	// misses once per page.
 	BufferPoolPages int
-	// LockTimeout is the lock-wait timeout used as a deadlock safety net.
+	// LockTimeout is a lock wait's budget in virtual time: a wait fails when
+	// the key's releases have moved simulated time this far while the lock
+	// stayed unavailable.  A deadlock does not wait for it: the wait that
+	// would close one fails at once.
 	LockTimeout time.Duration
 	// TraceBufferEvents enables event tracing: flash commands, host I/O, GC
 	// steps, wear moves, buffer-pool and WAL events are recorded into an

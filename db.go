@@ -38,7 +38,7 @@ import (
 //     that would have to wait, and a write to the table or index being
 //     scanned, fail with ErrConflict at once.
 //   - A Tx.Lock that must wait parks: it releases the baton until the lock
-//     is granted or times out, so the holder can run to its release.
+//     is granted or the wait fails, so the holder can run to its release.
 //   - A checkpoint parks, like a lock waiter, until no transaction is open,
 //     and Begin waits while one does, so a checkpoint captures a
 //     transaction-consistent snapshot.

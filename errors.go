@@ -28,8 +28,9 @@ var (
 	ErrUnsupported = errors.New("noftl: unsupported operation")
 	// ErrConflict reports an operation that clashed with existing state or a
 	// concurrent transaction: creating an object whose name is taken,
-	// dropping an object that is still in use, or losing a lock wait
-	// (deadlock-victim timeout).
+	// dropping an object that is still in use, or losing a lock wait: at
+	// once when the wait would close a deadlock, or when it outlives its
+	// virtual-time budget (Config.LockTimeout).
 	ErrConflict = errors.New("noftl: conflict")
 	// ErrRegionFull reports a write that exceeded its region's logical
 	// capacity (and could not spill).

@@ -7,8 +7,9 @@
 //   - *DB is safe for concurrent use: operations from many goroutines run one
 //     at a time; transactions are cheap to start.
 //   - Explicit locks (Tx.Lock) serialize read-modify-write cycles.  A lock
-//     wait that times out (the deadlock safety net) surfaces as ErrConflict
-//     — the caller's move is to abort and retry.
+//     wait that would close a deadlock fails at once, and one that outlives
+//     its budget of virtual time (WithLockTimeout) fails when it does; both
+//     surface as ErrConflict — the caller's move is to abort and retry.
 //   - A commit forces the log within its own operation, so concurrent
 //     committers do not share a force: the Stats() snapshot shows no group
 //     commits.

@@ -136,20 +136,12 @@ func TPCCSetup(scale Scale) Setup {
 	dbCfg := noftl.DefaultConfig()
 	dbCfg.Flash.Geometry = geo
 	dbCfg.BufferPoolPages = pool
-	// The paper's experiments measure placement effects on the device I/O
-	// stream, and run with light checkpoints (flush + truncate, nothing
-	// retained).  A full checkpoint costs only the dirty pages, but the page
-	// versions it retains until the next one need room on these deliberately
-	// full devices, and the checkpoint after each DDL statement puts log
-	// pages on dies the region plan still has to carve (ROADMAP.md, item
-	// 10(c)).  How far full checkpoints would move the figures is unmeasured.
-	// Crash recovery is exercised separately by the chaos experiment.
+	// Light checkpoints, as bench/ and the baseline gate run them until
+	// ROADMAP.md item 15; crash recovery is exercised by the chaos experiment.
 	dbCfg.DisableSnapshotCheckpoints = true
-	// TPC-C terminals take locks in canonical order, so real deadlocks
-	// cannot form; the lock-wait timeout is purely a safety net.  Timeouts
-	// are virtual-time deterministic now, so host scheduling delays can no
-	// longer fire them spuriously — the generous value just keeps the
-	// simulated-time deadline far above any legitimate lock wait.
+	// TPC-C terminals take locks in canonical order, so deadlocks cannot
+	// form (and a wait that would close one fails at once).  The timeout is
+	// a wait budget in virtual time, set far above any legitimate lock wait.
 	dbCfg.LockTimeout = 60 * time.Second
 	return Setup{DB: dbCfg, TPCC: workload}
 }

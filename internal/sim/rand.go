@@ -61,12 +61,3 @@ func (r *Rand) Perm(n int) []int {
 	}
 	return p
 }
-
-// Shuffle pseudo-randomly permutes n elements using the provided swap
-// function.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

@@ -89,23 +89,6 @@ func TestRandPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffleKeepsElements(t *testing.T) {
-	r := NewRand(9)
-	s := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range s {
-		sum += v
-	}
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	got := 0
-	for _, v := range s {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed multiset: %v", s)
-	}
-}
-
 // Property: IntRange always returns a value inside the requested bounds.
 func TestIntRangeProperty(t *testing.T) {
 	r := NewRand(777)

@@ -153,7 +153,7 @@ func runPhase(db *noftl.DB, sch *Schema, cfg Config) (Results, error) {
 						// Release the transaction's locks before bailing out:
 						// a failed commit leaves the txn active, and exiting
 						// with locks held would stall every other terminal
-						// until their wall-clock fallbacks fire.
+						// that waits for one of them.
 						tx.Abort()
 						failed.Add(1)
 						errCh <- cerr

@@ -6,15 +6,14 @@
 // time under its baton (see noftl.DB), and the lock table is one map the
 // operation holding the baton reads and writes.  Lock waits are real (the
 // waiting goroutine parks on a condition variable of the baton, so the holder
-// can run to its release), but the wait *timeout* is
-// virtual-time-deterministic: a waiter gives up when the contended key has seen
-// more than the configured budget of simulated time pass (measured from
-// release to release) while the lock stayed unavailable.  That makes
-// ErrLockTimeout independent of host speed and parallel test load; a generous
-// wall-clock fallback remains as the safety net for true deadlocks, where no
-// release (and hence no virtual progress on the key) ever happens.  TPC-C
-// transactions acquire their locks in a canonical order, so deadlocks cannot
-// form in the benchmark itself.
+// can run to its release), and every wait ends on an event of the history,
+// never on the host clock.  A wait that would close a cycle of waiting
+// transactions is a deadlock and fails at once.  Any other wait gives up when
+// the contended key has seen more than the configured budget of simulated time
+// pass (measured from release to release) while the lock stayed unavailable.
+// So ErrLockTimeout is independent of host speed and parallel test load.
+// TPC-C transactions acquire their locks in a canonical order, so deadlocks
+// cannot form in the benchmark itself.
 package txn
 
 import (
@@ -39,8 +38,8 @@ const (
 
 // Errors returned by the transaction manager.
 var (
-	// ErrLockTimeout reports a lock wait that exceeded the configured
-	// timeout (treated as a deadlock victim).
+	// ErrLockTimeout reports a lock wait that would have closed a deadlock,
+	// or that outlived its virtual-time budget.
 	ErrLockTimeout = errors.New("txn: lock wait timeout")
 	// ErrTxnDone reports an operation on a committed or aborted transaction.
 	ErrTxnDone = errors.New("txn: transaction already finished")
@@ -66,36 +65,27 @@ func (ls *lockState) held() bool { return ls.writer != 0 || len(ls.readers) > 0 
 
 // LockManager implements strict two-phase locking over string keys.  It is
 // not safe for concurrent use: every call runs under the baton SetBaton names,
-// and waiters of every key park on one condition variable of it.  A release
-// wakes them all, and each re-checks its own key.
+// and waiters of every key park on one condition variable of it.  A release,
+// and a waiter that leaves, wake them all, and each re-checks its own key.
 type LockManager struct {
-	cond         sync.Cond // L is the baton: a waiter releases it while parked
-	locks        map[string]*lockState
-	free         []lockState   // the rest of the chunk of 256 new states are carved from
-	held         int64         // keys some transaction holds
-	waiting      int64         // transactions blocked on a key
-	timeout      time.Duration // virtual-time wait budget (ns, 1:1 with sim time)
-	wallFallback time.Duration // wall-clock deadlock safety net
-	waits        *metrics.Counter
-	timeouts     *metrics.Counter
+	cond     sync.Cond // L is the baton: a waiter releases it while parked
+	locks    map[string]*lockState
+	free     []lockState           // the rest of the chunk of 256 new states are carved from
+	waitsOn  map[uint64]*lockState // waiting transaction -> the key it waits on
+	held     int64                 // keys some transaction holds
+	waiting  int64                 // transactions blocked on a key
+	timeout  time.Duration         // virtual-time wait budget (ns, 1:1 with sim time)
+	waits    *metrics.Counter
+	timeouts *metrics.Counter
 }
 
 // NewLockManager creates a lock manager with the given wait timeout (zero
-// selects one second).  The timeout is interpreted in virtual time when the
-// caller provides a virtual-time context (LockAt); the wall-clock fallback
-// defaults to ten times the timeout, clamped to [1s, 60s].
+// selects one second), interpreted in virtual time (LockAt).
 func NewLockManager(timeout time.Duration) *LockManager {
 	if timeout <= 0 {
 		timeout = time.Second
 	}
-	fallback := 10 * timeout
-	if fallback < time.Second {
-		fallback = time.Second
-	}
-	if fallback > time.Minute {
-		fallback = time.Minute
-	}
-	lm := &LockManager{timeout: timeout, wallFallback: fallback, locks: make(map[string]*lockState)}
+	lm := &LockManager{timeout: timeout, locks: make(map[string]*lockState), waitsOn: make(map[uint64]*lockState)}
 	lm.bind(metrics.NewRegistry())
 	return lm
 }
@@ -105,21 +95,13 @@ func (lm *LockManager) bind(reg *metrics.Registry) {
 	lm.waits = reg.Counter("noftl_txn_lock_waits_total",
 		"Lock acquisitions that had to block.").With()
 	lm.timeouts = reg.Counter("noftl_txn_lock_timeouts_total",
-		"Lock waits that ended as deadlock victims (ErrLockTimeout).").With()
+		"Lock waits that failed (ErrLockTimeout): at once on a deadlock, or past the virtual-time wait budget.").With()
 }
 
 // SetBaton names the lock every call runs under and a waiter parks on.  Set
 // it before a call that may have to wait: only a caller that never meets a
 // held lock, such as a single goroutine, can do without one.
 func (lm *LockManager) SetBaton(baton sync.Locker) { lm.cond.L = baton }
-
-// SetWallFallback overrides the wall-clock deadlock safety net (tests use a
-// short fallback to exercise it quickly).
-func (lm *LockManager) SetWallFallback(d time.Duration) {
-	if d > 0 {
-		lm.wallFallback = d
-	}
-}
 
 // state returns the lock state of key, creating it on first use.
 func (lm *LockManager) state(key string) *lockState {
@@ -132,15 +114,6 @@ func (lm *LockManager) state(key string) *lockState {
 		lm.locks[key] = ls
 	}
 	return ls
-}
-
-// wake broadcasts to every waiter under the baton.  A waiter holds the baton
-// from its last check until Wait has registered it, so a wake-up taken under
-// the baton cannot fall in between and be lost.
-func (lm *LockManager) wake() {
-	lm.cond.L.Lock()
-	lm.cond.Broadcast()
-	lm.cond.L.Unlock()
 }
 
 // LockStats is a snapshot of lock-manager contention counters.
@@ -161,23 +134,22 @@ func (lm *LockManager) Stats() LockStats {
 }
 
 // LockAt acquires key in the given mode on behalf of txnID, whose current
-// virtual time is now, blocking until the lock is granted or the wait times
-// out; without wait it fails with ErrLockBusy instead of blocking.
-// Re-acquiring a lock already held (including upgrading shared to
-// exclusive when the transaction is the sole reader) succeeds.  It returns the
-// key's state when the grant is the transaction's first hold on key, for
-// ReleaseAllAt, and nil otherwise.
+// virtual time is now, blocking until the lock is granted or the wait fails;
+// without wait it fails with ErrLockBusy instead of blocking.  Re-acquiring a
+// lock already held (including upgrading shared to exclusive when the
+// transaction is the sole reader) succeeds.  It returns the key's state when
+// the grant is the transaction's first hold on key, for ReleaseAllAt, and nil
+// otherwise.
 //
-// The wait deadline is virtual: it expires when the key's release frontier
-// (the highest virtual time of any release of this key) moves more than the
-// configured timeout past the frontier observed when the wait began, while
-// the lock remains unavailable.  A wall-clock fallback (SetWallFallback)
-// catches deadlocks, where the frontier never moves.
+// A wait fails with ErrLockTimeout at once when it would close a cycle of
+// waiting transactions (a deadlock), and otherwise when the key's release
+// frontier (the highest virtual time of any release of this key) moves more
+// than the configured timeout past the frontier observed when the wait began,
+// while the lock remains unavailable.
 func (lm *LockManager) LockAt(now sim.Time, txnID uint64, key string, mode LockMode, wait bool) (*lockState, error) {
 	ls := lm.state(key)
 	waited := false
 	var vdeadline sim.Time
-	var wallDeadline time.Time
 	for {
 		holder := ls.writer == txnID || ls.readers[txnID] > 0
 		// A newly arriving request yields to transactions that are already
@@ -198,8 +170,7 @@ func (lm *LockManager) LockAt(now sim.Time, txnID uint64, key string, mode LockM
 				ls.readers[txnID]++
 			}
 			if waited {
-				ls.waiting--
-				lm.waiting--
+				lm.leave(txnID, ls)
 			}
 			if holder {
 				return nil, nil
@@ -214,43 +185,77 @@ func (lm *LockManager) LockAt(now sim.Time, txnID uint64, key string, mode LockM
 			lm.waits.Inc()
 			ls.waiting++
 			lm.waiting++
+			lm.waitsOn[txnID] = ls
 			// Anchor the virtual deadline to the key's release frontier, not
 			// just the waiter's own cursor: cursors of independent workers
 			// drift apart, and a waiter behind the frontier must still be
 			// given a full timeout of *future* virtual activity.
 			vdeadline = max(now, ls.maxRelease).Add(lm.timeout)
-			wallDeadline = time.Now().Add(lm.wallFallback)
-		} else if ls.maxRelease > vdeadline || time.Now().After(wallDeadline) {
-			ls.waiting--
-			lm.waiting--
+		} else if ls.maxRelease > vdeadline {
+			lm.leave(txnID, ls)
 			lm.timeouts.Inc()
 			return nil, fmt.Errorf("%w: txn %d key %q", ErrLockTimeout, txnID, key)
 		}
-		// Wake ourselves up at the wall deadline so the fallback is honoured
-		// even if nobody ever releases the lock.  Any release wakes us too;
-		// a release of another key moves neither this key's frontier nor
-		// the deadlines, so the loop just waits again.
-		timer := time.AfterFunc(time.Until(wallDeadline), lm.wake)
+		if other := lm.cycle(txnID, ls); other != 0 {
+			lm.leave(txnID, ls)
+			lm.timeouts.Inc()
+			return nil, fmt.Errorf("%w: txn %d key %q: deadlock, waits for txn %d", ErrLockTimeout, txnID, key, other)
+		}
+		// Any release wakes us, and so does a waiter that leaves; a release
+		// of another key moves neither this key's frontier nor the deadline,
+		// so the loop just waits again.
 		lm.cond.Wait()
-		timer.Stop()
 	}
 }
 
-// grantable reports whether txnID may take key in mode.
+// leave ends txnID's wait on ls, granted or failed, and wakes the other
+// waiters once: one that yielded to it checks its key again.
+func (lm *LockManager) leave(txnID uint64, ls *lockState) {
+	ls.waiting--
+	lm.waiting--
+	delete(lm.waitsOn, txnID)
+	lm.cond.Broadcast()
+}
+
+// cycle returns the holder of ls through which waits lead back to txnID, the
+// deadlock txnID's wait on ls would close, or 0 if there is none.  A waiter,
+// blocked or yielding to earlier waiters, waits for every other holder of its
+// key; the walk visits each waiter at most once.
+func (lm *LockManager) cycle(txnID uint64, ls *lockState) uint64 {
+	seen := make(map[uint64]bool)
+	var leadsBack func(h uint64) bool
+	leadsBack = func(h uint64) bool {
+		k := lm.waitsOn[h]
+		if h == txnID || k == nil || seen[h] {
+			return h == txnID
+		}
+		seen[h] = true
+		return otherHolder(k, h, leadsBack) != 0
+	}
+	return otherHolder(ls, txnID, leadsBack)
+}
+
+// otherHolder returns a holder of ls other than txnID for which f is true, or
+// 0 if there is none.
+func otherHolder(ls *lockState, txnID uint64, f func(uint64) bool) uint64 {
+	if ls.writer != 0 && ls.writer != txnID && f(ls.writer) {
+		return ls.writer
+	}
+	for r := range ls.readers {
+		if r != txnID && f(r) {
+			return r
+		}
+	}
+	return 0
+}
+
+// grantable reports whether txnID may take key in mode: a shared hold
+// excludes another writer, an exclusive one any other holder.
 func grantable(ls *lockState, txnID uint64, mode LockMode) bool {
 	if mode == Shared {
 		return ls.writer == 0 || ls.writer == txnID
 	}
-	// Exclusive: no other writer and no other readers.
-	if ls.writer != 0 && ls.writer != txnID {
-		return false
-	}
-	for r := range ls.readers {
-		if r != txnID {
-			return false
-		}
-	}
-	return true
+	return otherHolder(ls, txnID, func(uint64) bool { return true }) == 0
 }
 
 // ReleaseAllAt releases txnID's holds on the keys whose states LockAt
@@ -409,8 +414,8 @@ func (t *Txn) ResponseTime() time.Duration { return t.cursor.Now().Sub(t.start) 
 func (t *Txn) State() State { return t.state }
 
 // Lock acquires key in the given mode and remembers it for release at
-// commit/abort.  The wait timeout is virtual-time-deterministic (see
-// LockManager.LockAt).
+// commit/abort.  A wait that would close a deadlock fails at once, and any
+// other times out in virtual time (see LockManager.LockAt).
 func (t *Txn) Lock(key string, mode LockMode) error { return t.lock(key, mode, true) }
 
 // TryLock is Lock failing with ErrLockBusy where Lock would wait.

@@ -3,6 +3,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -83,32 +84,63 @@ func mustLock(t *testing.T, lm *batoned, now sim.Time, txnID uint64, key string,
 	return ls
 }
 
+// waitFor polls until n transactions wait on a key.
+func waitFor(lm *batoned, n int64) {
+	for lm.Stats().Waiting != n {
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// lockIn takes key for txnID on a goroutine of its own, which parks while it
+// waits, and sends the outcome on the channel it returns.
+func lockIn(lm *batoned, txnID uint64, key string, mode LockMode) <-chan lockOutcome {
+	ch := make(chan lockOutcome, 1)
+	go func() {
+		ls, err := lm.LockAt(0, txnID, key, mode)
+		ch <- lockOutcome{ls, err}
+	}()
+	return ch
+}
+
+type lockOutcome struct {
+	ls  *lockState
+	err error
+}
+
+// mustFailAtOnce checks that the wait closing a deadlock fails without
+// parking, and names the transaction it would have waited for.
+func mustFailAtOnce(t *testing.T, lm *batoned, txnID uint64, key string, mode LockMode, waitsFor uint64) {
+	t.Helper()
+	_, err := lm.LockAt(0, txnID, key, mode)
+	if !errors.Is(err, ErrLockTimeout) {
+		t.Fatalf("txn %d on %q: %v, want ErrLockTimeout", txnID, key, err)
+	}
+	if want := fmt.Sprintf("waits for txn %d", waitsFor); !strings.Contains(err.Error(), want) {
+		t.Fatalf("%v: does not say %q", err, want)
+	}
+}
+
 func TestLockManagerSharedAndExclusive(t *testing.T) {
 	lm := newBatoned(time.Second)
 	// Two readers coexist.
 	mustLock(t, lm, 0, 1, "k", Shared)
 	k2 := mustLock(t, lm, 0, 2, "k", Shared)
-	// A writer must wait; nothing is released, so the wall-clock safety net
-	// makes it give up.
-	short := newBatoned(50 * time.Millisecond)
-	short.SetWallFallback(50 * time.Millisecond)
-	x := mustLock(t, short, 0, 1, "x", Exclusive)
-	start := time.Now()
-	_, err := short.LockAt(0, 2, "x", Exclusive)
-	if !errors.Is(err, ErrLockTimeout) {
-		t.Fatalf("want ErrLockTimeout, got %v", err)
+	// A writer must wait.  Transaction 2 waits for x, which 1 holds; 1 then
+	// asks for y, which 2 holds, closing the cycle, and fails at once.
+	x := mustLock(t, lm, 0, 1, "x", Exclusive)
+	y := mustLock(t, lm, 0, 2, "y", Exclusive)
+	survivor := lockIn(lm, 2, "x", Exclusive)
+	waitFor(lm, 1)
+	mustFailAtOnce(t, lm, 1, "y", Exclusive, 2)
+	if st := lm.Stats(); st.Waits != 2 || st.Timeouts != 1 || st.Waiting != 1 {
+		t.Fatalf("after the deadlock: %+v", st)
 	}
-	if time.Since(start) < 40*time.Millisecond {
-		t.Fatal("timeout returned too early")
+	// Releasing the victim's key lets the writer in.
+	lm.ReleaseAllAt(0, 1, []*lockState{x})
+	if r := <-survivor; r.err != nil {
+		t.Fatalf("lock after release: %v", r.err)
 	}
-	if short.Stats().Waits == 0 {
-		t.Fatal("wait not counted")
-	}
-	// Releasing lets the writer in.
-	short.ReleaseAllAt(0, 1, []*lockState{x})
-	if _, err := short.LockAt(0, 2, "x", Exclusive); err != nil {
-		t.Fatalf("lock after release: %v", err)
-	}
+	lm.ReleaseAllAt(0, 2, []*lockState{y, x})
 	// Re-acquiring an already-held lock succeeds, as does upgrading when the
 	// transaction is the only reader.
 	if _, err := lm.LockAt(0, 1, "k", Shared); err != nil {
@@ -219,8 +251,7 @@ func TestTxnWithoutWAL(t *testing.T) {
 // budget times out exactly when releases push the key's virtual frontier past
 // its deadline, and survives any amount of wall-clock waiting short of that.
 func TestLockVirtualTimeoutDeterministic(t *testing.T) {
-	lm := newBatoned(time.Millisecond)   // 1 ms of virtual time
-	lm.SetWallFallback(30 * time.Second) // fallback far away: virtual path must fire
+	lm := newBatoned(time.Millisecond) // 1 ms of virtual time
 
 	k1 := mustLock(t, lm, 0, 1, "k", Exclusive)
 	var k2 *lockState
@@ -298,34 +329,119 @@ func TestLockVirtualTimeoutDeterministic(t *testing.T) {
 	}
 }
 
-// TestLockWallFallbackCatchesDeadlock checks the wall-clock safety net: when
-// no release ever advances the key's virtual frontier (a deadlock), the
-// waiter still gets ErrLockTimeout after the fallback.
-func TestLockWallFallbackCatchesDeadlock(t *testing.T) {
-	lm := newBatoned(time.Millisecond)
-	lm.SetWallFallback(20 * time.Millisecond)
-	mustLock(t, lm, 0, 1, "dead", Exclusive)
-	start := time.Now()
-	_, err := lm.LockAt(0, 2, "dead", Exclusive)
-	if !errors.Is(err, ErrLockTimeout) {
-		t.Fatalf("want ErrLockTimeout, got %v", err)
+// TestThreeTransactionCycleFailsTheCloser: 1 waits for 2 and 2 for 3, so
+// 3's wait for 1 closes a cycle through two parked waiters.  It fails at
+// once; when the victim releases, the waits unwind in order.
+func TestThreeTransactionCycleFailsTheCloser(t *testing.T) {
+	lm := newBatoned(time.Hour)
+	a := mustLock(t, lm, 0, 1, "a", Exclusive)
+	b := mustLock(t, lm, 0, 2, "b", Exclusive)
+	c := mustLock(t, lm, 0, 3, "c", Exclusive)
+	first := lockIn(lm, 1, "b", Exclusive)
+	waitFor(lm, 1)
+	second := lockIn(lm, 2, "c", Exclusive)
+	waitFor(lm, 2)
+	mustFailAtOnce(t, lm, 3, "a", Exclusive, 1)
+	if st := lm.Stats(); st.Waiting != 2 || st.Timeouts != 1 {
+		t.Fatalf("after the deadlock: %+v", st)
 	}
-	if el := time.Since(start); el < 15*time.Millisecond {
-		t.Fatalf("fallback fired too early: %v", el)
+	lm.ReleaseAllAt(0, 3, []*lockState{c})
+	if r := <-second; r.err != nil {
+		t.Fatalf("2 on c: %v", r.err)
+	}
+	lm.ReleaseAllAt(0, 2, []*lockState{b, c})
+	if r := <-first; r.err != nil {
+		t.Fatalf("1 on b: %v", r.err)
+	}
+	lm.ReleaseAllAt(0, 1, []*lockState{a, b})
+	if st := lm.Stats(); st.Held != 0 || st.Waiting != 0 || st.Timeouts != 1 {
+		t.Fatalf("after every release: %+v", st)
+	}
+}
+
+// TestUpgradingReadersDeadlock: two readers of one key both ask to upgrade.
+// The first waits for the other reader; the second would wait for the first,
+// so it fails at once, and its release grants the first the upgrade.
+func TestUpgradingReadersDeadlock(t *testing.T) {
+	lm := newBatoned(time.Hour)
+	k1 := mustLock(t, lm, 0, 1, "k", Shared)
+	k2 := mustLock(t, lm, 0, 2, "k", Shared)
+	upgrade := lockIn(lm, 1, "k", Exclusive)
+	waitFor(lm, 1)
+	mustFailAtOnce(t, lm, 2, "k", Exclusive, 1)
+	lm.ReleaseAllAt(0, 2, []*lockState{k2})
+	if r := <-upgrade; r.err != nil {
+		t.Fatalf("upgrade after the victim's release: %v", r.err)
+	}
+	lm.ReleaseAllAt(0, 1, []*lockState{k1})
+	if st := lm.Stats(); st.Held != 0 || st.Waiting != 0 || st.Timeouts != 1 {
+		t.Fatalf("after every release: %+v", st)
+	}
+}
+
+// TestCycleThroughAYieldingWaiter: reader 3 arrives at k while writer 2
+// waits for it, and yields to 2 although it could share k with reader 1.
+// Once 1 releases and 2 is granted k, 3 waits for 2; 2's wait for m, which 3
+// holds, closes the cycle and fails at once.
+//
+// Who takes k first after 1's release is the scheduler's choice.  Go runs
+// the goroutine a wake-up readied last first, so waiter 9 parks on another
+// key after 3 to take that turn, and a run in which 3 still wins is retried.
+func TestCycleThroughAYieldingWaiter(t *testing.T) {
+	for attempt := 0; ; attempt++ {
+		if attempt == 100 {
+			t.Fatal("writer 2 never took k before reader 3 in 100 attempts")
+		}
+		lm := newBatoned(time.Hour)
+		k1 := mustLock(t, lm, 0, 1, "k", Shared)
+		m := mustLock(t, lm, 0, 3, "m", Exclusive)
+		z := mustLock(t, lm, 0, 8, "z", Exclusive)
+		writer := lockIn(lm, 2, "k", Exclusive)
+		waitFor(lm, 1)
+		reader := lockIn(lm, 3, "k", Shared) // grantable, but yields to 2
+		waitFor(lm, 2)
+		other := lockIn(lm, 9, "z", Exclusive)
+		waitFor(lm, 3)
+		lm.ReleaseAllAt(0, 1, []*lockState{k1})
+		waitFor(lm, 2)
+		lm.Lock()
+		first := lm.locks["k"].writer == 2
+		lm.Unlock()
+		if first {
+			w := <-writer
+			mustFailAtOnce(t, lm, 2, "m", Exclusive, 3)
+			lm.ReleaseAllAt(0, 2, []*lockState{w.ls})
+		} else { // 3 shares k; 2 waits for it and takes k at its release
+			r := <-reader
+			lm.ReleaseAllAt(0, 3, []*lockState{r.ls, m})
+			w := <-writer
+			lm.ReleaseAllAt(0, 2, []*lockState{w.ls})
+		}
+		lm.ReleaseAllAt(0, 8, []*lockState{z})
+		if r := <-other; r.err != nil {
+			t.Fatalf("waiter 9: %v", r.err)
+		}
+		if !first {
+			continue
+		}
+		if r := <-reader; r.err != nil {
+			t.Fatalf("reader 3 after the victim's release: %v", r.err)
+		}
+		if st := lm.Stats(); st.Held != 3 || st.Waiting != 0 || st.Timeouts != 1 {
+			t.Fatalf("after the deadlock: %+v", st)
+		}
+		return
 	}
 }
 
 // TestUnrelatedReleasesNeitherGrantNorTimeOut deadlocks two transactions on
-// keys A and B while a third commits on key C in a loop, advancing virtual
-// time far past the lock timeout.  Every one of C's releases wakes the two
-// waiters, and re-arms their wall-clock timers with ever shorter waits; it
-// must move neither A's nor B's frontier, so both waiters end by the
-// fallback alone, and the fallback's wake-up must not be lost however close
-// to a re-arm it fires.
+// keys A and B, then has a third commit on key C in a loop, advancing virtual
+// time far past the lock timeout.  The closer of the cycle fails before C's
+// first commit.  Every one of C's releases wakes the survivor, but moves
+// neither A's nor B's frontier: it is neither granted nor timed out, and is
+// granted B when the victim releases it.
 func TestUnrelatedReleasesNeitherGrantNorTimeOut(t *testing.T) {
-	const fallback = 20 * time.Millisecond
 	lm := newBatoned(time.Millisecond)
-	lm.SetWallFallback(fallback)
 	m := NewManager(lm.LockManager, nil, nil)
 	t1, t2 := m.Begin(0), m.Begin(0)
 	if err := t1.Lock("A", Exclusive); err != nil {
@@ -334,25 +450,14 @@ func TestUnrelatedReleasesNeitherGrantNorTimeOut(t *testing.T) {
 	if err := t2.Lock("B", Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	type outcome struct {
-		err     error
-		elapsed time.Duration
+	survivor := make(chan error, 1)
+	go func() { survivor <- lm.txLock(&t1, "B", Exclusive) }()
+	waitFor(lm, 1)
+	if err := lm.txLock(&t2, "A", Exclusive); !errors.Is(err, ErrLockTimeout) {
+		t.Fatalf("the cycle's closer returned %v, want ErrLockTimeout", err)
 	}
-	results := make(chan outcome, 2)
-	start := time.Now()
-	for _, w := range []struct {
-		tx  *Txn
-		key string
-	}{{&t1, "B"}, {&t2, "A"}} {
-		go func() {
-			begin := time.Now()
-			err := lm.txLock(w.tx, w.key, Exclusive)
-			results <- outcome{err, time.Since(begin)}
-		}()
-	}
-	// C commits until about when the waiters' fallbacks expire, then stops:
-	// from there on only the fallback's timer can wake them.
-	for now := sim.Time(0); time.Since(start) < fallback; {
+	now := sim.Time(0)
+	for range 100 {
 		tx := m.Begin(now)
 		if err := lm.txLock(&tx, "C", Exclusive); err != nil {
 			t.Fatal(err)
@@ -360,23 +465,22 @@ func TestUnrelatedReleasesNeitherGrantNorTimeOut(t *testing.T) {
 		tx.Charge(time.Millisecond)
 		now, _ = lm.txCommit(&tx)
 	}
-	deadline := time.After(2 * time.Second)
-	for range 2 {
-		select {
-		case r := <-results:
-			if !errors.Is(r.err, ErrLockTimeout) {
-				t.Fatalf("deadlocked waiter returned %v, want ErrLockTimeout", r.err)
-			}
-			if r.elapsed < fallback {
-				t.Fatalf("deadlocked waiter gave up after %v, before the %v fallback", r.elapsed, fallback)
-			}
-		case <-deadline:
-			t.Fatal("a deadlocked waiter is still blocked 2 s after a 20 ms fallback: its wake-up was lost")
-		}
+	select {
+	case err := <-survivor:
+		t.Fatalf("C's releases ended the survivor's wait: %v", err)
+	default:
+	}
+	if st := lm.Stats(); st.Waiting != 1 || st.Timeouts != 1 {
+		t.Fatalf("after C's commits: %+v", st)
+	}
+	lm.Lock()
+	t2.Abort()
+	lm.Unlock()
+	if err := <-survivor; err != nil {
+		t.Fatalf("the survivor after the victim's abort: %v", err)
 	}
 	lm.Lock()
 	t1.Abort()
-	t2.Abort()
 	lm.Unlock()
 }
 
@@ -490,7 +594,6 @@ func walkStats(t *testing.T, lm *batoned) {
 // throughout a seeded mix of the same from eight transactions at once.
 func TestStatsMatchAWalkOfTheTable(t *testing.T) {
 	lm := newBatoned(time.Millisecond)
-	lm.SetWallFallback(5 * time.Millisecond) // ends the mix's upgrade deadlocks
 	a1 := mustLock(t, lm, 0, 1, "a", Shared)
 	a2 := mustLock(t, lm, 0, 2, "a", Shared)
 	b3 := mustLock(t, lm, 0, 3, "b", Exclusive)

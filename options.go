@@ -38,7 +38,8 @@ func WithBufferPoolPages(n int) Option {
 	return func(c *Config) { c.BufferPoolPages = n }
 }
 
-// WithLockTimeout sets the lock-wait timeout (the deadlock safety net).
+// WithLockTimeout sets a lock wait's budget in virtual time (see
+// Config.LockTimeout); a deadlock fails at once, whatever the budget.
 func WithLockTimeout(d time.Duration) Option {
 	return func(c *Config) { c.LockTimeout = d }
 }

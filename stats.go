@@ -91,7 +91,8 @@ type TraceStats struct {
 // TxnStats is a snapshot of the lock manager's contention counters.
 type TxnStats struct {
 	// LockWaits counts lock acquisitions that had to block; LockTimeouts
-	// counts waits that ended as deadlock victims (ErrLockTimeout).
+	// counts waits that failed: at once on a deadlock, or past their
+	// virtual-time budget (ErrConflict).
 	LockWaits    int64
 	LockTimeouts int64
 	// LocksHeld is the number of keys locked at snapshot time; LockWaiting

@@ -103,9 +103,11 @@ func (tx *Tx) Now() sim.Time { return tx.inner.Now() }
 func (tx *Tx) ResponseTime() sim.Duration { return tx.inner.ResponseTime() }
 
 // Lock acquires a logical lock (e.g. "DISTRICT:1:3") in the given mode,
-// parked until it is granted.  A lock-wait timeout (deadlock victim) is
-// reported as ErrConflict, and so, at once, is a lock that would have to wait
-// when it is taken from the body of one of the transaction's scans.
+// parked until it is granted.  A wait that would close a deadlock fails at
+// once, and one that outlives its virtual-time budget fails when it does;
+// both are reported as ErrConflict, and so, at once, is a lock that would
+// have to wait when it is taken from the body of one of the transaction's
+// scans.
 func (tx *Tx) Lock(key string, mode LockMode) error {
 	tx.enter()
 	defer tx.exit()
