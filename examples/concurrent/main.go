@@ -122,6 +122,6 @@ func main() {
 		workers, increments, final, workers*increments, retries.Load())
 	fmt.Printf("events inserted: %d\n", eventsTbl.RowCount())
 	fmt.Printf("lock waits: %d, lock timeouts: %d\n", st.Txn.LockWaits, st.Txn.LockTimeouts)
-	fmt.Printf("WAL flushes: %d, group commits: %d, committers served: %d\n",
-		st.WAL.Flushes, st.WAL.GroupCommits, st.WAL.GroupedTxns)
+	fmt.Printf("WAL flushes: %d, group commits: %d, commits: %d\n",
+		st.WAL.Flushes, st.WAL.GroupCommits, st.TxnCommitted)
 }

@@ -174,8 +174,8 @@ func TestWritePagesRegionFullWithoutSpill(t *testing.T) {
 			t.Errorf("lpn %d mapped after failed batch", start+LPN(i))
 		}
 	}
-	if st := m.Stats(); st.DevicePrograms != 0 {
-		t.Errorf("%d programs issued by a refused batch", st.DevicePrograms)
+	if programs := m.dev.Stats().Programs; programs != 0 {
+		t.Errorf("%d programs issued by a refused batch", programs)
 	}
 	// The aborted batch released its slots and its share of the region's
 	// capacity: a batch that fills the region exactly is admitted.

@@ -5,11 +5,14 @@
 // can be scheduled around the workload.  This file implements that as a
 // watermark pair per die:
 //
-//   - at or below gcHighWater free blocks, GC proceeds opportunistically
-//     in bounded steps (pick victim → relocate ≤k pages → erase) that are
-//     submitted through the I/O scheduler at GC priority in the die's idle
-//     virtual-time slots, and whose cost is NOT charged to the host write
-//     that triggered them;
+//   - a host write that leaves the die at or below gcLowWater free blocks
+//     takes a background victim, and while the die stays at or below
+//     gcHighWater later writes collect it in bounded steps (relocate ≤k
+//     pages → erase) that are submitted through the I/O scheduler at GC
+//     priority in the die's idle virtual-time slots, and whose cost is NOT
+//     charged to the host write that triggered them.  The next victim waits
+//     for the low watermark again: taking it earlier would relocate pages
+//     that are yet to be invalidated;
 //   - at or below gcLowWater the foreground backstop (collectDie) still
 //     blocks the allocation until the die is healthy again — correctness
 //     never depends on background progress.
@@ -25,15 +28,16 @@ import (
 	"noftl/internal/sim"
 )
 
-// backgroundGC runs at most one bounded background GC step on the die
-// when its free-block count is at or below the high watermark.  Called at the
-// end of host write paths; the step's virtual-time cost is absorbed by the
-// die's idle slots rather than the caller's latency.
+// backgroundGC runs at most one bounded GC step on the die when its
+// free-block count is at or below the high watermark: resume the victim in
+// progress (or take a new one), relocate at most the region's StepPages valid
+// pages, and erase the victim once it is fully relocated.  Called at the end
+// of host write paths; the step starts no earlier than the die's idle time,
+// so already-dispatched host work is never delayed by it, and its
+// virtual-time cost is absorbed by the die's idle slots rather than the
+// caller's latency.
 func (m *Manager) backgroundGC(now sim.Time, da *dieAlloc) {
-	if m.opts.DisableBackgroundGC {
-		return
-	}
-	if da.freeCount() > gcHighWater {
+	if m.opts.DisableBackgroundGC || da.freeCount() > gcHighWater {
 		return
 	}
 	if m.sched.DieIdleAt(da.die) > now {
@@ -43,53 +47,33 @@ func (m *Manager) backgroundGC(now sim.Time, da *dieAlloc) {
 		// (or the low-watermark backstop) drive progress instead.
 		return
 	}
+	if da.bgVictim >= 0 && da.blocks[da.bgVictim].state != blkClosed {
+		// The victim was finished (or reopened) by a foreground collection
+		// in the meantime; start over.
+		da.bgVictim = -1
+	}
 	if da.bgVictim < 0 && da.freeCount() > gcLowWater {
 		// No victim in progress and the die has not reached the level at
 		// which a foreground collection would fire.  Starting one now would
 		// collect blocks earlier — and therefore with more still-valid
 		// pages — than the foreground policy, inflating write amplification.
 		// The watermark band above the low mark is for draining in-progress
-		// debt (and explicit PumpBackgroundGC calls), not for taking debt
-		// on early.
+		// debt, not for taking debt on early.
 		return
 	}
 	r, ok := m.regionsByID[m.dieOwner[da.die]]
 	if !ok {
 		return
 	}
-	m.backgroundStep(now, r, da)
-}
-
-// backgroundStep performs one bounded GC step on the die: resume (or
-// pick) a victim, relocate at most the region's StepPages valid pages, and
-// erase the victim once it is fully relocated.  The step starts no earlier
-// than the die's idle time, so already-dispatched host work is never delayed
-// by it.  It returns the step's virtual completion time and whether the step
-// made actual progress (pages relocated or a block erased) — a step that
-// could do nothing is not counted, so PumpBackgroundGC drain loops
-// terminate.
-func (m *Manager) backgroundStep(now sim.Time, r *Region, da *dieAlloc) (sim.Time, bool) {
 	pol := r.gc
-	if da.bgVictim >= 0 && da.blocks[da.bgVictim].state != blkClosed {
-		// The victim was finished (or reopened) by a foreground collection
-		// in the meantime; start over.
-		da.bgVictim = -1
-	}
 	if da.bgVictim < 0 {
+		// At or below the low watermark the foreground backstop would
+		// collect the same victim: whatever the policy picks is worth it.
 		v := m.pickVictim(da, pol)
-		if v >= 0 && float64(da.blocks[v].validCount) > m.bgMaxValid(da.freeCount()) {
-			// Even the best victim is too valid to be worth collecting in
-			// the background: relocating it now would copy data that is yet
-			// to be invalidated, inflating write amplification.  Leave it to
-			// accumulate garbage; if the die really runs dry first, the
-			// foreground backstop collects it with the same lateness the
-			// pre-background design had.
-			v = -1
-		}
 		if v < 0 {
-			// Nothing (worth) reclaiming: use the idle slot for wear leveling.
+			// Nothing to reclaim: use the idle slot for wear leveling.
 			m.maybeWearLevel(sim.MaxTime(now, m.sched.DieIdleAt(da.die)), r, da)
-			return now, false
+			return
 		}
 		da.bgVictim = v
 		r.gcRuns++
@@ -116,9 +100,8 @@ func (m *Manager) backgroundStep(now sim.Time, r *Region, da *dieAlloc) (sim.Tim
 	}
 	if r.gcCopybacks.Value() == copybacks && r.gcErases.Value() == erases {
 		// Nothing moved and nothing erased (no destination slots): not a
-		// step.  Keep the victim for later, but report no progress so
-		// callers draining in a loop do not spin.
-		return now, false
+		// step.  Keep the victim for a later write.
+		return
 	}
 	r.bgSteps.Inc()
 	if m.tracer.Enabled() {
@@ -128,47 +111,6 @@ func (m *Manager) backgroundStep(now sim.Time, r *Region, da *dieAlloc) (sim.Tim
 			Region: int32(r.id), Start: start, End: end,
 		})
 	}
-	return end, true
-}
-
-// bgMaxValid returns the most valid pages a block may hold and still qualify
-// as a background victim, given the die's current free-block count: well
-// above the low watermark (explicit PumpBackgroundGC calls during idle
-// periods) only nearly-empty blocks — ≤ ¼ valid — are collected, and the bar
-// relaxes linearly to "whatever greedy picks" as free blocks run down to the
-// low watermark, where the foreground backstop would collect the same block
-// anyway.  Collecting lazily when there is slack is what keeps background
-// write amplification close to the foreground backstop's, which by
-// construction collects as late as possible.
-func (m *Manager) bgMaxValid(free int) float64 {
-	urgency := min(max(float64(gcHighWater-free)/(gcHighWater-gcLowWater), 0), 1)
-	return (0.25 + 0.75*urgency) * float64(m.geo.PagesPerBlock)
-}
-
-// PumpBackgroundGC runs at most one background GC step on every die whose
-// free-block count is at or below the high watermark and returns the number
-// of steps performed.  Callers with knowledge of idle periods (a checkpoint
-// just finished, the workload paused) use it to drain GC debt ahead of the
-// next burst; tests and experiments use it to drive background GC
-// deterministically.
-func (m *Manager) PumpBackgroundGC(now sim.Time) int {
-	if m.opts.DisableBackgroundGC {
-		return 0
-	}
-	steps := 0
-	for _, da := range m.dies {
-		if da.freeCount() > gcHighWater {
-			continue
-		}
-		r, ok := m.regionsByID[m.dieOwner[da.die]]
-		if !ok {
-			continue
-		}
-		if _, did := m.backgroundStep(now, r, da); did {
-			steps++
-		}
-	}
-	return steps
 }
 
 // SetGCPolicy replaces the named region's garbage-collection policy.  It

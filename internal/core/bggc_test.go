@@ -46,33 +46,45 @@ func TestBackgroundGCAvoidsForegroundStalls(t *testing.T) {
 	}
 }
 
-// TestBackgroundGCStepsAreBounded checks the incremental contract: a single
-// background step relocates at most the policy's StepPages pages.
+// TestBackgroundGCStepsAreBounded checks the incremental contract: a host
+// write runs at most one background step on the die it wrote, and a step
+// relocates at most the policy's StepPages pages.
 func TestBackgroundGCStepsAreBounded(t *testing.T) {
 	dev := smallDevice(t, 1, 16, 8)
 	opts := DefaultOptions()
 	opts.OverprovisionPct = 0.3
 	opts.GC.StepPages = 2
 	m := NewManager(dev, opts)
-	now := overwriteWorkload(t, m, dev, 20, 12, Hint{})
-	// Drain the remaining debt one pump at a time: each pump performs at
-	// most one step per die, and each step may relocate at most StepPages
-	// pages.
-	pumped := false
-	for i := 0; i < 200; i++ {
-		before := m.Stats().GCCopybacks
-		n := m.PumpBackgroundGC(now)
-		if n == 0 {
-			break
+	// Random overwrites leave victims with more valid pages than one step
+	// relocates.
+	const pages = 60
+	start := m.AllocateLPNs(pages)
+	rng := sim.NewRand(1)
+	now := sim.Time(0)
+	var steps, moved int64
+	for w := 0; w < 600; w++ {
+		before := m.Stats()
+		done, err := m.WritePage(now, start+LPN(rng.Intn(pages)), fillPage(dev, byte(w)), Hint{})
+		if err != nil {
+			t.Fatalf("write %d: %v", w, err)
 		}
-		pumped = true
-		delta := m.Stats().GCCopybacks - before
-		if delta > int64(n*2) {
-			t.Fatalf("pump of %d steps relocated %d pages, want ≤ %d", n, delta, n*2)
+		now = done
+		after := m.Stats()
+		if after.GCStalls != before.GCStalls {
+			continue // a foreground collection relocates whole victims
 		}
+		n := after.BGGCSteps - before.BGGCSteps
+		if n > 1 {
+			t.Fatalf("one write ran %d background steps", n)
+		}
+		delta := after.GCCopybacks - before.GCCopybacks
+		if delta > n*2 {
+			t.Fatalf("%d background steps relocated %d pages, want ≤ %d", n, delta, n*2)
+		}
+		steps, moved = steps+n, moved+delta
 	}
-	if !pumped {
-		t.Fatal("no background steps ran")
+	if steps == 0 || moved == 0 {
+		t.Fatalf("%d background steps relocated %d pages: the bound was never tested", steps, moved)
 	}
 	// The erase spread stays below the wear-leveling delta, so every
 	// copyback counted above is a GC step's.
@@ -81,60 +93,40 @@ func TestBackgroundGCStepsAreBounded(t *testing.T) {
 	}
 }
 
-func TestPumpBackgroundGCDrainsDebt(t *testing.T) {
+// TestBackgroundGCDrainsDebt: a victim background GC takes at the low
+// watermark is collected by the writes that follow, before the die needs a
+// foreground collection, so a heavy overwrite workload leaves every die above
+// the low watermark with no victim half collected.
+func TestBackgroundGCDrainsDebt(t *testing.T) {
 	dev := smallDevice(t, 2, 16, 8)
 	opts := DefaultOptions()
 	opts.OverprovisionPct = 0.25
 	m := NewManager(dev, opts)
-	now := overwriteWorkload(t, m, dev, 100, 6, Hint{})
-
-	free := func() int {
-		total := 0
-		for _, r := range m.Stats().Regions {
-			total += r.FreeBlocks
-		}
-		return total
+	overwriteWorkload(t, m, dev, 100, 6, Hint{})
+	st := m.Stats()
+	if st.BGGCSteps == 0 {
+		t.Fatal("no background steps after a heavy overwrite workload")
 	}
-	before := free()
-	steps := 0
-	for i := 0; i < 1000; i++ {
-		n := m.PumpBackgroundGC(now)
-		if n == 0 {
-			break
-		}
-		steps += n
-	}
-	if steps == 0 {
-		t.Fatal("pump found no GC debt after a heavy overwrite workload")
-	}
-	if free() <= before {
-		t.Fatalf("pumping reclaimed nothing: %d -> %d free blocks", before, free())
-	}
-	// Once the pump returns 0, every die is above the high watermark.
-	for _, da := range m.dies {
-		if da.freeCount() <= gcHighWater {
-			t.Fatalf("die %d still at %d free blocks (high watermark %d)",
-				da.die, da.freeCount(), gcHighWater)
-		}
+	if st.GCStalls != 0 || st.DiesAtLowWater != 0 || st.BGVictimsOpen != 0 {
+		t.Fatalf("debt left behind: %d foreground collections, %d dies at the low watermark, %d victims open",
+			st.GCStalls, st.DiesAtLowWater, st.BGVictimsOpen)
 	}
 	if err := m.VerifyIntegrity(); err != nil {
 		t.Fatal(err)
 	}
-	if m.PumpBackgroundGC(now) != 0 {
-		t.Fatal("idle pump still performed steps")
-	}
 }
 
-func TestPumpDisabledBackgroundGC(t *testing.T) {
+func TestDisabledBackgroundGCRunsNoSteps(t *testing.T) {
 	dev := smallDevice(t, 1, 12, 4)
 	opts := DefaultOptions()
 	opts.DisableBackgroundGC = true
 	m := NewManager(dev, opts)
 	overwriteWorkload(t, m, dev, 16, 6, Hint{})
-	if n := m.PumpBackgroundGC(0); n != 0 {
-		t.Fatalf("disabled background GC still pumped %d steps", n)
+	st := m.Stats()
+	if st.GCStalls == 0 {
+		t.Fatal("the workload never reached the low watermark")
 	}
-	if st := m.Stats(); st.BGGCSteps != 0 {
+	if st.BGGCSteps != 0 {
 		t.Fatalf("disabled background GC ran %d steps", st.BGGCSteps)
 	}
 }

@@ -129,8 +129,8 @@ func TestWritePagesRetriesTransientProgramFaults(t *testing.T) {
 	if st.HostWrites != n || st.ValidPages != n {
 		t.Fatalf("host writes %d, valid pages %d, want %d each", st.HostWrites, st.ValidPages, n)
 	}
-	if st.DevicePrograms != n {
-		t.Fatalf("device programmed %d pages, want %d (failed programs leave the page erased)", st.DevicePrograms, n)
+	if programs := m.dev.Stats().Programs; programs != n {
+		t.Fatalf("device programmed %d pages, want %d (failed programs leave the page erased)", programs, n)
 	}
 }
 

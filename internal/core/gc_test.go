@@ -69,11 +69,12 @@ func TestGCReclaimsSpaceAndPreservesData(t *testing.T) {
 		}
 	}
 	// Device-level invariant: programs = host writes + copybacks.
-	if st.DevicePrograms != st.HostWrites+st.GCCopybacks {
-		t.Fatalf("programs=%d, host=%d copybacks=%d", st.DevicePrograms, st.HostWrites, st.GCCopybacks)
+	ds := dev.Stats()
+	if ds.Programs != st.HostWrites+st.GCCopybacks {
+		t.Fatalf("programs=%d, host=%d copybacks=%d", ds.Programs, st.HostWrites, st.GCCopybacks)
 	}
-	if st.DeviceErases != st.GCErases {
-		t.Fatalf("device erases=%d, gc erases=%d", st.DeviceErases, st.GCErases)
+	if ds.Erases != st.GCErases {
+		t.Fatalf("device erases=%d, gc erases=%d", ds.Erases, st.GCErases)
 	}
 }
 
@@ -273,7 +274,7 @@ func TestResetCountersKeepsMapping(t *testing.T) {
 	}
 	m.ResetCounters()
 	st := m.Stats()
-	if st.HostWrites != 0 || st.DevicePrograms != 0 {
+	if st.HostWrites != 0 || dev.Stats().Programs != 0 {
 		t.Fatalf("counters survived reset: %+v", st)
 	}
 	if st.ValidPages != 1 {
@@ -300,7 +301,7 @@ func TestStatsStringAndLatencySnapshot(t *testing.T) {
 	if st.String() == "" {
 		t.Fatal("empty stats string")
 	}
-	r, w := st.LatencySnapshot()
+	r, w := m.HostLatency()
 	if r.Count != 1 || w.Count != 1 {
 		t.Fatalf("latency counts: %+v %+v", r, w)
 	}
@@ -407,9 +408,6 @@ func TestGCConsistencyUnderBatchedWritesProperty(t *testing.T) {
 				return false
 			}
 			now = done
-			if i%3 == 0 {
-				m.PumpBackgroundGC(now)
-			}
 			if err := m.VerifyIntegrity(); err != nil {
 				t.Logf("integrity after batch ending at op %d: %v", i, err)
 				return false

@@ -111,7 +111,7 @@ type dieAlloc struct {
 	hostOpen   int      // block index, -1 if none
 	gcOpen     int      // block index, -1 if none
 	bgVictim   int      // victim being incrementally collected in background, -1 if none
-	written    bool     // the write batch in flight landed a page here; cleared by its GC pump
+	written    bool     // the write batch in flight landed a page here; cleared by its background GC step
 	stall      sim.Time // end of the foreground collection the write batch in flight ran here; cleared with it
 }
 

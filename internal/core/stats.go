@@ -5,7 +5,6 @@ import (
 	"maps"
 	"slices"
 	"strings"
-	"time"
 
 	"noftl/internal/metrics"
 )
@@ -33,13 +32,10 @@ type Stats struct {
 	DiesInBGBand   int   // dies at or below the high watermark
 	DiesAtLowWater int   // dies at or below the low watermark (foreground territory)
 	BGVictimsOpen  int   // dies with a partially collected background victim
-	// Device-level counters (include everything the regions did).
-	DeviceReads    int64
-	DevicePrograms int64
-	DeviceErases   int64
-	MinErase       int64
-	MaxErase       int64
-	TotalErase     int64
+	// Erase counts of every block the regions own.
+	MinErase   int64
+	MaxErase   int64
+	TotalErase int64
 }
 
 // WriteAmplification returns the device-wide write amplification factor.
@@ -72,16 +68,9 @@ func (s Stats) String() string {
 	return b.String()
 }
 
-// Stats takes a snapshot of every region and of the device counters.
+// Stats takes a snapshot of every region.
 func (m *Manager) Stats() Stats {
-
-	dev := m.dev.Stats()
-	out := Stats{
-		Mode:           m.opts.Mode,
-		DeviceReads:    dev.Reads,
-		DevicePrograms: dev.Programs,
-		DeviceErases:   dev.Erases,
-	}
+	out := Stats{Mode: m.opts.Mode}
 
 	first := true
 	for _, id := range slices.Sorted(maps.Keys(m.regionsByID)) {
@@ -165,6 +154,17 @@ func (m *Manager) Stats() Stats {
 	return out
 }
 
+// HostLatency summarises the host read and write latencies of every region
+// as one histogram holding all their observations would.
+func (m *Manager) HostLatency() (read, write metrics.Snapshot) {
+	var reads, writes []*metrics.Histogram
+	for _, r := range m.regions {
+		reads = append(reads, r.readLat)
+		writes = append(writes, r.writeLat)
+	}
+	return metrics.MergedSnapshot(reads...), metrics.MergedSnapshot(writes...)
+}
+
 // ResetCounters clears all I/O and GC counters (per region, per object, in the
 // scheduler and on the device) while keeping the mapping, allocation state and wear
 // intact.
@@ -180,32 +180,4 @@ func (m *Manager) ResetCounters() {
 	}
 	m.dev.ResetCounters()
 	m.sched.ResetCounters()
-}
-
-// LatencySnapshot aggregates the read and write latency histograms across
-// all regions weighted by their observation counts.
-func (s Stats) LatencySnapshot() (read, write metrics.Snapshot) {
-	var rCount, wCount int64
-	var rMean, wMean float64
-	for _, r := range s.Regions {
-		rCount += r.ReadLatency.Count
-		wCount += r.WriteLatency.Count
-		rMean += float64(r.ReadLatency.Mean) * float64(r.ReadLatency.Count)
-		wMean += float64(r.WriteLatency.Mean) * float64(r.WriteLatency.Count)
-		if r.ReadLatency.Max > read.Max {
-			read.Max = r.ReadLatency.Max
-		}
-		if r.WriteLatency.Max > write.Max {
-			write.Max = r.WriteLatency.Max
-		}
-	}
-	read.Count = rCount
-	write.Count = wCount
-	if rCount > 0 {
-		read.Mean = time.Duration(rMean / float64(rCount))
-	}
-	if wCount > 0 {
-		write.Mean = time.Duration(wMean / float64(wCount))
-	}
-	return read, write
 }

@@ -214,6 +214,24 @@ func (h *Histogram) Snapshot() Snapshot {
 	}
 }
 
+// MergedSnapshot returns the summary of one histogram holding every
+// observation of hs: its mean is the exact mean and its percentiles come from
+// the summed buckets.
+func MergedSnapshot(hs ...*Histogram) Snapshot {
+	var all Histogram
+	for _, h := range hs {
+		h.mu.Lock()
+		for i, c := range h.buckets {
+			all.buckets[i] += c
+		}
+		all.count += h.count
+		all.sum += h.sum
+		all.max = max(all.max, h.max)
+		h.mu.Unlock()
+	}
+	return all.Snapshot()
+}
+
 // PercentDelta returns the relative change from base to v as a percentage
 // (positive means v is larger).
 func PercentDelta(base, v float64) float64 {

@@ -173,3 +173,29 @@ func TestHistogramSum(t *testing.T) {
 		t.Fatalf("exported sum = %v", time.Duration(sum))
 	}
 }
+
+// TestMergedSnapshot: the merge of two histograms summarises exactly what
+// one histogram observing both streams would, percentiles included.
+func TestMergedSnapshot(t *testing.T) {
+	fast, slow, both := NewHistogram(), NewHistogram(), NewHistogram()
+	for i := 1; i <= 900; i++ {
+		d := time.Duration(i) * time.Microsecond
+		fast.Observe(d)
+		both.Observe(d)
+	}
+	for i := 1; i <= 100; i++ {
+		d := time.Duration(i) * 7 * time.Millisecond
+		slow.Observe(d)
+		both.Observe(d)
+	}
+	got, want := MergedSnapshot(fast, slow), both.Snapshot()
+	if got != want {
+		t.Fatalf("merged %+v, want %+v", got, want)
+	}
+	if got.P99 <= fast.Snapshot().Max {
+		t.Fatalf("merged P99 %v ignores the slow histogram", got.P99)
+	}
+	if MergedSnapshot() != (Snapshot{}) {
+		t.Fatal("merge of nothing is not empty")
+	}
+}

@@ -242,14 +242,3 @@ func (t *Tracer) Events() []Event {
 	copy(out[n:], t.buf[:head])
 	return out
 }
-
-// Reset drops every retained event and zeroes the counters.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.buf = t.buf[:0]
-	t.next = 0
-	t.recorded.Reset()
-	t.dropped.Reset()
-}

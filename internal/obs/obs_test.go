@@ -73,7 +73,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 		t.Fatal("nil tracer should be disabled")
 	}
 	tr.Record(Event{Class: ClassFlash})
-	tr.Reset()
 	if tr.Len() != 0 || tr.Recorded() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer should report empty everything")
 	}
@@ -196,20 +195,5 @@ func TestMergeWindows(t *testing.T) {
 	}
 	if !overlaps(merged, 25, 26) || overlaps(merged, 31, 39) || !overlaps(merged, 0, 100) {
 		t.Fatalf("overlaps misbehaving on %+v", merged)
-	}
-}
-
-func TestTracerReset(t *testing.T) {
-	tr := NewTracer(4)
-	for i := 0; i < 6; i++ {
-		tr.Record(Event{Class: ClassFlash})
-	}
-	tr.Reset()
-	if tr.Len() != 0 || tr.Recorded() != 0 || tr.Dropped() != 0 {
-		t.Fatal("Reset should clear counters and buffer")
-	}
-	tr.Record(Event{Class: ClassFlash})
-	if tr.Len() != 1 || tr.Events()[0].Seq != 0 {
-		t.Fatal("tracer unusable after Reset")
 	}
 }

@@ -77,10 +77,9 @@ type Resource struct {
 	// spans is the timeline: the disjoint busy intervals in time order,
 	// adjacent ones merged, so a saturated resource holds a single span.
 	// Nothing is ever placed before floor, the end of the forgotten history.
-	spans  []span
-	floor  Time
-	busy   Duration // cumulative service time
-	served int64    // number of operations served
+	spans []span
+	floor Time
+	busy  Duration // cumulative service time
 }
 
 // Acquire serves an operation of length d for an actor whose current virtual
@@ -92,7 +91,6 @@ type Resource struct {
 // if it arrived at the start of that history.
 func (r *Resource) Acquire(now Time, d Duration) (start, done Time) {
 	r.busy += d
-	r.served++
 
 	// i is the first span that ends after now.  Arrivals in time order (a
 	// single actor, or actors in step) find it at the tail in O(1) and get
@@ -142,15 +140,10 @@ func (r *Resource) Busy() Duration {
 	return r.busy
 }
 
-// Served returns the number of operations served.
-func (r *Resource) Served() int64 {
-	return r.served
-}
-
 // Reset returns the resource to the idle state at time zero, clearing
 // accumulated statistics.
 func (r *Resource) Reset() {
-	r.spans, r.floor, r.busy, r.served = r.spans[:0], 0, 0, 0
+	r.spans, r.floor, r.busy = r.spans[:0], 0, 0
 }
 
 // Clock tracks the global high-water mark of simulated time across all

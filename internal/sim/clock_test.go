@@ -25,9 +25,6 @@ func TestResourceAcquireSequential(t *testing.T) {
 	if start != 500 || done != 510 {
 		t.Fatalf("idle op: got start=%d done=%d, want 500/510", start, done)
 	}
-	if got := r.Served(); got != 3 {
-		t.Fatalf("served = %d, want 3", got)
-	}
 	if got := r.Busy(); got != 140*time.Nanosecond {
 		t.Fatalf("busy = %v, want 140ns", got)
 	}
@@ -183,8 +180,8 @@ func TestResourceTimelineProperty(t *testing.T) {
 				t.Fatalf("seed %d: services %v and %v overlap", seed, served[i-1], served[i])
 			}
 		}
-		if r.Busy() != busy || r.Served() != ops {
-			t.Fatalf("seed %d: busy %v served %d, want %v and %d", seed, r.Busy(), r.Served(), busy, ops)
+		if r.Busy() != busy {
+			t.Fatalf("seed %d: busy %v, want %v", seed, r.Busy(), busy)
 		}
 		if len(r.spans) > maxSpans {
 			t.Fatalf("seed %d: %d spans kept, bound %d", seed, len(r.spans), maxSpans)

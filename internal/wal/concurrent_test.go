@@ -29,7 +29,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	for i := range inserted {
 		inserted[i].Add(workers)
 	}
-	before := db.Stats().WAL
+	before := db.Stats()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -61,15 +61,15 @@ func TestGroupCommitConcurrent(t *testing.T) {
 		return
 	}
 	const commits = workers * rounds
-	after := db.Stats().WAL
-	if got := after.GroupedTxns - before.GroupedTxns; got != commits {
-		t.Fatalf("grouped txns = %d, want %d", got, commits)
+	after := db.Stats()
+	if got := after.TxnCommitted - before.TxnCommitted; got != commits {
+		t.Fatalf("%d commits, want %d", got, commits)
 	}
-	if got := after.Flushes - before.Flushes; got < commits {
+	if got := after.WAL.Flushes - before.WAL.Flushes; got < commits {
 		t.Fatalf("%d forces for %d commits, want one each", got, commits)
 	}
-	if after.GroupCommits != 0 {
-		t.Fatalf("%d group commits, want none", after.GroupCommits)
+	if after.WAL.GroupCommits != 0 {
+		t.Fatalf("%d group commits, want none", after.WAL.GroupCommits)
 	}
 	db2, err := noftl.Reopen(db.Crash())
 	if err != nil {

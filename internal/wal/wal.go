@@ -161,7 +161,6 @@ type Log struct {
 	flushes       *metrics.Counter
 	bytesAppended *metrics.Counter
 	bytesTrimmed  *metrics.Counter
-	groupedTxns   *metrics.Counter // committers served by Commit
 	pagesTrimmed  int64
 
 	// bytesLive is the total of the live pages' bytes: Truncate moves a
@@ -169,10 +168,8 @@ type Log struct {
 	// + live between two ResetCounters calls).
 	bytesLive int64
 
-	// A force starts at the latest virtual time of the callers since the
-	// last force, and a caller whose records an earlier force covered
-	// returns no earlier than that force's end.
-	groupMaxNow sim.Time // max virtual time of the callers since the last force
+	// A caller whose records an earlier force covered returns no earlier
+	// than that force's end.
 	flushDoneAt sim.Time // virtual end of the latest flush
 
 	tracer *obs.Tracer // nil = tracing off
@@ -210,8 +207,6 @@ func New(mgr *core.Manager, hint core.Hint, pageSize int) *Log {
 func (l *Log) bind(reg *metrics.Registry) {
 	l.appended = reg.Counter("noftl_wal_appends_total", "WAL records appended.").With()
 	l.flushes = reg.Counter("noftl_wal_flushes_total", "WAL flushes that wrote pages.").With()
-	l.groupedTxns = reg.Counter("noftl_wal_grouped_txns_total",
-		"Committers made durable by a WAL force.").With()
 	l.bytesAppended = reg.Counter("noftl_wal_bytes_appended_total",
 		"Encoded WAL record bytes appended.").With()
 	l.bytesTrimmed = reg.Counter("noftl_wal_bytes_trimmed_total",
@@ -249,7 +244,7 @@ func (l *Log) AttachObs(tr *obs.Tracer, reg *metrics.Registry) {
 // list and BytesLive describe the log itself and are untouched.
 func (l *Log) ResetCounters() {
 	for _, c := range []*metrics.Counter{l.appended, l.flushes, l.bytesAppended,
-		l.bytesTrimmed, l.groupedTxns} {
+		l.bytesTrimmed} {
 		c.Reset()
 	}
 	l.pagesTrimmed = 0
@@ -279,9 +274,6 @@ func (l *Log) Appended() int64 { return l.appended.Value() }
 
 // Flushes returns the number of log forces (by Flush or Commit).
 func (l *Log) Flushes() int64 { return l.flushes.Value() }
-
-// GroupedTxns returns the number of committers served by Commit.
-func (l *Log) GroupedTxns() int64 { return l.groupedTxns.Value() }
 
 // PageCount returns the number of log pages allocated.
 func (l *Log) PageCount() int {
@@ -331,46 +323,36 @@ func (l *Log) Append(typ RecordType, txnID uint64, objectID uint32, payload ...[
 
 // Flush forces every appended record to the device (sealed full pages plus
 // the current partial page, as one die-striped batch) and returns the
-// caller's advanced virtual time.  Flush is not a committer: it counts in
-// neither GroupedTxns nor a force's group.
+// caller's advanced virtual time.
 //
 // A force of several pages is not atomic (see the package comment): until
 // Flush returns nil, any subset of its pages may be on flash, and recovery
 // keeps the records up to the first one missing.  What it made durable is
 // only acknowledged by the nil return.
 func (l *Log) Flush(now sim.Time) (sim.Time, error) {
-	return l.force(now, 0, false)
+	return l.force(now, 0)
 }
 
 // Commit makes the record at lsn (and everything before it) durable and
 // returns the virtual time at which durability was reached for a committer
 // whose current virtual time is now.
 func (l *Log) Commit(now sim.Time, lsn uint64) (sim.Time, error) {
-	return l.force(now, lsn, true)
+	return l.force(now, lsn)
 }
 
 // force makes every record up to lsn durable (lsn 0: everything appended so
 // far).  A caller whose records an earlier force covered returns no earlier
-// than the latest force's end; otherwise it forces everything appended and
-// returns no earlier than that force's end.  committer counts the caller in
-// GroupedTxns.  A force runs to completion within the caller's database
-// operation, so no two committers share one.
-func (l *Log) force(now sim.Time, lsn uint64, committer bool) (sim.Time, error) {
+// than the latest force's end; otherwise it forces everything appended,
+// starting at now, and returns that force's end.  A force runs to completion
+// within the caller's database operation, so no two committers share one.
+func (l *Log) force(now sim.Time, lsn uint64) (sim.Time, error) {
 	if lsn == 0 {
 		lsn = l.nextLSN - 1
 	}
-	l.groupMaxNow = max(l.groupMaxNow, now)
-	durable := l.flushDoneAt
-	if l.flushedLSN < lsn {
-		var err error
-		if durable, err = l.flushGroup(); err != nil {
-			return now, err
-		}
+	if l.flushedLSN >= lsn {
+		return sim.MaxTime(now, l.flushDoneAt), nil
 	}
-	if committer {
-		l.groupedTxns.Inc()
-	}
-	return sim.MaxTime(now, durable), nil
+	return l.flushGroup(now)
 }
 
 // flushGroup forces everything appended so far as one write batch: the
@@ -378,9 +360,7 @@ func (l *Log) force(now sim.Time, lsn uint64, committer bool) (sim.Time, error) 
 // force's horizon.  The device copies what it programs, so the batch refers to
 // the log's own buffers; re-writing the current page later simply supersedes
 // this version out of place.
-func (l *Log) flushGroup() (sim.Time, error) {
-	flushNow := l.groupMaxNow
-	l.groupMaxNow = 0
+func (l *Log) flushGroup(now sim.Time) (sim.Time, error) {
 	hw := l.nextLSN - 1
 	newlyDurable := hw - l.flushedLSN
 	l.horizon = l.flushedLSN + 1
@@ -391,12 +371,12 @@ func (l *Log) flushGroup() (sim.Time, error) {
 	}
 	storage.SetPageLSN(l.cur, l.horizon)
 	batch = append(batch, core.PageWrite{LPN: l.curLPN, Data: l.cur, Hint: l.hint})
-	done, err := l.mgr.WritePages(flushNow, batch)
+	done, err := l.mgr.WritePages(now, batch)
 	clear(batch) // drop the page references
 	l.batch = batch
 	if err != nil {
 		// The sealed pages stay queued, so a retry re-writes them.
-		return done, fmt.Errorf("wal: flush: %w", err)
+		return now, fmt.Errorf("wal: flush: %w", err)
 	}
 	for _, sp := range l.sealedWr {
 		if len(l.freePages) < maxFreePages {
@@ -415,7 +395,7 @@ func (l *Log) flushGroup() (sim.Time, error) {
 	if l.tracer.Enabled() {
 		l.tracer.Record(obs.Event{
 			Class: obs.ClassWALSync, Die: -1, Block: -1, Page: -1,
-			Region: int32(l.hint.Region), Start: flushNow, End: done,
+			Region: int32(l.hint.Region), Start: now, End: done,
 			A: int64(newlyDurable), B: int64(l.flushedLSN),
 		})
 	}

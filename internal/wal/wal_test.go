@@ -220,13 +220,13 @@ func TestCommitAlreadyDurable(t *testing.T) {
 	if done != forced {
 		t.Fatalf("commit time %v, want the covering force's end %v", done, forced)
 	}
-	// A flush with nothing new returns the covering force's end too, and is
-	// not a committer.
+	// A flush with nothing new returns the covering force's end too, and
+	// does not force: two commits and a flush cost one force.
 	if now, err := l.Flush(5); err != nil || now != forced {
 		t.Fatalf("covered flush: now=%v err=%v, want %v", now, err, forced)
 	}
-	if l.Flushes() != flushes || l.GroupedTxns() != 2 {
-		t.Fatalf("covered flush: %d forces, %d grouped txns", l.Flushes(), l.GroupedTxns())
+	if l.Flushes() != flushes {
+		t.Fatalf("covered flush: %d forces, want %d", l.Flushes(), flushes)
 	}
 	if now, err := l.Flush(forced + 123); err != nil || now != forced+123 {
 		t.Fatalf("empty flush: now=%v err=%v", now, err)

@@ -2,11 +2,15 @@ package noftl
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
+	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"noftl/internal/core"
 	"noftl/internal/flash"
@@ -242,6 +246,42 @@ func TestTraceBufferWithoutWriter(t *testing.T) {
 	}
 }
 
+// expositionQuantile returns the q-quantile metrics.Histogram.Quantile gives
+// for one histogram holding the observations of every region's child of the
+// family: the bound of the first bucket whose cumulative count, summed over
+// the children, reaches ceil(q·count), clamped to the largest observation.
+// The exposition lists only the buckets a child filled, so a child's
+// cumulative count at a bound is the one it lists at the largest bound at or
+// below it.
+func expositionQuantile(lint metrics.LintResult, family string, regions []core.RegionStats,
+	q float64, count int64, maxLat time.Duration) time.Duration {
+	les := lint.LabelValues("le")
+	bound := func(le string) float64 {
+		b, err := strconv.ParseFloat(le, 64)
+		if err != nil {
+			panic(err)
+		}
+		return b
+	}
+	slices.SortFunc(les, func(a, b string) int { return cmp.Compare(bound(a), bound(b)) })
+	target := max(int64(q*float64(count)+0.9999999), 1)
+	cum := make([]float64, len(regions))
+	for _, le := range les {
+		var total float64
+		for i, r := range regions {
+			cum[i] = max(cum[i], lint.Sum(family+"_bucket", "region", r.Name, "le", le))
+			total += cum[i]
+		}
+		if total >= float64(target) {
+			if b := bound(le); !math.IsInf(b, 1) {
+				return min(time.Duration(math.Round(b*1e9)), maxLat)
+			}
+			break
+		}
+	}
+	return maxLat
+}
+
 // checkStatsEqualMetrics asserts that every field Stats() shares with a
 // noftl_* family of MetricsText() carries the same value in both views.
 func checkStatsEqualMetrics(t *testing.T, db *DB, stage string) Stats {
@@ -294,8 +334,38 @@ func checkStatsEqualMetrics(t *testing.T, db *DB, stage string) Stats {
 	eq(sp.GCStalls, "noftl_region_gc_stalls_total")
 	eq(sp.BGGCSteps, "noftl_region_bggc_steps_total")
 	eq(sp.WearMoves, "noftl_region_wear_moves_total")
-	eq(st.ReadLatency.Count, "noftl_host_read_latency_seconds_count")
-	eq(st.WriteLatency.Count, "noftl_host_write_latency_seconds_count")
+	// The aggregate latencies summarise one histogram holding every region's
+	// observations: the count, the sum and the P99 of the family's children
+	// merged.
+	for _, h := range []struct {
+		family string
+		snap   metrics.Snapshot
+		max    func(core.RegionStats) time.Duration
+	}{
+		{"noftl_host_read_latency_seconds", st.ReadLatency,
+			func(r core.RegionStats) time.Duration { return r.ReadLatency.Max }},
+		{"noftl_host_write_latency_seconds", st.WriteLatency,
+			func(r core.RegionStats) time.Duration { return r.WriteLatency.Max }},
+	} {
+		eq(h.snap.Count, h.family+"_count")
+		if h.snap.Count == 0 {
+			continue
+		}
+		sum := int64(math.Round(lint.Sum(h.family+"_sum") * 1e9))
+		if mean := time.Duration(sum / h.snap.Count); h.snap.Mean != mean {
+			t.Errorf("%s: Stats says mean %v, /metrics says %v for %s", stage, h.snap.Mean, mean, h.family)
+		}
+		var maxLat time.Duration
+		for _, r := range sp.Regions {
+			maxLat = max(maxLat, h.max(r))
+		}
+		if h.snap.Max != maxLat {
+			t.Errorf("%s: Stats says max %v, the regions %v for %s", stage, h.snap.Max, maxLat, h.family)
+		}
+		if p99 := expositionQuantile(lint, h.family, sp.Regions, 0.99, h.snap.Count, maxLat); h.snap.P99 != p99 {
+			t.Errorf("%s: Stats says P99 %v, /metrics says %v for %s", stage, h.snap.P99, p99, h.family)
+		}
+	}
 	for _, r := range sp.Regions {
 		eq(r.HostReads, "noftl_region_host_reads_total", "region", r.Name)
 		eq(r.HostWrites, "noftl_region_host_writes_total", "region", r.Name)
@@ -357,7 +427,6 @@ func checkStatsEqualMetrics(t *testing.T, db *DB, stage string) Stats {
 	eq(w.Appended, "noftl_wal_appends_total")
 	eq(w.Flushes, "noftl_wal_flushes_total")
 	eq(int64(w.FlushedLSN), "noftl_wal_flushed_lsn")
-	eq(w.GroupedTxns, "noftl_wal_grouped_txns_total")
 	eq(w.BytesAppended, "noftl_wal_bytes_appended_total")
 	eq(w.BytesTrimmed, "noftl_wal_bytes_trimmed_total")
 	eq(w.BytesLive, "noftl_wal_bytes_live")

@@ -44,7 +44,9 @@ type Stats struct {
 	Objects []ObjectCounters
 	// Trace covers the event tracer (zero value when tracing is off).
 	Trace TraceStats
-	// Host I/O latencies aggregated over all regions
+	// ReadLatency and WriteLatency summarise the host I/O latencies of every
+	// region as one histogram holding all their observations: the
+	// noftl_host_read/write_latency_seconds children merged.
 	ReadLatency  metrics.Snapshot
 	WriteLatency metrics.Snapshot
 }
@@ -112,10 +114,8 @@ type WALStats struct {
 	// FlushedLSN is the highest durable log sequence number.
 	FlushedLSN uint64
 	// GroupCommits is always 0: a log force runs within one operation, so no
-	// two committers share one.  GroupedTxns is the number of committers made
-	// durable by a log force.
+	// two committers share one.
 	GroupCommits int64
-	GroupedTxns  int64
 	// BytesAppended, BytesTrimmed and BytesLive reconcile the log's byte
 	// ledger: Appended = Trimmed + Live always holds, across checkpoints and
 	// truncations.  BytesLive bounds what a crash right now would replay.
@@ -186,7 +186,7 @@ func (db *DB) Stats() Stats {
 	db.baton.Lock()
 	defer db.baton.Unlock()
 	space := db.space.Stats()
-	read, write := space.LatencySnapshot()
+	read, write := db.space.HostLatency()
 	lockStats := db.txns.LockManager().Stats()
 	sc := db.space.Scheduler().Stats()
 	st := Stats{
@@ -218,7 +218,6 @@ func (db *DB) Stats() Stats {
 			Flushes:       db.log.Flushes(),
 			Pages:         int64(db.log.PageCount()),
 			FlushedLSN:    db.log.FlushedLSN(),
-			GroupedTxns:   db.log.GroupedTxns(),
 			BytesAppended: db.log.BytesAppended(),
 			BytesTrimmed:  db.log.BytesTrimmed(),
 			BytesLive:     db.log.BytesLive(),
