@@ -3,18 +3,16 @@ package noftl
 import "io"
 
 // Admin is the narrow administrative facade for what the schema statements
-// do not cover: growing a region, reading a policy, checking the space
-// manager, dumping the trace and arming faults.  It replaces the former
-// SpaceManager()/Scheduler() escape hatches: everything a DBA tool needs,
-// nothing that couples callers to internal structures.  Regions are created
-// with DB.CreateRegion or CREATE REGION, changed with ALTER REGION … SET and
-// dropped with DROP REGION.
+// do not cover: growing a region, checking the space manager, dumping the
+// trace and arming faults.  It replaces the former SpaceManager()/Scheduler()
+// escape hatches: everything a DBA tool needs, nothing that couples callers to
+// internal structures.  Regions are created with DB.CreateRegion or CREATE
+// REGION, which fixes their GC policy (Schema() reads it back), and dropped
+// with DROP REGION.
 type Admin interface {
 	// GrowRegion moves n (≥ 1) additional empty dies from the default region
 	// into the named region.
 	GrowRegion(name string, n int) error
-	// GCPolicy returns the live garbage-collection policy of a region.
-	GCPolicy(region string) (GCPolicy, bool)
 	// VerifyIntegrity cross-checks the space manager's mapping, per-block
 	// accounting and region capacities, returning the first inconsistency.
 	VerifyIntegrity() error
@@ -39,12 +37,6 @@ type admin struct{ db *DB }
 func (a *admin) GrowRegion(name string, n int) error {
 	// Die assignment travels in the checkpoint's region marks; ddl keeps it durable.
 	return a.db.ddl(func() error { return a.db.space.GrowRegion(name, n) })
-}
-
-func (a *admin) GCPolicy(region string) (GCPolicy, bool) {
-	a.db.baton.Lock()
-	defer a.db.baton.Unlock()
-	return a.db.space.GCPolicyOf(region)
 }
 
 func (a *admin) VerifyIntegrity() error {

@@ -375,25 +375,6 @@ func TestUpdateViewClosures(t *testing.T) {
 	}
 }
 
-// TestApplyGCClauseErrors exercises the clause error path of the DDL GC
-// options (the parser rejects bad GC_STEP_PAGES and HOT_COLD values itself).
-func TestApplyGCClauseErrors(t *testing.T) {
-	base := core.GCPolicy{StepPages: 8}
-	if _, _, clause, err := applyGCClause(base, "LRU", 0, ""); err == nil || clause != "GC_POLICY" {
-		t.Fatalf("bad policy: clause=%q err=%v", clause, err)
-	}
-	gc, set, clause, err := applyGCClause(base, "COST_BENEFIT", 4, "off")
-	if err != nil || !set || clause != "" {
-		t.Fatalf("valid clause failed: %v", err)
-	}
-	if gc.Victim != core.VictimCostBenefit || gc.StepPages != 4 || !gc.DisableHotCold {
-		t.Fatalf("clause not applied: %+v", gc)
-	}
-	if _, set, _, err := applyGCClause(base, "", 0, ""); err != nil || set {
-		t.Fatalf("empty clause: set=%v err=%v", set, err)
-	}
-}
-
 // TestExecDDLError verifies Exec reports *DDLError with the offending
 // statement, its position and the failing clause, for both execution and
 // syntax failures.
@@ -406,16 +387,16 @@ func TestExecDDLError(t *testing.T) {
 
 	// The second statement fails: its position and text must be reported.
 	script := `CREATE REGION rgOk (MAX_CHIPS=2);
-ALTER REGION nope SET GC_POLICY=GREEDY;`
+DROP REGION nope;`
 	err = db.Exec(script)
 	var de *DDLError
 	if !errors.As(err, &de) {
 		t.Fatalf("not a DDLError: %v", err)
 	}
-	if de.Pos != strings.Index(script, "ALTER") {
-		t.Fatalf("Pos = %d, want %d", de.Pos, strings.Index(script, "ALTER"))
+	if de.Pos != strings.Index(script, "DROP") {
+		t.Fatalf("Pos = %d, want %d", de.Pos, strings.Index(script, "DROP"))
 	}
-	if !strings.HasPrefix(de.Stmt, "ALTER REGION nope") {
+	if de.Stmt != "DROP REGION nope" {
 		t.Fatalf("Stmt = %q", de.Stmt)
 	}
 	if de.Clause != "REGION" {
@@ -426,7 +407,7 @@ ALTER REGION nope SET GC_POLICY=GREEDY;`
 	}
 	// The message names the position, the clause and the statement, cut to
 	// 57 bytes and an ellipsis past 60.
-	long := "ALTER REGION a_region_whose_name_runs_on_and_on SET GC_POLICY=GREEDY"
+	long := "DROP REGION a_region_whose_name_runs_on_and_on_and_on_and_on_and_on"
 	err = db.Exec(long)
 	want := fmt.Sprintf("noftl: DDL failed at position 0 (clause REGION) in %q: ", long[:57]+"...")
 	if !errors.As(err, &de) || !strings.HasPrefix(err.Error(), want) {
@@ -434,7 +415,7 @@ ALTER REGION nope SET GC_POLICY=GREEDY;`
 	}
 
 	// A bad clause value is attributed to the clause.
-	err = db.Exec("ALTER REGION DEFAULT SET GC_POLICY=LRU")
+	err = db.Exec("CREATE REGION rgLRU (MAX_CHIPS=1, GC_POLICY=LRU)")
 	if !errors.As(err, &de) || de.Clause != "GC_POLICY" {
 		t.Fatalf("clause attribution: %v", err)
 	}

@@ -44,8 +44,14 @@ import (
 
 // ckptBegin is the body of a checkpoint's begin mark.
 type ckptBegin struct {
-	NextTxnID uint64        // highest transaction id handed out so far
-	DefaultGC core.GCPolicy // the default region has no region mark to carry it
+	NextTxnID uint64 // highest transaction id handed out so far
+	// DefaultGC is the configuration's policy, which the default region always
+	// has.  Recovery does not read it (Reopen inherits the configuration), but
+	// the field stays: its bytes decide how the log pages of every checkpoint
+	// fill, and dropping it moves every simulated number (small Figure 3 from
+	// 951.97 / 915.63 to 978.50 / 896.40 TPS).  A change that re-baselines the
+	// benchmarks may drop it.
+	DefaultGC core.GCPolicy
 	// SnapshotSeq is the space manager's write sequence after the flush: the
 	// checkpointed version of a page is its newest at or below it.  A light
 	// checkpoint has none, and its mark is byte for byte what it always was.
@@ -186,8 +192,7 @@ func (db *DB) checkpoint(now sim.Time) (sim.Time, error) {
 	}
 	db.ckptSeq++
 	s := &ckptStream{log: db.log, seq: db.ckptSeq, max: wal.MaxPayload(db.dev.Geometry().PageSize) - 1}
-	head := ckptBegin{NextTxnID: db.txns.NextID(), Light: db.cfg.DisableSnapshotCheckpoints}
-	head.DefaultGC, _ = db.space.GCPolicyOf(core.DefaultRegionName)
+	head := ckptBegin{NextTxnID: db.txns.NextID(), DefaultGC: db.space.Options().GC, Light: db.cfg.DisableSnapshotCheckpoints}
 	switch {
 	case head.Light:
 	case left > 0:

@@ -47,8 +47,7 @@ done
 "$bin/noftl-trace" filter -class host_write,gc_step "$tmp/trace.jsonl" >"$tmp/subset.jsonl"
 "$bin/noftl-trace" summarize "$tmp/subset.jsonl" >/dev/null
 "$bin/noftl-trace" summarize "$tmp/trace.jsonl" >/dev/null
-"$bin/noftl-ddl" -e 'CREATE REGION rgHot (MAX_CHIPS=4, MAX_CHANNELS=4, MAX_SIZE=64M);
-    ALTER REGION rgHot SET GC_POLICY=COST_BENEFIT, GC_STEP_PAGES=8, HOT_COLD=ON;
+"$bin/noftl-ddl" -e 'CREATE REGION rgHot (MAX_CHIPS=4, MAX_CHANNELS=4, MAX_SIZE=64M, GC_POLICY=COST_BENEFIT);
     CREATE TABLESPACE tsHot (REGION=rgHot, EXTENT SIZE 128K);
     CREATE TABLE T (t_id NUMBER(3), t_name VARCHAR(20)) TABLESPACE tsHot;
     CREATE UNIQUE INDEX T_IDX ON T (t_id) TABLESPACE tsHot;

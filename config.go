@@ -58,10 +58,12 @@ type Config struct {
 	// timing, endurance).
 	Flash flash.Config
 	// Space configures the NoFTL space manager: placement mode,
-	// over-provisioning, DisableBackgroundGC and the default per-region GC
-	// policy (victim selection, background step size, hot/cold separation —
-	// overridable per region via CREATE/ALTER REGION).  The watermark pair,
-	// the GC reserve and the wear-leveling threshold are fixed.
+	// over-provisioning, DisableBackgroundGC and the GC policy (victim
+	// selection, background step size, hot/cold separation) of every region
+	// created without one of its own (RegionSpec.GC); CREATE REGION …
+	// (GC_POLICY=…) chooses a region's victim selection once, at creation.
+	// The watermark pair, the GC reserve and the wear-leveling threshold are
+	// fixed.
 	Space core.Options
 	// BufferPoolPages is the number of page frames in the buffer pool.  The
 	// number of replacement partitions, each a CLOCK over its frames, is

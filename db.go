@@ -324,16 +324,15 @@ func (db *DB) execStatement(st ddl.Statement) (string, error) {
 			MaxChannels:  s.MaxChannels,
 			MaxSizeBytes: s.MaxSizeBytes,
 		}
-		gc, set, clause, err := applyGCClause(db.space.Options().GC, s.GCPolicy, s.GCStepPages, s.HotCold)
-		if err != nil {
-			return clause, err
-		}
-		if set {
+		if s.GCPolicy != "" {
+			gc := db.space.Options().GC
+			var err error
+			if gc.Victim, err = core.ParseVictimPolicy(s.GCPolicy); err != nil {
+				return "GC_POLICY", err
+			}
 			spec.GC = &gc
 		}
 		return "", db.CreateRegion(spec)
-	case ddl.AlterRegion:
-		return db.alterRegionGC(s)
 	case ddl.CreateTablespace:
 		extentPages := 0 // the default extent size
 		if s.ExtentSizeBytes > 0 {
@@ -380,44 +379,6 @@ func (db *DB) execDrop(s ddl.DropStatement) error {
 	default:
 		return fmt.Errorf("%w: cannot drop %q", ErrUnsupported, s.Kind)
 	}
-}
-
-// applyGCClause folds a DDL GC clause (CREATE/ALTER REGION options), whose
-// values the parser has validated, into a base policy, reporting whether any
-// option was actually set and, when the policy name is unknown, the clause.
-func applyGCClause(base core.GCPolicy, policy string, stepPages int, hotCold string) (core.GCPolicy, bool, string, error) {
-	set := false
-	if policy != "" {
-		v, err := core.ParseVictimPolicy(policy)
-		if err != nil {
-			return base, false, "GC_POLICY", err
-		}
-		base.Victim = v
-		set = true
-	}
-	if stepPages != 0 {
-		base.StepPages = stepPages
-		set = true
-	}
-	if hotCold != "" {
-		base.DisableHotCold = strings.EqualFold(hotCold, "OFF")
-		set = true
-	}
-	return base, set, "", nil
-}
-
-// alterRegionGC executes ALTER REGION … SET: it switches the region's live
-// policy, the space manager's — the only copy there is.
-func (db *DB) alterRegionGC(s ddl.AlterRegion) (string, error) {
-	cur, ok := db.space.GCPolicyOf(s.Name)
-	if !ok {
-		return "REGION", fmt.Errorf("%w: region %q", ErrNotFound, s.Name)
-	}
-	gc, set, clause, err := applyGCClause(cur, s.GCPolicy, s.GCStepPages, s.HotCold)
-	if err != nil || !set {
-		return clause, err
-	}
-	return "", db.ddl(func() error { return db.space.SetGCPolicy(s.Name, gc) })
 }
 
 // ddl runs one schema change and makes it durable, as one operation.  change

@@ -479,49 +479,61 @@ func TestResetStatistics(t *testing.T) {
 	}
 }
 
+// TestExecRegionGCPolicyDDL: a region's GC policy is chosen once, at CREATE
+// REGION, and Schema() reads it back before and after a Reopen.  A region
+// without the clause, and the default region, run the configuration's policy;
+// ALTER REGION is not a statement.
 func TestExecRegionGCPolicyDDL(t *testing.T) {
-	db, err := OpenConfig(smallConfig())
+	cfg := smallConfig()
+	cfg.Space.GC.StepPages = 4
+	db, err := OpenConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
-	err = db.Exec(`CREATE REGION rgHot (MAX_CHIPS=2, GC_POLICY=COST_BENEFIT, GC_STEP_PAGES=4, HOT_COLD=OFF);`)
+	err = db.Exec(`CREATE REGION rgHot (MAX_CHIPS=2, GC_POLICY=COST_BENEFIT); CREATE REGION rgCold (MAX_CHIPS=1);`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gc, ok := db.Admin().GCPolicy("rgHot")
-	if !ok || gc.Victim != core.VictimCostBenefit || gc.StepPages != 4 || !gc.DisableHotCold {
-		t.Fatalf("CREATE REGION GC clause not applied: %+v", gc)
+	want := map[string]GCPolicy{
+		"rgHot":                {Victim: core.VictimCostBenefit, StepPages: 4},
+		"rgCold":               cfg.Space.GC,
+		core.DefaultRegionName: cfg.Space.GC,
 	}
-	if rs := db.Schema().Regions; len(rs) != 1 || rs[0].GC != gc {
-		t.Fatalf("schema missed the GC clause: %+v, live policy %+v", rs, gc)
+	check := func(db *DB, when string) {
+		t.Helper()
+		rs := db.Schema().Regions
+		if len(rs) != 2 {
+			t.Fatalf("%s: schema regions %+v", when, rs)
+		}
+		for _, r := range rs {
+			if r.GC != want[r.Name] {
+				t.Fatalf("%s: region %s has policy %+v, want %+v", when, r.Name, r.GC, want[r.Name])
+			}
+		}
+		for _, r := range db.Stats().Space.Regions {
+			if r.GC != want[r.Name] {
+				t.Fatalf("%s: region %s runs policy %+v, want %+v", when, r.Name, r.GC, want[r.Name])
+			}
+		}
 	}
-	// Reconfigure online.
-	if err := db.Exec(`ALTER REGION rgHot SET GC_POLICY=GREEDY, HOT_COLD=ON;`); err != nil {
+	check(db, "after CREATE")
+	re, err := Reopen(db.Crash())
+	if err != nil {
 		t.Fatal(err)
 	}
-	gc, _ = db.Admin().GCPolicy("rgHot")
-	if gc.Victim != core.VictimGreedy || gc.DisableHotCold || gc.StepPages != 4 {
-		t.Fatalf("ALTER REGION not applied (StepPages must survive): %+v", gc)
+	defer re.Close()
+	check(re, "after Reopen")
+
+	var de *DDLError
+	err = re.Exec(`ALTER REGION rgHot SET GC_POLICY=GREEDY;`)
+	if !errors.As(err, &de) || de.Clause != "syntax" {
+		t.Fatalf("ALTER REGION: %v", err)
 	}
-	if rs := db.Schema().Regions; len(rs) != 1 || rs[0].GC != gc {
-		t.Fatalf("schema not updated: %+v, live policy %+v", rs, gc)
+	err = re.Exec(`CREATE REGION r2 (MAX_CHIPS=1, GC_POLICY=LRU);`)
+	if !errors.As(err, &de) || de.Clause != "GC_POLICY" {
+		t.Fatalf("unknown GC policy: %v", err)
 	}
-	// The default region can be tuned too.
-	if err := db.Exec(`ALTER REGION DEFAULT SET GC_STEP_PAGES=2;`); err != nil {
-		t.Fatal(err)
-	}
-	gc, _ = db.Admin().GCPolicy(core.DefaultRegionName)
-	if gc.StepPages != 2 {
-		t.Fatalf("default region not altered: %+v", gc)
-	}
-	// Unknown region and bad policy fail.
-	if err := db.Exec(`ALTER REGION nope SET GC_POLICY=GREEDY;`); err == nil {
-		t.Fatal("ALTER of unknown region should fail")
-	}
-	if err := db.Exec(`CREATE REGION r2 (MAX_CHIPS=1, GC_POLICY=LRU);`); err == nil {
-		t.Fatal("unknown GC policy should fail")
-	}
+	check(re, "after the refused statements")
 }
 
 // TestAdminGrowRegion grows a region by whole dies: a count below one is

@@ -61,7 +61,7 @@ type DDLError struct {
 	// statement (or, for syntax errors, the offending token) begins.
 	Pos int
 	// Clause names the clause that failed when attributable, e.g.
-	// "HOT_COLD", "GC_POLICY", "REGION", "TABLESPACE" ("" otherwise).
+	// "GC_POLICY", "REGION", "TABLESPACE", "syntax" ("" otherwise).
 	Clause string
 	// Err is the underlying cause.
 	Err error

@@ -2,8 +2,8 @@
 // pages, the secondary-index structure used by the TPC-C schema of the
 // reproduction.
 //
-// Keys are arbitrary byte strings compared lexicographically (use KeyBuilder
-// to build order-preserving composite keys); values are small byte strings
+// Keys are arbitrary byte strings compared lexicographically (Key and
+// AppendKey build order-preserving composite keys); values are small byte strings
 // (record identifiers).  Leaf nodes are chained left-to-right for range
 // scans.  Deletes remove entries without rebalancing (nodes may underflow;
 // space is reclaimed when the node is compacted or split), which is a
@@ -658,42 +658,8 @@ func prefixEnd(dst, prefix []byte) []byte {
 	return nil
 }
 
-// KeyBuilder builds order-preserving composite keys out of integers and
-// strings (big-endian integers, strings terminated with a 0 byte).
-type KeyBuilder struct {
-	buf []byte
-}
-
-// NewKeyBuilder returns an empty builder.
-func NewKeyBuilder() *KeyBuilder { return &KeyBuilder{} }
-
-// AddUint32 appends a 32-bit component.
-func (k *KeyBuilder) AddUint32(v uint32) *KeyBuilder {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	k.buf = append(k.buf, b[:]...)
-	return k
-}
-
-// AddUint64 appends a 64-bit component.
-func (k *KeyBuilder) AddUint64(v uint64) *KeyBuilder {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	k.buf = append(k.buf, b[:]...)
-	return k
-}
-
-// AddString appends a string component terminated by a zero byte.
-func (k *KeyBuilder) AddString(s string) *KeyBuilder {
-	k.buf = append(k.buf, s...)
-	k.buf = append(k.buf, 0)
-	return k
-}
-
-// Bytes returns the composite key.
-func (k *KeyBuilder) Bytes() []byte { return k.buf }
-
-// Key is a convenience for building a key of uint32 components.
+// Key builds an order-preserving composite key of uint32 components
+// (big-endian, so byte order is numeric order).
 func Key(parts ...uint32) []byte { return AppendKey(make([]byte, 0, 4*len(parts)), parts...) }
 
 // AppendKey appends the key Key(parts...) builds to dst.

@@ -293,16 +293,18 @@ func TestTreeKeyTooLarge(t *testing.T) {
 	}
 }
 
-func TestKeyBuilderOrderPreserving(t *testing.T) {
-	a := NewKeyBuilder().AddUint32(1).AddString("SMITH").AddUint64(42).Bytes()
-	b := NewKeyBuilder().AddUint32(1).AddString("SMITH").AddUint64(43).Bytes()
-	c := NewKeyBuilder().AddUint32(1).AddString("SMYTH").AddUint64(1).Bytes()
-	d := NewKeyBuilder().AddUint32(2).AddString("AAAA").AddUint64(1).Bytes()
+// TestKeyOrderPreserving: byte order of composite keys is the numeric order
+// of their components, and AppendKey appends what Key builds.
+func TestKeyOrderPreserving(t *testing.T) {
+	a, b, c, d := Key(1, 2, 42), Key(1, 2, 256), Key(1, 3, 0), Key(256, 0, 0)
 	if !(bytes.Compare(a, b) < 0 && bytes.Compare(b, c) < 0 && bytes.Compare(c, d) < 0) {
 		t.Fatal("composite keys not order preserving")
 	}
 	if len(Key(1, 2, 3)) != 12 {
 		t.Fatalf("Key length = %d", len(Key(1, 2, 3)))
+	}
+	if got := AppendKey([]byte("x"), 1, 2); !bytes.Equal(got, append([]byte("x"), Key(1, 2)...)) {
+		t.Fatalf("AppendKey = %x", got)
 	}
 }
 

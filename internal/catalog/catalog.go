@@ -22,8 +22,8 @@ type Region struct {
 	MaxChannels  int
 	MaxSizeBytes int64
 	// GC is the region's garbage-collection policy (victim selection,
-	// background step size, hot/cold separation), settable per region via
-	// CREATE REGION and ALTER REGION.
+	// background step size, hot/cold separation), fixed when the region is
+	// created; CREATE REGION's GC_POLICY clause chooses the victim selection.
 	GC core.GCPolicy
 }
 

@@ -17,13 +17,11 @@
 //     blocks the allocation until the die is healthy again — correctness
 //     never depends on background progress.
 //
-// The step size and victim policy come from the owning region's GCPolicy, so
-// a DBA can tune them per data region via CREATE/ALTER REGION.
+// The step size and victim policy come from the owning region's GCPolicy,
+// fixed when the region is created.
 package core
 
 import (
-	"fmt"
-
 	"noftl/internal/obs"
 	"noftl/internal/sim"
 )
@@ -88,7 +86,7 @@ func (m *Manager) backgroundGC(now sim.Time, da *dieAlloc) {
 	}
 	start := sim.MaxTime(now, m.sched.DieIdleAt(da.die))
 	copybacks, erases := r.gcCopybacks.Value(), r.gcErases.Value()
-	end := m.relocateAndErase(start, r, da, da.bgVictim, pol.withDefaults().StepPages, pol)
+	end := m.relocateAndErase(start, r, da, da.bgVictim, pol.StepPages, pol)
 	switch {
 	case da.blocks[da.bgVictim].state == blkFree:
 		// Victim fully relocated and erased: the step cycle is complete.
@@ -111,26 +109,4 @@ func (m *Manager) backgroundGC(now sim.Time, da *dieAlloc) {
 			Region: int32(r.id), Start: start, End: end,
 		})
 	}
-}
-
-// SetGCPolicy replaces the named region's garbage-collection policy.  It
-// takes effect immediately: the next step of an in-flight background victim
-// already uses the new step bound and hot/cold routing, and the next victim
-// selection uses the new policy.
-func (m *Manager) SetGCPolicy(name string, p GCPolicy) error {
-	r, ok := m.regions[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownRegion, name)
-	}
-	r.gc = p.withDefaults()
-	return nil
-}
-
-// GCPolicyOf returns the named region's current garbage-collection policy.
-func (m *Manager) GCPolicyOf(name string) (GCPolicy, bool) {
-	r, ok := m.regions[name]
-	if !ok {
-		return GCPolicy{}, false
-	}
-	return r.gc, true
 }

@@ -131,40 +131,40 @@ func TestDisabledBackgroundGCRunsNoSteps(t *testing.T) {
 	}
 }
 
+// TestSetGCPolicyPerRegion: the policy a RegionSpec gives at creation, with
+// the defaults filled in, is the one RegionSpecs() and the region's stats
+// show; a region given none, and the default region, keep Options().GC.
 func TestSetGCPolicyPerRegion(t *testing.T) {
 	dev := smallDevice(t, 4, 16, 8)
 	m := NewManager(dev, DefaultOptions())
-	cb := GCPolicy{Victim: VictimCostBenefit, StepPages: 4, DisableHotCold: true}
-	hot, err := m.CreateRegion(RegionSpec{Name: "rgHot", MaxChips: 1, GC: &cb})
-	if err != nil {
+	cb := GCPolicy{Victim: VictimCostBenefit, DisableHotCold: true}
+	if _, err := m.CreateRegion(RegionSpec{Name: "rgHot", MaxChips: 1, GC: &cb}); err != nil {
 		t.Fatal(err)
 	}
-	_ = hot
-	got, ok := m.GCPolicyOf("rgHot")
-	if !ok || got.Victim != VictimCostBenefit || got.StepPages != 4 || !got.DisableHotCold {
-		t.Fatalf("region policy not applied: %+v", got)
-	}
-	// The default region keeps the manager-wide default.
-	def, _ := m.GCPolicyOf(DefaultRegionName)
-	if def.Victim != VictimGreedy || def.DisableHotCold {
-		t.Fatalf("default region policy wrong: %+v", def)
-	}
-	// ALTER-style update.
-	if err := m.SetGCPolicy("rgHot", GCPolicy{Victim: VictimGreedy}); err != nil {
+	if _, err := m.CreateRegion(RegionSpec{Name: "rgPlain", MaxChips: 1}); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = m.GCPolicyOf("rgHot")
-	if got.Victim != VictimGreedy || got.StepPages != 8 {
-		t.Fatalf("policy update not applied (or defaults not filled): %+v", got)
+	want := map[string]GCPolicy{
+		"rgHot":           {Victim: VictimCostBenefit, StepPages: 8, DisableHotCold: true},
+		"rgPlain":         m.Options().GC,
+		DefaultRegionName: m.Options().GC,
 	}
-	if err := m.SetGCPolicy("nope", GCPolicy{}); err == nil {
-		t.Fatal("SetGCPolicy on unknown region should fail")
+	if def := m.Options().GC; def.Victim != VictimGreedy || def.StepPages != 8 || def.DisableHotCold {
+		t.Fatalf("Options().GC = %+v", def)
 	}
-	// Stats surface the policy.
-	st := m.Stats()
-	hs, _ := st.RegionByName("rgHot")
-	if hs.GC.Victim != VictimGreedy {
-		t.Fatalf("stats policy wrong: %+v", hs.GC)
+	specs := m.RegionSpecs()
+	if len(specs) != 2 {
+		t.Fatalf("RegionSpecs() = %+v", specs)
+	}
+	for _, spec := range specs {
+		if *spec.GC != want[spec.Name] {
+			t.Fatalf("RegionSpecs(): %s has %+v, want %+v", spec.Name, *spec.GC, want[spec.Name])
+		}
+	}
+	for _, rs := range m.Stats().Regions {
+		if rs.GC != want[rs.Name] {
+			t.Fatalf("stats: %s has %+v, want %+v", rs.Name, rs.GC, want[rs.Name])
+		}
 	}
 }
 

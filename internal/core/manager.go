@@ -23,8 +23,8 @@ type Options struct {
 	// collection: all GC work is charged inline to the host write that
 	// trips the low watermark, as in the pre-background-GC behaviour.
 	DisableBackgroundGC bool
-	// GC is the default garbage-collection policy new regions start with;
-	// CREATE REGION / ALTER REGION clauses override it per region.
+	// GC is the garbage-collection policy of every region created without
+	// one (RegionSpec.GC), the default region included.
 	GC GCPolicy
 }
 

@@ -14,8 +14,8 @@ import (
 //     its Pos to the next statement's, parses alone to the
 //     same statement.
 func FuzzDDLParse(f *testing.F) {
-	f.Add(`CREATE REGION rgHot (MAX_CHIPS=8, MAX_CHANNELS=4, MAX_SIZE=1280M, GC_POLICY=COST_BENEFIT, GC_STEP_PAGES=4, HOT_COLD=OFF);`)
-	f.Add(`ALTER REGION rgHot SET GC_POLICY=GREEDY, GC_STEP_PAGES=16;`)
+	f.Add(`CREATE REGION rgHot (MAX_CHIPS=8, MAX_CHANNELS=4, MAX_SIZE=1280M, GC_POLICY=COST_BENEFIT);`)
+	f.Add(`DROP REGION rgHot;`)
 	f.Add(`CREATE TABLESPACE tsHot (REGION=rgHot, EXTENT SIZE 128K);`)
 	f.Add(`CREATE TABLE STOCK (s_i_id INTEGER, s_w_id NUMBER(3), s_data VARCHAR(50), s_ytd DECIMAL(12,2)) TABLESPACE tsHot;`)
 	f.Add(`CREATE UNIQUE INDEX S_IDX ON STOCK (s_w_id, s_i_id) TABLESPACE tsHot;`)

@@ -37,7 +37,7 @@ type ColumnDef struct {
 type Statement interface{ stmt() }
 
 // CreateRegion mirrors CREATE REGION name (MAX_CHIPS=…, MAX_CHANNELS=…,
-// MAX_SIZE=…, GC_POLICY=…, GC_STEP_PAGES=…, HOT_COLD=…).
+// MAX_SIZE=…, GC_POLICY=…).
 type CreateRegion struct {
 	Name         string
 	MaxChips     int
@@ -46,21 +46,6 @@ type CreateRegion struct {
 	// GCPolicy is the victim-selection policy (GREEDY or COST_BENEFIT);
 	// empty means the engine default.
 	GCPolicy string
-	// GCStepPages bounds one background GC step; zero means the default.
-	GCStepPages int
-	// HotCold is "ON", "OFF" or empty (engine default).
-	HotCold string
-}
-
-// AlterRegion mirrors ALTER REGION name SET GC_POLICY=…, GC_STEP_PAGES=…,
-// HOT_COLD=… (with or without parentheses around the option list).  Only
-// garbage-collection options can be altered online; the die set and size of
-// a region are fixed at creation.
-type AlterRegion struct {
-	Name        string
-	GCPolicy    string
-	GCStepPages int
-	HotCold     string
 }
 
 // CreateTablespace mirrors CREATE TABLESPACE name (REGION=…, EXTENT SIZE …).
@@ -93,7 +78,6 @@ type DropStatement struct {
 }
 
 func (CreateRegion) stmt()     {}
-func (AlterRegion) stmt()      {}
 func (CreateTablespace) stmt() {}
 func (CreateTable) stmt()      {}
 func (CreateIndex) stmt()      {}
@@ -243,11 +227,6 @@ func (p *parser) statement() (Statement, error) {
 		default:
 			return nil, p.errorf("expected REGION, TABLESPACE, TABLE or INDEX after CREATE")
 		}
-	case p.acceptKeyword("ALTER"):
-		if err := p.expectKeyword("REGION"); err != nil {
-			return nil, err
-		}
-		return p.alterRegion()
 	case p.acceptKeyword("DROP"):
 		kindTok := p.next()
 		kind := strings.ToUpper(kindTok.text)
@@ -262,7 +241,7 @@ func (p *parser) statement() (Statement, error) {
 		}
 		return DropStatement{Kind: kind, Name: name}, nil
 	default:
-		return nil, p.errorf("expected CREATE, ALTER or DROP")
+		return nil, p.errorf("expected CREATE or DROP")
 	}
 }
 
@@ -282,12 +261,12 @@ func (p *parser) createRegion() (Statement, error) {
 				return nil, err
 			}
 			switch strings.ToUpper(key) {
-			case "MAX_CHIPS", "MAX_DIES":
+			case "MAX_CHIPS":
 				val, err := p.expectNumber()
 				if err != nil {
 					return nil, err
 				}
-				n, err := strconv.Atoi(strings.TrimRight(val, "KMGkmg"))
+				n, err := strconv.Atoi(val)
 				if err != nil {
 					return nil, p.errorf("bad MAX_CHIPS value %q", val)
 				}
@@ -297,7 +276,7 @@ func (p *parser) createRegion() (Statement, error) {
 				if err != nil {
 					return nil, err
 				}
-				n, err := strconv.Atoi(strings.TrimRight(val, "KMGkmg"))
+				n, err := strconv.Atoi(val)
 				if err != nil {
 					return nil, p.errorf("bad MAX_CHANNELS value %q", val)
 				}
@@ -312,10 +291,12 @@ func (p *parser) createRegion() (Statement, error) {
 					return nil, err
 				}
 				st.MaxSizeBytes = sz
-			case "GC_POLICY", "GC_STEP_PAGES", "HOT_COLD":
-				if err := p.gcOption(key, &st.GCPolicy, &st.GCStepPages, &st.HotCold); err != nil {
+			case "GC_POLICY":
+				val, err := p.expectIdent()
+				if err != nil {
 					return nil, err
 				}
+				st.GCPolicy = strings.ToUpper(val)
 			default:
 				return nil, p.errorf("unknown region option %q", key)
 			}
@@ -326,82 +307,6 @@ func (p *parser) createRegion() (Statement, error) {
 		if err := p.expectPunct(")"); err != nil {
 			return nil, err
 		}
-	}
-	return st, nil
-}
-
-// gcOption parses the value of one garbage-collection region option (the
-// key and '=' have already been consumed).
-func (p *parser) gcOption(key string, policy *string, stepPages *int, hotCold *string) error {
-	switch strings.ToUpper(key) {
-	case "GC_POLICY":
-		val, err := p.expectIdent()
-		if err != nil {
-			return err
-		}
-		*policy = strings.ToUpper(val)
-	case "GC_STEP_PAGES":
-		val, err := p.expectNumber()
-		if err != nil {
-			return err
-		}
-		n, err := strconv.Atoi(val)
-		if err != nil || n <= 0 {
-			return p.errorf("bad GC_STEP_PAGES value %q", val)
-		}
-		*stepPages = n
-	case "HOT_COLD":
-		val, err := p.expectIdent()
-		if err != nil {
-			return err
-		}
-		v := strings.ToUpper(val)
-		if v != "ON" && v != "OFF" {
-			return p.errorf("HOT_COLD must be ON or OFF, got %q", val)
-		}
-		*hotCold = v
-	default:
-		return p.errorf("unknown GC option %q", key)
-	}
-	return nil
-}
-
-// alterRegion parses ALTER REGION name SET key=value[, …], with the option
-// list optionally parenthesised.  "ALTER REGION" has been consumed.
-func (p *parser) alterRegion() (Statement, error) {
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("SET"); err != nil {
-		return nil, err
-	}
-	st := AlterRegion{Name: name}
-	paren := p.acceptPunct("(")
-	opts := 0
-	for {
-		key, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct("="); err != nil {
-			return nil, err
-		}
-		if err := p.gcOption(key, &st.GCPolicy, &st.GCStepPages, &st.HotCold); err != nil {
-			return nil, err
-		}
-		opts++
-		if !p.acceptPunct(",") {
-			break
-		}
-	}
-	if paren {
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-	}
-	if opts == 0 {
-		return nil, p.errorf("ALTER REGION needs at least one option")
 	}
 	return st, nil
 }

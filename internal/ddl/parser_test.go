@@ -3,6 +3,7 @@ package ddl
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -126,12 +127,11 @@ func TestParseDropAndVariants(t *testing.T) {
 		CREATE REGION simple;
 		CREATE TABLESPACE plain;
 		CREATE TABLESPACE alt (EXTENT_SIZE=64K);
-		CREATE REGION rgDies (MAX_DIES=4);
 	`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stmts) != 8 {
+	if len(stmts) != 7 {
 		t.Fatalf("parsed %d", len(stmts))
 	}
 	if d := stmts[0].(DropStatement); d.Kind != "TABLE" || d.Name != "T" {
@@ -145,9 +145,6 @@ func TestParseDropAndVariants(t *testing.T) {
 	}
 	if ts := stmts[6].(CreateTablespace); ts.ExtentSizeBytes != 64*1024 {
 		t.Fatalf("%+v", ts)
-	}
-	if r := stmts[7].(CreateRegion); r.MaxChips != 4 {
-		t.Fatalf("MAX_DIES alias: %+v", r)
 	}
 }
 
@@ -171,6 +168,8 @@ func TestParseErrors(t *testing.T) {
 		"CREATE VIEW v",
 		"CREATE REGION r (BOGUS=1)",
 		"CREATE REGION r (MAX_CHIPS 8)",
+		"CREATE REGION r (MAX_CHIPS=4K)",
+		"CREATE REGION r (MAX_CHANNELS=2M)",
 		"CREATE TABLESPACE t (WHAT=1)",
 		"CREATE TABLE T",
 		"CREATE TABLE T (a INTEGER",
@@ -225,8 +224,10 @@ func TestParseComments(t *testing.T) {
 	}
 }
 
+// TestCreateRegionGCOptions: GC_POLICY is the one garbage-collection option
+// of CREATE REGION; the step bound and hot/cold routing are DB-wide settings.
 func TestCreateRegionGCOptions(t *testing.T) {
-	st, err := parseOne(`CREATE REGION rgHot (MAX_CHIPS=4, GC_POLICY=COST_BENEFIT, GC_STEP_PAGES=4, HOT_COLD=OFF);`)
+	st, err := parseOne(`CREATE REGION rgHot (MAX_CHIPS=4, GC_POLICY=COST_BENEFIT);`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,58 +235,39 @@ func TestCreateRegionGCOptions(t *testing.T) {
 	if !ok {
 		t.Fatalf("got %T", st)
 	}
-	if cr.MaxChips != 4 || cr.GCPolicy != "COST_BENEFIT" || cr.GCStepPages != 4 || cr.HotCold != "OFF" {
+	if cr.MaxChips != 4 || cr.GCPolicy != "COST_BENEFIT" {
 		t.Fatalf("wrong clause: %+v", cr)
 	}
 	// Case-insensitive keys and values.
-	st, err = parseOne(`create region r2 (max_chips=1, gc_policy=greedy, hot_cold=on);`)
+	st, err = parseOne(`create region r2 (max_chips=1, gc_policy=greedy);`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr = st.(CreateRegion)
-	if cr.GCPolicy != "GREEDY" || cr.HotCold != "ON" {
+	if cr = st.(CreateRegion); cr.GCPolicy != "GREEDY" {
 		t.Fatalf("wrong clause: %+v", cr)
 	}
-	// Bad values are rejected at parse time.
 	for _, bad := range []string{
-		`CREATE REGION r (MAX_CHIPS=1, HOT_COLD=MAYBE);`,
-		`CREATE REGION r (MAX_CHIPS=1, GC_STEP_PAGES=0);`,
-		`CREATE REGION r (MAX_CHIPS=1, GC_STEP_PAGES=x);`,
+		`CREATE REGION r (MAX_CHIPS=1, GC_STEP_PAGES=4);`,
+		`CREATE REGION r (MAX_CHIPS=1, HOT_COLD=OFF);`,
+		`CREATE REGION r (MAX_DIES=4);`,
 	} {
-		if _, err := parseOne(bad); err == nil {
-			t.Fatalf("accepted %q", bad)
+		var se *SyntaxError
+		if _, err := parseOne(bad); !errors.As(err, &se) || !strings.HasPrefix(se.Msg, "unknown region option") {
+			t.Fatalf("%q: %v, want an unknown region option", bad, err)
 		}
 	}
 }
 
+// TestAlterRegion: a region's policy is fixed at CREATE REGION, so ALTER is
+// not a statement.
 func TestAlterRegion(t *testing.T) {
-	st, err := parseOne(`ALTER REGION rgHot SET GC_POLICY=COST_BENEFIT, GC_STEP_PAGES=16;`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ar, ok := st.(AlterRegion)
-	if !ok {
-		t.Fatalf("got %T", st)
-	}
-	if ar.Name != "rgHot" || ar.GCPolicy != "COST_BENEFIT" || ar.GCStepPages != 16 || ar.HotCold != "" {
-		t.Fatalf("wrong clause: %+v", ar)
-	}
-	// Parenthesised form.
-	st, err = parseOne(`ALTER REGION rgHot SET (HOT_COLD=OFF);`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ar = st.(AlterRegion); ar.HotCold != "OFF" {
-		t.Fatalf("wrong clause: %+v", ar)
-	}
 	for _, bad := range []string{
-		`ALTER REGION rgHot;`,
-		`ALTER REGION rgHot SET;`,
-		`ALTER REGION rgHot SET MAX_CHIPS=4;`,
+		`ALTER REGION rgHot SET GC_POLICY=COST_BENEFIT;`,
+		`ALTER REGION rgHot SET (HOT_COLD=OFF);`,
 		`ALTER TABLE t SET GC_POLICY=GREEDY;`,
 	} {
-		if _, err := parseOne(bad); err == nil {
-			t.Fatalf("accepted %q", bad)
+		if _, err := parseOne(bad); !errors.Is(err, ErrSyntax) {
+			t.Fatalf("%q: %v, want a syntax error", bad, err)
 		}
 	}
 }

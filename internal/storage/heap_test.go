@@ -34,33 +34,40 @@ func TestTablespaceAllocation(t *testing.T) {
 	mgr, _ := testEnv(t, 8)
 	ts := NewTablespace("tsA", core.DefaultRegionID, 4, mgr)
 	if ts.Name() != "tsA" || ts.Region() != core.DefaultRegionID || ts.ExtentPages() != 4 {
-		t.Fatalf("tablespace fields wrong: %v", ts)
+		t.Fatalf("tablespace fields wrong: %+v", ts)
 	}
+	if def := NewTablespace("tsC", 0, 0, mgr); def.ExtentPages() != DefaultExtentPages {
+		t.Fatalf("default extent = %d", def.ExtentPages())
+	}
+	// A tablespace of one-page extents takes an LPN after each of tsA's
+	// pages, so each of tsA's extents is a run of consecutive LPNs of its own.
+	ts2 := NewTablespace("tsB", 0, 1, mgr)
 	seen := map[core.LPN]bool{}
+	var runs []int
+	prev := core.LPN(0)
 	for i := 0; i < 10; i++ {
 		lpn := ts.AllocatePage()
 		if seen[lpn] {
 			t.Fatalf("duplicate LPN %d", lpn)
 		}
 		seen[lpn] = true
+		if i == 0 || lpn != prev+1 {
+			runs = append(runs, 0)
+		}
+		runs[len(runs)-1]++
+		prev = lpn
+		other := ts2.AllocatePage()
+		if seen[other] {
+			t.Fatalf("LPN %d handed to both tablespaces", other)
+		}
+		seen[other] = true
 	}
-	if ts.AllocatedPages() != 10 {
-		t.Fatalf("allocated = %d", ts.AllocatedPages())
-	}
-	if ts.Extents() != 3 { // 10 pages over 4-page extents
-		t.Fatalf("extents = %d", ts.Extents())
+	if fmt.Sprint(runs) != "[4 4 2]" { // 10 pages over 4-page extents
+		t.Fatalf("extents of %v pages, want [4 4 2]", runs)
 	}
 	h := ts.Hint(7, flash.FlagHeap)
 	if h.ObjectID != 7 || h.Region != core.DefaultRegionID || h.Flags != flash.FlagHeap {
 		t.Fatalf("hint = %+v", h)
-	}
-	if ts.String() == "" {
-		t.Fatal("empty string")
-	}
-	// Default extent size applies when zero is given.
-	ts2 := NewTablespace("tsB", 0, 0, mgr)
-	if ts2.ExtentPages() != DefaultExtentPages {
-		t.Fatalf("default extent = %d", ts2.ExtentPages())
 	}
 }
 

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"strings"
 	"testing"
 
 	"noftl/internal/core"
@@ -40,23 +39,15 @@ func TestTablespaceExtentAllocation(t *testing.T) {
 			t.Fatalf("page %d of extent = lpn %d, want %d (consecutive)", i, lpn, first+core.LPN(i))
 		}
 	}
-	if ts.Extents() != 1 {
-		t.Errorf("extents = %d, want 1", ts.Extents())
-	}
-	if ts.AllocatedPages() != extent {
-		t.Errorf("allocated pages = %d, want %d", ts.AllocatedPages(), extent)
-	}
 
-	// Page extent+1 opens a second extent.
-	next := ts.AllocatePage()
-	if next < first+core.LPN(extent) {
-		t.Errorf("new extent page lpn %d overlaps first extent", next)
+	// Page extent+1 opens a second extent, which starts at the space
+	// manager's next free LPN, not right after the first extent.
+	taken := mgr.AllocateLPNs(1)
+	if taken != first+core.LPN(extent) {
+		t.Fatalf("the manager handed out lpn %d after the extent, want %d", taken, first+core.LPN(extent))
 	}
-	if ts.Extents() != 2 {
-		t.Errorf("extents = %d, want 2", ts.Extents())
-	}
-	if ts.AllocatedPages() != extent+1 {
-		t.Errorf("allocated pages = %d, want %d", ts.AllocatedPages(), extent+1)
+	if next := ts.AllocatePage(); next != taken+1 {
+		t.Errorf("page %d = lpn %d, want %d (the first of a new extent)", extent, next, taken+1)
 	}
 }
 
@@ -99,14 +90,5 @@ func TestTablespaceDistinctTablespacesDoNotOverlap(t *testing.T) {
 			t.Fatalf("lpn %d handed to both %s and B", lb, owner)
 		}
 		seen[lb] = "B"
-	}
-}
-
-func TestTablespaceString(t *testing.T) {
-	mgr := newTestManager(t)
-	ts := NewTablespace("tsStr", core.RegionID(2), 16, mgr)
-	s := ts.String()
-	if !strings.Contains(s, "tsStr") || !strings.Contains(s, "16") {
-		t.Errorf("String() = %q: missing name or extent size", s)
 	}
 }

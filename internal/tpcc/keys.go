@@ -7,7 +7,8 @@ import (
 )
 
 // Index key constructors.  All keys are order-preserving composite keys so
-// range and prefix scans work (see btree.KeyBuilder); each appends to dst.
+// range and prefix scans work (big-endian uint32 components from
+// noftl.AppendKey, strings terminated with a 0 byte); each appends to dst.
 
 func warehouseKey(dst []byte, w int) []byte               { return key(dst, w) }
 func districtKey(dst []byte, w, d int) []byte             { return key(dst, w, d) }
@@ -28,8 +29,8 @@ func customerNameKey(dst []byte, w, d int, last string, c int) []byte {
 	return key(customerNamePrefix(dst, w, d, last), c)
 }
 
-// Scan prefixes: the customers with a last name (a KeyBuilder string, the
-// name and a 0 terminator), the undelivered orders of a district, the orders
+// Scan prefixes: the customers with a last name (the name and a 0
+// terminator), the undelivered orders of a district, the orders
 // of a customer and the lines of one order.
 func customerNamePrefix(dst []byte, w, d int, last string) []byte {
 	return append(append(key(dst, w, d), last...), 0)

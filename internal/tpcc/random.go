@@ -73,19 +73,6 @@ var lastNames = func() (names [1000]string) {
 // lastName returns the customer last name for a number in [0, 999].
 func lastName(num int) string { return lastNames[num%1000] }
 
-// lastNameLoad draws the last-name number used while loading (uniform over
-// the scaled name space so every name exists).
-func (r *rng) lastNameLoad(customers int) string {
-	limit := 999
-	if customers < 1000 {
-		limit = customers - 1
-		if limit < 0 {
-			limit = 0
-		}
-	}
-	return lastName(r.uniform(0, limit))
-}
-
 // lastNameRun draws the last-name number used at run time (NURand 255).
 func (r *rng) lastNameRun(customers int) string {
 	limit := 999

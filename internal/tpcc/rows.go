@@ -257,18 +257,6 @@ func (h History) Encode(dst []byte) []byte {
 	return fw
 }
 
-// DecodeHistory deserializes a history row.
-func DecodeHistory(b []byte) (h History, err error) {
-	if len(b) < historySize {
-		return h, fmt.Errorf("tpcc: short HISTORY row (%d bytes)", len(b))
-	}
-	r := fieldReader{buf: b}
-	h.CID, h.CDID, h.CWID, h.DID, h.WID = r.u32(), r.u32(), r.u32(), r.u32(), r.u32()
-	h.Date, h.Amount = r.i64(), r.i64()
-	r.text(h.Data[:])
-	return h, nil
-}
-
 // NewOrder row.
 type NewOrder struct {
 	OID uint32

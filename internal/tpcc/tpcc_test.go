@@ -38,6 +38,7 @@ type encoder interface{ Encode(dst []byte) []byte }
 
 // rowCase is one row type: the row built by rowCases, its width, and its
 // decoder, as a value (decode) and discarding it (check, which boxes nothing).
+// HISTORY has no decoder: TPC-C writes it and never reads it back.
 type rowCase struct {
 	table  string
 	size   int
@@ -84,7 +85,7 @@ func rowCases(s func(width int) string) []rowCase {
 		newRowCase("WAREHOUSE", warehouseSize, w, DecodeWarehouse),
 		newRowCase("DISTRICT", districtSize, d, DecodeDistrict),
 		newRowCase("CUSTOMER", customerSize, c, DecodeCustomer),
-		newRowCase("HISTORY", historySize, h, DecodeHistory),
+		{table: "HISTORY", size: historySize, row: h},
 		newRowCase("NEW_ORDER", newOrderSize, NewOrder{OID: 9, DID: 2, WID: 3}, DecodeNewOrder),
 		newRowCase("ORDER", orderSize, Order{OID: 1, DID: 2, WID: 3, CID: 4, EntryDate: -5, CarrierID: 6, OLCount: 15, AllLocal: 1}, DecodeOrder),
 		newRowCase("ORDERLINE", orderLineSize, ol, DecodeOrderLine),
@@ -93,13 +94,19 @@ func rowCases(s func(width int) string) []rowCase {
 	}
 }
 
-// TestRowCodecsRoundTrip: each of the nine rows decodes to itself, its
-// encoding is the row's width, and a buffer short of it is refused.
+// TestRowCodecsRoundTrip: each of the nine rows encodes to the row's width,
+// each row TPC-C reads decodes to itself, and a buffer short of it is refused.
 func TestRowCodecsRoundTrip(t *testing.T) {
 	for _, c := range rowCases(func(w int) string { return strings.Repeat("h", w/2) }) {
 		enc := c.row.Encode(nil)
-		if got, err := c.decode(enc); err != nil || got != c.row || len(enc) != c.size {
-			t.Errorf("%s: %d bytes decode to %+v (%v), want %d bytes of %+v", c.table, len(enc), got, err, c.size, c.row)
+		if len(enc) != c.size {
+			t.Errorf("%s: encodes to %d bytes, want %d", c.table, len(enc), c.size)
+		}
+		if c.decode == nil {
+			continue
+		}
+		if got, err := c.decode(enc); err != nil || got != c.row {
+			t.Errorf("%s: decodes to %+v (%v), want %+v", c.table, got, err, c.row)
 		}
 		if err := c.check(enc[:c.size-1]); err == nil {
 			t.Errorf("%s: short row accepted", c.table)
@@ -107,9 +114,9 @@ func TestRowCodecsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRowCodecsStringWidths round-trips all nine row types with every text
-// field empty, filled to its full width, starting with a NUL, and ending in
-// NULs, which a fixed-width field cannot tell from its padding: they decode
+// TestRowCodecsStringWidths round-trips the row types TPC-C reads with every
+// text field empty, filled to its full width, starting with a NUL, and ending
+// in NULs, which a fixed-width field cannot tell from its padding: they decode
 // as the padding.
 func TestRowCodecsStringWidths(t *testing.T) {
 	fills := map[string]func(width int) (enc, dec string){
@@ -130,6 +137,9 @@ func TestRowCodecsStringWidths(t *testing.T) {
 	for name, fill := range fills {
 		want := rowCases(func(w int) string { _, s := fill(w); return s })
 		for i, c := range rowCases(func(w int) string { s, _ := fill(w); return s }) {
+			if c.decode == nil {
+				continue
+			}
 			if got, err := c.decode(c.row.Encode(nil)); err != nil || got != want[i].row {
 				t.Errorf("%s, %s strings: decoded %+v (%v), want %+v", c.table, name, got, err, want[i].row)
 			}
@@ -146,6 +156,9 @@ func TestRowCodecsStringWidths(t *testing.T) {
 // a value of fixed-width fields and allocates nothing.
 func TestDecodeAllocatesNothing(t *testing.T) {
 	for _, c := range rowCases(func(w int) string { return strings.Repeat("x", w) }) {
+		if c.check == nil {
+			continue
+		}
 		enc := c.row.Encode(nil)
 		if n := testing.AllocsPerRun(100, func() {
 			if err := c.check(enc); err != nil {
@@ -157,7 +170,7 @@ func TestDecodeAllocatesNothing(t *testing.T) {
 	}
 }
 
-// FuzzRowCodec: for each of the nine row types, any input of the row's width
+// FuzzRowCodec: for each row type TPC-C reads, any input of the row's width
 // (the fuzzed bytes, NUL-padded or cut to it) decodes and re-encodes to itself
 // byte for byte, embedded and trailing NULs included.
 func FuzzRowCodec(f *testing.F) {
@@ -167,6 +180,9 @@ func FuzzRowCodec(f *testing.F) {
 	cases := rowCases(func(int) string { return "" })
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, c := range cases {
+			if c.decode == nil {
+				continue
+			}
 			in := make([]byte, c.size)
 			copy(in, data)
 			row, err := c.decode(in)
@@ -259,7 +275,7 @@ func TestLockNames(t *testing.T) {
 		}
 	}
 	var buf [maxKeySize]byte
-	want := noftl.NewKeyBuilder().AddUint32(1).AddUint32(2).AddString("BARBARBAR").AddUint32(3).Bytes()
+	want := noftl.AppendKey(append(noftl.Key(1, 2), "BARBARBAR\x00"...), 3)
 	if got := customerNameKey([]byte("dst"), 1, 2, "BARBARBAR", 3); !bytes.Equal(got, append([]byte("dst"), want...)) {
 		t.Errorf("customerNameKey = %x, want dst then %x", got, want)
 	}
@@ -354,9 +370,6 @@ func TestRandomHelpers(t *testing.T) {
 	}
 	if n := r.lastNameRun(300); n == "" {
 		t.Fatal("empty run last name")
-	}
-	if n := r.lastNameLoad(300); n == "" {
-		t.Fatal("empty load last name")
 	}
 	found := false
 	for i := 0; i < 200; i++ {

@@ -250,11 +250,6 @@ func (l *Log) ResetCounters() {
 	l.pagesTrimmed = 0
 }
 
-// NextLSN returns the LSN the next appended record will receive.
-func (l *Log) NextLSN() uint64 {
-	return l.nextLSN
-}
-
 // SeedNextLSN makes the log continue at last+2.  Recovery calls it on the
 // fresh log, before anything is appended, with the highest LSN the crashed
 // instance's log pages carry; skipping one LSN keeps the new run from ever

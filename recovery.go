@@ -246,7 +246,6 @@ func (db *DB) applyMark(p []byte, st *restored) error {
 			return errors.New("last checkpoint carries no state (light checkpoints give up crash recovery)")
 		}
 		db.txns.SeedNextID(st.head.NextTxnID)
-		return db.space.SetGCPolicy(core.DefaultRegionName, st.head.DefaultGC)
 	case markRegion:
 		var spec RegionSpec
 		if err = json.Unmarshal(body, &spec); err == nil {

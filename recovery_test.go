@@ -641,7 +641,7 @@ func TestCrashRightAfterDDLCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = db.Exec(`
-		CREATE REGION rgHot (MAX_CHIPS=2, GC_POLICY=COST_BENEFIT, GC_STEP_PAGES=4);
+		CREATE REGION rgHot (MAX_CHIPS=2, GC_POLICY=COST_BENEFIT);
 		CREATE TABLESPACE tsHot (REGION=rgHot, EXTENT SIZE 16K);
 		CREATE TABLE A (a NUMBER(3)) TABLESPACE tsHot;
 		CREATE TABLE B (b NUMBER(3));

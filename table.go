@@ -362,12 +362,6 @@ func Key(parts ...uint32) []byte { return btree.Key(parts...) }
 // reuses one key buffer.
 func AppendKey(dst []byte, parts ...uint32) []byte { return btree.AppendKey(dst, parts...) }
 
-// KeyBuilder re-exports the composite-key builder.
-type KeyBuilder = btree.KeyBuilder
-
-// NewKeyBuilder returns an empty composite-key builder.
-func NewKeyBuilder() *KeyBuilder { return btree.NewKeyBuilder() }
-
 // RegionSpec, Hint and the statistics snapshots re-export the core types used
 // through the public API.
 type (
