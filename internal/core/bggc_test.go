@@ -93,6 +93,39 @@ func TestBackgroundGCStepsAreBounded(t *testing.T) {
 	}
 }
 
+// TestBackgroundGCRunsAfterResetCounters: ResetCounters restarts the die
+// timelines with the virtual clock, and with them the horizons background GC
+// waits behind, so writes from t = 0 after the reset are still collected in
+// background steps.  A horizon left in the old time frame kept every die
+// "busy" for the rest of the run and turned all collection into stalls.
+func TestBackgroundGCRunsAfterResetCounters(t *testing.T) {
+	dev := smallDevice(t, 1, 16, 8)
+	opts := DefaultOptions()
+	opts.OverprovisionPct = 0.3
+	m := NewManager(dev, opts)
+	const pages = 60
+	start := m.AllocateLPNs(pages)
+	rng := sim.NewRand(1)
+	overwrite := func(n int) {
+		t.Helper()
+		now := sim.Time(0)
+		for w := 0; w < n; w++ {
+			done, err := m.WritePage(now, start+LPN(rng.Intn(pages)), fillPage(dev, byte(w)), Hint{})
+			if err != nil {
+				t.Fatalf("write %d: %v", w, err)
+			}
+			now = done
+		}
+	}
+	overwrite(600)
+	m.ResetCounters()
+	overwrite(200)
+	if st := m.Stats(); st.BGGCSteps == 0 || st.GCStalls != 0 {
+		t.Fatalf("after the reset: %d background steps, %d foreground stalls (die 0 idle at %v), want steps and no stalls",
+			st.BGGCSteps, st.GCStalls, m.sched.DieIdleAt(0))
+	}
+}
+
 // TestBackgroundGCDrainsDebt: a victim background GC takes at the low
 // watermark is collected by the writes that follow, before the die needs a
 // foreground collection, so a heavy overwrite workload leaves every die above

@@ -18,17 +18,17 @@
 // one-element entries ReadPage, WritePage) and the GC copyback batches all
 // go through it; a single command is a batch of one.
 //
+// The device counts the commands; the scheduler counts only its batches.
 // Requests carry a priority class (host read, host write, GC/copyback), which
-// labels the scheduler's counters and latency histograms.  It does not order
-// anything: no caller mixes classes in one batch (host reads, host writes and
-// GC copybacks are each submitted alone), and a dispatch drains each die's
-// requests in submission order.  Once a batch is dispatched its device time is
-// reserved, exactly as hardware cannot abort an in-flight program.  A later
-// dispatch is served around those reservations — in the idle time before them
-// when its cursor arrives earlier, behind them otherwise — whatever its class;
-// it never displaces one.  Equally long commands of one dispatch to one die
-// (the programs of a block) keep their submission order: each takes the
-// earliest idle stretch the one before left.
+// labels their trace events and orders nothing: no caller mixes classes in one
+// batch (host reads, host writes and GC copybacks are each submitted alone),
+// and a dispatch drains each die's requests in submission order.  Once a batch
+// is dispatched its device time is reserved, exactly as hardware cannot abort
+// an in-flight program.  A later dispatch is served around those reservations
+// — in the idle time before them when its cursor arrives earlier, behind them
+// otherwise — whatever its class; it never displaces one.  Equally long
+// commands of one dispatch to one die (the programs of a block) keep their
+// submission order: each takes the earliest idle stretch the one before left.
 // DieIdleAt stays the end of everything dispatched to a die, not its first
 // idle instant: background GC aims behind all known work.
 package iosched
@@ -36,7 +36,6 @@ package iosched
 import (
 	"cmp"
 	"slices"
-	"strconv"
 
 	"noftl/internal/flash"
 	"noftl/internal/metrics"
@@ -44,7 +43,7 @@ import (
 	"noftl/internal/sim"
 )
 
-// Priority is the class of a request: it labels the scheduler's counters.
+// Priority is the class of a request: it labels the request's trace event.
 type Priority uint8
 
 const (
@@ -54,22 +53,7 @@ const (
 	PrioHostWrite
 	// PrioGC covers garbage-collection copyback, relocation and erase work.
 	PrioGC
-	numPriorities
 )
-
-// String returns the metric suffix of the priority class.
-func (p Priority) String() string {
-	switch p {
-	case PrioHostRead:
-		return "host_read"
-	case PrioHostWrite:
-		return "host_write"
-	case PrioGC:
-		return "gc"
-	default:
-		return "unknown"
-	}
-}
 
 // Op identifies the flash command a request performs.
 type Op uint8
@@ -107,8 +91,7 @@ type Request struct {
 	Meta flash.PageMeta
 	// Priority is the request's class.
 	Priority Priority
-	// Tag is an opaque caller value (e.g. the LPN) carried into the
-	// Completion.
+	// Tag is an opaque caller value (e.g. the LPN) for the trace event.
 	Tag uint64
 	// NotBefore, when later than the batch's submission time, is the earliest
 	// time the command may be issued: a program waits for the foreground
@@ -126,10 +109,6 @@ func (r Request) die() int {
 
 // Completion is the result of one request.
 type Completion struct {
-	// Op, Priority and Tag are copied from the request.
-	Op       Op
-	Priority Priority
-	Tag      uint64
 	// Data is the page read by OpReadPage (nil otherwise or on error).
 	Data []byte
 	// Meta is the metadata read by OpReadPage, or the metadata
@@ -143,30 +122,14 @@ type Completion struct {
 	Err error
 }
 
-// Device is the narrow flash interface the scheduler drives.  *flash.Device
-// satisfies it; tests may substitute fakes.
-type Device interface {
-	Geometry() flash.Geometry
-	ReadPage(now sim.Time, addr flash.Addr, buf []byte) ([]byte, flash.PageMeta, sim.Time, error)
-	ProgramPage(now sim.Time, addr flash.Addr, data []byte, meta flash.PageMeta) (sim.Time, error)
-	EraseBlock(now sim.Time, b flash.BlockAddr) (sim.Time, error)
-	Copyback(now sim.Time, src, dst flash.Addr) (flash.PageMeta, sim.Time, error)
-}
-
 // Scheduler is the I/O scheduler.  It is not safe for concurrent use: the
 // device model's virtual-time resources (per-die, per-channel) do all
 // contention accounting.
 type Scheduler struct {
-	dev       Device
-	geo       flash.Geometry
-	busyUntil []sim.Time // per-die completion horizon
+	dev       *flash.Device
+	busyUntil []sim.Time // per-die completion horizon (a read's includes its channel transfer)
 
-	// Counters.  The registry children (bind) are resolved once per
-	// (priority, die), so the dispatch loop never touches the registry's
-	// maps; Stats is computed from them.  The batch high-water mark has no
-	// family and stays a plain gauge.
-	reqs     [numPriorities][]*metrics.Counter // [prio][die]
-	lat      [numPriorities]*metrics.Histogram
+	// The batch high-water mark has no family and stays a plain gauge.
 	batches  *metrics.Counter
 	maxBatch metrics.Gauge
 
@@ -174,92 +137,42 @@ type Scheduler struct {
 }
 
 // New creates a scheduler over the device.
-func New(dev Device) *Scheduler {
+func New(dev *flash.Device) *Scheduler {
 	s := &Scheduler{
 		dev:       dev,
-		geo:       dev.Geometry(),
 		busyUntil: make([]sim.Time, dev.Geometry().Dies()),
 	}
 	s.bind(metrics.NewRegistry())
 	return s
 }
 
-// bind resolves the scheduler's children of its metric families on reg.
+// bind resolves the scheduler's batch counter on reg.
 func (s *Scheduler) bind(reg *metrics.Registry) {
-	reqs := reg.Counter("noftl_iosched_requests_total",
-		"Flash commands dispatched by the I/O scheduler.", "die", "priority")
-	lat := reg.Histogram("noftl_iosched_request_latency_seconds",
-		"Virtual-time flash command latency by scheduler priority.", "priority")
-	dies := s.geo.Dies()
-	for p := Priority(0); p < numPriorities; p++ {
-		s.reqs[p] = make([]*metrics.Counter, dies)
-		for d := 0; d < dies; d++ {
-			s.reqs[p][d] = reqs.With(strconv.Itoa(d), p.String())
-		}
-		s.lat[p] = lat.With(p.String())
-	}
 	s.batches = reg.Counter("noftl_iosched_batches_total",
 		"Request batches dispatched by the I/O scheduler.").With()
 }
 
 // AttachObs wires the scheduler to the observability plane: flash-command
-// trace events go to tr (nil = tracing off) and the counters are re-bound to
-// the shared registry reg, so they appear in the database's /metrics.  Call
-// before serving traffic: counts taken before the call stay behind on the
+// trace events go to tr (nil = tracing off) and the batch counter is re-bound
+// to the shared registry reg, so it appears in the database's /metrics.  Call
+// before serving traffic: batches counted before the call stay behind on the
 // scheduler's private registry.
 func (s *Scheduler) AttachObs(tr *obs.Tracer, reg *metrics.Registry) {
 	s.tracer = tr
 	s.bind(reg)
 }
 
-// Stats is a snapshot of the scheduler's counters, computed from its metric
-// children (the per-priority totals are sums over the dies).  The facade
-// converts it to noftl.SchedulerStats, which documents the fields.
-type Stats struct {
-	Batches    int64 // dispatches (one Submit, one or more requests)
-	Requests   int64 // flash commands dispatched
-	MaxBatch   int64
-	HostReads  int64 // requests per priority class
-	HostWrites int64
-	GC         int64
-	// Latency of the successful commands of each priority class.
-	HostReadLatency  metrics.Snapshot
-	HostWriteLatency metrics.Snapshot
-	GCLatency        metrics.Snapshot
+// Batches returns the number of batches dispatched and the largest of them.
+func (s *Scheduler) Batches() (n, largest int64) {
+	return s.batches.Value(), s.maxBatch.Value()
 }
 
-// Stats returns a snapshot of the scheduler's counters.
-func (s *Scheduler) Stats() Stats {
-	var byPrio [numPriorities]int64
-	for p := range s.reqs {
-		for _, c := range s.reqs[p] {
-			byPrio[p] += c.Value()
-		}
-	}
-	return Stats{
-		Batches:          s.batches.Value(),
-		Requests:         byPrio[PrioHostRead] + byPrio[PrioHostWrite] + byPrio[PrioGC],
-		MaxBatch:         s.maxBatch.Value(),
-		HostReads:        byPrio[PrioHostRead],
-		HostWrites:       byPrio[PrioHostWrite],
-		GC:               byPrio[PrioGC],
-		HostReadLatency:  s.lat[PrioHostRead].Snapshot(),
-		HostWriteLatency: s.lat[PrioHostWrite].Snapshot(),
-		GCLatency:        s.lat[PrioGC].Snapshot(),
-	}
-}
-
-// ResetCounters zeroes every counter, latency histogram and high-water mark
-// (after warm-up); die horizons are untouched.
+// ResetCounters zeroes the batch counts and every die's completion horizon:
+// the device's die timelines restart with its counters (after warm-up).
 func (s *Scheduler) ResetCounters() {
-	for p := range s.reqs {
-		for _, c := range s.reqs[p] {
-			c.Reset()
-		}
-		s.lat[p].Reset()
-	}
 	s.batches.Reset()
 	s.maxBatch.Set(0)
+	clear(s.busyUntil)
 }
 
 // Submit dispatches a batch of requests starting at the caller's virtual time
@@ -313,7 +226,7 @@ func (s *Scheduler) SubmitAppend(dst []Completion, now sim.Time, reqs []Request)
 		}
 		req := reqs[i]
 		at := max(now, req.NotBefore)
-		c := Completion{Op: req.Op, Priority: req.Priority, Tag: req.Tag}
+		var c Completion
 		switch req.Op {
 		case OpReadPage:
 			c.Data, c.Meta, c.Done, c.Err = s.dev.ReadPage(at, req.Addr, req.Buf)
@@ -331,14 +244,6 @@ func (s *Scheduler) SubmitAppend(dst []Completion, now sim.Time, reqs []Request)
 		}
 		if d := req.die(); d >= 0 && d < len(s.busyUntil) {
 			s.busyUntil[d] = max(s.busyUntil[d], c.Done)
-		}
-		if c.Err == nil {
-			s.lat[req.Priority].Observe(c.Done.Sub(at))
-		}
-		// A command addressed to a die the geometry does not have was refused
-		// by the device without reaching a die; it is not counted.
-		if d := req.die(); d >= 0 && d < len(s.reqs[req.Priority]) {
-			s.reqs[req.Priority][d].Inc()
 		}
 		if s.tracer.Enabled() && c.Err == nil {
 			ev := obs.Event{

@@ -263,37 +263,36 @@ func TestNotBeforeDelaysOnlyItsRequest(t *testing.T) {
 	if end != cs[0].Done {
 		t.Errorf("makespan %v, want %v", end, cs[0].Done)
 	}
-	// The latency of a command counts from when it could be issued.
-	if lat := s.Stats().HostWriteLatency; lat.Max != program {
-		t.Errorf("host write latency max %v, want %v", lat.Max, program)
+	// A command is served from when it could be issued.
+	if lat := cs[0].Done.Sub(stall); lat != program {
+		t.Errorf("stalled program took %v from NotBefore, want %v", lat, program)
 	}
 }
 
 func TestSchedulerMetrics(t *testing.T) {
 	dev := testDevice(t)
-	program(t, dev, 0, 1)
+	program(t, dev, 0, 2)
 	resetTime(dev)
 	s := New(dev)
 	s.Submit(0, []Request{{Op: OpReadPage, Addr: flash.Addr{Die: 0, Block: 0, Page: 0}, Priority: PrioHostRead}})
-	st := s.Stats()
-	if st.Batches != 1 {
-		t.Errorf("batches = %d, want 1", st.Batches)
+	s.Submit(0, []Request{
+		{Op: OpReadPage, Addr: flash.Addr{Die: 0, Block: 0, Page: 1}, Priority: PrioHostRead},
+		{Op: OpReadPage, Addr: flash.Addr{Die: 1, Block: 0, Page: 0}, Priority: PrioHostRead},
+	})
+	if n, largest := s.Batches(); n != 2 || largest != 2 {
+		t.Errorf("batches = %d, largest %d, want 2 and 2", n, largest)
 	}
-	if st.Requests != 1 {
-		t.Errorf("requests = %d, want 1", st.Requests)
-	}
-	if st.HostReads != 1 || st.HostWrites != 0 || st.GC != 0 {
-		t.Errorf("requests by priority = %d/%d/%d, want 1/0/0", st.HostReads, st.HostWrites, st.GC)
-	}
-	if got := st.HostReadLatency.Count; got != 1 {
-		t.Errorf("host_read latency observations = %d, want 1", got)
-	}
-	if st.MaxBatch != 1 {
-		t.Errorf("max batch = %d, want 1", st.MaxBatch)
+	if s.DieIdleAt(0) == 0 {
+		t.Fatal("die 0 served two reads and is idle at 0")
 	}
 	s.ResetCounters()
-	if st := s.Stats(); st.Batches != 0 || st.Requests != 0 || st.HostReadLatency.Count != 0 || st.MaxBatch != 0 {
-		t.Errorf("ResetCounters left %+v", st)
+	if n, largest := s.Batches(); n != 0 || largest != 0 {
+		t.Errorf("ResetCounters left %d batches, largest %d", n, largest)
+	}
+	for d := range dev.Geometry().Dies() {
+		if at := s.DieIdleAt(d); at != 0 {
+			t.Errorf("ResetCounters left die %d idle at %v, want 0 with the device's timelines", d, at)
+		}
 	}
 }
 

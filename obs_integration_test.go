@@ -314,17 +314,17 @@ func checkStatsEqualMetrics(t *testing.T, db *DB, stage string) Stats {
 	eq(int64(st.Buffer.Resident), "noftl_buffer_resident_pages")
 	eq(int64(st.Buffer.Dirty), "noftl_buffer_dirty_pages")
 
+	// The scheduler counts batches; its command counts are the device's.
 	sc := st.Scheduler
 	eq(sc.Batches, "noftl_iosched_batches_total")
-	eq(sc.Requests, "noftl_iosched_requests_total")
-	eq(sc.HostReads, "noftl_iosched_requests_total", "priority", "host_read")
-	eq(sc.HostWrites, "noftl_iosched_requests_total", "priority", "host_write")
-	eq(sc.GC, "noftl_iosched_requests_total", "priority", "gc")
+	eq(sc.HostReads, "noftl_device_reads_total")
+	eq(sc.HostWrites, "noftl_device_programs_total")
+	if gc := st.Device.Copybacks + st.Device.Erases; sc.GC != gc || sc.Requests != sc.HostReads+sc.HostWrites+gc {
+		t.Errorf("%s: scheduler GC %d and requests %d, the device's copybacks + erases %d and their sum with reads and programs %d",
+			stage, sc.GC, sc.Requests, gc, sc.HostReads+sc.HostWrites+gc)
+	}
 	eq(sc.GCSteps, "noftl_region_bggc_steps_total")
 	eq(sc.GCStalls, "noftl_region_gc_stalls_total")
-	eq(sc.HostReadLatency.Count, "noftl_iosched_request_latency_seconds_count", "priority", "host_read")
-	eq(sc.HostWriteLatency.Count, "noftl_iosched_request_latency_seconds_count", "priority", "host_write")
-	eq(sc.GCLatency.Count, "noftl_iosched_request_latency_seconds_count", "priority", "gc")
 
 	sp := st.Space
 	eq(sp.HostReads, "noftl_region_host_reads_total")
@@ -452,7 +452,9 @@ func TestStatsEqualsMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	db.Admin().ArmFaults(FaultPlan{Seed: 3, FailProgramEvery: 211})
+	const failEvery = 211
+	db.Admin().ArmFaults(FaultPlan{Seed: 3, FailProgramEvery: failEvery})
+	armed := db.Stats().Device
 	obsWorkload(t, db, 150, 8)
 	tbl, _ := db.Table("H")
 	readAll := func() {
@@ -482,12 +484,7 @@ func TestStatsEqualsMetrics(t *testing.T) {
 			t.Fatalf("%s has no device-side record of the churn: %+v", name, st.Objects)
 		}
 	}
-	// Every host-priority program is a WritePage(s) of some region, counted
-	// there once it succeeds: the surplus is the injected program faults.
-	if st.Scheduler.HostWrites <= st.Space.HostWrites {
-		t.Fatalf("no program fault fired: %d host-write requests for %d host writes",
-			st.Scheduler.HostWrites, st.Space.HostWrites)
-	}
+	requireProgramFault(t, armed, st.Device, failEvery)
 
 	db.ResetStatistics()
 	st = checkStatsEqualMetrics(t, db, "after reset")
@@ -696,11 +693,20 @@ func TestBatchedWritesSurviveProgramFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	db.Admin().ArmFaults(FaultPlan{FailProgramEvery: 13})
+	const failEvery = 13
+	db.Admin().ArmFaults(FaultPlan{FailProgramEvery: failEvery})
+	armed := db.Stats().Device
 	batchIOWorkload(t, db, 1000)
-	st := db.Stats()
-	if st.Scheduler.HostWrites <= st.Space.HostWrites {
-		t.Fatalf("no program fault fired: %d host-write requests for %d host writes",
-			st.Scheduler.HostWrites, st.Space.HostWrites)
+	requireProgramFault(t, armed, db.Stats().Device, failEvery)
+}
+
+// requireProgramFault fails the test unless a plan refusing every failEvery-th
+// program or copyback attempt since arming (the device at armed) refused one:
+// the device counts only the commands it carried out, so at least failEvery of
+// them since arming means the failEvery-th attempt came and was refused.
+func requireProgramFault(t *testing.T, armed, now flash.Stats, failEvery int64) {
+	t.Helper()
+	if n := now.Programs + now.Copybacks - armed.Programs - armed.Copybacks; n < failEvery {
+		t.Fatalf("no program fault fired: %d programs and copybacks since arming, the plan refuses every %dth", n, failEvery)
 	}
 }

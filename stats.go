@@ -59,11 +59,14 @@ type SchedulerStats struct {
 	// Batches counts scheduler submissions (one Submit dispatch, covering
 	// one or more requests).
 	Batches int64
-	// Requests counts individual flash commands dispatched.
+	// Requests counts the flash commands the device carried out:
+	// HostReads + HostWrites + GC.
 	Requests int64
 	// MaxBatch is the largest batch dispatched so far.
 	MaxBatch int64
-	// HostReads, HostWrites and GC count requests per priority class.
+	// HostReads, HostWrites and GC count commands per class.  They are the
+	// device's counts: Device.Reads, Device.Programs and Device.Copybacks +
+	// Device.Erases.
 	HostReads  int64
 	HostWrites int64
 	GC         int64
@@ -72,11 +75,6 @@ type SchedulerStats struct {
 	// which the space manager counts per region.
 	GCSteps  int64
 	GCStalls int64
-	// HostReadLatency, HostWriteLatency and GCLatency summarise the
-	// virtual-time latency of the successful commands of each class.
-	HostReadLatency  metrics.Snapshot
-	HostWriteLatency metrics.Snapshot
-	GCLatency        metrics.Snapshot
 }
 
 // TraceStats is a snapshot of the event tracer's counters (all zero when
@@ -188,7 +186,9 @@ func (db *DB) Stats() Stats {
 	space := db.space.Stats()
 	read, write := db.space.HostLatency()
 	lockStats := db.txns.LockManager().Stats()
-	sc := db.space.Scheduler().Stats()
+	batches, maxBatch := db.space.Scheduler().Batches()
+	dev := db.dev.Stats()
+	gc := dev.Copybacks + dev.Erases
 	st := Stats{
 		Simulated:    time.Duration(db.clock.Now()),
 		TxnStarted:   db.txns.Started(),
@@ -202,14 +202,12 @@ func (db *DB) Stats() Stats {
 		},
 		Buffer: db.pool.Stats(),
 		Scheduler: SchedulerStats{
-			Batches: sc.Batches, Requests: sc.Requests, MaxBatch: sc.MaxBatch,
-			HostReads: sc.HostReads, HostWrites: sc.HostWrites, GC: sc.GC,
+			Batches: batches, Requests: dev.Reads + dev.Programs + gc, MaxBatch: maxBatch,
+			HostReads: dev.Reads, HostWrites: dev.Programs, GC: gc,
 			GCSteps: space.BGGCSteps, GCStalls: space.GCStalls,
-			HostReadLatency: sc.HostReadLatency, HostWriteLatency: sc.HostWriteLatency,
-			GCLatency: sc.GCLatency,
 		},
 		Space:        space,
-		Device:       db.dev.Stats(),
+		Device:       dev,
 		Objects:      db.space.ObjectStats(),
 		ReadLatency:  read,
 		WriteLatency: write,
