@@ -29,6 +29,11 @@ const (
 	slotSize              = 4
 	// deletedSlotOffset marks a slot whose record has been deleted.
 	deletedSlotOffset uint16 = 0xFFFF
+	// flagDeleted, in the header's flags byte, marks a page that may hold a
+	// deleted slot.  While it is clear the page holds none, so an insert
+	// appends a slot without scanning the directory; heap tail pages and log
+	// pages never set it.
+	flagDeleted uint8 = 1
 )
 
 // Errors returned by the slotted-page codec.
@@ -100,8 +105,7 @@ func SlotCount(buf []byte) int {
 	return int(binary.LittleEndian.Uint16(buf[offSlotCount:]))
 }
 
-func freeStart(buf []byte) int { return int(binary.LittleEndian.Uint16(buf[offFreeStart:])) }
-func freeEnd(buf []byte) int   { return int(binary.LittleEndian.Uint16(buf[offFreeEnd:])) }
+func freeEnd(buf []byte) int { return int(binary.LittleEndian.Uint16(buf[offFreeEnd:])) }
 
 func setSlotCount(buf []byte, n int) { binary.LittleEndian.PutUint16(buf[offSlotCount:], uint16(n)) }
 func setFreeEnd(buf []byte, n int)   { binary.LittleEndian.PutUint16(buf[offFreeEnd:], uint16(n)) }
@@ -125,26 +129,31 @@ func FreeSpace(buf []byte) int {
 	if !IsFormatted(buf) {
 		return 0
 	}
-	contiguous := freeEnd(buf) - freeStart(buf) - slotSize*SlotCount(buf)
-	free := contiguous + deletedBytes(buf)
-	free -= slotSize // the new record needs its own slot
-	if free < 0 {
-		return 0
-	}
-	return free
+	_, deleted := deletedSlots(buf)
+	return max(gap(buf)+deleted-slotSize, 0) // the new record needs its own slot
 }
 
-// deletedBytes sums the payload bytes of deleted records (reclaimable by
-// compaction).
-func deletedBytes(buf []byte) int {
-	total := 0
-	for s := 0; s < SlotCount(buf); s++ {
-		off, length := readSlot(buf, s)
-		if off == deletedSlotOffset {
-			total += int(length)
+// gap returns the contiguous free bytes between the slot directory and the
+// records.
+func gap(buf []byte) int { return freeEnd(buf) - PageHeaderSize - slotSize*SlotCount(buf) }
+
+// deletedSlots returns the lowest deleted slot (-1 if there is none) and the
+// payload bytes of deleted records (reclaimable by compaction).  It scans the
+// slot directory only while flagDeleted is set.
+func deletedSlots(buf []byte) (lowest, deleted int) {
+	lowest = -1
+	if buf[offFlags]&flagDeleted == 0 {
+		return lowest, 0
+	}
+	for s := range SlotCount(buf) {
+		if off, length := readSlot(buf, s); off == deletedSlotOffset {
+			deleted += int(length)
+			if lowest < 0 {
+				lowest = s
+			}
 		}
 	}
-	return total
+	return lowest, deleted
 }
 
 // NumRecords returns the number of live (non-deleted) records.
@@ -176,32 +185,20 @@ func AllocRecord(buf []byte, n int) (uint16, []byte, error) {
 	if n > len(buf)-PageHeaderSize-slotSize {
 		return 0, nil, fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, n)
 	}
-	// Find a reusable slot (deleted) or plan to append a new one.
-	slot := -1
-	for s := 0; s < SlotCount(buf); s++ {
-		if off, _ := readSlot(buf, s); off == deletedSlotOffset {
-			slot = s
-			break
-		}
-	}
-	newSlot := slot < 0
+	// Reuse the lowest deleted slot, or append a new one.
+	slot, deleted := deletedSlots(buf)
 	needed := n
-	if newSlot {
-		needed += slotSize
+	if slot < 0 {
+		slot, needed = SlotCount(buf), n+slotSize
+		buf[offFlags] &^= flagDeleted
 	}
-	contiguous := freeEnd(buf) - freeStart(buf) - slotSize*SlotCount(buf)
-	if contiguous < needed {
-		if contiguous+deletedBytes(buf) < needed {
+	if free := gap(buf); free < needed {
+		if free+deleted < needed {
 			return 0, nil, ErrPageFull
 		}
 		compact(buf)
-		contiguous = freeEnd(buf) - freeStart(buf) - slotSize*SlotCount(buf)
-		if contiguous < needed {
-			return 0, nil, ErrPageFull
-		}
 	}
-	if newSlot {
-		slot = SlotCount(buf)
+	if slot == SlotCount(buf) {
 		setSlotCount(buf, slot+1)
 	}
 	newEnd := freeEnd(buf) - n
@@ -257,9 +254,9 @@ func UpdateRecord(buf []byte, slot uint16, rec []byte) error {
 	// Relocate within the page: mark old space deleted, insert anew, keep
 	// the same slot number.
 	writeSlot(buf, int(slot), deletedSlotOffset, length)
-	contiguous := freeEnd(buf) - freeStart(buf) - slotSize*SlotCount(buf)
-	if contiguous < len(rec) {
-		if contiguous+deletedBytes(buf) < len(rec) {
+	buf[offFlags] |= flagDeleted
+	if free := gap(buf); free < len(rec) {
+		if _, deleted := deletedSlots(buf); free+deleted < len(rec) {
 			writeSlot(buf, int(slot), off, length) // restore
 			return fmt.Errorf("%w: need %d bytes", ErrSizeChange, len(rec))
 		}
@@ -286,6 +283,7 @@ func DeleteRecord(buf []byte, slot uint16) error {
 		return fmt.Errorf("%w: slot %d already deleted", ErrBadSlot, slot)
 	}
 	writeSlot(buf, int(slot), deletedSlotOffset, length)
+	buf[offFlags] |= flagDeleted
 	return nil
 }
 

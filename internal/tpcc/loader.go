@@ -39,11 +39,11 @@ const loadBatch = 200
 
 // address fills the name and address fields of a warehouse or district.
 func address(r *rng, name, street, city, state, zip []byte) {
-	setText(name, r.aString(6, 10))
-	setText(street, r.aString(10, 20))
-	setText(city, r.aString(10, 20))
-	setText(state, r.aString(2, 2))
-	setText(zip, r.zip())
+	r.aText(name, 6, 10)
+	r.aText(street, 10, 20)
+	r.aText(city, 10, 20)
+	r.aText(state, 2, 2)
+	r.zipText(zip)
 }
 
 // newScratch returns a row and a key buffer for a loader to reuse: the
@@ -55,9 +55,9 @@ func loadItems(db *noftl.DB, sch *Schema, cfg Config, r *rng) error {
 	tx := db.Begin()
 	for i := 1; i <= cfg.ItemCount; i++ {
 		item := Item{IID: uint32(i), ImID: uint32(r.uniform(1, 10000))}
-		setText(item.Name[:], r.aString(14, 24))
+		r.aText(item.Name[:], 14, 24)
 		item.Price = int64(r.uniform(100, 10000))
-		setText(item.Data[:], r.dataString())
+		r.dataText(item.Data[:])
 		if _, err := insertRow(tx, sch.Item, item.Encode(enc[:0]), sch.IIdx, itemKey(key[:0], i)); err != nil {
 			return err
 		}
@@ -84,9 +84,9 @@ func loadWarehouse(db *noftl.DB, sch *Schema, cfg Config, r *rng, w int) error {
 	// Stock.
 	for i := 1; i <= cfg.ItemCount; i++ {
 		st := Stock{IID: uint32(i), WID: uint32(w), Quantity: uint32(r.uniform(10, 100))}
-		setText(st.Data[:], r.dataString())
+		r.dataText(st.Data[:])
 		for d := range st.Dists {
-			setText(st.Dists[d][:], r.aString(24, 24))
+			r.aText(st.Dists[d][:], 24, 24)
 		}
 		if _, err := insertRow(tx, sch.Stock, st.Encode(enc[:0]), sch.SIdx, stockKey(key[:0], w, i)); err != nil {
 			return err
@@ -140,17 +140,17 @@ func loadDistrict(db *noftl.DB, sch *Schema, cfg Config, r *rng, w, d int) error
 			CID: uint32(c), DID: uint32(d), WID: uint32(w), Since: 1, CreditLimit: 5000000,
 			Balance: -1000, YTDPayment: 1000, PaymentCnt: 1,
 		}
-		setText(cust.First[:], r.aString(8, 16))
+		r.aText(cust.First[:], 8, 16)
 		setText(cust.Middle[:], "OE")
 		setText(cust.Last[:], last)
-		setText(cust.Street[:], r.aString(10, 20))
-		setText(cust.City[:], r.aString(10, 20))
-		setText(cust.State[:], r.aString(2, 2))
-		setText(cust.Zip[:], r.zip())
-		setText(cust.Phone[:], r.nString(16))
+		r.aText(cust.Street[:], 10, 20)
+		r.aText(cust.City[:], 10, 20)
+		r.aText(cust.State[:], 2, 2)
+		r.zipText(cust.Zip[:])
+		r.nText(cust.Phone[:], 16)
 		setText(cust.Credit[:], credit)
 		cust.Discount = int64(r.uniform(0, 5000))
-		setText(cust.Data[:], r.aString(100, 250))
+		r.aText(cust.Data[:], 100, 250)
 		crid, err := insertRow(tx, sch.Customer, cust.Encode(enc[:0]), sch.CIdx, customerKey(key[:0], w, d, c))
 		if err != nil {
 			return err
@@ -159,7 +159,7 @@ func loadDistrict(db *noftl.DB, sch *Schema, cfg Config, r *rng, w, d int) error
 			return err
 		}
 		hist := History{CID: uint32(c), CDID: uint32(d), CWID: uint32(w), DID: uint32(d), WID: uint32(w), Date: 1, Amount: 1000}
-		setText(hist.Data[:], r.aString(12, 24))
+		r.aText(hist.Data[:], 12, 24)
 		if _, err := sch.History.Insert(tx, hist.Encode(enc[:0])); err != nil {
 			return err
 		}
@@ -210,7 +210,7 @@ func loadDistrict(db *noftl.DB, sch *Schema, cfg Config, r *rng, w, d int) error
 				ItemID: uint32(r.uniform(1, cfg.ItemCount)), SupplyWID: uint32(w),
 				Quantity: 5, Amount: int64(r.uniform(1, 999999)),
 			}
-			setText(ol.DistInfo[:], r.aString(24, 24))
+			r.aText(ol.DistInfo[:], 24, 24)
 			if delivered {
 				ol.DeliveryDate = 1
 				ol.Amount = 0

@@ -86,37 +86,39 @@ func (r *rng) lastNameRun(customers int) string {
 	return lastName(n)
 }
 
-// aString returns a pseudo-random alphanumeric string with a length in
-// [lo, hi].
-func (r *rng) aString(lo, hi int) string {
-	const alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
-	n := r.uniform(lo, hi)
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = alphabet[r.Intn(len(alphabet))]
+// fill draws n characters of set into a row's text field, cut to the field's
+// width and NUL-padded as setText stores text, and returns n.  The generators
+// below write with it and draw the same numbers whatever the field's width.
+func (r *rng) fill(field []byte, n int, set string) int {
+	for i := range n {
+		if c := set[r.Intn(len(set))]; i < len(field) {
+			field[i] = c
+		}
 	}
-	return string(b)
+	clear(field[min(n, len(field)):])
+	return n
 }
 
-// nString returns a pseudo-random numeric string of exactly n digits.
-func (r *rng) nString(n int) string {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte('0' + r.Intn(10))
-	}
-	return string(b)
+// aText writes a pseudo-random alphanumeric string with a length in [lo, hi]
+// and returns that length.
+func (r *rng) aText(field []byte, lo, hi int) int {
+	return r.fill(field, r.uniform(lo, hi), "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789")
 }
 
-// zip returns a TPC-C zip code.
-func (r *rng) zip() string { return r.nString(4) + "11111" }
+// nText writes a pseudo-random numeric string of exactly n digits.
+func (r *rng) nText(field []byte, n int) { r.fill(field, n, "0123456789") }
 
-// dataString returns the S_DATA/I_DATA field; 10 % of them contain the
-// string "ORIGINAL".
-func (r *rng) dataString() string {
-	s := r.aString(26, 50)
+// zipText writes a TPC-C zip code: four random digits and "11111".
+func (r *rng) zipText(field []byte) {
+	r.nText(field, 4)
+	copy(field[min(4, len(field)):], "11111")
+}
+
+// dataText writes the S_DATA/I_DATA field; 10 % of them contain the string
+// "ORIGINAL".
+func (r *rng) dataText(field []byte) {
+	n := r.aText(field, 26, 50)
 	if r.Intn(10) == 0 {
-		pos := r.Intn(len(s) - 8)
-		s = s[:pos] + "ORIGINAL" + s[pos+8:]
+		copy(field[min(r.Intn(n-8), len(field)):], "ORIGINAL")
 	}
-	return s
 }

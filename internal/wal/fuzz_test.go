@@ -7,15 +7,16 @@ import (
 	"noftl/internal/storage"
 )
 
-// FuzzWALRecordDecode throws arbitrary bytes at every payload decoder the
-// recovery path runs on post-crash data (row, index entry, checkpoint mark),
-// plus the page-level record parser.
+// FuzzWALRecordDecode throws arbitrary bytes at the record decoder and every
+// payload decoder the recovery path runs on post-crash data (row, index entry,
+// checkpoint mark), plus the page-level record parser.
 // Two properties must hold for any input:
 //
 //  1. no decoder panics — recovery must survive any byte soup a torn or
 //     corrupted page can produce;
-//  2. accepted payloads round-trip — re-encoding the decoded values yields
-//     a payload that decodes to the same values again.
+//  2. accepted input round-trips — re-encoding the decoded values yields a
+//     payload that decodes to the same values again, and an accepted record
+//     re-encodes to its own bytes.
 func FuzzWALRecordDecode(f *testing.F) {
 	rid := storage.RID{LPN: 7, Slot: 3}
 	f.Add(EncodeRowPayload(rid, []byte("hello row")))
@@ -25,11 +26,23 @@ func FuzzWALRecordDecode(f *testing.F) {
 	f.Add(EncodeCheckpointMark(CkptBegin, []byte(`{"NextTxnID":7,"DefaultGC":{"Victim":0,"StepPages":8,"DisableHotCold":false},"Light":false}`)))
 	f.Add(EncodeCheckpointMark(CkptBody+2, []byte(`{"Name":"T","ObjectID":2,"Tablespace":"SYSTEM","Columns":null}`)))
 	f.Add(EncodeCheckpointMark(CkptEnd, nil))
+	for _, r := range []Record{
+		{LSN: 1, Type: RecBegin, TxnID: 7},
+		{LSN: 2, Type: RecInsert, TxnID: 7, ObjectID: 3, Payload: EncodeRowPayload(rid, []byte("hello row"))},
+		{LSN: 3, Type: RecCheckpoint, TxnID: 1, Payload: EncodeCheckpointMark(CkptEnd, nil)},
+	} {
+		f.Add(encodeRecord(r))
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
 	f.Add(bytes.Repeat([]byte{0x00}, 64))
 
 	f.Fuzz(func(t *testing.T, p []byte) {
+		if r, err := decodeRecord(p); err == nil {
+			if enc := encodeRecord(r); !bytes.Equal(enc, p) {
+				t.Fatalf("record round trip: %x != %x", enc, p)
+			}
+		}
 		if rid, row, err := DecodeRowPayload(p); err == nil {
 			enc := EncodeRowPayload(rid, row)
 			rid2, row2, err2 := DecodeRowPayload(enc)

@@ -90,24 +90,26 @@ var (
 	ErrTooLarge = errors.New("wal: record larger than a log page")
 )
 
-const recHeaderSize = 8 + 1 + 8 + 4 + 4 + 4 // lsn, type, txn, obj, payloadLen, crc
+const recHeaderSize = 4 + 8 + 1 + 8 + 4 + 4 // crc, lsn, type, txn, obj, payloadLen
+
+// castagnoli is the CRC-32C table (SSE4.2 instructions on amd64).
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // putRecord encodes r into out, which must be RecordSize(r) bytes long.  The
 // payload is r.Payload followed by the parts, so a caller can hand over a
-// record in pieces without packing them first.
+// record in pieces without packing them first.  The checksum leads the record
+// and covers every byte after it, so it is taken in one pass.
 func putRecord(out []byte, r Record, parts ...[]byte) {
-	binary.LittleEndian.PutUint64(out[0:], r.LSN)
-	out[8] = byte(r.Type)
-	binary.LittleEndian.PutUint64(out[9:], r.TxnID)
-	binary.LittleEndian.PutUint32(out[17:], r.ObjectID)
-	binary.LittleEndian.PutUint32(out[21:], uint32(len(out)-recHeaderSize))
+	binary.LittleEndian.PutUint64(out[4:], r.LSN)
+	out[12] = byte(r.Type)
+	binary.LittleEndian.PutUint64(out[13:], r.TxnID)
+	binary.LittleEndian.PutUint32(out[21:], r.ObjectID)
+	binary.LittleEndian.PutUint32(out[25:], uint32(len(out)-recHeaderSize))
 	p := out[recHeaderSize+copy(out[recHeaderSize:], r.Payload):]
 	for _, part := range parts {
 		p = p[copy(p, part):]
 	}
-	crc := crc32.ChecksumIEEE(out[:25])
-	crc = crc32.Update(crc, crc32.IEEETable, out[recHeaderSize:])
-	binary.LittleEndian.PutUint32(out[25:], crc)
+	binary.LittleEndian.PutUint32(out, crc32.Checksum(out[4:], castagnoli))
 }
 
 func decodeRecord(b []byte) (Record, error) {
@@ -115,22 +117,19 @@ func decodeRecord(b []byte) (Record, error) {
 		return Record{}, fmt.Errorf("%w: short record", ErrCorrupt)
 	}
 	r := Record{
-		LSN:      binary.LittleEndian.Uint64(b[0:]),
-		Type:     RecordType(b[8]),
-		TxnID:    binary.LittleEndian.Uint64(b[9:]),
-		ObjectID: binary.LittleEndian.Uint32(b[17:]),
+		LSN:      binary.LittleEndian.Uint64(b[4:]),
+		Type:     RecordType(b[12]),
+		TxnID:    binary.LittleEndian.Uint64(b[13:]),
+		ObjectID: binary.LittleEndian.Uint32(b[21:]),
 	}
-	plen := binary.LittleEndian.Uint32(b[21:])
+	plen := binary.LittleEndian.Uint32(b[25:])
 	if int(plen) != len(b)-recHeaderSize {
 		return Record{}, fmt.Errorf("%w: payload length mismatch", ErrCorrupt)
 	}
-	r.Payload = append([]byte(nil), b[29:]...)
-	want := binary.LittleEndian.Uint32(b[25:])
-	crc := crc32.ChecksumIEEE(b[:25])
-	crc = crc32.Update(crc, crc32.IEEETable, r.Payload)
-	if crc != want {
+	if crc32.Checksum(b[4:], castagnoli) != binary.LittleEndian.Uint32(b) {
 		return Record{}, fmt.Errorf("%w: checksum mismatch for lsn %d", ErrCorrupt, r.LSN)
 	}
+	r.Payload = append([]byte(nil), b[recHeaderSize:]...)
 	return r, nil
 }
 

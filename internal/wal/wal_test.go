@@ -9,6 +9,7 @@ import (
 
 	"noftl/internal/core"
 	"noftl/internal/flash"
+	"noftl/internal/storage"
 )
 
 func testLog(t *testing.T) (*Log, *core.Manager) {
@@ -84,6 +85,53 @@ func TestRecordCorruptionDetected(t *testing.T) {
 	enc2 := encodeRecord(Record{LSN: 1, Type: RecCommit, Payload: []byte("abc")})
 	if _, err := decodeRecord(enc2[:len(enc2)-1]); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated record: %v", err)
+	}
+}
+
+// TestRecordByteFlipsDetected flips every byte of records of several payload
+// sizes, one at a time and in two ways — in the checksum, in the rest of the
+// header and in the payload: decodeRecord must refuse each with ErrCorrupt,
+// and ScanImages over a log page holding the record must end the log just
+// before it.
+func TestRecordByteFlipsDetected(t *testing.T) {
+	sizes := []int{0, 1, 7, 64, 300}
+	for _, size := range sizes {
+		enc := encodeRecord(Record{LSN: 9, Type: RecUpdate, TxnID: 3, ObjectID: 4, Payload: bytes.Repeat([]byte{0x5A}, size)})
+		for i := range enc {
+			for _, mask := range []byte{0x01, 0xFF} {
+				enc[i] ^= mask
+				if _, err := decodeRecord(enc); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("%d-byte payload, byte %d ^ %#x: %v, want ErrCorrupt", size, i, mask, err)
+				}
+				enc[i] ^= mask
+			}
+		}
+	}
+	page := func() []byte {
+		data := make([]byte, 1024)
+		storage.InitPage(data, storage.PageTypeLog, 99, 1)
+		storage.SetPageLSN(data, 1)
+		for i, size := range sizes {
+			r := Record{LSN: uint64(i + 1), Type: RecUpdate, TxnID: 7, Payload: bytes.Repeat([]byte{byte(i)}, size)}
+			_, dst, err := storage.AllocRecord(data, RecordSize(r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			putRecord(dst, r)
+		}
+		return data
+	}
+	for k := range sizes {
+		for i := range recHeaderSize + sizes[k] {
+			data := page()
+			raw, _ := storage.CheckedRecords(data)
+			raw[k][i] ^= 0xFF
+			res, err := ScanImages([]PageImage{{LPN: 1, Seq: 1, Data: data}})
+			if err != nil || len(res.Records) != k || res.TornRecords != len(sizes)-k {
+				t.Fatalf("record %d, byte %d flipped: %d records kept, %d torn (%v); want %d, %d",
+					k, i, len(res.Records), res.TornRecords, err, k, len(sizes)-k)
+			}
+		}
 	}
 }
 

@@ -874,3 +874,57 @@ func TestCheckpointTracesOnlyItsMarks(t *testing.T) {
 		t.Fatalf("checkpoint of %d rows traced %d wal_append events, want its 6 marks", rows, got)
 	}
 }
+
+// TestDeletedSlotReusedAfterReopen sends a heap page holding deleted slots to
+// flash with a checkpoint and brings it back through Crash and Reopen: the
+// page keeps its header flags with its slots, so the next insert still takes
+// its lowest deleted slot rather than appending one.
+func TestDeletedSlotReusedAfterReopen(t *testing.T) {
+	db, err := OpenConfig(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledgerWorkload(t, db, "T", 6)
+	tbl, _ := db.Table("T")
+	var rids []RID
+	err = db.Update(func(tx *Tx) error {
+		for rid := range tbl.Rows(tx) {
+			rids = append(rids, rid)
+		}
+		for _, i := range []int{4, 1} {
+			if err := tbl.Delete(tx, rids[i]); err != nil {
+				return err
+			}
+		}
+		return tx.Err()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rids[0].LPN != rids[5].LPN {
+		t.Fatalf("the rows span pages: %v", rids)
+	}
+	if _, err := db.Checkpoint(db.SimulatedTime()); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Reopen(db.Crash())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if rst, _ := re.Recovery(); rst.ReplayedRecords != 0 {
+		t.Fatalf("the page was rebuilt by replay, not read from flash: %+v", rst)
+	}
+	tbl, _ = re.Table("T")
+	for _, want := range []RID{rids[1], rids[4]} {
+		var got RID
+		err := re.Update(func(tx *Tx) (err error) {
+			got, err = tbl.Insert(tx, []byte("again"))
+			return err
+		})
+		if err != nil || got != want {
+			t.Fatalf("insert after reopen took %v (%v), want the deleted slot %v", got, err, want)
+		}
+	}
+}
