@@ -425,6 +425,7 @@ func (t *Tree) insertInto(now sim.Time, lpn core.LPN, key, value []byte) (sep []
 	buf := h.Data()
 
 	if nodeIsLeaf(buf) {
+		buf = h.Writable() // a leaf always changes: replace, insert or split
 		i, found := search(buf, key)
 		if found {
 			if t.replaceCellValue(buf, i, key, value) {
@@ -461,7 +462,7 @@ func (t *Tree) insertInto(now sim.Time, lpn core.LPN, key, value []byte) (sep []
 		return nil, 0, now, replaced, nil
 	}
 	// Insert the separator for the new child into this node.
-	buf = h.Data()
+	buf = h.Writable()
 	need := 4 + len(childSep) + 8 + 2
 	if freeBytes(buf) < need && liveBytes(buf)+need <= len(buf)-offsArrayOff {
 		t.compactNode(buf)
@@ -571,7 +572,7 @@ func (t *Tree) Delete(now sim.Time, key []byte) (sim.Time, error) {
 				h.Release()
 				return now, fmt.Errorf("%w: delete", ErrNotFound)
 			}
-			removeCell(buf, i)
+			removeCell(h.Writable(), i)
 			h.MarkDirty()
 			h.Release()
 			t.entries--

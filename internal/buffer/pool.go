@@ -15,6 +15,10 @@
 // the pool threads the caller's virtual-time cursor through every operation
 // so that buffer misses and dirty evictions show up in transaction response
 // times exactly as they would on real hardware.
+//
+// A page's bytes are kept once: a clean frame holds the device's buffer, read
+// only, and Handle.Writable copies it before a write.  A write-back hands the
+// copy to the device: nobody writes it again, whether or not that succeeded.
 package buffer
 
 import (
@@ -39,6 +43,9 @@ type Backend interface {
 	WritePage(now sim.Time, lpn core.LPN, data []byte, hint core.Hint) (sim.Time, error)
 	ReadPages(now sim.Time, lpns []core.LPN, bufs [][]byte) ([]core.PageRead, sim.Time)
 	WritePages(now sim.Time, writes []core.PageWrite) (sim.Time, error)
+	PageBuf() []byte
+	Hold(buf []byte)
+	Release(buf []byte)
 }
 
 // ErrPoolFull reports that every frame of the page's partition is pinned and
@@ -59,13 +66,15 @@ func (s *poolShard) holds(f *Frame) bool {
 	return s.empty[f.idx/64]&(1<<(f.idx%64)) == 0
 }
 
-// Frame is one page-sized slot of the pool.  A frame belongs permanently to
-// one partition.
+// Frame is one page slot of the pool.  A frame belongs permanently to one
+// partition.
 type Frame struct {
 	shard  *poolShard
 	idx    int // position in shard.frames
 	lpn    core.LPN
-	data   []byte
+	data   []byte  // the page's bytes, held by the frame; nil when it holds no page
+	own    bool    // data is the frame's private buffer, writable
+	bufs   Backend // where data comes from and goes back to
 	hint   core.Hint
 	dirty  bool
 	pins   int
@@ -81,8 +90,20 @@ type Handle struct {
 	frame *Frame
 }
 
-// Data returns the frame's page buffer.
+// Data returns the page's bytes, read-only unless Writable returned them.
 func (h *Handle) Data() []byte { return h.frame.data }
+
+// Writable gives the frame a private copy of the page, unless it has one, and
+// returns it: call it before the first write, and write only what it returns.
+func (h *Handle) Writable() []byte {
+	if f := h.frame; !f.own {
+		buf := f.bufs.PageBuf()
+		copy(buf, f.data)
+		f.bufs.Release(f.data)
+		f.data, f.own = buf, true
+	}
+	return h.frame.data
+}
 
 // LPN returns the logical page number of the pinned page.
 func (h *Handle) LPN() core.LPN { return h.frame.lpn }
@@ -219,7 +240,7 @@ func (p *Pool) buildShards(n int) {
 			empty:  make([]uint64, (size+63)/64),
 		}
 		for j := range s.frames {
-			f := &Frame{shard: s, idx: j, data: make([]byte, p.pageSize)}
+			f := &Frame{shard: s, idx: j, bufs: p.backend}
 			f.handle.frame = f
 			s.frames[j] = f
 			s.empty[j/64] |= 1 << (j % 64)
@@ -386,12 +407,13 @@ func (p *Pool) resident(s *poolShard, lpn core.LPN) *Frame {
 	return nil
 }
 
-// vacate takes the frame's page out of the table and marks the frame empty
-// and clean.
+// vacate takes the frame's page out of the table, releases its buffer and
+// marks the frame empty and clean.
 func (p *Pool) vacate(f *Frame) {
 	*p.table.At(f.lpn) = 0
 	f.shard.empty[f.idx/64] |= 1 << (f.idx % 64)
-	f.dirty = false
+	p.backend.Release(f.data)
+	f.data, f.own, f.dirty = nil, false, false
 }
 
 // pinHit pins a resident frame for a demand access; the demander's placement
@@ -450,29 +472,30 @@ func (p *Pool) unpin(f *Frame, unpublish bool) {
 }
 
 // fill reads the pages of the claimed frames from the backend in one
-// submission.  On success every frame keeps its pin (the caller's handles); a
-// frame whose read failed (e.g. the page was trimmed) leaves the table, and
-// then the call fails and no frame stays pinned.  It returns the batch
-// makespan and the first error.
+// submission; each frame holds the buffer the backend returns.  On success
+// every frame keeps its pin (the caller's handles); a frame whose read failed
+// (e.g. the page was trimmed) leaves the table, and then the call fails and
+// no frame stays pinned.  It returns the batch makespan and the first error.
 func (p *Pool) fill(now sim.Time, frames []*Frame) (end sim.Time, err error) {
 	var one [1]core.PageRead
 	reads := one[:]
 	if len(frames) == 1 {
 		// The backend's one-page entry into the same path allocates nothing.
-		_, one[0].Done, one[0].Err = p.backend.ReadPage(now, frames[0].lpn, frames[0].data)
+		one[0].Data, one[0].Done, one[0].Err = p.backend.ReadPage(now, frames[0].lpn, nil)
 		end = one[0].Done
 	} else {
 		lpns := make([]core.LPN, len(frames))
-		bufs := make([][]byte, len(frames))
 		for i, f := range frames {
-			lpns[i], bufs[i] = f.lpn, f.data
+			lpns[i] = f.lpn
 		}
-		reads, end = p.backend.ReadPages(now, lpns, bufs)
+		reads, end = p.backend.ReadPages(now, lpns, nil)
 	}
 	for i, f := range frames {
 		if rerr := reads[i].Err; rerr != nil && err == nil {
 			err = fmt.Errorf("buffer: fetch lpn %d: %w", f.lpn, rerr)
 		}
+		f.data = reads[i].Data // nil when the read failed
+		p.backend.Hold(f.data)
 	}
 	if err != nil {
 		for i, f := range frames {
@@ -516,7 +539,7 @@ func (p *Pool) noteGroupWrite(start, done sim.Time, n int) {
 }
 
 // NewPage pins a frame for a brand-new page without reading the backend.
-// The frame starts zeroed and dirty.
+// The frame starts zeroed, dirty and writable.
 func (p *Pool) NewPage(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim.Time, error) {
 	s := p.shardOf(lpn)
 	p.newPages++
@@ -533,7 +556,7 @@ func (p *Pool) NewPage(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim
 		}
 	}
 	f.dirty = true
-	clear(f.data)
+	clear(f.handle.Writable())
 	return &f.handle, now, nil
 }
 
@@ -629,6 +652,7 @@ func (p *Pool) Flush(now sim.Time) (done sim.Time, flushed, left int, err error)
 		// On failure the page stays dirty: pages the batch did manage to
 		// program are remapped in the backend and will simply be written
 		// again (wasted work, never lost data).
+		f.own = false // the device's now
 		if err == nil {
 			f.dirty = false
 			p.writebacks.Add(1)

@@ -87,6 +87,12 @@ func (b *memBackend) WritePages(now sim.Time, writes []core.PageWrite) (sim.Time
 	return now.Add(b.writeLat), nil
 }
 
+// The pool's private buffers come from the heap; the backend keeps copies,
+// so it counts no holds.
+func (b *memBackend) PageBuf() []byte { return make([]byte, b.pageSize) }
+func (b *memBackend) Hold([]byte)     {}
+func (b *memBackend) Release([]byte)  {}
+
 func (b *memBackend) store(lpn core.LPN, data []byte) {
 	cp := make([]byte, len(data))
 	copy(cp, data)

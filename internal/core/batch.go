@@ -36,9 +36,9 @@ type PageRead struct {
 	addr   ppa
 }
 
-// ReadPage reads the current version of the logical page into buf (which may
-// be nil to let the device allocate).  It returns the data, the virtual
-// completion time and an error if the page was never written.
+// ReadPage reads the current version of the logical page into buf, or returns
+// the device's own, read-only buffer of it when buf is nil.  It returns the
+// data, the virtual completion time and an error if the page was never written.
 func (m *Manager) ReadPage(now sim.Time, lpn LPN, buf []byte) ([]byte, sim.Time, error) {
 	lpns, bufs, out := [1]LPN{lpn}, [1][]byte{buf}, [1]PageRead{}
 	m.readPages(now, lpns[:], bufs[:], out[:])
@@ -117,12 +117,17 @@ func (m *Manager) readPages(now sim.Time, lpns []LPN, bufs [][]byte, out []PageR
 	return end
 }
 
+// PageBuf, Hold and Release are the device's (see the package comment).
+func (m *Manager) PageBuf() []byte    { return m.dev.PageBuf() }
+func (m *Manager) Hold(buf []byte)    { m.dev.Hold(buf) }
+func (m *Manager) Release(buf []byte) { m.dev.Release(buf) }
+
 // PageWrite is one element of a batched WritePages call.
 type PageWrite struct {
 	// LPN is the logical page to write.
 	LPN LPN
 	// Data is the page payload (PageSize bytes, or nil for a page that
-	// carries its metadata only).
+	// carries its metadata only), the device's once handed over.
 	Data []byte
 	// Hint carries the placement hint.
 	Hint Hint

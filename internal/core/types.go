@@ -26,6 +26,9 @@
 //   - NewPlan hands the dies of a device out to groups of objects by their
 //     footprints and I/O rates, the multi-region placement configuration of
 //     the paper's Figure 2 (plan.go).
+//
+// A page's bytes are kept once: the device keeps what WritePages hands it, so
+// nobody writes that buffer again, whether or not the write succeeded.
 package core
 
 import (

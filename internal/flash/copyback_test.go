@@ -15,17 +15,21 @@ func readBytes(t *testing.T, d *Device, addr Addr) []byte {
 	return got
 }
 
-// copiedPair programs src with fill and copies it back to dst.
+// copiedPair programs src with a device buffer filled with fill, copies it
+// back to dst and returns a copy of the bytes.  The pages are the buffer's
+// only holders.
 func copiedPair(t *testing.T, d *Device, src, dst Addr, fill byte) []byte {
 	t.Helper()
-	data := pageData(d.geo.PageSize, fill)
+	data := d.PageBuf()
+	copy(data, pageData(d.geo.PageSize, fill))
 	if _, err := d.ProgramPage(0, src, data, PageMeta{LPN: 7, Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
+	d.Release(data)
 	if _, _, err := d.Copyback(0, src, dst); err != nil {
 		t.Fatal(err)
 	}
-	return data
+	return bytes.Clone(data)
 }
 
 func TestCopybackSourceAndDestinationReadEqual(t *testing.T) {
@@ -45,13 +49,16 @@ func TestCopybackDestinationSurvivesSourceErase(t *testing.T) {
 	if _, err := d.EraseBlock(0, src.BlockAddr()); err != nil {
 		t.Fatal(err)
 	}
-	// Reprogram every page of the erased block, and more, so any buffer the
-	// erase let go of is reused and overwritten.
+	// Reprogram every page of the erased block, and more, from buffers of the
+	// free list, so any buffer the erase let go of is reused and overwritten.
 	for _, blk := range []int{0, 2, 3} {
 		for p := 0; p < cfg.Geometry.PagesPerBlock; p++ {
-			if _, err := d.ProgramPage(0, Addr{Die: 0, Block: blk, Page: p}, pageData(cfg.Geometry.PageSize, 0xEE), PageMeta{}); err != nil {
+			buf := d.PageBuf()
+			copy(buf, pageData(cfg.Geometry.PageSize, 0xEE))
+			if _, err := d.ProgramPage(0, Addr{Die: 0, Block: blk, Page: p}, buf, PageMeta{}); err != nil {
 				t.Fatal(err)
 			}
+			d.Release(buf)
 		}
 	}
 	if !bytes.Equal(readBytes(t, d, dst), data) {

@@ -1,6 +1,7 @@
 package flash
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"time"
@@ -66,23 +67,6 @@ type dieState struct {
 	programs  *metrics.Counter
 	erases    *metrics.Counter
 	copybacks int64
-
-	// shared counts, by its first byte, the pages beyond the first that hold
-	// a payload buffer: a page's bytes do not change until an erase, so a
-	// copyback (on one die) gives its destination the source's buffer.
-	shared map[*byte]int
-}
-
-// unshare drops one page's hold on buf and reports whether another page
-// still holds it.
-func (ds *dieState) unshare(buf []byte) bool {
-	n := ds.shared[&buf[0]]
-	if n == 1 {
-		delete(ds.shared, &buf[0])
-	} else if n > 1 {
-		ds.shared[&buf[0]] = n - 1
-	}
-	return n > 0
 }
 
 // Device is a simulated native flash device.  It is not safe for concurrent
@@ -97,33 +81,78 @@ type Device struct {
 	// fault injection (see fault.go); nil when no plan is armed
 	fault *faultState
 
-	// Payload buffers no page holds any more, waiting for the next program.
-	// Only a program allocates one, and only when the list is empty, so the
-	// list never holds more than the peak number of buffers in use less the
-	// current number; every buffer in use is held by a programmed page, so the
-	// device's capacity bounds that peak, and in steady state none allocates.
-	freeBufs [][]byte
+	freeBufs  [][]byte           // page buffers nobody holds, for PageBuf
+	slabs     [][]byte           // what PageBuf cut them from
+	slabN     int                // buffers per slab
+	onProgram func(Addr, []byte) // see OnProgram
 }
 
-// pageBuf returns a PageSize buffer with unspecified contents for a program
-// that overwrites all of it.
-func (d *Device) pageBuf() []byte {
-	if n := len(d.freeBufs); n > 0 {
-		buf := d.freeBufs[n-1]
-		d.freeBufs = d.freeBufs[:n-1]
-		return buf
+// PageBuf cuts buffers from slabs: slabN of them, then for each a magic word
+// and its count of holders (the pages programmed with it and whoever drew it
+// or called Hold).  A buffer's capacity runs to its slab's end, where its
+// count is, and at zero the buffer is free again; other buffers have none.
+const bufMagic, slabBytes = 0x6e6f66bf, 1 << 20
+
+// hold adds delta to buf's hold count and returns it, or -1 if buf has none.
+func (d *Device) hold(buf []byte, delta int64) int64 {
+	nb, ps := d.slabN, d.geo.PageSize
+	i := (nb*(ps+8) - cap(buf)) / ps // the buffer's place in its slab
+	if len(buf) != ps || nb*(ps+8)-cap(buf) != i*ps || uint(i) >= uint(nb) ||
+		binary.LittleEndian.Uint32(buf[(nb-i)*ps+8*i:cap(buf)]) != bufMagic {
+		return -1
 	}
-	return make([]byte, d.geo.PageSize)
+	c := buf[(nb-i)*ps+8*i+4 : cap(buf)]
+	n := int64(binary.LittleEndian.Uint32(c)) + delta
+	if n < 0 {
+		panic("flash: release of a page buffer nobody holds")
+	}
+	binary.LittleEndian.PutUint32(c, uint32(n))
+	return n
 }
 
-// recycle takes over the payload buffers of a block being erased that no
-// other page holds.
-func (d *Device) recycle(ds *dieState, bufs [][]byte) {
-	for i, buf := range bufs {
-		if buf != nil && !ds.unshare(buf) {
-			d.freeBufs = append(d.freeBufs, buf)
-		}
-		bufs[i] = nil
+// PageBuf returns a PageSize buffer, held once by the caller, who may write it
+// until handing it to a program; never append to it (see above).
+func (d *Device) PageBuf() []byte {
+	if len(d.freeBufs) == 0 {
+		d.slabs = append(d.slabs, make([]byte, d.slabN*(d.geo.PageSize+8)))
+		d.freeSlab(d.slabs[len(d.slabs)-1])
+	}
+	buf := d.freeBufs[len(d.freeBufs)-1]
+	d.freeBufs = d.freeBufs[:len(d.freeBufs)-1]
+	d.hold(buf, 1)
+	return buf
+}
+
+// freeSlab marks every buffer of slab held by nobody and frees it.
+func (d *Device) freeSlab(slab []byte) {
+	for i, ps := 0, d.geo.PageSize; i < d.slabN; i++ {
+		binary.LittleEndian.PutUint64(slab[d.slabN*ps+8*i:], bufMagic)
+		d.freeBufs = append(d.freeBufs, slab[i*ps:(i+1)*ps:len(slab)])
+	}
+}
+
+// Hold counts one more holder of a buffer drawn from PageBuf.
+func (d *Device) Hold(buf []byte) { d.hold(buf, 1) }
+
+// Release drops a hold of a buffer drawn from PageBuf; the last frees it.
+func (d *Device) Release(buf []byte) {
+	if d.hold(buf, -1) == 0 {
+		d.freeBufs = append(d.freeBufs, buf)
+	}
+}
+
+// OnProgram has fn see every payload a page is programmed with (nil: none).
+func (d *Device) OnProgram(fn func(Addr, []byte)) { d.onProgram = fn }
+
+// store makes buf the payload of the page at addr, held by the page.
+func (d *Device) store(blk *blockState, addr Addr, buf []byte) {
+	if blk.data == nil {
+		blk.data = make([][]byte, d.geo.PagesPerBlock)
+	}
+	blk.data[addr.Page] = buf
+	d.Hold(buf)
+	if d.onProgram != nil {
+		d.onProgram(addr, buf)
 	}
 }
 
@@ -133,15 +162,16 @@ func NewDevice(cfg Config) (*Device, error) {
 		return nil, err
 	}
 	d := &Device{
-		cfg: cfg,
-		geo: cfg.Geometry,
+		cfg:   cfg,
+		geo:   cfg.Geometry,
+		slabN: max(1, slabBytes/(cfg.Geometry.PageSize+8)),
 	}
 
 	nDies := d.geo.Dies()
 	d.dies = make([]*dieState, nDies)
 	d.dieRes = make([]*sim.Resource, nDies)
 	for i := 0; i < nDies; i++ {
-		ds := &dieState{blocks: make([]blockState, d.geo.BlocksPerDie), shared: make(map[*byte]int)}
+		ds := &dieState{blocks: make([]blockState, d.geo.BlocksPerDie)}
 		for b := range ds.blocks {
 			ds.blocks[b].states = make([]pageState, d.geo.PagesPerBlock)
 			ds.blocks[b].meta = make([]PageMeta, d.geo.PagesPerBlock)
@@ -184,9 +214,10 @@ func (d *Device) channel(die int) *sim.Resource {
 }
 
 // ReadPage reads the page at addr.  If buf is non-nil it must be PageSize
-// bytes long and receives the page data; otherwise a fresh buffer is
-// allocated.  A page programmed without a payload leaves buf as it is.  It
-// returns the page metadata and the virtual completion time.
+// bytes long and receives a copy of the page data; otherwise the page's own
+// buffer is returned, read-only, which unless held (Hold) lasts until the
+// block's erase.  A page programmed without a payload leaves buf as it is.
+// It returns the page metadata and the virtual completion time.
 func (d *Device) ReadPage(now sim.Time, addr Addr, buf []byte) ([]byte, PageMeta, sim.Time, error) {
 	if !d.geo.ValidAddr(addr) {
 		return nil, PageMeta{}, now, fmt.Errorf("%w: %v", ErrOutOfRange, addr)
@@ -205,9 +236,10 @@ func (d *Device) ReadPage(now sim.Time, addr Addr, buf []byte) ([]byte, PageMeta
 	meta := blk.meta[addr.Page]
 	if blk.data != nil && blk.data[addr.Page] != nil {
 		if buf == nil {
-			buf = make([]byte, d.geo.PageSize)
+			buf = blk.data[addr.Page]
+		} else {
+			copy(buf, blk.data[addr.Page])
 		}
-		copy(buf, blk.data[addr.Page])
 	}
 	ds.reads.Inc()
 
@@ -218,8 +250,8 @@ func (d *Device) ReadPage(now sim.Time, addr Addr, buf []byte) ([]byte, PageMeta
 
 // ProgramPage writes data and metadata to the erased page at addr.  The
 // payload must be exactly PageSize bytes, or nil for a page that carries its
-// metadata only.  Programming a non-erased page or violating the
-// sequential-programming constraint fails.
+// metadata only; the page keeps it (see the package comment).  Programming a
+// non-erased page or violating the sequential-programming constraint fails.
 func (d *Device) ProgramPage(now sim.Time, addr Addr, data []byte, meta PageMeta) (sim.Time, error) {
 	if !d.geo.ValidAddr(addr) {
 		return now, fmt.Errorf("%w: %v", ErrOutOfRange, addr)
@@ -250,12 +282,7 @@ func (d *Device) ProgramPage(now sim.Time, addr Addr, data []byte, meta PageMeta
 	blk.meta[addr.Page] = meta
 	blk.nextPage++
 	if data != nil {
-		if blk.data == nil {
-			blk.data = make([][]byte, d.geo.PagesPerBlock)
-		}
-		cp := d.pageBuf()
-		copy(cp, data)
-		blk.data[addr.Page] = cp
+		d.store(blk, addr, data)
 	}
 	ds.programs.Inc()
 
@@ -287,7 +314,10 @@ func (d *Device) EraseBlock(now sim.Time, b BlockAddr) (sim.Time, error) {
 		blk.states[i] = pageErased
 		blk.meta[i] = PageMeta{}
 	}
-	d.recycle(ds, blk.data)
+	for i, buf := range blk.data {
+		d.Release(buf)
+		blk.data[i] = nil
+	}
 	blk.nextPage = 0
 	blk.eraseCount++
 	if d.cfg.EraseEndurance > 0 && blk.eraseCount >= d.cfg.EraseEndurance {
@@ -303,7 +333,7 @@ func (d *Device) EraseBlock(now sim.Time, b BlockAddr) (sim.Time, error) {
 // without transferring the data over the channel (the NAND-internal copyback
 // command used by garbage collection).  The destination inherits the source
 // metadata and the method returns it so the caller can update its mapping.
-// It shares the source's stored bytes instead of copying them.
+// It gives the destination the source's buffer instead of copying it.
 func (d *Device) Copyback(now sim.Time, src, dst Addr) (PageMeta, sim.Time, error) {
 	if !d.geo.ValidAddr(src) || !d.geo.ValidAddr(dst) {
 		return PageMeta{}, now, fmt.Errorf("%w: %v -> %v", ErrOutOfRange, src, dst)
@@ -336,12 +366,7 @@ func (d *Device) Copyback(now sim.Time, src, dst Addr) (PageMeta, sim.Time, erro
 	dblk.meta[dst.Page] = meta
 	dblk.nextPage++
 	if sblk.data != nil && sblk.data[src.Page] != nil {
-		if dblk.data == nil {
-			dblk.data = make([][]byte, d.geo.PagesPerBlock)
-		}
-		buf := sblk.data[src.Page]
-		dblk.data[dst.Page] = buf
-		ds.shared[&buf[0]]++
+		d.store(dblk, dst, sblk.data[src.Page])
 	}
 	ds.copybacks++
 
@@ -372,12 +397,10 @@ func (d *Device) programTorn(addr Addr, data []byte, meta PageMeta, tornBytes in
 	blk.states[addr.Page] = pageProgrammed
 	blk.meta[addr.Page] = meta
 	blk.nextPage++
-	if blk.data == nil {
-		blk.data = make([][]byte, d.geo.PagesPerBlock)
-	}
-	cp := d.pageBuf()
+	cp := d.PageBuf()
 	clear(cp[copy(cp, data[:cut]):])
-	blk.data[addr.Page] = cp
+	d.store(blk, addr, cp)
+	d.Release(cp) // the page's hold remains
 	ds.programs.Inc()
 }
 

@@ -3,6 +3,7 @@ package flash
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"noftl/internal/sim"
 )
@@ -105,9 +106,21 @@ func (d *Device) Arm(plan FaultPlan) {
 // Revive clears the crashed state and disarms the fault plan, modelling a
 // power cycle.  Durable state (programmed pages, wear, bad blocks — including
 // any torn page written at the crash point) is untouched; recovery decides
-// what of it is still meaningful.
+// what of it is still meaningful.  The host's holds end: only pages hold.
 func (d *Device) Revive() {
 	d.fault = nil
+	d.freeBufs = d.freeBufs[:0]
+	for _, slab := range d.slabs {
+		d.freeSlab(slab)
+	}
+	for _, ds := range d.dies {
+		for b := range ds.blocks {
+			for _, buf := range ds.blocks[b].data {
+				d.Hold(buf)
+			}
+		}
+	}
+	d.freeBufs = slices.DeleteFunc(d.freeBufs, func(b []byte) bool { return d.hold(b, 0) > 0 })
 }
 
 // faultOp runs the fault plan for one command.  It returns the decision the
@@ -195,9 +208,9 @@ func (d *Device) Survey() []BlockSurvey {
 	return out
 }
 
-// CorruptPage XORs n stored data bytes of a programmed page with pattern,
-// starting at byte offset off.  It models silent media corruption for
-// recovery tests and does not consume virtual time.
+// CorruptPage gives a programmed page a copy of its payload with n bytes from
+// offset off XORed with pattern (other holders keep the old bytes).  It models
+// silent media corruption for recovery tests and consumes no virtual time.
 func (d *Device) CorruptPage(addr Addr, off, n int, pattern byte) error {
 	if !d.geo.ValidAddr(addr) {
 		return fmt.Errorf("%w: %v", ErrOutOfRange, addr)
@@ -213,12 +226,10 @@ func (d *Device) CorruptPage(addr Addr, off, n int, pattern byte) error {
 	if blk.data == nil || blk.data[addr.Page] == nil {
 		return fmt.Errorf("%w: page %v holds no payload", ErrPageSize, addr)
 	}
-	data := blk.data[addr.Page]
-	if ds.unshare(data) {
-		// Another page holds the bytes too: this one gets a copy of its own.
-		data = append(d.pageBuf()[:0], data...)
-		blk.data[addr.Page] = data
-	}
+	data := d.PageBuf() // the page's hold
+	copy(data, blk.data[addr.Page])
+	d.Release(blk.data[addr.Page])
+	blk.data[addr.Page] = data
 	for i := 0; i < n; i++ {
 		data[off+i] ^= pattern
 	}

@@ -8,6 +8,10 @@
 // The device does not implement any translation layer, garbage collection or
 // wear leveling: those are the responsibility of the layer above (the DBMS
 // under NoFTL — see internal/core).
+//
+// A page's bytes are kept once: a program keeps the buffer it is handed, which
+// nobody writes again, whether or not the program succeeded; one unchanged
+// buffer may go to several programs, and a copyback shares its source's.
 package flash
 
 import (

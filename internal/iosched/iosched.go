@@ -34,7 +34,6 @@
 package iosched
 
 import (
-	"cmp"
 	"slices"
 
 	"noftl/internal/flash"
@@ -100,7 +99,7 @@ type Request struct {
 }
 
 // die returns the die the request occupies.
-func (r Request) die() int {
+func (r *Request) die() int {
 	if r.Op == OpErase {
 		return r.Block.Die
 	}
@@ -128,6 +127,8 @@ type Completion struct {
 type Scheduler struct {
 	dev       *flash.Device
 	busyUntil []sim.Time // per-die completion horizon (a read's includes its channel transfer)
+	order     []int      // scratch of dispatchOrder
+	byDie     [][]int    // scratch of dispatchOrder: request indices per die
 
 	// The batch high-water mark has no family and stays a plain gauge.
 	batches  *metrics.Counter
@@ -198,24 +199,7 @@ func (s *Scheduler) SubmitAppend(dst []Completion, now sim.Time, reqs []Request)
 	if len(reqs) == 0 {
 		return dst, now
 	}
-	// Dispatch order: by die, and submission order within a die, which the
-	// NAND sequential-programming constraint requires for programs to the
-	// same block.  A batch already in that order is dispatched as it stands;
-	// any other through a stable sort of its indices, whose permutation is
-	// the one order there is.
-	byDie := func(a, b int) int { return cmp.Compare(reqs[a].die(), reqs[b].die()) }
-	var order []int // nil: request order
-	for i := 1; i < len(reqs); i++ {
-		if byDie(i-1, i) > 0 {
-			order = make([]int, len(reqs))
-			for j := range order {
-				order[j] = j
-			}
-			slices.SortStableFunc(order, byDie)
-			break
-		}
-	}
-
+	order := s.dispatchOrder(reqs)
 	base := len(dst)
 	dst = slices.Grow(dst, len(reqs))[:base+len(reqs)]
 	end := now
@@ -224,7 +208,7 @@ func (s *Scheduler) SubmitAppend(dst []Completion, now sim.Time, reqs []Request)
 		if order != nil {
 			i = order[k]
 		}
-		req := reqs[i]
+		req := &reqs[i]
 		at := max(now, req.NotBefore)
 		var c Completion
 		switch req.Op {
@@ -268,6 +252,29 @@ func (s *Scheduler) SubmitAppend(dst []Completion, now sim.Time, reqs []Request)
 	s.batches.Inc()
 	s.maxBatch.SetMax(int64(len(reqs)))
 	return dst, end
+}
+
+// dispatchOrder returns the indices of reqs by die, in submission order within
+// a die (programs to one block keep theirs), or nil if reqs is in that order.
+// Requests to a die the device lacks go last: it refuses them untouched.
+func (s *Scheduler) dispatchOrder(reqs []Request) []int {
+	key := func(i int) int { return int(min(uint(reqs[i].die()), uint(len(s.busyUntil)))) }
+	i := 1
+	for i < len(reqs) && key(i-1) <= key(i) {
+		i++
+	}
+	if i >= len(reqs) {
+		return nil
+	}
+	s.byDie = slices.Grow(s.byDie[:0], len(s.busyUntil)+1)[:len(s.busyUntil)+1]
+	for i := range reqs {
+		s.byDie[key(i)] = append(s.byDie[key(i)], i)
+	}
+	s.order = s.order[:0]
+	for d, idx := range s.byDie {
+		s.order, s.byDie[d] = append(s.order, idx...), idx[:0]
+	}
+	return s.order
 }
 
 // DieIdleAt returns the virtual time at which the die becomes idle: the

@@ -145,7 +145,7 @@ func (h *HeapFile) InsertBatch(now sim.Time, recs [][]byte) ([]RID, sim.Time, er
 		now = done
 		inserted := 0
 		for next < len(recs) {
-			slot, err := InsertRecord(handle.Data(), recs[next])
+			slot, err := InsertRecord(handle.Writable(), recs[next])
 			if err != nil {
 				if errors.Is(err, ErrPageFull) || errors.Is(err, ErrRecordTooLarge) {
 					break
@@ -178,10 +178,11 @@ func (h *HeapFile) InsertBatch(now sim.Time, recs [][]byte) ([]RID, sim.Time, er
 	first, sealed := len(rids), len(rids) // rids[first:sealed] are on full pages
 	openPage := func() {
 		newPages = append(newPages, h.ts.AllocatePage())
-		cur = make([]byte, pageSize)
+		cur = h.ts.mgr.PageBuf()
 		InitPage(cur, PageTypeHeap, h.objectID, uint64(newPages[len(newPages)-1]))
 	}
 	openPage()
+	defer func() { h.ts.mgr.Release(cur) }() // the tail's image, on every path
 	for next < len(recs) {
 		curLPN := newPages[len(newPages)-1]
 		slot, err := InsertRecord(cur, recs[next])
@@ -203,6 +204,9 @@ func (h *HeapFile) InsertBatch(now sim.Time, recs [][]byte) ([]RID, sim.Time, er
 	// Write the sealed pages as one batch; they stripe over the region's dies.
 	if len(full) > 0 {
 		done, err := h.pool.WriteThrough(now, full)
+		for _, w := range full {
+			h.ts.mgr.Release(w.Data) // the device holds what it programmed
+		}
 		if err != nil {
 			return rids[:first], now, err
 		}
@@ -303,7 +307,7 @@ func (h *HeapFile) tryInsertInto(now sim.Time, lpn core.LPN, rec []byte) (RID, s
 	if FreeSpace(handle.Data()) < len(rec) {
 		return RID{}, done, false, nil
 	}
-	slot, err := InsertRecord(handle.Data(), rec)
+	slot, err := InsertRecord(handle.Writable(), rec)
 	if err != nil {
 		if errors.Is(err, ErrPageFull) {
 			return RID{}, done, false, nil
@@ -342,7 +346,7 @@ func (h *HeapFile) Update(now sim.Time, rid RID, rec []byte) (sim.Time, error) {
 		return done, err
 	}
 	defer handle.Release()
-	if err := UpdateRecord(handle.Data(), rid.Slot, rec); err != nil {
+	if err := UpdateRecord(handle.Writable(), rid.Slot, rec); err != nil {
 		return done, fmt.Errorf("heap %s: update %v: %w", h.name, rid, err)
 	}
 	handle.MarkDirty()
@@ -356,7 +360,7 @@ func (h *HeapFile) Delete(now sim.Time, rid RID) (sim.Time, error) {
 		return done, err
 	}
 	defer handle.Release()
-	if err := DeleteRecord(handle.Data(), rid.Slot); err != nil {
+	if err := DeleteRecord(handle.Writable(), rid.Slot); err != nil {
 		return done, fmt.Errorf("heap %s: delete %v: %w", h.name, rid, err)
 	}
 	handle.MarkDirty()

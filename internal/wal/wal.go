@@ -148,11 +148,7 @@ type Log struct {
 	sealedWr []sealedPage
 	pages    []logPage // every live log page, in allocation order; the last is the current one
 
-	// Buffers a force reuses, so it allocates nothing per page: the write
-	// batch, and page buffers of forced sealed pages waiting to become a
-	// current page again.
-	batch     []core.PageWrite
-	freePages [][]byte
+	batch []core.PageWrite // the write batch a force reuses
 
 	// Counters: the log's children of the noftl_wal_* families (bind).
 	// pagesTrimmed has no family and stays a plain count.
@@ -216,17 +212,9 @@ func (l *Log) bind(reg *metrics.Registry) {
 // here (the hint flag bits are defined by the flash OOB metadata).
 const flashFlagLog uint16 = 1
 
-// maxFreePages bounds the recycled page buffers the log keeps: a commit seals
-// a page or two, and what a huge transaction seals goes back to the runtime.
-const maxFreePages = 16
-
 func (l *Log) openPage() {
 	l.curLPN = l.mgr.AllocateLPNs(1)
-	if n := len(l.freePages); n > 0 {
-		l.cur, l.freePages = l.freePages[n-1], l.freePages[:n-1]
-	} else {
-		l.cur = make([]byte, l.pageSize)
-	}
+	l.cur = l.mgr.PageBuf()
 	storage.InitPage(l.cur, storage.PageTypeLog, l.hint.ObjectID, uint64(l.curLPN))
 	l.pages = append(l.pages, logPage{lpn: l.curLPN})
 }
@@ -351,9 +339,9 @@ func (l *Log) force(now sim.Time, lsn uint64) (sim.Time, error) {
 
 // flushGroup forces everything appended so far as one write batch: the
 // sealed pages and the current page, in LSN order, each stamped with the
-// force's horizon.  The device copies what it programs, so the batch refers to
-// the log's own buffers; re-writing the current page later simply supersedes
-// this version out of place.
+// force's horizon.  The device keeps the buffers, so the log writes on in
+// copies: the current page after every force, and the sealed pages after a
+// failed one, which a retry stamps again.
 func (l *Log) flushGroup(now sim.Time) (sim.Time, error) {
 	hw := l.nextLSN - 1
 	newlyDurable := hw - l.flushedLSN
@@ -368,14 +356,16 @@ func (l *Log) flushGroup(now sim.Time) (sim.Time, error) {
 	done, err := l.mgr.WritePages(now, batch)
 	clear(batch) // drop the page references
 	l.batch = batch
+	l.cur = l.copyPage(l.cur)
 	if err != nil {
 		// The sealed pages stay queued, so a retry re-writes them.
+		for i := range l.sealedWr {
+			l.sealedWr[i].data = l.copyPage(l.sealedWr[i].data)
+		}
 		return now, fmt.Errorf("wal: flush: %w", err)
 	}
 	for _, sp := range l.sealedWr {
-		if len(l.freePages) < maxFreePages {
-			l.freePages = append(l.freePages, sp.data)
-		}
+		l.mgr.Release(sp.data)
 	}
 	clear(l.sealedWr)
 	l.sealedWr = l.sealedWr[:0]
@@ -394,6 +384,14 @@ func (l *Log) flushGroup(now sim.Time) (sim.Time, error) {
 		})
 	}
 	return done, nil
+}
+
+// copyPage returns a writable copy of a page the log handed to a write.
+func (l *Log) copyPage(page []byte) []byte {
+	cp := l.mgr.PageBuf()
+	copy(cp, page)
+	l.mgr.Release(page)
+	return cp
 }
 
 // Truncate drops every sealed log page whose records all lie strictly below

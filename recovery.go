@@ -132,13 +132,11 @@ func Reopen(img *CrashImage, opts ...Option) (*DB, error) {
 // scanLog reads back every surviving version of every WAL page the survey
 // found and reassembles the durable record stream.
 func scanLog(dev *flash.Device, sv *core.Survey) (wal.ScanResult, sim.Time, error) {
-	pageSize := dev.Geometry().PageSize
 	versions := sv.LogVersions()
 	images := make([]wal.PageImage, 0, len(versions))
-	backing := make([]byte, len(versions)*pageSize) // one allocation, not one per page
 	var now sim.Time
-	for i, v := range versions {
-		data, _, done, err := dev.ReadPage(now, v.Addr, backing[i*pageSize:(i+1)*pageSize:(i+1)*pageSize])
+	for _, v := range versions {
+		data, _, done, err := dev.ReadPage(now, v.Addr, nil) // the device's own bytes
 		if err != nil {
 			return wal.ScanResult{}, now, err
 		}
