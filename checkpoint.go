@@ -225,7 +225,7 @@ func (db *DB) checkpoint(now sim.Time) (sim.Time, error) {
 	if err != nil {
 		return now, err
 	}
-	db.ckptCount.Inc()
+	db.ckptCount++
 	db.ckptLastLSN = s.lsn
 	db.ckptBytes = s.bytes
 	db.ckptPages = int64(flushed)

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"noftl/internal/metrics"
 )
 
 // TestConcurrentBatchDML drives InsertBatch, GetBatch and the Rows iterator
@@ -197,6 +199,71 @@ func TestConcurrentBatchDML(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestScrapesDuringBatchDML: every layer counts in plain fields that only the
+// operation holding the baton touches, so a goroutine that loops over Stats,
+// MetricsText and ResetStatistics races with nothing while four others insert,
+// update and checkpoint (a -race test).  Afterwards the two views still agree.
+func TestScrapesDuringBatchDML(t *testing.T) {
+	db, err := Open(WithBufferPoolPages(64), WithTraceBuffer(1<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Exec("CREATE TABLE S (v VARCHAR(64))"); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := db.Table("S")
+
+	var workers, scraper sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		workers.Add(1)
+		go func(w int) {
+			defer workers.Done()
+			for r := 0; r < 6; r++ {
+				batch := make([][]byte, 40)
+				for i := range batch {
+					batch[i] = []byte(fmt.Sprintf("w%d-r%d-i%02d%s", w, r, i, bytes.Repeat([]byte{'x'}, 32)))
+				}
+				err := db.Update(func(tx *Tx) error {
+					rids, err := tbl.InsertBatch(tx, batch)
+					for i := 0; err == nil && i < len(rids); i += 4 {
+						err = tbl.Update(tx, rids[i], bytes.ToUpper(batch[i]))
+					}
+					return err
+				})
+				if err == nil {
+					_, err = db.Checkpoint(db.SimulatedTime())
+				}
+				if err != nil {
+					t.Errorf("worker %d round %d: %v", w, r, err)
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	scraper.Add(1)
+	go func() {
+		defer scraper.Done()
+		for {
+			_ = db.Stats()
+			if lint := metrics.LintExposition([]byte(db.MetricsText())); !lint.Valid() {
+				t.Errorf("exposition invalid: %v", lint.Problems)
+			}
+			db.ResetStatistics()
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	workers.Wait()
+	close(done)
+	scraper.Wait()
+	checkStatsEqualMetrics(t, db, "after the workers")
 }
 
 // TestConcurrentUpdateLockConflict exercises the documented retry idiom:

@@ -14,7 +14,6 @@ import (
 	"noftl/internal/core"
 	"noftl/internal/ddl"
 	"noftl/internal/flash"
-	"noftl/internal/metrics"
 	"noftl/internal/obs"
 	"noftl/internal/sim"
 	"noftl/internal/storage"
@@ -53,7 +52,6 @@ type DB struct {
 	log    *wal.Log
 	txns   *txn.Manager
 	clock  *sim.Clock
-	reg    *metrics.Registry
 	tracer *obs.Tracer // nil when tracing is off
 
 	// baton is held by the operation that runs (see DB); quiesce, whose
@@ -80,11 +78,11 @@ type DB struct {
 	open        int
 	ckptWaiting int
 	ckptRunning bool
-	ckptSeq     uint64           // checkpoint sequence number (TxnID of its marks)
-	ckptCount   *metrics.Counter // noftl_wal_checkpoints_total
-	ckptLastLSN uint64           // LSN of the last checkpoint's end mark
-	ckptBytes   int64            // encoded size of the last checkpoint's records
-	ckptPages   int64            // dirty pages the last checkpoint flushed
+	ckptSeq     uint64 // checkpoint sequence number (TxnID of its marks)
+	ckptCount   int64  // checkpoints taken since the last ResetStatistics
+	ckptLastLSN uint64 // LSN of the last checkpoint's end mark
+	ckptBytes   int64  // encoded size of the last checkpoint's records
+	ckptPages   int64  // dirty pages the last checkpoint flushed
 	ckptTime    sim.Time
 	ckptWALMark int64 // BytesAppended at the last checkpoint (rebased by ResetStatistics)
 	recovering  bool
@@ -107,17 +105,18 @@ func openWith(cfg Config, dev *flash.Device, space *core.Manager) *DB {
 		nextObject:  1,
 	}
 	db.quiesce.L = &db.baton
-	// The registry owns every layer's counters: each AttachObs below re-binds
-	// a layer's children to it, so Stats() and /metrics read the same storage.
+	// A device survives Crash and Reopen: the counts of the crashed instance,
+	// and the reads of the recovery scan, are not the new database's.  Its die
+	// and channel timelines go on, or recovery's virtual times would move.
+	// The space manager is new in both callers.
+	dev.ResetCounts()
 	// The tracer only exists when the configuration asked for tracing.
-	db.reg = metrics.NewRegistry()
 	if cfg.TraceBufferEvents != 0 {
 		db.tracer = obs.NewTracer(cfg.TraceBufferEvents)
-		db.tracer.AttachObs(db.reg)
 	}
-	db.space.AttachObs(db.tracer, db.reg)
+	db.space.AttachObs(db.tracer)
 	db.pool = buffer.New(db.space, cfg.BufferPoolPages, dev.Geometry().PageSize, nil)
-	db.pool.AttachObs(db.tracer, db.reg)
+	db.pool.AttachObs(db.tracer)
 
 	// The default tablespace lives in the default region; the WAL is placed
 	// there.
@@ -128,13 +127,10 @@ func openWith(cfg Config, dev *flash.Device, space *core.Manager) *DB {
 	db.nextObject++
 	db.log = wal.New(db.space, defTS.Hint(walObj, flash.FlagLog), dev.Geometry().PageSize)
 	db.space.NameObject(walObj, "WAL", "log", func() int64 { return int64(db.log.PageCount()) })
-	db.log.AttachObs(db.tracer, db.reg)
-	db.ckptCount = db.reg.Counter("noftl_wal_checkpoints_total",
-		"Checkpoints taken (dirty pages flushed, the flash image described at the head of the WAL).").With()
+	db.log.AttachObs(db.tracer)
 	lm := txn.NewLockManager(cfg.LockTimeout)
 	lm.SetBaton(&db.baton)
 	db.txns = txn.NewManager(lm, db.log, db.clock)
-	db.txns.AttachObs(db.reg)
 	return db
 }
 
@@ -269,7 +265,7 @@ func (db *DB) ObjectStats() []ObjectCounters {
 // ResetStatistics zeroes every I/O, GC, WAL, checkpoint and transaction
 // counter and latency histogram (device, scheduler, space manager, buffer
 // pool, log, lock manager, per-object) and the virtual clock without touching
-// data.  Stats() and /metrics read the same counters, so both restart from
+// data.  Stats() and /metrics read the same counts, so both restart from
 // zero; point-in-time gauges keep their values, and the trace ring keeps its
 // events and counts.  Benchmarks call it at the end of the warm-up phase.
 func (db *DB) ResetStatistics() {
@@ -281,7 +277,7 @@ func (db *DB) ResetStatistics() {
 	// Keep "bytes appended since the last checkpoint" across the reset.
 	db.ckptWALMark -= db.log.BytesAppended()
 	db.log.ResetCounters()
-	db.ckptCount.Reset()
+	db.ckptCount = 0
 	db.clock.Reset()
 }
 

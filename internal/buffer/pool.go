@@ -155,8 +155,7 @@ type Options struct {
 	GroupWriteBack bool
 }
 
-// Pool is the buffer pool.  It is not safe for concurrent use; AttachObs
-// must happen before the pool sees traffic.
+// Pool is the buffer pool.  It is not safe for concurrent use.
 type Pool struct {
 	backend  Backend
 	tracer   *obs.Tracer // nil = tracing off (the only cost is nil compares)
@@ -172,14 +171,9 @@ type Pool struct {
 	flushFrames []*Frame
 	flushWrites []core.PageWrite
 
-	// hits, misses, evictions and writebacks are the pool's children of the
-	// noftl_buffer_* families (bind); the rest have no family and stay plain.
-	hits         *metrics.Counter
-	misses       *metrics.Counter
-	evictions    *metrics.Counter
-	writebacks   *metrics.Counter
-	newPages     int64
-	groupFlushes int64
+	// Counts since the last ResetCounters (WriteMetrics exports the first
+	// four).
+	hits, misses, evictions, writebacks, newPages, groupFlushes int64
 }
 
 // autoShards picks the partition count for a pool of frameCount frames: one
@@ -212,16 +206,7 @@ func New(backend Backend, frameCount, pageSize int, _ any) *Pool {
 		pageSize: pageSize,
 	}
 	p.buildShards(autoShards(frameCount))
-	p.bind(metrics.NewRegistry())
 	return p
-}
-
-// bind resolves the pool's children of its metric families on reg.
-func (p *Pool) bind(reg *metrics.Registry) {
-	p.hits = reg.Counter("noftl_buffer_hits_total", "Buffer-pool hits.").With()
-	p.misses = reg.Counter("noftl_buffer_misses_total", "Buffer-pool demand misses.").With()
-	p.evictions = reg.Counter("noftl_buffer_evictions_total", "Buffer-pool frame evictions.").With()
-	p.writebacks = reg.Counter("noftl_buffer_writebacks_total", "Dirty pages written back by the buffer pool.").With()
 }
 
 // buildShards partitions the pool's frames over n partitions (contiguous
@@ -262,12 +247,16 @@ func (p *Pool) shardOf(lpn core.LPN) *poolShard {
 	return p.shards[h%uint64(len(p.shards))]
 }
 
-// AttachObs wires the pool to the trace recorder and re-binds its counters to
-// the shared registry reg.  A nil tracer (the default) keeps tracing off; hook
-// sites then cost one nil compare.  Attach before the pool sees traffic.
-func (p *Pool) AttachObs(tr *obs.Tracer, reg *metrics.Registry) {
-	p.tracer = tr
-	p.bind(reg)
+// AttachObs wires the pool to the trace recorder.  A nil tracer (the default)
+// keeps tracing off; hook sites then cost one nil compare.
+func (p *Pool) AttachObs(tr *obs.Tracer) { p.tracer = tr }
+
+// WriteMetrics writes the hit, miss, eviction and write-back counts into mt.
+func (p *Pool) WriteMetrics(mt *metrics.Text) {
+	mt.Counter("noftl_buffer_hits_total", "Buffer-pool hits.").Add(p.hits)
+	mt.Counter("noftl_buffer_misses_total", "Buffer-pool demand misses.").Add(p.misses)
+	mt.Counter("noftl_buffer_evictions_total", "Buffer-pool frame evictions.").Add(p.evictions)
+	mt.Counter("noftl_buffer_writebacks_total", "Dirty pages written back by the buffer pool.").Add(p.writebacks)
 }
 
 // Configure does nothing: Options has nothing to tune.  It remains only
@@ -281,11 +270,11 @@ func (p *Pool) PageSize() int { return p.pageSize }
 func (p *Pool) Stats() Stats {
 	st := Stats{
 		Frames:       p.nframes,
-		Hits:         p.hits.Value(),
-		Misses:       p.misses.Value(),
+		Hits:         p.hits,
+		Misses:       p.misses,
 		NewPages:     p.newPages,
-		Evictions:    p.evictions.Value(),
-		Writebacks:   p.writebacks.Value(),
+		Evictions:    p.evictions,
+		Writebacks:   p.writebacks,
 		GroupFlushes: p.groupFlushes,
 	}
 	for _, s := range p.shards {
@@ -303,12 +292,7 @@ func (p *Pool) Stats() Stats {
 
 // ResetCounters zeroes the hit/miss/eviction counters (after warm-up).
 func (p *Pool) ResetCounters() {
-	p.hits.Reset()
-	p.misses.Reset()
-	p.evictions.Reset()
-	p.writebacks.Reset()
-	p.newPages = 0
-	p.groupFlushes = 0
+	p.hits, p.misses, p.evictions, p.writebacks, p.newPages, p.groupFlushes = 0, 0, 0, 0, 0, 0
 }
 
 // Fetch pins the page, reading it from the backend on a miss.  The returned
@@ -422,13 +406,13 @@ func (p *Pool) pinHit(f *Frame, hint core.Hint) *Handle {
 	f.pins++
 	f.ref = true
 	f.hint = hint
-	p.hits.Add(1)
+	p.hits++
 	return &f.handle
 }
 
 // claimMiss counts a demand miss on the page and claims a frame for it.
 func (p *Pool) claimMiss(s *poolShard, now sim.Time, lpn core.LPN, hint core.Hint) (*Frame, sim.Time, error) {
-	p.misses.Add(1)
+	p.misses++
 	if p.tracer.Enabled() {
 		p.tracer.Record(obs.Event{
 			Class: obs.ClassBufMiss, Die: -1, Block: -1, Page: -1,
@@ -519,7 +503,7 @@ func (p *Pool) WriteThrough(now sim.Time, writes []core.PageWrite) (sim.Time, er
 	}
 	for _, w := range writes {
 		p.Drop(w.LPN)
-		p.writebacks.Add(1)
+		p.writebacks++
 	}
 	p.noteGroupWrite(now, done, len(writes))
 	return done, nil
@@ -593,7 +577,7 @@ func (p *Pool) allocFrame(s *poolShard, now sim.Time) (int, sim.Time, error) {
 				return 0, now, fmt.Errorf("buffer: writeback lpn %d: %w", f.lpn, err)
 			}
 			now = done
-			p.writebacks.Add(1)
+			p.writebacks++
 			if p.tracer.Enabled() {
 				p.tracer.Record(obs.Event{
 					Class: obs.ClassBufWriteBack, Op: obs.BufWriteBackSingle,
@@ -614,7 +598,7 @@ func (p *Pool) allocFrame(s *poolShard, now sim.Time) (int, sim.Time, error) {
 			})
 		}
 		p.vacate(f)
-		p.evictions.Add(1)
+		p.evictions++
 		return idx, now, nil
 	}
 	return 0, now, ErrPoolFull
@@ -655,7 +639,7 @@ func (p *Pool) Flush(now sim.Time) (done sim.Time, flushed, left int, err error)
 		f.own = false // the device's now
 		if err == nil {
 			f.dirty = false
-			p.writebacks.Add(1)
+			p.writebacks++
 		}
 	}
 	// Keep the grown slices for the next flush, but no page payload.

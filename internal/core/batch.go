@@ -103,7 +103,7 @@ func (m *Manager) readPages(now sim.Time, lpns []LPN, bufs [][]byte, out []PageR
 		if c.Err != nil {
 			continue
 		}
-		o.region.hostReads.Inc()
+		o.region.hostReads++
 		m.charge(c.Meta.ObjectID, opRead)
 		o.region.readLat.Observe(c.Done.Sub(now))
 		if traced {
@@ -386,7 +386,7 @@ func (m *Manager) commitWrite(p *hostWrite, w *PageWrite, start, done sim.Time, 
 	if p.consumes {
 		r.admitted--
 	}
-	r.hostWrites.Inc()
+	r.hostWrites++
 	if had {
 		m.charge(w.Hint.ObjectID, opWriteOver)
 	} else {

@@ -85,7 +85,7 @@ func (m *Manager) backgroundGC(now sim.Time, da *dieAlloc) {
 		}
 	}
 	start := sim.MaxTime(now, m.sched.DieIdleAt(da.die))
-	copybacks, erases := r.gcCopybacks.Value(), r.gcErases.Value()
+	copybacks, erases := r.gcCopybacks, r.gcErases
 	end := m.relocateAndErase(start, r, da, da.bgVictim, pol.StepPages, pol)
 	switch {
 	case da.blocks[da.bgVictim].state == blkFree:
@@ -96,12 +96,12 @@ func (m *Manager) backgroundGC(now sim.Time, da *dieAlloc) {
 		// The erase failed; the block left circulation for good.
 		da.bgVictim = -1
 	}
-	if r.gcCopybacks.Value() == copybacks && r.gcErases.Value() == erases {
+	if r.gcCopybacks == copybacks && r.gcErases == erases {
 		// Nothing moved and nothing erased (no destination slots): not a
 		// step.  Keep the victim for a later write.
 		return
 	}
-	r.bgSteps.Inc()
+	r.bgSteps++
 	if m.tracer.Enabled() {
 		m.tracer.Record(obs.Event{
 			Class: obs.ClassGCStep, Op: obs.GCStepBackground,

@@ -321,9 +321,9 @@ func TestWearLevelBoundsOverflow(t *testing.T) {
 		t.Fatal("no closed block to level")
 	}
 	r := m.regionsByID[DefaultRegionID]
-	moves := r.wlMoves.Value()
+	moves := r.wlMoves
 	m.maybeWearLevel(now, r, da)
-	leveled := r.wlMoves.Value() > moves
+	leveled := r.wlMoves > moves
 	ec := da.blocks[cold].eraseCount
 
 	if !leveled {

@@ -107,7 +107,7 @@ func (p GCPolicy) String() string {
 // victim-relocation latency inline — exactly the stall that background GC
 // (bggc.go) exists to avoid.
 func (m *Manager) collectDie(now sim.Time, r *Region, da *dieAlloc) sim.Time {
-	r.gcStalls.Inc()
+	r.gcStalls++
 	fgStart := now
 	for da.freeCount() <= gcLowWater {
 		victim := m.pickVictim(da, r.gc)
@@ -123,9 +123,9 @@ func (m *Manager) collectDie(now sim.Time, r *Region, da *dieAlloc) sim.Time {
 			})
 		}
 		r.gcRuns++
-		copybacks, erases := r.gcCopybacks.Value(), r.gcErases.Value()
+		copybacks, erases := r.gcCopybacks, r.gcErases
 		now = m.relocateAndErase(now, r, da, victim, m.geo.PagesPerBlock, r.gc)
-		if r.gcCopybacks.Value() == copybacks && r.gcErases.Value() == erases {
+		if r.gcCopybacks == copybacks && r.gcErases == erases {
 			// No destination slots and nothing erased: further iterations
 			// would re-pick the same victim without making progress, so let
 			// the allocation fail upward instead of spinning.
@@ -303,7 +303,7 @@ func (m *Manager) relocateAndErase(now sim.Time, r *Region, da *dieAlloc, victim
 		}
 		vblk.valid[mv.page] = false
 		vblk.validCount--
-		r.gcCopybacks.Inc()
+		r.gcCopybacks++
 		m.charge(c.Meta.ObjectID, opCopyback)
 	}
 	if len(reqs) > 0 {
@@ -327,7 +327,7 @@ func (m *Manager) relocateAndErase(now sim.Time, r *Region, da *dieAlloc, victim
 		vblk.eraseCount++ // saturate instead of wrapping negative
 	}
 	da.freeBlocks = append(da.freeBlocks, victim)
-	r.gcErases.Inc()
+	r.gcErases++
 	if m.tracer.Enabled() {
 		m.tracer.Record(obs.Event{
 			Class: obs.ClassGCErase,
@@ -429,11 +429,11 @@ func (m *Manager) maybeWearLevel(now sim.Time, r *Region, da *dieAlloc) sim.Time
 		// int64 when counters approach the saturation cap.)
 		return now
 	}
-	before := r.gcErases.Value()
+	before := r.gcErases
 	wlStart := now
 	now = m.relocateAndErase(now, r, da, minIdx, m.geo.PagesPerBlock, r.gc)
-	if r.gcErases.Value() > before {
-		r.wlMoves.Inc()
+	if r.gcErases > before {
+		r.wlMoves++
 		if m.tracer.Enabled() {
 			m.tracer.Record(obs.Event{
 				Class: obs.ClassWear,

@@ -201,15 +201,9 @@ type Manager struct {
 		done  []iosched.Completion
 	}
 
-	// Observability plane: tracer is nil when tracing is off; reg owns the
-	// per-region counters (a private registry until AttachObs re-binds them
-	// to the database's shared one).  The children are cached on the Region
-	// itself (bindRegion).
-	tracer *obs.Tracer
-	reg    *metrics.Registry
+	tracer *obs.Tracer // nil when tracing is off
 
-	// Per-object demand (objects.go): the children of noftl_object_io_total by
-	// object id.
+	// Per-object demand (objects.go), by object id.
 	objects map[uint32]*objectIO
 }
 
@@ -228,7 +222,6 @@ func NewManager(dev *flash.Device, opts Options) *Manager {
 		retained:    make(map[ppa]uint64),
 		nextLPN:     1,
 		nextRegion:  DefaultRegionID + 1,
-		reg:         metrics.NewRegistry(),
 		pends:       make([]hostWrite, 1),
 		reqs:        make([]iosched.Request, 0, 1),
 	}
@@ -246,9 +239,8 @@ func NewManager(dev *flash.Device, opts Options) *Manager {
 		m.dies[i] = da
 	}
 
-	m.objects = map[uint32]*objectIO{0: m.bindObject(UnattributedObject, "", nil)}
+	m.objects = map[uint32]*objectIO{0: {name: UnattributedObject}}
 	def := &Region{id: DefaultRegionID, name: DefaultRegionName}
-	m.bindRegion(def)
 	def.gc = opts.GC
 	allDies := make([]int, nDies)
 	for i := range allDies {
@@ -265,47 +257,54 @@ func NewManager(dev *flash.Device, opts Options) *Manager {
 // routed through.
 func (m *Manager) Scheduler() *iosched.Scheduler { return m.sched }
 
-// AttachObs wires the space manager, its I/O scheduler and its device to the
-// observability plane: host read/write, GC, and wear-leveling events go to tr
-// (nil = tracing off), and every counter is re-bound to the shared registry
-// reg so it appears in the database's /metrics.  Call before serving traffic
-// (counts taken before the call stay behind on the private registries);
-// regions created later are bound automatically.
-func (m *Manager) AttachObs(tr *obs.Tracer, reg *metrics.Registry) {
+// AttachObs sends the host read/write, GC and wear-leveling trace events of
+// the space manager and its I/O scheduler to tr (nil = tracing off).
+func (m *Manager) AttachObs(tr *obs.Tracer) {
 	m.tracer = tr
-	m.reg = reg
-	for _, r := range m.regions {
-		m.bindRegion(r)
-	}
-	for id, o := range m.objects {
-		m.objects[id] = m.bindObject(o.name, o.kind, o.size)
-	}
-	m.sched.AttachObs(tr, reg)
-	m.dev.AttachObs(reg)
+	m.sched.AttachObs(tr)
 }
 
-// bindRegion resolves the region's children of the per-region metric
-// families on m.reg.
-func (m *Manager) bindRegion(r *Region) {
-	reg := m.reg
-	r.hostReads = reg.Counter("noftl_region_host_reads_total",
-		"Logical host page reads served per region.", "region").With(r.name)
-	r.hostWrites = reg.Counter("noftl_region_host_writes_total",
-		"Logical host page writes placed per region.", "region").With(r.name)
-	r.gcCopybacks = reg.Counter("noftl_region_gc_copybacks_total",
-		"Valid pages relocated by garbage collection per region.", "region").With(r.name)
-	r.gcErases = reg.Counter("noftl_region_gc_erases_total",
-		"Victim blocks erased by garbage collection per region.", "region").With(r.name)
-	r.gcStalls = reg.Counter("noftl_region_gc_stalls_total",
-		"Foreground (blocking) collections at the low watermark per region.", "region").With(r.name)
-	r.bgSteps = reg.Counter("noftl_region_bggc_steps_total",
-		"Bounded background GC steps per region.", "region").With(r.name)
-	r.wlMoves = reg.Counter("noftl_region_wear_moves_total",
-		"Static wear-leveling block relocations per region.", "region").With(r.name)
-	r.readLat = reg.Histogram("noftl_host_read_latency_seconds",
-		"End-to-end virtual-time host read latency per region.", "region").With(r.name)
-	r.writeLat = reg.Histogram("noftl_host_write_latency_seconds",
-		"End-to-end virtual-time host write latency (including foreground GC) per region.", "region").With(r.name)
+// WriteMetrics writes the per-region counts and host latency histograms and
+// the per-object command counts into mt.  A dropped region or object is no
+// longer iterated, so it leaves the exposition.
+func (m *Manager) WriteMetrics(mt *metrics.Text) {
+	hostReads := mt.Counter("noftl_region_host_reads_total",
+		"Logical host page reads served per region.", "region")
+	hostWrites := mt.Counter("noftl_region_host_writes_total",
+		"Logical host page writes placed per region.", "region")
+	gcCopybacks := mt.Counter("noftl_region_gc_copybacks_total",
+		"Valid pages relocated by garbage collection per region.", "region")
+	gcErases := mt.Counter("noftl_region_gc_erases_total",
+		"Victim blocks erased by garbage collection per region.", "region")
+	gcStalls := mt.Counter("noftl_region_gc_stalls_total",
+		"Foreground (blocking) collections at the low watermark per region.", "region")
+	bgSteps := mt.Counter("noftl_region_bggc_steps_total",
+		"Bounded background GC steps per region.", "region")
+	wlMoves := mt.Counter("noftl_region_wear_moves_total",
+		"Static wear-leveling block relocations per region.", "region")
+	readLat := mt.Histogram("noftl_host_read_latency_seconds",
+		"End-to-end virtual-time host read latency per region.", "region")
+	writeLat := mt.Histogram("noftl_host_write_latency_seconds",
+		"End-to-end virtual-time host write latency (including foreground GC) per region.", "region")
+	for _, r := range m.regions {
+		hostReads.Add(r.hostReads, r.name)
+		hostWrites.Add(r.hostWrites, r.name)
+		gcCopybacks.Add(r.gcCopybacks, r.name)
+		gcErases.Add(r.gcErases, r.name)
+		gcStalls.Add(r.gcStalls, r.name)
+		bgSteps.Add(r.bgSteps, r.name)
+		wlMoves.Add(r.wlMoves, r.name)
+		readLat.Histogram(&r.readLat, r.name)
+		writeLat.Histogram(&r.writeLat, r.name)
+	}
+	objects := mt.Counter("noftl_object_io_total",
+		"Flash commands executed for each database object's pages: host reads, host writes of a new page (write_first) and of a mapped one (write_over), GC copybacks.",
+		"object", "kind", "op")
+	for _, o := range m.objects {
+		for op, n := range o.ops {
+			objects.Add(n, o.name, o.kind, objectOpNames[op])
+		}
+	}
 }
 
 // Options returns the effective options.
@@ -405,8 +404,6 @@ func (m *Manager) CreateRegion(spec RegionSpec) (*Region, error) {
 
 	m.regions[r.name] = r
 	m.regionsByID[r.id] = r
-	m.bindRegion(r)
-	r.resetCounters() // a dropped region of the same name left its children behind
 	return r, nil
 }
 
@@ -505,7 +502,8 @@ func removeDies(from []int, remove []int) []int {
 }
 
 // DropRegion removes an empty region and returns its dies to the default
-// region.
+// region, which takes over what the region counted: the regions still sum to
+// everything the space manager did, as the objects do.
 func (m *Manager) DropRegion(name string) error {
 	r, ok := m.regions[name]
 	if !ok {
@@ -525,6 +523,7 @@ func (m *Manager) DropRegion(name string) error {
 	}
 	def.dies = sortedCopy(append(def.dies, r.dies...))
 	m.recomputeCapacity(def)
+	def.absorb(r)
 	delete(m.regions, name)
 	delete(m.regionsByID, r.id)
 	return nil

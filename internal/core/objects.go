@@ -4,20 +4,18 @@ import (
 	"cmp"
 	"slices"
 	"time"
-
-	"noftl/internal/metrics"
 )
 
 // Per-object device demand.  Every flash command the space manager issues for
 // a page is charged to the database object that owns the page, at the line
 // that charges it to the page's region: a host read by the object id in the
 // OOB metadata the read returns, a host write by its placement hint, a GC
-// copyback by the OOB metadata the copy carries along.  The counts are the
-// children of one family, noftl_object_io_total{object,kind,op}, with disjoint
-// ops, so the objects sum to the regions: Σ read = host reads, Σ write_first +
+// copyback by the OOB metadata the copy carries along.  The counts are kept by
+// disjoint op, exported as one family, noftl_object_io_total{object,kind,op},
+// so the objects sum to the regions: Σ read = host reads, Σ write_first +
 // write_over = host writes, Σ copyback = GC copybacks.  The DBMS names an
 // object when it creates it and forgets it when it drops it; commands for
-// pages whose id names no live object go to one unattributed child.
+// pages whose id names no live object go to one unattributed record.
 
 // UnattributedObject is the name under which commands for pages of no named
 // object are reported (no DDL identifier can spell it).
@@ -59,75 +57,56 @@ const (
 
 var objectOpNames = [numObjectOps]string{"read", "write_first", "write_over", "copyback"}
 
-// objectIO holds one object's children of noftl_object_io_total, by op, and
-// the owner's report of its size (nil for the unattributed object).
+// objectIO holds one object's command counts, by op, and the owner's report of
+// its size (nil for the unattributed object).
 type objectIO struct {
 	name, kind string
 	size       func() int64
-	ops        [numObjectOps]*metrics.Counter
-}
-
-func (m *Manager) objectFamily() metrics.CounterFamily {
-	return m.reg.Counter("noftl_object_io_total",
-		"Flash commands executed for each database object's pages: host reads, host writes of a new page (write_first) and of a mapped one (write_over), GC copybacks.",
-		"object", "kind", "op")
-}
-
-// bindObject resolves the children of (name, kind) on m.reg.
-func (m *Manager) bindObject(name, kind string, size func() int64) *objectIO {
-	o := &objectIO{name: name, kind: kind, size: size}
-	f := m.objectFamily()
-	for op, opName := range objectOpNames {
-		o.ops[op] = f.With(name, kind, opName)
-	}
-	return o
+	ops        [numObjectOps]int64
 }
 
 // charge counts one command of kind op for the object whose id the page
-// carries: on its own children once it is named, on the unattributed ones
-// (kept under id 0, which no object carries) otherwise.
+// carries: on its own record once it is named, on the unattributed one (kept
+// under id 0, which no object carries) otherwise.
 func (m *Manager) charge(id uint32, op int) {
 	o, ok := m.objects[id]
 	if !ok {
 		o = m.objects[0]
 	}
-	o.ops[op].Inc()
+	o.ops[op]++
 }
 
 // NameObject starts charging the commands for pages carrying object id to
 // (name, kind); size reports the object's current size in pages.
 func (m *Manager) NameObject(id uint32, name, kind string, size func() int64) {
-	m.objects[id] = m.bindObject(name, kind, size)
+	m.objects[id] = &objectIO{name: name, kind: kind, size: size}
 }
 
-// ForgetObject ends the record of a dropped object: its children leave the
-// family and what they counted moves to the unattributed child, so the
-// objects still sum to the regions.
+// ForgetObject ends the record of a dropped object: what it counted moves to
+// the unattributed record, so the objects still sum to the regions.
 func (m *Manager) ForgetObject(id uint32) {
 	o, ok := m.objects[id]
 	if !ok || id == 0 {
 		return
 	}
 	delete(m.objects, id)
-	f := m.objectFamily()
-	for op, c := range o.ops {
-		m.objects[0].ops[op].Add(c.Value())
-		f.Delete(o.name, o.kind, objectOpNames[op])
+	for op, n := range o.ops {
+		m.objects[0].ops[op] += n
 	}
 }
 
 // ObjectStats returns the record of every named object and, once a command
-// was charged to it, of the unattributed child, by descending die time.
+// was charged to it, of the unattributed one, by descending die time.
 func (m *Manager) ObjectStats() []ObjectCounters {
 	t := m.dev.Timing()
 	out := make([]ObjectCounters, 0, len(m.objects))
 	for id, o := range m.objects {
 		c := ObjectCounters{
 			Name: o.name, Kind: o.kind,
-			Reads:      o.ops[opRead].Value(),
-			Writes:     o.ops[opWriteFirst].Value() + o.ops[opWriteOver].Value(),
-			Supersedes: o.ops[opWriteOver].Value(),
-			Copybacks:  o.ops[opCopyback].Value(),
+			Reads:      o.ops[opRead],
+			Writes:     o.ops[opWriteFirst] + o.ops[opWriteOver],
+			Supersedes: o.ops[opWriteOver],
+			Copybacks:  o.ops[opCopyback],
 		}
 		c.DieTime = time.Duration(c.Reads)*t.ReadPage + time.Duration(c.Writes)*t.ProgramPage +
 			time.Duration(c.Copybacks)*(t.ReadPage+t.ProgramPage)

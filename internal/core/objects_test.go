@@ -13,16 +13,19 @@ import (
 // through first writes, overwrites, reads and enough churn for GC, and checks
 // that every command is charged to exactly one object: the records sum to the
 // region counters, split the writes by whether they superseded a mapped page,
-// survive a rebind to another registry, restart from zero with ResetCounters,
-// and that a forgotten object leaves the family while its cost stays in the
-// sum.
+// appear in the exposition WriteMetrics writes, restart from zero with
+// ResetCounters, and that a forgotten object leaves the family while its cost
+// stays in the sum.
 func TestObjectDemandSumsToTheRegions(t *testing.T) {
 	dev := smallDevice(t, 2, 16, 8)
 	m := NewManager(dev, DefaultOptions())
-	reg := metrics.NewRegistry()
 	m.NameObject(1, "A", "table", func() int64 { return 11 })
-	m.AttachObs(nil, reg) // children named before the attach move to the shared registry
 	m.NameObject(2, "B", "index", func() int64 { return 22 })
+	exposition := func() string {
+		var mt metrics.Text
+		m.WriteMetrics(&mt)
+		return mt.String()
+	}
 
 	const pages = 180 // of 225 the device exports: GC victims hold valid pages to move
 	base := m.AllocateLPNs(pages)
@@ -65,10 +68,10 @@ func TestObjectDemandSumsToTheRegions(t *testing.T) {
 		if len(byName) != len(wantNames) {
 			t.Fatalf("%s: objects %v, want %v", stage, byName, wantNames)
 		}
-		text := reg.Text()
+		text := exposition()
 		for _, name := range wantNames {
 			if _, ok := byName[name]; !ok || !strings.Contains(text, `noftl_object_io_total{object="`+name+`"`) {
-				t.Fatalf("%s: %s missing from the records or the registry:\n%v", stage, name, byName)
+				t.Fatalf("%s: %s missing from the records or the exposition:\n%v", stage, name, byName)
 			}
 		}
 		return byName
@@ -95,9 +98,9 @@ func TestObjectDemandSumsToTheRegions(t *testing.T) {
 	m.ForgetObject(2)
 	objs = check("after forgetting B", "A", UnattributedObject)
 	if got := objs[UnattributedObject]; got.Writes != u.Writes+b.Writes || got.Copybacks != u.Copybacks+b.Copybacks {
-		t.Fatalf("B's cost did not move to the unattributed child: %+v", got)
+		t.Fatalf("B's cost did not move to the unattributed record: %+v", got)
 	}
-	if strings.Contains(reg.Text(), `object="B"`) {
+	if strings.Contains(exposition(), `object="B"`) {
 		t.Fatal("the forgotten object is still exposed")
 	}
 	m.NameObject(2, "B", "index", nil)

@@ -84,35 +84,44 @@ type Region struct {
 
 	gc GCPolicy // per-region garbage-collection policy
 
-	// Statistics.  The counters and histograms are this region's children of
-	// the noftl_region_* / noftl_host_*_latency families, resolved by
-	// Manager.bindRegion so the write/GC hot paths never touch the
-	// registry maps; host reads and writes count successful operations.
-	// gcRuns and spills have no family and stay plain counts.
-	hostReads   *metrics.Counter
-	hostWrites  *metrics.Counter
-	gcCopybacks *metrics.Counter
-	gcErases    *metrics.Counter
-	gcStalls    *metrics.Counter // foreground collections: an allocation hit the low watermark
-	bgSteps     *metrics.Counter // bounded background GC steps performed
-	wlMoves     *metrics.Counter
-	readLat     *metrics.Histogram
-	writeLat    *metrics.Histogram
+	// Statistics (Manager.WriteMetrics exports them); host reads and writes
+	// count successful operations.
+	hostReads   int64
+	hostWrites  int64
+	gcCopybacks int64
+	gcErases    int64
+	gcStalls    int64 // foreground collections: an allocation hit the low watermark
+	bgSteps     int64 // bounded background GC steps performed
+	wlMoves     int64
 	gcRuns      int64
 	spills      int64 // writes redirected to the default region because this region was full
+	readLat     metrics.Histogram
+	writeLat    metrics.Histogram
 
 	rr int // round-robin cursor over dies for write placement
 }
 
 // resetCounters zeroes the region's statistics.
 func (r *Region) resetCounters() {
-	for _, c := range []*metrics.Counter{r.hostReads, r.hostWrites,
-		r.gcCopybacks, r.gcErases, r.gcStalls, r.bgSteps, r.wlMoves} {
-		c.Reset()
-	}
+	r.hostReads, r.hostWrites, r.gcCopybacks, r.gcErases = 0, 0, 0, 0
+	r.gcStalls, r.bgSteps, r.wlMoves, r.gcRuns, r.spills = 0, 0, 0, 0, 0
 	r.readLat.Reset()
 	r.writeLat.Reset()
-	r.gcRuns, r.spills = 0, 0
+}
+
+// absorb adds the statistics of o, a region being dropped, to r's.
+func (r *Region) absorb(o *Region) {
+	r.hostReads += o.hostReads
+	r.hostWrites += o.hostWrites
+	r.gcCopybacks += o.gcCopybacks
+	r.gcErases += o.gcErases
+	r.gcStalls += o.gcStalls
+	r.bgSteps += o.bgSteps
+	r.wlMoves += o.wlMoves
+	r.gcRuns += o.gcRuns
+	r.spills += o.spills
+	r.readLat.Merge(&o.readLat)
+	r.writeLat.Merge(&o.writeLat)
 }
 
 // ID returns the region's identifier.

@@ -83,14 +83,14 @@ func (m *Manager) Stats() Stats {
 			ValidPages:    r.validPages,
 			RetainedPages: r.retainedPages,
 			GC:            r.gc,
-			HostReads:     r.hostReads.Value(),
-			HostWrites:    r.hostWrites.Value(),
-			GCCopybacks:   r.gcCopybacks.Value(),
-			GCErases:      r.gcErases.Value(),
+			HostReads:     r.hostReads,
+			HostWrites:    r.hostWrites,
+			GCCopybacks:   r.gcCopybacks,
+			GCErases:      r.gcErases,
 			GCRuns:        r.gcRuns,
-			GCStalls:      r.gcStalls.Value(),
-			BGGCSteps:     r.bgSteps.Value(),
-			WearMoves:     r.wlMoves.Value(),
+			GCStalls:      r.gcStalls,
+			BGGCSteps:     r.bgSteps,
+			WearMoves:     r.wlMoves,
 			SpilledWrites: r.spills,
 			ReadLatency:   r.readLat.Snapshot(),
 			WriteLatency:  r.writeLat.Snapshot(),
@@ -159,8 +159,8 @@ func (m *Manager) Stats() Stats {
 func (m *Manager) HostLatency() (read, write metrics.Snapshot) {
 	var reads, writes []*metrics.Histogram
 	for _, r := range m.regions {
-		reads = append(reads, r.readLat)
-		writes = append(writes, r.writeLat)
+		reads = append(reads, &r.readLat)
+		writes = append(writes, &r.writeLat)
 	}
 	return metrics.MergedSnapshot(reads...), metrics.MergedSnapshot(writes...)
 }
@@ -174,9 +174,7 @@ func (m *Manager) ResetCounters() {
 		r.resetCounters()
 	}
 	for _, o := range m.objects {
-		for _, c := range o.ops {
-			c.Reset()
-		}
+		o.ops = [numObjectOps]int64{}
 	}
 	m.dev.ResetCounters()
 	m.sched.ResetCounters()

@@ -60,13 +60,8 @@ type blockState struct {
 type dieState struct {
 	blocks []blockState
 
-	// Operation counts.  Reads, programs and erases are this die's children
-	// of the noftl_device_* families (AttachObs); device totals are sums
-	// over the dies.  Copybacks have no family and stay a plain count.
-	reads     *metrics.Counter
-	programs  *metrics.Counter
-	erases    *metrics.Counter
-	copybacks int64
+	// Operation counts; device totals are sums over the dies.
+	reads, programs, erases, copybacks int64
 }
 
 // Device is a simulated native flash device.  It is not safe for concurrent
@@ -183,22 +178,20 @@ func NewDevice(cfg Config) (*Device, error) {
 	for c := range d.chanRes {
 		d.chanRes[c] = new(sim.Resource)
 	}
-	d.AttachObs(metrics.NewRegistry())
 	return d, nil
 }
 
-// AttachObs binds the device's counters to reg: the per-die children of the
-// noftl_device_* families.  A new device counts on a private registry; the
-// database above it re-binds them to its shared one so they appear in its
-// /metrics.  Call before serving traffic: counts taken before the call stay
-// behind on the old registry.
-func (d *Device) AttachObs(reg *metrics.Registry) {
-	reads := reg.Counter("noftl_device_reads_total", "Physical page reads on the flash device.", "die")
-	programs := reg.Counter("noftl_device_programs_total", "Physical page programs on the flash device.", "die")
-	erases := reg.Counter("noftl_device_erases_total", "Physical block erases on the flash device.", "die")
+// WriteMetrics writes the per-die operation counts into the noftl_device_*
+// families of mt.
+func (d *Device) WriteMetrics(mt *metrics.Text) {
+	reads := mt.Counter("noftl_device_reads_total", "Physical page reads on the flash device.", "die")
+	programs := mt.Counter("noftl_device_programs_total", "Physical page programs on the flash device.", "die")
+	erases := mt.Counter("noftl_device_erases_total", "Physical block erases on the flash device.", "die")
 	for i, ds := range d.dies {
 		die := strconv.Itoa(i)
-		ds.reads, ds.programs, ds.erases = reads.With(die), programs.With(die), erases.With(die)
+		reads.Add(ds.reads, die)
+		programs.Add(ds.programs, die)
+		erases.Add(ds.erases, die)
 	}
 }
 
@@ -241,7 +234,7 @@ func (d *Device) ReadPage(now sim.Time, addr Addr, buf []byte) ([]byte, PageMeta
 			copy(buf, blk.data[addr.Page])
 		}
 	}
-	ds.reads.Inc()
+	ds.reads++
 
 	_, sensed := d.dieRes[addr.Die].Acquire(now, d.cfg.Timing.ReadPage)
 	_, done := d.channel(addr.Die).Acquire(sensed, d.cfg.Timing.Transfer)
@@ -284,7 +277,7 @@ func (d *Device) ProgramPage(now sim.Time, addr Addr, data []byte, meta PageMeta
 	if data != nil {
 		d.store(blk, addr, data)
 	}
-	ds.programs.Inc()
+	ds.programs++
 
 	_, transferred := d.channel(addr.Die).Acquire(now, d.cfg.Timing.Transfer)
 	_, done := d.dieRes[addr.Die].Acquire(transferred, d.cfg.Timing.ProgramPage)
@@ -323,7 +316,7 @@ func (d *Device) EraseBlock(now sim.Time, b BlockAddr) (sim.Time, error) {
 	if d.cfg.EraseEndurance > 0 && blk.eraseCount >= d.cfg.EraseEndurance {
 		blk.bad = true
 	}
-	ds.erases.Inc()
+	ds.erases++
 
 	_, done := d.dieRes[b.Die].Acquire(now, d.cfg.Timing.EraseBlock)
 	return done, nil
@@ -401,7 +394,7 @@ func (d *Device) programTorn(addr Addr, data []byte, meta PageMeta, tornBytes in
 	clear(cp[copy(cp, data[:cut]):])
 	d.store(blk, addr, cp)
 	d.Release(cp) // the page's hold remains
-	ds.programs.Inc()
+	ds.programs++
 }
 
 // IsBad reports whether the block has been marked bad.
@@ -446,9 +439,9 @@ func (d *Device) Stats() Stats {
 		st := DieStats{
 			Die:       i,
 			Channel:   d.geo.ChannelOfDie(i),
-			Reads:     ds.reads.Value(),
-			Programs:  ds.programs.Value(),
-			Erases:    ds.erases.Value(),
+			Reads:     ds.reads,
+			Programs:  ds.programs,
+			Erases:    ds.erases,
 			Copybacks: ds.copybacks,
 			BusyTime:  d.dieRes[i].Busy(),
 		}
@@ -474,20 +467,23 @@ func (d *Device) Stats() Stats {
 	return s
 }
 
-// ResetCounters zeroes the operation counters and resource utilization
-// statistics without touching page contents or wear state.  Benchmarks call
-// it after warm-up so the measured interval starts from zero.
+// ResetCounters zeroes the operation counts and the die and channel
+// timelines without touching page contents or wear state.  Benchmarks call it
+// after warm-up so the measured interval starts from zero.
 func (d *Device) ResetCounters() {
-	for _, ds := range d.dies {
-		ds.reads.Reset()
-		ds.programs.Reset()
-		ds.erases.Reset()
-		ds.copybacks = 0
-	}
+	d.ResetCounts()
 	for _, r := range d.dieRes {
 		r.Reset()
 	}
 	for _, r := range d.chanRes {
 		r.Reset()
+	}
+}
+
+// ResetCounts zeroes the operation counts only: the die and channel timelines
+// keep the virtual times of the commands already served.
+func (d *Device) ResetCounts() {
+	for _, ds := range d.dies {
+		ds.reads, ds.programs, ds.erases, ds.copybacks = 0, 0, 0, 0
 	}
 }

@@ -130,49 +130,36 @@ type Scheduler struct {
 	order     []int      // scratch of dispatchOrder
 	byDie     [][]int    // scratch of dispatchOrder: request indices per die
 
-	// The batch high-water mark has no family and stays a plain gauge.
-	batches  *metrics.Counter
-	maxBatch metrics.Gauge
+	batches, maxBatch int64 // batches dispatched and the largest of them
 
 	tracer *obs.Tracer // nil when tracing is off: one nil compare per command
 }
 
 // New creates a scheduler over the device.
 func New(dev *flash.Device) *Scheduler {
-	s := &Scheduler{
+	return &Scheduler{
 		dev:       dev,
 		busyUntil: make([]sim.Time, dev.Geometry().Dies()),
 	}
-	s.bind(metrics.NewRegistry())
-	return s
 }
 
-// bind resolves the scheduler's batch counter on reg.
-func (s *Scheduler) bind(reg *metrics.Registry) {
-	s.batches = reg.Counter("noftl_iosched_batches_total",
-		"Request batches dispatched by the I/O scheduler.").With()
-}
+// AttachObs sends flash-command trace events to tr (nil = tracing off).
+func (s *Scheduler) AttachObs(tr *obs.Tracer) { s.tracer = tr }
 
-// AttachObs wires the scheduler to the observability plane: flash-command
-// trace events go to tr (nil = tracing off) and the batch counter is re-bound
-// to the shared registry reg, so it appears in the database's /metrics.  Call
-// before serving traffic: batches counted before the call stay behind on the
-// scheduler's private registry.
-func (s *Scheduler) AttachObs(tr *obs.Tracer, reg *metrics.Registry) {
-	s.tracer = tr
-	s.bind(reg)
+// WriteMetrics writes the batch count into mt.
+func (s *Scheduler) WriteMetrics(mt *metrics.Text) {
+	mt.Counter("noftl_iosched_batches_total", "Request batches dispatched by the I/O scheduler.").Add(s.batches)
 }
 
 // Batches returns the number of batches dispatched and the largest of them.
 func (s *Scheduler) Batches() (n, largest int64) {
-	return s.batches.Value(), s.maxBatch.Value()
+	return s.batches, s.maxBatch
 }
 
 // ResetCounters zeroes the batch counts and every die's completion horizon:
 // the device's die timelines restart with its counters (after warm-up).
 func (s *Scheduler) ResetCounters() {
-	s.batches.Reset()
-	s.maxBatch.Set(0)
+	s.batches, s.maxBatch = 0, 0
 	clear(s.busyUntil)
 }
 
@@ -249,8 +236,8 @@ func (s *Scheduler) SubmitAppend(dst []Completion, now sim.Time, reqs []Request)
 		}
 		dst[base+i] = c
 	}
-	s.batches.Inc()
-	s.maxBatch.SetMax(int64(len(reqs)))
+	s.batches++
+	s.maxBatch = max(s.maxBatch, int64(len(reqs)))
 	return dst, end
 }
 

@@ -1,60 +1,19 @@
-// Package metrics provides the counters, gauges and latency histograms used
-// throughout the reproduction and the Registry of labelled families that owns
-// them (prom.go).
+// Package metrics provides the latency histograms used throughout the
+// reproduction and the Prometheus text writer (prom.go) the database renders
+// its exposition with.
 //
-// The registry is the single owner of every exported fact: a layer resolves
-// its family children once, increments exactly those on its hot path, and
-// computes its Stats snapshot from them, so the snapshot and the /metrics
-// text cannot disagree.
+// The package keeps no count of its own.  Each layer counts in plain fields of
+// its own and writes them into a Text on every scrape, so Stats() and the
+// /metrics text read the same fields and cannot disagree.
 //
-// All collectors are safe for concurrent use; the hot paths use atomics.
+// A Histogram is safe for concurrent use: a TPC-C run observes its
+// per-transaction histograms from several terminals.
 package metrics
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
-
-// Counter is a monotonically increasing 64-bit counter.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add increments the counter by delta.
-func (c *Counter) Add(delta int64) { c.v.Add(delta) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Reset sets the counter back to zero.
-func (c *Counter) Reset() { c.v.Store(0) }
-
-// Gauge is a settable 64-bit value.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// SetMax raises the gauge to v if v is larger than the current value (an
-// atomic compare-and-swap maximum, for high-water-mark gauges updated from
-// concurrent writers).
-func (g *Gauge) SetMax(v int64) {
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram accumulates durations and reports count, mean and selected
 // percentiles.  It uses exponentially sized buckets from 1µs to ~17min which
@@ -220,16 +179,24 @@ func (h *Histogram) Snapshot() Snapshot {
 func MergedSnapshot(hs ...*Histogram) Snapshot {
 	var all Histogram
 	for _, h := range hs {
-		h.mu.Lock()
-		for i, c := range h.buckets {
-			all.buckets[i] += c
-		}
-		all.count += h.count
-		all.sum += h.sum
-		all.max = max(all.max, h.max)
-		h.mu.Unlock()
+		all.Merge(h)
 	}
 	return all.Snapshot()
+}
+
+// Merge adds every observation of o to h.
+func (h *Histogram) Merge(o *Histogram) {
+	o.mu.Lock()
+	buckets, count, sum, omax := o.buckets, o.count, o.sum, o.max
+	o.mu.Unlock()
+	h.mu.Lock()
+	for i, c := range buckets {
+		h.buckets[i] += c
+	}
+	h.count += count
+	h.sum += sum
+	h.max = max(h.max, omax)
+	h.mu.Unlock()
 }
 
 // PercentDelta returns the relative change from base to v as a percentage

@@ -1,56 +1,10 @@
 package metrics
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 )
-
-func TestCounterBasics(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d, want 5", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatalf("counter after reset = %d", c.Value())
-	}
-}
-
-func TestCounterConcurrent(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Value() != 16000 {
-		t.Fatalf("counter = %d, want 16000", c.Value())
-	}
-}
-
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(10)
-	g.SetMax(7)
-	if g.Value() != 10 {
-		t.Fatalf("gauge after SetMax(7) = %d, want 10", g.Value())
-	}
-	g.SetMax(12)
-	g.Set(3)
-	if g.Value() != 3 {
-		t.Fatalf("gauge = %d, want 3", g.Value())
-	}
-}
 
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram()

@@ -1,106 +1,54 @@
 package metrics
 
 import (
-	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
 
+// TestRegistryFamiliesAndText: the writer renders families by name and
+// samples by their label values joined with \x1f (so die "10" sorts before
+// "2"), sums what is added twice under the same labels, and leaves out a
+// family nothing was written to.
 func TestRegistryFamiliesAndText(t *testing.T) {
-	r := NewRegistry()
-	reqs := r.Counter("noftl_requests_total", "Flash requests.", "die", "priority")
-	reqs.With("0", "host_read").Add(5)
-	reqs.With("1", "gc").Inc()
-	depth := r.Gauge("noftl_queue_depth", "Scheduler queue depth.")
-	depth.With().Set(7)
-	lat := r.Histogram("noftl_latency_seconds", "Latency.", "priority")
-	lat.With("host_write").Observe(100 * time.Microsecond)
-	lat.With("host_write").Observe(3 * time.Millisecond)
+	var mt Text
+	reqs := mt.Counter("noftl_requests_total", "Flash requests.", "die", "priority")
+	reqs.Add(5, "2", "host_read")
+	reqs.Add(1, "10", "gc")
+	reqs.Add(2, "2", "host_read")
+	mt.Gauge("noftl_queue_depth", "Scheduler queue depth.").Add(7)
+	mt.Counter("noftl_empty_total", "Nothing written.", "die")
+	var h1, h2 Histogram
+	h1.Observe(100 * time.Microsecond)
+	h2.Observe(3 * time.Millisecond)
+	lat := mt.Histogram("noftl_latency_seconds", "Latency.", "priority")
+	lat.Histogram(&h1, "host_write")
+	lat.Histogram(&h2, "host_write")
 
-	text := r.Text()
-	for _, want := range []string{
-		"# HELP noftl_requests_total Flash requests.",
-		"# TYPE noftl_requests_total counter",
-		`noftl_requests_total{die="0",priority="host_read"} 5`,
-		`noftl_requests_total{die="1",priority="gc"} 1`,
-		"# TYPE noftl_queue_depth gauge",
-		"noftl_queue_depth 7",
-		"# TYPE noftl_latency_seconds histogram",
-		`noftl_latency_seconds_bucket{priority="host_write",le="+Inf"} 2`,
-		`noftl_latency_seconds_count{priority="host_write"} 2`,
-		`noftl_latency_seconds_sum{priority="host_write"} 0.0031`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, text)
-		}
+	want := `# HELP noftl_latency_seconds Latency.
+# TYPE noftl_latency_seconds histogram
+noftl_latency_seconds_bucket{priority="host_write",le="0.000131071"} 1
+noftl_latency_seconds_bucket{priority="host_write",le="0.004194303"} 2
+noftl_latency_seconds_bucket{priority="host_write",le="+Inf"} 2
+noftl_latency_seconds_sum{priority="host_write"} 0.0031
+noftl_latency_seconds_count{priority="host_write"} 2
+# HELP noftl_queue_depth Scheduler queue depth.
+# TYPE noftl_queue_depth gauge
+noftl_queue_depth 7
+# HELP noftl_requests_total Flash requests.
+# TYPE noftl_requests_total counter
+noftl_requests_total{die="10",priority="gc"} 1
+noftl_requests_total{die="2",priority="host_read"} 7
+`
+	if got := mt.String(); got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
 	}
-	if got := strings.Count(text, "# TYPE "); got != 3 {
-		t.Fatalf("exposition has %d families, want 3:\n%s", got, text)
-	}
-}
-
-func TestRegistryIdempotentRegistration(t *testing.T) {
-	r := NewRegistry()
-	a := r.Counter("x_total", "", "die")
-	b := r.Counter("x_total", "", "die")
-	a.With("3").Inc()
-	if b.With("3").Value() != 1 {
-		t.Fatal("re-registration should return the same family")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("kind mismatch should panic")
-		}
-	}()
-	r.Gauge("x_total", "")
-}
-
-// TestCounterFamilyDelete: a deleted child leaves the exposition, its holder
-// keeps a working counter, and the same labels start a new child from zero.
-func TestCounterFamilyDelete(t *testing.T) {
-	r := NewRegistry()
-	f := r.Counter("obj_total", "", "object", "op")
-	old := f.With("T", "read")
-	old.Add(5)
-	f.With("U", "read").Inc()
-	f.Delete("T", "read")
-	f.Delete("never", "there")
-	if text := r.Text(); strings.Contains(text, `object="T"`) || !strings.Contains(text, `obj_total{object="U",op="read"} 1`) {
-		t.Fatalf("after the delete:\n%s", text)
-	}
-	if old.Inc(); old.Value() != 6 || f.With("T", "read").Value() != 0 {
-		t.Fatalf("holder sees %d, the new child %d", old.Value(), f.With("T", "read").Value())
-	}
-}
-
-func TestRegistryPanicsOnBadNames(t *testing.T) {
-	r := NewRegistry()
-	for _, bad := range []string{"", "0abc", "has space", "dash-ed"} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("metric name %q should panic", bad)
-				}
-			}()
-			r.Counter(bad, "")
-		}()
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("reserved label name should panic")
-			}
-		}()
-		r.Counter("ok_total", "", "__reserved")
-	}()
 }
 
 func TestRegistryLabelEscaping(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("esc_total", "", "name").With(`a"b\c` + "\n").Inc()
-	text := r.Text()
+	var mt Text
+	mt.Counter("esc_total", "", "name").Add(1, `a"b\c`+"\n")
+	text := mt.String()
 	want := `esc_total{name="a\"b\\c\n"} 1`
 	if !strings.Contains(text, want) {
 		t.Fatalf("escaping broken, want %s in:\n%s", want, text)
@@ -114,50 +62,19 @@ func TestRegistryLabelEscaping(t *testing.T) {
 	}
 }
 
-// TestConcurrentRegistration exercises family and child get-or-create from
-// many goroutines; it is meaningful under -race.
-func TestConcurrentRegistration(t *testing.T) {
-	r := NewRegistry()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				cf := r.Counter("conc_total", "shared", "die")
-				cf.With(fmt.Sprintf("%d", i%4)).Inc()
-				hf := r.Histogram("conc_latency_seconds", "shared", "die")
-				hf.With(fmt.Sprintf("%d", i%4)).Observe(time.Duration(i) * time.Microsecond)
-				if g%2 == 0 {
-					_ = r.Text()
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	var total int64
-	cf := r.Counter("conc_total", "shared", "die")
-	for i := 0; i < 4; i++ {
-		total += cf.With(fmt.Sprintf("%d", i)).Value()
-	}
-	if total != 8*200 {
-		t.Fatalf("lost increments: %d, want %d", total, 8*200)
-	}
-	if res := LintExposition([]byte(r.Text())); !res.Valid() {
-		t.Fatalf("exposition invalid after concurrent use: %v", res.Problems)
-	}
-}
-
 func TestLintExpositionAcceptsRegistryOutput(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a_total", "help with \\ and \n inside", "die").With("0").Add(2)
-	r.Gauge("b", "").With().Set(-3)
-	h := r.Histogram("c_seconds", "lat", "region")
-	h.With("hot").Observe(time.Millisecond)
-	h.With("cold").Observe(time.Second)
-	res := LintExposition([]byte(r.Text()))
+	var mt Text
+	mt.Counter("a_total", "help with \\ and \n inside", "die").Add(2, "0")
+	mt.Gauge("b", "").Add(-3)
+	var hot, cold Histogram
+	hot.Observe(time.Millisecond)
+	cold.Observe(time.Second)
+	h := mt.Histogram("c_seconds", "lat", "region")
+	h.Histogram(&hot, "hot")
+	h.Histogram(&cold, "cold")
+	res := LintExposition([]byte(mt.String()))
 	if !res.Valid() {
-		t.Fatalf("registry output should lint clean: %v", res.Problems)
+		t.Fatalf("writer output should lint clean: %v", res.Problems)
 	}
 	if res.Families["c_seconds"] != "histogram" || res.Families["a_total"] != "counter" {
 		t.Fatalf("families = %v", res.Families)

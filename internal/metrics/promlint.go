@@ -39,7 +39,7 @@ func (r LintResult) LabelValues(label string) []string { return r.labelValues[la
 // Sum adds up the values of every sample called name (histogram series carry
 // their _bucket/_sum/_count suffix) whose labels include all the given
 // label, value pairs.  With a full label set it reads one series; with fewer
-// it aggregates, e.g. per-die children into the device total.
+// it aggregates, e.g. per-die samples into the device total.
 func (r LintResult) Sum(name string, labelValuePairs ...string) float64 {
 	var total float64
 samples:

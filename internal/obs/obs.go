@@ -147,9 +147,6 @@ type Tracer struct {
 
 	buf  []Event
 	next uint64 // total records ever stored (ring position = next % len)
-	// children of the noftl_trace_events_* families (AttachObs)
-	recorded *metrics.Counter
-	dropped  *metrics.Counter // events overwritten after the ring wrapped
 }
 
 // DefaultCapacity is the ring size used when a non-positive capacity is
@@ -162,20 +159,21 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	t := &Tracer{
+	return &Tracer{
 		buf:     make([]Event, 0, capacity),
 		started: time.Now(),
 	}
-	t.AttachObs(metrics.NewRegistry())
-	return t
 }
 
-// AttachObs binds the tracer's counters to the registry reg, so they appear
-// in the /metrics text rendered from it.  Attach before recording.
-func (t *Tracer) AttachObs(reg *metrics.Registry) {
-	t.recorded = reg.Counter("noftl_trace_events_recorded_total", "Trace events recorded.").With()
-	t.dropped = reg.Counter("noftl_trace_events_dropped_total",
-		"Trace events overwritten after the ring buffer wrapped.").With()
+// WriteMetrics writes the recorded and dropped counts into the
+// noftl_trace_events_* families of mt; a nil tracer writes nothing.
+func (t *Tracer) WriteMetrics(mt *metrics.Text) {
+	if t == nil {
+		return
+	}
+	mt.Counter("noftl_trace_events_recorded_total", "Trace events recorded.").Add(t.Recorded())
+	mt.Counter("noftl_trace_events_dropped_total",
+		"Trace events overwritten after the ring buffer wrapped.").Add(t.Dropped())
 }
 
 // Enabled reports whether events are recorded.  It is the hook-site guard
@@ -190,14 +188,12 @@ func (t *Tracer) Record(e Event) {
 		return
 	}
 	e.Wall = int64(time.Since(t.started))
-	t.recorded.Inc()
 	e.Seq = t.next
 	t.next++
 	if len(t.buf) < cap(t.buf) {
 		t.buf = append(t.buf, e)
 	} else {
 		t.buf[e.Seq%uint64(cap(t.buf))] = e
-		t.dropped.Inc()
 	}
 }
 
@@ -215,7 +211,7 @@ func (t *Tracer) Recorded() int64 {
 	if t == nil {
 		return 0
 	}
-	return t.recorded.Value()
+	return int64(t.next)
 }
 
 // Dropped returns the number of events overwritten after the ring wrapped.
@@ -223,7 +219,7 @@ func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0
 	}
-	return t.dropped.Value()
+	return int64(t.next) - int64(len(t.buf))
 }
 
 // Events returns a copy of the retained events, oldest first.

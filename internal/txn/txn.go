@@ -75,8 +75,8 @@ type LockManager struct {
 	held     int64                 // keys some transaction holds
 	waiting  int64                 // transactions blocked on a key
 	timeout  time.Duration         // virtual-time wait budget (ns, 1:1 with sim time)
-	waits    *metrics.Counter
-	timeouts *metrics.Counter
+	waits    int64                 // lock acquisitions that had to block
+	timeouts int64                 // waits that failed
 }
 
 // NewLockManager creates a lock manager with the given wait timeout (zero
@@ -85,17 +85,7 @@ func NewLockManager(timeout time.Duration) *LockManager {
 	if timeout <= 0 {
 		timeout = time.Second
 	}
-	lm := &LockManager{timeout: timeout, locks: make(map[string]*lockState), waitsOn: make(map[uint64]*lockState)}
-	lm.bind(metrics.NewRegistry())
-	return lm
-}
-
-// bind resolves the lock manager's children of its metric families on reg.
-func (lm *LockManager) bind(reg *metrics.Registry) {
-	lm.waits = reg.Counter("noftl_txn_lock_waits_total",
-		"Lock acquisitions that had to block.").With()
-	lm.timeouts = reg.Counter("noftl_txn_lock_timeouts_total",
-		"Lock waits that failed (ErrLockTimeout): at once on a deadlock, or past the virtual-time wait budget.").With()
+	return &LockManager{timeout: timeout, locks: make(map[string]*lockState), waitsOn: make(map[uint64]*lockState)}
 }
 
 // SetBaton names the lock every call runs under and a waiter parks on.  Set
@@ -130,7 +120,7 @@ type LockStats struct {
 
 // Stats returns a snapshot of the lock manager's contention counters.
 func (lm *LockManager) Stats() LockStats {
-	return LockStats{Waits: lm.waits.Value(), Timeouts: lm.timeouts.Value(), Held: lm.held, Waiting: lm.waiting}
+	return LockStats{Waits: lm.waits, Timeouts: lm.timeouts, Held: lm.held, Waiting: lm.waiting}
 }
 
 // LockAt acquires key in the given mode on behalf of txnID, whose current
@@ -182,7 +172,7 @@ func (lm *LockManager) LockAt(now sim.Time, txnID uint64, key string, mode LockM
 		}
 		if !waited {
 			waited = true
-			lm.waits.Inc()
+			lm.waits++
 			ls.waiting++
 			lm.waiting++
 			lm.waitsOn[txnID] = ls
@@ -193,12 +183,12 @@ func (lm *LockManager) LockAt(now sim.Time, txnID uint64, key string, mode LockM
 			vdeadline = max(now, ls.maxRelease).Add(lm.timeout)
 		} else if ls.maxRelease > vdeadline {
 			lm.leave(txnID, ls)
-			lm.timeouts.Inc()
+			lm.timeouts++
 			return nil, fmt.Errorf("%w: txn %d key %q", ErrLockTimeout, txnID, key)
 		}
 		if other := lm.cycle(txnID, ls); other != 0 {
 			lm.leave(txnID, ls)
-			lm.timeouts.Inc()
+			lm.timeouts++
 			return nil, fmt.Errorf("%w: txn %d key %q: deadlock, waits for txn %d", ErrLockTimeout, txnID, key, other)
 		}
 		// Any release wakes us, and so does a waiter that leaves; a release
@@ -301,10 +291,8 @@ type Manager struct {
 	lm     *LockManager
 	log    *wal.Log
 	clock  *sim.Clock
-	// children of the noftl_txn_*_total families (bind)
-	started *metrics.Counter
-	commits *metrics.Counter
-	aborts  *metrics.Counter
+	// counts since the last ResetCounters
+	started, commits, aborts int64
 }
 
 // NewManager creates a transaction manager.  log may be nil (no logging) and
@@ -313,33 +301,25 @@ func NewManager(lm *LockManager, log *wal.Log, clock *sim.Clock) *Manager {
 	if lm == nil {
 		lm = NewLockManager(0)
 	}
-	m := &Manager{lm: lm, log: log, clock: clock}
-	m.bind(metrics.NewRegistry())
-	return m
+	return &Manager{lm: lm, log: log, clock: clock}
 }
 
-// bind resolves the manager's children of its metric families on reg.
-func (m *Manager) bind(reg *metrics.Registry) {
-	m.started = reg.Counter("noftl_txn_started_total", "Transactions started.").With()
-	m.commits = reg.Counter("noftl_txn_committed_total", "Transactions committed.").With()
-	m.aborts = reg.Counter("noftl_txn_aborted_total", "Transactions aborted.").With()
-}
-
-// AttachObs re-binds the counters of the manager and its lock manager to the
-// shared registry reg.  Attach before the first transaction begins.
-func (m *Manager) AttachObs(reg *metrics.Registry) {
-	m.bind(reg)
-	m.lm.bind(reg)
+// WriteMetrics writes the transaction counts and the lock manager's
+// contention counts into the noftl_txn_* families of mt.
+func (m *Manager) WriteMetrics(mt *metrics.Text) {
+	mt.Counter("noftl_txn_started_total", "Transactions started.").Add(m.started)
+	mt.Counter("noftl_txn_committed_total", "Transactions committed.").Add(m.commits)
+	mt.Counter("noftl_txn_aborted_total", "Transactions aborted.").Add(m.aborts)
+	mt.Counter("noftl_txn_lock_waits_total", "Lock acquisitions that had to block.").Add(m.lm.waits)
+	mt.Counter("noftl_txn_lock_timeouts_total",
+		"Lock waits that failed (ErrLockTimeout): at once on a deadlock, or past the virtual-time wait budget.").Add(m.lm.timeouts)
 }
 
 // ResetCounters zeroes the transaction and lock-contention counters (after
 // warm-up); transaction ids and held locks are untouched.
 func (m *Manager) ResetCounters() {
-	m.started.Reset()
-	m.commits.Reset()
-	m.aborts.Reset()
-	m.lm.waits.Reset()
-	m.lm.timeouts.Reset()
+	m.started, m.commits, m.aborts = 0, 0, 0
+	m.lm.waits, m.lm.timeouts = 0, 0
 }
 
 // LockManager returns the shared lock manager.
@@ -355,9 +335,9 @@ func (m *Manager) NextID() uint64 { return m.nextID }
 func (m *Manager) SeedNextID(next uint64) { m.nextID = max(m.nextID, next) }
 
 // Started, Committed and Aborted return the transaction counters.
-func (m *Manager) Started() int64   { return m.started.Value() }
-func (m *Manager) Committed() int64 { return m.commits.Value() }
-func (m *Manager) Aborted() int64   { return m.aborts.Value() }
+func (m *Manager) Started() int64   { return m.started }
+func (m *Manager) Committed() int64 { return m.commits }
+func (m *Manager) Aborted() int64   { return m.aborts }
 
 // Txn is one transaction.  It is owned by a single goroutine (a TPC-C
 // terminal); it is not safe for concurrent use.  A Txn is a value its owner
@@ -379,7 +359,7 @@ type Txn struct {
 // logged yet: RecBegin is written immediately before the transaction's first
 // record, so a read-only transaction that aborts leaves the log untouched.
 func (m *Manager) Begin(now sim.Time) Txn {
-	m.started.Inc()
+	m.started++
 	m.nextID++
 	t := Txn{id: m.nextID, mgr: m, cursor: *sim.NewCursor(m.clock), state: Active, start: now}
 	t.cursor.SetTo(now)
@@ -471,7 +451,7 @@ func (t *Txn) Commit() (sim.Time, error) {
 		t.cursor.AdvanceTo(done)
 	}
 	t.state = Committed
-	t.mgr.commits.Inc()
+	t.mgr.commits++
 	t.mgr.lm.ReleaseAllAt(t.cursor.Now(), t.id, t.locks)
 	return t.cursor.Now(), nil
 }
@@ -489,7 +469,7 @@ func (t *Txn) Abort() sim.Time {
 		_, _ = t.mgr.log.Append(wal.RecAbort, t.id, 0)
 	}
 	t.state = Aborted
-	t.mgr.aborts.Inc()
+	t.mgr.aborts++
 	t.mgr.lm.ReleaseAllAt(t.cursor.Now(), t.id, t.locks)
 	return t.cursor.Now()
 }

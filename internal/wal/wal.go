@@ -150,13 +150,9 @@ type Log struct {
 
 	batch []core.PageWrite // the write batch a force reuses
 
-	// Counters: the log's children of the noftl_wal_* families (bind).
-	// pagesTrimmed has no family and stays a plain count.
-	appended      *metrics.Counter
-	flushes       *metrics.Counter
-	bytesAppended *metrics.Counter
-	bytesTrimmed  *metrics.Counter
-	pagesTrimmed  int64
+	// Counts since the last ResetCounters (WriteMetrics exports the first
+	// four).
+	appended, flushes, bytesAppended, bytesTrimmed, pagesTrimmed int64
 
 	// bytesLive is the total of the live pages' bytes: Truncate moves a
 	// dropped page's bytes from it to the trimmed counter (appended = trimmed
@@ -194,18 +190,7 @@ func New(mgr *core.Manager, hint core.Hint, pageSize int) *Log {
 	}
 	l.hint.Flags |= flashFlagLog
 	l.openPage()
-	l.bind(metrics.NewRegistry())
 	return l
-}
-
-// bind resolves the log's children of its metric families on reg.
-func (l *Log) bind(reg *metrics.Registry) {
-	l.appended = reg.Counter("noftl_wal_appends_total", "WAL records appended.").With()
-	l.flushes = reg.Counter("noftl_wal_flushes_total", "WAL flushes that wrote pages.").With()
-	l.bytesAppended = reg.Counter("noftl_wal_bytes_appended_total",
-		"Encoded WAL record bytes appended.").With()
-	l.bytesTrimmed = reg.Counter("noftl_wal_bytes_trimmed_total",
-		"Encoded WAL record bytes dropped by checkpoint truncation.").With()
 }
 
 // flashFlagLog mirrors flash.FlagLog without importing the flash package
@@ -219,22 +204,24 @@ func (l *Log) openPage() {
 	l.pages = append(l.pages, logPage{lpn: l.curLPN})
 }
 
-// AttachObs wires the log to the trace recorder and re-binds its counters to
-// the shared registry reg.  A nil tracer (the default) keeps tracing off.
-// Attach before the log sees traffic.
-func (l *Log) AttachObs(tr *obs.Tracer, reg *metrics.Registry) {
-	l.tracer = tr
-	l.bind(reg)
+// AttachObs wires the log to the trace recorder.  A nil tracer (the default)
+// keeps tracing off.
+func (l *Log) AttachObs(tr *obs.Tracer) { l.tracer = tr }
+
+// WriteMetrics writes the record, flush and byte counts into the noftl_wal_*
+// families of mt.
+func (l *Log) WriteMetrics(mt *metrics.Text) {
+	mt.Counter("noftl_wal_appends_total", "WAL records appended.").Add(l.appended)
+	mt.Counter("noftl_wal_flushes_total", "WAL flushes that wrote pages.").Add(l.flushes)
+	mt.Counter("noftl_wal_bytes_appended_total", "Encoded WAL record bytes appended.").Add(l.bytesAppended)
+	mt.Counter("noftl_wal_bytes_trimmed_total",
+		"Encoded WAL record bytes dropped by checkpoint truncation.").Add(l.bytesTrimmed)
 }
 
 // ResetCounters zeroes the log's counters (after warm-up).  LSNs, the page
 // list and BytesLive describe the log itself and are untouched.
 func (l *Log) ResetCounters() {
-	for _, c := range []*metrics.Counter{l.appended, l.flushes, l.bytesAppended,
-		l.bytesTrimmed} {
-		c.Reset()
-	}
-	l.pagesTrimmed = 0
+	l.appended, l.flushes, l.bytesAppended, l.bytesTrimmed, l.pagesTrimmed = 0, 0, 0, 0, 0
 }
 
 // SeedNextLSN makes the log continue at last+2.  Recovery calls it on the
@@ -252,10 +239,10 @@ func (l *Log) FlushedLSN() uint64 {
 }
 
 // Appended returns the number of records appended so far.
-func (l *Log) Appended() int64 { return l.appended.Value() }
+func (l *Log) Appended() int64 { return l.appended }
 
 // Flushes returns the number of log forces (by Flush or Commit).
-func (l *Log) Flushes() int64 { return l.flushes.Value() }
+func (l *Log) Flushes() int64 { return l.flushes }
 
 // PageCount returns the number of log pages allocated.
 func (l *Log) PageCount() int {
@@ -287,8 +274,8 @@ func (l *Log) Append(typ RecordType, txnID uint64, objectID uint32, payload ...[
 	}
 	putRecord(dst, rec, payload...)
 	l.nextLSN++
-	l.appended.Inc()
-	l.bytesAppended.Add(int64(size))
+	l.appended++
+	l.bytesAppended += int64(size)
 	l.bytesLive += int64(size)
 	l.pages[len(l.pages)-1].bytes += int64(size)
 	if l.tracer.Enabled() {
@@ -375,7 +362,7 @@ func (l *Log) flushGroup(now sim.Time) (sim.Time, error) {
 	if done > l.flushDoneAt {
 		l.flushDoneAt = done
 	}
-	l.flushes.Inc()
+	l.flushes++
 	if l.tracer.Enabled() {
 		l.tracer.Record(obs.Event{
 			Class: obs.ClassWALSync, Die: -1, Block: -1, Page: -1,
@@ -410,7 +397,7 @@ func (l *Log) Truncate(upToLSN uint64) int {
 			kept = append(kept, p)
 			continue
 		}
-		l.bytesTrimmed.Add(p.bytes)
+		l.bytesTrimmed += p.bytes
 		l.bytesLive -= p.bytes
 		l.pagesTrimmed++
 		dropped++
@@ -420,10 +407,10 @@ func (l *Log) Truncate(upToLSN uint64) int {
 }
 
 // BytesAppended returns the total encoded record bytes appended.
-func (l *Log) BytesAppended() int64 { return l.bytesAppended.Value() }
+func (l *Log) BytesAppended() int64 { return l.bytesAppended }
 
 // BytesTrimmed returns the encoded record bytes dropped by Truncate.
-func (l *Log) BytesTrimmed() int64 { return l.bytesTrimmed.Value() }
+func (l *Log) BytesTrimmed() int64 { return l.bytesTrimmed }
 
 // BytesLive returns the encoded record bytes still held by live log pages —
 // the upper bound on what a crash now would replay.

@@ -247,10 +247,10 @@ func TestTraceBufferWithoutWriter(t *testing.T) {
 }
 
 // expositionQuantile returns the q-quantile metrics.Histogram.Quantile gives
-// for one histogram holding the observations of every region's child of the
+// for one histogram holding the observations of every region's sample of the
 // family: the bound of the first bucket whose cumulative count, summed over
-// the children, reaches ceil(q·count), clamped to the largest observation.
-// The exposition lists only the buckets a child filled, so a child's
+// the samples, reaches ceil(q·count), clamped to the largest observation.
+// The exposition lists only the buckets a sample filled, so a sample's
 // cumulative count at a bound is the one it lists at the largest bound at or
 // below it.
 func expositionQuantile(lint metrics.LintResult, family string, regions []core.RegionStats,
@@ -283,7 +283,8 @@ func expositionQuantile(lint metrics.LintResult, family string, regions []core.R
 }
 
 // checkStatsEqualMetrics asserts that every field Stats() shares with a
-// noftl_* family of MetricsText() carries the same value in both views.
+// noftl_* family of MetricsText() carries the same value in both views, and
+// that every counter and histogram family of the exposition is compared.
 func checkStatsEqualMetrics(t *testing.T, db *DB, stage string) Stats {
 	t.Helper()
 	st := db.Stats()
@@ -291,8 +292,10 @@ func checkStatsEqualMetrics(t *testing.T, db *DB, stage string) Stats {
 	if !lint.Valid() {
 		t.Fatalf("%s: exposition invalid:\n%s", stage, strings.Join(lint.Problems, "\n"))
 	}
+	compared := map[string]bool{}
 	eq := func(want int64, name string, labels ...string) {
 		t.Helper()
+		compared[strings.TrimSuffix(name, "_count")] = true
 		if got := lint.Sum(name, labels...); got != float64(want) {
 			t.Errorf("%s: Stats says %d, /metrics says %g for %s%v", stage, want, got, name, labels)
 		}
@@ -335,7 +338,7 @@ func checkStatsEqualMetrics(t *testing.T, db *DB, stage string) Stats {
 	eq(sp.BGGCSteps, "noftl_region_bggc_steps_total")
 	eq(sp.WearMoves, "noftl_region_wear_moves_total")
 	// The aggregate latencies summarise one histogram holding every region's
-	// observations: the count, the sum and the P99 of the family's children
+	// observations: the count, the sum and the P99 of the family's samples
 	// merged.
 	for _, h := range []struct {
 		family string
@@ -438,11 +441,16 @@ func checkStatsEqualMetrics(t *testing.T, db *DB, stage string) Stats {
 
 	eq(st.Trace.Recorded, "noftl_trace_events_recorded_total")
 	eq(st.Trace.Dropped, "noftl_trace_events_dropped_total")
+	for name, kind := range lint.Families {
+		if (kind == "counter" || kind == "histogram") && !compared[name] {
+			t.Errorf("%s: /metrics exports the %s %s, which no Stats() field is compared with", stage, kind, name)
+		}
+	}
 	return st
 }
 
 // TestStatsEqualsMetrics is the single-owner invariant: Stats() and /metrics
-// are two views of the same registry children, so every fact they share is
+// are two views of the same fields of the layers, so every fact they share is
 // equal — after a mixed workload with GC, a checkpoint and injected program
 // faults (a failed I/O is where the old double bookkeeping drifted apart),
 // right after ResetStatistics, and after more work on top of the reset.
@@ -548,10 +556,67 @@ func TestStatsEqualsMetrics(t *testing.T) {
 	}
 }
 
+// TestReopenStartsTheCounts: the flash device outlives Crash and Reopen, and
+// the reopened database counts from zero on it (the crashed instance's
+// commands and the recovery scan's reads are not its own), while the die
+// timelines keep their virtual times.  The wanted counts are those the
+// database printed before its counts became plain fields of the layers (the
+// same workload, Crash and Reopen, rendered by reopenCounts); recovery's
+// simulated times and every count must not move.
+func TestReopenStartsTheCounts(t *testing.T) {
+	db, err := OpenConfig(obsConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	obsWorkload(t, db, 150, 8)
+	if db, err = Reopen(db.Crash()); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const want = `device reads=0 programs=1 erases=4 copybacks=58 bad=0
+die 0 reads=0 programs=0 erases=0 copybacks=0 busy=143.8ms wear=9 free=3
+die 1 reads=0 programs=0 erases=0 copybacks=0 busy=143.45ms wear=9 free=3
+die 2 reads=0 programs=1 erases=4 copybacks=58 busy=173.21ms wear=13 free=2
+die 3 reads=0 programs=0 erases=0 copybacks=0 busy=143.85ms wear=9 free=3
+region DEFAULT reads=0 writes=1 copybacks=58 erases=4 runs=4 stalls=1 bgsteps=0 wear=0 spills=0 valid=1 retained=0 read=0/0s write=1/47.445ms
+region rgHot reads=0 writes=0 copybacks=0 erases=0 runs=0 stalls=0 bgsteps=0 wear=0 spills=0 valid=75 retained=0 read=0/0s write=0/0s
+scheduler {Batches:9 Requests:63 MaxBatch:15 HostReads:0 HostWrites:1 GC:62 GCSteps:0 GCStalls:1}
+buffer {Frames:32 Resident:0 Dirty:0 Hits:0 Misses:0 NewPages:0 Evictions:0 Writebacks:0 Prefetches:0 PrefetchHits:0 GroupFlushes:0}
+wal {Appended:6 Flushes:1 Pages:1 FlushedLSN:1436 GroupCommits:0 BytesAppended:610 BytesTrimmed:0 BytesLive:610 PagesTrimmed:0 Checkpoint:{Count:1 LastLSN:1436 LastBytes:610 LastPages:0 RetainedPages:0 LastAt:343.630ms}}
+`
+	if got := reopenCounts(checkStatsEqualMetrics(t, db, "reopened")); got != want {
+		t.Errorf("the reopened database counts\n%s\nwant\n%s", got, want)
+	}
+}
+
+// reopenCounts renders the counts of Stats().Device, .Space, .Scheduler,
+// .Buffer and .WAL, one line per die, per region and per section.
+func reopenCounts(st Stats) string {
+	var b strings.Builder
+	d := st.Device
+	fmt.Fprintf(&b, "device reads=%d programs=%d erases=%d copybacks=%d bad=%d\n",
+		d.Reads, d.Programs, d.Erases, d.Copybacks, d.BadBlocks)
+	for _, pd := range d.PerDie {
+		fmt.Fprintf(&b, "die %d reads=%d programs=%d erases=%d copybacks=%d busy=%v wear=%d free=%d\n",
+			pd.Die, pd.Reads, pd.Programs, pd.Erases, pd.Copybacks, pd.BusyTime, pd.TotalWear, pd.FreeBlocks)
+	}
+	for _, r := range st.Space.Regions {
+		fmt.Fprintf(&b, "region %s reads=%d writes=%d copybacks=%d erases=%d runs=%d stalls=%d bgsteps=%d wear=%d spills=%d valid=%d retained=%d read=%d/%v write=%d/%v\n",
+			r.Name, r.HostReads, r.HostWrites, r.GCCopybacks, r.GCErases, r.GCRuns, r.GCStalls, r.BGGCSteps,
+			r.WearMoves, r.SpilledWrites, r.ValidPages, r.RetainedPages,
+			r.ReadLatency.Count, r.ReadLatency.Mean, r.WriteLatency.Count, r.WriteLatency.Mean)
+	}
+	fmt.Fprintf(&b, "scheduler %+v\nbuffer %+v\nwal %+v\n", st.Scheduler, st.Buffer, st.WAL)
+	return b.String()
+}
+
 // TestDroppedObjectsLeaveTheStatistics is the regression test for the objects
-// the old collector never forgot: a dropped table and its index are gone from
-// Stats().Objects and from /metrics, what they cost stays in the sums under the
-// unattributed child, and a table re-created under the name counts from zero.
+// and regions the old collector never forgot: a dropped table and its index
+// are gone from Stats().Objects and from /metrics, what they cost stays in the
+// sums under the unattributed record, and a table re-created under the name
+// counts from zero.  A dropped region leaves /metrics the same way, so the
+// noftl_region_* sums stay those of Stats().Space, and a region re-created
+// under the name counts from zero.
 func TestDroppedObjectsLeaveTheStatistics(t *testing.T) {
 	db, err := OpenConfig(smallConfig())
 	if err != nil {
@@ -582,6 +647,44 @@ func TestDroppedObjectsLeaveTheStatistics(t *testing.T) {
 		t.Fatal("T has no record")
 		return 0
 	}
+	if err := db.Exec(`CREATE REGION rgX (MAX_CHIPS=2); CREATE TABLESPACE tsX (REGION=rgX); CREATE TABLE X (v VARCHAR(200)) TABLESPACE tsX`); err != nil {
+		t.Fatal(err)
+	}
+	x, _ := db.Table("X")
+	err = db.Update(func(tx *Tx) error {
+		_, err := x.InsertBatch(tx, repeatRows(bytes.Repeat([]byte{'x'}, 200), 50))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStatsEqualMetrics(t, db, "rgX loaded") // rgX's gauges are exported once
+	if err := db.Exec(`DROP TABLE X; DROP TABLESPACE tsX`); err != nil {
+		t.Fatal(err)
+	}
+	space := db.Stats().Space
+	if rgX, _ := space.RegionByName("rgX"); rgX.HostWrites == 0 || rgX.WriteLatency.Count == 0 {
+		t.Fatalf("rgX has no host writes to leave behind: %+v", rgX)
+	}
+	if err := db.Exec(`DROP REGION rgX`); err != nil {
+		t.Fatal(err)
+	}
+	st := checkStatsEqualMetrics(t, db, "rgX dropped")
+	if text := db.MetricsText(); strings.Contains(text, `region="rgX"`) {
+		t.Errorf("the dropped rgX is still in /metrics:\n%s", text)
+	}
+	// The default region takes the dies back, and with them what rgX counted.
+	if len(st.Space.Regions) != 1 || st.Space.HostWrites < space.HostWrites || st.WriteLatency.Count < space.Regions[0].WriteLatency.Count+space.Regions[1].WriteLatency.Count {
+		t.Errorf("after the drop Space lists %+v, before it %+v", st.Space, space)
+	}
+	if err := db.Exec(`CREATE REGION rgX (MAX_CHIPS=2)`); err != nil {
+		t.Fatal(err)
+	}
+	st = checkStatsEqualMetrics(t, db, "rgX re-created")
+	if rgX, _ := st.Space.RegionByName("rgX"); rgX.HostWrites != 0 || rgX.WriteLatency.Count != 0 || rgX.GCRuns != 0 {
+		t.Errorf("the re-created rgX must count from zero: %+v", rgX)
+	}
+
 	first := load()
 	if first == 0 {
 		t.Fatal("the load wrote no page of T")
@@ -589,7 +692,7 @@ func TestDroppedObjectsLeaveTheStatistics(t *testing.T) {
 	if err := db.Exec(`DROP TABLE T`); err != nil {
 		t.Fatal(err)
 	}
-	st := checkStatsEqualMetrics(t, db, "dropped")
+	st = checkStatsEqualMetrics(t, db, "dropped")
 	text := db.MetricsText()
 	for _, name := range []string{"T", "T_IDX"} {
 		if slices.ContainsFunc(st.Objects, func(o ObjectCounters) bool { return o.Name == name }) ||

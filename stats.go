@@ -15,9 +15,9 @@ import (
 // Stats is an immutable snapshot of the whole stack: transactions, buffer
 // pool, I/O scheduler, NoFTL space manager (with per-region GC counters),
 // flash device, WAL and per-object I/O counters.  All counters are
-// cumulative since the last ResetStatistics call.  Every counter it shares
-// with a noftl_* family of MetricsText is read from that family's children,
-// so the two views cannot disagree.
+// cumulative since the last ResetStatistics call.  Every count it shares with
+// a noftl_* family of MetricsText is read from the same field of the layer
+// that counts it, so the two views cannot disagree.
 type Stats struct {
 	// Simulated is the simulated wall-clock time covered by the counters.
 	Simulated time.Duration
@@ -46,7 +46,7 @@ type Stats struct {
 	Trace TraceStats
 	// ReadLatency and WriteLatency summarise the host I/O latencies of every
 	// region as one histogram holding all their observations: the
-	// noftl_host_read/write_latency_seconds children merged.
+	// noftl_host_read/write_latency_seconds samples merged.
 	ReadLatency  metrics.Snapshot
 	WriteLatency metrics.Snapshot
 }
@@ -236,7 +236,7 @@ func (db *DB) Stats() Stats {
 // checkpointStats snapshots the checkpoint counters.
 func (db *DB) checkpointStats(retained int64) CheckpointStats {
 	return CheckpointStats{
-		Count:         db.ckptCount.Value(),
+		Count:         db.ckptCount,
 		LastLSN:       db.ckptLastLSN,
 		LastBytes:     db.ckptBytes,
 		LastPages:     db.ckptPages,
