@@ -105,9 +105,10 @@ func openWith(cfg Config, dev *flash.Device, space *core.Manager) *DB {
 		nextObject:  1,
 	}
 	db.quiesce.L = &db.baton
-	// A device survives Crash and Reopen: the counts of the crashed instance,
-	// and the reads of the recovery scan, are not the new database's.  Its die
-	// and channel timelines go on, or recovery's virtual times would move.
+	// A device survives Crash and Reopen: the counts and busy time of the
+	// crashed instance, and the reads of the recovery scan, are not the new
+	// database's.  Its die and channel timelines go on, or recovery's virtual
+	// times would move.
 	// The space manager is new in both callers.
 	dev.ResetCounts()
 	// The tracer only exists when the configuration asked for tracing.

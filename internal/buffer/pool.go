@@ -27,7 +27,6 @@ import (
 	"math/bits"
 
 	"noftl/internal/core"
-	"noftl/internal/metrics"
 	"noftl/internal/obs"
 	"noftl/internal/sim"
 )
@@ -171,8 +170,7 @@ type Pool struct {
 	flushFrames []*Frame
 	flushWrites []core.PageWrite
 
-	// Counts since the last ResetCounters (WriteMetrics exports the first
-	// four).
+	// Counts since the last ResetCounters.
 	hits, misses, evictions, writebacks, newPages, groupFlushes int64
 }
 
@@ -250,14 +248,6 @@ func (p *Pool) shardOf(lpn core.LPN) *poolShard {
 // AttachObs wires the pool to the trace recorder.  A nil tracer (the default)
 // keeps tracing off; hook sites then cost one nil compare.
 func (p *Pool) AttachObs(tr *obs.Tracer) { p.tracer = tr }
-
-// WriteMetrics writes the hit, miss, eviction and write-back counts into mt.
-func (p *Pool) WriteMetrics(mt *metrics.Text) {
-	mt.Counter("noftl_buffer_hits_total", "Buffer-pool hits.").Add(p.hits)
-	mt.Counter("noftl_buffer_misses_total", "Buffer-pool demand misses.").Add(p.misses)
-	mt.Counter("noftl_buffer_evictions_total", "Buffer-pool frame evictions.").Add(p.evictions)
-	mt.Counter("noftl_buffer_writebacks_total", "Dirty pages written back by the buffer pool.").Add(p.writebacks)
-}
 
 // Configure does nothing: Options has nothing to tune.  It remains only
 // because the repository benchmark calls it.

@@ -301,7 +301,7 @@ func TestStatsStringAndLatencySnapshot(t *testing.T) {
 	if st.String() == "" {
 		t.Fatal("empty stats string")
 	}
-	r, w := m.HostLatency()
+	r, w := st.Regions[0].ReadLatency, st.Regions[0].WriteLatency
 	if r.Count != 1 || w.Count != 1 {
 		t.Fatalf("latency counts: %+v %+v", r, w)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"noftl/internal/flash"
 	"noftl/internal/iosched"
-	"noftl/internal/metrics"
 	"noftl/internal/obs"
 	"noftl/internal/sim"
 )
@@ -264,62 +263,8 @@ func (m *Manager) AttachObs(tr *obs.Tracer) {
 	m.sched.AttachObs(tr)
 }
 
-// WriteMetrics writes the per-region counts and host latency histograms and
-// the per-object command counts into mt.  A dropped region or object is no
-// longer iterated, so it leaves the exposition.
-func (m *Manager) WriteMetrics(mt *metrics.Text) {
-	hostReads := mt.Counter("noftl_region_host_reads_total",
-		"Logical host page reads served per region.", "region")
-	hostWrites := mt.Counter("noftl_region_host_writes_total",
-		"Logical host page writes placed per region.", "region")
-	gcCopybacks := mt.Counter("noftl_region_gc_copybacks_total",
-		"Valid pages relocated by garbage collection per region.", "region")
-	gcErases := mt.Counter("noftl_region_gc_erases_total",
-		"Victim blocks erased by garbage collection per region.", "region")
-	gcStalls := mt.Counter("noftl_region_gc_stalls_total",
-		"Foreground (blocking) collections at the low watermark per region.", "region")
-	bgSteps := mt.Counter("noftl_region_bggc_steps_total",
-		"Bounded background GC steps per region.", "region")
-	wlMoves := mt.Counter("noftl_region_wear_moves_total",
-		"Static wear-leveling block relocations per region.", "region")
-	readLat := mt.Histogram("noftl_host_read_latency_seconds",
-		"End-to-end virtual-time host read latency per region.", "region")
-	writeLat := mt.Histogram("noftl_host_write_latency_seconds",
-		"End-to-end virtual-time host write latency (including foreground GC) per region.", "region")
-	for _, r := range m.regions {
-		hostReads.Add(r.hostReads, r.name)
-		hostWrites.Add(r.hostWrites, r.name)
-		gcCopybacks.Add(r.gcCopybacks, r.name)
-		gcErases.Add(r.gcErases, r.name)
-		gcStalls.Add(r.gcStalls, r.name)
-		bgSteps.Add(r.bgSteps, r.name)
-		wlMoves.Add(r.wlMoves, r.name)
-		readLat.Histogram(&r.readLat, r.name)
-		writeLat.Histogram(&r.writeLat, r.name)
-	}
-	objects := mt.Counter("noftl_object_io_total",
-		"Flash commands executed for each database object's pages: host reads, host writes of a new page (write_first) and of a mapped one (write_over), GC copybacks.",
-		"object", "kind", "op")
-	for _, o := range m.objects {
-		for op, n := range o.ops {
-			objects.Add(n, o.name, o.kind, objectOpNames[op])
-		}
-	}
-}
-
 // Options returns the effective options.
 func (m *Manager) Options() Options { return m.opts }
-
-// DieFreeBlocks returns the current free-block count of every die, indexed
-// by die number.  The metrics plane exports it as a per-die gauge at scrape
-// time.
-func (m *Manager) DieFreeBlocks() []int {
-	out := make([]int, len(m.dies))
-	for i, da := range m.dies {
-		out[i] = da.freeCount()
-	}
-	return out
-}
 
 // recomputeCapacity updates the exported logical capacity of a region from
 // its die set, over-provisioning and MAX_SIZE limit, and with it the share of

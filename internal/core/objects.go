@@ -45,8 +45,8 @@ type ObjectCounters struct {
 	DieTime time.Duration
 }
 
-// The ops of noftl_object_io_total: disjoint, so the family sums to the
-// commands issued.
+// The ops an object's commands are counted by: disjoint, so the counts sum to
+// the commands issued.
 const (
 	opRead       = iota // a host read
 	opWriteFirst        // a host write of a page that had no mapped version
@@ -54,8 +54,6 @@ const (
 	opCopyback          // a GC or wear-leveling relocation
 	numObjectOps
 )
-
-var objectOpNames = [numObjectOps]string{"read", "write_first", "write_over", "copyback"}
 
 // objectIO holds one object's command counts, by op, and the owner's report of
 // its size (nil for the unattributed object).

@@ -84,7 +84,7 @@ type Region struct {
 
 	gc GCPolicy // per-region garbage-collection policy
 
-	// Statistics (Manager.WriteMetrics exports them); host reads and writes
+	// Statistics (Manager.Stats reads them); host reads and writes
 	// count successful operations.
 	hostReads   int64
 	hostWrites  int64

@@ -5,8 +5,6 @@ import (
 	"maps"
 	"slices"
 	"strings"
-
-	"noftl/internal/metrics"
 )
 
 // Stats is a snapshot of the whole space manager: per-region statistics plus
@@ -36,6 +34,9 @@ type Stats struct {
 	MinErase   int64
 	MaxErase   int64
 	TotalErase int64
+	// DieFreeBlocks is the allocator's free-block count of each die, by die
+	// number (an open block that is still empty is not free).
+	DieFreeBlocks []int
 }
 
 // WriteAmplification returns the device-wide write amplification factor.
@@ -70,7 +71,10 @@ func (s Stats) String() string {
 
 // Stats takes a snapshot of every region.
 func (m *Manager) Stats() Stats {
-	out := Stats{Mode: m.opts.Mode}
+	out := Stats{Mode: m.opts.Mode, DieFreeBlocks: make([]int, len(m.dies))}
+	for i, da := range m.dies {
+		out.DieFreeBlocks[i] = da.freeCount()
+	}
 
 	first := true
 	for _, id := range slices.Sorted(maps.Keys(m.regionsByID)) {
@@ -152,17 +156,6 @@ func (m *Manager) Stats() Stats {
 		first = false
 	}
 	return out
-}
-
-// HostLatency summarises the host read and write latencies of every region
-// as one histogram holding all their observations would.
-func (m *Manager) HostLatency() (read, write metrics.Snapshot) {
-	var reads, writes []*metrics.Histogram
-	for _, r := range m.regions {
-		reads = append(reads, &r.readLat)
-		writes = append(writes, &r.writeLat)
-	}
-	return metrics.MergedSnapshot(reads...), metrics.MergedSnapshot(writes...)
 }
 
 // ResetCounters clears all I/O and GC counters (per region, per object, in the

@@ -3,10 +3,8 @@ package flash
 import (
 	"encoding/binary"
 	"fmt"
-	"strconv"
 	"time"
 
-	"noftl/internal/metrics"
 	"noftl/internal/sim"
 )
 
@@ -179,20 +177,6 @@ func NewDevice(cfg Config) (*Device, error) {
 		d.chanRes[c] = new(sim.Resource)
 	}
 	return d, nil
-}
-
-// WriteMetrics writes the per-die operation counts into the noftl_device_*
-// families of mt.
-func (d *Device) WriteMetrics(mt *metrics.Text) {
-	reads := mt.Counter("noftl_device_reads_total", "Physical page reads on the flash device.", "die")
-	programs := mt.Counter("noftl_device_programs_total", "Physical page programs on the flash device.", "die")
-	erases := mt.Counter("noftl_device_erases_total", "Physical block erases on the flash device.", "die")
-	for i, ds := range d.dies {
-		die := strconv.Itoa(i)
-		reads.Add(ds.reads, die)
-		programs.Add(ds.programs, die)
-		erases.Add(ds.erases, die)
-	}
 }
 
 // Geometry returns the device geometry.
@@ -480,10 +464,12 @@ func (d *Device) ResetCounters() {
 	}
 }
 
-// ResetCounts zeroes the operation counts only: the die and channel timelines
-// keep the virtual times of the commands already served.
+// ResetCounts zeroes the operation counts and the dies' busy time only: the
+// die and channel timelines keep the virtual times of the commands already
+// served.
 func (d *Device) ResetCounts() {
-	for _, ds := range d.dies {
+	for i, ds := range d.dies {
 		ds.reads, ds.programs, ds.erases, ds.copybacks = 0, 0, 0, 0
+		d.dieRes[i].ResetBusy()
 	}
 }

@@ -37,7 +37,6 @@ import (
 	"slices"
 
 	"noftl/internal/flash"
-	"noftl/internal/metrics"
 	"noftl/internal/obs"
 	"noftl/internal/sim"
 )
@@ -145,11 +144,6 @@ func New(dev *flash.Device) *Scheduler {
 
 // AttachObs sends flash-command trace events to tr (nil = tracing off).
 func (s *Scheduler) AttachObs(tr *obs.Tracer) { s.tracer = tr }
-
-// WriteMetrics writes the batch count into mt.
-func (s *Scheduler) WriteMetrics(mt *metrics.Text) {
-	mt.Counter("noftl_iosched_batches_total", "Request batches dispatched by the I/O scheduler.").Add(s.batches)
-}
 
 // Batches returns the number of batches dispatched and the largest of them.
 func (s *Scheduler) Batches() (n, largest int64) {

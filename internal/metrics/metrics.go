@@ -3,8 +3,10 @@
 // its exposition with.
 //
 // The package keeps no count of its own.  Each layer counts in plain fields of
-// its own and writes them into a Text on every scrape, so Stats() and the
-// /metrics text read the same fields and cannot disagree.
+// its own and reads them into its part of the database's Stats(); the root
+// package renders one Stats() value into a Text on every scrape, so Stats()
+// and the /metrics text cannot disagree, and no layer knows the format.  A
+// Snapshot carries the buckets and exact sum the writer needs.
 //
 // A Histogram is safe for concurrent use: a TPC-C run observes its
 // per-transaction histograms from several terminals.
@@ -19,11 +21,8 @@ import (
 // percentiles.  It uses exponentially sized buckets from 1µs to ~17min which
 // is plenty for both 4 KB flash I/Os and multi-second transactions.
 type Histogram struct {
-	mu      sync.Mutex
-	buckets [64]int64
-	count   int64
-	sum     int64 // nanoseconds
-	max     int64
+	mu  sync.Mutex
+	all Snapshot // buckets, count, sum and maximum; the summary is left out
 }
 
 // NewHistogram returns an empty histogram.
@@ -57,50 +56,21 @@ func (h *Histogram) Observe(d time.Duration) {
 		ns = 0
 	}
 	h.mu.Lock()
-	h.buckets[bucketFor(ns)]++
-	h.count++
-	h.sum += ns
-	if ns > h.max {
-		h.max = ns
-	}
+	h.all.buckets[bucketFor(ns)]++
+	h.all.Count++
+	h.all.sum += ns
+	h.all.Max = max(h.all.Max, time.Duration(ns))
 	h.mu.Unlock()
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// exportBuckets returns a copy of the raw per-bucket counts together with the
-// total count and sum (ns).  It is the Prometheus encoder's view of the
-// histogram; bucket i's inclusive upper bound is bucketUpper(i).
-func (h *Histogram) exportBuckets() (buckets [64]int64, count, sum int64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.buckets, h.count, h.sum
-}
+func (h *Histogram) Count() int64 { return h.copy().Count }
 
 // Mean returns the mean observed duration (zero if empty).
-func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return time.Duration(h.sum / h.count)
-}
+func (h *Histogram) Mean() time.Duration { return h.Snapshot().Mean }
 
 // Max returns the largest observed duration (zero if empty).
-func (h *Histogram) Max() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return time.Duration(h.max)
-}
+func (h *Histogram) Max() time.Duration { return h.copy().Max }
 
 // Quantile returns an upper-bound estimate of the q-quantile based on the
 // bucket boundaries.  The contract at the edges:
@@ -112,46 +82,28 @@ func (h *Histogram) Max() time.Duration {
 //     maximum so the estimate never exceeds a value that was actually
 //     observed.
 func (h *Histogram) Quantile(q float64) time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	if q >= 1 {
-		return time.Duration(h.max)
-	}
-	target := int64(q*float64(h.count) + 0.9999999)
-	if target < 1 {
-		target = 1
-	}
-	if target > h.count {
-		target = h.count
-	}
-	var seen int64
-	for i, c := range h.buckets {
-		seen += c
-		if seen >= target {
-			est := bucketUpper(i)
-			if est > h.max {
-				est = h.max
-			}
-			return time.Duration(est)
-		}
-	}
-	return time.Duration(h.max)
+	s := h.copy()
+	return s.quantile(q)
 }
 
 // Reset clears all observations.
 func (h *Histogram) Reset() {
 	h.mu.Lock()
-	for i := range h.buckets {
-		h.buckets[i] = 0
-	}
-	h.count, h.sum, h.max = 0, 0, 0
+	h.all = Snapshot{}
 	h.mu.Unlock()
 }
 
-// Snapshot is a point-in-time copy of a histogram's summary statistics.
+// Merge adds every observation of o to h.
+func (h *Histogram) Merge(o *Histogram) {
+	s := o.copy()
+	h.mu.Lock()
+	h.all.add(s)
+	h.mu.Unlock()
+}
+
+// Snapshot is a point-in-time copy of a histogram: its summary statistics,
+// and the buckets and exact sum the Prometheus writer renders.  It is taken
+// under one lock, so its buckets sum to its Count.
 type Snapshot struct {
 	Count int64
 	Mean  time.Duration
@@ -159,44 +111,71 @@ type Snapshot struct {
 	P95   time.Duration
 	P99   time.Duration
 	Max   time.Duration
+
+	buckets [64]int64 // bucket i's inclusive upper bound is bucketUpper(i)
+	sum     int64     // nanoseconds
 }
 
 // Snapshot returns the current summary.
-func (h *Histogram) Snapshot() Snapshot {
-	return Snapshot{
-		Count: h.Count(),
-		Mean:  h.Mean(),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
-		Max:   h.Max(),
+func (h *Histogram) Snapshot() Snapshot { return h.copy().summarised() }
+
+// copy returns the histogram's buckets, count, sum and maximum, read under
+// one lock, without the summary statistics.
+func (h *Histogram) copy() Snapshot {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.all
+}
+
+// summarised returns s with its mean and percentiles computed from its
+// buckets, count, sum and maximum.
+func (s Snapshot) summarised() Snapshot {
+	if s.Count > 0 {
+		s.Mean = time.Duration(s.sum / s.Count)
 	}
+	s.P50, s.P95, s.P99 = s.quantile(0.50), s.quantile(0.95), s.quantile(0.99)
+	return s
+}
+
+// quantile is Histogram.Quantile over the snapshot's buckets.
+func (s *Snapshot) quantile(q float64) time.Duration {
+	if s.Count == 0 {
+		return 0
+	}
+	if q >= 1 {
+		return s.Max
+	}
+	target := int64(q*float64(s.Count) + 0.9999999)
+	target = min(max(target, 1), s.Count)
+	var seen int64
+	for i, c := range s.buckets {
+		seen += c
+		if seen >= target {
+			return min(time.Duration(bucketUpper(i)), s.Max)
+		}
+	}
+	return s.Max
+}
+
+// add adds the observations of o to s's buckets, count, sum and maximum.
+func (s *Snapshot) add(o Snapshot) {
+	for i, c := range o.buckets {
+		s.buckets[i] += c
+	}
+	s.Count += o.Count
+	s.sum += o.sum
+	s.Max = max(s.Max, o.Max)
 }
 
 // MergedSnapshot returns the summary of one histogram holding every
-// observation of hs: its mean is the exact mean and its percentiles come from
-// the summed buckets.
-func MergedSnapshot(hs ...*Histogram) Snapshot {
-	var all Histogram
-	for _, h := range hs {
-		all.Merge(h)
+// observation of snaps: its mean is the exact mean and its percentiles come
+// from the summed buckets.
+func MergedSnapshot(snaps ...Snapshot) Snapshot {
+	var all Snapshot
+	for _, s := range snaps {
+		all.add(s)
 	}
-	return all.Snapshot()
-}
-
-// Merge adds every observation of o to h.
-func (h *Histogram) Merge(o *Histogram) {
-	o.mu.Lock()
-	buckets, count, sum, omax := o.buckets, o.count, o.sum, o.max
-	o.mu.Unlock()
-	h.mu.Lock()
-	for i, c := range buckets {
-		h.buckets[i] += c
-	}
-	h.count += count
-	h.sum += sum
-	h.max = max(h.max, omax)
-	h.mu.Unlock()
+	return all.summarised()
 }
 
 // PercentDelta returns the relative change from base to v as a percentage

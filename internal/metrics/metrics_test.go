@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -123,9 +124,37 @@ func TestHistogramSum(t *testing.T) {
 	h := NewHistogram()
 	h.Observe(time.Millisecond)
 	h.Observe(2 * time.Millisecond)
-	if _, _, sum := h.exportBuckets(); sum != int64(3*time.Millisecond) {
-		t.Fatalf("exported sum = %v", time.Duration(sum))
+	if sum := h.Snapshot().sum; sum != int64(3*time.Millisecond) {
+		t.Fatalf("snapshot sum = %v", time.Duration(sum))
 	}
+}
+
+// TestSnapshotIsOneReading: snapshots taken while other goroutines observe
+// are each one reading of the histogram, so their buckets sum to their count
+// and their sum is that of the observations counted (every one takes 1µs).
+func TestSnapshotIsOneReading(t *testing.T) {
+	var h Histogram
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20000 {
+				h.Observe(time.Microsecond)
+			}
+		}()
+	}
+	for range 200 {
+		s := h.Snapshot()
+		var inBuckets int64
+		for _, n := range s.buckets {
+			inBuckets += n
+		}
+		if inBuckets != s.Count || s.sum != s.Count*int64(time.Microsecond) {
+			t.Fatalf("a snapshot of %d observations holds %d in its buckets and a sum of %v", s.Count, inBuckets, time.Duration(s.sum))
+		}
+	}
+	wg.Wait()
 }
 
 // TestMergedSnapshot: the merge of two histograms summarises exactly what
@@ -142,7 +171,7 @@ func TestMergedSnapshot(t *testing.T) {
 		slow.Observe(d)
 		both.Observe(d)
 	}
-	got, want := MergedSnapshot(fast, slow), both.Snapshot()
+	got, want := MergedSnapshot(fast.Snapshot(), slow.Snapshot()), both.Snapshot()
 	if got != want {
 		t.Fatalf("merged %+v, want %+v", got, want)
 	}

@@ -92,8 +92,8 @@ func escapeHelp(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
-// Text is one scrape's exposition: the families each layer writes its counts
-// into, rendered by String.  The zero value is empty and ready to use.
+// Text is one scrape's exposition: the families its counts are written into,
+// rendered by String.  The zero value is empty and ready to use.
 type Text struct {
 	families map[string]*Family
 }
@@ -110,7 +110,7 @@ type Family struct {
 type point struct {
 	values []string
 	v      int64
-	hist   Histogram
+	hist   Snapshot
 }
 
 // Counter returns the counter family name, adding it on first use.
@@ -155,8 +155,9 @@ func (f *Family) get(values []string) *point {
 // gauge's value.
 func (f *Family) Add(v int64, values ...string) { f.get(values).v += v }
 
-// Histogram adds h's observations to the sample of the given label values.
-func (f *Family) Histogram(h *Histogram, values ...string) { f.get(values).hist.Merge(h) }
+// Histogram adds the observations of s to the sample of the given label
+// values.
+func (f *Family) Histogram(s Snapshot, values ...string) { f.get(values).hist.add(s) }
 
 // labelPairs renders {k="v",...} for sample lines; extra appends one more
 // pair (the histogram le label).  Empty schema and no extra renders nothing.
@@ -217,9 +218,8 @@ func (t *Text) String() string {
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, labelPairs(f.labels, s.values, "", ""), s.v)
 				continue
 			}
-			buckets, count, sum := s.hist.exportBuckets()
 			var cum int64
-			for i, n := range buckets {
+			for i, n := range s.hist.buckets {
 				if n == 0 {
 					continue
 				}
@@ -228,11 +228,11 @@ func (t *Text) String() string {
 					labelPairs(f.labels, s.values, "le", formatSeconds(bucketUpper(i))), cum)
 			}
 			fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name,
-				labelPairs(f.labels, s.values, "le", "+Inf"), count)
+				labelPairs(f.labels, s.values, "le", "+Inf"), s.hist.Count)
 			fmt.Fprintf(&b, "%s_sum%s %s\n", f.name,
-				labelPairs(f.labels, s.values, "", ""), formatSeconds(sum))
+				labelPairs(f.labels, s.values, "", ""), formatSeconds(s.hist.sum))
 			fmt.Fprintf(&b, "%s_count%s %d\n", f.name,
-				labelPairs(f.labels, s.values, "", ""), count)
+				labelPairs(f.labels, s.values, "", ""), s.hist.Count)
 		}
 	}
 	return b.String()

@@ -22,8 +22,8 @@ func TestRegistryFamiliesAndText(t *testing.T) {
 	h1.Observe(100 * time.Microsecond)
 	h2.Observe(3 * time.Millisecond)
 	lat := mt.Histogram("noftl_latency_seconds", "Latency.", "priority")
-	lat.Histogram(&h1, "host_write")
-	lat.Histogram(&h2, "host_write")
+	lat.Histogram(h1.Snapshot(), "host_write")
+	lat.Histogram(h2.Snapshot(), "host_write")
 
 	want := `# HELP noftl_latency_seconds Latency.
 # TYPE noftl_latency_seconds histogram
@@ -70,8 +70,8 @@ func TestLintExpositionAcceptsRegistryOutput(t *testing.T) {
 	hot.Observe(time.Millisecond)
 	cold.Observe(time.Second)
 	h := mt.Histogram("c_seconds", "lat", "region")
-	h.Histogram(&hot, "hot")
-	h.Histogram(&cold, "cold")
+	h.Histogram(hot.Snapshot(), "hot")
+	h.Histogram(cold.Snapshot(), "cold")
 	res := LintExposition([]byte(mt.String()))
 	if !res.Valid() {
 		t.Fatalf("writer output should lint clean: %v", res.Problems)

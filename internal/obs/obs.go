@@ -2,11 +2,8 @@
 // low-overhead recorder of typed events emitted by the I/O scheduler, the
 // space manager (GC, wear leveling, host I/O), the buffer pool and the WAL.
 //
-// The same hooks feed two consumers:
-//
-//   - the Prometheus-format metrics plane (internal/metrics labeled families
-//     are updated by the same hooks that emit events);
-//   - trace persistence (JSONL dump/load, summarized by the noftl-trace CLI).
+// The events are dumped as JSONL and summarized by the noftl-trace CLI; the
+// counts of /metrics are the layers' own fields, not derived from events.
 //
 // Overhead discipline: every hook site is guarded by Tracer.Enabled, which is
 // nil-safe — a disabled tracer is simply a nil pointer, so the disabled path
@@ -18,7 +15,6 @@ package obs
 import (
 	"time"
 
-	"noftl/internal/metrics"
 	"noftl/internal/sim"
 )
 
@@ -163,17 +159,6 @@ func NewTracer(capacity int) *Tracer {
 		buf:     make([]Event, 0, capacity),
 		started: time.Now(),
 	}
-}
-
-// WriteMetrics writes the recorded and dropped counts into the
-// noftl_trace_events_* families of mt; a nil tracer writes nothing.
-func (t *Tracer) WriteMetrics(mt *metrics.Text) {
-	if t == nil {
-		return
-	}
-	mt.Counter("noftl_trace_events_recorded_total", "Trace events recorded.").Add(t.Recorded())
-	mt.Counter("noftl_trace_events_dropped_total",
-		"Trace events overwritten after the ring buffer wrapped.").Add(t.Dropped())
 }
 
 // Enabled reports whether events are recorded.  It is the hook-site guard

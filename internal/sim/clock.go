@@ -140,6 +140,10 @@ func (r *Resource) Busy() Duration {
 	return r.busy
 }
 
+// ResetBusy zeroes the cumulative service time and keeps the timeline: the
+// operations that follow are served at the times they would be without it.
+func (r *Resource) ResetBusy() { r.busy = 0 }
+
 // Reset returns the resource to the idle state at time zero, clearing
 // accumulated statistics.
 func (r *Resource) Reset() {

@@ -189,6 +189,31 @@ func TestResourceTimelineProperty(t *testing.T) {
 	}
 }
 
+// ResetBusy zeroes the busy total and nothing else: two resources fed the
+// same operations serve them at the same times whether or not one had its
+// total zeroed on the way, and its total counts what it served since.
+func TestResourceResetBusyKeepsTheTimeline(t *testing.T) {
+	rng := NewRand(9)
+	var a, b Resource
+	var since Duration
+	for i := 0; i < 3000; i++ { // several times maxSpans: the history is pruned on the way
+		if i == 1000 {
+			b.ResetBusy()
+			since = 0
+		}
+		now, d := Time(rng.Intn(200_000)), Duration(10+rng.Intn(1500))
+		sa, da := a.Acquire(now, d)
+		sb, db := b.Acquire(now, d)
+		if sa != sb || da != db {
+			t.Fatalf("op %d: [%d,%d) after ResetBusy, [%d,%d) without", i, sb, db, sa, da)
+		}
+		since += d
+	}
+	if b.Busy() != since || a.Busy() <= since {
+		t.Fatalf("busy %v since the reset (want %v), %v without it", b.Busy(), since, a.Busy())
+	}
+}
+
 // A single actor's arrivals are in time order: the timeline must give it the
 // times submission-order FCFS gave, bit for bit (recorded from that rule), and
 // keep a saturated stretch as one span.

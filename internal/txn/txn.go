@@ -22,7 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"noftl/internal/metrics"
 	"noftl/internal/sim"
 	"noftl/internal/wal"
 )
@@ -302,17 +301,6 @@ func NewManager(lm *LockManager, log *wal.Log, clock *sim.Clock) *Manager {
 		lm = NewLockManager(0)
 	}
 	return &Manager{lm: lm, log: log, clock: clock}
-}
-
-// WriteMetrics writes the transaction counts and the lock manager's
-// contention counts into the noftl_txn_* families of mt.
-func (m *Manager) WriteMetrics(mt *metrics.Text) {
-	mt.Counter("noftl_txn_started_total", "Transactions started.").Add(m.started)
-	mt.Counter("noftl_txn_committed_total", "Transactions committed.").Add(m.commits)
-	mt.Counter("noftl_txn_aborted_total", "Transactions aborted.").Add(m.aborts)
-	mt.Counter("noftl_txn_lock_waits_total", "Lock acquisitions that had to block.").Add(m.lm.waits)
-	mt.Counter("noftl_txn_lock_timeouts_total",
-		"Lock waits that failed (ErrLockTimeout): at once on a deadlock, or past the virtual-time wait budget.").Add(m.lm.timeouts)
 }
 
 // ResetCounters zeroes the transaction and lock-contention counters (after

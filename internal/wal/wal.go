@@ -26,7 +26,6 @@ import (
 	"hash/crc32"
 
 	"noftl/internal/core"
-	"noftl/internal/metrics"
 	"noftl/internal/obs"
 	"noftl/internal/sim"
 	"noftl/internal/storage"
@@ -150,8 +149,7 @@ type Log struct {
 
 	batch []core.PageWrite // the write batch a force reuses
 
-	// Counts since the last ResetCounters (WriteMetrics exports the first
-	// four).
+	// Counts since the last ResetCounters.
 	appended, flushes, bytesAppended, bytesTrimmed, pagesTrimmed int64
 
 	// bytesLive is the total of the live pages' bytes: Truncate moves a
@@ -207,16 +205,6 @@ func (l *Log) openPage() {
 // AttachObs wires the log to the trace recorder.  A nil tracer (the default)
 // keeps tracing off.
 func (l *Log) AttachObs(tr *obs.Tracer) { l.tracer = tr }
-
-// WriteMetrics writes the record, flush and byte counts into the noftl_wal_*
-// families of mt.
-func (l *Log) WriteMetrics(mt *metrics.Text) {
-	mt.Counter("noftl_wal_appends_total", "WAL records appended.").Add(l.appended)
-	mt.Counter("noftl_wal_flushes_total", "WAL flushes that wrote pages.").Add(l.flushes)
-	mt.Counter("noftl_wal_bytes_appended_total", "Encoded WAL record bytes appended.").Add(l.bytesAppended)
-	mt.Counter("noftl_wal_bytes_trimmed_total",
-		"Encoded WAL record bytes dropped by checkpoint truncation.").Add(l.bytesTrimmed)
-}
 
 // ResetCounters zeroes the log's counters (after warm-up).  LSNs, the page
 // list and BytesLive describe the log itself and are untouched.

@@ -175,7 +175,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 
 // TestMetricsTextWithTracingOff checks the path without a tracer:
 // MetricsText still renders a valid exposition without trace families, and
-// the trace facade degrades to no-ops instead of erroring.
+// the trace facade degrades to no-ops instead of erroring.  A tracer that has
+// recorded nothing yet still has its families.
 func TestMetricsTextWithTracingOff(t *testing.T) {
 	db, err := OpenConfig(smallConfig())
 	if err != nil {
@@ -213,6 +214,17 @@ func TestMetricsTextWithTracingOff(t *testing.T) {
 	}
 	if st := db.Stats(); st.Trace != (TraceStats{}) {
 		t.Fatalf("Trace stats non-zero with tracing off: %+v", st.Trace)
+	}
+
+	// With tracing on, the trace families are there before the first event.
+	traced, err := OpenConfig(smallConfig(), WithTraceBuffer(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer traced.Close()
+	lint = metrics.LintExposition([]byte(traced.MetricsText()))
+	if _, ok := lint.Families["noftl_trace_events_recorded_total"]; !ok || traced.Stats().Trace.Recorded != 0 {
+		t.Fatalf("a tracer that recorded %d events exports the families %v", traced.Stats().Trace.Recorded, lint.Families)
 	}
 }
 
@@ -558,11 +570,13 @@ func TestStatsEqualsMetrics(t *testing.T) {
 
 // TestReopenStartsTheCounts: the flash device outlives Crash and Reopen, and
 // the reopened database counts from zero on it (the crashed instance's
-// commands and the recovery scan's reads are not its own), while the die
-// timelines keep their virtual times.  The wanted counts are those the
-// database printed before its counts became plain fields of the layers (the
-// same workload, Crash and Reopen, rendered by reopenCounts); recovery's
-// simulated times and every count must not move.
+// commands and the recovery scan's reads are not its own), busy time
+// included, while the die timelines keep their virtual times.  The wanted
+// counts are those the database printed before its counts became plain
+// fields of the layers (the same workload, Crash and Reopen, rendered by
+// reopenCounts); recovery's simulated times and every count must not move.
+// A die's busy time is what its commands since the reopen cost: die 2's is one
+// program, 4 erases and 58 copybacks (0.35 + 6 + 58 × 0.39 ms).
 func TestReopenStartsTheCounts(t *testing.T) {
 	db, err := OpenConfig(obsConfig())
 	if err != nil {
@@ -574,10 +588,10 @@ func TestReopenStartsTheCounts(t *testing.T) {
 	}
 	defer db.Close()
 	const want = `device reads=0 programs=1 erases=4 copybacks=58 bad=0
-die 0 reads=0 programs=0 erases=0 copybacks=0 busy=143.8ms wear=9 free=3
-die 1 reads=0 programs=0 erases=0 copybacks=0 busy=143.45ms wear=9 free=3
-die 2 reads=0 programs=1 erases=4 copybacks=58 busy=173.21ms wear=13 free=2
-die 3 reads=0 programs=0 erases=0 copybacks=0 busy=143.85ms wear=9 free=3
+die 0 reads=0 programs=0 erases=0 copybacks=0 busy=0s wear=9 free=3
+die 1 reads=0 programs=0 erases=0 copybacks=0 busy=0s wear=9 free=3
+die 2 reads=0 programs=1 erases=4 copybacks=58 busy=28.97ms wear=13 free=2
+die 3 reads=0 programs=0 erases=0 copybacks=0 busy=0s wear=9 free=3
 region DEFAULT reads=0 writes=1 copybacks=58 erases=4 runs=4 stalls=1 bgsteps=0 wear=0 spills=0 valid=1 retained=0 read=0/0s write=1/47.445ms
 region rgHot reads=0 writes=0 copybacks=0 erases=0 runs=0 stalls=0 bgsteps=0 wear=0 spills=0 valid=75 retained=0 read=0/0s write=0/0s
 scheduler {Batches:9 Requests:63 MaxBatch:15 HostReads:0 HostWrites:1 GC:62 GCSteps:0 GCStalls:1}
@@ -639,7 +653,9 @@ func TestDroppedObjectsLeaveTheStatistics(t *testing.T) {
 		if _, err := db.FlushAll(db.SimulatedTime()); err != nil {
 			t.Fatal(err)
 		}
-		for _, o := range checkStatsEqualMetrics(t, db, "loaded").Objects {
+		st := checkStatsEqualMetrics(t, db, "loaded")
+		requireExposed(t, "loaded", db.MetricsText(), st.Objects, "T", "T_IDX", "KEPT")
+		for _, o := range st.Objects {
 			if o.Name == "T" {
 				return o.Writes
 			}
@@ -694,6 +710,7 @@ func TestDroppedObjectsLeaveTheStatistics(t *testing.T) {
 	}
 	st = checkStatsEqualMetrics(t, db, "dropped")
 	text := db.MetricsText()
+	requireExposed(t, "dropped", text, st.Objects, "KEPT", core.UnattributedObject)
 	for _, name := range []string{"T", "T_IDX"} {
 		if slices.ContainsFunc(st.Objects, func(o ObjectCounters) bool { return o.Name == name }) ||
 			strings.Contains(text, `object="`+name+`"`) {
@@ -708,6 +725,22 @@ func TestDroppedObjectsLeaveTheStatistics(t *testing.T) {
 	}
 	if again := load(); again != first {
 		t.Errorf("the re-created T shows %d page writes after the same load, the first T %d: it must count from zero", again, first)
+	}
+}
+
+// requireExposed fails unless each of names is in objects, and every object
+// of objects, counted or not, has its samples in the exposition text.
+func requireExposed(t *testing.T, stage, text string, objects []ObjectCounters, names ...string) {
+	t.Helper()
+	for _, name := range names {
+		if !slices.ContainsFunc(objects, func(o ObjectCounters) bool { return o.Name == name }) {
+			t.Errorf("%s: %s is missing from Stats().Objects:\n%+v", stage, name, objects)
+		}
+	}
+	for _, o := range objects {
+		if !strings.Contains(text, `noftl_object_io_total{object="`+o.Name+`",kind="`+o.Kind+`"`) {
+			t.Errorf("%s: %s is in Stats().Objects but not in /metrics", stage, o.Name)
+		}
 	}
 }
 

@@ -15,9 +15,8 @@ import (
 // Stats is an immutable snapshot of the whole stack: transactions, buffer
 // pool, I/O scheduler, NoFTL space manager (with per-region GC counters),
 // flash device, WAL and per-object I/O counters.  All counters are
-// cumulative since the last ResetStatistics call.  Every count it shares with
-// a noftl_* family of MetricsText is read from the same field of the layer
-// that counts it, so the two views cannot disagree.
+// cumulative since the last ResetStatistics call.  MetricsText renders one
+// Stats value, so the two views cannot disagree.
 type Stats struct {
 	// Simulated is the simulated wall-clock time covered by the counters.
 	Simulated time.Duration
@@ -184,7 +183,10 @@ func (db *DB) Stats() Stats {
 	db.baton.Lock()
 	defer db.baton.Unlock()
 	space := db.space.Stats()
-	read, write := db.space.HostLatency()
+	var reads, writes []metrics.Snapshot
+	for _, r := range space.Regions {
+		reads, writes = append(reads, r.ReadLatency), append(writes, r.WriteLatency)
+	}
 	lockStats := db.txns.LockManager().Stats()
 	batches, maxBatch := db.space.Scheduler().Batches()
 	dev := db.dev.Stats()
@@ -209,8 +211,8 @@ func (db *DB) Stats() Stats {
 		Space:        space,
 		Device:       dev,
 		Objects:      db.space.ObjectStats(),
-		ReadLatency:  read,
-		WriteLatency: write,
+		ReadLatency:  metrics.MergedSnapshot(reads...),
+		WriteLatency: metrics.MergedSnapshot(writes...),
 		WAL: WALStats{
 			Appended:      db.log.Appended(),
 			Flushes:       db.log.Flushes(),
