@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -205,5 +207,25 @@ func TestGroupCommitCrashAtomicity(t *testing.T) {
 				t.Fatalf("worker %d txn %d was acknowledged but lost in recovery", w, i)
 			}
 		}
+	}
+}
+
+// TestChaosSeedDigest pins one campaign member, seed 13 of
+// TestCrashRecoverySeeds' campaign (2026 + 13 × 0x9e3779b97f4a7c15: a torn
+// tail and a failed erase every 97), by a SHA-256 of its Report in Go syntax,
+// the recovery's statistics included.  A change that must not move what the
+// engine writes, where the crash lands or what recovery finds leaves it as it
+// is.
+func TestChaosSeedDigest(t *testing.T) {
+	const want = "386bb37df8dd7044e6e6329f851bc1cb33da2367465355dc97b8f265757843ba"
+	rep, err := Run(Config{Seed: 0x08d12e6b76c854fb, TornTail: true, FailEraseEvery: 97})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.CrashFired || !rep.Recovery.CheckpointFound {
+		t.Fatalf("the seed no longer crashes after a checkpoint: %+v", rep)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%#v", rep)))); got != want {
+		t.Errorf("report digest %s, recorded %s\n%+v", got, want, rep)
 	}
 }
