@@ -74,7 +74,7 @@ func (m *Manager) readPages(now sim.Time, lpns []LPN, bufs [][]byte, out []PageR
 			out[i].Err = fmt.Errorf("%w: lpn %d", ErrUnmappedPage, lpn)
 			continue
 		}
-		out[i].region, out[i].addr = m.regionsByID[m.dieOwner[e.die]], e.addr()
+		out[i].region, out[i].addr = m.dies[e.die].region, e.addr()
 		var buf []byte
 		if i < len(bufs) {
 			buf = bufs[i]
@@ -292,7 +292,7 @@ func (m *Manager) placeWrite(at sim.Time, w *PageWrite, p *hostWrite) (iosched.R
 		// batch cannot overshoot the capacity.
 		// Retained checkpoint versions are not part of the region's logical
 		// size, but they hold physical pages a new page cannot have as well.
-		p.consumes = !remap || m.dieOwner[prev.die] != r.id
+		p.consumes = !remap || m.dies[prev.die].region != r
 		if !p.consumes || (r.validPages+r.admitted < r.capacityPages &&
 			r.validPages+r.retainedPages+r.admitted < r.physPages) {
 			if p.da, p.slot, at = m.allocateSlot(at, r); p.da != nil {
@@ -303,7 +303,7 @@ func (m *Manager) placeWrite(at sim.Time, w *PageWrite, p *hostWrite) (iosched.R
 			return iosched.Request{}, at, m.errRegionFull(r)
 		}
 		r.spills++
-		r = m.regionsByID[DefaultRegionID]
+		r = m.regions[DefaultRegionID]
 	}
 	p.r = r
 	if p.consumes {
@@ -372,7 +372,7 @@ func (m *Manager) commitWrite(p *hostWrite, w *PageWrite, start, done sim.Time, 
 	*e = newMapEntry(ppa{Die: da.die, Block: slot.block, Page: slot.page}, w.Hint.Flags&flash.FlagLog != 0, p.seq)
 	if had {
 		m.supersede(old)
-		if or := m.regionsByID[m.dieOwner[old.die]]; or != r {
+		if or := m.dies[old.die].region; or != r {
 			// The page migrated between regions (e.g. a spill, or a later
 			// write that returned home): transfer the valid-page accounting.
 			if or.validPages > 0 {

@@ -324,7 +324,7 @@ func TestForegroundCollectionStallsItsOwnDieOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hotDie := m.dies[m.regionsByID[hot.ID()].dies[0]]
+	hotDie := m.dies[hot.dies[0]]
 	ppb := dev.Geometry().PagesPerBlock
 
 	// Overwrite a small hot set until the next write must collect the die.

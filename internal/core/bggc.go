@@ -59,10 +59,7 @@ func (m *Manager) backgroundGC(now sim.Time, da *dieAlloc) {
 		// debt, not for taking debt on early.
 		return
 	}
-	r, ok := m.regionsByID[m.dieOwner[da.die]]
-	if !ok {
-		return
-	}
+	r := da.region
 	pol := r.gc
 	if da.bgVictim < 0 {
 		// At or below the low watermark the foreground backstop would

@@ -320,7 +320,7 @@ func TestWearLevelBoundsOverflow(t *testing.T) {
 	if cold < 0 {
 		t.Fatal("no closed block to level")
 	}
-	r := m.regionsByID[DefaultRegionID]
+	r := m.regions[DefaultRegionID]
 	moves := r.wlMoves
 	m.maybeWearLevel(now, r, da)
 	leveled := r.wlMoves > moves

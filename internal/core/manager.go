@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"noftl/internal/flash"
 	"noftl/internal/iosched"
@@ -100,11 +101,12 @@ func (b *blockInfo) reset(pagesPerBlock int) {
 	}
 }
 
-// dieAlloc is the per-die allocation state: free blocks, the open block
-// receiving host writes and the open block receiving GC copybacks.
+// dieAlloc is the per-die allocation state: the region that owns the die, its
+// free blocks, the open block receiving host writes and the open block
+// receiving GC copybacks.
 type dieAlloc struct {
 	die        int
-	regionID   RegionID
+	region     *Region
 	blocks     []blockInfo
 	freeBlocks []int    // indexes of blocks in state blkFree
 	hostOpen   int      // block index, -1 if none
@@ -167,12 +169,8 @@ type Manager struct {
 	opts  Options
 	sched *iosched.Scheduler
 
-	regions     map[string]*Region
-	regionsByID map[RegionID]*Region
-	nextRegion  RegionID
-
-	dieOwner []RegionID // region owning each die
-	dies     []*dieAlloc
+	regions []*Region // by RegionID; nil once dropped
+	dies    []*dieAlloc
 
 	mapping LPNTable[mapEntry]
 	nextLPN LPN
@@ -212,23 +210,21 @@ type Manager struct {
 func NewManager(dev *flash.Device, opts Options) *Manager {
 	opts = opts.withDefaults()
 	m := &Manager{
-		dev:         dev,
-		geo:         dev.Geometry(),
-		opts:        opts,
-		sched:       iosched.New(dev),
-		regions:     make(map[string]*Region),
-		regionsByID: make(map[RegionID]*Region),
-		retained:    make(map[ppa]uint64),
-		nextLPN:     1,
-		nextRegion:  DefaultRegionID + 1,
-		pends:       make([]hostWrite, 1),
-		reqs:        make([]iosched.Request, 0, 1),
+		dev:      dev,
+		geo:      dev.Geometry(),
+		opts:     opts,
+		sched:    iosched.New(dev),
+		retained: make(map[ppa]uint64),
+		nextLPN:  1,
+		pends:    make([]hostWrite, 1),
+		reqs:     make([]iosched.Request, 0, 1),
 	}
+	def := &Region{id: DefaultRegionID, name: DefaultRegionName, gc: opts.GC}
+	m.regions = []*Region{def}
 	nDies := m.geo.Dies()
-	m.dieOwner = make([]RegionID, nDies)
 	m.dies = make([]*dieAlloc, nDies)
 	for i := 0; i < nDies; i++ {
-		da := &dieAlloc{die: i, regionID: DefaultRegionID, hostOpen: -1, gcOpen: -1, bgVictim: -1}
+		da := &dieAlloc{die: i, region: def, hostOpen: -1, gcOpen: -1, bgVictim: -1}
 		da.blocks = make([]blockInfo, m.geo.BlocksPerDie)
 		da.freeBlocks = make([]int, 0, m.geo.BlocksPerDie)
 		for b := 0; b < m.geo.BlocksPerDie; b++ {
@@ -236,19 +232,10 @@ func NewManager(dev *flash.Device, opts Options) *Manager {
 			da.freeBlocks = append(da.freeBlocks, b)
 		}
 		m.dies[i] = da
+		def.dies = append(def.dies, i)
 	}
-
-	m.objects = map[uint32]*objectIO{0: {name: UnattributedObject}}
-	def := &Region{id: DefaultRegionID, name: DefaultRegionName}
-	def.gc = opts.GC
-	allDies := make([]int, nDies)
-	for i := range allDies {
-		allDies[i] = i
-	}
-	def.dies = allDies
-	m.regions[def.name] = def
-	m.regionsByID[def.id] = def
 	m.recomputeCapacity(def)
+	m.objects = map[uint32]*objectIO{0: {name: UnattributedObject}}
 	return m
 }
 
@@ -281,14 +268,20 @@ func (m *Manager) recomputeCapacity(r *Region) {
 
 // Region returns the region with the given name.
 func (m *Manager) Region(name string) (*Region, bool) {
-	r, ok := m.regions[name]
-	return r, ok
+	for _, r := range m.regions {
+		if r != nil && r.name == name {
+			return r, true
+		}
+	}
+	return nil, false
 }
 
 // RegionByID returns the region with the given id.
 func (m *Manager) RegionByID(id RegionID) (*Region, bool) {
-	r, ok := m.regionsByID[id]
-	return r, ok
+	if int(id) < len(m.regions) && m.regions[id] != nil {
+		return m.regions[id], true
+	}
+	return nil, false
 }
 
 // CreateRegion carves a new region out of the default region according to
@@ -300,10 +293,9 @@ func (m *Manager) CreateRegion(spec RegionSpec) (*Region, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if _, exists := m.regions[spec.Name]; exists {
+	if _, exists := m.Region(spec.Name); exists {
 		return nil, fmt.Errorf("%w: %q", ErrRegionExists, spec.Name)
 	}
-	def := m.regionsByID[DefaultRegionID]
 
 	var chosen []int
 	if len(spec.Dies) > 0 {
@@ -311,8 +303,8 @@ func (m *Manager) CreateRegion(spec RegionSpec) (*Region, error) {
 			if d < 0 || d >= m.geo.Dies() {
 				return nil, fmt.Errorf("%w: die %d out of range", ErrInvalidSpec, d)
 			}
-			if m.dieOwner[d] != DefaultRegionID {
-				return nil, fmt.Errorf("%w: die %d already belongs to region %d", ErrNoDiesAvailable, d, m.dieOwner[d])
+			if owner := m.dies[d].region; owner.id != DefaultRegionID {
+				return nil, fmt.Errorf("%w: die %d already belongs to region %d", ErrNoDiesAvailable, d, owner.id)
 			}
 			if !m.dieEmpty(d) {
 				return nil, fmt.Errorf("%w: die %d holds valid data", ErrNoDiesAvailable, d)
@@ -327,29 +319,31 @@ func (m *Manager) CreateRegion(spec RegionSpec) (*Region, error) {
 		}
 	}
 
-	r := &Region{id: m.nextRegion, name: spec.Name, spec: spec}
+	r := &Region{id: RegionID(len(m.regions)), name: spec.Name, spec: spec, gc: m.opts.GC}
 	r.spec.Dies, r.spec.GC = nil, nil
-	r.gc = m.opts.GC
 	if spec.GC != nil {
 		r.gc = spec.GC.withDefaults()
 	}
-	m.nextRegion++
-	r.dies = sortedCopy(chosen)
 	if spec.MaxSizeBytes > 0 {
 		r.maxSizePages = spec.MaxSizeBytes / int64(m.geo.PageSize)
 	}
-	for _, d := range chosen {
-		m.dieOwner[d] = r.id
-		m.dies[d].regionID = r.id
-	}
-	// Remove the chosen dies from the default region.
-	def.dies = removeDies(def.dies, chosen)
-	m.recomputeCapacity(def)
-	m.recomputeCapacity(r)
-
-	m.regions[r.name] = r
-	m.regionsByID[r.id] = r
+	m.regions = append(m.regions, r)
+	m.moveDies(r, chosen)
 	return r, nil
+}
+
+// moveDies hands dies, all of one region, to region to, keeping both die lists
+// sorted and both capacities current.
+func (m *Manager) moveDies(to *Region, dies []int) {
+	from := m.dies[dies[0]].region
+	to.dies = append(to.dies, dies...)
+	slices.Sort(to.dies)
+	for _, d := range dies {
+		m.dies[d].region = to
+	}
+	from.dies = slices.DeleteFunc(from.dies, func(d int) bool { return m.dies[d].region == to })
+	m.recomputeCapacity(from)
+	m.recomputeCapacity(to)
 }
 
 // dieEmpty reports whether a die holds no valid pages.
@@ -364,93 +358,37 @@ func (m *Manager) dieEmpty(die int) bool {
 }
 
 // selectDies picks up to n empty dies from the default region, spreading them
-// over at most maxChannels channels (0 = unlimited).
+// over at most maxChannels channels (0 = unlimited) so that a region gets the
+// channel parallelism its MAX_CHANNELS allows.  In die order it takes the
+// first empty die of each channel it may use; then the other empty dies of
+// those channels, starting after the die that brought in the last channel and
+// wrapping round.
 func (m *Manager) selectDies(n, maxChannels int) []int {
-	def := m.regionsByID[DefaultRegionID]
-	usedChannels := make(map[int]bool)
+	def := m.regions[DefaultRegionID]
+	used := make([]bool, m.geo.Channels)
 	var chosen []int
-	// First pass: favour spreading across channels round-robin so a region
-	// gets the full channel parallelism its MAX_CHANNELS allows.
-	for len(chosen) < n {
-		progress := false
-		for _, d := range def.dies {
-			if len(chosen) >= n {
-				break
-			}
-			if containsInt(chosen, d) || !m.dieEmpty(d) {
-				continue
-			}
-			ch := m.geo.ChannelOfDie(d)
-			if maxChannels > 0 && !usedChannels[ch] && len(usedChannels) >= maxChannels {
-				continue
-			}
-			if usedChannels[ch] && !allChannelsCovered(usedChannels, maxChannels, m.geo.Channels) {
-				// Prefer a die on a not-yet-used channel if one is still
-				// available in this pass.
-				if m.emptyDieOnFreshChannel(def.dies, chosen, usedChannels, maxChannels) {
-					continue
-				}
-			}
+	channels, last := 0, -1
+	for i, d := range def.dies {
+		ch := m.geo.ChannelOfDie(d)
+		if len(chosen) < n && !used[ch] && (maxChannels == 0 || channels < maxChannels) && m.dieEmpty(d) {
+			used[ch], channels, last = true, channels+1, i
 			chosen = append(chosen, d)
-			usedChannels[ch] = true
-			progress = true
 		}
-		if !progress {
-			break
+	}
+	for k := 1; k <= len(def.dies) && len(chosen) < n; k++ {
+		d := def.dies[(last+k)%len(def.dies)]
+		if used[m.geo.ChannelOfDie(d)] && !slices.Contains(chosen, d) && m.dieEmpty(d) {
+			chosen = append(chosen, d)
 		}
 	}
 	return chosen
-}
-
-// emptyDieOnFreshChannel reports whether an empty, unchosen die exists on a
-// channel that has not been used yet and would still be admissible.
-func (m *Manager) emptyDieOnFreshChannel(candidates, chosen []int, used map[int]bool, maxChannels int) bool {
-	if maxChannels > 0 && len(used) >= maxChannels {
-		return false
-	}
-	for _, d := range candidates {
-		if containsInt(chosen, d) || !m.dieEmpty(d) {
-			continue
-		}
-		if !used[m.geo.ChannelOfDie(d)] {
-			return true
-		}
-	}
-	return false
-}
-
-func allChannelsCovered(used map[int]bool, maxChannels, totalChannels int) bool {
-	limit := totalChannels
-	if maxChannels > 0 && maxChannels < limit {
-		limit = maxChannels
-	}
-	return len(used) >= limit
-}
-
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func removeDies(from []int, remove []int) []int {
-	out := from[:0]
-	for _, d := range from {
-		if !containsInt(remove, d) {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // DropRegion removes an empty region and returns its dies to the default
 // region, which takes over what the region counted: the regions still sum to
 // everything the space manager did, as the objects do.
 func (m *Manager) DropRegion(name string) error {
-	r, ok := m.regions[name]
+	r, ok := m.Region(name)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownRegion, name)
 	}
@@ -461,23 +399,17 @@ func (m *Manager) DropRegion(name string) error {
 		return fmt.Errorf("%w: %q has %d valid pages and %d retained for the last checkpoint",
 			ErrRegionNotEmpty, name, r.validPages, r.retainedPages)
 	}
-	def := m.regionsByID[DefaultRegionID]
-	for _, d := range r.dies {
-		m.dieOwner[d] = DefaultRegionID
-		m.dies[d].regionID = DefaultRegionID
-	}
-	def.dies = sortedCopy(append(def.dies, r.dies...))
-	m.recomputeCapacity(def)
+	def := m.regions[DefaultRegionID]
+	m.moveDies(def, r.dies)
 	def.absorb(r)
-	delete(m.regions, name)
-	delete(m.regionsByID, r.id)
+	m.regions[r.id] = nil
 	return nil
 }
 
 // GrowRegion moves n additional empty dies from the default region into the
 // named region (the paper notes that the die set of a region is dynamic).
 func (m *Manager) GrowRegion(name string, n int) error {
-	r, ok := m.regions[name]
+	r, ok := m.Region(name)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownRegion, name)
 	}
@@ -491,15 +423,7 @@ func (m *Manager) GrowRegion(name string, n int) error {
 	if len(chosen) < n {
 		return fmt.Errorf("%w: requested %d dies, found %d", ErrNoDiesAvailable, n, len(chosen))
 	}
-	def := m.regionsByID[DefaultRegionID]
-	for _, d := range chosen {
-		m.dieOwner[d] = r.id
-		m.dies[d].regionID = r.id
-	}
-	def.dies = removeDies(def.dies, chosen)
-	r.dies = sortedCopy(append(r.dies, chosen...))
-	m.recomputeCapacity(def)
-	m.recomputeCapacity(r)
+	m.moveDies(r, chosen)
 	return nil
 }
 
@@ -514,13 +438,10 @@ func (m *Manager) AllocateLPNs(n int) LPN {
 // resolveRegion maps a write hint to the target region under the current
 // placement mode.
 func (m *Manager) resolveRegion(h Hint) *Region {
-	if m.opts.Mode == PlacementTraditional {
-		return m.regionsByID[DefaultRegionID]
-	}
-	if r, ok := m.regionsByID[h.Region]; ok {
+	if r, ok := m.RegionByID(h.Region); ok && m.opts.Mode != PlacementTraditional {
 		return r
 	}
-	return m.regionsByID[DefaultRegionID]
+	return m.regions[DefaultRegionID]
 }
 
 // Locate returns the physical address a logical page currently maps to
@@ -554,7 +475,7 @@ func (m *Manager) TrimPage(lpn LPN) error {
 	}
 	m.supersede(e)
 	*m.mapping.At(lpn) = mapEntry{}
-	if r := m.regionsByID[m.dieOwner[e.die]]; r.validPages > 0 {
+	if r := m.dies[e.die].region; r.validPages > 0 {
 		r.validPages--
 	}
 	return nil

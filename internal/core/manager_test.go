@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 
 	"noftl/internal/flash"
@@ -299,7 +301,7 @@ func TestWriteHintPlacement(t *testing.T) {
 		addr, _ := m.Locate(lpn)
 		st := m.Stats()
 		hs, _ := st.RegionByName("rgHot")
-		if !containsInt(hs.Dies, addr.Die) {
+		if !slices.Contains(hs.Dies, addr.Die) {
 			t.Fatalf("hinted write landed on die %d outside region %v", addr.Die, hs.Dies)
 		}
 	}
@@ -442,5 +444,29 @@ func TestWriteAmplificationHelper(t *testing.T) {
 	rs := RegionStats{HostWrites: 10, GCCopybacks: 10}
 	if rs.WriteAmplification() != 2 {
 		t.Fatal("region WA wrong")
+	}
+}
+
+// TestVerifyIntegrityChecksDieOwnership breaks the die–region ownership both
+// ways it can break: a die whose region was dropped, and a die a region lists
+// that points to another region.
+func TestVerifyIntegrityChecksDieOwnership(t *testing.T) {
+	m := NewManager(smallDevice(t, 4, 16, 8), DefaultOptions())
+	r, err := m.CreateRegion(RegionSpec{Name: "rgA", MaxChips: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := m.dies[r.dies[0]]
+	if err := m.VerifyIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+	dropped := &Region{id: r.id + 1, name: "rgGone"}
+	d.region = dropped
+	if err := m.VerifyIntegrity(); err == nil || !strings.Contains(err.Error(), "dropped") {
+		t.Fatalf("a die owned by a dropped region: VerifyIntegrity = %v", err)
+	}
+	d.region = m.regions[DefaultRegionID]
+	if err := m.VerifyIntegrity(); err == nil || !strings.Contains(err.Error(), "lists die") {
+		t.Fatalf("a listed die owned by another region: VerifyIntegrity = %v", err)
 	}
 }

@@ -181,7 +181,6 @@ func (m *Manager) install(v PageVersion) {
 	blk.valid[v.Addr.Page] = true
 	blk.validCount++
 	blk.lastWrite = max(blk.lastWrite, v.Seq)
-	owner := m.dieOwner[v.Addr.Die]
 	*m.mapping.Slot(v.LPN) = newMapEntry(v.Addr, v.Log, v.Seq)
-	m.regionsByID[owner].validPages++
+	m.dies[v.Addr.Die].region.validPages++
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"noftl/internal/metrics"
@@ -50,11 +51,11 @@ func (s RegionSpec) Validate() error {
 // but the default one as it is now: the limits it was created with, the dies it
 // owns and its live garbage-collection policy.
 func (m *Manager) RegionSpecs() []RegionSpec {
-	specs := make([]RegionSpec, 0, len(m.regions)-1)
-	for _, r := range m.regions {
-		if r.id != DefaultRegionID {
+	var specs []RegionSpec
+	for _, r := range m.regions[DefaultRegionID+1:] {
+		if r != nil {
 			spec, gc := r.spec, r.gc
-			spec.Dies, spec.GC = sortedCopy(r.dies), &gc
+			spec.Dies, spec.GC = slices.Clone(r.dies), &gc
 			specs = append(specs, spec)
 		}
 	}
@@ -181,12 +182,4 @@ func (s RegionStats) String() string {
 	return fmt.Sprintf("region %q (id %d): %d dies, %d/%d pages valid, reads=%d writes=%d copybacks=%d erases=%d",
 		s.Name, s.ID, len(s.Dies), s.ValidPages, s.CapacityPages,
 		s.HostReads, s.HostWrites, s.GCCopybacks, s.GCErases)
-}
-
-// sortedCopy returns a sorted copy of dies.
-func sortedCopy(dies []int) []int {
-	out := make([]int, len(dies))
-	copy(out, dies)
-	sort.Ints(out)
-	return out
 }

@@ -62,13 +62,13 @@ func (m *Manager) ReleaseRetained() int {
 			continue
 		}
 		delete(m.retained, addr)
-		m.regionsByID[m.dieOwner[addr.Die]].retainedPages--
+		m.dies[addr.Die].region.retainedPages--
 		m.invalidate(addr)
 		released++
 	}
 	over := false
 	for _, r := range m.regions {
-		over = over || r.retainedPages > r.retainBudget
+		over = over || r != nil && r.retainedPages > r.retainBudget
 	}
 	m.overBudget = over
 	return released
@@ -87,7 +87,7 @@ func (m *Manager) supersede(e mapEntry) {
 		return
 	}
 	m.retained[e.addr()] = m.epoch
-	r := m.regionsByID[m.dieOwner[e.die]]
+	r := m.dies[e.die].region
 	if r.retainedPages++; r.retainedPages > r.retainBudget {
 		m.overBudget = true
 	}

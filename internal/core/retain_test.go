@@ -156,7 +156,7 @@ func TestGCMovesRetainedVersions(t *testing.T) {
 	if !start[flash.Addr{Die: 0, Block: 0, Page: 0}] || len(start) != pages {
 		t.Fatalf("retained versions at %v, want %d of them from block 0 on", start, pages)
 	}
-	r := m.regionsByID[DefaultRegionID]
+	r := m.regions[DefaultRegionID]
 	now = m.relocateAndErase(now, r, m.dies[0], 0, dev.Geometry().PagesPerBlock, r.gc)
 	moved := 0
 	for addr := range located() {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
 )
@@ -77,12 +76,14 @@ func (m *Manager) Stats() Stats {
 	}
 
 	first := true
-	for _, id := range slices.Sorted(maps.Keys(m.regionsByID)) {
-		r := m.regionsByID[id]
+	for _, r := range m.regions {
+		if r == nil {
+			continue
+		}
 		rs := RegionStats{
 			ID:            r.id,
 			Name:          r.name,
-			Dies:          sortedCopy(r.dies),
+			Dies:          slices.Clone(r.dies),
 			CapacityPages: r.capacityPages,
 			ValidPages:    r.validPages,
 			RetainedPages: r.retainedPages,
@@ -164,7 +165,9 @@ func (m *Manager) Stats() Stats {
 // Benchmarks call this after the warm-up phase.
 func (m *Manager) ResetCounters() {
 	for _, r := range m.regions {
-		r.resetCounters()
+		if r != nil {
+			r.resetCounters()
+		}
 	}
 	for _, o := range m.objects {
 		o.ops = [numObjectOps]int64{}

@@ -29,6 +29,10 @@
 //
 // A page's bytes are kept once: the device keeps what WritePages hands it, so
 // nobody writes that buffer again, whether or not the write succeeded.
+//
+// Which region owns a die is kept once: a die's region is m.dies[d].region,
+// and Region.dies lists the same dies in order.  Both change together, only
+// in moveDies; a mapped page's region is the region of its die.
 package core
 
 import (

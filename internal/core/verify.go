@@ -17,8 +17,8 @@ import (
 //     equals the region's valid-page (retained-page) counter, the global
 //     mapping size equals the sum over all regions and the retained map holds
 //     nothing else;
-//  4. dies are owned by exactly one region and every region's die list agrees
-//     with the ownership table.
+//  4. every die's region is a live region, and every die a region lists
+//     points back to it.
 func (m *Manager) VerifyIntegrity() error {
 
 	// (1) mapping -> block bookkeeping.
@@ -42,12 +42,12 @@ func (m *Manager) VerifyIntegrity() error {
 	}
 
 	// (2) per-block valid counters and (3) per-region totals.
-	validPerRegion := make(map[RegionID]int64)
-	retainedPerRegion := make(map[RegionID]int64)
+	validPerRegion := make(map[*Region]int64)
+	retainedPerRegion := make(map[*Region]int64)
 	for die, da := range m.dies {
-		owner := m.dieOwner[die]
-		if _, ok := m.regionsByID[owner]; !ok {
-			return fmt.Errorf("core: die %d owned by unknown region %d", die, owner)
+		owner := da.region
+		if r, _ := m.RegionByID(owner.id); r != owner {
+			return fmt.Errorf("core: die %d is owned by region %q (%d), which was dropped", die, owner.name, owner.id)
 		}
 		for b := range da.blocks {
 			blk := &da.blocks[b]
@@ -72,37 +72,37 @@ func (m *Manager) VerifyIntegrity() error {
 		}
 	}
 	var total, retained int64
-	for id, r := range m.regionsByID {
-		if retainedPerRegion[id] != r.retainedPages {
+	for _, r := range m.regions {
+		if r == nil {
+			continue
+		}
+		if retainedPerRegion[r] != r.retainedPages {
 			return fmt.Errorf("core: region %q retains %d pages, found %d retained slots on its dies",
-				r.name, r.retainedPages, retainedPerRegion[id])
+				r.name, r.retainedPages, retainedPerRegion[r])
 		}
 		retained += r.retainedPages
 		// Spilled writes physically live on default-region dies but remain
 		// accounted to the default region, so the comparison is per owner.
-		if validPerRegion[id] != r.validPages {
+		if validPerRegion[r] != r.validPages {
 			return fmt.Errorf("core: region %q valid pages %d, found %d valid slots on its dies",
-				r.name, r.validPages, validPerRegion[id])
+				r.name, r.validPages, validPerRegion[r])
 		}
 		total += r.validPages
+		// (4) the dies the region lists point back to it.
+		for _, d := range r.dies {
+			if d < 0 || d >= m.geo.Dies() {
+				return fmt.Errorf("core: region %q lists die %d which does not exist", r.name, d)
+			}
+			if owner := m.dies[d].region; owner != r {
+				return fmt.Errorf("core: region %q lists die %d but it is owned by region %q", r.name, d, owner.name)
+			}
+		}
 	}
 	if total != mapped {
 		return fmt.Errorf("core: %d mapped pages but regions account for %d", mapped, total)
 	}
 	if retained != int64(len(m.retained)) {
 		return fmt.Errorf("core: %d retained versions but only %d of them are valid pages", len(m.retained), retained)
-	}
-
-	// (4) region die lists agree with the ownership table.
-	for id, r := range m.regionsByID {
-		for _, d := range r.dies {
-			if d < 0 || d >= m.geo.Dies() {
-				return fmt.Errorf("core: region %q lists die %d which does not exist", r.name, d)
-			}
-			if m.dieOwner[d] != id {
-				return fmt.Errorf("core: region %q lists die %d but it is owned by region %d", r.name, d, m.dieOwner[d])
-			}
-		}
 	}
 	return nil
 }

@@ -199,7 +199,7 @@ func (d *Device) ReadPage(now sim.Time, addr Addr, buf []byte) ([]byte, PageMeta
 	if !d.geo.ValidAddr(addr) {
 		return nil, PageMeta{}, now, fmt.Errorf("%w: %v", ErrOutOfRange, addr)
 	}
-	if fd := d.faultOp(now, opRead); fd.crash {
+	if fd := d.faultOp(opRead); fd.crash {
 		return nil, PageMeta{}, now, ErrCrashed
 	}
 	ds := d.dies[addr.Die]
@@ -236,7 +236,7 @@ func (d *Device) ProgramPage(now sim.Time, addr Addr, data []byte, meta PageMeta
 	if data != nil && len(data) != d.geo.PageSize {
 		return now, fmt.Errorf("%w: got %d bytes, want %d", ErrPageSize, len(data), d.geo.PageSize)
 	}
-	if fd := d.faultOp(now, opProgram); fd.crash {
+	if fd := d.faultOp(opProgram); fd.crash {
 		if fd.tornProgram {
 			d.programTorn(addr, data, meta, fd.tornBytes)
 		}
@@ -275,7 +275,7 @@ func (d *Device) EraseBlock(now sim.Time, b BlockAddr) (sim.Time, error) {
 	if !d.geo.ValidBlock(b) {
 		return now, fmt.Errorf("%w: %v", ErrOutOfRange, b)
 	}
-	if fd := d.faultOp(now, opErase); fd.crash {
+	if fd := d.faultOp(opErase); fd.crash {
 		return now, ErrCrashed
 	} else if fd.failErase {
 		ds := d.dies[b.Die]
@@ -318,7 +318,7 @@ func (d *Device) Copyback(now sim.Time, src, dst Addr) (PageMeta, sim.Time, erro
 	if src.Die != dst.Die {
 		return PageMeta{}, now, fmt.Errorf("%w: %v -> %v", ErrCopybackCrossDie, src, dst)
 	}
-	if fd := d.faultOp(now, opCopyback); fd.crash {
+	if fd := d.faultOp(opCopyback); fd.crash {
 		return PageMeta{}, now, ErrCrashed
 	} else if fd.failProgram {
 		return PageMeta{}, now, fmt.Errorf("%w: copyback %v -> %v", ErrProgramFault, src, dst)

@@ -31,9 +31,6 @@ var ErrEraseFault = errors.New("flash: injected erase failure (worn block)")
 type FaultPlan struct {
 	// Seed drives the plan's pseudo-random decisions.
 	Seed uint64
-	// CrashAtTime crashes the device at the first command whose start time
-	// is >= the given virtual time (0 = disabled).
-	CrashAtTime sim.Time
 	// CrashAfterOps crashes the device on the Nth command after arming
 	// (0 = disabled).  Counting includes every read, program, erase and
 	// copyback, so crash points land inside GC relocations, checkpoint
@@ -59,7 +56,7 @@ type FaultPlan struct {
 
 // enabled reports whether the plan can ever inject anything.
 func (p FaultPlan) enabled() bool {
-	return p.CrashAtTime > 0 || p.CrashAfterOps > 0 ||
+	return p.CrashAfterOps > 0 ||
 		p.FailProgramEvery > 0 || p.FailEraseEvery > 0 ||
 		p.FailProgramProb > 0 || p.FailEraseProb > 0
 }
@@ -125,7 +122,7 @@ func (d *Device) Revive() {
 
 // faultOp runs the fault plan for one command.  It returns the decision the
 // command must honour before touching any die state.
-func (d *Device) faultOp(now sim.Time, kind opKind) faultDecision {
+func (d *Device) faultOp(kind opKind) faultDecision {
 	f := d.fault
 	if f == nil {
 		return faultDecision{}
@@ -135,8 +132,7 @@ func (d *Device) faultOp(now sim.Time, kind opKind) faultDecision {
 	}
 	f.ops++
 	p := f.plan
-	if (p.CrashAfterOps > 0 && f.ops >= p.CrashAfterOps) ||
-		(p.CrashAtTime > 0 && now >= p.CrashAtTime) {
+	if p.CrashAfterOps > 0 && f.ops >= p.CrashAfterOps {
 		f.crashed = true
 		if kind == opProgram && p.TornTailBytes > 0 {
 			return faultDecision{crash: true, tornProgram: true, tornBytes: p.TornTailBytes}
