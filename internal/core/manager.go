@@ -332,8 +332,8 @@ func (m *Manager) CreateRegion(spec RegionSpec) (*Region, error) {
 	return r, nil
 }
 
-// moveDies hands dies, all of one region, to region to, keeping both die lists
-// sorted and both capacities current.
+// moveDies hands dies, all of one region (its own list too: to copies them
+// first), to region to, keeping both lists sorted and both capacities current.
 func (m *Manager) moveDies(to *Region, dies []int) {
 	from := m.dies[dies[0]].region
 	to.dies = append(to.dies, dies...)
@@ -367,11 +367,11 @@ func (m *Manager) selectDies(n, maxChannels int) []int {
 	def := m.regions[DefaultRegionID]
 	used := make([]bool, m.geo.Channels)
 	var chosen []int
-	channels, last := 0, -1
+	last := -1 // index in def.dies of the die that brought in the last channel
 	for i, d := range def.dies {
 		ch := m.geo.ChannelOfDie(d)
-		if len(chosen) < n && !used[ch] && (maxChannels == 0 || channels < maxChannels) && m.dieEmpty(d) {
-			used[ch], channels, last = true, channels+1, i
+		if len(chosen) < n && (maxChannels == 0 || len(chosen) < maxChannels) && !used[ch] && m.dieEmpty(d) {
+			used[ch], last = true, i
 			chosen = append(chosen, d)
 		}
 	}
