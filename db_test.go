@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"noftl/internal/core"
@@ -432,50 +434,97 @@ func TestFailedCreateIndexLeavesNoTrace(t *testing.T) {
 	}
 }
 
+// TestResetStatistics churns a region-resident table on a device small
+// enough to collect (checkpoints, evictions, rollbacks, foreground and
+// background GC), resets, and then requires every number Stats reports to be
+// zero but the gauges, which describe the state rather than count events.
+// The data survives the reset.
 func TestResetStatistics(t *testing.T) {
-	db, err := OpenConfig(smallConfig())
+	cfg := smallConfig()
+	cfg.Flash.Geometry.BlocksPerDie, cfg.Flash.Geometry.PagesPerBlock = 16, 16
+	cfg.Flash.Geometry.Channels = 2
+	cfg.BufferPoolPages = 32
+	db, err := OpenConfig(cfg, WithLightCheckpoints(), WithTraceBuffer(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if err := db.Exec("CREATE TABLE R (v VARCHAR(64))"); err != nil {
+	if err := db.Exec("CREATE REGION rgR (MAX_CHIPS=2); CREATE TABLESPACE tsR (REGION=rgR); CREATE TABLE R (v VARCHAR(900)) TABLESPACE tsR"); err != nil {
 		t.Fatal(err)
 	}
 	tbl, _ := db.Table("R")
-	tx := db.Begin()
-	for i := 0; i < 50; i++ {
-		if _, err := tbl.Insert(tx, bytes.Repeat([]byte{'r'}, 50)); err != nil {
+	row := bytes.Repeat([]byte{'r'}, 900)
+	var rids []RID
+	err = db.Update(func(tx *Tx) error {
+		for range 150 {
+			rid, err := tbl.Insert(tx, row)
+			rids = append(rids, rid)
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 14 {
+		err := db.Update(func(tx *Tx) error {
+			for _, rid := range rids {
+				if err := tbl.Update(tx, rid, row); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Checkpoint(db.SimulatedTime()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := tx.Commit(); err != nil {
-		t.Fatal(err)
+	if err := db.Update(func(*Tx) error { return errors.New("roll back") }); err == nil {
+		t.Fatal("a failing Update committed")
 	}
-	if _, err := db.FlushAll(db.SimulatedTime()); err != nil {
-		t.Fatal(err)
-	}
-	if db.Stats().Space.HostWrites == 0 {
-		t.Fatal("no writes before reset")
+	if st := db.Stats(); st.Space.GCErases == 0 || st.Space.BGGCSteps == 0 || st.Buffer.Evictions == 0 || st.TxnAborted == 0 {
+		t.Fatalf("the churn did not collect, evict and roll back: %+v", st)
 	}
 	db.ResetStatistics()
-	st := db.Stats()
-	if st.Space.HostWrites != 0 || st.Buffer.Misses != 0 || st.Simulated != 0 {
-		t.Fatalf("reset incomplete: %+v", st)
+	// The gauges, by field name: what is mapped, resident, dirty, retained,
+	// free, worn or owed to the GC watermarks; the log's LSNs, pages and live
+	// bytes; the last checkpoint; the held and waited-for locks; the trace
+	// ring's counts; and what names a region, a die or an object.
+	gauges := make(map[string]bool)
+	for _, name := range strings.Fields(`Frames Resident Dirty ValidPages RetainedPages CapacityPages SizePages
+		FreeBlocks DieFreeBlocks BadBlocks MinErase MaxErase TotalErase MaxWear TotalWear
+		BGDebtBlocks DiesInBGBand DiesAtLowWater BGVictimsOpen
+		FlushedLSN Pages BytesLive LastLSN LastBytes LastPages LastAt LocksHeld LockWaiting
+		Recorded Dropped Retained ID Dies Channels Die Channel GC`) {
+		gauges[name] = true
 	}
+	WalkFields(db.Stats(), func(path string, leaf reflect.Value) {
+		if !(leaf.CanInt() || leaf.CanUint() || leaf.CanFloat()) || leaf.IsZero() {
+			return
+		}
+		for _, name := range strings.Split(path, ".") {
+			if gauges[strings.TrimRight(name, "[]0123456789")] {
+				return
+			}
+		}
+		t.Errorf("%s = %v after ResetStatistics", path, leaf)
+	})
+
 	// Data survives the reset.
-	tx2 := db.Begin()
 	n := 0
-	for range tbl.Rows(tx2) {
-		n++
-	}
-	if err := tx2.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 50 {
-		t.Fatalf("rows after reset = %d", n)
-	}
-	if _, err := tx2.Commit(); err != nil {
-		t.Fatal(err)
+	err = db.View(func(tx *Tx) error {
+		for range tbl.Rows(tx) {
+			n++
+		}
+		return nil
+	})
+	if err != nil || n != len(rids) {
+		t.Fatalf("%d rows after reset (%v), want %d", n, err, len(rids))
 	}
 }
 
