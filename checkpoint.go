@@ -221,15 +221,12 @@ func (db *DB) checkpoint(now sim.Time) (sim.Time, error) {
 	// Also after a failure, which can leave marks without an end in the log
 	// (recovery skips them, the next checkpoint truncates them): the triggers
 	// then retry once per budget, not after every commit.
-	db.ckptWALMark = db.log.BytesAppended()
+	db.ckptWALMark = db.log.Stats().BytesAppended
 	if err != nil {
 		return now, err
 	}
-	db.ckptCount++
-	db.ckptLastLSN = s.lsn
-	db.ckptBytes = s.bytes
-	db.ckptPages = int64(flushed)
-	db.ckptTime = now
+	db.ckpt = CheckpointStats{Count: db.ckpt.Count + 1, LastLSN: s.lsn, LastBytes: s.bytes,
+		LastPages: int64(flushed), LastAt: now}
 	return now, nil
 }
 
@@ -251,7 +248,7 @@ func (db *DB) maybeCheckpoint(now sim.Time) {
 	if budget <= 0 {
 		return
 	}
-	if db.log.BytesAppended()-db.ckptWALMark < budget || db.ckptRunning {
+	if db.log.Stats().BytesAppended-db.ckptWALMark < budget || db.ckptRunning {
 		return
 	}
 	db.ckptRunning = true

@@ -62,7 +62,7 @@ func TestSelectExperiments(t *testing.T) {
 // given scale with regions at regionsTPS, and chaos of the given seed count.
 func gateDoc(scale experiments.Scale, regionsTPS float64, seeds int, blocks ...string) jsonDoc {
 	run := func(tps float64) experiments.TPCCRun {
-		return experiments.TPCCRun{Results: tpcc.Results{TPS: tps, Committed: 10000, GCCopybacks: 5000, GCErases: 200}}
+		return experiments.TPCCRun{Results: tpcc.Results{TPS: tps, Committed: 10000}, GCCopybacks: 5000, GCErases: 200}
 	}
 	all := map[string]interface{}{
 		"figure3": experiments.Figure3{Scale: scale, Traditional: run(950), Regions: run(regionsTPS)},

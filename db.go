@@ -78,13 +78,9 @@ type DB struct {
 	open        int
 	ckptWaiting int
 	ckptRunning bool
-	ckptSeq     uint64 // checkpoint sequence number (TxnID of its marks)
-	ckptCount   int64  // checkpoints taken since the last ResetStatistics
-	ckptLastLSN uint64 // LSN of the last checkpoint's end mark
-	ckptBytes   int64  // encoded size of the last checkpoint's records
-	ckptPages   int64  // dirty pages the last checkpoint flushed
-	ckptTime    sim.Time
-	ckptWALMark int64 // BytesAppended at the last checkpoint (rebased by ResetStatistics)
+	ckptSeq     uint64          // checkpoint sequence number (TxnID of its marks)
+	ckpt        CheckpointStats // Stats fills in RetainedPages
+	ckptWALMark int64           // BytesAppended at the last checkpoint (rebased by ResetStatistics)
 	recovering  bool
 	recovery    *RecoveryStats // non-nil after Reopen
 }
@@ -127,7 +123,7 @@ func openWith(cfg Config, dev *flash.Device, space *core.Manager) *DB {
 	walObj := db.nextObject
 	db.nextObject++
 	db.log = wal.New(db.space, defTS.Hint(walObj, flash.FlagLog), dev.Geometry().PageSize)
-	db.space.NameObject(walObj, "WAL", "log", func() int64 { return int64(db.log.PageCount()) })
+	db.space.NameObject(walObj, "WAL", "log", func() int64 { return db.log.Stats().Pages })
 	db.log.AttachObs(db.tracer)
 	lm := txn.NewLockManager(cfg.LockTimeout)
 	lm.SetBaton(&db.baton)
@@ -276,9 +272,9 @@ func (db *DB) ResetStatistics() {
 	db.pool.ResetCounters()
 	db.txns.ResetCounters()
 	// Keep "bytes appended since the last checkpoint" across the reset.
-	db.ckptWALMark -= db.log.BytesAppended()
+	db.ckptWALMark -= db.log.Stats().BytesAppended
 	db.log.ResetCounters()
-	db.ckptCount = 0
+	db.ckpt.Count = 0
 	db.clock.Reset()
 }
 

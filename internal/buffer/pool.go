@@ -118,7 +118,8 @@ func (h *Handle) Release() {
 	}
 }
 
-// Stats is a snapshot of pool counters.
+// Stats is a snapshot of the pool: its counts since the last ResetCounters,
+// which the pool keeps in a Stats value of its own, and its frames.
 type Stats struct {
 	Frames     int
 	Resident   int
@@ -170,8 +171,7 @@ type Pool struct {
 	flushFrames []*Frame
 	flushWrites []core.PageWrite
 
-	// Counts since the last ResetCounters.
-	hits, misses, evictions, writebacks, newPages, groupFlushes int64
+	counts Stats // the counts; Stats fills in the frames
 }
 
 // autoShards picks the partition count for a pool of frameCount frames: one
@@ -258,15 +258,8 @@ func (p *Pool) PageSize() int { return p.pageSize }
 
 // Stats returns a snapshot of the pool counters.
 func (p *Pool) Stats() Stats {
-	st := Stats{
-		Frames:       p.nframes,
-		Hits:         p.hits,
-		Misses:       p.misses,
-		NewPages:     p.newPages,
-		Evictions:    p.evictions,
-		Writebacks:   p.writebacks,
-		GroupFlushes: p.groupFlushes,
-	}
+	st := p.counts
+	st.Frames = p.nframes
 	for _, s := range p.shards {
 		for _, f := range s.frames {
 			if s.holds(f) {
@@ -281,9 +274,7 @@ func (p *Pool) Stats() Stats {
 }
 
 // ResetCounters zeroes the hit/miss/eviction counters (after warm-up).
-func (p *Pool) ResetCounters() {
-	p.hits, p.misses, p.evictions, p.writebacks, p.newPages, p.groupFlushes = 0, 0, 0, 0, 0, 0
-}
+func (p *Pool) ResetCounters() { p.counts = Stats{} }
 
 // Fetch pins the page, reading it from the backend on a miss.  The returned
 // time includes any eviction write-back and the read itself.
@@ -396,13 +387,13 @@ func (p *Pool) pinHit(f *Frame, hint core.Hint) *Handle {
 	f.pins++
 	f.ref = true
 	f.hint = hint
-	p.hits++
+	p.counts.Hits++
 	return &f.handle
 }
 
 // claimMiss counts a demand miss on the page and claims a frame for it.
 func (p *Pool) claimMiss(s *poolShard, now sim.Time, lpn core.LPN, hint core.Hint) (*Frame, sim.Time, error) {
-	p.misses++
+	p.counts.Misses++
 	if p.tracer.Enabled() {
 		p.tracer.Record(obs.Event{
 			Class: obs.ClassBufMiss, Die: -1, Block: -1, Page: -1,
@@ -493,7 +484,7 @@ func (p *Pool) WriteThrough(now sim.Time, writes []core.PageWrite) (sim.Time, er
 	}
 	for _, w := range writes {
 		p.Drop(w.LPN)
-		p.writebacks++
+		p.counts.Writebacks++
 	}
 	p.noteGroupWrite(now, done, len(writes))
 	return done, nil
@@ -502,7 +493,7 @@ func (p *Pool) WriteThrough(now sim.Time, writes []core.PageWrite) (sim.Time, er
 // noteGroupWrite counts one batched write dispatch of n pages and records
 // its write-back event.
 func (p *Pool) noteGroupWrite(start, done sim.Time, n int) {
-	p.groupFlushes++
+	p.counts.GroupFlushes++
 	if p.tracer.Enabled() {
 		p.tracer.Record(obs.Event{
 			Class: obs.ClassBufWriteBack, Op: obs.BufWriteBackGroup,
@@ -516,7 +507,7 @@ func (p *Pool) noteGroupWrite(start, done sim.Time, n int) {
 // The frame starts zeroed, dirty and writable.
 func (p *Pool) NewPage(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim.Time, error) {
 	s := p.shardOf(lpn)
-	p.newPages++
+	p.counts.NewPages++
 	f := p.resident(s, lpn)
 	if f != nil {
 		// The page is already resident (e.g. re-created after a trim); reuse
@@ -567,7 +558,7 @@ func (p *Pool) allocFrame(s *poolShard, now sim.Time) (int, sim.Time, error) {
 				return 0, now, fmt.Errorf("buffer: writeback lpn %d: %w", f.lpn, err)
 			}
 			now = done
-			p.writebacks++
+			p.counts.Writebacks++
 			if p.tracer.Enabled() {
 				p.tracer.Record(obs.Event{
 					Class: obs.ClassBufWriteBack, Op: obs.BufWriteBackSingle,
@@ -588,7 +579,7 @@ func (p *Pool) allocFrame(s *poolShard, now sim.Time) (int, sim.Time, error) {
 			})
 		}
 		p.vacate(f)
-		p.evictions++
+		p.counts.Evictions++
 		return idx, now, nil
 	}
 	return 0, now, ErrPoolFull
@@ -629,7 +620,7 @@ func (p *Pool) Flush(now sim.Time) (done sim.Time, flushed, left int, err error)
 		f.own = false // the device's now
 		if err == nil {
 			f.dirty = false
-			p.writebacks++
+			p.counts.Writebacks++
 		}
 	}
 	// Keep the grown slices for the next flush, but no page payload.

@@ -103,7 +103,7 @@ func (m *Manager) readPages(now sim.Time, lpns []LPN, bufs [][]byte, out []PageR
 		if c.Err != nil {
 			continue
 		}
-		o.region.hostReads++
+		o.region.counts.HostReads++
 		m.charge(c.Meta.ObjectID, opRead)
 		o.region.readLat.Observe(c.Done.Sub(now))
 		if traced {
@@ -302,7 +302,7 @@ func (m *Manager) placeWrite(at sim.Time, w *PageWrite, p *hostWrite) (iosched.R
 		if r.id == DefaultRegionID {
 			return iosched.Request{}, at, m.errRegionFull(r)
 		}
-		r.spills++
+		r.counts.SpilledWrites++
 		r = m.regions[DefaultRegionID]
 	}
 	p.r = r
@@ -386,7 +386,7 @@ func (m *Manager) commitWrite(p *hostWrite, w *PageWrite, start, done sim.Time, 
 	if p.consumes {
 		r.admitted--
 	}
-	r.hostWrites++
+	r.counts.HostWrites++
 	if had {
 		m.charge(w.Hint.ObjectID, opWriteOver)
 	} else {

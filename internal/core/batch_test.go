@@ -207,7 +207,7 @@ func TestSpilledWriteFormatsNoError(t *testing.T) {
 	write(lpn, Hint{Region: r.ID()}) // fills the one-page region
 	plain := testing.AllocsPerRun(50, func() { write(lpn+1, Hint{}) })
 	spilled := testing.AllocsPerRun(50, func() { write(lpn+2, Hint{Region: r.ID()}) })
-	if r.spills == 0 {
+	if r.counts.SpilledWrites == 0 {
 		t.Fatal("no write spilled")
 	}
 	if spilled > plain {

@@ -71,7 +71,7 @@ func (m *Manager) backgroundGC(now sim.Time, da *dieAlloc) {
 			return
 		}
 		da.bgVictim = v
-		r.gcRuns++
+		r.counts.GCRuns++
 		if m.tracer.Enabled() {
 			m.tracer.Record(obs.Event{
 				Class: obs.ClassGCVictim, Op: obs.GCStepBackground,
@@ -82,7 +82,7 @@ func (m *Manager) backgroundGC(now sim.Time, da *dieAlloc) {
 		}
 	}
 	start := sim.MaxTime(now, m.sched.DieIdleAt(da.die))
-	copybacks, erases := r.gcCopybacks, r.gcErases
+	copybacks, erases := r.counts.GCCopybacks, r.counts.GCErases
 	end := m.relocateAndErase(start, r, da, da.bgVictim, pol.StepPages, pol)
 	switch {
 	case da.blocks[da.bgVictim].state == blkFree:
@@ -93,12 +93,12 @@ func (m *Manager) backgroundGC(now sim.Time, da *dieAlloc) {
 		// The erase failed; the block left circulation for good.
 		da.bgVictim = -1
 	}
-	if r.gcCopybacks == copybacks && r.gcErases == erases {
+	if r.counts.GCCopybacks == copybacks && r.counts.GCErases == erases {
 		// Nothing moved and nothing erased (no destination slots): not a
 		// step.  Keep the victim for a later write.
 		return
 	}
-	r.bgSteps++
+	r.counts.BGGCSteps++
 	if m.tracer.Enabled() {
 		m.tracer.Record(obs.Event{
 			Class: obs.ClassGCStep, Op: obs.GCStepBackground,

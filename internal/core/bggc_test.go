@@ -321,9 +321,9 @@ func TestWearLevelBoundsOverflow(t *testing.T) {
 		t.Fatal("no closed block to level")
 	}
 	r := m.regions[DefaultRegionID]
-	moves := r.wlMoves
+	moves := r.counts.WearMoves
 	m.maybeWearLevel(now, r, da)
-	leveled := r.wlMoves > moves
+	leveled := r.counts.WearMoves > moves
 	ec := da.blocks[cold].eraseCount
 
 	if !leveled {

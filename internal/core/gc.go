@@ -107,7 +107,7 @@ func (p GCPolicy) String() string {
 // victim-relocation latency inline — exactly the stall that background GC
 // (bggc.go) exists to avoid.
 func (m *Manager) collectDie(now sim.Time, r *Region, da *dieAlloc) sim.Time {
-	r.gcStalls++
+	r.counts.GCStalls++
 	fgStart := now
 	for da.freeCount() <= gcLowWater {
 		victim := m.pickVictim(da, r.gc)
@@ -122,10 +122,10 @@ func (m *Manager) collectDie(now sim.Time, r *Region, da *dieAlloc) sim.Time {
 				A: int64(da.blocks[victim].validCount),
 			})
 		}
-		r.gcRuns++
-		copybacks, erases := r.gcCopybacks, r.gcErases
+		r.counts.GCRuns++
+		copybacks, erases := r.counts.GCCopybacks, r.counts.GCErases
 		now = m.relocateAndErase(now, r, da, victim, m.geo.PagesPerBlock, r.gc)
-		if r.gcCopybacks == copybacks && r.gcErases == erases {
+		if r.counts.GCCopybacks == copybacks && r.counts.GCErases == erases {
 			// No destination slots and nothing erased: further iterations
 			// would re-pick the same victim without making progress, so let
 			// the allocation fail upward instead of spinning.
@@ -303,7 +303,7 @@ func (m *Manager) relocateAndErase(now sim.Time, r *Region, da *dieAlloc, victim
 		}
 		vblk.valid[mv.page] = false
 		vblk.validCount--
-		r.gcCopybacks++
+		r.counts.GCCopybacks++
 		m.charge(c.Meta.ObjectID, opCopyback)
 	}
 	if len(reqs) > 0 {
@@ -327,7 +327,7 @@ func (m *Manager) relocateAndErase(now sim.Time, r *Region, da *dieAlloc, victim
 		vblk.eraseCount++ // saturate instead of wrapping negative
 	}
 	da.freeBlocks = append(da.freeBlocks, victim)
-	r.gcErases++
+	r.counts.GCErases++
 	if m.tracer.Enabled() {
 		m.tracer.Record(obs.Event{
 			Class: obs.ClassGCErase,
@@ -429,11 +429,11 @@ func (m *Manager) maybeWearLevel(now sim.Time, r *Region, da *dieAlloc) sim.Time
 		// int64 when counters approach the saturation cap.)
 		return now
 	}
-	before := r.gcErases
+	before := r.counts.GCErases
 	wlStart := now
 	now = m.relocateAndErase(now, r, da, minIdx, m.geo.PagesPerBlock, r.gc)
-	if r.gcErases > before {
-		r.wlMoves++
+	if r.counts.GCErases > before {
+		r.counts.WearMoves++
 		if m.tracer.Enabled() {
 			m.tracer.Record(obs.Event{
 				Class: obs.ClassWear,

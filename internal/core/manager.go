@@ -401,7 +401,10 @@ func (m *Manager) DropRegion(name string) error {
 	}
 	def := m.regions[DefaultRegionID]
 	m.moveDies(def, r.dies)
-	def.absorb(r)
+	// DEFAULT takes the dropped region's counts with its dies.
+	def.counts.add(r.counts)
+	def.readLat.Merge(&r.readLat)
+	def.writeLat.Merge(&r.writeLat)
 	m.regions[r.id] = nil
 	return nil
 }

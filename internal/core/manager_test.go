@@ -125,6 +125,11 @@ func TestCreateRegionWithExplicitDiesAndMaxChannels(t *testing.T) {
 	if _, err := m.CreateRegion(RegionSpec{Name: "rgOOR", Dies: []int{99}}); !errors.Is(err, ErrInvalidSpec) {
 		t.Fatalf("want ErrInvalidSpec, got %v", err)
 	}
+	// Naming a die twice fails: the region would count it twice in its
+	// capacity, and DEFAULT too after a DROP REGION.
+	if _, err := m.CreateRegion(RegionSpec{Name: "rgTwice", Dies: []int{2, 4, 2}}); !errors.Is(err, ErrInvalidSpec) {
+		t.Fatalf("a die listed twice: want ErrInvalidSpec, got %v", err)
+	}
 	// MAX_CHANNELS=1 keeps the region on a single channel.
 	r2, err := m.CreateRegion(RegionSpec{Name: "rgOneChan", MaxChips: 2, MaxChannels: 1})
 	if err != nil {
@@ -434,14 +439,14 @@ func TestRegionsListingOrder(t *testing.T) {
 }
 
 func TestWriteAmplificationHelper(t *testing.T) {
-	s := Stats{HostWrites: 100, GCCopybacks: 50}
+	s := Stats{Counts: Counts{HostWrites: 100, GCCopybacks: 50}}
 	if wa := s.WriteAmplification(); wa != 1.5 {
 		t.Fatalf("WA = %v", wa)
 	}
 	if (Stats{}).WriteAmplification() != 0 {
 		t.Fatal("WA of empty stats should be 0")
 	}
-	rs := RegionStats{HostWrites: 10, GCCopybacks: 10}
+	rs := RegionStats{Counts: Counts{HostWrites: 10, GCCopybacks: 10}}
 	if rs.WriteAmplification() != 2 {
 		t.Fatal("region WA wrong")
 	}
@@ -468,5 +473,10 @@ func TestVerifyIntegrityChecksDieOwnership(t *testing.T) {
 	d.region = m.regions[DefaultRegionID]
 	if err := m.VerifyIntegrity(); err == nil || !strings.Contains(err.Error(), "lists die") {
 		t.Fatalf("a listed die owned by another region: VerifyIntegrity = %v", err)
+	}
+	d.region = r
+	r.dies = append(r.dies, r.dies[0])
+	if err := m.VerifyIntegrity(); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("a region listing a die twice: VerifyIntegrity = %v", err)
 	}
 }

@@ -44,6 +44,11 @@ func (s RegionSpec) Validate() error {
 	if s.MaxChannels < 0 || s.MaxSizeBytes < 0 {
 		return fmt.Errorf("%w: region %q has negative limits", ErrInvalidSpec, s.Name)
 	}
+	for i, d := range s.Dies {
+		if slices.Contains(s.Dies[:i], d) {
+			return fmt.Errorf("%w: region %q lists die %d twice", ErrInvalidSpec, s.Name, d)
+		}
+	}
 	return nil
 }
 
@@ -85,44 +90,52 @@ type Region struct {
 
 	gc GCPolicy // per-region garbage-collection policy
 
-	// Statistics (Manager.Stats reads them); host reads and writes
-	// count successful operations.
-	hostReads   int64
-	hostWrites  int64
-	gcCopybacks int64
-	gcErases    int64
-	gcStalls    int64 // foreground collections: an allocation hit the low watermark
-	bgSteps     int64 // bounded background GC steps performed
-	wlMoves     int64
-	gcRuns      int64
-	spills      int64 // writes redirected to the default region because this region was full
-	readLat     metrics.Histogram
-	writeLat    metrics.Histogram
+	// Statistics (Manager.Stats reads them).
+	counts   Counts
+	readLat  metrics.Histogram
+	writeLat metrics.Histogram
 
 	rr int // round-robin cursor over dies for write placement
 }
 
-// resetCounters zeroes the region's statistics.
-func (r *Region) resetCounters() {
-	r.hostReads, r.hostWrites, r.gcCopybacks, r.gcErases = 0, 0, 0, 0
-	r.gcStalls, r.bgSteps, r.wlMoves, r.gcRuns, r.spills = 0, 0, 0, 0, 0
-	r.readLat.Reset()
-	r.writeLat.Reset()
+// Counts are a region's counts since the last ResetCounters.  A region
+// counts into its own, Stats sums them, and a dropped region's are added to
+// DEFAULT's.
+type Counts struct {
+	HostReads   int64 // successful host reads
+	HostWrites  int64 // successful host writes
+	GCCopybacks int64
+	GCErases    int64
+	GCRuns      int64
+	GCStalls    int64 // foreground (blocking) collections under the low watermark
+	BGGCSteps   int64 // bounded background GC steps
+	WearMoves   int64
+	// SpilledWrites counts the writes redirected to the default region
+	// because this region was full.
+	SpilledWrites int64
 }
 
-// absorb adds the statistics of o, a region being dropped, to r's.
-func (r *Region) absorb(o *Region) {
-	r.hostReads += o.hostReads
-	r.hostWrites += o.hostWrites
-	r.gcCopybacks += o.gcCopybacks
-	r.gcErases += o.gcErases
-	r.gcStalls += o.gcStalls
-	r.bgSteps += o.bgSteps
-	r.wlMoves += o.wlMoves
-	r.gcRuns += o.gcRuns
-	r.spills += o.spills
-	r.readLat.Merge(&o.readLat)
-	r.writeLat.Merge(&o.writeLat)
+// add adds o to c.
+func (c *Counts) add(o Counts) {
+	c.HostReads += o.HostReads
+	c.HostWrites += o.HostWrites
+	c.GCCopybacks += o.GCCopybacks
+	c.GCErases += o.GCErases
+	c.GCRuns += o.GCRuns
+	c.GCStalls += o.GCStalls
+	c.BGGCSteps += o.BGGCSteps
+	c.WearMoves += o.WearMoves
+	c.SpilledWrites += o.SpilledWrites
+}
+
+// WriteAmplification returns (host writes + GC copybacks) / host writes, the
+// standard flash write-amplification factor, or zero when no host writes
+// happened.
+func (c Counts) WriteAmplification() float64 {
+	if c.HostWrites == 0 {
+		return 0
+	}
+	return float64(c.HostWrites+c.GCCopybacks) / float64(c.HostWrites)
 }
 
 // ID returns the region's identifier.
@@ -146,35 +159,17 @@ type RegionStats struct {
 	RetainedPages int64
 	FreeBlocks    int
 	GC            GCPolicy
-	HostReads     int64
-	HostWrites    int64
-	GCCopybacks   int64
-	GCErases      int64
-	GCRuns        int64
-	GCStalls      int64 // foreground (blocking) collections under the low watermark
-	BGGCSteps     int64 // bounded background GC steps
-	WearMoves     int64
-	SpilledWrites int64
-	ReadLatency   metrics.Snapshot
-	WriteLatency  metrics.Snapshot
-	MinErase      int64
-	MaxErase      int64
-	TotalErase    int64
+	Counts
+	ReadLatency  metrics.Snapshot
+	WriteLatency metrics.Snapshot
+	MinErase     int64
+	MaxErase     int64
+	TotalErase   int64
 	// Background-GC watermark state of the region's dies at snapshot time.
 	BGDebtBlocks   int64 // total free-block shortfall relative to the high watermark
 	DiesInBGBand   int   // dies at or below the high watermark (background band)
 	DiesAtLowWater int   // dies at or below the low watermark
 	BGVictimsOpen  int   // dies with an in-progress (partially relocated) background victim
-}
-
-// WriteAmplification returns (host writes + GC copybacks) / host writes, the
-// standard flash write-amplification factor, or zero when no host writes
-// happened.
-func (s RegionStats) WriteAmplification() float64 {
-	if s.HostWrites == 0 {
-		return 0
-	}
-	return float64(s.HostWrites+s.GCCopybacks) / float64(s.HostWrites)
 }
 
 // String renders a one-line summary.

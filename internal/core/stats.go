@@ -10,17 +10,11 @@ import (
 // device-wide totals.  All counters are cumulative since the last
 // ResetCounters call.
 type Stats struct {
-	Mode        PlacementMode
-	Regions     []RegionStats
-	HostReads   int64
-	HostWrites  int64
-	GCCopybacks int64
-	GCErases    int64
-	GCRuns      int64
-	GCStalls    int64 // foreground (blocking) collections under the low watermark
-	BGGCSteps   int64 // bounded background GC steps
-	WearMoves   int64
-	ValidPages  int64
+	Mode    PlacementMode
+	Regions []RegionStats
+	// Counts sums the regions' counts.
+	Counts
+	ValidPages int64
 	// RetainedPages sums the regions' retained checkpoint versions.
 	RetainedPages int64
 	// Current background-GC state (see the per-region fields for the
@@ -36,14 +30,6 @@ type Stats struct {
 	// DieFreeBlocks is the allocator's free-block count of each die, by die
 	// number (an open block that is still empty is not free).
 	DieFreeBlocks []int
-}
-
-// WriteAmplification returns the device-wide write amplification factor.
-func (s Stats) WriteAmplification() float64 {
-	if s.HostWrites == 0 {
-		return 0
-	}
-	return float64(s.HostWrites+s.GCCopybacks) / float64(s.HostWrites)
 }
 
 // RegionByName returns the stats of the named region.
@@ -88,15 +74,7 @@ func (m *Manager) Stats() Stats {
 			ValidPages:    r.validPages,
 			RetainedPages: r.retainedPages,
 			GC:            r.gc,
-			HostReads:     r.hostReads,
-			HostWrites:    r.hostWrites,
-			GCCopybacks:   r.gcCopybacks,
-			GCErases:      r.gcErases,
-			GCRuns:        r.gcRuns,
-			GCStalls:      r.gcStalls,
-			BGGCSteps:     r.bgSteps,
-			WearMoves:     r.wlMoves,
-			SpilledWrites: r.spills,
+			Counts:        r.counts,
 			ReadLatency:   r.readLat.Snapshot(),
 			WriteLatency:  r.writeLat.Snapshot(),
 		}
@@ -133,14 +111,7 @@ func (m *Manager) Stats() Stats {
 		rs.Channels = len(channels)
 		out.Regions = append(out.Regions, rs)
 
-		out.HostReads += rs.HostReads
-		out.HostWrites += rs.HostWrites
-		out.GCCopybacks += rs.GCCopybacks
-		out.GCErases += rs.GCErases
-		out.GCRuns += rs.GCRuns
-		out.GCStalls += rs.GCStalls
-		out.BGGCSteps += rs.BGGCSteps
-		out.WearMoves += rs.WearMoves
+		out.Counts.add(rs.Counts)
 		out.ValidPages += rs.ValidPages
 		out.RetainedPages += rs.RetainedPages
 		out.BGDebtBlocks += rs.BGDebtBlocks
@@ -166,7 +137,9 @@ func (m *Manager) Stats() Stats {
 func (m *Manager) ResetCounters() {
 	for _, r := range m.regions {
 		if r != nil {
-			r.resetCounters()
+			r.counts = Counts{}
+			r.readLat.Reset()
+			r.writeLat.Reset()
 		}
 	}
 	for _, o := range m.objects {

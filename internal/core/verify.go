@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 )
 
 // VerifyIntegrity cross-checks the space manager's internal bookkeeping and
@@ -88,10 +89,13 @@ func (m *Manager) VerifyIntegrity() error {
 				r.name, r.validPages, validPerRegion[r])
 		}
 		total += r.validPages
-		// (4) the dies the region lists point back to it.
-		for _, d := range r.dies {
+		// (4) the dies the region lists, once each, point back to it.
+		for i, d := range r.dies {
 			if d < 0 || d >= m.geo.Dies() {
 				return fmt.Errorf("core: region %q lists die %d which does not exist", r.name, d)
+			}
+			if slices.Contains(r.dies[:i], d) {
+				return fmt.Errorf("core: region %q lists die %d twice", r.name, d)
 			}
 			if owner := m.dies[d].region; owner != r {
 				return fmt.Errorf("core: region %q lists die %d but it is owned by region %q", r.name, d, owner.name)

@@ -166,10 +166,22 @@ func openTPCC(scale Scale, placement tpcc.PlacementKind) (*noftl.DB, tpcc.Config
 	return db, setup.TPCC, err
 }
 
-// TPCCRun is one TPC-C run of the comparison: the results Figure 3 prints and
-// Figure 2's view of the database the run left.
+// TPCCRun is one TPC-C run of the comparison: what the driver counted, what
+// the database counted (from one Stats read after the run), which Figure 3
+// prints, and Figure 2's view of the database the run left.
 type TPCCRun struct {
 	tpcc.Results
+	ReadLatency  metrics.Snapshot
+	WriteLatency metrics.Snapshot
+	HostReadIOs  int64
+	HostWriteIOs int64
+	GCCopybacks  int64
+	GCErases     int64
+	WriteAmp     float64
+	Regions      []noftl.RegionStats
+	// DieBusy is the time each die spent executing commands, by die index:
+	// with Regions[i].Dies, how busy each region's dies were.
+	DieBusy []time.Duration
 	Figure2 Figure2 `json:"-"`
 }
 
@@ -187,7 +199,23 @@ func RunTPCC(scale Scale, placement tpcc.PlacementKind) (TPCCRun, error) {
 		return TPCCRun{Results: res}, err
 	}
 	// The view comes first: the check's reads count in the object statistics.
-	run := TPCCRun{Results: res, Figure2: newFigure2(db, scale, workload, res.Committed)}
+	st := db.Stats()
+	run := TPCCRun{
+		Results:      res,
+		ReadLatency:  st.ReadLatency,
+		WriteLatency: st.WriteLatency,
+		HostReadIOs:  st.Space.HostReads,
+		HostWriteIOs: st.Space.HostWrites,
+		GCCopybacks:  st.Space.GCCopybacks,
+		GCErases:     st.Space.GCErases,
+		WriteAmp:     st.Space.WriteAmplification(),
+		Regions:      st.Space.Regions,
+		DieBusy:      make([]time.Duration, len(st.Device.PerDie)),
+		Figure2:      newFigure2(db, scale, workload, res.Committed),
+	}
+	for _, d := range st.Device.PerDie {
+		run.DieBusy[d.Die] = d.BusyTime
+	}
 	return run, tpcc.Check(db)
 }
 
@@ -232,7 +260,7 @@ func (f Figure3) Table() string {
 	fmt.Fprintln(w, "Metric\tTraditional data placement\tData placement using Regions")
 	value := func(name string, tr, rg float64) { fmt.Fprintf(w, "%s\t%.2f\t%.2f\n", name, tr, rg) }
 	count := func(name string, tr, rg int64) { fmt.Fprintf(w, "%s\t%d\t%d\n", name, tr, rg) }
-	tr, rg := f.Traditional.Results, f.Regions.Results
+	tr, rg := f.Traditional, f.Regions
 	value("TPS", tr.TPS, rg.TPS)
 	value("READ 4KB (us)", float64(tr.ReadLatency.Mean)/1e3, float64(rg.ReadLatency.Mean)/1e3)
 	value("WRITE 4KB (us)", float64(tr.WriteLatency.Mean)/1e3, float64(rg.WriteLatency.Mean)/1e3)
@@ -247,7 +275,7 @@ func (f Figure3) Table() string {
 	value("Write amplification", tr.WriteAmp, rg.WriteAmp)
 	w.Flush()
 	// Where the device time went: a plan is as fast as its busiest die allows.
-	for _, res := range []tpcc.Results{tr, rg} {
+	for _, res := range []TPCCRun{tr, rg} {
 		fmt.Fprintf(&b, "\nRegions under %s placement:\n", res.Placement)
 		w = tabwriter.NewWriter(&b, 0, 0, 2, ' ', tabwriter.AlignRight)
 		fmt.Fprintln(w, "Region\tDies\tValid pages\tCapacity\tBusy, mean of dies\tBusiest die\tWrite amp.\t")

@@ -58,8 +58,7 @@ type blockState struct {
 type dieState struct {
 	blocks []blockState
 
-	// Operation counts; device totals are sums over the dies.
-	reads, programs, erases, copybacks int64
+	counts Counts // device totals are sums over the dies
 }
 
 // Device is a simulated native flash device.  It is not safe for concurrent
@@ -218,7 +217,7 @@ func (d *Device) ReadPage(now sim.Time, addr Addr, buf []byte) ([]byte, PageMeta
 			copy(buf, blk.data[addr.Page])
 		}
 	}
-	ds.reads++
+	ds.counts.Reads++
 
 	_, sensed := d.dieRes[addr.Die].Acquire(now, d.cfg.Timing.ReadPage)
 	_, done := d.channel(addr.Die).Acquire(sensed, d.cfg.Timing.Transfer)
@@ -261,7 +260,7 @@ func (d *Device) ProgramPage(now sim.Time, addr Addr, data []byte, meta PageMeta
 	if data != nil {
 		d.store(blk, addr, data)
 	}
-	ds.programs++
+	ds.counts.Programs++
 
 	_, transferred := d.channel(addr.Die).Acquire(now, d.cfg.Timing.Transfer)
 	_, done := d.dieRes[addr.Die].Acquire(transferred, d.cfg.Timing.ProgramPage)
@@ -300,7 +299,7 @@ func (d *Device) EraseBlock(now sim.Time, b BlockAddr) (sim.Time, error) {
 	if d.cfg.EraseEndurance > 0 && blk.eraseCount >= d.cfg.EraseEndurance {
 		blk.bad = true
 	}
-	ds.erases++
+	ds.counts.Erases++
 
 	_, done := d.dieRes[b.Die].Acquire(now, d.cfg.Timing.EraseBlock)
 	return done, nil
@@ -345,7 +344,7 @@ func (d *Device) Copyback(now sim.Time, src, dst Addr) (PageMeta, sim.Time, erro
 	if sblk.data != nil && sblk.data[src.Page] != nil {
 		d.store(dblk, dst, sblk.data[src.Page])
 	}
-	ds.copybacks++
+	ds.counts.Copybacks++
 
 	_, done := d.dieRes[src.Die].Acquire(now, d.cfg.Timing.ReadPage+d.cfg.Timing.ProgramPage)
 	return meta, done, nil
@@ -378,7 +377,7 @@ func (d *Device) programTorn(addr Addr, data []byte, meta PageMeta, tornBytes in
 	clear(cp[copy(cp, data[:cut]):])
 	d.store(blk, addr, cp)
 	d.Release(cp) // the page's hold remains
-	ds.programs++
+	ds.counts.Programs++
 }
 
 // IsBad reports whether the block has been marked bad.
@@ -390,14 +389,25 @@ func (d *Device) IsBad(b BlockAddr) (bool, error) {
 	return ds.blocks[b.Block].bad, nil
 }
 
+// Counts are the operations a die carried out since the last ResetCounts.
+type Counts struct {
+	Reads     int64
+	Programs  int64
+	Erases    int64
+	Copybacks int64
+}
+
+// add adds o to c.
+func (c *Counts) add(o Counts) {
+	c.Reads, c.Programs = c.Reads+o.Reads, c.Programs+o.Programs
+	c.Erases, c.Copybacks = c.Erases+o.Erases, c.Copybacks+o.Copybacks
+}
+
 // DieStats is a per-die snapshot of operation counts and utilization.
 type DieStats struct {
-	Die        int
-	Channel    int
-	Reads      int64
-	Programs   int64
-	Erases     int64
-	Copybacks  int64
+	Die     int
+	Channel int
+	Counts
 	BusyTime   time.Duration
 	TotalWear  int64 // sum of erase counts across the die's blocks
 	MaxWear    int64 // highest per-block erase count
@@ -407,10 +417,7 @@ type DieStats struct {
 
 // Stats is a device-wide snapshot; the totals are the sums of PerDie.
 type Stats struct {
-	Reads     int64
-	Programs  int64
-	Erases    int64
-	Copybacks int64
+	Counts
 	BadBlocks int64
 	PerDie    []DieStats
 }
@@ -421,13 +428,10 @@ func (d *Device) Stats() Stats {
 	s.PerDie = make([]DieStats, d.geo.Dies())
 	for i, ds := range d.dies {
 		st := DieStats{
-			Die:       i,
-			Channel:   d.geo.ChannelOfDie(i),
-			Reads:     ds.reads,
-			Programs:  ds.programs,
-			Erases:    ds.erases,
-			Copybacks: ds.copybacks,
-			BusyTime:  d.dieRes[i].Busy(),
+			Die:      i,
+			Channel:  d.geo.ChannelOfDie(i),
+			Counts:   ds.counts,
+			BusyTime: d.dieRes[i].Busy(),
 		}
 		for b := range ds.blocks {
 			blk := &ds.blocks[b]
@@ -442,10 +446,7 @@ func (d *Device) Stats() Stats {
 			}
 		}
 		s.PerDie[i] = st
-		s.Reads += st.Reads
-		s.Programs += st.Programs
-		s.Erases += st.Erases
-		s.Copybacks += st.Copybacks
+		s.Counts.add(st.Counts)
 		s.BadBlocks += int64(st.BadBlocks)
 	}
 	return s
@@ -469,7 +470,7 @@ func (d *Device) ResetCounters() {
 // served.
 func (d *Device) ResetCounts() {
 	for i, ds := range d.dies {
-		ds.reads, ds.programs, ds.erases, ds.copybacks = 0, 0, 0, 0
+		ds.counts = Counts{}
 		d.dieRes[i].ResetBusy()
 	}
 }

@@ -13,9 +13,10 @@ import (
 	"noftl/internal/txn"
 )
 
-// Results summarizes a measured TPC-C run, carrying everything the paper's
-// Figure 3 table reports: throughput, per-transaction-type response times,
-// 4 KiB read/write latencies, host I/O counts and the GC counters.
+// Results is what the driver counts in a measured TPC-C run: the committed,
+// aborted, retried and failed transactions, their response times by type, and
+// the throughput over the simulated time the run covers.  What the database
+// counted is its Stats, for the caller to read.
 type Results struct {
 	Placement     PlacementKind
 	SimulatedTime time.Duration
@@ -25,17 +26,6 @@ type Results struct {
 	Failed        int64
 	TPS           float64
 	ResponseTimes map[TxnType]metrics.Snapshot
-	ReadLatency   metrics.Snapshot
-	WriteLatency  metrics.Snapshot
-	HostReadIOs   int64
-	HostWriteIOs  int64
-	GCCopybacks   int64
-	GCErases      int64
-	WriteAmp      float64
-	Regions       []noftl.RegionStats
-	// DieBusy is the time each die spent executing commands, by die index:
-	// with Regions[i].Dies, how busy each region's dies were.
-	DieBusy []time.Duration
 }
 
 // Run executes the configured workload against an already loaded database
@@ -201,29 +191,16 @@ func runPhase(db *noftl.DB, sch *Schema, cfg Config) (Results, error) {
 		}
 	}
 
-	stats := db.Stats()
 	res := Results{
 		Placement:     cfg.Placement,
-		SimulatedTime: stats.Simulated,
+		SimulatedTime: time.Duration(db.SimulatedTime()),
 		Committed:     committed.Load(),
 		Aborted:       aborted.Load(),
 		Retried:       retried.Load(),
 		Failed:        failed.Load(),
 		ResponseTimes: make(map[TxnType]metrics.Snapshot),
-		ReadLatency:   stats.ReadLatency,
-		WriteLatency:  stats.WriteLatency,
-		HostReadIOs:   stats.Space.HostReads,
-		HostWriteIOs:  stats.Space.HostWrites,
-		GCCopybacks:   stats.Space.GCCopybacks,
-		GCErases:      stats.Space.GCErases,
-		WriteAmp:      stats.Space.WriteAmplification(),
-		Regions:       stats.Space.Regions,
 	}
-	res.DieBusy = make([]time.Duration, len(stats.Device.PerDie))
-	for _, d := range stats.Device.PerDie {
-		res.DieBusy[d.Die] = d.BusyTime
-	}
-	if secs := stats.Simulated.Seconds(); secs > 0 {
+	if secs := res.SimulatedTime.Seconds(); secs > 0 {
 		res.TPS = float64(res.Committed) / secs
 	}
 	for ty, h := range perType {

@@ -661,15 +661,15 @@ func TestRunTinyWorkloadBothPlacements(t *testing.T) {
 			if res.ResponseTimes[TxnNewOrder].Mean <= 0 {
 				t.Fatal("zero NewOrder response time")
 			}
-			if res.HostWriteIOs == 0 {
+			st := db.Stats()
+			if st.Space.HostWrites == 0 {
 				t.Fatal("no host writes measured (WAL flushes should write)")
 			}
-			if placement == PlacementRegions && len(res.Regions) != 6 {
-				t.Fatalf("expected 6 regions in results, got %d", len(res.Regions))
+			if placement == PlacementRegions && len(st.Space.Regions) != 6 {
+				t.Fatalf("expected 6 regions, got %d", len(st.Space.Regions))
 			}
 			// Every device command is charged to exactly one object: the
 			// objects sum to the regions, and the log is one of them.
-			st := db.Stats()
 			var reads, writes, copybacks, walWrites int64
 			for _, o := range st.Objects {
 				reads, writes, copybacks = reads+o.Reads, writes+o.Writes, copybacks+o.Copybacks
@@ -693,7 +693,11 @@ func TestRunTinyWorkloadBothPlacements(t *testing.T) {
 // identical work and identical device traffic.  Any order the driver takes
 // from a Go map (Stock-Level's item set did) breaks this.
 func TestSameSeedSameRun(t *testing.T) {
-	run := func() Results {
+	type key struct {
+		committed, reads, writes, copybacks, erases int64
+		sim                                         time.Duration
+	}
+	run := func() key {
 		// A pool smaller than the working set on a small, nearly full device:
 		// access order decides evictions, and evictions decide GC.
 		dbCfg := noftl.DefaultConfig()
@@ -718,15 +722,10 @@ func TestSameSeedSameRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		st := db.Stats().Space
+		return key{res.Committed, st.HostReads, st.HostWrites, st.GCCopybacks, st.GCErases, res.SimulatedTime}
 	}
-	a, b := run(), run()
-	type key struct {
-		committed, reads, writes, copybacks, erases int64
-		sim                                         time.Duration
-	}
-	ka := key{a.Committed, a.HostReadIOs, a.HostWriteIOs, a.GCCopybacks, a.GCErases, a.SimulatedTime}
-	kb := key{b.Committed, b.HostReadIOs, b.HostWriteIOs, b.GCCopybacks, b.GCErases, b.SimulatedTime}
+	ka, kb := run(), run()
 	if ka != kb {
 		t.Fatalf("same seed, different runs:\n  %+v\n  %+v", ka, kb)
 	}

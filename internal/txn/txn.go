@@ -67,15 +67,14 @@ func (ls *lockState) held() bool { return ls.writer != 0 || len(ls.readers) > 0 
 // and waiters of every key park on one condition variable of it.  A release,
 // and a waiter that leaves, wake them all, and each re-checks its own key.
 type LockManager struct {
-	cond     sync.Cond // L is the baton: a waiter releases it while parked
-	locks    map[string]*lockState
-	free     []lockState           // the rest of the chunk of 256 new states are carved from
-	waitsOn  map[uint64]*lockState // waiting transaction -> the key it waits on
-	held     int64                 // keys some transaction holds
-	waiting  int64                 // transactions blocked on a key
-	timeout  time.Duration         // virtual-time wait budget (ns, 1:1 with sim time)
-	waits    int64                 // lock acquisitions that had to block
-	timeouts int64                 // waits that failed
+	cond    sync.Cond // L is the baton: a waiter releases it while parked
+	locks   map[string]*lockState
+	free    []lockState           // the rest of the chunk of 256 new states are carved from
+	waitsOn map[uint64]*lockState // waiting transaction -> the key it waits on
+	held    int64                 // keys some transaction holds
+	waiting int64                 // transactions blocked on a key
+	timeout time.Duration         // virtual-time wait budget (ns, 1:1 with sim time)
+	counts  LockStats             // the counts; Stats fills in held and waiting
 }
 
 // NewLockManager creates a lock manager with the given wait timeout (zero
@@ -105,21 +104,27 @@ func (lm *LockManager) state(key string) *lockState {
 	return ls
 }
 
-// LockStats is a snapshot of lock-manager contention counters.
+// LockStats is a snapshot of the lock manager: its contention counts since
+// the last ResetCounters, which it keeps in a LockStats value of its own, and
+// its locks at snapshot time.
 type LockStats struct {
-	// Waits counts lock acquisitions that had to block; Timeouts counts
-	// waits that ended in ErrLockTimeout.
-	Waits    int64
-	Timeouts int64
-	// Held is the number of keys currently locked (shared or exclusive);
-	// Waiting is the number of transactions currently blocked on a key.
-	Held    int64
-	Waiting int64
+	// LockWaits counts lock acquisitions that had to block; LockTimeouts
+	// counts waits that failed: at once on a deadlock, or past their
+	// virtual-time budget (ErrLockTimeout).
+	LockWaits    int64
+	LockTimeouts int64
+	// LocksHeld is the number of keys locked (shared or exclusive) at
+	// snapshot time; LockWaiting is the number of transactions blocked on a
+	// key at snapshot time.
+	LocksHeld   int64
+	LockWaiting int64
 }
 
-// Stats returns a snapshot of the lock manager's contention counters.
+// Stats returns a snapshot of the lock manager's counts and locks.
 func (lm *LockManager) Stats() LockStats {
-	return LockStats{Waits: lm.waits, Timeouts: lm.timeouts, Held: lm.held, Waiting: lm.waiting}
+	st := lm.counts
+	st.LocksHeld, st.LockWaiting = lm.held, lm.waiting
+	return st
 }
 
 // LockAt acquires key in the given mode on behalf of txnID, whose current
@@ -171,7 +176,7 @@ func (lm *LockManager) LockAt(now sim.Time, txnID uint64, key string, mode LockM
 		}
 		if !waited {
 			waited = true
-			lm.waits++
+			lm.counts.LockWaits++
 			ls.waiting++
 			lm.waiting++
 			lm.waitsOn[txnID] = ls
@@ -182,12 +187,12 @@ func (lm *LockManager) LockAt(now sim.Time, txnID uint64, key string, mode LockM
 			vdeadline = max(now, ls.maxRelease).Add(lm.timeout)
 		} else if ls.maxRelease > vdeadline {
 			lm.leave(txnID, ls)
-			lm.timeouts++
+			lm.counts.LockTimeouts++
 			return nil, fmt.Errorf("%w: txn %d key %q", ErrLockTimeout, txnID, key)
 		}
 		if other := lm.cycle(txnID, ls); other != 0 {
 			lm.leave(txnID, ls)
-			lm.timeouts++
+			lm.counts.LockTimeouts++
 			return nil, fmt.Errorf("%w: txn %d key %q: deadlock, waits for txn %d", ErrLockTimeout, txnID, key, other)
 		}
 		// Any release wakes us, and so does a waiter that leaves; a release
@@ -290,8 +295,14 @@ type Manager struct {
 	lm     *LockManager
 	log    *wal.Log
 	clock  *sim.Clock
-	// counts since the last ResetCounters
-	started, commits, aborts int64
+	counts Counts
+}
+
+// Counts are the transaction manager's counts since the last ResetCounters.
+type Counts struct {
+	TxnStarted   int64
+	TxnCommitted int64
+	TxnAborted   int64
 }
 
 // NewManager creates a transaction manager.  log may be nil (no logging) and
@@ -306,8 +317,8 @@ func NewManager(lm *LockManager, log *wal.Log, clock *sim.Clock) *Manager {
 // ResetCounters zeroes the transaction and lock-contention counters (after
 // warm-up); transaction ids and held locks are untouched.
 func (m *Manager) ResetCounters() {
-	m.started, m.commits, m.aborts = 0, 0, 0
-	m.lm.waits, m.lm.timeouts = 0, 0
+	m.counts = Counts{}
+	m.lm.counts = LockStats{}
 }
 
 // LockManager returns the shared lock manager.
@@ -322,10 +333,8 @@ func (m *Manager) NextID() uint64 { return m.nextID }
 // ids from being reissued.
 func (m *Manager) SeedNextID(next uint64) { m.nextID = max(m.nextID, next) }
 
-// Started, Committed and Aborted return the transaction counters.
-func (m *Manager) Started() int64   { return m.started }
-func (m *Manager) Committed() int64 { return m.commits }
-func (m *Manager) Aborted() int64   { return m.aborts }
+// Counts returns the transaction counts.
+func (m *Manager) Counts() Counts { return m.counts }
 
 // Txn is one transaction.  It is owned by a single goroutine (a TPC-C
 // terminal); it is not safe for concurrent use.  A Txn is a value its owner
@@ -347,7 +356,7 @@ type Txn struct {
 // logged yet: RecBegin is written immediately before the transaction's first
 // record, so a read-only transaction that aborts leaves the log untouched.
 func (m *Manager) Begin(now sim.Time) Txn {
-	m.started++
+	m.counts.TxnStarted++
 	m.nextID++
 	t := Txn{id: m.nextID, mgr: m, cursor: *sim.NewCursor(m.clock), state: Active, start: now}
 	t.cursor.SetTo(now)
@@ -439,7 +448,7 @@ func (t *Txn) Commit() (sim.Time, error) {
 		t.cursor.AdvanceTo(done)
 	}
 	t.state = Committed
-	t.mgr.commits++
+	t.mgr.counts.TxnCommitted++
 	t.mgr.lm.ReleaseAllAt(t.cursor.Now(), t.id, t.locks)
 	return t.cursor.Now(), nil
 }
@@ -457,7 +466,7 @@ func (t *Txn) Abort() sim.Time {
 		_, _ = t.mgr.log.Append(wal.RecAbort, t.id, 0)
 	}
 	t.state = Aborted
-	t.mgr.aborts++
+	t.mgr.counts.TxnAborted++
 	t.mgr.lm.ReleaseAllAt(t.cursor.Now(), t.id, t.locks)
 	return t.cursor.Now()
 }

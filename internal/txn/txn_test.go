@@ -86,7 +86,7 @@ func mustLock(t *testing.T, lm *batoned, now sim.Time, txnID uint64, key string,
 
 // waitFor polls until n transactions wait on a key.
 func waitFor(lm *batoned, n int64) {
-	for lm.Stats().Waiting != n {
+	for lm.Stats().LockWaiting != n {
 		time.Sleep(100 * time.Microsecond)
 	}
 }
@@ -132,7 +132,7 @@ func TestLockManagerSharedAndExclusive(t *testing.T) {
 	survivor := lockIn(lm, 2, "x", Exclusive)
 	waitFor(lm, 1)
 	mustFailAtOnce(t, lm, 1, "y", Exclusive, 2)
-	if st := lm.Stats(); st.Waits != 2 || st.Timeouts != 1 || st.Waiting != 1 {
+	if st := lm.Stats(); st.LockWaits != 2 || st.LockTimeouts != 1 || st.LockWaiting != 1 {
 		t.Fatalf("after the deadlock: %+v", st)
 	}
 	// Releasing the victim's key lets the writer in.
@@ -206,7 +206,7 @@ func TestTxnLifecycle(t *testing.T) {
 		t.Fatal("response time not accounted")
 	}
 	// Commit forces the log.
-	if log.FlushedLSN() == 0 {
+	if log.Stats().FlushedLSN == 0 {
 		t.Fatal("commit did not flush the WAL")
 	}
 	// Double commit / post-commit operations fail gracefully.
@@ -229,8 +229,8 @@ func TestTxnLifecycle(t *testing.T) {
 		t.Fatal("abort state wrong")
 	}
 	_ = tx2.Abort() // idempotent
-	if m.Started() != 2 || m.Committed() != 1 || m.Aborted() != 1 {
-		t.Fatalf("counters: started=%d committed=%d aborted=%d", m.Started(), m.Committed(), m.Aborted())
+	if c := m.Counts(); c != (Counts{TxnStarted: 2, TxnCommitted: 1, TxnAborted: 1}) {
+		t.Fatalf("counters: %+v", c)
 	}
 	if m.LockManager() == nil {
 		t.Fatal("lock manager accessor nil")
@@ -262,7 +262,7 @@ func TestLockVirtualTimeoutDeterministic(t *testing.T) {
 		k2, err = lm.LockAt(0, 2, "k", Exclusive)
 		errCh <- err
 	}()
-	for lm.Stats().Waiting == 0 {
+	for lm.Stats().LockWaiting == 0 {
 		time.Sleep(100 * time.Microsecond)
 	}
 	// Holder releases at virtual time 0.5 ms and a third txn cycles the lock,
@@ -284,7 +284,7 @@ func TestLockVirtualTimeoutDeterministic(t *testing.T) {
 		k4, err = lm.LockAt(sim.Time(900_000), 4, "k", Shared)
 		errCh <- err
 	}()
-	for lm.Stats().Waiting == 0 {
+	for lm.Stats().LockWaiting == 0 {
 		time.Sleep(100 * time.Microsecond)
 	}
 	// Another key's release must not wake-or-time-out the waiter on "k".
@@ -311,7 +311,7 @@ func TestLockVirtualTimeoutDeterministic(t *testing.T) {
 		_, err := lm.LockAt(sim.Time(0), 7, "k2", Exclusive)
 		errCh <- err
 	}()
-	for lm.Stats().Waiting == 0 {
+	for lm.Stats().LockWaiting == 0 {
 		time.Sleep(100 * time.Microsecond)
 	}
 	// Reader 6 releases at 2 ms; reader 5 still holds, so the writer cannot
@@ -321,11 +321,11 @@ func TestLockVirtualTimeoutDeterministic(t *testing.T) {
 		t.Fatalf("want ErrLockTimeout, got %v", err)
 	}
 	st := lm.Stats()
-	if st.Timeouts != 1 {
-		t.Fatalf("timeouts = %d, want 1", st.Timeouts)
+	if st.LockTimeouts != 1 {
+		t.Fatalf("timeouts = %d, want 1", st.LockTimeouts)
 	}
-	if st.Waits < 3 {
-		t.Fatalf("waits = %d, want >= 3", st.Waits)
+	if st.LockWaits < 3 {
+		t.Fatalf("waits = %d, want >= 3", st.LockWaits)
 	}
 }
 
@@ -342,7 +342,7 @@ func TestThreeTransactionCycleFailsTheCloser(t *testing.T) {
 	second := lockIn(lm, 2, "c", Exclusive)
 	waitFor(lm, 2)
 	mustFailAtOnce(t, lm, 3, "a", Exclusive, 1)
-	if st := lm.Stats(); st.Waiting != 2 || st.Timeouts != 1 {
+	if st := lm.Stats(); st.LockWaiting != 2 || st.LockTimeouts != 1 {
 		t.Fatalf("after the deadlock: %+v", st)
 	}
 	lm.ReleaseAllAt(0, 3, []*lockState{c})
@@ -354,7 +354,7 @@ func TestThreeTransactionCycleFailsTheCloser(t *testing.T) {
 		t.Fatalf("1 on b: %v", r.err)
 	}
 	lm.ReleaseAllAt(0, 1, []*lockState{a, b})
-	if st := lm.Stats(); st.Held != 0 || st.Waiting != 0 || st.Timeouts != 1 {
+	if st := lm.Stats(); st.LocksHeld != 0 || st.LockWaiting != 0 || st.LockTimeouts != 1 {
 		t.Fatalf("after every release: %+v", st)
 	}
 }
@@ -374,7 +374,7 @@ func TestUpgradingReadersDeadlock(t *testing.T) {
 		t.Fatalf("upgrade after the victim's release: %v", r.err)
 	}
 	lm.ReleaseAllAt(0, 1, []*lockState{k1})
-	if st := lm.Stats(); st.Held != 0 || st.Waiting != 0 || st.Timeouts != 1 {
+	if st := lm.Stats(); st.LocksHeld != 0 || st.LockWaiting != 0 || st.LockTimeouts != 1 {
 		t.Fatalf("after every release: %+v", st)
 	}
 }
@@ -427,7 +427,7 @@ func TestCycleThroughAYieldingWaiter(t *testing.T) {
 		if r := <-reader; r.err != nil {
 			t.Fatalf("reader 3 after the victim's release: %v", r.err)
 		}
-		if st := lm.Stats(); st.Held != 3 || st.Waiting != 0 || st.Timeouts != 1 {
+		if st := lm.Stats(); st.LocksHeld != 3 || st.LockWaiting != 0 || st.LockTimeouts != 1 {
 			t.Fatalf("after the deadlock: %+v", st)
 		}
 		return
@@ -470,7 +470,7 @@ func TestUnrelatedReleasesNeitherGrantNorTimeOut(t *testing.T) {
 		t.Fatalf("C's releases ended the survivor's wait: %v", err)
 	default:
 	}
-	if st := lm.Stats(); st.Waiting != 1 || st.Timeouts != 1 {
+	if st := lm.Stats(); st.LockWaiting != 1 || st.LockTimeouts != 1 {
 		t.Fatalf("after C's commits: %+v", st)
 	}
 	lm.Lock()
@@ -499,14 +499,14 @@ func TestTxnReleasesMoreKeysThanFitInline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(tx.locks) != len(keys) || lm.Stats().Held != int64(len(keys)) {
-		t.Fatalf("%d references and %d keys held, want %d", len(tx.locks), lm.Stats().Held, len(keys))
+	if len(tx.locks) != len(keys) || lm.Stats().LocksHeld != int64(len(keys)) {
+		t.Fatalf("%d references and %d keys held, want %d", len(tx.locks), lm.Stats().LocksHeld, len(keys))
 	}
 	if _, err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if st := lm.Stats(); st.Held != 0 {
-		t.Fatalf("%d keys still held after commit", st.Held)
+	if st := lm.Stats(); st.LocksHeld != 0 {
+		t.Fatalf("%d keys still held after commit", st.LocksHeld)
 	}
 	for _, k := range keys {
 		if ls := lm.locks[k]; ls.held() {
@@ -534,7 +534,7 @@ func TestUpgradeKeepsOneReference(t *testing.T) {
 		t.Fatalf("after the upgrade: writer %d, readers %v", ls.writer, ls.readers)
 	}
 	tx.Abort()
-	if ls.held() || m.LockManager().Stats().Held != 0 {
+	if ls.held() || m.LockManager().Stats().LocksHeld != 0 {
 		t.Fatal("the upgraded key is still held after abort")
 	}
 }
@@ -550,7 +550,7 @@ func TestReleaseByReferenceWakesAWaiter(t *testing.T) {
 	}
 	granted := make(chan error, 1)
 	go func() { granted <- lm.txLock(&waiter, "row", Exclusive) }()
-	for lm.Stats().Waiting == 0 {
+	for lm.Stats().LockWaiting == 0 {
 		time.Sleep(100 * time.Microsecond)
 	}
 	if _, err := lm.txCommit(&holder); err != nil {
@@ -564,7 +564,7 @@ func TestReleaseByReferenceWakesAWaiter(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("the release did not wake the waiter")
 	}
-	if st := lm.Stats(); st.Held != 1 || st.Waiting != 0 {
+	if st := lm.Stats(); st.LocksHeld != 1 || st.LockWaiting != 0 {
 		t.Fatalf("after the hand-over: %+v", st)
 	}
 	waiter.Abort()
@@ -605,7 +605,7 @@ func TestStatsMatchAWalkOfTheTable(t *testing.T) {
 		_, err := lm.LockAt(0, 4, "a", Exclusive)
 		timedOut <- err
 	}()
-	for lm.Stats().Waiting == 0 {
+	for lm.Stats().LockWaiting == 0 {
 		time.Sleep(100 * time.Microsecond)
 	}
 	walkStats(t, lm)
@@ -613,13 +613,13 @@ func TestStatsMatchAWalkOfTheTable(t *testing.T) {
 	if err := <-timedOut; !errors.Is(err, ErrLockTimeout) {
 		t.Fatalf("waiter: %v, want ErrLockTimeout", err)
 	}
-	if st := lm.Stats(); st.Held != 3 || st.Waiting != 0 || st.Waits != 1 || st.Timeouts != 1 {
+	if st := lm.Stats(); st.LocksHeld != 3 || st.LockWaiting != 0 || st.LockWaits != 1 || st.LockTimeouts != 1 {
 		t.Fatalf("after the timeout: %+v", st)
 	}
 	walkStats(t, lm)
 	lm.ReleaseAllAt(0, 1, []*lockState{a1, c1})
 	lm.ReleaseAllAt(0, 3, []*lockState{b3})
-	if st := lm.Stats(); st.Held != 0 {
+	if st := lm.Stats(); st.LocksHeld != 0 {
 		t.Fatalf("after every release: %+v", st)
 	}
 
@@ -678,7 +678,7 @@ func TestStatsMatchAWalkOfTheTable(t *testing.T) {
 		t.Fatal("the table was never walked during the mix")
 	}
 	walkStats(t, lm)
-	if st := lm.Stats(); st.Held != 0 || st.Waiting != 0 {
+	if st := lm.Stats(); st.LocksHeld != 0 || st.LockWaiting != 0 {
 		t.Fatalf("after the mix: %+v", st)
 	}
 }

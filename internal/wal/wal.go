@@ -149,8 +149,7 @@ type Log struct {
 
 	batch []core.PageWrite // the write batch a force reuses
 
-	// Counts since the last ResetCounters.
-	appended, flushes, bytesAppended, bytesTrimmed, pagesTrimmed int64
+	counts Stats // the counts; Stats fills in the log's state
 
 	// bytesLive is the total of the live pages' bytes: Truncate moves a
 	// dropped page's bytes from it to the trimmed counter (appended = trimmed
@@ -206,10 +205,38 @@ func (l *Log) openPage() {
 // keeps tracing off.
 func (l *Log) AttachObs(tr *obs.Tracer) { l.tracer = tr }
 
-// ResetCounters zeroes the log's counters (after warm-up).  LSNs, the page
+// ResetCounters zeroes the log's counts (after warm-up).  LSNs, the page
 // list and BytesLive describe the log itself and are untouched.
-func (l *Log) ResetCounters() {
-	l.appended, l.flushes, l.bytesAppended, l.bytesTrimmed, l.pagesTrimmed = 0, 0, 0, 0, 0
+func (l *Log) ResetCounters() { l.counts = Stats{} }
+
+// Stats is a snapshot of the log: its counts since the last ResetCounters,
+// which the log keeps in a Stats value of its own, and its state.
+type Stats struct {
+	// Appended is the number of records appended.
+	Appended int64
+	// Flushes is the number of log forces (by Flush or Commit) that wrote
+	// pages.
+	Flushes int64
+	// Pages is the number of live log pages.
+	Pages int64
+	// FlushedLSN is the highest LSN known to be durable.
+	FlushedLSN uint64
+	// BytesAppended, BytesTrimmed and BytesLive reconcile the log's byte
+	// ledger: Appended = Trimmed + Live always holds, across checkpoints and
+	// truncations.  BytesLive, the record bytes the live pages hold, bounds
+	// what a crash right now would replay.
+	BytesAppended int64
+	BytesTrimmed  int64
+	BytesLive     int64
+	// PagesTrimmed counts log pages dropped by Truncate.
+	PagesTrimmed int64
+}
+
+// Stats returns a snapshot of the log's counts and state.
+func (l *Log) Stats() Stats {
+	st := l.counts
+	st.Pages, st.FlushedLSN, st.BytesLive = int64(len(l.pages)), l.flushedLSN, l.bytesLive
+	return st
 }
 
 // SeedNextLSN makes the log continue at last+2.  Recovery calls it on the
@@ -219,22 +246,6 @@ func (l *Log) ResetCounters() {
 func (l *Log) SeedNextLSN(last uint64) {
 	l.nextLSN = last + 2
 	l.flushedLSN = last + 1
-}
-
-// FlushedLSN returns the highest LSN known to be durable.
-func (l *Log) FlushedLSN() uint64 {
-	return l.flushedLSN
-}
-
-// Appended returns the number of records appended so far.
-func (l *Log) Appended() int64 { return l.appended }
-
-// Flushes returns the number of log forces (by Flush or Commit).
-func (l *Log) Flushes() int64 { return l.flushes }
-
-// PageCount returns the number of log pages allocated.
-func (l *Log) PageCount() int {
-	return len(l.pages)
 }
 
 // Append adds a record to the log buffer and returns its LSN.  Its payload is
@@ -262,8 +273,8 @@ func (l *Log) Append(typ RecordType, txnID uint64, objectID uint32, payload ...[
 	}
 	putRecord(dst, rec, payload...)
 	l.nextLSN++
-	l.appended++
-	l.bytesAppended += int64(size)
+	l.counts.Appended++
+	l.counts.BytesAppended += int64(size)
 	l.bytesLive += int64(size)
 	l.pages[len(l.pages)-1].bytes += int64(size)
 	if l.tracer.Enabled() {
@@ -350,7 +361,7 @@ func (l *Log) flushGroup(now sim.Time) (sim.Time, error) {
 	if done > l.flushDoneAt {
 		l.flushDoneAt = done
 	}
-	l.flushes++
+	l.counts.Flushes++
 	if l.tracer.Enabled() {
 		l.tracer.Record(obs.Event{
 			Class: obs.ClassWALSync, Die: -1, Block: -1, Page: -1,
@@ -385,28 +396,11 @@ func (l *Log) Truncate(upToLSN uint64) int {
 			kept = append(kept, p)
 			continue
 		}
-		l.bytesTrimmed += p.bytes
+		l.counts.BytesTrimmed += p.bytes
 		l.bytesLive -= p.bytes
-		l.pagesTrimmed++
+		l.counts.PagesTrimmed++
 		dropped++
 	}
 	l.pages = kept
 	return dropped
-}
-
-// BytesAppended returns the total encoded record bytes appended.
-func (l *Log) BytesAppended() int64 { return l.bytesAppended }
-
-// BytesTrimmed returns the encoded record bytes dropped by Truncate.
-func (l *Log) BytesTrimmed() int64 { return l.bytesTrimmed }
-
-// BytesLive returns the encoded record bytes still held by live log pages —
-// the upper bound on what a crash now would replay.
-func (l *Log) BytesLive() int64 {
-	return l.bytesLive
-}
-
-// PagesTrimmed returns the number of log pages dropped by Truncate.
-func (l *Log) PagesTrimmed() int64 {
-	return l.pagesTrimmed
 }

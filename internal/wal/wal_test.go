@@ -137,8 +137,8 @@ func TestRecordByteFlipsDetected(t *testing.T) {
 
 func TestAppendFlushReadBack(t *testing.T) {
 	l, mgr := testLog(t)
-	if l.FlushedLSN() != 0 {
-		t.Fatalf("fresh log flushed LSN = %d", l.FlushedLSN())
+	if l.Stats().FlushedLSN != 0 {
+		t.Fatalf("fresh log flushed LSN = %d", l.Stats().FlushedLSN)
 	}
 	var lsns []uint64
 	for i := 0; i < 100; i++ {
@@ -148,8 +148,8 @@ func TestAppendFlushReadBack(t *testing.T) {
 		}
 		lsns = append(lsns, lsn)
 	}
-	if l.Appended() != 100 {
-		t.Fatalf("appended = %d", l.Appended())
+	if l.Stats().Appended != 100 {
+		t.Fatalf("appended = %d", l.Stats().Appended)
 	}
 	if lsns[0] != 1 {
 		t.Fatalf("first LSN = %d, want 1", lsns[0])
@@ -170,8 +170,8 @@ func TestAppendFlushReadBack(t *testing.T) {
 	if done <= 0 {
 		t.Fatal("flush consumed no virtual time")
 	}
-	if l.FlushedLSN() != 100 {
-		t.Fatalf("flushedLSN = %d", l.FlushedLSN())
+	if l.Stats().FlushedLSN != 100 {
+		t.Fatalf("flushedLSN = %d", l.Stats().FlushedLSN)
 	}
 	if mgr.Stats().HostWrites == 0 {
 		t.Fatal("flush wrote nothing to flash")
@@ -180,8 +180,8 @@ func TestAppendFlushReadBack(t *testing.T) {
 	if _, err := l.Flush(done); err != nil {
 		t.Fatal(err)
 	}
-	if l.Flushes() != 1 {
-		t.Fatalf("flushes = %d", l.Flushes())
+	if l.Stats().Flushes != 1 {
+		t.Fatalf("flushes = %d", l.Stats().Flushes)
 	}
 	recs := readBack(t, l, mgr)
 	if len(recs) != 100 {
@@ -195,8 +195,8 @@ func TestAppendFlushReadBack(t *testing.T) {
 			t.Fatalf("record %d payload %q", i, r.Payload)
 		}
 	}
-	if l.PageCount() < 2 {
-		t.Fatalf("expected multiple log pages, got %d", l.PageCount())
+	if int(l.Stats().Pages) < 2 {
+		t.Fatalf("expected multiple log pages, got %d", int(l.Stats().Pages))
 	}
 }
 
@@ -228,14 +228,14 @@ func TestTruncateDropsOldPages(t *testing.T) {
 			}
 		}
 	}
-	pagesBefore := l.PageCount()
+	pagesBefore := int(l.Stats().Pages)
 	validBefore := mgr.Stats().ValidPages
 	dropped := l.Truncate(250)
 	if dropped == 0 {
 		t.Fatal("truncate dropped nothing")
 	}
-	if l.PageCount() != pagesBefore-dropped {
-		t.Fatalf("page count %d after dropping %d of %d", l.PageCount(), dropped, pagesBefore)
+	if int(l.Stats().Pages) != pagesBefore-dropped {
+		t.Fatalf("page count %d after dropping %d of %d", int(l.Stats().Pages), dropped, pagesBefore)
 	}
 	if mgr.Stats().ValidPages >= validBefore {
 		t.Fatal("truncate did not trim pages on the device")
@@ -260,12 +260,12 @@ func TestCommitAlreadyDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flushes := l.Flushes()
+	flushes := l.Stats().Flushes
 	done, err := l.Commit(5, lsn1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Flushes() != flushes {
+	if l.Stats().Flushes != flushes {
 		t.Fatalf("already-durable commit forced the log again")
 	}
 	if done != forced {
@@ -276,8 +276,8 @@ func TestCommitAlreadyDurable(t *testing.T) {
 	if now, err := l.Flush(5); err != nil || now != forced {
 		t.Fatalf("covered flush: now=%v err=%v, want %v", now, err, forced)
 	}
-	if l.Flushes() != flushes {
-		t.Fatalf("covered flush: %d forces, want %d", l.Flushes(), flushes)
+	if l.Stats().Flushes != flushes {
+		t.Fatalf("covered flush: %d forces, want %d", l.Stats().Flushes, flushes)
 	}
 	if now, err := l.Flush(forced + 123); err != nil || now != forced+123 {
 		t.Fatalf("empty flush: now=%v err=%v", now, err)

@@ -620,7 +620,10 @@ func reopenCounts(st Stats) string {
 			r.WearMoves, r.SpilledWrites, r.ValidPages, r.RetainedPages,
 			r.ReadLatency.Count, r.ReadLatency.Mean, r.WriteLatency.Count, r.WriteLatency.Mean)
 	}
-	fmt.Fprintf(&b, "scheduler %+v\nbuffer %+v\nwal %+v\n", st.Scheduler, st.Buffer, st.WAL)
+	w := st.WAL
+	fmt.Fprintf(&b, "scheduler %+v\nbuffer %+v\n", st.Scheduler, st.Buffer)
+	fmt.Fprintf(&b, "wal {Appended:%d Flushes:%d Pages:%d FlushedLSN:%d GroupCommits:%d BytesAppended:%d BytesTrimmed:%d BytesLive:%d PagesTrimmed:%d Checkpoint:%+v}\n",
+		w.Appended, w.Flushes, w.Pages, w.FlushedLSN, w.GroupCommits, w.BytesAppended, w.BytesTrimmed, w.BytesLive, w.PagesTrimmed, w.Checkpoint)
 	return b.String()
 }
 

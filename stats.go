@@ -10,6 +10,8 @@ import (
 	"noftl/internal/flash"
 	"noftl/internal/metrics"
 	"noftl/internal/sim"
+	"noftl/internal/txn"
+	"noftl/internal/wal"
 )
 
 // Stats is an immutable snapshot of the whole stack: transactions, buffer
@@ -20,10 +22,9 @@ import (
 type Stats struct {
 	// Simulated is the simulated wall-clock time covered by the counters.
 	Simulated time.Duration
-	// Transactions
-	TxnStarted   int64
-	TxnCommitted int64
-	TxnAborted   int64
+	// Counts holds the transactions started, committed and aborted
+	// (TxnStarted, TxnCommitted, TxnAborted).
+	txn.Counts
 	// Txn carries the lock manager's contention counters (waits, timeouts,
 	// held/waiting locks).
 	Txn TxnStats
@@ -87,46 +88,24 @@ type TraceStats struct {
 	Retained int64
 }
 
-// TxnStats is a snapshot of the lock manager's contention counters.
-type TxnStats struct {
-	// LockWaits counts lock acquisitions that had to block; LockTimeouts
-	// counts waits that failed: at once on a deadlock, or past their
-	// virtual-time budget (ErrConflict).
-	LockWaits    int64
-	LockTimeouts int64
-	// LocksHeld is the number of keys locked at snapshot time; LockWaiting
-	// is the number of transactions blocked on a key at snapshot time.
-	LocksHeld   int64
-	LockWaiting int64
-}
+// TxnStats is a snapshot of the lock manager's contention counts (a lock
+// wait that fails returns ErrConflict) and of its locks.
+type TxnStats = txn.LockStats
 
-// WALStats is a snapshot of the write-ahead log's counters.
+// WALStats is a snapshot of the write-ahead log (its counts and state:
+// Appended, Flushes, Pages, FlushedLSN, BytesAppended, BytesTrimmed,
+// BytesLive, PagesTrimmed) and of the checkpoint subsystem.
 type WALStats struct {
-	// Appended is the number of records appended.
-	Appended int64
-	// Flushes is the number of flushes that wrote pages.
-	Flushes int64
-	// Pages is the number of log pages allocated.
-	Pages int64
-	// FlushedLSN is the highest durable log sequence number.
-	FlushedLSN uint64
+	wal.Stats
 	// GroupCommits is always 0: a log force runs within one operation, so no
 	// two committers share one.
 	GroupCommits int64
-	// BytesAppended, BytesTrimmed and BytesLive reconcile the log's byte
-	// ledger: Appended = Trimmed + Live always holds, across checkpoints and
-	// truncations.  BytesLive bounds what a crash right now would replay.
-	BytesAppended int64
-	BytesTrimmed  int64
-	BytesLive     int64
-	// PagesTrimmed counts log pages dropped by checkpoint truncation.
-	PagesTrimmed int64
 	// Checkpoint covers the checkpoint subsystem.
 	Checkpoint CheckpointStats
 }
 
-// CheckpointStats is a snapshot of the checkpoint subsystem's counters
-// (nested in Stats().WAL).
+// CheckpointStats is a snapshot of the checkpoint subsystem (nested in
+// Stats().WAL).  The database keeps one value and counts into it.
 type CheckpointStats struct {
 	// Count is the number of checkpoints taken.
 	Count int64
@@ -187,22 +166,14 @@ func (db *DB) Stats() Stats {
 	for _, r := range space.Regions {
 		reads, writes = append(reads, r.ReadLatency), append(writes, r.WriteLatency)
 	}
-	lockStats := db.txns.LockManager().Stats()
 	batches, maxBatch := db.space.Scheduler().Batches()
 	dev := db.dev.Stats()
 	gc := dev.Copybacks + dev.Erases
 	st := Stats{
-		Simulated:    time.Duration(db.clock.Now()),
-		TxnStarted:   db.txns.Started(),
-		TxnCommitted: db.txns.Committed(),
-		TxnAborted:   db.txns.Aborted(),
-		Txn: TxnStats{
-			LockWaits:    lockStats.Waits,
-			LockTimeouts: lockStats.Timeouts,
-			LocksHeld:    lockStats.Held,
-			LockWaiting:  lockStats.Waiting,
-		},
-		Buffer: db.pool.Stats(),
+		Simulated: time.Duration(db.clock.Now()),
+		Counts:    db.txns.Counts(),
+		Txn:       db.txns.LockManager().Stats(),
+		Buffer:    db.pool.Stats(),
 		Scheduler: SchedulerStats{
 			Batches: batches, Requests: dev.Reads + dev.Programs + gc, MaxBatch: maxBatch,
 			HostReads: dev.Reads, HostWrites: dev.Programs, GC: gc,
@@ -213,18 +184,9 @@ func (db *DB) Stats() Stats {
 		Objects:      db.space.ObjectStats(),
 		ReadLatency:  metrics.MergedSnapshot(reads...),
 		WriteLatency: metrics.MergedSnapshot(writes...),
-		WAL: WALStats{
-			Appended:      db.log.Appended(),
-			Flushes:       db.log.Flushes(),
-			Pages:         int64(db.log.PageCount()),
-			FlushedLSN:    db.log.FlushedLSN(),
-			BytesAppended: db.log.BytesAppended(),
-			BytesTrimmed:  db.log.BytesTrimmed(),
-			BytesLive:     db.log.BytesLive(),
-			PagesTrimmed:  db.log.PagesTrimmed(),
-			Checkpoint:    db.checkpointStats(space.RetainedPages),
-		},
+		WAL:          WALStats{Stats: db.log.Stats(), Checkpoint: db.ckpt},
 	}
+	st.WAL.Checkpoint.RetainedPages = space.RetainedPages
 	if db.tracer != nil {
 		st.Trace = TraceStats{
 			Recorded: db.tracer.Recorded(),
@@ -233,16 +195,4 @@ func (db *DB) Stats() Stats {
 		}
 	}
 	return st
-}
-
-// checkpointStats snapshots the checkpoint counters.
-func (db *DB) checkpointStats(retained int64) CheckpointStats {
-	return CheckpointStats{
-		Count:         db.ckptCount,
-		LastLSN:       db.ckptLastLSN,
-		LastBytes:     db.ckptBytes,
-		LastPages:     db.ckptPages,
-		RetainedPages: retained,
-		LastAt:        db.ckptTime,
-	}
 }
