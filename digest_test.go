@@ -315,10 +315,11 @@ func TestKVMixedRunDigest(t *testing.T) {
 
 	first, _, _ := digestEvents(before)
 	second, _, classes := digestEvents(events())
+	recovery, stats := noftl.DumpFields(rec), noftl.DumpFields(db.Stats())
 	for _, d := range []struct{ what, got, want, dump string }{
 		{"events", sha256Hex(first + second), wantEvents, classes},
-		{"recovery", sha256Hex(noftl.DumpFields(rec)), wantRecovery, noftl.DumpFields(rec)},
-		{"Stats", sha256Hex(noftl.DumpFields(db.Stats())), wantStats, noftl.DumpFields(db.Stats())},
+		{"recovery", sha256Hex(recovery), wantRecovery, recovery},
+		{"Stats", sha256Hex(stats), wantStats, stats},
 	} {
 		if d.got != d.want {
 			t.Errorf("%s digest %s, recorded %s\n%s", d.what, d.got, d.want, d.dump)
