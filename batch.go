@@ -42,14 +42,14 @@ func (t *Table) InsertBatch(tx *Tx, rows [][]byte) ([]RID, error) {
 // are read through the buffer pool's batched path: all cache misses of the
 // batch go to the device as one die-striped submission, so rows on different
 // dies are read concurrently in virtual time.  The rows are the caller's to
-// keep, copied into the transaction's slab (see Index.Range).  A missing
+// keep, copied into the database's slab (see Table.Rows).  A missing
 // record fails the whole call with ErrNotFound, a batch whose pages cannot all
 // be pinned in the buffer pool at once with ErrTooLarge.
 func (t *Table) GetBatch(tx *Tx, rids []RID) ([][]byte, error) {
 	tx.enter()
 	defer tx.exit()
 	tx.chargeOps(len(rids))
-	rows, done, err := t.heap.GetBatch(tx.Now(), rids, &tx.slab)
+	rows, done, err := t.heap.GetBatch(tx.Now(), rids, &t.db.slab)
 	if errors.Is(err, buffer.ErrPoolFull) { // more pages than the pool can pin
 		err = tag(ErrTooLarge, err)
 	}

@@ -4,9 +4,10 @@
 // pointer into an internal/ package.
 //
 // A type alias of a struct in another package of the module (SpaceOptions =
-// core.Options) has its exported fields listed under the alias's name, so a
-// field removed there shows up too.  It works on the AST alone (no type
-// checking), so it can be pointed at any checked-out tree:
+// core.Options) has its exported fields listed under the alias's name, and a
+// struct the fields its embedded structs promote, so a field removed there
+// shows up too.  It works on the AST alone (no type checking), so it can be
+// pointed at any checked-out tree:
 //
 //	go run ./ci/apicheck -dir .                # print the API surface
 //	go run ./ci/apicheck -dir . -internal      # fail on internal pointers
@@ -25,6 +26,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,20 +37,36 @@ func main() {
 	internal := flag.Bool("internal", false, "fail when an exported func/method returns a pointer into internal/")
 	flag.Parse()
 
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, *dir, notTest, parser.ParseComments)
+	lines, violations, err := surface(*dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "apicheck:", err)
 		os.Exit(1)
 	}
-	pkg, ok := pkgs["noftl"]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "apicheck: package noftl not found in %s\n", *dir)
+	if !*internal {
+		fmt.Println(strings.Join(lines, "\n"))
+		return
+	}
+	for _, v := range violations {
+		fmt.Fprintln(os.Stderr, v)
+	}
+	if len(violations) > 0 {
 		os.Exit(1)
 	}
+}
 
-	var lines []string
-	var violations []string
+// surface returns the API surface of package noftl in dir, one sorted line
+// per exported declaration, and the exported functions and methods that
+// return a pointer into internal/.
+func surface(dir string) (lines, violations []string, err error) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, dir, notTest, parser.ParseComments)
+	if err != nil {
+		return nil, nil, err
+	}
+	pkg, ok := pkgs["noftl"]
+	if !ok {
+		return nil, nil, fmt.Errorf("package noftl not found in %s", dir)
+	}
 	for name, file := range pkg.Files {
 		imports := importMap(file)
 		for _, decl := range file.Decls {
@@ -66,11 +84,9 @@ func main() {
 					recv = "(" + rt + ") "
 				}
 				lines = append(lines, "func "+recv+d.Name.Name+signature(fset, d.Type))
-				if *internal {
-					if bad := internalPtrResult(fset, d.Type, imports); bad != "" {
-						violations = append(violations, fmt.Sprintf("%s: func %s%s returns %s (pointer into internal/)",
-							filepath.Base(name), recv, d.Name.Name, bad))
-					}
+				if bad := internalPtrResult(fset, d.Type, imports); bad != "" {
+					violations = append(violations, fmt.Sprintf("%s: func %s%s returns %s (pointer into internal/)",
+						filepath.Base(name), recv, d.Name.Name, bad))
 				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
@@ -85,10 +101,10 @@ func main() {
 						// API too.
 						switch t := s.Type.(type) {
 						case *ast.StructType:
-							lines = append(lines, fields(fset, s.Name.Name, t)...)
+							lines = append(lines, fields(fset, dir, dir, imports, s.Name.Name, t)...)
 						case *ast.SelectorExpr:
-							if st := aliasedStruct(fset, *dir, imports, t); st != nil {
-								lines = append(lines, fields(fset, s.Name.Name, st)...)
+							if st, sdir, simports := structType(fset, dir, dir, imports, t); st != nil {
+								lines = append(lines, fields(fset, dir, sdir, simports, s.Name.Name, st)...)
 							}
 						case *ast.InterfaceType:
 							for _, m := range t.Methods.List {
@@ -103,11 +119,7 @@ func main() {
 					case *ast.ValueSpec:
 						for _, vn := range s.Names {
 							if vn.IsExported() {
-								kw := "var"
-								if d.Tok == token.CONST {
-									kw = "const"
-								}
-								lines = append(lines, kw+" "+vn.Name)
+								lines = append(lines, d.Tok.String()+" "+vn.Name) // const or var
 							}
 						}
 					}
@@ -115,25 +127,9 @@ func main() {
 			}
 		}
 	}
-
-	if *internal {
-		if len(violations) > 0 {
-			sort.Strings(violations)
-			for _, v := range violations {
-				fmt.Fprintln(os.Stderr, v)
-			}
-			os.Exit(1)
-		}
-		return
-	}
+	sort.Strings(violations)
 	sort.Strings(lines)
-	prev := ""
-	for _, l := range lines {
-		if l != prev {
-			fmt.Println(l)
-		}
-		prev = l
-	}
+	return slices.Compact(lines), violations, nil
 }
 
 // importMap returns local package name -> import path for a file.
@@ -153,10 +149,17 @@ func importMap(file *ast.File) map[string]string {
 // notTest keeps the non-test Go files of a directory.
 func notTest(fi os.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
 
-// fields lists the exported fields of struct type st, declared as name.
-func fields(fset *token.FileSet, name string, st *ast.StructType) []string {
+// fields lists the exported fields of struct type st, declared as name in
+// the package at dir by a file importing imports, those its embedded structs
+// promote included: a field that leaves core.Counts leaves RegionStats too.
+func fields(fset *token.FileSet, root, dir string, imports map[string]string, name string, st *ast.StructType) []string {
 	var out []string
 	for _, f := range st.Fields.List {
+		if len(f.Names) == 0 { // embedded
+			if est, edir, eimports := structType(fset, root, dir, imports, f.Type); est != nil {
+				out = append(out, fields(fset, root, edir, eimports, name, est)...)
+			}
+		}
 		for _, fn := range f.Names {
 			if fn.IsExported() {
 				out = append(out, "field "+name+"."+fn.Name+" "+typeString(fset, f.Type))
@@ -166,31 +169,47 @@ func fields(fset *token.FileSet, name string, st *ast.StructType) []string {
 	return out
 }
 
-// aliasedStruct returns the struct type pkg.T names when pkg is a package of
-// the module under root, and nil otherwise.
-func aliasedStruct(fset *token.FileSet, root string, imports map[string]string, sel *ast.SelectorExpr) *ast.StructType {
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return nil
+// structType returns the struct that expr (T, *T or pkg.T, written like st
+// in fields) names in the module under root, through any aliases, with the
+// directory and imports of the file declaring it; nil if it names none.
+func structType(fset *token.FileSet, root, dir string, imports map[string]string, expr ast.Expr) (*ast.StructType, string, map[string]string) {
+	if star, ok := expr.(*ast.StarExpr); ok {
+		expr = star.X
 	}
-	rel, ok := strings.CutPrefix(imports[id.Name], "noftl/")
-	if !ok {
-		return nil
+	var name string
+	switch e := expr.(type) {
+	case *ast.Ident:
+		name = e.Name
+	case *ast.SelectorExpr:
+		id, ok := e.X.(*ast.Ident)
+		if !ok {
+			return nil, "", nil
+		}
+		rel, ok := strings.CutPrefix(imports[id.Name], "noftl/")
+		if !ok {
+			return nil, "", nil
+		}
+		name, dir = e.Sel.Name, filepath.Join(root, rel)
+	default:
+		return nil, "", nil
 	}
-	pkgs, err := parser.ParseDir(fset, filepath.Join(root, rel), notTest, 0)
+	pkgs, err := parser.ParseDir(fset, dir, notTest, 0)
 	if err != nil {
-		return nil
+		return nil, "", nil
 	}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
-			if obj := file.Scope.Lookup(sel.Sel.Name); obj != nil && obj.Kind == ast.Typ {
-				if st, ok := obj.Decl.(*ast.TypeSpec).Type.(*ast.StructType); ok {
-					return st
+			if obj := file.Scope.Lookup(name); obj != nil && obj.Kind == ast.Typ {
+				switch t := obj.Decl.(*ast.TypeSpec).Type.(type) {
+				case *ast.StructType:
+					return t, dir, importMap(file)
+				case *ast.Ident, *ast.SelectorExpr:
+					return structType(fset, root, dir, importMap(file), t)
 				}
 			}
 		}
 	}
-	return nil
+	return nil, "", nil
 }
 
 // exportedReceiver reports whether a receiver type string names an exported
@@ -203,51 +222,38 @@ func exportedReceiver(rt string) bool {
 	return rt != "" && ast.IsExported(rt)
 }
 
-// signature renders the parameter and result lists of a function type.
+// signature renders the parameter and result lists of a function type, one
+// type per name: (a, b int) is (int, int).
 func signature(fset *token.FileSet, ft *ast.FuncType) string {
-	var b strings.Builder
-	b.WriteString("(")
-	if ft.Params != nil {
-		for i, f := range ft.Params.List {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(typeString(fset, f.Type))
-			if n := len(f.Names); n > 1 {
-				for j := 1; j < n; j++ {
-					b.WriteString(", " + typeString(fset, f.Type))
-				}
+	types := func(fl *ast.FieldList) string {
+		var ts []string
+		for _, f := range fl.List {
+			for range max(len(f.Names), 1) {
+				ts = append(ts, typeString(fset, f.Type))
 			}
 		}
+		return strings.Join(ts, ", ")
 	}
-	b.WriteString(")")
+	sig := "(" + types(ft.Params) + ")"
 	if ft.Results != nil && len(ft.Results.List) > 0 {
-		b.WriteString(" (")
-		for i, f := range ft.Results.List {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(typeString(fset, f.Type))
-		}
-		b.WriteString(")")
+		sig += " (" + types(ft.Results) + ")"
 	}
-	return b.String()
+	return sig
 }
 
 // typeKind names the declaration form of a type spec.
 func typeKind(s *ast.TypeSpec) string {
-	prefix := ""
-	if s.Assign != token.NoPos {
-		prefix = "= "
-	}
+	kind := "decl"
 	switch s.Type.(type) {
 	case *ast.StructType:
-		return prefix + "struct"
+		kind = "struct"
 	case *ast.InterfaceType:
-		return prefix + "interface"
-	default:
-		return prefix + "decl"
+		kind = "interface"
 	}
+	if s.Assign != token.NoPos {
+		return "= " + kind
+	}
+	return kind
 }
 
 // typeString prints a type expression as source text.
@@ -265,21 +271,15 @@ func internalPtrResult(fset *token.FileSet, ft *ast.FuncType, imports map[string
 	}
 	for _, f := range ft.Results.List {
 		expr := f.Type
-		for {
-			switch t := expr.(type) {
-			case *ast.ArrayType:
-				expr = t.Elt
-				continue
-			case *ast.StarExpr:
-				if sel, ok := t.X.(*ast.SelectorExpr); ok {
-					if id, ok := sel.X.(*ast.Ident); ok {
-						if path, ok := imports[id.Name]; ok && strings.Contains(path, "internal/") {
-							return typeString(fset, f.Type)
-						}
-					}
+		for arr, ok := expr.(*ast.ArrayType); ok; arr, ok = expr.(*ast.ArrayType) {
+			expr = arr.Elt
+		}
+		if star, ok := expr.(*ast.StarExpr); ok {
+			if sel, ok := star.X.(*ast.SelectorExpr); ok {
+				if id, ok := sel.X.(*ast.Ident); ok && strings.Contains(imports[id.Name], "internal/") {
+					return typeString(fset, f.Type)
 				}
 			}
-			break
 		}
 	}
 	return ""

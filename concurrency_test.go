@@ -10,15 +10,131 @@ import (
 	"time"
 
 	"noftl/internal/metrics"
+	"noftl/internal/txn"
 )
+
+// TestKeptTxAndRowsOutliveLaterTransactions keeps the first transaction's
+// handle and the row, rows and keys its Get, GetBatch and Range handed out,
+// then runs 256 more transactions on four goroutines at once: four chunks of
+// handles, and reads and inserts enough to move the database's slab on to
+// new chunks.  The kept handle still reports its own transaction, every kept
+// row and key still reads its bytes, and appending to one leaves the next
+// one alone: nothing a transaction was handed is reused for another.
+func TestKeptTxAndRowsOutliveLaterTransactions(t *testing.T) {
+	db, err := OpenConfig(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Exec("CREATE TABLE K (v VARCHAR(64)); CREATE INDEX K_V ON K (v)"); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := db.Table("K")
+	idx, _ := db.Index("K_V")
+	row := func(i int) []byte {
+		return []byte(fmt.Sprintf("row-%04d-%s", i, bytes.Repeat([]byte{'a' + byte(i%26)}, 40)))
+	}
+	const loaded = 64
+	rids := make([]RID, loaded)
+	if err := db.Update(func(tx *Tx) error {
+		for i := range rids {
+			if rids[i], err = tbl.Insert(tx, row(i)); err != nil {
+				return err
+			}
+			if err := idx.Insert(tx, Key(uint32(i)), rids[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	first := db.Begin()
+	id := first.ID()
+	got, err := tbl.Get(first, rids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := [][]byte{got}
+	want := [][]byte{row(0)}
+	batch, err := tbl.GetBatch(first, rids[1:9])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range batch {
+		kept, want = append(kept, r), append(want, row(1+i))
+	}
+	for k := range idx.Range(first, Key(10), Key(18)) {
+		kept = append(kept, k)
+	}
+	for i := 10; i < 18; i++ {
+		want = append(want, Key(uint32(i)))
+	}
+	if len(kept) != 17 || first.Err() != nil {
+		t.Fatalf("the first transaction read %d rows and keys (err %v), want 17", len(kept), first.Err())
+	}
+	if _, err := first.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	rt := first.ResponseTime()
+
+	const goroutines, each = 4, 64
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				tx := db.Begin()
+				me := tx.ID()
+				n := 0
+				for k, rid := range idx.Range(tx, Key(uint32(i%loaded)), Key(uint32(i%loaded+4))) {
+					r, err := tbl.Get(tx, rid)
+					if err != nil || !bytes.Equal(k, Key(uint32(i%loaded+n))) || !bytes.Equal(r, row(i%loaded+n)) {
+						t.Errorf("goroutine %d: entry %d of its range: %x -> %q (%v)", g, n, k, r, err)
+					}
+					n++
+				}
+				if _, err := tbl.GetBatch(tx, rids[i%loaded:min(i%loaded+8, loaded)]); err != nil {
+					t.Error(err)
+				}
+				if _, err := tbl.Insert(tx, row(loaded+g*each+i)); err != nil {
+					t.Error(err)
+				}
+				if _, err := tx.Commit(); err != nil || tx.ID() != me {
+					t.Errorf("goroutine %d: transaction %d committed as %d: %v", g, me, tx.ID(), err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	if first.ID() != id || first.ResponseTime() != rt {
+		t.Errorf("the kept handle reports transaction %d after %v, want %d after %v", first.ID(), first.ResponseTime(), id, rt)
+	}
+	if _, err := first.Commit(); !errors.Is(err, txn.ErrTxnDone) {
+		t.Errorf("committing the kept handle again: %v, want ErrTxnDone", err)
+	}
+	for i := range kept {
+		if !bytes.Equal(kept[i], want[i]) {
+			t.Errorf("kept slice %d reads %q, want %q", i, kept[i], want[i])
+		}
+	}
+	for i := range kept[:len(kept)-1] {
+		_ = append(kept[i], "appended"...)
+		if !bytes.Equal(kept[i+1], want[i+1]) {
+			t.Errorf("appending to kept slice %d changed the next one to %q", i, kept[i+1])
+		}
+	}
+}
 
 // TestConcurrentBatchDML drives InsertBatch, GetBatch and the Rows iterator
 // from many goroutines against one database, while one more rewrites
 // committed rows in place at the same length.  It is primarily a -race test
 // of the one rule that keeps the layers consistent, one operation at a time;
 // the assertions check that nothing inserted is lost or corrupted along the
-// way, and that every row a GetBatch returns is a value written for its rid
-// (GetBatch sizes its rows and copies them in two passes over each page).
+// way, and that every row a GetBatch returns is a value written for its rid.
 func TestConcurrentBatchDML(t *testing.T) {
 	db, err := Open(WithBufferPoolPages(256))
 	if err != nil {

@@ -83,6 +83,8 @@ type DB struct {
 	ckptWALMark int64           // BytesAppended at the last checkpoint (rebased by ResetStatistics)
 	recovering  bool
 	recovery    *RecoveryStats // non-nil after Reopen
+	txs         []Tx           // the rest of the chunk of 64 Tx values Begin cuts from, never reused
+	slab        storage.Slab   // the keys and rows every transaction's reads hand out
 }
 
 // openWith wires the database layers over a device and its space manager.
@@ -641,7 +643,12 @@ func (db *DB) BeginAt(now sim.Time) *Tx {
 		db.quiesce.Wait()
 	}
 	db.open++
-	return &Tx{db: db, inner: db.txns.Begin(now), open: true}
+	if len(db.txs) == 0 {
+		db.txs = make([]Tx, 64)
+	}
+	tx := &db.txs[0]
+	*tx, db.txs = Tx{db: db, inner: db.txns.Begin(now), open: true}, db.txs[1:]
+	return tx
 }
 
 // Update runs fn inside a read-write transaction.  The transaction is

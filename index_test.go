@@ -354,7 +354,7 @@ func keyedTable(t *testing.T, n int) (*DB, *Table, *Index, []RID) {
 
 // TestGetBatchRowsFromOneSlab: a 50-row GetBatch of resident rows on three or
 // more pages allocates at most three times (its output, the pool's handles
-// and at most one chunk of the transaction's slab), and every row it returns
+// and, once in a while, a new chunk of the database's slab), and every row it returns
 // is the caller's: appending to one writes into no other, and the rows read
 // back unchanged after a later GetBatch and Range in the same transaction.
 // The rows of Table.Rows are as safe to append to.

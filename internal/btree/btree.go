@@ -56,6 +56,7 @@ type Tree struct {
 	pages    int64
 	lpns     []core.LPN // every page ever allocated to the tree, in order
 	scratch  []byte     // page snapshot that compaction and splits rebuild from
+	sep      []byte     // the separator the last split returned (see split)
 }
 
 // allocPage allocates a page from the tablespace and remembers it in the
@@ -83,7 +84,6 @@ func New(now sim.Time, name string, objectID uint32, ts *storage.Tablespace, poo
 		return nil, done, err
 	}
 	initNode(h.Data(), objectID, uint64(lpn), true)
-	h.MarkDirty()
 	h.Release()
 	t.root = lpn
 	t.pages = 1
@@ -135,14 +135,10 @@ func initNode(buf []byte, objectID uint32, lpn uint64, leaf bool) {
 	if leaf {
 		pt = storage.PageTypeBTreeLeaf
 	}
-	storage.InitPage(buf, pt, objectID, lpn)
-	var flags uint16
+	storage.InitPage(buf, pt, objectID, lpn) // zeroes it: no keys, no right link
 	if leaf {
-		flags = flagLeaf
+		binary.LittleEndian.PutUint16(buf[offFlags:], flagLeaf)
 	}
-	binary.LittleEndian.PutUint16(buf[offFlags:], flags)
-	binary.LittleEndian.PutUint16(buf[offNumKeys:], 0)
-	binary.LittleEndian.PutUint64(buf[offRight:], 0)
 	binary.LittleEndian.PutUint16(buf[offCellEnd:], uint16(len(buf)))
 }
 
@@ -405,7 +401,6 @@ func (t *Tree) Insert(now sim.Time, key, value []byte) (sim.Time, error) {
 		initNode(buf, t.objectID, uint64(newRootLPN), false)
 		insertCell(buf, 0, sep, encodeChild(t.root))
 		setNodeRight(buf, uint64(newChild))
-		h.MarkDirty()
 		h.Release()
 		t.root = newRootLPN
 		t.height++
@@ -493,13 +488,13 @@ func routeTo(buf []byte, pos int, child core.LPN) {
 	setNodeRight(buf, uint64(child))
 }
 
-// split divides a full node, pinned by h, that has no room for the
-// entry key/val.  The entries, key/val's included, are read from one snapshot
-// of the page: the lower half is rewritten in place and the upper half goes
-// to a new right sibling.  It returns the separator for the parent and the
-// sibling's LPN.  In an internal node newChild is the right half of the child
-// that split (see routeTo), and the middle entry moves up instead of staying
-// in the sibling.  The caller releases h.
+// split divides a full node, pinned by h, that has no room for the entry
+// key/val.  The entries, key/val's included, are read from one snapshot of
+// the page: the lower half is rewritten in place and the upper half goes to a
+// new right sibling.  It returns the separator for the parent, in t.sep, and
+// the sibling's LPN.  In an internal node newChild is the right half of the
+// child that split (see routeTo), and the middle entry moves up instead of
+// staying in the sibling.  The caller releases h.
 func (t *Tree) split(now sim.Time, h *buffer.Handle, buf, key, val []byte, newChild core.LPN) ([]byte, core.LPN, sim.Time, error) {
 	leaf := nodeIsLeaf(buf)
 	snap := t.snapshot(buf)
@@ -537,7 +532,6 @@ func (t *Tree) split(now sim.Time, h *buffer.Handle, buf, key, val []byte, newCh
 		insertCell(rbuf, j-from, k, v)
 	}
 	setNodeRight(rbuf, nodeRight(snap))
-	rh.MarkDirty()
 	rh.Release()
 
 	initNode(buf, storage.PageObjectID(snap), storage.PageLPN(snap), leaf)
@@ -553,7 +547,10 @@ func (t *Tree) split(now sim.Time, h *buffer.Handle, buf, key, val []byte, newCh
 	h.MarkDirty()
 
 	t.pages++
-	return append([]byte(nil), sepKey...), rightLPN, now, nil
+	// The entries are all placed: key, which a parent's split may have been
+	// handed in t.sep, is read no more.
+	t.sep = append(t.sep[:0], sepKey...)
+	return t.sep, rightLPN, now, nil
 }
 
 // Delete removes key from the tree.

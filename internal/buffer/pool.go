@@ -504,14 +504,15 @@ func (p *Pool) noteGroupWrite(start, done sim.Time, n int) {
 }
 
 // NewPage pins a frame for a brand-new page without reading the backend.
-// The frame starts zeroed, dirty and writable.
+// The frame is dirty and writable, and what it holds is not the page's: the
+// caller formats every byte (storage.InitPage zeroes the page).
 func (p *Pool) NewPage(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim.Time, error) {
 	s := p.shardOf(lpn)
 	p.counts.NewPages++
 	f := p.resident(s, lpn)
 	if f != nil {
 		// The page is already resident (e.g. re-created after a trim); reuse
-		// the frame and reset its contents.
+		// the frame.
 		f.pins++
 		f.ref = true
 	} else {
@@ -521,7 +522,10 @@ func (p *Pool) NewPage(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim
 		}
 	}
 	f.dirty = true
-	clear(f.handle.Writable())
+	if !f.own { // a buffer of its own, with none of the bytes the frame held
+		f.bufs.Release(f.data)
+		f.data, f.own = f.bufs.PageBuf(), true
+	}
 	return &f.handle, now, nil
 }
 

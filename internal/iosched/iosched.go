@@ -129,7 +129,7 @@ type Scheduler struct {
 	order     []int      // scratch of dispatchOrder
 	byDie     [][]int    // scratch of dispatchOrder: request indices per die
 
-	batches, maxBatch int64 // batches dispatched and the largest of them
+	counts Counts // what Counts returns
 
 	tracer *obs.Tracer // nil when tracing is off: one nil compare per command
 }
@@ -145,15 +145,17 @@ func New(dev *flash.Device) *Scheduler {
 // AttachObs sends flash-command trace events to tr (nil = tracing off).
 func (s *Scheduler) AttachObs(tr *obs.Tracer) { s.tracer = tr }
 
-// Batches returns the number of batches dispatched and the largest of them.
-func (s *Scheduler) Batches() (n, largest int64) {
-	return s.batches, s.maxBatch
-}
+// Counts is what the scheduler counts since the last ResetCounters: the
+// batches it dispatched, one per Submit, and the largest of them.
+type Counts struct{ Batches, MaxBatch int64 }
 
-// ResetCounters zeroes the batch counts and every die's completion horizon:
-// the device's die timelines restart with its counters (after warm-up).
+// Counts returns the scheduler's counts.
+func (s *Scheduler) Counts() Counts { return s.counts }
+
+// ResetCounters zeroes the counts and every die's completion horizon: the
+// device's die timelines restart with its counters (after warm-up).
 func (s *Scheduler) ResetCounters() {
-	s.batches, s.maxBatch = 0, 0
+	s.counts = Counts{}
 	clear(s.busyUntil)
 }
 
@@ -230,8 +232,8 @@ func (s *Scheduler) SubmitAppend(dst []Completion, now sim.Time, reqs []Request)
 		}
 		dst[base+i] = c
 	}
-	s.batches++
-	s.maxBatch = max(s.maxBatch, int64(len(reqs)))
+	s.counts.Batches++
+	s.counts.MaxBatch = max(s.counts.MaxBatch, int64(len(reqs)))
 	return dst, end
 }
 

@@ -279,15 +279,15 @@ func TestSchedulerMetrics(t *testing.T) {
 		{Op: OpReadPage, Addr: flash.Addr{Die: 0, Block: 0, Page: 1}, Priority: PrioHostRead},
 		{Op: OpReadPage, Addr: flash.Addr{Die: 1, Block: 0, Page: 0}, Priority: PrioHostRead},
 	})
-	if n, largest := s.Batches(); n != 2 || largest != 2 {
-		t.Errorf("batches = %d, largest %d, want 2 and 2", n, largest)
+	if c := s.Counts(); c != (Counts{Batches: 2, MaxBatch: 2}) {
+		t.Errorf("counts = %+v, want 2 batches, the largest of 2", c)
 	}
 	if s.DieIdleAt(0) == 0 {
 		t.Fatal("die 0 served two reads and is idle at 0")
 	}
 	s.ResetCounters()
-	if n, largest := s.Batches(); n != 0 || largest != 0 {
-		t.Errorf("ResetCounters left %d batches, largest %d", n, largest)
+	if c := s.Counts(); c != (Counts{}) {
+		t.Errorf("ResetCounters left %+v", c)
 	}
 	for d := range dev.Geometry().Dies() {
 		if at := s.DieIdleAt(d); at != 0 {

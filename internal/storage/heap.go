@@ -100,7 +100,6 @@ func (h *HeapFile) Insert(now sim.Time, rec []byte) (RID, sim.Time, error) {
 	if err != nil {
 		return RID{}, done, fmt.Errorf("heap %s: insert into fresh page: %w", h.name, err)
 	}
-	handle.MarkDirty()
 	h.pages = append(h.pages, newLPN)
 	h.lastPage = newLPN
 	h.records++
@@ -223,7 +222,6 @@ func (h *HeapFile) InsertBatch(now sim.Time, recs [][]byte) ([]RID, sim.Time, er
 		}
 		now = done
 		copy(handle.Data(), cur)
-		handle.MarkDirty()
 		handle.Release()
 	} else {
 		newPages = newPages[:len(newPages)-1] // the empty tail was never used
@@ -246,8 +244,7 @@ func (h *HeapFile) adoptPages(lpns []core.LPN, records int64) {
 }
 
 // GetBatch returns copies of the records identified by rids, in order, carved
-// from slab in at most one new chunk (unless a record grows while it runs).
-// The pages involved are fetched through
+// from slab.  The pages involved are fetched through
 // the buffer pool's batched path, so cold pages on different dies are read
 // concurrently in virtual time.
 func (h *HeapFile) GetBatch(now sim.Time, rids []RID, slab *Slab) ([][]byte, sim.Time, error) {
@@ -273,24 +270,14 @@ func (h *HeapFile) GetBatch(now sim.Time, rids []RID, slab *Slab) ([][]byte, sim
 			hd.Release()
 		}
 	}()
-	// Two passes: size the rows, so that they cost at most one chunk, then
-	// copy them.
-	size := 0
-	for pass := 0; pass < 2; pass++ {
-		slab.Reserve(size)
-		i := 0
-		for _, hd := range handles {
-			for lpn := rids[i].LPN; i < len(rids) && rids[i].LPN == lpn; i++ {
-				rec, err := recordAt(hd.Data(), rids[i].Slot)
-				if err != nil {
-					return nil, now, fmt.Errorf("heap %s: %w (%v)", h.name, ErrNotFound, err)
-				}
-				if pass == 0 {
-					size += len(rec)
-				} else {
-					out[i] = slab.Copy(rec)
-				}
+	i := 0
+	for _, hd := range handles {
+		for lpn := rids[i].LPN; i < len(rids) && rids[i].LPN == lpn; i++ {
+			rec, err := recordAt(hd.Data(), rids[i].Slot)
+			if err != nil {
+				return nil, now, fmt.Errorf("heap %s: %w (%v)", h.name, ErrNotFound, err)
 			}
+			out[i] = slab.Copy(rec)
 		}
 	}
 	return out, now, nil
@@ -382,11 +369,8 @@ func (h *HeapFile) Scan(now sim.Time, slab *Slab, fn func(rid RID, rec []byte) b
 		now = done
 		stop := false
 		err = IterateRecords(handle.Data(), func(slot uint16, rec []byte) bool {
-			if !fn(RID{LPN: uint64(lpn), Slot: slot}, slab.Copy(rec)) {
-				stop = true
-				return false
-			}
-			return true
+			stop = !fn(RID{LPN: uint64(lpn), Slot: slot}, slab.Copy(rec))
+			return !stop
 		})
 		handle.Release()
 		if err != nil {
@@ -409,17 +393,20 @@ type Slab struct{ chunk []byte }
 
 const slabMin, slabMax = 256, 64 << 10
 
-// Reserve makes room for n more bytes of copies in the current chunk.
-func (s *Slab) Reserve(n int) {
+// Free returns the empty end of the current chunk, with room for n bytes: a
+// caller appends at most that much to it and hands the result to Take.
+func (s *Slab) Free(n int) []byte {
 	if cap(s.chunk)-len(s.chunk) < n {
 		s.chunk = make([]byte, 0, max(n, slabMin, min(2*cap(s.chunk), slabMax)))
 	}
+	return s.chunk[len(s.chunk):]
+}
+
+// Take hands out b, what was appended to the slice Free returned.
+func (s *Slab) Take(b []byte) []byte {
+	s.chunk = s.chunk[:len(s.chunk)+len(b)]
+	return b[:len(b):len(b)]
 }
 
 // Copy returns a copy of b.
-func (s *Slab) Copy(b []byte) []byte {
-	s.Reserve(len(b))
-	n := len(s.chunk)
-	s.chunk = append(s.chunk, b...)
-	return s.chunk[n:len(s.chunk):len(s.chunk)]
-}
+func (s *Slab) Copy(b []byte) []byte { return s.Take(append(s.Free(len(b)), b...)) }

@@ -66,16 +66,13 @@ const (
 )
 
 // InitPage formats buf as an empty slotted page of the given type belonging
-// to the given object.
+// to the given object: it zeroes every byte, then writes the header.
 func InitPage(buf []byte, pageType uint8, objectID uint32, lpn uint64) {
-	for i := range buf {
-		buf[i] = 0
-	}
+	clear(buf)
 	binary.LittleEndian.PutUint16(buf[offMagic:], pageMagic)
 	buf[offPageType] = pageType
 	binary.LittleEndian.PutUint32(buf[offObjectID:], objectID)
 	binary.LittleEndian.PutUint64(buf[offLPN:], lpn)
-	binary.LittleEndian.PutUint16(buf[offSlotCount:], 0)
 	binary.LittleEndian.PutUint16(buf[offFreeStart:], PageHeaderSize)
 	binary.LittleEndian.PutUint16(buf[offFreeEnd:], uint16(len(buf)))
 }

@@ -756,15 +756,19 @@ func TestConfigDefaults(t *testing.T) {
 // TestAllocationsPerTransaction caps the host cost of a TPC-C transaction: the
 // heap allocations per committed transaction of each type run alone, and of
 // the standard mix, on the tiny database under multi-region placement.  The mix
-// measured 3.9 (13.5 before lock names were built once per schema, lock
-// states carved in chunks and a transaction's scans shared one key slab; 76
-// before rows decoded into fixed-width fields, scans copied their keys into
-// one slab, and begin, locking, dispatch and GC reused what they own; 405
-// before a page pin, a row decode, an index lookup and a log record stopped
-// allocating what nothing keeps; 142 before a terminal read, encoded and keyed
-// its rows in buffers it owns); NewOrder 4.9, Payment 1.9, OrderStatus 2.9,
-// Delivery (ten districts) 10.0 and StockLevel 5.7.  Each ceiling is the
-// measured value plus 30 %.
+// measures 0.5 (2.1 before a Tx was cut from chunks of the database's, reads
+// copied their rows and keys into one slab of the database's and a split
+// reused its separator buffer; 3.9 before lock names were built once per
+// schema, lock states carved in chunks and a transaction's scans shared one
+// key slab; 76 before rows decoded into fixed-width fields, scans copied their
+// keys into one slab, and begin, locking, dispatch and GC reused what they
+// own; 405 before a page pin, a row decode, an index lookup and a log record
+// stopped allocating what nothing keeps; 142 before a terminal read, encoded
+// and keyed its rows in buffers it owns); NewOrder 0.5, Payment 0.1,
+// OrderStatus 0.3, Delivery (ten districts) 0.9 and StockLevel 0.5.  What is
+// left is mostly the simulation growing: lock states for keys never locked
+// before, the die timelines, the loops over Stock-Level's and Delivery's
+// scans.  Each ceiling is about twice the measured value.
 func TestAllocationsPerTransaction(t *testing.T) {
 	dbCfg := noftl.DefaultConfig()
 	dbCfg.Flash.Geometry = flash.Geometry{
@@ -808,8 +812,8 @@ func TestAllocationsPerTransaction(t *testing.T) {
 		n       int
 		ceiling float64
 	}{
-		{TxnNewOrder, 100, 6.4}, {TxnPayment, 100, 2.5}, {TxnOrderStatus, 100, 3.8},
-		{TxnDelivery, 10, 13}, {TxnStockLevel, 50, 7.4},
+		{TxnNewOrder, 100, 1}, {TxnPayment, 100, 0.5}, {TxnOrderStatus, 100, 0.8},
+		{TxnDelivery, 10, 2}, {TxnStockLevel, 50, 1.2},
 	} {
 		t.Run(c.typ.String(), func(t *testing.T) {
 			perTxn(t, c.ceiling, func() (committed int64) {
@@ -832,7 +836,7 @@ func TestAllocationsPerTransaction(t *testing.T) {
 		})
 	}
 	t.Run("mix", func(t *testing.T) {
-		perTxn(t, 5.1, func() int64 {
+		perTxn(t, 1, func() int64 {
 			res, err := Run(db, sch, cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -13,8 +13,13 @@ import (
 //	    ...
 //	}
 //
-// Every row is the caller's to keep, copied into the transaction's slab (see
-// Range).  Breaking out of the loop stops the scan.  A scan failure ends the
+// Every row is the caller's to keep: the rows and keys that Rows, Range,
+// Prefix, Get and GetBatch hand out are copied into chunks of up to 64 KB that
+// all transactions share and nothing rewrites, so a read allocates per chunk,
+// not per row, key or transaction.  Each is capped at its length: appending to
+// one never writes into the next.  One that is kept keeps its whole chunk
+// alive, so a caller that keeps a few rows for long should copy them, or read
+// them with GetAppend.  Breaking out of the loop stops the scan.  A scan failure ends the
 // iteration early and is recorded on the transaction (Tx.Err); db.Update
 // refuses to commit while such an error is pending.  The scan and its loop
 // body are one operation (see DB): the body may read through tx, but not
@@ -24,7 +29,7 @@ func (t *Table) Rows(tx *Tx) iter.Seq2[RID, []byte] {
 		tx.enterScan(&t.scans)
 		defer tx.exitScan(&t.scans)
 		tx.chargeOps(1)
-		tx.endScan(t.heap.Scan(tx.Now(), &tx.slab, yield))
+		tx.endScan(t.heap.Scan(tx.Now(), &t.db.slab, yield))
 	}
 }
 
@@ -35,16 +40,11 @@ func (t *Table) Rows(tx *Tx) iter.Seq2[RID, []byte] {
 //	    ...
 //	}
 //
-// Every key is the caller's to keep: the keys and rows of all the
-// transaction's reads (Range, Prefix, Rows, GetBatch) are copied into chunks
-// it holds, whose size doubles as they fill and which are never rewritten, so
-// a transaction allocates per chunk, not per key or per scan, and a key is
-// capped at its length (appending to it never writes into the next).  A key
-// that is kept keeps its chunk alive.  Breaking out of the loop stops the
-// scan.  A scan failure ends the iteration early and is recorded on the
-// transaction (Tx.Err).  The scan and its loop body are one operation (see
-// DB): the body may read through tx, this index included, but not write to
-// the index.
+// Every key is the caller's to keep (see Table.Rows).  Breaking out of the
+// loop stops the scan.  A scan failure ends the iteration early and is
+// recorded on the transaction (Tx.Err).  The scan and its loop body are one
+// operation (see DB): the body may read through tx, this index included, but
+// not write to the index.
 func (i *Index) Range(tx *Tx, lo, hi []byte) iter.Seq2[[]byte, RID] {
 	return func(yield func([]byte, RID) bool) {
 		tx.enterScan(&i.scans)
@@ -80,7 +80,7 @@ func (tx *Tx) exitScan(scans *int) {
 
 // ridEntry hands one entry of the tree's raw (key, value) callback, whose
 // slices alias the tree's page, to an iterator body: the RID is decoded in
-// place and the body gets a copy of the key, carved from the transaction's
+// place and the body gets a copy of the key, carved from the database's
 // slab.  A value that does not decode as a RID ends the scan and is recorded
 // on the transaction.
 func (tx *Tx) ridEntry(k, v []byte, yield func([]byte, RID) bool) bool {
@@ -89,7 +89,7 @@ func (tx *Tx) ridEntry(k, v []byte, yield func([]byte, RID) bool) bool {
 		tx.endScan(0, err)
 		return false
 	}
-	return yield(tx.slab.Copy(k), rid)
+	return yield(tx.db.slab.Copy(k), rid)
 }
 
 // endScan advances the transaction to the completion time of a finished

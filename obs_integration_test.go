@@ -620,8 +620,9 @@ func reopenCounts(st Stats) string {
 			r.WearMoves, r.SpilledWrites, r.ValidPages, r.RetainedPages,
 			r.ReadLatency.Count, r.ReadLatency.Mean, r.WriteLatency.Count, r.WriteLatency.Mean)
 	}
-	w := st.WAL
-	fmt.Fprintf(&b, "scheduler %+v\nbuffer %+v\n", st.Scheduler, st.Buffer)
+	sc, w := st.Scheduler, st.WAL
+	fmt.Fprintf(&b, "scheduler {Batches:%d Requests:%d MaxBatch:%d HostReads:%d HostWrites:%d GC:%d GCSteps:%d GCStalls:%d}\nbuffer %+v\n",
+		sc.Batches, sc.Requests, sc.MaxBatch, sc.HostReads, sc.HostWrites, sc.GC, sc.GCSteps, sc.GCStalls, st.Buffer)
 	fmt.Fprintf(&b, "wal {Appended:%d Flushes:%d Pages:%d FlushedLSN:%d GroupCommits:%d BytesAppended:%d BytesTrimmed:%d BytesLive:%d PagesTrimmed:%d Checkpoint:%+v}\n",
 		w.Appended, w.Flushes, w.Pages, w.FlushedLSN, w.GroupCommits, w.BytesAppended, w.BytesTrimmed, w.BytesLive, w.PagesTrimmed, w.Checkpoint)
 	return b.String()

@@ -8,6 +8,7 @@ import (
 	"noftl/internal/buffer"
 	"noftl/internal/core"
 	"noftl/internal/flash"
+	"noftl/internal/iosched"
 	"noftl/internal/metrics"
 	"noftl/internal/sim"
 	"noftl/internal/txn"
@@ -56,14 +57,12 @@ type ObjectCounters = core.ObjectCounters
 
 // SchedulerStats is a snapshot of the I/O scheduler's counters.
 type SchedulerStats struct {
-	// Batches counts scheduler submissions (one Submit dispatch, covering
-	// one or more requests).
-	Batches int64
+	// Counts holds what the scheduler counts: its batches (Batches) and the
+	// largest of them (MaxBatch).
+	iosched.Counts
 	// Requests counts the flash commands the device carried out:
 	// HostReads + HostWrites + GC.
 	Requests int64
-	// MaxBatch is the largest batch dispatched so far.
-	MaxBatch int64
 	// HostReads, HostWrites and GC count commands per class.  They are the
 	// device's counts: Device.Reads, Device.Programs and Device.Copybacks +
 	// Device.Erases.
@@ -166,7 +165,6 @@ func (db *DB) Stats() Stats {
 	for _, r := range space.Regions {
 		reads, writes = append(reads, r.ReadLatency), append(writes, r.WriteLatency)
 	}
-	batches, maxBatch := db.space.Scheduler().Batches()
 	dev := db.dev.Stats()
 	gc := dev.Copybacks + dev.Erases
 	st := Stats{
@@ -175,7 +173,7 @@ func (db *DB) Stats() Stats {
 		Txn:       db.txns.LockManager().Stats(),
 		Buffer:    db.pool.Stats(),
 		Scheduler: SchedulerStats{
-			Batches: batches, Requests: dev.Reads + dev.Programs + gc, MaxBatch: maxBatch,
+			Counts: db.space.Scheduler().Counts(), Requests: dev.Reads + dev.Programs + gc,
 			HostReads: dev.Reads, HostWrites: dev.Programs, GC: gc,
 			GCSteps: space.BGGCSteps, GCStalls: space.GCStalls,
 		},

@@ -38,10 +38,9 @@ const (
 type Tx struct {
 	db      *DB
 	inner   txn.Txn
-	iterErr error        // first error hit inside a Rows/Range iteration
-	open    bool         // counted in db.open
-	depth   int32        // its operations in progress: > 1 inside a scan's body
-	slab    storage.Slab // the keys and rows its reads hand out
+	iterErr error // first error hit inside a Rows/Range iteration
+	open    bool  // counted in db.open
+	depth   int32 // its operations in progress: > 1 inside a scan's body
 }
 
 // enter starts an operation of the transaction: it takes the database's
@@ -218,9 +217,14 @@ func (t *Table) Insert(tx *Tx, row []byte) (RID, error) {
 	return rid, tx.logRow(wal.RecInsert, t.meta.ObjectID, rid, row)
 }
 
-// Get returns the row stored under rid.  An unknown or deleted record is
-// reported as ErrNotFound.
-func (t *Table) Get(tx *Tx, rid RID) ([]byte, error) { return t.GetAppend(tx, rid, nil) }
+// Get returns the row stored under rid, copied into the database's slab (see
+// Rows).  An unknown or deleted record is reported as ErrNotFound.
+func (t *Table) Get(tx *Tx, rid RID) ([]byte, error) {
+	tx.enter() // the slab is the database's
+	defer tx.exit()
+	row, err := t.GetAppend(tx, rid, t.db.slab.Free(t.db.pool.PageSize()))
+	return t.db.slab.Take(row), err // on error row is empty
+}
 
 // GetAppend is Get into a buffer the caller owns: it appends the row stored
 // under rid to dst and returns the extended slice, so a caller that passes the
