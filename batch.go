@@ -7,18 +7,23 @@ import (
 	"noftl/internal/wal"
 )
 
-// InsertBatch adds a batch of rows and returns their RIDs in order.  It is
-// the batch-first counterpart of Insert: the tail page is filled first, the
-// remaining rows are packed into full page images, and those pages go to
-// flash as one die-striped I/O-scheduler batch — a single scheduler
-// submission however many pages the batch spans, instead of one submission
-// per page write-back on the row-at-a-time path.
+// InsertBatch adds a batch of rows and returns their RIDs in order; Insert is
+// a batch of one row.  The tail page is filled first, the remaining rows are
+// packed into full page images, and those pages go to flash as one
+// die-striped I/O-scheduler batch: a single scheduler submission however many
+// pages the batch spans, instead of one submission per page write-back.
 //
 // Like a loop of Insert calls, a mid-batch failure leaves the rows applied
 // so far in place: they are returned (with their WAL records written)
 // alongside the error, and the caller decides whether to abort the
 // transaction.
 func (t *Table) InsertBatch(tx *Tx, rows [][]byte) ([]RID, error) {
+	return t.insert(tx, rows, make([]RID, 0, len(rows)))
+}
+
+// insert is InsertBatch appending the RIDs to rids, which is empty: Insert
+// hands it an array of its own, so a row insert allocates nothing here.
+func (t *Table) insert(tx *Tx, rows [][]byte, rids []RID) ([]RID, error) {
 	tx.enter()
 	defer tx.exit()
 	if err := tx.writable(t.scans, t.meta.Name); err != nil {
@@ -28,7 +33,7 @@ func (t *Table) InsertBatch(tx *Tx, rows [][]byte) ([]RID, error) {
 	if err := t.loggable(rows...); err != nil {
 		return nil, err
 	}
-	rids, done, err := t.heap.InsertBatch(tx.Now(), rows)
+	rids, done, err := t.heap.InsertBatch(tx.Now(), rows, rids)
 	tx.inner.AdvanceTo(done)
 	for i, rid := range rids {
 		if lerr := tx.logRow(wal.RecInsert, t.meta.ObjectID, rid, rows[i]); lerr != nil && err == nil {

@@ -223,7 +223,7 @@ func TestCrashAtEveryCommandOfRecovery(t *testing.T) {
 			}
 			db, _ := stolenPages(t)
 			img := db.Crash()
-			_, err := Reopen(img, WithFaultPlan(FaultPlan{Seed: 3, CrashAfterOps: op, TornTailBytes: tornBytes}))
+			_, err := Reopen(img, WithFaultPlan(FaultPlan{CrashAfterOps: op, TornTailBytes: tornBytes}))
 			if err == nil {
 				commands = op - 1
 				break
@@ -275,7 +275,7 @@ func TestCrashBetweenDropTableAndItsCheckpoint(t *testing.T) {
 	valid := db.Stats().Space.ValidPages
 	// The drop's checkpoint has nothing to flush: its first device command is
 	// the log force, and that is where the device dies.
-	db.Admin().ArmFaults(FaultPlan{Seed: 1, CrashAfterOps: 1})
+	db.Admin().ArmFaults(FaultPlan{CrashAfterOps: 1})
 	if err := db.DropTable("T"); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("drop under the fault plan: err=%v, want ErrCrashed", err)
 	}

@@ -668,14 +668,97 @@ func TestBeginLockAbortAllocatesNothing(t *testing.T) {
 	}
 	run() // the lock table keeps the state a key gets at its first lock
 	const runs = 640
+	if n := float64(mallocs(func() {
+		for range runs {
+			run()
+		}
+	})) / runs; n > 0.05 {
+		t.Errorf("BeginAt, 16 Locks and Abort allocate %v times, want at most 0.05", n)
+	}
+}
+
+// mallocs returns the heap allocations fn makes, counted by runtime.MemStats
+// (testing.AllocsPerRun truncates to a whole number per run).
+func mallocs(fn func()) uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	before := ms.Mallocs
-	for range runs {
-		run()
-	}
+	fn()
 	runtime.ReadMemStats(&ms)
-	if n := float64(ms.Mallocs-before) / runs; n > 0.05 {
-		t.Errorf("BeginAt, 16 Locks and Abort allocate %v times, want at most 0.05", n)
+	return ms.Mallocs - before
+}
+
+// TestRowInsertsAllocateNothing: a row insert is a batch of one, and one that
+// opens a heap page allocates nothing either.  5 000 rows of 300 bytes open a
+// page every 6 rows; what they allocate is the simulation's growth (the dies'
+// timelines, the device's page store, the heap's page list), well below one
+// allocation per page opened.
+func TestRowInsertsAllocateNothing(t *testing.T) {
+	db, err := OpenConfig(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable("T", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]byte, 300)
+	tx := db.Begin()
+	defer tx.Abort()
+	n := mallocs(func() {
+		for range 5000 {
+			if _, err := tbl.Insert(tx, row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	per := float64(n) / float64(tbl.PageCount())
+	t.Logf("%d allocations, %.2f per page opened", n, per)
+	if per > 0.5 {
+		t.Errorf("inserts allocate %.2f times per page they open, want at most 0.5", per)
+	}
+}
+
+// TestGetBatchOfResidentPagesAllocatesOnce: a batch read of resident pages
+// allocates the rows' slice it returns and nothing else of its own; the
+// database's slab adds a chunk per 64 KiB or less of rows it copies.
+func TestGetBatchOfResidentPagesAllocatesOnce(t *testing.T) {
+	db, err := OpenConfig(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable("T", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]byte, 500)
+	for i := range rows {
+		rows[i] = make([]byte, 100)
+	}
+	var rids []RID
+	if err := db.Update(func(tx *Tx) error {
+		rids, err = tbl.InsertBatch(tx, rows)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	batch := rids[200:250] // 50 rows, 5 000 bytes, on a few pages
+	tx := db.Begin()
+	defer tx.Abort()
+	if _, err := tbl.GetBatch(tx, batch); err != nil { // make the pages resident
+		t.Fatal(err)
+	}
+	const runs = 200
+	n := mallocs(func() {
+		for range runs {
+			if _, err := tbl.GetBatch(tx, batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if per := float64(n) / runs; per > 1.1 {
+		t.Errorf("a GetBatch of resident pages allocates %.3f times, want at most 1.1", per)
 	}
 }

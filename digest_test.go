@@ -29,8 +29,8 @@ const digestChunk = 1024
 
 // TestTracedRunDigest runs tiny TPC-C once per placement (Figure 3's setup, one
 // driver, so the run is a function of its seed) with every event traced and
-// compares a SHA-256 over every field of every event except Wall, the host's
-// clock, with the digest recorded for the placement.  A change that must not
+// compares a SHA-256 over every field of every event with the digest recorded
+// for the placement.  A change that must not
 // alter what the engine does, in what order and at what virtual time, leaves
 // both digests as they are.  It also compares one SHA-256 per 1 024 events
 // with the chunk digests recorded in testdata: on a mismatch it prints the
@@ -133,7 +133,7 @@ func sha256Hex(s string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// digestEvents returns the SHA-256 of events (every field but Wall), one
+// digestEvents returns the SHA-256 of events (every field), one
 // SHA-256 per digestChunk events, and the count of events per class.
 func digestEvents(events []obs.Event) (digest string, chunks []string, classes string) {
 	h, chunk := sha256.New(), sha256.New()
@@ -176,7 +176,7 @@ func firstDifference(got, want []string) int {
 // buffer pool, with the log on and a snapshot checkpoint every 200
 // transactions.  Past the half it cuts the power, recovers, and runs the rest
 // on the recovered database.  Both instances are traced.  The SHA-256 of
-// their events (every field but Wall), of the recovery's statistics and of
+// their events (every field), of the recovery's statistics and of
 // the final Stats, each dumped field by field, must equal the recorded ones;
 // every row must match its last committed image after the recovery and at the
 // end.

@@ -101,7 +101,7 @@ func TestNoByteChangesAfterProgramTPCC(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.CheckpointEvery = 250
-	db.Admin().ArmFaults(noftl.FaultPlan{Seed: 1, FailProgramEvery: 101})
+	db.Admin().ArmFaults(noftl.FaultPlan{FailProgramEvery: 101})
 	if _, err := tpcc.Run(db, sch, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestNoByteChangesAfterProgramKV(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db.Admin().ArmFaults(noftl.FaultPlan{Seed: 2, FailProgramEvery: 53})
+	db.Admin().ArmFaults(noftl.FaultPlan{FailProgramEvery: 53})
 	r := sim.NewRand(42)
 	for op := 1; op <= 6000; op++ {
 		k := r.Intn(rows / 5)

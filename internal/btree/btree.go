@@ -342,24 +342,34 @@ func (t *Tree) Get(now sim.Time, key []byte) ([]byte, sim.Time, bool, error) {
 // GetAppend is Get appending the value to dst: a caller that only decodes the
 // value passes a buffer of its own, and the lookup allocates nothing.
 func (t *Tree) GetAppend(now sim.Time, key, dst []byte) ([]byte, sim.Time, bool, error) {
+	h, now, err := t.leaf(now, key)
+	if err != nil {
+		return nil, now, false, err
+	}
+	buf := h.Data()
+	i, found := search(buf, key)
+	if found {
+		_, v := cellAt(buf, i)
+		dst = append(dst, v...)
+	}
+	h.Release()
+	return dst, now, found, nil
+}
+
+// leaf returns the leaf that holds key, or would hold it, pinned: the one
+// root-to-leaf descent of lookups, deletes and scans.
+func (t *Tree) leaf(now sim.Time, key []byte) (*buffer.Handle, sim.Time, error) {
 	lpn := t.root
 	for {
 		h, done, err := t.pool.Fetch(now, lpn, t.hint())
 		if err != nil {
-			return nil, done, false, err
+			return nil, done, err
 		}
 		now = done
-		buf := h.Data()
-		if nodeIsLeaf(buf) {
-			i, found := search(buf, key)
-			if found {
-				_, v := cellAt(buf, i)
-				dst = append(dst, v...)
-			}
-			h.Release()
-			return dst, now, found, nil
+		if nodeIsLeaf(h.Data()) {
+			return h, now, nil
 		}
-		lpn = t.descend(buf, key)
+		lpn = t.descend(h.Data(), key)
 		h.Release()
 	}
 }
@@ -555,30 +565,19 @@ func (t *Tree) split(now sim.Time, h *buffer.Handle, buf, key, val []byte, newCh
 
 // Delete removes key from the tree.
 func (t *Tree) Delete(now sim.Time, key []byte) (sim.Time, error) {
-	lpn := t.root
-	for {
-		h, done, err := t.pool.Fetch(now, lpn, t.hint())
-		if err != nil {
-			return done, err
-		}
-		now = done
-		buf := h.Data()
-		if nodeIsLeaf(buf) {
-			i, found := search(buf, key)
-			if !found {
-				h.Release()
-				return now, fmt.Errorf("%w: delete", ErrNotFound)
-			}
-			removeCell(h.Writable(), i)
-			h.MarkDirty()
-			h.Release()
-			t.entries--
-			return now, nil
-		}
-		next := t.descend(buf, key)
-		h.Release()
-		lpn = next
+	h, now, err := t.leaf(now, key)
+	if err != nil {
+		return now, err
 	}
+	defer h.Release()
+	i, found := search(h.Data(), key)
+	if !found {
+		return now, fmt.Errorf("%w: delete", ErrNotFound)
+	}
+	removeCell(h.Writable(), i)
+	h.MarkDirty()
+	t.entries--
+	return now, nil
 }
 
 // Scan iterates over all entries with startKey <= key < endKey in ascending
@@ -586,23 +585,13 @@ func (t *Tree) Delete(now sim.Time, key []byte) (sim.Time, error) {
 // false stops the scan.  The key and value fn receives alias the pinned leaf
 // page: they are valid only until fn returns, so fn copies what it keeps.
 func (t *Tree) Scan(now sim.Time, startKey, endKey []byte, fn func(key, value []byte) bool) (sim.Time, error) {
-	// Descend to the leaf containing startKey.
-	lpn := t.root
-	for {
-		h, done, err := t.pool.Fetch(now, lpn, t.hint())
-		if err != nil {
-			return done, err
-		}
-		now = done
-		buf := h.Data()
-		if nodeIsLeaf(buf) {
-			h.Release()
-			break
-		}
-		next := t.descend(buf, startKey)
-		h.Release()
-		lpn = next
+	// Find the leaf containing startKey; the walk fetches it again.
+	h, now, err := t.leaf(now, startKey)
+	if err != nil {
+		return now, err
 	}
+	lpn := h.LPN()
+	h.Release()
 	// Walk the leaf chain.
 	for lpn != 0 {
 		h, done, err := t.pool.Fetch(now, lpn, t.hint())

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"noftl/internal/core"
 	"noftl/internal/obs"
@@ -277,7 +278,10 @@ func (p *Pool) Stats() Stats {
 func (p *Pool) ResetCounters() { p.counts = Stats{} }
 
 // Fetch pins the page, reading it from the backend on a miss.  The returned
-// time includes any eviction write-back and the read itself.
+// time includes any eviction write-back and the read itself.  It is not
+// FetchMany of one page: most fetches are resident hits, and a hit through
+// FetchMany's loop costs about 2.5 times as much (BenchmarkFetchHit's loop
+// timed both ways: 8 ns against 21 ns on a 2-vCPU Xeon).
 func (p *Pool) Fetch(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim.Time, error) {
 	s := p.shardOf(lpn)
 	if f := p.resident(s, lpn); f != nil {
@@ -295,13 +299,18 @@ func (p *Pool) Fetch(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim.T
 }
 
 // FetchMany pins a set of pages, reading every non-resident page from the
-// backend in one die-striped scheduler batch.  The returned handles align
-// with lpns (a duplicate is one more pin of the same frame, released once per
-// position); the returned time is the batch makespan plus any eviction
-// write-back the frame allocations caused.  On error no handles are retained.
-// When every page is resident the returned slice is all it allocates.
-func (p *Pool) FetchMany(now sim.Time, lpns []core.LPN, hint core.Hint) ([]*Handle, sim.Time, error) {
-	handles := make([]*Handle, len(lpns))
+// backend in one die-striped scheduler batch.  It appends one handle per lpn
+// to dst and returns the extended slice: the handles align with lpns (a
+// duplicate is one more pin of the same frame, released once per position).
+// The returned time is the batch makespan plus any eviction write-back the
+// frame allocations caused.  On error no handles are retained and dst is
+// returned unchanged.  When every page is resident and dst has room, it
+// allocates nothing.
+func (p *Pool) FetchMany(dst []*Handle, now sim.Time, lpns []core.LPN, hint core.Hint) ([]*Handle, sim.Time, error) {
+	base := len(dst)
+	dst = slices.Grow(dst, len(lpns))[:base+len(lpns)]
+	handles := dst[base:]
+	clear(handles)
 	var (
 		misses  []*Frame
 		missPos []int
@@ -349,18 +358,18 @@ func (p *Pool) FetchMany(now sim.Time, lpns []core.LPN, hint core.Hint) ([]*Hand
 				p.unpin(f, true)
 			}
 			releaseHits()
-			return nil, now, err
+			return dst[:base], now, err
 		}
 	}
 	if len(misses) == 0 {
-		return handles, now, nil
+		return dst, now, nil
 	}
 	end, err := p.fill(now, misses)
 	if err != nil {
 		releaseHits()
-		return nil, end, err
+		return dst[:base], end, err
 	}
-	return handles, end, nil
+	return dst, end, nil
 }
 
 // resident returns the frame of partition s that holds lpn, or nil when the

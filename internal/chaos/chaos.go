@@ -34,7 +34,7 @@ import (
 // Config parameterises one chaos run.  The zero value (plus a seed) is a
 // sensible campaign member.
 type Config struct {
-	// Seed drives the workload, the crash point and every fault decision.
+	// Seed drives the workload and the crash point.
 	Seed uint64
 	// Txns is the number of transactions the workload attempts before a
 	// clean crash is forced (default 250).  The injected crash usually fires
@@ -192,7 +192,6 @@ func (w *runner) life(db *noftl.DB, life int, rep *Report) (delta, error) {
 	tbl, _ := db.Table("KV") // both exist: Run created them, verify found them
 	idx, _ := db.Index("KV_PK")
 	plan := noftl.FaultPlan{
-		Seed:             cfg.Seed + uint64(life),
 		CrashAfterOps:    cfg.CrashAfterOps,
 		FailProgramEvery: cfg.FailProgramEvery,
 		FailEraseEvery:   cfg.FailEraseEvery,

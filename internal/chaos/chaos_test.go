@@ -137,7 +137,7 @@ func TestGroupCommitCrashAtomicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Admin().ArmFaults(noftl.FaultPlan{Seed: 99, CrashAfterOps: 300})
+	db.Admin().ArmFaults(noftl.FaultPlan{CrashAfterOps: 300})
 
 	const workers, txnsPer, rowsPer = 4, 40, 3
 	// acked[w][t] = the worker's t-th transaction got a successful Commit.

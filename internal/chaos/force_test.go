@@ -94,7 +94,7 @@ func TestForceCrashPoints(t *testing.T) {
 				for op := 1; op <= pages+1; op++ {
 					name := fmt.Sprintf("dies=%d/pages=%d/torn=%d/op=%d", logDies, pages, tornBytes, op)
 					r := newForceRun(t, logDies, rows)
-					r.db.Admin().ArmFaults(noftl.FaultPlan{Seed: 1, CrashAfterOps: int64(op), TornTailBytes: tornBytes})
+					r.db.Admin().ArmFaults(noftl.FaultPlan{CrashAfterOps: int64(op), TornTailBytes: tornBytes})
 					_, err := r.tx.Commit()
 					want := r.acked
 					if op > pages {

@@ -58,6 +58,9 @@ func faultCampaignBatched(t *testing.T, plan flash.FaultPlan, batch int) {
 	if st.ValidPages != pages {
 		t.Fatalf("valid pages = %d, want %d", st.ValidPages, pages)
 	}
+	if plan.FailEraseEvery > 0 && dev.Stats().BadBlocks == 0 {
+		t.Fatal("no erase failed; the campaign retired no block")
+	}
 	for i := 0; i < pages; i++ {
 		got, _, err := m.ReadPage(now, start+LPN(i), nil)
 		if err != nil {
@@ -77,20 +80,21 @@ func faultCampaignBatched(t *testing.T, plan flash.FaultPlan, batch int) {
 // failed (now bad) block must retire without losing data, and the victim
 // scans must never re-pick it.
 func TestGCSurvivesEraseFailures(t *testing.T) {
-	faultCampaign(t, flash.FaultPlan{Seed: 1, FailEraseEvery: 5})
+	faultCampaign(t, flash.FaultPlan{FailEraseEvery: 5})
 }
 
 // TestGCSurvivesProgramFailures makes every Nth program fault transiently:
 // host writes and GC copybacks must retry on a fresh page (retiring the
 // block if the device marked it bad) without dropping the data being moved.
 func TestGCSurvivesProgramFailures(t *testing.T) {
-	faultCampaign(t, flash.FaultPlan{Seed: 2, FailProgramEvery: 17})
+	faultCampaign(t, flash.FaultPlan{FailProgramEvery: 17})
 }
 
-// TestGCSurvivesCombinedWear combines probabilistic program and erase faults
-// — the worn-device regime where both happen interleaved with relocation.
+// TestGCSurvivesCombinedWear combines program and erase faults in one
+// campaign — the worn-device regime where both happen interleaved with
+// relocation.
 func TestGCSurvivesCombinedWear(t *testing.T) {
-	faultCampaign(t, flash.FaultPlan{Seed: 3, FailProgramProb: 0.02, FailEraseProb: 0.1})
+	faultCampaign(t, flash.FaultPlan{FailProgramEvery: 50, FailEraseEvery: 10})
 }
 
 // TestWritePagesRetriesTransientProgramFaults: one injected program fault
@@ -99,7 +103,7 @@ func TestGCSurvivesCombinedWear(t *testing.T) {
 // those pages again and succeed, exactly as a lone WritePage does.
 func TestWritePagesRetriesTransientProgramFaults(t *testing.T) {
 	dev := smallDevice(t, 4, 32, 8)
-	dev.Arm(flash.FaultPlan{Seed: 1, FailProgramEvery: 7})
+	dev.Arm(flash.FaultPlan{FailProgramEvery: 7})
 	m := NewManager(dev, DefaultOptions())
 
 	const n = 64
@@ -138,7 +142,7 @@ func TestWritePagesRetriesTransientProgramFaults(t *testing.T) {
 // the batch with the error, and the pages that did land stay accounted.
 func TestWritePagesAbortsOnCrash(t *testing.T) {
 	dev := smallDevice(t, 4, 32, 8)
-	dev.Arm(flash.FaultPlan{Seed: 1, CrashAfterOps: 10})
+	dev.Arm(flash.FaultPlan{CrashAfterOps: 10})
 	m := NewManager(dev, DefaultOptions())
 	const n = 32
 	start := m.AllocateLPNs(n)

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-
-	"noftl/internal/sim"
 )
 
 // ErrCrashed reports an operation issued against a device that has hit (or
@@ -25,12 +23,9 @@ var ErrProgramFault = errors.New("flash: injected program failure")
 var ErrEraseFault = errors.New("flash: injected erase failure (worn block)")
 
 // FaultPlan is a deterministic fault-injection schedule.  All decisions
-// derive from Seed and the op sequence, so a plan replayed against the same
-// workload fails at exactly the same points.  The zero value injects
-// nothing.
+// derive from the op sequence, so a plan replayed against the same workload
+// fails at exactly the same points.  The zero value injects nothing.
 type FaultPlan struct {
-	// Seed drives the plan's pseudo-random decisions.
-	Seed uint64
 	// CrashAfterOps crashes the device on the Nth command after arming
 	// (0 = disabled).  Counting includes every read, program, erase and
 	// copyback, so crash points land inside GC relocations, checkpoint
@@ -48,23 +43,16 @@ type FaultPlan struct {
 	// FailEraseEvery injects an ErrEraseFault on every Nth erase
 	// (0 = disabled).  The block is marked bad, modelling wear-out.
 	FailEraseEvery int64
-	// FailProgramProb and FailEraseProb inject the same failures
-	// probabilistically (per command, seeded by Seed).
-	FailProgramProb float64
-	FailEraseProb   float64
 }
 
 // enabled reports whether the plan can ever inject anything.
 func (p FaultPlan) enabled() bool {
-	return p.CrashAfterOps > 0 ||
-		p.FailProgramEvery > 0 || p.FailEraseEvery > 0 ||
-		p.FailProgramProb > 0 || p.FailEraseProb > 0
+	return p.CrashAfterOps > 0 || p.FailProgramEvery > 0 || p.FailEraseEvery > 0
 }
 
 // faultState is the armed plan plus its mutable counters.
 type faultState struct {
 	plan     FaultPlan
-	rng      *sim.Rand
 	ops      int64
 	programs int64
 	erases   int64
@@ -97,7 +85,7 @@ func (d *Device) Arm(plan FaultPlan) {
 		d.fault = nil
 		return
 	}
-	d.fault = &faultState{plan: plan, rng: sim.NewRand(plan.Seed | 1)}
+	d.fault = &faultState{plan: plan}
 }
 
 // Revive clears the crashed state and disarms the fault plan, modelling a
@@ -142,14 +130,12 @@ func (d *Device) faultOp(kind opKind) faultDecision {
 	switch kind {
 	case opProgram, opCopyback:
 		f.programs++
-		if (p.FailProgramEvery > 0 && f.programs%p.FailProgramEvery == 0) ||
-			(p.FailProgramProb > 0 && f.rng.Float64() < p.FailProgramProb) {
+		if p.FailProgramEvery > 0 && f.programs%p.FailProgramEvery == 0 {
 			return faultDecision{failProgram: true}
 		}
 	case opErase:
 		f.erases++
-		if (p.FailEraseEvery > 0 && f.erases%p.FailEraseEvery == 0) ||
-			(p.FailEraseProb > 0 && f.rng.Float64() < p.FailEraseProb) {
+		if p.FailEraseEvery > 0 && f.erases%p.FailEraseEvery == 0 {
 			return faultDecision{failErase: true}
 		}
 	}

@@ -23,7 +23,6 @@ type jsonEvent struct {
 	Region int32  `json:"region,omitempty"`
 	Start  int64  `json:"start"`
 	End    int64  `json:"end"`
-	Wall   int64  `json:"wall,omitempty"`
 	A      int64  `json:"a,omitempty"`
 	B      int64  `json:"b,omitempty"`
 }
@@ -37,7 +36,7 @@ func WriteJSONL(w io.Writer, events []Event) error {
 		je := jsonEvent{
 			Seq: e.Seq, Class: e.Class.String(), Op: e.Op, Prio: e.Prio,
 			Die: e.Die, Block: e.Block, Page: e.Page, Region: e.Region,
-			Start: int64(e.Start), End: int64(e.End), Wall: e.Wall,
+			Start: int64(e.Start), End: int64(e.End),
 			A: e.A, B: e.B,
 		}
 		if err := enc.Encode(je); err != nil {
@@ -57,9 +56,9 @@ func (t *Tracer) Dump(w io.Writer) (int, error) {
 	return len(events), WriteJSONL(w, events)
 }
 
-// LoadJSONL reads a JSONL trace back into events.  Blank lines are skipped;
-// an unknown class name or malformed line is an error carrying the line
-// number.
+// LoadJSONL reads a JSONL trace back into events.  Blank lines and unknown
+// keys (such as the "wall" of older dumps) are skipped; an unknown class name
+// or malformed line is an error carrying the line number.
 func LoadJSONL(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -82,7 +81,7 @@ func LoadJSONL(r io.Reader) ([]Event, error) {
 		out = append(out, Event{
 			Seq: je.Seq, Class: c, Op: je.Op, Prio: je.Prio,
 			Die: je.Die, Block: je.Block, Page: je.Page, Region: je.Region,
-			Start: sim.Time(je.Start), End: sim.Time(je.End), Wall: je.Wall,
+			Start: sim.Time(je.Start), End: sim.Time(je.End),
 			A: je.A, B: je.B,
 		})
 	}

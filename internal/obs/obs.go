@@ -12,11 +12,7 @@
 // ring-buffer store per event.  A Tracer is not safe for concurrent use.
 package obs
 
-import (
-	"time"
-
-	"noftl/internal/sim"
-)
+import "noftl/internal/sim"
 
 // Class identifies the kind of event; the Op field refines the class (e.g.
 // which flash command).
@@ -123,9 +119,6 @@ type Event struct {
 	// carry Start == End.
 	Start sim.Time
 	End   sim.Time
-	// Wall is the wall-clock nanosecond offset from the tracer's creation at
-	// which the event was recorded (real-time ordering across actors).
-	Wall int64
 	// A and B are class-specific auxiliary values (LPN, LSN, page counts,
 	// valid counts — see the class docs).
 	A int64
@@ -139,8 +132,6 @@ func (e Event) Latency() sim.Duration { return e.End.Sub(e.Start) }
 // a valid, permanently disabled tracer: every method is nil-safe, and the
 // Enabled guard compiles to a pointer compare — the "tracing off" fast path.
 type Tracer struct {
-	started time.Time
-
 	buf  []Event
 	next uint64 // total records ever stored (ring position = next % len)
 }
@@ -155,24 +146,20 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Tracer{
-		buf:     make([]Event, 0, capacity),
-		started: time.Now(),
-	}
+	return &Tracer{buf: make([]Event, 0, capacity)}
 }
 
 // Enabled reports whether events are recorded.  It is the hook-site guard
 // and is nil-safe: a nil tracer is always disabled.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Record stores one event.  The tracer assigns Seq and Wall; everything else
+// Record stores one event.  The tracer assigns Seq; everything else
 // is the caller's.  Nil-safe (no-op) so hook sites may skip the Enabled guard
 // when they already built the event.
 func (t *Tracer) Record(e Event) {
 	if t == nil {
 		return
 	}
-	e.Wall = int64(time.Since(t.started))
 	e.Seq = t.next
 	t.next++
 	if len(t.buf) < cap(t.buf) {

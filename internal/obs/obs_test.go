@@ -124,6 +124,11 @@ func TestJSONLRoundTrip(t *testing.T) {
 			t.Fatalf("event %d round trip mismatch:\n got %+v\nwant %+v", i, got[i], want[i])
 		}
 	}
+	// Older tracers wrote a "wall" key; such a dump still loads.
+	line := `{"seq":0,"class":"host_write","die":3,"block":7,"page":11,"region":1,"start":100,"end":250,"wall":5120,"a":42,"b":-1}`
+	if old, err := LoadJSONL(strings.NewReader(line + "\n")); err != nil || len(old) != 1 || old[0] != want[0] {
+		t.Fatalf("dump with a wall key loaded as %+v, %v; want %+v", old, err, want[0])
+	}
 }
 
 func TestLoadJSONLRejectsBadInput(t *testing.T) {

@@ -75,50 +75,31 @@ func (h *HeapFile) hint() core.Hint {
 	return h.ts.Hint(h.objectID, 0)
 }
 
-// Insert appends a record and returns its RID.
+// Insert appends a record and returns its RID: InsertBatch of one.
 func (h *HeapFile) Insert(now sim.Time, rec []byte) (RID, sim.Time, error) {
-	if lpn := h.lastPage; lpn != 0 {
-		rid, done, ok, err := h.tryInsertInto(now, lpn, rec)
-		if err != nil {
-			return RID{}, done, err
-		}
-		if ok {
-			return rid, done, nil
-		}
-		now = done
-	}
-	// Open a fresh page.  It joins h.pages only once its frame exists in the
-	// pool.
-	newLPN := h.ts.AllocatePage()
-	handle, done, err := h.pool.NewPage(now, newLPN, h.hint())
-	if err != nil {
+	recs, rid := [1][]byte{rec}, [1]RID{}
+	rids, done, err := h.InsertBatch(now, recs[:], rid[:0])
+	if len(rids) == 0 {
 		return RID{}, done, err
 	}
-	defer handle.Release()
-	InitPage(handle.Data(), PageTypeHeap, h.objectID, uint64(newLPN))
-	slot, err := InsertRecord(handle.Data(), rec)
-	if err != nil {
-		return RID{}, done, fmt.Errorf("heap %s: insert into fresh page: %w", h.name, err)
-	}
-	h.pages = append(h.pages, newLPN)
-	h.lastPage = newLPN
-	h.records++
-	return RID{LPN: uint64(newLPN), Slot: slot}, done, nil
+	return rids[0], done, err
 }
 
-// InsertBatch appends a batch of records, returning one RID per record in
-// order.  The tail page is filled first through the buffer pool; the
-// remaining records are packed into fresh page images which are written to
-// flash as one die-striped batch (a single scheduler submission however many
-// pages the batch spans).  The final, partially filled page stays resident in
-// the pool so subsequent inserts keep filling it.
+// InsertBatch appends a batch of records, appending one RID per record in
+// order to rids and returning the extended slice; it is the only code that
+// places records on heap pages.  The tail page is filled first through the
+// buffer pool, while its free space admits the next record (a page too full
+// for it is not copied to be written); the remaining records are packed into
+// fresh page images which are written to flash as one die-striped batch (a
+// single scheduler submission however many pages the batch spans).  The
+// final, partially filled page stays resident in the pool so subsequent
+// inserts keep filling it.
 //
 // On error the records already applied are returned alongside it (the heap
 // stays consistent; the caller decides whether to abort).  A record too
 // large for an empty page fails the whole batch up front, before anything is
 // applied.
-func (h *HeapFile) InsertBatch(now sim.Time, recs [][]byte) ([]RID, sim.Time, error) {
-	rids := make([]RID, 0, len(recs))
+func (h *HeapFile) InsertBatch(now sim.Time, recs [][]byte, rids []RID) ([]RID, sim.Time, error) {
 	if len(recs) == 0 {
 		return rids, now, nil
 	}
@@ -127,40 +108,34 @@ func (h *HeapFile) InsertBatch(now sim.Time, recs [][]byte) ([]RID, sim.Time, er
 	maxRec := pageSize - PageHeaderSize - slotSize
 	for _, rec := range recs {
 		if len(rec) > maxRec {
-			return nil, now, fmt.Errorf("heap %s: batch insert: %w (%d bytes, max %d)",
+			return rids, now, fmt.Errorf("heap %s: insert: %w (%d bytes, max %d)",
 				h.name, ErrRecordTooLarge, len(rec), maxRec)
 		}
 	}
 
 	// Phase 1: fill whatever room the current tail page has, fetching it once
 	// for the whole batch instead of once per record.
-	tail := h.lastPage
 	next := 0
-	if tail != 0 {
+	if tail := h.lastPage; tail != 0 {
 		handle, done, err := h.pool.Fetch(now, tail, h.hint())
 		if err != nil {
-			return nil, done, err
+			return rids, done, err
 		}
 		now = done
-		inserted := 0
-		for next < len(recs) {
+		for ; next < len(recs) && FreeSpace(handle.Data()) >= len(recs[next]); next++ {
 			slot, err := InsertRecord(handle.Writable(), recs[next])
+			if errors.Is(err, ErrPageFull) {
+				break
+			}
 			if err != nil {
-				if errors.Is(err, ErrPageFull) || errors.Is(err, ErrRecordTooLarge) {
-					break
-				}
 				handle.Release()
 				return rids, now, err
 			}
-			rids = append(rids, RID{LPN: uint64(tail), Slot: slot})
-			next++
-			inserted++
-		}
-		if inserted > 0 {
 			handle.MarkDirty()
+			rids = append(rids, RID{LPN: uint64(tail), Slot: slot})
+			h.records++
 		}
 		handle.Release()
-		h.records += int64(inserted)
 	}
 	if next >= len(recs) {
 		return rids, now, nil
@@ -172,7 +147,8 @@ func (h *HeapFile) InsertBatch(now sim.Time, recs [][]byte) ([]RID, sim.Time, er
 	// only updated once the pages are materialized, so a failure here cannot
 	// leave the heap pointing at pages that were never written.
 	var full []core.PageWrite
-	var newPages []core.LPN
+	var lpnBuf [4]core.LPN // a batch of one opens one page, allocating nothing
+	newPages := lpnBuf[:0]
 	var cur []byte
 	first, sealed := len(rids), len(rids) // rids[first:sealed] are on full pages
 	openPage := func() {
@@ -187,7 +163,7 @@ func (h *HeapFile) InsertBatch(now sim.Time, recs [][]byte) ([]RID, sim.Time, er
 		slot, err := InsertRecord(cur, recs[next])
 		if err != nil {
 			if !errors.Is(err, ErrPageFull) {
-				return rids[:first], now, fmt.Errorf("heap %s: batch insert: %w", h.name, err)
+				return rids[:first], now, fmt.Errorf("heap %s: insert: %w", h.name, err)
 			}
 			// Page full: seal it into the write batch and open the next one.
 			// The up-front size check guarantees progress on a fresh page.
@@ -260,7 +236,8 @@ func (h *HeapFile) GetBatch(now sim.Time, rids []RID, slab *Slab) ([][]byte, sim
 			lpns = append(lpns, core.LPN(rid.LPN))
 		}
 	}
-	handles, done, err := h.pool.FetchMany(now, lpns, h.hint())
+	var handleBuf [64]*buffer.Handle
+	handles, done, err := h.pool.FetchMany(handleBuf[:0], now, lpns, h.hint())
 	if err != nil {
 		return nil, done, err
 	}
@@ -281,29 +258,6 @@ func (h *HeapFile) GetBatch(now sim.Time, rids []RID, slab *Slab) ([][]byte, sim
 		}
 	}
 	return out, now, nil
-}
-
-// tryInsertInto attempts an insert into a specific page; ok is false when the
-// page has no room.
-func (h *HeapFile) tryInsertInto(now sim.Time, lpn core.LPN, rec []byte) (RID, sim.Time, bool, error) {
-	handle, done, err := h.pool.Fetch(now, lpn, h.hint())
-	if err != nil {
-		return RID{}, done, false, err
-	}
-	defer handle.Release()
-	if FreeSpace(handle.Data()) < len(rec) {
-		return RID{}, done, false, nil
-	}
-	slot, err := InsertRecord(handle.Writable(), rec)
-	if err != nil {
-		if errors.Is(err, ErrPageFull) {
-			return RID{}, done, false, nil
-		}
-		return RID{}, done, false, err
-	}
-	handle.MarkDirty()
-	h.records++
-	return RID{LPN: uint64(lpn), Slot: slot}, done, true, nil
 }
 
 // Get returns a copy of the record identified by rid.

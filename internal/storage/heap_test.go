@@ -237,7 +237,7 @@ func TestInsertBatchAdoptsSealedPagesWhenTheTailFails(t *testing.T) {
 	for i := range recs {
 		recs[i] = bytes.Repeat([]byte{byte('a' + i)}, 200)
 	}
-	rids, now, err := h.InsertBatch(0, recs)
+	rids, now, err := h.InsertBatch(0, recs, nil)
 	if !errors.Is(err, buffer.ErrPoolFull) || len(rids) != 4 {
 		t.Fatalf("InsertBatch with every frame pinned = %d rids, %v; want 4, ErrPoolFull", len(rids), err)
 	}

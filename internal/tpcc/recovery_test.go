@@ -48,7 +48,7 @@ func TestCrashMidRunRecoversConsistent(t *testing.T) {
 		// checkpoint cadence, and with a log this small leaves it one die.
 		cfg.CheckpointEvery = 100
 		checkpoints := db.Stats().WAL.Checkpoint.Count
-		db.Admin().ArmFaults(noftl.FaultPlan{Seed: cfg.Seed, CrashAfterOps: tc.crashAt})
+		db.Admin().ArmFaults(noftl.FaultPlan{CrashAfterOps: tc.crashAt})
 		if _, err := Run(db, sch, cfg); !errors.Is(err, noftl.ErrCrashed) {
 			t.Fatalf("%s, crash after %d commands: the run ended with %v, want the injected crash", tc.placement, tc.crashAt, err)
 		}

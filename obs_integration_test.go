@@ -473,7 +473,7 @@ func TestStatsEqualsMetrics(t *testing.T) {
 	}
 	defer db.Close()
 	const failEvery = 211
-	db.Admin().ArmFaults(FaultPlan{Seed: 3, FailProgramEvery: failEvery})
+	db.Admin().ArmFaults(FaultPlan{FailProgramEvery: failEvery})
 	armed := db.Stats().Device
 	obsWorkload(t, db, 150, 8)
 	tbl, _ := db.Table("H")

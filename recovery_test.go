@@ -571,7 +571,7 @@ func TestCrashMidCheckpointFallsBack(t *testing.T) {
 			}
 			keyedRows(t, db, tbl, idx, base, base+tail) // dirties heap and index pages
 
-			db.Admin().ArmFaults(FaultPlan{Seed: 7, CrashAfterOps: op, TornTailBytes: tornBytes})
+			db.Admin().ArmFaults(FaultPlan{CrashAfterOps: op, TornTailBytes: tornBytes})
 			_, ckptErr := db.Checkpoint(db.SimulatedTime())
 			if ckptErr != nil && !errors.Is(ckptErr, ErrCrashed) {
 				t.Fatalf("op %d: checkpoint under the fault plan: %v", op, ckptErr)

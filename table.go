@@ -198,23 +198,14 @@ func (t *Table) loggable(rows ...[]byte) error {
 	return nil
 }
 
-// Insert adds a row and returns its RID.
+// Insert adds a row and returns its RID: InsertBatch of one row.
 func (t *Table) Insert(tx *Tx, row []byte) (RID, error) {
-	tx.enter()
-	defer tx.exit()
-	if err := tx.writable(t.scans, t.meta.Name); err != nil {
+	rows, rid := [1][]byte{row}, [1]RID{}
+	rids, err := t.insert(tx, rows[:], rid[:0])
+	if len(rids) == 0 {
 		return RID{}, err
 	}
-	tx.chargeOps(1)
-	if err := t.loggable(row); err != nil {
-		return RID{}, err
-	}
-	rid, done, err := t.heap.Insert(tx.Now(), row)
-	if err != nil {
-		return RID{}, publicErr(err)
-	}
-	tx.inner.AdvanceTo(done)
-	return rid, tx.logRow(wal.RecInsert, t.meta.ObjectID, rid, row)
+	return rids[0], err
 }
 
 // Get returns the row stored under rid, copied into the database's slab (see
