@@ -47,7 +47,10 @@ func (t *Table) insert(tx *Tx, rows [][]byte, rids []RID) ([]RID, error) {
 // are read through the buffer pool's batched path: all cache misses of the
 // batch go to the device as one die-striped submission, so rows on different
 // dies are read concurrently in virtual time.  The rows are the caller's to
-// keep, copied into the database's slab (see Table.Rows).  A missing
+// keep, copied into the database's slab (see Table.Rows), and so is the
+// slice: it is cut from a chunk of row slots that later batches share,
+// capped at its length, so appending to it never writes into another
+// batch's.  A missing
 // record fails the whole call with ErrNotFound, a batch whose pages cannot all
 // be pinned in the buffer pool at once with ErrTooLarge.
 func (t *Table) GetBatch(tx *Tx, rids []RID) ([][]byte, error) {

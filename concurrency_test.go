@@ -15,11 +15,12 @@ import (
 
 // TestKeptTxAndRowsOutliveLaterTransactions keeps the first transaction's
 // handle and the row, rows and keys its Get, GetBatch and Range handed out,
-// then runs 256 more transactions on four goroutines at once: four chunks of
-// handles, and reads and inserts enough to move the database's slab on to
-// new chunks.  The kept handle still reports its own transaction, every kept
-// row and key still reads its bytes, and appending to one leaves the next
-// one alone: nothing a transaction was handed is reused for another.
+// with the slices of its two batch reads, then runs 256 more transactions on
+// four goroutines at once: four chunks of handles, and reads and inserts
+// enough to move the database's slab on to new chunks.  The kept handle still
+// reports its own transaction, every kept row, key and batch still reads its
+// bytes, and appending to one leaves the next one alone: nothing a
+// transaction was handed is reused for another.
 func TestKeptTxAndRowsOutliveLaterTransactions(t *testing.T) {
 	db, err := OpenConfig(smallConfig())
 	if err != nil {
@@ -64,6 +65,10 @@ func TestKeptTxAndRowsOutliveLaterTransactions(t *testing.T) {
 	}
 	for i, r := range batch {
 		kept, want = append(kept, r), append(want, row(1+i))
+	}
+	next, err := tbl.GetBatch(first, rids[9:10]) // cut right after batch
+	if err != nil {
+		t.Fatal(err)
 	}
 	for k := range idx.Range(first, Key(10), Key(18)) {
 		kept = append(kept, k)
@@ -126,6 +131,15 @@ func TestKeptTxAndRowsOutliveLaterTransactions(t *testing.T) {
 		if !bytes.Equal(kept[i+1], want[i+1]) {
 			t.Errorf("appending to kept slice %d changed the next one to %q", i, kept[i+1])
 		}
+	}
+	for i, r := range batch {
+		if !bytes.Equal(r, row(1+i)) {
+			t.Errorf("kept batch row %d reads %q, want %q", i, r, row(1+i))
+		}
+	}
+	_ = append(batch, []byte("appended"))
+	if len(next) != 1 || !bytes.Equal(next[0], row(9)) {
+		t.Errorf("appending to the kept batch changed the next batch to %q", next)
 	}
 }
 

@@ -6,10 +6,13 @@
 //
 //   - *DB is safe for concurrent use: operations from many goroutines run one
 //     at a time; transactions are cheap to start.
-//   - Explicit locks (Tx.Lock) serialize read-modify-write cycles.  A lock
-//     wait that would close a deadlock fails at once, and one that outlives
-//     its budget of virtual time (WithLockTimeout) fails when it does; both
-//     surface as ErrConflict — the caller's move is to abort and retry.
+//   - Explicit locks (Tx.Lock) serialize read-modify-write cycles.  A
+//     transaction that waits for a lock parks, and the holder's commit hands
+//     the lock over: the example does this once on purpose before the workers
+//     start, whatever the scheduler does.  A lock wait that would close a
+//     deadlock fails at once, and one that outlives its budget of virtual
+//     time (WithLockTimeout) fails when it does; both surface as ErrConflict
+//     — the caller's move is to abort and retry.
 //   - A commit forces the log within its own operation, so concurrent
 //     committers do not share a force: the Stats() snapshot shows no group
 //     commits.
@@ -19,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,6 +59,23 @@ func main() {
 		return err
 	}); err != nil {
 		log.Fatal(err)
+	}
+
+	// One lock wait: the holder keeps the counter's lock until Stats shows
+	// a second transaction parked on it, then commits and hands it over.
+	holder, handed := db.Begin(), make(chan error)
+	if err := holder.Lock("counter", noftl.Exclusive); err != nil {
+		log.Fatal(err)
+	}
+	go func() { handed <- db.Update(func(tx *noftl.Tx) error { return tx.Lock("counter", noftl.Exclusive) }) }()
+	for db.Stats().Txn.LockWaiting == 0 {
+		runtime.Gosched()
+	}
+	if _, err := holder.Commit(); err != nil {
+		log.Fatal(err)
+	}
+	if err := <-handed; err != nil {
+		log.Fatalf("the parked transaction: %v", err)
 	}
 
 	var retries atomic.Int64

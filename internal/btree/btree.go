@@ -294,8 +294,7 @@ func (t *Tree) replaceCellValue(buf []byte, i int, key, val []byte) bool {
 	if freeBytes(buf) < 4+len(key)+len(val)+2 {
 		return false
 	}
-	pos, _ := search(buf, key)
-	insertCell(buf, pos, key, val)
+	insertCell(buf, i, key, val) // the removal and a compaction keep the order
 	return true
 }
 
@@ -431,6 +430,8 @@ func (t *Tree) insertInto(now sim.Time, lpn core.LPN, key, value []byte) (sep []
 
 	if nodeIsLeaf(buf) {
 		buf = h.Writable() // a leaf always changes: replace, insert or split
+		// i is where key goes, whether it was absent or replaceCellValue
+		// removed it: removal and compaction keep the order.
 		i, found := search(buf, key)
 		if found {
 			if t.replaceCellValue(buf, i, key, value) {
@@ -445,8 +446,7 @@ func (t *Tree) insertInto(now sim.Time, lpn core.LPN, key, value []byte) (sep []
 			t.compactNode(buf)
 		}
 		if freeBytes(buf) >= need {
-			pos, _ := search(buf, key)
-			insertCell(buf, pos, key, value)
+			insertCell(buf, i, key, value)
 			h.MarkDirty()
 			h.Release()
 			return nil, 0, now, found, nil

@@ -516,6 +516,14 @@ func (p *Pool) noteGroupWrite(start, done sim.Time, n int) {
 // The frame is dirty and writable, and what it holds is not the page's: the
 // caller formats every byte (storage.InitPage zeroes the page).
 func (p *Pool) NewPage(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim.Time, error) {
+	return p.AdoptPage(now, lpn, hint, nil)
+}
+
+// AdoptPage is NewPage for a page the caller has already formatted in buf, a
+// buffer from the backend's PageBuf that it holds: the frame takes buf and
+// the caller's hold on it, and on error the caller keeps both.  A nil buf is
+// NewPage.
+func (p *Pool) AdoptPage(now sim.Time, lpn core.LPN, hint core.Hint, buf []byte) (*Handle, sim.Time, error) {
 	s := p.shardOf(lpn)
 	p.counts.NewPages++
 	f := p.resident(s, lpn)
@@ -531,7 +539,11 @@ func (p *Pool) NewPage(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim
 		}
 	}
 	f.dirty = true
-	if !f.own { // a buffer of its own, with none of the bytes the frame held
+	switch {
+	case buf != nil:
+		f.bufs.Release(f.data)
+		f.data, f.own = buf, true
+	case !f.own: // a buffer of its own, with none of the bytes the frame held
 		f.bufs.Release(f.data)
 		f.data, f.own = f.bufs.PageBuf(), true
 	}

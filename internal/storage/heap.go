@@ -157,7 +157,7 @@ func (h *HeapFile) InsertBatch(now sim.Time, recs [][]byte, rids []RID) ([]RID, 
 		InitPage(cur, PageTypeHeap, h.objectID, uint64(newPages[len(newPages)-1]))
 	}
 	openPage()
-	defer func() { h.ts.mgr.Release(cur) }() // the tail's image, on every path
+	defer func() { h.ts.mgr.Release(cur) }() // the tail's image, unless a frame took it
 	for next < len(recs) {
 		curLPN := newPages[len(newPages)-1]
 		slot, err := InsertRecord(cur, recs[next])
@@ -188,16 +188,16 @@ func (h *HeapFile) InsertBatch(now sim.Time, recs [][]byte, rids []RID) ([]RID, 
 		now = done
 	}
 
-	// Park the partial tail page in the pool so future inserts fill it.
+	// Park the partial tail page in the pool so future inserts fill it: its
+	// frame takes the image and its hold.
 	if len(rids) > sealed {
-		handle, done, err := h.pool.NewPage(now, newPages[len(newPages)-1], h.hint())
+		handle, done, err := h.pool.AdoptPage(now, newPages[len(newPages)-1], h.hint(), cur)
 		if err != nil {
 			// The sealed pages are durable: adopt them (not the tail).
 			h.adoptPages(newPages[:len(newPages)-1], int64(sealed-first))
 			return rids[:sealed], done, err
 		}
-		now = done
-		copy(handle.Data(), cur)
+		now, cur = done, nil
 		handle.Release()
 	} else {
 		newPages = newPages[:len(newPages)-1] // the empty tail was never used
@@ -219,14 +219,13 @@ func (h *HeapFile) adoptPages(lpns []core.LPN, records int64) {
 	h.records += records
 }
 
-// GetBatch returns copies of the records identified by rids, in order, carved
-// from slab.  The pages involved are fetched through
-// the buffer pool's batched path, so cold pages on different dies are read
-// concurrently in virtual time.
+// GetBatch returns copies of the records identified by rids, in order: the
+// slice and the copies are carved from slab.  The pages involved are fetched
+// through the buffer pool's batched path, so cold pages on different dies are
+// read concurrently in virtual time.
 func (h *HeapFile) GetBatch(now sim.Time, rids []RID, slab *Slab) ([][]byte, sim.Time, error) {
-	out := make([][]byte, len(rids))
 	if len(rids) == 0 {
-		return out, now, nil
+		return [][]byte{}, now, nil
 	}
 	// One page per run of rids on it; a page in two runs is pinned twice.
 	var lpnBuf [64]core.LPN
@@ -247,6 +246,7 @@ func (h *HeapFile) GetBatch(now sim.Time, rids []RID, slab *Slab) ([][]byte, sim
 			hd.Release()
 		}
 	}()
+	out := slab.Rows(len(rids))
 	i := 0
 	for _, hd := range handles {
 		for lpn := rids[i].LPN; i < len(rids) && rids[i].LPN == lpn; i++ {
@@ -342,10 +342,14 @@ func (h *HeapFile) Scan(now sim.Time, slab *Slab, fn func(rid RID, rec []byte) b
 // capacity doubles from slabMin bytes up to slabMax; a full chunk is replaced,
 // never grown in place, and every copy is capped at its length, so each stays
 // its holder's to keep (and to append to).  A copy its holder keeps keeps its
-// whole chunk alive.  The zero Slab is ready to use.
-type Slab struct{ chunk []byte }
+// whole chunk alive.  Batch reads take their result slices from chunks of
+// rowChunk slots the same way (Rows).  The zero Slab is ready to use.
+type Slab struct {
+	chunk []byte
+	rows  [][]byte
+}
 
-const slabMin, slabMax = 256, 64 << 10
+const slabMin, slabMax, rowChunk = 256, 64 << 10, 1024
 
 // Free returns the empty end of the current chunk, with room for n bytes: a
 // caller appends at most that much to it and hands the result to Take.
@@ -364,3 +368,16 @@ func (s *Slab) Take(b []byte) []byte {
 
 // Copy returns a copy of b.
 func (s *Slab) Copy(b []byte) []byte { return s.Take(append(s.Free(len(b)), b...)) }
+
+// Rows returns n empty row slots, capped at n, from a chunk of at least
+// rowChunk slots that is never reused: appending to them reallocates rather
+// than writing into the next caller's.  What the slots hold keeps its byte
+// chunks alive as long as the slot chunk lives.
+func (s *Slab) Rows(n int) [][]byte {
+	if cap(s.rows)-len(s.rows) < n {
+		s.rows = make([][]byte, 0, max(n, rowChunk))
+	}
+	i := len(s.rows)
+	s.rows = s.rows[:i+n]
+	return s.rows[i : i+n : i+n]
+}

@@ -102,16 +102,8 @@ func runPhase(db *noftl.DB, sch *Schema, cfg Config) (Results, error) {
 	terminals := make([]*termState, cfg.Terminals)
 	for termID := range terminals {
 		terminals[termID] = &termState{
-			t: &terminal{
-				db:  db,
-				sch: sch,
-				cfg: cfg,
-				r:   newRNG(cfg.Seed + uint64(termID)*7919),
-				wID: termID%cfg.Warehouses + 1,
-				dID: termID%cfg.DistrictsPerWarehouse + 1,
-				row: make([]byte, 0, maxRowSize),
-				enc: make([]byte, 0, maxRowSize),
-			},
+			t: newTerminal(db, sch, cfg, cfg.Seed+uint64(termID)*7919,
+				termID%cfg.Warehouses+1, termID%cfg.DistrictsPerWarehouse+1),
 			cursor: db.TimeCursor(),
 		}
 	}

@@ -363,7 +363,7 @@ func TestRandomHelpers(t *testing.T) {
 		t.Fatal("empty run last name")
 	}
 	// The transaction mix respects the standard shares, approximately.
-	term := &terminal{r: newRNG(7), cfg: DefaultConfig()}
+	term := newTerminal(nil, nil, DefaultConfig(), 7, 1, 1)
 	counts := map[TxnType]int{}
 	const draws = 20000
 	for i := 0; i < draws; i++ {
@@ -530,7 +530,7 @@ func TestTransactionsModifyState(t *testing.T) {
 	if err := Load(db, sch, cfg); err != nil {
 		t.Fatal(err)
 	}
-	term := &terminal{db: db, sch: sch, cfg: cfg, r: newRNG(3), wID: 1, dID: 1}
+	term := newTerminal(db, sch, cfg, 3, 1, 1)
 
 	// NewOrder: district next_o_id advances and order lines appear.
 	ordersBefore := sch.Order.RowCount()
@@ -805,8 +805,7 @@ func TestAllocationsPerTransaction(t *testing.T) {
 			t.Logf("%.1f heap allocations per committed transaction", n)
 		}
 	}
-	term := &terminal{db: db, sch: sch, cfg: cfg.withDefaults(), r: newRNG(5), wID: 1, dID: 1,
-		row: make([]byte, 0, maxRowSize), enc: make([]byte, 0, maxRowSize)}
+	term := newTerminal(db, sch, cfg.withDefaults(), 5, 1, 1)
 	for _, c := range []struct {
 		typ     TxnType
 		n       int

@@ -67,11 +67,30 @@ type terminal struct {
 }
 
 // maxRowSize is the size of the widest row, CUSTOMER; maxKeySize holds every
-// index key of the configured scales.
+// index key of the configured scales.  An order has at most maxOrderLines
+// lines, and Stock-Level reads those of the last stockLevelOrders orders.
 const (
-	maxRowSize = customerSize
-	maxKeySize = 40
+	maxRowSize       = customerSize
+	maxKeySize       = 40
+	maxOrderLines    = 15
+	stockLevelOrders = 20
 )
+
+// newTerminal returns a terminal whose scratch is sized once, from TPC-C's
+// bounds, so that no transaction grows it: the widest row, the RIDs of an
+// order's lines or of the customers who share a last name, and the distinct
+// items of Stock-Level's orders.
+func newTerminal(db *noftl.DB, sch *Schema, cfg Config, seed uint64, wID, dID int) *terminal {
+	sameName := (cfg.CustomersPerDistrict + 999) / 1000 // names repeat every 1 000 customers
+	return &terminal{
+		db: db, sch: sch, cfg: cfg, r: newRNG(seed), wID: wID, dID: dID,
+		row:   make([]byte, 0, maxRowSize),
+		enc:   make([]byte, 0, maxRowSize),
+		rids:  make([]noftl.RID, 0, max(maxOrderLines, sameName)),
+		items: make([]uint32, 0, stockLevelOrders*maxOrderLines),
+		seen:  make(map[uint32]bool, stockLevelOrders*maxOrderLines),
+	}
+}
 
 // read returns the row stored under rid in the terminal's row buffer, which
 // the next read overwrites.
@@ -198,12 +217,12 @@ func (t *terminal) newOrder(tx *noftl.Tx) error {
 	w := t.wID
 	d := t.r.uniform(1, t.cfg.DistrictsPerWarehouse)
 	c := t.r.customerID(t.cfg.CustomersPerDistrict)
-	olCnt := t.r.uniform(5, 15)
+	olCnt := t.r.uniform(5, maxOrderLines)
 	rollback := t.r.uniform(1, 100) == 1
 
 	// Choose the items up front and lock them in canonical order (sorted by
 	// item id) so concurrent NewOrders cannot deadlock.
-	var itemBuf, lockBuf [15]int
+	var itemBuf, lockBuf [maxOrderLines]int
 	items := itemBuf[:olCnt]
 	for i := range items {
 		items[i] = t.r.itemID(t.cfg.ItemCount)
@@ -541,16 +560,13 @@ func (t *terminal) stockLevel(tx *noftl.Tx) error {
 		return err
 	}
 	nextO := int(dist.NextOID)
-	lowO := nextO - 20
+	lowO := nextO - stockLevelOrders
 	if lowO < 1 {
 		lowO = 1
 	}
 	// Collect the distinct items of the last 20 orders, in first-seen order:
 	// the stock lookups below must hit the buffer pool in the same order on
 	// every run of a seed.
-	if t.seen == nil {
-		t.seen = make(map[uint32]bool)
-	}
 	seen, items := t.seen, t.items[:0]
 	clear(seen)
 	for _, rid := range t.sch.OLIdx.Range(tx, orderLineKey(t.key[:0], w, d, lowO, 0), orderLineKey(t.hi[:0], w, d, nextO, 0)) {

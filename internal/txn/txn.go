@@ -296,6 +296,7 @@ type Manager struct {
 	log    *wal.Log
 	clock  *sim.Clock
 	counts Counts
+	lists  [][]*lockState // empty lock lists, lent to a transaction at its first lock
 }
 
 // Counts are the transaction manager's counts since the last ResetCounters.
@@ -338,18 +339,18 @@ func (m *Manager) Counts() Counts { return m.counts }
 
 // Txn is one transaction.  It is owned by a single goroutine (a TPC-C
 // terminal); it is not safe for concurrent use.  A Txn is a value its owner
-// embeds: it holds its clock and room for the keys of a Delivery's locks, so
-// a transaction that takes no more allocates nothing of its own.  Do not copy
-// a Txn once it has taken a lock.
+// embeds: it holds its clock, and the keys it locks go on a list it borrows
+// from its Manager at its first lock and gives back when it ends, so a
+// transaction allocates nothing of its own.  Do not copy a Txn once it has
+// taken a lock: the copies would share its list.
 type Txn struct {
-	id      uint64
-	mgr     *Manager
-	cursor  sim.Cursor
-	state   State
-	locks   []*lockState // every key held, once; lockBuf until it outgrows it
-	lockBuf [20]*lockState
-	start   sim.Time
-	logged  bool // RecBegin has been appended (done lazily, see logBegin)
+	id     uint64
+	mgr    *Manager
+	cursor sim.Cursor
+	state  State
+	locks  []*lockState // every key held, once; borrowed at the first lock
+	start  sim.Time
+	logged bool // RecBegin has been appended (done lazily, see logBegin)
 }
 
 // Begin starts a transaction whose virtual clock begins at now.  Nothing is
@@ -405,11 +406,32 @@ func (t *Txn) lock(key string, mode LockMode, wait bool) error {
 	ls, err := t.mgr.lm.LockAt(t.cursor.Now(), t.id, key, mode, wait)
 	if ls != nil {
 		if t.locks == nil {
-			t.locks = t.lockBuf[:0]
+			t.locks = t.mgr.borrowList()
 		}
 		t.locks = append(t.locks, ls)
 	}
 	return err
+}
+
+// borrowList lends an empty lock list, one given back if there is one.  The
+// baton orders every call, so the free list needs no lock of its own.
+func (m *Manager) borrowList() []*lockState {
+	if n := len(m.lists); n > 0 {
+		l := m.lists[n-1]
+		m.lists = m.lists[:n-1]
+		return l
+	}
+	return make([]*lockState, 0, 20) // a Delivery takes 20
+}
+
+// release releases the transaction's locks and gives its list back, cleared
+// so that it keeps no lock state reachable.
+func (t *Txn) release() {
+	t.mgr.lm.ReleaseAllAt(t.cursor.Now(), t.id, t.locks)
+	if t.locks != nil {
+		clear(t.locks)
+		t.mgr.lists, t.locks = append(t.mgr.lists, t.locks[:0]), nil
+	}
 }
 
 // Log appends a record to the WAL on behalf of the transaction; its payload is
@@ -449,7 +471,7 @@ func (t *Txn) Commit() (sim.Time, error) {
 	}
 	t.state = Committed
 	t.mgr.counts.TxnCommitted++
-	t.mgr.lm.ReleaseAllAt(t.cursor.Now(), t.id, t.locks)
+	t.release()
 	return t.cursor.Now(), nil
 }
 
@@ -467,6 +489,6 @@ func (t *Txn) Abort() sim.Time {
 	}
 	t.state = Aborted
 	t.mgr.counts.TxnAborted++
-	t.mgr.lm.ReleaseAllAt(t.cursor.Now(), t.id, t.locks)
+	t.release()
 	return t.cursor.Now()
 }

@@ -3,10 +3,12 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"noftl/internal/core"
 	"noftl/internal/flash"
@@ -15,6 +17,14 @@ import (
 )
 
 func testWAL(t *testing.T) *wal.Log {
+	t.Helper()
+	_, log := testDeviceWAL(t)
+	return log
+}
+
+// testDeviceWAL is testWAL with the device under the log, for a test that
+// arms faults on it.
+func testDeviceWAL(t *testing.T) (*flash.Device, *wal.Log) {
 	t.Helper()
 	cfg := flash.DefaultConfig()
 	cfg.Geometry = flash.Geometry{
@@ -26,7 +36,7 @@ func testWAL(t *testing.T) *wal.Log {
 		t.Fatal(err)
 	}
 	mgr := core.NewManager(dev, core.DefaultOptions())
-	return wal.New(mgr, core.Hint{ObjectID: 1}, 512)
+	return dev, wal.New(mgr, core.Hint{ObjectID: 1}, 512)
 }
 
 // batoned runs a lock manager as the database does: every call holds one
@@ -485,7 +495,8 @@ func TestUnrelatedReleasesNeitherGrantNorTimeOut(t *testing.T) {
 }
 
 // TestTxnReleasesMoreKeysThanFitInline: a transaction holding 24 keys, more
-// than its inline array takes, releases every one of them at commit.
+// than the 20 a new lock list has room for, releases every one of them at
+// commit.
 func TestTxnReleasesMoreKeysThanFitInline(t *testing.T) {
 	m := NewManager(nil, nil, nil)
 	lm := m.LockManager()
@@ -513,6 +524,69 @@ func TestTxnReleasesMoreKeysThanFitInline(t *testing.T) {
 			t.Fatalf("%s still held: writer %d", k, ls.writer)
 		}
 	}
+}
+
+// TestLockListsAreBorrowedAndGivenBack: 1 000 transactions that lock a key
+// and commit, and 1 000 that lock one and abort, all run on the one lock list
+// the first of them borrows; each gives it back empty, with no reference to a
+// lock state left in it.  A transaction that locks nothing borrows nothing,
+// and one whose commit the log refused keeps its list with its locks until it
+// aborts.
+func TestLockListsAreBorrowedAndGivenBack(t *testing.T) {
+	dev, log := testDeviceWAL(t)
+	m := NewManager(nil, log, nil)
+	lists := map[**lockState]bool{} // the backing array of every list borrowed
+	returned := func() {
+		t.Helper()
+		if len(m.lists) != 1 {
+			t.Fatalf("%d lists on the free list, want 1", len(m.lists))
+		}
+		l := m.lists[0]
+		if len(l) != 0 || slices.ContainsFunc(l[:cap(l)], func(ls *lockState) bool { return ls != nil }) {
+			t.Fatalf("a list came back holding %d of %d slots: %v", len(l), cap(l), l[:cap(l)])
+		}
+	}
+	for i := range 2000 {
+		tx := m.Begin(sim.Time(i))
+		if err := tx.Lock(fmt.Sprintf("K:%d", i%7), Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		lists[unsafe.SliceData(tx.locks)] = true
+		if i%2 == 0 {
+			if _, err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			tx.Abort()
+		}
+		if tx.locks != nil {
+			t.Fatalf("transaction %d kept its list after it ended", i)
+		}
+		returned()
+	}
+	if len(lists) > 1 {
+		t.Fatalf("%d lock lists allocated, want 1", len(lists))
+	}
+
+	tx := m.Begin(0)
+	tx.Abort()
+	if tx.locks != nil || len(m.lists) != 1 {
+		t.Fatalf("a transaction without locks borrowed a list: %v, %d free", tx.locks, len(m.lists))
+	}
+
+	tx = m.Begin(0)
+	if err := tx.Lock("K:0", Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	dev.Arm(flash.FaultPlan{CrashAfterOps: 1})
+	if _, err := tx.Commit(); err == nil {
+		t.Fatal("a commit on a crashed device succeeded")
+	}
+	if tx.State() != Active || len(tx.locks) != 1 || len(m.lists) != 0 {
+		t.Fatalf("after a refused commit: state %v, %d locks, %d lists free", tx.State(), len(tx.locks), len(m.lists))
+	}
+	tx.Abort()
+	returned()
 }
 
 // TestUpgradeKeepsOneReference: a shared hold upgraded to exclusive, and the

@@ -15,10 +15,12 @@ import (
 //
 // Every row is the caller's to keep: the rows and keys that Rows, Range,
 // Prefix, Get and GetBatch hand out are copied into chunks of up to 64 KB that
-// all transactions share and nothing rewrites, so a read allocates per chunk,
-// not per row, key or transaction.  Each is capped at its length: appending to
-// one never writes into the next.  One that is kept keeps its whole chunk
-// alive, so a caller that keeps a few rows for long should copy them, or read
+// all transactions share and nothing rewrites, and the slices GetBatch returns
+// are cut from chunks of 1 024 row slots the same way, so a read allocates per
+// chunk, not per row, key, batch or transaction.  Each is capped at its
+// length: appending to one never writes into the next.  One that is kept keeps
+// its whole chunk alive (a batch's slice, the chunks of every row its chunk
+// holds), so a caller that keeps a few rows for long should copy them, or read
 // them with GetAppend.  Breaking out of the loop stops the scan.  A scan failure ends the
 // iteration early and is recorded on the transaction (Tx.Err); db.Update
 // refuses to commit while such an error is pending.  The scan and its loop
