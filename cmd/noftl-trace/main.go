@@ -9,11 +9,12 @@
 //
 // print pretty-prints events one per line; filter re-emits the selected
 // events as JSONL (composable with another noftl-trace invocation);
-// summarize reports event counts by class, flash latency by priority class and
-// the GC interference windows on host writes — the per-trace view of the
-// paper's A6 experiment (per-die busy time is the device's:
-// Stats().Device.PerDie).  With no file argument the trace is read from
-// standard input.
+// summarize folds the events after the last reset into Stats()'s counts and
+// host latencies, as "path=value" lines that diff against a dump of Stats(),
+// then reports flash latency by priority class and the GC interference
+// windows on host writes — the per-trace view of the paper's A6 experiment
+// (per-die busy time is Stats().Device.PerDie).  With no file argument the
+// trace is read from standard input.
 package main
 
 import (
@@ -199,10 +200,10 @@ func usage() {
 usage:
   noftl-trace print     [flags] [trace.jsonl]   pretty-print events
   noftl-trace filter    [flags] [trace.jsonl]   re-emit selected events as JSONL
-  noftl-trace summarize [flags] [trace.jsonl]   event counts, latency, GC interference
+  noftl-trace summarize [flags] [trace.jsonl]   Stats() since the last reset, GC interference
 
 flags:
-  -class flash,gc_step,...   keep only these event classes
+  -class flash,gc_step,...   keep only these event classes (reset: ResetStatistics)
   -die N                     keep only events on die N
   -region N                  keep only events of region N
   -n N                       print at most N events (print only)

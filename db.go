@@ -265,11 +265,17 @@ func (db *DB) ObjectStats() []ObjectCounters {
 // counter and latency histogram (device, scheduler, space manager, buffer
 // pool, log, lock manager, per-object) and the virtual clock without touching
 // data.  Stats() and /metrics read the same counts, so both restart from
-// zero; point-in-time gauges keep their values, and the trace ring keeps its
-// events and counts.  Benchmarks call it at the end of the warm-up phase.
+// zero; point-in-time gauges keep their values.  The trace ring keeps its
+// events and counts and records a reset event, after which the trace folds
+// into Stats() (obs.Summarize).  Benchmarks call it at the end of the warm-up
+// phase.
 func (db *DB) ResetStatistics() {
 	db.baton.Lock()
 	defer db.baton.Unlock()
+	if db.tracer.Enabled() {
+		db.tracer.Record(obs.Event{Class: obs.ClassReset, Die: -1, Block: -1, Page: -1, Region: -1,
+			Start: db.clock.Now(), End: db.clock.Now()})
+	}
 	db.space.ResetCounters()
 	db.pool.ResetCounters()
 	db.txns.ResetCounters()

@@ -45,12 +45,12 @@ func TestTracedRunDigest(t *testing.T) {
 		placement              tpcc.PlacementKind
 		digest, classes, stats string
 	}{
-		{tpcc.PlacementTraditional, "4b241ecb8bcede5b951cf604b2c2654ba2767a02d4de7bfe1a7c481565c4f491",
-			"flash=4342 host_write=3382 host_read=941 gc_step=8 gc_victim=11 gc_erase=11 wear=0 buf_miss=941 buf_evict=1238 buf_writeback=312 wal_append=35641 wal_sync=748",
-			"88868d08f3d661266e7ebddd3dca62508b1003d554e020a6606dc75c7a294957"},
-		{tpcc.PlacementRegions, "92e5e0c19735313f6b9e812d978b9aac9f5ca6ddcadfa1a4ac14dc2fad5a9860",
-			"flash=4353 host_write=3384 host_read=935 gc_step=34 gc_victim=34 gc_erase=34 wear=0 buf_miss=935 buf_evict=1232 buf_writeback=310 wal_append=35641 wal_sync=748",
-			"cab294e9d936ff53d36e5363ab6865c23d8b9692c320bcce31caf5b2b2c3ff99"},
+		{tpcc.PlacementTraditional, "0935fbe9cbfbe3609418cf17b5e622efdd8867a17388048cd88ff8eb039574d6",
+			"flash=4342 host_write=3382 host_read=941 gc_step=8 gc_victim=11 gc_erase=11 wear=0 buf_miss=941 buf_evict=1238 buf_writeback=312 wal_append=35641 wal_sync=748 reset=2",
+			"edd8890ee46598c026b4b6c91dd341b58c1f5b5727426078d69cde0618d7ba55"},
+		{tpcc.PlacementRegions, "598a68114fdc040bd20aa8398cd3edb2b8f42957ef9aab8e7e9c230377ae7407",
+			"flash=4353 host_write=3384 host_read=935 gc_step=34 gc_victim=34 gc_erase=34 wear=0 buf_miss=935 buf_evict=1232 buf_writeback=310 wal_append=35641 wal_sync=748 reset=2",
+			"c0566c27961859d53fc737f054b7358bcf2d07d65ff81963c395700f9ebf4945"},
 	} {
 		t.Run(want.placement.String(), func(t *testing.T) {
 			traced, events := tinyTPCCStats(t, want.placement, true)
@@ -171,23 +171,51 @@ func firstDifference(got, want []string) int {
 	return -1
 }
 
-// TestKVMixedRunDigest runs a tiny KV mix: point reads and same-size updates,
-// half and half, of uniformly drawn keys over a table twice the size of the
-// buffer pool, with the log on and a snapshot checkpoint every 200
-// transactions.  Past the half it cuts the power, recovers, and runs the rest
-// on the recovered database.  Both instances are traced.  The SHA-256 of
-// their events (every field), of the recovery's statistics and of
-// the final Stats, each dumped field by field, must equal the recorded ones;
-// every row must match its last committed image after the recovery and at the
-// end.
+// TestKVMixedRunDigest runs the KV mix (kvMix) and requires the SHA-256 of
+// both instances' events (every field), of the recovery's statistics and of
+// the final Stats, each dumped field by field, to equal the recorded ones.
 func TestKVMixedRunDigest(t *testing.T) {
+	const (
+		wantEvents   = "78724caaaa412c9f8b4f6dbfc50d6e2c5531bde37d42315e10661b0e7fa4c464"
+		wantRecovery = "3ef831b076ffa752b1a79a66aedddf12b2d2945efd264c881377402acfb154b5"
+		wantStats    = "472fca543f3f66b390b4740cefe99a188f1fc87ccc5e15d71af1da6e2a7b6d3f"
+	)
+	before, after, rec := kvMix(t)
+	first, _, _ := digestEvents(before.events)
+	second, _, classes := digestEvents(after.events)
+	recovery, stats := noftl.DumpFields(rec), noftl.DumpFields(after.stats)
+	for _, d := range []struct{ what, got, want, dump string }{
+		{"events", sha256Hex(first + second), wantEvents, classes},
+		{"recovery", sha256Hex(recovery), wantRecovery, recovery},
+		{"Stats", sha256Hex(stats), wantStats, stats},
+	} {
+		if d.got != d.want {
+			t.Errorf("%s digest %s, recorded %s\n%s", d.what, d.got, d.want, d.dump)
+		}
+	}
+}
+
+// kvInstance is what one database instance of the KV mix ends with: its
+// statistics and its traced events.
+type kvInstance struct {
+	stats  noftl.Stats
+	events []obs.Event
+}
+
+// kvMix runs a tiny KV mix: point reads and same-size updates, half and
+// half, of uniformly drawn keys over a table twice the size of the buffer
+// pool, with the log on and a snapshot checkpoint every 200 transactions.
+// Past the half it cuts the power, recovers, and runs the rest on the
+// recovered database.  Both instances are traced; every row must match its
+// last committed image after the recovery and at the end.  It returns the
+// instance before the crash, the recovered one at the end and the recovery's
+// statistics.
+func kvMix(t *testing.T) (before, after kvInstance, rec noftl.RecoveryStats) {
+	t.Helper()
 	const (
 		rows, rowBytes = 2000, 200
 		ops, ckptEvery = 1600, 200
 		crashAt        = 900 // 100 transactions past the last checkpoint
-		wantEvents     = "78724caaaa412c9f8b4f6dbfc50d6e2c5531bde37d42315e10661b0e7fa4c464"
-		wantRecovery   = "3ef831b076ffa752b1a79a66aedddf12b2d2945efd264c881377402acfb154b5"
-		wantStats      = "472fca543f3f66b390b4740cefe99a188f1fc87ccc5e15d71af1da6e2a7b6d3f"
 	)
 	db, err := noftl.Open(noftl.WithBufferPoolPages(56), noftl.WithTraceBuffer(1<<17))
 	if err != nil {
@@ -280,11 +308,12 @@ func TestKVMixedRunDigest(t *testing.T) {
 			}
 		}
 	}
-	// events returns the instance's traced events.
-	events := func() []obs.Event {
+	// instance returns the database's statistics and traced events.
+	instance := func() kvInstance {
 		t.Helper()
-		if st := db.Stats().Trace; st.Dropped != 0 {
-			t.Fatalf("the ring dropped %d of %d events: the digest would miss them", st.Dropped, st.Recorded)
+		st := db.Stats()
+		if st.Trace.Dropped != 0 {
+			t.Fatalf("the ring dropped %d of %d events: the digest would miss them", st.Trace.Dropped, st.Trace.Recorded)
 		}
 		var buf bytes.Buffer
 		if _, err := db.Admin().TraceDump(&buf); err != nil {
@@ -294,35 +323,23 @@ func TestKVMixedRunDigest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ev
+		return kvInstance{st, ev}
 	}
 
 	run(0, crashAt)
 	if st := db.Stats(); st.Buffer.Evictions == 0 || st.WAL.Checkpoint.Count == 0 {
 		t.Fatalf("the mix neither evicts nor checkpoints: %d evictions, %d checkpoints", st.Buffer.Evictions, st.WAL.Checkpoint.Count)
 	}
-	before := events()
+	before = instance()
 	if db, err = noftl.Reopen(db.Crash()); err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
 	tbl, _ = db.Table("KV")
 	idx, _ = db.Index("KV_PK")
-	rec, _ := db.Recovery()
+	rec, _ = db.Recovery()
 	checkAll("after the recovery")
 	run(crashAt, ops)
 	checkAll("at the end")
-
-	first, _, _ := digestEvents(before)
-	second, _, classes := digestEvents(events())
-	recovery, stats := noftl.DumpFields(rec), noftl.DumpFields(db.Stats())
-	for _, d := range []struct{ what, got, want, dump string }{
-		{"events", sha256Hex(first + second), wantEvents, classes},
-		{"recovery", sha256Hex(recovery), wantRecovery, recovery},
-		{"Stats", sha256Hex(stats), wantStats, stats},
-	} {
-		if d.got != d.want {
-			t.Errorf("%s digest %s, recorded %s\n%s", d.what, d.got, d.want, d.dump)
-		}
-	}
+	return before, instance(), rec
 }

@@ -9,6 +9,10 @@ import (
 	"noftl/internal/flash"
 )
 
+// ObsConfig and ObsWorkload are the observability workload's device and
+// churn, for the tests of package noftl_test.
+var ObsConfig, ObsWorkload = obsConfig, obsWorkload
+
 // DeviceOf returns the flash device under db, for the tests of package
 // noftl_test.
 func DeviceOf(db *DB) *flash.Device { return db.dev }

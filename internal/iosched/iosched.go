@@ -59,8 +59,8 @@ type Op uint8
 const (
 	// OpReadPage reads a full page (data + metadata).
 	OpReadPage Op = iota
-	// 1 was a metadata-only read; trace files carry the numbers, so the
-	// commands below keep theirs.
+	// 1 was a metadata-only read; trace files carry the numbers (obs names
+	// them: obs.FlashRead and the rest), so the commands below keep theirs.
 	_
 	// OpProgram programs a page.
 	OpProgram

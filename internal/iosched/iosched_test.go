@@ -4,8 +4,22 @@ import (
 	"testing"
 
 	"noftl/internal/flash"
+	"noftl/internal/obs"
 	"noftl/internal/sim"
 )
+
+// TestOpsAreTheTracesNumbers: a flash event carries its command as Op, and
+// trace files and obs.Summarize read it by obs's names.
+func TestOpsAreTheTracesNumbers(t *testing.T) {
+	for _, c := range []struct {
+		op   Op
+		want uint8
+	}{{OpReadPage, obs.FlashRead}, {OpProgram, obs.FlashProgram}, {OpErase, obs.FlashErase}, {OpCopyback, obs.FlashCopyback}} {
+		if uint8(c.op) != c.want {
+			t.Errorf("iosched.Op %d is traced as obs op %d", c.op, c.want)
+		}
+	}
+}
 
 // testDevice returns a small device with a deterministic geometry: 4
 // channels x 2 dies, default SLC timing (read 40µs, program 350µs, erase

@@ -17,9 +17,10 @@ import (
 	"time"
 )
 
-// Histogram accumulates durations and reports count, mean and selected
-// percentiles.  It uses exponentially sized buckets from 1µs to ~17min which
-// is plenty for both 4 KB flash I/Os and multi-second transactions.
+// Histogram accumulates durations; its Snapshot reports count, mean, the
+// 50th, 95th and 99th percentiles and the maximum.  It uses exponentially
+// sized buckets from 1µs to ~17min which is plenty for both 4 KB flash I/Os
+// and multi-second transactions.
 type Histogram struct {
 	mu  sync.Mutex
 	all Snapshot // buckets, count, sum and maximum; the summary is left out
@@ -63,29 +64,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.mu.Unlock()
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.copy().Count }
-
-// Mean returns the mean observed duration (zero if empty).
-func (h *Histogram) Mean() time.Duration { return h.Snapshot().Mean }
-
-// Max returns the largest observed duration (zero if empty).
-func (h *Histogram) Max() time.Duration { return h.copy().Max }
-
-// Quantile returns an upper-bound estimate of the q-quantile based on the
-// bucket boundaries.  The contract at the edges:
-//
-//   - empty histogram: 0 for every q;
-//   - q >= 1: the exact observed maximum;
-//   - otherwise: the upper bound of the bucket holding the ceil(q·count)-th
-//     observation (the first one for q <= 0), clamped to the observed
-//     maximum so the estimate never exceeds a value that was actually
-//     observed.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	s := h.copy()
-	return s.quantile(q)
-}
-
 // Reset clears all observations.
 func (h *Histogram) Reset() {
 	h.mu.Lock()
@@ -95,7 +73,7 @@ func (h *Histogram) Reset() {
 
 // Merge adds every observation of o to h.
 func (h *Histogram) Merge(o *Histogram) {
-	s := o.copy()
+	s := o.Snapshot()
 	h.mu.Lock()
 	h.all.add(s)
 	h.mu.Unlock()
@@ -116,15 +94,12 @@ type Snapshot struct {
 	sum     int64     // nanoseconds
 }
 
-// Snapshot returns the current summary.
-func (h *Histogram) Snapshot() Snapshot { return h.copy().summarised() }
-
-// copy returns the histogram's buckets, count, sum and maximum, read under
-// one lock, without the summary statistics.
-func (h *Histogram) copy() Snapshot {
+// Snapshot returns the current summary, read under one lock.
+func (h *Histogram) Snapshot() Snapshot {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.all
+	s := h.all
+	h.mu.Unlock()
+	return s.summarised()
 }
 
 // summarised returns s with its mean and percentiles computed from its
@@ -137,16 +112,15 @@ func (s Snapshot) summarised() Snapshot {
 	return s
 }
 
-// quantile is Histogram.Quantile over the snapshot's buckets.
+// quantile returns an upper-bound estimate of the q-quantile (0 < q < 1):
+// the upper bound of the bucket holding the ceil(q·count)-th observation,
+// clamped to the observed maximum so the estimate never exceeds a value that
+// was actually observed.  An empty snapshot reports 0.
 func (s *Snapshot) quantile(q float64) time.Duration {
 	if s.Count == 0 {
 		return 0
 	}
-	if q >= 1 {
-		return s.Max
-	}
-	target := int64(q*float64(s.Count) + 0.9999999)
-	target = min(max(target, 1), s.Count)
+	target := min(int64(q*float64(s.Count)+0.9999999), s.Count)
 	var seen int64
 	for i, c := range s.buckets {
 		seen += c

@@ -9,53 +9,52 @@ import (
 
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram()
-	if h.Mean() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
-		t.Fatalf("empty histogram should report zeros")
+	if h.Snapshot() != (Snapshot{}) {
+		t.Fatalf("empty histogram should report zeros: %+v", h.Snapshot())
 	}
 	h.Observe(100 * time.Microsecond)
 	h.Observe(200 * time.Microsecond)
 	h.Observe(300 * time.Microsecond)
-	if h.Count() != 3 {
-		t.Fatalf("count = %d", h.Count())
+	s := h.Snapshot()
+	if s.Count != 3 {
+		t.Fatalf("count = %d", s.Count)
 	}
-	if h.Mean() != 200*time.Microsecond {
-		t.Fatalf("mean = %v", h.Mean())
+	if s.Mean != 200*time.Microsecond {
+		t.Fatalf("mean = %v", s.Mean)
 	}
-	if h.Max() != 300*time.Microsecond {
-		t.Fatalf("max = %v", h.Max())
+	if s.Max != 300*time.Microsecond {
+		t.Fatalf("max = %v", s.Max)
 	}
-	if p := h.Quantile(0.99); p < 300*time.Microsecond {
-		t.Fatalf("p99 = %v below max", p)
+	if s.P99 != s.Max {
+		t.Fatalf("p99 = %v, want the maximum %v it is clamped to", s.P99, s.Max)
 	}
 	h.Reset()
-	if h.Count() != 0 {
-		t.Fatalf("count after reset = %d", h.Count())
+	if h.Snapshot() != (Snapshot{}) {
+		t.Fatalf("snapshot after reset = %+v", h.Snapshot())
 	}
 }
 
 func TestHistogramNegativeClamped(t *testing.T) {
 	h := NewHistogram()
 	h.Observe(-5 * time.Second)
-	if h.Max() != 0 {
-		t.Fatalf("negative observation not clamped: %v", h.Max())
+	if s := h.Snapshot(); s.Count != 1 || s.Max != 0 || s.Mean != 0 {
+		t.Fatalf("negative observation not clamped: %+v", s)
 	}
 }
 
-// Property: quantile estimates never underestimate lower quantiles relative
-// to higher ones and never exceed twice the max bucket bound.
+// Property: the percentiles of a snapshot are ordered and never exceed its
+// maximum.
 func TestHistogramQuantileMonotone(t *testing.T) {
 	f := func(samples []uint32) bool {
 		h := NewHistogram()
 		for _, s := range samples {
 			h.Observe(time.Duration(s))
 		}
+		s := h.Snapshot()
 		if len(samples) == 0 {
-			return h.Quantile(0.5) == 0
+			return s == Snapshot{}
 		}
-		q50 := h.Quantile(0.50)
-		q95 := h.Quantile(0.95)
-		q99 := h.Quantile(0.99)
-		return q50 <= q95 && q95 <= q99
+		return s.P50 <= s.P95 && s.P95 <= s.P99 && s.P99 <= s.Max
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -74,49 +73,38 @@ func TestPercentDelta(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantileContract pins the documented edge behavior: empty
-// histograms report zero for every q, q<=0 is the first observation's
-// estimate, q>=1 the exact maximum, and interior estimates never exceed the
-// observed maximum.
+// TestHistogramQuantileContract pins the documented edge behavior of a
+// snapshot's percentiles: an empty histogram reports zero, a percentile is the
+// upper bound of the bucket holding its observation clamped to the observed
+// maximum, and one observation is every percentile.
 func TestHistogramQuantileContract(t *testing.T) {
-	empty := NewHistogram()
-	for _, q := range []float64{-1, 0, 0.5, 1, 2} {
-		if got := empty.Quantile(q); got != 0 {
-			t.Fatalf("empty Quantile(%v) = %v, want 0", q, got)
-		}
-	}
-
 	h := NewHistogram()
 	h.Observe(130 * time.Microsecond)
 	h.Observe(700 * time.Microsecond)
 	h.Observe(900 * time.Microsecond)
-	if got := h.Quantile(0); got < 130*time.Microsecond || got >= 700*time.Microsecond {
-		t.Fatalf("Quantile(0) = %v, want the bucket of the 130µs observation", got)
+	s := h.Snapshot()
+	// The median is the 700µs observation: the upper bound of its
+	// power-of-two bucket, 2^20-1 ns, is above the maximum, so it is clamped.
+	if s.P50 != 900*time.Microsecond || s.P95 != 900*time.Microsecond || s.P99 != 900*time.Microsecond {
+		t.Fatalf("P50/P95/P99 = %v/%v/%v, want the observed maximum 900µs", s.P50, s.P95, s.P99)
 	}
-	if got, want := h.Quantile(-0.5), h.Quantile(0); got != want {
-		t.Fatalf("Quantile(-0.5) = %v, want Quantile(0) = %v", got, want)
+	if s.Max != 900*time.Microsecond || s.Mean != (130+700+900)*time.Microsecond/3 {
+		t.Fatalf("max %v, mean %v", s.Max, s.Mean)
 	}
-	if got := h.Quantile(1); got != 900*time.Microsecond {
-		t.Fatalf("Quantile(1) = %v, want exact max", got)
+
+	// Below the maximum a percentile is its bucket's upper bound: 100 fast
+	// observations put the median in the bucket of 130µs, [2^16, 2^17) ns.
+	for range 100 {
+		h.Observe(130 * time.Microsecond)
 	}
-	if got := h.Quantile(1.5); got != 900*time.Microsecond {
-		t.Fatalf("Quantile(1.5) = %v, want exact max", got)
-	}
-	// The power-of-two bucket for 900µs tops out well above 900µs; the
-	// interior estimate must be clamped to the observed maximum.
-	if got := h.Quantile(0.99); got > 900*time.Microsecond {
-		t.Fatalf("Quantile(0.99) = %v exceeds observed max", got)
-	}
-	if got := h.Quantile(0.5); got < 130*time.Microsecond || got > 900*time.Microsecond {
-		t.Fatalf("Quantile(0.5) = %v outside observed range", got)
+	if got := h.Snapshot().P50; got != (1<<17-1)*time.Nanosecond {
+		t.Fatalf("P50 = %v, want the upper bound of the 130µs bucket", got)
 	}
 
 	one := NewHistogram()
 	one.Observe(42 * time.Microsecond)
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := one.Quantile(q); got != 42*time.Microsecond {
-			t.Fatalf("single-sample Quantile(%v) = %v, want the sample", q, got)
-		}
+	if s := one.Snapshot(); s.P50 != 42*time.Microsecond || s.P95 != s.P50 || s.P99 != s.P50 || s.Max != s.P50 || s.Mean != s.P50 {
+		t.Fatalf("single-sample snapshot = %+v, want the sample everywhere", s)
 	}
 }
 

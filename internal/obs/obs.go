@@ -2,8 +2,9 @@
 // low-overhead recorder of typed events emitted by the I/O scheduler, the
 // space manager (GC, wear leveling, host I/O), the buffer pool and the WAL.
 //
-// The events are dumped as JSONL and summarized by the noftl-trace CLI; the
-// counts of /metrics are the layers' own fields, not derived from events.
+// The events are dumped as JSONL and summarized by the noftl-trace CLI.  The
+// layers count in fields of their own, and the trace folds into Stats():
+// Summarize counts the events after the last reset under Stats()'s names.
 //
 // Overhead discipline: every hook site is guarded by Tracer.Enabled, which is
 // nil-safe — a disabled tracer is simply a nil pointer, so the disabled path
@@ -48,6 +49,9 @@ const (
 	ClassWALAppend
 	// ClassWALSync is a WAL flush to flash (A = records made durable).
 	ClassWALSync
+	// ClassReset marks DB.ResetStatistics: the counts of Stats() cover the
+	// events after the last reset.
+	ClassReset
 	// NumClasses is the number of event classes (not itself a class).
 	NumClasses
 )
@@ -58,7 +62,7 @@ var classNames = [NumClasses]string{
 	"flash", "host_write", "host_read",
 	"gc_step", "gc_victim", "gc_erase", "wear",
 	"buf_miss", "buf_evict", "buf_writeback",
-	"wal_append", "wal_sync",
+	"wal_append", "wal_sync", "reset",
 }
 
 // String returns the canonical class name.
@@ -87,6 +91,10 @@ const (
 	// GCStepForeground is a blocking low-watermark collection iteration.
 	GCStepForeground
 )
+
+// Flash commands carried in Event.Op for ClassFlash: the numbers of
+// iosched.Op, which trace files carry (1 was a metadata-only read).
+const FlashRead, FlashProgram, FlashErase, FlashCopyback uint8 = 0, 2, 3, 4
 
 // Write-back shapes carried in Event.Op for ClassBufWriteBack.
 const (

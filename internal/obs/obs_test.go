@@ -202,3 +202,87 @@ func TestMergeWindows(t *testing.T) {
 		t.Fatalf("overlaps misbehaving on %+v", merged)
 	}
 }
+
+// TestSummarizeFoldsFromTheLastReset: the counts and host latencies cover the
+// events after the last reset only; the GC-interference split covers every
+// retained host write.
+func TestSummarizeFoldsFromTheLastReset(t *testing.T) {
+	tr := NewTracer(64)
+	write := Event{Class: ClassHostWrite, Die: 0, Start: 0, End: 100}
+	tr.Record(write)
+	tr.Record(Event{Class: ClassReset, Die: -1})
+	tr.Record(write)
+	tr.Record(Event{Class: ClassReset, Die: -1})
+	tr.Record(write)
+	tr.Record(Event{Class: ClassFlash, Op: FlashProgram, Die: 2, Start: 0, End: 350})
+	tr.Record(Event{Class: ClassBufWriteBack, Op: BufWriteBackGroup, Die: -1, A: 5})
+	tr.Record(Event{Class: ClassBufWriteBack, Op: BufWriteBackSingle, Die: -1, A: 77})
+	tr.Record(Event{Class: ClassWALAppend, Die: -1, A: 1, B: 40})
+	tr.Record(Event{Class: ClassWALAppend, Die: -1, A: 2, B: 60})
+	tr.Record(Event{Class: ClassGCStep, Op: GCStepForeground, Die: 2, Start: 0, End: 10})
+
+	s := Summarize(tr.Events())
+	want := map[string]int64{
+		"Space.HostWrites": 1, "Device.PerDie[2].Programs": 1,
+		"Buffer.Writebacks": 6, "Buffer.GroupFlushes": 1,
+		"WAL.Appended": 2, "WAL.BytesAppended": 100, "Space.GCStalls": 1,
+	}
+	if !reflect.DeepEqual(s.Counts, want) {
+		t.Fatalf("counts %v, want %v", s.Counts, want)
+	}
+	if s.Events != 7 || s.Partial || s.WriteLatency.Count != 1 || s.WriteLatency.Max != 100 {
+		t.Fatalf("summary of the events after the last reset = %+v", s)
+	}
+	if n := s.GC.Interfered.Count + s.GC.Clean.Count; n != 3 {
+		t.Fatalf("the GC split covers %d host writes, want all 3", n)
+	}
+	if out := s.String(); !strings.Contains(out, "\nSpace.HostWrites=1\n") || !strings.Contains(out, "\nWriteLatency.Count=1\nWriteLatency.Max=100ns\n") {
+		t.Fatalf("report lacks the Stats() lines:\n%s", out)
+	}
+}
+
+// TestSummarizeFlagsAPartialTrace: a ring that wrapped past every reset
+// keeps no record of where the counts of Stats() start, and says so.
+func TestSummarizeFlagsAPartialTrace(t *testing.T) {
+	tr := NewTracer(4)
+	tr.Record(Event{Class: ClassReset, Die: -1})
+	for range 4 {
+		tr.Record(Event{Class: ClassHostRead, Die: 0, Start: 0, End: 40})
+	}
+	s := Summarize(tr.Events())
+	if !s.Partial || s.Counts["Space.HostReads"] != 4 {
+		t.Fatalf("wrapped ring: partial %v, %d host reads; want true, 4", s.Partial, s.Counts["Space.HostReads"])
+	}
+	if !strings.Contains(s.String(), "partial:") {
+		t.Fatalf("report does not say the trace is partial:\n%s", s.String())
+	}
+	// With the reset retained, the same reads are the whole story.
+	tr = NewTracer(5)
+	tr.Record(Event{Class: ClassReset, Die: -1})
+	for range 4 {
+		tr.Record(Event{Class: ClassHostRead, Die: 0, Start: 0, End: 40})
+	}
+	if s := Summarize(tr.Events()); s.Partial || s.Counts["Space.HostReads"] != 4 {
+		t.Fatalf("ring holding its reset: partial %v, %d host reads; want false, 4", s.Partial, s.Counts["Space.HostReads"])
+	}
+}
+
+// TestResetRoundTrips: a reset event survives a JSONL dump and load, by its
+// class name.
+func TestResetRoundTrips(t *testing.T) {
+	events := []Event{
+		{Seq: 0, Class: ClassHostWrite, Die: 0, Block: 1, Page: 2, Start: 5, End: 9, A: 3},
+		{Seq: 1, Class: ClassReset, Die: -1, Block: -1, Page: -1, Region: -1, Start: 9, End: 9},
+	}
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, events); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"class":"reset"`) {
+		t.Fatalf("dump does not spell the reset class:\n%s", buf.String())
+	}
+	got, err := LoadJSONL(&buf)
+	if err != nil || !reflect.DeepEqual(got, events) {
+		t.Fatalf("round trip = %+v, %v; want %+v", got, err, events)
+	}
+}

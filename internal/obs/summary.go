@@ -2,6 +2,8 @@ package obs
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -9,54 +11,55 @@ import (
 	"noftl/internal/sim"
 )
 
-// LatencyStats summarizes a set of virtual-time latencies.
-type LatencyStats struct {
-	Count int64
-	Mean  sim.Duration
-	P50   sim.Duration
-	P95   sim.Duration
-	P99   sim.Duration
-	Max   sim.Duration
-}
-
-func latencyStats(h *metrics.Histogram) LatencyStats {
-	return LatencyStats{
-		Count: h.Count(),
-		Mean:  sim.Duration(h.Mean()),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
-		Max:   h.Max(),
-	}
-}
-
 // GCInterference is the A6 story extracted from a trace: host writes that
 // overlap a GC window on their die versus those that ran clear of GC.
 type GCInterference struct {
 	// Interfered are host writes whose [Start,End) overlapped a GC step or
 	// erase window on the same die.
-	Interfered LatencyStats
+	Interfered metrics.Snapshot
 	// Clean are host writes with no GC overlap.
-	Clean LatencyStats
+	Clean metrics.Snapshot
 	// SlowdownX is Interfered.Mean / Clean.Mean (0 when either side is empty).
 	SlowdownX float64
 }
 
-// Summary is the digest of a trace produced by Summarize.
+// Summary is a trace folded into the names of Stats() by Summarize.
 type Summary struct {
-	Events int
-	// Start and End bound the trace in virtual time.
-	Start sim.Time
-	End   sim.Time
-	// PerClass counts events by class (indexed by Class).
-	PerClass [NumClasses]int64
-	// PerPrio is the flash-command latency breakdown by scheduler priority.
-	PerPrio map[uint8]LatencyStats
-	// HostWrite and HostRead are end-to-end host-latency breakdowns.
-	HostWrite LatencyStats
-	HostRead  LatencyStats
-	// GC is the GC-interference analysis over host writes.
+	// Events is the number of events folded, those after the last reset;
+	// Start and End bound them in virtual time.
+	Events     int
+	Start, End sim.Time
+	// Partial reports that the ring dropped events before the first one
+	// folded and kept no reset before it: the fold covers the retained
+	// events only, not all that Stats() counted.
+	Partial bool
+	// Counts holds what the folded events count, each under the path of the
+	// Stats() field that counts it (the names noftl.DumpFields prints).  A
+	// count of zero has no entry.
+	Counts map[string]int64
+	// ReadLatency and WriteLatency are the spans of the folded host reads
+	// and writes: Stats().ReadLatency and WriteLatency.
+	ReadLatency, WriteLatency metrics.Snapshot
+	// PerPrio is the folded flash commands' latency by scheduler priority.
+	PerPrio map[uint8]metrics.Snapshot
+	// GC is the GC-interference analysis over every retained host write,
+	// those before the last reset too.
 	GC GCInterference
+}
+
+// counted names the Stats() field that one event of a class adds one to;
+// the classes left out count by Op or by an auxiliary value (Summarize).
+var counted = [NumClasses]string{
+	ClassHostWrite: "Space.HostWrites", ClassHostRead: "Space.HostReads",
+	ClassGCVictim: "Space.GCRuns", ClassGCErase: "Space.GCErases", ClassWear: "Space.WearMoves",
+	ClassBufMiss: "Buffer.Misses", ClassBufEvict: "Buffer.Evictions",
+	ClassWALAppend: "WAL.Appended", ClassWALSync: "WAL.Flushes",
+}
+
+// flashCounted names the field of Stats().Device.PerDie[d] a flash command
+// counts in, by Event.Op.
+var flashCounted = [...]string{
+	FlashRead: "Reads", FlashProgram: "Programs", FlashErase: "Erases", FlashCopyback: "Copybacks",
 }
 
 // window is a half-open virtual-time interval on a die.
@@ -92,59 +95,79 @@ func overlaps(ws []window, start, end sim.Time) bool {
 	return i < len(ws) && ws[i].start < end
 }
 
-// Summarize digests a trace: per-class counts, per-priority and host latency
-// breakdowns, and the GC-interference split of host writes (the A6
-// experiment's story, recovered from the event stream).  A die's busy time is
-// the device's to measure (flash.DieStats.BusyTime): a trace window runs from a
-// command's arrival to its completion, queue wait and transfer included.
+// Summarize folds the events after the last reset into the counts and host
+// latencies of Stats() and the flash latency by priority, and splits every
+// retained host write by whether it overlapped a GC window on its die (the
+// A6 experiment's story, recovered from the event stream).
 func Summarize(events []Event) Summary {
-	s := Summary{Events: len(events), PerPrio: make(map[uint8]LatencyStats)}
-	if len(events) == 0 {
-		return s
+	from := 0
+	for i, e := range events {
+		if e.Class == ClassReset {
+			from = i + 1
+		}
 	}
-	s.Start = events[0].Start
-	s.End = events[0].End
+	folded := events[from:]
+	s := Summary{
+		Events:  len(folded),
+		Partial: from == 0 && len(events) > 0 && events[0].Seq > 0,
+		Counts:  make(map[string]int64),
+		PerPrio: make(map[uint8]metrics.Snapshot),
+	}
 	prioHists := make(map[uint8]*metrics.Histogram)
-	hostWrite := metrics.NewHistogram()
-	hostRead := metrics.NewHistogram()
-	gcWin := make(map[int32][]window) // die -> GC step/erase windows
-
-	for _, e := range events {
-		if e.Start < s.Start {
+	read, write := metrics.NewHistogram(), metrics.NewHistogram()
+	for i, e := range folded {
+		if i == 0 || e.Start < s.Start {
 			s.Start = e.Start
 		}
-		if e.End > s.End {
-			s.End = e.End
-		}
-		if int(e.Class) < len(s.PerClass) {
-			s.PerClass[e.Class]++
+		s.End = max(s.End, e.End)
+		if int(e.Class) < len(counted) && counted[e.Class] != "" {
+			s.Counts[counted[e.Class]]++
 		}
 		switch e.Class {
 		case ClassFlash:
-			h := prioHists[e.Prio]
-			if h == nil {
-				h = metrics.NewHistogram()
-				prioHists[e.Prio] = h
+			if e.Die >= 0 && int(e.Op) < len(flashCounted) && flashCounted[e.Op] != "" {
+				s.Counts[fmt.Sprintf("Device.PerDie[%d].%s", e.Die, flashCounted[e.Op])]++
 			}
-			h.Observe(e.Latency())
-		case ClassHostWrite:
-			hostWrite.Observe(e.Latency())
+			if prioHists[e.Prio] == nil {
+				prioHists[e.Prio] = metrics.NewHistogram()
+			}
+			prioHists[e.Prio].Observe(e.Latency())
 		case ClassHostRead:
-			hostRead.Observe(e.Latency())
-		case ClassGCStep, ClassGCErase:
-			if e.Die >= 0 && e.End > e.Start {
-				gcWin[e.Die] = append(gcWin[e.Die], window{e.Start, e.End})
+			read.Observe(e.Latency())
+		case ClassHostWrite:
+			write.Observe(e.Latency())
+		case ClassGCStep:
+			if e.Op == GCStepForeground {
+				s.Counts["Space.GCStalls"]++
+			} else {
+				s.Counts["Space.BGGCSteps"]++
 			}
+		case ClassBufWriteBack:
+			if e.Op == BufWriteBackGroup {
+				s.Counts["Buffer.Writebacks"] += e.A
+				s.Counts["Buffer.GroupFlushes"]++
+			} else {
+				s.Counts["Buffer.Writebacks"]++
+			}
+		case ClassWALAppend:
+			s.Counts["WAL.BytesAppended"] += e.B
 		}
 	}
+	for p, h := range prioHists {
+		s.PerPrio[p] = h.Snapshot()
+	}
+	s.ReadLatency, s.WriteLatency = read.Snapshot(), write.Snapshot()
 
+	gcWin := make(map[int32][]window) // die -> GC step/erase windows
+	for _, e := range events {
+		if (e.Class == ClassGCStep || e.Class == ClassGCErase) && e.Die >= 0 && e.End > e.Start {
+			gcWin[e.Die] = append(gcWin[e.Die], window{e.Start, e.End})
+		}
+	}
 	for d, ws := range gcWin {
 		gcWin[d] = mergeWindows(ws)
 	}
-
-	// Second pass: split host writes by GC overlap on their die.
-	interfered := metrics.NewHistogram()
-	clean := metrics.NewHistogram()
+	interfered, clean := metrics.NewHistogram(), metrics.NewHistogram()
 	for _, e := range events {
 		if e.Class != ClassHostWrite {
 			continue
@@ -155,58 +178,43 @@ func Summarize(events []Event) Summary {
 			clean.Observe(e.Latency())
 		}
 	}
-
-	for p, h := range prioHists {
-		s.PerPrio[p] = latencyStats(h)
-	}
-	s.HostWrite = latencyStats(hostWrite)
-	s.HostRead = latencyStats(hostRead)
-	s.GC.Interfered = latencyStats(interfered)
-	s.GC.Clean = latencyStats(clean)
+	s.GC = GCInterference{Interfered: interfered.Snapshot(), Clean: clean.Snapshot()}
 	if s.GC.Clean.Mean > 0 && s.GC.Interfered.Count > 0 {
 		s.GC.SlowdownX = float64(s.GC.Interfered.Mean) / float64(s.GC.Clean.Mean)
 	}
 	return s
 }
 
-// String renders the summary as the human-readable report printed by
-// `noftl-trace summarize`.
+// String renders the summary as the report `noftl-trace summarize` prints:
+// the counts as "path=value" lines sorted by path, as a dump of Stats()
+// prints them, then the host latencies in the same form, the flash latency by
+// priority and the GC interference.
 func (s Summary) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "trace: %d events over %v virtual time\n", s.Events, s.End.Sub(s.Start))
-	fmt.Fprintf(&b, "\nevents by class:\n")
-	for c := Class(0); c < NumClasses; c++ {
-		if s.PerClass[c] > 0 {
-			fmt.Fprintf(&b, "  %-14s %d\n", c.String(), s.PerClass[c])
+	if s.Partial {
+		b.WriteString("partial: the ring dropped older events and kept no reset, so the counts cover only the retained events\n")
+	}
+	b.WriteString("\n")
+	for _, path := range slices.Sorted(maps.Keys(s.Counts)) {
+		fmt.Fprintf(&b, "%s=%d\n", path, s.Counts[path])
+	}
+	for i, l := range []metrics.Snapshot{s.ReadLatency, s.WriteLatency} {
+		if l.Count > 0 {
+			fmt.Fprintf(&b, "\n%[1]s.Count=%[2]d\n%[1]s.Max=%[3]v\n%[1]s.Mean=%[4]v\n%[1]s.P50=%[5]v\n%[1]s.P95=%[6]v\n%[1]s.P99=%[7]v\n",
+				[...]string{"ReadLatency", "WriteLatency"}[i], l.Count, l.Max, l.Mean, l.P50, l.P95, l.P99)
 		}
 	}
 	if len(s.PerPrio) > 0 {
-		prios := make([]int, 0, len(s.PerPrio))
-		for p := range s.PerPrio {
-			prios = append(prios, int(p))
-		}
-		sort.Ints(prios)
-		fmt.Fprintf(&b, "\nflash latency by priority:\n")
-		for _, p := range prios {
-			ls := s.PerPrio[uint8(p)]
-			fmt.Fprintf(&b, "  prio %d: n=%d mean=%v p95=%v p99=%v max=%v\n",
-				p, ls.Count, ls.Mean, ls.P95, ls.P99, ls.Max)
-		}
+		b.WriteString("\nflash latency by priority:\n")
 	}
-	if s.HostWrite.Count > 0 {
-		fmt.Fprintf(&b, "\nhost writes: n=%d mean=%v p95=%v p99=%v max=%v\n",
-			s.HostWrite.Count, s.HostWrite.Mean, s.HostWrite.P95, s.HostWrite.P99, s.HostWrite.Max)
-	}
-	if s.HostRead.Count > 0 {
-		fmt.Fprintf(&b, "host reads:  n=%d mean=%v p95=%v p99=%v max=%v\n",
-			s.HostRead.Count, s.HostRead.Mean, s.HostRead.P95, s.HostRead.P99, s.HostRead.Max)
+	for _, p := range slices.Sorted(maps.Keys(s.PerPrio)) {
+		ls := s.PerPrio[p]
+		fmt.Fprintf(&b, "  prio %d: n=%d mean=%v p95=%v p99=%v max=%v\n", p, ls.Count, ls.Mean, ls.P95, ls.P99, ls.Max)
 	}
 	if s.GC.Interfered.Count > 0 || s.GC.Clean.Count > 0 {
-		fmt.Fprintf(&b, "\nGC interference on host writes:\n")
-		fmt.Fprintf(&b, "  interfered: n=%d mean=%v p99=%v\n",
-			s.GC.Interfered.Count, s.GC.Interfered.Mean, s.GC.Interfered.P99)
-		fmt.Fprintf(&b, "  clean:      n=%d mean=%v p99=%v\n",
-			s.GC.Clean.Count, s.GC.Clean.Mean, s.GC.Clean.P99)
+		fmt.Fprintf(&b, "\nGC interference on host writes:\n  interfered: n=%d mean=%v p99=%v\n  clean:      n=%d mean=%v p99=%v\n",
+			s.GC.Interfered.Count, s.GC.Interfered.Mean, s.GC.Interfered.P99, s.GC.Clean.Count, s.GC.Clean.Mean, s.GC.Clean.P99)
 		if s.GC.SlowdownX > 0 {
 			fmt.Fprintf(&b, "  slowdown:   %.2fx mean latency under GC\n", s.GC.SlowdownX)
 		}

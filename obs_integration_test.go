@@ -39,8 +39,9 @@ func obsConfig() Config {
 
 // obsWorkload creates a region-resident table and churns it: insert rows,
 // then update every row across several rounds with a checkpoint per round so
-// the overwrites actually reach flash and invalidate pages.
-func obsWorkload(t *testing.T, db *DB, rows, rounds int) {
+// the overwrites actually reach flash and invalidate pages.  Before round
+// resetAt, when it is positive, it resets the statistics.
+func obsWorkload(t *testing.T, db *DB, rows, rounds, resetAt int) {
 	t.Helper()
 	err := db.Exec(`
 		CREATE REGION rgHot (MAX_CHIPS=2);
@@ -62,6 +63,9 @@ func obsWorkload(t *testing.T, db *DB, rows, rounds int) {
 		t.Fatal(err)
 	}
 	for round := 0; round < rounds; round++ {
+		if resetAt > 0 && round == resetAt {
+			db.ResetStatistics()
+		}
 		err = db.Update(func(tx *Tx) error {
 			for _, rid := range rids {
 				if err := tbl.Update(tx, rid, row); err != nil {
@@ -98,7 +102,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obsWorkload(t, db, 150, 14)
+	obsWorkload(t, db, 150, 14, 0)
 
 	space := db.Stats().Space
 	if space.GCRuns == 0 || space.GCStalls == 0 {
@@ -150,12 +154,12 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Fatal("the trace holds no events")
 	}
 	sum := obs.Summarize(events)
-	if sum.HostWrite.Count == 0 {
+	if sum.Counts["Space.HostWrites"] == 0 {
 		t.Fatal("summary has no host writes")
 	}
-	if sum.PerClass[obs.ClassGCStep] == 0 || sum.PerClass[obs.ClassGCErase] == 0 {
-		t.Fatalf("summary has no GC activity: steps=%d erases=%d",
-			sum.PerClass[obs.ClassGCStep], sum.PerClass[obs.ClassGCErase])
+	if sum.Counts["Space.GCStalls"] == 0 || sum.Counts["Space.GCErases"] == 0 {
+		t.Fatalf("summary has no GC activity: foreground steps=%d erases=%d",
+			sum.Counts["Space.GCStalls"], sum.Counts["Space.GCErases"])
 	}
 	// The A6 story: writes that overlapped a GC window on their die are
 	// slower than clean writes.
@@ -475,7 +479,7 @@ func TestStatsEqualsMetrics(t *testing.T) {
 	const failEvery = 211
 	db.Admin().ArmFaults(FaultPlan{FailProgramEvery: failEvery})
 	armed := db.Stats().Device
-	obsWorkload(t, db, 150, 8)
+	obsWorkload(t, db, 150, 8, 0)
 	tbl, _ := db.Table("H")
 	readAll := func() {
 		t.Helper()
@@ -582,7 +586,7 @@ func TestReopenStartsTheCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obsWorkload(t, db, 150, 8)
+	obsWorkload(t, db, 150, 8, 0)
 	if db, err = Reopen(db.Crash()); err != nil {
 		t.Fatal(err)
 	}
@@ -800,9 +804,8 @@ func TestBatchedHostIOIsTraced(t *testing.T) {
 	defer db.Close()
 	batchIOWorkload(t, db, 1000)
 
-	events := map[obs.Class]int64{}
-	for _, e := range db.tracer.Events() {
-		events[e.Class]++
+	events := db.tracer.Events()
+	for _, e := range events {
 		if (e.Class == obs.ClassHostRead || e.Class == obs.ClassHostWrite) && (e.Die < 0 || e.End <= e.Start || e.A == 0) {
 			t.Fatalf("host I/O event without die, duration or LPN: %+v", e)
 		}
@@ -814,11 +817,12 @@ func TestBatchedHostIOIsTraced(t *testing.T) {
 	if st.Buffer.GroupFlushes < 2 || st.Space.HostWrites < 200 || st.Space.HostReads < 200 {
 		t.Fatalf("workload was not batched I/O: %+v %+v", st.Buffer, st.Space)
 	}
-	if events[obs.ClassHostWrite] != st.Space.HostWrites {
-		t.Errorf("%d host-write events for %d host writes", events[obs.ClassHostWrite], st.Space.HostWrites)
+	counts := obs.Summarize(events).Counts
+	if counts["Space.HostWrites"] != st.Space.HostWrites {
+		t.Errorf("%d host-write events for %d host writes", counts["Space.HostWrites"], st.Space.HostWrites)
 	}
-	if events[obs.ClassHostRead] != st.Space.HostReads {
-		t.Errorf("%d host-read events for %d host reads", events[obs.ClassHostRead], st.Space.HostReads)
+	if counts["Space.HostReads"] != st.Space.HostReads {
+		t.Errorf("%d host-read events for %d host reads", counts["Space.HostReads"], st.Space.HostReads)
 	}
 }
 
